@@ -41,9 +41,9 @@ func main() {
 	log.SetPrefix("lbmbench: ")
 
 	var (
-		exp      = flag.String("exp", "all", "experiment: table1, table2, fig8, fig9, fig10, table3, table4, fig11, decomp, collision, fixup, threads, balance, predict, fit, tune, bench, or all")
+		exp      = flag.String("exp", "all", "experiment: table1, table2, fig8, fig9, fig10, table3, table4, fig11, decomp, collision, threads, balance, predict, fit, tune, bench, or all")
 		machine  = flag.String("machine", "bgp", "machine for fig8/fig9/fig11/decomp: bgp or bgq")
-		real     = flag.Bool("real", false, "run the real kernels locally instead of the paper-scale simulator (fixup, threads and balance are real-only)")
+		real     = flag.Bool("real", false, "run the real kernels locally instead of the paper-scale simulator (threads and balance are real-only)")
 		model    = flag.String("model", "D3Q19", "model for -real and collision experiments")
 		ranks    = flag.Int("ranks", 4, "ranks for -real experiments")
 		threads  = flag.Int("threads", 1, "worker threads per rank for -real experiments; for -exp threads the top of the sweep (0 = runtime.NumCPU()/ranks, floor 1)")
@@ -291,11 +291,6 @@ func realExperiment(exp, model string, ranks, threads, steps int, decomp, depth 
 		return experiments.RealFig11(model, steps, decomp, depth, colSpec, stream)
 	case "collision":
 		return experiments.CollisionTable(model)
-	case "fixup":
-		if stream != core.StreamTwoGrid {
-			return nil, fmt.Errorf("fixup compares the fixup-scan path, which AA streaming replaces; drop -stream")
-		}
-		return experiments.RealFixup(model, ranks, steps, decomp, depth)
 	case "threads":
 		if stream != core.StreamTwoGrid {
 			return nil, fmt.Errorf("threads sweeps the two-grid kernels; drop -stream")
@@ -307,5 +302,5 @@ func realExperiment(exp, model string, ranks, threads, steps int, decomp, depth 
 		}
 		return experiments.RealBalance(model, ranks, threads, steps)
 	}
-	return nil, fmt.Errorf("-real supports fig8, fig9, fig10, fig11, collision, fixup, threads, balance (got %q)", exp)
+	return nil, fmt.Errorf("-real supports fig8, fig9, fig10, fig11, collision, threads, balance (got %q)", exp)
 }

@@ -9,9 +9,9 @@
 // regularized LBM of Yu et al.). Three operators are provided:
 //
 //   - BGK: f ← f − ω(f − f_eq), ω = 1/τ — the paper's operator. The core
-//     solver never routes BGK through this package on its hot paths (the
-//     specialized paired/blocked/fused kernels stay bit-for-bit identical);
-//     the operator exists for the generic kernel and cross-checks.
+//     solver never routes BGK through this package on its hot paths (its
+//     ladder has its own naive, row-generic and pair-symmetric BGK row
+//     kernels); the operator exists for the per-cell kernel and cross-checks.
 //
 //   - TRT (two-relaxation-time, Ginzburg): the populations of each
 //     opposite-velocity pair are split into even and odd parts, relaxed at
@@ -78,7 +78,7 @@ type Operator interface {
 //
 // TRT and MRT implement it; the solver's z-run-blocked operator kernel
 // dispatches on it and falls back to per-cell Relax otherwise. BGK
-// deliberately does not: its production path is the specialized legacy
+// deliberately does not: its production path is the solver's own BGK row
 // kernels, and keeping the forced-operator regression route per-cell
 // preserves the 0-ULP guard against the naive kernel.
 type RowRelaxer interface {
@@ -120,7 +120,7 @@ func ParseKind(s string) (Kind, error) {
 }
 
 // Spec selects and parameterizes a collision operator. The zero value is
-// plain BGK, which the solver maps to its specialized legacy kernels.
+// plain BGK, which the solver maps to its own BGK row kernels.
 type Spec struct {
 	Kind Kind
 	// Magic is the TRT magic parameter Λ = (τ⁺−½)(τ⁻−½); zero selects
@@ -138,7 +138,7 @@ type Spec struct {
 }
 
 // IsBGK reports whether the spec selects the plain BGK operator, i.e. the
-// solver's specialized legacy kernels.
+// solver's own BGK row kernels.
 func (s Spec) IsBGK() bool { return s.Kind == BGK }
 
 // String renders the spec for run headers and tables.
@@ -238,7 +238,7 @@ type bgkOp struct {
 // NewBGK returns the BGK operator: f ← f − (f − f_eq)/τ. The arithmetic
 // matches the solver's naive kernel bit-for-bit (division by τ, equilibria
 // via the model's closed form), which is what lets the operator-path
-// regression guard assert 0-ULP equality against the legacy kernels.
+// regression guard assert 0-ULP equality against the naive kernel.
 func NewBGK(m *lattice.Model, tau float64) Operator {
 	return &bgkOp{m: m, tau: tau, feq: make([]float64, m.Q)}
 }

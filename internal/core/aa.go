@@ -48,7 +48,6 @@ package core
 // pair-start exchange with the previous compact's interior.
 
 import (
-	"repro/internal/collision"
 	"repro/internal/halo"
 	"repro/internal/obs"
 )
@@ -166,7 +165,7 @@ func (cs *cartStepper) aaTransportRange(worker int, b box) {
 func (cs *cartStepper) aaTransportRow(sc *workerScratch, ix, iy, zlo, zhi int, msk []bool) {
 	m := cs.model
 	zn := zhi - zlo
-	in, out := sc.aaRows(zn)
+	in, out := sc.gathered(zn)
 	nz := cs.d.NZ
 	// Masked z positions are skipped in the gather, not just the
 	// scatter: a solid cell's star slots are concurrently written by
@@ -200,7 +199,7 @@ func (cs *cartStepper) aaTransportRow(sc *workerScratch, ix, iy, zlo, zhi int, m
 			in[fx.v][z] = cs.f.V(int(fx.opp))[fx.cell] + fx.delta
 		}
 	}
-	cs.aaRelaxRows(sc, in, out, zn)
+	cs.relax(sc, in, out, zn)
 	cs.aaSpongeRow(sc, out, ix, iy, zlo, zn)
 	for v := 0; v < m.Q; v++ {
 		dst := cs.f.V(m.Opp[v])
@@ -261,12 +260,12 @@ func (cs *cartStepper) aaCompactRange(worker int, b box) {
 func (cs *cartStepper) aaCompactRow(sc *workerScratch, ix, iy, zlo, zhi int, msk []bool) {
 	m := cs.model
 	zn := zhi - zlo
-	in, out := sc.aaRows(zn)
+	in, out := sc.gathered(zn)
 	base := cs.d.Index(ix, iy, zlo)
 	for v := 0; v < m.Q; v++ {
 		copy(in[v], cs.f.V(m.Opp[v])[base:base+zn])
 	}
-	cs.aaRelaxRows(sc, in, out, zn)
+	cs.relax(sc, in, out, zn)
 	cs.aaSpongeRow(sc, out, ix, iy, zlo, zn)
 	for v := 0; v < m.Q; v++ {
 		dst := cs.f.V(v)
@@ -293,7 +292,7 @@ func (cs *cartStepper) aaSpongeRow(sc *workerScratch, out [][]float64, ix, iy, z
 	if !cs.hasSponge {
 		return
 	}
-	sig := sc.rowFeq[:zn]
+	sig := sc.sig[:zn]
 	if !cs.spongeSig(sig, ix, iy, zlo, zn) {
 		return
 	}
@@ -303,230 +302,6 @@ func (cs *cartStepper) aaSpongeRow(sc *workerScratch, out [][]float64, ix, iy, z
 		msk = cs.mask[base : base+zn]
 	}
 	applySpongeRow(cs.model, sc.fc, out, sig, msk, zn)
-}
-
-// aaRelaxRows collides one gathered row (in → out), dispatching to the
-// arithmetic of the two-grid kernel the configuration would use, so
-// cross-scheme runs stay bit-identical per cell (and therefore within
-// the standard 1e-12 reassociation envelope overall).
-func (cs *cartStepper) aaRelaxRows(sc *workerScratch, in, out [][]float64, zn int) {
-	switch {
-	case cs.op != nil:
-		if rr, ok := sc.op.(collision.RowRelaxer); ok {
-			cs.aaRelaxOpRows(rr, sc, in, out, zn)
-			return
-		}
-		cs.aaRelaxOpCell(sc, in, out, zn)
-	case cs.cfg.Opt <= OptGC:
-		cs.aaRelaxNaive(sc, in, out, zn)
-	case cs.cfg.Opt == OptDH:
-		cs.aaRelaxGeneric(sc, in, out, zn)
-	default:
-		cs.aaRelaxPaired(sc, in, out, zn)
-	}
-}
-
-// aaRelaxNaive mirrors collideBoxNaive per cell: gather, Moments,
-// equilibria by method call, divisions.
-func (cs *cartStepper) aaRelaxNaive(sc *workerScratch, in, out [][]float64, zn int) {
-	m := cs.model
-	fc := sc.fc
-	for z := 0; z < zn; z++ {
-		for v := 0; v < m.Q; v++ {
-			fc[v] = in[v][z]
-		}
-		rho, jx, jy, jz := m.Moments(fc)
-		ux := jx/rho + cs.shiftX
-		uy := jy/rho + cs.shiftY
-		uz := jz/rho + cs.shiftZ
-		for v := 0; v < m.Q; v++ {
-			feq := m.EquilibriumAt(v, rho, ux, uy, uz)
-			out[v][z] = fc[v] - (fc[v]-feq)/cs.cfg.Tau
-		}
-	}
-}
-
-// aaRelaxGeneric mirrors collideBoxGeneric: per-velocity row moment
-// accumulation, reciprocals, inlined equilibria.
-func (cs *cartStepper) aaRelaxGeneric(sc *workerScratch, in, out [][]float64, zn int) {
-	m := cs.model
-	omega := 1 / cs.cfg.Tau
-	c := cs.coef
-	rb := sc.rb
-	for z := 0; z < zn; z++ {
-		rb.rho[z], rb.jx[z], rb.jy[z], rb.jz[z] = 0, 0, 0, 0
-	}
-	for v := 0; v < m.Q; v++ {
-		sv := in[v]
-		cx, cy, cz := c.cx[v], c.cy[v], c.cz[v]
-		for z, val := range sv {
-			rb.rho[z] += val
-			rb.jx[z] += cx * val
-			rb.jy[z] += cy * val
-			rb.jz[z] += cz * val
-		}
-	}
-	for z := 0; z < zn; z++ {
-		inv := 1 / rb.rho[z]
-		rb.ux[z] = rb.jx[z]*inv + cs.shiftX
-		rb.uy[z] = rb.jy[z]*inv + cs.shiftY
-		rb.uz[z] = rb.jz[z]*inv + cs.shiftZ
-		rb.u2[z] = rb.ux[z]*rb.ux[z] + rb.uy[z]*rb.uy[z] + rb.uz[z]*rb.uz[z]
-	}
-	for v := 0; v < m.Q; v++ {
-		sv, dv := in[v], out[v]
-		cx, cy, cz, w := c.cx[v], c.cy[v], c.cz[v], c.w[v]
-		for z := 0; z < zn; z++ {
-			cu := cx*rb.ux[z] + cy*rb.uy[z] + cz*rb.uz[z]
-			e := 1 + cu*c.invCs2 + cu*cu*c.invCs4h - rb.u2[z]*c.invCs2h
-			if c.third {
-				e += cu*cu*cu*c.thA - cu*rb.u2[z]*c.thB
-			}
-			feq := w * rb.rho[z] * e
-			dv[z] = sv[z] - omega*(sv[z]-feq)
-		}
-	}
-}
-
-// aaRelaxPaired mirrors collideBoxPaired: opposite-pair symmetric
-// equilibria with precomputed coefficients — the CF-and-above fast path.
-func (cs *cartStepper) aaRelaxPaired(sc *workerScratch, in, out [][]float64, zn int) {
-	omega := 1 / cs.cfg.Tau
-	c := cs.coef
-	rb := sc.rb
-	for z := 0; z < zn; z++ {
-		rb.rho[z], rb.jx[z], rb.jy[z], rb.jz[z] = 0, 0, 0, 0
-	}
-	for _, p := range cs.pairs {
-		if p.i == p.j {
-			for z, val := range in[p.i] {
-				rb.rho[z] += val
-			}
-			continue
-		}
-		si, sj := in[p.i], in[p.j]
-		cx, cy, cz := c.cx[p.i], c.cy[p.i], c.cz[p.i]
-		for z := 0; z < zn; z++ {
-			vi, vj := si[z], sj[z]
-			sum, diff := vi+vj, vi-vj
-			rb.rho[z] += sum
-			rb.jx[z] += cx * diff
-			rb.jy[z] += cy * diff
-			rb.jz[z] += cz * diff
-		}
-	}
-	for z := 0; z < zn; z++ {
-		inv := 1 / rb.rho[z]
-		rb.ux[z] = rb.jx[z]*inv + cs.shiftX
-		rb.uy[z] = rb.jy[z]*inv + cs.shiftY
-		rb.uz[z] = rb.jz[z]*inv + cs.shiftZ
-		rb.u2[z] = rb.ux[z]*rb.ux[z] + rb.uy[z]*rb.uy[z] + rb.uz[z]*rb.uz[z]
-	}
-	for _, p := range cs.pairs {
-		if p.i == p.j {
-			sv, dv := in[p.i], out[p.i]
-			w := c.w[p.i]
-			for z := 0; z < zn; z++ {
-				feq := w * rb.rho[z] * (1 - rb.u2[z]*c.invCs2h)
-				dv[z] = sv[z] - omega*(sv[z]-feq)
-			}
-			continue
-		}
-		si, sj := in[p.i], in[p.j]
-		di, dj := out[p.i], out[p.j]
-		cx, cy, cz, w := c.cx[p.i], c.cy[p.i], c.cz[p.i], c.w[p.i]
-		for z := 0; z < zn; z++ {
-			cu := cx*rb.ux[z] + cy*rb.uy[z] + cz*rb.uz[z]
-			cu2 := cu * cu
-			even := 1 + cu2*c.invCs4h - rb.u2[z]*c.invCs2h
-			odd := cu * c.invCs2
-			if c.third {
-				odd += cu2*cu*c.thA - cu*rb.u2[z]*c.thB
-			}
-			wr := w * rb.rho[z]
-			di[z] = si[z] - omega*(si[z]-wr*(even+odd))
-			dj[z] = sj[z] - omega*(sj[z]-wr*(even-odd))
-		}
-	}
-}
-
-// aaRelaxOpRows mirrors collideOpRows: pair-accumulated moments and
-// pair-symmetric inlined equilibria into the worker's feq rows, then one
-// RelaxRows call.
-func (cs *cartStepper) aaRelaxOpRows(rr collision.RowRelaxer, sc *workerScratch, in, out [][]float64, zn int) {
-	c := cs.coef
-	rb := sc.rb
-	feq := sc.rows(zn)
-	for z := 0; z < zn; z++ {
-		rb.rho[z], rb.jx[z], rb.jy[z], rb.jz[z] = 0, 0, 0, 0
-	}
-	for _, p := range cs.pairs {
-		if p.i == p.j {
-			for z, val := range in[p.i] {
-				rb.rho[z] += val
-			}
-			continue
-		}
-		si, sj := in[p.i], in[p.j]
-		cx, cy, cz := c.cx[p.i], c.cy[p.i], c.cz[p.i]
-		for z := 0; z < zn; z++ {
-			vi, vj := si[z], sj[z]
-			sum, diff := vi+vj, vi-vj
-			rb.rho[z] += sum
-			rb.jx[z] += cx * diff
-			rb.jy[z] += cy * diff
-			rb.jz[z] += cz * diff
-		}
-	}
-	for z := 0; z < zn; z++ {
-		inv := 1 / rb.rho[z]
-		rb.ux[z] = rb.jx[z]*inv + cs.shiftX
-		rb.uy[z] = rb.jy[z]*inv + cs.shiftY
-		rb.uz[z] = rb.jz[z]*inv + cs.shiftZ
-		rb.u2[z] = rb.ux[z]*rb.ux[z] + rb.uy[z]*rb.uy[z] + rb.uz[z]*rb.uz[z]
-	}
-	for _, p := range cs.pairs {
-		if p.i == p.j {
-			fv := feq[p.i]
-			w := c.w[p.i]
-			for z := 0; z < zn; z++ {
-				fv[z] = w * rb.rho[z] * (1 - rb.u2[z]*c.invCs2h)
-			}
-			continue
-		}
-		fi, fj := feq[p.i], feq[p.j]
-		cx, cy, cz, w := c.cx[p.i], c.cy[p.i], c.cz[p.i], c.w[p.i]
-		for z := 0; z < zn; z++ {
-			cu := cx*rb.ux[z] + cy*rb.uy[z] + cz*rb.uz[z]
-			cu2 := cu * cu
-			even := 1 + cu2*c.invCs4h - rb.u2[z]*c.invCs2h
-			odd := cu * c.invCs2
-			if c.third {
-				odd += cu2*cu*c.thA - cu*rb.u2[z]*c.thB
-			}
-			wr := w * rb.rho[z]
-			fi[z] = wr * (even + odd)
-			fj[z] = wr * (even - odd)
-		}
-	}
-	rr.RelaxRows(out, in, feq, zn)
-}
-
-// aaRelaxOpCell mirrors collideOpBox per cell for operators without a row
-// form.
-func (cs *cartStepper) aaRelaxOpCell(sc *workerScratch, in, out [][]float64, zn int) {
-	m := cs.model
-	fc := sc.fc
-	for z := 0; z < zn; z++ {
-		for v := 0; v < m.Q; v++ {
-			fc[v] = in[v][z]
-		}
-		rho, jx, jy, jz := m.Moments(fc)
-		sc.op.Relax(fc, rho, jx/rho+cs.shiftX, jy/rho+cs.shiftY, jz/rho+cs.shiftZ)
-		for v := 0; v < m.Q; v++ {
-			out[v][z] = fc[v]
-		}
-	}
 }
 
 // aaForcePre accumulates the even sub-step's momentum-exchange forces

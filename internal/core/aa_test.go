@@ -291,7 +291,7 @@ func TestAASingleField(t *testing.T) {
 			Ranks: 1, Threads: 1, GhostDepth: 1, Stream: StreamAA, Layout: grid.AoS},
 	}
 	for i, cfg := range bad {
-		if err := cfg.init(); err == nil {
+		if _, err := cfg.init(); err == nil {
 			t.Errorf("bad AA config %d validated", i)
 		}
 	}
@@ -306,7 +306,7 @@ func TestAASingleField(t *testing.T) {
 		Model: lattice.D3Q19(), N: n, Tau: 0.8, Steps: 2, Opt: OptGCC,
 		Ranks: 1, Threads: 1, GhostDepth: 1, Stream: StreamAA, Boundary: &spec,
 	}
-	if err := twoOpen.init(); err == nil {
+	if _, err := twoOpen.init(); err == nil {
 		t.Error("AA config with open faces on two axes validated")
 	}
 }

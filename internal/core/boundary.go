@@ -81,9 +81,8 @@ func (s *stepper) buildMask() {
 }
 
 // applyBounceBack applies the fixup links of destination planes [lo,hi)
-// (full y/z extent): through the per-box index, or the legacy plane scan
-// under Config.FixupScan, accumulating momentum-exchange forces when the
-// run measures them.
+// (full y/z extent) through the per-box index, accumulating
+// momentum-exchange forces when the run measures them.
 func (s *stepper) applyBounceBack(lo, hi int) {
 	if s.fix.empty() || hi <= lo {
 		return
@@ -91,17 +90,14 @@ func (s *stepper) applyBounceBack(lo, hi int) {
 	t0 := s.rec.Begin()
 	defer s.rec.End(obs.Fixup, t0)
 	b := s.slabBox(lo, hi)
-	switch {
-	case s.cfg.MeasureForces:
+	if s.cfg.MeasureForces {
 		// Serial: force sums must keep one accumulation order.
 		s.fix.applyBoxForce(s.f, s.fadv, b, &s.stepForce)
-	case s.cfg.FixupScan:
-		s.fix.applyPlanes(s.f, s.fadv, lo, hi)
-	default:
-		s.br.run(func(worker int, sub box) {
-			s.fix.applyBox(s.f, s.fadv, sub)
-		}, b)
+		return
 	}
+	s.br.run(func(worker int, sub box) {
+		s.fix.applyBox(s.f, s.fadv, sub)
+	}, b)
 }
 
 // endForceStep closes one time step's force accumulation: the step's

@@ -11,21 +11,18 @@ package core
 // (Config.GhostDepthAxes): axis a's ghosts are refreshed every depth[a]
 // steps, so a pencil can spend halo width where its surface is largest.
 //
-// The ladder maps onto the box kernels as follows: levels through GC use
-// the per-cell naive collide, DH the row-accumulating generic collide,
-// and CF upward the pair-symmetric collide (whose per-cell arithmetic is
-// identical to the slab path's paired/blocked kernels, keeping 1-D and
-// 3-D runs within float reassociation of each other). NB-C and above
-// switch the per-axis exchange to the posted-receive protocol; GC-C and
-// above run the phased overlapped schedule of schedule.go (interior box
-// while messages fly, per-axis rims after each WaitUnpackAxis), and the
-// fused kernel has a box form with no wrap arithmetic at all. Only the
-// no-ghost Orig protocol remains slab-only, by construction.
+// Every rung collides with the row kernel collide.go selects for it — the
+// same kernel the slab path runs, so 1-D and 3-D runs agree bit for bit.
+// NB-C and above switch the per-axis exchange to the posted-receive
+// protocol; GC-C and above run the phased overlapped schedule of
+// schedule.go (interior box while messages fly, per-axis rims after each
+// WaitUnpackAxis), and the fused kernel has a box form with no wrap
+// arithmetic at all. Only the no-ghost Orig protocol remains slab-only, by
+// construction.
 
 import (
 	"time"
 
-	"repro/internal/collision"
 	"repro/internal/comm"
 	"repro/internal/decomp"
 	"repro/internal/grid"
@@ -75,9 +72,8 @@ type cartStepper struct {
 	br           boxRunner
 	scratch      []*workerScratch
 	ghostUpdates int64
-	coef         eqCoefs
-	pairs        []velPair
-	op           collision.Operator // non-nil routes collisions through the generic operator kernel
+	collider                             // collision state and the configuration's row kernel (collide.go)
+	collide      func(worker int, b box) // collideRuns, bound once so dispatching it allocates nothing
 	jit          *metrics.RNG
 	rec          *obs.Recorder // nil unless Config.Observe; every call site is nil-safe
 
@@ -85,13 +81,12 @@ type cartStepper struct {
 	// Sparse row-run traversal (sparse.go): per-row CSR of fluid
 	// z-intervals, built when Config.Sparse and a mask are present. Nil
 	// runStart keeps every kernel on its dense branch.
-	runs                   []zrun
-	runStart               []int32
-	rowWeight              []int32
-	fix                    *fixIndex
-	stepForce              [numBodies][3]float64
-	forceSer               []float64
-	shiftX, shiftY, shiftZ float64
+	runs      []zrun
+	runStart  []int32
+	rowWeight []int32
+	fix       *fixIndex
+	stepForce [numBodies][3]float64
+	forceSer  []float64
 
 	spec      *BoundarySpec  // global-face boundary conditions (nil = periodic)
 	rest      []float64      // rest-state equilibrium, the wall ghost filler
@@ -112,22 +107,19 @@ func newCartStepper(cfg *Config, dec decomp.Cartesian, r *comm.Rank) (*cartStepp
 	cs := &cartStepper{
 		cfg: cfg, model: cfg.Model, r: r, dec: dec,
 		k: cfg.Model.MaxSpeed, depth: cfg.ghostDepths(),
-		aa:    cfg.Stream == StreamAA,
-		coef:  newEqCoefs(cfg.Model),
-		pairs: velocityPairs(cfg.Model),
-		spec:  cfg.Boundary,
+		aa:   cfg.Stream == StreamAA,
+		spec: cfg.Boundary,
 	}
+	if err := cs.collider.init(cfg); err != nil {
+		return nil, err
+	}
+	cs.collide = cs.collideRuns
 	if cs.aa {
 		cs.depth = aaDepths(cs.depth)
 	}
 	for a := 0; a < 3; a++ {
 		cs.w[a] = cs.depth[a] * cs.k
 	}
-	op, err := buildOperator(cfg)
-	if err != nil {
-		return nil, err
-	}
-	cs.op = op
 	for a := 0; a < 3; a++ {
 		cs.start[a], cs.own[a] = dec.Own(r.ID, a)
 	}
@@ -161,15 +153,6 @@ func newCartStepper(cfg *Config, dec decomp.Cartesian, r *comm.Rank) (*cartStepp
 	if cfg.StepJitter > 0 {
 		cs.jit = metrics.NewRNG(uint64(r.ID)*0x9e3779b9 + 1)
 	}
-	// Forcing shift scaled by the operator's momentum relaxation time
-	// (see the slab stepper).
-	shiftTau := cfg.Tau
-	if cs.op != nil {
-		shiftTau = cs.op.ShiftTau()
-	}
-	cs.shiftX = shiftTau * cfg.Accel[0]
-	cs.shiftY = shiftTau * cfg.Accel[1]
-	cs.shiftZ = shiftTau * cfg.Accel[2]
 	cs.buildMask()
 	cs.buildSponge()
 	return cs, nil
@@ -390,7 +373,7 @@ func (cs *cartStepper) computeInterior(p stepPlan) {
 		return
 	}
 	cs.streamBox(p.interiorS)
-	cs.applyBounceBackBoxIn(p.interiorS)
+	cs.applyBounceBackBox(p.interiorS)
 	cs.collideBox(p.interiorC)
 }
 
@@ -407,8 +390,8 @@ func (cs *cartStepper) computeRims(p stepPlan, axis int) {
 	t0 := cs.rec.Begin()
 	cs.streamBoxPair(ph.streamRims[0], ph.streamRims[1])
 	cs.rec.EndAxis(obs.Rim, axis, t0)
-	cs.applyBounceBackBoxIn(ph.streamRims[0])
-	cs.applyBounceBackBoxIn(ph.streamRims[1])
+	cs.applyBounceBackBox(ph.streamRims[0])
+	cs.applyBounceBackBox(ph.streamRims[1])
 	t0 = cs.rec.Begin()
 	cs.collideBoxPair(ph.collideRims[0], ph.collideRims[1])
 	cs.rec.EndAxis(obs.Rim, axis, t0)
@@ -694,179 +677,27 @@ func (cs *cartStepper) streamBoxRange(worker int, b box) {
 	}
 }
 
-// collideKernel resolves the collision kernel matching the configured
-// operator and optimization level.
-func (cs *cartStepper) collideKernel() func(worker int, b box) {
-	switch {
-	case cs.op != nil:
-		return cs.collideBoxOperator
-	case cs.cfg.Opt <= OptGC:
-		return cs.collideBoxNaive
-	case cs.cfg.Opt == OptDH:
-		return cs.collideBoxGeneric
-	default:
-		return cs.collideBoxPaired
-	}
-}
-
 // collideBox applies the configured collision to box b.
 func (cs *cartStepper) collideBox(b box) {
 	t0 := cs.rec.Begin()
-	cs.br.run(cs.collideKernel(), b)
+	cs.br.run(cs.collide, b)
 	cs.rec.End(obs.Interior, t0)
 }
 
 // collideBoxPair collides two disjoint boxes as one chunk batch.
 func (cs *cartStepper) collideBoxPair(b1, b2 box) {
-	cs.br.run(cs.collideKernel(), b1, b2)
+	cs.br.run(cs.collide, b1, b2)
 }
 
-// collideBoxNaive mirrors collideNaive over a box: per-cell gather,
-// divisions, equilibria by method call. The gather buffer comes from the
-// worker's scratch slot; the arithmetic is untouched. Rows come from
-// forRuns: the full box dense, fluid z-runs under sparse traversal —
-// every cell is independent here, so the two traversals agree per cell.
-func (cs *cartStepper) collideBoxNaive(worker int, b box) {
-	m := cs.model
-	fc := cs.scratch[worker].fc
+// collideRuns is the box stepper's view-forming caller of the row kernel:
+// every z-run of the chunk, fadv → f in place. Rows come from forRuns —
+// full box rows dense, fluid z-runs under sparse traversal; the kernels
+// are per-z independent, so the two traversals agree per cell.
+func (cs *cartStepper) collideRuns(worker int, b box) {
+	sc := cs.scratch[worker]
 	cs.forRuns(b, func(ix, iy, zlo, zhi int) {
-		for iz := zlo; iz < zhi; iz++ {
-			cell := cs.d.Index(ix, iy, iz)
-			for v := 0; v < m.Q; v++ {
-				fc[v] = cs.fadv.Data[cs.fadv.Idx(v, cell)]
-			}
-			rho, jx, jy, jz := m.Moments(fc)
-			ux := jx/rho + cs.shiftX
-			uy := jy/rho + cs.shiftY
-			uz := jz/rho + cs.shiftZ
-			for v := 0; v < m.Q; v++ {
-				feq := m.EquilibriumAt(v, rho, ux, uy, uz)
-				cs.f.Data[cs.f.Idx(v, cell)] = fc[v] - (fc[v]-feq)/cs.cfg.Tau
-			}
-		}
-	})
-}
-
-// collideBoxGeneric mirrors collideRowGeneric over a box: moments
-// accumulated one velocity block at a time over z-runs, reciprocals,
-// inlined equilibria. Every moment and equilibrium is per-z, so the
-// run-restricted traversal reproduces the dense values exactly.
-func (cs *cartStepper) collideBoxGeneric(worker int, b box) {
-	m := cs.model
-	omega := 1 / cs.cfg.Tau
-	c := cs.coef
-	rb := cs.scratch[worker].rb
-	cs.forRuns(b, func(ix, iy, zlo, zhi int) {
-		zn := zhi - zlo
-		base := cs.d.Index(ix, iy, zlo)
-		for z := 0; z < zn; z++ {
-			rb.rho[z], rb.jx[z], rb.jy[z], rb.jz[z] = 0, 0, 0, 0
-		}
-		for v := 0; v < m.Q; v++ {
-			sv := cs.fadv.V(v)[base : base+zn]
-			cx, cy, cz := c.cx[v], c.cy[v], c.cz[v]
-			for z, val := range sv {
-				rb.rho[z] += val
-				rb.jx[z] += cx * val
-				rb.jy[z] += cy * val
-				rb.jz[z] += cz * val
-			}
-		}
-		for z := 0; z < zn; z++ {
-			inv := 1 / rb.rho[z]
-			rb.ux[z] = rb.jx[z]*inv + cs.shiftX
-			rb.uy[z] = rb.jy[z]*inv + cs.shiftY
-			rb.uz[z] = rb.jz[z]*inv + cs.shiftZ
-			rb.u2[z] = rb.ux[z]*rb.ux[z] + rb.uy[z]*rb.uy[z] + rb.uz[z]*rb.uz[z]
-		}
-		for v := 0; v < m.Q; v++ {
-			sv := cs.fadv.V(v)[base : base+zn]
-			dv := cs.f.V(v)[base : base+zn]
-			cx, cy, cz, w := c.cx[v], c.cy[v], c.cz[v], c.w[v]
-			for z := 0; z < zn; z++ {
-				cu := cx*rb.ux[z] + cy*rb.uy[z] + cz*rb.uz[z]
-				e := 1 + cu*c.invCs2 + cu*cu*c.invCs4h - rb.u2[z]*c.invCs2h
-				if c.third {
-					e += cu*cu*cu*c.thA - cu*rb.u2[z]*c.thB
-				}
-				feq := w * rb.rho[z] * e
-				dv[z] = sv[z] - omega*(sv[z]-feq)
-			}
-		}
-	})
-}
-
-// collideBoxPaired mirrors collidePaired over a box: opposite-pair
-// symmetric equilibria with precomputed coefficients. Its per-cell
-// arithmetic is identical to the slab path's paired and blocked kernels,
-// which is what keeps cross-decomposition runs within reassociation
-// tolerance of each other.
-func (cs *cartStepper) collideBoxPaired(worker int, b box) {
-	omega := 1 / cs.cfg.Tau
-	c := cs.coef
-	rb := cs.scratch[worker].rb
-	cs.forRuns(b, func(ix, iy, zlo, zhi int) {
-		zn := zhi - zlo
-		base := cs.d.Index(ix, iy, zlo)
-		for z := 0; z < zn; z++ {
-			rb.rho[z], rb.jx[z], rb.jy[z], rb.jz[z] = 0, 0, 0, 0
-		}
-		for _, p := range cs.pairs {
-			if p.i == p.j {
-				sv := cs.fadv.V(p.i)[base : base+zn]
-				for z, val := range sv {
-					rb.rho[z] += val
-				}
-				continue
-			}
-			si := cs.fadv.V(p.i)[base : base+zn]
-			sj := cs.fadv.V(p.j)[base : base+zn]
-			cx, cy, cz := c.cx[p.i], c.cy[p.i], c.cz[p.i]
-			for z := 0; z < zn; z++ {
-				vi, vj := si[z], sj[z]
-				sum, diff := vi+vj, vi-vj
-				rb.rho[z] += sum
-				rb.jx[z] += cx * diff
-				rb.jy[z] += cy * diff
-				rb.jz[z] += cz * diff
-			}
-		}
-		for z := 0; z < zn; z++ {
-			inv := 1 / rb.rho[z]
-			rb.ux[z] = rb.jx[z]*inv + cs.shiftX
-			rb.uy[z] = rb.jy[z]*inv + cs.shiftY
-			rb.uz[z] = rb.jz[z]*inv + cs.shiftZ
-			rb.u2[z] = rb.ux[z]*rb.ux[z] + rb.uy[z]*rb.uy[z] + rb.uz[z]*rb.uz[z]
-		}
-		for _, p := range cs.pairs {
-			if p.i == p.j {
-				sv := cs.fadv.V(p.i)[base : base+zn]
-				dv := cs.f.V(p.i)[base : base+zn]
-				w := c.w[p.i]
-				for z := 0; z < zn; z++ {
-					feq := w * rb.rho[z] * (1 - rb.u2[z]*c.invCs2h)
-					dv[z] = sv[z] - omega*(sv[z]-feq)
-				}
-				continue
-			}
-			si := cs.fadv.V(p.i)[base : base+zn]
-			sj := cs.fadv.V(p.j)[base : base+zn]
-			di := cs.f.V(p.i)[base : base+zn]
-			dj := cs.f.V(p.j)[base : base+zn]
-			cx, cy, cz, w := c.cx[p.i], c.cy[p.i], c.cz[p.i], c.w[p.i]
-			for z := 0; z < zn; z++ {
-				cu := cx*rb.ux[z] + cy*rb.uy[z] + cz*rb.uz[z]
-				cu2 := cu * cu
-				even := 1 + cu2*c.invCs4h - rb.u2[z]*c.invCs2h
-				odd := cu * c.invCs2
-				if c.third {
-					odd += cu2*cu*c.thA - cu*rb.u2[z]*c.thB
-				}
-				wr := w * rb.rho[z]
-				di[z] = si[z] - omega*(si[z]-wr*(even+odd))
-				dj[z] = sj[z] - omega*(sj[z]-wr*(even-odd))
-			}
-		}
+		base, zn := cs.d.Index(ix, iy, zlo), zhi-zlo
+		cs.relax(sc, rowViews(sc.sv, cs.fadv, base, zn), rowViews(sc.dv, cs.f, base, zn), zn)
 	})
 }
 
@@ -1146,17 +977,14 @@ func (cs *cartStepper) spongeBox(b box) {
 	defer cs.rec.End(obs.Sponge, t0)
 	cs.br.run(func(worker int, sub box) {
 		sc := cs.scratch[worker]
-		sv := sc.sv
 		cs.forRuns(sub, func(ix, iy, zlo, zhi int) {
 			zn := zhi - zlo
-			sig := sc.rowFeq[:zn]
+			sig := sc.sig[:zn]
 			if !cs.spongeSig(sig, ix, iy, zlo, zn) {
 				return
 			}
 			base := cs.d.Index(ix, iy, zlo)
-			for v := 0; v < cs.model.Q; v++ {
-				sv[v] = cs.f.V(v)[base : base+zn]
-			}
+			sv := rowViews(sc.sv, cs.f, base, zn)
 			var msk []bool
 			if cs.runStart == nil && cs.mask != nil {
 				// Dense rows still carry solid cells; sparse runs are
@@ -1168,58 +996,32 @@ func (cs *cartStepper) spongeBox(b box) {
 	}, b)
 }
 
-// applyBounceBackBox applies the fixup links of destination box b through
-// the per-box index (or the legacy lenient whole-plane scan under
-// Config.FixupScan), accumulating momentum-exchange forces when the run
-// measures them. Restricting to exactly b is always safe: cells outside b
-// were not streamed this step, hold stale state, and are rewritten by a
-// wider stream before ever being read again.
+// applyBounceBackBox applies exactly the fixup links of box b through the
+// per-box index, accumulating momentum-exchange forces when the run
+// measures them. Exactly b is what the phased schedule requires (a fixup
+// applied to a cell before that cell's rim stream would be overwritten by
+// it, so each fixup must run in the phase that streams its cell, and only
+// there) and always safe elsewhere: cells outside b were not streamed this
+// step, hold stale state, and are rewritten by a wider stream before ever
+// being read again.
 func (cs *cartStepper) applyBounceBackBox(b box) {
 	if cs.fix.empty() {
 		return
 	}
 	t0 := cs.rec.Begin()
 	defer cs.rec.End(obs.Fixup, t0)
-	switch {
-	case cs.cfg.MeasureForces:
+	if cs.cfg.MeasureForces {
 		// Serial: the momentum-exchange sums must keep one accumulation
 		// order to stay decomposition- and thread-count-independent.
 		cs.fix.applyBoxForce(cs.f, cs.fadv, b, &cs.stepForce)
-	case cs.cfg.FixupScan:
-		cs.fix.applyPlanes(cs.f, cs.fadv, b.lo[0], b.hi[0])
-	default:
-		cs.runFixupBox(b)
+		return
 	}
-}
-
-// runFixupBox applies the fixup links of box b through the CSR index,
-// chunked across the team by row spans. Each link writes one (velocity,
-// cell) slot of fadv and reads only f; links partition by their cell's
-// (x, y) row, so chunks never touch the same memory.
-func (cs *cartStepper) runFixupBox(b box) {
+	// Chunked across the team by row spans. Each link writes one
+	// (velocity, cell) slot of fadv and reads only f; links partition by
+	// their cell's (x, y) row, so chunks never touch the same memory.
 	cs.br.run(func(worker int, sub box) {
 		cs.fix.applyBox(cs.f, cs.fadv, sub)
 	}, b)
-}
-
-// applyBounceBackBoxIn applies exactly the links of box b — the form the
-// phased schedule requires (a fixup applied to a cell before that cell's
-// rim stream would be overwritten by it, so each fixup must run in the
-// phase that streams its cell, and only there).
-func (cs *cartStepper) applyBounceBackBoxIn(b box) {
-	if cs.fix.empty() {
-		return
-	}
-	t0 := cs.rec.Begin()
-	defer cs.rec.End(obs.Fixup, t0)
-	switch {
-	case cs.cfg.MeasureForces:
-		cs.fix.applyBoxForce(cs.f, cs.fadv, b, &cs.stepForce)
-	case cs.cfg.FixupScan:
-		cs.fix.applyPlanesStrict(cs.f, cs.fadv, b)
-	default:
-		cs.runFixupBox(b)
-	}
 }
 
 // endForceStep closes one step's force accumulation (see boundary.go).

@@ -259,27 +259,26 @@ type workerScratch struct {
 	vrows  [][]float64 // Q z-row buffers: fused gather rows / operator feq rows
 	vstore []float64
 	nzCap  int
-	sv, dv [][]float64        // per-velocity slice headers (operator kernels)
+	sv, dv [][]float64        // per-velocity slice headers: in-place row views of fadv / f
 	op     collision.Operator // per-worker operator clone; nil for plain BGK
-	feqR   []float64          // Q-length equilibrium buffers (face fills)
-	feqW   []float64
-	rowFeq []float64 // Q×NZ feq store for profiled inlet faces
+	feqR   []float64          // Q-length equilibrium buffer (face fills)
+	sig    []float64          // NZ-length sponge factor row
 
-	// AA-pattern kernels gather a row's pulled populations into aaIn,
-	// collide into aaOut, and scatter from there (aa.go); allocated only
-	// under StreamAA.
-	aaIn, aaOut     [][]float64
-	aaInSt, aaOutSt []float64
+	// Gathered row stores: the AA kernels pull a row's populations into
+	// gin, collide into gout, and scatter from there (aa.go); the AoS slab
+	// collide transposes a row through gin. Allocated only for those.
+	gin, gout     [][]float64
+	ginSt, goutSt []float64
 }
 
-// aaRows re-slices the worker's AA in/out row buffers to z-runs of length
-// zn (zn ≤ nzCap).
-func (sc *workerScratch) aaRows(zn int) (in, out [][]float64) {
-	for v := range sc.aaIn {
-		sc.aaIn[v] = sc.aaInSt[v*sc.nzCap : v*sc.nzCap+zn]
-		sc.aaOut[v] = sc.aaOutSt[v*sc.nzCap : v*sc.nzCap+zn]
+// gathered re-slices the worker's gathered in/out row buffers to z-runs of
+// length zn (zn ≤ nzCap).
+func (sc *workerScratch) gathered(zn int) (in, out [][]float64) {
+	for v := range sc.gin {
+		sc.gin[v] = sc.ginSt[v*sc.nzCap : v*sc.nzCap+zn]
+		sc.gout[v] = sc.goutSt[v*sc.nzCap : v*sc.nzCap+zn]
 	}
-	return sc.aaIn, sc.aaOut
+	return sc.gin, sc.gout
 }
 
 // rows returns the worker's Q row buffers re-sliced to a z-run of length
@@ -293,9 +292,9 @@ func (sc *workerScratch) rows(zn int) [][]float64 {
 
 // newScratches allocates one scratch slot per pool worker. op, when
 // non-nil, is cloned per worker (operators share read-only tables but
-// carry private relaxation scratch); aa additionally allocates the
-// AA-pattern gather/collide row stores.
-func newScratches(threads, q, nz int, op collision.Operator, aa bool) []*workerScratch {
+// carry private relaxation scratch); gather additionally allocates the
+// gathered row stores.
+func newScratches(threads, q, nz int, op collision.Operator, gather bool) []*workerScratch {
 	out := make([]*workerScratch, threads)
 	for w := range out {
 		sc := &workerScratch{
@@ -307,17 +306,16 @@ func newScratches(threads, q, nz int, op collision.Operator, aa bool) []*workerS
 			sv:     make([][]float64, q),
 			dv:     make([][]float64, q),
 			feqR:   make([]float64, q),
-			feqW:   make([]float64, q),
-			rowFeq: make([]float64, q*nz),
+			sig:    make([]float64, nz),
 		}
 		if op != nil {
 			sc.op = op.Clone()
 		}
-		if aa {
-			sc.aaIn = make([][]float64, q)
-			sc.aaOut = make([][]float64, q)
-			sc.aaInSt = make([]float64, q*nz)
-			sc.aaOutSt = make([]float64, q*nz)
+		if gather {
+			sc.gin = make([][]float64, q)
+			sc.gout = make([][]float64, q)
+			sc.ginSt = make([]float64, q*nz)
+			sc.goutSt = make([]float64, q*nz)
 		}
 		out[w] = sc
 	}

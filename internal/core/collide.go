@@ -1,30 +1,71 @@
 package core
 
-import "repro/internal/lattice"
+// The collision arithmetic of the whole solver: every rung of the paper's
+// ladder is one row kernel here, and every stepper path — slab, box, fused,
+// AA — calls the one its configuration selects. A row kernel relaxes one
+// z-run of zn cells from per-velocity row views in[v] into out[v]
+// (f ← f_adv − ω(f_adv − f_eq(ρ,u)), the structure of the paper's Fig. 4);
+// the callers differ only in how they form the views:
+//
+//   - slab: full-z rows of fadv → f (AoS gathers and scatters through the
+//     worker's scratch rows — Orig/GC layout ablation only);
+//   - box: forRuns z-runs of fadv → f (fluid runs under sparse traversal);
+//   - fused, slab and box: gathered scratch rows → rows of the next field;
+//   - AA: its gathered in rows → its out rows.
+//
+// Every kernel treats each z independently and reads a cell's in values
+// before writing its out values, so a run may be any sub-interval of a row
+// and in may alias out row-for-row. The kernels differ in loop order,
+// specialization and arithmetic shape, never in the math.
 
-// Collision kernels, one per optimization level. All compute the BGK
-// relaxation f ← f_adv − ω(f_adv − f_eq(ρ,u)) with ω = 1/τ, reading the
-// post-streaming field fadv and writing the state field f (the structure of
-// the paper's Fig. 4). They differ in loop order, specialization and
-// arithmetic shape, never in the math.
+import (
+	"repro/internal/collision"
+	"repro/internal/grid"
+	"repro/internal/lattice"
+)
 
-// eqCoefs holds the precomputed equilibrium coefficients shared by the
-// specialized kernels: the reciprocal speed-of-sound powers and float copies
-// of the velocity components (the "CF" specialization — what -O5/-qipa did
-// for the paper's C code).
-type eqCoefs struct {
-	cx, cy, cz []float64
-	w          []float64
-	invCs2     float64 // 1/c_s²
-	invCs4h    float64 // 1/(2c_s⁴)
-	invCs2h    float64 // 1/(2c_s²)
-	third      bool
-	thA        float64 // 1/(6c_s⁶)
-	thB        float64 // 1/(2c_s⁴)
+// testForceOperatorPath, when set by a test in this package, routes BGK
+// configurations through the per-cell operator kernel instead of the
+// ladder's BGK kernels (the equivalence guard for the indirection).
+var testForceOperatorPath bool
+
+// collider is the collision state both steppers embed: the operator, the
+// equilibrium coefficient tables, the forcing shift, and the row kernel
+// chosen for the configuration.
+type collider struct {
+	model *lattice.Model
+	op    collision.Operator // nil for the ladder's BGK kernels; workers relax through their scratch clone
+	pairs []velPair
+
+	// Equilibrium coefficients: reciprocal speed-of-sound powers and float
+	// copies of the velocity components (the "CF" specialization — what
+	// -O5/-qipa did for the paper's C code).
+	cx, cy, cz, w []float64
+	invCs2        float64 // 1/c_s²
+	invCs4h       float64 // 1/(2c_s⁴)
+	invCs2h       float64 // 1/(2c_s²)
+	third         bool
+	thA           float64 // 1/(6c_s⁶)
+	thB           float64 // 1/(2c_s⁴)
+
+	tau, omega float64
+	// Velocity-shift forcing: equilibria are evaluated at u + τ_j·a, where
+	// τ_j is the relaxation time the operator applies to momentum (τ for
+	// BGK/MRT, τ⁻ for TRT) — that is what makes the injected momentum
+	// exactly ρ·a per step for every operator.
+	shiftX, shiftY, shiftZ float64
+
+	// relax is the configuration's row kernel, bound once by init.
+	relax func(sc *workerScratch, in, out [][]float64, zn int)
 }
 
-func newEqCoefs(m *lattice.Model) eqCoefs {
-	c := eqCoefs{
+// init builds the collision state of cfg in place (relax binds to c, so a
+// collider must not be copied afterwards) and makes the one kernel choice
+// of the solver: rung and operator → row kernel.
+func (c *collider) init(cfg *Config) error {
+	m := cfg.Model
+	*c = collider{
+		model: m, pairs: velocityPairs(m),
 		cx: make([]float64, m.Q), cy: make([]float64, m.Q), cz: make([]float64, m.Q),
 		w:       append([]float64(nil), m.W...),
 		invCs2:  1 / m.CsSq,
@@ -33,46 +74,64 @@ func newEqCoefs(m *lattice.Model) eqCoefs {
 		third:   m.Order >= 3,
 		thA:     1 / (6 * m.CsSq * m.CsSq * m.CsSq),
 		thB:     1 / (2 * m.CsSq * m.CsSq),
+		tau:     cfg.Tau, omega: 1 / cfg.Tau,
 	}
 	for i := 0; i < m.Q; i++ {
 		c.cx[i] = float64(m.Cx[i])
 		c.cy[i] = float64(m.Cy[i])
 		c.cz[i] = float64(m.Cz[i])
 	}
-	return c
+	shiftTau := cfg.Tau
+	if !cfg.Collision.IsBGK() || testForceOperatorPath {
+		op, err := cfg.Collision.New(m, cfg.Tau)
+		if err != nil {
+			return err
+		}
+		c.op = op
+		shiftTau = op.ShiftTau()
+	}
+	c.shiftX = shiftTau * cfg.Accel[0]
+	c.shiftY = shiftTau * cfg.Accel[1]
+	c.shiftZ = shiftTau * cfg.Accel[2]
+
+	_, rows := c.op.(collision.RowRelaxer)
+	switch {
+	case cfg.Fused:
+		// BGK only; the fused kernel is pair-symmetric at every rung.
+		c.relax = c.relaxPaired
+	case rows:
+		c.relax = c.relaxOpRows
+	case c.op != nil:
+		c.relax = c.relaxOpCell
+	case cfg.Opt <= OptGC:
+		c.relax = c.relaxNaive
+	case cfg.Opt == OptDH:
+		c.relax = c.relaxGeneric
+	default: // CF and every rung above, SIMD included
+		c.relax = c.relaxPaired
+	}
+	return nil
 }
 
-// collideNaive is the unoptimized kernel: per-cell velocity gather through
-// the generic accessors, divisions by ρ and τ, and equilibria computed by
-// method calls (paper Fig. 4 before any tuning). The gather buffer comes
-// from the worker's scratch slot; the arithmetic is untouched.
-func (s *stepper) collideNaive(worker int, bx box) {
-	m := s.model
-	nz := s.d.NZ
-	fc := s.scratch[worker].fc
-	for ix := bx.lo[0]; ix < bx.hi[0]; ix++ {
-		for iy := bx.lo[1]; iy < bx.hi[1]; iy++ {
-			for iz := 0; iz < nz; iz++ {
-				cell := s.d.Index(ix, iy, iz)
-				for v := 0; v < m.Q; v++ {
-					fc[v] = s.fadv.Data[s.fadv.Idx(v, cell)]
-				}
-				rho, jx, jy, jz := m.Moments(fc)
-				ux := jx/rho + s.shiftX
-				uy := jy/rho + s.shiftY
-				uz := jz/rho + s.shiftZ
-				for v := 0; v < m.Q; v++ {
-					feq := m.EquilibriumAt(v, rho, ux, uy, uz)
-					s.f.Data[s.f.Idx(v, cell)] = fc[v] - (fc[v]-feq)/s.cfg.Tau
-				}
-			}
+// velPair groups a velocity with its opposite for the pair-symmetric
+// kernels; rest velocities pair with themselves.
+type velPair struct {
+	i, j int // j = Opp[i]; i == j for the rest velocity
+}
+
+func velocityPairs(m *lattice.Model) []velPair {
+	var ps []velPair
+	for i := 0; i < m.Q; i++ {
+		if j := m.Opp[i]; i <= j {
+			ps = append(ps, velPair{i, j})
 		}
 	}
+	return ps
 }
 
-// rowBufs are the z-line accumulators used by the row-structured kernels,
-// allocated once per worker (workerScratch) at the local field's NZ and
-// indexed up to each call's z-run length.
+// rowBufs are the z-line accumulators of the row kernels, allocated once
+// per worker (workerScratch) at the local field's NZ and re-sliced to each
+// call's run length.
 type rowBufs struct {
 	rho, jx, jy, jz []float64
 	ux, uy, uz, u2  []float64
@@ -85,235 +144,213 @@ func newRowBufs(nz int) rowBufs {
 	}
 }
 
-// collideRowGeneric is the data-handling kernel (§V.B): moments accumulated
-// one velocity block at a time in memory order (maximizing cache reuse of
-// the contiguous SoA blocks), divisions replaced by reciprocals, equilibria
-// inlined. Still a generic velocity loop.
-func (s *stepper) collideRowGeneric(worker int, bx box) {
-	m := s.model
-	nz := s.d.NZ
-	omega := 1 / s.cfg.Tau
-	c := s.coef
-	b := s.scratch[worker].rb
-	for ix := bx.lo[0]; ix < bx.hi[0]; ix++ {
-		for iy := bx.lo[1]; iy < bx.hi[1]; iy++ {
-			base := s.d.Index(ix, iy, 0)
-			for z := 0; z < nz; z++ {
-				b.rho[z], b.jx[z], b.jy[z], b.jz[z] = 0, 0, 0, 0
-			}
-			for v := 0; v < m.Q; v++ {
-				sv := s.fadv.V(v)[base : base+nz]
-				cx, cy, cz := c.cx[v], c.cy[v], c.cz[v]
-				for z, val := range sv {
-					b.rho[z] += val
-					b.jx[z] += cx * val
-					b.jy[z] += cy * val
-					b.jz[z] += cz * val
-				}
-			}
-			for z := 0; z < nz; z++ {
-				inv := 1 / b.rho[z]
-				b.ux[z] = b.jx[z]*inv + s.shiftX
-				b.uy[z] = b.jy[z]*inv + s.shiftY
-				b.uz[z] = b.jz[z]*inv + s.shiftZ
-				b.u2[z] = b.ux[z]*b.ux[z] + b.uy[z]*b.uy[z] + b.uz[z]*b.uz[z]
-			}
-			for v := 0; v < m.Q; v++ {
-				sv := s.fadv.V(v)[base : base+nz]
-				dv := s.f.V(v)[base : base+nz]
-				cx, cy, cz, w := c.cx[v], c.cy[v], c.cz[v], c.w[v]
-				for z := 0; z < nz; z++ {
-					cu := cx*b.ux[z] + cy*b.uy[z] + cz*b.uz[z]
-					e := 1 + cu*c.invCs2 + cu*cu*c.invCs4h - b.u2[z]*c.invCs2h
-					if c.third {
-						e += cu*cu*cu*c.thA - cu*b.u2[z]*c.thB
-					}
-					feq := w * b.rho[z] * e
-					dv[z] = sv[z] - omega*(sv[z]-feq)
-				}
-			}
+// rowViews points the slice headers hdr at the z-run [base, base+zn) of
+// every velocity block of the SoA field f.
+func rowViews(hdr [][]float64, f *grid.Field, base, zn int) [][]float64 {
+	for v := range hdr {
+		hdr[v] = f.V(v)[base : base+zn]
+	}
+	return hdr
+}
+
+// relaxNaive is the unoptimized kernel (Orig, GC): per-cell velocity
+// gather, divisions by ρ and τ, and equilibria computed by method calls
+// (paper Fig. 4 before any tuning).
+func (c *collider) relaxNaive(sc *workerScratch, in, out [][]float64, zn int) {
+	m := c.model
+	fc := sc.fc
+	for z := 0; z < zn; z++ {
+		for v := range fc {
+			fc[v] = in[v][z]
+		}
+		rho, jx, jy, jz := m.Moments(fc)
+		ux := jx/rho + c.shiftX
+		uy := jy/rho + c.shiftY
+		uz := jz/rho + c.shiftZ
+		for v := range fc {
+			feq := m.EquilibriumAt(v, rho, ux, uy, uz)
+			out[v][z] = fc[v] - (fc[v]-feq)/c.tau
 		}
 	}
 }
 
-// collidePaired is the specialized kernel (§V.C stand-in): velocities are
-// processed as opposite pairs, sharing the even part of the equilibrium
-// (f_eq(+c) and f_eq(−c) differ only in the sign of the odd terms), with
-// all coefficients precomputed and no method calls or branches in the inner
-// loops.
-func (s *stepper) collidePaired(worker int, bx box) {
-	nz := s.d.NZ
-	omega := 1 / s.cfg.Tau
-	c := s.coef
-	b := s.scratch[worker].rb
-	for ix := bx.lo[0]; ix < bx.hi[0]; ix++ {
-		for iy := bx.lo[1]; iy < bx.hi[1]; iy++ {
-			base := s.d.Index(ix, iy, 0)
-			for z := 0; z < nz; z++ {
-				b.rho[z], b.jx[z], b.jy[z], b.jz[z] = 0, 0, 0, 0
+// velocities turns the accumulated moments of a run into the shifted
+// equilibrium velocity and its square, divisions replaced by one
+// reciprocal per cell.
+func (c *collider) velocities(b *rowBufs, zn int) {
+	rho, jx, jy, jz := b.rho[:zn], b.jx[:zn], b.jy[:zn], b.jz[:zn]
+	ux, uy, uz, u2 := b.ux[:zn], b.uy[:zn], b.uz[:zn], b.u2[:zn]
+	for z := 0; z < zn; z++ {
+		inv := 1 / rho[z]
+		ux[z] = jx[z]*inv + c.shiftX
+		uy[z] = jy[z]*inv + c.shiftY
+		uz[z] = jz[z]*inv + c.shiftZ
+		u2[z] = ux[z]*ux[z] + uy[z]*uy[z] + uz[z]*uz[z]
+	}
+}
+
+// relaxGeneric is the data-handling kernel (DH, §V.B): moments accumulated
+// one velocity row at a time in memory order (maximizing cache reuse of
+// the contiguous SoA blocks), reciprocals, equilibria inlined. Still a
+// generic velocity loop.
+func (c *collider) relaxGeneric(sc *workerScratch, in, out [][]float64, zn int) {
+	b := &sc.rb
+	rho, jx, jy, jz := b.rho[:zn], b.jx[:zn], b.jy[:zn], b.jz[:zn]
+	for z := 0; z < zn; z++ {
+		rho[z], jx[z], jy[z], jz[z] = 0, 0, 0, 0
+	}
+	for v, sv := range in {
+		sv = sv[:zn]
+		cx, cy, cz := c.cx[v], c.cy[v], c.cz[v]
+		for z, val := range sv {
+			rho[z] += val
+			jx[z] += cx * val
+			jy[z] += cy * val
+			jz[z] += cz * val
+		}
+	}
+	c.velocities(b, zn)
+	ux, uy, uz, u2 := b.ux[:zn], b.uy[:zn], b.uz[:zn], b.u2[:zn]
+	omega := c.omega
+	invCs2, invCs4h, invCs2h, third, thA, thB := c.invCs2, c.invCs4h, c.invCs2h, c.third, c.thA, c.thB
+	for v, sv := range in {
+		sv = sv[:zn]
+		dv := out[v][:zn]
+		cx, cy, cz, w := c.cx[v], c.cy[v], c.cz[v], c.w[v]
+		for z := 0; z < zn; z++ {
+			cu := cx*ux[z] + cy*uy[z] + cz*uz[z]
+			e := 1 + cu*invCs2 + cu*cu*invCs4h - u2[z]*invCs2h
+			if third {
+				e += cu*cu*cu*thA - cu*u2[z]*thB
 			}
-			for _, p := range s.pairs {
-				if p.i == p.j { // rest velocity: no momentum contribution
-					sv := s.fadv.V(p.i)[base : base+nz]
-					for z, val := range sv {
-						b.rho[z] += val
-					}
-					continue
-				}
-				si := s.fadv.V(p.i)[base : base+nz]
-				sj := s.fadv.V(p.j)[base : base+nz]
-				cx, cy, cz := c.cx[p.i], c.cy[p.i], c.cz[p.i]
-				for z := 0; z < nz; z++ {
-					vi, vj := si[z], sj[z]
-					sum, diff := vi+vj, vi-vj
-					b.rho[z] += sum
-					b.jx[z] += cx * diff
-					b.jy[z] += cy * diff
-					b.jz[z] += cz * diff
-				}
-			}
-			for z := 0; z < nz; z++ {
-				inv := 1 / b.rho[z]
-				b.ux[z] = b.jx[z]*inv + s.shiftX
-				b.uy[z] = b.jy[z]*inv + s.shiftY
-				b.uz[z] = b.jz[z]*inv + s.shiftZ
-				b.u2[z] = b.ux[z]*b.ux[z] + b.uy[z]*b.uy[z] + b.uz[z]*b.uz[z]
-			}
-			for _, p := range s.pairs {
-				if p.i == p.j {
-					sv := s.fadv.V(p.i)[base : base+nz]
-					dv := s.f.V(p.i)[base : base+nz]
-					w := c.w[p.i]
-					for z := 0; z < nz; z++ {
-						feq := w * b.rho[z] * (1 - b.u2[z]*c.invCs2h)
-						dv[z] = sv[z] - omega*(sv[z]-feq)
-					}
-					continue
-				}
-				si := s.fadv.V(p.i)[base : base+nz]
-				sj := s.fadv.V(p.j)[base : base+nz]
-				di := s.f.V(p.i)[base : base+nz]
-				dj := s.f.V(p.j)[base : base+nz]
-				cx, cy, cz, w := c.cx[p.i], c.cy[p.i], c.cz[p.i], c.w[p.i]
-				if c.third {
-					for z := 0; z < nz; z++ {
-						cu := cx*b.ux[z] + cy*b.uy[z] + cz*b.uz[z]
-						even := 1 + cu*cu*c.invCs4h - b.u2[z]*c.invCs2h
-						odd := cu*c.invCs2 + cu*cu*cu*c.thA - cu*b.u2[z]*c.thB
-						wr := w * b.rho[z]
-						di[z] = si[z] - omega*(si[z]-wr*(even+odd))
-						dj[z] = sj[z] - omega*(sj[z]-wr*(even-odd))
-					}
-				} else {
-					for z := 0; z < nz; z++ {
-						cu := cx*b.ux[z] + cy*b.uy[z] + cz*b.uz[z]
-						even := 1 + cu*cu*c.invCs4h - b.u2[z]*c.invCs2h
-						odd := cu * c.invCs2
-						wr := w * b.rho[z]
-						di[z] = si[z] - omega*(si[z]-wr*(even+odd))
-						dj[z] = sj[z] - omega*(sj[z]-wr*(even-odd))
-					}
-				}
-			}
+			feq := w * rho[z] * e
+			dv[z] = sv[z] - omega*(sv[z]-feq)
 		}
 	}
 }
 
-// collidePairedBlocked is the SIMD-shaped kernel (§V.G stand-in): the
-// paired kernel with the z loops restructured into 4-wide blocks with
-// explicit multiply-add grouping — the form hand-written double-hummer/QPX
-// intrinsics impose, which also gives the Go compiler maximal instruction-
-// level parallelism and hoisted bounds checks.
-func (s *stepper) collidePairedBlocked(worker int, bx box) {
-	nz := s.d.NZ
-	omega := 1 / s.cfg.Tau
-	c := s.coef
-	b := s.scratch[worker].rb
-	for ix := bx.lo[0]; ix < bx.hi[0]; ix++ {
-		for iy := bx.lo[1]; iy < bx.hi[1]; iy++ {
-			base := s.d.Index(ix, iy, 0)
-			for z := 0; z < nz; z++ {
-				b.rho[z], b.jx[z], b.jy[z], b.jz[z] = 0, 0, 0, 0
+// pairMoments accumulates a run's moments as opposite-pair sums and
+// differences (a pair contributes its sum to ρ and c·difference to the
+// momentum; the rest velocity carries none) and finishes them into
+// velocities.
+func (c *collider) pairMoments(b *rowBufs, in [][]float64, zn int) {
+	rho, jx, jy, jz := b.rho[:zn], b.jx[:zn], b.jy[:zn], b.jz[:zn]
+	for z := 0; z < zn; z++ {
+		rho[z], jx[z], jy[z], jz[z] = 0, 0, 0, 0
+	}
+	for _, p := range c.pairs {
+		if p.i == p.j {
+			for z, val := range in[p.i][:zn] {
+				rho[z] += val
 			}
-			for _, p := range s.pairs {
-				if p.i == p.j {
-					sv := s.fadv.V(p.i)[base : base+nz]
-					for z, val := range sv {
-						b.rho[z] += val
-					}
-					continue
-				}
-				si := s.fadv.V(p.i)[base : base+nz : base+nz]
-				sj := s.fadv.V(p.j)[base : base+nz : base+nz]
-				cx, cy, cz := c.cx[p.i], c.cy[p.i], c.cz[p.i]
-				z := 0
-				for ; z+4 <= nz; z += 4 {
-					v0, v1, v2, v3 := si[z], si[z+1], si[z+2], si[z+3]
-					w0, w1, w2, w3 := sj[z], sj[z+1], sj[z+2], sj[z+3]
-					s0, s1, s2, s3 := v0+w0, v1+w1, v2+w2, v3+w3
-					d0, d1, d2, d3 := v0-w0, v1-w1, v2-w2, v3-w3
-					b.rho[z] += s0
-					b.rho[z+1] += s1
-					b.rho[z+2] += s2
-					b.rho[z+3] += s3
-					b.jx[z] += cx * d0
-					b.jx[z+1] += cx * d1
-					b.jx[z+2] += cx * d2
-					b.jx[z+3] += cx * d3
-					b.jy[z] += cy * d0
-					b.jy[z+1] += cy * d1
-					b.jy[z+2] += cy * d2
-					b.jy[z+3] += cy * d3
-					b.jz[z] += cz * d0
-					b.jz[z+1] += cz * d1
-					b.jz[z+2] += cz * d2
-					b.jz[z+3] += cz * d3
-				}
-				for ; z < nz; z++ {
-					vi, vj := si[z], sj[z]
-					sum, diff := vi+vj, vi-vj
-					b.rho[z] += sum
-					b.jx[z] += cx * diff
-					b.jy[z] += cy * diff
-					b.jz[z] += cz * diff
-				}
+			continue
+		}
+		si, sj := in[p.i][:zn], in[p.j][:zn]
+		cx, cy, cz := c.cx[p.i], c.cy[p.i], c.cz[p.i]
+		for z := 0; z < zn; z++ {
+			vi, vj := si[z], sj[z]
+			sum, diff := vi+vj, vi-vj
+			rho[z] += sum
+			jx[z] += cx * diff
+			jy[z] += cy * diff
+			jz[z] += cz * diff
+		}
+	}
+	c.velocities(b, zn)
+}
+
+// relaxPaired is the specialized kernel (CF and above, §V.C/§V.G
+// stand-in): velocities are processed as opposite pairs sharing the even
+// part of the equilibrium (f_eq(+c) and f_eq(−c) differ only in the sign
+// of the odd terms), with all coefficients precomputed and no method
+// calls in the inner loops.
+func (c *collider) relaxPaired(sc *workerScratch, in, out [][]float64, zn int) {
+	b := &sc.rb
+	c.pairMoments(b, in, zn)
+	rho, ux, uy, uz, u2 := b.rho[:zn], b.ux[:zn], b.uy[:zn], b.uz[:zn], b.u2[:zn]
+	omega := c.omega
+	invCs2, invCs4h, invCs2h, third, thA, thB := c.invCs2, c.invCs4h, c.invCs2h, c.third, c.thA, c.thB
+	for _, p := range c.pairs {
+		if p.i == p.j {
+			sv, dv := in[p.i][:zn], out[p.i][:zn]
+			w := c.w[p.i]
+			for z := 0; z < zn; z++ {
+				feq := w * rho[z] * (1 - u2[z]*invCs2h)
+				dv[z] = sv[z] - omega*(sv[z]-feq)
 			}
-			for z := 0; z < nz; z++ {
-				inv := 1 / b.rho[z]
-				b.ux[z] = b.jx[z]*inv + s.shiftX
-				b.uy[z] = b.jy[z]*inv + s.shiftY
-				b.uz[z] = b.jz[z]*inv + s.shiftZ
-				b.u2[z] = b.ux[z]*b.ux[z] + b.uy[z]*b.uy[z] + b.uz[z]*b.uz[z]
+			continue
+		}
+		si, sj := in[p.i][:zn], in[p.j][:zn]
+		di, dj := out[p.i][:zn], out[p.j][:zn]
+		cx, cy, cz, w := c.cx[p.i], c.cy[p.i], c.cz[p.i], c.w[p.i]
+		for z := 0; z < zn; z++ {
+			cu := cx*ux[z] + cy*uy[z] + cz*uz[z]
+			cu2 := cu * cu
+			even := 1 + cu2*invCs4h - u2[z]*invCs2h
+			odd := cu * invCs2
+			if third {
+				odd += cu2*cu*thA - cu*u2[z]*thB
 			}
-			for _, p := range s.pairs {
-				if p.i == p.j {
-					sv := s.fadv.V(p.i)[base : base+nz]
-					dv := s.f.V(p.i)[base : base+nz]
-					w := c.w[p.i]
-					for z := 0; z < nz; z++ {
-						feq := w * b.rho[z] * (1 - b.u2[z]*c.invCs2h)
-						dv[z] = sv[z] - omega*(sv[z]-feq)
-					}
-					continue
-				}
-				si := s.fadv.V(p.i)[base : base+nz : base+nz]
-				sj := s.fadv.V(p.j)[base : base+nz : base+nz]
-				di := s.f.V(p.i)[base : base+nz : base+nz]
-				dj := s.f.V(p.j)[base : base+nz : base+nz]
-				cx, cy, cz, w := c.cx[p.i], c.cy[p.i], c.cz[p.i], c.w[p.i]
-				for z := 0; z < nz; z++ {
-					cu := cx*b.ux[z] + cy*b.uy[z] + cz*b.uz[z]
-					cu2 := cu * cu
-					even := 1 + cu2*c.invCs4h - b.u2[z]*c.invCs2h
-					odd := cu * c.invCs2
-					if c.third {
-						odd += cu2*cu*c.thA - cu*b.u2[z]*c.thB
-					}
-					wr := w * b.rho[z]
-					di[z] = si[z] - omega*(si[z]-wr*(even+odd))
-					dj[z] = sj[z] - omega*(sj[z]-wr*(even-odd))
-				}
+			wr := w * rho[z]
+			di[z] = si[z] - omega*(si[z]-wr*(even+odd))
+			dj[z] = sj[z] - omega*(sj[z]-wr*(even-odd))
+		}
+	}
+}
+
+// relaxOpRows is the row kernel of operators with a row form
+// (collision.RowRelaxer — TRT, MRT): the pair moment pass, then the
+// equilibria of the whole run in the pair-symmetric form of relaxPaired
+// into the worker's feq rows, then one RelaxRows call on the worker's
+// private operator clone.
+func (c *collider) relaxOpRows(sc *workerScratch, in, out [][]float64, zn int) {
+	b := &sc.rb
+	c.pairMoments(b, in, zn)
+	rho, ux, uy, uz, u2 := b.rho[:zn], b.ux[:zn], b.uy[:zn], b.uz[:zn], b.u2[:zn]
+	invCs2, invCs4h, invCs2h, third, thA, thB := c.invCs2, c.invCs4h, c.invCs2h, c.third, c.thA, c.thB
+	feq := sc.rows(zn)
+	for _, p := range c.pairs {
+		if p.i == p.j {
+			fv := feq[p.i][:zn]
+			w := c.w[p.i]
+			for z := 0; z < zn; z++ {
+				fv[z] = w * rho[z] * (1 - u2[z]*invCs2h)
 			}
+			continue
+		}
+		fi, fj := feq[p.i][:zn], feq[p.j][:zn]
+		cx, cy, cz, w := c.cx[p.i], c.cy[p.i], c.cz[p.i], c.w[p.i]
+		for z := 0; z < zn; z++ {
+			cu := cx*ux[z] + cy*uy[z] + cz*uz[z]
+			cu2 := cu * cu
+			even := 1 + cu2*invCs4h - u2[z]*invCs2h
+			odd := cu * invCs2
+			if third {
+				odd += cu2*cu*thA - cu*u2[z]*thB
+			}
+			wr := w * rho[z]
+			fi[z] = wr * (even + odd)
+			fj[z] = wr * (even - odd)
+		}
+	}
+	sc.op.(collision.RowRelaxer).RelaxRows(out, in, feq, zn)
+}
+
+// relaxOpCell is the per-cell fallback for operators without a row form:
+// gather, Moments, one Relax on the worker's clone, scatter. The forced-
+// operator BGK regression route stays on it deliberately — its arithmetic
+// matches relaxNaive to 0 ULP.
+func (c *collider) relaxOpCell(sc *workerScratch, in, out [][]float64, zn int) {
+	m := c.model
+	fc := sc.fc
+	for z := 0; z < zn; z++ {
+		for v := range fc {
+			fc[v] = in[v][z]
+		}
+		rho, jx, jy, jz := m.Moments(fc)
+		sc.op.Relax(fc, rho, jx/rho+c.shiftX, jy/rho+c.shiftY, jz/rho+c.shiftZ)
+		for v := range fc {
+			out[v][z] = fc[v]
 		}
 	}
 }

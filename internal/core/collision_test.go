@@ -3,21 +3,20 @@ package core
 // Regression guards for the collision-operator subsystem.
 //
 // The paper-reproduction perf path is the BGK fast path: a Config whose
-// Collision spec is (the zero-value) BGK must dispatch to the direct
-// legacy kernels — the same code objects as before the operator axis
-// existed — at every optimization level and every decomposition, so its
-// results are 0-ULP identical by identity. Two guards enforce that:
+// Collision spec is (the zero-value) BGK must relax through the ladder's
+// own BGK row kernels at every optimization level and every
+// decomposition, never through a collision.Operator. Two guards enforce
+// that:
 //
 //   - TestBGKKeepsLegacyKernels asserts, white-box, that BGK configs build
-//     steppers with no operator attached (op == nil is the dispatch
-//     condition for the legacy kernels).
+//     steppers with no operator attached (op == nil is the condition for
+//     the ladder's BGK row kernels).
 //
 //   - TestOperatorPathBGKBitForBit flips the test-only force flag so the
-//     same BGK math runs through the generic operator kernel and asserts
-//     the fields are bitwise equal to the legacy naive kernel (whose
-//     arithmetic the BGK operator reproduces exactly) — proving the
-//     indirection machinery (regions, clones, threading, decompositions)
-//     is transparent.
+//     same BGK math runs through the per-cell operator kernel and asserts
+//     the fields are bitwise equal to the naive kernel (whose arithmetic
+//     the BGK operator reproduces exactly) — proving the indirection
+//     machinery (views, clones, threading, decompositions) is transparent.
 
 import (
 	"testing"
@@ -32,7 +31,7 @@ import (
 // buildSteppers constructs the rank-0 stepper of a config white-box.
 func buildSlabStepper(t *testing.T, cfg Config) *stepper {
 	t.Helper()
-	if err := cfg.init(); err != nil {
+	if _, err := cfg.init(); err != nil {
 		t.Fatal(err)
 	}
 	dec, err := decomp.NewCartesian([3]int{cfg.N.NX, cfg.N.NY, cfg.N.NZ}, [3]int{1, 1, 1})
@@ -52,7 +51,7 @@ func buildSlabStepper(t *testing.T, cfg Config) *stepper {
 
 func buildCartStepper(t *testing.T, cfg Config) *cartStepper {
 	t.Helper()
-	if err := cfg.init(); err != nil {
+	if _, err := cfg.init(); err != nil {
 		t.Fatal(err)
 	}
 	dec, err := decomp.NewCartesianBounded([3]int{cfg.N.NX, cfg.N.NY, cfg.N.NZ}, [3]int{1, 1, 1}, cfg.Boundary.BoundedAxes())
@@ -245,9 +244,9 @@ func TestCollisionDeepHaloAndLadder(t *testing.T) {
 	}
 }
 
-// TestOperatorRowKernelMatchesPerCell: the z-run-blocked operator kernel
-// (collideOpRows, the RowRelaxer fast path) must agree with the per-cell
-// kernel (collideOpBox) to reassociation level — same moments, same
+// TestOperatorRowKernelMatchesPerCell: the operator row kernel
+// (relaxOpRows, the RowRelaxer fast path) must agree with the per-cell
+// kernel (relaxOpCell) to reassociation level — same moments, same
 // relaxation, different loop order and equilibrium inlining.
 func TestOperatorRowKernelMatchesPerCell(t *testing.T) {
 	for _, m := range []*lattice.Model{lattice.D3Q19(), lattice.D3Q39()} {
@@ -273,20 +272,22 @@ func TestOperatorRowKernelMatchesPerCell(t *testing.T) {
 					}
 				}
 			}
-			op, err := spec.New(m, 0.6)
-			if err != nil {
+			var c collider
+			if err := c.init(&Config{Model: m, Tau: 0.6, Collision: spec, Opt: OptSIMD}); err != nil {
 				t.Fatal(err)
 			}
-			rr, ok := op.(collision.RowRelaxer)
-			if !ok {
+			if _, ok := c.op.(collision.RowRelaxer); !ok {
 				t.Fatalf("%s %s: operator does not implement RowRelaxer", m.Name, spec)
 			}
-			b := box{hi: [3]int{n.NX, n.NY, n.NZ}}
+			c.shiftX = 1e-4
 			perCell := grid.NewField(m.Q, n, grid.SoA)
 			rows := grid.NewField(m.Q, n, grid.SoA)
-			sc := newScratches(1, m.Q, n.NZ, nil, false)[0]
-			collideOpBox(op.Clone(), m, src, perCell, b, 1e-4, 0, 0, sc)
-			collideOpRows(rr, velocityPairs(m), newEqCoefs(m), m.Q, src, rows, b, 1e-4, 0, 0, sc)
+			sc := newScratches(1, m.Q, n.NZ, c.op, false)[0]
+			for base := 0; base < n.Cells(); base += n.NZ {
+				in := rowViews(sc.sv, src, base, n.NZ)
+				c.relaxOpCell(sc, in, rowViews(sc.dv, perCell, base, n.NZ), n.NZ)
+				c.relaxOpRows(sc, in, rowViews(sc.dv, rows, base, n.NZ), n.NZ)
+			}
 			if d := grid.MaxAbsDiff(perCell, rows); d > 1e-13 {
 				t.Errorf("%s %s: row kernel vs per-cell kernel max |Δf| = %g", m.Name, spec, d)
 			}

@@ -3,12 +3,18 @@
 // Hermite equilibria over a periodic cubic box, 1-D domain decomposition in
 // x, deep-halo ghost cells, and the paper's ladder of optimizations from
 // the naive implementation (Fig. 2) to the overlapped, separated
-// ghost-collide, vector-restructured version (§V).
+// ghost-collide version (§V) — plus the multi-axis box stepper, bounded
+// domains, TRT/MRT operators, fused and AA streaming that grew around it.
 //
-// Every optimization level is observationally equivalent: for identical
-// configurations they produce the same distribution field up to floating
-// point reassociation (~1e-12), which the test suite enforces across rank
-// counts, thread counts, ghost depths and layouts.
+// The collision arithmetic lives in one place: collide.go holds one row
+// kernel per rung of the ladder (naive, row-generic, pair-symmetric) and
+// the operator row kernel, and every stepper path — slab, box, fused, AA —
+// relaxes through the one its configuration selects. Running one
+// configuration another way (decomposition, ghost depth, thread count,
+// streaming scheme) therefore reproduces the field to the last bit
+// (TestCrossPathBitIdentity); the rungs differ from each other only by
+// floating point reassociation (~1e-12), which the rest of the suite
+// enforces across rank counts, thread counts, ghost depths and layouts.
 package core
 
 import (
@@ -65,11 +71,11 @@ const (
 	// work overlaps the messages in flight, and the ghost-adjacent rim is
 	// finished after the receives complete.
 	OptGCC
-	// OptSIMD stands in for the double-hummer/QPX intrinsics work (§V.G):
-	// the collision inner loops are restructured into 4-wide blocks with
-	// fused multiply-add ordering and hoisted bounds, the shape hand-written
-	// intrinsics impose. Pure Go has no SIMD intrinsics (see DESIGN.md);
-	// the paper-scale effect of real intrinsics is modeled in perfsim.
+	// OptSIMD stands in for the double-hummer/QPX intrinsics work (§V.G).
+	// Pure Go has no SIMD intrinsics (see DESIGN.md), and a hand-blocked
+	// 4-wide scalar collide measured no faster than the pair-symmetric
+	// kernel, so the rung runs GC-C's kernels and schedule unchanged; the
+	// paper-scale effect of real intrinsics is modeled in perfsim.
 	OptSIMD
 )
 
@@ -242,9 +248,9 @@ type Config struct {
 	// Must exceed 0.5.
 	Tau float64
 	// Collision selects the collision operator. The zero value is the
-	// paper's BGK, which dispatches to the specialized legacy kernels
-	// bit-for-bit at every optimization level; TRT and MRT run through the
-	// generic operator kernel (and therefore exclude the Fused path).
+	// paper's BGK, which runs the ladder's own row kernel at every
+	// optimization level; TRT and MRT relax through the operator row
+	// kernel (and exclude the BGK-only Fused path).
 	Collision collision.Spec
 	// Steps is the number of time steps.
 	Steps int
@@ -279,11 +285,10 @@ type Config struct {
 	// place via the AA pattern, halving f-memory traffic and footprint.
 	// StreamAA always runs on the multi-axis box stepper (slab shapes
 	// included), requires the SoA layout, a ghost-cell level, the split
-	// kernels (no Fused — AA is inherently fused) and the per-box fixup
-	// index (no FixupScan). Per-axis ghost depths are rounded up to the
-	// next even value: exchanges happen only at step-pair boundaries, when
-	// the field is in normal arrangement, so the existing pack/unpack maps
-	// apply unchanged.
+	// kernels (no Fused — AA is inherently fused). Per-axis ghost depths are
+	// rounded up to the next even value: exchanges happen only at step-pair
+	// boundaries, when the field is in normal arrangement, so the existing
+	// pack/unpack maps apply unchanged.
 	Stream StreamScheme
 	// Layout selects the field memory layout. The copy-based streaming
 	// kernels (OptDH and above) require SoA; AoS is supported through OptGC
@@ -326,21 +331,15 @@ type Config struct {
 	// chunk weights switch from cell count to fluid-cell count so the
 	// atomic queue load-balances inside the rank too. Equivalent to the
 	// dense sweep to 1e-12 and bit-exact across thread counts; always
-	// runs on the multi-axis box stepper (slab shapes included) with the
-	// per-box fixup index (no FixupScan). Without a Solid mask every row
-	// is one full-z run.
+	// runs on the multi-axis box stepper (slab shapes included). Without a
+	// Solid mask every row is one full-z run.
 	Sparse bool
 	// MeasureForces records the momentum-exchange force on the solid
 	// geometry at every step: Result.ObstacleForce holds the per-step
 	// force the fluid exerts on the voxel mask (drag/lift), FaceForce the
 	// aggregate on the global boundary faces, both reduced across ranks.
-	// Requires the split kernels (no Fused) and the per-box fixup index
-	// (no FixupScan).
+	// Requires the split kernels (no Fused).
 	MeasureForces bool
-	// FixupScan selects the legacy whole-x-plane bounce-back fixup scan
-	// instead of the per-box fixup index — the reference path the
-	// equivalence tests and the lbmbench fixup experiment compare against.
-	FixupScan bool
 	// Accel is a constant body acceleration driving the flow (velocity-
 	// shift forcing); zero means unforced.
 	Accel [3]float64
@@ -369,7 +368,10 @@ type Config struct {
 	Fabric *comm.Fabric
 }
 
-func (c *Config) init() error {
+// check normalizes the configuration's defaults and rejects illegal
+// feature combinations — everything that can be decided without the
+// domain decomposition.
+func (c *Config) check() error {
 	if c.Model == nil {
 		return fmt.Errorf("core: Config.Model is nil")
 	}
@@ -439,12 +441,6 @@ func (c *Config) init() error {
 			return fmt.Errorf("core: solid mask dims %v != domain %v", d, c.N)
 		}
 	}
-	if c.MeasureForces && c.FixupScan {
-		return fmt.Errorf("core: force measurement requires the per-box fixup index (disable FixupScan)")
-	}
-	if c.Sparse && c.FixupScan {
-		return fmt.Errorf("core: sparse traversal drives the per-box fixup index over fluid runs; disable FixupScan")
-	}
 	if c.Stream == StreamAA {
 		if c.Opt == OptOrig {
 			return fmt.Errorf("core: AA streaming requires ghost cells (OptGC or above)")
@@ -454,9 +450,6 @@ func (c *Config) init() error {
 		}
 		if c.Fused {
 			return fmt.Errorf("core: AA streaming is inherently fused (one field pass per sub-step); disable Fused")
-		}
-		if c.FixupScan {
-			return fmt.Errorf("core: AA streaming applies bounce-back inside its kernels via the per-box fixup index; disable FixupScan")
 		}
 		if c.Boundary != nil {
 			// Two open-bounded axes make corner ghost fills fills-of-fills
@@ -497,44 +490,54 @@ func (c *Config) init() error {
 		return fmt.Errorf("core: decomposition %dx%dx%d covers %d ranks, config has %d",
 			c.Decomp[0], c.Decomp[1], c.Decomp[2], got, c.Ranks)
 	}
-	dec, err := c.decomposition()
-	if err != nil {
-		return err
-	}
-	if c.slabPath(dec) {
-		w := c.GhostDepth * k
-		if minOwn := dec.MinOwn(0); minOwn < w {
-			return fmt.Errorf("core: smallest slab (%d planes) < halo width %d (depth %d × k %d)", minOwn, w, c.GhostDepth, k)
-		}
-	} else {
-		// Multi-axis decompositions, all bounded domains and per-axis
-		// ghost depths use the box stepper of cart.go.
-		if c.Opt == OptOrig {
-			return fmt.Errorf("core: the no-ghost Orig protocol is periodic-slab-only; use a ghost-cell level")
-		}
-		if c.Layout != grid.SoA {
-			return fmt.Errorf("core: the box stepper (multi-axis, bounded or per-axis-depth runs) requires the SoA layout")
-		}
-		if c.Fused && c.Boundary != nil {
-			return fmt.Errorf("core: bounce-back boundaries need the split stream/collide path; disable Fused")
-		}
-		depths := c.ghostDepths()
-		if c.Stream == StreamAA {
-			// AA exchanges only at pair boundaries: effective depths round
-			// up to even, and the halo must cover them.
-			depths = aaDepths(depths)
-		}
-		for a := 0; a < 3; a++ {
-			w := depths[a] * k
-			if mo := dec.MinOwn(a); mo < w {
-				return fmt.Errorf("core: axis %d smallest block (%d cells) < halo width %d (depth %d × k %d)", a, mo, w, depths[a], k)
-			}
-		}
-	}
 	if c.Fabric != nil && c.Fabric.N() != c.Ranks {
 		return fmt.Errorf("core: supplied fabric has %d ranks, config wants %d", c.Fabric.N(), c.Ranks)
 	}
 	return nil
+}
+
+// init validates the configuration and returns the decomposition it
+// validated the halo widths against — the one the run then uses.
+func (c *Config) init() (decomp.Cartesian, error) {
+	if err := c.check(); err != nil {
+		return decomp.Cartesian{}, err
+	}
+	dec, err := c.decomposition()
+	if err != nil {
+		return dec, err
+	}
+	k := c.Model.MaxSpeed
+	if c.slabPath(dec) {
+		w := c.GhostDepth * k
+		if minOwn := dec.MinOwn(0); minOwn < w {
+			return dec, fmt.Errorf("core: smallest slab (%d planes) < halo width %d (depth %d × k %d)", minOwn, w, c.GhostDepth, k)
+		}
+		return dec, nil
+	}
+	// Multi-axis decompositions, all bounded domains and per-axis ghost
+	// depths use the box stepper of cart.go.
+	if c.Opt == OptOrig {
+		return dec, fmt.Errorf("core: the no-ghost Orig protocol is periodic-slab-only; use a ghost-cell level")
+	}
+	if c.Layout != grid.SoA {
+		return dec, fmt.Errorf("core: the box stepper (multi-axis, bounded or per-axis-depth runs) requires the SoA layout")
+	}
+	if c.Fused && c.Boundary != nil {
+		return dec, fmt.Errorf("core: bounce-back boundaries need the split stream/collide path; disable Fused")
+	}
+	depths := c.ghostDepths()
+	if c.Stream == StreamAA {
+		// AA exchanges only at pair boundaries: effective depths round
+		// up to even, and the halo must cover them.
+		depths = aaDepths(depths)
+	}
+	for a := 0; a < 3; a++ {
+		w := depths[a] * k
+		if mo := dec.MinOwn(a); mo < w {
+			return dec, fmt.Errorf("core: axis %d smallest block (%d cells) < halo width %d (depth %d × k %d)", a, mo, w, depths[a], k)
+		}
+	}
+	return dec, nil
 }
 
 // decomposition builds the run's domain decomposition: equal-extent
@@ -650,10 +653,7 @@ func (r *Result) CommSummary() metrics.Summary {
 // — and every run with non-periodic global boundaries — use the
 // generalized multi-axis stepper of cart.go.
 func Run(cfg Config) (*Result, error) {
-	if err := cfg.init(); err != nil {
-		return nil, err
-	}
-	dec, err := cfg.decomposition()
+	dec, err := cfg.init()
 	if err != nil {
 		return nil, err
 	}

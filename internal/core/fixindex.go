@@ -22,10 +22,6 @@ package core
 // mask, or the global boundary faces) and with whether their cell is
 // owned — only owned links are counted, which is what makes the per-rank
 // partial sums reduce to decomposition-independent totals.
-//
-// The legacy whole-plane scan survives as applyPlanes/applyPlanesStrict
-// (Config.FixupScan), the reference path the equivalence tests and the
-// lbmbench fixup experiment compare against.
 
 import (
 	"sort"
@@ -160,27 +156,9 @@ func (fi *fixIndex) applyBox(f, fadv *grid.Field, b box) {
 	if fullZ && b.lo[1] == 0 && b.hi[1] == fi.d.NY {
 		// Full cross-section: the links of the covered planes are one
 		// contiguous CSR span — skip the per-row walk entirely.
-		fi.applyPlanes(f, fadv, b.lo[0], b.hi[0])
+		fi.applyLinks(f, fadv, fi.links[fi.rows[b.lo[0]*fi.d.NY]:fi.rows[b.hi[0]*fi.d.NY]])
 		return
 	}
-	if f.Layout == grid.SoA {
-		cells := fi.d.Cells()
-		fd, ad := f.Data, fadv.Data
-		for ix := b.lo[0]; ix < b.hi[0]; ix++ {
-			rowBase := ix * fi.d.NY
-			for iy := b.lo[1]; iy < b.hi[1]; iy++ {
-				seg := fi.links[fi.rows[rowBase+iy]:fi.rows[rowBase+iy+1]]
-				if !fullZ {
-					seg = zSlice(seg, nz, b.lo[2], b.hi[2])
-				}
-				for _, fx := range seg {
-					ad[int(fx.v)*cells+int(fx.cell)] = fd[int(fx.opp)*cells+int(fx.cell)] + fx.delta
-				}
-			}
-		}
-		return
-	}
-	q := f.Q
 	for ix := b.lo[0]; ix < b.hi[0]; ix++ {
 		rowBase := ix * fi.d.NY
 		for iy := b.lo[1]; iy < b.hi[1]; iy++ {
@@ -188,10 +166,24 @@ func (fi *fixIndex) applyBox(f, fadv *grid.Field, b box) {
 			if !fullZ {
 				seg = zSlice(seg, nz, b.lo[2], b.hi[2])
 			}
-			for _, fx := range seg {
-				fadv.Data[int(fx.cell)*q+int(fx.v)] = f.Data[int(fx.cell)*q+int(fx.opp)] + fx.delta
-			}
+			fi.applyLinks(f, fadv, seg)
 		}
+	}
+}
+
+// applyLinks applies one span of links in either layout.
+func (fi *fixIndex) applyLinks(f, fadv *grid.Field, seg []fixup) {
+	if f.Layout == grid.SoA {
+		cells := fi.d.Cells()
+		fd, ad := f.Data, fadv.Data
+		for _, fx := range seg {
+			ad[int(fx.v)*cells+int(fx.cell)] = fd[int(fx.opp)*cells+int(fx.cell)] + fx.delta
+		}
+		return
+	}
+	q := f.Q
+	for _, fx := range seg {
+		fadv.Data[int(fx.cell)*q+int(fx.v)] = f.Data[int(fx.cell)*q+int(fx.opp)] + fx.delta
 	}
 }
 
@@ -236,66 +228,6 @@ func (fi *fixIndex) applyBoxForce(f, fadv *grid.Field, b box, acc *[numBodies][3
 				seg = zSlice(seg, nz, b.lo[2], b.hi[2])
 			}
 			apply(seg)
-		}
-	}
-}
-
-// applyPlanes is the legacy lenient whole-plane scan: every link whose
-// cell lies in x-planes [lo, hi) is applied regardless of its y/z
-// position. Links at cells outside a step's destination box touch only
-// state that is already stale and never read before the next refresh, so
-// the unsynchronized stepping paths may use this form; the phased
-// schedule may not (see applyPlanesStrict). Reference path for the
-// fixup-index equivalence tests and benchmarks.
-func (fi *fixIndex) applyPlanes(f, fadv *grid.Field, lo, hi int) {
-	if fi.empty() {
-		return
-	}
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > fi.d.NX {
-		hi = fi.d.NX
-	}
-	if hi <= lo {
-		return
-	}
-	seg := fi.links[fi.rows[lo*fi.d.NY]:fi.rows[hi*fi.d.NY]]
-	if f.Layout == grid.SoA {
-		cells := fi.d.Cells()
-		fd, ad := f.Data, fadv.Data
-		for _, fx := range seg {
-			ad[int(fx.v)*cells+int(fx.cell)] = fd[int(fx.opp)*cells+int(fx.cell)] + fx.delta
-		}
-		return
-	}
-	q := f.Q
-	for _, fx := range seg {
-		fadv.Data[int(fx.cell)*q+int(fx.v)] = f.Data[int(fx.cell)*q+int(fx.opp)] + fx.delta
-	}
-}
-
-// applyPlanesStrict is the legacy strict scan: the whole-plane lists are
-// walked and every link filtered by the box's y/z range — the O(plane)
-// cost per phase the per-box index removes. Reference path only.
-func (fi *fixIndex) applyPlanesStrict(f, fadv *grid.Field, b box) {
-	if fi.empty() {
-		return
-	}
-	b = fi.clampTo(b)
-	nz, ny := fi.d.NZ, fi.d.NY
-	cells := fi.d.Cells()
-	fd, ad := f.Data, fadv.Data
-	for ix := b.lo[0]; ix < b.hi[0]; ix++ {
-		seg := fi.links[fi.rows[ix*ny]:fi.rows[(ix+1)*ny]]
-		for _, fx := range seg {
-			c := int(fx.cell)
-			iz := c % nz
-			iy := (c / nz) % ny
-			if iy < b.lo[1] || iy >= b.hi[1] || iz < b.lo[2] || iz >= b.hi[2] {
-				continue
-			}
-			ad[int(fx.v)*cells+c] = fd[int(fx.opp)*cells+c] + fx.delta
 		}
 	}
 }

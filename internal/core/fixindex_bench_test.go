@@ -1,10 +1,9 @@
 package core
 
 // Fixup-path benchmarks on a boundary-heavy mask (the arterial-geometry
-// regime): the per-box index vs the legacy whole-plane scans, both as the
-// isolated apply kernels on a rim slab — the phased schedule's unit of
-// work, where the plane scan pays O(plane) per phase — and as the full
-// masked stream+fixup+collide step. Part of the CI benchmark smoke sweep.
+// regime): the per-box index as the isolated apply kernel on a rim slab —
+// the phased schedule's unit of work — and inside the full masked
+// stream+fixup+collide step. Part of the CI benchmark smoke sweep.
 
 import (
 	"testing"
@@ -17,14 +16,14 @@ import (
 
 // benchMaskedStepper builds a single-rank cart stepper over a ~20% solid
 // noise mask.
-func benchMaskedStepper(b *testing.B, n grid.Dims, scan bool) *cartStepper {
+func benchMaskedStepper(b *testing.B, n grid.Dims) *cartStepper {
 	b.Helper()
 	cfg := &Config{
 		Model: lattice.D3Q19(), N: n, Tau: 0.8, Steps: 1,
 		Opt: OptSIMD, Ranks: 1, Threads: 1, GhostDepth: 1,
-		Init: waveInit(n), Solid: noiseMask(n, 7), FixupScan: scan,
+		Init: waveInit(n), Solid: noiseMask(n, 7),
 	}
-	if err := cfg.init(); err != nil {
+	if _, err := cfg.init(); err != nil {
 		b.Fatal(err)
 	}
 	dec, err := decomp.NewCartesian([3]int{n.NX, n.NY, n.NZ}, [3]int{1, 1, 1})
@@ -48,48 +47,28 @@ func benchMaskedStepper(b *testing.B, n grid.Dims, scan bool) *cartStepper {
 }
 
 // BenchmarkFixupApply isolates the bounce-back apply on one y-rim slab of
-// the owned box: the strict plane scan walks and filters every link of
-// the covered x-planes, the per-box index touches only the rim's rows.
+// the owned box: the per-box index touches only the rim's rows.
 func BenchmarkFixupApply(b *testing.B) {
-	cs := benchMaskedStepper(b, benchDims, false)
-	owned := cs.ownedBox()
-	rim := owned
+	cs := benchMaskedStepper(b, benchDims)
+	rim := cs.ownedBox()
 	rim.hi[1] = rim.lo[1] + 2 // a two-layer y-rim, full x/z extent
-	cases := []struct {
-		name string
-		run  func()
-	}{
-		{"index", func() { cs.fix.applyBox(cs.f, cs.fadv, rim) }},
-		{"plane-scan", func() { cs.fix.applyPlanesStrict(cs.f, cs.fadv, rim) }},
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cs.fix.applyBox(cs.f, cs.fadv, rim)
 	}
-	for _, c := range cases {
-		b.Run(c.name, func(b *testing.B) {
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c.run()
-			}
-			reportCellRate(b, rim.cells())
-		})
-	}
+	reportCellRate(b, rim.cells())
 }
 
 // BenchmarkMaskedStep is the full masked step (stream, fixups, collide
-// over the owned box) with the per-box index vs the legacy plane scan.
+// over the owned box).
 func BenchmarkMaskedStep(b *testing.B) {
-	for _, c := range []struct {
-		name string
-		scan bool
-	}{{"index", false}, {"plane-scan", true}} {
-		b.Run(c.name, func(b *testing.B) {
-			cs := benchMaskedStepper(b, benchDims, c.scan)
-			owned := cs.ownedBox()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				cs.streamBox(owned)
-				cs.applyBounceBackBox(owned)
-				cs.collideBox(owned)
-			}
-			reportCellRate(b, owned.cells())
-		})
+	cs := benchMaskedStepper(b, benchDims)
+	owned := cs.ownedBox()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		cs.streamBox(owned)
+		cs.applyBounceBackBox(owned)
+		cs.collideBox(owned)
 	}
+	reportCellRate(b, owned.cells())
 }

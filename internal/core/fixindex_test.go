@@ -20,12 +20,12 @@ func noiseMask(n grid.Dims, seed uint64) *geom.Mask {
 	})
 }
 
-// TestFixupIndexVsPlaneScan: the per-box fixup index must reproduce the
-// legacy whole-plane scan to 1e-12 (in fact these paths apply the same
-// link set) on every stepper and schedule: the periodic slab, multi-axis
-// boxes at 1-D/2-D/3-D shapes, bounded domains, the phased GC-C overlap
-// whose rims exercise the strict form, and per-axis ghost depths.
-func TestFixupIndexVsPlaneScan(t *testing.T) {
+// TestFixupIndexMatchesOracle: the per-box fixup index must reproduce the
+// link-by-link bounce-back of the independent oracle to 1e-12 on every
+// stepper and schedule: the periodic slab, multi-axis boxes at 1-D/2-D/3-D
+// shapes, bounded domains, the phased GC-C overlap whose rims apply
+// exactly their own links, and per-axis ghost depths.
+func TestFixupIndexMatchesOracle(t *testing.T) {
 	n := grid.Dims{NX: 16, NY: 12, NZ: 8}
 	mask := noiseMask(n, 1)
 	cavity := CavitySpec(0.05)
@@ -44,35 +44,33 @@ func TestFixupIndexVsPlaneScan(t *testing.T) {
 		{"block-bounded", [3]int{2, 2, 2}, OptNBC, 1, [3]int{}, cavity},
 		{"pencil-axis-depth", [3]int{2, 2, 1}, OptGCC, 0, [3]int{2, 1, 1}, cavity},
 	}
+	const tau, steps = 0.8, 7
+	init := waveInit(n)
+	want := map[*BoundarySpec]*grid.Field{
+		nil:    refSolverBounded(lattice.D3Q19(), n, tau, steps, init, nil, mask),
+		cavity: refSolverBounded(lattice.D3Q19(), n, tau, steps, init, cavity, mask),
+	}
 	for _, tc := range cases {
-		base := Config{
-			Model: lattice.D3Q19(), N: n, Tau: 0.8, Steps: 7,
+		got, err := Run(Config{
+			Model: lattice.D3Q19(), N: n, Tau: tau, Steps: steps,
 			Opt: tc.opt, Ranks: tc.decomp[0] * tc.decomp[1] * tc.decomp[2],
 			Decomp: tc.decomp, Threads: 2,
 			GhostDepth: tc.depth, GhostDepthAxes: tc.depthAxes,
-			Init: waveInit(n), Solid: mask, Boundary: tc.boundary,
+			Init: init, Solid: mask, Boundary: tc.boundary,
 			KeepField: true,
-		}
-		idx := base
-		ref := base
-		ref.FixupScan = true
-		got, err := Run(idx)
+		})
 		if err != nil {
-			t.Fatalf("%s (index): %v", tc.name, err)
+			t.Fatalf("%s: %v", tc.name, err)
 		}
-		want, err := Run(ref)
-		if err != nil {
-			t.Fatalf("%s (plane scan): %v", tc.name, err)
-		}
-		if d := maxDiffFluid(got.Field, want.Field, mask.At); d > 1e-12 {
-			t.Errorf("%s: per-box index deviates from the plane scan by %g", tc.name, d)
+		if d := maxDiffFluid(got.Field, want[tc.boundary], mask.At); d > eqTol {
+			t.Errorf("%s: per-box index deviates from the oracle by %g", tc.name, d)
 		}
 	}
 }
 
 // TestFixupIndexAoS covers the index's AoS branch (the layout ablation
 // supports solids through the GC level): the AoS run must match the
-// masked oracle and the legacy scan exactly.
+// masked oracle.
 func TestFixupIndexAoS(t *testing.T) {
 	n := grid.Dims{NX: 12, NY: 8, NZ: 6}
 	mask := noiseMask(n, 2)
@@ -85,15 +83,6 @@ func TestFixupIndexAoS(t *testing.T) {
 	got, err := Run(base)
 	if err != nil {
 		t.Fatal(err)
-	}
-	scan := base
-	scan.FixupScan = true
-	ref, err := Run(scan)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if d := maxDiffFluid(got.Field, ref.Field, mask.At); d > 1e-12 {
-		t.Errorf("AoS index vs plane scan deviate by %g", d)
 	}
 	want := refSolverMask(base.Model, n, base.Tau, base.Steps, init, mask.At, [3]float64{})
 	if d := maxDiffFluid(got.Field, want, mask.At); d > eqTol {
@@ -115,7 +104,7 @@ func TestMaskRankLocalSlicing(t *testing.T) {
 			Opt: OptSIMD, Ranks: shape[0] * shape[1] * shape[2], Decomp: shape,
 			GhostDepth: 2, Solid: mask,
 		}
-		if err := cfg.init(); err != nil {
+		if _, err := cfg.init(); err != nil {
 			t.Fatalf("%v: %v", shape, err)
 		}
 		dec, err := decomp.NewCartesianBounded(g, shape, [3]bool{})
@@ -159,12 +148,6 @@ func TestFixupValidation(t *testing.T) {
 		Opt: OptSIMD, Solid: mask,
 	}); err == nil {
 		t.Error("mismatched mask dims accepted")
-	}
-	if _, err := Run(Config{
-		Model: lattice.D3Q19(), N: n, Tau: 0.8, Steps: 1,
-		Opt: OptSIMD, MeasureForces: true, FixupScan: true,
-	}); err == nil {
-		t.Error("MeasureForces + FixupScan accepted")
 	}
 	if _, err := Run(Config{
 		Model: lattice.D3Q19(), N: n, Tau: 0.8, Steps: 1,

@@ -48,18 +48,15 @@ func (s *stepper) fusedRegionPair(lo1, hi1, lo2, hi2 int) {
 	s.br.run(s.fusedRows, s.slabBox(lo1, hi1), s.slabBox(lo2, hi2))
 }
 
-// fusedRows is the kernel body: for each destination row it gathers the
-// streamed values of every velocity into the worker's row buffers
-// (rotated copies, as in the DH streaming kernel) and applies the
-// pair-symmetric collision, writing the next state.
+// fusedRows is the slab's fused view-forming caller: for each destination
+// row it gathers the streamed values of every velocity into the worker's
+// row buffers (rotated copies, as in the DH streaming kernel) and relaxes
+// them straight into the rows of the next state.
 func (s *stepper) fusedRows(worker int, bx box) {
 	m := s.model
 	ny, nz := s.d.NY, s.d.NZ
 	plane := s.d.PlaneCells()
-	omega := 1 / s.cfg.Tau
-	c := s.coef
 	sc := s.scratch[worker]
-	b := sc.rb
 	rows := sc.rows(nz)
 	for ix := bx.lo[0]; ix < bx.hi[0]; ix++ {
 		for iy := bx.lo[1]; iy < bx.hi[1]; iy++ {
@@ -75,64 +72,7 @@ func (s *stepper) fusedRows(worker int, bx box) {
 				off := sx*plane + sy*nz
 				rotateCopy(rows[v], s.f.V(v)[off:off+nz], m.Cz[v])
 			}
-			// Collide from the row buffers into the next state.
-			for z := 0; z < nz; z++ {
-				b.rho[z], b.jx[z], b.jy[z], b.jz[z] = 0, 0, 0, 0
-			}
-			for _, p := range s.pairs {
-				if p.i == p.j {
-					for z, val := range rows[p.i] {
-						b.rho[z] += val
-					}
-					continue
-				}
-				si, sj := rows[p.i], rows[p.j]
-				cx, cy, cz := c.cx[p.i], c.cy[p.i], c.cz[p.i]
-				for z := 0; z < nz; z++ {
-					vi, vj := si[z], sj[z]
-					sum, diff := vi+vj, vi-vj
-					b.rho[z] += sum
-					b.jx[z] += cx * diff
-					b.jy[z] += cy * diff
-					b.jz[z] += cz * diff
-				}
-			}
-			for z := 0; z < nz; z++ {
-				inv := 1 / b.rho[z]
-				b.ux[z] = b.jx[z]*inv + s.shiftX
-				b.uy[z] = b.jy[z]*inv + s.shiftY
-				b.uz[z] = b.jz[z]*inv + s.shiftZ
-				b.u2[z] = b.ux[z]*b.ux[z] + b.uy[z]*b.uy[z] + b.uz[z]*b.uz[z]
-			}
-			base := s.d.Index(ix, iy, 0)
-			for _, p := range s.pairs {
-				if p.i == p.j {
-					sv := rows[p.i]
-					dv := s.fadv.V(p.i)[base : base+nz]
-					w := c.w[p.i]
-					for z := 0; z < nz; z++ {
-						feq := w * b.rho[z] * (1 - b.u2[z]*c.invCs2h)
-						dv[z] = sv[z] - omega*(sv[z]-feq)
-					}
-					continue
-				}
-				si, sj := rows[p.i], rows[p.j]
-				di := s.fadv.V(p.i)[base : base+nz]
-				dj := s.fadv.V(p.j)[base : base+nz]
-				cx, cy, cz, w := c.cx[p.i], c.cy[p.i], c.cz[p.i], c.w[p.i]
-				for z := 0; z < nz; z++ {
-					cu := cx*b.ux[z] + cy*b.uy[z] + cz*b.uz[z]
-					cu2 := cu * cu
-					even := 1 + cu2*c.invCs4h - b.u2[z]*c.invCs2h
-					odd := cu * c.invCs2
-					if c.third {
-						odd += cu2*cu*c.thA - cu*b.u2[z]*c.thB
-					}
-					wr := w * b.rho[z]
-					di[z] = si[z] - omega*(si[z]-wr*(even+odd))
-					dj[z] = sj[z] - omega*(sj[z]-wr*(even-odd))
-				}
-			}
+			s.relax(sc, rows, rowViews(sc.dv, s.fadv, s.d.Index(ix, iy, 0), nz), nz)
 		}
 	}
 }
@@ -208,20 +148,15 @@ func (cs *cartStepper) fusedBoxPair(b1, b2 box) {
 	cs.br.run(cs.fusedBoxRows, b1, b2)
 }
 
-// fusedBoxRows is the kernel body: for each destination row it gathers
-// the streamed values of every velocity into a row buffer (plain offset
-// copies — no wraps) and applies the pair-symmetric collision, writing
-// the next state.
+// fusedBoxRows is the box form of fusedRows: every velocity's source row
+// is one plain offset copy (no wraps).
 func (cs *cartStepper) fusedBoxRows(worker int, bx box) {
 	m := cs.model
 	zn := bx.hi[2] - bx.lo[2]
 	if bx.hi[0] <= bx.lo[0] || zn <= 0 || bx.hi[1] <= bx.lo[1] {
 		return
 	}
-	omega := 1 / cs.cfg.Tau
-	c := cs.coef
 	sc := cs.scratch[worker]
-	b := sc.rb
 	rows := sc.rows(zn)
 	for ix := bx.lo[0]; ix < bx.hi[0]; ix++ {
 		for iy := bx.lo[1]; iy < bx.hi[1]; iy++ {
@@ -229,63 +164,7 @@ func (cs *cartStepper) fusedBoxRows(worker int, bx box) {
 				off := cs.d.Index(ix-m.Cx[v], iy-m.Cy[v], bx.lo[2]-m.Cz[v])
 				copy(rows[v], cs.f.V(v)[off:off+zn])
 			}
-			for z := 0; z < zn; z++ {
-				b.rho[z], b.jx[z], b.jy[z], b.jz[z] = 0, 0, 0, 0
-			}
-			for _, p := range cs.pairs {
-				if p.i == p.j {
-					for z, val := range rows[p.i] {
-						b.rho[z] += val
-					}
-					continue
-				}
-				si, sj := rows[p.i], rows[p.j]
-				cx, cy, cz := c.cx[p.i], c.cy[p.i], c.cz[p.i]
-				for z := 0; z < zn; z++ {
-					vi, vj := si[z], sj[z]
-					sum, diff := vi+vj, vi-vj
-					b.rho[z] += sum
-					b.jx[z] += cx * diff
-					b.jy[z] += cy * diff
-					b.jz[z] += cz * diff
-				}
-			}
-			for z := 0; z < zn; z++ {
-				inv := 1 / b.rho[z]
-				b.ux[z] = b.jx[z]*inv + cs.shiftX
-				b.uy[z] = b.jy[z]*inv + cs.shiftY
-				b.uz[z] = b.jz[z]*inv + cs.shiftZ
-				b.u2[z] = b.ux[z]*b.ux[z] + b.uy[z]*b.uy[z] + b.uz[z]*b.uz[z]
-			}
-			base := cs.d.Index(ix, iy, bx.lo[2])
-			for _, p := range cs.pairs {
-				if p.i == p.j {
-					sv := rows[p.i]
-					dv := cs.fadv.V(p.i)[base : base+zn]
-					w := c.w[p.i]
-					for z := 0; z < zn; z++ {
-						feq := w * b.rho[z] * (1 - b.u2[z]*c.invCs2h)
-						dv[z] = sv[z] - omega*(sv[z]-feq)
-					}
-					continue
-				}
-				si, sj := rows[p.i], rows[p.j]
-				di := cs.fadv.V(p.i)[base : base+zn]
-				dj := cs.fadv.V(p.j)[base : base+zn]
-				cx, cy, cz, w := c.cx[p.i], c.cy[p.i], c.cz[p.i], c.w[p.i]
-				for z := 0; z < zn; z++ {
-					cu := cx*b.ux[z] + cy*b.uy[z] + cz*b.uz[z]
-					cu2 := cu * cu
-					even := 1 + cu2*c.invCs4h - b.u2[z]*c.invCs2h
-					odd := cu * c.invCs2
-					if c.third {
-						odd += cu2*cu*c.thA - cu*b.u2[z]*c.thB
-					}
-					wr := w * b.rho[z]
-					di[z] = si[z] - omega*(si[z]-wr*(even+odd))
-					dj[z] = sj[z] - omega*(sj[z]-wr*(even-odd))
-				}
-			}
+			cs.relax(sc, rows, rowViews(sc.dv, cs.fadv, cs.d.Index(ix, iy, bx.lo[2]), zn), zn)
 		}
 	}
 }

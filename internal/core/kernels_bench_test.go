@@ -14,14 +14,14 @@ import (
 
 // benchStepper builds a single-rank stepper for white-box kernel
 // benchmarking.
-func benchStepper(b *testing.B, m *lattice.Model, n grid.Dims, opt OptLevel) *stepper {
+func benchStepper(b *testing.B, m *lattice.Model, n grid.Dims, opt OptLevel, spec collision.Spec) *stepper {
 	b.Helper()
 	cfg := &Config{
 		Model: m, N: n, Tau: 0.8, Steps: 1,
 		Opt: opt, Ranks: 1, Threads: 1, GhostDepth: 1,
-		Init: waveInit(n),
+		Collision: spec, Init: waveInit(n),
 	}
-	if err := cfg.init(); err != nil {
+	if _, err := cfg.init(); err != nil {
 		b.Fatal(err)
 	}
 	dec, err := decomp.NewCartesian([3]int{n.NX, n.NY, n.NZ}, [3]int{1, 1, 1})
@@ -57,7 +57,7 @@ func BenchmarkStreamKernels(b *testing.B) {
 		lo, hi := k, k+benchDims.NX-2*k // interior, no wrap needed in x
 		cells := (hi - lo) * benchDims.PlaneCells()
 		b.Run(m.Name+"/scalar", func(b *testing.B) {
-			st := benchStepper(b, m, benchDims, OptGC)
+			st := benchStepper(b, m, benchDims, OptGC, collision.Spec{})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				st.streamScalar(0, st.slabBox(lo, hi))
@@ -65,7 +65,7 @@ func BenchmarkStreamKernels(b *testing.B) {
 			reportCellRate(b, cells)
 		})
 		b.Run(m.Name+"/copy", func(b *testing.B) {
-			st := benchStepper(b, m, benchDims, OptDH)
+			st := benchStepper(b, m, benchDims, OptDH, collision.Spec{})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				st.streamCopy(0, st.slabBox(lo, hi))
@@ -73,7 +73,7 @@ func BenchmarkStreamKernels(b *testing.B) {
 			reportCellRate(b, cells)
 		})
 		b.Run(m.Name+"/indexed", func(b *testing.B) {
-			st := benchStepper(b, m, benchDims, OptLoBr)
+			st := benchStepper(b, m, benchDims, OptLoBr, collision.Spec{})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				st.streamCopyIndexed(0, st.slabBox(lo, hi))
@@ -83,53 +83,80 @@ func BenchmarkStreamKernels(b *testing.B) {
 	}
 }
 
-// Collision kernels (naive vs row-generic vs paired vs blocked).
+// benchRowKernel times c's row kernel over every row of src → dst in the
+// three view shapes its callers form: in-place full rows (slab and dense
+// box), 16-cell z-runs (the short runs sparse traversal feeds it), and
+// gathered scratch rows (fused and AA: in and out cache-resident).
+func benchRowKernel(b *testing.B, name string, c *collider, src, dst *grid.Field) {
+	d := src.D
+	nz, cells := d.NZ, d.Cells()
+	sc := newScratches(1, src.Q, nz, c.op, true)[0]
+	gin, gout := sc.gathered(nz)
+	for v := range gin {
+		copy(gin[v], src.V(v)[:nz])
+	}
+	shapes := []struct {
+		name string
+		run  func()
+	}{
+		{"row", func() {
+			for base := 0; base < cells; base += nz {
+				c.relax(sc, rowViews(sc.sv, src, base, nz), rowViews(sc.dv, dst, base, nz), nz)
+			}
+		}},
+		{"run16", func() {
+			for base := 0; base+16 <= cells; base += 16 {
+				c.relax(sc, rowViews(sc.sv, src, base, 16), rowViews(sc.dv, dst, base, 16), 16)
+			}
+		}},
+		{"gathered", func() {
+			for base := 0; base < cells; base += nz {
+				c.relax(sc, gin, gout, nz)
+			}
+		}},
+	}
+	for _, sh := range shapes {
+		b.Run(name+"/"+sh.name, func(b *testing.B) {
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				sh.run()
+			}
+			reportCellRate(b, cells)
+		})
+	}
+}
+
+// The ladder's BGK row kernels (naive vs row-generic vs pair-symmetric).
 func BenchmarkCollideKernels(b *testing.B) {
 	for _, m := range []*lattice.Model{lattice.D3Q19(), lattice.D3Q39()} {
-		k := m.MaxSpeed
-		lo, hi := k, k+benchDims.NX-2*k
-		cells := (hi - lo) * benchDims.PlaneCells()
-		cases := []struct {
+		for _, c := range []struct {
 			name string
 			opt  OptLevel
-			run  func(st *stepper)
-		}{
-			{"naive", OptGC, func(st *stepper) { st.collideNaive(0, st.slabBox(lo, hi)) }},
-			{"rowGeneric", OptDH, func(st *stepper) { st.collideRowGeneric(0, st.slabBox(lo, hi)) }},
-			{"paired", OptCF, func(st *stepper) { st.collidePaired(0, st.slabBox(lo, hi)) }},
-			{"pairedBlocked", OptSIMD, func(st *stepper) { st.collidePairedBlocked(0, st.slabBox(lo, hi)) }},
-		}
-		for _, c := range cases {
-			b.Run(m.Name+"/"+c.name, func(b *testing.B) {
-				st := benchStepper(b, m, benchDims, c.opt)
-				st.streamRegion(lo, hi) // populate fadv
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					c.run(st)
-				}
-				reportCellRate(b, cells)
-			})
+		}{{"naive", OptGC}, {"rowGeneric", OptDH}, {"paired", OptCF}} {
+			st := benchStepper(b, m, benchDims, c.opt, collision.Spec{})
+			benchRowKernel(b, m.Name+"/"+c.name, &st.collider, st.f, st.fadv)
 		}
 	}
 }
 
-// Fused kernel vs split stream+collide at the kernel level.
+// Fused kernel vs split stream+collide at the kernel level: the split
+// path relaxes in-place row views, the fused one gathered scratch rows.
 func BenchmarkFusedKernel(b *testing.B) {
 	for _, m := range []*lattice.Model{lattice.D3Q19(), lattice.D3Q39()} {
 		k := m.MaxSpeed
 		lo, hi := k, k+benchDims.NX-2*k
 		cells := (hi - lo) * benchDims.PlaneCells()
 		b.Run(m.Name+"/split", func(b *testing.B) {
-			st := benchStepper(b, m, benchDims, OptSIMD)
+			st := benchStepper(b, m, benchDims, OptSIMD, collision.Spec{})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				st.streamCopyIndexed(0, st.slabBox(lo, hi))
-				st.collidePairedBlocked(0, st.slabBox(lo, hi))
+				st.collide(0, st.slabBox(lo, hi))
 			}
 			reportCellRate(b, cells)
 		})
 		b.Run(m.Name+"/fused", func(b *testing.B) {
-			st := benchStepper(b, m, benchDims, OptSIMD)
+			st := benchStepper(b, m, benchDims, OptSIMD, collision.Spec{})
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				st.fusedRows(0, st.slabBox(lo, hi))
@@ -149,7 +176,7 @@ func BenchmarkHaloLocalExchange(b *testing.B) {
 				Model: m, N: benchDims, Tau: 0.8, Steps: 1,
 				Opt: OptSIMD, Ranks: 1, Threads: 1, GhostDepth: depth,
 			}
-			if err := cfg.init(); err != nil {
+			if _, err := cfg.init(); err != nil {
 				b.Fatal(err)
 			}
 			dec, _ := decomp.NewCartesian([3]int{benchDims.NX, benchDims.NY, benchDims.NZ}, [3]int{1, 1, 1})
@@ -183,7 +210,7 @@ func benchCartStepper(b *testing.B, m *lattice.Model, n grid.Dims, opt OptLevel,
 		Opt: opt, Ranks: 1, Threads: 1, GhostDepth: 1, Fused: fused,
 		Init: waveInit(n),
 	}
-	if err := cfg.init(); err != nil {
+	if _, err := cfg.init(); err != nil {
 		b.Fatal(err)
 	}
 	dec, err := decomp.NewCartesian([3]int{n.NX, n.NY, n.NZ}, [3]int{1, 1, 1})
@@ -218,8 +245,8 @@ func (cs *cartStepper) ownedBox() box {
 }
 
 // Box-stepper kernels: interior box and per-axis rim slabs of the GC-C
-// schedule, and the full owned box, for the stream and paired-collide
-// kernels (the regression baseline the overlapped schedule rides on).
+// schedule, and the full owned box, for the stream and pair-symmetric
+// collide kernels (the regression baseline the overlapped schedule rides on).
 func BenchmarkBoxKernels(b *testing.B) {
 	m := lattice.D3Q19()
 	cs := benchCartStepper(b, m, benchDims, OptSIMD, false)
@@ -277,43 +304,21 @@ func BenchmarkBoxFusedKernel(b *testing.B) {
 	}
 }
 
-// Box operator kernels: the per-cell path vs the z-run-blocked RowRelaxer
-// path, against the BGK fast path (collideBoxPaired) as the yardstick —
-// the blocked kernel is what carries TRT/MRT within ~1.5× of it.
+// Operator row kernels: the per-cell fallback vs the RowRelaxer row form,
+// against the BGK pair-symmetric kernel as the yardstick — the row form is
+// what carries TRT/MRT within ~1.5× of it.
 func BenchmarkBoxCollideOperator(b *testing.B) {
 	for _, m := range []*lattice.Model{lattice.D3Q19(), lattice.D3Q39()} {
 		cs := benchCartStepper(b, m, benchDims, OptSIMD, false)
-		owned := cs.ownedBox()
-		cs.streamBox(owned) // populate fadv
-		b.Run(m.Name+"/bgk-fastpath", func(b *testing.B) {
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				cs.collideBoxPaired(0, owned)
-			}
-			reportCellRate(b, owned.cells())
-		})
+		benchRowKernel(b, m.Name+"/bgk-fastpath", &cs.collider, cs.f, cs.fadv)
 		for _, spec := range []collision.Spec{{Kind: collision.TRT}, {Kind: collision.MRT}} {
-			op, err := spec.New(m, 0.8)
-			if err != nil {
+			var c collider
+			if err := c.init(&Config{Model: m, Tau: 0.8, Opt: OptSIMD, Collision: spec}); err != nil {
 				b.Fatal(err)
 			}
-			sc := newScratches(1, m.Q, cs.d.NZ, nil, false)[0]
-			b.Run(m.Name+"/"+spec.String()+"/percell", func(b *testing.B) {
-				opc := op.Clone()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					collideOpBox(opc, m, cs.fadv, cs.f, owned, 0, 0, 0, sc)
-				}
-				reportCellRate(b, owned.cells())
-			})
-			b.Run(m.Name+"/"+spec.String()+"/rows", func(b *testing.B) {
-				rr := op.Clone().(collision.RowRelaxer)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					collideOpRows(rr, cs.pairs, cs.coef, m.Q, cs.fadv, cs.f, owned, 0, 0, 0, sc)
-				}
-				reportCellRate(b, owned.cells())
-			})
+			benchRowKernel(b, m.Name+"/"+spec.String()+"/rows", &c, cs.f, cs.fadv)
+			c.relax = c.relaxOpCell
+			benchRowKernel(b, m.Name+"/"+spec.String()+"/percell", &c, cs.f, cs.fadv)
 		}
 	}
 }
@@ -398,8 +403,8 @@ func BenchmarkThreadedStep(b *testing.B) {
 	}
 }
 
-// Operator-driven collision kernels (the generic path TRT and MRT run
-// through; BGK stays on the specialized kernels above).
+// The slab's collide per operator (TRT and MRT relax through the operator
+// row kernel; BGK is the ladder's pair-symmetric kernel).
 func BenchmarkCollideOperator(b *testing.B) {
 	for _, m := range []*lattice.Model{lattice.D3Q19(), lattice.D3Q39()} {
 		k := m.MaxSpeed
@@ -407,19 +412,11 @@ func BenchmarkCollideOperator(b *testing.B) {
 		cells := (hi - lo) * benchDims.PlaneCells()
 		for _, spec := range []collision.Spec{{Kind: collision.BGK}, {Kind: collision.TRT}, {Kind: collision.MRT}} {
 			b.Run(m.Name+"/"+spec.String(), func(b *testing.B) {
-				st := benchStepper(b, m, benchDims, OptSIMD)
-				op, err := spec.New(m, 0.8)
-				if err != nil {
-					b.Fatal(err)
-				}
-				st.op = op
-				for _, sc := range st.scratch {
-					sc.op = op.Clone()
-				}
+				st := benchStepper(b, m, benchDims, OptSIMD, spec)
 				st.streamRegion(lo, hi)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					st.collideOperator(0, st.slabBox(lo, hi))
+					st.collide(0, st.slabBox(lo, hi))
 				}
 				reportCellRate(b, cells)
 			})

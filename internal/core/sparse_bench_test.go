@@ -27,7 +27,7 @@ func benchSparseStepper(b *testing.B, n grid.Dims, sparse bool) *cartStepper {
 		Init: waveInit(n), Solid: geom.Bifurcation(n, 0.1*float64(n.NY)),
 		Sparse: sparse,
 	}
-	if err := cfg.init(); err != nil {
+	if _, err := cfg.init(); err != nil {
 		b.Fatal(err)
 	}
 	dec, err := decomp.NewCartesian([3]int{n.NX, n.NY, n.NZ}, [3]int{1, 1, 1})

@@ -271,8 +271,7 @@ func TestBalancedCutsCrossDecomposition(t *testing.T) {
 	}
 }
 
-// TestSparseValidation: the traversal needs the box stepper and the
-// per-box fixup index.
+// TestSparseValidation: the traversal needs the box stepper.
 func TestSparseValidation(t *testing.T) {
 	n := grid.Dims{NX: 16, NY: 8, NZ: 8}
 	mask := sparseTestMask(n)
@@ -282,11 +281,6 @@ func TestSparseValidation(t *testing.T) {
 		Solid: mask, Sparse: true,
 	}
 	bad := base
-	bad.FixupScan = true
-	if _, err := Run(bad); err == nil {
-		t.Error("Sparse with FixupScan accepted")
-	}
-	bad = base
 	bad.Opt = OptOrig
 	if _, err := Run(bad); err == nil {
 		t.Error("Sparse with the no-ghost Orig protocol accepted (box stepper only)")

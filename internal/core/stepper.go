@@ -4,7 +4,6 @@ import (
 	"math"
 	"time"
 
-	"repro/internal/collision"
 	"repro/internal/comm"
 	"repro/internal/decomp"
 	"repro/internal/grid"
@@ -13,20 +12,6 @@ import (
 	"repro/internal/metrics"
 	"repro/internal/obs"
 )
-
-// testForceOperatorPath, when set by a test in this package, routes BGK
-// configurations through the generic operator kernel instead of the
-// specialized legacy kernels (the equivalence guard for the indirection).
-var testForceOperatorPath bool
-
-// buildOperator resolves a config's collision operator: nil for plain BGK
-// (the legacy kernels), a collision.Operator otherwise.
-func buildOperator(cfg *Config) (collision.Operator, error) {
-	if cfg.Collision.IsBGK() && !testForceOperatorPath {
-		return nil, nil
-	}
-	return cfg.Collision.New(cfg.Model, cfg.Tau)
-}
 
 // stepper holds one rank's state for the stepping loop.
 //
@@ -53,19 +38,17 @@ type stepper struct {
 	br           boxRunner
 	scratch      []*workerScratch
 	ghostUpdates int64
-	coef         eqCoefs
-	pairs        []velPair
-	srcY         [][]int32          // per velocity: pull-stream source row per dst row (LoBr+)
-	op           collision.Operator // non-nil routes collisions through the generic operator kernel
+	collider                             // collision state and the configuration's row kernel (collide.go)
+	collide      func(worker int, b box) // collideRows, bound once so dispatching it allocates nothing
+	srcY         [][]int32               // per velocity: pull-stream source row per dst row (LoBr+)
 	jit          *metrics.RNG
 	rec          *obs.Recorder // nil unless Config.Observe; every call site is nil-safe
 
-	// Obstacles and forcing (see boundary.go, fixindex.go).
-	mask                   []bool
-	fix                    *fixIndex
-	stepForce              [numBodies][3]float64
-	forceSer               []float64
-	shiftX, shiftY, shiftZ float64
+	// Obstacles (see boundary.go, fixindex.go).
+	mask      []bool
+	fix       *fixIndex
+	stepForce [numBodies][3]float64
+	forceSer  []float64
 }
 
 func newStepper(cfg *Config, dec decomp.Cartesian, r *comm.Rank) (*stepper, error) {
@@ -78,17 +61,14 @@ func newStepper(cfg *Config, dec decomp.Cartesian, r *comm.Rank) (*stepper, erro
 		cfg: cfg, model: cfg.Model, r: r,
 		startX: startX, own: own,
 		k: k, depth: cfg.GhostDepth, w: w,
-		coef:  newEqCoefs(cfg.Model),
-		pairs: velocityPairs(cfg.Model),
 	}
-	op, err := buildOperator(cfg)
-	if err != nil {
+	if err := s.collider.init(cfg); err != nil {
 		return nil, err
 	}
-	s.op = op
+	s.collide = s.collideRows
 	s.d = grid.Dims{NX: own + 2*w, NY: cfg.N.NY, NZ: cfg.N.NZ}
 	s.br = newBoxRunner(cfg.Threads)
-	s.scratch = newScratches(s.br.threads(), cfg.Model.Q, s.d.NZ, s.op, false)
+	s.scratch = newScratches(s.br.threads(), cfg.Model.Q, s.d.NZ, s.op, cfg.Layout == grid.AoS)
 	s.f = grid.NewField(cfg.Model.Q, s.d, cfg.Layout)
 	s.fadv = grid.NewField(cfg.Model.Q, s.d, cfg.Layout)
 	if cfg.Opt == OptOrig {
@@ -106,17 +86,6 @@ func newStepper(cfg *Config, dec decomp.Cartesian, r *comm.Rank) (*stepper, erro
 	if cfg.StepJitter > 0 {
 		s.jit = metrics.NewRNG(uint64(r.ID)*0x9e3779b9 + 1)
 	}
-	// Velocity-shift forcing: equilibrium evaluated at u + τ_j·a, where
-	// τ_j is the relaxation time the operator applies to momentum (τ for
-	// BGK/MRT, τ⁻ for TRT) — that is what makes the injected momentum
-	// exactly ρ·a per step for every operator.
-	shiftTau := cfg.Tau
-	if s.op != nil {
-		shiftTau = s.op.ShiftTau()
-	}
-	s.shiftX = shiftTau * cfg.Accel[0]
-	s.shiftY = shiftTau * cfg.Accel[1]
-	s.shiftZ = shiftTau * cfg.Accel[2]
 	s.buildMask()
 	return s, nil
 }
@@ -334,36 +303,55 @@ func (s *stepper) streamRegionPair(lo1, hi1, lo2, hi2 int) {
 	s.br.run(s.streamKernel(), s.slabBox(lo1, hi1), s.slabBox(lo2, hi2))
 }
 
-// collideKernelSlab resolves the collision kernel for the configured
-// operator and level.
-func (s *stepper) collideKernelSlab() func(worker int, b box) {
-	switch {
-	case s.op != nil:
-		return s.collideOperator
-	case s.cfg.Opt <= OptGC:
-		return s.collideNaive
-	case s.cfg.Opt == OptDH:
-		return s.collideRowGeneric
-	case s.cfg.Opt < OptSIMD:
-		return s.collidePaired
-	default:
-		return s.collidePairedBlocked
-	}
-}
-
 // collideRegion applies the configured collision to planes [lo,hi).
 func (s *stepper) collideRegion(lo, hi int) {
 	if hi <= lo {
 		return
 	}
 	t0 := s.rec.Begin()
-	s.br.run(s.collideKernelSlab(), s.slabBox(lo, hi))
+	s.br.run(s.collide, s.slabBox(lo, hi))
 	s.rec.End(obs.Interior, t0)
 }
 
 // collideRegionPair collides two disjoint plane ranges.
 func (s *stepper) collideRegionPair(lo1, hi1, lo2, hi2 int) {
-	s.br.run(s.collideKernelSlab(), s.slabBox(lo1, hi1), s.slabBox(lo2, hi2))
+	s.br.run(s.collide, s.slabBox(lo1, hi1), s.slabBox(lo2, hi2))
+}
+
+// collideRows is the slab's view-forming caller of the row kernel: every
+// (x, y) row of the chunk, full z extent, fadv → f. SoA rows are relaxed
+// in place through slice views; AoS rows (Orig/GC layout ablation) are
+// transposed through the worker's gathered rows.
+func (s *stepper) collideRows(worker int, bx box) {
+	sc := s.scratch[worker]
+	nz, q := s.d.NZ, s.model.Q
+	var rows [][]float64
+	if s.f.Layout == grid.AoS {
+		rows, _ = sc.gathered(nz)
+	}
+	for ix := bx.lo[0]; ix < bx.hi[0]; ix++ {
+		for iy := bx.lo[1]; iy < bx.hi[1]; iy++ {
+			base := s.d.Index(ix, iy, 0)
+			if rows == nil {
+				s.relax(sc, rowViews(sc.sv, s.fadv, base, nz), rowViews(sc.dv, s.f, base, nz), nz)
+				continue
+			}
+			// AoS keeps a row's nz cells as nz contiguous Q-blocks.
+			src := s.fadv.Data[base*q : (base+nz)*q]
+			for z := 0; z < nz; z++ {
+				for v := range rows {
+					rows[v][z] = src[z*q+v]
+				}
+			}
+			s.relax(sc, rows, rows, nz)
+			dst := s.f.Data[base*q : (base+nz)*q]
+			for z := 0; z < nz; z++ {
+				for v := range rows {
+					dst[z*q+v] = rows[v][z]
+				}
+			}
+		}
+	}
 }
 
 // ownedSums returns mass and momentum summed over the owned fluid cells.
@@ -443,23 +431,4 @@ func (s *stepper) axisBytes() [3]int64 {
 		return [3]int64{}
 	}
 	return [3]int64{s.ex.BytesPerExchange(), 0, 0}
-}
-
-// velPair groups a velocity with its opposite for the pair-symmetric
-// collision kernels; rest velocities pair with themselves.
-type velPair struct {
-	i, j int // j = Opp[i]; i == j for the rest velocity
-}
-
-func velocityPairs(m *lattice.Model) []velPair {
-	var ps []velPair
-	for i := 0; i < m.Q; i++ {
-		j := m.Opp[i]
-		if i < j {
-			ps = append(ps, velPair{i, j})
-		} else if i == j {
-			ps = append(ps, velPair{i, i})
-		}
-	}
-	return ps
 }
