@@ -144,17 +144,21 @@ func newCartStepper(cfg *Config, dec decomp.Cartesian, r *comm.Rank) (*cartStepp
 	if err != nil {
 		return nil, err
 	}
-	neighbors := top.Neighbors(r.ID)
-	ex, err := halo.NewCartExchanger(cfg.Model.Q, cs.d, cs.own, cs.w, r.ID, neighbors)
+	cs.buildMask()
+	cs.buildSponge()
+	// The halo follows the traversal: with the sparse run index installed
+	// no kernel reads or writes a solid cell, so the faces skip them too.
+	var skip []bool
+	if cs.runStart != nil {
+		skip = cs.mask
+	}
+	cs.ex, err = halo.NewCartExchangerMasked(cfg.Model.Q, cs.d, cs.own, cs.w, r.ID, top.Neighbors(r.ID), skip)
 	if err != nil {
 		return nil, err
 	}
-	cs.ex = ex
 	if cfg.StepJitter > 0 {
 		cs.jit = metrics.NewRNG(uint64(r.ID)*0x9e3779b9 + 1)
 	}
-	cs.buildMask()
-	cs.buildSponge()
 	return cs, nil
 }
 
@@ -1097,7 +1101,8 @@ func (cs *cartStepper) ownedBlock() []float64 {
 
 // ghosts, gather, axisBytes and forceSeries adapt the cart stepper to the
 // shared Run harness. axisBytes comes from the exchanger that does the
-// sending, so it stays truthful to the actual pack shapes.
+// sending — the cells its border spans hold, fluid-only under sparse
+// traversal — so it stays truthful to the actual pack shapes.
 // setRecorder attaches the phase recorder to the stepper and its
 // exchanger; observation snapshots it after the run (see stepper.go).
 func (cs *cartStepper) setRecorder(rec *obs.Recorder) {

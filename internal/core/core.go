@@ -329,10 +329,13 @@ type Config struct {
 	// mask and drives the row-blocked kernels over fluid runs only —
 	// all-solid rows drop out of the worker pool's chunk batches, and
 	// chunk weights switch from cell count to fluid-cell count so the
-	// atomic queue load-balances inside the rank too. Equivalent to the
-	// dense sweep to 1e-12 and bit-exact across thread counts; always
-	// runs on the multi-axis box stepper (slab shapes included). Without a
-	// Solid mask every row is one full-z run.
+	// atomic queue load-balances inside the rank too. The halo follows the
+	// run index: every face payload, messages and local periodic wraps
+	// alike, carries only the fluid z-runs of its rows, so solid cells are
+	// never packed, sent or unpacked. Equivalent to the dense sweep to
+	// 1e-12 and bit-exact across thread counts; always runs on the
+	// multi-axis box stepper (slab shapes included). Without a Solid mask
+	// every row is one full-z run.
 	Sparse bool
 	// MeasureForces records the momentum-exchange force on the solid
 	// geometry at every step: Result.ObstacleForce holds the per-step

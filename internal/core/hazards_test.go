@@ -44,6 +44,11 @@ func TestGhostPoisonInvariance(t *testing.T) {
 			Opt: OptGCC, Ranks: 4, Threads: 2, Decomp: [3]int{2, 2, 1}, GhostDepth: 1,
 			Boundary: InletChannelSpec(0.05, nil), Solid: solid,
 		}},
+		{"sparse-slab-gcc-masked-deep", Config{
+			Model: lattice.D3Q19(), N: n, Tau: 0.8, Steps: 5,
+			Opt: OptGCC, Ranks: 2, Threads: 2, GhostDepth: 2,
+			Solid: solid, Sparse: true,
+		}},
 		{"aa-block-periodic", Config{
 			Model: lattice.D3Q19(), N: n, Tau: 0.8, Steps: 5,
 			Opt: OptSIMD, Ranks: 8, Threads: 2, Decomp: [3]int{2, 2, 2}, GhostDepth: 1,

@@ -7,6 +7,7 @@ import (
 	"repro/internal/collision"
 	"repro/internal/comm"
 	"repro/internal/decomp"
+	"repro/internal/geom"
 	"repro/internal/lattice"
 
 	"repro/internal/grid"
@@ -196,6 +197,66 @@ func BenchmarkHaloLocalExchange(b *testing.B) {
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				st.ex.ExchangeLocal(st.f)
+			}
+		})
+	}
+}
+
+// One full halo exchange — the x-face messages and the y and z local
+// wraps — on the two fluid-balanced rank boxes of the 192×96×96
+// bifurcation mask (the benchmark's sparse workload), under the GC-C
+// protocol: dense faces against the fluid-span faces the run index
+// installs. MB/s is rank 0's wire payload; the allocations -benchmem
+// reports are the fabric's per-message copies and request handles, the
+// halo layer adds none (halo.TestLocalWrapAllocatesNothing).
+func BenchmarkSparseExchange(b *testing.B) {
+	n := grid.Dims{NX: 192, NY: 96, NZ: 96}
+	mask := geom.Bifurcation(n, 0.1*float64(n.NY))
+	for _, c := range []struct {
+		name   string
+		sparse bool
+	}{{"dense-faces", false}, {"fluid-spans", true}} {
+		b.Run(c.name, func(b *testing.B) {
+			cfg := &Config{
+				Model: lattice.D3Q19(), N: n, Tau: 0.8, Steps: 1,
+				Opt: OptGCC, Ranks: 2, Threads: 1, GhostDepth: 1,
+				Solid: mask, Balance: BalanceFluid, Sparse: c.sparse,
+			}
+			dec, err := cfg.init()
+			if err != nil {
+				b.Fatal(err)
+			}
+			ranks := make([]*cartStepper, cfg.Ranks)
+			fab := comm.NewFabric(cfg.Ranks)
+			if err := fab.Run(func(r *comm.Rank) error {
+				cs, err := newCartStepper(cfg, dec, r)
+				if err != nil {
+					return err
+				}
+				cs.initField()
+				ranks[r.ID] = cs
+				return nil
+			}); err != nil {
+				b.Fatal(err)
+			}
+			var payload int64
+			for _, bytes := range ranks[0].axisBytes() {
+				payload += bytes
+			}
+			b.SetBytes(payload)
+			b.ResetTimer()
+			if err := fab.Run(func(r *comm.Rank) error {
+				cs := ranks[r.ID]
+				for i := 0; i < b.N; i++ {
+					cs.ex.ExchangeAll(r, cs.f, true)
+				}
+				return nil
+			}); err != nil {
+				b.Fatal(err)
+			}
+			b.StopTimer()
+			for _, cs := range ranks {
+				cs.close()
 			}
 		})
 	}

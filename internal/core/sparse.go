@@ -17,10 +17,14 @@ package core
 // AA their untouched slots): the fixup index replaces every population
 // streamed out of a solid cell at its fluid destination, so values at
 // solid sites are never consumed at the fluid level — the same argument
-// that lets wall ghost faces hold the rest state (see fillFace). Rows
-// with no fluid at all additionally drop out of the pool's chunk
-// batches: boxRunner chunks by fluid weight when a row-weight table is
-// installed, and all-solid spans contribute nothing (chunk.go).
+// that lets wall ghost faces hold the rest state (see fillFace). The
+// halo exchange relies on the same argument: once the run index is
+// installed the exchanger is built over the mask and its faces carry
+// fluid cells only (halo.NewCartExchangerMasked), so solid ghost cells
+// keep what the allocation or a boundary fill left there. Rows with no
+// fluid at all additionally drop out of the pool's chunk batches:
+// boxRunner chunks by fluid weight when a row-weight table is installed,
+// and all-solid spans contribute nothing (chunk.go).
 
 // zrun is one contiguous fluid interval [lo, hi) of a local row's z
 // extent.

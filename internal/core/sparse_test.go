@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -137,6 +138,17 @@ func TestSparseBoundaryAndSponge(t *testing.T) {
 	})
 	if d := maxDiffFluid(dense.Field, sparse.Field, mask.At); d > eqTol {
 		t.Errorf("boundary+sponge: sparse vs dense max fluid |Δf| = %g", d)
+	}
+	// The ghosts beyond the open outlet face take the clamped mask: the
+	// fluid-span payloads crossing the rank cut must agree with a single
+	// rank that never exchanges along x at all.
+	single := runField(t, Config{
+		Model: lattice.D3Q19(), N: n, Tau: 0.8, Steps: 8,
+		Opt: OptGCC, Ranks: 1, Threads: 1, GhostDepth: 1,
+		Solid: mask, Boundary: &spec,
+	})
+	if d := maxDiffFluid(single, sparse.Field, mask.At); d > eqTol {
+		t.Errorf("boundary+sponge: sparse 2 ranks vs dense 1 rank max fluid |Δf| = %g", d)
 	}
 }
 
@@ -296,5 +308,104 @@ func TestSparseValidation(t *testing.T) {
 	ok.Solid = nil
 	if _, err := Run(ok); err != nil {
 		t.Errorf("Sparse without a mask: %v", err)
+	}
+}
+
+// TestSparseHaloMatrix: with the run index installed the halo carries
+// fluid z-spans only, on every axis, for messages and local wraps alike.
+// Across rank grids (fluid-balanced cuts on the block), deep-halo cadences,
+// both lattices, both streaming schemes and all three exchange protocols,
+// the sparse multi-rank run must reproduce the dense single-rank field on
+// every fluid cell to 1e-12, and must not depend on the thread count by a
+// single bit.
+func TestSparseHaloMatrix(t *testing.T) {
+	type grid3 struct {
+		p       [3]int
+		balance Balance
+	}
+	shapes := []grid3{{p: [3]int{2, 1, 1}}, {p: [3]int{2, 2, 1}}, {p: [3]int{2, 2, 2}, balance: BalanceFluid}}
+	depths := [][3]int{{1, 1, 1}, {2, 2, 2}, {2, 1, 1}}
+	opts := []OptLevel{OptGC, OptNBC, OptGCC}
+	models := []*lattice.Model{lattice.D3Q19(), lattice.D3Q39()}
+	if testing.Short() {
+		// The k = 3 domain is 27× the cells; TestSparseDeepHaloAndQ39
+		// keeps a D3Q39 sparse exchange under the race detector.
+		models = models[:1]
+	}
+	for _, m := range models {
+		// Every block must own at least depth·k cells per decomposed axis.
+		n := grid.Dims{NX: 8 * m.MaxSpeed * 3, NY: 8 * m.MaxSpeed, NZ: 8 * m.MaxSpeed}
+		mask := sparseTestMask(n)
+		ref := runField(t, Config{
+			Model: m, N: n, Tau: 0.8, Steps: 6,
+			Opt: OptSIMD, Ranks: 1, Threads: 1, GhostDepth: 1, Solid: mask,
+		})
+		for _, sh := range shapes {
+			for _, depth := range depths {
+				for _, stream := range []StreamScheme{StreamTwoGrid, StreamAA} {
+					for _, opt := range opts {
+						cfg := Config{
+							Model: m, N: n, Tau: 0.8, Steps: 6,
+							Opt: opt, Ranks: sh.p[0] * sh.p[1] * sh.p[2], Decomp: sh.p, Balance: sh.balance,
+							GhostDepthAxes: depth, Stream: stream,
+							Solid: mask, Sparse: true,
+						}
+						name := fmt.Sprintf("%s %v depth=%v %s %s", m.Name, sh.p, depth, stream, opt)
+						cfg.Threads = 1
+						one := runField(t, cfg)
+						if d := maxDiffFluid(ref, one, mask.At); d > eqTol {
+							t.Errorf("%s: sparse vs dense single rank max fluid |Δf| = %g", name, d)
+						}
+						cfg.Threads = 3
+						if d := maxDiffFluid(one, runField(t, cfg), mask.At); d != 0 {
+							t.Errorf("%s: 3 threads vs 1 max fluid |Δf| = %g, want bit-exact", name, d)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestSparseHaloBytesAreTruthful: every byte count the run reports is
+// what the exchangers packed. On a masked sparse pencil the per-axis obs
+// counters sum to the fabric's own count on every rank, the reported
+// per-exchange payload is the busiest rank's, and it is a small fraction
+// of the dense faces the same decomposition ships without the run index.
+func TestSparseHaloBytesAreTruthful(t *testing.T) {
+	n := grid.Dims{NX: 24, NY: 12, NZ: 10}
+	cfg := Config{
+		Model: lattice.D3Q19(), N: n, Tau: 0.8, Steps: 4,
+		Opt: OptGCC, Ranks: 4, Decomp: [3]int{2, 2, 1}, Threads: 1, GhostDepth: 1,
+		Solid: sparseTestMask(n), Sparse: true, Observe: true,
+	}
+	res, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var counted, carried int64
+	var perExchange [3]int64
+	for r, o := range res.Observations {
+		for a := 0; a < 3; a++ {
+			counted += o.CommBytes[a]
+			perExchange[a] = max(perExchange[a], o.CommBytes[a]/int64(cfg.Steps))
+		}
+		carried += res.PerRank[r].BytesSent
+	}
+	if counted != carried || carried == 0 {
+		t.Errorf("obs CommBytes sum to %d B, the fabric carried %d B", counted, carried)
+	}
+	if res.HaloAxisBytes != perExchange {
+		t.Errorf("HaloAxisBytes %v, busiest rank packed %v per exchange", res.HaloAxisBytes, perExchange)
+	}
+	cfg.Sparse = false
+	dense, err := Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for a := 0; a < 2; a++ {
+		if res.HaloAxisBytes[a] <= 0 || 2*res.HaloAxisBytes[a] > dense.HaloAxisBytes[a] {
+			t.Errorf("axis %d: sparse payload %d B not under half the dense face %d B", a, res.HaloAxisBytes[a], dense.HaloAxisBytes[a])
+		}
 	}
 }

@@ -9,13 +9,18 @@ import (
 )
 
 // Cartesian halo exchange: the multi-axis generalization of the 1-D
-// Exchanger. Faces normal to x keep the fast contiguous-plane path of
-// PackPlanes; faces normal to y and z pack strided z-runs. Edge and
-// corner ghost cells are covered without dedicated messages by the
-// sequential-axis ordering trick: axes exchange one after another, each
-// face spanning the full local extent (ghosts included) of the axes
-// already exchanged, so diagonal data rides along on the second and third
-// hops — exactly the deep-halo ordering argument of Kjolstad & Snir.
+// Exchanger. Every face — border or ghost, on any axis — is a precomputed
+// list of memory-contiguous cell spans, and packing or unpacking it is one
+// loop of block copies per velocity. A dense face is the list of its
+// z-rows with adjacent rows merged (an x face is one span, a y face one
+// span per x); on a masked domain the list holds only the fluid z-runs of
+// each row (NewCartExchangerMasked), so solid cells are never packed, sent
+// or unpacked. Edge and corner ghost cells are covered without dedicated
+// messages by the sequential-axis ordering trick: axes exchange one after
+// another, each face spanning the full local extent (ghosts included) of
+// the axes already exchanged, so diagonal data rides along on the second
+// and third hops — exactly the deep-halo ordering argument of Kjolstad &
+// Snir.
 
 // cartTag returns the message tag for data flowing along axis in
 // direction dir (0 = toward lower coordinates, 1 = toward higher).
@@ -99,6 +104,25 @@ func fullCross(d grid.Dims, lo, hi [3]int) bool {
 	return lo[1] == 0 && hi[1] == d.NY && lo[2] == 0 && hi[2] == d.NZ
 }
 
+// span is one memory-contiguous run of face cells: n cells starting at
+// cell offset off.
+type span struct {
+	off, n int
+}
+
+// The four regions of an axis, in local index order.
+const (
+	lowGhost = iota
+	lowBorder
+	highBorder
+	highGhost
+)
+
+// borderRegion and ghostRegion map a side (0 = low, 1 = high) to the
+// region sent toward it and the region filled from it.
+func borderRegion(side int) int { return lowBorder + side }
+func ghostRegion(side int) int  { return highGhost * side }
+
 // CartExchanger owns the send/receive buffers for one rank's multi-axis
 // halo exchange. The local field spans Own[a] + 2·W[a] cells on axis a:
 // [W[a], W[a]+Own[a]) is owned, [0, W[a]) the low ghost and
@@ -120,13 +144,33 @@ type CartExchanger struct {
 	// traffic counts.
 	Rec *obs.Recorder
 
+	// spans[axis][region] lists the region's exchanged cells in wire
+	// order: rows x-major then y, each row's z-runs ascending, memory-
+	// adjacent runs merged.
+	spans [3][4][]span
+
+	// send[axis][side] holds exactly the border face toward side,
+	// recv[axis][side] exactly the ghost face filled from it: Q values per
+	// span cell.
 	send, recv [3][2][]float64
 	reqs       [3][2]*comm.Request
 	axisBytes  [3]int64 // payload bytes sent per axis, accumulated
 }
 
-// NewCartExchanger builds an exchanger for a field of the given shape.
+// NewCartExchanger builds an exchanger for a field of the given shape
+// whose faces carry every cell.
 func NewCartExchanger(q int, d grid.Dims, own, w [3]int, self int, neighbors [3][2]int) (*CartExchanger, error) {
+	return NewCartExchangerMasked(q, d, own, w, self, neighbors, nil)
+}
+
+// NewCartExchangerMasked builds an exchanger whose faces carry only the
+// cells solid does not mark: solid, when non-nil, is the rank's mask over
+// the local dims (ghosts included). The wire carries no header, so the two
+// ends of a message must hold the same mask over the cells they share — as
+// they do when each rank evaluates one global mask at wrapped or clamped
+// coordinates — and values at the skipped cells must never be consumed.
+// A mismatch is caught at unpack time by the payload length.
+func NewCartExchangerMasked(q int, d grid.Dims, own, w [3]int, self int, neighbors [3][2]int, solid []bool) (*CartExchanger, error) {
 	dims := [3]int{d.NX, d.NY, d.NZ}
 	for a := 0; a < 3; a++ {
 		if dims[a] != own[a]+2*w[a] {
@@ -141,45 +185,62 @@ func NewCartExchanger(q int, d grid.Dims, own, w [3]int, self int, neighbors [3]
 			return nil, fmt.Errorf("halo: axis %d owned extent %d < halo width %d (grow the domain or reduce depth)", a, own[a], w[a])
 		}
 	}
+	if solid != nil && len(solid) != d.Cells() {
+		return nil, fmt.Errorf("halo: mask has %d cells, local field %d", len(solid), d.Cells())
+	}
 	e := &CartExchanger{Q: q, Dims: d, Own: own, W: w, Self: self, Neighbors: neighbors}
 	for a := 0; a < 3; a++ {
-		n := q * w[a] * e.crossCells(a)
+		var cells [4]int
+		for region := range cells {
+			e.spans[a][region], cells[region] = e.faceSpans(a, region, solid)
+		}
 		for s := 0; s < 2; s++ {
-			e.send[a][s] = make([]float64, n)
-			e.recv[a][s] = make([]float64, n)
+			e.send[a][s] = make([]float64, q*cells[borderRegion(s)])
+			e.recv[a][s] = make([]float64, q*cells[ghostRegion(s)])
 		}
 	}
 	return e, nil
 }
 
-// crossCells returns the number of cells in one face layer normal to
-// axis: the product of the full local extents (ghosts included) of the
-// other axes — full, because later-axis ghost regions ride along.
-func (e *CartExchanger) crossCells(axis int) int {
-	dims := [3]int{e.Dims.NX, e.Dims.NY, e.Dims.NZ}
-	n := 1
-	for b := 0; b < 3; b++ {
-		if b != axis {
-			n *= dims[b]
+// faceSpans lists the non-solid cells of one face region as spans in wire
+// order, with their total.
+func (e *CartExchanger) faceSpans(axis, region int, solid []bool) (spans []span, cells int) {
+	lo, hi := e.face(axis, region)
+	for ix := lo[0]; ix < hi[0]; ix++ {
+		for iy := lo[1]; iy < hi[1]; iy++ {
+			row := e.Dims.Index(ix, iy, 0)
+			for z := lo[2]; z < hi[2]; z++ {
+				if solid != nil && solid[row+z] {
+					continue
+				}
+				z0 := z
+				for z++; z < hi[2] && (solid == nil || !solid[row+z]); z++ {
+				}
+				if k := len(spans) - 1; k >= 0 && spans[k].off+spans[k].n == row+z0 {
+					spans[k].n += z - z0
+				} else {
+					spans = append(spans, span{off: row + z0, n: z - z0})
+				}
+				cells += z - z0
+			}
 		}
 	}
-	return n
+	return spans, cells
 }
 
-// face returns the box of the requested region on axis: region 0 = low
-// ghost, 1 = low border, 2 = high border, 3 = high ghost. The box spans
-// the full local extent of the other axes.
+// face returns the box of the requested region on axis. The box spans the
+// full local extent of the other axes.
 func (e *CartExchanger) face(axis, region int) (lo, hi [3]int) {
 	hi = [3]int{e.Dims.NX, e.Dims.NY, e.Dims.NZ}
 	w, own := e.W[axis], e.Own[axis]
 	switch region {
-	case 0:
+	case lowGhost:
 		lo[axis], hi[axis] = 0, w
-	case 1:
+	case lowBorder:
 		lo[axis], hi[axis] = w, 2*w
-	case 2:
+	case highBorder:
 		lo[axis], hi[axis] = own, own+w
-	case 3:
+	case highGhost:
 		lo[axis], hi[axis] = w+own, 2*w+own
 	}
 	return lo, hi
@@ -200,14 +261,14 @@ func (e *CartExchanger) Messaging(axis int) bool {
 }
 
 // BytesPerExchange returns the payload bytes this rank sends along axis
-// per full exchange: one face payload per side that has a real neighbor —
-// zero for self-neighbor (locally wrapped) axes and for boundary faces.
+// per full exchange: what its border spans hold, for each side that has
+// a real neighbor — zero for self-neighbor (locally wrapped) axes and for
+// boundary faces.
 func (e *CartExchanger) BytesPerExchange(axis int) int64 {
-	face := int64(8 * e.Q * e.W[axis] * e.crossCells(axis))
 	var total int64
 	for s := 0; s < 2; s++ {
 		if n := e.Neighbors[axis][s]; n != NoNeighbor && n != e.Self {
-			total += face
+			total += int64(8 * len(e.send[axis][s]))
 		}
 	}
 	return total
@@ -247,36 +308,17 @@ func (e *CartExchanger) ExchangeAxis(r *comm.Rank, f *grid.Field, axis int, nonb
 		return
 	}
 	// Eager buffered sends cannot deadlock; order recvs after both sends.
-	t0 := e.Rec.Begin()
-	var msgs int64
-	if loN != NoNeighbor {
-		n := e.packFace(f, axis, 1, e.send[axis][0])
-		r.Send(loN, cartTag(axis, 0), e.send[axis][0][:n])
-		e.axisBytes[axis] += int64(8 * n)
-		msgs++
-	}
-	if hiN != NoNeighbor {
-		n := e.packFace(f, axis, 2, e.send[axis][1])
-		r.Send(hiN, cartTag(axis, 1), e.send[axis][1][:n])
-		e.axisBytes[axis] += int64(8 * n)
-		msgs++
-	}
-	e.Rec.EndAxis(obs.Pack, axis, t0)
-	e.Rec.AddComm(axis, e.BytesPerExchange(axis), msgs)
-	if hiN != NoNeighbor {
-		t0 = e.Rec.Begin()
-		r.Recv(hiN, cartTag(axis, 0), e.recv[axis][1])
+	e.sendBorders(r, f, axis, false)
+	for _, s := range [2]int{1, 0} {
+		n := e.Neighbors[axis][s]
+		if n == NoNeighbor {
+			continue
+		}
+		t0 := e.Rec.Begin()
+		got := r.Recv(n, cartTag(axis, 1-s), e.recv[axis][s])
 		e.Rec.EndAxis(obs.Wire, axis, t0)
 		t0 = e.Rec.Begin()
-		e.unpackFace(f, axis, 3, e.recv[axis][1])
-		e.Rec.EndAxis(obs.Unpack, axis, t0)
-	}
-	if loN != NoNeighbor {
-		t0 = e.Rec.Begin()
-		r.Recv(loN, cartTag(axis, 1), e.recv[axis][0])
-		e.Rec.EndAxis(obs.Wire, axis, t0)
-		t0 = e.Rec.Begin()
-		e.unpackFace(f, axis, 0, e.recv[axis][0])
+		e.unpackFace(f, axis, s, e.recv[axis][s][:got])
 		e.Rec.EndAxis(obs.Unpack, axis, t0)
 	}
 }
@@ -284,33 +326,41 @@ func (e *CartExchanger) ExchangeAxis(r *comm.Rank, f *grid.Field, axis int, nonb
 // PostRecvsAxis posts the ghost receives for one axis early (boundary
 // sides excluded).
 func (e *CartExchanger) PostRecvsAxis(r *comm.Rank, axis int) {
-	if n := e.Neighbors[axis][0]; n != NoNeighbor {
-		e.reqs[axis][0] = r.Irecv(n, cartTag(axis, 1), e.recv[axis][0])
-	}
-	if n := e.Neighbors[axis][1]; n != NoNeighbor {
-		e.reqs[axis][1] = r.Irecv(n, cartTag(axis, 0), e.recv[axis][1])
+	for s := 0; s < 2; s++ {
+		if n := e.Neighbors[axis][s]; n != NoNeighbor {
+			e.reqs[axis][s] = r.Irecv(n, cartTag(axis, 1-s), e.recv[axis][s])
+		}
 	}
 }
 
 // SendBordersAxis packs and sends the border faces of one axis (boundary
 // sides excluded).
 func (e *CartExchanger) SendBordersAxis(r *comm.Rank, f *grid.Field, axis int) {
+	e.sendBorders(r, f, axis, true)
+}
+
+// sendBorders packs and sends each border face that has a neighbor,
+// counting what was actually packed.
+func (e *CartExchanger) sendBorders(r *comm.Rank, f *grid.Field, axis int, nonblocking bool) {
 	t0 := e.Rec.Begin()
-	var msgs int64
-	if n := e.Neighbors[axis][0]; n != NoNeighbor {
-		nLo := e.packFace(f, axis, 1, e.send[axis][0])
-		r.Isend(n, cartTag(axis, 0), e.send[axis][0][:nLo])
-		e.axisBytes[axis] += int64(8 * nLo)
+	var bytes, msgs int64
+	for s := 0; s < 2; s++ {
+		n := e.Neighbors[axis][s]
+		if n == NoNeighbor {
+			continue
+		}
+		buf := e.packFace(f, axis, s)
+		if nonblocking {
+			r.Isend(n, cartTag(axis, s), buf)
+		} else {
+			r.Send(n, cartTag(axis, s), buf)
+		}
+		bytes += int64(8 * len(buf))
 		msgs++
 	}
-	if n := e.Neighbors[axis][1]; n != NoNeighbor {
-		nHi := e.packFace(f, axis, 2, e.send[axis][1])
-		r.Isend(n, cartTag(axis, 1), e.send[axis][1][:nHi])
-		e.axisBytes[axis] += int64(8 * nHi)
-		msgs++
-	}
+	e.axisBytes[axis] += bytes
 	e.Rec.EndAxis(obs.Pack, axis, t0)
-	e.Rec.AddComm(axis, e.BytesPerExchange(axis), msgs)
+	e.Rec.AddComm(axis, bytes, msgs)
 }
 
 // WaitUnpackAxis completes one axis's posted receives and fills the
@@ -322,23 +372,16 @@ func (e *CartExchanger) WaitUnpackAxis(r *comm.Rank, f *grid.Field, axis int) {
 		}
 	}
 	t0 := e.Rec.Begin()
-	if e.reqs[axis][0] != nil && e.reqs[axis][1] != nil {
-		r.Wait(e.reqs[axis][0], e.reqs[axis][1])
-	} else if e.reqs[axis][0] != nil {
-		r.Wait(e.reqs[axis][0])
-	} else if e.reqs[axis][1] != nil {
-		r.Wait(e.reqs[axis][1])
-	}
+	r.Wait(e.reqs[axis][0], e.reqs[axis][1]) // Wait skips a boundary side's nil request
 	e.Rec.EndAxis(obs.Wire, axis, t0)
 	t0 = e.Rec.Begin()
-	if e.reqs[axis][0] != nil {
-		e.unpackFace(f, axis, 0, e.recv[axis][0])
-	}
-	if e.reqs[axis][1] != nil {
-		e.unpackFace(f, axis, 3, e.recv[axis][1])
+	for s := 0; s < 2; s++ {
+		if q := e.reqs[axis][s]; q != nil {
+			e.unpackFace(f, axis, s, e.recv[axis][s][:q.N()])
+			e.reqs[axis][s] = nil
+		}
 	}
 	e.Rec.EndAxis(obs.Unpack, axis, t0)
-	e.reqs[axis][0], e.reqs[axis][1] = nil, nil
 }
 
 // exchangeLocalAxis wraps one undecomposed axis periodically in place:
@@ -347,21 +390,58 @@ func (e *CartExchanger) exchangeLocalAxis(f *grid.Field, axis int) {
 	// Staging reads only border (owned) cells and ghost writes only ghost
 	// cells, so both packs may run before both unpacks.
 	t0 := e.Rec.Begin()
-	nHi := e.packFace(f, axis, 2, e.send[axis][1])
-	nLo := e.packFace(f, axis, 1, e.send[axis][0])
+	hi := e.packFace(f, axis, 1)
+	lo := e.packFace(f, axis, 0)
 	e.Rec.EndAxis(obs.Pack, axis, t0)
 	t0 = e.Rec.Begin()
-	e.unpackFace(f, axis, 0, e.send[axis][1][:nHi])
-	e.unpackFace(f, axis, 3, e.send[axis][0][:nLo])
+	e.unpackFace(f, axis, 0, hi)
+	e.unpackFace(f, axis, 1, lo)
 	e.Rec.EndAxis(obs.Unpack, axis, t0)
 }
 
-func (e *CartExchanger) packFace(f *grid.Field, axis, region int, buf []float64) int {
-	lo, hi := e.face(axis, region)
-	return PackBox(f, lo, hi, buf)
+// blocks returns the field's memory blocks and the values each holds per
+// cell: Q velocity blocks of one value (SoA), or one block of Q (AoS). A
+// cell span is one contiguous range of every block, which makes the wire
+// format PackBox's in both layouts.
+func blocks(f *grid.Field) (n, per int) {
+	if f.Layout == grid.AoS {
+		return 1, f.Q
+	}
+	return f.Q, 1
 }
 
-func (e *CartExchanger) unpackFace(f *grid.Field, axis, region int, buf []float64) int {
-	lo, hi := e.face(axis, region)
-	return UnpackBox(f, lo, hi, buf)
+// packFace copies the border face toward side into its send buffer and
+// returns the filled buffer.
+func (e *CartExchanger) packFace(f *grid.Field, axis, side int) []float64 {
+	buf := e.send[axis][side]
+	nb, per := blocks(f)
+	size := len(f.Data) / nb
+	n := 0
+	for b := 0; b < nb; b++ {
+		blk := f.Data[b*size : (b+1)*size]
+		for _, s := range e.spans[axis][borderRegion(side)] {
+			n += copy(buf[n:], blk[s.off*per:(s.off+s.n)*per])
+		}
+	}
+	return buf[:n]
+}
+
+// unpackFace fills the ghost face on side from buf. Payloads have no
+// header: a length other than this rank's own ghost span total means the
+// sender packed a different mask, and unpacking would leave stale data
+// behind, so it panics instead.
+func (e *CartExchanger) unpackFace(f *grid.Field, axis, side int, buf []float64) {
+	if want := len(e.recv[axis][side]); len(buf) != want {
+		panic(fmt.Sprintf("halo: rank %d axis %d side %d: received %d values, own ghost spans hold %d (sender and receiver masks disagree)",
+			e.Self, axis, side, len(buf), want))
+	}
+	nb, per := blocks(f)
+	size := len(f.Data) / nb
+	n := 0
+	for b := 0; b < nb; b++ {
+		blk := f.Data[b*size : (b+1)*size]
+		for _, s := range e.spans[axis][ghostRegion(side)] {
+			n += copy(blk[s.off*per:(s.off+s.n)*per], buf[n:])
+		}
+	}
 }

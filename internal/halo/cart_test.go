@@ -1,6 +1,9 @@
 package halo
 
 import (
+	"fmt"
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/comm"
@@ -411,5 +414,236 @@ func TestNewCartExchangerValidation(t *testing.T) {
 	d2 := grid.Dims{NX: 7, NY: 6, NZ: 6}
 	if _, err := NewCartExchanger(1, d2, [3]int{1, 4, 4}, [3]int{3, 1, 1}, 0, nb); err == nil {
 		t.Error("own < width accepted")
+	}
+}
+
+// testMask is a deterministic pseudo-random global mask, about 60% solid,
+// with whole solid rows and whole fluid rows mixed in so span merging and
+// empty rows are both exercised.
+func testMask(gx, gy, gz int) bool {
+	switch (gx*7 + gy*3) % 5 {
+	case 0:
+		return true
+	case 1:
+		return false
+	}
+	h := uint32(gx*73856093) ^ uint32(gy*19349663) ^ uint32(gz*83492791)
+	return h%10 < 7
+}
+
+// TestMaskedExchangeFluidOnly runs full exchanges with exchangers built
+// over a random mask: every fluid ghost cell — faces, edges and corners —
+// must hold the wrapped global value, every solid cell must keep its NaN
+// poison bit for bit, no NaN may reach a send or receive buffer, and the
+// byte accounting must equal what the fabric carried.
+func TestMaskedExchangeFluidOnly(t *testing.T) {
+	global := [3]int{8, 6, 6}
+	const q = 2
+	poison := math.Float64frombits(0x7ff8_dead_beef_0001)
+	wrap := func(g, n int) int { return ((g % n) + n) % n }
+	for _, p := range [][3]int{{1, 1, 1}, {2, 1, 1}, {2, 2, 1}, {2, 2, 2}} {
+		for _, w := range [][3]int{{1, 1, 1}, {2, 1, 2}} {
+			for _, nonblocking := range []bool{false, true} {
+				dec, err := decomp.NewCartesian(global, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fab := comm.NewFabric(dec.Ranks())
+				top, err := fab.Cart(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				runErr := fab.Run(func(r *comm.Rank) error {
+					var start, own [3]int
+					for a := 0; a < 3; a++ {
+						start[a], own[a] = dec.Own(r.ID, a)
+					}
+					d := grid.Dims{NX: own[0] + 2*w[0], NY: own[1] + 2*w[1], NZ: own[2] + 2*w[2]}
+					globalOf := func(ix, iy, iz int) (int, int, int) {
+						return wrap(start[0]+ix-w[0], global[0]), wrap(start[1]+iy-w[1], global[1]), wrap(start[2]+iz-w[2], global[2])
+					}
+					owned := func(ix, iy, iz int) bool {
+						return ix >= w[0] && ix < w[0]+own[0] && iy >= w[1] && iy < w[1]+own[1] && iz >= w[2] && iz < w[2]+own[2]
+					}
+					solid := make([]bool, d.Cells())
+					f := grid.NewField(q, d, grid.SoA)
+					for ix := 0; ix < d.NX; ix++ {
+						for iy := 0; iy < d.NY; iy++ {
+							for iz := 0; iz < d.NZ; iz++ {
+								gx, gy, gz := globalOf(ix, iy, iz)
+								solid[d.Index(ix, iy, iz)] = testMask(gx, gy, gz)
+								for v := 0; v < q; v++ {
+									val := -1.0 // fluid ghosts: must all be overwritten
+									if testMask(gx, gy, gz) {
+										val = poison
+									} else if owned(ix, iy, iz) {
+										val = encode(v, gx, gy, gz)
+									}
+									f.Set(v, ix, iy, iz, val)
+								}
+							}
+						}
+					}
+					ex, err := NewCartExchangerMasked(q, d, own, w, r.ID, top.Neighbors(r.ID), solid)
+					if err != nil {
+						return err
+					}
+					ex.ExchangeAll(r, f, nonblocking)
+					for v := 0; v < q; v++ {
+						for ix := 0; ix < d.NX; ix++ {
+							for iy := 0; iy < d.NY; iy++ {
+								for iz := 0; iz < d.NZ; iz++ {
+									got := f.At(v, ix, iy, iz)
+									if solid[d.Index(ix, iy, iz)] {
+										if math.Float64bits(got) != math.Float64bits(poison) {
+											t.Errorf("p=%v w=%v nb=%v rank %d: solid cell (%d,%d,%d,%d) overwritten with %v",
+												p, w, nonblocking, r.ID, v, ix, iy, iz, got)
+											return nil
+										}
+										continue
+									}
+									gx, gy, gz := globalOf(ix, iy, iz)
+									if want := encode(v, gx, gy, gz); got != want {
+										t.Errorf("p=%v w=%v nb=%v rank %d: fluid cell (%d,%d,%d,%d) = %v, want %v",
+											p, w, nonblocking, r.ID, v, ix, iy, iz, got, want)
+										return nil
+									}
+								}
+							}
+						}
+					}
+					var sent int64
+					for a := 0; a < 3; a++ {
+						sent += ex.BytesPerExchange(a)
+						if ex.AxisBytes()[a] != ex.BytesPerExchange(a) {
+							t.Errorf("p=%v rank %d axis %d: accumulated %d B, BytesPerExchange %d", p, r.ID, a, ex.AxisBytes()[a], ex.BytesPerExchange(a))
+						}
+						for s := 0; s < 2; s++ {
+							for _, buf := range [][]float64{ex.send[a][s], ex.recv[a][s]} {
+								for _, x := range buf {
+									if math.IsNaN(x) {
+										t.Errorf("p=%v w=%v rank %d axis %d side %d: a poisoned solid cell reached the wire", p, w, r.ID, a, s)
+										return nil
+									}
+								}
+							}
+						}
+					}
+					if sent != r.BytesSent() {
+						t.Errorf("p=%v w=%v rank %d: BytesPerExchange sums to %d B, fabric carried %d", p, w, r.ID, sent, r.BytesSent())
+					}
+					return nil
+				})
+				if runErr != nil {
+					t.Fatalf("p=%v w=%v: %v", p, w, runErr)
+				}
+			}
+		}
+	}
+}
+
+// TestAllFluidSpansArePackBox: a dense face is the degenerate span list.
+// With no mask, and with a mask that marks nothing, every border face
+// packs byte for byte what PackBox packs for the same box — x-, y- and
+// z-normal, both layouts — in far fewer copies than rows.
+func TestAllFluidSpansArePackBox(t *testing.T) {
+	d := grid.Dims{NX: 8, NY: 7, NZ: 6}
+	own, w := [3]int{4, 5, 4}, [3]int{2, 1, 1}
+	self := [3][2]int{{0, 0}, {0, 0}, {0, 0}}
+	const q = 3
+	for _, solid := range [][]bool{nil, make([]bool, d.Cells())} {
+		ex, err := NewCartExchangerMasked(q, d, own, w, 0, self, solid)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for axis, wantSpans := range []int{1, d.NX, d.NX * d.NY} {
+			for region := range ex.spans[axis] {
+				if got := len(ex.spans[axis][region]); got != wantSpans {
+					t.Errorf("axis %d region %d: %d spans, want %d after merging", axis, region, got, wantSpans)
+				}
+			}
+		}
+		for _, layout := range []grid.Layout{grid.SoA, grid.AoS} {
+			f := grid.NewField(q, d, layout)
+			for i := range f.Data {
+				f.Data[i] = float64(i) + 0.5
+			}
+			for axis := 0; axis < 3; axis++ {
+				for side := 0; side < 2; side++ {
+					lo, hi := ex.face(axis, borderRegion(side))
+					want := make([]float64, q*d.Cells())
+					want = want[:PackBox(f, lo, hi, want)]
+					got := ex.packFace(f, axis, side)
+					if len(got) != len(want) {
+						t.Fatalf("%v axis %d side %d: packed %d values, PackBox %d", layout, axis, side, len(got), len(want))
+					}
+					for i := range want {
+						if got[i] != want[i] {
+							t.Fatalf("%v axis %d side %d: value %d = %v, PackBox has %v", layout, axis, side, i, got[i], want[i])
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestLocalWrapAllocatesNothing: the steady-state exchange of a single
+// periodic rank touches only the buffers built at construction.
+func TestLocalWrapAllocatesNothing(t *testing.T) {
+	d := grid.Dims{NX: 8, NY: 8, NZ: 8}
+	solid := make([]bool, d.Cells())
+	for i := range solid {
+		solid[i] = i%3 == 0
+	}
+	for _, mask := range [][]bool{nil, solid} {
+		ex, err := NewCartExchangerMasked(2, d, [3]int{6, 6, 6}, [3]int{1, 1, 1}, 0, [3][2]int{{0, 0}, {0, 0}, {0, 0}}, mask)
+		if err != nil {
+			t.Fatal(err)
+		}
+		f := grid.NewField(2, d, grid.SoA)
+		if n := testing.AllocsPerRun(10, func() { ex.ExchangeAll(nil, f, false) }); n != 0 {
+			t.Errorf("masked=%v: %v allocations per local-wrap exchange, want 0", mask != nil, n)
+		}
+	}
+}
+
+// TestWireMismatchFailsWell: payloads are headerless, so two ranks whose
+// masks disagree over a shared face would silently leave stale data in
+// the ghost cells. The receiver must notice the short payload and say
+// which rank, axis and side, and how many values it got and wanted.
+func TestWireMismatchFailsWell(t *testing.T) {
+	d := grid.Dims{NX: 6, NY: 6, NZ: 6}
+	own, w := [3]int{4, 4, 4}, [3]int{1, 1, 1}
+	const q = 2
+	for _, nonblocking := range []bool{false, true} {
+		fab := comm.NewFabric(2)
+		top, err := fab.Cart([3]int{2, 1, 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = fab.Run(func(r *comm.Rank) error {
+			solid := make([]bool, d.Cells())
+			if r.ID == 1 {
+				// Rank 1 believes one x-face row is solid; rank 0 does not.
+				for ix := 0; ix < d.NX; ix++ {
+					for iz := 0; iz < d.NZ; iz++ {
+						solid[d.Index(ix, 2, iz)] = true
+					}
+				}
+			}
+			ex, err := NewCartExchangerMasked(q, d, own, w, r.ID, top.Neighbors(r.ID), solid)
+			if err != nil {
+				return err
+			}
+			ex.ExchangeAxis(r, grid.NewField(q, d, grid.SoA), 0, nonblocking)
+			return nil
+		})
+		// Rank 0 expects full 6×6 faces and receives rank 1's 5×6, on
+		// whichever side it unpacks first.
+		want := fmt.Sprintf(": received %d values, own ghost spans hold %d", q*5*6, q*6*6)
+		if err == nil || !strings.Contains(err.Error(), "halo: rank 0 axis 0 side ") || !strings.Contains(err.Error(), want) {
+			t.Errorf("nonblocking=%v: Fabric.Run returned %v, want rank 0's axis-0 mismatch%s", nonblocking, err, want)
+		}
 	}
 }

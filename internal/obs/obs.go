@@ -183,7 +183,8 @@ type RankObservation struct {
 	// the quantity the paper's Fig. 9 summarizes across ranks.
 	CommSeconds float64 `json:"comm_seconds"`
 	// CommBytes/CommMsgs are halo payload sent per axis, counted by the
-	// exchangers.
+	// exchangers from what they packed; their sum over axes equals
+	// BytesSent on a run whose only messages are halo faces.
 	CommBytes [3]int64 `json:"comm_bytes"`
 	CommMsgs  [3]int64 `json:"comm_msgs"`
 	// BytesSent/Messages are the rank's total wire traffic as counted by

@@ -526,17 +526,6 @@ func (st *simState) run() float64 {
 		return st.runMulti()
 	}
 	var ghost float64
-	haloBytes := st.q * float64(st.w) * st.plane * 8 // per direction
-	wire := st.rt.latency + haloBytes/st.rt.linkBW
-	// Halo traffic between tasks of one node moves through shared memory,
-	// not the torus.
-	wireIntra := haloBytes / st.rt.intraBW
-	faceT := haloBytes / st.rt.taskBWRaw
-	// Each cycle touches two border faces (packed toward neighbors, or
-	// written in place from boundary data on a bounded edge — same copy
-	// cost either way) and two ghost faces (unpacked or boundary-filled).
-	packT := 2 * faceT
-	unpackT := packT
 	sw := st.rt.msgSW
 
 	sendAt := make([]float64, st.ranks)
@@ -547,9 +536,20 @@ func (st *simState) run() float64 {
 		}
 		// Borders are ready at cycle start; every protocol packs first.
 		for r := 0; r < st.ranks; r++ {
-			sendAt[r] = st.clock[r] + packT
+			sendAt[r] = st.clock[r] + 2*st.slabHaloBytes(r)/st.rt.taskBWRaw
 		}
 		for r := 0; r < st.ranks; r++ {
+			haloBytes := st.slabHaloBytes(r)
+			wire := st.rt.latency + haloBytes/st.rt.linkBW
+			// Halo traffic between tasks of one node moves through shared
+			// memory, not the torus.
+			wireIntra := haloBytes / st.rt.intraBW
+			// Each cycle touches two border faces (packed toward neighbors,
+			// or written in place from boundary data on a bounded edge —
+			// same copy cost either way) and two ghost faces (unpacked or
+			// boundary-filled).
+			packT := 2 * haloBytes / st.rt.taskBWRaw
+			unpackT := packT
 			left := st.dec.Neighbor(r, decomp.AxisX, -1)
 			right := st.dec.Neighbor(r, decomp.AxisX, +1)
 			// A bounded-axis edge rank has fewer messages: nothing crosses
@@ -716,12 +716,12 @@ func (st *simState) ownBlock(r int) [3]int {
 	return own
 }
 
-// axisHaloBytes returns rank r's halo payload per direction along axis:
-// q · w · cross-section, where the cross-section spans the other axes'
-// full local extents (ghosts included — later-axis ghost layers ride
-// along in the sequential exchange, exactly as in the real packer).
-// Multi-axis only: the slab schedule keeps its own haloBytes in run().
-func (st *simState) axisHaloBytes(r, axis int) float64 {
+// axisFaceBytes returns the bytes of one dense ghost face of rank r
+// normal to axis: q · w · cross-section, where the cross-section spans the
+// other axes' full local extents (ghosts included — later-axis ghost
+// layers ride along in the sequential exchange, exactly as in the real
+// packer). Multi-axis only: the slab schedule has slabHaloBytes.
+func (st *simState) axisFaceBytes(r, axis int) float64 {
 	own := st.ownBlock(r)
 	cross := 1.0
 	for b := 0; b < 3; b++ {
@@ -730,6 +730,20 @@ func (st *simState) axisHaloBytes(r, axis int) float64 {
 		}
 	}
 	return st.q * float64(st.w) * cross * 8
+}
+
+// axisHaloBytes returns rank r's halo payload per direction along axis:
+// the dense face on dense jobs. Under the sparse cost model the exchanger
+// packs, sends and unpacks only each face's fluid cells, priced here at
+// the rank's own fluid fraction.
+func (st *simState) axisHaloBytes(r, axis int) float64 {
+	return st.axisFaceBytes(r, axis) * st.fluidScale(r)
+}
+
+// slabHaloBytes is axisHaloBytes for the slab schedule: q · w x-planes
+// per direction, at the rank's fluid fraction under the sparse cost model.
+func (st *simState) slabHaloBytes(r int) float64 {
+	return st.q * float64(st.w) * st.plane * 8 * st.fluidScale(r)
 }
 
 // faces returns how many of rank r's two faces on axis carry a message
@@ -760,7 +774,7 @@ func (st *simState) axisBytes() [3]float64 {
 		for r := 0; r < st.ranks; r++ {
 			var face float64
 			if st.dec.IsSlab() {
-				face = st.q * float64(st.w) * st.plane * 8
+				face = st.slabHaloBytes(r)
 			} else {
 				face = st.axisHaloBytes(r, a)
 			}
@@ -909,7 +923,7 @@ func (st *simState) runMulti() float64 {
 					// boundary-filled in place — one write per face, no
 					// border pack and no message.
 					for r := 0; r < st.ranks; r++ {
-						dt := 2 * st.axisHaloBytes(r, axis) / st.rt.taskBWRaw
+						dt := 2 * st.axisFaceBytes(r, axis) / st.rt.taskBWRaw
 						st.clock[r] += dt
 						st.phase[r][obs.Face] += dt
 					}

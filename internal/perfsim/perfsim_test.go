@@ -7,6 +7,7 @@ import (
 	"repro/internal/decomp"
 	"repro/internal/geom"
 	"repro/internal/grid"
+	"repro/internal/lattice"
 	"repro/internal/machine"
 )
 
@@ -620,6 +621,47 @@ func TestRankFluidsBalancedCuts(t *testing.T) {
 	// job of the same box at the same wall time would report 4x the rate.
 	if fl, box := mask.Fluids(), d.Cells(); fl*4 != box {
 		t.Fatalf("mask fluid fraction drifted: %d fluid of %d cells", fl, box)
+	}
+}
+
+// TestSparseHaloBytesPredictReal: under the sparse cost model the halo is
+// priced at what the solver sends — fluid spans, not dense planes. The
+// prediction for the 192×96×96 bifurcation job on two fluid-balanced ranks
+// (the repository benchmark's sparse workload) must land within 3× of the
+// payload the real exchangers pack, where the dense face is ~16× off.
+func TestSparseHaloBytesPredictReal(t *testing.T) {
+	d := grid.Dims{NX: 192, NY: 96, NZ: 96}
+	mask := geom.Bifurcation(d, 0.1*float64(d.NY))
+	p := [3]int{2, 1, 1}
+	real, err := core.Run(core.Config{
+		Model: lattice.D3Q19(), N: d, Tau: 0.8, Steps: 1,
+		Opt: core.OptGCC, Ranks: 2, Decomp: p, Threads: 1,
+		Solid: mask, Sparse: true, Balance: core.BalanceFluid,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	weights := [3][]int{mask.PlaneFluids(0)}
+	dec, err := decomp.NewCartesianWeighted([3]int{d.NX, d.NY, d.NZ}, p, [3]bool{}, weights)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job := Job{
+		Machine: machine.BGQ(), Spec: machine.SpecD3Q19(), K: 1,
+		Nodes: 1, TasksPerNode: 2, ThreadsPerTask: 1,
+		NX: d.NX, NY: d.NY, NZ: d.NZ, Decomp: p,
+		Steps: 10, Depth: 1, Opt: core.OptGCC, Seed: 1,
+		Weights: weights, RankFluids: FluidCounts(dec, mask),
+	}
+	sparse := mustRun(t, job)
+	got, want := sparse.AxisBytes[0], float64(real.HaloAxisBytes[0])
+	t.Logf("predicted %.0f B, packed %.0f B", got, want)
+	if want <= 0 || got > 3*want || got < want/3 {
+		t.Errorf("predicted x payload %.0f B per exchange, the solver packs %.0f B; want within 3x", got, want)
+	}
+	job.RankFluids = nil
+	if dense := mustRun(t, job).AxisBytes[0]; dense < 10*want {
+		t.Errorf("dense pricing %.0f B is within 10x of the sparse payload %.0f B; the job no longer separates the two", dense, want)
 	}
 }
 
