@@ -262,7 +262,7 @@ func TestAAMassConservation(t *testing.T) {
 // gone. White-box check plus the config-validation fences.
 func TestAASingleField(t *testing.T) {
 	n := grid.Dims{NX: 16, NY: 12, NZ: 8}
-	cs := buildCartStepper(t, Config{
+	cs := buildStepper(t, Config{
 		Model: lattice.D3Q19(), N: n, Tau: 0.8, Steps: 2,
 		Opt: OptSIMD, Ranks: 1, Threads: 1, GhostDepth: 1,
 		Stream: StreamAA, Boundary: CavitySpec(0.02),
@@ -273,7 +273,7 @@ func TestAASingleField(t *testing.T) {
 	if !cs.aa {
 		t.Error("AA stepper not flagged aa")
 	}
-	tg := buildCartStepper(t, Config{
+	tg := buildStepper(t, Config{
 		Model: lattice.D3Q19(), N: n, Tau: 0.8, Steps: 2,
 		Opt: OptSIMD, Ranks: 1, Threads: 1, GhostDepth: 1,
 		Boundary: CavitySpec(0.02),

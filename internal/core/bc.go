@@ -6,8 +6,8 @@ package core
 // story (the interior half is the solid mask of boundary.go). A
 // BoundarySpec assigns a condition to each of the six global faces; a face
 // that is not periodic turns its axis into a bounded axis: the halo layer
-// skips the wraparound exchange across it and the box stepper fills the
-// ghost face from boundary data instead —
+// skips the wraparound exchange across it and the stepper fills the ghost
+// face from boundary data instead —
 //
 //   - walls and moving walls reuse the halfway bounce-back fixup
 //     machinery (post-stream population replacement, with the standard
@@ -17,10 +17,9 @@ package core
 //   - outflow faces are zero-gradient: the ghost layers are refreshed each
 //     cycle with a copy of the outermost owned layer.
 //
-// Bounded runs always use the multi-axis box stepper (whose no-modulo
-// kernels have no wrap arithmetic to unpick), even for slab-shaped rank
-// grids; the specialized periodic slab stepper and its ladder stay
-// bit-for-bit unchanged.
+// Bounded runs always carry ghosts on every axis, even for slab-shaped
+// rank grids: the boundary data lives in the ghost faces, so no axis of a
+// bounded run may be left to the kernels' own wrap (Config.ghostGeometry).
 
 import "fmt"
 

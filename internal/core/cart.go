@@ -1,26 +1,28 @@
 package core
 
-// Multi-axis (2-D pencil / 3-D block) decomposition path. The paper's 1-D
-// slab keeps its specialized stepper (stepper.go) and full optimization
-// ladder bit-for-bit; this file generalizes the owned-region/ghost-width
-// bookkeeping from (startX, own, w) scalars to per-axis extents. Ghost
-// layers of width w[a] = depth[a]·k exist on all three axes (axes with one
-// rank wrap locally), which removes every modulo from the kernels:
-// streaming becomes pure offset block copies and the deep-halo schedule
-// shrinks an axis-aligned box instead of an x interval. Depth is per axis
-// (Config.GhostDepthAxes): axis a's ghosts are refreshed every depth[a]
-// steps, so a pencil can spend halo width where its surface is largest.
+// The stepper: one rank's state and stepping loop for every
+// configuration. The owned-region/ghost-width bookkeeping is per axis:
+// axis a carries ghost layers of width w[a] = depth[a]·k, refreshed every
+// depth[a] steps (Config.GhostDepthAxes lets a pencil spend halo width
+// where its surface is largest), and the deep-halo schedule shrinks an
+// axis-aligned box between refreshes. An axis the rank wraps onto itself
+// still carries ghosts, filled by a local copy, so the kernels stream
+// across it as plain offset copies — except on the paper's periodic slab,
+// whose y and z axes carry none (w = 0, "wrap axes": Config.ghostGeometry)
+// and are wrapped by the stream kernels (stream.go), the fused gather
+// (fused.go) and the bounce-back link builder (buildMask) themselves.
+// Everything else here is geometry-blind.
 //
-// Every rung collides with the row kernel collide.go selects for it — the
-// same kernel the slab path runs, so 1-D and 3-D runs agree bit for bit.
-// NB-C and above switch the per-axis exchange to the posted-receive
-// protocol; GC-C and above run the phased overlapped schedule of
-// schedule.go (interior box while messages fly, per-axis rims after each
-// WaitUnpackAxis), and the fused kernel has a box form with no wrap
-// arithmetic at all. Only the no-ghost Orig protocol remains slab-only, by
-// construction.
+// Every rung collides with the row kernel collide.go selects for it and
+// streams with the form stream.go selects for it, so 1-D and 3-D runs
+// agree bit for bit. NB-C and above switch the per-axis exchange to the
+// posted-receive protocol; GC-C and above run the phased overlapped
+// schedule of schedule.go (interior box while messages fly, per-axis rims
+// after each WaitUnpackAxis). The no-ghost Orig protocol (orig.go) rides
+// on the same state with its own step.
 
 import (
+	"math"
 	"time"
 
 	"repro/internal/comm"
@@ -49,31 +51,35 @@ func (b box) cells() int {
 	return n
 }
 
-// cartStepper holds one rank's state for the multi-axis stepping loop.
-// Local coordinates on axis a: [w[a], w[a]+own[a]) is owned, [0, w[a]) the
-// low ghost and [w[a]+own[a], own[a]+2w[a]) the high ghost.
+// cartStepper holds one rank's state for the stepping loop. Local
+// coordinates on axis a: [w[a], w[a]+own[a]) is owned, [0, w[a]) the low
+// ghost and [w[a]+own[a], own[a]+2w[a]) the high ghost. For OptOrig w[0]
+// equals k and the x side regions are transient egress margins rather
+// than ghosts.
 type cartStepper struct {
 	cfg   *Config
 	model *lattice.Model
 	r     *comm.Rank
-	dec   decomp.Cartesian
 
 	start [3]int // first owned global cell per axis
 	own   [3]int // owned extents
 	k     int    // lattice max speed
 	depth [3]int // deep-halo depth per axis
-	w     [3]int // ghost width per side per axis (depth[a]·k)
+	w     [3]int // ghost width per side per axis: depth[a]·k, or 0 on a wrap axis
 
 	d       grid.Dims
 	f, fadv *grid.Field // fadv is nil under AA streaming (single-field)
 	ex      *halo.CartExchanger
-	aa      bool // AA-pattern in-place streaming (aa.go)
+	aa      bool       // AA-pattern in-place streaming (aa.go)
+	orig    *origProto // the no-ghost protocol (orig.go); nil on every ghost-cell rung
 
 	br           boxRunner
 	scratch      []*workerScratch
 	ghostUpdates int64
 	collider                             // collision state and the configuration's row kernel (collide.go)
-	collide      func(worker int, b box) // collideRuns, bound once so dispatching it allocates nothing
+	collide      func(worker int, b box) // collideRuns or collideAoS, bound once so dispatching it allocates nothing
+	stream       func(worker int, b box) // the rung's stream kernel (stream.go), bound once likewise
+	srcY         [][]int32               // per velocity: pull-stream source row per destination row (stream.go)
 	jit          *metrics.RNG
 	rec          *obs.Recorder // nil unless Config.Observe; every call site is nil-safe
 
@@ -105,8 +111,8 @@ type cartStepper struct {
 
 func newCartStepper(cfg *Config, dec decomp.Cartesian, r *comm.Rank) (*cartStepper, error) {
 	cs := &cartStepper{
-		cfg: cfg, model: cfg.Model, r: r, dec: dec,
-		k: cfg.Model.MaxSpeed, depth: cfg.ghostDepths(),
+		cfg: cfg, model: cfg.Model, r: r,
+		k:    cfg.Model.MaxSpeed,
 		aa:   cfg.Stream == StreamAA,
 		spec: cfg.Boundary,
 	}
@@ -114,18 +120,16 @@ func newCartStepper(cfg *Config, dec decomp.Cartesian, r *comm.Rank) (*cartStepp
 		return nil, err
 	}
 	cs.collide = cs.collideRuns
-	if cs.aa {
-		cs.depth = aaDepths(cs.depth)
+	if cfg.Layout == grid.AoS {
+		cs.collide = cs.collideAoS
 	}
-	for a := 0; a < 3; a++ {
-		cs.w[a] = cs.depth[a] * cs.k
-	}
+	cs.depth, cs.w = cfg.ghostGeometry(dec)
 	for a := 0; a < 3; a++ {
 		cs.start[a], cs.own[a] = dec.Own(r.ID, a)
 	}
 	cs.d = grid.Dims{NX: cs.own[0] + 2*cs.w[0], NY: cs.own[1] + 2*cs.w[1], NZ: cs.own[2] + 2*cs.w[2]}
 	cs.br = newBoxRunner(cfg.Threads)
-	cs.scratch = newScratches(cs.br.threads(), cfg.Model.Q, cs.d.NZ, cs.op, cs.aa)
+	cs.scratch = newScratches(cs.br.threads(), cfg.Model.Q, cs.d.NZ, cs.op, cs.aa || cfg.Layout == grid.AoS)
 	cs.f = grid.NewField(cfg.Model.Q, cs.d, cfg.Layout)
 	if !cs.aa {
 		// AA streams in place: the second field never exists, which is the
@@ -146,6 +150,7 @@ func newCartStepper(cfg *Config, dec decomp.Cartesian, r *comm.Rank) (*cartStepp
 	}
 	cs.buildMask()
 	cs.buildSponge()
+	cs.bindStream()
 	// The halo follows the traversal: with the sparse run index installed
 	// no kernel reads or writes a solid cell, so the faces skip them too.
 	var skip []bool
@@ -156,10 +161,28 @@ func newCartStepper(cfg *Config, dec decomp.Cartesian, r *comm.Rank) (*cartStepp
 	if err != nil {
 		return nil, err
 	}
+	if cfg.Opt == OptOrig {
+		cs.orig = newOrigProto(cs, cs.ex.Neighbors[0])
+	}
 	if cfg.StepJitter > 0 {
 		cs.jit = metrics.NewRNG(uint64(r.ID)*0x9e3779b9 + 1)
 	}
 	return cs, nil
+}
+
+// testPoisonGhosts, set by tests, floods every cell with NaN before the
+// owned region is initialized. Every ghost copy is then poison until the
+// exchange or face fill that defines it runs, so a kernel that consumes a
+// ghost value one step too early — an off-by-one in the shrinking-box
+// schedule, a missed axis in a refresh, a fill pass that skips a layer —
+// drags NaN into the owned region and fails the bit-exact comparison
+// against the clean run. NaN is the one poison that survives arithmetic.
+var testPoisonGhosts bool
+
+func poisonField(f *grid.Field) {
+	for i := range f.Data {
+		f.Data[i] = math.NaN()
+	}
 }
 
 // initField writes the equilibrium of the configured initial condition
@@ -176,6 +199,8 @@ func (cs *cartStepper) initField() {
 		for iy := 0; iy < cs.own[1]; iy++ {
 			for iz := 0; iz < cs.own[2]; iz++ {
 				if cs.mask != nil && cs.mask[cs.d.Index(w[0]+ix, w[1]+iy, w[2]+iz)] {
+					// Solid cells hold a benign rest state; their values are
+					// never consumed (every link out of them is bounced).
 					cs.f.SetCell(w[0]+ix, w[1]+iy, w[2]+iz, rest)
 					continue
 				}
@@ -187,13 +212,22 @@ func (cs *cartStepper) initField() {
 	}
 }
 
-// run advances the configured number of steps. Each axis runs its own
-// deep-halo cycle: axis a's ghosts are refreshed every depth[a] steps and
-// its valid extent shrinks by k per step in between, so the computed
+// run advances the configured number of steps. Each ghosted axis runs its
+// own deep-halo cycle: axis a's ghosts are refreshed every depth[a] steps
+// and its valid extent shrinks by k per step in between, so the computed
 // destination box is the intersection of the per-axis validity intervals.
+// A wrap axis has no ghosts to go stale and always spans its owned extent.
 func (cs *cartStepper) run() {
 	if cs.aa {
 		cs.runAA()
+		return
+	}
+	if cs.orig != nil {
+		for n := 0; n < cs.cfg.Steps; n++ {
+			cs.orig.step()
+			cs.endForceStep()
+			cs.jitter()
+		}
 		return
 	}
 	var since [3]int // steps since each axis's refresh; due when == depth[a]
@@ -203,7 +237,7 @@ func (cs *cartStepper) run() {
 	for step := 0; step < cs.cfg.Steps; step++ {
 		var stale [3]bool
 		for a := 0; a < 3; a++ {
-			if since[a] >= cs.depth[a] {
+			if cs.w[a] > 0 && since[a] >= cs.depth[a] {
 				stale[a], since[a] = true, 0
 			}
 		}
@@ -221,6 +255,7 @@ func (cs *cartStepper) run() {
 	}
 }
 
+// jitter injects the configured deterministic per-rank delay.
 func (cs *cartStepper) jitter() {
 	if cs.jit == nil {
 		return
@@ -612,12 +647,26 @@ func (cs *cartStepper) copyAxisLayer(axis, dst, src int) {
 }
 
 // boxFor returns the destination box computable in a step whose inputs
-// are valid on owned ± ext[a] cells per axis: owned ± (ext[a] − k).
+// are valid on owned ± ext[a] cells per axis: owned ± (ext[a] − k), and
+// exactly the owned extent on a wrap axis.
 func (cs *cartStepper) boxFor(ext [3]int) box {
+	b := cs.ownedBox()
+	for a := 0; a < 3; a++ {
+		if cs.w[a] > 0 {
+			b.lo[a] -= ext[a] - cs.k
+			b.hi[a] += ext[a] - cs.k
+		}
+	}
+	return b
+}
+
+// ownedBox returns the owned region (the depth-1 destination box of a
+// steady step).
+func (cs *cartStepper) ownedBox() box {
 	var b box
 	for a := 0; a < 3; a++ {
-		b.lo[a] = cs.w[a] - (ext[a] - cs.k)
-		b.hi[a] = cs.w[a] + cs.own[a] + (ext[a] - cs.k)
+		b.lo[a] = cs.w[a]
+		b.hi[a] = cs.w[a] + cs.own[a]
 	}
 	return b
 }
@@ -629,56 +678,19 @@ func (cs *cartStepper) countUpdates(b box) {
 	}
 }
 
-// streamBox advances the streaming step for destination box b. With
-// ghosts on every axis there is no wrap arithmetic at all: each velocity
-// moves as offset block copies of z-runs (the DH data-handling form,
-// which every optimization level shares on this path — streaming only
-// moves values, so the level's arithmetic is untouched).
+// streamBox advances the streaming step for destination box b with the
+// rung's stream kernel (stream.go).
 func (cs *cartStepper) streamBox(b box) {
 	t0 := cs.rec.Begin()
-	cs.br.run(cs.streamBoxRange, b)
+	cs.br.run(cs.stream, b)
 	cs.rec.End(obs.Interior, t0)
 }
 
-// streamBoxPair streams two disjoint boxes as one chunk batch, so a thin
-// rim pair load-balances across the whole team.
+// streamBoxPair streams two disjoint boxes (the separated ghost-region
+// loops of §V.D) as one chunk batch, so a thin rim pair load-balances
+// across the whole team.
 func (cs *cartStepper) streamBoxPair(b1, b2 box) {
-	cs.br.run(cs.streamBoxRange, b1, b2)
-}
-
-func (cs *cartStepper) streamBoxRange(worker int, b box) {
-	m := cs.model
-	zn := b.hi[2] - b.lo[2]
-	if zn <= 0 || b.hi[1] <= b.lo[1] {
-		return
-	}
-	if cs.runStart != nil {
-		// Sparse: copy only the fluid runs of each row. Streaming moves
-		// values without arithmetic, so the restriction is trivially exact
-		// on fluid cells; solid destinations keep their stale fadv, which
-		// the fixups and the mask-skipping collides below never read.
-		cs.forRuns(b, func(ix, iy, zlo, zhi int) {
-			n := zhi - zlo
-			for v := 0; v < m.Q; v++ {
-				sOff := cs.d.Index(ix-m.Cx[v], iy-m.Cy[v], zlo-m.Cz[v])
-				dOff := cs.d.Index(ix, iy, zlo)
-				copy(cs.fadv.V(v)[dOff:dOff+n], cs.f.V(v)[sOff:sOff+n])
-			}
-		})
-		return
-	}
-	for v := 0; v < m.Q; v++ {
-		src := cs.f.V(v)
-		dst := cs.fadv.V(v)
-		cx, cy, cz := m.Cx[v], m.Cy[v], m.Cz[v]
-		for ix := b.lo[0]; ix < b.hi[0]; ix++ {
-			for iy := b.lo[1]; iy < b.hi[1]; iy++ {
-				sOff := cs.d.Index(ix-cx, iy-cy, b.lo[2]-cz)
-				dOff := cs.d.Index(ix, iy, b.lo[2])
-				copy(dst[dOff:dOff+zn], src[sOff:sOff+zn])
-			}
-		}
-	}
+	cs.br.run(cs.stream, b1, b2)
 }
 
 // collideBox applies the configured collision to box b.
@@ -693,7 +705,7 @@ func (cs *cartStepper) collideBoxPair(b1, b2 box) {
 	cs.br.run(cs.collide, b1, b2)
 }
 
-// collideRuns is the box stepper's view-forming caller of the row kernel:
+// collideRuns is the split path's view-forming caller of the row kernel:
 // every z-run of the chunk, fadv → f in place. Rows come from forRuns —
 // full box rows dense, fluid z-runs under sparse traversal; the kernels
 // are per-z independent, so the two traversals agree per cell.
@@ -702,6 +714,31 @@ func (cs *cartStepper) collideRuns(worker int, b box) {
 	cs.forRuns(b, func(ix, iy, zlo, zhi int) {
 		base, zn := cs.d.Index(ix, iy, zlo), zhi-zlo
 		cs.relax(sc, rowViews(sc.sv, cs.fadv, base, zn), rowViews(sc.dv, cs.f, base, zn), zn)
+	})
+}
+
+// collideAoS is collideRuns for the AoS layout ablation (Orig and GC): a
+// row's zn cells are zn contiguous Q-blocks, transposed through the
+// worker's gathered rows.
+func (cs *cartStepper) collideAoS(worker int, b box) {
+	sc := cs.scratch[worker]
+	q := cs.model.Q
+	cs.forRuns(b, func(ix, iy, zlo, zhi int) {
+		base, zn := cs.d.Index(ix, iy, zlo), zhi-zlo
+		rows, _ := sc.gathered(zn)
+		src := cs.fadv.Data[base*q : (base+zn)*q]
+		for z := 0; z < zn; z++ {
+			for v := range rows {
+				rows[v][z] = src[z*q+v]
+			}
+		}
+		cs.relax(sc, rows, rows, zn)
+		dst := cs.f.Data[base*q : (base+zn)*q]
+		for z := 0; z < zn; z++ {
+			for v := range rows {
+				dst[z*q+v] = rows[v][z]
+			}
+		}
 	})
 }
 
@@ -792,7 +829,9 @@ func (cs *cartStepper) faceDelta(v int, c [3]axisClass) float64 {
 }
 
 // buildMask evaluates the solid geometry over the local box (ghosts
-// included) and builds the per-box bounce-back fixup index. Two sources
+// included) and builds the per-box bounce-back fixup index: one link per
+// population a fluid cell pulls out of a solid cell, found by following
+// the stream kernels' own source map (offsets, folded on a wrap axis). Two sources
 // make a cell solid: the user's voxel mask over the global domain and the
 // region beyond a wall, moving-wall or velocity-inlet global face; the
 // per-link corrections come from faceDelta. Links are tagged with their
@@ -819,6 +858,7 @@ func (cs *cartStepper) buildMask() {
 		}
 	}
 	ownedAt := func(a, i int) bool { return i >= cs.w[a] && i < cs.w[a]+cs.own[a] }
+	wrapY, wrapZ := cs.w[1] == 0, cs.w[2] == 0
 	cs.fix = newFixIndex(cs.d, m)
 	for ix := 0; ix < nx; ix++ {
 		for iy := 0; iy < ny; iy++ {
@@ -831,6 +871,12 @@ func (cs *cartStepper) buildMask() {
 				owned := owned2 && ownedAt(2, iz)
 				for v := 0; v < m.Q; v++ {
 					sx, sy, sz := ix-m.Cx[v], iy-m.Cy[v], iz-m.Cz[v]
+					if wrapY {
+						sy = (sy + ny) % ny // the stream kernels fold a wrap axis the same way
+					}
+					if wrapZ {
+						sz = (sz + nz) % nz
+					}
 					if sx < 0 || sx >= nx || sy < 0 || sy >= ny || sz < 0 || sz >= nz {
 						continue // outside the allocation; never streamed
 					}
@@ -1081,12 +1127,16 @@ func (cs *cartStepper) ownedBlock() []float64 {
 	out := make([]float64, cs.model.Q*n)
 	m := cs.model
 	w, zn := cs.w, cs.own[2]
+	f := cs.f
+	if f.Layout != grid.SoA {
+		f = f.ConvertLayout(grid.SoA) // layout ablation only
+	}
 	pos := 0
 	for v := 0; v < m.Q; v++ {
-		blk := cs.f.V(v)
+		blk := f.V(v)
 		var ox, oy, oz int
 		if cs.aaStar {
-			blk = cs.f.V(m.Opp[v])
+			blk = f.V(m.Opp[v])
 			ox, oy, oz = m.Cx[v], m.Cy[v], m.Cz[v]
 		}
 		for ix := 0; ix < cs.own[0]; ix++ {
@@ -1099,17 +1149,15 @@ func (cs *cartStepper) ownedBlock() []float64 {
 	return out
 }
 
-// ghosts, gather, axisBytes and forceSeries adapt the cart stepper to the
-// shared Run harness. axisBytes comes from the exchanger that does the
-// sending — the cells its border spans hold, fluid-only under sparse
-// traversal — so it stays truthful to the actual pack shapes.
-// setRecorder attaches the phase recorder to the stepper and its
-// exchanger; observation snapshots it after the run (see stepper.go).
+// setRecorder attaches the per-phase recorder to the stepper and its
+// exchanger (called by Run before initField when Config.Observe is set).
 func (cs *cartStepper) setRecorder(rec *obs.Recorder) {
 	cs.rec = rec
 	cs.ex.Rec = rec
 }
 
+// observation snapshots the recorder plus the pool's per-worker chunk
+// counts.
 func (cs *cartStepper) observation() obs.RankObservation {
 	o := cs.rec.Observation()
 	if cs.br.pool.Threads() > 1 {
@@ -1119,11 +1167,16 @@ func (cs *cartStepper) observation() obs.RankObservation {
 	return o
 }
 
-func (cs *cartStepper) ghosts() int64          { return cs.ghostUpdates }
-func (cs *cartStepper) close()                 { cs.br.close() }
-func (cs *cartStepper) gather() []float64      { return cs.ownedBlock() }
-func (cs *cartStepper) forceSeries() []float64 { return cs.forceSer }
+func (cs *cartStepper) close() { cs.br.close() }
+
+// axisBytes reports this rank's halo payload per full exchange, from the
+// exchanger that does the sending — the cells its border spans hold,
+// fluid-only under sparse traversal — so it stays truthful to the actual
+// pack shapes. Zero for the no-ghost Orig protocol, which never exchanges.
 func (cs *cartStepper) axisBytes() [3]int64 {
+	if cs.orig != nil {
+		return [3]int64{}
+	}
 	return [3]int64{cs.ex.BytesPerExchange(0), cs.ex.BytesPerExchange(1), cs.ex.BytesPerExchange(2)}
 }
 

@@ -205,6 +205,57 @@ func TestCartGhostUpdatesAccounting(t *testing.T) {
 	}
 }
 
+// TestXOnlyGeometryUnchanged: the periodic slab is a choice of ghost
+// widths, not a second stepper, and that choice must stay exactly what the
+// slab stepper it replaced had — local dims (own+2w, NY, NZ), no halo on y
+// and z — because the allocation, the halo bytes and the ghost work of the
+// paper's own configurations follow from it. The counters are the values
+// the slab stepper produced on these runs at the commit that deleted it.
+func TestXOnlyGeometryUnchanged(t *testing.T) {
+	n := grid.Dims{NX: 24, NY: 8, NZ: 10}
+	type rank struct{ bytes, msgs int64 }
+	for _, c := range []struct {
+		cfg    Config
+		ghosts int64
+		axis   [3]int64
+		per    rank
+		dims   grid.Dims
+	}{
+		{Config{Model: lattice.D3Q39(), N: n, Tau: 0.8, Steps: 5, Opt: OptGCC, Ranks: 2, Threads: 1, GhostDepth: 2},
+			2880, [3]int64{299520, 0, 0}, rank{898560, 6}, grid.Dims{NX: 12 + 2*6, NY: 8, NZ: 10}},
+		{Config{Model: lattice.D3Q39(), N: n, Tau: 0.8, Steps: 5, Opt: OptSIMD, Ranks: 1, Threads: 1, GhostDepth: 2},
+			1440, [3]int64{}, rank{}, grid.Dims{NX: 24 + 2*6, NY: 8, NZ: 10}},
+		{Config{Model: lattice.D3Q19(), N: n, Tau: 0.8, Steps: 5, Opt: OptNBC, Ranks: 3, Threads: 1, GhostDepth: 1},
+			0, [3]int64{24320, 0, 0}, rank{121600, 10}, grid.Dims{NX: 8 + 2, NY: 8, NZ: 10}},
+		{Config{Model: lattice.D3Q19(), N: n, Tau: 0.8, Steps: 5, Opt: OptOrig, Ranks: 2, Threads: 1, GhostDepth: 1},
+			0, [3]int64{}, rank{32000, 10}, grid.Dims{NX: 12 + 2, NY: 8, NZ: 10}},
+	} {
+		name := c.cfg.Model.Name + " " + c.cfg.Opt.String()
+		res, err := Run(c.cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if res.GhostUpdates != c.ghosts || res.HaloAxisBytes != c.axis {
+			t.Errorf("%s: ghost updates %d, halo bytes %v; want %d, %v", name, res.GhostUpdates, res.HaloAxisBytes, c.ghosts, c.axis)
+		}
+		for r, pr := range res.PerRank {
+			if pr.BytesSent != c.per.bytes || pr.Messages != c.per.msgs {
+				t.Errorf("%s rank %d: sent %d B in %d messages, want %d in %d", name, r, pr.BytesSent, pr.Messages, c.per.bytes, c.per.msgs)
+			}
+		}
+		one := c.cfg
+		one.N.NX, one.Ranks = n.NX/c.cfg.Ranks, 1 // one rank owning what each rank of the run owns
+		cs := buildStepper(t, one)
+		if cs.d != c.dims || cs.w[1] != 0 || cs.w[2] != 0 {
+			t.Errorf("%s: local dims %v widths %v, want %v with ghosts on x only", name, cs.d, cs.w, c.dims)
+		}
+		if got := cs.ex.Messaging(1) || cs.ex.Messaging(2) || cs.ex.BytesPerExchange(1)+cs.ex.BytesPerExchange(2) != 0; got {
+			t.Errorf("%s: the exchanger carries y or z faces", name)
+		}
+		cs.close()
+	}
+}
+
 // TestCartFusedEquivalence: the fused kernel on pencil and block
 // decompositions — the box form with no wrap arithmetic — must match the
 // oracle at every exchange protocol, including the overlapped schedule.

@@ -1,21 +1,22 @@
 package core
 
-// In-rank threading substrate shared by both steppers: a per-stepper
-// persistent worker pool, longest-axis box chunking, and per-worker kernel
-// scratch. Every parallel loop of a step — stream, collide, fused, face
-// fills, fixup applies, on interiors and rim slabs alike — is expressed as
-// a batch of (box, chunk) items drained by the pool, so the thin rim
-// phases of the overlapped schedule get the full team instead of a static
-// x partition that collapses on a 1–2-plane slab.
+// In-rank threading substrate: a per-stepper persistent worker pool,
+// longest-axis box chunking, and per-worker kernel scratch. Every parallel
+// loop of a step — stream, collide, fused, face fills, fixup applies, on
+// interiors and rim slabs alike — is expressed as a batch of (box, chunk)
+// items drained by the pool, so the thin rim phases of the overlapped
+// schedule get the full team instead of a static x partition that
+// collapses on a 1–2-plane slab.
 //
 // Chunks split a box along the longer of its x and y extents. The z axis
-// is deliberately never split: the slab kernels move whole z-lines as
-// cyclic rotations (a sub-range of a rotation is not a rotation), and the
-// row-structured kernels amortize their setup over full z-runs. Every rim
-// shape is thin on at most one axis, so x/y chunking always leaves a long
-// axis to cut. Chunking is bit-exact at any thread count: all kernels
-// compute each (x, y) row independently, so partitioning rows changes only
-// which worker computes them, never the arithmetic.
+// is deliberately never split: on a wrap axis the stream kernels move
+// whole z-lines as cyclic rotations (a sub-range of a rotation is not a
+// rotation), and the row-structured kernels amortize their setup over full
+// z-runs. Every rim shape is thin on at most one axis, so x/y chunking
+// always leaves a long axis to cut. Chunking is bit-exact at any thread
+// count: all kernels compute each (x, y) row independently, so
+// partitioning rows changes only which worker computes them, never the
+// arithmetic.
 
 import (
 	"repro/internal/collision"
@@ -265,7 +266,7 @@ type workerScratch struct {
 	sig    []float64          // NZ-length sponge factor row
 
 	// Gathered row stores: the AA kernels pull a row's populations into
-	// gin, collide into gout, and scatter from there (aa.go); the AoS slab
+	// gin, collide into gout, and scatter from there (aa.go); the AoS
 	// collide transposes a row through gin. Allocated only for those.
 	gin, gout     [][]float64
 	ginSt, goutSt []float64

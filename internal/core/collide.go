@@ -1,16 +1,16 @@
 package core
 
 // The collision arithmetic of the whole solver: every rung of the paper's
-// ladder is one row kernel here, and every stepper path — slab, box, fused,
-// AA — calls the one its configuration selects. A row kernel relaxes one
+// ladder is one row kernel here, and every path — split, fused, AA — calls
+// the one its configuration selects. A row kernel relaxes one
 // z-run of zn cells from per-velocity row views in[v] into out[v]
 // (f ← f_adv − ω(f_adv − f_eq(ρ,u)), the structure of the paper's Fig. 4);
 // the callers differ only in how they form the views:
 //
-//   - slab: full-z rows of fadv → f (AoS gathers and scatters through the
-//     worker's scratch rows — Orig/GC layout ablation only);
-//   - box: forRuns z-runs of fadv → f (fluid runs under sparse traversal);
-//   - fused, slab and box: gathered scratch rows → rows of the next field;
+//   - split: forRuns z-runs of fadv → f — full rows dense, fluid runs under
+//     sparse traversal (AoS gathers and scatters through the worker's
+//     scratch rows — Orig/GC layout ablation only);
+//   - fused: gathered scratch rows → rows of the next field;
 //   - AA: its gathered in rows → its out rows.
 //
 // Every kernel treats each z independently and reads a cell's in values
@@ -29,7 +29,7 @@ import (
 // ladder's BGK kernels (the equivalence guard for the indirection).
 var testForceOperatorPath bool
 
-// collider is the collision state both steppers embed: the operator, the
+// collider is the collision state the stepper embeds: the operator, the
 // equilibrium coefficient tables, the forcing shift, and the row kernel
 // chosen for the configuration.
 type collider struct {

@@ -4,16 +4,17 @@ import (
 	"testing"
 
 	"repro/internal/collision"
+	"repro/internal/geom"
 	"repro/internal/grid"
 	"repro/internal/lattice"
 )
 
-// TestCrossPathBitIdentity: every stepper path collides with the one row
-// kernel its rung and operator select, and streaming only moves values, so
-// every way of running a configuration must produce the same field to the
-// last bit — not merely within the 1e-12 reassociation envelope the other
-// suites allow. The base is the periodic slab stepper on 2 ranks; each
-// variant changes only the path.
+// TestCrossPathBitIdentity: every path collides with the one row kernel
+// its rung and operator select, and streaming only moves values, so every
+// way of running a configuration must produce the same field to the last
+// bit — not merely within the 1e-12 reassociation envelope the other
+// suites allow. The base is the periodic slab on 2 ranks, ghosts on x
+// only; each variant changes only the path.
 func TestCrossPathBitIdentity(t *testing.T) {
 	n := grid.Dims{NX: 24, NY: 12, NZ: 12}
 	variants := []struct {
@@ -23,15 +24,16 @@ func TestCrossPathBitIdentity(t *testing.T) {
 		// so it joins the comparison only where the split path does too.
 		fused bool
 	}{
-		{"box-stepper", func(c *Config) { c.Sparse = true }, false}, // no mask: dense rows on the box stepper
+		{"ghosted", func(c *Config) { c.Sparse = true }, false}, // no mask: dense rows, ghosts on every axis
 		{"pencil", func(c *Config) { c.Decomp = [3]int{1, 2, 1} }, false},
 		{"aa", func(c *Config) { c.Stream = StreamAA }, false},
 		{"fused", func(c *Config) { c.Fused = true }, true},
+		{"fused-ghosted", func(c *Config) { c.Fused, c.Sparse = true, true }, true},
 		{"threads-3", func(c *Config) { c.Threads = 3 }, false},
 		{"depth-2", func(c *Config) { c.GhostDepth = 2 }, false},
 	}
 	for _, m := range []*lattice.Model{lattice.D3Q19(), lattice.D3Q39()} {
-		for _, opt := range []OptLevel{OptGC, OptDH, OptCF, OptGCC, OptSIMD} {
+		for _, opt := range []OptLevel{OptGC, OptDH, OptCF, OptLoBr, OptNBC, OptGCC, OptSIMD} {
 			for _, spec := range []collision.Spec{{}, {Kind: collision.TRT}} {
 				base := Config{
 					Model: m, N: n, Tau: 0.8, Steps: 6, Collision: spec,
@@ -51,27 +53,47 @@ func TestCrossPathBitIdentity(t *testing.T) {
 			}
 		}
 	}
+
+	// Bounce-back links across the y/z seam: a plate on the y = 0 and
+	// z = NZ−1 faces of the periodic box plus a sphere. With ghosts on x
+	// only the link builder folds those links across the wrap; with ghosts
+	// everywhere (pencil shapes) they point into ghost copies of the
+	// plate. One stream form per rung group, forced and deep.
+	solid := geom.FromFunc(n, func(ix, iy, iz int) bool { return iy == 0 || iz == n.NZ-1 })
+	solid.Union(geom.SphereAt(n, 11.5, 6, 5.5, 2.6))
+	for _, m := range []*lattice.Model{lattice.D3Q19(), lattice.D3Q39()} {
+		for _, opt := range []OptLevel{OptGC, OptDH, OptGCC} {
+			base := Config{
+				Model: m, N: n, Tau: 0.8, Steps: 6, Solid: solid, Accel: [3]float64{1e-5, 0, 0},
+				Opt: opt, Ranks: 2, Threads: 2, GhostDepth: 2,
+			}
+			want := runField(t, base)
+			for _, shape := range [][3]int{{1, 2, 1}, {1, 1, 2}} {
+				cfg := base
+				cfg.Decomp = shape
+				if d := grid.MaxAbsDiff(want, runField(t, cfg)); d != 0 {
+					t.Errorf("masked %s %s: ghosted shape %v differs from x-only ghosts by %g (want 0 ULP)", m.Name, opt, shape, d)
+				}
+			}
+		}
+	}
 }
 
 // TestCollideAllocatesNothing: one single-thread collide of the owned
-// region allocates nothing on either stepper — the chunk kernel and the
-// row kernel are fields bound at construction, not method values rebuilt
-// per call.
+// region allocates nothing in either ghost geometry — the chunk kernel and
+// the row kernel are fields bound at construction, not method values
+// rebuilt per call.
 func TestCollideAllocatesNothing(t *testing.T) {
 	n := grid.Dims{NX: 8, NY: 6, NZ: 6}
-	cfg := Config{
-		Model: lattice.D3Q19(), N: n, Tau: 0.8, Steps: 1,
-		Opt: OptSIMD, Ranks: 1, Threads: 1, GhostDepth: 1,
-	}
-	st := buildSlabStepper(t, cfg)
-	defer st.close()
-	if a := testing.AllocsPerRun(10, func() { st.collideRegion(st.w, st.w+st.own) }); a != 0 {
-		t.Errorf("slab collideRegion: %v allocs per call, want 0", a)
-	}
-	cs := buildCartStepper(t, cfg)
-	defer cs.close()
-	owned := cs.ownedBox()
-	if a := testing.AllocsPerRun(10, func() { cs.collideBox(owned) }); a != 0 {
-		t.Errorf("box collideBox: %v allocs per call, want 0", a)
+	for _, ghosted := range []bool{false, true} {
+		cs := buildStepper(t, Config{
+			Model: lattice.D3Q19(), N: n, Tau: 0.8, Steps: 1,
+			Opt: OptSIMD, Ranks: 1, Threads: 1, GhostDepth: 1, Sparse: ghosted,
+		})
+		owned := cs.ownedBox()
+		if a := testing.AllocsPerRun(10, func() { cs.collideBox(owned) }); a != 0 {
+			t.Errorf("ghosts on every axis = %v: collideBox: %v allocs per call, want 0", ghosted, a)
+		}
+		cs.close()
 	}
 }

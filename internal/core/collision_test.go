@@ -23,44 +23,19 @@ import (
 
 	"repro/internal/collision"
 	"repro/internal/comm"
-	"repro/internal/decomp"
 	"repro/internal/grid"
 	"repro/internal/lattice"
 )
 
-// buildSteppers constructs the rank-0 stepper of a config white-box.
-func buildSlabStepper(t *testing.T, cfg Config) *stepper {
+// buildStepper constructs the stepper of a one-rank config white-box.
+func buildStepper(t testing.TB, cfg Config) *cartStepper {
 	t.Helper()
-	if _, err := cfg.init(); err != nil {
-		t.Fatal(err)
-	}
-	dec, err := decomp.NewCartesian([3]int{cfg.N.NX, cfg.N.NY, cfg.N.NZ}, [3]int{1, 1, 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var st *stepper
-	fab := comm.NewFabric(1)
-	if err := fab.Run(func(r *comm.Rank) error {
-		st, err = newStepper(&cfg, dec, r)
-		return err
-	}); err != nil {
-		t.Fatal(err)
-	}
-	return st
-}
-
-func buildCartStepper(t *testing.T, cfg Config) *cartStepper {
-	t.Helper()
-	if _, err := cfg.init(); err != nil {
-		t.Fatal(err)
-	}
-	dec, err := decomp.NewCartesianBounded([3]int{cfg.N.NX, cfg.N.NY, cfg.N.NZ}, [3]int{1, 1, 1}, cfg.Boundary.BoundedAxes())
+	dec, err := cfg.init()
 	if err != nil {
 		t.Fatal(err)
 	}
 	var cs *cartStepper
-	fab := comm.NewFabric(1)
-	if err := fab.Run(func(r *comm.Rank) error {
+	if err := comm.NewFabric(1).Run(func(r *comm.Rank) error {
 		cs, err = newCartStepper(&cfg, dec, r)
 		return err
 	}); err != nil {
@@ -70,7 +45,7 @@ func buildCartStepper(t *testing.T, cfg Config) *cartStepper {
 }
 
 // TestBGKKeepsLegacyKernels: the zero-value (and explicit) BGK spec never
-// attaches an operator, at every opt level, on both stepper families — the
+// attaches an operator, at every opt level, in both ghost geometries — the
 // dispatch condition that keeps the paper's kernels bit-for-bit.
 func TestBGKKeepsLegacyKernels(t *testing.T) {
 	n := grid.Dims{NX: 12, NY: 6, NZ: 6}
@@ -80,8 +55,8 @@ func TestBGKKeepsLegacyKernels(t *testing.T) {
 			Opt: opt, Ranks: 1, Threads: 1, GhostDepth: 1,
 			Collision: collision.Spec{Kind: collision.BGK},
 		}
-		if st := buildSlabStepper(t, cfg); st.op != nil {
-			t.Errorf("%s: BGK slab stepper carries operator %s", opt, st.op.Name())
+		if cs := buildStepper(t, cfg); cs.op != nil {
+			t.Errorf("%s: BGK periodic stepper carries operator %s", opt, cs.op.Name())
 		}
 	}
 	cav := Config{
@@ -89,13 +64,13 @@ func TestBGKKeepsLegacyKernels(t *testing.T) {
 		Opt: OptSIMD, Ranks: 1, Threads: 1, GhostDepth: 1,
 		Boundary: CavitySpec(0.05),
 	}
-	if cs := buildCartStepper(t, cav); cs.op != nil {
-		t.Errorf("BGK cart stepper carries operator %s", cs.op.Name())
+	if cs := buildStepper(t, cav); cs.op != nil {
+		t.Errorf("BGK cavity stepper carries operator %s", cs.op.Name())
 	}
 	trt := cav
 	trt.Collision = collision.Spec{Kind: collision.TRT}
-	if cs := buildCartStepper(t, trt); cs.op == nil {
-		t.Error("TRT cart stepper has no operator")
+	if cs := buildStepper(t, trt); cs.op == nil {
+		t.Error("TRT cavity stepper has no operator")
 	}
 }
 

@@ -3,13 +3,18 @@
 // Hermite equilibria over a periodic cubic box, 1-D domain decomposition in
 // x, deep-halo ghost cells, and the paper's ladder of optimizations from
 // the naive implementation (Fig. 2) to the overlapped, separated
-// ghost-collide version (§V) — plus the multi-axis box stepper, bounded
+// ghost-collide version (§V) — plus multi-axis decompositions, bounded
 // domains, TRT/MRT operators, fused and AA streaming that grew around it.
+//
+// One stepper (cart.go) runs every configuration. Its geometry is data:
+// each axis carries ghost layers of width depth·k, except that the paper's
+// own case — a fully periodic domain cut into x slabs — keeps ghosts on x
+// only and lets the kernels wrap across y and z (Config.ghostGeometry).
 //
 // The collision arithmetic lives in one place: collide.go holds one row
 // kernel per rung of the ladder (naive, row-generic, pair-symmetric) and
-// the operator row kernel, and every stepper path — slab, box, fused, AA —
-// relaxes through the one its configuration selects. Running one
+// the operator row kernel, and every path — split, fused, AA — relaxes
+// through the one its configuration selects. Running one
 // configuration another way (decomposition, ghost depth, thread count,
 // streaming scheme) therefore reproduces the field to the last bit
 // (TestCrossPathBitIdentity); the rungs differ from each other only by
@@ -109,7 +114,7 @@ func ParseOptLevel(s string) (OptLevel, error) {
 // ParseGhostDepth parses a CLI ghost-depth argument: a single integer
 // ("2") is the uniform deep-halo depth; a comma-separated triple
 // ("2,1,1") sets per-axis depths (returned in axes, zero for the uniform
-// form), which run on the multi-axis box stepper. Anything else — two
+// form), which put ghosts on every axis. Anything else — two
 // values, four values, a trailing comma — is a spelled-out error rather
 // than a silent fallthrough.
 func ParseGhostDepth(s string) (uniform int, axes [3]int, err error) {
@@ -134,8 +139,8 @@ func ParseGhostDepth(s string) (uniform int, axes [3]int, err error) {
 				return 0, [3]int{}, fmt.Errorf("core: bad ghost depth %q: %v", s, err)
 			}
 		}
-		// The uniform depth is the fallback for paths that take one value
-		// (the slab stepper normalizes a uniform triple back to it).
+		// The uniform depth is the fallback for callers that take one value
+		// (Config.check normalizes a uniform triple back to it).
 		return axes[0], axes, nil
 	}
 	if strings.TrimSpace(parts[len(parts)-1]) == "" {
@@ -202,7 +207,7 @@ const (
 	// (geom.Mask.PlaneFluids), balancing fluid sites — the paper's N_fl,
 	// the quantity its performance model actually counts — instead of box
 	// volume. The rank grid and neighbor topology are unchanged; only the
-	// per-rank extents move, so the halo exchanger and steppers run
+	// per-rank extents move, so the halo exchanger and stepper run
 	// verbatim. Without a Solid mask it degrades to the volume split.
 	BalanceFluid
 )
@@ -264,31 +269,31 @@ type Config struct {
 	// steps, so a decomposition can spend halo width where its surface is
 	// largest. The zero value applies GhostDepth to every axis; a uniform
 	// non-zero value is normalized to GhostDepth. Any non-uniform setting
-	// runs on the multi-axis box stepper (slab shapes included) and
-	// therefore requires the SoA layout and a ghost-cell level.
+	// puts ghosts on every axis (slab shapes included) and therefore
+	// requires the SoA layout and a ghost-cell level.
 	GhostDepthAxes [3]int
 	// Ranks is the number of message-passing ranks ("MPI tasks").
 	Ranks int
 	// Decomp is the rank-grid shape (Px, Py, Pz) of the Cartesian domain
 	// decomposition; its product must equal Ranks. The zero value selects
-	// the paper's 1-D slab (Ranks, 1, 1), which keeps the specialized
-	// slab stepper and its full optimization ladder. Multi-axis shapes
-	// (pencil/block) require the SoA layout and a ghost-cell level (not
-	// Orig); every other rung — the NB-C posted receives, the GC-C
-	// per-axis compute/communication overlap, the fused kernel — runs on
-	// them through the box schedule of schedule.go.
+	// the paper's 1-D slab (Ranks, 1, 1), the one shape on which the whole
+	// ladder — the no-ghost Orig protocol and the AoS layout included — is
+	// legal. Multi-axis shapes (pencil/block) require the SoA layout and a
+	// ghost-cell level (not Orig); every other rung — the NB-C posted
+	// receives, the GC-C per-axis compute/communication overlap, the fused
+	// kernel — runs on them through the same schedule (schedule.go).
 	Decomp [3]int
 	// Threads is the number of worker threads per rank ("OpenMP threads").
 	Threads int
 	// Stream selects the streaming storage scheme. The zero value is the
 	// classic two-grid layout; StreamAA keeps a single field and streams in
 	// place via the AA pattern, halving f-memory traffic and footprint.
-	// StreamAA always runs on the multi-axis box stepper (slab shapes
-	// included), requires the SoA layout, a ghost-cell level, the split
-	// kernels (no Fused — AA is inherently fused). Per-axis ghost depths are
-	// rounded up to the next even value: exchanges happen only at step-pair
-	// boundaries, when the field is in normal arrangement, so the existing
-	// pack/unpack maps apply unchanged.
+	// StreamAA keeps ghosts on every axis (slab shapes included), requires
+	// the SoA layout, a ghost-cell level, the split kernels (no Fused — AA
+	// is inherently fused). Per-axis ghost depths are rounded up to the
+	// next even value: exchanges happen only at step-pair boundaries, when
+	// the field is in normal arrangement, so the existing pack/unpack maps
+	// apply unchanged.
 	Stream StreamScheme
 	// Layout selects the field memory layout. The copy-based streaming
 	// kernels (OptDH and above) require SoA; AoS is supported through OptGC
@@ -298,17 +303,16 @@ type Config struct {
 	// of the field per step instead of three accesses) — the paper's §VII
 	// future-work direction, implemented here as an extension. Requires
 	// the SoA layout and a ghost-cell level (OptGC or above); runs on
-	// every decomposition (the box form needs no wrap arithmetic at all)
-	// but not with bounce-back walls or solids (no stream/collide split
-	// for the fixups to run between).
+	// every decomposition but not with bounce-back walls or solids (no
+	// stream/collide split for the fixups to run between).
 	Fused bool
 	// Boundary assigns conditions to the six global faces (walls, moving
 	// walls, outflow, periodic — see BoundarySpec). Nil, and any spec
 	// whose faces are all periodic, keeps the fully periodic domain. A
 	// spec with non-periodic faces requires the SoA layout, a ghost-cell
-	// level (not Orig) and the split kernels (no Fused), and always runs
-	// on the multi-axis box stepper — including slab-shaped rank grids —
-	// so the periodic slab ladder stays untouched.
+	// level (not Orig) and the split kernels (no Fused), and keeps ghosts
+	// on every axis — including slab-shaped rank grids — because the
+	// boundary fills live in the ghost layers.
 	Boundary *BoundarySpec
 	// Solid marks lattice points as solid walls (halfway bounce-back,
 	// no-slip): a voxel mask over the global domain — built
@@ -333,9 +337,9 @@ type Config struct {
 	// run index: every face payload, messages and local periodic wraps
 	// alike, carries only the fluid z-runs of its rows, so solid cells are
 	// never packed, sent or unpacked. Equivalent to the dense sweep to
-	// 1e-12 and bit-exact across thread counts; always runs on the
-	// multi-axis box stepper (slab shapes included). Without a Solid mask
-	// every row is one full-z run.
+	// 1e-12 and bit-exact across thread counts; keeps ghosts on every axis
+	// (slab shapes included). Without a Solid mask every row is one full-z
+	// run.
 	Sparse bool
 	// MeasureForces records the momentum-exchange force on the solid
 	// geometry at every step: Result.ObstacleForce holds the per-step
@@ -395,7 +399,7 @@ func (c *Config) check() error {
 		}
 		if d := c.GhostDepthAxes; d[0] == d[1] && d[1] == d[2] {
 			// Uniform per-axis depths are the scalar case: normalize so
-			// slab shapes keep the specialized slab stepper.
+			// periodic slab shapes keep their x-only ghosts.
 			c.GhostDepth = d[0]
 			c.GhostDepthAxes = [3]int{}
 		}
@@ -482,9 +486,12 @@ func (c *Config) check() error {
 		return err
 	}
 	if c.Boundary != nil && c.Boundary.BoundedAxes() == ([3]bool{}) {
-		// A fully periodic spec is the default domain: drop it so the
-		// specialized slab stepper keeps handling slab shapes.
+		// A fully periodic spec is the default domain: drop it so
+		// periodic slab shapes keep their x-only ghosts.
 		c.Boundary = nil
+	}
+	if c.Fused && c.Boundary != nil {
+		return fmt.Errorf("core: bounce-back boundaries need the split stream/collide path; disable Fused")
 	}
 	if c.Decomp == ([3]int{}) {
 		c.Decomp = [3]int{c.Ranks, 1, 1}
@@ -499,6 +506,15 @@ func (c *Config) check() error {
 	return nil
 }
 
+// Validate normalizes the configuration's defaults and reports why Run
+// would reject it, if it would: an illegal feature combination, or a
+// halo wider than the smallest block it must be cut from. It is the one
+// rulebook — Run and the tuner's enumeration both go through it.
+func (c *Config) Validate() error {
+	_, err := c.init()
+	return err
+}
+
 // init validates the configuration and returns the decomposition it
 // validated the halo widths against — the one the run then uses.
 func (c *Config) init() (decomp.Cartesian, error) {
@@ -509,35 +525,21 @@ func (c *Config) init() (decomp.Cartesian, error) {
 	if err != nil {
 		return dec, err
 	}
-	k := c.Model.MaxSpeed
-	if c.slabPath(dec) {
-		w := c.GhostDepth * k
-		if minOwn := dec.MinOwn(0); minOwn < w {
-			return dec, fmt.Errorf("core: smallest slab (%d planes) < halo width %d (depth %d × k %d)", minOwn, w, c.GhostDepth, k)
+	if !c.slabPath(dec) {
+		// The two rungs that predate the SoA ghost-cell kernels exist for
+		// the paper's own geometry only.
+		if c.Opt == OptOrig {
+			return dec, fmt.Errorf("core: the no-ghost Orig protocol is periodic-slab-only; use a ghost-cell level")
 		}
-		return dec, nil
+		if c.Layout != grid.SoA {
+			return dec, fmt.Errorf("core: multi-axis, bounded, per-axis-depth, AA and sparse runs require the SoA layout")
+		}
 	}
-	// Multi-axis decompositions, all bounded domains and per-axis ghost
-	// depths use the box stepper of cart.go.
-	if c.Opt == OptOrig {
-		return dec, fmt.Errorf("core: the no-ghost Orig protocol is periodic-slab-only; use a ghost-cell level")
-	}
-	if c.Layout != grid.SoA {
-		return dec, fmt.Errorf("core: the box stepper (multi-axis, bounded or per-axis-depth runs) requires the SoA layout")
-	}
-	if c.Fused && c.Boundary != nil {
-		return dec, fmt.Errorf("core: bounce-back boundaries need the split stream/collide path; disable Fused")
-	}
-	depths := c.ghostDepths()
-	if c.Stream == StreamAA {
-		// AA exchanges only at pair boundaries: effective depths round
-		// up to even, and the halo must cover them.
-		depths = aaDepths(depths)
-	}
+	// A border message must be owned entirely by one rank.
+	depth, w := c.ghostGeometry(dec)
 	for a := 0; a < 3; a++ {
-		w := depths[a] * k
-		if mo := dec.MinOwn(a); mo < w {
-			return dec, fmt.Errorf("core: axis %d smallest block (%d cells) < halo width %d (depth %d × k %d)", a, mo, w, depths[a], k)
+		if mo := dec.MinOwn(a); mo < w[a] {
+			return dec, fmt.Errorf("core: axis %d smallest block (%d cells) < halo width %d (depth %d × k %d)", a, mo, w[a], depth[a], c.Model.MaxSpeed)
 		}
 	}
 	return dec, nil
@@ -562,8 +564,8 @@ func (c *Config) decomposition() (decomp.Cartesian, error) {
 	return decomp.NewCartesianBounded(global, c.Decomp, bounded)
 }
 
-// ghostDepths resolves the per-axis deep-halo depths (after init's
-// normalization a non-zero GhostDepthAxes is non-uniform).
+// ghostDepths resolves the configured per-axis deep-halo depths (after
+// check's normalization a non-zero GhostDepthAxes is non-uniform).
 func (c *Config) ghostDepths() [3]int {
 	if c.GhostDepthAxes != ([3]int{}) {
 		return c.GhostDepthAxes
@@ -571,12 +573,35 @@ func (c *Config) ghostDepths() [3]int {
 	return [3]int{c.GhostDepth, c.GhostDepth, c.GhostDepth}
 }
 
-// slabPath reports whether the run uses the specialized periodic slab
-// stepper: a 1-D shape with a fully periodic domain, one uniform ghost
-// depth and two-grid streaming. Everything else is the box stepper.
+// slabPath reports whether the run is the paper's own case: a 1-D shape
+// with a fully periodic domain, one uniform ghost depth, two-grid
+// streaming and dense traversal. It no longer selects a stepper — only
+// the x-only ghost geometry (ghostGeometry), and with it the legality of
+// the Orig and AoS rungs.
 func (c *Config) slabPath(dec decomp.Cartesian) bool {
 	return dec.IsSlab() && c.Boundary == nil && c.GhostDepthAxes == ([3]int{}) &&
 		c.Stream != StreamAA && !c.Sparse
+}
+
+// ghostGeometry resolves the run's per-axis deep-halo depths and ghost
+// widths. Axis a carries depth[a]·k ghost cells per side, refreshed every
+// depth[a] steps (AA rounds depths up to even) — except on the periodic
+// slab, which carries ghosts on x only: y and z are undecomposed periodic
+// axes there, so the kernels wrap across them (width 0) instead of
+// reading copies. Nothing else may wrap: boundary fills, per-axis depths,
+// AA's slot stars and the sparse run index all live in ghost layers.
+func (c *Config) ghostGeometry(dec decomp.Cartesian) (depth, w [3]int) {
+	depth = c.ghostDepths()
+	if c.Stream == StreamAA {
+		depth = aaDepths(depth)
+	}
+	for a := range w {
+		w[a] = depth[a] * c.Model.MaxSpeed
+	}
+	if c.slabPath(dec) {
+		w[1], w[2] = 0, 0
+	}
+	return depth, w
 }
 
 // aaDepths rounds per-axis deep-halo depths up to the next even value:
@@ -650,11 +675,8 @@ func (r *Result) CommSummary() metrics.Summary {
 	return metrics.SummarizeDurations(ds)
 }
 
-// Run executes the configured simulation and returns its result. The
-// fully periodic 1-D slab shape dispatches to the specialized slab
-// stepper (the paper's full optimization ladder); pencil and block shapes
-// — and every run with non-periodic global boundaries — use the
-// generalized multi-axis stepper of cart.go.
+// Run executes the configured simulation and returns its result: one
+// stepper per rank (cart.go) on the fabric, then the reductions.
 func Run(cfg Config) (*Result, error) {
 	dec, err := cfg.init()
 	if err != nil {
@@ -669,7 +691,6 @@ func Run(cfg Config) (*Result, error) {
 	sums := make([][5]float64, cfg.Ranks) // mass, momx, momy, momz, ghost updates
 	blocks := make([][]float64, cfg.Ranks)
 	axisB := make([][3]int64, cfg.Ranks)
-	slab := cfg.slabPath(dec)
 	var forceTotals []float64
 	var obsns []obs.RankObservation
 	var epoch time.Time
@@ -681,24 +702,7 @@ func Run(cfg Config) (*Result, error) {
 	}
 
 	runErr := fab.Run(func(r *comm.Rank) error {
-		var st interface {
-			initField()
-			run()
-			close()
-			ownedSums() (mass, mx, my, mz float64)
-			ghosts() int64
-			gather() []float64
-			axisBytes() [3]int64
-			forceSeries() []float64
-			setRecorder(*obs.Recorder)
-			observation() obs.RankObservation
-		}
-		var err error
-		if slab {
-			st, err = newStepper(&cfg, dec, r)
-		} else {
-			st, err = newCartStepper(&cfg, dec, r)
-		}
+		st, err := newCartStepper(&cfg, dec, r)
 		if err != nil {
 			return err
 		}
@@ -714,7 +718,7 @@ func Run(cfg Config) (*Result, error) {
 		r.Barrier()
 
 		mass, mx, my, mz := st.ownedSums()
-		sums[r.ID] = [5]float64{mass, mx, my, mz, float64(st.ghosts())}
+		sums[r.ID] = [5]float64{mass, mx, my, mz, float64(st.ghostUpdates)}
 		axisB[r.ID] = st.axisBytes()
 		if cfg.Observe {
 			o := st.observation()
@@ -730,13 +734,13 @@ func Run(cfg Config) (*Result, error) {
 			// fabric reduction makes every step's total
 			// decomposition-independent (the per-step entries differ only
 			// by float summation order across shapes).
-			tot := r.AllReduceSum(st.forceSeries())
+			tot := r.AllReduceSum(st.forceSer)
 			if r.ID == 0 {
 				forceTotals = tot
 			}
 		}
 		if cfg.KeepField {
-			blocks[r.ID] = st.gather()
+			blocks[r.ID] = st.ownedBlock()
 		}
 		return nil
 	})
@@ -784,11 +788,7 @@ func Run(cfg Config) (*Result, error) {
 	res.InteriorUpdates = int64(cfg.Steps) * int64(fluid)
 	res.MFlups = metrics.MFlups(cfg.Steps, fluid, res.WallTime)
 	if cfg.KeepField {
-		if slab {
-			res.Field = assembleField(&cfg, dec, blocks)
-		} else {
-			res.Field = assembleCart(&cfg, dec, blocks)
-		}
+		res.Field = assembleCart(&cfg, dec, blocks)
 	}
 	return res, nil
 }
@@ -808,21 +808,4 @@ func rankFluids(cfg *Config, dec decomp.Cartesian, rank int) int64 {
 		return vol
 	}
 	return int64(cfg.Solid.FluidsInBox(lo, hi))
-}
-
-// assembleField glues the per-rank owned slabs into one global SoA field.
-// Slabs are packed velocity-major (see stepper.ownedSlab).
-func assembleField(cfg *Config, dec decomp.Cartesian, slabs [][]float64) *grid.Field {
-	g := grid.NewField(cfg.Model.Q, cfg.N, grid.SoA)
-	plane := cfg.N.PlaneCells()
-	for r := 0; r < cfg.Ranks; r++ {
-		start, size := dec.Own(r, decomp.AxisX)
-		src := slabs[r]
-		n := size * plane
-		for v := 0; v < cfg.Model.Q; v++ {
-			blk := g.V(v)
-			copy(blk[start*plane:start*plane+n], src[v*n:(v+1)*n])
-		}
-	}
-	return g
 }

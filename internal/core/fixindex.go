@@ -8,8 +8,8 @@ package core
 // index stores the links CSR-style: sorted by cell (z-fastest, matching
 // the build order), with one span per (ix,iy) row. Applying to a box is
 // then a walk of exactly the rows the box covers, with the z range of each
-// row located by binary search — O(links in box + rows in box), on both
-// steppers at every optimization level.
+// row located by binary search — O(links in box + rows in box), at every
+// optimization level.
 //
 // The same link inventory doubles as the momentum-exchange force
 // measurement (Ladd's method): a link that bounces population v at fluid
@@ -189,7 +189,7 @@ func (fi *fixIndex) applyLinks(f, fadv *grid.Field, seg []fixup) {
 
 // applyBoxForce is applyBox with momentum-exchange accumulation: every
 // owned link adds c_opp·(2·f_opp + delta) to its body's force (SoA only —
-// the force path always runs on the SoA steppers).
+// force measurement requires the SoA layout).
 func (fi *fixIndex) applyBoxForce(f, fadv *grid.Field, b box, acc *[numBodies][3]float64) {
 	if fi.empty() {
 		return

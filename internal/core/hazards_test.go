@@ -16,7 +16,9 @@ import (
 // refreshed halo extent, a refresh skipping an axis, an open-face fill
 // missing a layer the next step consumes, an AA pair reading a slot the
 // pair-start exchange didn't cover — pulls NaN into an owned cell, and
-// NaN survives every downstream collision. The clean/poisoned comparison
+// NaN survives every downstream collision. The slab-* cases run with
+// ghosts on x only (the kernels wrap y and z), the rest with ghosts on
+// every axis. The clean/poisoned comparison
 // is immune to the usual NaN-comparison trap (NaN > x is false) because
 // the poisoned field is scanned for NaN explicitly first.
 func TestGhostPoisonInvariance(t *testing.T) {
@@ -33,6 +35,16 @@ func TestGhostPoisonInvariance(t *testing.T) {
 		{"slab-gcc-fused-deep", Config{
 			Model: lattice.D3Q19(), N: n, Tau: 0.8, Steps: 5,
 			Opt: OptGCC, Ranks: 2, Threads: 2, GhostDepth: 2, Fused: true,
+		}},
+		// Ghosts on x only, bounce-back links folded across the y/z seam.
+		{"slab-gcc-masked-seam-q39-deep", Config{
+			Model: lattice.D3Q39(), N: n, Tau: 0.8, Steps: 5,
+			Opt: OptGCC, Ranks: 2, Threads: 2, GhostDepth: 2,
+			Solid: geom.FromFunc(n, func(ix, iy, iz int) bool { return iy == 0 || iz == n.NZ-1 }),
+		}},
+		{"slab-orig", Config{
+			Model: lattice.D3Q19(), N: n, Tau: 0.8, Steps: 5,
+			Opt: OptOrig, Ranks: 2, Threads: 2, GhostDepth: 1,
 		}},
 		{"block-deep-trt", Config{
 			Model: lattice.D3Q19(), N: n, Tau: 0.7, Steps: 5,

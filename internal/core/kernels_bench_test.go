@@ -6,43 +6,34 @@ import (
 
 	"repro/internal/collision"
 	"repro/internal/comm"
-	"repro/internal/decomp"
 	"repro/internal/geom"
 	"repro/internal/lattice"
 
 	"repro/internal/grid"
 )
 
-// benchStepper builds a single-rank stepper for white-box kernel
-// benchmarking.
-func benchStepper(b *testing.B, m *lattice.Model, n grid.Dims, opt OptLevel, spec collision.Spec) *stepper {
+// benchStepper builds a single-rank periodic stepper with valid ghosts for
+// white-box kernel benchmarking: the x-only ghost geometry, or — ghosted —
+// ghost layers on all three axes (Sparse without a mask changes nothing
+// but the geometry).
+func benchStepper(b *testing.B, m *lattice.Model, opt OptLevel, spec collision.Spec, ghosted, fused bool) *cartStepper {
 	b.Helper()
-	cfg := &Config{
-		Model: m, N: n, Tau: 0.8, Steps: 1,
+	cs := buildStepper(b, Config{
+		Model: m, N: benchDims, Tau: 0.8, Steps: 1,
 		Opt: opt, Ranks: 1, Threads: 1, GhostDepth: 1,
-		Collision: spec, Init: waveInit(n),
+		Collision: spec, Sparse: ghosted, Fused: fused, Init: waveInit(benchDims),
+	})
+	cs.initField()
+	cs.refreshAxes([3]bool{true, true, true}) // one rank: local wraps only
+	return cs
+}
+
+// geoName labels a benchmark case by its ghost geometry.
+func geoName(ghosted bool) string {
+	if ghosted {
+		return "/ghosted"
 	}
-	if _, err := cfg.init(); err != nil {
-		b.Fatal(err)
-	}
-	dec, err := decomp.NewCartesian([3]int{n.NX, n.NY, n.NZ}, [3]int{1, 1, 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	var st *stepper
-	fab := comm.NewFabric(1)
-	if err := fab.Run(func(r *comm.Rank) error {
-		st, err = newStepper(cfg, dec, r)
-		if err != nil {
-			return err
-		}
-		st.initField()
-		st.ex.ExchangeLocal(st.f)
-		return nil
-	}); err != nil {
-		b.Fatal(err)
-	}
-	return st
+	return "/x-only"
 }
 
 var benchDims = grid.Dims{NX: 32, NY: 32, NZ: 32}
@@ -51,36 +42,26 @@ func reportCellRate(b *testing.B, cells int) {
 	b.ReportMetric(float64(cells)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mcell/s")
 }
 
-// Streaming kernels (the DH ladder step isolated).
+// Streaming kernels (the DH ladder step isolated), each form in both
+// ghost geometries.
 func BenchmarkStreamKernels(b *testing.B) {
 	for _, m := range []*lattice.Model{lattice.D3Q19(), lattice.D3Q39()} {
-		k := m.MaxSpeed
-		lo, hi := k, k+benchDims.NX-2*k // interior, no wrap needed in x
-		cells := (hi - lo) * benchDims.PlaneCells()
-		b.Run(m.Name+"/scalar", func(b *testing.B) {
-			st := benchStepper(b, m, benchDims, OptGC, collision.Spec{})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				st.streamScalar(0, st.slabBox(lo, hi))
+		for _, c := range []struct {
+			name string
+			opt  OptLevel
+		}{{"scalar", OptGC}, {"copy", OptDH}, {"indexed", OptLoBr}} {
+			for _, ghosted := range []bool{false, true} {
+				b.Run(m.Name+"/"+c.name+geoName(ghosted), func(b *testing.B) {
+					cs := benchStepper(b, m, c.opt, collision.Spec{}, ghosted, false)
+					owned := cs.ownedBox()
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						cs.stream(0, owned)
+					}
+					reportCellRate(b, owned.cells())
+				})
 			}
-			reportCellRate(b, cells)
-		})
-		b.Run(m.Name+"/copy", func(b *testing.B) {
-			st := benchStepper(b, m, benchDims, OptDH, collision.Spec{})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				st.streamCopy(0, st.slabBox(lo, hi))
-			}
-			reportCellRate(b, cells)
-		})
-		b.Run(m.Name+"/indexed", func(b *testing.B) {
-			st := benchStepper(b, m, benchDims, OptLoBr, collision.Spec{})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				st.streamCopyIndexed(0, st.slabBox(lo, hi))
-			}
-			reportCellRate(b, cells)
-		})
+		}
 	}
 }
 
@@ -134,69 +115,55 @@ func BenchmarkCollideKernels(b *testing.B) {
 			name string
 			opt  OptLevel
 		}{{"naive", OptGC}, {"rowGeneric", OptDH}, {"paired", OptCF}} {
-			st := benchStepper(b, m, benchDims, c.opt, collision.Spec{})
+			st := benchStepper(b, m, c.opt, collision.Spec{}, false, false)
 			benchRowKernel(b, m.Name+"/"+c.name, &st.collider, st.f, st.fadv)
 		}
 	}
 }
 
-// Fused kernel vs split stream+collide at the kernel level: the split
-// path relaxes in-place row views, the fused one gathered scratch rows.
+// Fused kernel vs split stream+collide at the kernel level, over the
+// owned box in both ghost geometries: the split path relaxes in-place row
+// views, the fused one gathered scratch rows.
 func BenchmarkFusedKernel(b *testing.B) {
 	for _, m := range []*lattice.Model{lattice.D3Q19(), lattice.D3Q39()} {
-		k := m.MaxSpeed
-		lo, hi := k, k+benchDims.NX-2*k
-		cells := (hi - lo) * benchDims.PlaneCells()
-		b.Run(m.Name+"/split", func(b *testing.B) {
-			st := benchStepper(b, m, benchDims, OptSIMD, collision.Spec{})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				st.streamCopyIndexed(0, st.slabBox(lo, hi))
-				st.collide(0, st.slabBox(lo, hi))
-			}
-			reportCellRate(b, cells)
-		})
-		b.Run(m.Name+"/fused", func(b *testing.B) {
-			st := benchStepper(b, m, benchDims, OptSIMD, collision.Spec{})
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				st.fusedRows(0, st.slabBox(lo, hi))
-				st.swap()
-			}
-			reportCellRate(b, cells)
-		})
+		for _, ghosted := range []bool{false, true} {
+			geo := geoName(ghosted)
+			b.Run(m.Name+geo+"/split", func(b *testing.B) {
+				cs := benchStepper(b, m, OptSIMD, collision.Spec{}, ghosted, false)
+				owned := cs.ownedBox()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					cs.stream(0, owned)
+					cs.collide(0, owned)
+				}
+				reportCellRate(b, owned.cells())
+			})
+			b.Run(m.Name+geo+"/fused", func(b *testing.B) {
+				cs := benchStepper(b, m, OptSIMD, collision.Spec{}, ghosted, true)
+				owned := cs.ownedBox()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					cs.fusedRows(0, owned)
+					cs.swap()
+				}
+				reportCellRate(b, owned.cells())
+			})
+		}
 	}
 }
 
-// Halo exchange cost per depth (pack+local wrap).
+// Halo exchange cost per depth (pack+local wrap of the x faces).
 func BenchmarkHaloLocalExchange(b *testing.B) {
-	m := lattice.D3Q19()
 	for _, depth := range []int{1, 2, 4} {
 		b.Run(string(rune('0'+depth)), func(b *testing.B) {
-			cfg := &Config{
-				Model: m, N: benchDims, Tau: 0.8, Steps: 1,
+			cs := buildStepper(b, Config{
+				Model: lattice.D3Q19(), N: benchDims, Tau: 0.8, Steps: 1,
 				Opt: OptSIMD, Ranks: 1, Threads: 1, GhostDepth: depth,
-			}
-			if _, err := cfg.init(); err != nil {
-				b.Fatal(err)
-			}
-			dec, _ := decomp.NewCartesian([3]int{benchDims.NX, benchDims.NY, benchDims.NZ}, [3]int{1, 1, 1})
-			var st *stepper
-			fab := comm.NewFabric(1)
-			if err := fab.Run(func(r *comm.Rank) error {
-				var err error
-				st, err = newStepper(cfg, dec, r)
-				if err != nil {
-					return err
-				}
-				st.initField()
-				return nil
-			}); err != nil {
-				b.Fatal(err)
-			}
+			})
+			cs.initField()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				st.ex.ExchangeLocal(st.f)
+				cs.ex.ExchangeAxis(cs.r, cs.f, 0, false)
 			}
 		})
 	}
@@ -262,55 +229,12 @@ func BenchmarkSparseExchange(b *testing.B) {
 	}
 }
 
-// benchCartStepper builds a single-rank box stepper for white-box kernel
-// benchmarking of the multi-axis path.
-func benchCartStepper(b *testing.B, m *lattice.Model, n grid.Dims, opt OptLevel, fused bool) *cartStepper {
-	b.Helper()
-	cfg := &Config{
-		Model: m, N: n, Tau: 0.8, Steps: 1,
-		Opt: opt, Ranks: 1, Threads: 1, GhostDepth: 1, Fused: fused,
-		Init: waveInit(n),
-	}
-	if _, err := cfg.init(); err != nil {
-		b.Fatal(err)
-	}
-	dec, err := decomp.NewCartesian([3]int{n.NX, n.NY, n.NZ}, [3]int{1, 1, 1})
-	if err != nil {
-		b.Fatal(err)
-	}
-	var cs *cartStepper
-	fab := comm.NewFabric(1)
-	if err := fab.Run(func(r *comm.Rank) error {
-		cs, err = newCartStepper(cfg, dec, r)
-		if err != nil {
-			return err
-		}
-		cs.initField()
-		cs.refreshAxes([3]bool{true, true, true})
-		return nil
-	}); err != nil {
-		b.Fatal(err)
-	}
-	return cs
-}
-
-// ownedBox returns the stepper's owned region (the depth-1 destination
-// box of a steady step).
-func (cs *cartStepper) ownedBox() box {
-	var b box
-	for a := 0; a < 3; a++ {
-		b.lo[a] = cs.w[a]
-		b.hi[a] = cs.w[a] + cs.own[a]
-	}
-	return b
-}
-
-// Box-stepper kernels: interior box and per-axis rim slabs of the GC-C
+// Ghosts on every axis: interior box and per-axis rim slabs of the GC-C
 // schedule, and the full owned box, for the stream and pair-symmetric
 // collide kernels (the regression baseline the overlapped schedule rides on).
 func BenchmarkBoxKernels(b *testing.B) {
 	m := lattice.D3Q19()
-	cs := benchCartStepper(b, m, benchDims, OptSIMD, false)
+	cs := benchStepper(b, m, OptSIMD, collision.Spec{}, true, false)
 	owned := cs.ownedBox()
 	plan := planStep(owned, cs.own, cs.w, cs.k, [3]bool{true, true, true}, [3]bool{false, true, true})
 	cases := []struct {
@@ -338,39 +262,12 @@ func BenchmarkBoxKernels(b *testing.B) {
 	}
 }
 
-// Fused kernel on the box path vs the split stream+collide over the same
-// owned box.
-func BenchmarkBoxFusedKernel(b *testing.B) {
-	for _, m := range []*lattice.Model{lattice.D3Q19(), lattice.D3Q39()} {
-		b.Run(m.Name+"/split", func(b *testing.B) {
-			cs := benchCartStepper(b, m, benchDims, OptSIMD, false)
-			owned := cs.ownedBox()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				cs.streamBox(owned)
-				cs.collideBox(owned)
-			}
-			reportCellRate(b, owned.cells())
-		})
-		b.Run(m.Name+"/fused", func(b *testing.B) {
-			cs := benchCartStepper(b, m, benchDims, OptSIMD, true)
-			owned := cs.ownedBox()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				cs.fusedBox(owned)
-				cs.swap()
-			}
-			reportCellRate(b, owned.cells())
-		})
-	}
-}
-
 // Operator row kernels: the per-cell fallback vs the RowRelaxer row form,
 // against the BGK pair-symmetric kernel as the yardstick — the row form is
 // what carries TRT/MRT within ~1.5× of it.
 func BenchmarkBoxCollideOperator(b *testing.B) {
 	for _, m := range []*lattice.Model{lattice.D3Q19(), lattice.D3Q39()} {
-		cs := benchCartStepper(b, m, benchDims, OptSIMD, false)
+		cs := benchStepper(b, m, OptSIMD, collision.Spec{}, true, false)
 		benchRowKernel(b, m.Name+"/bgk-fastpath", &cs.collider, cs.f, cs.fadv)
 		for _, spec := range []collision.Spec{{Kind: collision.TRT}, {Kind: collision.MRT}} {
 			var c collider
@@ -423,9 +320,9 @@ func BenchmarkBoxExchangeProtocols(b *testing.B) {
 }
 
 // Whole-step thread scaling: full runs through the persistent worker
-// pool, on the periodic slab fast path and on a TRT lid-driven cavity
-// (box stepper, bounce-back fixups, face fills — every threaded path of
-// a bounded step). On multi-core hosts Mcell/s rises with the thread
+// pool, on the periodic slab (x-only ghosts) and on a TRT lid-driven cavity
+// (ghosts on every axis, bounce-back fixups, face fills — every threaded
+// path of a bounded step). On multi-core hosts Mcell/s rises with the thread
 // count; the CI smoke sweep executes one iteration of each case to keep
 // the pool dispatch paths compiling and running.
 func BenchmarkThreadedStep(b *testing.B) {
@@ -464,22 +361,20 @@ func BenchmarkThreadedStep(b *testing.B) {
 	}
 }
 
-// The slab's collide per operator (TRT and MRT relax through the operator
-// row kernel; BGK is the ladder's pair-symmetric kernel).
+// The collide per operator over the owned box (TRT and MRT relax through
+// the operator row kernel; BGK is the ladder's pair-symmetric kernel).
 func BenchmarkCollideOperator(b *testing.B) {
 	for _, m := range []*lattice.Model{lattice.D3Q19(), lattice.D3Q39()} {
-		k := m.MaxSpeed
-		lo, hi := k, k+benchDims.NX-2*k
-		cells := (hi - lo) * benchDims.PlaneCells()
 		for _, spec := range []collision.Spec{{Kind: collision.BGK}, {Kind: collision.TRT}, {Kind: collision.MRT}} {
 			b.Run(m.Name+"/"+spec.String(), func(b *testing.B) {
-				st := benchStepper(b, m, benchDims, OptSIMD, spec)
-				st.streamRegion(lo, hi)
+				cs := benchStepper(b, m, OptSIMD, spec, false, false)
+				owned := cs.ownedBox()
+				cs.streamBox(owned)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					st.collide(0, st.slabBox(lo, hi))
+					cs.collide(0, owned)
 				}
-				reportCellRate(b, cells)
+				reportCellRate(b, owned.cells())
 			})
 		}
 	}

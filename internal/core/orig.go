@@ -14,7 +14,7 @@ import (
 // collide therefore directly waits on the neighbors' stream results — the
 // serialization that ghost cells later remove.
 type origProto struct {
-	s           *stepper
+	s           *cartStepper
 	left, right int
 	// crossL[m-1] lists velocities with cx ≤ −m; crossR[m-1] those with
 	// cx ≥ m — the populations that can cross m planes leftward/rightward.
@@ -29,9 +29,12 @@ const (
 	tagOrigR = 0x340
 )
 
-func newOrigProto(s *stepper, left, right int) *origProto {
+// newOrigProto builds the protocol over a stepper in the x-only geometry
+// (w = {k, 0, 0}: the x side regions are the egress margins) with the
+// given low/high x neighbors.
+func newOrigProto(s *cartStepper, xNeighbors [2]int) *origProto {
 	m := s.model
-	p := &origProto{s: s, left: left, right: right}
+	p := &origProto{s: s, left: xNeighbors[0], right: xNeighbors[1]}
 	plane := s.d.PlaneCells()
 	maxLen := 0
 	for off := 1; off <= s.k; off++ {
@@ -66,12 +69,13 @@ func newOrigProto(s *stepper, left, right int) *origProto {
 // step advances one time step under the naive protocol.
 func (p *origProto) step() {
 	s := p.s
+	owned := s.ownedBox()
 	t0 := s.rec.Begin()
-	s.br.run(s.streamPushScalar, s.slabBox(s.w, s.w+s.own))
+	s.br.run(s.streamPushScalar, owned)
 	s.rec.End(obs.Interior, t0)
 	p.exchange()
-	s.applyBounceBack(s.w, s.w+s.own)
-	s.collideRegion(s.w, s.w+s.own)
+	s.applyBounceBackBox(owned)
+	s.collideBox(owned)
 }
 
 // exchange ships the egress margins of fadv to the neighbors, which merge
@@ -81,7 +85,7 @@ func (p *origProto) step() {
 // right neighbor's owned plane k+j (local coordinates).
 func (p *origProto) exchange() {
 	s := p.s
-	k, own := s.k, s.own
+	k, own := s.k, s.own[0]
 	plane := s.d.PlaneCells()
 	if s.r.N == 1 {
 		// Periodic wrap: the margins fold back onto the owned region
@@ -137,12 +141,12 @@ func (p *origProto) exchange() {
 // in the owned region or the egress margins, both inside the allocation.
 // Chunking sources is race-free: for a fixed velocity the push map is a
 // bijection on cells, so no two source cells write the same slot.
-func (s *stepper) streamPushScalar(worker int, b box) {
+func (s *cartStepper) streamPushScalar(worker int, b box) {
 	m := s.model
 	ny, nz := s.d.NY, s.d.NZ
 	for ix := b.lo[0]; ix < b.hi[0]; ix++ {
 		for iy := b.lo[1]; iy < b.hi[1]; iy++ {
-			for iz := 0; iz < nz; iz++ {
+			for iz := b.lo[2]; iz < b.hi[2]; iz++ {
 				src := s.d.Index(ix, iy, iz)
 				for v := 0; v < m.Q; v++ {
 					dx := ix + m.Cx[v]

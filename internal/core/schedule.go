@@ -1,6 +1,6 @@
 package core
 
-// The box step schedule: the planner behind both steppers' stepping loops.
+// The box step schedule: the planner behind the stepping loop.
 //
 // A deep-halo step computes an axis-aligned destination box. At the moment
 // the step starts, some axes' ghost layers may still be in flight ("stale"
@@ -29,11 +29,12 @@ package core
 // axis, and each phase expands one axis to the full destination range.
 //
 // planStep is pure geometry — no fields, no communication — which is what
-// lets one scheduler drive the slab stepper (stale = {x}), the multi-axis
-// box stepper (stale = the axes refreshed this step) and the fused kernel
-// (stream boxes only), and what the property tests in schedule_test.go
-// pin: the boxes tile the destination exactly, interior inputs avoid
-// stale ghosts, and collide boxes stay k inside the streamed region.
+// lets one scheduler drive the slab (stale = {x}, no ghosts on y and z),
+// pencils and blocks (stale = the axes refreshed this step) and the fused
+// kernel (stream boxes only), and what the property tests in
+// schedule_test.go pin: the boxes tile the destination exactly, interior
+// inputs avoid stale ghosts, and collide boxes stay k inside the streamed
+// region.
 
 // stepPlan is the interior/rim decomposition of one step's destination box.
 type stepPlan struct {

@@ -271,10 +271,10 @@ func TestOverlapPoisonGhosts(t *testing.T) {
 			Model: lattice.D3Q19(), N: grid.Dims{NX: 8, NY: 7, NZ: 6},
 			Tau: 0.8, Steps: 1, Opt: OptGCC, Ranks: 1, Threads: 1, GhostDepth: 2,
 			Fused: fused, Init: waveInit(grid.Dims{NX: 8, NY: 7, NZ: 6}),
-			// Per-axis depths force the box stepper on the 1-rank shape.
+			// Per-axis depths put ghosts on every axis of the 1-rank shape.
 			GhostDepthAxes: [3]int{2, 2, 1},
 		}
-		cs := buildCartStepper(t, cfg)
+		cs := buildStepper(t, cfg)
 		cs.initField()
 		// Poison every cell outside the owned box.
 		owned := box{lo: cs.w, hi: [3]int{cs.w[0] + cs.own[0], cs.w[1] + cs.own[1], cs.w[2] + cs.own[2]}}

@@ -6,23 +6,60 @@ package core
 // kept for the no-ghost Orig protocol in orig.go, where scattering into the
 // egress margins is the point). Pull and push visit the same data and move
 // the same bytes; they differ only in write locality.
+//
+// The ladder's three forms — scalar, copy, table-indexed — are each written
+// once for both ghost geometries. x always carries ghosts, so the source
+// plane is a plain offset. y goes through the wrap every form already has
+// (modulo, conditional, table), which is the identity wherever ghosts keep
+// iy − cy inside the row range. z is the one place the geometries differ in
+// shape, and zShift holds it: a cyclic rotation of the whole row on a wrap
+// axis, an offset copy of the box's z-range when ghosts cover the reach.
+// Streaming only moves values, so every form yields the same field.
+
+// bindStream builds the source-row tables and resolves the stream kernel
+// for the configured level; sparse traversal overrides the ladder with
+// the run-driven copy.
+func (cs *cartStepper) bindStream() {
+	ny := cs.d.NY
+	cs.srcY = make([][]int32, cs.model.Q)
+	for v := range cs.srcY {
+		// srcY[v][y] = (y − cy) mod NY — the branch-reduction analog of the
+		// paper's Fig. 6 index arrays. Rows the modulo actually folds are
+		// destinations only on a wrap axis; with ghosts they lie outside
+		// every destination box.
+		tab := make([]int32, ny)
+		for y := range tab {
+			tab[y] = int32(((y-cs.model.Cy[v])%ny + ny) % ny)
+		}
+		cs.srcY[v] = tab
+	}
+	switch {
+	case cs.runStart != nil:
+		cs.stream = cs.streamRuns
+	case cs.cfg.Opt <= OptGC:
+		cs.stream = cs.streamScalar
+	case cs.cfg.Opt < OptLoBr:
+		cs.stream = cs.streamCopy
+	default:
+		cs.stream = cs.streamCopyIndexed
+	}
+}
 
 // streamScalar is the naive pull kernel: velocity-innermost loops with
-// modulo wrap arithmetic on every access, per the paper's Fig. 3 structure.
-// Like every slab kernel it takes an x/y sub-box with the full z extent
-// (z-lines wrap and are never split by the chunker).
-func (s *stepper) streamScalar(worker int, b box) {
-	m := s.model
-	ny, nz := s.d.NY, s.d.NZ
+// modulo wrap arithmetic on every access, per the paper's Fig. 3
+// structure. Works in either layout.
+func (cs *cartStepper) streamScalar(worker int, b box) {
+	m := cs.model
+	ny, nz := cs.d.NY, cs.d.NZ
 	for ix := b.lo[0]; ix < b.hi[0]; ix++ {
 		for iy := b.lo[1]; iy < b.hi[1]; iy++ {
-			for iz := 0; iz < nz; iz++ {
-				dst := s.d.Index(ix, iy, iz)
+			for iz := b.lo[2]; iz < b.hi[2]; iz++ {
+				dst := cs.d.Index(ix, iy, iz)
 				for v := 0; v < m.Q; v++ {
 					sx := ix - m.Cx[v]
 					sy := ((iy-m.Cy[v])%ny + ny) % ny
 					sz := ((iz-m.Cz[v])%nz + nz) % nz
-					s.fadv.Data[s.fadv.Idx(v, dst)] = s.f.Data[s.f.Idx(v, s.d.Index(sx, sy, sz))]
+					cs.fadv.Data[cs.fadv.Idx(v, dst)] = cs.f.Data[cs.f.Idx(v, cs.d.Index(sx, sy, sz))]
 				}
 			}
 		}
@@ -31,14 +68,15 @@ func (s *stepper) streamScalar(worker int, b box) {
 
 // streamCopy is the data-handling kernel (§V.B): velocities outermost so
 // each contiguous velocity block is traversed in memory order, with the
-// z-line movement expressed as bulk rotated copies. Requires SoA layout.
-func (s *stepper) streamCopy(worker int, b box) {
-	m := s.model
-	ny, nz := s.d.NY, s.d.NZ
-	plane := s.d.PlaneCells()
+// z-line movement expressed as bulk copies. Requires SoA layout.
+func (cs *cartStepper) streamCopy(worker int, b box) {
+	m := cs.model
+	ny, nz := cs.d.NY, cs.d.NZ
+	plane := cs.d.PlaneCells()
+	zlo, zhi, wrapZ := b.lo[2], b.hi[2], cs.w[2] == 0
 	for v := 0; v < m.Q; v++ {
-		src := s.f.V(v)
-		dst := s.fadv.V(v)
+		src := cs.f.V(v)
+		dst := cs.fadv.V(v)
 		cx, cy, cz := m.Cx[v], m.Cy[v], m.Cz[v]
 		for ix := b.lo[0]; ix < b.hi[0]; ix++ {
 			srcBase := (ix - cx) * plane
@@ -50,36 +88,66 @@ func (s *stepper) streamCopy(worker int, b box) {
 				} else if sy >= ny {
 					sy -= ny
 				}
-				srow := src[srcBase+sy*nz : srcBase+sy*nz+nz]
-				drow := dst[dstBase+iy*nz : dstBase+iy*nz+nz]
-				rotateCopy(drow, srow, cz)
+				sOff := srcBase + sy*nz
+				dOff := dstBase + iy*nz
+				zShift(dst[dOff+zlo:dOff+zhi], src[sOff:sOff+nz], zlo, cz, wrapZ)
 			}
 		}
 	}
 }
 
 // streamCopyIndexed is streamCopy with the per-row wrap replaced by the
-// precomputed source-row tables (§V.D branch reduction): the loop body
-// contains no conditional at all.
-func (s *stepper) streamCopyIndexed(worker int, b box) {
-	m := s.model
-	nz := s.d.NZ
-	plane := s.d.PlaneCells()
+// precomputed source-row tables (§V.D branch reduction): the row loop
+// contains no wrap arithmetic at all.
+func (cs *cartStepper) streamCopyIndexed(worker int, b box) {
+	m := cs.model
+	nz := cs.d.NZ
+	plane := cs.d.PlaneCells()
+	zlo, zhi, wrapZ := b.lo[2], b.hi[2], cs.w[2] == 0
 	for v := 0; v < m.Q; v++ {
-		src := s.f.V(v)
-		dst := s.fadv.V(v)
+		src := cs.f.V(v)
+		dst := cs.fadv.V(v)
 		cx, cz := m.Cx[v], m.Cz[v]
-		rows := s.srcY[v]
+		rows := cs.srcY[v]
 		for ix := b.lo[0]; ix < b.hi[0]; ix++ {
 			srcBase := (ix - cx) * plane
 			dstBase := ix * plane
 			for iy := b.lo[1]; iy < b.hi[1]; iy++ {
 				sOff := srcBase + int(rows[iy])*nz
 				dOff := dstBase + iy*nz
-				rotateCopy(dst[dOff:dOff+nz], src[sOff:sOff+nz], cz)
+				zShift(dst[dOff+zlo:dOff+zhi], src[sOff:sOff+nz], zlo, cz, wrapZ)
 			}
 		}
 	}
+}
+
+// streamRuns is the sparse form: copy only the fluid runs of each row.
+// Streaming moves values without arithmetic, so the restriction is
+// trivially exact on fluid cells; solid destinations keep their stale
+// fadv, which the fixups and the run-driven collides never read. Sparse
+// traversal keeps ghosts on every axis, so every source is a plain offset.
+func (cs *cartStepper) streamRuns(worker int, b box) {
+	m := cs.model
+	cs.forRuns(b, func(ix, iy, zlo, zhi int) {
+		n := zhi - zlo
+		for v := 0; v < m.Q; v++ {
+			sOff := cs.d.Index(ix-m.Cx[v], iy-m.Cy[v], zlo-m.Cz[v])
+			dOff := cs.d.Index(ix, iy, zlo)
+			copy(cs.fadv.V(v)[dOff:dOff+n], cs.f.V(v)[sOff:sOff+n])
+		}
+	})
+}
+
+// zShift writes dst[i] = srow[zlo+i−cz], the pull-stream of the z-run
+// starting at zlo out of the full source row srow. With ghosts the source
+// offsets stay inside the row; on a wrap axis the run is the whole row
+// (chunking never splits z) and the shift is a cyclic rotation.
+func zShift(dst, srow []float64, zlo, cz int, wrap bool) {
+	if wrap {
+		rotateCopy(dst, srow, cz)
+		return
+	}
+	copy(dst, srow[zlo-cz:zlo-cz+len(dst)])
 }
 
 // rotateCopy writes dst[z] = src[(z − cz) mod n]: a cyclic shift of the

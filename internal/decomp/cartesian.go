@@ -1,3 +1,10 @@
+// Package decomp implements pluggable Cartesian domain decompositions.
+// The paper (§IV) restricts itself to the one-dimensional slab split in x
+// to isolate the ghost-cell-depth analysis; that shape is the Cartesian
+// shape (P,1,1). The Cartesian type generalizes to 2-D pencil and 3-D
+// block rank grids, whose per-rank communication surface shrinks with
+// P^(2/3) where the slab's stays O(NY·NZ) — the surface-to-volume argument
+// that motivates every beyond-slab scaling study.
 package decomp
 
 import (
@@ -29,8 +36,7 @@ const NoNeighbor = -1
 // rank grid laid over the global box, with balanced contiguous blocks per
 // axis. The paper's 1-D slab is the shape (P,1,1); pencils are (Px,Py,1)
 // and blocks (Px,Py,Pz). Rank numbering is z-fastest, matching the cell
-// indexing of grid.Dims, so a slab decomposition numbers ranks exactly
-// like the original D1.
+// indexing of grid.Dims, so a slab decomposition numbers ranks along x.
 type Decomposition interface {
 	// Ranks returns the total rank count (product of the grid shape).
 	Ranks() int
@@ -55,7 +61,7 @@ type Decomposition interface {
 
 // blockOwn returns the start and size of block i when n items are split
 // into parts balanced contiguous blocks: the first n mod parts blocks get
-// one extra item. This is the same formula D1 has always used.
+// one extra item.
 func blockOwn(n, parts, i int) (start, size int) {
 	base := n / parts
 	rem := n % parts
@@ -267,7 +273,7 @@ func Factor(ranks, maxAxes int, global [3]int) ([3]int, error) {
 	var bestSurf float64
 	bestSpread := 0
 	// px descends so that, among equal-surface equal-spread shapes, the
-	// x-decomposed one wins (a 1-D request yields (R,1,1), matching D1).
+	// x-decomposed one wins (a 1-D request yields (R,1,1)).
 	for px := ranks; px >= 1; px-- {
 		if ranks%px != 0 {
 			continue

@@ -2,7 +2,6 @@ package decomp
 
 import (
 	"testing"
-	"testing/quick"
 )
 
 // cartShapes enumerates a representative set of global boxes and rank
@@ -110,39 +109,46 @@ func TestCartesianCoordsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestCartesianSlabMatchesD1: the (R,1,1) shape reproduces D1 exactly —
-// numbering, ownership and neighbors.
-func TestCartesianSlabMatchesD1(t *testing.T) {
-	prop := func(nxRaw, ranksRaw uint8) bool {
-		ranks := int(ranksRaw)%7 + 1
-		nx := ranks + int(nxRaw)%100
-		d1, err := New(nx, ranks)
-		if err != nil {
-			return false
-		}
-		cart, err := NewCartesian([3]int{nx, 8, 8}, [3]int{ranks, 1, 1})
-		if err != nil {
-			return false
-		}
-		for r := 0; r < ranks; r++ {
-			s1, n1 := d1.Own(r)
-			s2, n2 := cart.Own(r, AxisX)
-			if s1 != s2 || n1 != n2 {
-				return false
-			}
-			if cart.Neighbor(r, AxisX, -1) != d1.Left(r) || cart.Neighbor(r, AxisX, +1) != d1.Right(r) {
-				return false
-			}
-		}
-		for ix := 0; ix < nx; ix++ {
-			if cart.RankOf(ix, 0, 0) != d1.RankOf(ix) {
-				return false
-			}
-		}
-		return cart.IsSlab()
+// TestBalance pins the remainder convention on concrete values: the
+// first n mod P blocks of an axis get the extra cell.
+func TestBalance(t *testing.T) {
+	d, err := NewCartesian([3]int{10, 8, 8}, [3]int{3, 1, 1})
+	if err != nil {
+		t.Fatal(err)
 	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
+	var sizes [3]int
+	for r := range sizes {
+		_, sizes[r] = d.Own(r, AxisX)
+	}
+	if sizes != [3]int{4, 3, 3} {
+		t.Errorf("sizes = %v, want [4 3 3]", sizes)
+	}
+	if d.MaxOwn(AxisX) != 4 || d.MinOwn(AxisX) != 3 {
+		t.Errorf("MaxOwn/MinOwn = %d/%d, want 4/3", d.MaxOwn(AxisX), d.MinOwn(AxisX))
+	}
+	if !d.IsSlab() {
+		t.Error("(3,1,1) is not a slab")
+	}
+}
+
+// TestNeighborsPeriodic pins the slab's ring numbering on concrete values:
+// ranks count along x and the ends wrap onto each other.
+func TestNeighborsPeriodic(t *testing.T) {
+	d, _ := NewCartesian([3]int{16, 8, 8}, [3]int{4, 1, 1})
+	if d.Neighbor(0, AxisX, -1) != 3 || d.Neighbor(3, AxisX, +1) != 0 || d.Neighbor(1, AxisX, +1) != 2 {
+		t.Error("periodic wrap broken")
+	}
+	if d.Neighbor(2, AxisY, +1) != 2 || d.Neighbor(2, AxisZ, -1) != 2 {
+		t.Error("undecomposed axes must wrap a rank onto itself")
+	}
+}
+
+func TestNewErrors(t *testing.T) {
+	if _, err := NewCartesian([3]int{4, 4, 4}, [3]int{0, 1, 1}); err == nil {
+		t.Error("rank count 0 accepted")
+	}
+	if _, err := NewCartesian([3]int{3, 4, 4}, [3]int{4, 1, 1}); err == nil {
+		t.Error("fewer cells than ranks on an axis accepted")
 	}
 }
 

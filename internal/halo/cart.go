@@ -8,10 +8,9 @@ import (
 	"repro/internal/obs"
 )
 
-// Cartesian halo exchange: the multi-axis generalization of the 1-D
-// Exchanger. Every face — border or ghost, on any axis — is a precomputed
-// list of memory-contiguous cell spans, and packing or unpacking it is one
-// loop of block copies per velocity. A dense face is the list of its
+// Cartesian halo exchange. Every face — border or ghost, on any axis — is
+// a precomputed list of memory-contiguous cell spans, and packing or
+// unpacking it is one loop of block copies per velocity. A dense face is the list of its
 // z-rows with adjacent rows merged (an x face is one span, a y face one
 // span per x); on a masked domain the list holds only the fluid z-runs of
 // each row (NewCartExchangerMasked), so solid cells are never packed, sent
@@ -123,10 +122,12 @@ const (
 func borderRegion(side int) int { return lowBorder + side }
 func ghostRegion(side int) int  { return highGhost * side }
 
-// CartExchanger owns the send/receive buffers for one rank's multi-axis
-// halo exchange. The local field spans Own[a] + 2·W[a] cells on axis a:
+// CartExchanger owns the send/receive buffers for one rank's halo
+// exchange. The local field spans Own[a] + 2·W[a] cells on axis a:
 // [W[a], W[a]+Own[a]) is owned, [0, W[a]) the low ghost and
-// [W[a]+Own[a], Own[a]+2·W[a]) the high ghost.
+// [W[a]+Own[a], Own[a]+2·W[a]) the high ghost. An axis of width 0 has no
+// faces: nothing is packed, sent, received or written along it (the
+// paper's slab keeps ghosts on x only and wraps y and z in its kernels).
 type CartExchanger struct {
 	Q    int
 	Dims grid.Dims // local dims including ghosts
@@ -137,7 +138,8 @@ type CartExchanger struct {
 	// An entry of NoNeighbor marks a global boundary face of a bounded
 	// (non-periodic) axis: no message crosses it and no wraparound copy is
 	// made — its ghost cells are left for the caller to fill from boundary
-	// conditions.
+	// conditions. Both entries of a zero-width axis are NoNeighbor,
+	// whatever the constructor was given.
 	Neighbors [3][2]int
 
 	// Rec, when non-nil, receives per-axis pack/wire/unpack spans and
@@ -176,12 +178,15 @@ func NewCartExchangerMasked(q int, d grid.Dims, own, w [3]int, self int, neighbo
 		if dims[a] != own[a]+2*w[a] {
 			return nil, fmt.Errorf("halo: axis %d extent %d != own %d + 2*width %d", a, dims[a], own[a], w[a])
 		}
-		if w[a] < 1 {
-			return nil, fmt.Errorf("halo: axis %d width %d < 1", a, w[a])
+		if w[a] < 0 {
+			return nil, fmt.Errorf("halo: axis %d width %d < 0", a, w[a])
+		}
+		if w[a] == 0 {
+			neighbors[a] = [2]int{NoNeighbor, NoNeighbor}
 		}
 		if own[a] < w[a] {
-			// Same nearest-neighbor constraint as the 1-D exchanger: a
-			// border message must be owned entirely by one rank.
+			// The nearest-neighbor constraint: a border message must be
+			// owned entirely by one rank.
 			return nil, fmt.Errorf("halo: axis %d owned extent %d < halo width %d (grow the domain or reduce depth)", a, own[a], w[a])
 		}
 	}

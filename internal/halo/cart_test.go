@@ -56,6 +56,42 @@ func encode(v, gx, gy, gz int) float64 {
 	return float64(v)*1e6 + float64(gx)*1e4 + float64(gy)*1e2 + float64(gz)
 }
 
+// fillOwned stores the encoded global value in every owned cell of a
+// rank's local field (ghost widths w, owned box starting at start).
+func fillOwned(f *grid.Field, start, own, w [3]int) {
+	for v := 0; v < f.Q; v++ {
+		for ix := 0; ix < own[0]; ix++ {
+			for iy := 0; iy < own[1]; iy++ {
+				for iz := 0; iz < own[2]; iz++ {
+					f.Set(v, w[0]+ix, w[1]+iy, w[2]+iz,
+						encode(v, start[0]+ix, start[1]+iy, start[2]+iz))
+				}
+			}
+		}
+	}
+}
+
+// firstUnwrapped returns a description of the first cell of the local
+// field — owned or ghost — that does not hold its periodically wrapped
+// global value, or "" when every cell does.
+func firstUnwrapped(f *grid.Field, start, w, global [3]int) string {
+	wrap := func(g, n int) int { return ((g % n) + n) % n }
+	d := f.D
+	for v := 0; v < f.Q; v++ {
+		for ix := 0; ix < d.NX; ix++ {
+			for iy := 0; iy < d.NY; iy++ {
+				for iz := 0; iz < d.NZ; iz++ {
+					want := encode(v, wrap(start[0]+ix-w[0], global[0]), wrap(start[1]+iy-w[1], global[1]), wrap(start[2]+iz-w[2], global[2]))
+					if got := f.At(v, ix, iy, iz); got != want {
+						return fmt.Sprintf("cell (%d,%d,%d,%d) = %v, want %v", v, ix, iy, iz, got, want)
+					}
+				}
+			}
+		}
+	}
+	return ""
+}
+
 // TestCartExchangeFillsAllGhosts runs a full exchange over several rank
 // grids and asserts every ghost cell — faces, edges AND corners — holds
 // the periodically wrapped global value after the sequential-axis pass.
@@ -153,16 +189,7 @@ func TestCartExchangePerAxisWidths(t *testing.T) {
 			for i := range f.Data {
 				f.Data[i] = -1 // poison: ghosts must all be overwritten
 			}
-			for v := 0; v < q; v++ {
-				for ix := 0; ix < own[0]; ix++ {
-					for iy := 0; iy < own[1]; iy++ {
-						for iz := 0; iz < own[2]; iz++ {
-							f.Set(v, w[0]+ix, w[1]+iy, w[2]+iz,
-								encode(v, start[0]+ix, start[1]+iy, start[2]+iz))
-						}
-					}
-				}
-			}
+			fillOwned(f, start, own, w)
 			ex, err := NewCartExchanger(q, d, own, w, r.ID, top.Neighbors(r.ID))
 			if err != nil {
 				return err
@@ -173,27 +200,105 @@ func TestCartExchangePerAxisWidths(t *testing.T) {
 				}
 			}
 			ex.ExchangeAll(r, f, true)
-			wrap := func(g, n int) int { return ((g % n) + n) % n }
-			for v := 0; v < q; v++ {
-				for ix := 0; ix < d.NX; ix++ {
-					for iy := 0; iy < d.NY; iy++ {
-						for iz := 0; iz < d.NZ; iz++ {
-							gx := wrap(start[0]+ix-w[0], global[0])
-							gy := wrap(start[1]+iy-w[1], global[1])
-							gz := wrap(start[2]+iz-w[2], global[2])
-							if got, want := f.At(v, ix, iy, iz), encode(v, gx, gy, gz); got != want {
-								t.Errorf("w=%v rank %d: cell (%d,%d,%d,%d) = %v, want %v",
-									w, r.ID, v, ix, iy, iz, got, want)
-								return nil
-							}
-						}
-					}
-				}
+			if bad := firstUnwrapped(f, start, w, global); bad != "" {
+				t.Errorf("w=%v rank %d: %s", w, r.ID, bad)
 			}
 			return nil
 		})
 		if runErr != nil {
 			t.Fatalf("w=%v: %v", w, runErr)
+		}
+	}
+}
+
+// TestZeroWidthAxisHasNoFaces: an axis of ghost width 0 is "no faces on
+// this axis" — the geometry of the paper's slab, whose kernels wrap y and z
+// themselves. Every cell starts as NaN poison except the owned box; after a
+// full exchange every cell of the local field must hold its wrapped global
+// value (ghosted axes filled, nothing else written), the zero-width axes
+// must not message, report no bytes, and move nothing through the fabric
+// even when driven phase by phase, and the fabric's byte count must equal
+// the ghosted axes' accounting — for x-only ghosts 2·8·Q·w·NY·NZ, what the
+// 1-D exchanger used to report.
+func TestZeroWidthAxisHasNoFaces(t *testing.T) {
+	global := [3]int{8, 6, 6}
+	const q = 3
+	cases := []struct {
+		p, w [3]int
+	}{
+		{[3]int{2, 1, 1}, [3]int{2, 0, 0}}, // the slab: messages on x
+		{[3]int{4, 1, 1}, [3]int{1, 0, 0}},
+		{[3]int{1, 1, 1}, [3]int{1, 0, 0}}, // one rank: local x wrap
+		{[3]int{2, 2, 1}, [3]int{1, 2, 0}}, // a pencil that wraps z only
+		{[3]int{1, 1, 1}, [3]int{0, 0, 0}}, // no faces at all
+	}
+	for _, c := range cases {
+		for _, layout := range []grid.Layout{grid.SoA, grid.AoS} {
+			for _, nonblocking := range []bool{false, true} {
+				name := fmt.Sprintf("p=%v w=%v %v nonblocking=%v", c.p, c.w, layout, nonblocking)
+				dec, err := decomp.NewCartesian(global, c.p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fab := comm.NewFabric(dec.Ranks())
+				top, err := fab.Cart(c.p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				runErr := fab.Run(func(r *comm.Rank) error {
+					var start, own [3]int
+					for a := 0; a < 3; a++ {
+						start[a], own[a] = dec.Own(r.ID, a)
+					}
+					w := c.w
+					d := grid.Dims{NX: own[0] + 2*w[0], NY: own[1] + 2*w[1], NZ: own[2] + 2*w[2]}
+					f := grid.NewField(q, d, layout)
+					for i := range f.Data {
+						f.Data[i] = math.NaN()
+					}
+					fillOwned(f, start, own, w)
+					ex, err := NewCartExchanger(q, d, own, w, r.ID, top.Neighbors(r.ID))
+					if err != nil {
+						return err
+					}
+					ex.ExchangeAll(r, f, nonblocking)
+					var accounted int64
+					for a := 0; a < 3; a++ {
+						accounted += ex.BytesPerExchange(a)
+					}
+					if got := r.BytesSent(); got != accounted {
+						t.Errorf("%s rank %d: fabric carried %d B, exchanger accounts for %d", name, r.ID, got, accounted)
+					}
+					if c.w[1] == 0 && c.w[2] == 0 && c.p[0] > 1 {
+						if want := int64(2 * 8 * q * w[0] * d.NY * d.NZ); accounted != want {
+							t.Errorf("%s rank %d: x-only wire bytes %d, want 2·8·Q·w·NY·NZ = %d", name, r.ID, accounted, want)
+						}
+					}
+					bytes, msgs := r.BytesSent(), r.MessagesSent()
+					for a := 0; a < 3; a++ {
+						if w[a] != 0 {
+							continue
+						}
+						if ex.Messaging(a) || ex.BytesPerExchange(a) != 0 {
+							t.Errorf("%s rank %d: zero-width axis %d: Messaging %v, %d B per exchange", name, r.ID, a, ex.Messaging(a), ex.BytesPerExchange(a))
+						}
+						ex.PostRecvsAxis(r, a)
+						ex.SendBordersAxis(r, f, a)
+						ex.WaitUnpackAxis(r, f, a)
+						ex.ExchangeAxis(r, f, a, nonblocking)
+					}
+					if r.BytesSent() != bytes || r.MessagesSent() != msgs {
+						t.Errorf("%s rank %d: driving the zero-width axes sent %d B in %d messages", name, r.ID, r.BytesSent()-bytes, r.MessagesSent()-msgs)
+					}
+					if bad := firstUnwrapped(f, start, w, global); bad != "" {
+						t.Errorf("%s rank %d: %s", name, r.ID, bad)
+					}
+					return nil
+				})
+				if runErr != nil {
+					t.Fatalf("%s: %v", name, runErr)
+				}
+			}
 		}
 	}
 }
@@ -414,6 +519,9 @@ func TestNewCartExchangerValidation(t *testing.T) {
 	d2 := grid.Dims{NX: 7, NY: 6, NZ: 6}
 	if _, err := NewCartExchanger(1, d2, [3]int{1, 4, 4}, [3]int{3, 1, 1}, 0, nb); err == nil {
 		t.Error("own < width accepted")
+	}
+	if _, err := NewCartExchanger(1, grid.Dims{NX: 2, NY: 6, NZ: 6}, [3]int{4, 4, 4}, [3]int{-1, 1, 1}, 0, nb); err == nil {
+		t.Error("negative width accepted")
 	}
 }
 

@@ -1,10 +1,10 @@
-// Package halo implements ghost-cell ("halo") management for the 1-D
-// decomposed solver: packing and unpacking of x-plane slabs, blocking and
-// non-blocking exchange protocols, and the deep-halo schedule of Kjolstad &
-// Snir used by the paper (§V.A): with ghost depth d on a lattice whose
-// particles cross k planes per step, each rank keeps W = d·k ghost planes
-// per side and exchanges them only every d steps, recomputing the ghost
-// region locally in between.
+// Package halo implements ghost-cell ("halo") management for the
+// decomposed solver: packing and unpacking of face cells and the blocking
+// and non-blocking per-axis exchange protocols (cart.go). The schedule on
+// top is the deep halo of Kjolstad & Snir used by the paper (§V.A): with
+// ghost depth d on a lattice whose particles cross k cells per step, each
+// rank keeps W = d·k ghost layers per side and exchanges them only every
+// d steps, recomputing the ghost region locally in between.
 package halo
 
 import (
@@ -12,14 +12,6 @@ import (
 
 	"repro/internal/comm"
 	"repro/internal/grid"
-	"repro/internal/obs"
-)
-
-// Tags for the two message directions. "ToRight" data flows rightward: a
-// rank's right border planes travel to its right neighbor's left ghost.
-const (
-	TagToRight = 0x100
-	TagToLeft  = 0x101
 )
 
 // PackPlanes copies all Q velocities of x-planes [x0,x1) of f into buf and
@@ -113,156 +105,32 @@ func UnpackPlanesVel(f *grid.Field, x0, x1 int, vels []int, buf []float64) int {
 	return n
 }
 
-// Exchanger owns the send/receive buffers for one rank's halo exchange.
-// The field geometry is fixed at construction: own interior planes with
-// width ghost planes on each x side, so plane x ∈ [width, width+own) is
-// owned, [0,width) is the left ghost and [width+own, width+2·width) the
-// right ghost.
-type Exchanger struct {
-	Q     int
-	Dims  grid.Dims // field dims including ghosts
-	Own   int       // owned planes
-	Width int       // ghost planes per side (depth · k)
-	Left  int       // left neighbor rank
-	Right int       // right neighbor rank
+// Exchanger is the x-only CartExchanger under the constructor and method
+// names the 1-D slab exchanger had, which benchmark/ still calls: own
+// planes with width ghost planes on each x side, no faces on y and z.
+type Exchanger struct{ *CartExchanger }
 
-	// Rec, when non-nil, receives pack/wire/unpack spans and per-exchange
-	// traffic counts. The slab exchange is attributed to axis 0 (x).
-	Rec *obs.Recorder
+// anyRank stands in for the rank ID NewExchanger is not told: it equals no
+// neighbor, so ExchangeNonBlocking messages on every side — to the rank
+// itself on a one-rank ring, as the 1-D protocol always did.
+const anyRank = -2
 
-	sendL, sendR []float64
-	recvL, recvR []float64
-	reqL, reqR   *comm.Request
-}
-
-// NewExchanger builds an exchanger for a field of the given shape.
+// NewExchanger builds an x-only exchanger for a field of the given shape.
 func NewExchanger(q int, d grid.Dims, own, width, left, right int) (*Exchanger, error) {
-	if d.NX != own+2*width {
-		return nil, fmt.Errorf("halo: field NX %d != own %d + 2*width %d", d.NX, own, width)
-	}
 	if width < 1 {
 		return nil, fmt.Errorf("halo: width %d < 1", width)
 	}
-	if own < width {
-		// A rank must own at least as many planes as it sends: otherwise a
-		// border message would need data from two ranks away, which the
-		// nearest-neighbor protocol cannot provide.
-		return nil, fmt.Errorf("halo: owned planes %d < halo width %d (grow the domain or reduce depth)", own, width)
+	e, err := NewCartExchanger(q, d, [3]int{own, d.NY, d.NZ}, [3]int{width, 0, 0}, anyRank, [3][2]int{{left, right}})
+	if err != nil {
+		return nil, err
 	}
-	n := q * width * d.PlaneCells()
-	return &Exchanger{
-		Q: q, Dims: d, Own: own, Width: width, Left: left, Right: right,
-		sendL: make([]float64, n), sendR: make([]float64, n),
-		recvL: make([]float64, n), recvR: make([]float64, n),
-	}, nil
-}
-
-// BytesPerExchange returns the payload bytes this rank sends per exchange
-// (both directions).
-func (e *Exchanger) BytesPerExchange() int64 {
-	return int64(2 * 8 * e.Q * e.Width * e.Dims.PlaneCells())
-}
-
-// ExchangeBlocking performs a full-width halo exchange with blocking
-// sends/receives (the pre-NB-C protocol, §V.E "naive implementation used
-// blocking communication").
-func (e *Exchanger) ExchangeBlocking(r *comm.Rank, f *grid.Field) {
-	t0 := e.Rec.Begin()
-	e.packBorders(f)
-	// Eager buffered sends cannot deadlock; order recvs after both sends.
-	r.Send(e.Left, TagToLeft, e.sendL)
-	r.Send(e.Right, TagToRight, e.sendR)
-	e.Rec.EndAxis(obs.Pack, 0, t0)
-	e.Rec.AddComm(0, e.BytesPerExchange(), 2)
-	t0 = e.Rec.Begin()
-	r.Recv(e.Right, TagToLeft, e.recvR)
-	r.Recv(e.Left, TagToRight, e.recvL)
-	e.Rec.EndAxis(obs.Wire, 0, t0)
-	t0 = e.Rec.Begin()
-	e.unpackGhosts(f)
-	e.Rec.EndAxis(obs.Unpack, 0, t0)
-}
-
-// PostRecvs posts the two ghost receives early (MPI_Irecv before local
-// computation, §V.E).
-func (e *Exchanger) PostRecvs(r *comm.Rank) {
-	e.reqL = r.Irecv(e.Left, TagToRight, e.recvL)
-	e.reqR = r.Irecv(e.Right, TagToLeft, e.recvR)
-}
-
-// SendBorders packs the border planes of f and sends them non-blocking.
-func (e *Exchanger) SendBorders(r *comm.Rank, f *grid.Field) {
-	t0 := e.Rec.Begin()
-	e.packBorders(f)
-	r.Isend(e.Left, TagToLeft, e.sendL)
-	r.Isend(e.Right, TagToRight, e.sendR)
-	e.Rec.EndAxis(obs.Pack, 0, t0)
-	e.Rec.AddComm(0, e.BytesPerExchange(), 2)
-}
-
-// WaitUnpack completes the posted receives and fills the ghost planes of f.
-// PostRecvs must have been called first.
-func (e *Exchanger) WaitUnpack(r *comm.Rank, f *grid.Field) {
-	if e.reqL == nil || e.reqR == nil {
-		panic("halo: WaitUnpack without PostRecvs")
-	}
-	t0 := e.Rec.Begin()
-	r.Wait(e.reqL, e.reqR)
-	e.Rec.EndAxis(obs.Wire, 0, t0)
-	e.reqL, e.reqR = nil, nil
-	t0 = e.Rec.Begin()
-	e.unpackGhosts(f)
-	e.Rec.EndAxis(obs.Unpack, 0, t0)
+	return &Exchanger{e}, nil
 }
 
 // ExchangeNonBlocking is the NB-C protocol as one call: post receives, send
 // borders, wait, unpack.
-func (e *Exchanger) ExchangeNonBlocking(r *comm.Rank, f *grid.Field) {
-	e.PostRecvs(r)
-	e.SendBorders(r, f)
-	e.WaitUnpack(r, f)
-}
+func (e *Exchanger) ExchangeNonBlocking(r *comm.Rank, f *grid.Field) { e.ExchangeAxis(r, f, 0, true) }
 
 // ExchangeLocal fills the ghost planes directly from the owned borders for
-// single-rank runs (periodic in x without messaging). It is the fast path
-// used when both neighbors are the rank itself.
-func (e *Exchanger) ExchangeLocal(f *grid.Field) {
-	w, own := e.Width, e.Own
-	// Left ghost [0,w) <- right border [own, own+w), right ghost
-	// [w+own, w+own+w) <- left border [w, 2w) (periodic wraps). Staging
-	// reads only owned planes and ghost writes only ghost planes, so both
-	// packs may run before both unpacks.
-	t0 := e.Rec.Begin()
-	nR := PackPlanes(f, own, own+w, e.sendR)
-	nL := PackPlanes(f, w, 2*w, e.sendL)
-	e.Rec.EndAxis(obs.Pack, 0, t0)
-	t0 = e.Rec.Begin()
-	UnpackPlanes(f, 0, w, e.sendR[:nR])
-	UnpackPlanes(f, w+own, w+own+w, e.sendL[:nL])
-	e.Rec.EndAxis(obs.Unpack, 0, t0)
-}
-
-func (e *Exchanger) packBorders(f *grid.Field) {
-	w, own := e.Width, e.Own
-	PackPlanes(f, w, 2*w, e.sendL)     // left border -> left neighbor
-	PackPlanes(f, own, own+w, e.sendR) // right border -> right neighbor
-}
-
-func (e *Exchanger) unpackGhosts(f *grid.Field) {
-	w, own := e.Width, e.Own
-	UnpackPlanes(f, 0, w, e.recvL)           // left ghost from left neighbor
-	UnpackPlanes(f, w+own, w+own+w, e.recvR) // right ghost from right neighbor
-}
-
-// CycleExtents returns, for a deep-halo cycle of the given depth on a
-// lattice with unit halo width k, the extra planes beyond the owned region
-// that remain valid as *inputs* to each step s of the cycle: ext(s) =
-// (depth−s)·k. The step may therefore compute outputs on owned ± (ext(s)−k)
-// planes; the final step (s = depth−1) computes exactly the owned region.
-func CycleExtents(depth, k int) []int {
-	ext := make([]int, depth)
-	for s := 0; s < depth; s++ {
-		ext[s] = (depth - s) * k
-	}
-	return ext
-}
+// single-rank runs (periodic in x without messaging).
+func (e *Exchanger) ExchangeLocal(f *grid.Field) { e.exchangeLocalAxis(f, 0) }

@@ -114,12 +114,13 @@ func TestNewExchangerValidation(t *testing.T) {
 		t.Error("own < width accepted")
 	}
 	if _, err := NewExchanger(3, grid.Dims{NX: 4, NY: 2, NZ: 2}, 4, 0, 0, 0); err == nil {
-		t.Error("width 0 accepted")
+		t.Error("width 0 accepted: the x-only exchanger exists for its x faces")
 	}
 }
 
-// ringFields builds one halo-extended field per rank over a global x extent,
-// with globally unique values, and returns a verifier.
+// ringTest builds one halo-extended field per rank over a global x extent,
+// with globally unique values, runs exch on the x-only exchanger of each
+// rank (ghosts on x, none on y and z) and verifies the x ghosts.
 func ringTest(t *testing.T, ranks, own, width int, exch func(e *Exchanger, r *comm.Rank, f *grid.Field)) {
 	t.Helper()
 	d := grid.Dims{NX: own + 2*width, NY: 2, NZ: 2}
@@ -176,7 +177,7 @@ func ringTest(t *testing.T, ranks, own, width int, exch func(e *Exchanger, r *co
 
 func TestExchangeBlockingRing(t *testing.T) {
 	ringTest(t, 4, 3, 2, func(e *Exchanger, r *comm.Rank, f *grid.Field) {
-		e.ExchangeBlocking(r, f)
+		e.ExchangeAxis(r, f, 0, false)
 	})
 }
 
@@ -187,11 +188,11 @@ func TestExchangeNonBlockingRing(t *testing.T) {
 }
 
 func TestExchangeSplitPhases(t *testing.T) {
-	// PostRecvs / SendBorders / WaitUnpack in the overlapped order.
+	// PostRecvsAxis / SendBordersAxis / WaitUnpackAxis in the overlapped order.
 	ringTest(t, 4, 4, 3, func(e *Exchanger, r *comm.Rank, f *grid.Field) {
-		e.PostRecvs(r)
-		e.SendBorders(r, f)
-		e.WaitUnpack(r, f)
+		e.PostRecvsAxis(r, 0)
+		e.SendBordersAxis(r, f, 0)
+		e.WaitUnpackAxis(r, f, 0)
 	})
 }
 
@@ -214,32 +215,38 @@ func TestWaitUnpackWithoutPostPanics(t *testing.T) {
 	e, _ := NewExchanger(2, d, 4, 1, 0, 0)
 	fab := comm.NewFabric(1)
 	err := fab.Run(func(r *comm.Rank) error {
-		e.WaitUnpack(r, grid.NewField(2, d, grid.SoA))
+		e.WaitUnpackAxis(r, grid.NewField(2, d, grid.SoA), 0)
 		return nil
 	})
 	if err == nil {
-		t.Fatal("expected panic error from WaitUnpack without PostRecvs")
+		t.Fatal("expected panic error from WaitUnpackAxis without PostRecvsAxis")
 	}
 }
 
+// TestBytesPerExchange: an x-only exchanger's wire bytes are the two full
+// x faces, 2·8·Q·w·NY·NZ, in both layouts — what the 1-D exchanger it
+// replaced reported — and zero on the axes that carry no ghosts.
 func TestBytesPerExchange(t *testing.T) {
 	d := grid.Dims{NX: 8, NY: 3, NZ: 5}
-	e, _ := NewExchanger(19, d, 4, 2, 0, 0)
-	want := int64(2 * 8 * 19 * 2 * 15)
-	if got := e.BytesPerExchange(); got != want {
-		t.Errorf("BytesPerExchange = %d, want %d", got, want)
+	e, err := NewExchanger(19, d, 4, 2, 1, 1)
+	if err != nil {
+		t.Fatal(err)
 	}
-}
-
-func TestCycleExtents(t *testing.T) {
-	got := CycleExtents(3, 2)
-	want := []int{6, 4, 2}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("CycleExtents(3,2) = %v, want %v", got, want)
+	want := int64(2 * 8 * 19 * 2 * 15)
+	if got := e.BytesPerExchange(0); got != want {
+		t.Errorf("BytesPerExchange(x) = %d, want %d", got, want)
+	}
+	for _, l := range []grid.Layout{grid.SoA, grid.AoS} {
+		f := grid.NewField(19, d, l)
+		var sent int
+		for side := 0; side < 2; side++ {
+			sent += 8 * len(e.packFace(f, 0, side))
+		}
+		if int64(sent) != want {
+			t.Errorf("%v: packed %d B over the two x faces, want %d", l, sent, want)
 		}
 	}
-	if one := CycleExtents(1, 3); len(one) != 1 || one[0] != 3 {
-		t.Errorf("CycleExtents(1,3) = %v, want [3]", one)
+	if y, z := e.BytesPerExchange(1), e.BytesPerExchange(2); y != 0 || z != 0 {
+		t.Errorf("ghostless axes report %d / %d B, want 0", y, z)
 	}
 }

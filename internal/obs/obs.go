@@ -74,7 +74,7 @@ func PhaseByName(name string) (Phase, bool) {
 }
 
 // NoAxis marks a span not attributed to a lattice axis (interior compute,
-// fixup, the slab protocol's single exchange direction is axis 0 instead).
+// fixup).
 const NoAxis = -1
 
 // axisSlots is the per-phase accumulator width: axes 0-2 plus one slot
@@ -150,18 +150,14 @@ func (r *Recorder) EndAxis(p Phase, axis int, t0 time.Time) {
 	}
 }
 
-// AddComm counts halo payload sent over one axis: bytes of field data and
-// the number of messages carrying them.
+// AddComm counts halo payload sent over one axis (0=x, 1=y, 2=z): bytes
+// of field data and the number of messages carrying them.
 func (r *Recorder) AddComm(axis int, bytes, msgs int64) {
 	if r == nil {
 		return
 	}
-	s := axisSlot(axis)
-	if s == 3 {
-		s = 0 // the slab protocol's single direction is the x axis
-	}
-	r.bytes[s] += bytes
-	r.msgs[s] += msgs
+	r.bytes[axis] += bytes
+	r.msgs[axis] += msgs
 }
 
 // PhaseObs is the aggregate of one (phase, axis) pair on one rank.

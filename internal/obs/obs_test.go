@@ -43,7 +43,7 @@ func TestRecorderAccounting(t *testing.T) {
 	t0 = r.Begin()
 	r.EndAxis(Rim, 1, t0)
 	r.AddComm(1, 512, 2)
-	r.AddComm(NoAxis, 64, 1) // slab protocol: folds onto x
+	r.AddComm(0, 64, 1)
 
 	o := r.Observation()
 	if o.Rank != 3 {

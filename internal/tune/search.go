@@ -214,19 +214,16 @@ func depthTriples(shape [3]int, depths []int) [][3]int {
 	return out
 }
 
-// Enumerate builds the filtered candidate list for a scenario: the cross
-// product of the space's dimensions minus everything the solver would
-// reject (constraint filters mirror core.Config validation) or that is
-// meaningless for the scenario (fused on bounded/masked domains, sparse
-// without a mask).
+// Enumerate builds the candidate list for a scenario: the cross product
+// of the space's dimensions, minus the points that only duplicate another
+// (odd AA depths, sparse or fluid-balanced without a mask), filtered
+// through the solver's own rulebook — a candidate is legal exactly when
+// core.Config.Validate accepts the config it materializes into.
 func Enumerate(s *Scenario, sp Space) []Candidate {
-	k := s.Model.MaxSpeed
-	masked := s.Solid != nil
-	bounded := s.Boundary != nil
 	var out []Candidate
 	balances := []string{""}
 	sparses := []bool{false}
-	if masked {
+	if s.Solid != nil {
 		balances = append(balances, core.BalanceFluid.String())
 		sparses = append(sparses, true)
 	}
@@ -237,43 +234,27 @@ func Enumerate(s *Scenario, sp Space) []Candidate {
 			}
 			for _, shape := range shapes(ranks) {
 				for _, depth := range depthTriples(shape, sp.Depths) {
-					// Halo width must fit the smallest block on every
-					// decomposed axis (equal-extent estimate; weighted cuts
-					// are re-checked at pricing).
-					ok := true
-					for a, n := range [3]int{s.N.NX, s.N.NY, s.N.NZ} {
-						if n/shape[a] < depth[a]*k {
-							ok = false
-						}
-					}
-					if !ok {
-						continue
-					}
 					for _, opt := range sp.Opts {
 						for _, stream := range sp.Streams {
-							aa := stream == core.StreamAA.String()
-							if aa && !evenDepths(depth) {
+							if stream == core.StreamAA.String() && !evenDepths(depth) {
 								// AA exchanges at step-pair boundaries only:
 								// odd depths round up anyway, so enumerating
 								// them just duplicates the even candidate.
 								continue
 							}
 							for _, fused := range sp.Fused {
-								if fused && (aa || masked || bounded) {
-									continue
-								}
 								for _, kernel := range sp.Kernels {
-									if fused && kernel != "bgk" {
-										continue
-									}
 									for _, bal := range balances {
 										for _, sparse := range sparses {
-											out = append(out, Candidate{
+											c := Candidate{
 												Ranks: ranks, Decomp: shape, Threads: threads,
 												Opt: opt, Depth: depth, Stream: stream,
 												Kernel: kernel, Fused: fused,
 												Balance: bal, Sparse: sparse,
-											})
+											}
+											if cfg, err := c.Config(s, 1); err == nil && cfg.Validate() == nil {
+												out = append(out, c)
+											}
 										}
 									}
 								}

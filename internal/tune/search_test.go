@@ -66,9 +66,33 @@ func smallSpace() Space {
 	}
 }
 
+// TestEnumerateCounts pins the size of the candidate space per scenario,
+// over the test space and over the two-worker default space the benchmark
+// prices (its tune.candidates metric). The numbers are what the
+// hand-written filters produced before Enumerate was routed through
+// core.Config.Validate: the rulebook moved, the space must not.
+func TestEnumerateCounts(t *testing.T) {
+	for _, c := range []struct {
+		s               *Scenario
+		small, default2 int
+	}{
+		{testScenario(), 104, 93},
+		{maskedScenario(3), 240, 216},
+		{boundedScenario(), 60, 54},
+	} {
+		if got := len(Enumerate(c.s, smallSpace())); got != c.small {
+			t.Errorf("%s: %d candidates over the test space, want %d", c.s.Name, got, c.small)
+		}
+		if got := len(Enumerate(c.s, DefaultSpace(2))); got != c.default2 {
+			t.Errorf("%s: %d candidates over DefaultSpace(2), want %d", c.s.Name, got, c.default2)
+		}
+	}
+}
+
 // TestEnumerateRunnable: every enumerated candidate must materialize into
-// a config the real solver accepts — the filters mirror core validation,
-// and a drift between them would silently shrink the search space.
+// a config the real solver runs — Enumerate filters through the solver's
+// own Validate, so this holds by construction; the runs guard Validate
+// itself against accepting what the stepper then rejects.
 func TestEnumerateRunnable(t *testing.T) {
 	for _, s := range []*Scenario{testScenario(), maskedScenario(3), boundedScenario()} {
 		cands := Enumerate(s, smallSpace())
