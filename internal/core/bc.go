@@ -19,7 +19,7 @@ package core
 //
 // Bounded runs always carry ghosts on every axis, even for slab-shaped
 // rank grids: the boundary data lives in the ghost faces, so no axis of a
-// bounded run may be left to the kernels' own wrap (Config.ghostGeometry).
+// bounded run may be left to the kernels' own wrap (GhostWidths).
 
 import "fmt"
 

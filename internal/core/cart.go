@@ -8,7 +8,7 @@ package core
 // axis-aligned box between refreshes. An axis the rank wraps onto itself
 // still carries ghosts, filled by a local copy, so the kernels stream
 // across it as plain offset copies — except on the paper's periodic slab,
-// whose y and z axes carry none (w = 0, "wrap axes": Config.ghostGeometry)
+// whose y and z axes carry none (w = 0, "wrap axes": GhostWidths)
 // and are wrapped by the stream kernels (stream.go), the fused gather
 // (fused.go) and the bounce-back link builder (buildMask) themselves.
 // Everything else here is geometry-blind.

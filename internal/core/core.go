@@ -9,7 +9,7 @@
 // One stepper (cart.go) runs every configuration. Its geometry is data:
 // each axis carries ghost layers of width depth·k, except that the paper's
 // own case — a fully periodic domain cut into x slabs — keeps ghosts on x
-// only and lets the kernels wrap across y and z (Config.ghostGeometry).
+// only and lets the kernels wrap across y and z (GhostWidths).
 //
 // The collision arithmetic lives in one place: collide.go holds one row
 // kernel per rung of the ladder (naive, row-generic, pair-symmetric) and
@@ -573,23 +573,35 @@ func (c *Config) ghostDepths() [3]int {
 	return [3]int{c.GhostDepth, c.GhostDepth, c.GhostDepth}
 }
 
-// slabPath reports whether the run is the paper's own case: a 1-D shape
-// with a fully periodic domain, one uniform ghost depth, two-grid
-// streaming and dense traversal. It no longer selects a stepper — only
-// the x-only ghost geometry (ghostGeometry), and with it the legality of
-// the Orig and AoS rungs.
+// GhostWidths is the one rule for which axes carry ghost layers; the
+// stepper (Config.ghostGeometry) and the performance model (perfsim.Run)
+// both ask it. Axis a carries dk[a] = depth[a]·k ghost cells per side —
+// except in the paper's own case, a fully periodic domain cut into x slabs
+// (shape P×1×1) under one uniform depth, two-grid streaming and dense
+// traversal, which keeps ghosts on x only: y and z are undecomposed
+// periodic axes there, so the kernels wrap across them (width 0) instead
+// of reading copies. Nothing else may wrap: boundary fills, per-axis
+// depths, AA's slot stars and the sparse run index all live in ghost
+// layers.
+func GhostWidths(shape [3]int, bounded [3]bool, uniformDepth bool, stream StreamScheme, sparse bool, dk [3]int) [3]int {
+	if shape[1] == 1 && shape[2] == 1 && bounded == ([3]bool{}) && uniformDepth &&
+		stream != StreamAA && !sparse {
+		dk[1], dk[2] = 0, 0
+	}
+	return dk
+}
+
+// slabPath reports whether the run keeps the paper's x-only ghost
+// geometry (GhostWidths), and with it the legality of the Orig and AoS
+// rungs.
 func (c *Config) slabPath(dec decomp.Cartesian) bool {
-	return dec.IsSlab() && c.Boundary == nil && c.GhostDepthAxes == ([3]int{}) &&
-		c.Stream != StreamAA && !c.Sparse
+	_, w := c.ghostGeometry(dec)
+	return w[1] == 0 && w[2] == 0
 }
 
 // ghostGeometry resolves the run's per-axis deep-halo depths and ghost
-// widths. Axis a carries depth[a]·k ghost cells per side, refreshed every
-// depth[a] steps (AA rounds depths up to even) — except on the periodic
-// slab, which carries ghosts on x only: y and z are undecomposed periodic
-// axes there, so the kernels wrap across them (width 0) instead of
-// reading copies. Nothing else may wrap: boundary fills, per-axis depths,
-// AA's slot stars and the sparse run index all live in ghost layers.
+// widths: axis a's w[a] cells per side (GhostWidths) are refreshed every
+// depth[a] steps (AA rounds depths up to even).
 func (c *Config) ghostGeometry(dec decomp.Cartesian) (depth, w [3]int) {
 	depth = c.ghostDepths()
 	if c.Stream == StreamAA {
@@ -598,10 +610,7 @@ func (c *Config) ghostGeometry(dec decomp.Cartesian) (depth, w [3]int) {
 	for a := range w {
 		w[a] = depth[a] * c.Model.MaxSpeed
 	}
-	if c.slabPath(dec) {
-		w[1], w[2] = 0, 0
-	}
-	return depth, w
+	return depth, GhostWidths(dec.Shape(), dec.Bounded, c.GhostDepthAxes == ([3]int{}), c.Stream, c.Sparse, w)
 }
 
 // aaDepths rounds per-axis deep-halo depths up to the next even value:

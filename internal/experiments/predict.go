@@ -136,7 +136,7 @@ func Predict(modelName string, steps int, coeffs *perfsim.Coeffs) (*PredictRepor
 		if err != nil {
 			return nil, fmt.Errorf("predict: %s: %w", jb.label, err)
 		}
-		observed[i] = meanObserved(res.Observations)
+		observed[i] = obs.MeanPhases(obs.Vectors(res.Observations))
 		obsTotals[i] = res.WallTime.Seconds()
 	}
 
@@ -235,34 +235,7 @@ func predictOne(m *lattice.Model, jb predictJob, steps int, memBW float64, coeff
 	if err != nil {
 		return predictSim{}, fmt.Errorf("predict: %s: %w", jb.label, err)
 	}
-	var mean obs.PhaseSeconds
-	for _, ph := range res.RankPhases {
-		for p := range mean {
-			mean[p] += ph[p]
-		}
-	}
-	for p := range mean {
-		mean[p] /= float64(len(res.RankPhases))
-	}
-	return predictSim{phases: mean, total: res.Seconds}, nil
-}
-
-// meanObserved averages the per-rank observed phase vectors.
-func meanObserved(ranks []obs.RankObservation) obs.PhaseSeconds {
-	var mean obs.PhaseSeconds
-	if len(ranks) == 0 {
-		return mean
-	}
-	for i := range ranks {
-		v := ranks[i].Vector()
-		for p := range mean {
-			mean[p] += v[p]
-		}
-	}
-	for p := range mean {
-		mean[p] /= float64(len(ranks))
-	}
-	return mean
+	return predictSim{phases: obs.MeanPhases(res.RankPhases), total: res.Seconds}, nil
 }
 
 // Table renders the report for the terminal.

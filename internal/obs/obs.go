@@ -274,3 +274,31 @@ func (o *RankObservation) Vector() PhaseSeconds {
 	}
 	return ps
 }
+
+// Vectors returns each rank observation's phase vector.
+func Vectors(ranks []RankObservation) []PhaseSeconds {
+	out := make([]PhaseSeconds, len(ranks))
+	for i := range ranks {
+		out[i] = ranks[i].Vector()
+	}
+	return out
+}
+
+// MeanPhases averages per-rank phase vectors — observed (Vectors) or
+// predicted (perfsim's Result.RankPhases) — into the across-rank mean the
+// observe-predict bridge compares. Zero for no ranks.
+func MeanPhases(ranks []PhaseSeconds) PhaseSeconds {
+	var mean PhaseSeconds
+	if len(ranks) == 0 {
+		return mean
+	}
+	for _, v := range ranks {
+		for p := range mean {
+			mean[p] += v[p]
+		}
+	}
+	for p := range mean {
+		mean[p] /= float64(len(ranks))
+	}
+	return mean
+}

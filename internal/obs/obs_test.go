@@ -198,3 +198,21 @@ func TestTraceGoldenShape(t *testing.T) {
 		t.Errorf("empty trace = %s (err %v)", buf.Bytes(), err)
 	}
 }
+
+// TestMeanPhases: the across-rank mean is per phase, takes observed and
+// predicted vectors alike, and no ranks means the zero vector (not NaN).
+func TestMeanPhases(t *testing.T) {
+	ranks := []RankObservation{
+		{Phases: []PhaseObs{{Phase: "interior", Seconds: 1}, {Phase: "wire", Seconds: 2}, {Phase: "wire", Axis: 1, Seconds: 4}}},
+		{Phases: []PhaseObs{{Phase: "interior", Seconds: 3}}},
+	}
+	got := MeanPhases(Vectors(ranks))
+	var want PhaseSeconds
+	want[Interior], want[Wire] = 2, 3
+	if got != want {
+		t.Errorf("MeanPhases = %v, want %v", got, want)
+	}
+	if got := MeanPhases(nil); got != (PhaseSeconds{}) {
+		t.Errorf("MeanPhases(nil) = %v, want zero", got)
+	}
+}

@@ -10,6 +10,17 @@
 // same schedule onto the published hardware constants to regenerate the
 // shapes of Fig. 8-11 and Tables III/IV at 128-2048 ranks.
 //
+// There is one ghost-cell schedule (simState.run), as there is one stepper:
+// the ghost geometry is data, per-axis widths obtained from the solver's
+// own rule (core.GhostWidths, fed Job.Decomp, Job.Bounded, Job.Stream and
+// whether a rank fluid profile is present). The paper's periodic slab is
+// its x-only case; bounded, AA and sparse slabs and every multi-axis shape
+// carry ghosts on all three axes — box growth, face cross-sections, local
+// wraps and resident memory follow the widths, so the model prices each
+// job on the geometry the solver runs it on and rejects the jobs the
+// solver rejects. The no-ghost Orig protocol keeps its own per-step loop
+// (runOrig) over the same per-rank geometry table.
+//
 // Per-optimization-level efficiency factors are calibrated once, in
 // calibration.go, against the paper's own statements (e.g. "DH gained 30%
 // on BG/P but 75% on BG/Q", "O3 on BG/Q produced 2.5×"); everything else —
@@ -50,17 +61,21 @@ type Job struct {
 	NX, NY, NZ int
 	// Decomp is the rank-grid shape (Px, Py, Pz); its product must equal
 	// Nodes × TasksPerNode. The zero value selects the paper's 1-D slab.
-	// Multi-axis shapes model the sequential per-axis exchange of the
-	// real cart solver: per-axis message sizes shrink with the block
-	// cross-sections, which is how 3-D beats 1-D per-rank surface at
-	// scale.
+	// The shape is the first input of the ghost-geometry rule
+	// (core.GhostWidths): a P×1×1 slab of a periodic, two-grid, dense job
+	// keeps ghosts on x only; every other job carries them on all axes and
+	// refreshes them in the sequential per-axis exchange of the solver —
+	// per-axis message sizes shrink with the block cross-sections, which
+	// is how 3-D beats 1-D per-rank surface at scale.
 	Decomp [3]int
 	// Bounded marks non-periodic axes (walls, lids, outflow): the edge
 	// ranks of a bounded axis have no wraparound partner, so they skip
 	// the message across the global boundary and write their boundary
 	// ghost faces locally instead (a memory copy, not a message) — the
 	// schedule of the bounded solver. An interior rank of a bounded axis
-	// communicates exactly like a periodic one.
+	// communicates exactly like a periodic one. Any bounded axis puts
+	// ghosts on every axis (boundary fills live in ghost layers), slab
+	// shapes included.
 	Bounded [3]bool
 	Steps   int
 	Depth   int // ghost-cell depth (1 for OptOrig)
@@ -76,7 +91,9 @@ type Job struct {
 	// step (read f, write fadv, re-read for the collide); the AA in-place
 	// scheme keeps one field touched twice per sub-step, so the resident
 	// footprint halves and the streamed traffic drops by a third. AA
-	// exchanges only at pair boundaries, so Depth rounds up to even.
+	// exchanges only at pair boundaries, so Depth rounds up to even, and
+	// its slot stars live in ghost layers: an AA job carries ghosts on
+	// every axis whatever its shape.
 	Stream core.StreamScheme
 
 	// Weights, when non-nil on a decomposed axis, places that axis's cut
@@ -86,13 +103,14 @@ type Job struct {
 	// and schedule are unchanged; only the per-rank extents move.
 	Weights [3][]int
 	// RankFluids, when non-nil, gives each rank's fluid-cell count (length
-	// Nodes × TasksPerNode, e.g. from FluidCounts): compute windows scale
-	// by each rank's fluid fraction — the sparse-traversal cost model on a
-	// masked domain — and MFlups normalizes by total fluid cells, the
-	// paper's Mflup/s. The geometry then IS the load imbalance, so the
-	// synthetic Imbalance knob is rejected alongside it (Persistent-
-	// Imbalance, which models machine asymmetry rather than work
-	// asymmetry, still composes).
+	// Nodes × TasksPerNode, e.g. from FluidCounts): compute windows and
+	// halo payloads scale by each rank's fluid fraction — the
+	// sparse-traversal cost model on a masked domain — and MFlups
+	// normalizes by total fluid cells, the paper's Mflup/s. The sparse run
+	// index lives in ghost layers, so the job carries ghosts on every
+	// axis. The geometry then IS the load imbalance, so the synthetic
+	// Imbalance knob is rejected alongside it (PersistentImbalance, which
+	// models machine asymmetry rather than work asymmetry, still composes).
 	RankFluids []int
 
 	// Imbalance is the peak fractional per-step compute jitter (uniform in
@@ -212,12 +230,6 @@ func (j *Job) validate() error {
 	if got := j.Decomp[0] * j.Decomp[1] * j.Decomp[2]; got != ranks {
 		return fmt.Errorf("perfsim: decomposition %dx%dx%d covers %d ranks, job has %d",
 			j.Decomp[0], j.Decomp[1], j.Decomp[2], got, ranks)
-	}
-	if j.Opt == core.OptOrig && !(j.Decomp[1] == 1 && j.Decomp[2] == 1) {
-		return fmt.Errorf("perfsim: the no-ghost Orig protocol is slab-only")
-	}
-	if j.Opt == core.OptOrig && j.Bounded != ([3]bool{}) {
-		return fmt.Errorf("perfsim: the no-ghost Orig protocol is periodic-only (boundaries need ghost cells)")
 	}
 	for a, n := range [3]int{j.NX, j.NY, j.NZ} {
 		if n < j.Decomp[a] {
@@ -346,9 +358,6 @@ func Run(j Job) (*Result, error) {
 	}
 	fields := 2.0
 	if j.Stream == core.StreamAA {
-		if j.Opt == core.OptOrig {
-			return nil, fmt.Errorf("perfsim: AA streaming requires ghost cells (OptOrig is two-grid-only)")
-		}
 		if j.Depth%2 == 1 {
 			j.Depth++
 		}
@@ -370,65 +379,48 @@ func Run(j Job) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	rt := j.deriveRates()
-	w := j.Depth * j.K
-	plane := float64(j.NY * j.NZ)
-	q := float64(j.Spec.Q)
-
-	// Per-task memory: the scheme's resident fields (two for two-grid, one
-	// for AA) over the owned block plus margins — 2W per decomposed-path
-	// axis (slab: x only; multi-axis: all three), 2k for OptOrig.
-	var bytesPerTask float64
-	if dec.IsSlab() {
-		maxOwn := float64(dec.MaxOwn(0))
-		margins := float64(2 * w)
-		if j.Opt == core.OptOrig {
-			margins = float64(2 * j.K)
-		}
-		bytesPerTask = fields * 8 * q * (maxOwn + margins) * plane
-	} else {
-		cells := 1.0
-		for a := 0; a < 3; a++ {
-			cells *= float64(dec.MaxOwn(a) + 2*w)
-		}
-		bytesPerTask = fields * 8 * q * cells
+	// The ghost geometry is the solver's: Job.Depth is one uniform depth, a
+	// rank fluid profile means the sparse traversal. Orig's transient
+	// egress margins are the depth-1 x-only case, the only one it has.
+	dk := j.Depth * j.K
+	w := core.GhostWidths(j.Decomp, j.Bounded, true, j.Stream, j.RankFluids != nil, [3]int{dk, dk, dk})
+	if j.Opt == core.OptOrig && (w[1] > 0 || w[2] > 0) {
+		return nil, fmt.Errorf("perfsim: the no-ghost Orig protocol is periodic-slab-only (two-grid, dense); use a ghost-cell level")
 	}
-	oom := bytesPerTask > j.Machine.MemPerNodeBytes/float64(j.TasksPerNode)
+	// Per-task memory: the scheme's resident fields (two for two-grid, one
+	// for AA) over the widest owned block plus its ghost layers.
+	bytesPerTask := fields * 8 * float64(j.Spec.Q)
+	for a := 0; a < 3; a++ {
+		// A border message must be owned entirely by one rank.
+		if mo := dec.MinOwn(a); mo < w[a] {
+			return nil, fmt.Errorf("perfsim: axis %d smallest block (%d cells) < halo width %d (depth %d × k %d)", a, mo, w[a], j.Depth, j.K)
+		}
+		bytesPerTask *= float64(dec.MaxOwn(a) + 2*w[a])
+	}
 
 	st := &simState{
-		j: j, dec: dec, rt: rt, ranks: ranks,
-		w: w, plane: plane, q: q,
+		j: j, dec: dec, rt: j.deriveRates(), ranks: ranks, w: w,
+		geo:   make([]rankGeom, ranks),
 		clock: make([]float64, ranks),
 		comm:  make([]float64, ranks),
 		phase: make([]obs.PhaseSeconds, ranks),
 		rng:   make([]*metrics.RNG, ranks),
-		slow:  make([]float64, ranks),
 	}
 	for r := 0; r < ranks; r++ {
 		st.rng[r] = metrics.NewRNG(j.Seed*0x9e3779b97f4a7c15 + uint64(r) + 1)
-		st.slow[r] = 1 + j.PersistentImbalance*st.rng[r].Float64()
+		st.geo[r] = st.rankGeometry(r, 1+j.PersistentImbalance*st.rng[r].Float64())
 	}
-	if j.RankFluids != nil {
-		// Sparse-traversal cost model: each rank's compute window scales by
-		// its fluid fraction — the cut placement, not a random draw, decides
-		// who the straggler is.
-		st.ffrac = make([]float64, ranks)
-		for r := 0; r < ranks; r++ {
-			var vol float64 = 1
-			for a := 0; a < 3; a++ {
-				_, n := dec.Own(r, a)
-				vol *= float64(n)
-			}
-			st.ffrac[r] = float64(j.RankFluids[r]) / vol
-		}
+	if j.Opt == core.OptOrig {
+		st.runOrig()
+	} else {
+		st.run()
 	}
-	ghost := st.run()
 
 	res := &Result{
 		PerRankSeconds: st.clock,
 		CommSeconds:    st.comm,
 		BytesPerTask:   bytesPerTask,
-		OOM:            oom,
+		OOM:            bytesPerTask > j.Machine.MemPerNodeBytes/float64(j.TasksPerNode),
 		AxisBytes:      st.axisBytes(),
 		RankPhases:     st.phase,
 	}
@@ -437,8 +429,8 @@ func Run(j Job) (*Result, error) {
 			res.Seconds = c
 		}
 	}
-	interior := float64(j.Steps) * float64(j.NX) * plane
 	cells := j.NX * j.NY * j.NZ
+	res.GhostUpdateFraction = st.ghostUpdates() / (float64(j.Steps) * float64(cells))
 	if j.RankFluids != nil {
 		// Mflup/s counts fluid-cell updates, the paper's normalization for
 		// sparse geometries (and the solver's own MFlups on masked runs).
@@ -448,7 +440,6 @@ func Run(j Job) (*Result, error) {
 		}
 	}
 	res.MFlups = metrics.MFlupsFromSeconds(j.Steps, cells, res.Seconds)
-	res.GhostUpdateFraction = ghost / interior
 	return res, nil
 }
 
@@ -458,24 +449,123 @@ type simState struct {
 	dec   decomp.Cartesian
 	rt    rates
 	ranks int
-	w     int
-	plane float64
-	q     float64
+	// w is the ghost width per side per axis (core.GhostWidths): depth·k,
+	// or 0 on the periodic slab's y and z, which the kernels wrap.
+	w     [3]int
+	geo   []rankGeom
 	clock []float64
 	comm  []float64
 	phase []obs.PhaseSeconds // per-rank clock decomposition (Result.RankPhases)
 	rng   []*metrics.RNG
-	slow  []float64 // per-rank persistent slowdown factor
-	ffrac []float64 // per-rank fluid fraction (nil = dense, fraction 1)
 }
 
-// fluidScale returns rank r's compute-window scale: its fluid fraction
-// under the sparse cost model, 1 on dense jobs.
-func (st *simState) fluidScale(r int) float64 {
-	if st.ffrac == nil {
-		return 1
+// rankGeom is everything the schedule needs of one rank that depends on
+// its geometry alone, computed once per Run rather than once per cycle.
+type rankGeom struct {
+	// step[s] is the unjittered compute time of step s of a cycle; ghost[s]
+	// counts that step's cell updates beyond the owned block.
+	step, ghost []float64
+	axis        [3]axisGeom
+}
+
+// axisGeom is one rank's halo along one axis.
+type axisGeom struct {
+	// bytes is the payload per direction: q · w · cross-section · 8 B, where
+	// the cross-section spans the other axes' full local extents (ghosts
+	// included — later-axis ghost layers ride along in the sequential
+	// exchange, exactly as in the real packer). Under the sparse cost model
+	// the exchanger packs, sends and unpacks only each face's fluid cells,
+	// priced at the rank's own fluid fraction. Zero on a wrap axis.
+	bytes float64
+	// copyT is the time to pack (or unpack, or wrap) both faces; fillT the
+	// time to write both dense ghost faces from boundary data.
+	copyT, fillT float64
+	// nb is the neighbor rank per side (decomp.NoNeighbor across a global
+	// boundary), nmsg how many sides have one, and hop[side] the posting
+	// plus wire time of the message arriving from it — shared memory
+	// between tasks of one node (consecutive ranks fill a node), the torus
+	// otherwise. wire is the torus time of the rank's own blocking send.
+	nb   [2]int
+	nmsg float64
+	hop  [2]float64
+	wire float64
+	// hide is the share of the cycle's first step GC-C can hide under this
+	// axis's messages (overlapShares).
+	hide float64
+}
+
+// rankGeometry builds rank r's geometry table; slow is its persistent
+// slowdown factor, folded into the step times.
+func (st *simState) rankGeometry(r int, slow float64) rankGeom {
+	j, p := &st.j, st.dec.Shape()
+	var own [3]int
+	owned := 1.0
+	for a := 0; a < 3; a++ {
+		_, own[a] = st.dec.Own(r, a)
+		owned *= float64(own[a])
 	}
-	return st.ffrac[r]
+	// Sparse-traversal cost model: the rank's compute windows and halo
+	// payloads scale by its fluid fraction — the cut placement, not a
+	// random draw, decides who the straggler is.
+	fluid := 1.0
+	if j.RankFluids != nil {
+		fluid = float64(j.RankFluids[r]) / owned
+	}
+	// Ghost-cell implementations additionally collide k boundary rows per
+	// side of every decomposed axis every step, the overhead the paper notes
+	// is "not accounted for" in its performance model ("2 extra boundary
+	// rows are added around each processor boundary", §VI) — collision is
+	// roughly half a cell update, so the two sides cost k face-equivalents.
+	var rim float64
+	if j.Opt != core.OptOrig {
+		for a := 0; a < 3; a++ {
+			if p[a] > 1 {
+				rim += float64(j.K) * owned / float64(own[a])
+			}
+		}
+	}
+	buf := make([]float64, 2*j.Depth)
+	g := rankGeom{step: buf[:j.Depth], ghost: buf[j.Depth:]}
+	for s := range g.step {
+		// The computed box shrinks by k per step on every ghosted axis, from
+		// owned + 2(w − k) right after the refresh down to the owned block.
+		box := 1.0
+		for a := 0; a < 3; a++ {
+			box *= float64(own[a] + 2*max(st.w[a]-(s+1)*j.K, 0))
+		}
+		g.ghost[s] = box - owned
+		// Max of the bandwidth and flop rooflines over the computed cells.
+		cells := (box + rim) * fluid
+		g.step[s] = slow * math.Max(cells*j.Spec.BytesPerCell/st.rt.taskBW, cells*j.Spec.FlopsPerCell/st.rt.taskFlops)
+	}
+	hide := st.overlapShares(own)
+	for a := 0; a < 3; a++ {
+		ax := &g.axis[a]
+		face := float64(j.Spec.Q) * float64(st.w[a]) * 8
+		for b := 0; b < 3; b++ {
+			if b != a {
+				face *= float64(own[b] + 2*st.w[b])
+			}
+		}
+		ax.bytes = face * fluid
+		ax.copyT = 2 * ax.bytes / st.rt.taskBWRaw
+		ax.fillT = 2 * face / st.rt.taskBWRaw
+		ax.wire = st.rt.latency + ax.bytes/st.rt.linkBW
+		ax.hide = hide[a]
+		for side, dir := range [2]int{-1, +1} {
+			nb := st.dec.Neighbor(r, a, dir)
+			ax.nb[side] = nb
+			if nb == decomp.NoNeighbor {
+				continue
+			}
+			ax.nmsg++
+			ax.hop[side] = st.rt.msgSW + ax.wire
+			if st.sameNode(r, nb) {
+				ax.hop[side] = st.rt.msgSW + ax.bytes/st.rt.intraBW
+			}
+		}
+	}
+	return g
 }
 
 // sameNode reports whether two ranks are tasks of one node (consecutive
@@ -484,278 +574,26 @@ func (st *simState) sameNode(a, b int) bool {
 	return a/st.j.TasksPerNode == b/st.j.TasksPerNode
 }
 
-// stepTime returns the jittered compute time of step s of a cycle on rank
-// r: max of the bandwidth and flop rooflines over the computed planes.
-// Ghost-cell implementations additionally collide k boundary rows per side
-// every step, the overhead the paper notes is "not accounted for" in its
-// performance model ("2 extra boundary rows are added around each
-// processor boundary", §VI) — collision is roughly half a cell update, so
-// the two sides cost k plane-equivalents.
-func (st *simState) stepTime(r, s int) float64 {
-	_, own := st.dec.Own(r, decomp.AxisX)
-	extra := float64(2 * (st.j.Depth - s - 1) * st.j.K)
-	if st.j.Opt != core.OptOrig {
-		extra += float64(st.j.K)
-	}
-	cells := (float64(own) + extra) * st.plane * st.fluidScale(r)
-	tb := cells * st.j.Spec.BytesPerCell / st.rt.taskBW
-	tf := cells * st.j.Spec.FlopsPerCell / st.rt.taskFlops
-	t := tb
-	if tf > t {
-		t = tf
-	}
-	return t * st.slow[r] * (1 + st.j.Imbalance*st.rng[r].Float64())
+// stepSeconds returns the jittered compute time of step s of a cycle on rank r.
+func (st *simState) stepSeconds(r, s int) float64 {
+	return st.geo[r].step[s] * (1 + st.j.Imbalance*st.rng[r].Float64())
 }
 
-// ghostExtraCells returns the per-cycle ghost-region updates of rank r.
-func (st *simState) ghostExtraCells(runLen int) float64 {
-	var extra float64
-	for s := 0; s < runLen; s++ {
-		extra += float64(2 * (st.j.Depth - s - 1) * st.j.K)
-	}
-	return extra * st.plane
-}
-
-// run executes all cycles and returns total ghost-cell updates.
-func (st *simState) run() float64 {
-	j := st.j
-	if j.Opt == core.OptOrig {
-		return st.runOrig()
-	}
-	if !st.dec.IsSlab() {
-		return st.runMulti()
-	}
+// ghostUpdates returns the run's total ghost-region cell updates: position
+// s of the cycle is computed once per full cycle, and once more when the
+// trailing partial cycle reaches it.
+func (st *simState) ghostUpdates() float64 {
 	var ghost float64
-	sw := st.rt.msgSW
-
-	sendAt := make([]float64, st.ranks)
-	for done := 0; done < j.Steps; {
-		runLen := j.Depth
-		if rest := j.Steps - done; rest < runLen {
-			runLen = rest
-		}
-		// Borders are ready at cycle start; every protocol packs first.
-		for r := 0; r < st.ranks; r++ {
-			sendAt[r] = st.clock[r] + 2*st.slabHaloBytes(r)/st.rt.taskBWRaw
-		}
-		for r := 0; r < st.ranks; r++ {
-			haloBytes := st.slabHaloBytes(r)
-			wire := st.rt.latency + haloBytes/st.rt.linkBW
-			// Halo traffic between tasks of one node moves through shared
-			// memory, not the torus.
-			wireIntra := haloBytes / st.rt.intraBW
-			// Each cycle touches two border faces (packed toward neighbors,
-			// or written in place from boundary data on a bounded edge —
-			// same copy cost either way) and two ghost faces (unpacked or
-			// boundary-filled).
-			packT := 2 * haloBytes / st.rt.taskBWRaw
-			unpackT := packT
-			left := st.dec.Neighbor(r, decomp.AxisX, -1)
-			right := st.dec.Neighbor(r, decomp.AxisX, +1)
-			// A bounded-axis edge rank has fewer messages: nothing crosses
-			// the global boundary in either direction.
-			nmsg := 0.0
-			recvReady := math.Inf(-1)
-			if left != decomp.NoNeighbor {
-				nmsg++
-				wl := wire
-				if st.sameNode(r, left) {
-					wl = wireIntra
-				}
-				if t := sendAt[left] + sw + wl; t > recvReady {
-					recvReady = t
-				}
+	for r := range st.geo {
+		for s, g := range st.geo[r].ghost {
+			n := st.j.Steps / st.j.Depth
+			if s < st.j.Steps%st.j.Depth {
+				n++
 			}
-			if right != decomp.NoNeighbor {
-				nmsg++
-				wr := wire
-				if st.sameNode(r, right) {
-					wr = wireIntra
-				}
-				if t := sendAt[right] + sw + wr; t > recvReady {
-					recvReady = t
-				}
-			}
-			// Phase decomposition (Result.RankPhases): each branch's terms
-			// are exactly the clock-delta terms, so phases sum to the clock
-			// by construction. The posting software cost joins Pack (it is
-			// send-side work); a blocked send's wire joins Wire.
-			ph := &st.phase[r]
-			ph[obs.Pack] += packT + nmsg*sw
-			ph[obs.Unpack] += unpackT
-			switch {
-			case j.Opt >= core.OptGCC:
-				// Overlap: interior of the first step hides the wait; the
-				// posting software cost is not hideable.
-				t0 := st.stepTime(r, 0)
-				_, own := st.dec.Own(r, decomp.AxisX)
-				interior := float64(own-2*j.K) / (float64(own) + float64(2*(j.Depth-1)*j.K))
-				if interior < 0 {
-					interior = 0
-				}
-				rimStart := sendAt[r] + nmsg*sw + interior*t0
-				wait := recvReady - rimStart
-				if wait < 0 || math.IsInf(wait, -1) {
-					wait = 0
-				}
-				st.comm[r] += nmsg*sw + wait + unpackT
-				st.clock[r] = rimStart + wait + unpackT + (1-interior)*t0
-				ph[obs.Interior] += interior * t0
-				ph[obs.Rim] += (1 - interior) * t0
-				ph[obs.Wire] += wait
-				for s := 1; s < runLen; s++ {
-					dt := st.stepTime(r, s)
-					st.clock[r] += dt
-					ph[obs.Interior] += dt
-				}
-			case j.Opt >= core.OptNBC:
-				// Non-blocking: sends are DMA'd; the rank pays the posting
-				// software cost and then waits only for the receives.
-				ready := sendAt[r] + nmsg*sw
-				if recvReady > ready {
-					ready = recvReady
-				}
-				st.comm[r] += (ready - sendAt[r]) + unpackT
-				st.clock[r] = ready + unpackT
-				ph[obs.Wire] += ready - sendAt[r] - nmsg*sw
-				for s := 0; s < runLen; s++ {
-					dt := st.stepTime(r, s)
-					st.clock[r] += dt
-					ph[obs.Interior] += dt
-				}
-			default:
-				// Blocking sends return only after delivery: the software
-				// costs of the directions serialize, then the wire.
-				sendDone := sendAt[r] + nmsg*sw
-				if nmsg > 0 {
-					sendDone += wire
-				}
-				ready := sendDone
-				if recvReady > ready {
-					ready = recvReady
-				}
-				st.comm[r] += (ready - st.clock[r] - packT) + unpackT
-				st.clock[r] = ready + unpackT
-				ph[obs.Wire] += ready - sendAt[r] - nmsg*sw
-				for s := 0; s < runLen; s++ {
-					dt := st.stepTime(r, s)
-					st.clock[r] += dt
-					ph[obs.Interior] += dt
-				}
-			}
-			ghost += st.ghostExtraCells(runLen)
+			ghost += float64(n) * g
 		}
-		done += runLen
 	}
 	return ghost
-}
-
-// runOrig simulates the naive protocol: stream, blocking exchange of the
-// crossed populations, collide — every step.
-func (st *simState) runOrig() float64 {
-	j := st.j
-	var crossVals float64
-	for _, c := range j.CrossPlaneVels {
-		crossVals += float64(c)
-	}
-	msgBytes := crossVals * st.plane * 8
-	wire := st.rt.latency + msgBytes/st.rt.linkBW
-	wireIntra := msgBytes / st.rt.intraBW
-	packT := 2 * msgBytes / st.rt.taskBWRaw
-	// The naive code sends one message per crossed plane per direction
-	// (before the message-aggregation tuning), each paying the software
-	// cost.
-	nmsg := float64(j.K)
-	sw := st.rt.msgSW
-	sendAt := make([]float64, st.ranks)
-	stepT := make([]float64, st.ranks)
-	for s := 0; s < j.Steps; s++ {
-		for r := 0; r < st.ranks; r++ {
-			stepT[r] = st.stepTime(r, 0)
-			sendAt[r] = st.clock[r] + 0.5*stepT[r] + packT
-		}
-		for r := 0; r < st.ranks; r++ {
-			left := st.dec.Neighbor(r, decomp.AxisX, -1)
-			right := st.dec.Neighbor(r, decomp.AxisX, +1)
-			wl, wr := wire, wire
-			if st.sameNode(r, left) {
-				wl = wireIntra
-			}
-			if st.sameNode(r, right) {
-				wr = wireIntra
-			}
-			recvReady := sendAt[left] + nmsg*sw + wl
-			if t := sendAt[right] + nmsg*sw + wr; t > recvReady {
-				recvReady = t
-			}
-			sendDone := sendAt[r] + 2*nmsg*sw + wire
-			ready := sendDone
-			if recvReady > ready {
-				ready = recvReady
-			}
-			st.comm[r] += (ready - sendAt[r]) + packT
-			st.clock[r] = ready + packT + 0.5*stepT[r]
-			// Phases: stream + collide halves → Interior; egress pack →
-			// Pack; send/recv exposure → Wire; the merge copy → Unpack.
-			ph := &st.phase[r]
-			ph[obs.Interior] += stepT[r]
-			ph[obs.Pack] += packT
-			ph[obs.Wire] += ready - sendAt[r]
-			ph[obs.Unpack] += packT
-		}
-	}
-	return 0
-}
-
-// ownBlock returns rank r's owned extents on all three axes.
-func (st *simState) ownBlock(r int) [3]int {
-	var own [3]int
-	for a := 0; a < 3; a++ {
-		_, own[a] = st.dec.Own(r, a)
-	}
-	return own
-}
-
-// axisFaceBytes returns the bytes of one dense ghost face of rank r
-// normal to axis: q · w · cross-section, where the cross-section spans the
-// other axes' full local extents (ghosts included — later-axis ghost
-// layers ride along in the sequential exchange, exactly as in the real
-// packer). Multi-axis only: the slab schedule has slabHaloBytes.
-func (st *simState) axisFaceBytes(r, axis int) float64 {
-	own := st.ownBlock(r)
-	cross := 1.0
-	for b := 0; b < 3; b++ {
-		if b != axis {
-			cross *= float64(own[b] + 2*st.w)
-		}
-	}
-	return st.q * float64(st.w) * cross * 8
-}
-
-// axisHaloBytes returns rank r's halo payload per direction along axis:
-// the dense face on dense jobs. Under the sparse cost model the exchanger
-// packs, sends and unpacks only each face's fluid cells, priced here at
-// the rank's own fluid fraction.
-func (st *simState) axisHaloBytes(r, axis int) float64 {
-	return st.axisFaceBytes(r, axis) * st.fluidScale(r)
-}
-
-// slabHaloBytes is axisHaloBytes for the slab schedule: q · w x-planes
-// per direction, at the rank's fluid fraction under the sparse cost model.
-func (st *simState) slabHaloBytes(r int) float64 {
-	return st.q * float64(st.w) * st.plane * 8 * st.fluidScale(r)
-}
-
-// faces returns how many of rank r's two faces on axis carry a message
-// (0, 1 or 2): bounded-axis edge ranks lose the wraparound face.
-func (st *simState) faces(r, axis int) float64 {
-	n := 0.0
-	for _, dir := range [2]int{-1, +1} {
-		if st.dec.Neighbor(r, axis, dir) != decomp.NoNeighbor {
-			n++
-		}
-	}
-	return n
 }
 
 // axisBytes reports the busiest rank's per-axis halo payload per full
@@ -771,14 +609,8 @@ func (st *simState) axisBytes() [3]float64 {
 		if p[a] == 1 {
 			continue
 		}
-		for r := 0; r < st.ranks; r++ {
-			var face float64
-			if st.dec.IsSlab() {
-				face = st.slabHaloBytes(r)
-			} else {
-				face = st.axisHaloBytes(r, a)
-			}
-			if b := st.faces(r, a) * face; b > out[a] {
+		for r := range st.geo {
+			if b := st.geo[r].axis[a].nmsg * st.geo[r].axis[a].bytes; b > out[a] {
 				out[a] = b
 			}
 		}
@@ -786,77 +618,21 @@ func (st *simState) axisBytes() [3]float64 {
 	return out
 }
 
-// stepTimeMulti is stepTime for a multi-axis block: the computed box
-// grows by 2·(depth−s−1)·k on every axis, plus the k-cell-equivalent
-// boundary-collide overhead per decomposed axis.
-func (st *simState) stepTimeMulti(r, s int) float64 {
-	own := st.ownBlock(r)
-	e := 2 * (st.j.Depth - s - 1) * st.j.K
-	cells := 1.0
-	for a := 0; a < 3; a++ {
-		cells *= float64(own[a] + e)
-	}
+// overlapShares returns, for a rank owning block own, the share of the
+// cycle's first step the GC-C phased schedule can hide under each
+// decomposed axis's messages: the interior box computes while the first
+// messaging axis's data flies, and each later axis's wire time hides the
+// previous axis's rim slabs — in proportion to the box schedule's cell
+// counts (exposed comm per axis is then max(0, wire − hidden compute)).
+func (st *simState) overlapShares(own [3]int) [3]float64 {
 	p := st.dec.Shape()
-	for a := 0; a < 3; a++ {
-		if p[a] == 1 {
-			continue
-		}
-		cross := 1.0
-		for b := 0; b < 3; b++ {
-			if b != a {
-				cross *= float64(own[b])
-			}
-		}
-		cells += float64(st.j.K) * cross
-	}
-	cells *= st.fluidScale(r)
-	tb := cells * st.j.Spec.BytesPerCell / st.rt.taskBW
-	tf := cells * st.j.Spec.FlopsPerCell / st.rt.taskFlops
-	t := tb
-	if tf > t {
-		t = tf
-	}
-	return t * st.slow[r] * (1 + st.j.Imbalance*st.rng[r].Float64())
-}
-
-// ghostExtraMulti returns rank r's per-cycle ghost-box updates.
-func (st *simState) ghostExtraMulti(r, runLen int) float64 {
-	own := st.ownBlock(r)
-	interior := float64(own[0]) * float64(own[1]) * float64(own[2])
-	var extra float64
-	for s := 0; s < runLen; s++ {
-		e := 2 * (st.j.Depth - s - 1) * st.j.K
-		cells := 1.0
-		for a := 0; a < 3; a++ {
-			cells *= float64(own[a] + e)
-		}
-		extra += cells - interior
-	}
-	return extra
-}
-
-// overlapWindows returns, for rank r, the compute seconds the GC-C
-// phased schedule can hide under each decomposed axis's messages: the
-// interior box computes while the first messaging axis's data flies, and
-// each later axis's wire time hides the previous axis's rim slabs —
-// shares of the first step's compute time t0, in proportion to the box
-// schedule's cell counts (exposed comm per axis is then max(0, wire −
-// hidden compute)).
-func (st *simState) overlapWindows(r int, t0 float64) [3]float64 {
-	p := st.dec.Shape()
-	own := st.ownBlock(r)
-	e := float64(2 * (st.j.Depth - 1) * st.j.K)
 	var full, cur [3]float64
 	total := 1.0
 	for a := 0; a < 3; a++ {
-		full[a] = float64(own[a]) + e
+		full[a] = float64(own[a] + 2*max(st.w[a]-st.j.K, 0))
 		cur[a] = full[a]
 		if p[a] > 1 {
-			v := float64(own[a]) - 2*float64(st.j.K)
-			if v < 0 {
-				v = 0
-			}
-			cur[a] = v
+			cur[a] = math.Max(float64(own[a]-2*st.j.K), 0)
 		}
 		total *= full[a]
 	}
@@ -867,7 +643,7 @@ func (st *simState) overlapWindows(r int, t0 float64) [3]float64 {
 		if p[a] == 1 {
 			continue
 		}
-		out[a] = t0 * prev / total
+		out[a] = prev / total
 		before := cells(cur)
 		cur[a] = full[a]
 		prev = cells(cur) - before // axis a's rim, hidden under the next
@@ -875,66 +651,64 @@ func (st *simState) overlapWindows(r int, t0 float64) [3]float64 {
 	return out
 }
 
-// runMulti simulates the multi-axis deep-halo schedule: one sequential
-// per-axis exchange per cycle (undecomposed axes wrap with local copies,
-// decomposed axes message their ring neighbors), then runLen compute
-// steps on the shrinking box. NB-C and above post receives early; GC-C
-// and above additionally overlap each axis's wire time with the box
-// schedule's compute (interior box for the first messaging axis, the
-// previous axis's rims for the rest), mirroring internal/core's phased
-// cart stepper.
-func (st *simState) runMulti() float64 {
+// run simulates the deep-halo schedule, the only ghost-cell schedule there
+// is: one sequential per-axis refresh per cycle — a wrap axis (width 0)
+// has nothing to refresh, an undecomposed ghosted axis wraps or
+// boundary-fills with local copies, a decomposed axis messages its ring
+// neighbors — then runLen compute steps on the shrinking box. NB-C and
+// above post receives early; GC-C and above additionally overlap each
+// axis's wire time with the box schedule's compute (interior box for the
+// first messaging axis, the previous axis's rims for the rest), mirroring
+// internal/core's phased stepper. The paper's periodic slab is the case
+// w = {depth·k, 0, 0}.
+func (st *simState) run() {
 	j := st.j
 	p := st.dec.Shape()
 	sw := st.rt.msgSW
 	nonblocking := j.Opt >= core.OptNBC
 	overlap := j.Opt >= core.OptGCC
-	var ghost float64
 	sendAt := make([]float64, st.ranks)
 	t0 := make([]float64, st.ranks)
 	used := make([]float64, st.ranks)
-	wins := make([][3]float64, st.ranks)
 	// The first decomposed axis's messages fly over the interior box; each
-	// later axis's fly over the previous axis's rims (overlapWindows) —
+	// later axis's fly over the previous axis's rims (overlapShares) —
 	// which phase the hidden compute belongs to in the decomposition.
 	firstMsg := -1
-	for a := 0; a < 3; a++ {
+	for a := 2; a >= 0; a-- {
 		if p[a] > 1 {
 			firstMsg = a
-			break
 		}
 	}
 	for done := 0; done < j.Steps; {
-		runLen := j.Depth
-		if rest := j.Steps - done; rest < runLen {
-			runLen = rest
-		}
+		runLen := min(j.Depth, j.Steps-done)
 		if overlap {
 			for r := 0; r < st.ranks; r++ {
-				t0[r] = st.stepTimeMulti(r, 0)
+				t0[r] = st.stepSeconds(r, 0)
 				used[r] = 0
-				wins[r] = st.overlapWindows(r, t0[r])
 			}
 		}
 		for axis := 0; axis < 3; axis++ {
-			if p[axis] == 1 {
-				if j.Bounded[axis] {
-					// Bounded undecomposed axis: both ghost faces are
-					// boundary-filled in place — one write per face, no
-					// border pack and no message.
-					for r := 0; r < st.ranks; r++ {
-						dt := 2 * st.axisFaceBytes(r, axis) / st.rt.taskBWRaw
-						st.clock[r] += dt
-						st.phase[r][obs.Face] += dt
-					}
-					continue
+			switch {
+			case st.w[axis] == 0:
+				// Wrap axis: the kernels wrap across it themselves.
+				continue
+			case p[axis] == 1 && j.Bounded[axis]:
+				// Bounded undecomposed axis: both ghost faces are
+				// boundary-filled in place — one write per face, no
+				// border pack and no message.
+				for r := 0; r < st.ranks; r++ {
+					dt := st.geo[r].axis[axis].fillT
+					st.clock[r] += dt
+					st.phase[r][obs.Face] += dt
 				}
+				continue
+			case p[axis] == 1:
 				// Local periodic wrap: pack+unpack copies on both sides.
 				for r := 0; r < st.ranks; r++ {
-					dt := 4 * st.axisHaloBytes(r, axis) / st.rt.taskBWRaw
-					st.clock[r] += dt
-					st.phase[r][obs.Pack] += dt / 2
-					st.phase[r][obs.Unpack] += dt / 2
+					dt := st.geo[r].axis[axis].copyT
+					st.clock[r] += 2 * dt
+					st.phase[r][obs.Pack] += dt
+					st.phase[r][obs.Unpack] += dt
 				}
 				continue
 			}
@@ -943,46 +717,35 @@ func (st *simState) runMulti() float64 {
 				// borders packed toward neighbors, boundary ghost faces
 				// written from boundary data (edge ranks swap one for the
 				// other).
-				packT := 2 * st.axisHaloBytes(r, axis) / st.rt.taskBWRaw
-				sendAt[r] = st.clock[r] + packT
-				st.phase[r][obs.Pack] += packT
+				sendAt[r] = st.clock[r] + st.geo[r].axis[axis].copyT
 			}
 			for r := 0; r < st.ranks; r++ {
-				bytes := st.axisHaloBytes(r, axis)
-				wire := st.rt.latency + bytes/st.rt.linkBW
-				wireIntra := bytes / st.rt.intraBW
-				nmsg := 0.0
+				ax := &st.geo[r].axis[axis]
+				// A bounded-axis edge rank has fewer messages: nothing
+				// crosses the global boundary in either direction.
 				recvReady := math.Inf(-1)
-				for _, dir := range [2]int{-1, +1} {
-					nb := st.dec.Neighbor(r, axis, dir)
-					if nb == decomp.NoNeighbor {
-						continue
-					}
-					nmsg++
-					w := wire
-					if st.sameNode(r, nb) {
-						w = wireIntra
-					}
-					if t := sendAt[nb] + sw + w; t > recvReady {
-						recvReady = t
+				for side, nb := range ax.nb {
+					if nb != decomp.NoNeighbor {
+						recvReady = math.Max(recvReady, sendAt[nb]+ax.hop[side])
 					}
 				}
-				unpackT := 2 * bytes / st.rt.taskBWRaw
+				// Phase decomposition (Result.RankPhases): each branch's
+				// terms are exactly the clock-delta terms, so phases sum to
+				// the clock by construction. The posting software cost
+				// joins Pack (it is send-side work); a blocked send's wire
+				// joins Wire.
+				posted := sendAt[r] + ax.nmsg*sw
 				ph := &st.phase[r]
-				ph[obs.Pack] += nmsg * sw
-				ph[obs.Unpack] += unpackT
+				ph[obs.Pack] += ax.copyT + ax.nmsg*sw
+				ph[obs.Unpack] += ax.copyT
 				if overlap {
 					// The axis's wire time is (partially) hidden behind the
 					// schedule's compute window; only the remainder — and the
 					// unhideable posting cost and unpack — is exposed.
-					hide := wins[r][axis]
-					hidden := sendAt[r] + nmsg*sw + hide
-					wait := recvReady - hidden
-					if wait < 0 || math.IsInf(wait, -1) {
-						wait = 0
-					}
-					st.comm[r] += nmsg*sw + wait + unpackT
-					st.clock[r] = hidden + wait + unpackT
+					hide := ax.hide * t0[r]
+					wait := math.Max(recvReady-posted-hide, 0)
+					st.comm[r] += ax.nmsg*sw + wait + ax.copyT
+					st.clock[r] = posted + hide + wait + ax.copyT
 					used[r] += hide
 					if axis == firstMsg {
 						ph[obs.Interior] += hide
@@ -990,33 +753,26 @@ func (st *simState) runMulti() float64 {
 						ph[obs.Rim] += hide
 					}
 					ph[obs.Wire] += wait
-				} else if nonblocking {
-					ready := sendAt[r] + nmsg*sw
-					if recvReady > ready {
-						ready = recvReady
-					}
-					st.comm[r] += (ready - sendAt[r]) + unpackT
-					st.clock[r] = ready + unpackT
-					ph[obs.Wire] += ready - sendAt[r] - nmsg*sw
-				} else {
-					sendDone := sendAt[r] + nmsg*sw
-					if nmsg > 0 {
-						sendDone += wire
-					}
-					ready := sendDone
-					if recvReady > ready {
-						ready = recvReady
-					}
-					// Pack time is compute, not comm — same accounting
-					// as the slab path.
-					st.comm[r] += (ready - sendAt[r]) + unpackT
-					st.clock[r] = ready + unpackT
-					ph[obs.Wire] += ready - sendAt[r] - nmsg*sw
+					continue
 				}
+				// Non-blocking sends are DMA'd: the rank pays the posting
+				// software cost and then waits only for the receives.
+				// Blocking sends return only after delivery: the software
+				// costs of the directions serialize, then the wire.
+				ready := posted
+				if !nonblocking && ax.nmsg > 0 {
+					ready += ax.wire
+				}
+				ready = math.Max(ready, recvReady)
+				// Pack time is compute, not comm.
+				st.comm[r] += (ready - sendAt[r]) + ax.copyT
+				st.clock[r] = ready + ax.copyT
+				ph[obs.Wire] += ready - posted
 			}
 		}
 		for r := 0; r < st.ranks; r++ {
 			ph := &st.phase[r]
+			first := 0
 			if overlap {
 				// The first step's compute already ran inside the overlap
 				// windows; add only what remains of it — the trailing rims
@@ -1030,21 +786,62 @@ func (st *simState) runMulti() float64 {
 						ph[obs.Interior] += rest
 					}
 				}
-				for s := 1; s < runLen; s++ {
-					dt := st.stepTimeMulti(r, s)
-					st.clock[r] += dt
-					ph[obs.Interior] += dt
-				}
-			} else {
-				for s := 0; s < runLen; s++ {
-					dt := st.stepTimeMulti(r, s)
-					st.clock[r] += dt
-					ph[obs.Interior] += dt
-				}
+				first = 1
 			}
-			ghost += st.ghostExtraMulti(r, runLen)
+			for s := first; s < runLen; s++ {
+				dt := st.stepSeconds(r, s)
+				st.clock[r] += dt
+				ph[obs.Interior] += dt
+			}
 		}
 		done += runLen
 	}
-	return ghost
+}
+
+// runOrig simulates the naive protocol: stream, blocking exchange of the
+// crossed populations, collide — every step.
+func (st *simState) runOrig() {
+	j := st.j
+	var crossVals float64
+	for _, c := range j.CrossPlaneVels {
+		crossVals += float64(c)
+	}
+	msgBytes := crossVals * float64(j.NY*j.NZ) * 8
+	wire := st.rt.latency + msgBytes/st.rt.linkBW
+	wireIntra := msgBytes / st.rt.intraBW
+	packT := 2 * msgBytes / st.rt.taskBWRaw
+	// The naive code sends one message per crossed plane per direction
+	// (before the message-aggregation tuning), each paying the software
+	// cost.
+	nmsg := float64(j.K)
+	sw := st.rt.msgSW
+	sendAt := make([]float64, st.ranks)
+	stepT := make([]float64, st.ranks)
+	for s := 0; s < j.Steps; s++ {
+		for r := 0; r < st.ranks; r++ {
+			stepT[r] = st.stepSeconds(r, 0)
+			sendAt[r] = st.clock[r] + 0.5*stepT[r] + packT
+		}
+		for r := 0; r < st.ranks; r++ {
+			recvReady := math.Inf(-1)
+			for _, nb := range st.geo[r].axis[decomp.AxisX].nb {
+				w := wire
+				if st.sameNode(r, nb) {
+					w = wireIntra
+				}
+				recvReady = math.Max(recvReady, sendAt[nb]+nmsg*sw+w)
+			}
+			sendDone := sendAt[r] + 2*nmsg*sw + wire
+			ready := math.Max(sendDone, recvReady)
+			st.comm[r] += (ready - sendAt[r]) + packT
+			st.clock[r] = ready + packT + 0.5*stepT[r]
+			// Phases: stream + collide halves → Interior; egress pack →
+			// Pack; send/recv exposure → Wire; the merge copy → Unpack.
+			ph := &st.phase[r]
+			ph[obs.Interior] += stepT[r]
+			ph[obs.Pack] += packT
+			ph[obs.Wire] += ready - sendAt[r]
+			ph[obs.Unpack] += packT
+		}
+	}
 }

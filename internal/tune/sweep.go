@@ -151,29 +151,11 @@ func Collect(modelName string, steps int) (*Sweep, error) {
 		}
 		sw.Obs = append(sw.Obs, Observation{
 			Point:  pt,
-			Phases: meanPhases(res.Observations),
+			Phases: obs.MeanPhases(obs.Vectors(res.Observations)),
 			Total:  res.WallTime.Seconds(),
 		})
 	}
 	return sw, nil
-}
-
-// meanPhases averages the per-rank observed phase vectors.
-func meanPhases(ranks []obs.RankObservation) obs.PhaseSeconds {
-	var mean obs.PhaseSeconds
-	if len(ranks) == 0 {
-		return mean
-	}
-	for i := range ranks {
-		v := ranks[i].Vector()
-		for p := range mean {
-			mean[p] += v[p]
-		}
-	}
-	for p := range mean {
-		mean[p] /= float64(len(ranks))
-	}
-	return mean
 }
 
 // fitMachine is the hardware envelope the fitted-coefficient jobs run
@@ -249,14 +231,5 @@ func runPointJob(j perfsim.Job, pt Point) (obs.PhaseSeconds, float64, error) {
 	if err != nil {
 		return obs.PhaseSeconds{}, 0, fmt.Errorf("tune: price %s: %w", pt.Label, err)
 	}
-	var mean obs.PhaseSeconds
-	for _, ph := range res.RankPhases {
-		for p := range mean {
-			mean[p] += ph[p]
-		}
-	}
-	for p := range mean {
-		mean[p] /= float64(len(res.RankPhases))
-	}
-	return mean, res.Seconds, nil
+	return obs.MeanPhases(res.RankPhases), res.Seconds, nil
 }
