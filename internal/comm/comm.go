@@ -1,13 +1,13 @@
 // Package comm is an in-process message-passing fabric with MPI-like
 // semantics: a fixed set of ranks (goroutines) exchanging tagged messages
-// through buffered channels, with blocking Send/Recv, non-blocking
-// Isend/Irecv completed by Wait (the paper's MPI_Irecv / MPI_Isend /
-// MPI_Waitall pattern), barriers and reductions.
+// in buffers loaned by the fabric — Acquire, fill, Post on the sending
+// side; Take, read, Release on the receiving side — with the copying
+// Send/Recv on top, barriers and reductions.
 //
 // The fabric substitutes for MPI on Blue Gene (see DESIGN.md): it preserves
 // the semantics that the paper's communication optimizations rely on —
-// eager buffered sends, tag matching, posting receives early, and overlap
-// of communication with computation — while running entirely inside one
+// sends that never wait for the receiver, tag matching, and overlap of
+// communication with computation — while running entirely inside one
 // process. Per-rank time spent blocked in communication calls is recorded,
 // which is the quantity plotted in the paper's Fig. 9.
 package comm
@@ -20,24 +20,56 @@ import (
 	"time"
 )
 
-// chanCap is the per-(src,dst) channel buffer. Eager sends block only when
-// this many messages are in flight between one pair of ranks, far above
-// what the halo-exchange protocol keeps outstanding.
+// chanCap is the per-(src,dst) channel buffer. Posts block only when this
+// many messages are in flight between one pair of ranks, far above what
+// the halo-exchange protocol keeps outstanding.
 const chanCap = 256
+
+// Slot is a message buffer on loan from the fabric: the one copy of a
+// payload between the sender's data and the receiver's. The sender
+// Acquires it, fills Data and Posts it, after which the slot belongs to
+// the fabric and then to the receiver that Takes it; the receiver reads
+// Data and Releases the slot to the pool of the (src, dst) pair it
+// travels, where the sender's next Acquire finds it.
+type Slot struct {
+	Data     []float64
+	src, dst int
+	state    slotState
+}
+
+// slotState is where a slot is on its trip, as the misuse panics print it.
+type slotState string
+
+const (
+	slotFree     slotState = "free"
+	slotAcquired slotState = "acquired"
+	slotPosted   slotState = "posted"
+	slotTaken    slotState = "taken"
+)
+
+// slotPool holds the free slots of one (src, dst) pair. The sender
+// acquires and the receiver releases, so the list is locked.
+type slotPool struct {
+	mu   sync.Mutex
+	free []*Slot
+	// held is the bytes of every slot of the pair, free or on loan. Slots
+	// are regrown but never dropped, so it is its own high-water mark.
+	held int64
+}
 
 type message struct {
 	tag  int
-	data []float64
+	slot *Slot
 	// ready is the simulated wire arrival time (zero when no delay model
-	// is installed): the send stamps it, and a receive matching the
+	// is installed): the post stamps it, and a receive matching the
 	// message blocks until it has passed.
 	ready time.Time
 }
 
-// DelayFunc models per-message wire time. When non-nil, a message sent at
-// time t is delivered no earlier than t plus the returned duration, so
+// DelayFunc models per-message wire time. When non-nil, a message posted
+// at time t is delivered no earlier than t plus the returned duration, so
 // wall-clock measurements feel the simulated network. The clock starts at
-// the send: a receiver that computes while the message is in flight —
+// the post: a receiver that computes while the message is in flight —
 // the GC-C overlap — genuinely hides the wire time, and only a receive
 // issued before arrival blocks for the remainder. Bytes is the payload
 // size in bytes (8 per float64).
@@ -50,10 +82,10 @@ type DelayFunc func(src, dst, bytes int) time.Duration
 type Fabric struct {
 	n     int
 	chans [][]chan message
+	pools [][]slotPool // [src][dst]; the only payload store
 	delay DelayFunc
 
-	scratchMu sync.Mutex // protects nothing hot: scratch slots are per-rank
-	scratch   [][]float64
+	scratch [][]float64 // per-rank reduction operands
 
 	bar *barrier
 
@@ -67,15 +99,17 @@ func NewFabric(n int) *Fabric {
 	}
 	f := &Fabric{n: n, scratch: make([][]float64, n), bar: newBarrier(n)}
 	f.chans = make([][]chan message, n)
+	f.pools = make([][]slotPool, n)
 	for s := 0; s < n; s++ {
 		f.chans[s] = make([]chan message, n)
+		f.pools[s] = make([]slotPool, n)
 		for d := 0; d < n; d++ {
 			f.chans[s][d] = make(chan message, chanCap)
 		}
 	}
 	f.ranks = make([]*Rank, n)
 	for i := 0; i < n; i++ {
-		f.ranks[i] = &Rank{ID: i, N: n, f: f, pending: make(map[pendKey][]message)}
+		f.ranks[i] = &Rank{ID: i, N: n, f: f, pending: make([][]message, n)}
 	}
 	return f
 }
@@ -112,8 +146,8 @@ func (f *Fabric) Run(fn func(*Rank) error) error {
 }
 
 // CommTimes returns the accumulated per-rank time spent blocked in
-// communication calls (Send, Recv, Wait, Barrier excluded). Valid after Run
-// returns.
+// communication calls (Post, Take and the Send/Recv built on them; Barrier
+// excluded). Valid after Run returns.
 func (f *Fabric) CommTimes() []time.Duration {
 	ts := make([]time.Duration, f.n)
 	for i, r := range f.ranks {
@@ -140,7 +174,18 @@ func (f *Fabric) MessagesSent() []int64 {
 	return ms
 }
 
-type pendKey struct{ src, tag int }
+// SlotBytes returns, per sending rank, the high-water mark of the bytes
+// its pair pools have held — the transport's whole memory. Valid after Run
+// returns.
+func (f *Fabric) SlotBytes() []int64 {
+	bs := make([]int64, f.n)
+	for src := range f.pools {
+		for dst := range f.pools[src] {
+			bs[src] += f.pools[src][dst].held
+		}
+	}
+	return bs
+}
 
 // Rank is one participant's handle to the fabric. A Rank must be used only
 // from the goroutine Run started for it.
@@ -148,7 +193,9 @@ type Rank struct {
 	ID, N int
 	f     *Fabric
 
-	pending   map[pendKey][]message
+	// pending[src] holds the messages from src that arrived ahead of the
+	// receive that will match them, in arrival order.
+	pending   [][]message
 	commTime  time.Duration
 	bytesSent int64
 	msgsSent  int64
@@ -163,19 +210,89 @@ func (r *Rank) BytesSent() int64 { return r.bytesSent }
 // MessagesSent returns the number of messages this rank has sent so far.
 func (r *Rank) MessagesSent() int64 { return r.msgsSent }
 
-// Send delivers data to rank dst with the given tag. The payload is copied,
-// so the caller may reuse data immediately (MPI buffered-send semantics).
-func (r *Rank) Send(dst, tag int, data []float64) {
+// Acquire loans a slot of n values for a message to dst: the smallest free
+// slot of the pair that is big enough, else a free slot regrown, else a
+// new one — so a pair never holds more slots than it has had in flight at
+// once. Data's contents are unspecified until filled.
+func (r *Rank) Acquire(dst, n int) *Slot {
+	p := &r.f.pools[r.ID][dst]
+	p.mu.Lock()
+	last, pick := len(p.free)-1, -1
+	for i, s := range p.free {
+		if c := cap(s.Data); c >= n && (pick < 0 || c < cap(p.free[pick].Data)) {
+			pick = i
+		}
+	}
+	if pick < 0 {
+		pick = last // none fits: regrow the last free slot, if there is one
+	}
+	var s *Slot
+	if pick >= 0 {
+		s = p.free[pick]
+		p.free[pick], p.free[last] = p.free[last], nil
+		p.free = p.free[:last]
+	} else {
+		s = &Slot{src: r.ID, dst: dst}
+	}
+	if cap(s.Data) < n {
+		p.held += int64(8 * (n - cap(s.Data)))
+		s.Data = make([]float64, n)
+	}
+	p.mu.Unlock()
+	s.Data = s.Data[:n]
+	s.state = slotAcquired
+	return s
+}
+
+// Post sends the filled slot s to dst with the given tag. It must be a
+// slot this rank acquired for dst; the rank may not touch it afterwards.
+func (r *Rank) Post(dst, tag int, s *Slot) {
 	t0 := time.Now()
-	cp := append([]float64(nil), data...)
-	m := message{tag: tag, data: cp}
+	if s.state != slotAcquired || s.src != r.ID || s.dst != dst {
+		panic(fmt.Sprintf("comm: rank %d Post(dst=%d, tag=%d): slot is %s, of the pair %d -> %d", r.ID, dst, tag, s.state, s.src, s.dst))
+	}
+	s.state = slotPosted
+	m := message{tag: tag, slot: s}
 	if r.f.delay != nil {
-		m.ready = t0.Add(r.f.delay(r.ID, dst, 8*len(data)))
+		m.ready = t0.Add(r.f.delay(r.ID, dst, 8*len(s.Data)))
 	}
 	r.f.chans[r.ID][dst] <- m
-	r.bytesSent += int64(8 * len(data))
+	r.bytesSent += int64(8 * len(s.Data))
 	r.msgsSent++
 	r.commTime += time.Since(t0)
+}
+
+// Take blocks until a message with the given tag arrives from src and
+// returns the slot it travelled in, which the rank owns until it Releases
+// it. Messages with other tags arriving first are kept for later receives.
+func (r *Rank) Take(src, tag int) *Slot {
+	t0 := time.Now()
+	s := r.match(src, tag).slot
+	s.state = slotTaken
+	r.commTime += time.Since(t0)
+	return s
+}
+
+// Release returns a slot this rank took to the pool of the pair it
+// travelled; the rank may not touch it afterwards.
+func (r *Rank) Release(s *Slot) {
+	if s.state != slotTaken || s.dst != r.ID {
+		panic(fmt.Sprintf("comm: rank %d Release: slot is %s, of the pair %d -> %d", r.ID, s.state, s.src, s.dst))
+	}
+	s.state = slotFree
+	p := &r.f.pools[s.src][r.ID]
+	p.mu.Lock()
+	p.free = append(p.free, s)
+	p.mu.Unlock()
+}
+
+// Send delivers data to rank dst with the given tag. The payload is copied
+// into a slot, so the caller may reuse data immediately (MPI buffered-send
+// semantics).
+func (r *Rank) Send(dst, tag int, data []float64) {
+	s := r.Acquire(dst, len(data))
+	copy(s.Data, data)
+	r.Post(dst, tag, s)
 }
 
 // Recv blocks until a message with the given tag arrives from src, copies
@@ -183,35 +300,36 @@ func (r *Rank) Send(dst, tag int, data []float64) {
 // with other tags arriving first are buffered for later receives. Recv
 // panics if the payload exceeds len(buf).
 func (r *Rank) Recv(src, tag int, buf []float64) int {
-	t0 := time.Now()
-	m := r.match(src, tag)
-	n := copy(buf, m.data)
-	if n < len(m.data) {
-		panic(fmt.Sprintf("comm: rank %d Recv(src=%d, tag=%d): buffer %d < message %d", r.ID, src, tag, len(buf), len(m.data)))
+	s := r.Take(src, tag)
+	if len(buf) < len(s.Data) {
+		panic(fmt.Sprintf("comm: rank %d Recv(src=%d, tag=%d): buffer %d < message %d", r.ID, src, tag, len(buf), len(s.Data)))
 	}
-	r.commTime += time.Since(t0)
+	n := copy(buf, s.Data)
+	r.Release(s)
 	return n
 }
 
 // match returns the next message from src with the given tag, consuming the
-// pending queue first.
+// pending queue first. A consumed entry is shifted out in place, so the
+// queue keeps its backing array and pins no delivered slot.
 func (r *Rank) match(src, tag int) message {
-	key := pendKey{src, tag}
-	if q := r.pending[key]; len(q) > 0 {
-		m := q[0]
-		r.pending[key] = q[1:]
-		waitWire(m)
-		return m
+	q := r.pending[src]
+	for i, m := range q {
+		if m.tag == tag {
+			copy(q[i:], q[i+1:])
+			q[len(q)-1] = message{}
+			r.pending[src] = q[:len(q)-1]
+			waitWire(m)
+			return m
+		}
 	}
-	ch := r.f.chans[src][r.ID]
 	for {
-		m := <-ch
+		m := <-r.f.chans[src][r.ID]
 		if m.tag == tag {
 			waitWire(m)
 			return m
 		}
-		k := pendKey{src, m.tag}
-		r.pending[k] = append(r.pending[k], m)
+		r.pending[src] = append(r.pending[src], m)
 	}
 }
 
@@ -227,60 +345,6 @@ func waitWire(m message) {
 	}
 }
 
-// Request is an in-flight non-blocking operation, completed by Wait.
-type Request struct {
-	recv     bool
-	src, tag int
-	buf      []float64
-	done     bool
-	n        int
-}
-
-// N returns the number of values received; valid for completed receive
-// requests.
-func (q *Request) N() int { return q.n }
-
-// Done reports whether the request has completed.
-func (q *Request) Done() bool { return q.done }
-
-// Isend starts a non-blocking send. With the fabric's eager buffered
-// protocol the payload is copied and enqueued immediately, so the returned
-// request is already complete; it exists so call sites mirror the MPI
-// Isend/Waitall structure of the paper's code.
-func (r *Rank) Isend(dst, tag int, data []float64) *Request {
-	r.Send(dst, tag, data)
-	return &Request{done: true}
-}
-
-// Irecv posts a non-blocking receive into buf. The receive is matched when
-// Wait is called on the returned request ("the MPI_Irecv is posted before
-// the local stream calculation", §V.E — posting early lets Wait find the
-// message already buffered, which is what shrinks the exposed wait time).
-func (r *Rank) Irecv(src, tag int, buf []float64) *Request {
-	return &Request{recv: true, src: src, tag: tag, buf: buf}
-}
-
-// Wait completes the given requests (MPI_Waitall).
-func (r *Rank) Wait(reqs ...*Request) {
-	t0 := time.Now()
-	for _, q := range reqs {
-		if q == nil || q.done {
-			continue
-		}
-		if !q.recv {
-			q.done = true
-			continue
-		}
-		m := r.match(q.src, q.tag)
-		q.n = copy(q.buf, m.data)
-		if q.n < len(m.data) {
-			panic(fmt.Sprintf("comm: rank %d Wait(src=%d, tag=%d): buffer %d < message %d", r.ID, q.src, q.tag, len(q.buf), len(m.data)))
-		}
-		q.done = true
-	}
-	r.commTime += time.Since(t0)
-}
-
 // Probe reports whether a message with the given tag from src is already
 // available without blocking. Under a delay model a message counts as
 // available only once its simulated wire arrival time has passed — the
@@ -288,9 +352,9 @@ func (r *Rank) Wait(reqs ...*Request) {
 // computing and receiving sees the simulated network, not the channel.
 func (r *Rank) Probe(src, tag int) bool {
 	arrived := func(m message) bool {
-		return m.ready.IsZero() || !m.ready.After(time.Now())
+		return m.tag == tag && (m.ready.IsZero() || !m.ready.After(time.Now()))
 	}
-	for _, m := range r.pending[pendKey{src, tag}] {
+	for _, m := range r.pending[src] {
 		if arrived(m) {
 			return true
 		}
@@ -298,9 +362,8 @@ func (r *Rank) Probe(src, tag int) bool {
 	for {
 		select {
 		case m := <-r.f.chans[src][r.ID]:
-			k := pendKey{src, m.tag}
-			r.pending[k] = append(r.pending[k], m)
-			if m.tag == tag && arrived(m) {
+			r.pending[src] = append(r.pending[src], m)
+			if arrived(m) {
 				return true
 			}
 		default:

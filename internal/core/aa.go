@@ -109,14 +109,14 @@ func (cs *cartStepper) runAA() {
 // aaTransportBox runs the transport sub-step on destination box b.
 func (cs *cartStepper) aaTransportBox(b box) {
 	t0 := cs.rec.Begin()
-	cs.br.run(cs.aaTransportRange, b)
+	cs.br.run(cs.aaTransport, b)
 	cs.rec.End(obs.Interior, t0)
 }
 
 // aaCompactBox runs the compact sub-step on destination box b.
 func (cs *cartStepper) aaCompactBox(b box) {
 	t0 := cs.rec.Begin()
-	cs.br.run(cs.aaCompactRange, b)
+	cs.br.run(cs.aaCompact, b)
 	cs.rec.End(obs.Interior, t0)
 }
 

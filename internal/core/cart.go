@@ -73,7 +73,7 @@ type cartStepper struct {
 	aa      bool       // AA-pattern in-place streaming (aa.go)
 	orig    *origProto // the no-ghost protocol (orig.go); nil on every ghost-cell rung
 
-	br           boxRunner
+	br           *boxRunner
 	scratch      []*workerScratch
 	ghostUpdates int64
 	collider                             // collision state and the configuration's row kernel (collide.go)
@@ -82,6 +82,13 @@ type cartStepper struct {
 	srcY         [][]int32               // per velocity: pull-stream source row per destination row (stream.go)
 	jit          *metrics.RNG
 	rec          *obs.Recorder // nil unless Config.Observe; every call site is nil-safe
+
+	// The other chunk kernels, bound once for the same reason: the fused
+	// gather, the AA sub-steps, wall and inlet face fills (inlet is the
+	// face being filled), the fixup apply and the sponge blend.
+	fused, aaTransport, aaCompact      func(worker int, b box)
+	restFace, inletFace, bounce, blend func(worker int, b box)
+	inlet                              *Face
 
 	mask []bool
 	// Sparse row-run traversal (sparse.go): per-row CSR of fluid
@@ -123,6 +130,8 @@ func newCartStepper(cfg *Config, dec decomp.Cartesian, r *comm.Rank) (*cartStepp
 	if cfg.Layout == grid.AoS {
 		cs.collide = cs.collideAoS
 	}
+	cs.fused, cs.aaTransport, cs.aaCompact = cs.fusedRows, cs.aaTransportRange, cs.aaCompactRange
+	cs.restFace, cs.inletFace, cs.bounce, cs.blend = cs.restFaceRows, cs.inletFaceRows, cs.bounceRows, cs.spongeRows
 	cs.depth, cs.w = cfg.ghostGeometry(dec)
 	for a := 0; a < 3; a++ {
 		cs.start[a], cs.own[a] = dec.Own(r.ID, a)
@@ -358,7 +367,7 @@ func (cs *cartStepper) overlappedStep(b box, stale [3]bool) {
 	// them out of the phase chain leaves the largest possible interior
 	// box overlapping the first messages and no message-free rim phases.
 	var chain, packLate [3]bool
-	var axes []int
+	axes := make([]int, 0, 3) // stays on the stack
 	for a := 0; a < 3; a++ {
 		if stale[a] && !cs.ex.Messaging(a) {
 			cs.beginAxis(a) // completes synchronously
@@ -493,71 +502,67 @@ func (cs *cartStepper) fillFace(axis, side int) {
 // the worker's row buffers so the writes become contiguous per-velocity
 // copies — same values either way, bit for bit.
 func (cs *cartStepper) fillInletFace(face *Face, fb box) {
-	m := cs.model
-	cs.br.run(func(worker int, b box) {
-		sc := cs.scratch[worker]
-		zn := b.hi[2] - b.lo[2]
-		if zn <= 0 {
-			return
-		}
-		feq := sc.feqR
-		if face.Profile == nil {
-			m.Equilibrium(1, face.U[0], face.U[1], face.U[2], feq)
-			for v := 0; v < m.Q; v++ {
-				blk := cs.f.V(v)
-				val := feq[v]
-				for ix := b.lo[0]; ix < b.hi[0]; ix++ {
-					for iy := b.lo[1]; iy < b.hi[1]; iy++ {
-						run := blk[cs.d.Index(ix, iy, b.lo[2]) : cs.d.Index(ix, iy, b.lo[2])+zn]
-						for z := range run {
-							run[z] = val
-						}
-					}
-				}
-			}
-			return
-		}
-		rows := sc.rows(zn)
-		for ix := b.lo[0]; ix < b.hi[0]; ix++ {
-			for iy := b.lo[1]; iy < b.hi[1]; iy++ {
-				for iz := b.lo[2]; iz < b.hi[2]; iz++ {
-					c := [3]axisClass{cs.class[0][ix], cs.class[1][iy], cs.class[2][iz]}
-					u := face.velocityAt(c[0].g, c[1].g, c[2].g)
-					m.Equilibrium(1, u[0], u[1], u[2], feq)
-					for v := 0; v < m.Q; v++ {
-						rows[v][iz-b.lo[2]] = feq[v]
-					}
-				}
-				base := cs.d.Index(ix, iy, b.lo[2])
+	cs.inlet = face
+	cs.br.run(cs.inletFace, fb)
+}
+
+// inletFaceRows is fillInletFace's chunk kernel, for the face cs.inlet.
+func (cs *cartStepper) inletFaceRows(worker int, b box) {
+	m, face := cs.model, cs.inlet
+	sc := cs.scratch[worker]
+	zn := b.hi[2] - b.lo[2]
+	if zn <= 0 {
+		return
+	}
+	feq := sc.feqR
+	if face.Profile == nil {
+		m.Equilibrium(1, face.U[0], face.U[1], face.U[2], feq)
+		cs.fillRuns(b, feq)
+		return
+	}
+	rows := sc.rows(zn)
+	for ix := b.lo[0]; ix < b.hi[0]; ix++ {
+		for iy := b.lo[1]; iy < b.hi[1]; iy++ {
+			for iz := b.lo[2]; iz < b.hi[2]; iz++ {
+				c := [3]axisClass{cs.class[0][ix], cs.class[1][iy], cs.class[2][iz]}
+				u := face.velocityAt(c[0].g, c[1].g, c[2].g)
+				m.Equilibrium(1, u[0], u[1], u[2], feq)
 				for v := 0; v < m.Q; v++ {
-					copy(cs.f.V(v)[base:base+zn], rows[v])
+					rows[v][iz-b.lo[2]] = feq[v]
 				}
 			}
+			base := cs.d.Index(ix, iy, b.lo[2])
+			for v := 0; v < m.Q; v++ {
+				copy(cs.f.V(v)[base:base+zn], rows[v])
+			}
 		}
-	}, fb)
+	}
 }
 
 // fillRestFace writes the rest-state equilibrium into a wall face's ghost
 // box as per-velocity z-run fills, chunked across the team.
-func (cs *cartStepper) fillRestFace(fb box) {
-	cs.br.run(func(worker int, b box) {
-		zn := b.hi[2] - b.lo[2]
-		if zn <= 0 {
-			return
-		}
-		for v := 0; v < cs.model.Q; v++ {
-			blk := cs.f.V(v)
-			val := cs.rest[v]
-			for ix := b.lo[0]; ix < b.hi[0]; ix++ {
-				for iy := b.lo[1]; iy < b.hi[1]; iy++ {
-					run := blk[cs.d.Index(ix, iy, b.lo[2]) : cs.d.Index(ix, iy, b.lo[2])+zn]
-					for z := range run {
-						run[z] = val
-					}
+func (cs *cartStepper) fillRestFace(fb box) { cs.br.run(cs.restFace, fb) }
+
+func (cs *cartStepper) restFaceRows(worker int, b box) { cs.fillRuns(b, cs.rest) }
+
+// fillRuns writes val[v] into every cell of box b of each velocity v, one
+// z-run at a time.
+func (cs *cartStepper) fillRuns(b box, val []float64) {
+	zn := b.hi[2] - b.lo[2]
+	if zn <= 0 {
+		return
+	}
+	for v := range val {
+		blk := cs.f.V(v)
+		for ix := b.lo[0]; ix < b.hi[0]; ix++ {
+			for iy := b.lo[1]; iy < b.hi[1]; iy++ {
+				run := blk[cs.d.Index(ix, iy, b.lo[2]) : cs.d.Index(ix, iy, b.lo[2])+zn]
+				for z := range run {
+					run[z] = val[v]
 				}
 			}
 		}
-	}, fb)
+	}
 }
 
 // fillPressureLayer writes the non-equilibrium extrapolation of the
@@ -1024,26 +1029,29 @@ func (cs *cartStepper) spongeBox(b box) {
 		return
 	}
 	t0 := cs.rec.Begin()
-	defer cs.rec.End(obs.Sponge, t0)
-	cs.br.run(func(worker int, sub box) {
-		sc := cs.scratch[worker]
-		cs.forRuns(sub, func(ix, iy, zlo, zhi int) {
-			zn := zhi - zlo
-			sig := sc.sig[:zn]
-			if !cs.spongeSig(sig, ix, iy, zlo, zn) {
-				return
-			}
-			base := cs.d.Index(ix, iy, zlo)
-			sv := rowViews(sc.sv, cs.f, base, zn)
-			var msk []bool
-			if cs.runStart == nil && cs.mask != nil {
-				// Dense rows still carry solid cells; sparse runs are
-				// all-fluid by construction.
-				msk = cs.mask[base : base+zn]
-			}
-			applySpongeRow(cs.model, sc.fc, sv, sig, msk, zn)
-		})
-	}, b)
+	cs.br.run(cs.blend, b)
+	cs.rec.End(obs.Sponge, t0)
+}
+
+// spongeRows is spongeBox's chunk kernel.
+func (cs *cartStepper) spongeRows(worker int, sub box) {
+	sc := cs.scratch[worker]
+	cs.forRuns(sub, func(ix, iy, zlo, zhi int) {
+		zn := zhi - zlo
+		sig := sc.sig[:zn]
+		if !cs.spongeSig(sig, ix, iy, zlo, zn) {
+			return
+		}
+		base := cs.d.Index(ix, iy, zlo)
+		sv := rowViews(sc.sv, cs.f, base, zn)
+		var msk []bool
+		if cs.runStart == nil && cs.mask != nil {
+			// Dense rows still carry solid cells; sparse runs are
+			// all-fluid by construction.
+			msk = cs.mask[base : base+zn]
+		}
+		applySpongeRow(cs.model, sc.fc, sv, sig, msk, zn)
+	})
 }
 
 // applyBounceBackBox applies exactly the fixup links of box b through the
@@ -1069,10 +1077,10 @@ func (cs *cartStepper) applyBounceBackBox(b box) {
 	// Chunked across the team by row spans. Each link writes one
 	// (velocity, cell) slot of fadv and reads only f; links partition by
 	// their cell's (x, y) row, so chunks never touch the same memory.
-	cs.br.run(func(worker int, sub box) {
-		cs.fix.applyBox(cs.f, cs.fadv, sub)
-	}, b)
+	cs.br.run(cs.bounce, b)
 }
+
+func (cs *cartStepper) bounceRows(worker int, sub box) { cs.fix.applyBox(cs.f, cs.fadv, sub) }
 
 // endForceStep closes one step's force accumulation (see boundary.go).
 func (cs *cartStepper) endForceStep() {

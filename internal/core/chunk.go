@@ -46,6 +46,10 @@ type boxRunner struct {
 	pool   *parallel.Pool
 	chunks []box
 	chunkW []int64 // per-chunk weight (fluid cells weighted, cells dense)
+	// kernel is the batch in flight; body is runChunk bound once, so a
+	// dispatch forms no closure.
+	kernel func(worker int, b box)
+	body   func(worker, chunk int)
 	// rowWeight[ix·ny + iy] is the (x, y) row's fluid-cell count over the
 	// full local z extent — a safe overestimate for sub-z boxes (chunking
 	// never splits z, and a zero full-row weight is zero on any interval).
@@ -61,9 +65,17 @@ type weightTally struct {
 	_ [56]byte
 }
 
-func newBoxRunner(threads int) boxRunner {
+func newBoxRunner(threads int) *boxRunner {
 	pool := parallel.NewPool(threads)
-	return boxRunner{pool: pool, weights: make([]weightTally, pool.Threads())}
+	br := &boxRunner{pool: pool, weights: make([]weightTally, pool.Threads())}
+	br.body = br.runChunk
+	return br
+}
+
+// runChunk applies the batch's kernel to chunk i and tallies its weight.
+func (br *boxRunner) runChunk(worker, i int) {
+	br.kernel(worker, br.chunks[i])
+	br.weights[worker].n += br.chunkW[i]
 }
 
 // threads returns the team size.
@@ -131,17 +143,11 @@ func (br *boxRunner) run(kernel func(worker int, b box), boxes ...box) {
 			br.appendWeightedChunks(b, target)
 		}
 	}
-	chunks, chunkW, weights := br.chunks, br.chunkW, br.weights
-	if len(chunks) == 0 {
-		return
-	}
 	// Single-chunk batches also go through the pool: Run's n==1 fast path
 	// executes inline on the caller while keeping the per-worker drained-
 	// chunk counters accurate.
-	br.pool.Run(len(chunks), func(worker, i int) {
-		kernel(worker, chunks[i])
-		weights[worker].n += chunkW[i]
-	})
+	br.kernel = kernel
+	br.pool.Run(len(br.chunks), br.body)
 }
 
 // boxWeight sums the row weights over the box's (x, y) cross-section.

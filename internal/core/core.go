@@ -68,8 +68,9 @@ const (
 	// loops contain no wrap arithmetic, and ghost/interior regions are
 	// processed by separate loop nests.
 	OptLoBr
-	// OptNBC switches the halo exchange to non-blocking Irecv/Isend/Waitall
-	// with receives posted early (§V.E).
+	// OptNBC switches the halo exchange to the paper's non-blocking pattern
+	// (MPI_Irecv/Isend/Waitall with receives posted early, §V.E): both
+	// ghost faces of an axis are awaited together, then unpacked.
 	OptNBC
 	// OptGCC separates the ghost-region computation from the domain of
 	// interest (§V.F): border planes are computed and sent first, interior
@@ -630,6 +631,9 @@ type RankStats struct {
 	CommTime  time.Duration
 	BytesSent int64
 	Messages  int64
+	// SlotBytes is the high-water mark of the message buffers the fabric
+	// held for this rank's sends — the transport's memory.
+	SlotBytes int64
 }
 
 // Result summarizes a completed run.
@@ -776,6 +780,12 @@ func Run(cfg Config) (*Result, error) {
 	}
 	for r, m := range fab.MessagesSent() {
 		res.PerRank[r].Messages = m
+	}
+	for r, b := range fab.SlotBytes() {
+		res.PerRank[r].SlotBytes = b
+		if obsns != nil {
+			obsns[r].SlotBytes = b
+		}
 	}
 	for _, ab := range axisB {
 		for a := 0; a < 3; a++ {

@@ -32,14 +32,14 @@ func (cs *cartStepper) swap() { cs.f, cs.fadv = cs.fadv, cs.f }
 // and writing cs.fadv. The caller swaps after the step completes.
 func (cs *cartStepper) fusedBox(b box) {
 	t0 := cs.rec.Begin()
-	cs.br.run(cs.fusedRows, b)
+	cs.br.run(cs.fused, b)
 	cs.rec.End(obs.Interior, t0)
 }
 
 // fusedBoxPair computes a fused step over two disjoint boxes (rim slabs),
 // submitted as one chunk batch.
 func (cs *cartStepper) fusedBoxPair(b1, b2 box) {
-	cs.br.run(cs.fusedRows, b1, b2)
+	cs.br.run(cs.fused, b1, b2)
 }
 
 // fusedRows is the fused view-forming caller: for each destination row it

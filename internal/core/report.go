@@ -64,6 +64,7 @@ func NewReport(cfg *Config, res *Result) *obs.Report {
 				CommSeconds: s.CommTime.Seconds(),
 				BytesSent:   s.BytesSent,
 				Messages:    s.Messages,
+				SlotBytes:   s.SlotBytes,
 			}
 		}
 	}

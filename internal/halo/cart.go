@@ -122,12 +122,15 @@ const (
 func borderRegion(side int) int { return lowBorder + side }
 func ghostRegion(side int) int  { return highGhost * side }
 
-// CartExchanger owns the send/receive buffers for one rank's halo
-// exchange. The local field spans Own[a] + 2·W[a] cells on axis a:
-// [W[a], W[a]+Own[a]) is owned, [0, W[a]) the low ghost and
-// [W[a]+Own[a], Own[a]+2·W[a]) the high ghost. An axis of width 0 has no
-// faces: nothing is packed, sent, received or written along it (the
-// paper's slab keeps ghosts on x only and wraps y and z in its kernels).
+// CartExchanger is one rank's halo exchange: the span lists of its faces
+// and the protocols that move them. It owns no message buffer — a border
+// face is packed straight into a slot acquired from the fabric and a ghost
+// face unpacked straight out of the slot taken from it. The local field
+// spans Own[a] + 2·W[a] cells on axis a: [W[a], W[a]+Own[a]) is owned,
+// [0, W[a]) the low ghost and [W[a]+Own[a], Own[a]+2·W[a]) the high ghost.
+// An axis of width 0 has no faces: nothing is packed, sent, received or
+// written along it (the paper's slab keeps ghosts on x only and wraps y
+// and z in its kernels).
 type CartExchanger struct {
 	Q    int
 	Dims grid.Dims // local dims including ghosts
@@ -148,15 +151,14 @@ type CartExchanger struct {
 
 	// spans[axis][region] lists the region's exchanged cells in wire
 	// order: rows x-major then y, each row's z-runs ascending, memory-
-	// adjacent runs merged.
+	// adjacent runs merged. cells[axis][region] is their total: a face's
+	// payload is Q values per cell.
 	spans [3][4][]span
+	cells [3][4]int
 
-	// send[axis][side] holds exactly the border face toward side,
-	// recv[axis][side] exactly the ghost face filled from it: Q values per
-	// span cell.
-	send, recv [3][2][]float64
-	reqs       [3][2]*comm.Request
-	axisBytes  [3]int64 // payload bytes sent per axis, accumulated
+	stage     []float64 // the local wrap's one reused buffer, grown on first use
+	posted    [3]bool   // PostRecvsAxis called, WaitUnpackAxis pending
+	axisBytes [3]int64  // payload bytes sent per axis, accumulated
 }
 
 // NewCartExchanger builds an exchanger for a field of the given shape
@@ -195,13 +197,8 @@ func NewCartExchangerMasked(q int, d grid.Dims, own, w [3]int, self int, neighbo
 	}
 	e := &CartExchanger{Q: q, Dims: d, Own: own, W: w, Self: self, Neighbors: neighbors}
 	for a := 0; a < 3; a++ {
-		var cells [4]int
-		for region := range cells {
-			e.spans[a][region], cells[region] = e.faceSpans(a, region, solid)
-		}
-		for s := 0; s < 2; s++ {
-			e.send[a][s] = make([]float64, q*cells[borderRegion(s)])
-			e.recv[a][s] = make([]float64, q*cells[ghostRegion(s)])
+		for region := range e.spans[a] {
+			e.spans[a][region], e.cells[a][region] = e.faceSpans(a, region, solid)
 		}
 	}
 	return e, nil
@@ -273,7 +270,7 @@ func (e *CartExchanger) BytesPerExchange(axis int) int64 {
 	var total int64
 	for s := 0; s < 2; s++ {
 		if n := e.Neighbors[axis][s]; n != NoNeighbor && n != e.Self {
-			total += int64(8 * len(e.send[axis][s]))
+			total += int64(8 * e.Q * e.cells[axis][borderRegion(s)])
 		}
 	}
 	return total
@@ -284,8 +281,8 @@ func (e *CartExchanger) AxisBytes() [3]int64 { return e.axisBytes }
 
 // ExchangeAll performs a full halo exchange: axes in x, y, z order so
 // edges and corners are covered by the ride-along trick. With nonblocking
-// set, each axis uses the Irecv/Isend/Waitall protocol with receives
-// posted before the sends (§V.E); otherwise blocking eager sends.
+// set, each axis runs the three-phase protocol, both ghost faces awaited
+// together (§V.E); otherwise each is awaited and unpacked in turn.
 func (e *CartExchanger) ExchangeAll(r *comm.Rank, f *grid.Field, nonblocking bool) {
 	for axis := 0; axis < 3; axis++ {
 		e.ExchangeAxis(r, f, axis, nonblocking)
@@ -312,41 +309,35 @@ func (e *CartExchanger) ExchangeAxis(r *comm.Rank, f *grid.Field, axis int, nonb
 		e.WaitUnpackAxis(r, f, axis)
 		return
 	}
-	// Eager buffered sends cannot deadlock; order recvs after both sends.
-	e.sendBorders(r, f, axis, false)
+	// A post never waits for its receiver, so sending both borders before
+	// the first receive cannot deadlock.
+	e.SendBordersAxis(r, f, axis)
 	for _, s := range [2]int{1, 0} {
 		n := e.Neighbors[axis][s]
 		if n == NoNeighbor {
 			continue
 		}
 		t0 := e.Rec.Begin()
-		got := r.Recv(n, cartTag(axis, 1-s), e.recv[axis][s])
+		slot := r.Take(n, cartTag(axis, 1-s))
 		e.Rec.EndAxis(obs.Wire, axis, t0)
 		t0 = e.Rec.Begin()
-		e.unpackFace(f, axis, s, e.recv[axis][s][:got])
+		e.unpackFace(f, axis, s, slot.Data)
+		r.Release(slot)
 		e.Rec.EndAxis(obs.Unpack, axis, t0)
 	}
 }
 
-// PostRecvsAxis posts the ghost receives for one axis early (boundary
-// sides excluded).
-func (e *CartExchanger) PostRecvsAxis(r *comm.Rank, axis int) {
-	for s := 0; s < 2; s++ {
-		if n := e.Neighbors[axis][s]; n != NoNeighbor {
-			e.reqs[axis][s] = r.Irecv(n, cartTag(axis, 1-s), e.recv[axis][s])
-		}
-	}
-}
+// PostRecvsAxis announces the ghost receives of one axis ahead of the
+// compute that overlaps them (the paper posts its MPI_Irecv before the
+// local stream, §V.E). The fabric needs no buffer from the receiver — the
+// message arrives in the sender's slot — so this only opens the axis for
+// WaitUnpackAxis.
+func (e *CartExchanger) PostRecvsAxis(r *comm.Rank, axis int) { e.posted[axis] = true }
 
-// SendBordersAxis packs and sends the border faces of one axis (boundary
-// sides excluded).
+// SendBordersAxis packs each border face of one axis that has a neighbor
+// straight into a slot of the fabric and posts it, counting what was
+// actually packed.
 func (e *CartExchanger) SendBordersAxis(r *comm.Rank, f *grid.Field, axis int) {
-	e.sendBorders(r, f, axis, true)
-}
-
-// sendBorders packs and sends each border face that has a neighbor,
-// counting what was actually packed.
-func (e *CartExchanger) sendBorders(r *comm.Rank, f *grid.Field, axis int, nonblocking bool) {
 	t0 := e.Rec.Begin()
 	var bytes, msgs int64
 	for s := 0; s < 2; s++ {
@@ -354,13 +345,10 @@ func (e *CartExchanger) sendBorders(r *comm.Rank, f *grid.Field, axis int, nonbl
 		if n == NoNeighbor {
 			continue
 		}
-		buf := e.packFace(f, axis, s)
-		if nonblocking {
-			r.Isend(n, cartTag(axis, s), buf)
-		} else {
-			r.Send(n, cartTag(axis, s), buf)
-		}
-		bytes += int64(8 * len(buf))
+		slot := r.Acquire(n, e.Q*e.cells[axis][borderRegion(s)])
+		copySpans(f, e.spans[axis][borderRegion(s)], slot.Data, false)
+		r.Post(n, cartTag(axis, s), slot)
+		bytes += int64(8 * len(slot.Data))
 		msgs++
 	}
 	e.axisBytes[axis] += bytes
@@ -368,32 +356,36 @@ func (e *CartExchanger) sendBorders(r *comm.Rank, f *grid.Field, axis int, nonbl
 	e.Rec.AddComm(axis, bytes, msgs)
 }
 
-// WaitUnpackAxis completes one axis's posted receives and fills the
-// corresponding ghosts.
+// WaitUnpackAxis takes one axis's two ghost messages and fills the ghosts
+// straight out of their slots.
 func (e *CartExchanger) WaitUnpackAxis(r *comm.Rank, f *grid.Field, axis int) {
-	for s := 0; s < 2; s++ {
-		if e.Neighbors[axis][s] != NoNeighbor && e.reqs[axis][s] == nil {
-			panic("halo: WaitUnpackAxis without PostRecvsAxis")
+	if !e.posted[axis] {
+		panic("halo: WaitUnpackAxis without PostRecvsAxis")
+	}
+	e.posted[axis] = false
+	var slots [2]*comm.Slot
+	t0 := e.Rec.Begin()
+	for s, n := range e.Neighbors[axis] {
+		if n != NoNeighbor {
+			slots[s] = r.Take(n, cartTag(axis, 1-s))
 		}
 	}
-	t0 := e.Rec.Begin()
-	r.Wait(e.reqs[axis][0], e.reqs[axis][1]) // Wait skips a boundary side's nil request
 	e.Rec.EndAxis(obs.Wire, axis, t0)
 	t0 = e.Rec.Begin()
-	for s := 0; s < 2; s++ {
-		if q := e.reqs[axis][s]; q != nil {
-			e.unpackFace(f, axis, s, e.recv[axis][s][:q.N()])
-			e.reqs[axis][s] = nil
+	for s, slot := range slots {
+		if slot != nil {
+			e.unpackFace(f, axis, s, slot.Data)
+			r.Release(slot)
 		}
 	}
 	e.Rec.EndAxis(obs.Unpack, axis, t0)
 }
 
 // exchangeLocalAxis wraps one undecomposed axis periodically in place:
-// low ghost <- high border, high ghost <- low border.
+// low ghost <- high border, high ghost <- low border. Packing reads only
+// border (owned) cells and unpacking writes only ghost cells, so both
+// packs may run before both unpacks.
 func (e *CartExchanger) exchangeLocalAxis(f *grid.Field, axis int) {
-	// Staging reads only border (owned) cells and ghost writes only ghost
-	// cells, so both packs may run before both unpacks.
 	t0 := e.Rec.Begin()
 	hi := e.packFace(f, axis, 1)
 	lo := e.packFace(f, axis, 0)
@@ -415,38 +407,44 @@ func blocks(f *grid.Field) (n, per int) {
 	return f.Q, 1
 }
 
-// packFace copies the border face toward side into its send buffer and
-// returns the filled buffer.
-func (e *CartExchanger) packFace(f *grid.Field, axis, side int) []float64 {
-	buf := e.send[axis][side]
+// copySpans moves the listed cells of every block of f, in wire order,
+// into buf — or, unpacking, out of it.
+func copySpans(f *grid.Field, spans []span, buf []float64, unpack bool) {
 	nb, per := blocks(f)
 	size := len(f.Data) / nb
 	n := 0
 	for b := 0; b < nb; b++ {
 		blk := f.Data[b*size : (b+1)*size]
-		for _, s := range e.spans[axis][borderRegion(side)] {
-			n += copy(buf[n:], blk[s.off*per:(s.off+s.n)*per])
+		for _, s := range spans {
+			if cells := blk[s.off*per : (s.off+s.n)*per]; unpack {
+				n += copy(cells, buf[n:])
+			} else {
+				n += copy(buf[n:], cells)
+			}
 		}
 	}
-	return buf[:n]
+}
+
+// packFace stages the border face toward side in the local wrap's buffer
+// (low border first, high border after it) and returns the filled part.
+func (e *CartExchanger) packFace(f *grid.Field, axis, side int) []float64 {
+	n := [2]int{e.Q * e.cells[axis][lowBorder], e.Q * e.cells[axis][highBorder]}
+	if len(e.stage) < n[0]+n[1] {
+		e.stage = make([]float64, n[0]+n[1])
+	}
+	buf := e.stage[side*n[0]:][:n[side]]
+	copySpans(f, e.spans[axis][borderRegion(side)], buf, false)
+	return buf
 }
 
 // unpackFace fills the ghost face on side from buf. Payloads have no
 // header: a length other than this rank's own ghost span total means the
 // sender packed a different mask, and unpacking would leave stale data
-// behind, so it panics instead.
+// behind, so it panics before the first write instead.
 func (e *CartExchanger) unpackFace(f *grid.Field, axis, side int, buf []float64) {
-	if want := len(e.recv[axis][side]); len(buf) != want {
+	if want := e.Q * e.cells[axis][ghostRegion(side)]; len(buf) != want {
 		panic(fmt.Sprintf("halo: rank %d axis %d side %d: received %d values, own ghost spans hold %d (sender and receiver masks disagree)",
 			e.Self, axis, side, len(buf), want))
 	}
-	nb, per := blocks(f)
-	size := len(f.Data) / nb
-	n := 0
-	for b := 0; b < nb; b++ {
-		blk := f.Data[b*size : (b+1)*size]
-		for _, s := range e.spans[axis][ghostRegion(side)] {
-			n += copy(blk[s.off*per:(s.off+s.n)*per], buf[n:])
-		}
-	}
+	copySpans(f, e.spans[axis][ghostRegion(side)], buf, true)
 }

@@ -627,12 +627,12 @@ func TestMaskedExchangeFluidOnly(t *testing.T) {
 							t.Errorf("p=%v rank %d axis %d: accumulated %d B, BytesPerExchange %d", p, r.ID, a, ex.AxisBytes()[a], ex.BytesPerExchange(a))
 						}
 						for s := 0; s < 2; s++ {
-							for _, buf := range [][]float64{ex.send[a][s], ex.recv[a][s]} {
-								for _, x := range buf {
-									if math.IsNaN(x) {
-										t.Errorf("p=%v w=%v rank %d axis %d side %d: a poisoned solid cell reached the wire", p, w, r.ID, a, s)
-										return nil
-									}
+							// What a border packs is what a send carries; what a
+							// receive carried is in the fluid ghosts checked above.
+							for _, x := range ex.packFace(f, a, s) {
+								if math.IsNaN(x) {
+									t.Errorf("p=%v w=%v rank %d axis %d side %d: a poisoned solid cell reached the wire", p, w, r.ID, a, s)
+									return nil
 								}
 							}
 						}
@@ -716,6 +716,57 @@ func TestLocalWrapAllocatesNothing(t *testing.T) {
 	}
 }
 
+// TestExchangeAllocatesNothing: once the fabric's pair pools are stocked, a
+// full exchange between two ranks — messages on x, local wraps on y and z —
+// allocates nothing: faces are packed into and unpacked out of recycled
+// slots. One rank can run at most one exchange ahead of the other, so the
+// warm-up puts two exchanges' borders in flight at once and the pools then
+// hold every slot the pair can ever need.
+func TestExchangeAllocatesNothing(t *testing.T) {
+	d := grid.Dims{NX: 8, NY: 8, NZ: 8}
+	solid := make([]bool, d.Cells())
+	for i := range solid {
+		solid[i] = i%3 == 0
+	}
+	for _, mask := range [][]bool{nil, solid} {
+		for _, nonblocking := range []bool{false, true} {
+			fab := comm.NewFabric(2)
+			top, err := fab.Cart([3]int{2, 1, 1})
+			if err != nil {
+				t.Fatal(err)
+			}
+			err = fab.Run(func(r *comm.Rank) error {
+				ex, err := NewCartExchangerMasked(2, d, [3]int{6, 6, 6}, [3]int{1, 1, 1}, r.ID, top.Neighbors(r.ID), mask)
+				if err != nil {
+					return err
+				}
+				f := grid.NewField(2, d, grid.SoA)
+				ex.SendBordersAxis(r, f, 0)
+				ex.SendBordersAxis(r, f, 0)
+				r.Barrier() // no slot comes back before all four are out
+				for i := 0; i < 2; i++ {
+					ex.PostRecvsAxis(r, 0)
+					ex.WaitUnpackAxis(r, f, 0)
+				}
+				exchange := func() { ex.ExchangeAll(r, f, nonblocking) }
+				// AllocsPerRun counts the whole process, so rank 0's reading
+				// covers rank 1's half of its 1 + 10 exchanges too.
+				if r.ID == 1 {
+					for i := 0; i < 11; i++ {
+						exchange()
+					}
+				} else if n := testing.AllocsPerRun(10, exchange); n != 0 {
+					t.Errorf("masked=%v nonblocking=%v: %v allocations per exchange, want 0", mask != nil, nonblocking, n)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+}
+
 // TestWireMismatchFailsWell: payloads are headerless, so two ranks whose
 // masks disagree over a shared face would silently leave stale data in
 // the ghost cells. The receiver must notice the short payload and say
@@ -744,7 +795,23 @@ func TestWireMismatchFailsWell(t *testing.T) {
 			if err != nil {
 				return err
 			}
-			ex.ExchangeAxis(r, grid.NewField(q, d, grid.SoA), 0, nonblocking)
+			f := grid.NewField(q, d, grid.SoA)
+			for i := range f.Data {
+				f.Data[i] = -7
+			}
+			defer func() {
+				// The length check comes before the first ghost write.
+				if p := recover(); p != nil {
+					for i, x := range f.Data {
+						if x != -7 {
+							t.Errorf("nonblocking=%v rank %d: value %d written before the mismatch was noticed", nonblocking, r.ID, i)
+							break
+						}
+					}
+					panic(p)
+				}
+			}()
+			ex.ExchangeAxis(r, f, 0, nonblocking)
 			return nil
 		})
 		// Rank 0 expects full 6×6 faces and receives rank 1's 5×6, on

@@ -28,13 +28,15 @@ const (
 	// Rim is the deferred recompute of the sub-regions adjacent to an
 	// exchanged axis, run after that axis's ghosts arrive.
 	Rim
-	// Pack is copying border cells into send buffers (plus local periodic
-	// wrap writes on undecomposed axes).
+	// Pack is copying border cells into the fabric's message slots — or, on
+	// an undecomposed axis, into the local periodic wrap's staging buffer —
+	// and nothing else.
 	Pack
-	// Wire is time blocked on message arrival: Recv/Wait calls in the
-	// exchangers, i.e. the exposed (un-hidden) communication time.
+	// Wire is time blocked on message arrival: the exchangers' Take calls,
+	// i.e. the exposed (un-hidden) communication time.
 	Wire
-	// Unpack is copying received halos into the ghost layer.
+	// Unpack is copying received halos out of their slots into the ghost
+	// layer, nothing else.
 	Unpack
 	// Fixup is the boundary fixup pass (bounce-back, Zou-He, outlets) over
 	// the per-box fixup index.
@@ -187,6 +189,9 @@ type RankObservation struct {
 	// the fabric (payload copies, all tags).
 	BytesSent int64 `json:"bytes_sent"`
 	Messages  int64 `json:"messages"`
+	// SlotBytes is the high-water mark of the message slots the fabric held
+	// for this rank's sends (comm.Fabric.SlotBytes): the transport's memory.
+	SlotBytes int64 `json:"slot_bytes"`
 	// FluidCells is the number of fluid lattice sites in the rank's owned
 	// box (the paper's per-rank N_fl; the whole box volume on unmasked
 	// domains) — the decomposition's load-balance view on sparse

@@ -104,7 +104,7 @@ func TestReportGoldenShape(t *testing.T) {
 	st := RunStats{WallSeconds: 0.5, MFlups: 10, InteriorUpdates: 1024,
 		CommSeconds: []float64{0.1}}
 	o := r.Observation()
-	o.BytesSent, o.Messages = 1024, 4 // the harness fills these from the fabric
+	o.BytesSent, o.Messages, o.SlotBytes = 1024, 4, 2048 // the harness fills these from the fabric
 	rep := BuildReport(cfg, st, []RankObservation{o})
 
 	var buf bytes.Buffer
@@ -142,6 +142,9 @@ func TestReportGoldenShape(t *testing.T) {
 	}
 	if bs := m["comm"].(map[string]any)["bytes_sent"]; bs != float64(1024) {
 		t.Errorf("comm.bytes_sent = %v, want 1024", bs)
+	}
+	if sb := m["comm"].(map[string]any)["slot_bytes"]; sb != float64(2048) {
+		t.Errorf("comm.slot_bytes = %v, want 2048", sb)
 	}
 }
 

@@ -84,6 +84,9 @@ type CommReport struct {
 	AxisBytes [3]int64 `json:"axis_bytes"`
 	BytesSent int64    `json:"bytes_sent"`
 	Messages  int64    `json:"messages"`
+	// SlotBytes sums the ranks' message-slot high-water marks: what the
+	// transport held, beside what it carried.
+	SlotBytes int64 `json:"slot_bytes"`
 }
 
 // RunStats carries the result-level quantities of one run into BuildReport.
@@ -141,6 +144,7 @@ func BuildReport(cfg RunConfig, st RunStats, ranks []RankObservation) *Report {
 	for _, o := range ranks {
 		rep.Comm.BytesSent += o.BytesSent
 		rep.Comm.Messages += o.Messages
+		rep.Comm.SlotBytes += o.SlotBytes
 		if o.FluidCells > 0 {
 			fluids = append(fluids, float64(o.FluidCells))
 		}

@@ -19,7 +19,8 @@ import (
 // keeps T−1 background workers parked on a condition variable, and the
 // caller participates as worker 0 of every batch. A Pool is driven by one
 // goroutine at a time (Run is not reentrant), matching its per-stepper
-// ownership.
+// ownership — which is what lets the one batch below be reused by every
+// Run, so dispatching allocates nothing.
 type Pool struct {
 	threads int
 	// counts[w] is the number of chunks worker w has drained over the
@@ -29,11 +30,23 @@ type Pool struct {
 	counts []chunkCount
 
 	mu     sync.Mutex
-	cond   *sync.Cond
-	cur    *batch // batch being executed, nil when idle
-	gen    uint64 // bumped per Run; wakes workers exactly once per batch
+	cond   *sync.Cond // workers park here for the next batch
+	idle   *sync.Cond // Run parks here until the workers have left the batch
+	open   bool       // a batch is accepting workers
+	gen    uint64     // bumped per Run; wakes workers exactly once per batch
+	active int        // background workers inside the batch
 	closed bool
 	wg     sync.WaitGroup
+
+	// The batch: n chunks drained from an atomic cursor. Written by Run
+	// while no worker is inside (active == 0 under mu), read by the workers
+	// that joined under mu.
+	body     func(worker, chunk int)
+	n        int64
+	next     atomic.Int64 // next chunk index to claim
+	aborted  atomic.Bool  // a chunk panicked: claim the rest without running
+	panicMu  sync.Mutex
+	panicVal any
 }
 
 // chunkCount is one worker's drained-chunk counter, padded out to its own
@@ -43,20 +56,6 @@ type chunkCount struct {
 	_ [56]byte
 }
 
-// batch is one Run invocation: n chunks drained from an atomic cursor.
-type batch struct {
-	body   func(worker, chunk int)
-	counts []chunkCount
-	n      int64
-	next   atomic.Int64 // next chunk index to claim
-	left   atomic.Int64 // chunks not yet finished; 0 closes done
-	done   chan struct{}
-
-	aborted  atomic.Bool // a chunk panicked: claim the rest without running
-	panicMu  sync.Mutex
-	panicVal any
-}
-
 // NewPool creates a pool of the given team size. threads < 1 is treated as
 // 1. A 1-thread pool spawns no goroutines.
 func NewPool(threads int) *Pool {
@@ -64,7 +63,7 @@ func NewPool(threads int) *Pool {
 		threads = 1
 	}
 	p := &Pool{threads: threads, counts: make([]chunkCount, threads)}
-	p.cond = sync.NewCond(&p.mu)
+	p.cond, p.idle = sync.NewCond(&p.mu), sync.NewCond(&p.mu)
 	for w := 1; w < threads; w++ {
 		p.wg.Add(1)
 		go p.worker(w)
@@ -101,20 +100,26 @@ func (p *Pool) Run(n int, body func(worker, chunk int)) {
 		}
 		return
 	}
-	b := &batch{body: body, counts: p.counts, n: int64(n), done: make(chan struct{})}
-	b.left.Store(int64(n))
+	p.body, p.n, p.panicVal = body, int64(n), nil
+	p.next.Store(0)
+	p.aborted.Store(false)
 	p.mu.Lock()
-	p.cur = b
+	p.open = true
 	p.gen++
 	p.mu.Unlock()
 	p.cond.Broadcast()
-	b.drain(0) // the caller is worker 0
-	<-b.done
+	p.drain(0) // the caller is worker 0
+	// The cursor is exhausted, so no worker joining now could claim a
+	// chunk, and every claimed chunk is finished once the workers already
+	// inside have left.
 	p.mu.Lock()
-	p.cur = nil
+	p.open = false
+	for p.active > 0 {
+		p.idle.Wait()
+	}
 	p.mu.Unlock()
-	if b.panicVal != nil {
-		panic(b.panicVal)
+	if p.panicVal != nil {
+		panic(p.panicVal)
 	}
 }
 
@@ -151,57 +156,57 @@ func (p *Pool) Close() {
 }
 
 // worker is the background loop of team member w: park until a new batch
-// (or shutdown), help drain it, repeat. A worker that wakes after the
-// batch is fully claimed simply finds no chunk and parks again.
+// (or shutdown), help drain it, repeat. A worker that wakes after Run has
+// stopped admitting workers parks again until the next batch.
 func (p *Pool) worker(w int) {
 	defer p.wg.Done()
 	var seen uint64
+	p.mu.Lock()
 	for {
-		p.mu.Lock()
-		for !p.closed && (p.cur == nil || p.gen == seen) {
+		for !p.closed && (!p.open || p.gen == seen) {
 			p.cond.Wait()
 		}
 		if p.closed {
 			p.mu.Unlock()
 			return
 		}
-		b := p.cur
 		seen = p.gen
+		p.active++
 		p.mu.Unlock()
-		b.drain(w)
+		p.drain(w)
+		p.mu.Lock()
+		if p.active--; p.active == 0 {
+			p.idle.Signal()
+		}
 	}
 }
 
-// drain claims and executes chunks until the batch's cursor is exhausted.
-// Every claimed chunk is accounted in left — including chunks skipped
-// after an abort — so done always closes.
-func (b *batch) drain(worker int) {
+// drain claims and executes chunks until the batch's cursor is exhausted;
+// after an abort the remaining chunks are claimed without running.
+func (p *Pool) drain(worker int) {
 	for {
-		i := b.next.Add(1) - 1
-		if i >= b.n {
+		i := p.next.Add(1) - 1
+		if i >= p.n {
 			return
 		}
-		if !b.aborted.Load() {
-			b.runChunk(worker, int(i))
-			b.counts[worker].n.Add(1)
-		}
-		if b.left.Add(-1) == 0 {
-			close(b.done)
+		if !p.aborted.Load() {
+			p.runChunk(worker, int(i))
+			p.counts[worker].n.Add(1)
 		}
 	}
 }
 
 // runChunk executes one chunk, converting a panic into batch abortion.
-func (b *batch) runChunk(worker, chunk int) {
+func (p *Pool) runChunk(worker, chunk int) {
 	defer func() {
 		if r := recover(); r != nil {
-			b.panicMu.Lock()
-			if b.panicVal == nil {
-				b.panicVal = r
+			p.panicMu.Lock()
+			if p.panicVal == nil {
+				p.panicVal = r
 			}
-			b.panicMu.Unlock()
-			b.aborted.Store(true)
+			p.panicMu.Unlock()
+			p.aborted.Store(true)
 		}
 	}()
-	b.body(worker, chunk)
+	p.body(worker, chunk)
 }
