@@ -214,6 +214,12 @@ func main() {
 		fmt.Printf("halo surface %.1f KB/rank/exchange (x %.1f, y %.1f, z %.1f)\n",
 			float64(hb[0]+hb[1]+hb[2])/1024, float64(hb[0])/1024, float64(hb[1])/1024, float64(hb[2])/1024)
 	}
+	var fieldMax, fieldSum int64
+	for _, rs := range res.PerRank {
+		fieldMax = max(fieldMax, rs.FieldBytes)
+		fieldSum += rs.FieldBytes
+	}
+	fmt.Printf("field memory %.1f MB/rank max, %.1f MB total\n", float64(fieldMax)/(1<<20), float64(fieldSum)/(1<<20))
 	fmt.Printf("wall time    %v\n", res.WallTime)
 	fmt.Printf("performance  %.2f MFlup/s\n", res.MFlups)
 	fmt.Printf("ghost work   %d extra cell updates (%.2f%% of interior)\n",

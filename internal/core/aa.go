@@ -126,58 +126,53 @@ func (cs *cartStepper) aaCompactBox(b box) {
 // the reversed downwind slots (skipping solid source cells), and push the
 // bounce-back slots.
 func (cs *cartStepper) aaTransportRange(worker int, b box) {
-	if b.hi[2] <= b.lo[2] || b.hi[1] <= b.lo[1] || b.hi[0] <= b.lo[0] {
-		return
-	}
 	sc := cs.scratch[worker]
-	if cs.runStart != nil {
-		// Sparse: every run is all-fluid, so the masked-row slow paths of
-		// the row body never engage; the per-run fixup segment is the
-		// z-sliced view of the row's links, exactly the links the dense
-		// full-row pass applies within the run's interval.
-		cs.forRuns(b, func(ix, iy, zlo, zhi int) {
-			cs.aaTransportRow(sc, ix, iy, zlo, zhi, nil)
-		})
-		return
+	// Sparse runs are all-fluid, so the masked-row slow paths of the row
+	// body never engage; the per-run fixup segment is the z-sliced view of
+	// the row's links, exactly the links the dense full-row pass applies
+	// within the run's interval.
+	cs.forRuns(b, func(ix, iy, zlo, zhi, base int) {
+		cs.aaTransportRow(sc, ix, iy, zlo, zhi, base, cs.solidInRow(base, zhi-zlo))
+	})
+}
+
+// solidInRow returns the mask of a dense row's zn cells from field offset
+// base when any of them is solid, else nil (as for every sparse run).
+func (cs *cartStepper) solidInRow(base, zn int) []bool {
+	if cs.mask == nil || cs.runStart != nil {
+		return nil
 	}
-	zn := b.hi[2] - b.lo[2]
-	for ix := b.lo[0]; ix < b.hi[0]; ix++ {
-		for iy := b.lo[1]; iy < b.hi[1]; iy++ {
-			var msk []bool
-			if cs.mask != nil {
-				base := cs.d.Index(ix, iy, b.lo[2])
-				row := cs.mask[base : base+zn]
-				for _, s := range row {
-					if s {
-						msk = row
-						break
-					}
-				}
-			}
-			cs.aaTransportRow(sc, ix, iy, b.lo[2], b.hi[2], msk)
+	row := cs.mask[base : base+zn]
+	for _, s := range row {
+		if s {
+			return row
 		}
 	}
+	return nil
 }
 
 // aaTransportRow is the transport body for one row's z-interval
-// [zlo, zhi). msk, when non-nil, flags the interval's solid cells
-// (msk[z-zlo]); sparse runs pass nil — they carry no solid cells.
-func (cs *cartStepper) aaTransportRow(sc *workerScratch, ix, iy, zlo, zhi int, msk []bool) {
+// [zlo, zhi), whose own cells start at field offset base. msk, when
+// non-nil, flags the interval's solid cells (msk[z-zlo]); sparse runs
+// pass nil — they carry no solid cells. Under the run index the gather
+// and the scatter are clipped to the cells their rows store: an upwind
+// source without storage is a fixup link, overwritten below, and a
+// downwind slot without storage belongs to a solid cell nobody reads.
+func (cs *cartStepper) aaTransportRow(sc *workerScratch, ix, iy, zlo, zhi, base int, msk []bool) {
 	m := cs.model
 	zn := zhi - zlo
 	in, out := sc.gathered(zn)
-	nz := cs.d.NZ
 	// Masked z positions are skipped in the gather, not just the
 	// scatter: a solid cell's star slots are concurrently written by
 	// its fluid neighbours' push-bounce, and its own pulled values
 	// are discarded anyway.
 	for v := 0; v < m.Q; v++ {
-		off := cs.d.Index(ix-m.Cx[v], iy-m.Cy[v], zlo-m.Cz[v])
 		src := cs.f.V(v)
 		if msk == nil {
-			copy(in[v], src[off:off+zn])
+			cs.pull(in[v], src, ix-m.Cx[v], iy-m.Cy[v], zlo-m.Cz[v])
 			continue
 		}
+		off := cs.d.Index(ix-m.Cx[v], iy-m.Cy[v], zlo-m.Cz[v])
 		iv := in[v]
 		for z := 0; z < zn; z++ {
 			if msk[z] {
@@ -189,25 +184,20 @@ func (cs *cartStepper) aaTransportRow(sc *workerScratch, ix, iy, zlo, zhi int, m
 	}
 	var seg []fixup
 	if !cs.fix.empty() {
-		row := ix*cs.d.NY + iy
-		seg = cs.fix.links[cs.fix.rows[row]:cs.fix.rows[row+1]]
-		if (zlo != 0 || zhi != nz) && len(seg) > 0 {
-			seg = zSlice(seg, nz, zlo, zhi)
-		}
+		seg = cs.fix.rowLinks(ix*cs.d.NY+iy, zlo, zhi)
 		for _, fx := range seg {
-			z := int(fx.cell)%nz - zlo
-			in[fx.v][z] = cs.f.V(int(fx.opp))[fx.cell] + fx.delta
+			in[fx.v][int(fx.cell)-base] = cs.f.V(int(fx.opp))[fx.cell] + fx.delta
 		}
 	}
 	cs.relax(sc, in, out, zn)
 	cs.aaSpongeRow(sc, out, ix, iy, zlo, zn)
 	for v := 0; v < m.Q; v++ {
 		dst := cs.f.V(m.Opp[v])
-		off := cs.d.Index(ix+m.Cx[v], iy+m.Cy[v], zlo+m.Cz[v])
 		if msk == nil {
-			copy(dst[off:off+zn], out[v])
+			cs.push(dst, ix+m.Cx[v], iy+m.Cy[v], zlo+m.Cz[v], out[v])
 			continue
 		}
+		off := cs.d.Index(ix+m.Cx[v], iy+m.Cy[v], zlo+m.Cz[v])
 		ov := out[v]
 		for z := 0; z < zn; z++ {
 			if msk[z] {
@@ -217,8 +207,7 @@ func (cs *cartStepper) aaTransportRow(sc *workerScratch, ix, iy, zlo, zhi int, m
 		}
 	}
 	for _, fx := range seg {
-		z := int(fx.cell)%nz - zlo
-		cs.f.V(int(fx.opp))[fx.cell] = out[fx.opp][z] + fx.delta
+		cs.f.V(int(fx.opp))[fx.cell] = out[fx.opp][int(fx.cell)-base] + fx.delta
 	}
 }
 
@@ -226,42 +215,18 @@ func (cs *cartStepper) aaTransportRow(sc *workerScratch, ix, iy, zlo, zhi int, m
 // read the cell's own slots reversed, collide, write back in normal
 // arrangement (skipping solid cells). Entirely cell-local.
 func (cs *cartStepper) aaCompactRange(worker int, b box) {
-	if b.hi[2] <= b.lo[2] || b.hi[1] <= b.lo[1] || b.hi[0] <= b.lo[0] {
-		return
-	}
 	sc := cs.scratch[worker]
-	if cs.runStart != nil {
-		cs.forRuns(b, func(ix, iy, zlo, zhi int) {
-			cs.aaCompactRow(sc, ix, iy, zlo, zhi, nil)
-		})
-		return
-	}
-	zn := b.hi[2] - b.lo[2]
-	for ix := b.lo[0]; ix < b.hi[0]; ix++ {
-		for iy := b.lo[1]; iy < b.hi[1]; iy++ {
-			var msk []bool
-			if cs.mask != nil {
-				base := cs.d.Index(ix, iy, b.lo[2])
-				row := cs.mask[base : base+zn]
-				for _, s := range row {
-					if s {
-						msk = row
-						break
-					}
-				}
-			}
-			cs.aaCompactRow(sc, ix, iy, b.lo[2], b.hi[2], msk)
-		}
-	}
+	cs.forRuns(b, func(ix, iy, zlo, zhi, base int) {
+		cs.aaCompactRow(sc, ix, iy, zlo, zhi, base, cs.solidInRow(base, zhi-zlo))
+	})
 }
 
 // aaCompactRow is the compact body for one row's z-interval [zlo, zhi);
-// msk as in aaTransportRow.
-func (cs *cartStepper) aaCompactRow(sc *workerScratch, ix, iy, zlo, zhi int, msk []bool) {
+// base and msk as in aaTransportRow.
+func (cs *cartStepper) aaCompactRow(sc *workerScratch, ix, iy, zlo, zhi, base int, msk []bool) {
 	m := cs.model
 	zn := zhi - zlo
 	in, out := sc.gathered(zn)
-	base := cs.d.Index(ix, iy, zlo)
 	for v := 0; v < m.Q; v++ {
 		copy(in[v], cs.f.V(m.Opp[v])[base:base+zn])
 	}
@@ -298,10 +263,29 @@ func (cs *cartStepper) aaSpongeRow(sc *workerScratch, out [][]float64, ix, iy, z
 	}
 	var msk []bool
 	if cs.mask != nil {
-		base := cs.d.Index(ix, iy, zlo)
+		base := cs.d.Index(ix, iy, zlo) // the mask is dense in every address space
 		msk = cs.mask[base : base+zn]
 	}
 	applySpongeRow(cs.model, sc.fc, out, sig, msk, zn)
+}
+
+// starPop returns population v of cell (ix, iy, iz) while the field is in
+// star arrangement (after a transport sub-step): the reversed downwind
+// slot (opp(v), y + c_v) the cell's own transport pushed. When that slot
+// has no storage — y + c_v is solid, under the run index — the population
+// was bounced instead: (y, opp(v)) is a fixup link, and the push-bounce
+// left r_v + δ in the cell's own slot (v, y).
+func (cs *cartStepper) starPop(v, ix, iy, iz int) float64 {
+	m := cs.model
+	if off, ok := cs.cell(ix+m.Cx[v], iy+m.Cy[v], iz+m.Cz[v]); ok {
+		return cs.f.V(m.Opp[v])[off]
+	}
+	for _, fx := range cs.fix.rowLinks(ix*cs.d.NY+iy, iz, iz+1) {
+		if int(fx.v) == m.Opp[v] {
+			return cs.f.V(v)[fx.cell] - fx.delta
+		}
+	}
+	panic("core: star population has neither a slot nor a bounce-back link")
 }
 
 // aaForcePre accumulates the even sub-step's momentum-exchange forces
@@ -315,7 +299,7 @@ func (cs *cartStepper) aaForcePre() {
 	t0 := cs.rec.Begin()
 	defer cs.rec.End(obs.Force, t0)
 	fi := cs.fix
-	cells := cs.d.Cells()
+	cells := cs.f.D.Cells()
 	fd := cs.f.Data
 	for _, fx := range fi.links {
 		if fx.flags&fixOwned == 0 {
@@ -344,7 +328,7 @@ func (cs *cartStepper) aaForcePost() {
 	t0 := cs.rec.Begin()
 	defer cs.rec.End(obs.Force, t0)
 	fi := cs.fix
-	cells := cs.d.Cells()
+	cells := cs.f.D.Cells()
 	fd := cs.f.Data
 	for _, fx := range fi.links {
 		if fx.flags&fixOwned == 0 {
@@ -428,10 +412,10 @@ func (cs *cartStepper) aaFixOpenFace(axis, side int, bc box) {
 		for i1 := cb.lo[1]; i1 < cb.hi[1]; i1++ {
 			for i2 := cb.lo[2]; i2 < cb.hi[2]; i2++ {
 				y := [3]int{i0, i1, i2}
-				yIdx := cs.d.Index(i0, i1, i2)
-				if cs.mask != nil && cs.mask[yIdx] {
+				if cs.mask != nil && cs.mask[cs.d.Index(i0, i1, i2)] {
 					continue
 				}
+				yOff, _ := cs.cell(i0, i1, i2)
 				for v := 0; v < m.Q; v++ {
 					ga := y[axis] - cv[axis][v]
 					if side == 0 {
@@ -450,12 +434,12 @@ func (cs *cartStepper) aaFixOpenFace(axis, side int, bc box) {
 						val = cs.aaFill[(g[t1]*dims[t2]+g[t2])*m.Q+v]
 					} else {
 						// Zero-gradient: fill_v(g) = r_v(o), read from the
-						// star slot of the source column's owned-edge cell.
+						// star of the source column's owned-edge cell.
 						o := g
 						o[axis] = src
-						val = cs.f.V(m.Opp[v])[cs.d.Index(o[0]+m.Cx[v], o[1]+m.Cy[v], o[2]+m.Cz[v])]
+						val = cs.starPop(v, o[0], o[1], o[2])
 					}
-					cs.f.V(m.Opp[v])[yIdx] = val
+					cs.f.V(m.Opp[v])[yOff] = val
 				}
 			}
 		}
@@ -483,8 +467,11 @@ func (cs *cartStepper) aaFillColumns(axis, src, t1, t2 int, cb box) {
 		for i2 := lo2; i2 < hi2; i2++ {
 			var o [3]int
 			o[axis], o[t1], o[t2] = src, i1, i2
+			if _, ok := cs.cell(o[0], o[1], o[2]); !ok {
+				continue // a solid column under the run index: no consumer reads its fill
+			}
 			for v := 0; v < m.Q; v++ {
-				fc[v] = cs.f.V(m.Opp[v])[cs.d.Index(o[0]+m.Cx[v], o[1]+m.Cy[v], o[2]+m.Cz[v])]
+				fc[v] = cs.starPop(v, o[0], o[1], o[2])
 			}
 			rho, jx, jy, jz := m.Moments(fc)
 			ux, uy, uz := jx/rho, jy/rho, jz/rho

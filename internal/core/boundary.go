@@ -18,7 +18,7 @@ package core
 //     the equilibrium is evaluated at u + τ·a, which adds ρ·a of momentum
 //     per cell per step (the standard driving for channel flows).
 //
-// The fixup links are found by the stepper's buildMask (cart.go) and live
+// The fixup links are found by the stepper's buildFixups (cart.go) and live
 // in the per-box fixup index of fixindex.go, which also supplies the
 // momentum-exchange force measurement. The bounce-back fixup runs between
 // stream and collide, so it is incompatible with the fused kernel (which

@@ -10,7 +10,7 @@ package core
 // across it as plain offset copies — except on the paper's periodic slab,
 // whose y and z axes carry none (w = 0, "wrap axes": GhostWidths)
 // and are wrapped by the stream kernels (stream.go), the fused gather
-// (fused.go) and the bounce-back link builder (buildMask) themselves.
+// (fused.go) and the bounce-back link builder (buildFixups) themselves.
 // Everything else here is geometry-blind.
 //
 // Every rung collides with the row kernel collide.go selects for it and
@@ -91,12 +91,11 @@ type cartStepper struct {
 	inlet                              *Face
 
 	mask []bool
-	// Sparse row-run traversal (sparse.go): per-row CSR of fluid
-	// z-intervals, built when Config.Sparse and a mask are present. Nil
-	// runStart keeps every kernel on its dense branch.
-	runs      []zrun
-	runStart  []int32
-	rowWeight []int32
+	// The run index (sparse.go): per-row CSR of fluid z-intervals and their
+	// compact field offsets, installed when Config.Sparse and a mask are
+	// present. Nil runStart keeps the fields dense and every kernel on its
+	// dense branch.
+	runIndex
 	fix       *fixIndex
 	stepForce [numBodies][3]float64
 	forceSer  []float64
@@ -139,12 +138,6 @@ func newCartStepper(cfg *Config, dec decomp.Cartesian, r *comm.Rank) (*cartStepp
 	cs.d = grid.Dims{NX: cs.own[0] + 2*cs.w[0], NY: cs.own[1] + 2*cs.w[1], NZ: cs.own[2] + 2*cs.w[2]}
 	cs.br = newBoxRunner(cfg.Threads)
 	cs.scratch = newScratches(cs.br.threads(), cfg.Model.Q, cs.d.NZ, cs.op, cs.aa || cfg.Layout == grid.AoS)
-	cs.f = grid.NewField(cfg.Model.Q, cs.d, cfg.Layout)
-	if !cs.aa {
-		// AA streams in place: the second field never exists, which is the
-		// scheme's whole point — footprint and f-traffic are halved.
-		cs.fadv = grid.NewField(cfg.Model.Q, cs.d, cfg.Layout)
-	}
 	cs.rest = make([]float64, cfg.Model.Q)
 	cfg.Model.Equilibrium(1, 0, 0, 0, cs.rest)
 	// Neighbor ranks come from the fabric-level Cartesian topology (the
@@ -157,16 +150,27 @@ func newCartStepper(cfg *Config, dec decomp.Cartesian, r *comm.Rank) (*cartStepp
 	if err != nil {
 		return nil, err
 	}
-	cs.buildMask()
+	obstacle := cs.buildMask()
+	// The fields follow the mask: dense over the local box, or — with the
+	// run index installed — exactly the cells of its fluid runs.
+	cs.f = grid.NewField(cfg.Model.Q, cs.fieldDims(), cfg.Layout)
+	if !cs.aa {
+		// AA streams in place: the second field never exists, which is the
+		// scheme's whole point — footprint and f-traffic are halved.
+		cs.fadv = grid.NewField(cfg.Model.Q, cs.fieldDims(), cfg.Layout)
+	}
+	if cs.mask != nil {
+		cs.buildFixups(obstacle)
+	}
 	cs.buildSponge()
 	cs.bindStream()
-	// The halo follows the traversal: with the sparse run index installed
-	// no kernel reads or writes a solid cell, so the faces skip them too.
-	var skip []bool
+	// The halo follows the storage: under the run index its faces list the
+	// stored cells of their rows, at compact offsets.
+	var stored halo.Clip
 	if cs.runStart != nil {
-		skip = cs.mask
+		stored = cs.clip
 	}
-	cs.ex, err = halo.NewCartExchangerMasked(cfg.Model.Q, cs.d, cs.own, cs.w, r.ID, top.Neighbors(r.ID), skip)
+	cs.ex, err = halo.NewCartExchangerClipped(cfg.Model.Q, cs.d, cs.own, cs.w, r.ID, top.Neighbors(r.ID), stored)
 	if err != nil {
 		return nil, err
 	}
@@ -195,28 +199,34 @@ func poisonField(f *grid.Field) {
 }
 
 // initField writes the equilibrium of the configured initial condition
-// into the owned box; ghosts are populated by the first exchange.
+// into the owned box; ghosts are populated by the first exchange. Dense
+// fields also hold the solid cells, which get a benign rest state — their
+// values are never consumed (every link out of them is bounced).
 func (cs *cartStepper) initField() {
 	if testPoisonGhosts {
 		poisonField(cs.f)
 	}
 	feq := make([]float64, cs.model.Q)
-	rest := make([]float64, cs.model.Q)
-	cs.model.Equilibrium(1, 0, 0, 0, rest)
-	w := cs.w
-	for ix := 0; ix < cs.own[0]; ix++ {
-		for iy := 0; iy < cs.own[1]; iy++ {
-			for iz := 0; iz < cs.own[2]; iz++ {
-				if cs.mask != nil && cs.mask[cs.d.Index(w[0]+ix, w[1]+iy, w[2]+iz)] {
-					// Solid cells hold a benign rest state; their values are
-					// never consumed (every link out of them is bounced).
-					cs.f.SetCell(w[0]+ix, w[1]+iy, w[2]+iz, rest)
-					continue
-				}
-				rho, ux, uy, uz := cs.cfg.Init(cs.start[0]+ix, cs.start[1]+iy, cs.start[2]+iz)
-				cs.model.Equilibrium(rho, ux, uy, uz, feq)
-				cs.f.SetCell(w[0]+ix, w[1]+iy, w[2]+iz, feq)
-			}
+	cs.forRuns(cs.ownedBox(), func(ix, iy, zlo, zhi, base int) {
+		cs.initRow(feq, ix, iy, zlo, zhi, base)
+	})
+}
+
+// initRow initialises the cells z ∈ [zlo, zhi) of local row (ix, iy),
+// stored from field offset base.
+func (cs *cartStepper) initRow(feq []float64, ix, iy, zlo, zhi, base int) {
+	m, f := cs.model, cs.f
+	gx, gy, gz := cs.start[0]+ix-cs.w[0], cs.start[1]+iy-cs.w[1], cs.start[2]-cs.w[2]
+	for iz := zlo; iz < zhi; iz++ {
+		vals := feq
+		if cs.mask != nil && cs.mask[cs.d.Index(ix, iy, iz)] {
+			vals = cs.rest
+		} else {
+			rho, ux, uy, uz := cs.cfg.Init(gx, gy, gz+iz)
+			m.Equilibrium(rho, ux, uy, uz, feq)
+		}
+		for v, x := range vals {
+			f.Data[f.Idx(v, base+iz-zlo)] = x
 		}
 	}
 }
@@ -521,22 +531,19 @@ func (cs *cartStepper) inletFaceRows(worker int, b box) {
 		return
 	}
 	rows := sc.rows(zn)
-	for ix := b.lo[0]; ix < b.hi[0]; ix++ {
-		for iy := b.lo[1]; iy < b.hi[1]; iy++ {
-			for iz := b.lo[2]; iz < b.hi[2]; iz++ {
-				c := [3]axisClass{cs.class[0][ix], cs.class[1][iy], cs.class[2][iz]}
-				u := face.velocityAt(c[0].g, c[1].g, c[2].g)
-				m.Equilibrium(1, u[0], u[1], u[2], feq)
-				for v := 0; v < m.Q; v++ {
-					rows[v][iz-b.lo[2]] = feq[v]
-				}
-			}
-			base := cs.d.Index(ix, iy, b.lo[2])
+	cs.forRuns(b, func(ix, iy, zlo, zhi, base int) {
+		for iz := zlo; iz < zhi; iz++ {
+			c := [3]axisClass{cs.class[0][ix], cs.class[1][iy], cs.class[2][iz]}
+			u := face.velocityAt(c[0].g, c[1].g, c[2].g)
+			m.Equilibrium(1, u[0], u[1], u[2], feq)
 			for v := 0; v < m.Q; v++ {
-				copy(cs.f.V(v)[base:base+zn], rows[v])
+				rows[v][iz-zlo] = feq[v]
 			}
 		}
-	}
+		for v := 0; v < m.Q; v++ {
+			copy(cs.f.V(v)[base:base+zhi-zlo], rows[v])
+		}
+	})
 }
 
 // fillRestFace writes the rest-state equilibrium into a wall face's ghost
@@ -545,23 +552,18 @@ func (cs *cartStepper) fillRestFace(fb box) { cs.br.run(cs.restFace, fb) }
 
 func (cs *cartStepper) restFaceRows(worker int, b box) { cs.fillRuns(b, cs.rest) }
 
-// fillRuns writes val[v] into every cell of box b of each velocity v, one
-// z-run at a time.
+// fillRuns writes val[v] into every stored cell of box b of each velocity
+// v, one z-run at a time. (Under the run index the region beyond a wall or
+// inlet face is solid and has no storage: the fill finds nothing to write.)
 func (cs *cartStepper) fillRuns(b box, val []float64) {
-	zn := b.hi[2] - b.lo[2]
-	if zn <= 0 {
-		return
-	}
-	for v := range val {
+	for v, x := range val {
 		blk := cs.f.V(v)
-		for ix := b.lo[0]; ix < b.hi[0]; ix++ {
-			for iy := b.lo[1]; iy < b.hi[1]; iy++ {
-				run := blk[cs.d.Index(ix, iy, b.lo[2]) : cs.d.Index(ix, iy, b.lo[2])+zn]
-				for z := range run {
-					run[z] = val[v]
-				}
+		cs.forRuns(b, func(ix, iy, zlo, zhi, base int) {
+			run := blk[base : base+zhi-zlo]
+			for z := range run {
+				run[z] = x
 			}
-		}
+		})
 	}
 }
 
@@ -582,7 +584,13 @@ func (cs *cartStepper) fillPressureLayer(axis, side, src int) {
 	for ix := lo[0]; ix < hi[0]; ix++ {
 		for iy := lo[1]; iy < hi[1]; iy++ {
 			for iz := lo[2]; iz < hi[2]; iz++ {
-				cs.f.Cell(ix, iy, iz, fc)
+				edge, ok := cs.cell(ix, iy, iz)
+				if !ok {
+					continue // a solid column: its ghost copies have no storage either
+				}
+				for v := range fc {
+					fc[v] = cs.f.V(v)[edge]
+				}
 				rho, jx, jy, jz := m.Moments(fc)
 				ux, uy, uz := jx/rho, jy/rho, jz/rho
 				m.Equilibrium(rho, ux, uy, uz, feqR)
@@ -593,7 +601,11 @@ func (cs *cartStepper) fillPressureLayer(axis, side, src int) {
 				p := [3]int{ix, iy, iz}
 				for l := b.lo[axis]; l < b.hi[axis]; l++ {
 					p[axis] = l
-					cs.f.SetCell(p[0], p[1], p[2], fc)
+					if dst, ok := cs.cell(p[0], p[1], p[2]); ok {
+						for v, x := range fc {
+							cs.f.V(v)[dst] = x
+						}
+					}
 				}
 			}
 		}
@@ -625,29 +637,18 @@ func (cs *cartStepper) fillOpenFaces() {
 }
 
 // copyAxisLayer copies the full cross-section layer at axis position src
-// to position dst (local indices, ghosts included in the cross-section).
+// to position dst (local indices, ghosts included in the cross-section),
+// row by row: every stored cell of the dst layer pulls its src twin.
 func (cs *cartStepper) copyAxisLayer(axis, dst, src int) {
-	d := cs.d
+	layer := box{hi: [3]int{cs.d.NX, cs.d.NY, cs.d.NZ}}
+	layer.lo[axis], layer.hi[axis] = dst, dst+1
+	var shift [3]int
+	shift[axis] = src - dst
 	for v := 0; v < cs.model.Q; v++ {
 		blk := cs.f.V(v)
-		switch axis {
-		case 0:
-			// An x layer is one contiguous NY·NZ block.
-			n := d.NY * d.NZ
-			copy(blk[dst*n:(dst+1)*n], blk[src*n:(src+1)*n])
-		case 1:
-			for ix := 0; ix < d.NX; ix++ {
-				do := d.Index(ix, dst, 0)
-				so := d.Index(ix, src, 0)
-				copy(blk[do:do+d.NZ], blk[so:so+d.NZ])
-			}
-		default:
-			for ix := 0; ix < d.NX; ix++ {
-				for iy := 0; iy < d.NY; iy++ {
-					blk[d.Index(ix, iy, dst)] = blk[d.Index(ix, iy, src)]
-				}
-			}
-		}
+		cs.forRuns(layer, func(ix, iy, zlo, zhi, base int) {
+			cs.pull(blk[base:base+zhi-zlo], blk, ix+shift[0], iy+shift[1], zlo+shift[2])
+		})
 	}
 }
 
@@ -716,8 +717,8 @@ func (cs *cartStepper) collideBoxPair(b1, b2 box) {
 // are per-z independent, so the two traversals agree per cell.
 func (cs *cartStepper) collideRuns(worker int, b box) {
 	sc := cs.scratch[worker]
-	cs.forRuns(b, func(ix, iy, zlo, zhi int) {
-		base, zn := cs.d.Index(ix, iy, zlo), zhi-zlo
+	cs.forRuns(b, func(ix, iy, zlo, zhi, base int) {
+		zn := zhi - zlo
 		cs.relax(sc, rowViews(sc.sv, cs.fadv, base, zn), rowViews(sc.dv, cs.f, base, zn), zn)
 	})
 }
@@ -728,8 +729,8 @@ func (cs *cartStepper) collideRuns(worker int, b box) {
 func (cs *cartStepper) collideAoS(worker int, b box) {
 	sc := cs.scratch[worker]
 	q := cs.model.Q
-	cs.forRuns(b, func(ix, iy, zlo, zhi int) {
-		base, zn := cs.d.Index(ix, iy, zlo), zhi-zlo
+	cs.forRuns(b, func(ix, iy, zlo, zhi, base int) {
+		zn := zhi - zlo
 		rows, _ := sc.gathered(zn)
 		src := cs.fadv.Data[base*q : (base+zn)*q]
 		for z := 0; z < zn; z++ {
@@ -834,25 +835,22 @@ func (cs *cartStepper) faceDelta(v int, c [3]axisClass) float64 {
 }
 
 // buildMask evaluates the solid geometry over the local box (ghosts
-// included) and builds the per-box bounce-back fixup index: one link per
-// population a fluid cell pulls out of a solid cell, found by following
-// the stream kernels' own source map (offsets, folded on a wrap axis). Two sources
-// make a cell solid: the user's voxel mask over the global domain and the
-// region beyond a wall, moving-wall or velocity-inlet global face; the
-// per-link corrections come from faceDelta. Links are tagged with their
-// body (mask vs faces) and with ownership, the force-measurement filter.
-func (cs *cartStepper) buildMask() {
+// included) and, under Config.Sparse, installs the run index over it. Two
+// sources make a cell solid: the user's voxel mask over the global domain
+// and the region beyond a wall, moving-wall or velocity-inlet global face.
+// It returns the cells that are solid by the voxel mask (nil when the run
+// has no solid geometry at all), which buildFixups tags links with.
+func (cs *cartStepper) buildMask() (obstacle []bool) {
 	if cs.cfg.Solid == nil && !cs.spec.hasWallFaces() {
-		return
+		return nil
 	}
 	nx, ny, nz := cs.d.NX, cs.d.NY, cs.d.NZ
 	cs.class = [3][]axisClass{
 		cs.classifyAxis(0, nx), cs.classifyAxis(1, ny), cs.classifyAxis(2, nz),
 	}
 	class := cs.class
-	m := cs.model
 	cs.mask = make([]bool, cs.d.Cells())
-	obstacle := make([]bool, cs.d.Cells())
+	obstacle = make([]bool, cs.d.Cells())
 	for ix := 0; ix < nx; ix++ {
 		for iy := 0; iy < ny; iy++ {
 			for iz := 0; iz < nz; iz++ {
@@ -862,17 +860,39 @@ func (cs *cartStepper) buildMask() {
 			}
 		}
 	}
+	if cs.cfg.Sparse {
+		cs.buildRuns()
+	}
+	return obstacle
+}
+
+// buildFixups builds the per-box bounce-back fixup index over the mask:
+// one link per population a fluid cell pulls out of a solid cell, found by
+// following the stream kernels' own source map (offsets, folded on a wrap
+// axis); the per-link corrections come from faceDelta. Links are tagged
+// with their body (mask vs faces) and with ownership, the
+// force-measurement filter, and address the fields as allocated — which
+// is also why this runs after the allocation: the link list grows by
+// doubling, and built on an empty heap its garbage paces the collector
+// through every doubling (measured: +10 % of cavity-trt's set-up).
+func (cs *cartStepper) buildFixups(obstacle []bool) {
+	nx, ny, nz := cs.d.NX, cs.d.NY, cs.d.NZ
+	class, m := cs.class, cs.model
+	var ri *runIndex
+	if cs.runStart != nil {
+		ri = &cs.runIndex
+	}
 	ownedAt := func(a, i int) bool { return i >= cs.w[a] && i < cs.w[a]+cs.own[a] }
 	wrapY, wrapZ := cs.w[1] == 0, cs.w[2] == 0
-	cs.fix = newFixIndex(cs.d, m)
+	cs.fix = newFixIndex(cs.d, m, ri)
 	for ix := 0; ix < nx; ix++ {
 		for iy := 0; iy < ny; iy++ {
 			owned2 := ownedAt(0, ix) && ownedAt(1, iy)
 			for iz := 0; iz < nz; iz++ {
-				cell := cs.d.Index(ix, iy, iz)
-				if cs.mask[cell] {
+				if cs.mask[cs.d.Index(ix, iy, iz)] {
 					continue
 				}
+				cell, _ := cs.cell(ix, iy, iz)
 				owned := owned2 && ownedAt(2, iz)
 				for v := 0; v < m.Q; v++ {
 					sx, sy, sz := ix-m.Cx[v], iy-m.Cy[v], iz-m.Cz[v]
@@ -896,16 +916,13 @@ func (cs *cartStepper) buildMask() {
 					if obstacle[src] {
 						flags |= fixObstacle
 					}
-					cs.fix.add(ix, iy, iz, v, m.Opp[v],
+					cs.fix.add(ix, iy, cell, v, m.Opp[v],
 						cs.faceDelta(v, [3]axisClass{class[0][sx], class[1][sy], class[2][sz]}), flags)
 				}
 			}
 		}
 	}
 	cs.fix.finish()
-	if cs.cfg.Sparse {
-		cs.buildRuns()
-	}
 }
 
 // buildSponge precomputes the per-axis sponge blend factors of any
@@ -1036,13 +1053,12 @@ func (cs *cartStepper) spongeBox(b box) {
 // spongeRows is spongeBox's chunk kernel.
 func (cs *cartStepper) spongeRows(worker int, sub box) {
 	sc := cs.scratch[worker]
-	cs.forRuns(sub, func(ix, iy, zlo, zhi int) {
+	cs.forRuns(sub, func(ix, iy, zlo, zhi, base int) {
 		zn := zhi - zlo
 		sig := sc.sig[:zn]
 		if !cs.spongeSig(sig, ix, iy, zlo, zn) {
 			return
 		}
-		base := cs.d.Index(ix, iy, zlo)
 		sv := rowViews(sc.sv, cs.f, base, zn)
 		var msk []bool
 		if cs.runStart == nil && cs.mask != nil {
@@ -1093,64 +1109,80 @@ func (cs *cartStepper) endForceStep() {
 }
 
 // ownedSums returns mass and momentum summed over the owned fluid cells.
-// After an odd number of AA steps the field is in star arrangement:
-// population v of cell y lives in slot (opp(v), y + c_v) — the slot its
-// own transport pushed, which is valid for every owned fluid cell.
+// After an odd number of AA steps the field is in star arrangement and
+// each population is read through starPop (aa.go).
 func (cs *cartStepper) ownedSums() (mass, mx, my, mz float64) {
-	m := cs.model
-	fc := make([]float64, m.Q)
-	w := cs.w
-	for ix := 0; ix < cs.own[0]; ix++ {
-		for iy := 0; iy < cs.own[1]; iy++ {
-			for iz := 0; iz < cs.own[2]; iz++ {
-				if cs.mask != nil && cs.mask[cs.d.Index(w[0]+ix, w[1]+iy, w[2]+iz)] {
-					continue
-				}
-				if cs.aaStar {
-					for v := 0; v < m.Q; v++ {
-						fc[v] = cs.f.V(m.Opp[v])[cs.d.Index(w[0]+ix+m.Cx[v], w[1]+iy+m.Cy[v], w[2]+iz+m.Cz[v])]
-					}
-				} else {
-					cs.f.Cell(w[0]+ix, w[1]+iy, w[2]+iz, fc)
-				}
-				rho, jx, jy, jz := m.Moments(fc)
-				mass += rho
-				mx += jx
-				my += jy
-				mz += jz
+	fc := make([]float64, cs.model.Q)
+	var sum [4]float64
+	cs.forRuns(cs.ownedBox(), func(ix, iy, zlo, zhi, base int) {
+		cs.sumRow(&sum, fc, ix, iy, zlo, zhi, base)
+	})
+	return sum[0], sum[1], sum[2], sum[3]
+}
+
+// sumRow adds the mass and momentum of the fluid cells z ∈ [zlo, zhi) of
+// local row (ix, iy), stored from field offset base, to sum.
+func (cs *cartStepper) sumRow(sum *[4]float64, fc []float64, ix, iy, zlo, zhi, base int) {
+	m, f := cs.model, cs.f
+	mass, mx, my, mz := sum[0], sum[1], sum[2], sum[3]
+	for iz := zlo; iz < zhi; iz++ {
+		if cs.mask != nil && cs.mask[cs.d.Index(ix, iy, iz)] {
+			continue
+		}
+		if cs.aaStar {
+			for v := range fc {
+				fc[v] = cs.starPop(v, ix, iy, iz)
+			}
+		} else {
+			for v := range fc {
+				fc[v] = f.Data[f.Idx(v, base+iz-zlo)]
 			}
 		}
+		rho, jx, jy, jz := m.Moments(fc)
+		mass += rho
+		mx += jx
+		my += jy
+		mz += jz
 	}
-	return
+	sum[0], sum[1], sum[2], sum[3] = mass, mx, my, mz
 }
 
 // ownedBlock packs the owned box of the final state velocity-major (for
 // every velocity, x-major y then z runs), the wire format assembleCart
-// expects. Under AA star arrangement each velocity's block is read from
-// the opposite slot shifted by +c_v (see ownedSums); solid cells carry
-// whatever their untouched slots hold, so masked comparisons must filter
-// them (they hold scheme-specific garbage in both schemes).
+// expects. Cells without storage — the solid cells under the run index —
+// read as the rest state. Dense solid cells carry whatever their
+// untouched slots hold, and under AA star arrangement (read through
+// starPop) that is scheme-specific garbage, so masked comparisons must
+// filter solid cells.
 func (cs *cartStepper) ownedBlock() []float64 {
-	n := cs.own[0] * cs.own[1] * cs.own[2]
-	out := make([]float64, cs.model.Q*n)
-	m := cs.model
-	w, zn := cs.w, cs.own[2]
+	owned := cs.ownedBox()
+	out := make([]float64, cs.model.Q*owned.cells())
 	f := cs.f
 	if f.Layout != grid.SoA {
 		f = f.ConvertLayout(grid.SoA) // layout ablation only
 	}
+	zn := cs.own[2]
 	pos := 0
-	for v := 0; v < m.Q; v++ {
+	for v := 0; v < cs.model.Q; v++ {
 		blk := f.V(v)
-		var ox, oy, oz int
-		if cs.aaStar {
-			blk = f.V(m.Opp[v])
-			ox, oy, oz = m.Cx[v], m.Cy[v], m.Cz[v]
-		}
-		for ix := 0; ix < cs.own[0]; ix++ {
-			for iy := 0; iy < cs.own[1]; iy++ {
-				off := cs.d.Index(w[0]+ix+ox, w[1]+iy+oy, w[2]+oz)
-				pos += copy(out[pos:pos+zn], blk[off:off+zn])
+		for ix := owned.lo[0]; ix < owned.hi[0]; ix++ {
+			for iy := owned.lo[1]; iy < owned.hi[1]; iy++ {
+				row := out[pos : pos+zn]
+				pos += zn
+				if cs.runStart != nil {
+					for z := range row {
+						row[z] = cs.rest[v]
+					}
+				}
+				if !cs.aaStar {
+					cs.pull(row, blk, ix, iy, owned.lo[2])
+					continue
+				}
+				for iz := owned.lo[2]; iz < owned.hi[2]; iz++ {
+					if _, ok := cs.cell(ix, iy, iz); ok {
+						row[iz-owned.lo[2]] = cs.starPop(v, ix, iy, iz)
+					}
+				}
 			}
 		}
 	}
@@ -1186,6 +1218,15 @@ func (cs *cartStepper) axisBytes() [3]int64 {
 		return [3]int64{}
 	}
 	return [3]int64{cs.ex.BytesPerExchange(0), cs.ex.BytesPerExchange(1), cs.ex.BytesPerExchange(2)}
+}
+
+// fieldBytes reports what this rank's distribution fields occupy.
+func (cs *cartStepper) fieldBytes() int64 {
+	n := len(cs.f.Data)
+	if cs.fadv != nil {
+		n += len(cs.fadv.Data)
+	}
+	return int64(8 * n)
 }
 
 // assembleCart glues the per-rank owned blocks into one global SoA field.

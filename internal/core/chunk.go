@@ -37,10 +37,10 @@ const minChunkCells = 4096
 // stepper goroutine; the chunk and weight buffers are reused across
 // batches.
 //
-// When rowWeight is installed (sparse traversal, sparse.go) chunk
-// boundaries are placed by fluid weight instead of cell count: a chunk
-// of a nearly-empty region widens until it carries as much fluid as a
-// bulk chunk, and spans with no fluid at all are dropped from the batch
+// When a run index is installed (sparse traversal, sparse.go) chunk
+// boundaries are placed by stored fluid cells instead of box cells: a
+// chunk of a nearly-empty region widens until it carries as much fluid as
+// a bulk chunk, and spans with no fluid at all are dropped from the batch
 // — the team's queue then balances useful work, not box volume.
 type boxRunner struct {
 	pool   *parallel.Pool
@@ -50,12 +50,11 @@ type boxRunner struct {
 	// dispatch forms no closure.
 	kernel func(worker int, b box)
 	body   func(worker, chunk int)
-	// rowWeight[ix·ny + iy] is the (x, y) row's fluid-cell count over the
-	// full local z extent — a safe overestimate for sub-z boxes (chunking
-	// never splits z, and a zero full-row weight is zero on any interval).
-	rowWeight []int32
-	ny        int
-	weights   []weightTally // per-worker drained chunk weight
+	// weigh, when non-nil, weights an (x, y) row by its stored cells over
+	// the full local z extent — a safe overestimate for sub-z boxes
+	// (chunking never splits z, and an empty row is empty on any interval).
+	weigh   *runIndex
+	weights []weightTally // per-worker drained chunk weight
 }
 
 // weightTally is a per-worker weight accumulator, padded to a cache
@@ -109,7 +108,7 @@ func (br *boxRunner) run(kernel func(worker int, b box), boxes ...box) {
 	}
 	br.chunks = br.chunks[:0]
 	br.chunkW = br.chunkW[:0]
-	if br.rowWeight == nil {
+	if br.weigh == nil {
 		total := 0
 		for _, b := range boxes {
 			total += b.cells()
@@ -157,27 +156,22 @@ func (br *boxRunner) boxWeight(b box) int64 {
 	}
 	var s int64
 	for ix := b.lo[0]; ix < b.hi[0]; ix++ {
-		row := ix * br.ny
-		for iy := b.lo[1]; iy < b.hi[1]; iy++ {
-			s += int64(br.rowWeight[row+iy])
-		}
+		s += br.sliceWeight(b, 0, ix)
 	}
 	return s
 }
 
 // sliceWeight sums the row weights of one cross-slice of b at position i
-// on the split axis.
+// on the split axis. The rows of an x slice are consecutive, so their
+// total is one difference of the index's offsets.
 func (br *boxRunner) sliceWeight(b box, axis, i int) int64 {
-	var s int64
+	ny := br.weigh.ny
 	if axis == 0 {
-		row := i * br.ny
-		for iy := b.lo[1]; iy < b.hi[1]; iy++ {
-			s += int64(br.rowWeight[row+iy])
-		}
-		return s
+		return br.weigh.rowCells(i*ny+b.lo[1], i*ny+b.hi[1])
 	}
+	var s int64
 	for ix := b.lo[0]; ix < b.hi[0]; ix++ {
-		s += int64(br.rowWeight[ix*br.ny+i])
+		s += br.weigh.rowCells(ix*ny+i, ix*ny+i+1)
 	}
 	return s
 }

@@ -329,18 +329,24 @@ type Config struct {
 	// volume split; BalanceFluid balances fluid cells per rank over the
 	// Solid mask's per-plane histograms.
 	Balance Balance
-	// Sparse enables sparse row-run traversal: each rank precomputes a
+	// Sparse enables the sparse run index: each rank precomputes a
 	// per-(x,y)-row RLE of fluid z-runs from its local slice of the Solid
-	// mask and drives the row-blocked kernels over fluid runs only —
-	// all-solid rows drop out of the worker pool's chunk batches, and
-	// chunk weights switch from cell count to fluid-cell count so the
-	// atomic queue load-balances inside the rank too. The halo follows the
-	// run index: every face payload, messages and local periodic wraps
-	// alike, carries only the fluid z-runs of its rows, so solid cells are
-	// never packed, sent or unpacked. Equivalent to the dense sweep to
-	// 1e-12 and bit-exact across thread counts; keeps ghosts on every axis
-	// (slab shapes included). Without a Solid mask every row is one full-z
-	// run.
+	// mask, and that index is both the traversal order and the storage
+	// order. Traversal: the row-blocked kernels visit fluid runs only —
+	// all-solid rows drop out of the worker pool's chunk batches, and chunk
+	// weights switch from cell count to fluid-cell count so the atomic
+	// queue load-balances inside the rank too. Storage: the fields hold
+	// exactly the cells of the fluid runs of the rank's ghosted box, run
+	// after run; a solid cell has no storage, so a mostly-solid vessel
+	// costs the memory of its fluid, not of its bounding box
+	// (RankStats.FieldBytes). The halo follows the run index: every face
+	// payload, messages and local periodic wraps alike, carries only the
+	// fluid z-runs of its rows, so solid cells are never packed, sent or
+	// unpacked. Equivalent to the dense sweep to 1e-12 on every fluid cell
+	// and bit-exact across thread counts; keeps ghosts on every axis (slab
+	// shapes included). In the gathered Result.Field solid cells read as the
+	// rest state. Without a mask (no Solid and no wall faces) there is
+	// nothing to index: traversal and storage stay dense.
 	Sparse bool
 	// MeasureForces records the momentum-exchange force on the solid
 	// geometry at every step: Result.ObstacleForce holds the per-step
@@ -634,6 +640,10 @@ type RankStats struct {
 	// SlotBytes is the high-water mark of the message buffers the fabric
 	// held for this rank's sends — the transport's memory.
 	SlotBytes int64
+	// FieldBytes is what the rank's distribution fields occupy: two grids
+	// (one under AA) over its ghosted box — or, under the sparse run index,
+	// over just the fluid cells of that box.
+	FieldBytes int64
 }
 
 // Result summarizes a completed run.
@@ -704,6 +714,7 @@ func Run(cfg Config) (*Result, error) {
 	sums := make([][5]float64, cfg.Ranks) // mass, momx, momy, momz, ghost updates
 	blocks := make([][]float64, cfg.Ranks)
 	axisB := make([][3]int64, cfg.Ranks)
+	fieldB := make([]int64, cfg.Ranks)
 	var forceTotals []float64
 	var obsns []obs.RankObservation
 	var epoch time.Time
@@ -733,6 +744,7 @@ func Run(cfg Config) (*Result, error) {
 		mass, mx, my, mz := st.ownedSums()
 		sums[r.ID] = [5]float64{mass, mx, my, mz, float64(st.ghostUpdates)}
 		axisB[r.ID] = st.axisBytes()
+		fieldB[r.ID] = st.fieldBytes()
 		if cfg.Observe {
 			o := st.observation()
 			o.Rank = r.ID
@@ -740,6 +752,7 @@ func Run(cfg Config) (*Result, error) {
 			o.BytesSent = r.BytesSent()
 			o.Messages = r.MessagesSent()
 			o.FluidCells = rankFluids(&cfg, dec, r.ID)
+			o.FieldBytes = fieldB[r.ID]
 			obsns[r.ID] = o
 		}
 		if cfg.MeasureForces {
@@ -780,6 +793,9 @@ func Run(cfg Config) (*Result, error) {
 	}
 	for r, m := range fab.MessagesSent() {
 		res.PerRank[r].Messages = m
+	}
+	for r, b := range fieldB {
+		res.PerRank[r].FieldBytes = b
 	}
 	for r, b := range fab.SlotBytes() {
 		res.PerRank[r].SlotBytes = b

@@ -36,7 +36,9 @@ import (
 // Zou-He odd-part term for moving walls and velocity inlets (see bc.go).
 // The fixup reads only the fluid cell's own populations, never the solid
 // neighbor's, which is what keeps bounded runs bit-comparable across
-// decompositions and ghost depths.
+// decompositions and ghost depths — and what lets solid cells go without
+// storage under the run index. cell is the fluid cell's field offset: its
+// dense index, or its compact offset when a run index is installed.
 type fixup struct {
 	cell  int32
 	v     uint8
@@ -66,8 +68,9 @@ const (
 // fixIndex is the CSR-ordered link inventory of one rank's local box.
 type fixIndex struct {
 	d     grid.Dims
-	links []fixup // sorted by (ix, iy, iz, v) — the build order
-	rows  []int32 // len NX·NY+1; row (ix,iy) spans links[rows[ix·NY+iy] : rows[ix·NY+iy+1]]
+	ri    *runIndex // the fields' address map; nil when they are dense
+	links []fixup   // sorted by (ix, iy, iz, v) — the build order, ascending in cell
+	rows  []int32   // len NX·NY+1; row (ix,iy) spans links[rows[ix·NY+iy] : rows[ix·NY+iy+1]]
 	// nextRow is the CSR build cursor (rows below it have their start set).
 	nextRow int
 	// cxo/cyo/czo are c_opp per link velocity v (i.e. −c_v), the
@@ -75,9 +78,10 @@ type fixIndex struct {
 	cxo, cyo, czo []float64
 }
 
-func newFixIndex(d grid.Dims, m *lattice.Model) *fixIndex {
+func newFixIndex(d grid.Dims, m *lattice.Model, ri *runIndex) *fixIndex {
 	fi := &fixIndex{
 		d:    d,
+		ri:   ri,
 		rows: make([]int32, d.NX*d.NY+1),
 		cxo:  make([]float64, m.Q),
 		cyo:  make([]float64, m.Q),
@@ -91,17 +95,18 @@ func newFixIndex(d grid.Dims, m *lattice.Model) *fixIndex {
 	return fi
 }
 
-// add appends one link. Calls must come in (ix, iy, iz, v) lexicographic
-// order — the natural order of the build loops — so the CSR rows stay
-// sorted and the per-row z binary search works.
-func (fi *fixIndex) add(ix, iy, iz, v, opp int, delta float64, flags uint8) {
+// add appends one link of the fluid cell of row (ix, iy) at field offset
+// cell. Calls must come in (ix, iy, iz, v) lexicographic order — the
+// natural order of the build loops — so the CSR rows stay sorted and the
+// per-row binary search works.
+func (fi *fixIndex) add(ix, iy, cell, v, opp int, delta float64, flags uint8) {
 	row := ix*fi.d.NY + iy
 	for fi.nextRow <= row {
 		fi.rows[fi.nextRow] = int32(len(fi.links))
 		fi.nextRow++
 	}
 	fi.links = append(fi.links, fixup{
-		cell: int32(fi.d.Index(ix, iy, iz)), v: uint8(v), opp: uint8(opp),
+		cell: int32(cell), v: uint8(v), opp: uint8(opp),
 		delta: delta, flags: flags,
 	})
 }
@@ -131,13 +136,22 @@ func (fi *fixIndex) clampTo(b box) box {
 	return b
 }
 
-// zSlice narrows one row's links to those with iz in [zlo, zhi). Links in
-// a row are sorted by cell, and cell mod NZ is iz, so both bounds are
-// binary searches.
-func zSlice(seg []fixup, nz, zlo, zhi int) []fixup {
-	lo := sort.Search(len(seg), func(i int) bool { return int(seg[i].cell)%nz >= zlo })
-	hi := lo + sort.Search(len(seg[lo:]), func(i int) bool { return int(seg[lo+i].cell)%nz >= zhi })
-	return seg[lo:hi]
+// rowLinks returns the links of row (ix·NY + iy) whose cell has iz in
+// [zlo, zhi). A row's links are sorted by cell and a row's field offsets
+// ascend with z in either address space, so the z interval is an offset
+// interval and both bounds are binary searches.
+func (fi *fixIndex) rowLinks(row, zlo, zhi int) []fixup {
+	seg := fi.links[fi.rows[row]:fi.rows[row+1]]
+	if len(seg) == 0 || (zlo <= 0 && zhi >= fi.d.NZ) {
+		return seg
+	}
+	lo, hi := row*fi.d.NZ+zlo, row*fi.d.NZ+zhi
+	if fi.ri != nil {
+		lo, hi = fi.ri.lower(row, zlo), fi.ri.lower(row, zhi)
+	}
+	a := sort.Search(len(seg), func(i int) bool { return int(seg[i].cell) >= lo })
+	b := a + sort.Search(len(seg[a:]), func(i int) bool { return int(seg[a+i].cell) >= hi })
+	return seg[a:b]
 }
 
 // applyBox replaces, for every link whose cell lies in box b, the
@@ -151,22 +165,15 @@ func (fi *fixIndex) applyBox(f, fadv *grid.Field, b box) {
 		return
 	}
 	b = fi.clampTo(b)
-	nz := fi.d.NZ
-	fullZ := b.lo[2] == 0 && b.hi[2] == nz
-	if fullZ && b.lo[1] == 0 && b.hi[1] == fi.d.NY {
+	if b.lo[2] == 0 && b.hi[2] == fi.d.NZ && b.lo[1] == 0 && b.hi[1] == fi.d.NY {
 		// Full cross-section: the links of the covered planes are one
 		// contiguous CSR span — skip the per-row walk entirely.
 		fi.applyLinks(f, fadv, fi.links[fi.rows[b.lo[0]*fi.d.NY]:fi.rows[b.hi[0]*fi.d.NY]])
 		return
 	}
 	for ix := b.lo[0]; ix < b.hi[0]; ix++ {
-		rowBase := ix * fi.d.NY
 		for iy := b.lo[1]; iy < b.hi[1]; iy++ {
-			seg := fi.links[fi.rows[rowBase+iy]:fi.rows[rowBase+iy+1]]
-			if !fullZ {
-				seg = zSlice(seg, nz, b.lo[2], b.hi[2])
-			}
-			fi.applyLinks(f, fadv, seg)
+			fi.applyLinks(f, fadv, fi.rowLinks(ix*fi.d.NY+iy, b.lo[2], b.hi[2]))
 		}
 	}
 }
@@ -174,7 +181,7 @@ func (fi *fixIndex) applyBox(f, fadv *grid.Field, b box) {
 // applyLinks applies one span of links in either layout.
 func (fi *fixIndex) applyLinks(f, fadv *grid.Field, seg []fixup) {
 	if f.Layout == grid.SoA {
-		cells := fi.d.Cells()
+		cells := f.D.Cells()
 		fd, ad := f.Data, fadv.Data
 		for _, fx := range seg {
 			ad[int(fx.v)*cells+int(fx.cell)] = fd[int(fx.opp)*cells+int(fx.cell)] + fx.delta
@@ -195,9 +202,7 @@ func (fi *fixIndex) applyBoxForce(f, fadv *grid.Field, b box, acc *[numBodies][3
 		return
 	}
 	b = fi.clampTo(b)
-	nz := fi.d.NZ
-	cells := fi.d.Cells()
-	fullZ := b.lo[2] == 0 && b.hi[2] == nz
+	cells := f.D.Cells()
 	fd, ad := f.Data, fadv.Data
 	apply := func(seg []fixup) {
 		for _, fx := range seg {
@@ -216,18 +221,13 @@ func (fi *fixIndex) applyBoxForce(f, fadv *grid.Field, b box, acc *[numBodies][3
 			acc[body][2] += fi.czo[fx.v] * p
 		}
 	}
-	if fullZ && b.lo[1] == 0 && b.hi[1] == fi.d.NY {
+	if b.lo[2] == 0 && b.hi[2] == fi.d.NZ && b.lo[1] == 0 && b.hi[1] == fi.d.NY {
 		apply(fi.links[fi.rows[b.lo[0]*fi.d.NY]:fi.rows[b.hi[0]*fi.d.NY]])
 		return
 	}
 	for ix := b.lo[0]; ix < b.hi[0]; ix++ {
-		rowBase := ix * fi.d.NY
 		for iy := b.lo[1]; iy < b.hi[1]; iy++ {
-			seg := fi.links[fi.rows[rowBase+iy]:fi.rows[rowBase+iy+1]]
-			if !fullZ {
-				seg = zSlice(seg, nz, b.lo[2], b.hi[2])
-			}
-			apply(seg)
+			apply(fi.rowLinks(ix*fi.d.NY+iy, b.lo[2], b.hi[2]))
 		}
 	}
 }

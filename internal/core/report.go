@@ -65,6 +65,7 @@ func NewReport(cfg *Config, res *Result) *obs.Report {
 				BytesSent:   s.BytesSent,
 				Messages:    s.Messages,
 				SlotBytes:   s.SlotBytes,
+				FieldBytes:  s.FieldBytes,
 			}
 		}
 	}

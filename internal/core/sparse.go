@@ -1,30 +1,40 @@
 package core
 
-// Sparse row-run traversal (Config.Sparse). On a masked domain whose
-// bounding box is mostly solid — the paper's arterial geometries are
-// ~95% empty — the dense box kernels still touch every lattice site and
-// spend most of their bandwidth streaming, colliding and re-masking
-// cells that hold nothing. The sparse path precomputes, per local
-// (x, y) row, the run-length encoding of its fluid z-intervals and
-// drives every row-structured kernel over those runs only. The kernels'
-// per-row arithmetic is strictly per-z independent (the §8 row
-// contract, which also covers sub-row splits), so restricting a row to
-// its fluid runs changes which cells are computed, never the values at
-// the cells that are: sparse matches dense bit-for-bit on every fluid
-// cell, at any thread count.
+// Sparse row-run traversal and fluid-compact storage (Config.Sparse). On
+// a masked domain whose bounding box is mostly solid — the paper's
+// arterial geometries are ~95% empty — the dense box kernels touch every
+// lattice site and the dense fields hold every lattice site. The sparse
+// path precomputes, per local (x, y) row, the run-length encoding of its
+// fluid z-intervals; that run index is both the traversal order of every
+// row-structured kernel and the address space of the fields.
 //
-// Solid cells keep whatever initField wrote (the rest state, or under
-// AA their untouched slots): the fixup index replaces every population
-// streamed out of a solid cell at its fluid destination, so values at
-// solid sites are never consumed at the fluid level — the same argument
-// that lets wall ghost faces hold the rest state (see fillFace). The
-// halo exchange relies on the same argument: once the run index is
-// installed the exchanger is built over the mask and its faces carry
-// fluid cells only (halo.NewCartExchangerMasked), so solid ghost cells
-// keep what the allocation or a boundary fill left there. Rows with no
-// fluid at all additionally drop out of the pool's chunk batches:
-// boxRunner chunks by fluid weight when a row-weight table is installed,
-// and all-solid spans contribute nothing (chunk.go).
+// Traversal: the kernels' per-row arithmetic is strictly per-z
+// independent (the §8 row contract, which also covers sub-row splits), so
+// restricting a row to its fluid runs changes which cells are computed,
+// never the values at the cells that are: sparse matches dense
+// bit-for-bit on every fluid cell, at any thread count. Rows with no
+// fluid at all drop out of the pool's chunk batches: boxRunner chunks by
+// stored cells when the run index is installed (chunk.go).
+//
+// Storage: each velocity block holds exactly the cells of the rank's
+// fluid runs over its ghosted local box, runs back to back in run order
+// (rows x-major then y, z ascending). A run is contiguous in z, so the row
+// kernels of collide.go run unchanged on views of it. Solid cells have no
+// storage. Nothing ever consumes a value at a solid site — the fixup
+// index replaces every population streamed out of a solid cell at its
+// fluid destination from the fluid cell's own populations — so the one
+// thing a solid address was good for was being skipped: a pull whose
+// source interval is clipped to the stored cells leaves exactly the
+// bounce-back links unwritten, and the fixup pass (or AA's in-kernel
+// fixups) writes those. A push into a solid cell is dropped the same way.
+// The halo's span lists index the same compact blocks, so pack and unpack
+// need no dense address either (halo.NewCartExchangerClipped). Gathered
+// into Result.Field, solid cells read as the rest state.
+//
+// at and clip are the only way (ix, iy, iz) becomes a field offset under
+// the run index; forRuns, pull and push are written on them.
+
+import "repro/internal/grid"
 
 // zrun is one contiguous fluid interval [lo, hi) of a local row's z
 // extent.
@@ -32,76 +42,196 @@ type zrun struct {
 	lo, hi int32
 }
 
-// buildRuns precomputes the per-row fluid-run CSR over the local mask
-// (ghosts included): row r = ix·NY + iy owns runs[runStart[r]:
-// runStart[r+1]]. rowWeight[r] is the row's total fluid-cell count over
-// the full local z extent — the chunk weight boxRunner balances on.
-// Called at the end of buildMask when sparse traversal is enabled; with
-// no mask the run index stays nil and every kernel takes its dense
-// branch.
-func (cs *cartStepper) buildRuns() {
-	nx, ny, nz := cs.d.NX, cs.d.NY, cs.d.NZ
-	cs.runStart = make([]int32, nx*ny+1)
-	cs.rowWeight = make([]int32, nx*ny)
-	for ix := 0; ix < nx; ix++ {
-		for iy := 0; iy < ny; iy++ {
-			r := ix*ny + iy
-			base := cs.d.Index(ix, iy, 0)
-			row := cs.mask[base : base+nz]
-			var weight int32
-			for z := 0; z < nz; {
-				if row[z] {
-					z++
-					continue
-				}
-				lo := z
-				for z < nz && !row[z] {
-					z++
-				}
-				cs.runs = append(cs.runs, zrun{lo: int32(lo), hi: int32(z)})
-				weight += int32(z - lo)
+// runIndex is the per-row fluid-run CSR over a local box (ghosts
+// included) with the compact address of every run: row r = ix·ny + iy
+// owns runs[runStart[r]:runStart[r+1]], and run i's cells sit at field
+// offsets [off[i], off[i+1]). A nil runStart means no index is installed:
+// the fields are dense and every kernel takes its dense branch.
+type runIndex struct {
+	nx, ny   int
+	runs     []zrun
+	runStart []int32
+	off      []int32 // len(runs)+1; the last entry is the stored-cell total
+}
+
+// newRunIndex run-length encodes the fluid (false) cells of a z-fastest
+// solid mask over an nx × ny × nz box.
+func newRunIndex(nx, ny, nz int, solid []bool) runIndex {
+	ri := runIndex{nx: nx, ny: ny, runStart: make([]int32, nx*ny+1), off: []int32{0}}
+	for r := 0; r < nx*ny; r++ {
+		row := solid[r*nz : (r+1)*nz]
+		for z := 0; z < nz; {
+			if row[z] {
+				z++
+				continue
 			}
-			cs.runStart[r+1] = int32(len(cs.runs))
-			cs.rowWeight[r] = weight
+			lo := z
+			for z < nz && !row[z] {
+				z++
+			}
+			ri.runs = append(ri.runs, zrun{lo: int32(lo), hi: int32(z)})
+			ri.off = append(ri.off, ri.off[len(ri.off)-1]+int32(z-lo))
+		}
+		ri.runStart[r+1] = int32(len(ri.runs))
+	}
+	return ri
+}
+
+// cells returns the number of stored cells — the extent of one velocity
+// block of a compact field.
+func (ri *runIndex) cells() int { return int(ri.off[len(ri.runs)]) }
+
+// rowCells returns the stored cells of the consecutive rows [r0, r1).
+func (ri *runIndex) rowCells(r0, r1 int) int64 {
+	return int64(ri.off[ri.runStart[r1]] - ri.off[ri.runStart[r0]])
+}
+
+// seek returns the first run of row r that ends above z (the row's end
+// when none does).
+func (ri *runIndex) seek(r, z int) int {
+	lo, hi := int(ri.runStart[r]), int(ri.runStart[r+1])
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if int(ri.runs[mid].hi) <= z {
+			lo = mid + 1
+		} else {
+			hi = mid
 		}
 	}
-	cs.br.rowWeight = cs.rowWeight
-	cs.br.ny = ny
+	return lo
+}
+
+// lower returns the offset of the first stored cell of row r at or above
+// z — the row's end offset when there is none. Offsets within a row
+// ascend with z, so [lower(r, zlo), lower(r, zhi)) is the offset range of
+// the row's stored cells in [zlo, zhi).
+func (ri *runIndex) lower(r, z int) int {
+	i := ri.seek(r, z)
+	if i < int(ri.runStart[r+1]) && z > int(ri.runs[i].lo) {
+		return int(ri.off[i]) + z - int(ri.runs[i].lo)
+	}
+	return int(ri.off[i])
+}
+
+// at returns the field offset of cell (ix, iy, iz), or false when the
+// cell has no storage: it is solid, or outside the local box.
+func (ri *runIndex) at(ix, iy, iz int) (int, bool) {
+	if ix < 0 || ix >= ri.nx || iy < 0 || iy >= ri.ny {
+		return 0, false
+	}
+	r := ix*ri.ny + iy
+	i := ri.seek(r, iz)
+	if i == int(ri.runStart[r+1]) || iz < int(ri.runs[i].lo) {
+		return 0, false
+	}
+	return int(ri.off[i]) + iz - int(ri.runs[i].lo), true
+}
+
+// clip lists the stored cells of row (ix, iy) with z in [zlo, zhi) as
+// contiguous segments, z ascending: n cells from field offset off, the
+// first at height z. Any interval is legal — empty, reaching outside the
+// row, on a row outside the box; the segments tile exactly the fluid cells
+// inside it.
+func (ri *runIndex) clip(ix, iy, zlo, zhi int, seg func(off, z, n int)) {
+	if ix < 0 || ix >= ri.nx || iy < 0 || iy >= ri.ny {
+		return
+	}
+	r := ix*ri.ny + iy
+	end := int(ri.runStart[r+1])
+	for i := ri.seek(r, zlo); i < end; i++ {
+		lo, hi := int(ri.runs[i].lo), int(ri.runs[i].hi)
+		if lo >= zhi {
+			return
+		}
+		off := int(ri.off[i])
+		if lo < zlo {
+			off += zlo - lo
+			lo = zlo
+		}
+		if hi > zhi {
+			hi = zhi
+		}
+		if hi > lo {
+			seg(off, lo, hi-lo)
+		}
+	}
+}
+
+// buildRuns installs the run index over the local mask. Called by
+// buildMask when sparse traversal is enabled, before the fixup index is
+// built (its links address the compact field); with no mask the index
+// stays uninstalled.
+func (cs *cartStepper) buildRuns() {
+	cs.runIndex = newRunIndex(cs.d.NX, cs.d.NY, cs.d.NZ, cs.mask)
+	cs.br.weigh = &cs.runIndex
+}
+
+// fieldDims returns the box the stepper's fields are allocated over: the
+// ghosted local box, or under the run index a 1-D box of its stored cells.
+func (cs *cartStepper) fieldDims() grid.Dims {
+	if cs.runStart == nil {
+		return cs.d
+	}
+	return grid.Dims{NX: 1, NY: 1, NZ: cs.cells()}
 }
 
 // forRuns drives a per-row kernel body over box b: over full [lo, hi)
 // z-rows on the dense path, and over each row's fluid runs clipped to
-// b's z range when the sparse run index is installed. The body must be
-// per-z independent (every box kernel is — the §8 contract), which
-// makes the two traversals bit-identical on the cells they share.
-func (cs *cartStepper) forRuns(b box, row func(ix, iy, zlo, zhi int)) {
+// b's z range when the run index is installed. base is the field offset
+// of (ix, iy, zlo); the zhi − zlo cells from it are contiguous either
+// way. The body must be per-z independent (every box kernel is — the §8
+// contract), which makes the two traversals bit-identical on the cells
+// they share.
+func (cs *cartStepper) forRuns(b box, row func(ix, iy, zlo, zhi, base int)) {
 	if b.hi[2] <= b.lo[2] || b.hi[1] <= b.lo[1] || b.hi[0] <= b.lo[0] {
 		return
 	}
-	if cs.runStart == nil {
-		for ix := b.lo[0]; ix < b.hi[0]; ix++ {
-			for iy := b.lo[1]; iy < b.hi[1]; iy++ {
-				row(ix, iy, b.lo[2], b.hi[2])
-			}
-		}
-		return
-	}
-	ny := cs.d.NY
 	for ix := b.lo[0]; ix < b.hi[0]; ix++ {
 		for iy := b.lo[1]; iy < b.hi[1]; iy++ {
-			r := ix*ny + iy
-			for _, ru := range cs.runs[cs.runStart[r]:cs.runStart[r+1]] {
-				zlo, zhi := int(ru.lo), int(ru.hi)
-				if zlo < b.lo[2] {
-					zlo = b.lo[2]
-				}
-				if zhi > b.hi[2] {
-					zhi = b.hi[2]
-				}
-				if zlo < zhi {
-					row(ix, iy, zlo, zhi)
-				}
+			if cs.runStart == nil {
+				row(ix, iy, b.lo[2], b.hi[2], cs.d.Index(ix, iy, b.lo[2]))
+				continue
 			}
+			cs.clip(ix, iy, b.lo[2], b.hi[2], func(off, z, n int) {
+				row(ix, iy, z, z+n, off)
+			})
 		}
 	}
+}
+
+// cell returns the field offset of a local cell in whichever address
+// space the fields use; false only under the run index, for a cell
+// without storage.
+func (cs *cartStepper) cell(ix, iy, iz int) (int, bool) {
+	if cs.runStart == nil {
+		return cs.d.Index(ix, iy, iz), true
+	}
+	return cs.at(ix, iy, iz)
+}
+
+// pull copies into dst the values velocity block blk holds for row
+// (ix, iy) at z ∈ [zlo, zlo+len(dst)). Cells without storage leave their
+// dst entry untouched.
+func (cs *cartStepper) pull(dst, blk []float64, ix, iy, zlo int) {
+	if cs.runStart == nil {
+		off := cs.d.Index(ix, iy, zlo)
+		copy(dst, blk[off:off+len(dst)])
+		return
+	}
+	cs.clip(ix, iy, zlo, zlo+len(dst), func(off, z, n int) {
+		copy(dst[z-zlo:], blk[off:off+n])
+	})
+}
+
+// push is pull reversed: src lands in blk at row (ix, iy), z ∈ [zlo,
+// zlo+len(src)); entries aimed at cells without storage are dropped.
+func (cs *cartStepper) push(blk []float64, ix, iy, zlo int, src []float64) {
+	if cs.runStart == nil {
+		off := cs.d.Index(ix, iy, zlo)
+		copy(blk[off:off+len(src)], src)
+		return
+	}
+	cs.clip(ix, iy, zlo, zlo+len(src), func(off, z, n int) {
+		copy(blk[off:off+n], src[z-zlo:])
+	})
 }

@@ -3,9 +3,10 @@ package core
 // Sparse-traversal benchmark on the bifurcating-vessel demo mask (the
 // ~95%-solid arterial regime): the same full masked step — stream,
 // bounce-back fixups, collide over the owned box — under dense traversal
-// and under the row-run sparse traversal. Both report a fluid-cell
-// update rate, so the sparse win shows as rate, not as skipped work.
-// Part of the CI benchmark smoke sweep.
+// and under the row-run sparse traversal over fluid-compact fields. Both
+// report a fluid-cell update rate and the memory their fields hold, so the
+// sparse win shows as rate and as field_MB, not as skipped work. Part of
+// the CI benchmark smoke sweep.
 
 import (
 	"testing"
@@ -67,6 +68,7 @@ func BenchmarkSparseStep(b *testing.B) {
 				cs.collideBox(owned)
 			}
 			reportCellRate(b, fluid)
+			b.ReportMetric(float64(cs.fieldBytes())/(1<<20), "field_MB")
 		})
 	}
 }

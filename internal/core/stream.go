@@ -123,17 +123,17 @@ func (cs *cartStepper) streamCopyIndexed(worker int, b box) {
 
 // streamRuns is the sparse form: copy only the fluid runs of each row.
 // Streaming moves values without arithmetic, so the restriction is
-// trivially exact on fluid cells; solid destinations keep their stale
-// fadv, which the fixups and the run-driven collides never read. Sparse
-// traversal keeps ghosts on every axis, so every source is a plain offset.
+// trivially exact on fluid cells. A destination run's source interval
+// [zlo−cz, zhi−cz) of row (ix−cx, iy−cy) is clipped to the cells that row
+// stores; what the clip leaves out was streamed from a solid cell, which
+// is by definition a bounce-back link of the destination, and the fixup
+// pass that follows overwrites exactly those. Sparse traversal keeps
+// ghosts on every axis, so no source wraps.
 func (cs *cartStepper) streamRuns(worker int, b box) {
 	m := cs.model
-	cs.forRuns(b, func(ix, iy, zlo, zhi int) {
-		n := zhi - zlo
+	cs.forRuns(b, func(ix, iy, zlo, zhi, base int) {
 		for v := 0; v < m.Q; v++ {
-			sOff := cs.d.Index(ix-m.Cx[v], iy-m.Cy[v], zlo-m.Cz[v])
-			dOff := cs.d.Index(ix, iy, zlo)
-			copy(cs.fadv.V(v)[dOff:dOff+n], cs.f.V(v)[sOff:sOff+n])
+			cs.pull(cs.fadv.V(v)[base:base+zhi-zlo], cs.f.V(v), ix-m.Cx[v], iy-m.Cy[v], zlo-m.Cz[v])
 		}
 	})
 }

@@ -13,8 +13,9 @@ import (
 // unpacking it is one loop of block copies per velocity. A dense face is the list of its
 // z-rows with adjacent rows merged (an x face is one span, a y face one
 // span per x); on a masked domain the list holds only the fluid z-runs of
-// each row (NewCartExchangerMasked), so solid cells are never packed, sent
-// or unpacked. Edge and corner ghost cells are covered without dedicated
+// each row, so solid cells are never packed, sent or unpacked — and need
+// not exist: the spans are whatever offsets the caller's address map gives
+// the stored cells of a row (NewCartExchangerClipped), dense or compact. Edge and corner ghost cells are covered without dedicated
 // messages by the sequential-axis ordering trick: axes exchange one after
 // another, each face spanning the full local extent (ghosts included) of
 // the axes already exchanged, so diagonal data rides along on the second
@@ -164,17 +165,49 @@ type CartExchanger struct {
 // NewCartExchanger builds an exchanger for a field of the given shape
 // whose faces carry every cell.
 func NewCartExchanger(q int, d grid.Dims, own, w [3]int, self int, neighbors [3][2]int) (*CartExchanger, error) {
-	return NewCartExchangerMasked(q, d, own, w, self, neighbors, nil)
+	return NewCartExchangerClipped(q, d, own, w, self, neighbors, nil)
 }
 
-// NewCartExchangerMasked builds an exchanger whose faces carry only the
-// cells solid does not mark: solid, when non-nil, is the rank's mask over
-// the local dims (ghosts included). The wire carries no header, so the two
-// ends of a message must hold the same mask over the cells they share — as
-// they do when each rank evaluates one global mask at wrapped or clamped
-// coordinates — and values at the skipped cells must never be consumed.
-// A mismatch is caught at unpack time by the payload length.
+// NewCartExchangerMasked builds an exchanger over a dense field whose
+// faces carry only the cells solid does not mark: solid, when non-nil, is
+// the rank's mask over the local dims (ghosts included).
 func NewCartExchangerMasked(q int, d grid.Dims, own, w [3]int, self int, neighbors [3][2]int, solid []bool) (*CartExchanger, error) {
+	if solid == nil {
+		return NewCartExchangerClipped(q, d, own, w, self, neighbors, nil)
+	}
+	if len(solid) != d.Cells() {
+		return nil, fmt.Errorf("halo: mask has %d cells, local field %d", len(solid), d.Cells())
+	}
+	return NewCartExchangerClipped(q, d, own, w, self, neighbors, func(ix, iy, zlo, zhi int, seg func(off, z, n int)) {
+		row := d.Index(ix, iy, 0)
+		for z := zlo; z < zhi; z++ {
+			if solid[row+z] {
+				continue
+			}
+			z0 := z
+			for z++; z < zhi && !solid[row+z]; z++ {
+			}
+			seg(row+z0, z0, z-z0)
+		}
+	})
+}
+
+// Clip is a field's address map as the exchanger needs it: it lists the
+// stored cells of local row (ix, iy) with z in [zlo, zhi) as contiguous
+// segments, z ascending — n cells from cell offset off of every velocity
+// block, the first at height z.
+type Clip func(ix, iy, zlo, zhi int, seg func(off, z, n int))
+
+// NewCartExchangerClipped builds an exchanger whose faces carry the cells
+// stored lists, at the offsets it gives them; nil means a dense field over
+// d, every cell stored. d is the local box either way (ghosts included) —
+// the field itself may be any size the offsets fit. The wire carries no
+// header, so the two ends of a message must store the same cells of the
+// region they share — as they do when each rank evaluates one global mask
+// at wrapped or clamped coordinates — and values at cells that are not
+// stored must never be consumed. A mismatch is caught at unpack time by
+// the payload length.
+func NewCartExchangerClipped(q int, d grid.Dims, own, w [3]int, self int, neighbors [3][2]int, stored Clip) (*CartExchanger, error) {
 	dims := [3]int{d.NX, d.NY, d.NZ}
 	for a := 0; a < 3; a++ {
 		if dims[a] != own[a]+2*w[a] {
@@ -192,39 +225,37 @@ func NewCartExchangerMasked(q int, d grid.Dims, own, w [3]int, self int, neighbo
 			return nil, fmt.Errorf("halo: axis %d owned extent %d < halo width %d (grow the domain or reduce depth)", a, own[a], w[a])
 		}
 	}
-	if solid != nil && len(solid) != d.Cells() {
-		return nil, fmt.Errorf("halo: mask has %d cells, local field %d", len(solid), d.Cells())
+	if stored == nil {
+		stored = func(ix, iy, zlo, zhi int, seg func(off, z, n int)) {
+			seg(d.Index(ix, iy, zlo), zlo, zhi-zlo)
+		}
 	}
 	e := &CartExchanger{Q: q, Dims: d, Own: own, W: w, Self: self, Neighbors: neighbors}
 	for a := 0; a < 3; a++ {
 		for region := range e.spans[a] {
-			e.spans[a][region], e.cells[a][region] = e.faceSpans(a, region, solid)
+			e.spans[a][region], e.cells[a][region] = e.faceSpans(a, region, stored)
 		}
 	}
 	return e, nil
 }
 
-// faceSpans lists the non-solid cells of one face region as spans in wire
+// faceSpans lists the stored cells of one face region as spans in wire
 // order, with their total.
-func (e *CartExchanger) faceSpans(axis, region int, solid []bool) (spans []span, cells int) {
+func (e *CartExchanger) faceSpans(axis, region int, stored Clip) (spans []span, cells int) {
 	lo, hi := e.face(axis, region)
+	if hi[2] <= lo[2] {
+		return nil, 0
+	}
 	for ix := lo[0]; ix < hi[0]; ix++ {
 		for iy := lo[1]; iy < hi[1]; iy++ {
-			row := e.Dims.Index(ix, iy, 0)
-			for z := lo[2]; z < hi[2]; z++ {
-				if solid != nil && solid[row+z] {
-					continue
-				}
-				z0 := z
-				for z++; z < hi[2] && (solid == nil || !solid[row+z]); z++ {
-				}
-				if k := len(spans) - 1; k >= 0 && spans[k].off+spans[k].n == row+z0 {
-					spans[k].n += z - z0
+			stored(ix, iy, lo[2], hi[2], func(off, _, n int) {
+				if k := len(spans) - 1; k >= 0 && spans[k].off+spans[k].n == off {
+					spans[k].n += n
 				} else {
-					spans = append(spans, span{off: row + z0, n: z - z0})
+					spans = append(spans, span{off: off, n: n})
 				}
-				cells += z - z0
-			}
+				cells += n
+			})
 		}
 	}
 	return spans, cells

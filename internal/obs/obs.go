@@ -192,6 +192,10 @@ type RankObservation struct {
 	// SlotBytes is the high-water mark of the message slots the fabric held
 	// for this rank's sends (comm.Fabric.SlotBytes): the transport's memory.
 	SlotBytes int64 `json:"slot_bytes"`
+	// FieldBytes is what the rank's distribution fields occupy (both grids;
+	// one under AA streaming): the dense ghosted box, or under the sparse
+	// run index just its fluid cells.
+	FieldBytes int64 `json:"field_bytes"`
 	// FluidCells is the number of fluid lattice sites in the rank's owned
 	// box (the paper's per-rank N_fl; the whole box volume on unmasked
 	// domains) — the decomposition's load-balance view on sparse

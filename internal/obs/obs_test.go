@@ -104,7 +104,7 @@ func TestReportGoldenShape(t *testing.T) {
 	st := RunStats{WallSeconds: 0.5, MFlups: 10, InteriorUpdates: 1024,
 		CommSeconds: []float64{0.1}}
 	o := r.Observation()
-	o.BytesSent, o.Messages, o.SlotBytes = 1024, 4, 2048 // the harness fills these from the fabric
+	o.BytesSent, o.Messages, o.SlotBytes, o.FieldBytes = 1024, 4, 2048, 4096 // the harness fills these from the fabric and the stepper
 	rep := BuildReport(cfg, st, []RankObservation{o})
 
 	var buf bytes.Buffer
@@ -119,7 +119,7 @@ func TestReportGoldenShape(t *testing.T) {
 		t.Errorf("schema = %v, want %q", m["schema"], ReportSchema)
 	}
 	for _, key := range []string{"machine", "config", "wall_seconds", "mflups",
-		"interior_updates", "ghost_updates", "comm", "phases", "ranks"} {
+		"interior_updates", "ghost_updates", "comm", "field_bytes", "phases", "ranks"} {
 		if _, ok := m[key]; !ok {
 			t.Errorf("report missing top-level key %q", key)
 		}
@@ -145,6 +145,12 @@ func TestReportGoldenShape(t *testing.T) {
 	}
 	if sb := m["comm"].(map[string]any)["slot_bytes"]; sb != float64(2048) {
 		t.Errorf("comm.slot_bytes = %v, want 2048", sb)
+	}
+	if fb := m["field_bytes"]; fb != float64(4096) {
+		t.Errorf("field_bytes = %v, want 4096", fb)
+	}
+	if fb := m["ranks"].([]any)[0].(map[string]any)["field_bytes"]; fb != float64(4096) {
+		t.Errorf("ranks[0].field_bytes = %v, want 4096", fb)
 	}
 }
 

@@ -112,6 +112,9 @@ type Report struct {
 	InteriorUpdates int64       `json:"interior_updates"`
 	GhostUpdates    int64       `json:"ghost_updates"`
 	Comm            CommReport  `json:"comm"`
+	// FieldBytes sums the ranks' distribution-field allocations: what the
+	// solver held, beside what the transport held (comm.slot_bytes).
+	FieldBytes int64 `json:"field_bytes"`
 	// FluidCells is the spread of per-rank fluid-cell counts — the load
 	// the -balance fluid cut policy equalizes. Present on masked observed
 	// runs; absent (nil) when no rank reported a count.
@@ -145,6 +148,7 @@ func BuildReport(cfg RunConfig, st RunStats, ranks []RankObservation) *Report {
 		rep.Comm.BytesSent += o.BytesSent
 		rep.Comm.Messages += o.Messages
 		rep.Comm.SlotBytes += o.SlotBytes
+		rep.FieldBytes += o.FieldBytes
 		if o.FluidCells > 0 {
 			fluids = append(fluids, float64(o.FluidCells))
 		}

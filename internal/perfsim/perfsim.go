@@ -177,9 +177,11 @@ type Result struct {
 	// quantity.
 	PerRankSeconds []float64
 	CommSeconds    []float64
-	// BytesPerTask is the resident field memory per task; OOM reports
-	// whether it exceeds the per-task share of node memory (the paper's
-	// "individual nodes ran out of memory" cases).
+	// BytesPerTask is the resident field memory of the busiest task — its
+	// ghosted box, or under RankFluids just that box's fluid cells, as the
+	// solver stores them; OOM reports whether it exceeds the per-task share
+	// of node memory (the paper's "individual nodes ran out of memory"
+	// cases).
 	BytesPerTask float64
 	OOM          bool
 	// GhostUpdateFraction is extra ghost-cell updates / interior updates.
@@ -387,15 +389,11 @@ func Run(j Job) (*Result, error) {
 	if j.Opt == core.OptOrig && (w[1] > 0 || w[2] > 0) {
 		return nil, fmt.Errorf("perfsim: the no-ghost Orig protocol is periodic-slab-only (two-grid, dense); use a ghost-cell level")
 	}
-	// Per-task memory: the scheme's resident fields (two for two-grid, one
-	// for AA) over the widest owned block plus its ghost layers.
-	bytesPerTask := fields * 8 * float64(j.Spec.Q)
 	for a := 0; a < 3; a++ {
 		// A border message must be owned entirely by one rank.
 		if mo := dec.MinOwn(a); mo < w[a] {
 			return nil, fmt.Errorf("perfsim: axis %d smallest block (%d cells) < halo width %d (depth %d × k %d)", a, mo, w[a], j.Depth, j.K)
 		}
-		bytesPerTask *= float64(dec.MaxOwn(a) + 2*w[a])
 	}
 
 	st := &simState{
@@ -415,6 +413,13 @@ func Run(j Job) (*Result, error) {
 	} else {
 		st.run()
 	}
+	// Per-task memory: the scheme's resident fields (two for two-grid, one
+	// for AA) over the cells the busiest rank stores.
+	var stored float64
+	for r := range st.geo {
+		stored = math.Max(stored, st.geo[r].stored)
+	}
+	bytesPerTask := fields * 8 * float64(j.Spec.Q) * stored
 
 	res := &Result{
 		PerRankSeconds: st.clock,
@@ -466,6 +471,10 @@ type rankGeom struct {
 	// counts that step's cell updates beyond the owned block.
 	step, ghost []float64
 	axis        [3]axisGeom
+	// stored is the cells the rank's fields hold: its ghosted box — under
+	// the sparse model at the rank's fluid fraction, ghost layers included,
+	// as the solver's fluid-compact fields store fluid runs only.
+	stored float64
 }
 
 // axisGeom is one rank's halo along one axis.
@@ -525,7 +534,10 @@ func (st *simState) rankGeometry(r int, slow float64) rankGeom {
 		}
 	}
 	buf := make([]float64, 2*j.Depth)
-	g := rankGeom{step: buf[:j.Depth], ghost: buf[j.Depth:]}
+	g := rankGeom{step: buf[:j.Depth], ghost: buf[j.Depth:], stored: fluid}
+	for a := 0; a < 3; a++ {
+		g.stored *= float64(own[a] + 2*st.w[a])
+	}
 	for s := range g.step {
 		// The computed box shrinks by k per step on every ghosted axis, from
 		// owned + 2(w − k) right after the refresh down to the owned block.

@@ -102,6 +102,82 @@ func TestModelGeometryIsTheSolvers(t *testing.T) {
 	}
 }
 
+// TestModelMemoryIsTheSolvers: BytesPerTask is the memory the solver
+// holds. A dense job is priced at exactly the busiest rank's allocation —
+// uneven cuts, x-only slab ghosts, AA's single field included. A sparse
+// job used to be priced (and OOM-judged) at the dense box the solver no
+// longer allocates; it is priced at the busiest rank's fluid cells, ghost
+// share included, within 10 % of what the fluid-compact fields occupy.
+func TestModelMemoryIsTheSolvers(t *testing.T) {
+	solverBytes := func(cfg core.Config) float64 {
+		t.Helper()
+		res, err := core.Run(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var most int64
+		for _, rs := range res.PerRank {
+			most = max(most, rs.FieldBytes)
+		}
+		return float64(most)
+	}
+	for _, model := range []*lattice.Model{lattice.D3Q19(), lattice.D3Q39()} {
+		for _, shape := range [][3]int{{1, 1, 1}, {3, 1, 1}, {2, 2, 1}, {2, 2, 2}} {
+			for _, boundary := range []*core.BoundarySpec{nil, core.ChannelSpec()} {
+				for _, stream := range []core.StreamScheme{core.StreamTwoGrid, core.StreamAA} {
+					for _, depth := range []int{1, 2} {
+						// 40 planes over 3 ranks: the busiest owns 14.
+						c := solverCase{model, [3]int{40, 24, 24}, shape, boundary, stream, depth, core.OptGC}
+						sim, err := Run(c.job(1))
+						if err != nil {
+							t.Fatalf("%v: model: %v", c, err)
+						}
+						if want := solverBytes(c.config(0)); sim.BytesPerTask != want {
+							t.Errorf("%v: model prices %.0f B per task, the solver holds %.0f B", c, sim.BytesPerTask, want)
+						}
+					}
+				}
+			}
+		}
+	}
+
+	// The benchmark's vessel at full size, then the same shape small enough
+	// to also allocate densely.
+	for _, d := range []grid.Dims{{NX: 192, NY: 96, NZ: 96}, {NX: 96, NY: 48, NZ: 48}} {
+		mask := geom.Bifurcation(d, 0.1*float64(d.NY))
+		p := [3]int{2, 1, 1}
+		weights := [3][]int{mask.PlaneFluids(0)}
+		dec, err := decomp.NewCartesianWeighted([3]int{d.NX, d.NY, d.NZ}, p, [3]bool{}, weights)
+		if err != nil {
+			t.Fatal(err)
+		}
+		job := Job{
+			Machine: machine.BGQ(), Spec: machine.SpecD3Q19(), K: 1,
+			Nodes: 1, TasksPerNode: 2, ThreadsPerTask: 1,
+			NX: d.NX, NY: d.NY, NZ: d.NZ, Decomp: p,
+			Steps: 1, Depth: 1, Opt: core.OptGCC, Seed: 1,
+			Weights: weights, RankFluids: FluidCounts(dec, mask),
+		}
+		cfg := core.Config{
+			Model: lattice.D3Q19(), N: d, Tau: 0.8, Opt: core.OptGCC, Ranks: 2, Decomp: p, Threads: 1,
+			Solid: mask, Sparse: true, Balance: core.BalanceFluid,
+		}
+		got, want := mustRun(t, job).BytesPerTask, solverBytes(cfg)
+		t.Logf("sparse vessel %v: model %.0f B per task, solver %.0f B", d, got, want)
+		if math.Abs(got-want) > 0.1*want {
+			t.Errorf("sparse vessel %v: model prices %.0f B per task, the solver holds %.0f B; want within 10 %%", d, got, want)
+		}
+		if d.NX > 96 {
+			continue
+		}
+		job.RankFluids = nil
+		cfg.Sparse = false
+		if got, want := mustRun(t, job).BytesPerTask, solverBytes(cfg); got != want {
+			t.Errorf("dense vessel %v: model prices %.0f B per task, the solver holds %.0f B", d, got, want)
+		}
+	}
+}
+
 // TestHaloWiderThanBlockRejectedByBoth: a border message must be owned
 // entirely by one rank, on every ghosted axis; the model refuses exactly
 // the jobs the solver refuses, in the solver's words.
