@@ -58,8 +58,10 @@ func fluidMaxAbsDiff(a, b *grid.Field, solid *geom.Mask) float64 {
 // TestAAMatchesTwoGrid: the AA-pattern single-field scheme must reproduce
 // the two-grid reference to reassociation tolerance on every stepper path
 // it supports — the TestThreadCountInvariance path matrix normalized to
-// AA-legal configs (slab shapes route to the box stepper under AA). Odd
+// AA-legal configs (slab shapes keep ghosts on every axis under AA). Odd
 // step counts exercise the star-arrangement recovery of the final gather.
+// Every masked or bounded path also runs its fused twin — the same gather
+// sweep on two fields — against the same reference.
 func TestAAMatchesTwoGrid(t *testing.T) {
 	n := grid.Dims{NX: 24, NY: 16, NZ: 16}
 	profile := func(gx, gy, gz int) [3]float64 {
@@ -127,6 +129,13 @@ func TestAAMatchesTwoGrid(t *testing.T) {
 			if d := fluidMaxAbsDiff(a, b, tc.solid); d > eqTol {
 				t.Errorf("AA vs two-grid: max |Δf| = %g (tol %g)", d, eqTol)
 			}
+			if tg.Boundary == nil && tg.Solid == nil {
+				return
+			}
+			tg.Fused = true
+			if d := fluidMaxAbsDiff(a, runField(t, tg), tc.solid); d != 0 {
+				t.Errorf("fused vs split: max |Δf| = %g, want bit-exact", d)
+			}
 		})
 	}
 }
@@ -168,11 +177,13 @@ func TestAAThreadInvariance(t *testing.T) {
 	}
 }
 
-// TestAAForceSeries: the AA momentum-exchange accumulation reads the
-// pair-start state directly (even entries) and recovers the pushed
-// bounce value (odd entries, one rounding from the two-grid quantity
-// when the link carries a Zou-He delta), so the per-step series must
-// track the two-grid one to tolerance, at full series length.
+// TestAAForceSeries: one force pass serves every path. Fused reads the
+// same pre-stream populations as the split path, so its series is the
+// split one bit for bit; AA reads the pair-start state directly (even
+// entries) and recovers the pushed bounce value (odd entries, one
+// rounding from the two-grid quantity when the link carries a Zou-He
+// delta), so its series must track the two-grid one to tolerance, at full
+// series length.
 func TestAAForceSeries(t *testing.T) {
 	n := grid.Dims{NX: 24, NY: 16, NZ: 4}
 	cyl := geom.CylinderZ(n, 8, 8.3, 2.5)
@@ -190,6 +201,17 @@ func TestAAForceSeries(t *testing.T) {
 	got, err := Run(aa)
 	if err != nil {
 		t.Fatal(err)
+	}
+	tg.Fused = true
+	fused, err := Run(tg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for s := range want.ObstacleForce {
+		if fused.ObstacleForce[s] != want.ObstacleForce[s] || fused.FaceForce[s] != want.FaceForce[s] {
+			t.Errorf("step %d: fused forces %v / %v != split %v / %v", s,
+				fused.ObstacleForce[s], fused.FaceForce[s], want.ObstacleForce[s], want.FaceForce[s])
+		}
 	}
 	if len(got.ObstacleForce) != len(want.ObstacleForce) {
 		t.Fatalf("force series length %d, want %d", len(got.ObstacleForce), len(want.ObstacleForce))

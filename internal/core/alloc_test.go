@@ -27,6 +27,7 @@ func TestStepAllocatesNothing(t *testing.T) {
 	pencil := grid.Dims{NX: 16, NY: 16, NZ: 8}
 	vessel := grid.Dims{NX: 48, NY: 24, NZ: 24}
 	cavity := grid.Dims{NX: 32, NY: 32, NZ: 32}
+	channel := grid.Dims{NX: 32, NY: 16, NZ: 4}
 	for _, c := range []struct {
 		name string
 		cfg  Config
@@ -39,6 +40,11 @@ func TestStepAllocatesNothing(t *testing.T) {
 			Sparse: true, Balance: BalanceFluid, Init: waveInit(vessel)}},
 		{"cavity-trt-2t", Config{Model: q19, N: cavity, Tau: 0.7, Opt: OptSIMD, Ranks: 1, Threads: 2,
 			Collision: collision.Spec{Kind: collision.TRT}, Boundary: CavitySpec(0.05)}},
+		// A pressure outlet is refilled every step, on every path.
+		{"channel-cylinder-outlet", Config{Model: q19, N: channel, Tau: 0.7, Opt: OptGCC, Ranks: 2, Threads: 1,
+			Boundary: InletChannelSpec(0.05, nil), Solid: geom.CylinderZ(channel, 8, 8.3, 2.5)}},
+		{"channel-cylinder-outlet-aa", Config{Model: q19, N: channel, Tau: 0.7, Opt: OptGCC, Ranks: 2, Threads: 1,
+			Boundary: InletChannelSpec(0.05, nil), Solid: geom.CylinderZ(channel, 8, 8.3, 2.5), Stream: StreamAA}},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			c.cfg.Steps = n

@@ -292,17 +292,10 @@ func TestNoSlipWall(t *testing.T) {
 	}
 }
 
-// TestSolidValidation checks the fused-with-solids rejection and the fluid
-// cell accounting.
+// TestSolidValidation checks the fluid cell accounting.
 func TestSolidValidation(t *testing.T) {
 	n := grid.Dims{NX: 8, NY: 4, NZ: 4}
 	solid := func(ix, iy, iz int) bool { return ix == 2 }
-	if _, err := Run(Config{
-		Model: lattice.D3Q19(), N: n, Tau: 0.8, Steps: 1,
-		Opt: OptGC, Fused: true, Solid: geom.FromFunc(n, solid),
-	}); err == nil {
-		t.Error("fused + solid accepted")
-	}
 	res, err := Run(Config{
 		Model: lattice.D3Q19(), N: n, Tau: 0.8, Steps: 2,
 		Opt: OptGC, Solid: geom.FromFunc(n, solid),

@@ -391,7 +391,6 @@ func TestBoundedValidation(t *testing.T) {
 	}{
 		{"orig with boundaries", func(c *Config) { c.Opt = OptOrig }},
 		{"AoS with boundaries", func(c *Config) { c.Layout = grid.AoS }},
-		{"fused with boundaries", func(c *Config) { c.Fused = true }},
 		{"mixed periodicity on one axis", func(c *Config) {
 			s := *c.Boundary
 			s.Faces[2][1] = Face{Kind: BCWall}

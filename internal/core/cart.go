@@ -9,13 +9,14 @@ package core
 // still carries ghosts, filled by a local copy, so the kernels stream
 // across it as plain offset copies — except on the paper's periodic slab,
 // whose y and z axes carry none (w = 0, "wrap axes": GhostWidths)
-// and are wrapped by the stream kernels (stream.go), the fused gather
-// (fused.go) and the bounce-back link builder (buildFixups) themselves.
+// and are wrapped by the stream kernels (stream.go), the gather sweep
+// (gather.go) and the bounce-back link builder (buildFixups) themselves.
 // Everything else here is geometry-blind.
 //
 // Every rung collides with the row kernel collide.go selects for it and
-// streams with the form stream.go selects for it, so 1-D and 3-D runs
-// agree bit for bit. NB-C and above switch the per-axis exchange to the
+// streams with the form stream.go selects for it — in separate passes, or
+// row by row in the gather sweep of gather.go (fused, AA) — so 1-D and 3-D
+// runs agree bit for bit. NB-C and above switch the per-axis exchange to the
 // posted-receive protocol; GC-C and above run the phased overlapped
 // schedule of schedule.go (interior box while messages fly, per-axis rims
 // after each WaitUnpackAxis). The no-ghost Orig protocol (orig.go) rides
@@ -71,6 +72,7 @@ type cartStepper struct {
 	f, fadv *grid.Field // fadv is nil under AA streaming (single-field)
 	ex      *halo.CartExchanger
 	aa      bool       // AA-pattern in-place streaming (aa.go)
+	gathers bool       // fused or AA: a step is one gather sweep (gather.go), not stream → fixup → collide → sponge
 	orig    *origProto // the no-ghost protocol (orig.go); nil on every ghost-cell rung
 
 	br           *boxRunner
@@ -83,12 +85,11 @@ type cartStepper struct {
 	jit          *metrics.RNG
 	rec          *obs.Recorder // nil unless Config.Observe; every call site is nil-safe
 
-	// The other chunk kernels, bound once for the same reason: the fused
-	// gather, the AA sub-steps, wall and inlet face fills (inlet is the
-	// face being filled), the fixup apply and the sponge blend.
-	fused, aaTransport, aaCompact      func(worker int, b box)
-	restFace, inletFace, bounce, blend func(worker int, b box)
-	inlet                              *Face
+	// The other chunk kernels, bound once for the same reason: the gather
+	// sweep, wall and inlet face fills (inlet is the face being filled), the
+	// fixup apply and the sponge blend.
+	gather, restFace, inletFace, bounce, blend func(worker int, b box)
+	inlet                                      *Face
 
 	mask []bool
 	// The run index (sparse.go): per-row CSR of fluid z-intervals and their
@@ -96,9 +97,8 @@ type cartStepper struct {
 	// present. Nil runStart keeps the fields dense and every kernel on its
 	// dense branch.
 	runIndex
-	fix       *fixIndex
-	stepForce [numBodies][3]float64
-	forceSer  []float64
+	fix      *fixIndex
+	forceSer []float64 // per step, per body: the momentum-exchange force on the owned links
 
 	spec      *BoundarySpec  // global-face boundary conditions (nil = periodic)
 	rest      []float64      // rest-state equilibrium, the wall ghost filler
@@ -106,13 +106,16 @@ type cartStepper struct {
 	sponge    [3][]float64   // per-axis, per-local-index sponge blend factor (nil = no sponge on axis)
 	hasSponge bool
 
-	// AA-pattern state (aa.go): aaStar records that the run ended after a
-	// transport sub-step (odd Steps), leaving the field in star
-	// arrangement; aaFill and the aaFc/aaFeqR/aaFeq1 buffers serve the
-	// serial open-face fix pass.
-	aaStar               bool
-	aaFill               []float64
-	aaFc, aaFeqR, aaFeq1 []float64
+	// Q-length buffers of the serial open-face passes (fillPressureLayer,
+	// aaFillColumns): a cell's populations and its two equilibria.
+	faceFc, faceFeqR, faceFeq1 []float64
+
+	// AA-pattern state (aa.go): aaStar says the field is in star
+	// arrangement — between a transport sub-step and its compact, and after
+	// a run of odd Steps; aaFill holds the pressure-outlet fill values of
+	// the serial open-face replay.
+	aaStar bool
+	aaFill []float64
 }
 
 func newCartStepper(cfg *Config, dec decomp.Cartesian, r *comm.Rank) (*cartStepper, error) {
@@ -129,16 +132,17 @@ func newCartStepper(cfg *Config, dec decomp.Cartesian, r *comm.Rank) (*cartStepp
 	if cfg.Layout == grid.AoS {
 		cs.collide = cs.collideAoS
 	}
-	cs.fused, cs.aaTransport, cs.aaCompact = cs.fusedRows, cs.aaTransportRange, cs.aaCompactRange
-	cs.restFace, cs.inletFace, cs.bounce, cs.blend = cs.restFaceRows, cs.inletFaceRows, cs.bounceRows, cs.spongeRows
+	cs.gathers = cs.aa || cfg.Fused
+	cs.gather, cs.restFace, cs.inletFace, cs.bounce, cs.blend = cs.gatherRows, cs.restFaceRows, cs.inletFaceRows, cs.bounceRows, cs.spongeRows
 	cs.depth, cs.w = cfg.ghostGeometry(dec)
 	for a := 0; a < 3; a++ {
 		cs.start[a], cs.own[a] = dec.Own(r.ID, a)
 	}
 	cs.d = grid.Dims{NX: cs.own[0] + 2*cs.w[0], NY: cs.own[1] + 2*cs.w[1], NZ: cs.own[2] + 2*cs.w[2]}
 	cs.br = newBoxRunner(cfg.Threads)
-	cs.scratch = newScratches(cs.br.threads(), cfg.Model.Q, cs.d.NZ, cs.op, cs.aa || cfg.Layout == grid.AoS)
+	cs.scratch = newScratches(cs.br.threads(), cfg.Model.Q, cs.d.NZ, cs.op)
 	cs.rest = make([]float64, cfg.Model.Q)
+	cs.faceFc, cs.faceFeqR, cs.faceFeq1 = make([]float64, cfg.Model.Q), make([]float64, cfg.Model.Q), make([]float64, cfg.Model.Q)
 	cfg.Model.Equilibrium(1, 0, 0, 0, cs.rest)
 	// Neighbor ranks come from the fabric-level Cartesian topology (the
 	// MPI_Cart_create analog); the decomposition supplies only extents and
@@ -236,15 +240,14 @@ func (cs *cartStepper) initRow(feq []float64, ix, iy, zlo, zhi, base int) {
 // and its valid extent shrinks by k per step in between, so the computed
 // destination box is the intersection of the per-axis validity intervals.
 // A wrap axis has no ghosts to go stale and always spans its owned extent.
+// AA's depths are even (aaDepths), so its refreshes land on even steps —
+// pair starts, where the field is in normal arrangement and the exchanger's
+// pack/unpack maps apply.
 func (cs *cartStepper) run() {
-	if cs.aa {
-		cs.runAA()
-		return
-	}
 	if cs.orig != nil {
 		for n := 0; n < cs.cfg.Steps; n++ {
+			cs.measureForces()
 			cs.orig.step()
-			cs.endForceStep()
 			cs.jitter()
 		}
 		return
@@ -265,6 +268,7 @@ func (cs *cartStepper) run() {
 			ext[a] = (cs.depth[a] - since[a]) * cs.k
 		}
 		b := cs.boxFor(ext)
+		cs.measureForces()
 		cs.step(b, stale)
 		cs.countUpdates(b)
 		cs.jitter()
@@ -284,28 +288,38 @@ func (cs *cartStepper) jitter() {
 
 // step advances one time step on destination box b, refreshing the stale
 // axes' ghosts first — overlapped with the compute under the GC-C
-// schedule when messages are in play, synchronously otherwise.
+// schedule when messages are in play, synchronously otherwise (always
+// under AA). Open-face ghosts follow the current state every step: refilled
+// from it, or on AA's odd sub-step — no ghost is rewritten mid-pair —
+// replayed into the pushed slots (aa.go).
 func (cs *cartStepper) step(b box, stale [3]bool) {
-	cs.fillOpenFaces()
-	if cs.cfg.Opt >= OptGCC && cs.hasMessagingStale(stale) {
+	if cs.aaStar {
+		cs.aaFixOpenFaces(b)
+	} else {
+		cs.fillOpenFaces()
+	}
+	if cs.cfg.Opt >= OptGCC && !cs.aa && cs.hasMessagingStale(stale) {
 		cs.overlappedStep(b, stale)
 	} else {
 		if stale != ([3]bool{}) {
 			cs.refreshAxes(stale)
 		}
-		if cs.cfg.Fused {
-			cs.fusedBox(b)
+		if cs.gathers {
+			cs.gatherBox(b)
 		} else {
 			cs.streamBox(b)
 			cs.applyBounceBackBox(b)
 			cs.collideBox(b)
 		}
 	}
-	if cs.cfg.Fused {
-		cs.swap()
+	switch {
+	case cs.aa:
+		cs.aaStar = !cs.aaStar
+	case cs.cfg.Fused:
+		cs.f, cs.fadv = cs.fadv, cs.f
+	default:
+		cs.spongeBox(b) // the gather sweep blends row by row
 	}
-	cs.spongeBox(b)
-	cs.endForceStep()
 }
 
 // hasMessagingStale reports whether any stale axis exchanges real
@@ -426,8 +440,8 @@ func (cs *cartStepper) beginAxis(axis int) {
 // computeInterior runs the overlap-safe part of a step: the stream-ahead
 // box (and, for the split kernels, the collide-ahead box) of the plan.
 func (cs *cartStepper) computeInterior(p stepPlan) {
-	if cs.cfg.Fused {
-		cs.fusedBox(p.interiorS)
+	if cs.gathers {
+		cs.gatherBox(p.interiorS)
 		return
 	}
 	cs.streamBox(p.interiorS)
@@ -439,9 +453,9 @@ func (cs *cartStepper) computeInterior(p stepPlan) {
 // valid.
 func (cs *cartStepper) computeRims(p stepPlan, axis int) {
 	ph := p.phases[axis]
-	if cs.cfg.Fused {
+	if cs.gathers {
 		t0 := cs.rec.Begin()
-		cs.fusedBoxPair(ph.streamRims[0], ph.streamRims[1])
+		cs.br.run(cs.gather, ph.streamRims[0], ph.streamRims[1])
 		cs.rec.EndAxis(obs.Rim, axis, t0)
 		return
 	}
@@ -569,14 +583,10 @@ func (cs *cartStepper) fillRuns(b box, val []float64) {
 
 // fillPressureLayer writes the non-equilibrium extrapolation of the
 // outermost owned layer (axis position src) into every ghost layer of
-// the face: each cell's populations with their equilibrium re-anchored
-// at unit density, f + f_eq(1, u) − f_eq(ρ, u).
+// the face: each cell's populations re-anchored at unit density.
 func (cs *cartStepper) fillPressureLayer(axis, side, src int) {
 	b := cs.faceBox(axis, side)
-	m := cs.model
-	fc := make([]float64, m.Q)
-	feqR := make([]float64, m.Q)
-	feq1 := make([]float64, m.Q)
+	fc := cs.faceFc
 	// Iterate the transverse cross-section: project the face box onto the
 	// src layer, transform once per column, write all w ghost layers.
 	lo, hi := b.lo, b.hi
@@ -591,13 +601,7 @@ func (cs *cartStepper) fillPressureLayer(axis, side, src int) {
 				for v := range fc {
 					fc[v] = cs.f.V(v)[edge]
 				}
-				rho, jx, jy, jz := m.Moments(fc)
-				ux, uy, uz := jx/rho, jy/rho, jz/rho
-				m.Equilibrium(rho, ux, uy, uz, feqR)
-				m.Equilibrium(1, ux, uy, uz, feq1)
-				for v := 0; v < m.Q; v++ {
-					fc[v] += feq1[v] - feqR[v]
-				}
+				cs.reanchor(fc)
 				p := [3]int{ix, iy, iz}
 				for l := b.lo[axis]; l < b.hi[axis]; l++ {
 					p[axis] = l
@@ -609,6 +613,21 @@ func (cs *cartStepper) fillPressureLayer(axis, side, src int) {
 				}
 			}
 		}
+	}
+}
+
+// reanchor replaces a cell's populations fc with their pressure-outlet
+// extrapolation: the equilibrium part moved to unit density at the cell's
+// velocity, f + f_eq(1, u) − f_eq(ρ, u). Serial passes only — it works in
+// the stepper's own face buffers.
+func (cs *cartStepper) reanchor(fc []float64) {
+	m, feqR, feq1 := cs.model, cs.faceFeqR, cs.faceFeq1
+	rho, jx, jy, jz := m.Moments(fc)
+	ux, uy, uz := jx/rho, jy/rho, jz/rho
+	m.Equilibrium(rho, ux, uy, uz, feqR)
+	m.Equilibrium(1, ux, uy, uz, feq1)
+	for v := range fc {
+		fc[v] += feq1[v] - feqR[v]
 	}
 }
 
@@ -1016,9 +1035,10 @@ func (cs *cartStepper) spongeSig(sig []float64, ix, iy, zlo, zn int) bool {
 // The local velocity is kept, so vortical outflow passes through and is
 // only flattened, not blocked. Deliberately non-conservative: the
 // absorbed acoustic mass leaves through the open face. Shared verbatim by
-// the two-grid post-collide pass and the AA kernels (operating on their
-// out-row buffers), so the two schemes stay bit-identical here. Each cell
-// is independent — the §8 row contract holds.
+// the split path's post-collide pass and the gather sweep (on its collided
+// rows, which are all fluid or — fused on dense fields — carry solid cells
+// nobody reads: msk is the split pass's alone), so every path stays
+// bit-identical here. Each cell is independent — the §8 row contract holds.
 func applySpongeRow(m *lattice.Model, fc []float64, rows [][]float64, sig []float64, msk []bool, zn int) {
 	for z := 0; z < zn; z++ {
 		s := sig[z]
@@ -1071,40 +1091,63 @@ func (cs *cartStepper) spongeRows(worker int, sub box) {
 }
 
 // applyBounceBackBox applies exactly the fixup links of box b through the
-// per-box index, accumulating momentum-exchange forces when the run
-// measures them. Exactly b is what the phased schedule requires (a fixup
+// per-box index. Exactly b is what the phased schedule requires (a fixup
 // applied to a cell before that cell's rim stream would be overwritten by
 // it, so each fixup must run in the phase that streams its cell, and only
 // there) and always safe elsewhere: cells outside b were not streamed this
 // step, hold stale state, and are rewritten by a wider stream before ever
-// being read again.
+// being read again. Chunked across the team by row spans: each link writes
+// one (velocity, cell) slot of fadv and reads only f; links partition by
+// their cell's (x, y) row, so chunks never touch the same memory.
 func (cs *cartStepper) applyBounceBackBox(b box) {
 	if cs.fix.empty() {
 		return
 	}
 	t0 := cs.rec.Begin()
-	defer cs.rec.End(obs.Fixup, t0)
-	if cs.cfg.MeasureForces {
-		// Serial: the momentum-exchange sums must keep one accumulation
-		// order to stay decomposition- and thread-count-independent.
-		cs.fix.applyBoxForce(cs.f, cs.fadv, b, &cs.stepForce)
-		return
-	}
-	// Chunked across the team by row spans. Each link writes one
-	// (velocity, cell) slot of fadv and reads only f; links partition by
-	// their cell's (x, y) row, so chunks never touch the same memory.
 	cs.br.run(cs.bounce, b)
+	cs.rec.End(obs.Fixup, t0)
 }
 
 func (cs *cartStepper) bounceRows(worker int, sub box) { cs.fix.applyBox(cs.f, cs.fadv, sub) }
 
-// endForceStep closes one step's force accumulation (see boundary.go).
-func (cs *cartStepper) endForceStep() {
+// measureForces appends one step's momentum-exchange forces to the series
+// Run reduces across ranks (Config.MeasureForces): every owned link adds
+// c_opp·(2·f_opp + δ) to its body, f_opp the cell's pre-stream population
+// the link bounces. One pass for every path, before the step computes
+// anything, serial and in CSR order — the sums keep one accumulation order,
+// whatever the schedule, the thread count and the streaming scheme. Under
+// AA's star arrangement the link's slot holds the pushed r_opp + δ, so δ
+// comes off first (one rounding from the two-grid quantity when δ ≠ 0 —
+// cross-scheme force checks use tolerances, not bit equality).
+func (cs *cartStepper) measureForces() {
 	if !cs.cfg.MeasureForces {
 		return
 	}
 	t0 := cs.rec.Begin()
-	cs.forceSer = appendForceStep(cs.forceSer, &cs.stepForce)
+	var acc [numBodies][3]float64
+	if fi := cs.fix; !fi.empty() {
+		cells := cs.f.D.Cells()
+		for _, fx := range fi.links {
+			if fx.flags&fixOwned == 0 {
+				continue
+			}
+			fo := cs.f.Data[int(fx.opp)*cells+int(fx.cell)]
+			if cs.aaStar {
+				fo -= fx.delta
+			}
+			body := bodyFaces
+			if fx.flags&fixObstacle != 0 {
+				body = bodyObstacle
+			}
+			p := 2*fo + fx.delta
+			acc[body][0] += fi.cxo[fx.v] * p
+			acc[body][1] += fi.cyo[fx.v] * p
+			acc[body][2] += fi.czo[fx.v] * p
+		}
+	}
+	for _, f := range acc {
+		cs.forceSer = append(cs.forceSer, f[0], f[1], f[2])
+	}
 	cs.rec.End(obs.Force, t0)
 }
 

@@ -379,7 +379,6 @@ func TestCartValidation(t *testing.T) {
 	}{
 		{"orig multi-axis", func(c *Config) { c.Opt = OptOrig }},
 		{"AoS multi-axis", func(c *Config) { c.Layout = grid.AoS }},
-		{"fused bounded", func(c *Config) { c.Fused = true; c.Boundary = CavitySpec(0.05) }},
 		{"shape/ranks mismatch", func(c *Config) { c.Ranks = 4 }},
 		{"block smaller than halo", func(c *Config) { c.GhostDepth = 5 }},
 		{"per-axis depth zero entry", func(c *Config) { c.GhostDepthAxes = [3]int{2, 0, 1} }},

@@ -2,7 +2,7 @@ package core
 
 // In-rank threading substrate: a per-stepper persistent worker pool,
 // longest-axis box chunking, and per-worker kernel scratch. Every parallel
-// loop of a step — stream, collide, fused, face fills, fixup applies, on
+// loop of a step — stream, collide, gather sweep, face fills, fixup applies, on
 // interiors and rim slabs alike — is expressed as a batch of (box, chunk)
 // items drained by the pool, so the thin rim phases of the overlapped
 // schedule get the full team instead of a static x partition that
@@ -257,7 +257,7 @@ func appendBoxChunks(dst []box, b box, chunkCells int) []box {
 type workerScratch struct {
 	fc     []float64   // Q-length per-cell gather buffer
 	rb     rowBufs     // z-run moment accumulators (capacity NZ)
-	vrows  [][]float64 // Q z-row buffers: fused gather rows / operator feq rows
+	vrows  [][]float64 // Q z-row buffers: operator feq rows / profiled inlet rows
 	vstore []float64
 	nzCap  int
 	sv, dv [][]float64        // per-velocity slice headers: in-place row views of fadv / f
@@ -265,9 +265,10 @@ type workerScratch struct {
 	feqR   []float64          // Q-length equilibrium buffer (face fills)
 	sig    []float64          // NZ-length sponge factor row
 
-	// Gathered row stores: the AA kernels pull a row's populations into
-	// gin, collide into gout, and scatter from there (aa.go); the AoS
-	// collide transposes a row through gin. Allocated only for those.
+	// Gathered row stores: the gather sweep pulls a row's populations into
+	// gin and — where it scatters — collides into gout (gather.go); the AoS
+	// collide transposes a row through gin. Their own storage: a row kernel
+	// may use vrows while it reads gin.
 	gin, gout     [][]float64
 	ginSt, goutSt []float64
 }
@@ -293,9 +294,8 @@ func (sc *workerScratch) rows(zn int) [][]float64 {
 
 // newScratches allocates one scratch slot per pool worker. op, when
 // non-nil, is cloned per worker (operators share read-only tables but
-// carry private relaxation scratch); gather additionally allocates the
-// gathered row stores.
-func newScratches(threads, q, nz int, op collision.Operator, gather bool) []*workerScratch {
+// carry private relaxation scratch).
+func newScratches(threads, q, nz int, op collision.Operator) []*workerScratch {
 	out := make([]*workerScratch, threads)
 	for w := range out {
 		sc := &workerScratch{
@@ -308,15 +308,13 @@ func newScratches(threads, q, nz int, op collision.Operator, gather bool) []*wor
 			dv:     make([][]float64, q),
 			feqR:   make([]float64, q),
 			sig:    make([]float64, nz),
+			gin:    make([][]float64, q),
+			gout:   make([][]float64, q),
+			ginSt:  make([]float64, q*nz),
+			goutSt: make([]float64, q*nz),
 		}
 		if op != nil {
 			sc.op = op.Clone()
-		}
-		if gather {
-			sc.gin = make([][]float64, q)
-			sc.gout = make([][]float64, q)
-			sc.ginSt = make([]float64, q*nz)
-			sc.goutSt = make([]float64, q*nz)
 		}
 		out[w] = sc
 	}

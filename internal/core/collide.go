@@ -2,7 +2,7 @@ package core
 
 // The collision arithmetic of the whole solver: every rung of the paper's
 // ladder is one row kernel here, and every path — split, fused, AA — calls
-// the one its configuration selects. A row kernel relaxes one
+// the one its rung and operator select. A row kernel relaxes one
 // z-run of zn cells from per-velocity row views in[v] into out[v]
 // (f ← f_adv − ω(f_adv − f_eq(ρ,u)), the structure of the paper's Fig. 4);
 // the callers differ only in how they form the views:
@@ -10,8 +10,9 @@ package core
 //   - split: forRuns z-runs of fadv → f — full rows dense, fluid runs under
 //     sparse traversal (AoS gathers and scatters through the worker's
 //     scratch rows — Orig/GC layout ablation only);
-//   - fused: gathered scratch rows → rows of the next field;
-//   - AA: its gathered in rows → its out rows.
+//   - the gather sweep (gather.go): the worker's gathered rows → rows of
+//     the next state (fused, AA's odd sub-step) or the worker's out rows
+//     (AA's even sub-step, which scatters them).
 //
 // Every kernel treats each z independently and reads a cell's in values
 // before writing its out values, so a run may be any sub-interval of a row
@@ -96,9 +97,6 @@ func (c *collider) init(cfg *Config) error {
 
 	_, rows := c.op.(collision.RowRelaxer)
 	switch {
-	case cfg.Fused:
-		// BGK only; the fused kernel is pair-symmetric at every rung.
-		c.relax = c.relaxPaired
 	case rows:
 		c.relax = c.relaxOpRows
 	case c.op != nil:

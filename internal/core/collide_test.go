@@ -20,17 +20,14 @@ func TestCrossPathBitIdentity(t *testing.T) {
 	variants := []struct {
 		name  string
 		apply func(*Config)
-		// fused relaxes with the pair-symmetric BGK kernel at every rung,
-		// so it joins the comparison only where the split path does too.
-		fused bool
 	}{
-		{"ghosted", func(c *Config) { c.Sparse = true }, false}, // no mask: dense rows, ghosts on every axis
-		{"pencil", func(c *Config) { c.Decomp = [3]int{1, 2, 1} }, false},
-		{"aa", func(c *Config) { c.Stream = StreamAA }, false},
-		{"fused", func(c *Config) { c.Fused = true }, true},
-		{"fused-ghosted", func(c *Config) { c.Fused, c.Sparse = true, true }, true},
-		{"threads-3", func(c *Config) { c.Threads = 3 }, false},
-		{"depth-2", func(c *Config) { c.GhostDepth = 2 }, false},
+		{"ghosted", func(c *Config) { c.Sparse = true }}, // no mask: dense rows, ghosts on every axis
+		{"pencil", func(c *Config) { c.Decomp = [3]int{1, 2, 1} }},
+		{"aa", func(c *Config) { c.Stream = StreamAA }},
+		{"fused", func(c *Config) { c.Fused = true }},
+		{"fused-ghosted", func(c *Config) { c.Fused, c.Sparse = true, true }},
+		{"threads-3", func(c *Config) { c.Threads = 3 }},
+		{"depth-2", func(c *Config) { c.GhostDepth = 2 }},
 	}
 	for _, m := range []*lattice.Model{lattice.D3Q19(), lattice.D3Q39()} {
 		for _, opt := range []OptLevel{OptGC, OptDH, OptCF, OptLoBr, OptNBC, OptGCC, OptSIMD} {
@@ -41,9 +38,6 @@ func TestCrossPathBitIdentity(t *testing.T) {
 				}
 				want := runField(t, base)
 				for _, v := range variants {
-					if v.fused && (!spec.IsBGK() || opt < OptCF) {
-						continue
-					}
 					cfg := base
 					v.apply(&cfg)
 					if d := grid.MaxAbsDiff(want, runField(t, cfg)); d != 0 {
@@ -58,7 +52,11 @@ func TestCrossPathBitIdentity(t *testing.T) {
 	// z = NZ−1 faces of the periodic box plus a sphere. With ghosts on x
 	// only the link builder folds those links across the wrap; with ghosts
 	// everywhere (pencil shapes) they point into ghost copies of the
-	// plate. One stream form per rung group, forced and deep.
+	// plate. One stream form per rung group, forced and deep. The gather
+	// sweep applies the same links row by row: fused in both geometries and
+	// on fluid-compact fields, AA on dense and on compact fields, agree
+	// with the split path on every fluid cell (solid cells have no storage
+	// under the run index and hold scheme-specific garbage under dense AA).
 	solid := geom.FromFunc(n, func(ix, iy, iz int) bool { return iy == 0 || iz == n.NZ-1 })
 	solid.Union(geom.SphereAt(n, 11.5, 6, 5.5, 2.6))
 	for _, m := range []*lattice.Model{lattice.D3Q19(), lattice.D3Q39()} {
@@ -73,6 +71,29 @@ func TestCrossPathBitIdentity(t *testing.T) {
 				cfg.Decomp = shape
 				if d := grid.MaxAbsDiff(want, runField(t, cfg)); d != 0 {
 					t.Errorf("masked %s %s: ghosted shape %v differs from x-only ghosts by %g (want 0 ULP)", m.Name, opt, shape, d)
+				}
+			}
+			for _, v := range []struct {
+				name  string
+				apply func(*Config)
+			}{
+				{"fused", func(c *Config) { c.Fused = true }},
+				{"fused-pencil", func(c *Config) { c.Fused, c.Decomp = true, [3]int{1, 2, 1} }},
+				{"fused-sparse", func(c *Config) { c.Fused, c.Sparse = true, true }},
+				{"fused-trt", func(c *Config) { c.Fused, c.Collision = true, collision.Spec{Kind: collision.TRT} }},
+				{"aa", func(c *Config) { c.Stream = StreamAA }},
+				{"aa-sparse", func(c *Config) { c.Stream, c.Sparse = StreamAA, true }},
+			} {
+				cfg := base
+				v.apply(&cfg)
+				ref := want
+				if !cfg.Collision.IsBGK() {
+					split := cfg
+					split.Fused = false
+					ref = runField(t, split)
+				}
+				if d := fluidMaxAbsDiff(ref, runField(t, cfg), solid); d != 0 {
+					t.Errorf("masked %s %s: %s differs from the split path by %g on fluid cells (want 0 ULP)", m.Name, opt, v.name, d)
 				}
 			}
 		}

@@ -257,7 +257,7 @@ func TestOperatorRowKernelMatchesPerCell(t *testing.T) {
 			c.shiftX = 1e-4
 			perCell := grid.NewField(m.Q, n, grid.SoA)
 			rows := grid.NewField(m.Q, n, grid.SoA)
-			sc := newScratches(1, m.Q, n.NZ, c.op, false)[0]
+			sc := newScratches(1, m.Q, n.NZ, c.op)[0]
 			for base := 0; base < n.Cells(); base += n.NZ {
 				in := rowViews(sc.sv, src, base, n.NZ)
 				c.relaxOpCell(sc, in, rowViews(sc.dv, perCell, base, n.NZ), n.NZ)
@@ -297,13 +297,11 @@ func TestCollisionOverlapAndPerAxisDepth(t *testing.T) {
 	}
 }
 
-// TestCollisionValidation: spec errors and the Fused exclusion surface as
-// config errors.
+// TestCollisionValidation: spec errors surface as config errors.
 func TestCollisionValidation(t *testing.T) {
 	n := grid.Dims{NX: 12, NY: 6, NZ: 6}
 	base := Config{Model: lattice.D3Q19(), N: n, Tau: 0.8, Steps: 1, Opt: OptSIMD, Ranks: 1, GhostDepth: 1}
 	bad := []func(*Config){
-		func(c *Config) { c.Collision = collision.Spec{Kind: collision.TRT}; c.Fused = true },
 		func(c *Config) { c.Collision = collision.Spec{Kind: collision.MRT, GhostRates: []float64{3}} },
 		func(c *Config) { c.Collision = collision.Spec{Kind: collision.BGK, Magic: 0.25} },
 	}
@@ -314,10 +312,12 @@ func TestCollisionValidation(t *testing.T) {
 			t.Errorf("bad collision config %d accepted", i)
 		}
 	}
-	// The BGK + Fused combination stays legal.
-	cfg := base
-	cfg.Fused = true
-	if _, err := Run(cfg); err != nil {
-		t.Errorf("BGK fused run rejected: %v", err)
+	// Fused is legal with every operator.
+	for _, kind := range []collision.Kind{collision.BGK, collision.TRT, collision.MRT} {
+		cfg := base
+		cfg.Fused, cfg.Collision = true, collision.Spec{Kind: kind}
+		if _, err := Run(cfg); err != nil {
+			t.Errorf("%s fused run rejected: %v", cfg.Collision, err)
+		}
 	}
 }

@@ -83,8 +83,8 @@ func TestMultiRunMaskShape(t *testing.T) {
 
 // TestSparseMultiRunMatrix runs the multi-run geometry through the sparse
 // ≡ dense matrix of TestSparseHaloMatrix: both lattices (reach 3 crosses
-// the wall between the tubes and whole beads), both streaming schemes, the
-// deep-halo cadences, slab/pencil/fluid-balanced block, all three exchange
+// the wall between the tubes and whole beads), both streaming schemes and
+// the fused sweep, the deep-halo cadences, slab/pencil/fluid-balanced block, all three exchange
 // protocols — 1e-12 against the dense single-rank run on every fluid cell
 // and bit-equal between 1 and 3 threads.
 func TestSparseMultiRunMatrix(t *testing.T) {
@@ -109,15 +109,18 @@ func TestSparseMultiRunMatrix(t *testing.T) {
 		})
 		for _, sh := range shapes {
 			for _, depth := range depths {
-				for _, stream := range []StreamScheme{StreamTwoGrid, StreamAA} {
+				for _, path := range []struct {
+					stream StreamScheme
+					fused  bool
+				}{{StreamTwoGrid, false}, {StreamAA, false}, {StreamTwoGrid, true}} {
 					for _, opt := range opts {
 						cfg := Config{
 							Model: m, N: n, Tau: 0.8, Steps: 6,
 							Opt: opt, Ranks: sh.p[0] * sh.p[1] * sh.p[2], Decomp: sh.p, Balance: sh.balance,
-							GhostDepthAxes: depth, Stream: stream,
+							GhostDepthAxes: depth, Stream: path.stream, Fused: path.fused,
 							Solid: mask, Sparse: true,
 						}
-						name := fmt.Sprintf("%s %v depth=%v %s %s", m.Name, sh.p, depth, stream, opt)
+						name := fmt.Sprintf("%s %v depth=%v %s fused=%v %s", m.Name, sh.p, depth, path.stream, path.fused, opt)
 						cfg.Threads = 1
 						one := runField(t, cfg)
 						if d := maxDiffFluid(ref, one, mask.At); d > eqTol {

@@ -13,11 +13,13 @@
 //
 // The collision arithmetic lives in one place: collide.go holds one row
 // kernel per rung of the ladder (naive, row-generic, pair-symmetric) and
-// the operator row kernel, and every path — split, fused, AA — relaxes
-// through the one its configuration selects. Running one
-// configuration another way (decomposition, ghost depth, thread count,
-// streaming scheme) therefore reproduces the field to the last bit
-// (TestCrossPathBitIdentity); the rungs differ from each other only by
+// the operator row kernel, and every path relaxes through the one its rung
+// and operator select — the split stream → fixup → collide passes, and the
+// gather sweep (gather.go) that fused and AA streaming both are. Walls,
+// solids, open faces, forces and every operator compose with all of them.
+// Running one configuration another way (decomposition, ghost depth, thread
+// count, fused or not, streaming scheme) therefore reproduces the field to
+// the last bit (TestCrossPathBitIdentity); the rungs differ from each other only by
 // floating point reassociation (~1e-12), which the rest of the suite
 // enforces across rank counts, thread counts, ghost depths and layouts.
 package core
@@ -170,7 +172,8 @@ const (
 	// sub-step reads each cell's own slots reversed, collides, and writes
 	// them back in normal arrangement — after which the array is
 	// indistinguishable from the two-grid f. Halves memory traffic and
-	// footprint; requires SoA, a ghost-cell level, and the split kernels.
+	// footprint; requires SoA and a ghost-cell level, and excludes Fused
+	// (it is the same gather sweep, on one field).
 	StreamAA
 )
 
@@ -256,7 +259,7 @@ type Config struct {
 	// Collision selects the collision operator. The zero value is the
 	// paper's BGK, which runs the ladder's own row kernel at every
 	// optimization level; TRT and MRT relax through the operator row
-	// kernel (and exclude the BGK-only Fused path).
+	// kernel, on every path.
 	Collision collision.Spec
 	// Steps is the number of time steps.
 	Steps int
@@ -289,31 +292,38 @@ type Config struct {
 	// Stream selects the streaming storage scheme. The zero value is the
 	// classic two-grid layout; StreamAA keeps a single field and streams in
 	// place via the AA pattern, halving f-memory traffic and footprint.
-	// StreamAA keeps ghosts on every axis (slab shapes included), requires
-	// the SoA layout, a ghost-cell level, the split kernels (no Fused — AA
-	// is inherently fused). Per-axis ghost depths are rounded up to the
-	// next even value: exchanges happen only at step-pair boundaries, when
-	// the field is in normal arrangement, so the existing pack/unpack maps
-	// apply unchanged.
+	// StreamAA keeps ghosts on every axis (slab shapes included) and
+	// requires the SoA layout and a ghost-cell level; Fused is rejected
+	// with it (AA is the fused gather sweep on one field). It composes with
+	// walls, solids, every operator, sparse storage and force measurement;
+	// open faces (outflow, pressure outlet) may sit on one axis only.
+	// Per-axis ghost depths are rounded up to the next even value:
+	// exchanges happen only at step-pair boundaries, when the field is in
+	// normal arrangement, so the existing pack/unpack maps apply unchanged,
+	// and the GC-C overlap is not scheduled (refreshes are synchronous).
 	Stream StreamScheme
 	// Layout selects the field memory layout. The copy-based streaming
 	// kernels (OptDH and above) require SoA; AoS is supported through OptGC
 	// for the layout ablation.
 	Layout grid.Layout
-	// Fused selects the fused stream-collide kernel (one read + one write
+	// Fused selects the fused stream-collide sweep (one read + one write
 	// of the field per step instead of three accesses) — the paper's §VII
 	// future-work direction, implemented here as an extension. Requires
-	// the SoA layout and a ghost-cell level (OptGC or above); runs on
-	// every decomposition but not with bounce-back walls or solids (no
-	// stream/collide split for the fixups to run between).
+	// the SoA layout and a ghost-cell level (OptGC or above), and not
+	// StreamAA (which is the same sweep on one field). Everything else
+	// composes with it: every decomposition and schedule, every collision
+	// operator (it relaxes with its rung's row kernel), walls, inlets, open
+	// faces, solids, sparse storage and force measurement — the row's
+	// bounce-back links are applied to the gathered rows — and it
+	// reproduces the split path's field to the last bit.
 	Fused bool
 	// Boundary assigns conditions to the six global faces (walls, moving
 	// walls, outflow, periodic — see BoundarySpec). Nil, and any spec
 	// whose faces are all periodic, keeps the fully periodic domain. A
-	// spec with non-periodic faces requires the SoA layout, a ghost-cell
-	// level (not Orig) and the split kernels (no Fused), and keeps ghosts
-	// on every axis — including slab-shaped rank grids — because the
-	// boundary fills live in the ghost layers.
+	// spec with non-periodic faces requires the SoA layout and a ghost-cell
+	// level (not Orig), and keeps ghosts on every axis — including
+	// slab-shaped rank grids — because the boundary fills live in the
+	// ghost layers.
 	Boundary *BoundarySpec
 	// Solid marks lattice points as solid walls (halfway bounce-back,
 	// no-slip): a voxel mask over the global domain — built
@@ -321,8 +331,8 @@ type Config struct {
 	// a voxel file (geom.Load). Its dims must equal N. Each rank slices
 	// the global mask into its local bounce-back fixup index (periodic
 	// axes wrap, coordinates beyond a non-wall bounded face clamp).
-	// Applies to every optimization level except the fused kernel. Nil
-	// means fully periodic fluid.
+	// Applies to every optimization level, fused or not, two-grid or AA.
+	// Nil means fully periodic fluid.
 	Solid *geom.Mask
 	// Balance selects the cut-plane placement policy of the domain
 	// decomposition (see Balance). The zero value is the equal-extent
@@ -352,7 +362,8 @@ type Config struct {
 	// geometry at every step: Result.ObstacleForce holds the per-step
 	// force the fluid exerts on the voxel mask (drag/lift), FaceForce the
 	// aggregate on the global boundary faces, both reduced across ranks.
-	// Requires the split kernels (no Fused).
+	// One serial pass over the rank's owned links per step, the same on
+	// every path (split, fused, AA); requires the SoA layout.
 	MeasureForces bool
 	// Accel is a constant body acceleration driving the flow (velocity-
 	// shift forcing); zero means unforced.
@@ -426,9 +437,6 @@ func (c *Config) check() error {
 	if err := c.Collision.Validate(); err != nil {
 		return err
 	}
-	if !c.Collision.IsBGK() && c.Fused {
-		return fmt.Errorf("core: the fused kernel is specialized for BGK; %s needs the split operator path (disable Fused)", c.Collision)
-	}
 	k := c.Model.MaxSpeed
 	if c.Opt == OptOrig && c.GhostDepth != 1 {
 		return fmt.Errorf("core: OptOrig has no ghost cells; GhostDepth must be 1, got %d", c.GhostDepth)
@@ -442,12 +450,6 @@ func (c *Config) check() error {
 		}
 		if c.Layout != grid.SoA {
 			return fmt.Errorf("core: the fused kernel requires the SoA layout")
-		}
-		if c.Solid != nil {
-			return fmt.Errorf("core: solid obstacles need the split stream/collide path (bounce-back runs between them); disable Fused")
-		}
-		if c.MeasureForces {
-			return fmt.Errorf("core: momentum-exchange forces live on the bounce-back links; disable Fused")
 		}
 	}
 	if c.Solid != nil {
@@ -496,9 +498,6 @@ func (c *Config) check() error {
 		// A fully periodic spec is the default domain: drop it so
 		// periodic slab shapes keep their x-only ghosts.
 		c.Boundary = nil
-	}
-	if c.Fused && c.Boundary != nil {
-		return fmt.Errorf("core: bounce-back boundaries need the split stream/collide path; disable Fused")
 	}
 	if c.Decomp == ([3]int{}) {
 		c.Decomp = [3]int{c.Ranks, 1, 1}

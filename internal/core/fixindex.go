@@ -12,7 +12,8 @@ package core
 // optimization level.
 //
 // The same link inventory doubles as the momentum-exchange force
-// measurement (Ladd's method): a link that bounces population v at fluid
+// measurement (Ladd's method; cartStepper.measureForces walks it once per
+// step, serially, in CSR order): a link that bounces population v at fluid
 // cell x transferred the momentum of the incoming population c_opp·f_opp
 // to the body and received back c_v·(f_opp + delta), so the body gains
 //
@@ -191,43 +192,5 @@ func (fi *fixIndex) applyLinks(f, fadv *grid.Field, seg []fixup) {
 	q := f.Q
 	for _, fx := range seg {
 		fadv.Data[int(fx.cell)*q+int(fx.v)] = f.Data[int(fx.cell)*q+int(fx.opp)] + fx.delta
-	}
-}
-
-// applyBoxForce is applyBox with momentum-exchange accumulation: every
-// owned link adds c_opp·(2·f_opp + delta) to its body's force (SoA only —
-// force measurement requires the SoA layout).
-func (fi *fixIndex) applyBoxForce(f, fadv *grid.Field, b box, acc *[numBodies][3]float64) {
-	if fi.empty() {
-		return
-	}
-	b = fi.clampTo(b)
-	cells := f.D.Cells()
-	fd, ad := f.Data, fadv.Data
-	apply := func(seg []fixup) {
-		for _, fx := range seg {
-			fo := fd[int(fx.opp)*cells+int(fx.cell)]
-			ad[int(fx.v)*cells+int(fx.cell)] = fo + fx.delta
-			if fx.flags&fixOwned == 0 {
-				continue
-			}
-			body := bodyFaces
-			if fx.flags&fixObstacle != 0 {
-				body = bodyObstacle
-			}
-			p := 2*fo + fx.delta
-			acc[body][0] += fi.cxo[fx.v] * p
-			acc[body][1] += fi.cyo[fx.v] * p
-			acc[body][2] += fi.czo[fx.v] * p
-		}
-	}
-	if b.lo[2] == 0 && b.hi[2] == fi.d.NZ && b.lo[1] == 0 && b.hi[1] == fi.d.NY {
-		apply(fi.links[fi.rows[b.lo[0]*fi.d.NY]:fi.rows[b.hi[0]*fi.d.NY]])
-		return
-	}
-	for ix := b.lo[0]; ix < b.hi[0]; ix++ {
-		for iy := b.lo[1]; iy < b.hi[1]; iy++ {
-			apply(fi.rowLinks(ix*fi.d.NY+iy, b.lo[2], b.hi[2]))
-		}
 	}
 }

@@ -151,12 +151,6 @@ func TestFixupValidation(t *testing.T) {
 	}
 	if _, err := Run(Config{
 		Model: lattice.D3Q19(), N: n, Tau: 0.8, Steps: 1,
-		Opt: OptGC, Fused: true, MeasureForces: true,
-	}); err == nil {
-		t.Error("MeasureForces + Fused accepted")
-	}
-	if _, err := Run(Config{
-		Model: lattice.D3Q19(), N: n, Tau: 0.8, Steps: 1,
 		Opt: OptGC, Layout: grid.AoS, MeasureForces: true,
 	}); err == nil {
 		t.Error("MeasureForces + AoS accepted")

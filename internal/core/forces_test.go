@@ -11,9 +11,9 @@ import (
 
 // TestForcesCrossDecomposition: the momentum-exchange force series on a
 // cylinder in an inlet-driven channel must agree step for step across
-// 1-D, 2-D and 3-D decompositions, deep halos and the overlapped
-// schedule — the per-rank owned-link partial sums reduce to totals that
-// differ only by float summation order (1e-12).
+// 1-D, 2-D and 3-D decompositions, deep halos, the overlapped schedule
+// and the fused sweep — the per-rank owned-link partial sums reduce to
+// totals that differ only by float summation order (1e-12).
 func TestForcesCrossDecomposition(t *testing.T) {
 	n := grid.Dims{NX: 24, NY: 16, NZ: 4}
 	cyl := geom.CylinderZ(n, 8, 8.3, 2.5)
@@ -42,12 +42,16 @@ func TestForcesCrossDecomposition(t *testing.T) {
 		opt       OptLevel
 		depth     int
 		depthAxes [3]int
+		fused     bool
 	}{
-		{"slab-shape", [3]int{4, 1, 1}, OptSIMD, 1, [3]int{}},
-		{"pencil", [3]int{2, 2, 1}, OptSIMD, 1, [3]int{}},
-		{"pencil-gcc-deep", [3]int{2, 2, 1}, OptGCC, 2, [3]int{}},
-		{"block", [3]int{2, 2, 2}, OptNBC, 1, [3]int{}},
-		{"pencil-axis-depth", [3]int{2, 2, 1}, OptGCC, 0, [3]int{2, 1, 1}},
+		{"slab-shape", [3]int{4, 1, 1}, OptSIMD, 1, [3]int{}, false},
+		{"pencil", [3]int{2, 2, 1}, OptSIMD, 1, [3]int{}, false},
+		{"pencil-gcc-deep", [3]int{2, 2, 1}, OptGCC, 2, [3]int{}, false},
+		{"block", [3]int{2, 2, 2}, OptNBC, 1, [3]int{}, false},
+		{"pencil-axis-depth", [3]int{2, 2, 1}, OptGCC, 0, [3]int{2, 1, 1}, false},
+		{"single-fused", [3]int{1, 1, 1}, OptSIMD, 1, [3]int{}, true},
+		{"pencil-gcc-deep-fused", [3]int{2, 2, 1}, OptGCC, 2, [3]int{}, true},
+		{"block-fused", [3]int{2, 2, 2}, OptNBC, 1, [3]int{}, true},
 	}
 	for _, tc := range cases {
 		cfg := base
@@ -56,6 +60,7 @@ func TestForcesCrossDecomposition(t *testing.T) {
 		cfg.Opt = tc.opt
 		cfg.GhostDepth = tc.depth
 		cfg.GhostDepthAxes = tc.depthAxes
+		cfg.Fused = tc.fused
 		got, err := Run(cfg)
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)

@@ -5,6 +5,8 @@ import (
 	"testing"
 	"testing/quick"
 
+	"repro/internal/collision"
+	"repro/internal/geom"
 	"repro/internal/grid"
 	"repro/internal/lattice"
 )
@@ -74,9 +76,33 @@ func TestFusedValidation(t *testing.T) {
 		t.Error("fused + AoS accepted")
 	}
 	cfg = base
-	cfg.Opt = OptGC
-	if _, err := Run(cfg); err != nil {
-		t.Errorf("valid fused config rejected: %v", err)
+	cfg.Opt, cfg.Stream = OptGC, StreamAA
+	if _, err := Run(cfg); err == nil {
+		t.Error("fused + AA accepted")
+	}
+	// Everything else composes with it.
+	n := grid.Dims{NX: 12, NY: 8, NZ: 8}
+	base.N, base.Opt = n, OptGC
+	for name, mod := range map[string]func(*Config){
+		"plain":          func(c *Config) {},
+		"trt":            func(c *Config) { c.Collision = collision.Spec{Kind: collision.TRT} },
+		"mrt":            func(c *Config) { c.Collision = collision.Spec{Kind: collision.MRT} },
+		"solid":          func(c *Config) { c.Solid = geom.SphereAt(n, 6, 4, 4, 2) },
+		"solid + sparse": func(c *Config) { c.Solid, c.Sparse = geom.SphereAt(n, 6, 4, 4, 2), true },
+		"walls":          func(c *Config) { c.Boundary = CavitySpec(0.05) },
+		"inlet/pressure": func(c *Config) { c.Boundary = InletChannelSpec(0.02, nil) },
+		"outflow": func(c *Config) {
+			s := *InletChannelSpec(0.02, nil)
+			s.Faces[0][1] = Face{Kind: BCOutflow}
+			c.Boundary = &s
+		},
+		"forces": func(c *Config) { c.Solid, c.MeasureForces = geom.SphereAt(n, 6, 4, 4, 2), true },
+	} {
+		cfg := base
+		mod(&cfg)
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("fused + %s rejected: %v", name, err)
+		}
 	}
 }
 

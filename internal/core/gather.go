@@ -1,0 +1,146 @@
+package core
+
+// The gather sweep: one read and one write of the field per step. The
+// paper's future-work direction (§VII: "investigation into methods to
+// alter the algorithm as to reduce the memory accesses per lattice update
+// could increase the potential hardware efficiency"). Instead of streaming
+// f into f_adv (write Q values/cell) and then colliding f_adv into f (read
+// Q + write Q), a row's streamed values are gathered into cache-resident
+// row buffers and the post-collision values written where the next step
+// will read them — 2·Q·8 = 304 (D3Q19) / 624 (D3Q39) bytes per cell
+// instead of the split path's 456 / 936, which directly raises the
+// roofline of the bandwidth-limited code. Two storage schemes run on the
+// one row body (gatherRow):
+//
+//   - fused (Config.Fused), two fields: next[x] = collide(gather prev[x−c]),
+//     written to the cell's own row of fadv; the fields swap roles after
+//     every step. The previous state is never overwritten mid-step, so the
+//     overlapped (GC-C) schedule needs no stream/collide staggering: any
+//     box may be computed as soon as its inputs are valid.
+//
+//   - AA (Config.Stream = StreamAA, aa.go, DESIGN.md §9), one field: the
+//     even sub-step gathers the same upwind rows and scatters each result
+//     into the reversed downwind slot; the odd sub-step reads the cell's
+//     own slots reversed and writes them back in normal arrangement.
+//
+// Everything between the read and the write is the same for both, and the
+// same as the split path's stream → fixup → collide → sponge at 0 ULP: the
+// row's bounce-back links applied to the gathered rows, the
+// configuration's row kernel (collide.go), the sponge row.
+
+import "repro/internal/obs"
+
+// FusedBytesPerCell returns the per-cell main-memory traffic of a gather
+// sweep, fused or AA: 2·Q·8 bytes (one read, one write), versus the split
+// path's 3·Q·8 counted by the paper's performance model.
+func FusedBytesPerCell(q int) float64 { return 2 * 8 * float64(q) }
+
+// gatherBox runs one gather sweep over destination box b.
+func (cs *cartStepper) gatherBox(b box) {
+	t0 := cs.rec.Begin()
+	cs.br.run(cs.gather, b)
+	cs.rec.End(obs.Interior, t0)
+}
+
+// gatherRows is the sweep's chunk kernel: gatherRow over every row of the
+// chunk — full box rows dense, fluid runs under the run index. AA on dense
+// masked fields cuts each row into its fluid intervals as well: a solid
+// cell's slot star is where its fluid neighbours keep their bounced
+// populations, so solid cells may neither gather nor scatter. (Fused rows
+// stay whole — the next field has room for what a solid cell computes, as
+// on the split path, and a wrap-axis row rotates only as a whole.)
+func (cs *cartStepper) gatherRows(worker int, b box) {
+	sc := cs.scratch[worker]
+	cut := cs.aa && cs.mask != nil && cs.runStart == nil
+	cs.forRuns(b, func(ix, iy, zlo, zhi, base int) {
+		if !cut {
+			cs.gatherRow(sc, ix, iy, zlo, zhi, base)
+			return
+		}
+		fluidRuns(cs.mask[base:base+zhi-zlo], func(lo, hi int) {
+			cs.gatherRow(sc, ix, iy, zlo+lo, zlo+hi, base+lo)
+		})
+	})
+}
+
+// gatherRow advances the cells z ∈ [zlo, zhi) of row (ix, iy), stored from
+// field offset base, by one step. Read: the upwind rows (pullUpwind) with
+// the row's bounce-back links applied, or — the field in star arrangement,
+// AA's odd sub-step — the cells' own reversed slots. Write: the cells' own
+// row of the next state (fadv fused, the field itself on AA's odd
+// sub-step), or — AA's even sub-step — the reversed downwind slots.
+func (cs *cartStepper) gatherRow(sc *workerScratch, ix, iy, zlo, zhi, base int) {
+	m := cs.model
+	zn := zhi - zlo
+	own := cs.aaStar
+	scatter := cs.aa && !own
+	in, out := sc.gathered(zn)
+	var links []fixup
+	if own {
+		for v := range in {
+			copy(in[v], cs.f.V(m.Opp[v])[base:base+zn])
+		}
+	} else {
+		for v := range in {
+			cs.pullUpwind(in[v], v, ix, iy, zlo)
+		}
+		// A population whose upwind cell is solid — pulled out of it, or
+		// under the run index not pulled at all — is a bounce-back link of
+		// the row: the cell's own opposite pre-stream population (+ δ) takes
+		// its place, as applyBox writes it into fadv on the split path.
+		// Under AA that slot's star owner is the solid cell, which never
+		// scatters, so the read is conflict-free.
+		if !cs.fix.empty() {
+			links = cs.fix.rowLinks(ix*cs.d.NY+iy, zlo, zhi)
+			for _, fx := range links {
+				in[fx.v][int(fx.cell)-base] = cs.f.V(int(fx.opp))[fx.cell] + fx.delta
+			}
+		}
+	}
+	if !scatter {
+		next := cs.fadv
+		if cs.aa {
+			next = cs.f
+		}
+		out = rowViews(sc.dv, next, base, zn)
+	}
+	cs.relax(sc, in, out, zn)
+	// The sponge blends the collided row where the split path's post-collide
+	// spongeBox pass would, through the same applySpongeRow arithmetic.
+	if cs.hasSponge {
+		if sig := sc.sig[:zn]; cs.spongeSig(sig, ix, iy, zlo, zn) {
+			applySpongeRow(m, sc.fc, out, sig, nil, zn)
+		}
+	}
+	if !scatter {
+		return
+	}
+	// Result r_v goes to the reversed downwind slot (opp(v), y + c_v), which
+	// belongs to this cell's star alone; a slot without storage belongs to a
+	// solid cell nobody reads. A link's population bounces instead: slot
+	// (opp(v), y) takes r_opp(v) + δ, the value the odd sub-step reads back
+	// as population v.
+	for v := range out {
+		cs.push(cs.f.V(m.Opp[v]), ix+m.Cx[v], iy+m.Cy[v], zlo+m.Cz[v], out[v])
+	}
+	for _, fx := range links {
+		cs.f.V(int(fx.opp))[fx.cell] = out[fx.opp][int(fx.cell)-base] + fx.delta
+	}
+}
+
+// pullUpwind gathers the values population v streams into row (ix, iy) at
+// z ∈ [zlo, zlo+len(dst)) — what the rung's stream kernel would have moved
+// there. Under the run index that is pull, clipped to the cells the source
+// row stores; dense it is the offset copy of streamCopyIndexed: the source
+// row from the srcY table, the z movement by zShift, both of which wrap on
+// an axis without ghosts.
+func (cs *cartStepper) pullUpwind(dst []float64, v, ix, iy, zlo int) {
+	m := cs.model
+	if cs.runStart != nil {
+		cs.pull(dst, cs.f.V(v), ix-m.Cx[v], iy-m.Cy[v], zlo-m.Cz[v])
+		return
+	}
+	nz := cs.d.NZ
+	off := (ix-m.Cx[v])*cs.d.PlaneCells() + int(cs.srcY[v][iy])*nz
+	zShift(dst, cs.f.V(v)[off:off+nz], zlo, m.Cz[v], cs.w[2] == 0)
+}

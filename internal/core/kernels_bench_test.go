@@ -72,7 +72,7 @@ func BenchmarkStreamKernels(b *testing.B) {
 func benchRowKernel(b *testing.B, name string, c *collider, src, dst *grid.Field) {
 	d := src.D
 	nz, cells := d.NZ, d.Cells()
-	sc := newScratches(1, src.Q, nz, c.op, true)[0]
+	sc := newScratches(1, src.Q, nz, c.op)[0]
 	gin, gout := sc.gathered(nz)
 	for v := range gin {
 		copy(gin[v], src.V(v)[:nz])
@@ -123,7 +123,7 @@ func BenchmarkCollideKernels(b *testing.B) {
 
 // Fused kernel vs split stream+collide at the kernel level, over the
 // owned box in both ghost geometries: the split path relaxes in-place row
-// views, the fused one gathered scratch rows.
+// views, the fused gather sweep the worker's gathered rows.
 func BenchmarkFusedKernel(b *testing.B) {
 	for _, m := range []*lattice.Model{lattice.D3Q19(), lattice.D3Q39()} {
 		for _, ghosted := range []bool{false, true} {
@@ -143,8 +143,8 @@ func BenchmarkFusedKernel(b *testing.B) {
 				owned := cs.ownedBox()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					cs.fusedRows(0, owned)
-					cs.swap()
+					cs.gather(0, owned)
+					cs.f, cs.fadv = cs.fadv, cs.f
 				}
 				reportCellRate(b, owned.cells())
 			})

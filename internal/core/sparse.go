@@ -59,22 +59,29 @@ type runIndex struct {
 func newRunIndex(nx, ny, nz int, solid []bool) runIndex {
 	ri := runIndex{nx: nx, ny: ny, runStart: make([]int32, nx*ny+1), off: []int32{0}}
 	for r := 0; r < nx*ny; r++ {
-		row := solid[r*nz : (r+1)*nz]
-		for z := 0; z < nz; {
-			if row[z] {
-				z++
-				continue
-			}
-			lo := z
-			for z < nz && !row[z] {
-				z++
-			}
-			ri.runs = append(ri.runs, zrun{lo: int32(lo), hi: int32(z)})
-			ri.off = append(ri.off, ri.off[len(ri.off)-1]+int32(z-lo))
-		}
+		fluidRuns(solid[r*nz:(r+1)*nz], func(lo, hi int) {
+			ri.runs = append(ri.runs, zrun{lo: int32(lo), hi: int32(hi)})
+			ri.off = append(ri.off, ri.off[len(ri.off)-1]+int32(hi-lo))
+		})
 		ri.runStart[r+1] = int32(len(ri.runs))
 	}
 	return ri
+}
+
+// fluidRuns calls run for every maximal fluid (false) interval [lo, hi) of
+// a solid-mask row, z ascending.
+func fluidRuns(solid []bool, run func(lo, hi int)) {
+	for z := 0; z < len(solid); {
+		if solid[z] {
+			z++
+			continue
+		}
+		lo := z
+		for z < len(solid) && !solid[z] {
+			z++
+		}
+		run(lo, z)
+	}
 }
 
 // cells returns the number of stored cells — the extent of one velocity

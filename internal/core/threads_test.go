@@ -99,7 +99,8 @@ func stepperPathCases() []struct {
 
 // TestThreadCountForceInvariance: momentum-exchange force accumulation
 // stays serial inside each rank (one float summation order), so the
-// per-step force series must match exactly across thread counts.
+// per-step force series must match exactly across thread counts — on the
+// split path and on the fused sweep.
 func TestThreadCountForceInvariance(t *testing.T) {
 	n := grid.Dims{NX: 24, NY: 16, NZ: 4}
 	cyl := geom.CylinderZ(n, 8, 8.3, 2.5)
@@ -109,27 +110,29 @@ func TestThreadCountForceInvariance(t *testing.T) {
 		Boundary: InletChannelSpec(0.05, nil), Solid: cyl,
 		MeasureForces: true, Init: waveInit(n),
 	}
-	ref := base
-	ref.Threads = 1
-	thr := base
-	thr.Threads = 8
-	want, err := Run(ref)
-	if err != nil {
-		t.Fatal(err)
-	}
-	got, err := Run(thr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got.ObstacleForce) != len(want.ObstacleForce) {
-		t.Fatalf("force series length %d, want %d", len(got.ObstacleForce), len(want.ObstacleForce))
-	}
-	for s := range want.ObstacleForce {
-		if got.ObstacleForce[s] != want.ObstacleForce[s] {
-			t.Errorf("step %d: obstacle force %v != %v", s, got.ObstacleForce[s], want.ObstacleForce[s])
+	for _, fused := range []bool{false, true} {
+		ref := base
+		ref.Threads, ref.Fused = 1, fused
+		thr := base
+		thr.Threads, thr.Fused = 8, fused
+		want, err := Run(ref)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if got.FaceForce[s] != want.FaceForce[s] {
-			t.Errorf("step %d: face force %v != %v", s, got.FaceForce[s], want.FaceForce[s])
+		got, err := Run(thr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(got.ObstacleForce) != len(want.ObstacleForce) {
+			t.Fatalf("fused=%v: force series length %d, want %d", fused, len(got.ObstacleForce), len(want.ObstacleForce))
+		}
+		for s := range want.ObstacleForce {
+			if got.ObstacleForce[s] != want.ObstacleForce[s] {
+				t.Errorf("fused=%v step %d: obstacle force %v != %v", fused, s, got.ObstacleForce[s], want.ObstacleForce[s])
+			}
+			if got.FaceForce[s] != want.FaceForce[s] {
+				t.Errorf("fused=%v step %d: face force %v != %v", fused, s, got.FaceForce[s], want.FaceForce[s])
+			}
 		}
 	}
 }

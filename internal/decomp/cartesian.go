@@ -341,36 +341,35 @@ func minOf(p [3]int) int {
 // budgeted). An explicit "PxxPyxPz" grid such as "2x2x2" must multiply
 // to ranks.
 func ParseShape(spec string, ranks int, global [3]int) (Cartesian, error) {
+	var p [3]int
+	var err error
 	switch strings.ToLower(spec) {
 	case "", "1d", "slab":
-		return NewCartesian(global, [3]int{ranks, 1, 1})
+		p = [3]int{ranks, 1, 1}
 	case "2d", "pencil":
-		p, err := Factor(ranks, 2, global)
-		if err != nil {
-			return Cartesian{}, err
-		}
-		return NewCartesian(global, p)
+		p, err = Factor(ranks, 2, global)
 	case "3d", "block":
-		p, err := Factor(ranks, 3, global)
-		if err != nil {
-			return Cartesian{}, err
+		p, err = Factor(ranks, 3, global)
+	default:
+		parts := strings.Split(strings.ToLower(spec), "x")
+		if len(parts) != 3 {
+			return Cartesian{}, fmt.Errorf("decomp: bad shape %q (want 1d, 2d, 3d or PxxPyxPz)", spec)
 		}
-		return NewCartesian(global, p)
-	}
-	parts := strings.Split(strings.ToLower(spec), "x")
-	if len(parts) != 3 {
-		return Cartesian{}, fmt.Errorf("decomp: bad shape %q (want 1d, 2d, 3d or PxxPyxPz)", spec)
-	}
-	var p [3]int
-	for a, s := range parts {
-		v, err := strconv.Atoi(strings.TrimSpace(s))
-		if err != nil {
-			return Cartesian{}, fmt.Errorf("decomp: bad shape %q: %v", spec, err)
+		for a := 0; a < 3 && err == nil; a++ {
+			p[a], err = strconv.Atoi(strings.TrimSpace(parts[a]))
 		}
-		p[a] = v
+		if err == nil && p[0]*p[1]*p[2] != ranks {
+			return Cartesian{}, fmt.Errorf("decomp: shape %q has %d ranks, want %d", spec, p[0]*p[1]*p[2], ranks)
+		}
 	}
-	if p[0]*p[1]*p[2] != ranks {
-		return Cartesian{}, fmt.Errorf("decomp: shape %q has %d ranks, want %d", spec, p[0]*p[1]*p[2], ranks)
+	var c Cartesian
+	if err == nil {
+		c, err = NewCartesian(global, p)
 	}
-	return NewCartesian(global, p)
+	if err != nil {
+		// Whatever refused it — the number syntax, the factorization, the
+		// domain's extents — the message names the argument.
+		return Cartesian{}, fmt.Errorf("decomp: bad shape %q: %w", spec, err)
+	}
+	return c, nil
 }

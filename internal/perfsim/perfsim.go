@@ -83,8 +83,9 @@ type Job struct {
 	// Fused models the fused stream-collide kernel: one read and one
 	// write of the field per step instead of the split path's three
 	// accesses, so the streamed bytes per cell drop to 2/3 (the same
-	// traffic argument as the AA scheme, which it is incompatible with).
-	// Requires a ghost-cell level.
+	// traffic argument as the AA scheme — the same gather sweep on one
+	// field, so the two exclude each other). Requires a ghost-cell level;
+	// composes with bounded axes, masks and every operator, as in the solver.
 	Fused bool
 	// Stream selects the storage scheme modeled. The two-grid layout keeps
 	// two resident fields and streams three field accesses per cell per

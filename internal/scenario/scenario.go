@@ -180,9 +180,6 @@ func init() {
 			if cfg.Layout != grid.SoA {
 				return fmt.Errorf("scenario: the channel requires the SoA layout")
 			}
-			if cfg.Fused {
-				return fmt.Errorf("scenario: the channel's bounce-back obstacle needs the split kernels (drop -fused)")
-			}
 			col := cfg.Collision
 			if !p.CollisionSet {
 				col = collision.Spec{Kind: collision.TRT}
@@ -201,6 +198,7 @@ func init() {
 				return err
 			}
 			built.GhostDepthAxes = cfg.GhostDepthAxes
+			built.Fused = cfg.Fused
 			built.Fabric = cfg.Fabric
 			built.KeepField = cfg.KeepField
 			built.StepJitter = cfg.StepJitter
