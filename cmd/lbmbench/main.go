@@ -12,16 +12,18 @@
 //	lbmbench -exp fig8 -real -model d3q39
 //	lbmbench -exp fig8 -real -collision trt
 //	lbmbench -exp collision
-//	lbmbench -exp predict -steps 10
 //	lbmbench -exp fit -steps 10 -json fit.json
-//	lbmbench -exp predict -fit fit.json
 //	lbmbench -exp tune -fit fit.json -scenario cavity64 -json tuned.json
-//	lbmbench -exp bench -fit fit.json -json BENCH_10.json
 //	lbmbench -exp all
+//
+// -exp fit is the whole observe→fit→predict loop: it runs the calibration
+// sweep on the real kernels, fits perfsim's coefficients, and prints (and
+// with -json records, as lbm-fit/v1 `points`) each sweep point's observed
+// phases beside the fitted model's prediction. -exp tune prices with that
+// file; without -fit it prices with the unfitted generic calibration.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log"
@@ -41,7 +43,7 @@ func main() {
 	log.SetPrefix("lbmbench: ")
 
 	var (
-		exp      = flag.String("exp", "all", "experiment: table1, table2, fig8, fig9, fig10, table3, table4, fig11, decomp, collision, threads, balance, predict, fit, tune, bench, or all")
+		exp      = flag.String("exp", "all", "experiment: table1, table2, fig8, fig9, fig10, table3, table4, fig11, decomp, collision, threads, balance, fit, tune, or all")
 		machine  = flag.String("machine", "bgp", "machine for fig8/fig9/fig11/decomp: bgp or bgq")
 		real     = flag.Bool("real", false, "run the real kernels locally instead of the paper-scale simulator (threads and balance are real-only)")
 		model    = flag.String("model", "D3Q19", "model for -real and collision experiments")
@@ -54,13 +56,12 @@ func main() {
 		magic    = flag.Float64("magic", 0, "TRT magic parameter Lambda for -real experiments (0 = 1/4)")
 		mrtRates = flag.String("mrt-rates", "", "MRT ghost rates by order for -real experiments (comma-separated from order 3)")
 		stream   = flag.String("stream", "twogrid", "streaming storage for -real fig8/fig9/fig10/fig11: twogrid (separate advected field) or aa (in-place AA pattern, half the f-memory)")
-		reportF  = flag.String("report", "", "for -exp predict: also write the structured bridge report (JSON) to this file")
-		fitF     = flag.String("fit", "", "fitted coefficients file (lbm-fit/v1, from -exp fit): prices predict/tune/bench with the closed-loop calibration instead of the one-point anchor")
-		jsonF    = flag.String("json", "", "for -exp fit/tune/bench: write the structured result (JSON) to this file")
+		fitF     = flag.String("fit", "", "for -exp tune: fitted coefficients file (lbm-fit/v1, from -exp fit) to price candidates with, instead of the unfitted generic calibration")
+		jsonF    = flag.String("json", "", "for -exp fit/tune: write the structured result (JSON) to this file")
 		scenF    = flag.String("scenario", "", "for -exp tune: tuning scenario (default: all of them; required with -json)")
-		workers  = flag.Int("workers", 0, "for -exp tune/bench: worker budget ranks*threads (0 = runtime.NumCPU())")
-		topK     = flag.Int("topk", 3, "for -exp tune/bench: predicted-best candidates confirmed with real runs")
-		gateMAPE = flag.Float64("gate-mape", 0, "for -exp fit: exit non-zero if the fitted objective MAPE exceeds this fraction (also requires fitted < anchored)")
+		workers  = flag.Int("workers", 0, "for -exp tune: worker budget ranks*threads (0 = runtime.NumCPU())")
+		topK     = flag.Int("topk", 3, "for -exp tune: predicted-best candidates confirmed with real runs")
+		gateMAPE = flag.Float64("gate-mape", 0, "for -exp fit: exit non-zero if the fitted objective MAPE exceeds this fraction, or does not beat the unfitted generic calibration's (fitted < unfitted)")
 		gateR    = flag.Float64("gate-pearson", 0, "for -exp fit: exit non-zero if the whole-sweep Pearson r on wall times falls below this")
 		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
 		memProf  = flag.String("memprofile", "", "write a heap profile (post-run) to this file")
@@ -124,24 +125,20 @@ func main() {
 	if !*real && scheme != core.StreamTwoGrid {
 		log.Fatalf("-stream applies to -real experiments only (got -exp %s without -real)", *exp)
 	}
-	if *reportF != "" && *exp != "predict" {
-		log.Fatalf("-report applies to -exp predict only (got -exp %s)", *exp)
+	tuningExp := *exp == "fit" || *exp == "tune"
+	if *fitF != "" && *exp != "tune" {
+		log.Fatalf("-fit applies to -exp tune (got -exp %s)", *exp)
 	}
-	tuningExp := *exp == "predict" || *exp == "fit" || *exp == "tune" || *exp == "bench"
-	if *fitF != "" && !tuningExp {
-		log.Fatalf("-fit applies to -exp predict/fit/tune/bench (got -exp %s)", *exp)
-	}
-	if *jsonF != "" && !(*exp == "fit" || *exp == "tune" || *exp == "bench") {
-		log.Fatalf("-json applies to -exp fit/tune/bench (got -exp %s)", *exp)
+	if *jsonF != "" && !tuningExp {
+		log.Fatalf("-json applies to -exp fit/tune (got -exp %s)", *exp)
 	}
 	if tuningExp && *real {
 		log.Fatalf("-exp %s already runs the real kernels; drop -real", *exp)
 	}
 	// The calibration loop: -fit loads fitted coefficients (lbm-fit/v1)
-	// and predict/tune/bench price with them instead of the anchored
-	// fallback.
+	// and tune prices with them instead of the unfitted calibration.
 	var coeffs *perfsim.Coeffs
-	if *fitF != "" && *exp != "fit" {
+	if *fitF != "" {
 		fr, err := tune.LoadFit(*fitF)
 		if err != nil {
 			log.Fatal(err)
@@ -166,9 +163,9 @@ func main() {
 				log.Fatalf("calibration gate: fitted MAPE %.1f%% exceeds the %.1f%% gate",
 					100*res.FittedMAPE, 100**gateMAPE)
 			}
-			if res.FittedMAPE >= res.AnchoredMAPE {
-				log.Fatalf("calibration gate: fitted MAPE %.2f%% does not beat the anchored fallback's %.2f%%",
-					100*res.FittedMAPE, 100*res.AnchoredMAPE)
+			if res.FittedMAPE >= res.UnfittedMAPE {
+				log.Fatalf("calibration gate: fitted MAPE %.2f%% does not beat the unfitted generic calibration's %.2f%%",
+					100*res.FittedMAPE, 100*res.UnfittedMAPE)
 			}
 		}
 		if *gateR > 0 && res.PearsonR < *gateR {
@@ -194,45 +191,6 @@ func main() {
 				}
 				fmt.Printf("tuned config written to %s\n", *jsonF)
 			}
-		}
-		return
-	case "bench":
-		rep, err := experiments.RunBench(coeffs, *workers, *topK, *steps)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(experiments.BenchTable(rep).Render())
-		if *jsonF != "" {
-			f, err := os.Create(*jsonF)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := experiments.WriteBench(f, rep); err != nil {
-				log.Fatal(err)
-			}
-			f.Close()
-			fmt.Printf("benchmark record written to %s\n", *jsonF)
-		}
-		return
-	}
-	if *exp == "predict" {
-		rep, err := experiments.Predict(*model, *steps, coeffs)
-		if err != nil {
-			log.Fatal(err)
-		}
-		fmt.Println(rep.Table().Render())
-		if *reportF != "" {
-			f, err := os.Create(*reportF)
-			if err != nil {
-				log.Fatal(err)
-			}
-			enc := json.NewEncoder(f)
-			enc.SetIndent("", "  ")
-			if err := enc.Encode(rep); err != nil {
-				log.Fatal(err)
-			}
-			f.Close()
-			fmt.Printf("report written to %s\n", *reportF)
 		}
 		return
 	}

@@ -1,13 +1,14 @@
 // Tuning: the closed calibration loop end to end (DESIGN.md §12). The
 // demo observes the 12-point calibration sweep with the real solver,
 // fits perfsim's machine coefficients to the observed phase vectors
-// (reporting the fitted error next to the old one-point-anchored
-// baseline), then hands the fitted model to the auto-tuner on a small
-// arterial scenario: every runnable candidate is priced in simulation,
+// (reporting the fitted error next to the unfitted generic calibration's
+// — the model the tuner would price with had it no fit), then hands the
+// fitted model to the auto-tuner on a small arterial scenario: every
+// runnable candidate is priced in simulation,
 // the predicted top-k are confirmed with short real runs, and the
 // measured winner is applied to a longer run against the default
-// configuration. `lbmbench -exp fit|tune|bench` and `lbmrun -auto` are
-// the production wiring of exactly these calls.
+// configuration. `lbmbench -exp fit|tune` and `lbmrun -auto` are the
+// production wiring of exactly these calls.
 package main
 
 import (
@@ -43,8 +44,8 @@ func main() {
 		fit.Coeffs.MemBW/1e9, fit.Coeffs.CopyBW/1e9, fit.Coeffs.LinkBW/1e6)
 	fmt.Printf("  latency %.0f µs  msg SW %.0f µs  serial frac %.4f\n",
 		fit.Coeffs.Latency*1e6, fit.Coeffs.MsgSW*1e6, fit.Coeffs.ThreadSerialFrac)
-	fmt.Printf("  per-phase MAPE: fitted %.1f%%  vs one-point anchor %.1f%%\n",
-		100*fit.FittedMAPE, 100*fit.AnchoredMAPE)
+	fmt.Printf("  per-phase MAPE: fitted %.1f%%  vs unfitted %.1f%%\n",
+		100*fit.FittedMAPE, 100*fit.UnfittedMAPE)
 
 	// Tune: price the whole candidate space with the fitted model on the
 	// bifurcation vessel, confirm the predicted top-3 with real runs.

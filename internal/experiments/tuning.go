@@ -12,13 +12,15 @@ import (
 	"repro/internal/tune"
 )
 
-// The auto-tuning experiments close ROADMAP direction 3's loop end to
-// end: `-exp fit` observes the calibration sweep and fits perfsim's
-// machine coefficients to it, `-exp tune` searches the execution-config
-// space with the fitted model and confirms the short-list against real
-// runs (the local analog of the paper's Tables III/IV: model ranking vs
-// measurement), and `-exp bench` records the default-vs-tuned MFlup/s
-// for the fixed scenario set.
+// The calibration loop, end to end and once: `-exp fit` observes the
+// calibration sweep with the real instrumented solver, fits perfsim's
+// machine coefficients to it and reports, point by point, what the
+// fitted model predicts for the phases it just observed (the
+// observe→predict bridge is the fit's own `points` record); `-exp tune`
+// searches the execution-config space with that model and confirms the
+// short-list against real runs (the local analog of the paper's Tables
+// III/IV: model ranking vs measurement), recording the default-vs-tuned
+// MFlup/s in lbm-tuned/v1.
 
 // RunFit collects the calibration sweep with the real instrumented
 // solver and fits the coefficient model to it.
@@ -30,50 +32,65 @@ func RunFit(modelName string, steps int) (*tune.FitResult, error) {
 	return tune.Fit(sw)
 }
 
-// FitTable renders a fit result for the terminal.
+// fitPhaseNames are the bridge's columns, in schedule order.
+var fitPhaseNames = []string{"interior", "rim", "pack", "wire", "unpack"}
+
+// FitTable renders a fit result for the terminal: the bridge rows (each
+// sweep point's observed seconds over the fitted model's prediction),
+// with the coefficients and the agreement scores as notes.
 func FitTable(r *tune.FitResult) *Table {
 	t := &Table{
-		Title:  fmt.Sprintf("Closed-loop calibration — %s, %d-step sweep, fitted perfsim coefficients", r.Model, r.Steps),
-		Header: []string{"coefficient", "fitted", "unit"},
+		Title: fmt.Sprintf("Closed-loop calibration — %s, %d-step sweep: real runs vs perfsim under the fitted coefficients (seconds, mean across ranks)",
+			r.Model, r.Steps),
+		Header: append([]string{"point", "", "total"}, fitPhaseNames...),
+	}
+	row := func(label, kind string, total float64, ph map[string]float64) []string {
+		out := []string{label, kind, fmt.Sprintf("%.4f", total)}
+		for _, p := range fitPhaseNames {
+			out = append(out, fmt.Sprintf("%.4f", ph[p]))
+		}
+		return out
+	}
+	for _, pt := range r.Points {
+		t.Rows = append(t.Rows,
+			row(pt.Label, "obs", pt.ObservedTotal, pt.Observed),
+			row("", "pred", pt.PredictedTotal, pt.Predicted))
 	}
 	c := r.Coeffs
-	t.Rows = append(t.Rows,
-		[]string{"mem_bw", fmt.Sprintf("%.3f", c.MemBW/1e9), "GB/s effective kernel bandwidth"},
-		[]string{"bw_saturation", fmt.Sprintf("%.2f", c.BWSaturation), "worker-equivalents to saturate"},
-		[]string{"copy_bw", fmt.Sprintf("%.3f", c.CopyBW/1e9), "GB/s pack/unpack + intra-node hops"},
-		[]string{"link_bw", fmt.Sprintf("%.3f", c.LinkBW/1e6), "MB/s wire bandwidth"},
-		[]string{"latency", fmt.Sprintf("%.1f", c.Latency*1e6), "µs per message"},
-		[]string{"msg_sw", fmt.Sprintf("%.2f", c.MsgSW*1e6), "µs software cost per message"},
-		[]string{"thread_serial_frac", fmt.Sprintf("%.5f", c.ThreadSerialFrac), "Amdahl serial fraction per extra worker"},
-	)
+	costs := "cell cost vs split two-grid bgk:"
 	for _, k := range []string{"trt", "mrt"} {
 		if v, ok := c.KernelCost[k]; ok {
-			t.Rows = append(t.Rows, []string{"kernel_cost[" + k + "]", fmt.Sprintf("%.3f", v), "cell cost vs bgk"})
+			costs += fmt.Sprintf("  %s %.3f", k, v)
 		}
 	}
 	if c.FusedAdjust > 0 {
-		t.Rows = append(t.Rows, []string{"fused_adjust", fmt.Sprintf("%.3f", c.FusedAdjust), "fused stream-collide cost factor"})
+		costs += fmt.Sprintf("  fused %.3f", c.FusedAdjust)
 	}
 	if c.AAAdjust > 0 {
-		t.Rows = append(t.Rows, []string{"aa_adjust", fmt.Sprintf("%.3f", c.AAAdjust), "AA-pattern cost factor"})
+		costs += fmt.Sprintf("  aa %.3f", c.AAAdjust)
 	}
 	mape := "whole-sweep per-phase MAPE:"
-	for _, p := range []string{"interior", "rim", "pack", "wire", "unpack"} {
+	for _, p := range fitPhaseNames {
 		if v, ok := r.PhaseMAPE[p]; ok {
 			mape += fmt.Sprintf("  %s %.0f%%", p, 100*v)
 		}
 	}
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("objective (duration-weighted phase MAPE): seed %.1f%% → fitted %.1f%%; one-point-anchored fallback %.1f%%",
-			100*r.SeedMAPE, 100*r.FittedMAPE, 100*r.AnchoredMAPE),
+		fmt.Sprintf("fitted: mem_bw %.3f GB/s (saturating at %.2f workers)  copy_bw %.3f GB/s  link_bw %.3f MB/s  latency %.1f µs  msg_sw %.2f µs  thread_serial_frac %.5f",
+			c.MemBW/1e9, c.BWSaturation, c.CopyBW/1e9, c.LinkBW/1e6, c.Latency*1e6, c.MsgSW*1e6, c.ThreadSerialFrac),
+		costs,
+		fmt.Sprintf("objective (duration-weighted phase MAPE): seed %.1f%% → fitted %.1f%%; unfitted generic calibration (no -fit) %.1f%%",
+			100*r.SeedMAPE, 100*r.FittedMAPE, 100*r.UnfittedMAPE),
 		mape,
 		fmt.Sprintf("total MAPE %.0f%%, Pearson r = %.3f on sweep wall times (%d objective evaluations)",
 			100*r.TotalMAPE, r.PearsonR, r.Evals),
+		fmt.Sprintf("shared wire model: %.0f µs latency + bytes / %.0f MB/s, injected into the real fabric, so link_bw and latency have known targets",
+			1e6*tune.WireLatency, tune.WireLinkBW/1e6),
 	)
 	return t
 }
 
-// TuneScenarioNames is the fixed benchmark scenario set: a dense bounded
+// TuneScenarioNames is the fixed tuning scenario set: a dense bounded
 // cavity and a mostly-solid vascular mask, the two regimes where the
 // tuner's wins come from different knobs (threads/protocol vs
 // balance/sparse traversal).

@@ -1,82 +1,36 @@
 package experiments
 
 import (
-	"math"
+	"strings"
 	"testing"
 
-	"repro/internal/lattice"
-	"repro/internal/obs"
-	"repro/internal/perfsim"
 	"repro/internal/tune"
 )
 
-// TestAnchoredFallbackEquivalence pins that `-exp predict`'s anchored
-// fallback and the fit's AnchoredMAPE baseline are the same model: for
-// every bridge job, tune.PriceAnchored on matching dims must reproduce
-// predictOne's phases and total. A drift here would make the
-// fitted-vs-anchored comparison meaningless.
-func TestAnchoredFallbackEquivalence(t *testing.T) {
-	m, err := lattice.ByName("D3Q19")
-	if err != nil {
-		t.Fatal(err)
+// TestFitTableRendersBridge: the fit's terminal rendering is the bridge
+// report — an observed and a predicted row per sweep point, and the
+// per-phase MAPE and fitted-vs-unfitted notes.
+func TestFitTableRendersBridge(t *testing.T) {
+	ph := map[string]float64{"interior": 0.02, "rim": 0.004, "pack": 0.001, "wire": 0.003, "unpack": 0.001}
+	r := &tune.FitResult{
+		Model: "D3Q19", Steps: 2,
+		FittedMAPE: 0.2, UnfittedMAPE: 0.6,
+		PhaseMAPE: map[string]float64{"interior": 0.1, "wire": 0.3},
 	}
-	dims := realDims(m)
-	sw := &tune.Sweep{
-		Model: m.Name,
-		Dims:  [3]int{dims.NX, dims.NY, dims.NZ},
-		Steps: 4,
+	for _, pt := range tune.Points() {
+		r.Points = append(r.Points, tune.FitPoint{
+			Label: pt.Label, Observed: ph, Predicted: ph, ObservedTotal: 0.03, PredictedTotal: 0.029,
+		})
 	}
-	const bw = 7.3e9
-	for _, jb := range predictJobs() {
-		pt := tune.Point{
-			Label: jb.label, Opt: jb.opt, Ranks: jb.ranks,
-			Decomp: jb.decomp, Depth: jb.depth, Threads: 1, Kernel: "bgk",
+	text := FitTable(r).Render()
+	for _, kind := range []string{"obs", "pred"} {
+		if got := strings.Count(text, "  "+kind+" "); got != len(r.Points) {
+			t.Errorf("rendered table has %d %s rows, want %d", got, kind, len(r.Points))
 		}
-		phases, total, err := tune.PriceAnchored(sw, pt, bw)
-		if err != nil {
-			t.Fatal(err)
-		}
-		p, err := predictOne(m, jb, 4, bw, nil)
-		if err != nil {
-			t.Fatal(err)
-		}
-		relEq := func(name string, a, b float64) {
-			t.Helper()
-			if a == 0 && b == 0 {
-				return
-			}
-			if d := math.Abs(a - b); d > 1e-6*math.Max(math.Abs(a), math.Abs(b)) {
-				t.Errorf("%s: %s: anchored %g vs predict %g", jb.label, name, a, b)
-			}
-		}
-		for _, ph := range []obs.Phase{obs.Interior, obs.Rim, obs.Pack, obs.Wire, obs.Unpack} {
-			relEq(ph.String(), phases[ph], p.phases[ph])
-		}
-		relEq("total", total, p.total)
 	}
-}
-
-// TestPredictFittedPath: a fitted coefficient set switches the bridge off
-// the one-point anchor.
-func TestPredictFittedPath(t *testing.T) {
-	coeffs := &perfsim.Coeffs{
-		MemBW: 10e9, BWSaturation: 2, CopyBW: 16e9,
-		LinkBW: predictLinkBW, Latency: predictLatency, MsgSW: 1e-5,
-		ThreadSerialFrac: perfsim.DefaultThreadSerialFrac,
-	}
-	rep, err := Predict("D3Q19", 2, coeffs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !rep.Fitted {
-		t.Error("report not marked fitted")
-	}
-	if rep.MemBWAnchor != 0 {
-		t.Errorf("fitted report carries an anchor: %g", rep.MemBWAnchor)
-	}
-	for _, jb := range rep.Jobs {
-		if jb.PredictedTotal <= 0 {
-			t.Errorf("%s: predicted total %g, want > 0", jb.Label, jb.PredictedTotal)
+	for _, want := range []string{"per-phase MAPE", "interior 10%", "fitted 20.0%", "unfitted generic calibration (no -fit) 60.0%"} {
+		if !strings.Contains(text, want) {
+			t.Errorf("rendered table lacks %q:\n%s", want, text)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package perfsim
 
 import (
 	"fmt"
+	"math"
 
 	"repro/internal/core"
 )
@@ -60,24 +61,34 @@ type Coeffs struct {
 	AAAdjust    float64 `json:"aa_adjust,omitempty"`
 }
 
-// Validate rejects non-physical coefficient sets.
+// Validate rejects non-physical coefficient sets, naming the offending
+// key. Every bound is written so that NaN fails it (a NaN compares false
+// with everything, so `v <= 0` would let it through to price NaN seconds).
 func (c *Coeffs) Validate() error {
-	pos := []struct {
+	type bound struct {
 		name string
 		v    float64
-	}{
-		{"mem_bw", c.MemBW}, {"copy_bw", c.CopyBW}, {"link_bw", c.LinkBW},
+		ok   bool
+		want string
 	}
-	for _, p := range pos {
-		if p.v <= 0 {
-			return fmt.Errorf("perfsim: coeffs %s = %g, want > 0", p.name, p.v)
+	bounds := []bound{
+		{"mem_bw", c.MemBW, c.MemBW > 0, "> 0"},
+		{"copy_bw", c.CopyBW, c.CopyBW > 0, "> 0"},
+		{"link_bw", c.LinkBW, c.LinkBW > 0, "> 0"},
+		{"bw_saturation", c.BWSaturation, c.BWSaturation >= 1, ">= 1"},
+		{"latency", c.Latency, c.Latency >= 0, ">= 0"},
+		{"msg_sw", c.MsgSW, c.MsgSW >= 0, ">= 0"},
+		{"thread_serial_frac", c.ThreadSerialFrac, c.ThreadSerialFrac >= 0, ">= 0"},
+		{"fused_adjust", c.FusedAdjust, c.FusedAdjust >= 0, ">= 0"},
+		{"aa_adjust", c.AAAdjust, c.AAAdjust >= 0, ">= 0"},
+	}
+	for k, v := range c.KernelCost {
+		bounds = append(bounds, bound{"kernel_cost[" + k + "]", v, v >= 0, ">= 0"})
+	}
+	for _, b := range bounds {
+		if !b.ok || math.IsInf(b.v, 0) {
+			return fmt.Errorf("perfsim: coeffs %s = %g, want finite and %s", b.name, b.v, b.want)
 		}
-	}
-	if c.Latency < 0 || c.MsgSW < 0 || c.ThreadSerialFrac < 0 {
-		return fmt.Errorf("perfsim: coeffs latency/msg_sw/thread_serial_frac must be >= 0")
-	}
-	if c.BWSaturation < 1 {
-		return fmt.Errorf("perfsim: coeffs bw_saturation = %g, want >= 1", c.BWSaturation)
 	}
 	return nil
 }

@@ -1,6 +1,8 @@
 package perfsim
 
 import (
+	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/core"
@@ -734,6 +736,64 @@ func TestRankPhasesSumToClock(t *testing.T) {
 			want := res.PerRankSeconds[r]
 			if got := ph.Total(); want == 0 || got < want*(1-1e-9) || got > want*(1+1e-9) {
 				t.Errorf("%v decomp %v rank %d: phases sum to %.9f, clock %.9f", j.Opt, j.Decomp, r, got, want)
+			}
+		}
+	}
+}
+
+// TestCoeffsValidate: every coefficient bound rejects NaN and ±Inf as
+// well as out-of-range values, and the error names the key. A NaN that
+// slipped through used to price NaN seconds with a nil error.
+func TestCoeffsValidate(t *testing.T) {
+	good := func() Coeffs {
+		return Coeffs{
+			MemBW: 10e9, BWSaturation: 2, CopyBW: 16e9, LinkBW: 1e8,
+			Latency: 1e-4, MsgSW: 1e-5, ThreadSerialFrac: 0.002,
+			KernelCost: map[string]float64{"trt": 1.3},
+		}
+	}
+	if c := good(); c.Validate() != nil {
+		t.Fatalf("baseline rejected: %v", c.Validate())
+	}
+	if c := (Coeffs{MemBW: 1, BWSaturation: 1, CopyBW: 1, LinkBW: 1}); c.Validate() != nil {
+		t.Errorf("zero latency/msg_sw/serial frac/adjusts are legal: %v", c.Validate())
+	}
+	nan, inf := math.NaN(), math.Inf(1)
+	fields := []struct {
+		key      string
+		set      func(*Coeffs, float64)
+		tooSmall float64 // the largest finite value the bound still rejects
+	}{
+		{"mem_bw", func(c *Coeffs, v float64) { c.MemBW = v }, 0},
+		{"copy_bw", func(c *Coeffs, v float64) { c.CopyBW = v }, 0},
+		{"link_bw", func(c *Coeffs, v float64) { c.LinkBW = v }, 0},
+		{"bw_saturation", func(c *Coeffs, v float64) { c.BWSaturation = v }, 0.5},
+		{"latency", func(c *Coeffs, v float64) { c.Latency = v }, -1e-9},
+		{"msg_sw", func(c *Coeffs, v float64) { c.MsgSW = v }, -1e-9},
+		{"thread_serial_frac", func(c *Coeffs, v float64) { c.ThreadSerialFrac = v }, -1e-9},
+		{"fused_adjust", func(c *Coeffs, v float64) { c.FusedAdjust = v }, -1},
+		{"aa_adjust", func(c *Coeffs, v float64) { c.AAAdjust = v }, -1},
+		{"kernel_cost[trt]", func(c *Coeffs, v float64) { c.KernelCost["trt"] = v }, -1},
+	}
+	for _, f := range fields {
+		for _, v := range []float64{f.tooSmall, nan, inf, -inf} {
+			c := good()
+			f.set(&c, v)
+			err := c.Validate()
+			if err == nil {
+				t.Errorf("%s = %g accepted", f.key, v)
+				continue
+			}
+			if !strings.Contains(err.Error(), f.key) {
+				t.Errorf("%s = %g: error %q does not name the key", f.key, v, err)
+			}
+			j := Job{
+				Machine: machine.BGP(), Spec: machine.SpecD3Q19(), K: 1,
+				Nodes: 2, TasksPerNode: 1, ThreadsPerTask: 1, NX: 64, NY: 32, NZ: 32,
+				Steps: 4, Depth: 1, Opt: core.OptGCC, Coeffs: &c,
+			}
+			if _, err := Run(j); err == nil {
+				t.Errorf("Run accepted coeffs with %s = %g", f.key, v)
 			}
 		}
 	}

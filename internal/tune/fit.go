@@ -7,6 +7,7 @@ import (
 	"math"
 	"os"
 
+	"repro/internal/core"
 	"repro/internal/metrics"
 	"repro/internal/obs"
 	"repro/internal/perfsim"
@@ -28,19 +29,32 @@ type FitResult struct {
 	Steps   int             `json:"steps"`
 	Coeffs  perfsim.Coeffs  `json:"coeffs"`
 	// SeedMAPE/FittedMAPE are the duration-weighted per-phase MAPE of the
-	// objective before and after the coefficient search; AnchoredMAPE is
-	// the same objective under the pre-existing one-point-anchored model
-	// (the `-exp predict` fallback), the bar the fit must beat.
+	// objective before and after the coefficient search; UnfittedMAPE is
+	// the same objective under nil coefficients — the generic calibration
+	// a user without a fit file prices with, the bar the fit must beat.
 	SeedMAPE     float64 `json:"seed_mape"`
 	FittedMAPE   float64 `json:"fitted_mape"`
-	AnchoredMAPE float64 `json:"anchored_mape"`
-	// PhaseMAPE/TotalMAPE/PearsonR score the fitted model across the whole
-	// sweep (holdout points included, with their fitted cell costs).
+	UnfittedMAPE float64 `json:"unfitted_mape"`
+	// Points is the observe→predict bridge: every sweep point's observed
+	// phases beside the fitted model's prediction of them (holdout points
+	// included, with their fitted cell costs). PhaseMAPE/TotalMAPE/PearsonR
+	// are computed from these rows.
+	Points    []FitPoint         `json:"points"`
 	PhaseMAPE map[string]float64 `json:"phase_mape"`
 	TotalMAPE float64            `json:"total_mape"`
 	PearsonR  float64            `json:"pearson_r"`
 	// Evals counts objective evaluations of the coordinate descent.
 	Evals int `json:"evals"`
+}
+
+// FitPoint is one sweep point's observed and predicted per-phase seconds
+// (mean across ranks, keyed by phase name; totals are wall seconds).
+type FitPoint struct {
+	Label          string             `json:"label"`
+	Observed       map[string]float64 `json:"observed"`
+	Predicted      map[string]float64 `json:"predicted"`
+	ObservedTotal  float64            `json:"observed_total"`
+	PredictedTotal float64            `json:"predicted_total"`
 }
 
 // fitDim describes one searched coefficient: an accessor pair plus the
@@ -283,46 +297,6 @@ func objective(sw *Sweep, c *perfsim.Coeffs) (float64, error) {
 	return sum / wsum, nil
 }
 
-// AnchoredObjective scores the pre-existing anchored model (named
-// calibration plus a one-point memory-bandwidth anchor, the `-exp
-// predict` fallback) with the fit's own objective, so fitted-vs-unfitted
-// is an apples-to-apples comparison.
-func AnchoredObjective(sw *Sweep) (float64, error) {
-	// Reproduce the anchor: scale the envelope bandwidth so the first core
-	// point's predicted interior matches its observed interior.
-	first := sw.Obs[0]
-	p0, _, err := PriceAnchored(sw, first.Point, 8e9)
-	if err != nil {
-		return 0, err
-	}
-	memBW := 8e9
-	if ob := first.Phases[obs.Interior]; ob > 0 && p0[obs.Interior] > 0 {
-		memBW *= p0[obs.Interior] / ob
-	}
-	var sum, wsum float64
-	for _, o := range sw.Obs {
-		if o.Point.Holdout {
-			continue
-		}
-		pred, _, err := PriceAnchored(sw, o.Point, memBW)
-		if err != nil {
-			return 0, err
-		}
-		for _, p := range fitPhases {
-			ob := o.Phases[p]
-			if ob <= 0 {
-				continue
-			}
-			sum += ob * math.Abs(pred[p]-ob) / ob
-			wsum += ob
-		}
-	}
-	if wsum == 0 {
-		return 0, fmt.Errorf("tune: sweep has no observed phase seconds to score")
-	}
-	return sum / wsum, nil
-}
-
 // Fit searches the coefficient space to minimize the objective:
 // deterministic coordinate descent in log space (multiplicative steps
 // with a shrinking factor), then closed-form per-kernel cell costs from
@@ -442,7 +416,7 @@ func Fit(sw *Sweep) (*FitResult, error) {
 		PhaseMAPE:  map[string]float64{},
 		Evals:      evals,
 	}
-	if res.AnchoredMAPE, err = AnchoredObjective(sw); err != nil {
+	if res.UnfittedMAPE, err = objective(sw, nil); err != nil {
 		return nil, err
 	}
 	if err := res.score(sw); err != nil {
@@ -486,7 +460,7 @@ func fitKernelCosts(sw *Sweep, c *perfsim.Coeffs) error {
 		switch {
 		case o.Point.Fused:
 			c.FusedAdjust = ratio
-		case o.Point.Stream != 0:
+		case o.Point.Stream == core.StreamAA.String():
 			c.AAAdjust = ratio
 		case o.Point.Kernel != "bgk":
 			if c.KernelCost == nil {
@@ -538,28 +512,35 @@ func LoadFit(path string) (*FitResult, error) {
 	return &r, nil
 }
 
-// score fills the whole-sweep agreement metrics of a fitted result:
-// per-phase MAPE, total MAPE and Pearson correlation on wall times, all
-// points included.
+// score fills the bridge rows and the whole-sweep agreement metrics
+// computed from them: per-phase MAPE, total MAPE and Pearson correlation
+// on wall times, all points included.
 func (r *FitResult) score(sw *Sweep) error {
 	n := len(sw.Obs)
 	obsTotals := make([]float64, n)
 	predTotals := make([]float64, n)
-	preds := make([]obs.PhaseSeconds, n)
+	r.Points = make([]FitPoint, n)
 	for i, o := range sw.Obs {
 		pred, total, err := PricePoint(sw, o.Point, &r.Coeffs)
 		if err != nil {
 			return err
 		}
-		preds[i] = pred
-		obsTotals[i] = o.Total
-		predTotals[i] = total
+		row := FitPoint{
+			Label:    o.Point.Label,
+			Observed: map[string]float64{}, Predicted: map[string]float64{},
+			ObservedTotal: o.Total, PredictedTotal: total,
+		}
+		for _, p := range fitPhases {
+			row.Observed[p.String()], row.Predicted[p.String()] = o.Phases[p], pred[p]
+		}
+		r.Points[i] = row
+		obsTotals[i], predTotals[i] = o.Total, total
 	}
 	for _, p := range fitPhases {
 		ov := make([]float64, n)
 		pv := make([]float64, n)
-		for i := range sw.Obs {
-			ov[i], pv[i] = sw.Obs[i].Phases[p], preds[i][p]
+		for i, row := range r.Points {
+			ov[i], pv[i] = row.Observed[p.String()], row.Predicted[p.String()]
 		}
 		if mape := metrics.MAPE(ov, pv); !math.IsNaN(mape) {
 			r.PhaseMAPE[p.String()] = mape

@@ -107,16 +107,17 @@ func TestFitDeterministic(t *testing.T) {
 	}
 }
 
-// TestFitBeatsAnchored: on data the coefficient model can represent, the
-// fitted objective must strictly beat the one-point-anchored fallback.
-func TestFitBeatsAnchored(t *testing.T) {
+// TestFitBeatsUnfitted: on data the coefficient model can represent, the
+// fitted objective must strictly beat the unfitted generic calibration —
+// the model Price(…, nil, …) gives a user without a fit file.
+func TestFitBeatsUnfitted(t *testing.T) {
 	sw := syntheticSweep(t, truthCoeffs())
 	res, err := Fit(sw)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.FittedMAPE >= res.AnchoredMAPE {
-		t.Errorf("fitted MAPE %g does not beat anchored %g", res.FittedMAPE, res.AnchoredMAPE)
+	if res.FittedMAPE >= res.UnfittedMAPE {
+		t.Errorf("fitted MAPE %g does not beat unfitted %g", res.FittedMAPE, res.UnfittedMAPE)
 	}
 }
 
@@ -137,5 +138,70 @@ func TestDefaultThreadSerialFracRoundTrip(t *testing.T) {
 	if rel := math.Abs(got-want) / want; rel > 0.05 {
 		t.Errorf("thread_serial_frac round-trip: fitted %g, default %g (%.1f%% off)",
 			got, want, 100*rel)
+	}
+}
+
+// TestFitGoldenShape is the bridge's contract on a tiny real sweep — what
+// `lbmbench -exp fit` writes and CI uploads: every sweep point paired
+// with a prediction (positive totals and interior on both sides), finite
+// agreement scores, and every top-level key of lbm-fit/v1 present.
+func TestFitGoldenShape(t *testing.T) {
+	sw, err := Collect("D3Q19", 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := Fit(sw)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Schema != FitSchema {
+		t.Errorf("schema = %q, want %q", res.Schema, FitSchema)
+	}
+	if len(res.Points) != len(Points()) {
+		t.Fatalf("%d bridge rows, want one per sweep point (%d)", len(res.Points), len(Points()))
+	}
+	for i, row := range res.Points {
+		if row.Label != Points()[i].Label {
+			t.Errorf("row %d is %q, want %q", i, row.Label, Points()[i].Label)
+		}
+		if row.ObservedTotal <= 0 || row.PredictedTotal <= 0 {
+			t.Errorf("%s: totals obs %g / pred %g, want > 0", row.Label, row.ObservedTotal, row.PredictedTotal)
+		}
+		if row.Observed["interior"] <= 0 || row.Predicted["interior"] <= 0 {
+			t.Errorf("%s: interior obs %g / pred %g, want > 0", row.Label, row.Observed["interior"], row.Predicted["interior"])
+		}
+	}
+	scores := map[string]float64{
+		"seed": res.SeedMAPE, "fitted": res.FittedMAPE, "unfitted": res.UnfittedMAPE, "total": res.TotalMAPE,
+	}
+	if len(res.PhaseMAPE) == 0 {
+		t.Error("no per-phase MAPE entries")
+	}
+	for name, v := range res.PhaseMAPE {
+		scores["phase "+name] = v
+	}
+	for name, v := range scores {
+		if math.IsNaN(v) || math.IsInf(v, 0) || v < 0 {
+			t.Errorf("%s MAPE = %g, want finite and non-negative", name, v)
+		}
+	}
+
+	blob, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m map[string]any
+	if err := json.Unmarshal(blob, &m); err != nil {
+		t.Fatal(err)
+	}
+	keys := []string{"schema", "machine", "model", "steps", "coeffs", "seed_mape", "fitted_mape",
+		"unfitted_mape", "points", "phase_mape", "total_mape", "pearson_r", "evals"}
+	for _, key := range keys {
+		if _, ok := m[key]; !ok {
+			t.Errorf("fit result missing key %q", key)
+		}
+	}
+	if len(m) != len(keys) {
+		t.Errorf("fit result has %d top-level keys, want exactly %v", len(m), keys)
 	}
 }

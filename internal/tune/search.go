@@ -273,28 +273,42 @@ func evenDepths(d [3]int) bool {
 	return d[0]%2 == 0 && d[1]%2 == 0 && d[2]%2 == 0
 }
 
-// tuneMachine is the envelope candidate pricing runs against; like the
-// fit's, it only supplies validation bounds and the flop roofline.
-func tuneMachine(maxWorkers int) machine.Machine {
-	m := fitMachine()
-	if maxWorkers > m.CoresPerNode {
-		m.CoresPerNode = maxWorkers
+// envelope is the hardware envelope priced jobs run against: core counts
+// generous enough to never reject a candidate, a flop roofline high
+// enough to never bind (the kernels are bandwidth-limited, paper §III.C),
+// and — for the unfitted model, which has no coefficients to take them
+// from — a nominal memory bandwidth and the sweep's wire constants.
+func envelope() machine.Machine {
+	return machine.Machine{
+		Name:            "local",
+		MemBWBytes:      8e9,
+		PeakFlops:       1e15,
+		TorusLinkBytes:  WireLinkBW,
+		TorusLinks:      12,
+		LinkLatency:     WireLatency,
+		CoresPerNode:    256,
+		ThreadsPerCore:  1,
+		MemPerNodeBytes: 1 << 40,
 	}
-	return m
 }
 
-// Price predicts a candidate's wall seconds with the fitted model. Ranks
-// are priced as tasks of one node (the local in-process fabric: halo hops
-// are shared-memory copies at CopyBW, never the torus), with the masked
-// scenario's fluid weights and sparse rank profile threaded through.
-func Price(s *Scenario, c Candidate, coeffs *perfsim.Coeffs, steps, maxWorkers int) (float64, error) {
+// job is the one translation from an execution config to the perfsim.Job
+// that prices it; nil coeffs means the unfitted generic calibration.
+// Ranks are either nodes (the sweep: every pair crosses the injected
+// wire) or tasks of one node (the tuner's in-process fabric: halo hops
+// are shared-memory copies at CopyBW, never the torus). A masked
+// scenario's fluid weights and sparse rank profile are threaded through.
+// The solver's per-axis depth is priced as the deepest decomposed axis's
+// uniform depth — the known mis-pricing of ROADMAP 3(b), which lives here
+// and nowhere else.
+func (c Candidate) job(s *Scenario, coeffs *perfsim.Coeffs, steps int, ranksAreNodes bool) (perfsim.Job, error) {
 	opt, err := core.ParseOptLevel(c.Opt)
 	if err != nil {
-		return 0, err
+		return perfsim.Job{}, err
 	}
 	stream, err := core.ParseStreamScheme(c.Stream)
 	if err != nil {
-		return 0, err
+		return perfsim.Job{}, err
 	}
 	maxDepth := 1
 	for a := 0; a < 3; a++ {
@@ -302,12 +316,16 @@ func Price(s *Scenario, c Candidate, coeffs *perfsim.Coeffs, steps, maxWorkers i
 			maxDepth = c.Depth[a]
 		}
 	}
+	nodes, tasks := 1, c.Ranks
+	if ranksAreNodes {
+		nodes, tasks = c.Ranks, 1
+	}
 	bounded := s.Boundary.BoundedAxes()
 	j := perfsim.Job{
-		Machine: tuneMachine(maxWorkers),
+		Machine: envelope(),
 		Spec:    machine.SpecForQ(s.Model.Q),
 		K:       s.Model.MaxSpeed,
-		Nodes:   1, TasksPerNode: c.Ranks, ThreadsPerTask: c.Threads,
+		Nodes:   nodes, TasksPerNode: tasks, ThreadsPerTask: c.Threads,
 		NX: s.N.NX, NY: s.N.NY, NZ: s.N.NZ,
 		Decomp:  c.Decomp,
 		Bounded: bounded,
@@ -334,10 +352,25 @@ func Price(s *Scenario, c Candidate, coeffs *perfsim.Coeffs, steps, maxWorkers i
 			dec, err := decomp.NewCartesianWeighted(
 				[3]int{s.N.NX, s.N.NY, s.N.NZ}, c.Decomp, bounded, j.Weights)
 			if err != nil {
-				return 0, err
+				return perfsim.Job{}, err
 			}
 			j.RankFluids = perfsim.FluidCounts(dec, s.Solid)
 		}
+	}
+	return j, nil
+}
+
+// Price predicts a candidate's wall seconds on this host: ranks are
+// tasks of one node, priced with the fitted coefficients, or with the
+// unfitted generic calibration when coeffs is nil — the model a user
+// without a fit file gets, and the bar a fit has to beat.
+func Price(s *Scenario, c Candidate, coeffs *perfsim.Coeffs, steps, maxWorkers int) (float64, error) {
+	j, err := c.job(s, coeffs, steps, false)
+	if err != nil {
+		return 0, err
+	}
+	if maxWorkers > j.Machine.CoresPerNode {
+		j.Machine.CoresPerNode = maxWorkers
 	}
 	res, err := perfsim.Run(j)
 	if err != nil {
@@ -543,7 +576,8 @@ func SaveTuned(path string, t *Tuned) error {
 	return f.Close()
 }
 
-// LoadTuned reads a tuned config from a file.
+// LoadTuned reads a tuned config from a file, checking the schema and
+// that the choice is spelled in the vocabulary Apply understands.
 func LoadTuned(path string) (*Tuned, error) {
 	b, err := os.ReadFile(path)
 	if err != nil {
@@ -555,6 +589,9 @@ func LoadTuned(path string) (*Tuned, error) {
 	}
 	if t.Schema != TunedSchema {
 		return nil, fmt.Errorf("tune: %s: schema %q, want %q", path, t.Schema, TunedSchema)
+	}
+	if err := t.Choice.Apply(&core.Config{}); err != nil {
+		return nil, fmt.Errorf("tune: %s: choice: %w", path, err)
 	}
 	return &t, nil
 }

@@ -1,10 +1,14 @@
-// Package tune closes ROADMAP direction 3's calibration loop: it fits
-// perfsim's machine coefficients to observed per-phase run times
-// (observe → fit), then searches the solver's configuration space with
-// the fitted model and confirms the best candidates with short real
-// measurements (predict → optimize). The fit half lives in fit.go, the
-// auto-tuner in search.go; this file defines the observation sweep both
-// halves share.
+// Package tune is the calibration loop, and there is one of it: observe
+// a sweep of real instrumented runs, fit perfsim's machine coefficients
+// to their per-phase seconds, score the fitted model against those same
+// observations point by point (the observe→predict bridge is the fit's
+// own `points` record), then search the solver's configuration space
+// with the model and confirm the best candidates with short real runs.
+// The fit lives in fit.go, the auto-tuner in search.go, the observation
+// sweep here. Both halves speak one vocabulary — a sweep Point is a
+// tuner Candidate — so an execution config becomes a real run in one
+// place (Candidate.Config) and a priced perfsim.Job in one place
+// (Candidate.job), both in search.go.
 //
 // Everything downstream of the real runs is deterministic: the fit is a
 // pure function of the collected sweep, and the tuner is a pure function
@@ -21,7 +25,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/grid"
 	"repro/internal/lattice"
-	"repro/internal/machine"
 	"repro/internal/obs"
 	"repro/internal/perfsim"
 )
@@ -35,18 +38,11 @@ const (
 	WireLinkBW  = 100e6  // bytes/s per link
 )
 
-// Point is one sweep configuration, run identically in both worlds (the
-// real instrumented solver and perfsim).
+// Point is one sweep configuration: a tuner Candidate, so the real run
+// and the priced job are materialised by the code the tuner uses.
 type Point struct {
-	Label   string            `json:"label"`
-	Opt     core.OptLevel     `json:"opt"`
-	Ranks   int               `json:"ranks"`
-	Decomp  [3]int            `json:"decomp"`
-	Depth   int               `json:"depth"`
-	Threads int               `json:"threads"`
-	Kernel  string            `json:"kernel"` // "bgk", "trt", "mrt"
-	Fused   bool              `json:"fused,omitempty"`
-	Stream  core.StreamScheme `json:"stream,omitempty"`
+	Candidate
+	Label string `json:"label"`
 	// Holdout points are excluded from the coefficient search objective;
 	// their interior-time ratio against the fitted baseline yields the
 	// per-kernel cell costs closed-form (see fitKernelCosts).
@@ -60,19 +56,31 @@ type Point struct {
 // holdout points carry one non-baseline kernel each for the closed-form
 // cost ratios.
 func Points() []Point {
+	pt := func(label string, opt core.OptLevel, shape [3]int, depth, threads int) Point {
+		return Point{Label: label, Candidate: Candidate{
+			Ranks: shape[0] * shape[1] * shape[2], Decomp: shape, Threads: threads,
+			Opt: opt.String(), Depth: [3]int{depth, depth, depth},
+			Stream: core.StreamTwoGrid.String(), Kernel: "bgk",
+		}}
+	}
+	hold := func(p Point, kernel string, fused bool, stream core.StreamScheme) Point {
+		p.Kernel, p.Fused, p.Stream, p.Holdout = kernel, fused, stream.String(), true
+		return p
+	}
+	one, slab, pencil := [3]int{1, 1, 1}, [3]int{2, 1, 1}, [3]int{2, 2, 1}
 	return []Point{
-		{Label: "slab GC blocking d1 r2", Opt: core.OptGC, Ranks: 2, Decomp: [3]int{2, 1, 1}, Depth: 1, Threads: 1, Kernel: "bgk"},
-		{Label: "slab GC blocking d2 r2", Opt: core.OptGC, Ranks: 2, Decomp: [3]int{2, 1, 1}, Depth: 2, Threads: 1, Kernel: "bgk"},
-		{Label: "slab NB-C d1 r2", Opt: core.OptNBC, Ranks: 2, Decomp: [3]int{2, 1, 1}, Depth: 1, Threads: 1, Kernel: "bgk"},
-		{Label: "slab GC-C d2 r2", Opt: core.OptGCC, Ranks: 2, Decomp: [3]int{2, 1, 1}, Depth: 2, Threads: 1, Kernel: "bgk"},
-		{Label: "pencil GC-C d1 r4", Opt: core.OptGCC, Ranks: 4, Decomp: [3]int{2, 2, 1}, Depth: 1, Threads: 1, Kernel: "bgk"},
-		{Label: "slab SIMD r1 t1", Opt: core.OptSIMD, Ranks: 1, Decomp: [3]int{1, 1, 1}, Depth: 1, Threads: 1, Kernel: "bgk"},
-		{Label: "slab SIMD r1 t2", Opt: core.OptSIMD, Ranks: 1, Decomp: [3]int{1, 1, 1}, Depth: 1, Threads: 2, Kernel: "bgk"},
-		{Label: "slab SIMD r1 t4", Opt: core.OptSIMD, Ranks: 1, Decomp: [3]int{1, 1, 1}, Depth: 1, Threads: 4, Kernel: "bgk"},
-		{Label: "trt GC-C d1 r2", Opt: core.OptGCC, Ranks: 2, Decomp: [3]int{2, 1, 1}, Depth: 1, Threads: 1, Kernel: "trt", Holdout: true},
-		{Label: "mrt GC-C d1 r2", Opt: core.OptGCC, Ranks: 2, Decomp: [3]int{2, 1, 1}, Depth: 1, Threads: 1, Kernel: "mrt", Holdout: true},
-		{Label: "fused GC-C d1 r2", Opt: core.OptGCC, Ranks: 2, Decomp: [3]int{2, 1, 1}, Depth: 1, Threads: 1, Kernel: "bgk", Fused: true, Holdout: true},
-		{Label: "aa GC-C d2 r2", Opt: core.OptGCC, Ranks: 2, Decomp: [3]int{2, 1, 1}, Depth: 2, Threads: 1, Kernel: "bgk", Stream: core.StreamAA, Holdout: true},
+		pt("slab GC blocking d1 r2", core.OptGC, slab, 1, 1),
+		pt("slab GC blocking d2 r2", core.OptGC, slab, 2, 1),
+		pt("slab NB-C d1 r2", core.OptNBC, slab, 1, 1),
+		pt("slab GC-C d2 r2", core.OptGCC, slab, 2, 1),
+		pt("pencil GC-C d1 r4", core.OptGCC, pencil, 1, 1),
+		pt("slab SIMD r1 t1", core.OptSIMD, one, 1, 1),
+		pt("slab SIMD r1 t2", core.OptSIMD, one, 1, 2),
+		pt("slab SIMD r1 t4", core.OptSIMD, one, 1, 4),
+		hold(pt("trt GC-C d1 r2", core.OptGCC, slab, 1, 1), "trt", false, core.StreamTwoGrid),
+		hold(pt("mrt GC-C d1 r2", core.OptGCC, slab, 1, 1), "mrt", false, core.StreamTwoGrid),
+		hold(pt("fused GC-C d1 r2", core.OptGCC, slab, 1, 1), "bgk", true, core.StreamTwoGrid),
+		hold(pt("aa GC-C d2 r2", core.OptGCC, slab, 2, 1), "bgk", false, core.StreamAA),
 	}
 }
 
@@ -96,14 +104,27 @@ type Sweep struct {
 
 // sweepDims is the sweep's domain (D3Q39 cells carry ~2× the data, so its
 // box is smaller — same scaling rule as the Real* experiments).
-func sweepDims(m *lattice.Model) grid.Dims {
+func sweepDims(m *lattice.Model) [3]int {
 	if m.Q == 39 {
-		return grid.Dims{NX: 48, NY: 24, NZ: 24}
+		return [3]int{48, 24, 24}
 	}
-	return grid.Dims{NX: 64, NY: 32, NZ: 32}
+	return [3]int{64, 32, 32}
 }
 
-// collisionFor maps a point's kernel tag to its operator spec.
+// scenario is the problem every sweep point runs and is priced on: a
+// periodic box of the sweep's dims at τ = 0.8.
+func (sw *Sweep) scenario() (*Scenario, error) {
+	m, err := lattice.ByName(sw.Model)
+	if err != nil {
+		return nil, err
+	}
+	return &Scenario{
+		Name: "sweep", Model: m, Tau: 0.8,
+		N: grid.Dims{NX: sw.Dims[0], NY: sw.Dims[1], NZ: sw.Dims[2]},
+	}, nil
+}
+
+// collisionFor maps a candidate's kernel tag to its operator spec.
 func collisionFor(kernel string) (collision.Spec, error) {
 	kind, err := collision.ParseKind(kernel)
 	if err != nil {
@@ -121,31 +142,22 @@ func Collect(modelName string, steps int) (*Sweep, error) {
 	if err != nil {
 		return nil, err
 	}
-	dims := sweepDims(m)
+	sw := &Sweep{Model: m.Name, Dims: sweepDims(m), Steps: steps, Machine: obs.HostInfo()}
+	s, err := sw.scenario()
+	if err != nil {
+		return nil, err
+	}
 	delay := func(src, dst, bytes int) time.Duration {
 		return time.Duration((WireLatency + float64(bytes)/WireLinkBW) * float64(time.Second))
 	}
-	sw := &Sweep{
-		Model:   m.Name,
-		Dims:    [3]int{dims.NX, dims.NY, dims.NZ},
-		Steps:   steps,
-		Machine: obs.HostInfo(),
-	}
 	for _, pt := range Points() {
-		col, err := collisionFor(pt.Kernel)
+		cfg, err := pt.Config(s, steps)
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("tune: sweep %s: %w", pt.Label, err)
 		}
-		res, err := core.Run(core.Config{
-			Model: m, N: dims, Tau: 0.8, Steps: steps,
-			Opt: pt.Opt, Ranks: pt.Ranks, Decomp: pt.Decomp, Threads: pt.Threads,
-			GhostDepth: pt.Depth,
-			Collision:  col,
-			Fused:      pt.Fused,
-			Stream:     pt.Stream,
-			Observe:    true,
-			Fabric:     comm.NewFabric(pt.Ranks).WithDelay(delay),
-		})
+		cfg.Observe = true
+		cfg.Fabric = comm.NewFabric(pt.Ranks).WithDelay(delay)
+		res, err := core.Run(cfg)
 		if err != nil {
 			return nil, fmt.Errorf("tune: sweep %s: %w", pt.Label, err)
 		}
@@ -158,75 +170,18 @@ func Collect(modelName string, steps int) (*Sweep, error) {
 	return sw, nil
 }
 
-// fitMachine is the hardware envelope the fitted-coefficient jobs run
-// against: core counts generous enough to never reject a sweep point, a
-// flop roofline high enough to never bind (the kernels are
-// bandwidth-limited, paper §III.C), and the shared wire constants for the
-// anchored fallback path.
-func fitMachine() machine.Machine {
-	return machine.Machine{
-		Name:            "local",
-		MemBWBytes:      8e9,
-		PeakFlops:       1e15,
-		TorusLinkBytes:  WireLinkBW,
-		TorusLinks:      12,
-		LinkLatency:     WireLatency,
-		CoresPerNode:    256,
-		ThreadsPerCore:  1,
-		MemPerNodeBytes: 1 << 40,
-	}
-}
-
-// PricePoint simulates one sweep point under a coefficient set. The
-// sweep's one-task-per-node convention matches the real runs: every rank
-// pair crosses the injected wire.
+// PricePoint simulates one sweep point under a coefficient set (nil: the
+// unfitted generic calibration). Ranks are priced as nodes, matching the
+// real runs: every rank pair crosses the injected wire.
 func PricePoint(sw *Sweep, pt Point, c *perfsim.Coeffs) (obs.PhaseSeconds, float64, error) {
-	j, err := pointJob(sw, pt, fitMachine())
+	s, err := sw.scenario()
 	if err != nil {
 		return obs.PhaseSeconds{}, 0, err
 	}
-	j.Coeffs = c
-	if c != nil {
-		j.CellCost = c.CellCost(pt.Kernel, pt.Fused, pt.Stream)
-	}
-	return runPointJob(j, pt)
-}
-
-// PriceAnchored simulates a sweep point through the pre-existing
-// named-calibration path with the envelope's memory bandwidth replaced by
-// the anchored value — the `-exp predict` fallback model.
-func PriceAnchored(sw *Sweep, pt Point, memBW float64) (obs.PhaseSeconds, float64, error) {
-	mch := fitMachine()
-	mch.MemBWBytes = memBW
-	j, err := pointJob(sw, pt, mch)
+	j, err := pt.job(s, c, sw.Steps, true)
 	if err != nil {
 		return obs.PhaseSeconds{}, 0, err
 	}
-	return runPointJob(j, pt)
-}
-
-func pointJob(sw *Sweep, pt Point, mch machine.Machine) (perfsim.Job, error) {
-	m, err := lattice.ByName(sw.Model)
-	if err != nil {
-		return perfsim.Job{}, err
-	}
-	return perfsim.Job{
-		Machine: mch,
-		Spec:    machine.SpecForQ(m.Q),
-		K:       m.MaxSpeed,
-		Nodes:   pt.Ranks, TasksPerNode: 1, ThreadsPerTask: pt.Threads,
-		NX: sw.Dims[0], NY: sw.Dims[1], NZ: sw.Dims[2],
-		Decomp: pt.Decomp,
-		Steps:  sw.Steps,
-		Depth:  pt.Depth,
-		Opt:    pt.Opt,
-		Fused:  pt.Fused,
-		Stream: pt.Stream,
-		Seed:   1,
-	}, nil
-}
-
-func runPointJob(j perfsim.Job, pt Point) (obs.PhaseSeconds, float64, error) {
 	res, err := perfsim.Run(j)
 	if err != nil {
 		return obs.PhaseSeconds{}, 0, fmt.Errorf("tune: price %s: %w", pt.Label, err)
