@@ -51,7 +51,7 @@ func main() {
 		ranks     = flag.Int("ranks", 1, "message-passing ranks")
 		decompF   = flag.String("decomp", "1d", "domain decomposition: 1d (slab), 2d (pencil), 3d (block), or explicit PxxPyxPz (e.g. 2x2x2, product = -ranks); every level but Orig, -fused and -stream aa included, runs on every shape")
 		threads   = flag.Int("threads", 1, "worker threads per rank (0 = runtime.NumCPU()/ranks, floor 1)")
-		depth     = flag.String("depth", "1", "ghost-cell depth: one value (exchange every depth steps) or per-axis dx,dy,dz (e.g. 2,1,1; puts ghosts on every axis); -stream aa rounds each up to even")
+		depth     = flag.String("depth", "1", "ghost-cell depth: one value (exchange every depth steps) or per-axis dx,dy,dz (e.g. 2,1,1; an axis without ghosts ignores its entry); -stream aa rounds each up to even")
 		layout    = flag.String("layout", "soa", "memory layout: soa or aos")
 		fused     = flag.Bool("fused", false, "fused stream-collide sweep (§VII future work): one read + one write of the field per step, bit-identical to the split kernels; works with every operator, scenario, mask and -sparse; needs the SoA layout and a ghost-cell level, not -stream aa")
 		stream    = flag.String("stream", "twogrid", "streaming storage: twogrid (separate advected field) or aa (in-place AA pattern, half the f-memory; needs SoA and a GC level)")

@@ -17,9 +17,10 @@ package core
 //   - outflow faces are zero-gradient: the ghost layers are refreshed each
 //     cycle with a copy of the outermost owned layer.
 //
-// Bounded runs always carry ghosts on every axis, even for slab-shaped
-// rank grids: the boundary data lives in the ghost faces, so no axis of a
-// bounded run may be left to the kernels' own wrap (GhostWidths).
+// A bounded axis always carries ghosts, even uncut on a slab-shaped rank
+// grid: the boundary data lives in its ghost faces. The run's periodic
+// axes are unaffected — an uncut one is still left to the kernels' own
+// wrap (GhostWidths).
 
 import "fmt"
 

@@ -5,13 +5,15 @@ package core
 // axis a carries ghost layers of width w[a] = depth[a]·k, refreshed every
 // depth[a] steps (Config.GhostDepthAxes lets a pencil spend halo width
 // where its surface is largest), and the deep-halo schedule shrinks an
-// axis-aligned box between refreshes. An axis the rank wraps onto itself
-// still carries ghosts, filled by a local copy, so the kernels stream
-// across it as plain offset copies — except on the paper's periodic slab,
-// whose y and z axes carry none (w = 0, "wrap axes": GhostWidths)
-// and are wrapped by the stream kernels (stream.go), the gather sweep
-// (gather.go) and the bounce-back link builder (buildFixups) themselves.
-// Everything else here is geometry-blind.
+// axis-aligned box between refreshes. A y or z axis with neither a
+// neighbour nor a wall — uncut and periodic, on a two-grid dense run —
+// carries none (w = 0, a "wrap axis": GhostWidths): the stream kernels
+// (stream.go), the gather sweep (gather.go) and the bounce-back link
+// builder (buildFixups) fold across it themselves, y and z independently.
+// Where an uncut periodic axis does carry ghosts (x always; every axis
+// under AA or sparse storage) they are filled by a local copy and the
+// kernels stream across it as plain offset copies. Everything else here
+// is geometry-blind.
 //
 // Every rung collides with the row kernel collide.go selects for it and
 // streams with the form stream.go selects for it — in separate passes, or

@@ -310,8 +310,8 @@ func TestCartPerAxisDepth(t *testing.T) {
 			}
 		}
 	}
-	// Slab-shaped rank grids route to the box stepper under per-axis
-	// depths; fused rides along.
+	// On a slab-shaped rank grid y and z are wrap axes with no depth, so
+	// {2,1,1} is the depth-2 slab; fused rides along.
 	for _, fused := range []bool{false, true} {
 		runAndCompare(t, Config{
 			Model: lattice.D3Q19(), N: n, Tau: 0.8, Steps: 6,
@@ -383,11 +383,6 @@ func TestCartValidation(t *testing.T) {
 		{"block smaller than halo", func(c *Config) { c.GhostDepth = 5 }},
 		{"per-axis depth zero entry", func(c *Config) { c.GhostDepthAxes = [3]int{2, 0, 1} }},
 		{"per-axis depth too deep", func(c *Config) { c.GhostDepthAxes = [3]int{1, 5, 1} }},
-		{"per-axis depth with AoS slab", func(c *Config) {
-			c.Ranks, c.Decomp = 1, [3]int{1, 1, 1}
-			c.Layout = grid.AoS
-			c.GhostDepthAxes = [3]int{2, 1, 1}
-		}},
 		{"axis overcommit", func(c *Config) { c.Decomp = [3]int{1, 1, 8}; c.N.NZ = 4; c.N.NY = 16 }},
 	}
 	for _, tc := range cases {
@@ -399,5 +394,12 @@ func TestCartValidation(t *testing.T) {
 	}
 	if _, err := Run(base); err != nil {
 		t.Errorf("base config rejected: %v", err)
+	}
+	// Legal, not an error: a wrap axis has no depth, so on a periodic slab
+	// {2,1,1} is the uniform depth-2 run, which the AoS rung takes.
+	aos := base
+	aos.Ranks, aos.Decomp, aos.Layout, aos.GhostDepthAxes = 1, [3]int{1, 1, 1}, grid.AoS, [3]int{2, 1, 1}
+	if _, err := Run(aos); err != nil {
+		t.Errorf("per-axis depth {2,1,1} with AoS on a periodic slab rejected: %v", err)
 	}
 }

@@ -6,10 +6,12 @@
 // ghost-collide version (§V) — plus multi-axis decompositions, bounded
 // domains, TRT/MRT operators, fused and AA streaming that grew around it.
 //
-// One stepper (cart.go) runs every configuration. Its geometry is data:
-// each axis carries ghost layers of width depth·k, except that the paper's
-// own case — a fully periodic domain cut into x slabs — keeps ghosts on x
-// only and lets the kernels wrap across y and z (GhostWidths).
+// One stepper (cart.go) runs every configuration. Its geometry is data,
+// decided per axis: an axis carries ghost layers of width depth·k where it
+// has a neighbour or a wall to fill them from, and a periodic uncut y or z
+// carries none — the kernels wrap across it (GhostWidths). The paper's own
+// case, a fully periodic domain cut into x slabs, keeps ghosts on x only;
+// a walled cavity or channel wraps its periodic z.
 //
 // The collision arithmetic lives in one place: collide.go holds one row
 // kernel per rung of the ladder (naive, row-generic, pair-symmetric) and
@@ -117,7 +119,7 @@ func ParseOptLevel(s string) (OptLevel, error) {
 // ParseGhostDepth parses a CLI ghost-depth argument: a single integer
 // ("2") is the uniform deep-halo depth; a comma-separated triple
 // ("2,1,1") sets per-axis depths (returned in axes, zero for the uniform
-// form), which put ghosts on every axis. Anything else — two
+// form); a wrap axis ignores its entry. Anything else — two
 // values, four values, a trailing comma — is a spelled-out error rather
 // than a silent fallthrough.
 func ParseGhostDepth(s string) (uniform int, axes [3]int, err error) {
@@ -142,8 +144,7 @@ func ParseGhostDepth(s string) (uniform int, axes [3]int, err error) {
 				return 0, [3]int{}, fmt.Errorf("core: bad ghost depth %q: %v", s, err)
 			}
 		}
-		// The uniform depth is the fallback for callers that take one value
-		// (Config.check normalizes a uniform triple back to it).
+		// The uniform depth is the fallback for callers that take one value.
 		return axes[0], axes, nil
 	}
 	if strings.TrimSpace(parts[len(parts)-1]) == "" {
@@ -271,10 +272,9 @@ type Config struct {
 	// GhostDepthAxes optionally sets the deep-halo depth per axis: axis a
 	// keeps a halo of depth[a]·k cells per side, refreshed every depth[a]
 	// steps, so a decomposition can spend halo width where its surface is
-	// largest. The zero value applies GhostDepth to every axis; a uniform
-	// non-zero value is normalized to GhostDepth. Any non-uniform setting
-	// puts ghosts on every axis (slab shapes included) and therefore
-	// requires the SoA layout and a ghost-cell level.
+	// largest. The zero value applies GhostDepth to every axis. A wrap
+	// axis (GhostWidths) has no depth and ignores its entry: on a periodic
+	// slab {d,1,1} is the uniform depth-d run.
 	GhostDepthAxes [3]int
 	// Ranks is the number of message-passing ranks ("MPI tasks").
 	Ranks int
@@ -292,7 +292,7 @@ type Config struct {
 	// Stream selects the streaming storage scheme. The zero value is the
 	// classic two-grid layout; StreamAA keeps a single field and streams in
 	// place via the AA pattern, halving f-memory traffic and footprint.
-	// StreamAA keeps ghosts on every axis (slab shapes included) and
+	// StreamAA keeps ghosts on every axis (uncut periodic ones included) and
 	// requires the SoA layout and a ghost-cell level; Fused is rejected
 	// with it (AA is the fused gather sweep on one field). It composes with
 	// walls, solids, every operator, sparse storage and force measurement;
@@ -321,9 +321,9 @@ type Config struct {
 	// walls, outflow, periodic — see BoundarySpec). Nil, and any spec
 	// whose faces are all periodic, keeps the fully periodic domain. A
 	// spec with non-periodic faces requires the SoA layout and a ghost-cell
-	// level (not Orig), and keeps ghosts on every axis — including
-	// slab-shaped rank grids — because the boundary fills live in the
-	// ghost layers.
+	// level (not Orig), and keeps ghosts on every bounded axis — uncut on a
+	// slab-shaped rank grid included — because the boundary fills live in
+	// the ghost layers.
 	Boundary *BoundarySpec
 	// Solid marks lattice points as solid walls (halfway bounce-back,
 	// no-slip): a voxel mask over the global domain — built
@@ -353,10 +353,10 @@ type Config struct {
 	// payload, messages and local periodic wraps alike, carries only the
 	// fluid z-runs of its rows, so solid cells are never packed, sent or
 	// unpacked. Equivalent to the dense sweep to 1e-12 on every fluid cell
-	// and bit-exact across thread counts; keeps ghosts on every axis (slab
-	// shapes included). In the gathered Result.Field solid cells read as the
-	// rest state. Without a mask (no Solid and no wall faces) there is
-	// nothing to index: traversal and storage stay dense.
+	// and bit-exact across thread counts; keeps ghosts on every axis (uncut
+	// periodic ones included). In the gathered Result.Field solid cells read
+	// as the rest state. Without a mask (no Solid and no wall faces) there
+	// is nothing to index: traversal and storage stay dense.
 	Sparse bool
 	// MeasureForces records the momentum-exchange force on the solid
 	// geometry at every step: Result.ObstacleForce holds the per-step
@@ -415,12 +415,6 @@ func (c *Config) check() error {
 				return fmt.Errorf("core: GhostDepthAxes[%d] = %d, want >= 1 on every axis (or the zero value)", a, d)
 			}
 		}
-		if d := c.GhostDepthAxes; d[0] == d[1] && d[1] == d[2] {
-			// Uniform per-axis depths are the scalar case: normalize so
-			// periodic slab shapes keep their x-only ghosts.
-			c.GhostDepth = d[0]
-			c.GhostDepthAxes = [3]int{}
-		}
 	}
 	if c.Init == nil {
 		c.Init = UniformInit
@@ -438,8 +432,8 @@ func (c *Config) check() error {
 		return err
 	}
 	k := c.Model.MaxSpeed
-	if c.Opt == OptOrig && c.GhostDepth != 1 {
-		return fmt.Errorf("core: OptOrig has no ghost cells; GhostDepth must be 1, got %d", c.GhostDepth)
+	if d := c.ghostDepths()[0]; c.Opt == OptOrig && d != 1 {
+		return fmt.Errorf("core: OptOrig has no ghost cells; GhostDepth must be 1, got %d", d)
 	}
 	if c.Layout == grid.AoS && c.Opt > OptGC {
 		return fmt.Errorf("core: the AoS layout supports only Orig and GC levels (the copy-streaming kernels require SoA)")
@@ -495,8 +489,7 @@ func (c *Config) check() error {
 		return err
 	}
 	if c.Boundary != nil && c.Boundary.BoundedAxes() == ([3]bool{}) {
-		// A fully periodic spec is the default domain: drop it so
-		// periodic slab shapes keep their x-only ghosts.
+		// A fully periodic spec is the default domain.
 		c.Boundary = nil
 	}
 	if c.Decomp == ([3]int{}) {
@@ -531,14 +524,9 @@ func (c *Config) init() (decomp.Cartesian, error) {
 	if err != nil {
 		return dec, err
 	}
-	if !c.slabPath(dec) {
-		// The two rungs that predate the SoA ghost-cell kernels exist for
-		// the paper's own geometry only.
-		if c.Opt == OptOrig {
-			return dec, fmt.Errorf("core: the no-ghost Orig protocol is periodic-slab-only; use a ghost-cell level")
-		}
-		if c.Layout != grid.SoA {
-			return dec, fmt.Errorf("core: multi-axis, bounded, per-axis-depth, AA and sparse runs require the SoA layout")
+	if c.Opt == OptOrig || c.Layout != grid.SoA {
+		if err := PaperGeometry(dec.Shape(), dec.Bounded, c.Stream, c.Sparse); err != nil {
+			return dec, fmt.Errorf("core: %v", err)
 		}
 	}
 	// A border message must be owned entirely by one rank.
@@ -570,8 +558,7 @@ func (c *Config) decomposition() (decomp.Cartesian, error) {
 	return decomp.NewCartesianBounded(global, c.Decomp, bounded)
 }
 
-// ghostDepths resolves the configured per-axis deep-halo depths (after
-// check's normalization a non-zero GhostDepthAxes is non-uniform).
+// ghostDepths resolves the configured per-axis deep-halo depths.
 func (c *Config) ghostDepths() [3]int {
 	if c.GhostDepthAxes != ([3]int{}) {
 		return c.GhostDepthAxes
@@ -581,28 +568,37 @@ func (c *Config) ghostDepths() [3]int {
 
 // GhostWidths is the one rule for which axes carry ghost layers; the
 // stepper (Config.ghostGeometry) and the performance model (perfsim.Run)
-// both ask it. Axis a carries dk[a] = depth[a]·k ghost cells per side —
-// except in the paper's own case, a fully periodic domain cut into x slabs
-// (shape P×1×1) under one uniform depth, two-grid streaming and dense
-// traversal, which keeps ghosts on x only: y and z are undecomposed
-// periodic axes there, so the kernels wrap across them (width 0) instead
-// of reading copies. Nothing else may wrap: boundary fills, per-axis
-// depths, AA's slot stars and the sparse run index all live in ghost
-// layers.
-func GhostWidths(shape [3]int, bounded [3]bool, uniformDepth bool, stream StreamScheme, sparse bool, dk [3]int) [3]int {
-	if shape[1] == 1 && shape[2] == 1 && bounded == ([3]bool{}) && uniformDepth &&
-		stream != StreamAA && !sparse {
-		dk[1], dk[2] = 0, 0
+// both ask it. x always carries dk[0] = depth[0]·k ghost cells per side.
+// Axis a ∈ {y, z} carries dk[a] iff it has something to put in them: a
+// neighbour (the axis is cut, shape[a] > 1) or a wall (it is bounded) —
+// or the run is AA or sparse, whose slot stars and run index live in
+// ghost layers whatever the axis. Otherwise it is a wrap axis of width 0:
+// an uncut periodic axis is its own neighbour, so the kernels fold across
+// it (stream.go, gather.go, buildFixups) instead of reading copies of
+// their own far side, and it has no depth — nothing is refreshed, nothing
+// goes stale. The paper's periodic slab is the case w = {d·k, 0, 0}; the
+// quasi-2-D wall-bounded scenarios (cavity, channel) wrap z alone.
+func GhostWidths(shape [3]int, bounded [3]bool, stream StreamScheme, sparse bool, dk [3]int) [3]int {
+	if stream == StreamAA || sparse {
+		return dk
+	}
+	for a := 1; a < 3; a++ {
+		if shape[a] == 1 && !bounded[a] {
+			dk[a] = 0
+		}
 	}
 	return dk
 }
 
-// slabPath reports whether the run keeps the paper's x-only ghost
-// geometry (GhostWidths), and with it the legality of the Orig and AoS
-// rungs.
-func (c *Config) slabPath(dec decomp.Cartesian) bool {
-	_, w := c.ghostGeometry(dec)
-	return w[1] == 0 && w[2] == 0
+// PaperGeometry reports whether a run has the geometry the two rungs that
+// predate the SoA ghost-cell kernels — the no-ghost Orig protocol and the
+// AoS layout — were written for, as an error that says what it means when
+// it does not. Config.init and perfsim.Run reject with the same sentence.
+func PaperGeometry(shape [3]int, bounded [3]bool, stream StreamScheme, sparse bool) error {
+	if shape[1] == 1 && shape[2] == 1 && bounded == ([3]bool{}) && stream != StreamAA && !sparse {
+		return nil
+	}
+	return fmt.Errorf("the no-ghost Orig protocol and the AoS layout run only on the paper's geometry: a fully periodic domain cut into P×1×1 slabs, two-grid, dense (one depth, on x); use a ghost-cell level and the SoA layout")
 }
 
 // ghostGeometry resolves the run's per-axis deep-halo depths and ghost
@@ -616,8 +612,16 @@ func (c *Config) ghostGeometry(dec decomp.Cartesian) (depth, w [3]int) {
 	for a := range w {
 		w[a] = depth[a] * c.Model.MaxSpeed
 	}
-	return depth, GhostWidths(dec.Shape(), dec.Bounded, c.GhostDepthAxes == ([3]int{}), c.Stream, c.Sparse, w)
+	if testGhostsEveryAxis {
+		return depth, w
+	}
+	return depth, GhostWidths(dec.Shape(), dec.Bounded, c.Stream, c.Sparse, w)
 }
+
+// testGhostsEveryAxis, set by tests, makes every run carry ghosts on every
+// axis — the reference geometry a wrap axis must reproduce to the last bit
+// (TestWrapAxisBitIdentity).
+var testGhostsEveryAxis bool
 
 // aaDepths rounds per-axis deep-halo depths up to the next even value:
 // the AA pattern consumes 2k cells of ghost validity per step pair and

@@ -17,10 +17,12 @@ import (
 // missing a layer the next step consumes, an AA pair reading a slot the
 // pair-start exchange didn't cover — pulls NaN into an owned cell, and
 // NaN survives every downstream collision. The slab-* cases run with
-// ghosts on x only (the kernels wrap y and z), the rest with ghosts on
-// every axis. The clean/poisoned comparison
-// is immune to the usual NaN-comparison trap (NaN > x is false) because
-// the poisoned field is scanned for NaN explicitly first.
+// ghosts on x only (the kernels wrap y and z), pencil-inlet-masked with
+// ghosts on x and y (its periodic uncut z wraps), the rest — cut or
+// walled on every axis, sparse, or AA — with ghosts on every axis. The
+// clean/poisoned comparison is immune to the usual NaN-comparison trap
+// (NaN > x is false) because the poisoned field is scanned for NaN
+// explicitly first.
 func TestGhostPoisonInvariance(t *testing.T) {
 	n := grid.Dims{NX: 24, NY: 16, NZ: 16}
 	solid := geom.CylinderZ(n, 8, 8.3, 2.5)
@@ -54,6 +56,12 @@ func TestGhostPoisonInvariance(t *testing.T) {
 		{"pencil-inlet-masked", Config{
 			Model: lattice.D3Q19(), N: n, Tau: 0.7, Steps: 5,
 			Opt: OptGCC, Ranks: 4, Threads: 2, Decomp: [3]int{2, 2, 1}, GhostDepth: 1,
+			Boundary: InletChannelSpec(0.05, nil), Solid: solid,
+		}},
+		// The same channel cut on z: two-grid, bounded, z ghosts stale.
+		{"pencil-zcut-inlet-masked-deep", Config{
+			Model: lattice.D3Q19(), N: n, Tau: 0.7, Steps: 5,
+			Opt: OptGCC, Ranks: 4, Threads: 2, Decomp: [3]int{2, 1, 2}, GhostDepth: 2,
 			Boundary: InletChannelSpec(0.05, nil), Solid: solid,
 		}},
 		{"sparse-slab-gcc-masked-deep", Config{

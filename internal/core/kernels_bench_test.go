@@ -327,7 +327,7 @@ func BenchmarkBoxExchangeProtocols(b *testing.B) {
 
 // Whole-step thread scaling: full runs through the persistent worker
 // pool, on the periodic slab (x-only ghosts) and on a TRT lid-driven cavity
-// (ghosts on every axis, bounce-back fixups, face fills — every threaded
+// (ghosts on x and y, z wrapped, bounce-back fixups, face fills — every threaded
 // path of a bounded step). On multi-core hosts Mcell/s rises with the thread
 // count; the CI smoke sweep executes one iteration of each case to keep
 // the pool dispatch paths compiling and running.

@@ -266,15 +266,21 @@ func TestPlanStepSlabDegenerate(t *testing.T) {
 // whole region — it never read a ghost before the axis's WaitUnpackAxis
 // would have refreshed it.
 func TestOverlapPoisonGhosts(t *testing.T) {
+	// An uncut periodic y or z is a wrap axis with no ghosts to poison;
+	// this worst case needs them on every axis.
+	testGhostsEveryAxis = true
+	defer func() { testGhostsEveryAxis = false }()
 	for _, fused := range []bool{false, true} {
 		cfg := Config{
 			Model: lattice.D3Q19(), N: grid.Dims{NX: 8, NY: 7, NZ: 6},
 			Tau: 0.8, Steps: 1, Opt: OptGCC, Ranks: 1, Threads: 1, GhostDepth: 2,
 			Fused: fused, Init: waveInit(grid.Dims{NX: 8, NY: 7, NZ: 6}),
-			// Per-axis depths put ghosts on every axis of the 1-rank shape.
 			GhostDepthAxes: [3]int{2, 2, 1},
 		}
 		cs := buildStepper(t, cfg)
+		if cs.w[1] == 0 || cs.w[2] == 0 {
+			t.Fatalf("fused=%v: ghost widths %v, want ghosts on every axis", fused, cs.w)
+		}
 		cs.initField()
 		// Poison every cell outside the owned box.
 		owned := box{lo: cs.w, hi: [3]int{cs.w[0] + cs.own[0], cs.w[1] + cs.own[1], cs.w[2] + cs.own[2]}}

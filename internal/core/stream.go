@@ -8,13 +8,14 @@ package core
 // the same bytes; they differ only in write locality.
 //
 // The ladder's three forms — scalar, copy, table-indexed — are each written
-// once for both ghost geometries. x always carries ghosts, so the source
-// plane is a plain offset. y goes through the wrap every form already has
-// (modulo, conditional, table), which is the identity wherever ghosts keep
-// iy − cy inside the row range. z is the one place the geometries differ in
-// shape, and zShift holds it: a cyclic rotation of the whole row on a wrap
-// axis, an offset copy of the box's z-range when ghosts cover the reach.
-// Streaming only moves values, so every form yields the same field.
+// once for every ghost geometry; y and z are ghosted or wrapped
+// independently of each other (GhostWidths). x always carries ghosts, so
+// the source plane is a plain offset. y goes through the wrap every form
+// already has (modulo, conditional, table), which is the identity wherever
+// ghosts keep iy − cy inside the row range. z is the one place a wrap axis
+// differs in shape, and zShift holds it: a cyclic rotation of the whole row
+// on a wrap axis, an offset copy of the box's z-range when ghosts cover the
+// reach. Streaming only moves values, so every form yields the same field.
 
 // bindStream builds the source-row tables and resolves the stream kernel
 // for the configured level; sparse traversal overrides the ladder with

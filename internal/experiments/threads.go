@@ -91,6 +91,6 @@ func RealThreads(modelName string, maxThreads, steps int, colSpec collision.Spec
 	}
 	t.Notes = append(t.Notes,
 		"op gap = bgk / operator rate on the identical domain (the cost of the generic path)",
-		"cavity column: bounded domain (ghosts on every axis), 2 slab ranks, GC-C rims drained from the shared chunk queue")
+		"cavity column: bounded domain (ghosts on x and y, z wrapped), 2 slab ranks, GC-C rims drained from the shared chunk queue")
 	return t, nil
 }

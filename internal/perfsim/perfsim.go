@@ -13,13 +13,15 @@
 // There is one ghost-cell schedule (simState.run), as there is one stepper:
 // the ghost geometry is data, per-axis widths obtained from the solver's
 // own rule (core.GhostWidths, fed Job.Decomp, Job.Bounded, Job.Stream and
-// whether a rank fluid profile is present). The paper's periodic slab is
-// its x-only case; bounded, AA and sparse slabs and every multi-axis shape
-// carry ghosts on all three axes — box growth, face cross-sections, local
-// wraps and resident memory follow the widths, so the model prices each
-// job on the geometry the solver runs it on and rejects the jobs the
-// solver rejects. The no-ghost Orig protocol keeps its own per-step loop
-// (runOrig) over the same per-rank geometry table.
+// whether a rank fluid profile is present). The rule is per axis: a cut or
+// bounded axis carries ghosts, an uncut periodic y or z is a wrap axis of
+// width 0 — the paper's periodic slab is the x-only case, a cavity or a
+// P×Q×1 pencil wraps z — and AA and sparse jobs carry ghosts on all three.
+// Box growth, face cross-sections, local wraps and resident memory follow
+// the widths, so the model prices each job on the geometry the solver runs
+// it on and rejects the jobs the solver rejects. The no-ghost Orig protocol
+// keeps its own per-step loop (runOrig) over the same per-rank geometry
+// table.
 //
 // Per-optimization-level efficiency factors are calibrated once, in
 // calibration.go, against the paper's own statements (e.g. "DH gained 30%
@@ -62,20 +64,19 @@ type Job struct {
 	// Decomp is the rank-grid shape (Px, Py, Pz); its product must equal
 	// Nodes × TasksPerNode. The zero value selects the paper's 1-D slab.
 	// The shape is the first input of the ghost-geometry rule
-	// (core.GhostWidths): a P×1×1 slab of a periodic, two-grid, dense job
-	// keeps ghosts on x only; every other job carries them on all axes and
-	// refreshes them in the sequential per-axis exchange of the solver —
-	// per-axis message sizes shrink with the block cross-sections, which
-	// is how 3-D beats 1-D per-rank surface at scale.
+	// (core.GhostWidths): a cut axis carries ghosts, an uncut periodic y or
+	// z of a two-grid dense job carries none — a P×1×1 slab keeps ghosts on
+	// x only. Ghosted axes refresh in the sequential per-axis exchange of
+	// the solver; per-axis message sizes shrink with the block
+	// cross-sections, which is how 3-D beats 1-D per-rank surface at scale.
 	Decomp [3]int
 	// Bounded marks non-periodic axes (walls, lids, outflow): the edge
 	// ranks of a bounded axis have no wraparound partner, so they skip
 	// the message across the global boundary and write their boundary
 	// ghost faces locally instead (a memory copy, not a message) — the
 	// schedule of the bounded solver. An interior rank of a bounded axis
-	// communicates exactly like a periodic one. Any bounded axis puts
-	// ghosts on every axis (boundary fills live in ghost layers), slab
-	// shapes included.
+	// communicates exactly like a periodic one. A bounded axis carries
+	// ghosts whatever the shape (boundary fills live in ghost layers).
 	Bounded [3]bool
 	Steps   int
 	Depth   int // ghost-cell depth (1 for OptOrig)
@@ -382,13 +383,17 @@ func Run(j Job) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// The ghost geometry is the solver's: Job.Depth is one uniform depth, a
-	// rank fluid profile means the sparse traversal. Orig's transient
-	// egress margins are the depth-1 x-only case, the only one it has.
+	// The ghost geometry is the solver's: Job.Depth is the depth of every
+	// axis that has one, a rank fluid profile means the sparse traversal.
+	// Orig's transient egress margins are the depth-1 x-only case, the only
+	// one it has.
 	dk := j.Depth * j.K
-	w := core.GhostWidths(j.Decomp, j.Bounded, true, j.Stream, j.RankFluids != nil, [3]int{dk, dk, dk})
-	if j.Opt == core.OptOrig && (w[1] > 0 || w[2] > 0) {
-		return nil, fmt.Errorf("perfsim: the no-ghost Orig protocol is periodic-slab-only (two-grid, dense); use a ghost-cell level")
+	sparse := j.RankFluids != nil
+	w := core.GhostWidths(j.Decomp, j.Bounded, j.Stream, sparse, [3]int{dk, dk, dk})
+	if j.Opt == core.OptOrig {
+		if err := core.PaperGeometry(j.Decomp, j.Bounded, j.Stream, sparse); err != nil {
+			return nil, fmt.Errorf("perfsim: %v", err)
+		}
 	}
 	for a := 0; a < 3; a++ {
 		// A border message must be owned entirely by one rank.
@@ -456,7 +461,7 @@ type simState struct {
 	rt    rates
 	ranks int
 	// w is the ghost width per side per axis (core.GhostWidths): depth·k,
-	// or 0 on the periodic slab's y and z, which the kernels wrap.
+	// or 0 on a wrap axis — an uncut periodic y or z, which the kernels fold.
 	w     [3]int
 	geo   []rankGeom
 	clock []float64

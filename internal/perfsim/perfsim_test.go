@@ -512,9 +512,9 @@ func TestBoundedAxesReduceCommunication(t *testing.T) {
 	}
 
 	// The bounded slab schedule: a 2-rank slab with a bounded x axis
-	// exchanges one face per rank instead of two — and, like every bounded
-	// run of the solver, carries ghosts on y and z too, so that face spans
-	// 34×34 cells, not 32×32 (what core.Run reports as HaloAxisBytes).
+	// exchanges one face per rank instead of two. y and z are uncut and
+	// periodic, so they stay wrap axes as on the periodic slab and that
+	// face spans 32×32 cells (what core.Run reports as HaloAxisBytes).
 	slab := Job{
 		Machine: machine.BGQ(), Spec: machine.SpecD3Q19(), K: 1,
 		Nodes: 2, TasksPerNode: 1, ThreadsPerTask: 1,
@@ -525,7 +525,7 @@ func TestBoundedAxesReduceCommunication(t *testing.T) {
 	slabB := slab
 	slabB.Bounded = [3]bool{true, false, false}
 	slabBnd := mustRun(t, slabB)
-	if got, want := slabBnd.AxisBytes[0], float64(19*8*34*34); got != want {
+	if got, want := slabBnd.AxisBytes[0], float64(19*8*32*32); got != want {
 		t.Errorf("bounded slab x bytes = %g, want %g", got, want)
 	}
 	if sum(slabBnd.CommSeconds) >= sum(slabP.CommSeconds) {
@@ -548,10 +548,11 @@ func TestBoundedAxesReduceCommunication(t *testing.T) {
 func TestAAStreamModel(t *testing.T) {
 	tg := fig8Job(machine.BGP(), machine.SpecD3Q19(), 1, core.OptSIMD)
 	tg.Depth = 2 // even: AA's pair-cadence rounding leaves the halo margins equal
-	// Compared at like geometry: a pencil carries ghosts on every axis under
-	// both schemes. On the periodic slab the two-grid run wraps y and z in
-	// its kernels while AA, as in the solver, pays for ghost copies there.
-	tg.Decomp = [3]int{tg.Nodes * tg.TasksPerNode / 2, 2, 1}
+	// Compared at like geometry: a block, cut on every axis, carries ghosts
+	// on every axis under both schemes. On an uncut periodic axis the
+	// two-grid run wraps in its kernels while AA, as in the solver, pays for
+	// ghost copies there.
+	tg.Decomp = [3]int{tg.Nodes * tg.TasksPerNode / 4, 2, 2}
 	aa := tg
 	aa.Stream = core.StreamAA
 	rtg := mustRun(t, tg)

@@ -104,7 +104,8 @@ func TestModelGeometryIsTheSolvers(t *testing.T) {
 
 // TestModelMemoryIsTheSolvers: BytesPerTask is the memory the solver
 // holds. A dense job is priced at exactly the busiest rank's allocation —
-// uneven cuts, x-only slab ghosts, AA's single field included. A sparse
+// uneven cuts, wrap axes (the periodic slab's y and z, the cavity's, the
+// channel's and the 2×2×1 pencil's z), AA's single field included. A sparse
 // job used to be priced (and OOM-judged) at the dense box the solver no
 // longer allocates; it is priced at the busiest rank's fluid cells, ghost
 // share included, within 10 % of what the fluid-compact fields occupy.
@@ -123,7 +124,7 @@ func TestModelMemoryIsTheSolvers(t *testing.T) {
 	}
 	for _, model := range []*lattice.Model{lattice.D3Q19(), lattice.D3Q39()} {
 		for _, shape := range [][3]int{{1, 1, 1}, {3, 1, 1}, {2, 2, 1}, {2, 2, 2}} {
-			for _, boundary := range []*core.BoundarySpec{nil, core.ChannelSpec()} {
+			for _, boundary := range []*core.BoundarySpec{nil, core.ChannelSpec(), core.CavitySpec(0.05)} {
 				for _, stream := range []core.StreamScheme{core.StreamTwoGrid, core.StreamAA} {
 					for _, depth := range []int{1, 2} {
 						// 40 planes over 3 ranks: the busiest owns 14.
@@ -178,6 +179,99 @@ func TestModelMemoryIsTheSolvers(t *testing.T) {
 	}
 }
 
+// TestPerAxisDepthSlabIsPricedAsRun: the tuner's {d,1,1} slab candidates
+// are priced as the uniform depth-d job (Job.Depth is scalar). Since a wrap
+// axis has no depth that is the job the solver runs: payload, ghost work
+// and memory agree exactly.
+func TestPerAxisDepthSlabIsPricedAsRun(t *testing.T) {
+	const steps = 5
+	for _, c := range []solverCase{
+		{lattice.D3Q19(), [3]int{24, 24, 24}, [3]int{2, 1, 1}, nil, core.StreamTwoGrid, 2, core.OptGCC},
+		{lattice.D3Q19(), [3]int{24, 24, 24}, [3]int{2, 1, 1}, nil, core.StreamTwoGrid, 3, core.OptGC},
+		{lattice.D3Q39(), [3]int{24, 24, 24}, [3]int{2, 1, 1}, nil, core.StreamTwoGrid, 2, core.OptGCC},
+	} {
+		cfg := c.config(steps)
+		cfg.GhostDepth, cfg.GhostDepthAxes = 0, [3]int{c.depth, 1, 1}
+		real, err := core.Run(cfg)
+		if err != nil {
+			t.Fatalf("%v: solver: %v", c, err)
+		}
+		sim := mustRun(t, c.job(steps))
+		if got, want := sim.AxisBytes, [3]float64{float64(real.HaloAxisBytes[0])}; got != want {
+			t.Errorf("%v {d,1,1}: payload: model %v B, solver %v B", c, got, real.HaloAxisBytes)
+		}
+		if ghost := sim.GhostUpdateFraction * steps * 24 * 24 * 24; math.Abs(ghost-float64(real.GhostUpdates)) > 1e-6 {
+			t.Errorf("%v {d,1,1}: ghost updates: model %.3f, solver %d", c, ghost, real.GhostUpdates)
+		}
+		if got, want := sim.BytesPerTask, float64(real.PerRank[0].FieldBytes); got != want {
+			t.Errorf("%v {d,1,1}: model prices %.0f B per task, the solver holds %.0f B", c, got, want)
+		}
+	}
+}
+
+// TestLegacyRungsRejectedByBoth: the no-ghost Orig protocol and the AoS
+// layout exist for the paper's geometry alone, and the solver and the model
+// say so in one sentence (core.PaperGeometry) — stated, not read off the
+// ghost widths: an x-walled slab has the periodic slab's widths {k,0,0},
+// and a model that let Orig onto it indexed a neighbour that is not there.
+func TestLegacyRungsRejectedByBoth(t *testing.T) {
+	q19 := lattice.D3Q19()
+	xWalls := &core.BoundarySpec{}
+	xWalls.Faces[0] = [2]core.Face{{Kind: core.BCWall}, {Kind: core.BCWall}}
+	n, two := [3]int{16, 16, 16}, [3]int{2, 1, 1}
+	slab := solverCase{q19, n, two, nil, core.StreamTwoGrid, 1, core.OptOrig}
+	for _, c := range []struct {
+		name   string
+		sc     solverCase
+		layout grid.Layout
+		depths [3]int
+		model  bool // expressible as a Job, which has no layout and one depth
+		reason string
+	}{
+		{"Orig × x walls", solverCase{q19, n, two, xWalls, core.StreamTwoGrid, 1, core.OptOrig}, grid.SoA, [3]int{}, true, "paper's geometry"},
+		{"Orig × pencil", solverCase{q19, n, [3]int{2, 2, 1}, nil, core.StreamTwoGrid, 1, core.OptOrig}, grid.SoA, [3]int{}, true, "paper's geometry"},
+		{"AoS × cavity", solverCase{q19, n, [3]int{1, 1, 1}, core.CavitySpec(0.05), core.StreamTwoGrid, 1, core.OptGC}, grid.AoS, [3]int{}, false, "paper's geometry"},
+		{"AoS × x walls", solverCase{q19, n, two, xWalls, core.StreamTwoGrid, 1, core.OptGC}, grid.AoS, [3]int{}, false, "paper's geometry"},
+		// The slab's one depth is x's, whichever field carries it.
+		{"Orig × {2,1,1}", slab, grid.SoA, [3]int{2, 1, 1}, false, "GhostDepth must be 1"},
+	} {
+		cfg := c.sc.config(2)
+		cfg.Layout, cfg.GhostDepthAxes = c.layout, c.depths
+		cerr := cfg.Validate()
+		if cerr == nil || !strings.Contains(cerr.Error(), c.reason) {
+			t.Errorf("%s: solver error %v, want one naming %q", c.name, cerr, c.reason)
+			continue
+		}
+		if !c.model {
+			continue
+		}
+		_, perr := Run(c.sc.job(2))
+		if perr == nil {
+			t.Errorf("%s: the model prices a job the solver rejects (%v)", c.name, cerr)
+			continue
+		}
+		if got, want := strings.TrimPrefix(perr.Error(), "perfsim: "), strings.TrimPrefix(cerr.Error(), "core: "); got != want {
+			t.Errorf("%s: model says %q, solver says %q", c.name, got, want)
+		}
+	}
+	// The paper's geometry itself takes both rungs, at either spelling of
+	// its depth.
+	for _, mod := range []func(*core.Config){
+		func(cfg *core.Config) {},
+		func(cfg *core.Config) { cfg.Layout = grid.AoS },
+		func(cfg *core.Config) { cfg.GhostDepth, cfg.GhostDepthAxes = 0, [3]int{1, 2, 2} },
+	} {
+		cfg := slab.config(2)
+		mod(&cfg)
+		if err := cfg.Validate(); err != nil {
+			t.Errorf("Orig on the periodic slab (layout %v, depths %v): %v", cfg.Layout, cfg.GhostDepthAxes, err)
+		}
+	}
+	if _, err := Run(slab.job(2)); err != nil {
+		t.Errorf("Orig on the periodic slab: model: %v", err)
+	}
+}
+
 // TestHaloWiderThanBlockRejectedByBoth: a border message must be owned
 // entirely by one rank, on every ghosted axis; the model refuses exactly
 // the jobs the solver refuses, in the solver's words.
@@ -188,7 +282,8 @@ func TestHaloWiderThanBlockRejectedByBoth(t *testing.T) {
 		{q39, [3]int{16, 16, 16}, [3]int{4, 1, 1}, nil, core.StreamTwoGrid, 2, core.OptGCC},
 		// AA rounds depth 1 up to 2: 6 cells of halo on 4-cell blocks.
 		{q39, [3]int{16, 16, 16}, [3]int{4, 1, 1}, nil, core.StreamAA, 1, core.OptGC},
-		// Bounded and AA slabs carry ghosts on y and z as well.
+		// A bounded axis and every axis of an AA run carry ghosts, slab
+		// shapes included.
 		{q19, [3]int{32, 4, 32}, [3]int{2, 1, 1}, core.ChannelSpec(), core.StreamTwoGrid, 5, core.OptGC},
 		{q19, [3]int{32, 32, 6}, [3]int{2, 1, 1}, nil, core.StreamAA, 7, core.OptNBC},
 		{q19, [3]int{32, 32, 8}, [3]int{2, 2, 2}, nil, core.StreamTwoGrid, 5, core.OptGCC},

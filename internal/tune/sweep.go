@@ -54,7 +54,11 @@ type Point struct {
 // for the bytes-per-message ratio, a pencil for multi-axis exchange, a
 // thread ladder for the saturation ramp and the Amdahl term), and the
 // holdout points carry one non-baseline kernel each for the closed-form
-// cost ratios.
+// cost ratios. The pencil is cut on y and z, not on x: x carries ghosts
+// on every shape, so the point has one local wrap — copies priced at the
+// copy bandwidth, no wire — beside two messaging axes. A 2×2×1 pencil has
+// none (its uncut z is a wrap axis, core.GhostWidths), and without one
+// latency and link bandwidth trade off in the fit.
 func Points() []Point {
 	pt := func(label string, opt core.OptLevel, shape [3]int, depth, threads int) Point {
 		return Point{Label: label, Candidate: Candidate{
@@ -67,7 +71,7 @@ func Points() []Point {
 		p.Kernel, p.Fused, p.Stream, p.Holdout = kernel, fused, stream.String(), true
 		return p
 	}
-	one, slab, pencil := [3]int{1, 1, 1}, [3]int{2, 1, 1}, [3]int{2, 2, 1}
+	one, slab, pencil := [3]int{1, 1, 1}, [3]int{2, 1, 1}, [3]int{1, 2, 2}
 	return []Point{
 		pt("slab GC blocking d1 r2", core.OptGC, slab, 1, 1),
 		pt("slab GC blocking d2 r2", core.OptGC, slab, 2, 1),
