@@ -151,6 +151,7 @@ func deepHaloSweep() {
 		}
 		fmt.Println()
 	}
-	fmt.Println("Deeper halos trade extra ghost-cell computation for fewer messages;")
+	fmt.Println("Deeper halos trade extra ghost-cell computation — and whole-cell faces, where a")
+	fmt.Println("depth-1 face carries only the populations streaming reads — for fewer messages;")
 	fmt.Println("they pay off once the per-rank domain is large enough (paper Fig. 10).")
 }

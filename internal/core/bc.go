@@ -238,15 +238,19 @@ func (b *BoundarySpec) validate() error {
 // hasWallFaces reports whether any face uses the bounce-back fixup
 // machinery: walls, moving walls and velocity inlets (whose Zou-He
 // inversion is a bounce-back with a prescribed odd part).
-func (b *BoundarySpec) hasWallFaces() bool {
+func (b *BoundarySpec) hasWallFaces() bool { return b.hasFace(BCWall, BCMovingWall, BCInlet) }
+
+// hasFace reports whether any face is of one of the given kinds.
+func (b *BoundarySpec) hasFace(kinds ...BCKind) bool {
 	if b == nil {
 		return false
 	}
 	for a := 0; a < 3; a++ {
 		for s := 0; s < 2; s++ {
-			switch b.Faces[a][s].Kind {
-			case BCWall, BCMovingWall, BCInlet:
-				return true
+			for _, k := range kinds {
+				if b.Faces[a][s].Kind == k {
+					return true
+				}
 			}
 		}
 	}

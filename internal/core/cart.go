@@ -18,7 +18,9 @@ package core
 // Every rung collides with the row kernel collide.go selects for it and
 // streams with the form stream.go selects for it — in separate passes, or
 // row by row in the gather sweep of gather.go (fused, AA) — so 1-D and 3-D
-// runs agree bit for bit. NB-C and above switch the per-axis exchange to the
+// runs agree bit for bit. On two fields every path computes the next state
+// in fadv and the fields swap when the step is done: the state f is never
+// written mid-step. NB-C and above switch the per-axis exchange to the
 // posted-receive protocol; GC-C and above run the phased overlapped
 // schedule of schedule.go (interior box while messages fly, per-axis rims
 // after each WaitUnpackAxis). The no-ghost Orig protocol (orig.go) rides
@@ -74,7 +76,7 @@ type cartStepper struct {
 	f, fadv *grid.Field // fadv is nil under AA streaming (single-field)
 	ex      *halo.CartExchanger
 	aa      bool       // AA-pattern in-place streaming (aa.go)
-	gathers bool       // fused or AA: a step is one gather sweep (gather.go), not stream → fixup → collide → sponge
+	gathers bool       // fused or AA: a step is one gather sweep (gather.go), not stream → fixup → collide
 	orig    *origProto // the no-ghost protocol (orig.go); nil on every ghost-cell rung
 
 	br           *boxRunner
@@ -176,7 +178,7 @@ func newCartStepper(cfg *Config, dec decomp.Cartesian, r *comm.Rank) (*cartStepp
 	if cs.runStart != nil {
 		stored = cs.clip
 	}
-	cs.ex, err = halo.NewCartExchangerClipped(cfg.Model.Q, cs.d, cs.own, cs.w, r.ID, top.Neighbors(r.ID), stored)
+	cs.ex, err = halo.NewCartExchangerClipped(cfg.Model.Q, cs.d, cs.own, cs.w, r.ID, top.Neighbors(r.ID), stored, cfg.faceVelocities(cs.w))
 	if err != nil {
 		return nil, err
 	}
@@ -189,13 +191,14 @@ func newCartStepper(cfg *Config, dec decomp.Cartesian, r *comm.Rank) (*cartStepp
 	return cs, nil
 }
 
-// testPoisonGhosts, set by tests, floods every cell with NaN before the
-// owned region is initialized. Every ghost copy is then poison until the
-// exchange or face fill that defines it runs, so a kernel that consumes a
-// ghost value one step too early — an off-by-one in the shrinking-box
-// schedule, a missed axis in a refresh, a fill pass that skips a layer —
-// drags NaN into the owned region and fails the bit-exact comparison
-// against the clean run. NaN is the one poison that survives arithmetic.
+// testPoisonGhosts, set by tests, floods every cell of both fields with NaN
+// before the owned region is initialized. Every ghost slot is then poison
+// until the exchange or face fill that defines it runs, so a kernel that
+// consumes a ghost value one step too early — an off-by-one in the
+// shrinking-box schedule, a missed axis in a refresh, a fill pass that
+// skips a layer, a population a depth-1 face does not carry — drags NaN
+// into the owned region and fails the bit-exact comparison against the
+// clean run. NaN is the one poison that survives arithmetic.
 var testPoisonGhosts bool
 
 func poisonField(f *grid.Field) {
@@ -211,6 +214,9 @@ func poisonField(f *grid.Field) {
 func (cs *cartStepper) initField() {
 	if testPoisonGhosts {
 		poisonField(cs.f)
+		if cs.fadv != nil {
+			poisonField(cs.fadv) // the fields swap: its ghosts are live one step later
+		}
 	}
 	feq := make([]float64, cs.model.Q)
 	cs.forRuns(cs.ownedBox(), func(ix, iy, zlo, zhi, base int) {
@@ -288,13 +294,30 @@ func (cs *cartStepper) jitter() {
 	time.Sleep(time.Duration(cs.jit.Float64() * float64(cs.cfg.StepJitter)))
 }
 
-// step advances one time step on destination box b, refreshing the stale
-// axes' ghosts first — overlapped with the compute under the GC-C
-// schedule when messages are in play, synchronously otherwise (always
-// under AA). Open-face ghosts follow the current state every step: refilled
-// from it, or on AA's odd sub-step — no ghost is rewritten mid-pair —
-// replayed into the pushed slots (aa.go).
+// step advances one time step on destination box b: compute the next
+// state, then make it the state. On two fields that is the swap — nothing
+// wrote f while the step computed (TestStepNeverWritesState), which is why
+// any box may be advanced as soon as its inputs are valid — followed by
+// the split path's sponge pass on the new f (the gather sweep blends row
+// by row). AA's one field just flips its arrangement.
 func (cs *cartStepper) step(b box, stale [3]bool) {
+	cs.compute(b, stale)
+	if cs.aa {
+		cs.aaStar = !cs.aaStar
+		return
+	}
+	cs.f, cs.fadv = cs.fadv, cs.f
+	if !cs.gathers {
+		cs.spongeBox(b)
+	}
+}
+
+// compute refreshes the stale axes' ghosts and advances box b — overlapped
+// under the GC-C schedule when messages are in play, synchronously
+// otherwise (always under AA). Open-face ghosts follow the current state
+// every step: refilled from it, or on AA's odd sub-step — no ghost is
+// rewritten mid-pair — replayed into the pushed slots (aa.go).
+func (cs *cartStepper) compute(b box, stale [3]bool) {
 	if cs.aaStar {
 		cs.aaFixOpenFaces(b)
 	} else {
@@ -302,26 +325,12 @@ func (cs *cartStepper) step(b box, stale [3]bool) {
 	}
 	if cs.cfg.Opt >= OptGCC && !cs.aa && cs.hasMessagingStale(stale) {
 		cs.overlappedStep(b, stale)
-	} else {
-		if stale != ([3]bool{}) {
-			cs.refreshAxes(stale)
-		}
-		if cs.gathers {
-			cs.gatherBox(b)
-		} else {
-			cs.streamBox(b)
-			cs.applyBounceBackBox(b)
-			cs.collideBox(b)
-		}
+		return
 	}
-	switch {
-	case cs.aa:
-		cs.aaStar = !cs.aaStar
-	case cs.cfg.Fused:
-		cs.f, cs.fadv = cs.fadv, cs.f
-	default:
-		cs.spongeBox(b) // the gather sweep blends row by row
+	if stale != ([3]bool{}) {
+		cs.refreshAxes(stale)
 	}
+	cs.advance(obs.Interior, obs.NoAxis, b)
 }
 
 // hasMessagingStale reports whether any stale axis exchanges real
@@ -392,7 +401,7 @@ func (cs *cartStepper) overlappedStep(b box, stale [3]bool) {
 	// the rank grid, so every rank agrees on this split), and keeping
 	// them out of the phase chain leaves the largest possible interior
 	// box overlapping the first messages and no message-free rim phases.
-	var chain, packLate [3]bool
+	var chain [3]bool
 	axes := make([]int, 0, 3) // stays on the stack
 	for a := 0; a < 3; a++ {
 		if stale[a] && !cs.ex.Messaging(a) {
@@ -404,26 +413,25 @@ func (cs *cartStepper) overlappedStep(b box, stale [3]bool) {
 			continue
 		}
 		chain[a] = true
-		packLate[a] = len(axes) > 0
 		axes = append(axes, a)
 	}
-	plan := planStep(b, cs.own, cs.w, cs.k, chain, packLate)
+	plan := planStep(b, cs.own, cs.w, cs.k, chain)
 	for _, a := range axes {
 		cs.ex.PostRecvsAxis(cs.r, a)
 	}
 	cs.beginAxis(axes[0])
-	cs.computeInterior(plan)
+	cs.advance(obs.Interior, obs.NoAxis, plan.interior)
 	for i, a := range axes {
 		if i > 0 {
 			// The previous axis completed below; this axis's pack now
 			// reads its fresh ghosts, and the previous axis's rims
 			// compute while this axis's messages fly.
 			cs.beginAxis(a)
-			cs.computeRims(plan, axes[i-1])
+			cs.advanceRims(plan, axes[i-1])
 		}
 		cs.ex.WaitUnpackAxis(cs.r, cs.f, a)
 	}
-	cs.computeRims(plan, axes[len(axes)-1])
+	cs.advanceRims(plan, axes[len(axes)-1])
 }
 
 // beginAxis starts one axis's ghost refresh at its slot: boundary faces
@@ -439,36 +447,34 @@ func (cs *cartStepper) beginAxis(axis int) {
 	cs.ex.ExchangeAxis(cs.r, cs.f, axis, false) // local wrap or boundary no-op
 }
 
-// computeInterior runs the overlap-safe part of a step: the stream-ahead
-// box (and, for the split kernels, the collide-ahead box) of the plan.
-func (cs *cartStepper) computeInterior(p stepPlan) {
-	if cs.gathers {
-		cs.gatherBox(p.interiorS)
-		return
-	}
-	cs.streamBox(p.interiorS)
-	cs.applyBounceBackBox(p.interiorS)
-	cs.collideBox(p.interiorC)
+// advanceRims finishes one stale axis's two rim slabs after its ghosts
+// became valid.
+func (cs *cartStepper) advanceRims(p stepPlan, axis int) {
+	cs.advance(obs.Rim, axis, p.rims[axis][0], p.rims[axis][1])
 }
 
-// computeRims finishes one stale axis's rim slabs after its ghosts became
-// valid.
-func (cs *cartStepper) computeRims(p stepPlan, axis int) {
-	ph := p.phases[axis]
+// advance computes one step's next state on the given disjoint boxes, out
+// of f into fadv — one gather sweep, or stream → fixup → collide where the
+// stream left it — each kernel one chunk batch over all the boxes (a thin
+// rim pair load-balances across the whole team: the separated ghost-region
+// loops of §V.D), timed as phase ph of axis. Nothing here writes f, so the
+// boxes of a step may be advanced in any order their inputs allow.
+func (cs *cartStepper) advance(ph obs.Phase, axis int, boxes ...box) {
 	if cs.gathers {
-		t0 := cs.rec.Begin()
-		cs.br.run(cs.gather, ph.streamRims[0], ph.streamRims[1])
-		cs.rec.EndAxis(obs.Rim, axis, t0)
+		cs.timed(cs.gather, ph, axis, boxes...)
 		return
 	}
+	cs.timed(cs.stream, ph, axis, boxes...)
+	cs.applyBounceBackBox(boxes...)
+	cs.timed(cs.collide, ph, axis, boxes...)
+}
+
+// timed runs one chunk kernel over the boxes as one batch, recorded as
+// phase ph of axis.
+func (cs *cartStepper) timed(kernel func(worker int, b box), ph obs.Phase, axis int, boxes ...box) {
 	t0 := cs.rec.Begin()
-	cs.streamBoxPair(ph.streamRims[0], ph.streamRims[1])
-	cs.rec.EndAxis(obs.Rim, axis, t0)
-	cs.applyBounceBackBox(ph.streamRims[0])
-	cs.applyBounceBackBox(ph.streamRims[1])
-	t0 = cs.rec.Begin()
-	cs.collideBoxPair(ph.collideRims[0], ph.collideRims[1])
-	cs.rec.EndAxis(obs.Rim, axis, t0)
+	cs.br.run(kernel, boxes...)
+	cs.rec.EndAxis(ph, axis, t0)
 }
 
 // faceBox returns the ghost box of one global boundary face: the full
@@ -707,40 +713,24 @@ func (cs *cartStepper) countUpdates(b box) {
 
 // streamBox advances the streaming step for destination box b with the
 // rung's stream kernel (stream.go).
-func (cs *cartStepper) streamBox(b box) {
-	t0 := cs.rec.Begin()
-	cs.br.run(cs.stream, b)
-	cs.rec.End(obs.Interior, t0)
-}
+func (cs *cartStepper) streamBox(b box) { cs.timed(cs.stream, obs.Interior, obs.NoAxis, b) }
 
-// streamBoxPair streams two disjoint boxes (the separated ghost-region
-// loops of §V.D) as one chunk batch, so a thin rim pair load-balances
-// across the whole team.
-func (cs *cartStepper) streamBoxPair(b1, b2 box) {
-	cs.br.run(cs.stream, b1, b2)
-}
-
-// collideBox applies the configured collision to box b.
-func (cs *cartStepper) collideBox(b box) {
-	t0 := cs.rec.Begin()
-	cs.br.run(cs.collide, b)
-	cs.rec.End(obs.Interior, t0)
-}
-
-// collideBoxPair collides two disjoint boxes as one chunk batch.
-func (cs *cartStepper) collideBoxPair(b1, b2 box) {
-	cs.br.run(cs.collide, b1, b2)
-}
+// collideBox applies the configured collision to box b of fadv.
+func (cs *cartStepper) collideBox(b box) { cs.timed(cs.collide, obs.Interior, obs.NoAxis, b) }
 
 // collideRuns is the split path's view-forming caller of the row kernel:
-// every z-run of the chunk, fadv → f in place. Rows come from forRuns —
-// full box rows dense, fluid z-runs under sparse traversal; the kernels
-// are per-z independent, so the two traversals agree per cell.
+// every z-run of the chunk relaxed in place, in fadv, where the stream and
+// the fixups left it (in aliases out row for row — collide.go's contract):
+// Q read-modify-write streams, and no line of the pre-stream field f is
+// touched. Rows come from forRuns — full box rows dense, fluid z-runs
+// under sparse traversal; the kernels are per-z independent, so the two
+// traversals agree per cell.
 func (cs *cartStepper) collideRuns(worker int, b box) {
 	sc := cs.scratch[worker]
 	cs.forRuns(b, func(ix, iy, zlo, zhi, base int) {
 		zn := zhi - zlo
-		cs.relax(sc, rowViews(sc.sv, cs.fadv, base, zn), rowViews(sc.dv, cs.f, base, zn), zn)
+		rows := rowViews(sc.sv, cs.fadv, base, zn)
+		cs.relax(sc, rows, rows, zn)
 	})
 }
 
@@ -753,17 +743,16 @@ func (cs *cartStepper) collideAoS(worker int, b box) {
 	cs.forRuns(b, func(ix, iy, zlo, zhi, base int) {
 		zn := zhi - zlo
 		rows, _ := sc.gathered(zn)
-		src := cs.fadv.Data[base*q : (base+zn)*q]
+		cells := cs.fadv.Data[base*q : (base+zn)*q]
 		for z := 0; z < zn; z++ {
 			for v := range rows {
-				rows[v][z] = src[z*q+v]
+				rows[v][z] = cells[z*q+v]
 			}
 		}
 		cs.relax(sc, rows, rows, zn)
-		dst := cs.f.Data[base*q : (base+zn)*q]
 		for z := 0; z < zn; z++ {
 			for v := range rows {
-				dst[z*q+v] = rows[v][z]
+				cells[z*q+v] = rows[v][z]
 			}
 		}
 	})
@@ -1059,17 +1048,15 @@ func applySpongeRow(m *lattice.Model, fc []float64, rows [][]float64, sig []floa
 	}
 }
 
-// spongeBox applies the sponge blend to the sponge-layer cells of box b,
-// after the step's collisions. Ghost copies inside b are sponged too
+// spongeBox applies the sponge blend to the sponge-layer cells of box b of
+// the step's new state (f, after the swap). Ghost copies inside b are sponged too
 // (σ is global-coordinate-based), which is what keeps deep-halo and
 // multi-rank runs equivalent to the single-rank one.
 func (cs *cartStepper) spongeBox(b box) {
 	if !cs.hasSponge {
 		return
 	}
-	t0 := cs.rec.Begin()
-	cs.br.run(cs.blend, b)
-	cs.rec.End(obs.Sponge, t0)
+	cs.timed(cs.blend, obs.Sponge, obs.NoAxis, b)
 }
 
 // spongeRows is spongeBox's chunk kernel.
@@ -1092,22 +1079,22 @@ func (cs *cartStepper) spongeRows(worker int, sub box) {
 	})
 }
 
-// applyBounceBackBox applies exactly the fixup links of box b through the
-// per-box index. Exactly b is what the phased schedule requires (a fixup
-// applied to a cell before that cell's rim stream would be overwritten by
-// it, so each fixup must run in the phase that streams its cell, and only
-// there) and always safe elsewhere: cells outside b were not streamed this
-// step, hold stale state, and are rewritten by a wider stream before ever
-// being read again. Chunked across the team by row spans: each link writes
-// one (velocity, cell) slot of fadv and reads only f; links partition by
-// their cell's (x, y) row, so chunks never touch the same memory.
-func (cs *cartStepper) applyBounceBackBox(b box) {
+// applyBounceBackBox applies exactly the fixup links of the given boxes
+// through the per-box index. Exactly those is what the phased schedule
+// requires (a fixup applied to a cell before that cell's rim stream would
+// be overwritten by it, so each fixup must run in the phase that streams
+// its cell, and only there) and always safe elsewhere: cells outside were
+// not streamed this step, hold an older state, and are rewritten by a wider
+// stream before ever being read again. Chunked across the team by row
+// spans: each link writes one (velocity, cell) slot of fadv — ahead of the
+// collide that then relaxes the cell in place — and reads only f; links
+// partition by their cell's (x, y) row, so chunks never touch the same
+// memory.
+func (cs *cartStepper) applyBounceBackBox(boxes ...box) {
 	if cs.fix.empty() {
 		return
 	}
-	t0 := cs.rec.Begin()
-	cs.br.run(cs.bounce, b)
-	cs.rec.End(obs.Fixup, t0)
+	cs.timed(cs.bounce, obs.Fixup, obs.NoAxis, boxes...)
 }
 
 func (cs *cartStepper) bounceRows(worker int, sub box) { cs.fix.applyBox(cs.f, cs.fadv, sub) }

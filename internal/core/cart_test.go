@@ -210,7 +210,11 @@ func TestCartGhostUpdatesAccounting(t *testing.T) {
 // slab stepper it replaced had — local dims (own+2w, NY, NZ), no halo on y
 // and z — because the allocation, the halo bytes and the ghost work of the
 // paper's own configurations follow from it. The counters are the values
-// the slab stepper produced on these runs at the commit that deleted it.
+// the slab stepper produced on these runs at the commit that deleted it —
+// but for the depth-1 NB-C run's bytes: its faces carry the 5 of 19
+// populations with c_x pointing out of each ghost (DirectedFaces), 2 sides
+// × 5 × 80 cells × 8 B = 6400 B per exchange where all 19 were 24320 B,
+// which is to the byte what the no-ghost Orig protocol below ships.
 func TestXOnlyGeometryUnchanged(t *testing.T) {
 	n := grid.Dims{NX: 24, NY: 8, NZ: 10}
 	type rank struct{ bytes, msgs int64 }
@@ -226,7 +230,7 @@ func TestXOnlyGeometryUnchanged(t *testing.T) {
 		{Config{Model: lattice.D3Q39(), N: n, Tau: 0.8, Steps: 5, Opt: OptSIMD, Ranks: 1, Threads: 1, GhostDepth: 2},
 			1440, [3]int64{}, rank{}, grid.Dims{NX: 24 + 2*6, NY: 8, NZ: 10}},
 		{Config{Model: lattice.D3Q19(), N: n, Tau: 0.8, Steps: 5, Opt: OptNBC, Ranks: 3, Threads: 1, GhostDepth: 1},
-			0, [3]int64{24320, 0, 0}, rank{121600, 10}, grid.Dims{NX: 8 + 2, NY: 8, NZ: 10}},
+			0, [3]int64{6400, 0, 0}, rank{32000, 10}, grid.Dims{NX: 8 + 2, NY: 8, NZ: 10}},
 		{Config{Model: lattice.D3Q19(), N: n, Tau: 0.8, Steps: 5, Opt: OptOrig, Ranks: 2, Threads: 1, GhostDepth: 1},
 			0, [3]int64{}, rank{32000, 10}, grid.Dims{NX: 12 + 2, NY: 8, NZ: 10}},
 	} {

@@ -7,9 +7,10 @@ package core
 // (f ← f_adv − ω(f_adv − f_eq(ρ,u)), the structure of the paper's Fig. 4);
 // the callers differ only in how they form the views:
 //
-//   - split: forRuns z-runs of fadv → f — full rows dense, fluid runs under
-//     sparse traversal (AoS gathers and scatters through the worker's
-//     scratch rows — Orig/GC layout ablation only);
+//   - split: forRuns z-runs of fadv, in = out, relaxed where the stream
+//     left them — full rows dense, fluid runs under sparse traversal (AoS
+//     gathers and scatters through the worker's scratch rows — Orig/GC
+//     layout ablation only);
 //   - the gather sweep (gather.go): the worker's gathered rows → rows of
 //     the next state (fused, AA's odd sub-step) or the worker's out rows
 //     (AA's even sub-step, which scatters them).

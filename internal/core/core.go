@@ -11,13 +11,17 @@
 // has a neighbour or a wall to fill them from, and a periodic uncut y or z
 // carries none — the kernels wrap across it (GhostWidths). The paper's own
 // case, a fully periodic domain cut into x slabs, keeps ghosts on x only;
-// a walled cavity or channel wraps its periodic z.
+// a walled cavity or channel wraps its periodic z. What a ghost face
+// carries is data too: at depth 1 only the populations streaming pulls out
+// of it (DirectedFaces).
 //
 // The collision arithmetic lives in one place: collide.go holds one row
 // kernel per rung of the ladder (naive, row-generic, pair-symmetric) and
 // the operator row kernel, and every path relaxes through the one its rung
-// and operator select — the split stream → fixup → collide passes, and the
-// gather sweep (gather.go) that fused and AA streaming both are. Walls,
+// and operator select — the split stream → fixup → collide passes, which
+// collide the streamed field in place, and the gather sweep (gather.go)
+// that fused and AA streaming both are; on two fields both end a step by
+// swapping them, so both run on one box schedule (schedule.go). Walls,
 // solids, open faces, forces and every operator compose with all of them.
 // Running one configuration another way (decomposition, ghost depth, thread
 // count, fused or not, streaming scheme) therefore reproduces the field to
@@ -158,9 +162,11 @@ type StreamScheme int
 
 const (
 	// StreamTwoGrid is the classic two-field scheme: streaming copies every
-	// population from f into fNew, collisions write back into f. Simple and
-	// schedule-friendly, but each step moves 2·Q·8 bytes per cell and the
-	// second field doubles the resident footprint.
+	// population from f into fNew, collisions relax fNew in place, and the
+	// fields swap. Simple and schedule-friendly — the state a step reads is
+	// never written while it runs — but each step streams 2·Q·8 bytes per
+	// cell on top of the collide's and the second field doubles the
+	// resident footprint.
 	StreamTwoGrid StreamScheme = iota
 	// StreamAA is the AA-pattern in-place scheme (Bailey et al. 2009): one
 	// field, with streaming folded into the collision's reads and writes.
@@ -267,7 +273,10 @@ type Config struct {
 	// Opt selects the optimization level.
 	Opt OptLevel
 	// GhostDepth is the deep-halo depth d: halo width d·k planes, exchanged
-	// every d steps. Must be 1 for OptOrig (which has no ghost cells).
+	// every d steps. Must be 1 for OptOrig (which has no ghost cells). A
+	// depth-1 face carries only the populations streaming pulls out of its
+	// ghost, a deeper halo's all Q (DirectedFaces): depth d ≥ 2 trades bytes
+	// as well as ghost-cell updates for its d-fold fewer messages.
 	GhostDepth int
 	// GhostDepthAxes optionally sets the deep-halo depth per axis: axis a
 	// keeps a halo of depth[a]·k cells per side, refreshed every depth[a]
@@ -307,8 +316,10 @@ type Config struct {
 	// for the layout ablation.
 	Layout grid.Layout
 	// Fused selects the fused stream-collide sweep (one read + one write
-	// of the field per step instead of three accesses) — the paper's §VII
-	// future-work direction, implemented here as an extension. Requires
+	// of the field per step instead of the split path's read, write and
+	// in-place collide) — the paper's §VII future-work direction,
+	// implemented here as an extension. Both run the same box schedule
+	// and swap the same two fields. Requires
 	// the SoA layout and a ghost-cell level (OptGC or above), and not
 	// StreamAA (which is the same sweep on one field). Everything else
 	// composes with it: every decomposition and schedule, every collision
@@ -588,6 +599,52 @@ func GhostWidths(shape [3]int, bounded [3]bool, stream StreamScheme, sparse bool
 		}
 	}
 	return dk
+}
+
+// DirectedFaces is the one rule for what the ghost faces of an axis carry;
+// the stepper (Config.faceVelocities, handed to its exchanger) and the
+// performance model (perfsim's face bytes) both ask it. A ghost layer
+// exactly as wide as the lattice reach, w = k, is read by one thing only:
+// the upwind pulls of owned cells. A pull out of the low ghost has c_a > 0
+// and one out of the high ghost c_a < 0, so each face carries only the
+// populations whose axis component points from that ghost into the owned
+// region (D3Q19 5 of 19, D3Q39 11 of 39 — what the no-ghost Orig protocol
+// ships) and the other slots of its ghost cells are never written, hence
+// never paged in. Corners hold: a population read out of an edge or corner
+// ghost is directed on every axis it is a ghost of, so it rides along on
+// each of those axes' faces. Every population travels wherever a ghost
+// cell is itself computed or read whole:
+//
+//   - w > k: a deep halo's ghost cells are stream destinations and collide
+//     whole (AA's depths are even, so always);
+//   - the AoS layout, whose cells are one block (whole);
+//   - any run with a pressure-outlet face (whole): its fill re-anchors
+//     whole cells, the other axes' ghost cells of its source layer included.
+//
+// Outflow copies and wall and inlet fills move or write slots one by one
+// and need nothing more.
+func DirectedFaces(w, k int, whole bool) bool { return w == k && !whole }
+
+// faceVelocities resolves DirectedFaces into the exchanger's per-face
+// velocity lists for ghost widths w: [axis][0] the low ghost's, [axis][1]
+// the high ghost's, nil where a face carries all Q.
+func (c *Config) faceVelocities(w [3]int) (vels [3][2][]int) {
+	m := c.Model
+	whole := c.Layout == grid.AoS || c.Boundary.hasFace(BCPressureOutlet)
+	for a, ca := range [3][]int{m.Cx, m.Cy, m.Cz} {
+		if !DirectedFaces(w[a], m.MaxSpeed, whole) {
+			continue
+		}
+		for v, c := range ca {
+			switch {
+			case c > 0:
+				vels[a][0] = append(vels[a][0], v)
+			case c < 0:
+				vels[a][1] = append(vels[a][1], v)
+			}
+		}
+	}
+	return vels
 }
 
 // PaperGeometry reports whether a run has the geometry the two rungs that

@@ -303,10 +303,23 @@ func TestGhostUpdatesAccounting(t *testing.T) {
 	if m1, m2 := res1.PerRank[0].Messages, res2.PerRank[0].Messages; m2*2 != m1 {
 		t.Errorf("messages: depth1=%d depth2=%d, want halving", m1, m2)
 	}
-	// Same total bytes either way (the paper: "the same amount of data is
-	// passed" — here per unit time, since depth-2 halos are twice as wide).
-	if b1, b2 := res1.PerRank[0].BytesSent, res2.PerRank[0].BytesSent; b1 != b2 {
-		t.Errorf("bytes: depth1=%d depth2=%d, want equal", b1, b2)
+	// The paper's "the same amount of data is passed" holds among deep
+	// halos: depth d ≥ 2 sends all Q populations of its d·k layers every d
+	// steps, Q·k layers' worth per step whatever d. Depth 1 sends less: its
+	// k layers are only ever read by upwind pulls, so a face carries the
+	// CrossPlaneVels[0] populations directed out of its ghost (5 of 19).
+	perStep := func(vels int) int64 { return int64(2 * vels * n.PlaneCells() * 8) }
+	if b1, want := res1.PerRank[0].BytesSent, 4*perStep(5); b1 != want {
+		t.Errorf("bytes: depth 1 sent %d, want %d (5 directed populations per face)", b1, want)
+	}
+	res4, err := Run(Config{Model: m, N: n, Tau: 0.8, Steps: 4, Opt: OptGC, Ranks: 2, GhostDepth: 4})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for d, res := range map[int]*Result{2: res2, 4: res4} {
+		if b, want := res.PerRank[0].BytesSent, 4*perStep(m.Q); b != want {
+			t.Errorf("bytes: depth %d sent %d, want %d (all %d populations)", d, b, want, m.Q)
+		}
 	}
 }
 

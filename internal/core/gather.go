@@ -4,7 +4,7 @@ package core
 // paper's future-work direction (§VII: "investigation into methods to
 // alter the algorithm as to reduce the memory accesses per lattice update
 // could increase the potential hardware efficiency"). Instead of streaming
-// f into f_adv (write Q values/cell) and then colliding f_adv into f (read
+// f into f_adv (write Q values/cell) and then colliding f_adv in place (read
 // Q + write Q), a row's streamed values are gathered into cache-resident
 // row buffers and the post-collision values written where the next step
 // will read them — 2·Q·8 = 304 (D3Q19) / 624 (D3Q39) bytes per cell
@@ -14,9 +14,7 @@ package core
 //
 //   - fused (Config.Fused), two fields: next[x] = collide(gather prev[x−c]),
 //     written to the cell's own row of fadv; the fields swap roles after
-//     every step. The previous state is never overwritten mid-step, so the
-//     overlapped (GC-C) schedule needs no stream/collide staggering: any
-//     box may be computed as soon as its inputs are valid.
+//     every step, as on the split path.
 //
 //   - AA (Config.Stream = StreamAA, aa.go, DESIGN.md §9), one field: the
 //     even sub-step gathers the same upwind rows and scatters each result
@@ -28,19 +26,10 @@ package core
 // row's bounce-back links applied to the gathered rows, the
 // configuration's row kernel (collide.go), the sponge row.
 
-import "repro/internal/obs"
-
 // FusedBytesPerCell returns the per-cell main-memory traffic of a gather
 // sweep, fused or AA: 2·Q·8 bytes (one read, one write), versus the split
 // path's 3·Q·8 counted by the paper's performance model.
 func FusedBytesPerCell(q int) float64 { return 2 * 8 * float64(q) }
-
-// gatherBox runs one gather sweep over destination box b.
-func (cs *cartStepper) gatherBox(b box) {
-	t0 := cs.rec.Begin()
-	cs.br.run(cs.gather, b)
-	cs.rec.End(obs.Interior, t0)
-}
 
 // gatherRows is the sweep's chunk kernel: gatherRow over every row of the
 // chunk — full box rows dense, fluid runs under the run index. AA on dense

@@ -69,6 +69,28 @@ func TestGhostPoisonInvariance(t *testing.T) {
 			Opt: OptGCC, Ranks: 2, Threads: 2, GhostDepth: 2,
 			Solid: solid, Sparse: true,
 		}},
+		// Depth 1: a ghost face carries only the populations pulled out of
+		// it (DirectedFaces) and every other slot of its ghost cells stays
+		// poison, in both fields. Reach-3 pulls out of edge and corner ghosts
+		// are what the ride-along must still deliver.
+		{"pencil-gcc-q39-directed", Config{
+			Model: lattice.D3Q39(), N: n, Tau: 0.8, Steps: 5,
+			Opt: OptGCC, Ranks: 4, Threads: 2, Decomp: [3]int{2, 2, 1}, GhostDepth: 1,
+		}},
+		{"block-gcc-q39-directed", Config{
+			Model: lattice.D3Q39(), N: n, Tau: 0.8, Steps: 5,
+			Opt: OptGCC, Ranks: 8, Threads: 2, Decomp: [3]int{2, 2, 2}, GhostDepth: 1,
+		}},
+		// An outflow face on a cut axis copies its source layer slot by slot,
+		// the other axes' ghost cells included: directed faces suffice.
+		{"block-outflow-directed", Config{
+			Model: lattice.D3Q19(), N: n, Tau: 0.7, Steps: 5,
+			Opt: OptGCC, Ranks: 8, Threads: 2, Decomp: [3]int{2, 2, 2}, GhostDepth: 1,
+			Boundary: outflowChannelSpec(0.05), Solid: solid,
+		}},
+		// pencil-inlet-masked above is the pressure-outlet case: its fill
+		// re-anchors whole cells, so the run's faces carry all Q
+		// (TestDirectedFacesRule).
 		{"aa-block-periodic", Config{
 			Model: lattice.D3Q19(), N: n, Tau: 0.8, Steps: 5,
 			Opt: OptSIMD, Ranks: 8, Threads: 2, Decomp: [3]int{2, 2, 2}, GhostDepth: 1,
@@ -101,5 +123,60 @@ func TestGhostPoisonInvariance(t *testing.T) {
 				t.Errorf("poisoned ghosts changed the result: max |Δf| = %g, want bit-exact", d)
 			}
 		})
+	}
+}
+
+// outflowChannelSpec is InletChannelSpec with a plain zero-gradient outflow
+// on the high-x face instead of the pressure outlet.
+func outflowChannelSpec(u float64) *BoundarySpec {
+	b := InletChannelSpec(u, nil)
+	b.Faces[0][1] = Face{Kind: BCOutflow}
+	return b
+}
+
+// TestDirectedFacesRule pins what the stepper hands its exchanger: at
+// depth 1 each ghost face lists the populations whose axis component
+// points out of that ghost into the owned region — CrossPlaneVels[0] of
+// them, 5 of 19 and 11 of 39 — and all Q (nil) in the three whole-cell
+// cases: a deep halo, the AoS layout, a pressure outlet anywhere in the run.
+func TestDirectedFacesRule(t *testing.T) {
+	for _, m := range []*lattice.Model{lattice.D3Q19(), lattice.D3Q39()} {
+		k := m.MaxSpeed
+		cfg := Config{Model: m}
+		vels := cfg.faceVelocities([3]int{k, k, 0})
+		want := map[int]int{19: 5, 39: 11}[m.Q]
+		for a, comp := range [3][]int{m.Cx, m.Cy, m.Cz} {
+			for side, list := range vels[a] {
+				if a == 2 {
+					if list != nil {
+						t.Errorf("%s: a wrap axis has faces: %v", m.Name, list)
+					}
+					continue
+				}
+				if len(list) != want {
+					t.Errorf("%s axis %d side %d: %d populations, want %d", m.Name, a, side, len(list), want)
+				}
+				for _, v := range list {
+					if c := comp[v]; (side == 0 && c <= 0) || (side == 1 && c >= 0) {
+						t.Errorf("%s axis %d side %d: velocity %d has component %d, not directed into the owned region", m.Name, a, side, v, c)
+					}
+				}
+			}
+		}
+		// Per axis: the deep axis carries all Q, the depth-1 axis its list.
+		if v := cfg.faceVelocities([3]int{2 * k, k, k}); v[0][0] != nil || v[0][1] != nil || len(v[1][0]) != want || len(v[2][1]) != want {
+			t.Errorf("%s widths {2k,k,k}: lists %v", m.Name, v)
+		}
+		for name, whole := range map[string]Config{
+			"AoS":             {Model: m, Layout: grid.AoS},
+			"pressure outlet": {Model: m, Boundary: InletChannelSpec(0.05, nil)},
+		} {
+			if v := whole.faceVelocities([3]int{k, k, k}); v[0][0] != nil || v[1][1] != nil || v[2][0] != nil {
+				t.Errorf("%s %s: faces carry %v, want all Q on every face", m.Name, name, v)
+			}
+		}
+		if v := (&Config{Model: m, Boundary: outflowChannelSpec(0.05)}).faceVelocities([3]int{k, k, k}); len(v[0][0]) != want {
+			t.Errorf("%s outflow: faces carry %v, want directed lists", m.Name, v)
+		}
 	}
 }

@@ -237,25 +237,23 @@ func BenchmarkSparseExchange(b *testing.B) {
 
 // Ghosts on every axis: interior box and per-axis rim slabs of the GC-C
 // schedule, and the full owned box, for the stream and pair-symmetric
-// collide kernels (the regression baseline the overlapped schedule rides on).
+// in-place collide kernels (the regression baseline the overlapped
+// schedule rides on).
 func BenchmarkBoxKernels(b *testing.B) {
 	m := lattice.D3Q19()
 	cs := benchStepper(b, m, OptSIMD, collision.Spec{}, true, false)
 	owned := cs.ownedBox()
-	plan := planStep(owned, cs.own, cs.w, cs.k, [3]bool{true, true, true}, [3]bool{false, true, true})
+	plan := planStep(owned, cs.own, cs.w, cs.k, [3]bool{true, true, true})
 	cases := []struct {
 		name string
 		run  func()
 		box  box
 	}{
 		{"stream/full", func() { cs.streamBox(owned) }, owned},
-		{"stream/interior", func() { cs.streamBox(plan.interiorS) }, plan.interiorS},
+		{"stream/interior", func() { cs.streamBox(plan.interior) }, plan.interior},
 		{"collide/full", func() { cs.collideBox(owned) }, owned},
-		{"collide/interior", func() { cs.collideBox(plan.interiorC) }, plan.interiorC},
-		{"rims/x", func() {
-			cs.streamBoxPair(plan.phases[0].streamRims[0], plan.phases[0].streamRims[1])
-			cs.collideBoxPair(plan.phases[0].collideRims[0], plan.phases[0].collideRims[1])
-		}, plan.phases[0].streamRims[0]},
+		{"collide/interior", func() { cs.collideBox(plan.interior) }, plan.interior},
+		{"rims/x", func() { cs.advanceRims(plan, 0) }, plan.rims[0][0]},
 	}
 	for _, c := range cases {
 		b.Run(m.Name+"/"+c.name, func(b *testing.B) {

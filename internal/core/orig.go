@@ -10,9 +10,10 @@ import (
 // no persistent ghost cells. Each step pushes the streamed populations into
 // k-plane egress margins, exchanges exactly the populations that crossed
 // the rank boundary ("LBM_Exchange") with blocking sends, merges them into
-// the owned region of the advected field, and only then collides. The
-// collide therefore directly waits on the neighbors' stream results — the
-// serialization that ghost cells later remove.
+// the owned region of the advected field, and only then collides it in
+// place and swaps the fields. The collide therefore directly waits on the
+// neighbors' stream results — the serialization that ghost cells later
+// remove.
 type origProto struct {
 	s           *cartStepper
 	left, right int
@@ -66,13 +67,19 @@ func newOrigProto(s *cartStepper, xNeighbors [2]int) *origProto {
 	return p
 }
 
-// step advances one time step under the naive protocol.
+// step advances one time step under the naive protocol: compute the next
+// state in fadv, then swap it in.
 func (p *origProto) step() {
+	p.compute()
+	p.s.f, p.s.fadv = p.s.fadv, p.s.f
+}
+
+// compute pushes f into fadv, exchanges and merges the crossed
+// populations there, and collides fadv in place.
+func (p *origProto) compute() {
 	s := p.s
 	owned := s.ownedBox()
-	t0 := s.rec.Begin()
-	s.br.run(s.streamPushScalar, owned)
-	s.rec.End(obs.Interior, t0)
+	s.timed(s.streamPushScalar, obs.Interior, obs.NoAxis, owned)
 	p.exchange()
 	s.applyBounceBackBox(owned)
 	s.collideBox(owned)

@@ -4,8 +4,11 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/comm"
+	"repro/internal/geom"
 	"repro/internal/grid"
 	"repro/internal/lattice"
+	"repro/internal/obs"
 )
 
 // Property tests for the box schedule planner: the geometry guarantees
@@ -15,10 +18,9 @@ import (
 
 // planCase enumerates a geometry for the planner tests.
 type planCase struct {
-	own, w   [3]int
-	k        int
-	stale    [3]bool
-	packLate [3]bool
+	own, w [3]int
+	k      int
+	stale  [3]bool
 }
 
 func planCases() []planCase {
@@ -42,18 +44,7 @@ func planCases() []planCase {
 					for a := 0; a < 3; a++ {
 						stale[a] = staleBits&(1<<a) != 0
 					}
-					// packLate marks stale axes after the first: the shape
-					// the overlapped stepper uses (plus the all-false slab
-					// form, covered when only one axis is stale).
-					var packLate [3]bool
-					seen := false
-					for a := 0; a < 3; a++ {
-						if stale[a] {
-							packLate[a] = seen
-							seen = true
-						}
-					}
-					cases = append(cases, planCase{own: own, w: w, k: k, stale: stale, packLate: packLate})
+					cases = append(cases, planCase{own: own, w: w, k: k, stale: stale})
 				}
 			}
 		}
@@ -93,53 +84,35 @@ func inBox(c [3]int, b box) bool {
 }
 
 // TestPlanStepTiling: the interior box plus the per-axis rim slabs tile
-// the destination box exactly — every cell covered once — for both the
-// stream and the collide families.
+// the destination box exactly — every cell covered once.
 func TestPlanStepTiling(t *testing.T) {
 	for _, tc := range planCases() {
 		dest := firstStepDest(tc.own, tc.w, tc.k)
-		p := planStep(dest, tc.own, tc.w, tc.k, tc.stale, tc.packLate)
-		for fam, boxes := range [2][]box{
-			append([]box{p.interiorS}, rimBoxes(p, true)...),
-			append([]box{p.interiorC}, rimBoxes(p, false)...),
-		} {
-			count := map[[3]int]int{}
-			for _, b := range boxes {
-				forBox(b, func(c [3]int) { count[c]++ })
+		p := planStep(dest, tc.own, tc.w, tc.k, tc.stale)
+		boxes := []box{p.interior}
+		for a := 0; a < 3; a++ {
+			if p.stale[a] {
+				boxes = append(boxes, p.rims[a][0], p.rims[a][1])
 			}
-			bad := 0
-			forBox(dest, func(c [3]int) {
-				if count[c] != 1 {
-					bad++
-				}
-			})
-			total := 0
-			for _, n := range count {
-				total += n
+		}
+		count := map[[3]int]int{}
+		for _, b := range boxes {
+			forBox(b, func(c [3]int) { count[c]++ })
+		}
+		bad := 0
+		forBox(dest, func(c [3]int) {
+			if count[c] != 1 {
+				bad++
 			}
-			if bad != 0 || total != dest.cells() {
-				t.Fatalf("case %+v family %d: %d cells mis-covered (total %d, dest %d)",
-					tc, fam, bad, total, dest.cells())
-			}
+		})
+		total := 0
+		for _, n := range count {
+			total += n
+		}
+		if bad != 0 || total != dest.cells() {
+			t.Fatalf("case %+v: %d cells mis-covered (total %d, dest %d)", tc, bad, total, dest.cells())
 		}
 	}
-}
-
-// rimBoxes collects the plan's stream (or collide) rim slabs of every
-// stale axis.
-func rimBoxes(p stepPlan, stream bool) []box {
-	var out []box
-	for a := 0; a < 3; a++ {
-		if !p.stale[a] {
-			continue
-		}
-		if stream {
-			out = append(out, p.phases[a].streamRims[0], p.phases[a].streamRims[1])
-		} else {
-			out = append(out, p.phases[a].collideRims[0], p.phases[a].collideRims[1])
-		}
-	}
-	return out
 }
 
 // TestPlanStepInteriorAvoidsStaleGhosts: no input of an interior-box
@@ -149,8 +122,8 @@ func rimBoxes(p stepPlan, stream bool) []box {
 func TestPlanStepInteriorAvoidsStaleGhosts(t *testing.T) {
 	for _, tc := range planCases() {
 		dest := firstStepDest(tc.own, tc.w, tc.k)
-		p := planStep(dest, tc.own, tc.w, tc.k, tc.stale, tc.packLate)
-		forBox(p.interiorS, func(c [3]int) {
+		p := planStep(dest, tc.own, tc.w, tc.k, tc.stale)
+		forBox(p.interior, func(c [3]int) {
 			for a := 0; a < 3; a++ {
 				if !tc.stale[a] {
 					continue
@@ -163,100 +136,98 @@ func TestPlanStepInteriorAvoidsStaleGhosts(t *testing.T) {
 	}
 }
 
-// TestPlanStepCollideSafety: after each phase, every cell collided so far
-// is at Chebyshev distance > k from every destination cell not yet
-// streamed — so no collide overwrites state a pending rim stream still
-// reads. Phase −1 is the interior; phase a adds axis a's rims.
-func TestPlanStepCollideSafety(t *testing.T) {
-	for _, tc := range planCases() {
-		dest := firstStepDest(tc.own, tc.w, tc.k)
-		p := planStep(dest, tc.own, tc.w, tc.k, tc.stale, tc.packLate)
-		streamed := map[[3]int]bool{}
-		forBox(p.interiorS, func(c [3]int) { streamed[c] = true })
-		collided := []box{p.interiorC}
-		check := func(phase int) {
-			for _, cb := range collided {
-				forBox(cb, func(c [3]int) {
-					for dx := -tc.k; dx <= tc.k; dx++ {
-						for dy := -tc.k; dy <= tc.k; dy++ {
-							for dz := -tc.k; dz <= tc.k; dz++ {
-								n := [3]int{c[0] + dx, c[1] + dy, c[2] + dz}
-								if inBox(n, dest) && !streamed[n] {
-									t.Fatalf("case %+v phase %d: collided cell %v within k of unstreamed %v",
-										tc, phase, c, n)
-								}
-							}
-						}
-					}
-				})
-			}
-		}
-		check(-1)
-		for a := 0; a < 3; a++ {
-			if !p.stale[a] {
-				continue
-			}
-			forBox(p.phases[a].streamRims[0], func(c [3]int) { streamed[c] = true })
-			forBox(p.phases[a].streamRims[1], func(c [3]int) { streamed[c] = true })
-			collided = append(collided, p.phases[a].collideRims[0], p.phases[a].collideRims[1])
-			check(a)
-		}
-	}
-}
-
-// TestPlanStepLatePackBorders: collides that run before a packLate axis's
-// slot — the interior collide box, and the collide rims of earlier stale
-// axes — never touch that axis's border layers [w, 2w) and [own, own+w),
-// whose pre-step values the late pack (message or local wrap) still
-// reads.
-func TestPlanStepLatePackBorders(t *testing.T) {
-	inBorder := func(c [3]int, a int, w, own [3]int) bool {
-		return (c[a] >= w[a] && c[a] < 2*w[a]) || (c[a] >= own[a] && c[a] < own[a]+w[a])
-	}
-	for _, tc := range planCases() {
-		dest := firstStepDest(tc.own, tc.w, tc.k)
-		p := planStep(dest, tc.own, tc.w, tc.k, tc.stale, tc.packLate)
-		for a := 0; a < 3; a++ {
-			if !tc.packLate[a] {
-				continue
-			}
-			early := []box{p.interiorC}
-			for b := 0; b < a; b++ {
-				if p.stale[b] {
-					early = append(early, p.phases[b].collideRims[0], p.phases[b].collideRims[1])
-				}
-			}
-			for _, eb := range early {
-				forBox(eb, func(c [3]int) {
-					if inBorder(c, a, tc.w, tc.own) {
-						t.Fatalf("case %+v: early collide cell %v inside late-packed axis %d border", tc, c, a)
-					}
-				})
-			}
-		}
-	}
-}
-
-// TestPlanStepSlabDegenerate: with only axis x stale and no late packs,
-// the planner reproduces the slab GC-C region boundaries of §V.F.
+// TestPlanStepSlabDegenerate: with only axis x stale, the planner
+// reproduces the slab GC-C region boundaries of §V.F.
 func TestPlanStepSlabDegenerate(t *testing.T) {
 	own, w, k := 12, 4, 2 // depth 2
 	dest := box{lo: [3]int{k, 0, 0}, hi: [3]int{own + 2*w - k, 8, 8}}
-	p := planStep(dest, [3]int{own, 8, 8}, [3]int{w, 0, 0}, k, [3]bool{true, false, false}, [3]bool{})
-	if got, want := p.interiorS.lo[0], w+k; got != want {
+	p := planStep(dest, [3]int{own, 8, 8}, [3]int{w, 0, 0}, k, [3]bool{true, false, false})
+	if got, want := p.interior.lo[0], w+k; got != want {
 		t.Errorf("isLo = %d, want %d", got, want)
 	}
-	if got, want := p.interiorS.hi[0], w+own-k; got != want {
+	if got, want := p.interior.hi[0], w+own-k; got != want {
 		t.Errorf("isHi = %d, want %d", got, want)
 	}
-	if got, want := p.interiorC.lo[0], w+2*k; got != want {
-		t.Errorf("icLo = %d, want %d", got, want)
-	}
-	if got, want := p.interiorC.hi[0], w+own-2*k; got != want {
-		t.Errorf("icHi = %d, want %d", got, want)
-	}
-	if p.interiorS.lo[1] != 0 || p.interiorS.hi[1] != 8 || p.interiorC.hi[2] != 8 {
+	if p.interior.lo[1] != 0 || p.interior.hi[1] != 8 || p.interior.hi[2] != 8 {
 		t.Errorf("non-stale axes must keep the full destination extent: %+v", p)
+	}
+}
+
+// TestStepNeverWritesState is the property the one box family rests on: a
+// step computes its next state without writing the state it reads. The
+// deleted second, k-eroded collide-box family and the border protection of
+// late-packed axes existed because collisions wrote f mid-step; now every
+// rank's f — ghosts included — is bit-identical right before the swap to a
+// snapshot taken before the step. The ghosts are refreshed once ahead of
+// the snapshot, so the step's own refresh rewrites them with the same
+// values and any other write shows.
+func TestStepNeverWritesState(t *testing.T) {
+	n := grid.Dims{NX: 16, NY: 12, NZ: 8}
+	base := Config{Model: lattice.D3Q19(), N: n, Tau: 0.8, Opt: OptGCC, Threads: 2, GhostDepth: 1, Init: waveInit(n)}
+	with := func(edit func(c *Config)) Config {
+		c := base
+		edit(&c)
+		return c
+	}
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+	}{
+		{"overlapped-slab", with(func(c *Config) { c.Ranks = 2 })},
+		// y is packed at its slot, after x's unpack and the interior compute.
+		{"pencil-late-packed-y", with(func(c *Config) { c.Ranks, c.Decomp = 4, [3]int{2, 2, 1} })},
+		{"pencil-deep-q39", with(func(c *Config) {
+			c.Model, c.N, c.Init = lattice.D3Q39(), grid.Dims{NX: 24, NY: 24, NZ: 8}, waveInit(grid.Dims{NX: 24, NY: 24, NZ: 8})
+			c.Ranks, c.Decomp, c.GhostDepth = 4, [3]int{2, 2, 1}, 2
+		})},
+		{"masked-channel", with(func(c *Config) {
+			c.Ranks, c.Decomp = 4, [3]int{2, 2, 1}
+			c.Boundary, c.Solid = InletChannelSpec(0.05, nil), geom.CylinderZ(n, 5, 6.3, 2.5)
+		})},
+		{"orig", with(func(c *Config) { c.Ranks, c.Opt = 2, OptOrig })},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := tc.cfg
+			cfg.Steps = 1
+			dec, err := cfg.init()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := comm.NewFabric(cfg.Ranks).Run(func(r *comm.Rank) error {
+				cs, err := newCartStepper(&cfg, dec, r)
+				if err != nil {
+					return err
+				}
+				defer cs.close()
+				cs.initField()
+				r.Barrier()
+				var stale [3]bool
+				for a := range stale {
+					stale[a] = cs.w[a] > 0
+				}
+				if cs.orig == nil {
+					cs.fillOpenFaces()
+					cs.refreshAxes(stale)
+					r.Barrier()
+				}
+				before := append([]float64(nil), cs.f.Data...)
+				if cs.orig != nil {
+					cs.orig.compute()
+				} else {
+					cs.compute(cs.boxFor(cs.w), stale) // the first step of a cycle
+				}
+				for i, x := range cs.f.Data {
+					if math.Float64bits(x) != math.Float64bits(before[i]) {
+						t.Errorf("rank %d: the step wrote its own input: f[%d] %g -> %g", r.ID, i, before[i], x)
+						break
+					}
+				}
+				r.Barrier()
+				return nil
+			}); err != nil {
+				t.Fatal(err)
+			}
+		})
 	}
 }
 
@@ -295,8 +266,8 @@ func TestOverlapPoisonGhosts(t *testing.T) {
 		// Treat every axis as stale-and-messaging: the worst case.
 		stale := [3]bool{true, true, true}
 		dest := cs.boxFor([3]int{cs.w[0], cs.w[1], cs.w[2]})
-		plan := planStep(dest, cs.own, cs.w, cs.k, stale, [3]bool{false, true, true})
-		cs.computeInterior(plan)
+		plan := planStep(dest, cs.own, cs.w, cs.k, stale)
+		cs.advance(obs.Interior, obs.NoAxis, plan.interior)
 		checkFinite := func(name string, f *grid.Field, b box) {
 			for v := 0; v < cs.model.Q; v++ {
 				blk := f.V(v)
@@ -307,11 +278,6 @@ func TestOverlapPoisonGhosts(t *testing.T) {
 				})
 			}
 		}
-		if fused {
-			checkFinite("fadv (fused interior)", cs.fadv, plan.interiorS)
-		} else {
-			checkFinite("fadv (streamed interior)", cs.fadv, plan.interiorS)
-			checkFinite("f (collided interior)", cs.f, plan.interiorC)
-		}
+		checkFinite("fadv (computed interior)", cs.fadv, plan.interior)
 	}
 }

@@ -35,7 +35,7 @@ func BenchmarkCopySpans(b *testing.B) {
 				b.Run(fmt.Sprintf("%s/%s/unpack=%v", c.name, name, unpack), func(b *testing.B) {
 					b.SetBytes(int64(8 * len(buf)))
 					for i := 0; i < b.N; i++ {
-						copySpans(f, spans, buf, unpack)
+						copySpans(f, nil, spans, buf, unpack)
 					}
 				})
 			}

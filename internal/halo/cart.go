@@ -21,6 +21,13 @@ import (
 // the axes already exchanged, so diagonal data rides along on the second
 // and third hops — exactly the deep-halo ordering argument of Kjolstad &
 // Snir.
+//
+// A face need not carry every population. A ghost layer exactly as wide as
+// the lattice reach is only ever read by upwind pulls out of it, so the
+// caller may hand the exchanger one velocity list per ghost face
+// (NewCartExchangerClipped): pack, local wrap, unpack, the byte count and
+// the payload-length check then move and count only those velocity blocks,
+// and the other slots of the face's ghost cells are never written.
 
 // cartTag returns the message tag for data flowing along axis in
 // direction dir (0 = toward lower coordinates, 1 = toward higher).
@@ -156,6 +163,9 @@ type CartExchanger struct {
 	// payload is Q values per cell.
 	spans [3][4][]span
 	cells [3][4]int
+	// vels[axis][side] lists the velocity blocks the ghost face on that
+	// side carries, in wire order; nil means every block of the field.
+	vels [3][2][]int
 
 	stage     []float64 // the local wrap's one reused buffer, grown on first use
 	posted    [3]bool   // PostRecvsAxis called, WaitUnpackAxis pending
@@ -165,7 +175,7 @@ type CartExchanger struct {
 // NewCartExchanger builds an exchanger for a field of the given shape
 // whose faces carry every cell.
 func NewCartExchanger(q int, d grid.Dims, own, w [3]int, self int, neighbors [3][2]int) (*CartExchanger, error) {
-	return NewCartExchangerClipped(q, d, own, w, self, neighbors, nil)
+	return NewCartExchangerClipped(q, d, own, w, self, neighbors, nil, [3][2][]int{})
 }
 
 // NewCartExchangerMasked builds an exchanger over a dense field whose
@@ -173,7 +183,7 @@ func NewCartExchanger(q int, d grid.Dims, own, w [3]int, self int, neighbors [3]
 // the rank's mask over the local dims (ghosts included).
 func NewCartExchangerMasked(q int, d grid.Dims, own, w [3]int, self int, neighbors [3][2]int, solid []bool) (*CartExchanger, error) {
 	if solid == nil {
-		return NewCartExchangerClipped(q, d, own, w, self, neighbors, nil)
+		return NewCartExchangerClipped(q, d, own, w, self, neighbors, nil, [3][2][]int{})
 	}
 	if len(solid) != d.Cells() {
 		return nil, fmt.Errorf("halo: mask has %d cells, local field %d", len(solid), d.Cells())
@@ -189,7 +199,7 @@ func NewCartExchangerMasked(q int, d grid.Dims, own, w [3]int, self int, neighbo
 			}
 			seg(row+z0, z0, z-z0)
 		}
-	})
+	}, [3][2][]int{})
 }
 
 // Clip is a field's address map as the exchanger needs it: it lists the
@@ -207,7 +217,13 @@ type Clip func(ix, iy, zlo, zhi int, seg func(off, z, n int))
 // at wrapped or clamped coordinates — and values at cells that are not
 // stored must never be consumed. A mismatch is caught at unpack time by
 // the payload length.
-func NewCartExchangerClipped(q int, d grid.Dims, own, w [3]int, self int, neighbors [3][2]int, stored Clip) (*CartExchanger, error) {
+//
+// vels[axis][side], when non-nil, lists the velocities the ghost face on
+// that side of axis carries (and the neighbour's border face that fills
+// it), in wire order. Both ends of a message must hold the same list — the
+// length check covers that too — and a list needs one block per velocity,
+// the SoA layout. Nil carries all Q.
+func NewCartExchangerClipped(q int, d grid.Dims, own, w [3]int, self int, neighbors [3][2]int, stored Clip, vels [3][2][]int) (*CartExchanger, error) {
 	dims := [3]int{d.NX, d.NY, d.NZ}
 	for a := 0; a < 3; a++ {
 		if dims[a] != own[a]+2*w[a] {
@@ -224,13 +240,20 @@ func NewCartExchangerClipped(q int, d grid.Dims, own, w [3]int, self int, neighb
 			// owned entirely by one rank.
 			return nil, fmt.Errorf("halo: axis %d owned extent %d < halo width %d (grow the domain or reduce depth)", a, own[a], w[a])
 		}
+		for _, list := range vels[a] {
+			for _, v := range list {
+				if v < 0 || v >= q {
+					return nil, fmt.Errorf("halo: axis %d face velocity %d outside [0, %d)", a, v, q)
+				}
+			}
+		}
 	}
 	if stored == nil {
 		stored = func(ix, iy, zlo, zhi int, seg func(off, z, n int)) {
 			seg(d.Index(ix, iy, zlo), zlo, zhi-zlo)
 		}
 	}
-	e := &CartExchanger{Q: q, Dims: d, Own: own, W: w, Self: self, Neighbors: neighbors}
+	e := &CartExchanger{Q: q, Dims: d, Own: own, W: w, Self: self, Neighbors: neighbors, vels: vels}
 	for a := 0; a < 3; a++ {
 		for region := range e.spans[a] {
 			e.spans[a][region], e.cells[a][region] = e.faceSpans(a, region, stored)
@@ -279,6 +302,26 @@ func (e *CartExchanger) face(axis, region int) (lo, hi [3]int) {
 	return lo, hi
 }
 
+// faceVels returns the velocity list of the face in region (nil = all Q):
+// a ghost face's own, and for a border face the list of the ghost it
+// fills — the neighbour's on the opposite side, which is this rank's too,
+// since one rule gives every rank of a run its lists.
+func (e *CartExchanger) faceVels(axis, region int) []int {
+	if region == lowGhost || region == highBorder {
+		return e.vels[axis][0]
+	}
+	return e.vels[axis][1]
+}
+
+// faceLen returns the number of values the face in region holds on the
+// wire: its cells times the velocities it carries.
+func (e *CartExchanger) faceLen(axis, region int) int {
+	if vels := e.faceVels(axis, region); vels != nil {
+		return len(vels) * e.cells[axis][region]
+	}
+	return e.Q * e.cells[axis][region]
+}
+
 // Messaging reports whether the axis exchanges real messages: any side
 // with a neighbor that is neither this rank (local periodic wrap) nor a
 // global boundary face. The overlapped schedule only shrinks its interior
@@ -301,7 +344,7 @@ func (e *CartExchanger) BytesPerExchange(axis int) int64 {
 	var total int64
 	for s := 0; s < 2; s++ {
 		if n := e.Neighbors[axis][s]; n != NoNeighbor && n != e.Self {
-			total += int64(8 * e.Q * e.cells[axis][borderRegion(s)])
+			total += int64(8 * e.faceLen(axis, borderRegion(s)))
 		}
 	}
 	return total
@@ -376,8 +419,8 @@ func (e *CartExchanger) SendBordersAxis(r *comm.Rank, f *grid.Field, axis int) {
 		if n == NoNeighbor {
 			continue
 		}
-		slot := r.Acquire(n, e.Q*e.cells[axis][borderRegion(s)])
-		copySpans(f, e.spans[axis][borderRegion(s)], slot.Data, false)
+		slot := r.Acquire(n, e.faceLen(axis, borderRegion(s)))
+		e.copyFace(f, axis, borderRegion(s), slot.Data, false)
 		r.Post(n, cartTag(axis, s), slot)
 		bytes += int64(8 * len(slot.Data))
 		msgs++
@@ -438,13 +481,27 @@ func blocks(f *grid.Field) (n, per int) {
 	return f.Q, 1
 }
 
-// copySpans moves the listed cells of every block of f, in wire order,
-// into buf — or, unpacking, out of it.
-func copySpans(f *grid.Field, spans []span, buf []float64, unpack bool) {
+// copyFace moves the face in region in wire order — for each velocity
+// block it carries, the cells of its spans — into buf, or, unpacking, out
+// of it.
+func (e *CartExchanger) copyFace(f *grid.Field, axis, region int, buf []float64, unpack bool) {
+	copySpans(f, e.faceVels(axis, region), e.spans[axis][region], buf, unpack)
+}
+
+// copySpans moves the listed cells of the listed blocks of f (nil: every
+// block), in wire order, into buf — or, unpacking, out of it.
+func copySpans(f *grid.Field, vels []int, spans []span, buf []float64, unpack bool) {
 	nb, per := blocks(f)
 	size := len(f.Data) / nb
+	if vels != nil {
+		nb = len(vels)
+	}
 	n := 0
-	for b := 0; b < nb; b++ {
+	for i := 0; i < nb; i++ {
+		b := i
+		if vels != nil {
+			b = vels[i]
+		}
 		blk := f.Data[b*size : (b+1)*size]
 		for _, s := range spans {
 			if cells := blk[s.off*per : (s.off+s.n)*per]; unpack {
@@ -459,23 +516,23 @@ func copySpans(f *grid.Field, spans []span, buf []float64, unpack bool) {
 // packFace stages the border face toward side in the local wrap's buffer
 // (low border first, high border after it) and returns the filled part.
 func (e *CartExchanger) packFace(f *grid.Field, axis, side int) []float64 {
-	n := [2]int{e.Q * e.cells[axis][lowBorder], e.Q * e.cells[axis][highBorder]}
+	n := [2]int{e.faceLen(axis, lowBorder), e.faceLen(axis, highBorder)}
 	if len(e.stage) < n[0]+n[1] {
 		e.stage = make([]float64, n[0]+n[1])
 	}
 	buf := e.stage[side*n[0]:][:n[side]]
-	copySpans(f, e.spans[axis][borderRegion(side)], buf, false)
+	e.copyFace(f, axis, borderRegion(side), buf, false)
 	return buf
 }
 
 // unpackFace fills the ghost face on side from buf. Payloads have no
 // header: a length other than this rank's own ghost span total means the
-// sender packed a different mask, and unpacking would leave stale data
-// behind, so it panics before the first write instead.
+// sender packed a different mask (or velocity list), and unpacking would
+// leave stale data behind, so it panics before the first write instead.
 func (e *CartExchanger) unpackFace(f *grid.Field, axis, side int, buf []float64) {
-	if want := e.Q * e.cells[axis][ghostRegion(side)]; len(buf) != want {
+	if want := e.faceLen(axis, ghostRegion(side)); len(buf) != want {
 		panic(fmt.Sprintf("halo: rank %d axis %d side %d: received %d values, own ghost spans hold %d (sender and receiver masks disagree)",
 			e.Self, axis, side, len(buf), want))
 	}
-	copySpans(f, e.spans[axis][ghostRegion(side)], buf, true)
+	e.copyFace(f, axis, ghostRegion(side), buf, true)
 }

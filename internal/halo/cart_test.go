@@ -822,3 +822,187 @@ func TestWireMismatchFailsWell(t *testing.T) {
 		}
 	}
 }
+
+// TestFaceVelocityLists is the wire format of an exchanger whose ghost
+// faces carry velocity lists: a message, a local wrap and a clipped
+// (masked) face move exactly the listed blocks of exactly the face's
+// stored cells. Every slot a list covers — on each axis its cell is a
+// ghost of, which is what the ride-along corners deliver — holds the
+// wrapped global value; every other ghost slot keeps its sentinel bit for
+// bit, solid cells keep their poison, and the byte count is the lists'.
+func TestFaceVelocityLists(t *testing.T) {
+	global := [3]int{8, 6, 6}
+	const q = 5
+	w := [3]int{1, 1, 1}
+	// [axis][0] the low ghost's list, [axis][1] the high ghost's; z carries all.
+	vels := [3][2][]int{{{1, 3}, {2, 4}}, {{3}, {4, 0}}}
+	listed := func(axis, side, v int) bool {
+		if vels[axis][side] == nil {
+			return true
+		}
+		for _, u := range vels[axis][side] {
+			if u == v {
+				return true
+			}
+		}
+		return false
+	}
+	poison := math.Float64frombits(0x7ff8_dead_beef_0001)
+	wrap := func(g, n int) int { return ((g % n) + n) % n }
+	for _, p := range [][3]int{{1, 1, 1}, {2, 1, 1}, {2, 2, 1}} {
+		for _, masked := range []bool{false, true} {
+			for _, nonblocking := range []bool{false, true} {
+				dec, err := decomp.NewCartesian(global, p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				fab := comm.NewFabric(dec.Ranks())
+				top, err := fab.Cart(p)
+				if err != nil {
+					t.Fatal(err)
+				}
+				runErr := fab.Run(func(r *comm.Rank) error {
+					var start, own [3]int
+					for a := 0; a < 3; a++ {
+						start[a], own[a] = dec.Own(r.ID, a)
+					}
+					d := grid.Dims{NX: own[0] + 2*w[0], NY: own[1] + 2*w[1], NZ: own[2] + 2*w[2]}
+					dims := [3]int{d.NX, d.NY, d.NZ}
+					solid := make([]bool, d.Cells())
+					f := grid.NewField(q, d, grid.SoA)
+					want := grid.NewField(q, d, grid.SoA)
+					for ix := 0; ix < d.NX; ix++ {
+						for iy := 0; iy < d.NY; iy++ {
+							for iz := 0; iz < d.NZ; iz++ {
+								c := [3]int{ix, iy, iz}
+								var g [3]int
+								ghost := false
+								for a := range g {
+									g[a] = wrap(start[a]+c[a]-w[a], global[a])
+									ghost = ghost || c[a] < w[a] || c[a] >= dims[a]-w[a]
+								}
+								isSolid := masked && testMask(g[0], g[1], g[2])
+								solid[d.Index(ix, iy, iz)] = isSolid
+								for v := 0; v < q; v++ {
+									val, end := encode(v, g[0], g[1], g[2]), encode(v, g[0], g[1], g[2])
+									if isSolid {
+										val, end = poison, poison
+									} else if ghost {
+										val = -1
+										for a := range c {
+											if (c[a] < w[a] && !listed(a, 0, v)) || (c[a] >= dims[a]-w[a] && !listed(a, 1, v)) {
+												end = -1 // some face that would deliver this slot does not carry v
+											}
+										}
+									}
+									f.Set(v, ix, iy, iz, val)
+									want.Set(v, ix, iy, iz, end)
+								}
+							}
+						}
+					}
+					var stored Clip
+					if masked {
+						stored = maskClip(d, solid)
+					}
+					ex, err := NewCartExchangerClipped(q, d, own, w, r.ID, top.Neighbors(r.ID), stored, vels)
+					if err != nil {
+						return err
+					}
+					ex.ExchangeAll(r, f, nonblocking)
+					for i, x := range f.Data {
+						if math.Float64bits(x) != math.Float64bits(want.Data[i]) {
+							t.Errorf("shape %v masked=%v nonblocking=%v rank %d: value %d (velocity %d) = %v, want %v",
+								p, masked, nonblocking, r.ID, i, i/d.Cells(), x, want.Data[i])
+							break
+						}
+					}
+					// Per messaging axis: both border faces, each as long as
+					// the list of the ghost it fills.
+					for a := 0; a < 3; a++ {
+						var bytes int64
+						if ex.Messaging(a) {
+							lists := len(vels[a][0]) + len(vels[a][1])
+							if vels[a][0] == nil {
+								lists = 2 * q
+							}
+							bytes = int64(8 * lists * d.Cells() / dims[a]) // w = 1: a dense face is one cross-section
+						}
+						if got := ex.BytesPerExchange(a); !masked && got != bytes {
+							t.Errorf("shape %v rank %d axis %d: BytesPerExchange %d, want %d", p, r.ID, a, got, bytes)
+						}
+						if got := ex.AxisBytes()[a]; got != ex.BytesPerExchange(a) {
+							t.Errorf("shape %v masked=%v rank %d axis %d: sent %d B, BytesPerExchange says %d", p, masked, r.ID, a, got, ex.BytesPerExchange(a))
+						}
+					}
+					if got, carried := r.BytesSent(), ex.AxisBytes(); got != carried[0]+carried[1]+carried[2] {
+						t.Errorf("shape %v masked=%v rank %d: fabric carried %d B, exchanger counted %v", p, masked, r.ID, got, carried)
+					}
+					return nil
+				})
+				if runErr != nil {
+					t.Fatal(runErr)
+				}
+			}
+		}
+	}
+
+	// The headerless payload's length check works in list units: a mask
+	// disagreement under velocity lists is still caught before the first
+	// write, and so is a list disagreement.
+	d := grid.Dims{NX: 6, NY: 6, NZ: 6}
+	for _, tc := range []struct {
+		name      string
+		rank1Mask bool
+		rank1Vels [3][2][]int
+		got, want int
+	}{
+		{"mask", true, vels, 2 * 5 * 6, 2 * 6 * 6},
+		{"list", false, [3][2][]int{{{1}, {2}}}, 1 * 6 * 6, 2 * 6 * 6},
+	} {
+		fab := comm.NewFabric(2)
+		top, err := fab.Cart([3]int{2, 1, 1})
+		if err != nil {
+			t.Fatal(err)
+		}
+		err = fab.Run(func(r *comm.Rank) error {
+			solid := make([]bool, d.Cells())
+			lists := vels
+			if r.ID == 1 {
+				lists = tc.rank1Vels
+				for ix := 0; tc.rank1Mask && ix < d.NX; ix++ {
+					for iz := 0; iz < d.NZ; iz++ {
+						solid[d.Index(ix, 2, iz)] = true
+					}
+				}
+			}
+			ex, err := NewCartExchangerClipped(q, d, [3]int{4, 4, 4}, w, r.ID, top.Neighbors(r.ID), maskClip(d, solid), lists)
+			if err != nil {
+				return err
+			}
+			ex.ExchangeAxis(r, grid.NewField(q, d, grid.SoA), 0, true)
+			return nil
+		})
+		want := fmt.Sprintf(": received %d values, own ghost spans hold %d", tc.got, tc.want)
+		if err == nil || !strings.Contains(err.Error(), "halo: rank 0 axis 0 side ") || !strings.Contains(err.Error(), want) {
+			t.Errorf("%s disagreement: Fabric.Run returned %v, want rank 0's axis-0 mismatch%s", tc.name, err, want)
+		}
+	}
+
+	if _, err := NewCartExchangerClipped(q, d, [3]int{4, 4, 4}, w, 0, [3][2]int{}, nil, [3][2][]int{{{q}}}); err == nil {
+		t.Error("a face velocity outside [0, Q) was accepted")
+	}
+}
+
+// maskClip is the address map NewCartExchangerMasked builds: a dense field
+// over d whose halo carries only the cells solid does not mark.
+func maskClip(d grid.Dims, solid []bool) Clip {
+	return func(ix, iy, zlo, zhi int, seg func(off, z, n int)) {
+		row := d.Index(ix, iy, 0)
+		for z := zlo; z < zhi; z++ {
+			if !solid[row+z] {
+				seg(row+z, z, 1)
+			}
+		}
+	}
+}

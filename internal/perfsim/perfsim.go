@@ -17,8 +17,10 @@
 // bounded axis carries ghosts, an uncut periodic y or z is a wrap axis of
 // width 0 — the paper's periodic slab is the x-only case, a cavity or a
 // P×Q×1 pencil wraps z — and AA and sparse jobs carry ghosts on all three.
-// Box growth, face cross-sections, local wraps and resident memory follow
-// the widths, so the model prices each job on the geometry the solver runs
+// What a ghost face carries is the solver's second rule
+// (core.DirectedFaces): at depth 1 only the populations streaming pulls out
+// of it. Box growth, face cross-sections, local wraps and resident memory
+// follow the widths, so the model prices each job on the geometry the solver runs
 // it on and rejects the jobs the solver rejects. The no-ghost Orig protocol
 // keeps its own per-step loop (runOrig) over the same per-rank geometry
 // table.
@@ -51,8 +53,10 @@ type Job struct {
 	// 3 for D3Q39.
 	K int
 	// CrossPlaneVels[m-1] counts velocities with cx ≥ m (populations that
-	// cross m planes), sizing the naive protocol's per-step messages. Use
-	// DefaultCross. Symmetric in the two directions.
+	// cross m planes), sizing the naive protocol's per-step messages and,
+	// by its first entry, what a depth-1 ghost face carries
+	// (core.DirectedFaces). Use DefaultCross. Symmetric in the two
+	// directions and, as the lattices are, across the axes.
 	CrossPlaneVels []int
 
 	Nodes          int
@@ -357,7 +361,7 @@ func Run(j Job) (*Result, error) {
 	if err := j.validate(); err != nil {
 		return nil, err
 	}
-	if j.CrossPlaneVels == nil {
+	if len(j.CrossPlaneVels) == 0 {
 		j.CrossPlaneVels = DefaultCross(j.Spec.Q)
 	}
 	fields := 2.0
@@ -485,10 +489,12 @@ type rankGeom struct {
 
 // axisGeom is one rank's halo along one axis.
 type axisGeom struct {
-	// bytes is the payload per direction: q · w · cross-section · 8 B, where
-	// the cross-section spans the other axes' full local extents (ghosts
-	// included — later-axis ghost layers ride along in the sequential
-	// exchange, exactly as in the real packer). Under the sparse cost model
+	// bytes is the payload per direction: the populations a face carries
+	// (core.DirectedFaces: CrossPlaneVels[0] at w = k, else q) · w ·
+	// cross-section · 8 B, where the cross-section spans the other axes'
+	// full local extents (ghosts included — later-axis ghost layers ride
+	// along in the sequential exchange, exactly as in the real packer).
+	// Under the sparse cost model
 	// the exchanger packs, sends and unpacks only each face's fluid cells,
 	// priced at the rank's own fluid fraction. Zero on a wrap axis.
 	bytes float64
@@ -559,7 +565,15 @@ func (st *simState) rankGeometry(r int, slow float64) rankGeom {
 	hide := st.overlapShares(own)
 	for a := 0; a < 3; a++ {
 		ax := &g.axis[a]
-		face := float64(j.Spec.Q) * float64(st.w[a]) * 8
+		// What a face carries is the solver's rule too (core.DirectedFaces):
+		// a ghost layer exactly k wide holds only the populations pulled out
+		// of it, all Q otherwise. A Job cannot say AoS or pressure outlet,
+		// the rule's whole-cell cases.
+		vels := j.Spec.Q
+		if core.DirectedFaces(st.w[a], j.K, false) {
+			vels = j.CrossPlaneVels[0]
+		}
+		face := float64(vels) * float64(st.w[a]) * 8
 		for b := 0; b < 3; b++ {
 			if b != a {
 				face *= float64(own[b] + 2*st.w[b])

@@ -157,9 +157,13 @@ func TestFig10DeepHaloTradeoff(t *testing.T) {
 	if smallD2.Seconds < smallD1.Seconds {
 		t.Errorf("small system: depth 2 (%.3gs) beat depth 1 (%.3gs); ghost overhead should dominate", smallD2.Seconds, smallD1.Seconds)
 	}
-	// Large: 128k planes → 64 planes/rank.
-	largeD1 := mustRun(t, job(131072, 1))
-	largeD2 := mustRun(t, job(131072, 2))
+	// Large: 512k planes → 256 planes/rank. (A depth-1 face carries 5 of
+	// the 19 populations, core.DirectedFaces, so a deep halo pays bytes as
+	// well as ghost updates for its saved messages: the crossover that sat
+	// below 64 planes/rank when every face carried all Q sits between 64
+	// and 256.)
+	largeD1 := mustRun(t, job(524288, 1))
+	largeD2 := mustRun(t, job(524288, 2))
 	if largeD2.Seconds >= largeD1.Seconds {
 		t.Errorf("large system: depth 2 (%.3gs) did not beat depth 1 (%.3gs)", largeD2.Seconds, largeD1.Seconds)
 	}
@@ -525,7 +529,8 @@ func TestBoundedAxesReduceCommunication(t *testing.T) {
 	slabB := slab
 	slabB.Bounded = [3]bool{true, false, false}
 	slabBnd := mustRun(t, slabB)
-	if got, want := slabBnd.AxisBytes[0], float64(19*8*32*32); got != want {
+	// A depth-1 face: the 5 populations pulled out of its ghost.
+	if got, want := slabBnd.AxisBytes[0], float64(5*8*32*32); got != want {
 		t.Errorf("bounded slab x bytes = %g, want %g", got, want)
 	}
 	if sum(slabBnd.CommSeconds) >= sum(slabP.CommSeconds) {

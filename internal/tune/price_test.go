@@ -21,22 +21,27 @@ import (
 // One has, with the per-axis ghost rule (PR 22): the pencil point is the
 // 1×2×2 shape of Points; as 2×2×1 it priced 0.03055877415384615 with
 // ghosts on its uncut z and 0.0294003190153846 without (no z wrap copies,
-// 32- not 34-cell faces).
+// 32- not 34-cell faces). And every depth-1 point and the depth-1 default
+// candidate have, with core.DirectedFaces (PR 23): a ghost face exactly k
+// wide carries the 5 of 19 populations pulled out of it, so its pack, wire,
+// unpack and local-wrap terms are priced at 5/19 of the bytes (the pencil
+// 0.0306 → 0.0210, the 2-rank slabs 0.0433 → 0.0357); the four depth-2
+// rows, whose faces carry all Q, are the bits they were.
 func TestPinnedPrices(t *testing.T) {
 	truth := truthCoeffs()
 	sw := &Sweep{Model: "D3Q19", Dims: [3]int{64, 32, 32}, Steps: 8}
 	sweep := map[string]uint64{
-		"slab GC blocking d1 r2": 0x3fa62be8d4ab3314, // 0.04330375286153845
+		"slab GC blocking d1 r2": 0x3fa246af2575f663, // 0.035695527384615365
 		"slab GC blocking d2 r2": 0x3fa618c2202548c9, // 0.043157640861538456
-		"slab NB-C d1 r2":        0x3fa5f77b0ed4fa8d, // 0.04290375286153845
+		"slab NB-C d1 r2":        0x3fa212415f9fbdde, // 0.035295527384615374
 		"slab GC-C d2 r2":        0x3fa0d82d67bd09a9, // 0.032899302400000004
-		"pencil GC-C d1 r4":      0x3f9f59315ec908d7, // 0.03061368123076921
-		"slab SIMD r1 t1":        0x3faefbf212fd3ecb, // 0.06051594239999999
-		"slab SIMD r1 t2":        0x3fa01c9c993c01f0, // 0.031468290048
-		"slab SIMD r1 t4":        0x3f972284f649095a, // 0.022592618496000007
-		"trt GC-C d1 r2":         0x3fa6e1f75efa3efc, // 0.04469273599999998
-		"mrt GC-C d1 r2":         0x3faec5acb6c694ea, // 0.060101888000000006
-		"fused GC-C d1 r2":       0x3f98ba0b2928ee35, // 0.024147199999999997
+		"pencil GC-C d1 r4":      0x3f957a3c00f74d26, // 0.0209740996923077
+		"slab SIMD r1 t1":        0x3faeb3ca47616879, // 0.05996543999999999
+		"slab SIMD r1 t2":        0x3f9fee2e87acfc04, // 0.031182028799999997
+		"slab SIMD r1 t4":        0x3f96eca4b02d6cbc, // 0.022387097600000003
+		"trt GC-C d1 r2":         0x3fa699cf935e68ad, // 0.044142233600000004
+		"mrt GC-C d1 r2":         0x3fae7d84eb2abe99, // 0.05955138560000001
+		"fused GC-C d1 r2":       0x3f9829bb91f14191, // 0.023596697599999997
 		"aa GC-C d2 r2":          0x3f9b9da84084ca49, // 0.02696860212126698
 	}
 	pts := Points()
@@ -70,8 +75,8 @@ func TestPinnedPrices(t *testing.T) {
 		coeffs *perfsim.Coeffs
 		want   uint64
 	}{
-		{"default unfitted", DefaultCandidate(), nil, 0x4000511fc7098326}, // 2.0396113920000003
-		{"default fitted", DefaultCandidate(), truth, 0x3fda0909a1bbe851}, // 0.4068016127999999
+		{"default unfitted", DefaultCandidate(), nil, 0x40002f4d1f9876b0}, // 2.0230963200000005
+		{"default fitted", DefaultCandidate(), truth, 0x3fd9e0733f343fc4}, // 0.40432435199999994
 		{"masked sparse unfitted", masked, nil, 0x3fb26fe74ec349f5},       // 0.07202001259728504
 		{"masked sparse fitted", masked, truth, 0x3f88f620eaa909bf},       // 0.012188203011764707
 	} {
