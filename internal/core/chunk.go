@@ -300,7 +300,7 @@ func newScratches(threads, q, nz int, op collision.Operator) []*workerScratch {
 	for w := range out {
 		sc := &workerScratch{
 			fc:     make([]float64, q),
-			rb:     newRowBufs(nz),
+			rb:     newRowBufs(nz, q),
 			vrows:  make([][]float64, q),
 			vstore: make([]float64, q*nz),
 			nzCap:  nz,

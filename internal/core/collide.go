@@ -37,18 +37,29 @@ var testForceOperatorPath bool
 type collider struct {
 	model *lattice.Model
 	op    collision.Operator // nil for the ladder's BGK kernels; workers relax through their scratch clone
-	pairs []velPair
 
-	// Equilibrium coefficients: reciprocal speed-of-sound powers and float
-	// copies of the velocity components (the "CF" specialization — what
-	// -O5/-qipa did for the paper's C code).
+	// The pair kernels' tables (CF and above, and the operator row kernel):
+	// the opposite pairs, and per weight class the coefficient of ρ in a
+	// pair's t row — ω·w_k where the kernel relaxes (BGK), w_k where it
+	// writes equilibria for an operator.
+	pairs []velPair
+	tw    []float64
+	omc   float64 // 1 − ω
+	// ½ and ⅙ as values: written as constants in a row loop they are
+	// reloaded from memory on every iteration.
+	half, sixth float64
+
+	// The generic kernel's coefficients (DH, the reference rung): float
+	// copies of the velocity components and the reciprocal speed-of-sound
+	// powers of the expanded equilibrium polynomial.
 	cx, cy, cz, w []float64
-	invCs2        float64 // 1/c_s²
 	invCs4h       float64 // 1/(2c_s⁴)
-	invCs2h       float64 // 1/(2c_s²)
-	third         bool
 	thA           float64 // 1/(6c_s⁶)
 	thB           float64 // 1/(2c_s⁴)
+
+	invCs2  float64 // 1/c_s²
+	invCs2h float64 // 1/(2c_s²)
+	third   bool
 
 	tau, omega float64
 	// Velocity-shift forcing: equilibria are evaluated at u + τ_j·a, where
@@ -67,17 +78,19 @@ type collider struct {
 func (c *collider) init(cfg *Config) error {
 	m := cfg.Model
 	*c = collider{
-		model: m, pairs: velocityPairs(m),
+		model: m,
+		half:  0.5, sixth: 1.0 / 6,
 		cx: make([]float64, m.Q), cy: make([]float64, m.Q), cz: make([]float64, m.Q),
 		w:       append([]float64(nil), m.W...),
-		invCs2:  1 / m.CsSq,
 		invCs4h: 1 / (2 * m.CsSq * m.CsSq),
-		invCs2h: 1 / (2 * m.CsSq),
-		third:   m.Order >= 3,
 		thA:     1 / (6 * m.CsSq * m.CsSq * m.CsSq),
 		thB:     1 / (2 * m.CsSq * m.CsSq),
+		invCs2:  1 / m.CsSq,
+		invCs2h: 1 / (2 * m.CsSq),
+		third:   m.Order >= 3,
 		tau:     cfg.Tau, omega: 1 / cfg.Tau,
 	}
+	c.omc = 1 - c.omega
 	for i := 0; i < m.Q; i++ {
 		c.cx[i] = float64(m.Cx[i])
 		c.cy[i] = float64(m.Cy[i])
@@ -96,6 +109,12 @@ func (c *collider) init(cfg *Config) error {
 	c.shiftY = shiftTau * cfg.Accel[1]
 	c.shiftZ = shiftTau * cfg.Accel[2]
 
+	c.pairs, c.tw = velocityPairs(m)
+	if c.op == nil {
+		for k := range c.tw {
+			c.tw[k] *= c.omega
+		}
+	}
 	_, rows := c.op.(collision.RowRelaxer)
 	switch {
 	case rows:
@@ -112,35 +131,73 @@ func (c *collider) init(cfg *Config) error {
 	return nil
 }
 
-// velPair groups a velocity with its opposite for the pair-symmetric
-// kernels; rest velocities pair with themselves.
+// velPair is a velocity and its opposite as the pair kernels see them:
+// the axes the pair moves along and its components on them — i is the
+// member whose first non-zero component is positive — and its weight
+// class. The rest velocity pairs with itself and moves along no axis.
 type velPair struct {
-	i, j int // j = Opp[i]; i == j for the rest velocity
+	i, j int        // j = Opp[i]; i == j for the rest velocity
+	n    int        // axes moved along: 0 (rest) to 3
+	ax   [3]int     // their indices, ascending; the first n are valid
+	c    [3]float64 // velocity i's components on them; c[0] > 0
+	k    int        // weight class: index into the weights velocityPairs returns
 }
 
-func velocityPairs(m *lattice.Model) []velPair {
-	var ps []velPair
+// velocityPairs tabulates m's opposite pairs and its distinct weights in
+// order of first use.
+func velocityPairs(m *lattice.Model) (ps []velPair, weights []float64) {
 	for i := 0; i < m.Q; i++ {
-		if j := m.Opp[i]; i <= j {
-			ps = append(ps, velPair{i, j})
+		p := velPair{i: i, j: m.Opp[i]}
+		for a, ca := range [3]int{m.Cx[i], m.Cy[i], m.Cz[i]} {
+			if ca != 0 {
+				p.ax[p.n], p.c[p.n] = a, float64(ca)
+				p.n++
+			}
 		}
+		if p.c[0] < 0 {
+			continue // the pair is tabulated at its other member
+		}
+		for p.k < len(weights) && weights[p.k] != m.W[i] {
+			p.k++
+		}
+		if p.k == len(weights) {
+			weights = append(weights, m.W[i])
+		}
+		ps = append(ps, p)
 	}
-	return ps
+	return ps, weights
 }
 
-// rowBufs are the z-line accumulators of the row kernels, allocated once
+// rowBufs are the z-line scratch rows of the row kernels, allocated once
 // per worker (workerScratch) at the local field's NZ and re-sliced to each
 // call's run length.
 type rowBufs struct {
-	rho, jx, jy, jz []float64
-	ux, uy, uz, u2  []float64
+	rho []float64
+	// Per axis: the momentum j_a as the moment pass accumulates it, which
+	// the pair kernels finish in place into q_a = u_a/c_s².
+	j [3][]float64
+
+	u  [3][]float64 // generic kernel: velocity
+	u2 []float64    // generic kernel: |u|²
+
+	base []float64   // pair kernels: 1 − u²/(2c_s²)
+	q    []float64   // pair kernels: a pair's q = Σ c_a·q_a where it is not an axis's own row (pairQ)
+	t    [][]float64 // pair kernels: per weight class, tw_k·ρ
 }
 
-func newRowBufs(nz int) rowBufs {
-	return rowBufs{
-		rho: make([]float64, nz), jx: make([]float64, nz), jy: make([]float64, nz), jz: make([]float64, nz),
-		ux: make([]float64, nz), uy: make([]float64, nz), uz: make([]float64, nz), u2: make([]float64, nz),
+// newRowBufs allocates the rows for a lattice of q velocities, which has
+// at most (q+1)/2 pairs and so at most that many weight classes.
+func newRowBufs(nz, q int) rowBufs {
+	row := func() []float64 { return make([]float64, nz) }
+	b := rowBufs{
+		rho: row(), j: [3][]float64{row(), row(), row()},
+		u: [3][]float64{row(), row(), row()}, u2: row(),
+		base: row(), q: row(), t: make([][]float64, (q+1)/2),
 	}
+	for k := range b.t {
+		b.t[k] = row()
+	}
+	return b
 }
 
 // rowViews points the slice headers hdr at the z-run [base, base+zn) of
@@ -173,28 +230,14 @@ func (c *collider) relaxNaive(sc *workerScratch, in, out [][]float64, zn int) {
 	}
 }
 
-// velocities turns the accumulated moments of a run into the shifted
-// equilibrium velocity and its square, divisions replaced by one
-// reciprocal per cell.
-func (c *collider) velocities(b *rowBufs, zn int) {
-	rho, jx, jy, jz := b.rho[:zn], b.jx[:zn], b.jy[:zn], b.jz[:zn]
-	ux, uy, uz, u2 := b.ux[:zn], b.uy[:zn], b.uz[:zn], b.u2[:zn]
-	for z := 0; z < zn; z++ {
-		inv := 1 / rho[z]
-		ux[z] = jx[z]*inv + c.shiftX
-		uy[z] = jy[z]*inv + c.shiftY
-		uz[z] = jz[z]*inv + c.shiftZ
-		u2[z] = ux[z]*ux[z] + uy[z]*uy[z] + uz[z]*uz[z]
-	}
-}
-
 // relaxGeneric is the data-handling kernel (DH, §V.B): moments accumulated
 // one velocity row at a time in memory order (maximizing cache reuse of
-// the contiguous SoA blocks), reciprocals, equilibria inlined. Still a
-// generic velocity loop.
+// the contiguous SoA blocks), divisions replaced by one reciprocal per
+// cell, equilibria inlined. Still a generic velocity loop over the
+// expanded polynomial — the reference the pair kernels are tested against.
 func (c *collider) relaxGeneric(sc *workerScratch, in, out [][]float64, zn int) {
 	b := &sc.rb
-	rho, jx, jy, jz := b.rho[:zn], b.jx[:zn], b.jy[:zn], b.jz[:zn]
+	rho, jx, jy, jz := b.rho[:zn], b.j[0][:zn], b.j[1][:zn], b.j[2][:zn]
 	for z := 0; z < zn; z++ {
 		rho[z], jx[z], jy[z], jz[z] = 0, 0, 0, 0
 	}
@@ -208,8 +251,14 @@ func (c *collider) relaxGeneric(sc *workerScratch, in, out [][]float64, zn int) 
 			jz[z] += cz * val
 		}
 	}
-	c.velocities(b, zn)
-	ux, uy, uz, u2 := b.ux[:zn], b.uy[:zn], b.uz[:zn], b.u2[:zn]
+	ux, uy, uz, u2 := b.u[0][:zn], b.u[1][:zn], b.u[2][:zn], b.u2[:zn]
+	for z := 0; z < zn; z++ {
+		inv := 1 / rho[z]
+		ux[z] = jx[z]*inv + c.shiftX
+		uy[z] = jy[z]*inv + c.shiftY
+		uz[z] = jz[z]*inv + c.shiftZ
+		u2[z] = ux[z]*ux[z] + uy[z]*uy[z] + uz[z]*uz[z]
+	}
 	omega := c.omega
 	invCs2, invCs4h, invCs2h, third, thA, thB := c.invCs2, c.invCs4h, c.invCs2h, c.third, c.thA, c.thB
 	for v, sv := range in {
@@ -228,108 +277,197 @@ func (c *collider) relaxGeneric(sc *workerScratch, in, out [][]float64, zn int) 
 	}
 }
 
-// pairMoments accumulates a run's moments as opposite-pair sums and
-// differences (a pair contributes its sum to ρ and c·difference to the
-// momentum; the rest velocity carries none) and finishes them into
-// velocities.
+// The pair kernels (CF and above §V.C/§V.G, and the operator row kernel)
+// process velocities as opposite pairs. With q_a = u_a/c_s², q = Σ c_a·q_a
+// over the axes a pair moves along and base = 1 − u²/(2c_s²), the
+// equilibria of the pair are w·ρ·(even ± odd):
+//
+//	even = base + q²/2
+//	odd  = q                 (order 2)
+//	odd  = q·(base + q²/6)   (order 3)
+//
+// — the order-3 form is q + q³/6 − q·u²/(2c_s²), the Hermite polynomial's
+// cu/c_s² + cu³/(6c_s⁶) − cu·u²/(2c_s⁴), exactly. Three passes: pairMoments
+// accumulates, velocities finishes the rows every pair shares once per
+// cell, and the pair loops spend one polynomial and one multiply by the
+// pair's t row per two velocities.
+
+// pairMoments accumulates a run's density and momentum rows from
+// opposite-pair sums and differences: a pair adds its sum to ρ and its
+// difference, times its component, to the momentum rows of the axes it
+// moves along only.
 func (c *collider) pairMoments(b *rowBufs, in [][]float64, zn int) {
-	rho, jx, jy, jz := b.rho[:zn], b.jx[:zn], b.jy[:zn], b.jz[:zn]
+	rho, jx, jy, jz := b.rho[:zn], b.j[0][:zn], b.j[1][:zn], b.j[2][:zn]
 	for z := 0; z < zn; z++ {
 		rho[z], jx[z], jy[z], jz[z] = 0, 0, 0, 0
 	}
-	for _, p := range c.pairs {
-		if p.i == p.j {
-			for z, val := range in[p.i][:zn] {
+	for i := range c.pairs {
+		p := &c.pairs[i]
+		si, sj := in[p.i][:zn], in[p.j][:zn]
+		ja, ca := b.j[p.ax[0]][:zn], p.c[0]
+		switch p.n {
+		case 0:
+			for z, val := range si {
 				rho[z] += val
 			}
-			continue
-		}
-		si, sj := in[p.i][:zn], in[p.j][:zn]
-		cx, cy, cz := c.cx[p.i], c.cy[p.i], c.cz[p.i]
-		for z := 0; z < zn; z++ {
-			vi, vj := si[z], sj[z]
-			sum, diff := vi+vj, vi-vj
-			rho[z] += sum
-			jx[z] += cx * diff
-			jy[z] += cy * diff
-			jz[z] += cz * diff
+		case 1:
+			for z := 0; z < zn; z++ {
+				vi, vj := si[z], sj[z]
+				rho[z] += vi + vj
+				ja[z] += ca * (vi - vj)
+			}
+		case 2:
+			jb, cb := b.j[p.ax[1]][:zn], p.c[1]
+			for z := 0; z < zn; z++ {
+				vi, vj := si[z], sj[z]
+				rho[z] += vi + vj
+				diff := vi - vj
+				ja[z] += ca * diff
+				jb[z] += cb * diff
+			}
+		case 3:
+			jb, cb := b.j[p.ax[1]][:zn], p.c[1]
+			jc, cc := b.j[p.ax[2]][:zn], p.c[2]
+			for z := 0; z < zn; z++ {
+				vi, vj := si[z], sj[z]
+				rho[z] += vi + vj
+				diff := vi - vj
+				ja[z] += ca * diff
+				jb[z] += cb * diff
+				jc[z] += cc * diff
+			}
 		}
 	}
-	c.velocities(b, zn)
 }
 
-// relaxPaired is the specialized kernel (CF and above, §V.C/§V.G
-// stand-in): velocities are processed as opposite pairs sharing the even
-// part of the equilibrium (f_eq(+c) and f_eq(−c) differ only in the sign
-// of the odd terms), with all coefficients precomputed and no method
-// calls in the inner loops.
+// velocities finishes a run's accumulated moments into the rows the pair
+// loops share: the momentum rows become q_a in place (one reciprocal per
+// cell, the forcing shift added to u), base, and per weight class
+// t_k = tw_k·ρ.
+func (c *collider) velocities(b *rowBufs, zn int) {
+	rho, qx, qy, qz, base := b.rho[:zn], b.j[0][:zn], b.j[1][:zn], b.j[2][:zn], b.base[:zn]
+	sx, sy, sz, invCs2, invCs2h := c.shiftX, c.shiftY, c.shiftZ, c.invCs2, c.invCs2h
+	for z := 0; z < zn; z++ {
+		inv := 1 / rho[z]
+		ux, uy, uz := qx[z]*inv+sx, qy[z]*inv+sy, qz[z]*inv+sz
+		base[z] = 1 - (ux*ux+uy*uy+uz*uz)*invCs2h
+		qx[z], qy[z], qz[z] = ux*invCs2, uy*invCs2, uz*invCs2
+	}
+	for k, w := range c.tw {
+		t := b.t[k][:zn]
+		for z := range t {
+			t[z] = w * rho[z]
+		}
+	}
+}
+
+// pairEq is the pair kernels' equilibrium polynomial, written once and
+// inlined into every pair loop with third a constant.
+func pairEq(third bool, base, q, half, sixth float64) (even, odd float64) {
+	q2 := q * q
+	even = base + q2*half
+	if third {
+		return even, q * (base + q2*sixth)
+	}
+	return even, q
+}
+
+// pairQ returns p's row q = Σ c_a·q_a over a run: the axis's own q row
+// for a unit one-axis pair, else formed in the worker's q row.
+func pairQ(b *rowBufs, p *velPair, zn int) []float64 {
+	qa, ca := b.j[p.ax[0]][:zn], p.c[0]
+	if p.n == 1 && ca == 1 {
+		return qa
+	}
+	q := b.q[:zn]
+	switch p.n {
+	case 1:
+		for z := range q {
+			q[z] = ca * qa[z]
+		}
+	case 2:
+		qb, cb := b.j[p.ax[1]][:zn], p.c[1]
+		for z := range q {
+			q[z] = ca*qa[z] + cb*qb[z]
+		}
+	case 3:
+		qb, cb := b.j[p.ax[1]][:zn], p.c[1]
+		qc, cc := b.j[p.ax[2]][:zn], p.c[2]
+		for z := range q {
+			q[z] = ca*qa[z] + cb*qb[z] + cc*qc[z]
+		}
+	}
+	return q
+}
+
+// relaxPaired is the specialized kernel (CF and above): per pair,
+// out = (1−ω)·f + t·(even ± odd) with t = ω·w·ρ.
 func (c *collider) relaxPaired(sc *workerScratch, in, out [][]float64, zn int) {
 	b := &sc.rb
 	c.pairMoments(b, in, zn)
-	rho, ux, uy, uz, u2 := b.rho[:zn], b.ux[:zn], b.uy[:zn], b.uz[:zn], b.u2[:zn]
-	omega := c.omega
-	invCs2, invCs4h, invCs2h, third, thA, thB := c.invCs2, c.invCs4h, c.invCs2h, c.third, c.thA, c.thB
-	for _, p := range c.pairs {
-		if p.i == p.j {
-			sv, dv := in[p.i][:zn], out[p.i][:zn]
-			w := c.w[p.i]
+	c.velocities(b, zn)
+	base := b.base[:zn]
+	omc, half, sixth := c.omc, c.half, c.sixth
+	for i := range c.pairs {
+		p := &c.pairs[i]
+		t := b.t[p.k][:zn]
+		si, sj := in[p.i][:zn], in[p.j][:zn]
+		di, dj := out[p.i][:zn], out[p.j][:zn]
+		if p.n == 0 {
 			for z := 0; z < zn; z++ {
-				feq := w * rho[z] * (1 - u2[z]*invCs2h)
-				dv[z] = sv[z] - omega*(sv[z]-feq)
+				di[z] = omc*si[z] + t[z]*base[z]
 			}
 			continue
 		}
-		si, sj := in[p.i][:zn], in[p.j][:zn]
-		di, dj := out[p.i][:zn], out[p.j][:zn]
-		cx, cy, cz, w := c.cx[p.i], c.cy[p.i], c.cz[p.i], c.w[p.i]
-		for z := 0; z < zn; z++ {
-			cu := cx*ux[z] + cy*uy[z] + cz*uz[z]
-			cu2 := cu * cu
-			even := 1 + cu2*invCs4h - u2[z]*invCs2h
-			odd := cu * invCs2
-			if third {
-				odd += cu2*cu*thA - cu*u2[z]*thB
+		q := pairQ(b, p, zn)
+		if c.third {
+			for z := 0; z < zn; z++ {
+				even, odd := pairEq(true, base[z], q[z], half, sixth)
+				di[z] = omc*si[z] + t[z]*(even+odd)
+				dj[z] = omc*sj[z] + t[z]*(even-odd)
 			}
-			wr := w * rho[z]
-			di[z] = si[z] - omega*(si[z]-wr*(even+odd))
-			dj[z] = sj[z] - omega*(sj[z]-wr*(even-odd))
+		} else {
+			for z := 0; z < zn; z++ {
+				even, odd := pairEq(false, base[z], q[z], half, sixth)
+				di[z] = omc*si[z] + t[z]*(even+odd)
+				dj[z] = omc*sj[z] + t[z]*(even-odd)
+			}
 		}
 	}
 }
 
 // relaxOpRows is the row kernel of operators with a row form
-// (collision.RowRelaxer — TRT, MRT): the pair moment pass, then the
-// equilibria of the whole run in the pair-symmetric form of relaxPaired
-// into the worker's feq rows, then one RelaxRows call on the worker's
-// private operator clone.
+// (collision.RowRelaxer — TRT, MRT): the same moment passes with t = w·ρ,
+// the equilibria of the whole run t·(even ± odd) into the worker's feq
+// rows, then one RelaxRows call on the worker's private operator clone.
 func (c *collider) relaxOpRows(sc *workerScratch, in, out [][]float64, zn int) {
 	b := &sc.rb
 	c.pairMoments(b, in, zn)
-	rho, ux, uy, uz, u2 := b.rho[:zn], b.ux[:zn], b.uy[:zn], b.uz[:zn], b.u2[:zn]
-	invCs2, invCs4h, invCs2h, third, thA, thB := c.invCs2, c.invCs4h, c.invCs2h, c.third, c.thA, c.thB
+	c.velocities(b, zn)
+	base := b.base[:zn]
+	half, sixth := c.half, c.sixth
 	feq := sc.rows(zn)
-	for _, p := range c.pairs {
-		if p.i == p.j {
-			fv := feq[p.i][:zn]
-			w := c.w[p.i]
+	for i := range c.pairs {
+		p := &c.pairs[i]
+		t := b.t[p.k][:zn]
+		fi, fj := feq[p.i][:zn], feq[p.j][:zn]
+		if p.n == 0 {
 			for z := 0; z < zn; z++ {
-				fv[z] = w * rho[z] * (1 - u2[z]*invCs2h)
+				fi[z] = t[z] * base[z]
 			}
 			continue
 		}
-		fi, fj := feq[p.i][:zn], feq[p.j][:zn]
-		cx, cy, cz, w := c.cx[p.i], c.cy[p.i], c.cz[p.i], c.w[p.i]
-		for z := 0; z < zn; z++ {
-			cu := cx*ux[z] + cy*uy[z] + cz*uz[z]
-			cu2 := cu * cu
-			even := 1 + cu2*invCs4h - u2[z]*invCs2h
-			odd := cu * invCs2
-			if third {
-				odd += cu2*cu*thA - cu*u2[z]*thB
+		q := pairQ(b, p, zn)
+		if c.third {
+			for z := 0; z < zn; z++ {
+				even, odd := pairEq(true, base[z], q[z], half, sixth)
+				fi[z], fj[z] = t[z]*(even+odd), t[z]*(even-odd)
 			}
-			wr := w * rho[z]
-			fi[z] = wr * (even + odd)
-			fj[z] = wr * (even - odd)
+		} else {
+			for z := 0; z < zn; z++ {
+				even, odd := pairEq(false, base[z], q[z], half, sixth)
+				fi[z], fj[z] = t[z]*(even+odd), t[z]*(even-odd)
+			}
 		}
 	}
 	sc.op.(collision.RowRelaxer).RelaxRows(out, in, feq, zn)

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"math"
+	"math/rand"
 	"testing"
 
 	"repro/internal/collision"
@@ -116,5 +118,167 @@ func TestCollideAllocatesNothing(t *testing.T) {
 			t.Errorf("ghosts on every axis = %v: collideBox: %v allocs per call, want 0", ghosted, a)
 		}
 		cs.close()
+	}
+}
+
+var pairLattices = []*lattice.Model{lattice.D3Q19(), lattice.D3Q27(), lattice.D3Q39()}
+
+// randomRows fills Q rows of zn cells with a randomly perturbed
+// equilibrium around a random velocity of lattice scale.
+func randomRows(rng *rand.Rand, m *lattice.Model, zn int) [][]float64 {
+	rows := make([][]float64, m.Q)
+	for v := range rows {
+		rows[v] = make([]float64, zn)
+	}
+	feq := make([]float64, m.Q)
+	for z := 0; z < zn; z++ {
+		m.Equilibrium(1+0.1*rng.Float64(), 0.1*rng.Float64()-0.05, 0.1*rng.Float64()-0.05, 0.1*rng.Float64()-0.05, feq)
+		for v, f := range feq {
+			rows[v][z] = f * (1 + 0.1*rng.Float64())
+		}
+	}
+	return rows
+}
+
+// TestVelocityPairTable: the pair table is the lattice, regrouped — every
+// velocity in exactly one pair with its opposite, oriented, carrying the
+// lattice's own components on exactly the axes it moves along and its own
+// weight — and the moment pass through it is Model.Moments.
+func TestVelocityPairTable(t *testing.T) {
+	shapes := map[string][4]int{"D3Q19": {1, 3, 6, 0}, "D3Q27": {1, 3, 6, 4}, "D3Q39": {1, 9, 6, 4}}
+	rng := rand.New(rand.NewSource(1))
+	for _, m := range pairLattices {
+		var c collider
+		if err := c.init(&Config{Model: m, Tau: 0.8, Opt: OptCF}); err != nil {
+			t.Fatal(err)
+		}
+		seen := make([]int, m.Q)
+		var count [4]int
+		for _, p := range c.pairs {
+			seen[p.i]++
+			if p.j != p.i {
+				seen[p.j]++
+			}
+			if p.j != m.Opp[p.i] {
+				t.Errorf("%s: pair (%d, %d): Opp[%d] = %d", m.Name, p.i, p.j, p.i, m.Opp[p.i])
+			}
+			count[p.n]++
+			if p.n > 0 && p.c[0] <= 0 {
+				t.Errorf("%s: pair (%d, %d) is not oriented: first component %g", m.Name, p.i, p.j, p.c[0])
+			}
+			var comp [3]float64
+			for a := 0; a < p.n; a++ {
+				if p.c[a] == 0 || (a > 0 && p.ax[a] <= p.ax[a-1]) {
+					t.Errorf("%s: pair (%d, %d): axes %v components %v", m.Name, p.i, p.j, p.ax[:p.n], p.c[:p.n])
+				}
+				comp[p.ax[a]] = p.c[a]
+			}
+			if want := [3]float64{float64(m.Cx[p.i]), float64(m.Cy[p.i]), float64(m.Cz[p.i])}; comp != want {
+				t.Errorf("%s: pair (%d, %d) moves along %v, velocity %d is %v", m.Name, p.i, p.j, comp, p.i, want)
+			}
+			if w := c.tw[p.k] / c.omega; math.Abs(w-m.W[p.i]) > 1e-17 {
+				t.Errorf("%s: pair (%d, %d): class weight %g, W = %g", m.Name, p.i, p.j, w, m.W[p.i])
+			}
+		}
+		for v, k := range seen {
+			if k != 1 {
+				t.Errorf("%s: velocity %d is in %d pairs", m.Name, v, k)
+			}
+		}
+		if count != shapes[m.Name] {
+			t.Errorf("%s: rest/one/two/three-axis pairs %v, want %v", m.Name, count, shapes[m.Name])
+		}
+		distinct := map[float64]bool{}
+		for _, w := range m.W {
+			distinct[w] = true
+		}
+		if len(c.tw) != len(distinct) {
+			t.Errorf("%s: %d weight classes, %d distinct weights", m.Name, len(c.tw), len(distinct))
+		}
+
+		const zn = 7
+		in := randomRows(rng, m, zn)
+		b := newRowBufs(zn, m.Q)
+		c.pairMoments(&b, in, zn)
+		fc := make([]float64, m.Q)
+		for z := 0; z < zn; z++ {
+			for v := range fc {
+				fc[v] = in[v][z]
+			}
+			rho, jx, jy, jz := m.Moments(fc)
+			got := [4]float64{b.rho[z], b.j[0][z], b.j[1][z], b.j[2][z]}
+			for k, want := range [4]float64{rho, jx, jy, jz} {
+				if math.Abs(got[k]-want) > 1e-15 {
+					t.Errorf("%s cell %d: moment %d through the pair table %g, Model.Moments %g", m.Name, z, k, got[k], want)
+				}
+			}
+		}
+	}
+}
+
+// TestPairKernelsMatchGeneric holds the pair kernels against arithmetic
+// that shares nothing with them: relaxPaired against relaxGeneric's
+// expanded polynomial per value, and relaxOpRows' equilibrium rows against
+// Model.Equilibrium — at run lengths 1, 5 and a full 96-cell line, forced
+// and unforced, relaxing in place and into separate rows.
+func TestPairKernelsMatchGeneric(t *testing.T) {
+	rng := rand.New(rand.NewSource(2))
+	for _, m := range pairLattices {
+		for _, accel := range [][3]float64{{}, {1e-4, -2e-4, 3e-4}} {
+			cfg := Config{Model: m, Tau: 0.8, Opt: OptCF, Accel: accel}
+			var paired, generic, trt collider
+			if err := paired.init(&cfg); err != nil {
+				t.Fatal(err)
+			}
+			cfg.Opt = OptDH
+			if err := generic.init(&cfg); err != nil {
+				t.Fatal(err)
+			}
+			cfg.Opt, cfg.Collision = OptCF, collision.Spec{Kind: collision.TRT}
+			if err := trt.init(&cfg); err != nil {
+				t.Fatal(err)
+			}
+			for _, zn := range []int{1, 5, 96} {
+				sc := newScratches(1, m.Q, zn, trt.op)[0]
+				in := randomRows(rng, m, zn)
+				want, _ := sc.gathered(zn)
+				generic.relaxGeneric(sc, in, want, zn)
+				for _, inPlace := range []bool{false, true} {
+					src, dst := in, randomRows(rng, m, zn)
+					if inPlace {
+						for v := range dst {
+							copy(dst[v], in[v])
+						}
+						src = dst
+					}
+					paired.relaxPaired(sc, src, dst, zn)
+					for v := range dst {
+						for z, got := range dst[v] {
+							if math.Abs(got-want[v][z]) > 1e-14*math.Abs(want[v][z]) {
+								t.Errorf("%s accel %v zn %d in place %v: f[%d][%d] paired %g, generic %g",
+									m.Name, accel, zn, inPlace, v, z, got, want[v][z])
+							}
+						}
+					}
+				}
+
+				_, out := sc.gathered(zn)
+				trt.relaxOpRows(sc, in, out, zn)
+				feq := make([]float64, m.Q)
+				for z := 0; z < zn; z++ {
+					for v := range sc.fc {
+						sc.fc[v] = in[v][z]
+					}
+					rho, jx, jy, jz := m.Moments(sc.fc)
+					m.Equilibrium(rho, jx/rho+trt.shiftX, jy/rho+trt.shiftY, jz/rho+trt.shiftZ, feq)
+					for v, want := range feq {
+						if got := sc.vrows[v][z]; math.Abs(got-want) > 1e-15 {
+							t.Errorf("%s accel %v zn %d: feq[%d][%d] row kernel %g, Model.Equilibrium %g",
+								m.Name, accel, zn, v, z, got, want)
+						}
+					}
+				}
+			}
+		}
 	}
 }

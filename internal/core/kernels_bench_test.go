@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math/rand"
 	"testing"
 	"time"
 
@@ -38,9 +39,20 @@ func geoName(ghosted bool) string {
 
 var benchDims = grid.Dims{NX: 32, NY: 32, NZ: 32}
 
+// reportCellRate reports a kernel benchmark's rate both ways: Mcell/s, and
+// ns/cell — the unit in which a stream and a collide kernel add up to a
+// step.
 func reportCellRate(b *testing.B, cells int) {
-	b.ReportMetric(float64(cells)*float64(b.N)/b.Elapsed().Seconds()/1e6, "Mcell/s")
+	perCell := b.Elapsed().Seconds() / (float64(cells) * float64(b.N))
+	b.ReportMetric(1e-6/perCell, "Mcell/s")
+	b.ReportMetric(1e9*perCell, "ns/cell")
 }
+
+// floorCells is the run length of the compute-floor cases: one row of the
+// benchmark workloads' 96-cell z lines, so a lattice's rows and the
+// kernel's scratch rows stay in cache and ns/cell is the kernel's
+// arithmetic alone.
+const floorCells = 96
 
 // Streaming kernels (the DH ladder step isolated), each form in both
 // ghost geometries.
@@ -68,7 +80,8 @@ func BenchmarkStreamKernels(b *testing.B) {
 // benchRowKernel times c's row kernel over every row of src → dst in the
 // three view shapes its callers form: in-place full rows (slab and dense
 // box), 16-cell z-runs (the short runs sparse traversal feeds it), and
-// gathered scratch rows (fused and AA: in and out cache-resident).
+// gathered scratch rows (fused and AA: in and out cache-resident) — and
+// on one floorCells-long row of its own, the kernel's compute floor.
 func benchRowKernel(b *testing.B, name string, c *collider, src, dst *grid.Field) {
 	d := src.D
 	nz, cells := d.NZ, d.Cells()
@@ -77,25 +90,30 @@ func benchRowKernel(b *testing.B, name string, c *collider, src, dst *grid.Field
 	for v := range gin {
 		copy(gin[v], src.V(v)[:nz])
 	}
+	rng := rand.New(rand.NewSource(1))
+	fsc := newScratches(1, src.Q, floorCells, c.op)[0]
+	fin, fout := randomRows(rng, c.model, floorCells), randomRows(rng, c.model, floorCells)
 	shapes := []struct {
-		name string
-		run  func()
+		name  string
+		cells int
+		run   func()
 	}{
-		{"row", func() {
+		{"row", cells, func() {
 			for base := 0; base < cells; base += nz {
 				c.relax(sc, rowViews(sc.sv, src, base, nz), rowViews(sc.dv, dst, base, nz), nz)
 			}
 		}},
-		{"run16", func() {
+		{"run16", cells, func() {
 			for base := 0; base+16 <= cells; base += 16 {
 				c.relax(sc, rowViews(sc.sv, src, base, 16), rowViews(sc.dv, dst, base, 16), 16)
 			}
 		}},
-		{"gathered", func() {
+		{"gathered", cells, func() {
 			for base := 0; base < cells; base += nz {
 				c.relax(sc, gin, gout, nz)
 			}
 		}},
+		{"gathered96", floorCells, func() { c.relax(fsc, fin, fout, floorCells) }},
 	}
 	for _, sh := range shapes {
 		b.Run(name+"/"+sh.name, func(b *testing.B) {
@@ -103,12 +121,15 @@ func benchRowKernel(b *testing.B, name string, c *collider, src, dst *grid.Field
 			for i := 0; i < b.N; i++ {
 				sh.run()
 			}
-			reportCellRate(b, cells)
+			reportCellRate(b, sh.cells)
 		})
 	}
 }
 
-// The ladder's BGK row kernels (naive vs row-generic vs pair-symmetric).
+// The ladder's BGK row kernels (naive vs row-generic vs pair-symmetric),
+// and the pair kernels' moment pass alone (pairMoments + velocities) on a
+// floorCells-long row: with paired/gathered96 and BenchmarkStreamKernels'
+// indexed case, a lattice's compute floor and its stream as ns/cell.
 func BenchmarkCollideKernels(b *testing.B) {
 	for _, m := range []*lattice.Model{lattice.D3Q19(), lattice.D3Q39()} {
 		for _, c := range []struct {
@@ -118,6 +139,20 @@ func BenchmarkCollideKernels(b *testing.B) {
 			st := benchStepper(b, m, c.opt, collision.Spec{}, false, false)
 			benchRowKernel(b, m.Name+"/"+c.name, &st.collider, st.f, st.fadv)
 		}
+		b.Run(m.Name+"/paired/moments96", func(b *testing.B) {
+			var c collider
+			if err := c.init(&Config{Model: m, Tau: 0.8, Opt: OptCF}); err != nil {
+				b.Fatal(err)
+			}
+			rb := newRowBufs(floorCells, m.Q)
+			in := randomRows(rand.New(rand.NewSource(1)), m, floorCells)
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c.pairMoments(&rb, in, floorCells)
+				c.velocities(&rb, floorCells)
+			}
+			reportCellRate(b, floorCells)
+		})
 	}
 }
 
