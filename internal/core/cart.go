@@ -28,6 +28,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"time"
 
 	"repro/internal/comm"
@@ -159,14 +160,7 @@ func newCartStepper(cfg *Config, dec decomp.Cartesian, r *comm.Rank) (*cartStepp
 		return nil, err
 	}
 	obstacle := cs.buildMask()
-	// The fields follow the mask: dense over the local box, or — with the
-	// run index installed — exactly the cells of its fluid runs.
-	cs.f = grid.NewField(cfg.Model.Q, cs.fieldDims(), cfg.Layout)
-	if !cs.aa {
-		// AA streams in place: the second field never exists, which is the
-		// scheme's whole point — footprint and f-traffic are halved.
-		cs.fadv = grid.NewField(cfg.Model.Q, cs.fieldDims(), cfg.Layout)
-	}
+	cs.allocFields()
 	if cs.mask != nil {
 		cs.buildFixups(obstacle)
 	}
@@ -191,6 +185,19 @@ func newCartStepper(cfg *Config, dec decomp.Cartesian, r *comm.Rank) (*cartStepp
 	return cs, nil
 }
 
+// allocFields allocates the distribution fields. They follow the mask:
+// dense over the local box, or — with the run index installed — exactly
+// the cells of its fluid runs.
+func (cs *cartStepper) allocFields() {
+	q, d, l := cs.model.Q, cs.fieldDims(), cs.cfg.Layout
+	cs.f = grid.NewField(q, d, l)
+	if !cs.aa {
+		// AA streams in place: the second field never exists, which is the
+		// scheme's whole point — footprint and f-traffic are halved.
+		cs.fadv = grid.NewField(q, d, l)
+	}
+}
+
 // testPoisonGhosts, set by tests, floods every cell of both fields with NaN
 // before the owned region is initialized. Every ghost slot is then poison
 // until the exchange or face fill that defines it runs, so a kernel that
@@ -208,39 +215,86 @@ func poisonField(f *grid.Field) {
 }
 
 // initField writes the equilibrium of the configured initial condition
-// into the owned box; ghosts are populated by the first exchange. Dense
-// fields also hold the solid cells, which get a benign rest state — their
-// values are never consumed (every link out of them is bounced).
-func (cs *cartStepper) initField() {
+// into the owned box, chunked across the team (initRows); ghosts are
+// populated by the first exchange. Dense fields also hold the solid cells,
+// which get a benign rest state — their values are never consumed (every
+// link out of them is bounced). It returns the global index + 1 of the
+// first owned cell whose Init is not a state (validState), 0 when every
+// one is.
+func (cs *cartStepper) initField() (bad int) {
 	if testPoisonGhosts {
 		poisonField(cs.f)
 		if cs.fadv != nil {
 			poisonField(cs.fadv) // the fields swap: its ghosts are live one step later
 		}
 	}
-	feq := make([]float64, cs.model.Q)
-	cs.forRuns(cs.ownedBox(), func(ix, iy, zlo, zhi, base int) {
-		cs.initRow(feq, ix, iy, zlo, zhi, base)
+	for _, sc := range cs.scratch {
+		sc.bad = 0
+	}
+	cs.br.run(cs.initRows, cs.ownedBox())
+	for _, sc := range cs.scratch {
+		if sc.bad != 0 && (bad == 0 || sc.bad < bad) {
+			bad = sc.bad
+		}
+	}
+	return bad
+}
+
+// initRows is initField's chunk kernel. Per z-run it fills the pair
+// kernels' shared rows from the initial condition — ρ, q_a = u_a/c_s² and
+// base = 1 − u²/(2c_s²), no forcing shift; a dense field's solid cell
+// gets ρ = 1, u = 0, which is exactly cs.rest — forms t_k = w_k·ρ, and
+// lets eqRows write f_eq = t·(even ± odd) into the run's rows of f (AoS:
+// into scratch rows, transposed into the run's cells).
+func (cs *cartStepper) initRows(worker int, b box) {
+	sc := cs.scratch[worker]
+	rb := &sc.rb
+	invCs2, invCs2h := cs.invCs2, cs.invCs2h
+	cs.forRuns(b, func(ix, iy, zlo, zhi, base int) {
+		zn := zhi - zlo
+		rho, qx, qy, qz, bs := rb.rho[:zn], rb.j[0][:zn], rb.j[1][:zn], rb.j[2][:zn], rb.base[:zn]
+		msk := cs.rowMask(base, zn)
+		gx, gy, gz := cs.start[0]+ix-cs.w[0], cs.start[1]+iy-cs.w[1], cs.start[2]+zlo-cs.w[2]
+		for z := range rho {
+			r, ux, uy, uz := 1.0, 0.0, 0.0, 0.0
+			if msk == nil || !msk[z] {
+				r, ux, uy, uz = cs.cfg.Init(gx, gy, gz+z)
+				if !validState(r, ux, uy, uz) {
+					if i := cs.cfg.N.Index(gx, gy, gz+z) + 1; sc.bad == 0 || i < sc.bad {
+						sc.bad = i
+					}
+				}
+			}
+			rho[z] = r
+			bs[z] = 1 - (ux*ux+uy*uy+uz*uz)*invCs2h
+			qx[z], qy[z], qz[z] = ux*invCs2, uy*invCs2, uz*invCs2
+		}
+		weighRows(rb, cs.wk, zn)
+		if cs.f.Layout == grid.SoA {
+			cs.eqRows(rb, rowViews(sc.sv, cs.f, base, zn), zn)
+			return
+		}
+		rows, _ := sc.gathered(zn)
+		cs.eqRows(rb, rows, zn)
+		rowsToAoS(cs.f.Data[base*cs.model.Q:], rows, zn)
 	})
 }
 
-// initRow initialises the cells z ∈ [zlo, zhi) of local row (ix, iy),
-// stored from field offset base.
-func (cs *cartStepper) initRow(feq []float64, ix, iy, zlo, zhi, base int) {
-	m, f := cs.model, cs.f
-	gx, gy, gz := cs.start[0]+ix-cs.w[0], cs.start[1]+iy-cs.w[1], cs.start[2]-cs.w[2]
-	for iz := zlo; iz < zhi; iz++ {
-		vals := feq
-		if cs.mask != nil && cs.mask[cs.d.Index(ix, iy, iz)] {
-			vals = cs.rest
-		} else {
-			rho, ux, uy, uz := cs.cfg.Init(gx, gy, gz+iz)
-			m.Equilibrium(rho, ux, uy, uz, feq)
-		}
-		for v, x := range vals {
-			f.Data[f.Idx(v, base+iz-zlo)] = x
-		}
+// validState reports whether (ρ, u) is a state the solver can start from:
+// ρ finite and positive, every component of u finite.
+func validState(rho, ux, uy, uz float64) bool {
+	const big = math.MaxFloat64
+	return rho > 0 && rho <= big && math.Abs(ux) <= big && math.Abs(uy) <= big && math.Abs(uz) <= big
+}
+
+// rowMask returns the solid flags of the run [base, base+zn) of a dense
+// masked field, or nil when every cell of the run is fluid: no mask, or a
+// run of the run index.
+func (cs *cartStepper) rowMask(base, zn int) []bool {
+	if cs.mask == nil || cs.runStart != nil {
+		return nil
 	}
+	return cs.mask[base : base+zn]
 }
 
 // run advances the configured number of steps. Each ghosted axis runs its
@@ -743,19 +797,32 @@ func (cs *cartStepper) collideAoS(worker int, b box) {
 	cs.forRuns(b, func(ix, iy, zlo, zhi, base int) {
 		zn := zhi - zlo
 		rows, _ := sc.gathered(zn)
-		cells := cs.fadv.Data[base*q : (base+zn)*q]
-		for z := 0; z < zn; z++ {
-			for v := range rows {
-				rows[v][z] = cells[z*q+v]
-			}
-		}
+		cells := cs.fadv.Data[base*q:]
+		aosToRows(rows, cells, zn)
 		cs.relax(sc, rows, rows, zn)
-		for z := 0; z < zn; z++ {
-			for v := range rows {
-				cells[z*q+v] = rows[v][z]
-			}
-		}
+		rowsToAoS(cells, rows, zn)
 	})
+}
+
+// aosToRows transposes zn consecutive AoS cells (Q-blocks, len(rows) = Q)
+// into the rows.
+func aosToRows(rows [][]float64, cells []float64, zn int) {
+	q := len(rows)
+	for z := 0; z < zn; z++ {
+		for v := range rows {
+			rows[v][z] = cells[z*q+v]
+		}
+	}
+}
+
+// rowsToAoS is aosToRows reversed.
+func rowsToAoS(cells []float64, rows [][]float64, zn int) {
+	q := len(rows)
+	for z := 0; z < zn; z++ {
+		for v := range rows {
+			cells[z*q+v] = rows[v][z]
+		}
+	}
 }
 
 // axisClass classifies one local index on one axis: the in-domain global
@@ -885,6 +952,13 @@ func (cs *cartStepper) buildMask() (obstacle []bool) {
 // is also why this runs after the allocation: the link list grows by
 // doubling, and built on an empty heap its garbage paces the collector
 // through every doubling (measured: +10 % of cavity-trt's set-up).
+//
+// The scan goes by source row: a link's upwind cell is solid, so only the
+// velocities whose upwind row holds a solid cell can link a row's cells,
+// and a row with none of them — most of a walled box — is skipped whole.
+// The rest loop z, then those velocities ascending: the (ix, iy, iz, v)
+// order of an exhaustive per-cell scan, so the same links in the same
+// CSR order.
 func (cs *cartStepper) buildFixups(obstacle []bool) {
 	nx, ny, nz := cs.d.NX, cs.d.NY, cs.d.NZ
 	class, m := cs.class, cs.model
@@ -895,27 +969,42 @@ func (cs *cartStepper) buildFixups(obstacle []bool) {
 	ownedAt := func(a, i int) bool { return i >= cs.w[a] && i < cs.w[a]+cs.own[a] }
 	wrapY, wrapZ := cs.w[1] == 0, cs.w[2] == 0
 	cs.fix = newFixIndex(cs.d, m, ri)
+	solidRow := make([]bool, nx*ny)
+	for r := range solidRow {
+		solidRow[r] = slices.Contains(cs.mask[r*nz:(r+1)*nz], true)
+	}
+	type upwind struct{ v, sx, sy int }
+	ups := make([]upwind, 0, m.Q)
 	for ix := 0; ix < nx; ix++ {
 		for iy := 0; iy < ny; iy++ {
+			ups = ups[:0]
+			for v := 0; v < m.Q; v++ {
+				sx, sy := ix-m.Cx[v], iy-m.Cy[v]
+				if wrapY {
+					sy = (sy + ny) % ny // the stream kernels fold a wrap axis the same way
+				}
+				if sx >= 0 && sx < nx && sy >= 0 && sy < ny && solidRow[sx*ny+sy] {
+					ups = append(ups, upwind{v, sx, sy}) // outside the allocation is never streamed
+				}
+			}
+			if len(ups) == 0 {
+				continue
+			}
 			owned2 := ownedAt(0, ix) && ownedAt(1, iy)
 			for iz := 0; iz < nz; iz++ {
 				if cs.mask[cs.d.Index(ix, iy, iz)] {
 					continue
 				}
-				cell, _ := cs.cell(ix, iy, iz)
 				owned := owned2 && ownedAt(2, iz)
-				for v := 0; v < m.Q; v++ {
-					sx, sy, sz := ix-m.Cx[v], iy-m.Cy[v], iz-m.Cz[v]
-					if wrapY {
-						sy = (sy + ny) % ny // the stream kernels fold a wrap axis the same way
-					}
+				for _, u := range ups {
+					sz := iz - m.Cz[u.v]
 					if wrapZ {
 						sz = (sz + nz) % nz
 					}
-					if sx < 0 || sx >= nx || sy < 0 || sy >= ny || sz < 0 || sz >= nz {
-						continue // outside the allocation; never streamed
+					if sz < 0 || sz >= nz {
+						continue
 					}
-					src := cs.d.Index(sx, sy, sz)
+					src := cs.d.Index(u.sx, u.sy, sz)
 					if !cs.mask[src] {
 						continue
 					}
@@ -926,8 +1015,9 @@ func (cs *cartStepper) buildFixups(obstacle []bool) {
 					if obstacle[src] {
 						flags |= fixObstacle
 					}
-					cs.fix.add(ix, iy, cell, v, m.Opp[v],
-						cs.faceDelta(v, [3]axisClass{class[0][sx], class[1][sy], class[2][sz]}), flags)
+					cell, _ := cs.cell(ix, iy, iz)
+					cs.fix.add(ix, iy, cell, u.v, m.Opp[u.v],
+						cs.faceDelta(u.v, [3]axisClass{class[0][u.sx], class[1][u.sy], class[2][sz]}), flags)
 				}
 			}
 		}
@@ -1068,14 +1158,7 @@ func (cs *cartStepper) spongeRows(worker int, sub box) {
 		if !cs.spongeSig(sig, ix, iy, zlo, zn) {
 			return
 		}
-		sv := rowViews(sc.sv, cs.f, base, zn)
-		var msk []bool
-		if cs.runStart == nil && cs.mask != nil {
-			// Dense rows still carry solid cells; sparse runs are
-			// all-fluid by construction.
-			msk = cs.mask[base : base+zn]
-		}
-		applySpongeRow(cs.model, sc.fc, sv, sig, msk, zn)
+		applySpongeRow(cs.model, sc.fc, rowViews(sc.sv, cs.f, base, zn), sig, cs.rowMask(base, zn), zn)
 	})
 }
 
@@ -1140,84 +1223,86 @@ func (cs *cartStepper) measureForces() {
 	cs.rec.End(obs.Force, t0)
 }
 
-// ownedSums returns mass and momentum summed over the owned fluid cells.
-// After an odd number of AA steps the field is in star arrangement and
-// each population is read through starPop (aa.go).
+// ownedSums returns mass and momentum summed over the owned fluid cells:
+// pairMoments over the rows of each owned run (stateRows), then the run's
+// fluid cells added serially in row order — one accumulation order, so the
+// sums are the same bits at any thread count.
 func (cs *cartStepper) ownedSums() (mass, mx, my, mz float64) {
-	fc := make([]float64, cs.model.Q)
-	var sum [4]float64
+	sc := cs.scratch[0]
+	rb := &sc.rb
 	cs.forRuns(cs.ownedBox(), func(ix, iy, zlo, zhi, base int) {
-		cs.sumRow(&sum, fc, ix, iy, zlo, zhi, base)
+		zn := zhi - zlo
+		cs.pairMoments(rb, cs.stateRows(sc, ix, iy, zlo, zhi, base), zn)
+		msk := cs.rowMask(base, zn)
+		for z := 0; z < zn; z++ {
+			if msk != nil && msk[z] {
+				continue
+			}
+			mass += rb.rho[z]
+			mx += rb.j[0][z]
+			my += rb.j[1][z]
+			mz += rb.j[2][z]
+		}
 	})
-	return sum[0], sum[1], sum[2], sum[3]
+	return mass, mx, my, mz
 }
 
-// sumRow adds the mass and momentum of the fluid cells z ∈ [zlo, zhi) of
-// local row (ix, iy), stored from field offset base, to sum.
-func (cs *cartStepper) sumRow(sum *[4]float64, fc []float64, ix, iy, zlo, zhi, base int) {
+// stateRows returns the populations of the cells z ∈ [zlo, zhi) of row
+// (ix, iy), stored from field offset base, as per-velocity rows: views of
+// f, or rows gathered into the worker's scratch — transposed out of AoS
+// cells, or, in AA's star arrangement, population v of cell y pulled from
+// its slot (opp(v), y + c_v) row by row (starPop's rule: where that slot
+// has no storage the population bounced, and the link's own slot holds
+// it + δ).
+func (cs *cartStepper) stateRows(sc *workerScratch, ix, iy, zlo, zhi, base int) [][]float64 {
 	m, f := cs.model, cs.f
-	mass, mx, my, mz := sum[0], sum[1], sum[2], sum[3]
-	for iz := zlo; iz < zhi; iz++ {
-		if cs.mask != nil && cs.mask[cs.d.Index(ix, iy, iz)] {
-			continue
+	zn := zhi - zlo
+	switch {
+	case cs.aaStar:
+		rows, _ := sc.gathered(zn)
+		for v, row := range rows {
+			cs.pull(row, f.V(m.Opp[v]), ix+m.Cx[v], iy+m.Cy[v], zlo+m.Cz[v])
 		}
-		if cs.aaStar {
-			for v := range fc {
-				fc[v] = cs.starPop(v, ix, iy, iz)
-			}
-		} else {
-			for v := range fc {
-				fc[v] = f.Data[f.Idx(v, base+iz-zlo)]
+		if cs.runStart != nil && !cs.fix.empty() {
+			for _, fx := range cs.fix.rowLinks(ix*cs.d.NY+iy, zlo, zhi) {
+				rows[fx.opp][int(fx.cell)-base] = f.V(int(fx.opp))[fx.cell] - fx.delta
 			}
 		}
-		rho, jx, jy, jz := m.Moments(fc)
-		mass += rho
-		mx += jx
-		my += jy
-		mz += jz
+		return rows
+	case f.Layout != grid.SoA:
+		rows, _ := sc.gathered(zn)
+		aosToRows(rows, f.Data[base*m.Q:], zn)
+		return rows
 	}
-	sum[0], sum[1], sum[2], sum[3] = mass, mx, my, mz
+	return rowViews(sc.sv, f, base, zn)
 }
 
 // ownedBlock packs the owned box of the final state velocity-major (for
 // every velocity, x-major y then z runs), the wire format assembleCart
-// expects. Cells without storage — the solid cells under the run index —
-// read as the rest state. Dense solid cells carry whatever their
-// untouched slots hold, and under AA star arrangement (read through
-// starPop) that is scheme-specific garbage, so masked comparisons must
+// expects, read run by run through stateRows. Cells without storage — the
+// solid cells under the run index — read as the rest state. Dense solid
+// cells carry whatever their untouched slots hold, and under AA star
+// arrangement that is scheme-specific garbage, so masked comparisons must
 // filter solid cells.
 func (cs *cartStepper) ownedBlock() []float64 {
 	owned := cs.ownedBox()
-	out := make([]float64, cs.model.Q*owned.cells())
-	f := cs.f
-	if f.Layout != grid.SoA {
-		f = f.ConvertLayout(grid.SoA) // layout ablation only
-	}
-	zn := cs.own[2]
-	pos := 0
-	for v := 0; v < cs.model.Q; v++ {
-		blk := f.V(v)
-		for ix := owned.lo[0]; ix < owned.hi[0]; ix++ {
-			for iy := owned.lo[1]; iy < owned.hi[1]; iy++ {
-				row := out[pos : pos+zn]
-				pos += zn
-				if cs.runStart != nil {
-					for z := range row {
-						row[z] = cs.rest[v]
-					}
-				}
-				if !cs.aaStar {
-					cs.pull(row, blk, ix, iy, owned.lo[2])
-					continue
-				}
-				for iz := owned.lo[2]; iz < owned.hi[2]; iz++ {
-					if _, ok := cs.cell(ix, iy, iz); ok {
-						row[iz-owned.lo[2]] = cs.starPop(v, ix, iy, iz)
-					}
-				}
+	cells := owned.cells()
+	out := make([]float64, cs.model.Q*cells)
+	if cs.runStart != nil {
+		for v, x := range cs.rest {
+			blk := out[v*cells : (v+1)*cells]
+			for i := range blk {
+				blk[i] = x
 			}
 		}
 	}
+	sc := cs.scratch[0]
+	cs.forRuns(owned, func(ix, iy, zlo, zhi, base int) {
+		at := ((ix-owned.lo[0])*cs.own[1]+iy-owned.lo[1])*cs.own[2] + zlo - owned.lo[2]
+		for v, row := range cs.stateRows(sc, ix, iy, zlo, zhi, base) {
+			copy(out[v*cells+at:], row)
+		}
+	})
 	return out
 }
 

@@ -264,6 +264,7 @@ type workerScratch struct {
 	op     collision.Operator // per-worker operator clone; nil for plain BGK
 	feqR   []float64          // Q-length equilibrium buffer (face fills)
 	sig    []float64          // NZ-length sponge factor row
+	bad    int                // initRows: global index + 1 of the first invalid initial state met, 0 for none
 
 	// Gathered row stores: the gather sweep pulls a row's populations into
 	// gin and — where it scatters — collides into gout (gather.go); the AoS

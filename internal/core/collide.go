@@ -41,10 +41,11 @@ type collider struct {
 	// The pair kernels' tables (CF and above, and the operator row kernel):
 	// the opposite pairs, and per weight class the coefficient of ρ in a
 	// pair's t row — ω·w_k where the kernel relaxes (BGK), w_k where it
-	// writes equilibria for an operator.
-	pairs []velPair
-	tw    []float64
-	omc   float64 // 1 − ω
+	// writes equilibria for an operator — and w_k itself, the initial
+	// condition's coefficient.
+	pairs  []velPair
+	tw, wk []float64
+	omc    float64 // 1 − ω
 	// ½ and ⅙ as values: written as constants in a row loop they are
 	// reloaded from memory on every iteration.
 	half, sixth float64
@@ -109,7 +110,8 @@ func (c *collider) init(cfg *Config) error {
 	c.shiftY = shiftTau * cfg.Accel[1]
 	c.shiftZ = shiftTau * cfg.Accel[2]
 
-	c.pairs, c.tw = velocityPairs(m)
+	c.pairs, c.wk = velocityPairs(m)
+	c.tw = append([]float64(nil), c.wk...)
 	if c.op == nil {
 		for k := range c.tw {
 			c.tw[k] *= c.omega
@@ -353,10 +355,17 @@ func (c *collider) velocities(b *rowBufs, zn int) {
 		base[z] = 1 - (ux*ux+uy*uy+uz*uz)*invCs2h
 		qx[z], qy[z], qz[z] = ux*invCs2, uy*invCs2, uz*invCs2
 	}
-	for k, w := range c.tw {
+	weighRows(b, c.tw, zn)
+}
+
+// weighRows forms a run's t rows from its ρ row: t_k = w[k]·ρ per weight
+// class.
+func weighRows(b *rowBufs, w []float64, zn int) {
+	rho := b.rho[:zn]
+	for k, wk := range w {
 		t := b.t[k][:zn]
 		for z := range t {
-			t[z] = w * rho[z]
+			t[z] = wk * rho[z]
 		}
 	}
 }
@@ -444,9 +453,19 @@ func (c *collider) relaxOpRows(sc *workerScratch, in, out [][]float64, zn int) {
 	b := &sc.rb
 	c.pairMoments(b, in, zn)
 	c.velocities(b, zn)
+	feq := sc.rows(zn)
+	c.eqRows(b, feq, zn)
+	sc.op.(collision.RowRelaxer).RelaxRows(out, in, feq, zn)
+}
+
+// eqRows writes the equilibria t·(even ± odd) of a run whose shared rows —
+// base, q_a over the momentum rows, t_k per weight class — are finished
+// into the rows feq. It is the pair loop of the operator kernel and of
+// the initial condition (initRows) alike, so every equilibrium the solver
+// stores comes out of pairEq.
+func (c *collider) eqRows(b *rowBufs, feq [][]float64, zn int) {
 	base := b.base[:zn]
 	half, sixth := c.half, c.sixth
-	feq := sc.rows(zn)
 	for i := range c.pairs {
 		p := &c.pairs[i]
 		t := b.t[p.k][:zn]
@@ -470,7 +489,6 @@ func (c *collider) relaxOpRows(sc *workerScratch, in, out [][]float64, zn int) {
 			}
 		}
 	}
-	sc.op.(collision.RowRelaxer).RelaxRows(out, in, feq, zn)
 }
 
 // relaxOpCell is the per-cell fallback for operators without a row form:

@@ -379,7 +379,12 @@ type Config struct {
 	// Accel is a constant body acceleration driving the flow (velocity-
 	// shift forcing); zero means unforced.
 	Accel [3]float64
-	// Init provides the initial condition; nil means UniformInit.
+	// Init provides the initial condition; nil means UniformInit. It is
+	// called concurrently — by every rank, and by the worker threads of a
+	// rank, each for its own cells — so it must be a pure function of the
+	// global cell. A cell whose ρ is not finite and positive, or whose u is
+	// not finite, fails the run before its first step with an error naming
+	// the lowest such cell.
 	Init InitFunc
 	// KeepField gathers the final global distribution field on completion
 	// (for verification; costs memory proportional to the global field).
@@ -776,6 +781,7 @@ func Run(cfg Config) (*Result, error) {
 	axisB := make([][3]int64, cfg.Ranks)
 	fieldB := make([]int64, cfg.Ranks)
 	var forceTotals []float64
+	var initErr error // the same on every rank; rank 0's is returned once
 	var obsns []obs.RankObservation
 	var epoch time.Time
 	if cfg.Observe {
@@ -794,7 +800,12 @@ func Run(cfg Config) (*Result, error) {
 		if cfg.Observe {
 			st.setRecorder(obs.New(r.ID, epoch, cfg.Trace))
 		}
-		st.initField()
+		if err := initError(&cfg, r, st.initField()); err != nil {
+			if r.ID == 0 {
+				initErr = err
+			}
+			return err
+		}
 		r.Barrier()
 		t0 := time.Now()
 		st.run()
@@ -830,6 +841,9 @@ func Run(cfg Config) (*Result, error) {
 		}
 		return nil
 	})
+	if initErr != nil {
+		return nil, initErr
+	}
 	if runErr != nil {
 		return nil, runErr
 	}
@@ -886,6 +900,30 @@ func Run(cfg Config) (*Result, error) {
 		res.Field = assembleCart(&cfg, dec, blocks)
 	}
 	return res, nil
+}
+
+// initError turns each rank's first invalid initial-condition cell (global
+// index + 1, 0 for none: initField) into one error that every rank
+// returns, before any of them steps. Each rank puts its own into its slot
+// of one sum, so every rank sees every slot and names the same cell — the
+// lowest bad one — with the values Init gives there (a pure function of
+// the cell, so any rank may ask).
+func initError(cfg *Config, r *comm.Rank, bad int) error {
+	slots := make([]float64, r.N)
+	slots[r.ID] = float64(bad)
+	first := 0
+	for _, b := range r.AllReduceSum(slots) {
+		if b > 0 && (first == 0 || int(b) < first) {
+			first = int(b)
+		}
+	}
+	if first == 0 {
+		return nil
+	}
+	x, y, z := cfg.N.Coords(first - 1)
+	rho, ux, uy, uz := cfg.Init(x, y, z)
+	return fmt.Errorf("core: initial condition at global cell (%d, %d, %d) is not a state: ρ = %g, u = (%g, %g, %g); want a finite ρ > 0 and a finite u",
+		x, y, z, rho, ux, uy, uz)
 }
 
 // rankFluids returns the number of fluid cells in rank's owned box — the

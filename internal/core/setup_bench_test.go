@@ -1,0 +1,84 @@
+package core
+
+import (
+	"math"
+	"runtime"
+	"runtime/debug"
+	"testing"
+	"time"
+
+	"repro/internal/collision"
+	"repro/internal/grid"
+	"repro/internal/lattice"
+)
+
+// BenchmarkSetup times the set-up passes core.Run makes outside its
+// stepping loop, in ns per owned cell, on two of the benchmark ledger's
+// problems: periodic-q19's (D3Q19 BGK 96³ with a shear wave, one thread)
+// and the 64³ TRT lid-driven cavity (two threads). Each iteration collects
+// the heap and hands it back to the OS first, as an op of the ledger does,
+// so the allocation re-faults its pages; then it times the field
+// allocation (alloc-ns/cell), initField (init-ns/cell), buildFixups on a
+// walled run (fixups-ns/cell) and ownedSums (sums-ns/cell).
+func BenchmarkSetup(b *testing.B) {
+	periodic := grid.Dims{NX: 96, NY: 96, NZ: 96}
+	cavity := grid.Dims{NX: 64, NY: 64, NZ: 64}
+	q19 := lattice.D3Q19()
+	problems := []struct {
+		name string
+		cfg  Config
+	}{
+		{"periodic-q19", Config{Model: q19, N: periodic, Tau: 0.8, Opt: OptSIMD, Threads: 1, Init: shearInit(periodic)}},
+		{"cavity-trt", Config{Model: q19, N: cavity, Tau: q19.TauForViscosity(0.1 * 64 / 100),
+			Collision: collision.Spec{Kind: collision.TRT}, Boundary: CavitySpec(0.1), Opt: OptSIMD, Threads: 2}},
+	}
+	for _, p := range problems {
+		b.Run(p.name, func(b *testing.B) {
+			onRanks(b, p.cfg, func(cs *cartStepper) {
+				var obstacle []bool
+				if cs.mask != nil {
+					obstacle = cs.buildMask()
+				}
+				var alloc, init, fixups, sums time.Duration
+				for i := 0; i < b.N; i++ {
+					b.StopTimer()
+					cs.f, cs.fadv = nil, nil
+					runtime.GC()
+					debug.FreeOSMemory()
+					b.StartTimer()
+					t0 := time.Now()
+					cs.allocFields()
+					t1 := time.Now()
+					cs.initField()
+					t2 := time.Now()
+					if obstacle != nil {
+						cs.buildFixups(obstacle)
+					}
+					t3 := time.Now()
+					cs.ownedSums()
+					t4 := time.Now()
+					alloc, init, fixups, sums = alloc+t1.Sub(t0), init+t2.Sub(t1), fixups+t3.Sub(t2), sums+t4.Sub(t3)
+				}
+				perCell := func(d time.Duration) float64 {
+					return float64(d.Nanoseconds()) / float64(b.N*cs.own[0]*cs.own[1]*cs.own[2])
+				}
+				b.ReportMetric(perCell(alloc), "alloc-ns/cell")
+				b.ReportMetric(perCell(init), "init-ns/cell")
+				if obstacle != nil {
+					b.ReportMetric(perCell(fixups), "fixups-ns/cell")
+				}
+				b.ReportMetric(perCell(sums), "sums-ns/cell")
+			})
+		})
+	}
+}
+
+// shearInit is the benchmark ledger's periodic initial condition at phase
+// 0: unit density, u_x varying sinusoidally in y and a weaker u_z in x.
+func shearInit(n grid.Dims) InitFunc {
+	return func(ix, iy, iz int) (rho, ux, uy, uz float64) {
+		ux = 0.02 * math.Sin(2*math.Pi*float64(iy)/float64(n.NY))
+		uz = 0.01 * math.Cos(2*math.Pi*float64(ix)/float64(n.NX))
+		return 1, ux, 0, uz
+	}
+}
