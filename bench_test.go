@@ -182,8 +182,9 @@ func BenchmarkLayoutAblation(b *testing.B) {
 }
 
 // BenchmarkFusedVsSplit is the ablation for the paper's §VII future-work
-// direction: the fused stream-collide kernel touches 2·Q·8 bytes per cell
-// per step against the split path's 3·Q·8, raising the bandwidth roofline.
+// direction: the gather sweep the SIMD rung steps with touches 2·Q·8 bytes
+// per cell per step against GC-C's split path's 3·Q·8, raising the
+// bandwidth roofline.
 func BenchmarkFusedVsSplit(b *testing.B) {
 	for _, mk := range []func() *repro.Model{repro.D3Q19, repro.D3Q39} {
 		model := mk()
@@ -191,16 +192,15 @@ func BenchmarkFusedVsSplit(b *testing.B) {
 		if model.Q == 39 {
 			n = repro.Dims{NX: 32, NY: 16, NZ: 16}
 		}
-		for _, fused := range []bool{false, true} {
+		for _, opt := range []repro.OptLevel{repro.OptGCC, repro.OptSIMD} {
 			name := model.Name + "/split"
-			if fused {
+			if opt == repro.OptSIMD {
 				name = model.Name + "/fused"
 			}
 			b.Run(name, func(b *testing.B) {
 				runOnce(b, repro.Config{
 					Model: model, N: n, Tau: 0.8, Steps: 10,
-					Opt: repro.OptSIMD, Ranks: 1, Threads: 1, GhostDepth: 1,
-					Fused: fused,
+					Opt: opt, Ranks: 1, Threads: 1, GhostDepth: 1,
 				})
 			})
 		}

@@ -47,13 +47,12 @@ func main() {
 		nz        = flag.Int("nz", 32, "global lattice points in z")
 		steps     = flag.Int("steps", 100, "time steps")
 		tau       = flag.Float64("tau", 0.8, "BGK relaxation time (> 0.5)")
-		optName   = flag.String("opt", "SIMD", "optimization level: Orig, GC, DH, CF, LoBr, NB-C, GC-C, SIMD")
+		optName   = flag.String("opt", "SIMD", "optimization level: Orig, GC, DH, CF, LoBr, NB-C, GC-C, SIMD (GC-C stepped by the fused gather sweep: one read + one write of the field per step, bit-identical)")
 		ranks     = flag.Int("ranks", 1, "message-passing ranks")
-		decompF   = flag.String("decomp", "1d", "domain decomposition: 1d (slab), 2d (pencil), 3d (block), or explicit PxxPyxPz (e.g. 2x2x2, product = -ranks); every level but Orig, -fused and -stream aa included, runs on every shape")
+		decompF   = flag.String("decomp", "1d", "domain decomposition: 1d (slab), 2d (pencil), 3d (block), or explicit PxxPyxPz (e.g. 2x2x2, product = -ranks); every level but Orig, -stream aa included, runs on every shape")
 		threads   = flag.Int("threads", 1, "worker threads per rank (0 = runtime.NumCPU()/ranks, floor 1)")
 		depth     = flag.String("depth", "1", "ghost-cell depth: one value (exchange every depth steps) or per-axis dx,dy,dz (e.g. 2,1,1; an axis without ghosts ignores its entry); -stream aa rounds each up to even")
 		layout    = flag.String("layout", "soa", "memory layout: soa or aos")
-		fused     = flag.Bool("fused", false, "fused stream-collide sweep (§VII future work): one read + one write of the field per step, bit-identical to the split kernels; works with every operator, scenario, mask and -sparse; needs the SoA layout and a ghost-cell level, not -stream aa")
 		stream    = flag.String("stream", "twogrid", "streaming storage: twogrid (separate advected field) or aa (in-place AA pattern, half the f-memory; needs SoA and a GC level)")
 		amplitude = flag.Float64("amplitude", 0.02, "initial perturbation amplitude")
 		scen      = flag.String("scenario", "wave", scenario.Usage())
@@ -67,7 +66,7 @@ func main() {
 		collide   = flag.String("collision", "bgk", "collision operator: bgk (the paper's kernels), trt or mrt (stable toward tau=0.5 / high Re)")
 		magic     = flag.Float64("magic", 0, "TRT magic parameter Lambda (0 = the default 1/4)")
 		mrtRates  = flag.String("mrt-rates", "", "MRT ghost-moment rates by order, comma-separated from order 3 (empty = magic-paired defaults)")
-		auto      = flag.Bool("auto", false, "auto-tune the execution config: load a cached tuned config for this scenario/geometry/machine, or search the config space (pricing with -fit coefficients when given), then run with the winner — overrides -opt/-ranks/-decomp/-threads/-depth/-stream/-fused/-balance/-sparse")
+		auto      = flag.Bool("auto", false, "auto-tune the execution config: load a cached tuned config for this scenario/geometry/machine, or search the config space (pricing with -fit coefficients when given), then run with the winner — overrides -opt/-ranks/-decomp/-threads/-depth/-stream/-balance/-sparse")
 		tunedF    = flag.String("tuned", "", "tuned-config cache file for -auto (default lbm-tuned-<key>.json; stale keys force a re-tune)")
 		fitFlag   = flag.String("fit", "", "fitted coefficients file (lbm-fit/v1, from lbmbench -exp fit) for -auto candidate pricing")
 		out       = flag.String("out", "", "write the final macroscopic fields to this file (.vtk or .csv)")
@@ -157,7 +156,7 @@ func main() {
 		Model: model, N: n, Tau: *tau, Steps: *steps,
 		Opt: opt, Ranks: *ranks, Decomp: dec.P, Threads: nthreads,
 		GhostDepth: depthUniform, GhostDepthAxes: depthAxes,
-		Layout: lay, Fused: *fused, Collision: colSpec, Stream: scheme,
+		Layout: lay, Collision: colSpec, Stream: scheme,
 		Balance: balance, Sparse: *sparse,
 		KeepField: *out != "",
 		Observe:   *observe || *reportF != "" || *traceF != "",
@@ -208,7 +207,7 @@ func main() {
 	fmt.Printf("scenario     %s\n", sc.Name)
 	fmt.Printf("domain       %s  (%d fluid cells)\n", n, fluid)
 	fmt.Printf("config       opt=%s ranks=%d decomp=%dx%dx%d balance=%s sparse=%v threads=%d depth=%s layout=%s fused=%v stream=%s collision=%s tau=%.4f\n",
-		cfg.Opt, cfg.Ranks, cfg.Decomp[0], cfg.Decomp[1], cfg.Decomp[2], cfg.Balance, cfg.Sparse, cfg.Threads, *depth, lay, cfg.Fused, cfg.Stream, cfg.Collision, cfg.Tau)
+		cfg.Opt, cfg.Ranks, cfg.Decomp[0], cfg.Decomp[1], cfg.Decomp[2], cfg.Balance, cfg.Sparse, cfg.Threads, *depth, lay, cfg.GatherSweep(), cfg.Stream, cfg.Collision, cfg.Tau)
 	fmt.Printf("steps        %d\n", cfg.Steps)
 	if hb := res.HaloAxisBytes; hb != [3]int64{} {
 		fmt.Printf("halo surface %.1f KB/rank/exchange (x %.1f, y %.1f, z %.1f)\n",

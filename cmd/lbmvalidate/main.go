@@ -148,11 +148,11 @@ func suite(quick bool) []check {
 		tol:  0.03,
 		run:  func() (float64, error) { return cavityErr(100, cavityL, 0, collision.Spec{}) },
 	})
-	// Overlap schedule check: the per-axis GC-C overlap on the box stepper
-	// (pencil shape, split and fused kernels) must agree with the slab
-	// GC-C reference field to reassociation level.
+	// Overlap schedule check: the per-axis overlap on the box stepper
+	// (pencil shape, GC-C split and SIMD gather sweep) must agree with the
+	// slab GC-C reference field to reassociation level.
 	cs = append(cs, check{
-		name: "overlap-box: pencil GC-C + fused vs slab GC-C (1e-12)",
+		name: "overlap-box: pencil GC-C + SIMD vs slab GC-C (1e-12)",
 		tol:  1e-12,
 		run:  overlapBox,
 	})
@@ -283,7 +283,7 @@ func cavityErr(re, l, steps int, spec collision.Spec) (float64, error) {
 
 // overlapBox runs one problem three ways — slab GC-C (the paper's
 // overlapped schedule), box GC-C on a 2-D pencil (the per-axis phased
-// schedule) and the fused kernel on the same pencil — and returns the
+// schedule) and SIMD, its gather sweep, on the same pencil — and returns the
 // worst field deviation from the slab reference.
 func overlapBox() (float64, error) {
 	n := grid.Dims{NX: 24, NY: 16, NZ: 16}
@@ -304,10 +304,10 @@ func overlapBox() (float64, error) {
 		return 0, err
 	}
 	worst := 0.0
-	for _, fused := range []bool{false, true} {
+	for _, opt := range []core.OptLevel{core.OptGCC, core.OptSIMD} {
 		cfg := base
 		cfg.Decomp = [3]int{2, 2, 1}
-		cfg.Fused = fused
+		cfg.Opt = opt
 		res, err := core.Run(cfg)
 		if err != nil {
 			return 0, err

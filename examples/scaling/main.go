@@ -62,34 +62,25 @@ func threadSweep() {
 // rank grids and reports measured per-rank message traffic: the slab's
 // surface is a full NY×NZ face pair regardless of rank count, while the
 // block's per-axis faces shrink with the subdomain cross-sections. Each
-// shape runs at three rungs — NB-C, the per-axis GC-C overlap and the
-// fused kernel on the GC-C schedule — now that the overlap and fused
-// paths compose with every decomposition instead of being slab-only.
+// shape runs at three rungs — NB-C, the per-axis GC-C overlap, and SIMD,
+// which steps GC-C's schedule with the gather sweep — now that the overlap
+// and the sweep compose with every decomposition instead of being
+// slab-only.
 func decompositionCrossover() {
 	const ranks = 8
 	model := repro.D3Q19()
 	n := repro.Dims{NX: 32, NY: 32, NZ: 32}
 	fmt.Printf("Decomposition crossover: %s, %s, %d ranks, measured traffic\n\n", model.Name, n, ranks)
 	fmt.Printf("%-8s %-8s %-8s %-14s %-14s %-10s\n", "shape", "grid", "opt", "sent/rank (KB)", "msgs/rank", "MFlup/s")
-	opts := []struct {
-		label string
-		opt   repro.OptLevel
-		fused bool
-	}{
-		{"NB-C", repro.OptNBC, false},
-		{"GC-C", repro.OptGCC, false},
-		{"Fused", repro.OptGCC, true},
-	}
 	for _, spec := range []string{"1d", "2d", "3d"} {
 		shape, err := repro.ParseDecomp(spec, ranks, n)
 		if err != nil {
 			log.Fatal(err)
 		}
-		for _, o := range opts {
+		for _, opt := range []repro.OptLevel{repro.OptNBC, repro.OptGCC, repro.OptSIMD} {
 			res, err := repro.Run(repro.Config{
 				Model: model, N: n, Tau: 0.8, Steps: 40,
-				Opt: o.opt, Ranks: ranks, Decomp: shape, Threads: 1, GhostDepth: 1,
-				Fused: o.fused,
+				Opt: opt, Ranks: ranks, Decomp: shape, Threads: 1, GhostDepth: 1,
 				Init: func(ix, iy, iz int) (rho, ux, uy, uz float64) {
 					return 1 + 0.02*math.Sin(2*math.Pi*float64(ix)/float64(n.NX)), 0, 0, 0
 				},
@@ -107,13 +98,13 @@ func decompositionCrossover() {
 				}
 			}
 			fmt.Printf("%-8s %dx%dx%-4d %-8s %-14.1f %-14d %-10.2f\n",
-				spec, shape[0], shape[1], shape[2], o.label, float64(maxBytes)/1024, maxMsgs, res.MFlups)
+				spec, shape[0], shape[1], shape[2], opt, float64(maxBytes)/1024, maxMsgs, res.MFlups)
 		}
 	}
 	fmt.Println("\nThe 3-D block trades more, smaller messages for less total surface;")
 	fmt.Println("past ~8 ranks its per-rank traffic drops below the slab's fixed faces.")
-	fmt.Println("GC-C hides each axis's messages behind interior/rim compute, and the")
-	fmt.Println("fused kernel halves the kernel traffic — on every shape.")
+	fmt.Println("GC-C hides each axis's messages behind interior/rim compute, and SIMD's")
+	fmt.Println("gather sweep cuts the kernel traffic by a third — on every shape.")
 }
 
 func deepHaloSweep() {

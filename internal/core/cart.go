@@ -77,7 +77,8 @@ type cartStepper struct {
 	f, fadv *grid.Field // fadv is nil under AA streaming (single-field)
 	ex      *halo.CartExchanger
 	aa      bool       // AA-pattern in-place streaming (aa.go)
-	gathers bool       // fused or AA: a step is one gather sweep (gather.go), not stream → fixup → collide
+	gathers bool       // Config.GatherSweep: a step is one gather sweep (gather.go), not stream → fixup → collide
+	views   bool       // the sweep relaxes upwind rows that are plain slices of f in place (two fields only)
 	orig    *origProto // the no-ghost protocol (orig.go); nil on every ghost-cell rung
 
 	br           *boxRunner
@@ -137,7 +138,7 @@ func newCartStepper(cfg *Config, dec decomp.Cartesian, r *comm.Rank) (*cartStepp
 	if cfg.Layout == grid.AoS {
 		cs.collide = cs.collideAoS
 	}
-	cs.gathers = cs.aa || cfg.Fused
+	cs.gathers, cs.views = cfg.GatherSweep(), !cs.aa
 	cs.gather, cs.restFace, cs.inletFace, cs.bounce, cs.blend = cs.gatherRows, cs.restFaceRows, cs.inletFaceRows, cs.bounceRows, cs.spongeRows
 	cs.depth, cs.w = cfg.ghostGeometry(dec)
 	for a := 0; a < 3; a++ {
@@ -274,7 +275,7 @@ func (cs *cartStepper) initRows(worker int, b box) {
 			cs.eqRows(rb, rowViews(sc.sv, cs.f, base, zn), zn)
 			return
 		}
-		rows, _ := sc.gathered(zn)
+		rows := sc.gathered(zn)
 		cs.eqRows(rb, rows, zn)
 		rowsToAoS(cs.f.Data[base*cs.model.Q:], rows, zn)
 	})
@@ -796,7 +797,7 @@ func (cs *cartStepper) collideAoS(worker int, b box) {
 	q := cs.model.Q
 	cs.forRuns(b, func(ix, iy, zlo, zhi, base int) {
 		zn := zhi - zlo
-		rows, _ := sc.gathered(zn)
+		rows := sc.gathered(zn)
 		cells := cs.fadv.Data[base*q:]
 		aosToRows(rows, cells, zn)
 		cs.relax(sc, rows, rows, zn)
@@ -1259,7 +1260,7 @@ func (cs *cartStepper) stateRows(sc *workerScratch, ix, iy, zlo, zhi, base int) 
 	zn := zhi - zlo
 	switch {
 	case cs.aaStar:
-		rows, _ := sc.gathered(zn)
+		rows := sc.gathered(zn)
 		for v, row := range rows {
 			cs.pull(row, f.V(m.Opp[v]), ix+m.Cx[v], iy+m.Cy[v], zlo+m.Cz[v])
 		}
@@ -1270,7 +1271,7 @@ func (cs *cartStepper) stateRows(sc *workerScratch, ix, iy, zlo, zhi, base int) 
 		}
 		return rows
 	case f.Layout != grid.SoA:
-		rows, _ := sc.gathered(zn)
+		rows := sc.gathered(zn)
 		aosToRows(rows, f.Data[base*m.Q:], zn)
 		return rows
 	}

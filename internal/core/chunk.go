@@ -274,14 +274,20 @@ type workerScratch struct {
 	ginSt, goutSt []float64
 }
 
-// gathered re-slices the worker's gathered in/out row buffers to z-runs of
-// length zn (zn ≤ nzCap).
-func (sc *workerScratch) gathered(zn int) (in, out [][]float64) {
+// gathered re-slices the worker's gathered-in rows to length zn (≤ nzCap).
+func (sc *workerScratch) gathered(zn int) [][]float64 {
 	for v := range sc.gin {
 		sc.gin[v] = sc.ginSt[v*sc.nzCap : v*sc.nzCap+zn]
+	}
+	return sc.gin
+}
+
+// scattered re-slices the out rows a scattering sweep collides into.
+func (sc *workerScratch) scattered(zn int) [][]float64 {
+	for v := range sc.gout {
 		sc.gout[v] = sc.goutSt[v*sc.nzCap : v*sc.nzCap+zn]
 	}
-	return sc.gin, sc.gout
+	return sc.gout
 }
 
 // rows returns the worker's Q row buffers re-sliced to a z-run of length

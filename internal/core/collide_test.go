@@ -50,6 +50,36 @@ func TestCrossPathBitIdentity(t *testing.T) {
 		}
 	}
 
+	// The SIMD rung steps with the gather sweep and GC-C with the split
+	// path, so above the SIMD rows compare gather with gather; here each
+	// SIMD run is held to GC-C's split run of the same lattice, operator,
+	// decomposition and depth. The shapes cover both ways the sweep reads
+	// an upwind row: the slab wraps z, so its cz ≠ 0 rows are rotated
+	// copies and its cz = 0 rows views of f; ghosted z (Sparse, the
+	// z-cut pencil) makes every row a view. D3Q39 reaches 3 cells.
+	for _, m := range []*lattice.Model{lattice.D3Q19(), lattice.D3Q39()} {
+		for _, spec := range []collision.Spec{{}, {Kind: collision.TRT}, {Kind: collision.MRT}} {
+			for _, shape := range []struct {
+				name   string
+				decomp [3]int
+				sparse bool
+			}{{"slab", [3]int{2, 1, 1}, false}, {"ghosted", [3]int{2, 1, 1}, true}, {"pencil-z", [3]int{1, 1, 2}, false}} {
+				for _, depth := range []int{1, 2} {
+					split := Config{
+						Model: m, N: n, Tau: 0.8, Steps: 6, Collision: spec,
+						Opt: OptGCC, Ranks: 2, Decomp: shape.decomp, Sparse: shape.sparse,
+						Threads: 2, GhostDepth: depth,
+					}
+					gather := split
+					gather.Opt = OptSIMD
+					if d := grid.MaxAbsDiff(runField(t, split), runField(t, gather)); d != 0 {
+						t.Errorf("%s %s %s depth %d: SIMD (gather) differs from GC-C (split) by %g (want 0 ULP)", m.Name, spec, shape.name, depth, d)
+					}
+				}
+			}
+		}
+	}
+
 	// Bounce-back links across the y/z seam: a plate on the y = 0 and
 	// z = NZ−1 faces of the periodic box plus a sphere. With ghosts on x
 	// only the link builder folds those links across the wrap; with ghosts
@@ -59,15 +89,26 @@ func TestCrossPathBitIdentity(t *testing.T) {
 	// on fluid-compact fields, AA on dense and on compact fields, agree
 	// with the split path on every fluid cell (solid cells have no storage
 	// under the run index and hold scheme-specific garbage under dense AA).
+	// The plate's links land on cz = 0 velocities too, whose rows the
+	// two-field sweep otherwise reads in place: those are copied before the
+	// link is written. SIMD steps with the sweep, so its reference is GC-C's
+	// split field.
 	solid := geom.FromFunc(n, func(ix, iy, iz int) bool { return iy == 0 || iz == n.NZ-1 })
 	solid.Union(geom.SphereAt(n, 11.5, 6, 5.5, 2.6))
+	splitOf := func(c Config) Config {
+		c.Fused = false
+		if c.Opt == OptSIMD {
+			c.Opt = OptGCC
+		}
+		return c
+	}
 	for _, m := range []*lattice.Model{lattice.D3Q19(), lattice.D3Q39()} {
-		for _, opt := range []OptLevel{OptGC, OptDH, OptGCC} {
+		for _, opt := range []OptLevel{OptGC, OptDH, OptGCC, OptSIMD} {
 			base := Config{
 				Model: m, N: n, Tau: 0.8, Steps: 6, Solid: solid, Accel: [3]float64{1e-5, 0, 0},
 				Opt: opt, Ranks: 2, Threads: 2, GhostDepth: 2,
 			}
-			want := runField(t, base)
+			want := runField(t, splitOf(base))
 			for _, shape := range [][3]int{{1, 2, 1}, {1, 1, 2}} {
 				cfg := base
 				cfg.Decomp = shape
@@ -79,10 +120,12 @@ func TestCrossPathBitIdentity(t *testing.T) {
 				name  string
 				apply func(*Config)
 			}{
+				{"base", func(c *Config) {}},
 				{"fused", func(c *Config) { c.Fused = true }},
 				{"fused-pencil", func(c *Config) { c.Fused, c.Decomp = true, [3]int{1, 2, 1} }},
 				{"fused-sparse", func(c *Config) { c.Fused, c.Sparse = true, true }},
 				{"fused-trt", func(c *Config) { c.Fused, c.Collision = true, collision.Spec{Kind: collision.TRT} }},
+				{"fused-mrt", func(c *Config) { c.Fused, c.Collision = true, collision.Spec{Kind: collision.MRT} }},
 				{"aa", func(c *Config) { c.Stream = StreamAA }},
 				{"aa-sparse", func(c *Config) { c.Stream, c.Sparse = StreamAA, true }},
 			} {
@@ -90,9 +133,7 @@ func TestCrossPathBitIdentity(t *testing.T) {
 				v.apply(&cfg)
 				ref := want
 				if !cfg.Collision.IsBGK() {
-					split := cfg
-					split.Fused = false
-					ref = runField(t, split)
+					ref = runField(t, splitOf(cfg))
 				}
 				if d := fluidMaxAbsDiff(ref, runField(t, cfg), solid); d != 0 {
 					t.Errorf("masked %s %s: %s differs from the split path by %g on fluid cells (want 0 ULP)", m.Name, opt, v.name, d)
@@ -241,7 +282,7 @@ func TestPairKernelsMatchGeneric(t *testing.T) {
 			for _, zn := range []int{1, 5, 96} {
 				sc := newScratches(1, m.Q, zn, trt.op)[0]
 				in := randomRows(rng, m, zn)
-				want, _ := sc.gathered(zn)
+				want := sc.gathered(zn)
 				generic.relaxGeneric(sc, in, want, zn)
 				for _, inPlace := range []bool{false, true} {
 					src, dst := in, randomRows(rng, m, zn)
@@ -262,7 +303,7 @@ func TestPairKernelsMatchGeneric(t *testing.T) {
 					}
 				}
 
-				_, out := sc.gathered(zn)
+				out := sc.scattered(zn)
 				trt.relaxOpRows(sc, in, out, zn)
 				feq := make([]float64, m.Q)
 				for z := 0; z < zn; z++ {

@@ -86,10 +86,11 @@ const (
 	// finished after the receives complete.
 	OptGCC
 	// OptSIMD stands in for the double-hummer/QPX intrinsics work (§V.G).
-	// Pure Go has no SIMD intrinsics (see DESIGN.md), and a hand-blocked
-	// 4-wide scalar collide measured no faster than the pair-symmetric
-	// kernel, so the rung runs GC-C's kernels and schedule unchanged; the
-	// paper-scale effect of real intrinsics is modeled in perfsim.
+	// Pure Go has none (DESIGN.md §2-3), so locally the rung is the paper's
+	// next step (§VII): GC-C's kernels and schedule stepped by the gather
+	// sweep (gather.go), 2·Q·8 B per cell, bit-identical to GC-C's split
+	// path, and the tuner prices it so. perfsim's named machines (Fig. 8,
+	// Table II) keep the paper's meaning: intrinsics on the split traffic.
 	OptSIMD
 )
 
@@ -315,18 +316,10 @@ type Config struct {
 	// kernels (OptDH and above) require SoA; AoS is supported through OptGC
 	// for the layout ablation.
 	Layout grid.Layout
-	// Fused selects the fused stream-collide sweep (one read + one write
-	// of the field per step instead of the split path's read, write and
-	// in-place collide) — the paper's §VII future-work direction,
-	// implemented here as an extension. Both run the same box schedule
-	// and swap the same two fields. Requires
-	// the SoA layout and a ghost-cell level (OptGC or above), and not
-	// StreamAA (which is the same sweep on one field). Everything else
-	// composes with it: every decomposition and schedule, every collision
-	// operator (it relaxes with its rung's row kernel), walls, inlets, open
-	// faces, solids, sparse storage and force measurement — the row's
-	// bounce-back links are applied to the gathered rows — and it
-	// reproduces the split path's field to the last bit.
+	// Fused selects the gather sweep (gather.go, bit-identical to the split
+	// path) at a rung below SIMD, which steps with it anyway (GatherSweep).
+	// Requires the SoA layout, a ghost-cell level (OptGC or above) and not
+	// StreamAA (which is the same sweep on one field).
 	Fused bool
 	// Boundary assigns conditions to the six global faces (walls, moving
 	// walls, outflow, periodic — see BoundarySpec). Nil, and any spec
@@ -572,6 +565,13 @@ func (c *Config) decomposition() (decomp.Cartesian, error) {
 		return decomp.NewCartesianWeighted(global, c.Decomp, bounded, weights)
 	}
 	return decomp.NewCartesianBounded(global, c.Decomp, bounded)
+}
+
+// GatherSweep reports whether a step is one gather sweep (gather.go)
+// rather than the split stream → fixup → collide: under AA, with Fused,
+// and at the SIMD rung. The stepper, run report and tuner all ask it.
+func (c *Config) GatherSweep() bool {
+	return c.Stream == StreamAA || c.Fused || c.Opt == OptSIMD
 }
 
 // ghostDepths resolves the configured per-axis deep-halo depths.

@@ -106,15 +106,6 @@ func TestFusedValidation(t *testing.T) {
 	}
 }
 
-func TestFusedBytesPerCell(t *testing.T) {
-	if got := FusedBytesPerCell(19); got != 304 {
-		t.Errorf("FusedBytesPerCell(19) = %g, want 304", got)
-	}
-	if got := FusedBytesPerCell(39); got != 624 {
-		t.Errorf("FusedBytesPerCell(39) = %g, want 624", got)
-	}
-}
-
 // TestRandomizedConfigEquivalence is the property-based sweep: random
 // (bounded) configurations of the solver must match the oracle, fused or
 // not.

@@ -12,9 +12,10 @@ package core
 // roofline of the bandwidth-limited code. Two storage schemes run on the
 // one row body (gatherRow):
 //
-//   - fused (Config.Fused), two fields: next[x] = collide(gather prev[x−c]),
-//     written to the cell's own row of fadv; the fields swap roles after
-//     every step, as on the split path.
+//   - fused (the SIMD rung; Config.Fused below it), two fields: next[x] =
+//     collide(gather prev[x−c]) into fadv, the fields swapping after every
+//     step as on the split path. Nothing writes prev during the sweep, so
+//     upwind rows that are plain slices of it are relaxed in place.
 //
 //   - AA (Config.Stream = StreamAA, aa.go, DESIGN.md §9), one field: the
 //     even sub-step gathers the same upwind rows and scatters each result
@@ -25,11 +26,6 @@ package core
 // same as the split path's stream → fixup → collide → sponge at 0 ULP: the
 // row's bounce-back links applied to the gathered rows, the
 // configuration's row kernel (collide.go), the sponge row.
-
-// FusedBytesPerCell returns the per-cell main-memory traffic of a gather
-// sweep, fused or AA: 2·Q·8 bytes (one read, one write), versus the split
-// path's 3·Q·8 counted by the paper's performance model.
-func FusedBytesPerCell(q int) float64 { return 2 * 8 * float64(q) }
 
 // gatherRows is the sweep's chunk kernel: gatherRow over every row of the
 // chunk — full box rows dense, fluid runs under the run index. AA on dense
@@ -53,7 +49,7 @@ func (cs *cartStepper) gatherRows(worker int, b box) {
 }
 
 // gatherRow advances the cells z ∈ [zlo, zhi) of row (ix, iy), stored from
-// field offset base, by one step. Read: the upwind rows (pullUpwind) with
+// field offset base, by one step. Read: the upwind rows (upwindRow) with
 // the row's bounce-back links applied, or — the field in star arrangement,
 // AA's odd sub-step — the cells' own reversed slots. Write: the cells' own
 // row of the next state (fadv fused, the field itself on AA's odd
@@ -63,7 +59,7 @@ func (cs *cartStepper) gatherRow(sc *workerScratch, ix, iy, zlo, zhi, base int) 
 	zn := zhi - zlo
 	own := cs.aaStar
 	scatter := cs.aa && !own
-	in, out := sc.gathered(zn)
+	in := sc.gathered(zn)
 	var links []fixup
 	if own {
 		for v := range in {
@@ -71,27 +67,34 @@ func (cs *cartStepper) gatherRow(sc *workerScratch, ix, iy, zlo, zhi, base int) 
 		}
 	} else {
 		for v := range in {
-			cs.pullUpwind(in[v], v, ix, iy, zlo)
+			in[v] = cs.upwindRow(in[v], v, ix, iy, zlo)
 		}
 		// A population whose upwind cell is solid — pulled out of it, or
 		// under the run index not pulled at all — is a bounce-back link of
 		// the row: the cell's own opposite pre-stream population (+ δ) takes
-		// its place, as applyBox writes it into fadv on the split path.
+		// its place, as applyBox writes it into fadv on the split path. A
+		// row read in place is copied into the worker's own slot first.
 		// Under AA that slot's star owner is the solid cell, which never
 		// scatters, so the read is conflict-free.
 		if !cs.fix.empty() {
 			links = cs.fix.rowLinks(ix*cs.d.NY+iy, zlo, zhi)
 			for _, fx := range links {
+				if slot := sc.ginSt[int(fx.v)*sc.nzCap:][:zn]; &in[fx.v][0] != &slot[0] {
+					copy(slot, in[fx.v])
+					in[fx.v] = slot
+				}
 				in[fx.v][int(fx.cell)-base] = cs.f.V(int(fx.opp))[fx.cell] + fx.delta
 			}
 		}
 	}
-	if !scatter {
-		next := cs.fadv
-		if cs.aa {
-			next = cs.f
-		}
-		out = rowViews(sc.dv, next, base, zn)
+	var out [][]float64
+	switch {
+	case scatter:
+		out = sc.scattered(zn)
+	case cs.aa:
+		out = rowViews(sc.dv, cs.f, base, zn)
+	default:
+		out = rowViews(sc.dv, cs.fadv, base, zn)
 	}
 	cs.relax(sc, in, out, zn)
 	// The sponge blends the collided row where the split path's post-collide
@@ -117,19 +120,24 @@ func (cs *cartStepper) gatherRow(sc *workerScratch, ix, iy, zlo, zhi, base int) 
 	}
 }
 
-// pullUpwind gathers the values population v streams into row (ix, iy) at
+// upwindRow returns the values population v streams into row (ix, iy) at
 // z ∈ [zlo, zlo+len(dst)) — what the rung's stream kernel would have moved
-// there. Under the run index that is pull, clipped to the cells the source
-// row stores; dense it is the offset copy of streamCopyIndexed: the source
-// row from the srcY table, the z movement by zShift, both of which wrap on
-// an axis without ghosts.
-func (cs *cartStepper) pullUpwind(dst []float64, v, ix, iy, zlo int) {
+// there. Under the run index that is pull into dst, clipped to the cells
+// the source row stores; dense it is the offset copy of streamCopyIndexed
+// (srcY row, zShift, both wrapping on an axis without ghosts) — or, with
+// cs.views and no z rotation needed, the source slice of f itself.
+func (cs *cartStepper) upwindRow(dst []float64, v, ix, iy, zlo int) []float64 {
 	m := cs.model
 	if cs.runStart != nil {
 		cs.pull(dst, cs.f.V(v), ix-m.Cx[v], iy-m.Cy[v], zlo-m.Cz[v])
-		return
+		return dst
 	}
-	nz := cs.d.NZ
+	nz, cz, wrap := cs.d.NZ, m.Cz[v], cs.w[2] == 0
 	off := (ix-m.Cx[v])*cs.d.PlaneCells() + int(cs.srcY[v][iy])*nz
-	zShift(dst, cs.f.V(v)[off:off+nz], zlo, m.Cz[v], cs.w[2] == 0)
+	srow := cs.f.V(v)[off : off+nz]
+	if cs.views && (!wrap || cz == 0) {
+		return srow[zlo-cz : zlo-cz+len(dst)]
+	}
+	zShift(dst, srow, zlo, cz, wrap)
+	return dst
 }

@@ -17,12 +17,12 @@ import (
 // white-box kernel benchmarking: the x-only ghost geometry, or — ghosted —
 // ghost layers on all three axes (Sparse without a mask changes nothing
 // but the geometry).
-func benchStepper(b *testing.B, m *lattice.Model, opt OptLevel, spec collision.Spec, ghosted, fused bool) *cartStepper {
+func benchStepper(b *testing.B, m *lattice.Model, opt OptLevel, spec collision.Spec, ghosted bool) *cartStepper {
 	b.Helper()
 	cs := buildStepper(b, Config{
 		Model: m, N: benchDims, Tau: 0.8, Steps: 1,
 		Opt: opt, Ranks: 1, Threads: 1, GhostDepth: 1,
-		Collision: spec, Sparse: ghosted, Fused: fused, Init: waveInit(benchDims),
+		Collision: spec, Sparse: ghosted, Init: waveInit(benchDims),
 	})
 	cs.initField()
 	cs.refreshAxes([3]bool{true, true, true}) // one rank: local wraps only
@@ -64,7 +64,7 @@ func BenchmarkStreamKernels(b *testing.B) {
 		}{{"scalar", OptGC}, {"copy", OptDH}, {"indexed", OptLoBr}} {
 			for _, ghosted := range []bool{false, true} {
 				b.Run(m.Name+"/"+c.name+geoName(ghosted), func(b *testing.B) {
-					cs := benchStepper(b, m, c.opt, collision.Spec{}, ghosted, false)
+					cs := benchStepper(b, m, c.opt, collision.Spec{}, ghosted)
 					owned := cs.ownedBox()
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
@@ -80,13 +80,13 @@ func BenchmarkStreamKernels(b *testing.B) {
 // benchRowKernel times c's row kernel over every row of src → dst in the
 // three view shapes its callers form: in-place full rows (slab and dense
 // box), 16-cell z-runs (the short runs sparse traversal feeds it), and
-// gathered scratch rows (fused and AA: in and out cache-resident) — and
+// gathered scratch rows (the gather sweep: in and out cache-resident) — and
 // on one floorCells-long row of its own, the kernel's compute floor.
 func benchRowKernel(b *testing.B, name string, c *collider, src, dst *grid.Field) {
 	d := src.D
 	nz, cells := d.NZ, d.Cells()
 	sc := newScratches(1, src.Q, nz, c.op)[0]
-	gin, gout := sc.gathered(nz)
+	gin, gout := sc.gathered(nz), sc.scattered(nz)
 	for v := range gin {
 		copy(gin[v], src.V(v)[:nz])
 	}
@@ -136,7 +136,7 @@ func BenchmarkCollideKernels(b *testing.B) {
 			name string
 			opt  OptLevel
 		}{{"naive", OptGC}, {"rowGeneric", OptDH}, {"paired", OptCF}} {
-			st := benchStepper(b, m, c.opt, collision.Spec{}, false, false)
+			st := benchStepper(b, m, c.opt, collision.Spec{}, false)
 			benchRowKernel(b, m.Name+"/"+c.name, &st.collider, st.f, st.fadv)
 		}
 		b.Run(m.Name+"/paired/moments96", func(b *testing.B) {
@@ -157,14 +157,14 @@ func BenchmarkCollideKernels(b *testing.B) {
 }
 
 // Fused kernel vs split stream+collide at the kernel level, over the
-// owned box in both ghost geometries: the split path relaxes in-place row
-// views, the fused gather sweep the worker's gathered rows.
+// owned box in both ghost geometries: GC-C's split path relaxes in-place
+// row views of fadv, the SIMD rung's gather sweep the upwind rows of f.
 func BenchmarkFusedKernel(b *testing.B) {
 	for _, m := range []*lattice.Model{lattice.D3Q19(), lattice.D3Q39()} {
 		for _, ghosted := range []bool{false, true} {
 			geo := geoName(ghosted)
 			b.Run(m.Name+geo+"/split", func(b *testing.B) {
-				cs := benchStepper(b, m, OptSIMD, collision.Spec{}, ghosted, false)
+				cs := benchStepper(b, m, OptGCC, collision.Spec{}, ghosted)
 				owned := cs.ownedBox()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -174,7 +174,7 @@ func BenchmarkFusedKernel(b *testing.B) {
 				reportCellRate(b, owned.cells())
 			})
 			b.Run(m.Name+geo+"/fused", func(b *testing.B) {
-				cs := benchStepper(b, m, OptSIMD, collision.Spec{}, ghosted, true)
+				cs := benchStepper(b, m, OptSIMD, collision.Spec{}, ghosted)
 				owned := cs.ownedBox()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
@@ -184,6 +184,39 @@ func BenchmarkFusedKernel(b *testing.B) {
 				reportCellRate(b, owned.cells())
 			})
 		}
+	}
+}
+
+// gatherRow on one cache-resident row of two benchmark problems, on one
+// thread: periodic-q19's D3Q19 slab and halo-q39's D3Q39 slab rank, both a
+// 96-cell z row with ghosts on x only (y and z wrap). views reads the
+// plain-slice upwind rows of f in place, as the two-field sweep does;
+// copy gathers every row into the worker's rows first, as AA must. The
+// difference is what the views save per cell.
+func BenchmarkGatherRow(b *testing.B) {
+	for _, m := range []*lattice.Model{lattice.D3Q19(), lattice.D3Q39()} {
+		cs := buildStepper(b, Config{
+			Model: m, N: grid.Dims{NX: 8, NY: 8, NZ: 96}, Tau: 0.8, Steps: 1,
+			Opt: OptSIMD, Ranks: 1, Threads: 1, GhostDepth: 1,
+		})
+		cs.initField()
+		cs.refreshAxes([3]bool{true, true, true})
+		sc, ix, iy := cs.scratch[0], cs.w[0]+cs.own[0]/2, cs.own[1]/2
+		nz, base := cs.d.NZ, cs.d.Index(ix, iy, 0)
+		for _, views := range []bool{false, true} {
+			name := m.Name + "/copy"
+			if views {
+				name = m.Name + "/views"
+			}
+			b.Run(name, func(b *testing.B) {
+				cs.views = views
+				for i := 0; i < b.N; i++ {
+					cs.gatherRow(sc, ix, iy, 0, nz, base)
+				}
+				reportCellRate(b, nz)
+			})
+		}
+		cs.close()
 	}
 }
 
@@ -276,7 +309,7 @@ func BenchmarkSparseExchange(b *testing.B) {
 // schedule rides on).
 func BenchmarkBoxKernels(b *testing.B) {
 	m := lattice.D3Q19()
-	cs := benchStepper(b, m, OptSIMD, collision.Spec{}, true, false)
+	cs := benchStepper(b, m, OptSIMD, collision.Spec{}, true)
 	owned := cs.ownedBox()
 	plan := planStep(owned, cs.own, cs.w, cs.k, [3]bool{true, true, true})
 	cases := []struct {
@@ -306,7 +339,7 @@ func BenchmarkBoxKernels(b *testing.B) {
 // what carries TRT/MRT within ~1.5× of it.
 func BenchmarkBoxCollideOperator(b *testing.B) {
 	for _, m := range []*lattice.Model{lattice.D3Q19(), lattice.D3Q39()} {
-		cs := benchStepper(b, m, OptSIMD, collision.Spec{}, true, false)
+		cs := benchStepper(b, m, OptSIMD, collision.Spec{}, true)
 		benchRowKernel(b, m.Name+"/bgk-fastpath", &cs.collider, cs.f, cs.fadv)
 		for _, spec := range []collision.Spec{{Kind: collision.TRT}, {Kind: collision.MRT}} {
 			var c collider
@@ -330,13 +363,12 @@ func BenchmarkBoxExchangeProtocols(b *testing.B) {
 	n := grid.Dims{NX: 64, NY: 64, NZ: 64}
 	delay := func(src, dst, bytes int) time.Duration { return 2 * time.Millisecond }
 	cases := []struct {
-		name  string
-		opt   OptLevel
-		fused bool
+		name string
+		opt  OptLevel
 	}{
-		{"nbc", OptNBC, false},
-		{"gcc", OptGCC, false},
-		{"gcc-fused", OptGCC, true},
+		{"nbc", OptNBC},
+		{"gcc", OptGCC},
+		{"simd", OptSIMD}, // the GC-C schedule, stepped by the gather sweep
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
@@ -345,7 +377,7 @@ func BenchmarkBoxExchangeProtocols(b *testing.B) {
 				res, err := Run(Config{
 					Model: lattice.D3Q19(), N: n, Tau: 0.8, Steps: 10,
 					Opt: c.opt, Ranks: 4, Decomp: [3]int{2, 2, 1}, Threads: 1, GhostDepth: 1,
-					Fused: c.fused, Init: waveInit(n),
+					Init:   waveInit(n),
 					Fabric: comm.NewFabric(4).WithDelay(delay),
 				})
 				if err != nil {
@@ -406,7 +438,7 @@ func BenchmarkCollideOperator(b *testing.B) {
 	for _, m := range []*lattice.Model{lattice.D3Q19(), lattice.D3Q39()} {
 		for _, spec := range []collision.Spec{{Kind: collision.BGK}, {Kind: collision.TRT}, {Kind: collision.MRT}} {
 			b.Run(m.Name+"/"+spec.String(), func(b *testing.B) {
-				cs := benchStepper(b, m, OptSIMD, spec, false, false)
+				cs := benchStepper(b, m, OptSIMD, spec, false)
 				owned := cs.ownedBox()
 				cs.streamBox(owned)
 				b.ResetTimer()

@@ -22,7 +22,7 @@ func ReportConfig(cfg *Config) obs.RunConfig {
 		Collision: cfg.Collision.String(),
 		Stream:    cfg.Stream.String(),
 		Layout:    layout,
-		Fused:     cfg.Fused,
+		Fused:     cfg.GatherSweep(),
 		Ranks:     cfg.Ranks,
 		Decomp:    cfg.Decomp,
 		Threads:   cfg.Threads,

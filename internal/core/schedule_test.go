@@ -185,6 +185,17 @@ func TestStepNeverWritesState(t *testing.T) {
 			c.Boundary, c.Solid = InletChannelSpec(0.05, nil), geom.CylinderZ(n, 5, 6.3, 2.5)
 		})},
 		{"orig", with(func(c *Config) { c.Ranks, c.Opt = 2, OptOrig })},
+		// The SIMD rung's gather sweep reads the upwind rows of f in place;
+		// a bounce-back link must land in a copy, never in f.
+		{"gather-slab", with(func(c *Config) { c.Ranks, c.Opt = 2, OptSIMD })},
+		{"gather-masked-channel", with(func(c *Config) {
+			c.Ranks, c.Decomp, c.Opt = 4, [3]int{2, 2, 1}, OptSIMD
+			c.Boundary, c.Solid = InletChannelSpec(0.05, nil), geom.CylinderZ(n, 5, 6.3, 2.5)
+		})},
+		{"gather-masked-wrap-z", with(func(c *Config) {
+			c.Ranks, c.Opt = 2, OptSIMD
+			c.Solid = geom.FromFunc(n, func(ix, iy, iz int) bool { return iy == 0 || iz == n.NZ-1 })
+		})},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			cfg := tc.cfg

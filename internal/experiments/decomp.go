@@ -11,16 +11,15 @@ import (
 
 // DecompTable compares slab (1-D), pencil (2-D) and block (3-D) rank
 // grids on a Blue Gene machine model: per-axis and total halo payload
-// per rank per exchange, and the projected runtime at three optimization
-// levels — NB-C (posted receives), GC-C (the per-axis compute/
-// communication overlap) and Fused (GC-C schedule with the fused
-// stream-collide kernel's 2·Q·8 bytes per cell). This is the
+// per rank per exchange, and the projected runtime at two optimization
+// levels — NB-C (posted receives) and GC-C (the per-axis compute/
+// communication overlap). This is the
 // beyond-paper experiment the Cartesian decomposition unlocks — the
 // paper's §IV fixes the slab to isolate ghost-depth effects, and this
 // table shows both where that choice stops scaling (slab surface stays
 // O(NY·NZ) per rank while the block's shrinks with P^(2/3)) and that the
-// overlap and the fused kernel now compose with every shape instead of
-// trading off against the decomposition.
+// overlap composes with every shape instead of trading off against the
+// decomposition.
 func DecompTable(machineName string) (*Table, error) {
 	m, err := machine.ByName(machineName)
 	if err != nil {
@@ -36,18 +35,6 @@ func DecompTable(machineName string) (*Table, error) {
 		axes  int
 		label string
 	}{{1, "slab"}, {2, "pencil"}, {3, "block"}}
-	opts := []struct {
-		label string
-		opt   core.OptLevel
-		fused bool
-	}{
-		{"NB-C", core.OptNBC, false},
-		{"GC-C", core.OptGCC, false},
-		// The fused kernel subsumes the SIMD-shaped collide and runs on
-		// the GC-C schedule (OptSIMD is cumulative), with 2·Q·8 instead of
-		// 3·Q·8 bytes per cell.
-		{"Fused", core.OptSIMD, true},
-	}
 	for _, ranks := range []int{8, 64, 512} {
 		for _, sh := range shapes {
 			axes, label := sh.axes, sh.label
@@ -55,18 +42,12 @@ func DecompTable(machineName string) (*Table, error) {
 			if err != nil {
 				return nil, err
 			}
-			for _, o := range opts {
-				spec := machine.SpecD3Q19()
-				if o.fused {
-					// One read + one write of the field per cell instead of
-					// the split path's three accesses.
-					spec.BytesPerCell = core.FusedBytesPerCell(spec.Q)
-				}
+			for _, opt := range []core.OptLevel{core.OptNBC, core.OptGCC} {
 				res, err := perfsim.Run(perfsim.Job{
-					Machine: m, Spec: spec, K: 1,
+					Machine: m, Spec: machine.SpecD3Q19(), K: 1,
 					Nodes: ranks, TasksPerNode: 1, ThreadsPerTask: min(16, m.CoresPerNode),
 					NX: n, NY: n, NZ: n, Decomp: p,
-					Steps: 50, Depth: 1, Opt: o.opt,
+					Steps: 50, Depth: 1, Opt: opt,
 					Imbalance: 0.05, Seed: 21,
 				})
 				if err != nil {
@@ -76,7 +57,7 @@ func DecompTable(machineName string) (*Table, error) {
 					fmt.Sprintf("%d", ranks),
 					label,
 					fmt.Sprintf("%dx%dx%d", p[0], p[1], p[2]),
-					o.label,
+					opt.String(),
 					kb(res.AxisBytes[0]), kb(res.AxisBytes[1]), kb(res.AxisBytes[2]),
 					kb(res.SurfaceBytes()),
 					fmt.Sprintf("%.3f", res.Seconds),
@@ -88,7 +69,7 @@ func DecompTable(machineName string) (*Table, error) {
 	t.Notes = append(t.Notes,
 		"slab surface per rank is constant in the rank count; pencil and block shrink it, crossing over by 8 ranks",
 		"shapes picked by decomp.Factor: the minimum-surface near-cubic factorization per axis budget",
-		"GC-C overlaps each axis's messages with the box schedule's interior/rim compute; Fused runs the SIMD-quality kernels at 2·Q·8 B/cell on the same schedule")
+		"GC-C overlaps each axis's messages with the box schedule's interior/rim compute")
 	return t, nil
 }
 

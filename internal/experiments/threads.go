@@ -26,8 +26,8 @@ func threadCounts(max int) []int {
 // threading model itself. Each row runs four configurations at the same
 // domain:
 //
-//   - bgk: the split stream/collide path at OptSIMD on one rank;
-//   - fused: the fused kernel on the same rank;
+//   - bgk: the split stream/collide path at OptGCC on one rank;
+//   - fused: the gather sweep (OptSIMD) on the same rank;
 //   - op: the generic operator path (TRT unless colSpec names another
 //     non-BGK operator) — its "gap" column is bgk/op, the cost of the
 //     operator indirection, which the z-run-blocked kernel must hold
@@ -56,11 +56,11 @@ func RealThreads(modelName string, maxThreads, steps int, colSpec collision.Spec
 	for _, th := range threadCounts(maxThreads) {
 		base := core.Config{
 			Model: m, N: n, Tau: 0.8, Steps: steps,
-			Opt: core.OptSIMD, Ranks: 1, Threads: th, GhostDepth: 1,
+			Opt: core.OptGCC, Ranks: 1, Threads: th, GhostDepth: 1,
 		}
 		bgkCfg := base
 		fusedCfg := base
-		fusedCfg.Fused = true
+		fusedCfg.Opt = core.OptSIMD
 		opCfg := base
 		opCfg.Collision = opSpec
 		cavCfg := base

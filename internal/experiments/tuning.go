@@ -143,9 +143,6 @@ func candLabel(c tune.Candidate) string {
 	if c.Kernel != "bgk" {
 		s += " " + c.Kernel
 	}
-	if c.Fused {
-		s += " fused"
-	}
 	if c.Balance != "" {
 		s += " " + c.Balance
 	}

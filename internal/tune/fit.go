@@ -457,8 +457,10 @@ func fitKernelCosts(sw *Sweep, c *perfsim.Coeffs) error {
 		if ratio > 4 {
 			ratio = 4
 		}
+		opt, _ := core.ParseOptLevel(o.Point.Opt) // parsed by PricePoint above
+		stream, _ := core.ParseStreamScheme(o.Point.Stream)
 		switch {
-		case o.Point.Fused:
+		case fusedSweep(opt, stream):
 			c.FusedAdjust = ratio
 		case o.Point.Stream == core.StreamAA.String():
 			c.AAAdjust = ratio

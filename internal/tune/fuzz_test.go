@@ -97,6 +97,15 @@ func TestLoadTunedCorpus(t *testing.T) {
 	if hit, err := LoadCached(path, "0123456789abcdef"); err != nil || hit == nil {
 		t.Errorf("matching key: %v, %v, want a hit", hit, err)
 	}
+	// An entry written while the gather sweep was a candidate dimension
+	// carries "fused": the key is ignored — the SIMD rung steps with the
+	// sweep anyway — and the entry is still a hit.
+	old := writeTemp(t, t.TempDir(), corpusBytes(t, "FuzzLoadTuned", "fused-key"))
+	if hit, err := LoadCached(old, "0123456789abcdef"); err != nil || hit == nil {
+		t.Errorf("entry with a fused key: %v, %v, want a hit", hit, err)
+	} else if hit.Choice.Opt != core.OptSIMD.String() {
+		t.Errorf("entry with a fused key loaded opt %q, want SIMD", hit.Choice.Opt)
+	}
 	if hit, err := LoadCached(path, "fedcba9876543210"); err != nil || hit != nil {
 		t.Errorf("stale key: %v, %v, want a silent miss (re-tune)", hit, err)
 	}

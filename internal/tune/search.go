@@ -44,7 +44,6 @@ type Candidate struct {
 	Depth   [3]int `json:"depth"`
 	Stream  string `json:"stream"`
 	Kernel  string `json:"kernel"`
-	Fused   bool   `json:"fused,omitempty"`
 	Balance string `json:"balance,omitempty"`
 	Sparse  bool   `json:"sparse,omitempty"`
 }
@@ -76,7 +75,7 @@ func (c Candidate) Apply(cfg *core.Config) error {
 		return err
 	}
 	cfg.Opt, cfg.Ranks, cfg.Decomp, cfg.Threads = opt, c.Ranks, c.Decomp, c.Threads
-	cfg.Collision, cfg.Stream, cfg.Fused = col, stream, c.Fused
+	cfg.Collision, cfg.Stream = col, stream
 	cfg.Balance, cfg.Sparse = bal, c.Sparse
 	if c.Depth[0] == c.Depth[1] && c.Depth[1] == c.Depth[2] {
 		cfg.GhostDepth, cfg.GhostDepthAxes = c.Depth[0], [3]int{}
@@ -123,18 +122,17 @@ type Space struct {
 	// Depths are the ghost-depth values tried (uniformly and per-axis on
 	// decomposed axes).
 	Depths []int `json:"depths"`
-	// Opts, Streams, Kernels and Fused span the protocol/kernel choices.
+	// Opts, Streams and Kernels span the protocol/kernel choices.
 	Opts    []string `json:"opts"`
 	Streams []string `json:"streams"`
 	Kernels []string `json:"kernels"`
-	Fused   []bool   `json:"fused"`
 }
 
 // DefaultSpace returns the standard search space for a machine with the
 // given worker budget: power-of-two rank and thread counts, ghost depths
-// 1-2, the overlap-capable protocol rungs, both storage schemes, both
-// fused settings, and the scenario's kernel only (swapping collision
-// operators changes the physics; callers can widen Kernels explicitly).
+// 1-2, the overlap-capable protocol rungs, both storage schemes, and the
+// scenario's kernel only (swapping collision operators changes the
+// physics; callers can widen Kernels explicitly).
 func DefaultSpace(maxWorkers int) Space {
 	if maxWorkers < 1 {
 		maxWorkers = 1
@@ -151,7 +149,6 @@ func DefaultSpace(maxWorkers int) Space {
 		Opts:       []string{core.OptNBC.String(), core.OptGCC.String(), core.OptSIMD.String()},
 		Streams:    []string{core.StreamTwoGrid.String(), core.StreamAA.String()},
 		Kernels:    []string{"bgk"},
-		Fused:      []bool{false, true},
 	}
 }
 
@@ -242,19 +239,16 @@ func Enumerate(s *Scenario, sp Space) []Candidate {
 								// them just duplicates the even candidate.
 								continue
 							}
-							for _, fused := range sp.Fused {
-								for _, kernel := range sp.Kernels {
-									for _, bal := range balances {
-										for _, sparse := range sparses {
-											c := Candidate{
-												Ranks: ranks, Decomp: shape, Threads: threads,
-												Opt: opt, Depth: depth, Stream: stream,
-												Kernel: kernel, Fused: fused,
-												Balance: bal, Sparse: sparse,
-											}
-											if cfg, err := c.Config(s, 1); err == nil && cfg.Validate() == nil {
-												out = append(out, c)
-											}
+							for _, kernel := range sp.Kernels {
+								for _, bal := range balances {
+									for _, sparse := range sparses {
+										c := Candidate{
+											Ranks: ranks, Decomp: shape, Threads: threads,
+											Opt: opt, Depth: depth, Stream: stream,
+											Kernel: kernel, Balance: bal, Sparse: sparse,
+										}
+										if cfg, err := c.Config(s, 1); err == nil && cfg.Validate() == nil {
+											out = append(out, c)
 										}
 									}
 								}
@@ -320,6 +314,7 @@ func (c Candidate) job(s *Scenario, coeffs *perfsim.Coeffs, steps int, ranksAreN
 	if ranksAreNodes {
 		nodes, tasks = c.Ranks, 1
 	}
+	fused := fusedSweep(opt, stream)
 	bounded := s.Boundary.BoundedAxes()
 	j := perfsim.Job{
 		Machine: envelope(),
@@ -332,13 +327,13 @@ func (c Candidate) job(s *Scenario, coeffs *perfsim.Coeffs, steps int, ranksAreN
 		Steps:   steps,
 		Depth:   maxDepth,
 		Opt:     opt,
-		Fused:   c.Fused,
+		Fused:   fused,
 		Stream:  stream,
 		Seed:    1,
 		Coeffs:  coeffs,
 	}
 	if coeffs != nil {
-		j.CellCost = coeffs.CellCost(c.Kernel, c.Fused, stream)
+		j.CellCost = coeffs.CellCost(c.Kernel, fused, stream)
 	}
 	if s.Solid != nil {
 		if c.Balance == core.BalanceFluid.String() {
@@ -358,6 +353,12 @@ func (c Candidate) job(s *Scenario, coeffs *perfsim.Coeffs, steps int, ranksAreN
 		}
 	}
 	return j, nil
+}
+
+// fusedSweep reports whether a step is the two-field gather sweep, priced
+// as perfsim's Job.Fused; AA's sweep is priced by its stream's own model.
+func fusedSweep(opt core.OptLevel, stream core.StreamScheme) bool {
+	return stream != core.StreamAA && (&core.Config{Opt: opt, Stream: stream}).GatherSweep()
 }
 
 // Price predicts a candidate's wall seconds on this host: ranks are

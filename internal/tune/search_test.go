@@ -62,7 +62,6 @@ func smallSpace() Space {
 		Opts:       []string{core.OptGCC.String(), core.OptSIMD.String()},
 		Streams:    []string{core.StreamTwoGrid.String(), core.StreamAA.String()},
 		Kernels:    []string{"bgk"},
-		Fused:      []bool{false, true},
 	}
 }
 
@@ -74,15 +73,16 @@ func smallSpace() Space {
 // and bounded spaces grew once, by exactly the fused twin of every
 // two-grid candidate, when the fused sweep learned walls and solids
 // (240 → 416, 216 → 372; 60 → 104, 54 → 93 — the bounded scenario now
-// has the periodic one's space).
+// has the periodic one's space), and shrank back by those twins when the
+// gather sweep became the SIMD rung's step and stopped being a dimension.
 func TestEnumerateCounts(t *testing.T) {
 	for _, c := range []struct {
 		s               *Scenario
 		small, default2 int
 	}{
-		{testScenario(), 104, 93},
-		{maskedScenario(3), 416, 372},
-		{boundedScenario(), 104, 93},
+		{testScenario(), 60, 54},
+		{maskedScenario(3), 240, 216},
+		{boundedScenario(), 60, 54},
 	} {
 		if got := len(Enumerate(c.s, smallSpace())); got != c.small {
 			t.Errorf("%s: %d candidates over the test space, want %d", c.s.Name, got, c.small)
@@ -119,9 +119,6 @@ func TestEnumerateRunnable(t *testing.T) {
 func TestEnumerateFilters(t *testing.T) {
 	cands := Enumerate(testScenario(), smallSpace())
 	for _, c := range cands {
-		if c.Stream == core.StreamAA.String() && c.Fused {
-			t.Errorf("fused AA candidate enumerated: %s", c.key())
-		}
 		if c.Sparse || c.Balance != "" {
 			t.Errorf("sparse/balanced candidate on unmasked scenario: %s", c.key())
 		}
@@ -131,10 +128,10 @@ func TestEnumerateFilters(t *testing.T) {
 	for _, c := range masked {
 		sawSparse = sawSparse || c.Sparse
 		sawBalance = sawBalance || c.Balance != ""
-		sawFused = sawFused || c.Fused
+		sawFused = sawFused || (c.Opt == core.OptSIMD.String() && c.Stream == core.StreamTwoGrid.String())
 	}
 	if !sawSparse || !sawBalance || !sawFused {
-		t.Errorf("masked scenario should enumerate sparse, fluid-balanced and fused candidates")
+		t.Errorf("masked scenario should enumerate sparse, fluid-balanced and gather-sweep (SIMD) candidates")
 	}
 }
 

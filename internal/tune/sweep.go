@@ -54,7 +54,8 @@ type Point struct {
 // for the bytes-per-message ratio, a pencil for multi-axis exchange, a
 // thread ladder for the saturation ramp and the Amdahl term), and the
 // holdout points carry one non-baseline kernel each for the closed-form
-// cost ratios. The pencil is cut on y and z, not on x: x carries ghosts
+// cost ratios; core points step split, the SIMD rung's gather sweep is a
+// holdout. The pencil is cut on y and z, not on x: x carries ghosts
 // on every shape, so the point has one local wrap — copies priced at the
 // copy bandwidth, no wire — beside two messaging axes. A 2×2×1 pencil has
 // none (its uncut z is a wrap axis, core.GhostWidths), and without one
@@ -67,8 +68,8 @@ func Points() []Point {
 			Stream: core.StreamTwoGrid.String(), Kernel: "bgk",
 		}}
 	}
-	hold := func(p Point, kernel string, fused bool, stream core.StreamScheme) Point {
-		p.Kernel, p.Fused, p.Stream, p.Holdout = kernel, fused, stream.String(), true
+	hold := func(p Point, kernel string, stream core.StreamScheme) Point {
+		p.Kernel, p.Stream, p.Holdout = kernel, stream.String(), true
 		return p
 	}
 	one, slab, pencil := [3]int{1, 1, 1}, [3]int{2, 1, 1}, [3]int{1, 2, 2}
@@ -78,13 +79,13 @@ func Points() []Point {
 		pt("slab NB-C d1 r2", core.OptNBC, slab, 1, 1),
 		pt("slab GC-C d2 r2", core.OptGCC, slab, 2, 1),
 		pt("pencil GC-C d1 r4", core.OptGCC, pencil, 1, 1),
-		pt("slab SIMD r1 t1", core.OptSIMD, one, 1, 1),
-		pt("slab SIMD r1 t2", core.OptSIMD, one, 1, 2),
-		pt("slab SIMD r1 t4", core.OptSIMD, one, 1, 4),
-		hold(pt("trt GC-C d1 r2", core.OptGCC, slab, 1, 1), "trt", false, core.StreamTwoGrid),
-		hold(pt("mrt GC-C d1 r2", core.OptGCC, slab, 1, 1), "mrt", false, core.StreamTwoGrid),
-		hold(pt("fused GC-C d1 r2", core.OptGCC, slab, 1, 1), "bgk", true, core.StreamTwoGrid),
-		hold(pt("aa GC-C d2 r2", core.OptGCC, slab, 2, 1), "bgk", false, core.StreamAA),
+		pt("slab GC-C r1 t1", core.OptGCC, one, 1, 1),
+		pt("slab GC-C r1 t2", core.OptGCC, one, 1, 2),
+		pt("slab GC-C r1 t4", core.OptGCC, one, 1, 4),
+		hold(pt("trt GC-C d1 r2", core.OptGCC, slab, 1, 1), "trt", core.StreamTwoGrid),
+		hold(pt("mrt GC-C d1 r2", core.OptGCC, slab, 1, 1), "mrt", core.StreamTwoGrid),
+		hold(pt("fused SIMD d1 r2", core.OptSIMD, slab, 1, 1), "bgk", core.StreamTwoGrid),
+		hold(pt("aa GC-C d2 r2", core.OptGCC, slab, 2, 1), "bgk", core.StreamAA),
 	}
 }
 
