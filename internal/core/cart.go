@@ -158,6 +158,7 @@ func newCartStepper(cfg *Config, dec decomp.Cartesian, r *comm.Rank) (*cartStepp
 	// face and leaves its ghosts to the boundary fill below.
 	top, err := comm.NewCartTopologyBounded(r.N, dec.Shape(), dec.Bounded)
 	if err != nil {
+		cs.close()
 		return nil, err
 	}
 	obstacle := cs.buildMask()
@@ -175,6 +176,7 @@ func newCartStepper(cfg *Config, dec decomp.Cartesian, r *comm.Rank) (*cartStepp
 	}
 	cs.ex, err = halo.NewCartExchangerClipped(cfg.Model.Q, cs.d, cs.own, cs.w, r.ID, top.Neighbors(r.ID), stored, cfg.faceVelocities(cs.w))
 	if err != nil {
+		cs.close()
 		return nil, err
 	}
 	if cfg.Opt == OptOrig {
@@ -188,15 +190,23 @@ func newCartStepper(cfg *Config, dec decomp.Cartesian, r *comm.Rank) (*cartStepp
 
 // allocFields allocates the distribution fields. They follow the mask:
 // dense over the local box, or — with the run index installed — exactly
-// the cells of its fluid runs.
+// the cells of its fluid runs. They are mapped outside the Go heap,
+// zeroed and faulted in here, inside set-up (grid.NewMappedField), and
+// live until releaseFields.
 func (cs *cartStepper) allocFields() {
 	q, d, l := cs.model.Q, cs.fieldDims(), cs.cfg.Layout
-	cs.f = grid.NewField(q, d, l)
+	cs.f = grid.NewMappedField(q, d, l)
 	if !cs.aa {
 		// AA streams in place: the second field never exists, which is the
 		// scheme's whole point — footprint and f-traffic are halved.
-		cs.fadv = grid.NewField(q, d, l)
+		cs.fadv = grid.NewMappedField(q, d, l)
 	}
+}
+
+// releaseFields unmaps both fields.
+func (cs *cartStepper) releaseFields() {
+	cs.f.Release()
+	cs.fadv.Release()
 }
 
 // testPoisonGhosts, set by tests, floods every cell of both fields with NaN
@@ -1325,7 +1335,11 @@ func (cs *cartStepper) observation() obs.RankObservation {
 	return o
 }
 
-func (cs *cartStepper) close() { cs.br.close() }
+// close stops the worker pool and releases the fields; it is idempotent.
+func (cs *cartStepper) close() {
+	cs.br.close()
+	cs.releaseFields()
+}
 
 // axisBytes reports this rank's halo payload per full exchange, from the
 // exchanger that does the sending — the cells its border spans hold,

@@ -27,7 +27,8 @@ import (
 	"repro/internal/lattice"
 )
 
-// buildStepper constructs the stepper of a one-rank config white-box.
+// buildStepper constructs the stepper of a one-rank config white-box; it
+// is closed when the test ends.
 func buildStepper(t testing.TB, cfg Config) *cartStepper {
 	t.Helper()
 	dec, err := cfg.init()
@@ -41,6 +42,7 @@ func buildStepper(t testing.TB, cfg Config) *cartStepper {
 	}); err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(cs.close)
 	return cs
 }
 

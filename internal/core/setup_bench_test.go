@@ -2,8 +2,6 @@ package core
 
 import (
 	"math"
-	"runtime"
-	"runtime/debug"
 	"testing"
 	"time"
 
@@ -15,11 +13,12 @@ import (
 // BenchmarkSetup times the set-up passes core.Run makes outside its
 // stepping loop, in ns per owned cell, on two of the benchmark ledger's
 // problems: periodic-q19's (D3Q19 BGK 96³ with a shear wave, one thread)
-// and the 64³ TRT lid-driven cavity (two threads). Each iteration collects
-// the heap and hands it back to the OS first, as an op of the ledger does,
-// so the allocation re-faults its pages; then it times the field
-// allocation (alloc-ns/cell), initField (init-ns/cell), buildFixups on a
-// walled run (fixups-ns/cell) and ownedSums (sums-ns/cell).
+// and the 64³ TRT lid-driven cavity (two threads). Each iteration times
+// what an op of the ledger pays: releasing the previous fields
+// (release-ns/cell, the munmap Run's close does), allocating fresh ones
+// (alloc-ns/cell: map, advise and prefault), initField (init-ns/cell),
+// buildFixups on a walled run (fixups-ns/cell) and ownedSums
+// (sums-ns/cell).
 func BenchmarkSetup(b *testing.B) {
 	periodic := grid.Dims{NX: 96, NY: 96, NZ: 96}
 	cavity := grid.Dims{NX: 64, NY: 64, NZ: 64}
@@ -39,13 +38,10 @@ func BenchmarkSetup(b *testing.B) {
 				if cs.mask != nil {
 					obstacle = cs.buildMask()
 				}
-				var alloc, init, fixups, sums time.Duration
+				var release, alloc, init, fixups, sums time.Duration
 				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					cs.f, cs.fadv = nil, nil
-					runtime.GC()
-					debug.FreeOSMemory()
-					b.StartTimer()
+					r0 := time.Now()
+					cs.releaseFields()
 					t0 := time.Now()
 					cs.allocFields()
 					t1 := time.Now()
@@ -57,11 +53,12 @@ func BenchmarkSetup(b *testing.B) {
 					t3 := time.Now()
 					cs.ownedSums()
 					t4 := time.Now()
-					alloc, init, fixups, sums = alloc+t1.Sub(t0), init+t2.Sub(t1), fixups+t3.Sub(t2), sums+t4.Sub(t3)
+					release, alloc, init, fixups, sums = release+t0.Sub(r0), alloc+t1.Sub(t0), init+t2.Sub(t1), fixups+t3.Sub(t2), sums+t4.Sub(t3)
 				}
 				perCell := func(d time.Duration) float64 {
 					return float64(d.Nanoseconds()) / float64(b.N*cs.own[0]*cs.own[1]*cs.own[2])
 				}
+				b.ReportMetric(perCell(release), "release-ns/cell")
 				b.ReportMetric(perCell(alloc), "alloc-ns/cell")
 				b.ReportMetric(perCell(init), "init-ns/cell")
 				if obstacle != nil {

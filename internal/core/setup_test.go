@@ -284,6 +284,55 @@ func TestFixupScanMatchesExhaustive(t *testing.T) {
 	}
 }
 
+// TestRunReleasesFields: every field a stepper maps outside the Go heap is
+// released again — grid.MappedBytes returns to its starting value after a
+// successful Run, after Run's init-error path and after a newCartStepper
+// that fails once its fields exist (here: a halo wider than the slab).
+func TestRunReleasesFields(t *testing.T) {
+	start := grid.MappedBytes()
+	released := func(what string) {
+		t.Helper()
+		if live := grid.MappedBytes() - start; live != 0 {
+			t.Errorf("%s: %d mapped bytes still live", what, live)
+		}
+	}
+	n := grid.Dims{NX: 32, NY: 16, NZ: 32}
+	cfg := Config{Model: lattice.D3Q19(), N: n, Tau: 0.8, Steps: 2, Opt: OptSIMD, Ranks: 2, Threads: 2, Init: waveInit(n)}
+	if _, err := Run(cfg); err != nil {
+		t.Fatal(err)
+	}
+	released("Run")
+
+	bad := cfg
+	bad.Init = func(ix, iy, iz int) (rho, ux, uy, uz float64) {
+		if ix == 20 {
+			return math.NaN(), 0, 0, 0
+		}
+		return 1, 0, 0, 0
+	}
+	if _, err := Run(bad); err == nil {
+		t.Fatal("a NaN initial density was accepted")
+	}
+	released("Run with a bad initial condition")
+
+	dec, err := cfg.init()
+	if err != nil {
+		t.Fatal(err)
+	}
+	wide := cfg
+	wide.GhostDepth = n.NX // 32 ghost planes on 16-plane slabs: the exchanger refuses
+	if err := comm.NewFabric(cfg.Ranks).Run(func(r *comm.Rank) error {
+		cs, err := newCartStepper(&wide, dec, r)
+		if err == nil {
+			cs.close()
+		}
+		return err
+	}); err == nil {
+		t.Fatal("a halo wider than the slab was accepted")
+	}
+	released("newCartStepper failure")
+}
+
 // TestBadInitialConditionFails: an Init that is not a state at some cells
 // fails the run before its first step, with one error naming the lowest
 // such cell — on one rank; on an x slab pair with the bad cells on rank 1,

@@ -6,7 +6,10 @@
 // paper) or the array-of-structures layout kept for the layout ablation.
 package grid
 
-import "fmt"
+import (
+	"fmt"
+	"sync/atomic"
+)
 
 // Dims is the extent of a 3-D box. Indexing is z-fastest: the linear index
 // of (ix,iy,iz) is iz + NZ·(iy + NY·ix).
@@ -67,12 +70,55 @@ type Field struct {
 	D      Dims
 	Layout Layout
 	Data   []float64
+
+	mem []byte // the mapping behind Data (NewMappedField); nil on the Go heap
 }
 
-// NewField allocates a zeroed field.
+// NewField allocates a zeroed field on the Go heap.
 func NewField(q int, d Dims, l Layout) *Field {
 	return &Field{Q: q, D: d, Layout: l, Data: make([]float64, q*d.Cells())}
 }
+
+// NewMappedField allocates a zeroed field in an anonymous mapping outside
+// the Go heap (mapped_linux.go): the kernel's zero pages replace Go's
+// clear, every page is faulted in before it returns, and a field of at
+// least 2 MiB starts on a 2 MiB boundary with its whole 2 MiB blocks
+// advised onto huge pages. Where that is unavailable — other systems,
+// -race builds, a failed mapping — it is NewField. The owner must call
+// Release once the field is no longer read; nothing it handed out may
+// be read after that.
+func NewMappedField(q int, d Dims, l Layout) *Field {
+	n := q * d.Cells()
+	data, mem := mapFloats(n)
+	if mem == nil {
+		data = make([]float64, n)
+	}
+	return &Field{Q: q, D: d, Layout: l, Data: data, mem: mem}
+}
+
+// Release unmaps a NewMappedField field and sets Data to nil; for a heap
+// field it only drops Data. It is idempotent and a nil field is a no-op.
+func (f *Field) Release() {
+	if f == nil {
+		return
+	}
+	if f.mem != nil {
+		unmap(f.mem)
+		f.mem = nil
+	}
+	f.Data = nil
+}
+
+// hugePage is the transparent huge page size a mapped field aligns to.
+const hugePage = 2 << 20
+
+// mapped counts the bytes of the live mappings behind NewMappedField
+// fields.
+var mapped atomic.Int64
+
+// MappedBytes returns the bytes of every live NewMappedField mapping: a
+// leak shows as a count that does not return to its starting value.
+func MappedBytes() int64 { return mapped.Load() }
 
 // Idx returns the linear offset into Data for velocity v at cell index.
 func (f *Field) Idx(v, cell int) int {
