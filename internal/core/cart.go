@@ -280,7 +280,7 @@ func (cs *cartStepper) initRows(worker int, b box) {
 			bs[z] = 1 - (ux*ux+uy*uy+uz*uz)*invCs2h
 			qx[z], qy[z], qz[z] = ux*invCs2, uy*invCs2, uz*invCs2
 		}
-		weighRows(rb, cs.wk, zn)
+		cs.weighRows(rb, cs.wk, zn)
 		if cs.f.Layout == grid.SoA {
 			cs.eqRows(rb, rowViews(sc.sv, cs.f, base, zn), zn)
 			return

@@ -71,6 +71,10 @@ type collider struct {
 
 	// relax is the configuration's row kernel, bound once by init.
 	relax func(sc *workerScratch, in, out [][]float64, zn int)
+	// vec are the vector bodies of the pair passes' row primitives
+	// (rows.go) on the SIMD rung where the host has them, else nil: the
+	// passes call the Go bodies directly, which the compiler inlines.
+	vec *rowOps
 }
 
 // init builds the collision state of cfg in place (relax binds to c, so a
@@ -90,6 +94,9 @@ func (c *collider) init(cfg *Config) error {
 		invCs2h: 1 / (2 * m.CsSq),
 		third:   m.Order >= 3,
 		tau:     cfg.Tau, omega: 1 / cfg.Tau,
+	}
+	if cfg.Opt == OptSIMD {
+		c.vec = simdRows
 	}
 	c.omc = 1 - c.omega
 	for i := 0; i < m.Q; i++ {
@@ -294,6 +301,17 @@ func (c *collider) relaxGeneric(sc *workerScratch, in, out [][]float64, zn int) 
 // cell, and the pair loops spend one polynomial and one multiply by the
 // pair's t row per two velocities.
 
+// vecFor returns the vector bodies for a run of zn cells, or nil where
+// the run is to take the Go bodies: on every rung but SIMD, on hosts
+// without them, and on runs shorter than one 4-wide vector, which the
+// vector bodies would only hand on to the Go bodies.
+func (c *collider) vecFor(zn int) *rowOps {
+	if zn < 4 {
+		return nil
+	}
+	return c.vec
+}
+
 // pairMoments accumulates a run's density and momentum rows from
 // opposite-pair sums and differences: a pair adds its sum to ρ and its
 // difference, times its component, to the momentum rows of the axes it
@@ -303,40 +321,35 @@ func (c *collider) pairMoments(b *rowBufs, in [][]float64, zn int) {
 	for z := 0; z < zn; z++ {
 		rho[z], jx[z], jy[z], jz[z] = 0, 0, 0, 0
 	}
+	r := c.vecFor(zn)
 	for i := range c.pairs {
 		p := &c.pairs[i]
-		si, sj := in[p.i][:zn], in[p.j][:zn]
-		ja, ca := b.j[p.ax[0]][:zn], p.c[0]
+		si, sj := in[p.i], in[p.j]
+		ja, jb, jc := b.j[p.ax[0]], b.j[p.ax[1]], b.j[p.ax[2]]
 		switch p.n {
 		case 0:
-			for z, val := range si {
-				rho[z] += val
+			if r != nil {
+				r.sum(rho, si)
+			} else {
+				sumRow(rho, si)
 			}
 		case 1:
-			for z := 0; z < zn; z++ {
-				vi, vj := si[z], sj[z]
-				rho[z] += vi + vj
-				ja[z] += ca * (vi - vj)
+			if r != nil {
+				r.moments1(rho, ja, si, sj, p.c[0])
+			} else {
+				moments1(rho, ja, si, sj, p.c[0])
 			}
 		case 2:
-			jb, cb := b.j[p.ax[1]][:zn], p.c[1]
-			for z := 0; z < zn; z++ {
-				vi, vj := si[z], sj[z]
-				rho[z] += vi + vj
-				diff := vi - vj
-				ja[z] += ca * diff
-				jb[z] += cb * diff
+			if r != nil {
+				r.moments2(rho, ja, jb, si, sj, p.c[0], p.c[1])
+			} else {
+				moments2(rho, ja, jb, si, sj, p.c[0], p.c[1])
 			}
 		case 3:
-			jb, cb := b.j[p.ax[1]][:zn], p.c[1]
-			jc, cc := b.j[p.ax[2]][:zn], p.c[2]
-			for z := 0; z < zn; z++ {
-				vi, vj := si[z], sj[z]
-				rho[z] += vi + vj
-				diff := vi - vj
-				ja[z] += ca * diff
-				jb[z] += cb * diff
-				jc[z] += cc * diff
+			if r != nil {
+				r.moments3(rho, ja, jb, jc, si, sj, p.c[0], p.c[1], p.c[2])
+			} else {
+				moments3(rho, ja, jb, jc, si, sj, p.c[0], p.c[1], p.c[2])
 			}
 		}
 	}
@@ -347,63 +360,52 @@ func (c *collider) pairMoments(b *rowBufs, in [][]float64, zn int) {
 // cell, the forcing shift added to u), base, and per weight class
 // t_k = tw_k·ρ.
 func (c *collider) velocities(b *rowBufs, zn int) {
-	rho, qx, qy, qz, base := b.rho[:zn], b.j[0][:zn], b.j[1][:zn], b.j[2][:zn], b.base[:zn]
-	sx, sy, sz, invCs2, invCs2h := c.shiftX, c.shiftY, c.shiftZ, c.invCs2, c.invCs2h
-	for z := 0; z < zn; z++ {
-		inv := 1 / rho[z]
-		ux, uy, uz := qx[z]*inv+sx, qy[z]*inv+sy, qz[z]*inv+sz
-		base[z] = 1 - (ux*ux+uy*uy+uz*uz)*invCs2h
-		qx[z], qy[z], qz[z] = ux*invCs2, uy*invCs2, uz*invCs2
+	if r := c.vecFor(zn); r != nil {
+		r.velocity(b.rho[:zn], b.j[0], b.j[1], b.j[2], b.base, c.shiftX, c.shiftY, c.shiftZ, c.invCs2, c.invCs2h)
+	} else {
+		velocityRows(b.rho[:zn], b.j[0], b.j[1], b.j[2], b.base, c.shiftX, c.shiftY, c.shiftZ, c.invCs2, c.invCs2h)
 	}
-	weighRows(b, c.tw, zn)
+	c.weighRows(b, c.tw, zn)
 }
 
 // weighRows forms a run's t rows from its ρ row: t_k = w[k]·ρ per weight
 // class.
-func weighRows(b *rowBufs, w []float64, zn int) {
-	rho := b.rho[:zn]
+func (c *collider) weighRows(b *rowBufs, w []float64, zn int) {
+	r := c.vecFor(zn)
 	for k, wk := range w {
-		t := b.t[k][:zn]
-		for z := range t {
-			t[z] = wk * rho[z]
+		if r != nil {
+			r.scale(b.t[k][:zn], b.rho, wk)
+		} else {
+			scaleRow(b.t[k][:zn], b.rho, wk)
 		}
 	}
-}
-
-// pairEq is the pair kernels' equilibrium polynomial, written once and
-// inlined into every pair loop with third a constant.
-func pairEq(third bool, base, q, half, sixth float64) (even, odd float64) {
-	q2 := q * q
-	even = base + q2*half
-	if third {
-		return even, q * (base + q2*sixth)
-	}
-	return even, q
 }
 
 // pairQ returns p's row q = Σ c_a·q_a over a run: the axis's own q row
 // for a unit one-axis pair, else formed in the worker's q row.
-func pairQ(b *rowBufs, p *velPair, zn int) []float64 {
-	qa, ca := b.j[p.ax[0]][:zn], p.c[0]
-	if p.n == 1 && ca == 1 {
-		return qa
-	}
-	q := b.q[:zn]
-	switch p.n {
-	case 1:
-		for z := range q {
-			q[z] = ca * qa[z]
+func (c *collider) pairQ(b *rowBufs, p *velPair, zn int) []float64 {
+	qa, qb, qc := b.j[p.ax[0]], b.j[p.ax[1]], b.j[p.ax[2]]
+	q, r := b.q[:zn], c.vecFor(zn)
+	switch {
+	case p.n == 1 && p.c[0] == 1:
+		return qa[:zn]
+	case p.n == 1:
+		if r != nil {
+			r.scale(q, qa, p.c[0])
+		} else {
+			scaleRow(q, qa, p.c[0])
 		}
-	case 2:
-		qb, cb := b.j[p.ax[1]][:zn], p.c[1]
-		for z := range q {
-			q[z] = ca*qa[z] + cb*qb[z]
+	case p.n == 2:
+		if r != nil {
+			r.comb2(q, qa, qb, p.c[0], p.c[1])
+		} else {
+			comb2(q, qa, qb, p.c[0], p.c[1])
 		}
-	case 3:
-		qb, cb := b.j[p.ax[1]][:zn], p.c[1]
-		qc, cc := b.j[p.ax[2]][:zn], p.c[2]
-		for z := range q {
-			q[z] = ca*qa[z] + cb*qb[z] + cc*qc[z]
+	default:
+		if r != nil {
+			r.comb3(q, qa, qb, qc, p.c[0], p.c[1], p.c[2])
+		} else {
+			comb3(q, qa, qb, qc, p.c[0], p.c[1], p.c[2])
 		}
 	}
 	return q
@@ -415,31 +417,28 @@ func (c *collider) relaxPaired(sc *workerScratch, in, out [][]float64, zn int) {
 	b := &sc.rb
 	c.pairMoments(b, in, zn)
 	c.velocities(b, zn)
-	base := b.base[:zn]
-	omc, half, sixth := c.omc, c.half, c.sixth
+	r := c.vecFor(zn)
 	for i := range c.pairs {
 		p := &c.pairs[i]
-		t := b.t[p.k][:zn]
-		si, sj := in[p.i][:zn], in[p.j][:zn]
-		di, dj := out[p.i][:zn], out[p.j][:zn]
-		if p.n == 0 {
-			for z := 0; z < zn; z++ {
-				di[z] = omc*si[z] + t[z]*base[z]
+		t, di := b.t[p.k], out[p.i][:zn]
+		switch {
+		case p.n == 0:
+			if r != nil {
+				r.relax0(di, in[p.i], t, b.base, c.omc)
+			} else {
+				relax0(di, in[p.i], t, b.base, c.omc)
 			}
-			continue
-		}
-		q := pairQ(b, p, zn)
-		if c.third {
-			for z := 0; z < zn; z++ {
-				even, odd := pairEq(true, base[z], q[z], half, sixth)
-				di[z] = omc*si[z] + t[z]*(even+odd)
-				dj[z] = omc*sj[z] + t[z]*(even-odd)
+		case c.third:
+			if r != nil {
+				r.relax3(di, out[p.j], in[p.i], in[p.j], t, b.base, c.pairQ(b, p, zn), c.omc, c.half, c.sixth)
+			} else {
+				relax3(di, out[p.j], in[p.i], in[p.j], t, b.base, c.pairQ(b, p, zn), c.omc, c.half, c.sixth)
 			}
-		} else {
-			for z := 0; z < zn; z++ {
-				even, odd := pairEq(false, base[z], q[z], half, sixth)
-				di[z] = omc*si[z] + t[z]*(even+odd)
-				dj[z] = omc*sj[z] + t[z]*(even-odd)
+		default:
+			if r != nil {
+				r.relax2(di, out[p.j], in[p.i], in[p.j], t, b.base, c.pairQ(b, p, zn), c.omc, c.half)
+			} else {
+				relax2(di, out[p.j], in[p.i], in[p.j], t, b.base, c.pairQ(b, p, zn), c.omc, c.half)
 			}
 		}
 	}
@@ -464,28 +463,28 @@ func (c *collider) relaxOpRows(sc *workerScratch, in, out [][]float64, zn int) {
 // the initial condition (initRows) alike, so every equilibrium the solver
 // stores comes out of pairEq.
 func (c *collider) eqRows(b *rowBufs, feq [][]float64, zn int) {
-	base := b.base[:zn]
-	half, sixth := c.half, c.sixth
+	r := c.vecFor(zn)
 	for i := range c.pairs {
 		p := &c.pairs[i]
-		t := b.t[p.k][:zn]
-		fi, fj := feq[p.i][:zn], feq[p.j][:zn]
-		if p.n == 0 {
-			for z := 0; z < zn; z++ {
-				fi[z] = t[z] * base[z]
+		t, fi := b.t[p.k], feq[p.i][:zn]
+		switch {
+		case p.n == 0:
+			if r != nil {
+				r.eq0(fi, t, b.base)
+			} else {
+				eq0(fi, t, b.base)
 			}
-			continue
-		}
-		q := pairQ(b, p, zn)
-		if c.third {
-			for z := 0; z < zn; z++ {
-				even, odd := pairEq(true, base[z], q[z], half, sixth)
-				fi[z], fj[z] = t[z]*(even+odd), t[z]*(even-odd)
+		case c.third:
+			if r != nil {
+				r.eq3(fi, feq[p.j], t, b.base, c.pairQ(b, p, zn), c.half, c.sixth)
+			} else {
+				eq3(fi, feq[p.j], t, b.base, c.pairQ(b, p, zn), c.half, c.sixth)
 			}
-		} else {
-			for z := 0; z < zn; z++ {
-				even, odd := pairEq(false, base[z], q[z], half, sixth)
-				fi[z], fj[z] = t[z]*(even+odd), t[z]*(even-odd)
+		default:
+			if r != nil {
+				r.eq2(fi, feq[p.j], t, b.base, c.pairQ(b, p, zn), c.half)
+			} else {
+				eq2(fi, feq[p.j], t, b.base, c.pairQ(b, p, zn), c.half)
 			}
 		}
 	}

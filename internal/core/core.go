@@ -85,12 +85,14 @@ const (
 	// work overlaps the messages in flight, and the ghost-adjacent rim is
 	// finished after the receives complete.
 	OptGCC
-	// OptSIMD stands in for the double-hummer/QPX intrinsics work (§V.G).
-	// Pure Go has none (DESIGN.md §2-3), so locally the rung is the paper's
-	// next step (§VII): GC-C's kernels and schedule stepped by the gather
-	// sweep (gather.go), 2·Q·8 B per cell, bit-identical to GC-C's split
-	// path, and the tuner prices it so. perfsim's named machines (Fig. 8,
-	// Table II) keep the paper's meaning: intrinsics on the split traffic.
+	// OptSIMD is the double-hummer/QPX intrinsics work (§V.G) plus the
+	// paper's next step (§VII): GC-C's schedule stepped by the gather sweep
+	// (gather.go), 2·Q·8 B per cell, with the pair kernel's row passes on
+	// 4-wide AVX2 bodies where the CPU has them (rows_amd64.s; no FMA, so
+	// every value is bit-identical to GC-C's split path). DESIGN.md §2-3.
+	// The tuner prices it at the sweep's traffic; perfsim's named machines
+	// (Fig. 8, Table II) keep the paper's meaning: intrinsics on the split
+	// traffic.
 	OptSIMD
 )
 

@@ -126,33 +126,34 @@ func benchRowKernel(b *testing.B, name string, c *collider, src, dst *grid.Field
 	}
 }
 
-// The ladder's BGK row kernels (naive vs row-generic vs pair-symmetric),
-// and the pair kernels' moment pass alone (pairMoments + velocities) on a
-// floorCells-long row: with paired/gathered96 and BenchmarkStreamKernels'
-// indexed case, a lattice's compute floor and its stream as ns/cell.
+// The ladder's BGK row kernels (naive vs row-generic vs pair-symmetric,
+// and the SIMD rung's pair kernel on its vector row bodies where the host
+// has them), and the pair kernels' moment pass alone (pairMoments +
+// velocities) on a floorCells-long row: with gathered96 and
+// BenchmarkStreamKernels' indexed case, a lattice's compute floor and its
+// stream as ns/cell.
 func BenchmarkCollideKernels(b *testing.B) {
 	for _, m := range []*lattice.Model{lattice.D3Q19(), lattice.D3Q39()} {
 		for _, c := range []struct {
 			name string
 			opt  OptLevel
-		}{{"naive", OptGC}, {"rowGeneric", OptDH}, {"paired", OptCF}} {
+		}{{"naive", OptGC}, {"rowGeneric", OptDH}, {"paired", OptCF}, {"simd", OptSIMD}} {
 			st := benchStepper(b, m, c.opt, collision.Spec{}, false)
 			benchRowKernel(b, m.Name+"/"+c.name, &st.collider, st.f, st.fadv)
+			if c.opt < OptCF {
+				continue
+			}
+			b.Run(m.Name+"/"+c.name+"/moments96", func(b *testing.B) {
+				rb := newRowBufs(floorCells, m.Q)
+				in := randomRows(rand.New(rand.NewSource(1)), m, floorCells)
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					st.pairMoments(&rb, in, floorCells)
+					st.velocities(&rb, floorCells)
+				}
+				reportCellRate(b, floorCells)
+			})
 		}
-		b.Run(m.Name+"/paired/moments96", func(b *testing.B) {
-			var c collider
-			if err := c.init(&Config{Model: m, Tau: 0.8, Opt: OptCF}); err != nil {
-				b.Fatal(err)
-			}
-			rb := newRowBufs(floorCells, m.Q)
-			in := randomRows(rand.New(rand.NewSource(1)), m, floorCells)
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				c.pairMoments(&rb, in, floorCells)
-				c.velocities(&rb, floorCells)
-			}
-			reportCellRate(b, floorCells)
-		})
 	}
 }
 

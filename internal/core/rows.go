@@ -1,0 +1,182 @@
+package core
+
+// The pair kernels' row primitives: every loop of the pair passes
+// (collide.go) is one of these elementwise operations over a run's rows.
+// Each has one Go body here — the reference, and what every rung but SIMD
+// runs, called directly so that the compiler inlines the small ones — and
+// the SIMD rung calls a vector body per primitive instead where the host
+// has one (rows_amd64.go). A vector body does each lane's IEEE operations
+// in its Go body's order and association and never fuses a multiply-add,
+// so every result it stores has the Go body's bits.
+//
+// A primitive's run is its first row: every other row must be at least as
+// long and only its first len(first) values are read or written. Rows may
+// alias where a caller passes them so — an output row as the input it
+// replaces (relaxing in place) — because each z reads its inputs before it
+// writes.
+
+// rowOps is a table of vector bodies, one per primitive, each with its
+// Go body's signature.
+type rowOps struct {
+	sum      func(acc, s []float64)                                      // acc += s
+	moments1 func(rho, ja, si, sj []float64, ca float64)                 // a one-axis pair's sum and difference
+	moments2 func(rho, ja, jb, si, sj []float64, ca, cb float64)         // a two-axis pair's
+	moments3 func(rho, ja, jb, jc, si, sj []float64, ca, cb, cc float64) // a three-axis pair's
+	velocity func(rho, qx, qy, qz, base []float64, sx, sy, sz, invCs2, invCs2h float64)
+	scale    func(dst, src []float64, a float64)               // dst = a·src
+	comb2    func(q, qa, qb []float64, ca, cb float64)         // q = ca·qa + cb·qb
+	comb3    func(q, qa, qb, qc []float64, ca, cb, cc float64) // … + cc·qc
+	relax0   func(d, s, t, base []float64, omc float64)        // the rest velocity: d = (1−ω)·s + t·base
+	relax2   func(di, dj, si, sj, t, base, q []float64, omc, half float64)
+	relax3   func(di, dj, si, sj, t, base, q []float64, omc, half, sixth float64)
+	eq0      func(f, t, base []float64) // the rest velocity: f = t·base
+	eq2      func(fi, fj, t, base, q []float64, half float64)
+	eq3      func(fi, fj, t, base, q []float64, half, sixth float64)
+}
+
+// simdRows are the vector bodies the SIMD rung calls, nil where this
+// build or host has none.
+var simdRows *rowOps
+
+func sumRow(acc, s []float64) {
+	s = s[:len(acc)]
+	for z := range acc {
+		acc[z] += s[z]
+	}
+}
+
+func moments1(rho, ja, si, sj []float64, ca float64) {
+	n := len(rho)
+	ja, si, sj = ja[:n], si[:n], sj[:n]
+	for z := range rho {
+		vi, vj := si[z], sj[z]
+		rho[z] += vi + vj
+		ja[z] += ca * (vi - vj)
+	}
+}
+
+func moments2(rho, ja, jb, si, sj []float64, ca, cb float64) {
+	n := len(rho)
+	ja, jb, si, sj = ja[:n], jb[:n], si[:n], sj[:n]
+	for z := range rho {
+		vi, vj := si[z], sj[z]
+		rho[z] += vi + vj
+		diff := vi - vj
+		ja[z] += ca * diff
+		jb[z] += cb * diff
+	}
+}
+
+func moments3(rho, ja, jb, jc, si, sj []float64, ca, cb, cc float64) {
+	n := len(rho)
+	ja, jb, jc, si, sj = ja[:n], jb[:n], jc[:n], si[:n], sj[:n]
+	for z := range rho {
+		vi, vj := si[z], sj[z]
+		rho[z] += vi + vj
+		diff := vi - vj
+		ja[z] += ca * diff
+		jb[z] += cb * diff
+		jc[z] += cc * diff
+	}
+}
+
+// velocityRows turns accumulated ρ and momentum rows into q_a = u_a/c_s²
+// in place (u = j/ρ + shift) and base = 1 − u²/(2c_s²).
+func velocityRows(rho, qx, qy, qz, base []float64, sx, sy, sz, invCs2, invCs2h float64) {
+	n := len(rho)
+	qx, qy, qz, base = qx[:n], qy[:n], qz[:n], base[:n]
+	for z := range rho {
+		inv := 1 / rho[z]
+		ux, uy, uz := qx[z]*inv+sx, qy[z]*inv+sy, qz[z]*inv+sz
+		base[z] = 1 - (ux*ux+uy*uy+uz*uz)*invCs2h
+		qx[z], qy[z], qz[z] = ux*invCs2, uy*invCs2, uz*invCs2
+	}
+}
+
+func scaleRow(dst, src []float64, a float64) {
+	src = src[:len(dst)]
+	for z := range dst {
+		dst[z] = a * src[z]
+	}
+}
+
+func comb2(q, qa, qb []float64, ca, cb float64) {
+	n := len(q)
+	qa, qb = qa[:n], qb[:n]
+	for z := range q {
+		q[z] = ca*qa[z] + cb*qb[z]
+	}
+}
+
+func comb3(q, qa, qb, qc []float64, ca, cb, cc float64) {
+	n := len(q)
+	qa, qb, qc = qa[:n], qb[:n], qc[:n]
+	for z := range q {
+		q[z] = ca*qa[z] + cb*qb[z] + cc*qc[z]
+	}
+}
+
+// pairEq is the pair kernels' equilibrium polynomial, written once and
+// inlined into every pair loop with third a constant.
+func pairEq(third bool, base, q, half, sixth float64) (even, odd float64) {
+	q2 := q * q
+	even = base + q2*half
+	if third {
+		return even, q * (base + q2*sixth)
+	}
+	return even, q
+}
+
+func relax0(d, s, t, base []float64, omc float64) {
+	n := len(d)
+	s, t, base = s[:n], t[:n], base[:n]
+	for z := range d {
+		d[z] = omc*s[z] + t[z]*base[z]
+	}
+}
+
+func relax2(di, dj, si, sj, t, base, q []float64, omc, half float64) {
+	n := len(di)
+	dj, si, sj, t, base, q = dj[:n], si[:n], sj[:n], t[:n], base[:n], q[:n]
+	for z := range di {
+		even, odd := pairEq(false, base[z], q[z], half, 0)
+		di[z] = omc*si[z] + t[z]*(even+odd)
+		dj[z] = omc*sj[z] + t[z]*(even-odd)
+	}
+}
+
+func relax3(di, dj, si, sj, t, base, q []float64, omc, half, sixth float64) {
+	n := len(di)
+	dj, si, sj, t, base, q = dj[:n], si[:n], sj[:n], t[:n], base[:n], q[:n]
+	for z := range di {
+		even, odd := pairEq(true, base[z], q[z], half, sixth)
+		di[z] = omc*si[z] + t[z]*(even+odd)
+		dj[z] = omc*sj[z] + t[z]*(even-odd)
+	}
+}
+
+func eq0(f, t, base []float64) {
+	n := len(f)
+	t, base = t[:n], base[:n]
+	for z := range f {
+		f[z] = t[z] * base[z]
+	}
+}
+
+func eq2(fi, fj, t, base, q []float64, half float64) {
+	n := len(fi)
+	fj, t, base, q = fj[:n], t[:n], base[:n], q[:n]
+	for z := range fi {
+		even, odd := pairEq(false, base[z], q[z], half, 0)
+		fi[z], fj[z] = t[z]*(even+odd), t[z]*(even-odd)
+	}
+}
+
+func eq3(fi, fj, t, base, q []float64, half, sixth float64) {
+	n := len(fi)
+	fj, t, base, q = fj[:n], t[:n], base[:n], q[:n]
+	for z := range fi {
+		even, odd := pairEq(true, base[z], q[z], half, sixth)
+		fi[z], fj[z] = t[z]*(even+odd), t[z]*(even-odd)
+	}
+}

@@ -1,0 +1,468 @@
+//go:build !race
+
+#include "textflag.h"
+
+// The AVX2 bodies of the row primitives (rows.go has the Go bodies). Each
+// processes len(first row) values, a multiple of 4, four per iteration,
+// with AX the index and CX the length. Every lane does its Go body's IEEE
+// operations in the Go body's association — only the operand order of
+// the commutative adds and multiplies may differ — and no multiply-add
+// is fused. All loads of an iteration precede its stores, so an output
+// row may be the input row it replaces.
+
+DATA one<>+0(SB)/8, $0x3ff0000000000000
+GLOBL one<>(SB), RODATA|NOPTR, $8
+
+// func cpuAVX2() bool
+TEXT ·cpuAVX2(SB), NOSPLIT, $0-1
+	MOVB $0, ret+0(FP)
+	XORL AX, AX
+	XORL CX, CX
+	CPUID
+	CMPL AX, $7
+	JCS  no                  // no leaf 7
+	MOVL $1, AX
+	XORL CX, CX
+	CPUID
+	ANDL $0x18000000, CX     // OSXSAVE (bit 27), AVX (bit 28)
+	CMPL CX, $0x18000000
+	JNE  no
+	XORL CX, CX
+	XGETBV
+	ANDL $6, AX              // XCR0: SSE and YMM state saved by the OS
+	CMPL AX, $6
+	JNE  no
+	MOVL $7, AX
+	XORL CX, CX
+	CPUID
+	BTL  $5, BX              // AVX2
+	JCC  no
+	MOVB $1, ret+0(FP)
+no:
+	RET
+
+// func sumx4(acc, s []float64)
+TEXT ·sumx4(SB), NOSPLIT, $0-48
+	MOVQ acc_base+0(FP), DI
+	MOVQ acc_len+8(FP), CX
+	MOVQ s_base+24(FP), SI
+	XORQ AX, AX
+	TESTQ CX, CX
+	JEQ  sumdone
+sumloop:
+	VMOVUPD (SI)(AX*8), Y0
+	VADDPD  (DI)(AX*8), Y0, Y0
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ $4, AX
+	CMPQ AX, CX
+	JLT  sumloop
+	VZEROUPPER
+sumdone:
+	RET
+
+// func moments1x4(rho, ja, si, sj []float64, ca float64)
+TEXT ·moments1x4(SB), NOSPLIT, $0-104
+	MOVQ rho_base+0(FP), DI
+	MOVQ rho_len+8(FP), CX
+	MOVQ ja_base+24(FP), R8
+	MOVQ si_base+48(FP), SI
+	MOVQ sj_base+72(FP), DX
+	XORQ AX, AX
+	TESTQ CX, CX
+	JEQ  m1done
+	VBROADCASTSD ca+96(FP), Y13
+m1loop:
+	VMOVUPD (SI)(AX*8), Y0     // vi
+	VMOVUPD (DX)(AX*8), Y1     // vj
+	VADDPD  Y1, Y0, Y2         // vi + vj
+	VADDPD  (DI)(AX*8), Y2, Y2 // ρ + (vi + vj)
+	VSUBPD  Y1, Y0, Y3         // vi − vj
+	VMULPD  Y13, Y3, Y4        // ca·(vi − vj)
+	VADDPD  (R8)(AX*8), Y4, Y4
+	VMOVUPD Y2, (DI)(AX*8)
+	VMOVUPD Y4, (R8)(AX*8)
+	ADDQ $4, AX
+	CMPQ AX, CX
+	JLT  m1loop
+	VZEROUPPER
+m1done:
+	RET
+
+// func moments2x4(rho, ja, jb, si, sj []float64, ca, cb float64)
+TEXT ·moments2x4(SB), NOSPLIT, $0-136
+	MOVQ rho_base+0(FP), DI
+	MOVQ rho_len+8(FP), CX
+	MOVQ ja_base+24(FP), R8
+	MOVQ jb_base+48(FP), R9
+	MOVQ si_base+72(FP), SI
+	MOVQ sj_base+96(FP), DX
+	XORQ AX, AX
+	TESTQ CX, CX
+	JEQ  m2done
+	VBROADCASTSD ca+120(FP), Y13
+	VBROADCASTSD cb+128(FP), Y14
+m2loop:
+	VMOVUPD (SI)(AX*8), Y0
+	VMOVUPD (DX)(AX*8), Y1
+	VADDPD  Y1, Y0, Y2
+	VADDPD  (DI)(AX*8), Y2, Y2
+	VSUBPD  Y1, Y0, Y3         // diff
+	VMULPD  Y13, Y3, Y4
+	VADDPD  (R8)(AX*8), Y4, Y4
+	VMULPD  Y14, Y3, Y5
+	VADDPD  (R9)(AX*8), Y5, Y5
+	VMOVUPD Y2, (DI)(AX*8)
+	VMOVUPD Y4, (R8)(AX*8)
+	VMOVUPD Y5, (R9)(AX*8)
+	ADDQ $4, AX
+	CMPQ AX, CX
+	JLT  m2loop
+	VZEROUPPER
+m2done:
+	RET
+
+// func moments3x4(rho, ja, jb, jc, si, sj []float64, ca, cb, cc float64)
+TEXT ·moments3x4(SB), NOSPLIT, $0-168
+	MOVQ rho_base+0(FP), DI
+	MOVQ rho_len+8(FP), CX
+	MOVQ ja_base+24(FP), R8
+	MOVQ jb_base+48(FP), R9
+	MOVQ jc_base+72(FP), R10
+	MOVQ si_base+96(FP), SI
+	MOVQ sj_base+120(FP), DX
+	XORQ AX, AX
+	TESTQ CX, CX
+	JEQ  m3done
+	VBROADCASTSD ca+144(FP), Y13
+	VBROADCASTSD cb+152(FP), Y14
+	VBROADCASTSD cc+160(FP), Y15
+m3loop:
+	VMOVUPD (SI)(AX*8), Y0
+	VMOVUPD (DX)(AX*8), Y1
+	VADDPD  Y1, Y0, Y2
+	VADDPD  (DI)(AX*8), Y2, Y2
+	VSUBPD  Y1, Y0, Y3
+	VMULPD  Y13, Y3, Y4
+	VADDPD  (R8)(AX*8), Y4, Y4
+	VMULPD  Y14, Y3, Y5
+	VADDPD  (R9)(AX*8), Y5, Y5
+	VMULPD  Y15, Y3, Y6
+	VADDPD  (R10)(AX*8), Y6, Y6
+	VMOVUPD Y2, (DI)(AX*8)
+	VMOVUPD Y4, (R8)(AX*8)
+	VMOVUPD Y5, (R9)(AX*8)
+	VMOVUPD Y6, (R10)(AX*8)
+	ADDQ $4, AX
+	CMPQ AX, CX
+	JLT  m3loop
+	VZEROUPPER
+m3done:
+	RET
+
+// func velocityx4(rho, qx, qy, qz, base []float64, sx, sy, sz, invCs2, invCs2h float64)
+TEXT ·velocityx4(SB), NOSPLIT, $0-160
+	MOVQ rho_base+0(FP), DI
+	MOVQ rho_len+8(FP), CX
+	MOVQ qx_base+24(FP), SI
+	MOVQ qy_base+48(FP), DX
+	MOVQ qz_base+72(FP), R8
+	MOVQ base_base+96(FP), R9
+	XORQ AX, AX
+	TESTQ CX, CX
+	JEQ  veldone
+	VBROADCASTSD sx+120(FP), Y10
+	VBROADCASTSD sy+128(FP), Y11
+	VBROADCASTSD sz+136(FP), Y12
+	VBROADCASTSD invCs2+144(FP), Y13
+	VBROADCASTSD invCs2h+152(FP), Y14
+	VBROADCASTSD one<>(SB), Y15
+velloop:
+	VMOVUPD (DI)(AX*8), Y0
+	VDIVPD  Y0, Y15, Y0        // inv = 1/ρ
+	VMULPD  (SI)(AX*8), Y0, Y1
+	VADDPD  Y10, Y1, Y1        // ux = qx·inv + sx
+	VMULPD  (DX)(AX*8), Y0, Y2
+	VADDPD  Y11, Y2, Y2        // uy
+	VMULPD  (R8)(AX*8), Y0, Y3
+	VADDPD  Y12, Y3, Y3        // uz
+	VMULPD  Y1, Y1, Y4
+	VMULPD  Y2, Y2, Y5
+	VADDPD  Y5, Y4, Y4         // ux² + uy²
+	VMULPD  Y3, Y3, Y5
+	VADDPD  Y5, Y4, Y4         // (ux² + uy²) + uz²
+	VMULPD  Y14, Y4, Y4
+	VSUBPD  Y4, Y15, Y4        // base = 1 − u²·invCs2h
+	VMULPD  Y13, Y1, Y1
+	VMULPD  Y13, Y2, Y2
+	VMULPD  Y13, Y3, Y3
+	VMOVUPD Y4, (R9)(AX*8)
+	VMOVUPD Y1, (SI)(AX*8)
+	VMOVUPD Y2, (DX)(AX*8)
+	VMOVUPD Y3, (R8)(AX*8)
+	ADDQ $4, AX
+	CMPQ AX, CX
+	JLT  velloop
+	VZEROUPPER
+veldone:
+	RET
+
+// func scalex4(dst, src []float64, a float64)
+TEXT ·scalex4(SB), NOSPLIT, $0-56
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ src_base+24(FP), SI
+	XORQ AX, AX
+	TESTQ CX, CX
+	JEQ  scaledone
+	VBROADCASTSD a+48(FP), Y13
+scaleloop:
+	VMULPD  (SI)(AX*8), Y13, Y0
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ $4, AX
+	CMPQ AX, CX
+	JLT  scaleloop
+	VZEROUPPER
+scaledone:
+	RET
+
+// func comb2x4(q, qa, qb []float64, ca, cb float64)
+TEXT ·comb2x4(SB), NOSPLIT, $0-88
+	MOVQ q_base+0(FP), DI
+	MOVQ q_len+8(FP), CX
+	MOVQ qa_base+24(FP), SI
+	MOVQ qb_base+48(FP), DX
+	XORQ AX, AX
+	TESTQ CX, CX
+	JEQ  c2done
+	VBROADCASTSD ca+72(FP), Y13
+	VBROADCASTSD cb+80(FP), Y14
+c2loop:
+	VMULPD  (SI)(AX*8), Y13, Y0
+	VMULPD  (DX)(AX*8), Y14, Y1
+	VADDPD  Y1, Y0, Y0
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ $4, AX
+	CMPQ AX, CX
+	JLT  c2loop
+	VZEROUPPER
+c2done:
+	RET
+
+// func comb3x4(q, qa, qb, qc []float64, ca, cb, cc float64)
+TEXT ·comb3x4(SB), NOSPLIT, $0-120
+	MOVQ q_base+0(FP), DI
+	MOVQ q_len+8(FP), CX
+	MOVQ qa_base+24(FP), SI
+	MOVQ qb_base+48(FP), DX
+	MOVQ qc_base+72(FP), R8
+	XORQ AX, AX
+	TESTQ CX, CX
+	JEQ  c3done
+	VBROADCASTSD ca+96(FP), Y13
+	VBROADCASTSD cb+104(FP), Y14
+	VBROADCASTSD cc+112(FP), Y15
+c3loop:
+	VMULPD  (SI)(AX*8), Y13, Y0
+	VMULPD  (DX)(AX*8), Y14, Y1
+	VADDPD  Y1, Y0, Y0         // ca·qa + cb·qb
+	VMULPD  (R8)(AX*8), Y15, Y2
+	VADDPD  Y2, Y0, Y0         // (…) + cc·qc
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ $4, AX
+	CMPQ AX, CX
+	JLT  c3loop
+	VZEROUPPER
+c3done:
+	RET
+
+// func relax0x4(d, s, t, base []float64, omc float64)
+TEXT ·relax0x4(SB), NOSPLIT, $0-104
+	MOVQ d_base+0(FP), DI
+	MOVQ d_len+8(FP), CX
+	MOVQ s_base+24(FP), SI
+	MOVQ t_base+48(FP), DX
+	MOVQ base_base+72(FP), R8
+	XORQ AX, AX
+	TESTQ CX, CX
+	JEQ  r0done
+	VBROADCASTSD omc+96(FP), Y13
+r0loop:
+	VMULPD  (SI)(AX*8), Y13, Y0 // (1−ω)·s
+	VMOVUPD (DX)(AX*8), Y1
+	VMULPD  (R8)(AX*8), Y1, Y1  // t·base
+	VADDPD  Y1, Y0, Y0
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ $4, AX
+	CMPQ AX, CX
+	JLT  r0loop
+	VZEROUPPER
+r0done:
+	RET
+
+// func relax2x4(di, dj, si, sj, t, base, q []float64, omc, half float64)
+TEXT ·relax2x4(SB), NOSPLIT, $0-184
+	MOVQ di_base+0(FP), DI
+	MOVQ di_len+8(FP), CX
+	MOVQ dj_base+24(FP), R8
+	MOVQ si_base+48(FP), SI
+	MOVQ sj_base+72(FP), DX
+	MOVQ t_base+96(FP), R9
+	MOVQ base_base+120(FP), R10
+	MOVQ q_base+144(FP), R11
+	XORQ AX, AX
+	TESTQ CX, CX
+	JEQ  r2done
+	VBROADCASTSD omc+168(FP), Y13
+	VBROADCASTSD half+176(FP), Y14
+r2loop:
+	VMOVUPD (R11)(AX*8), Y0     // q = odd
+	VMULPD  Y0, Y0, Y1          // q²
+	VMULPD  Y14, Y1, Y1         // q²·½
+	VADDPD  (R10)(AX*8), Y1, Y1 // even = base + q²·½
+	VMOVUPD (R9)(AX*8), Y2      // t
+	VADDPD  Y0, Y1, Y3          // even + odd
+	VSUBPD  Y0, Y1, Y4          // even − odd
+	VMULPD  Y2, Y3, Y3
+	VMULPD  Y2, Y4, Y4
+	VMULPD  (SI)(AX*8), Y13, Y5 // (1−ω)·si
+	VMULPD  (DX)(AX*8), Y13, Y6 // (1−ω)·sj
+	VADDPD  Y3, Y5, Y5
+	VADDPD  Y4, Y6, Y6
+	VMOVUPD Y5, (DI)(AX*8)
+	VMOVUPD Y6, (R8)(AX*8)
+	ADDQ $4, AX
+	CMPQ AX, CX
+	JLT  r2loop
+	VZEROUPPER
+r2done:
+	RET
+
+// func relax3x4(di, dj, si, sj, t, base, q []float64, omc, half, sixth float64)
+TEXT ·relax3x4(SB), NOSPLIT, $0-192
+	MOVQ di_base+0(FP), DI
+	MOVQ di_len+8(FP), CX
+	MOVQ dj_base+24(FP), R8
+	MOVQ si_base+48(FP), SI
+	MOVQ sj_base+72(FP), DX
+	MOVQ t_base+96(FP), R9
+	MOVQ base_base+120(FP), R10
+	MOVQ q_base+144(FP), R11
+	XORQ AX, AX
+	TESTQ CX, CX
+	JEQ  r3done
+	VBROADCASTSD omc+168(FP), Y13
+	VBROADCASTSD half+176(FP), Y14
+	VBROADCASTSD sixth+184(FP), Y15
+r3loop:
+	VMOVUPD (R11)(AX*8), Y0     // q
+	VMOVUPD (R10)(AX*8), Y7     // base
+	VMULPD  Y0, Y0, Y1          // q²
+	VMULPD  Y15, Y1, Y8         // q²·⅙
+	VADDPD  Y8, Y7, Y8          // base + q²·⅙
+	VMULPD  Y8, Y0, Y8          // odd = q·(base + q²·⅙)
+	VMULPD  Y14, Y1, Y1
+	VADDPD  Y1, Y7, Y1          // even = base + q²·½
+	VMOVUPD (R9)(AX*8), Y2      // t
+	VADDPD  Y8, Y1, Y3          // even + odd
+	VSUBPD  Y8, Y1, Y4          // even − odd
+	VMULPD  Y2, Y3, Y3
+	VMULPD  Y2, Y4, Y4
+	VMULPD  (SI)(AX*8), Y13, Y5
+	VMULPD  (DX)(AX*8), Y13, Y6
+	VADDPD  Y3, Y5, Y5
+	VADDPD  Y4, Y6, Y6
+	VMOVUPD Y5, (DI)(AX*8)
+	VMOVUPD Y6, (R8)(AX*8)
+	ADDQ $4, AX
+	CMPQ AX, CX
+	JLT  r3loop
+	VZEROUPPER
+r3done:
+	RET
+
+// func eq0x4(f, t, base []float64)
+TEXT ·eq0x4(SB), NOSPLIT, $0-72
+	MOVQ f_base+0(FP), DI
+	MOVQ f_len+8(FP), CX
+	MOVQ t_base+24(FP), SI
+	MOVQ base_base+48(FP), DX
+	XORQ AX, AX
+	TESTQ CX, CX
+	JEQ  e0done
+e0loop:
+	VMOVUPD (SI)(AX*8), Y0
+	VMULPD  (DX)(AX*8), Y0, Y0
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ $4, AX
+	CMPQ AX, CX
+	JLT  e0loop
+	VZEROUPPER
+e0done:
+	RET
+
+// func eq2x4(fi, fj, t, base, q []float64, half float64)
+TEXT ·eq2x4(SB), NOSPLIT, $0-128
+	MOVQ fi_base+0(FP), DI
+	MOVQ fi_len+8(FP), CX
+	MOVQ fj_base+24(FP), R8
+	MOVQ t_base+48(FP), R9
+	MOVQ base_base+72(FP), R10
+	MOVQ q_base+96(FP), R11
+	XORQ AX, AX
+	TESTQ CX, CX
+	JEQ  e2done
+	VBROADCASTSD half+120(FP), Y14
+e2loop:
+	VMOVUPD (R11)(AX*8), Y0
+	VMULPD  Y0, Y0, Y1
+	VMULPD  Y14, Y1, Y1
+	VADDPD  (R10)(AX*8), Y1, Y1 // even
+	VMOVUPD (R9)(AX*8), Y2
+	VADDPD  Y0, Y1, Y3
+	VSUBPD  Y0, Y1, Y4
+	VMULPD  Y2, Y3, Y3
+	VMULPD  Y2, Y4, Y4
+	VMOVUPD Y3, (DI)(AX*8)
+	VMOVUPD Y4, (R8)(AX*8)
+	ADDQ $4, AX
+	CMPQ AX, CX
+	JLT  e2loop
+	VZEROUPPER
+e2done:
+	RET
+
+// func eq3x4(fi, fj, t, base, q []float64, half, sixth float64)
+TEXT ·eq3x4(SB), NOSPLIT, $0-136
+	MOVQ fi_base+0(FP), DI
+	MOVQ fi_len+8(FP), CX
+	MOVQ fj_base+24(FP), R8
+	MOVQ t_base+48(FP), R9
+	MOVQ base_base+72(FP), R10
+	MOVQ q_base+96(FP), R11
+	XORQ AX, AX
+	TESTQ CX, CX
+	JEQ  e3done
+	VBROADCASTSD half+120(FP), Y14
+	VBROADCASTSD sixth+128(FP), Y15
+e3loop:
+	VMOVUPD (R11)(AX*8), Y0
+	VMOVUPD (R10)(AX*8), Y7
+	VMULPD  Y0, Y0, Y1
+	VMULPD  Y15, Y1, Y8
+	VADDPD  Y8, Y7, Y8
+	VMULPD  Y8, Y0, Y8          // odd
+	VMULPD  Y14, Y1, Y1
+	VADDPD  Y1, Y7, Y1          // even
+	VMOVUPD (R9)(AX*8), Y2
+	VADDPD  Y8, Y1, Y3
+	VSUBPD  Y8, Y1, Y4
+	VMULPD  Y2, Y3, Y3
+	VMULPD  Y2, Y4, Y4
+	VMOVUPD Y3, (DI)(AX*8)
+	VMOVUPD Y4, (R8)(AX*8)
+	ADDQ $4, AX
+	CMPQ AX, CX
+	JLT  e3loop
+	VZEROUPPER
+e3done:
+	RET

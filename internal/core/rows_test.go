@@ -1,0 +1,191 @@
+package core
+
+import (
+	"encoding/binary"
+	"math"
+	"math/rand"
+	"testing"
+)
+
+// rowPrim is one row primitive as the tests drive it: how many output
+// rows (read and written) and input rows (read only) it takes, in argument
+// order outputs first, its scalar count, and which output rows a caller
+// may pass as one of its inputs (relaxing in place).
+type rowPrim struct {
+	name          string
+	outs, ins, ks int
+	alias         [][2]int // (output, input) pairs
+	call          func(r *rowOps, o, i [][]float64, k []float64)
+}
+
+// goRows are the Go bodies in the vector table's shape.
+var goRows = rowOps{
+	sum: sumRow, moments1: moments1, moments2: moments2, moments3: moments3,
+	velocity: velocityRows, scale: scaleRow, comb2: comb2, comb3: comb3,
+	relax0: relax0, relax2: relax2, relax3: relax3,
+	eq0: eq0, eq2: eq2, eq3: eq3,
+}
+
+var rowPrims = []rowPrim{
+	{"sum", 1, 1, 0, nil, func(r *rowOps, o, i [][]float64, k []float64) { r.sum(o[0], i[0]) }},
+	{"moments1", 2, 2, 1, nil, func(r *rowOps, o, i [][]float64, k []float64) { r.moments1(o[0], o[1], i[0], i[1], k[0]) }},
+	{"moments2", 3, 2, 2, nil, func(r *rowOps, o, i [][]float64, k []float64) {
+		r.moments2(o[0], o[1], o[2], i[0], i[1], k[0], k[1])
+	}},
+	{"moments3", 4, 2, 3, nil, func(r *rowOps, o, i [][]float64, k []float64) {
+		r.moments3(o[0], o[1], o[2], o[3], i[0], i[1], k[0], k[1], k[2])
+	}},
+	// velocity's ρ row is read only, so it leads as input row 0: the run
+	// is its length.
+	{"velocity", 4, 1, 5, nil, func(r *rowOps, o, i [][]float64, k []float64) {
+		r.velocity(i[0], o[0], o[1], o[2], o[3], k[0], k[1], k[2], k[3], k[4])
+	}},
+	{"scale", 1, 1, 1, [][2]int{{0, 0}}, func(r *rowOps, o, i [][]float64, k []float64) { r.scale(o[0], i[0], k[0]) }},
+	{"comb2", 1, 2, 2, nil, func(r *rowOps, o, i [][]float64, k []float64) { r.comb2(o[0], i[0], i[1], k[0], k[1]) }},
+	{"comb3", 1, 3, 3, nil, func(r *rowOps, o, i [][]float64, k []float64) {
+		r.comb3(o[0], i[0], i[1], i[2], k[0], k[1], k[2])
+	}},
+	{"relax0", 1, 3, 1, [][2]int{{0, 0}}, func(r *rowOps, o, i [][]float64, k []float64) {
+		r.relax0(o[0], i[0], i[1], i[2], k[0])
+	}},
+	{"relax2", 2, 5, 2, [][2]int{{0, 0}, {1, 1}}, func(r *rowOps, o, i [][]float64, k []float64) {
+		r.relax2(o[0], o[1], i[0], i[1], i[2], i[3], i[4], k[0], k[1])
+	}},
+	{"relax3", 2, 5, 3, [][2]int{{0, 0}, {1, 1}}, func(r *rowOps, o, i [][]float64, k []float64) {
+		r.relax3(o[0], o[1], i[0], i[1], i[2], i[3], i[4], k[0], k[1], k[2])
+	}},
+	{"eq0", 1, 2, 0, nil, func(r *rowOps, o, i [][]float64, k []float64) { r.eq0(o[0], i[0], i[1]) }},
+	{"eq2", 2, 3, 1, nil, func(r *rowOps, o, i [][]float64, k []float64) { r.eq2(o[0], o[1], i[0], i[1], i[2], k[0]) }},
+	{"eq3", 2, 3, 2, nil, func(r *rowOps, o, i [][]float64, k []float64) {
+		r.eq3(o[0], o[1], i[0], i[1], i[2], k[0], k[1])
+	}},
+}
+
+// needSIMDRows skips where this build or CPU binds no vector bodies.
+func needSIMDRows(t testing.TB) {
+	if simdRows == nil {
+		t.Skip("no vector row bodies here: they need amd64 with AVX2 and OS YMM state, and race builds keep the Go bodies")
+	}
+}
+
+// specials are the values a row primitive must carry through bit for bit:
+// signed zeros, subnormals, extremes and infinities (NaN is checked as
+// NaN only).
+var specials = []float64{
+	0, math.Copysign(0, -1), 5e-324, -5e-324, 2.2e-310, -1e-310,
+	math.SmallestNonzeroFloat64 * 3, 1e-300, -1e300, math.MaxFloat64,
+	math.Inf(1), math.Inf(-1), math.NaN(), 1, -1, 0.5,
+}
+
+// checkRowPrim runs p's Go and vector bodies on copies of the same rows —
+// a run of n values, value(r, z) in row r (outputs first), k its scalars —
+// with the output rows of alias passed as the inputs they pair with, and
+// fails unless every stored value has the same bits (or is NaN in both).
+// Every row but the one that sets the run is two values longer, and those
+// must stay untouched.
+func checkRowPrim(t *testing.T, p rowPrim, n int, value func(r, z int) float64, k []float64, alias [][2]int) {
+	t.Helper()
+	const pad = 2
+	rows := func() (o, in [][]float64, all [][]float64) {
+		all = make([][]float64, p.outs+p.ins)
+		for r := range all {
+			all[r] = make([]float64, n+pad)
+			for z := range all[r] {
+				all[r][z] = value(r, z)
+			}
+		}
+		o, in = append([][]float64(nil), all[:p.outs]...), append([][]float64(nil), all[p.outs:]...)
+		for _, a := range alias {
+			in[a[1]] = o[a[0]]
+		}
+		if p.name == "velocity" {
+			in[0] = in[0][:n]
+		} else {
+			o[0] = o[0][:n]
+		}
+		return o, in, all
+	}
+	og, ig, goAll := rows()
+	ov, iv, vecAll := rows()
+	p.call(&goRows, og, ig, k)
+	p.call(simdRows, ov, iv, k)
+	for r := range goAll {
+		for z := range goAll[r] {
+			want, got := goAll[r][z], vecAll[r][z]
+			if z >= n && math.Float64bits(got) != math.Float64bits(value(r, z)) {
+				t.Fatalf("%s n %d alias %v: row %d wrote past the run at %d", p.name, n, alias, r, z)
+			}
+			if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(want) && math.IsNaN(got)) {
+				t.Fatalf("%s n %d alias %v k %v: row %d [%d] vector %v (%#x), Go %v (%#x)",
+					p.name, n, alias, k, r, z, got, math.Float64bits(got), want, math.Float64bits(want))
+			}
+		}
+	}
+}
+
+// TestRowPrimitives holds every vector row body to its Go body at 0 ULP:
+// every run length 0–67 (every tail of the 4-wide loop), each primitive
+// also with its in-place aliasing, on rows mixing ordinary values with
+// signed zeros, subnormals, ±Inf and NaN.
+func TestRowPrimitives(t *testing.T) {
+	needSIMDRows(t)
+	rng := rand.New(rand.NewSource(7))
+	for _, p := range rowPrims {
+		for n := 0; n <= 67; n++ {
+			for _, withSpecials := range []bool{false, true} {
+				vals := make([][]float64, p.outs+p.ins)
+				for r := range vals {
+					vals[r] = make([]float64, n+2)
+					for z := range vals[r] {
+						vals[r][z] = rng.NormFloat64()
+						if withSpecials && rng.Intn(4) == 0 {
+							vals[r][z] = specials[rng.Intn(len(specials))]
+						}
+					}
+				}
+				k := make([]float64, p.ks)
+				for i := range k {
+					k[i] = rng.NormFloat64()
+					if withSpecials && rng.Intn(8) == 0 {
+						k[i] = specials[rng.Intn(len(specials))]
+					}
+				}
+				value := func(r, z int) float64 { return vals[r][z] }
+				checkRowPrim(t, p, n, value, k, nil)
+				if p.alias != nil {
+					checkRowPrim(t, p, n, value, k, p.alias)
+				}
+			}
+		}
+	}
+}
+
+// FuzzRowPrimitives: the same property on fuzzed bits. The input is read
+// as little-endian float64s; its length picks the run, and the values
+// fill the scalars and then the rows, cycling. The seed corpus is
+// testdata/fuzz.
+func FuzzRowPrimitives(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		needSIMDRows(t)
+		vals := make([]float64, len(data)/8)
+		for i := range vals {
+			vals[i] = math.Float64frombits(binary.LittleEndian.Uint64(data[8*i:]))
+		}
+		if len(vals) == 0 {
+			return
+		}
+		n := len(vals) % 68
+		at := func(i int) float64 { return vals[i%len(vals)] }
+		for _, p := range rowPrims {
+			k := make([]float64, p.ks)
+			for i := range k {
+				k[i] = at(i)
+			}
+			value := func(r, z int) float64 { return at(p.ks + r*(n+2) + z) }
+			checkRowPrim(t, p, n, value, k, nil)
+			if p.alias != nil {
+				checkRowPrim(t, p, n, value, k, p.alias)
+			}
+		}
+	})
+}

@@ -11,7 +11,6 @@ package grid
 // (mapped_other.go says why).
 
 import (
-	"errors"
 	"syscall"
 	"unsafe"
 )
@@ -49,26 +48,14 @@ func mapFloats(n int) ([]float64, []byte) {
 		// pages and is still prefaulted below.
 		_ = syscall.Madvise(b[:whole], syscall.MADV_HUGEPAGE)
 	}
-	if err := prefault(b); err != nil {
+	// A kernel older than 5.14 answers EINVAL: the field goes to the heap,
+	// as on any other refusal.
+	if err := syscall.Madvise(b, madvPopulateWrite); err != nil {
 		_ = syscall.Munmap(mem) // the mapping Mmap just returned: cannot fail
 		return nil, nil
 	}
 	mapped.Add(int64(len(mem)))
 	return unsafe.Slice((*float64)(unsafe.Pointer(&b[0])), n), mem
-}
-
-// prefault faults in every page of b for writing: in one call where the
-// kernel knows MADV_POPULATE_WRITE, else by one store per page.
-func prefault(b []byte) error {
-	err := syscall.Madvise(b, madvPopulateWrite)
-	if !errors.Is(err, syscall.EINVAL) {
-		return err
-	}
-	page := syscall.Getpagesize()
-	for i := 0; i < len(b); i += page {
-		b[i] = 0
-	}
-	return nil
 }
 
 // unmap releases a mapping mapFloats returned. Only a bug — a mapping it

@@ -15,13 +15,14 @@ import (
 // blocks and an almost-whole tail grows the process's AnonHugePages by at least
 // the whole blocks — and, in the kernel's madvise mode, by less than one
 // more, so the tail stays on 4 KiB pages. It skips where transparent huge
-// pages are off.
+// pages are off, and where the kernel had no free huge page to give
+// (thp_fault_fallback grew): the advice is best effort.
 func TestMappedFieldHugePages(t *testing.T) {
 	mode, err := os.ReadFile("/sys/kernel/mm/transparent_hugepage/enabled")
 	if err != nil || strings.Contains(string(mode), "[never]") {
 		t.Skip("transparent huge pages are not available")
 	}
-	before := anonHugePages(t)
+	before, fallbacks := anonHugePages(t), vmstat(t, "thp_fault_fallback")
 	mappedBefore := MappedBytes()
 	// 19 × 8 B × 68 985 cells: 4 × 2 MiB and a tail 40 B short of a fifth
 	// block, so wherever the mapping starts, advice on more than the whole
@@ -37,6 +38,9 @@ func TestMappedFieldHugePages(t *testing.T) {
 		t.Fatalf("test field spans %d whole huge pages, want 4", whole/hugePage)
 	}
 	grew := anonHugePages(t) - before
+	if n := vmstat(t, "thp_fault_fallback") - fallbacks; n > 0 {
+		t.Skipf("the kernel fell back to 4 KiB pages %d times during the allocation: no free 2 MiB pages", n)
+	}
 	if grew < whole {
 		t.Errorf("AnonHugePages grew by %d B, want at least the %d B of whole 2 MiB blocks", grew, whole)
 	}
@@ -44,6 +48,26 @@ func TestMappedFieldHugePages(t *testing.T) {
 	if strings.Contains(string(mode), "[madvise]") && grew >= whole+hugePage {
 		t.Errorf("AnonHugePages grew by %d B: the tail past the %d B of whole blocks is on a huge page too", grew, whole)
 	}
+}
+
+// vmstat reads one counter of /proc/vmstat.
+func vmstat(t *testing.T, name string) int64 {
+	t.Helper()
+	b, err := os.ReadFile("/proc/vmstat")
+	if err != nil {
+		t.Skipf("no vmstat: %v", err)
+	}
+	for _, line := range strings.Split(string(b), "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			n, err := strconv.ParseInt(v, 10, 64)
+			if err != nil {
+				t.Fatalf("vmstat %s: %v", name, err)
+			}
+			return n
+		}
+	}
+	t.Skipf("vmstat has no %s counter", name)
+	return 0
 }
 
 // anonHugePages reads the process's AnonHugePages in bytes from
