@@ -38,6 +38,7 @@ package collision
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -174,8 +175,10 @@ func (s Spec) Validate() error {
 	default:
 		return fmt.Errorf("collision: unknown kind %v", s.Kind)
 	}
-	if s.Magic < 0 {
-		return fmt.Errorf("collision: magic parameter %g < 0", s.Magic)
+	// The bounds are written so that NaN fails them: every comparison
+	// with NaN is false.
+	if !(s.Magic >= 0) || math.IsInf(s.Magic, 1) {
+		return fmt.Errorf("collision: magic parameter %g is not finite and >= 0", s.Magic)
 	}
 	if s.Kind != TRT && s.Magic != 0 {
 		return fmt.Errorf("collision: magic parameter is TRT-only (spec is %s)", s.Kind)
@@ -184,7 +187,7 @@ func (s Spec) Validate() error {
 		return fmt.Errorf("collision: ghost rates are MRT-only (spec is %s)", s.Kind)
 	}
 	for _, r := range s.GhostRates {
-		if r <= 0 || r >= 2 {
+		if !(r > 0 && r < 2) {
 			return fmt.Errorf("collision: ghost rate %g outside the stable interval (0, 2)", r)
 		}
 	}
@@ -197,8 +200,8 @@ func (s Spec) New(m *lattice.Model, tau float64) (Operator, error) {
 	if err := s.Validate(); err != nil {
 		return nil, err
 	}
-	if tau <= 0.5 {
-		return nil, fmt.Errorf("collision: tau %g <= 0.5", tau)
+	if !(tau > 0.5) || math.IsInf(tau, 1) {
+		return nil, fmt.Errorf("collision: tau %g is not finite and > 0.5", tau)
 	}
 	switch s.Kind {
 	case TRT:

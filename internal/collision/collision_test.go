@@ -54,6 +54,10 @@ func TestSpecValidate(t *testing.T) {
 		{Kind: TRT, GhostRates: []float64{1}},
 		{Kind: MRT, GhostRates: []float64{2.5}},
 		{Kind: MRT, GhostRates: []float64{0}},
+		{Kind: MRT, GhostRates: []float64{math.NaN()}},
+		{Kind: MRT, GhostRates: []float64{1.2, math.Inf(1)}},
+		{Kind: TRT, Magic: math.NaN()},
+		{Kind: TRT, Magic: math.Inf(1)},
 	}
 	for _, s := range bad {
 		if err := s.Validate(); err == nil {

@@ -66,9 +66,11 @@ func (cs *cartStepper) starPop(v, ix, iy, iz int) float64 {
 	if off, ok := cs.cell(ix+m.Cx[v], iy+m.Cy[v], iz+m.Cz[v]); ok {
 		return cs.f.V(m.Opp[v])[off]
 	}
-	for _, fx := range cs.fix.rowLinks(ix*cs.d.NY+iy, iz, iz+1) {
-		if int(fx.v) == m.Opp[v] {
-			return cs.f.V(v)[fx.cell] - fx.delta
+	if c, ok := cs.cell(ix, iy, iz); ok {
+		for _, fx := range cs.fix.rowLinks(ix*cs.d.NY+iy, c, c+1) {
+			if int(fx.v) == m.Opp[v] {
+				return cs.f.V(v)[fx.cell] - fx.delta
+			}
 		}
 	}
 	panic("core: star population has neither a slot nor a bounce-back link")

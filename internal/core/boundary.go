@@ -20,9 +20,10 @@ package core
 //
 // The fixup links are found by the stepper's buildFixups (cart.go) and live
 // in the per-box fixup index of fixindex.go, which is also the inventory
-// the momentum-exchange force measurement walks. The split path applies
-// them between stream and collide (applyBox); the gather sweep applies the
-// links of each row to the row it gathered (gather.go).
+// the momentum-exchange force measurement walks. Every path applies them
+// in the row body (gather.go): each row's links go into the streamed row —
+// fadv's after a stream pass, or the rows the gather sweep read — right
+// before it is relaxed.
 
 import (
 	"repro/internal/geom"

@@ -15,12 +15,13 @@ package core
 // kernels stream across it as plain offset copies. Everything else here
 // is geometry-blind.
 //
-// Every rung collides with the row kernel collide.go selects for it and
-// streams with the form stream.go selects for it — in separate passes, or
-// row by row in the gather sweep of gather.go (fused, AA) — so 1-D and 3-D
-// runs agree bit for bit. On two fields every path computes the next state
-// in fadv and the fields swap when the step is done: the state f is never
-// written mid-step. NB-C and above switch the per-axis exchange to the
+// Every rung streams with the form stream.go selects for it — a pass of its
+// own that fills fadv, or row by row in the gather sweep (fused, AA) — and
+// then advances each row through the one row body of gather.go: links, the
+// row kernel collide.go selects, sponge. So 1-D and 3-D runs agree bit for
+// bit. On two fields every path computes the next state in fadv and the
+// fields swap when the step is done: the state f is never written
+// mid-step. NB-C and above switch the per-axis exchange to the
 // posted-receive protocol; GC-C and above run the phased overlapped
 // schedule of schedule.go (interior box while messages fly, per-axis rims
 // after each WaitUnpackAxis). The no-ghost Orig protocol (orig.go) rides
@@ -77,7 +78,7 @@ type cartStepper struct {
 	f, fadv *grid.Field // fadv is nil under AA streaming (single-field)
 	ex      *halo.CartExchanger
 	aa      bool       // AA-pattern in-place streaming (aa.go)
-	gathers bool       // Config.GatherSweep: a step is one gather sweep (gather.go), not stream → fixup → collide
+	gathers bool       // Config.GatherSweep: a step is one gather sweep (gather.go), not stream → row body
 	views   bool       // the sweep relaxes upwind rows that are plain slices of f in place (two fields only)
 	orig    *origProto // the no-ghost protocol (orig.go); nil on every ghost-cell rung
 
@@ -85,17 +86,15 @@ type cartStepper struct {
 	scratch      []*workerScratch
 	ghostUpdates int64
 	collider                             // collision state and the configuration's row kernel (collide.go)
-	collide      func(worker int, b box) // collideRuns or collideAoS, bound once so dispatching it allocates nothing
-	stream       func(worker int, b box) // the rung's stream kernel (stream.go), bound once likewise
+	stream       func(worker int, b box) // the rung's stream kernel (stream.go), bound once so dispatching it allocates nothing
 	srcY         [][]int32               // per velocity: pull-stream source row per destination row (stream.go)
 	jit          *metrics.RNG
 	rec          *obs.Recorder // nil unless Config.Observe; every call site is nil-safe
 
-	// The other chunk kernels, bound once for the same reason: the gather
-	// sweep, wall and inlet face fills (inlet is the face being filled), the
-	// fixup apply and the sponge blend.
-	gather, restFace, inletFace, bounce, blend func(worker int, b box)
-	inlet                                      *Face
+	// The other chunk kernels, bound once for the same reason: the row body
+	// (gather.go), wall and inlet face fills (inlet is the face being filled).
+	gather, restFace, inletFace func(worker int, b box)
+	inlet                       *Face
 
 	mask []bool
 	// The run index (sparse.go): per-row CSR of fluid z-intervals and their
@@ -134,12 +133,8 @@ func newCartStepper(cfg *Config, dec decomp.Cartesian, r *comm.Rank) (*cartStepp
 	if err := cs.collider.init(cfg); err != nil {
 		return nil, err
 	}
-	cs.collide = cs.collideRuns
-	if cfg.Layout == grid.AoS {
-		cs.collide = cs.collideAoS
-	}
 	cs.gathers, cs.views = cfg.GatherSweep(), !cs.aa
-	cs.gather, cs.restFace, cs.inletFace, cs.bounce, cs.blend = cs.gatherRows, cs.restFaceRows, cs.inletFaceRows, cs.bounceRows, cs.spongeRows
+	cs.gather, cs.restFace, cs.inletFace = cs.gatherRows, cs.restFaceRows, cs.inletFaceRows
 	cs.depth, cs.w = cfg.ghostGeometry(dec)
 	for a := 0; a < 3; a++ {
 		cs.start[a], cs.own[a] = dec.Own(r.ID, a)
@@ -362,9 +357,8 @@ func (cs *cartStepper) jitter() {
 // step advances one time step on destination box b: compute the next
 // state, then make it the state. On two fields that is the swap — nothing
 // wrote f while the step computed (TestStepNeverWritesState), which is why
-// any box may be advanced as soon as its inputs are valid — followed by
-// the split path's sponge pass on the new f (the gather sweep blends row
-// by row). AA's one field just flips its arrangement.
+// any box may be advanced as soon as its inputs are valid. AA's one field
+// just flips its arrangement.
 func (cs *cartStepper) step(b box, stale [3]bool) {
 	cs.compute(b, stale)
 	if cs.aa {
@@ -372,9 +366,6 @@ func (cs *cartStepper) step(b box, stale [3]bool) {
 		return
 	}
 	cs.f, cs.fadv = cs.fadv, cs.f
-	if !cs.gathers {
-		cs.spongeBox(b)
-	}
 }
 
 // compute refreshes the stale axes' ghosts and advances box b — overlapped
@@ -519,19 +510,17 @@ func (cs *cartStepper) advanceRims(p stepPlan, axis int) {
 }
 
 // advance computes one step's next state on the given disjoint boxes, out
-// of f into fadv — one gather sweep, or stream → fixup → collide where the
-// stream left it — each kernel one chunk batch over all the boxes (a thin
-// rim pair load-balances across the whole team: the separated ghost-region
-// loops of §V.D), timed as phase ph of axis. Nothing here writes f, so the
-// boxes of a step may be advanced in any order their inputs allow.
+// of f into fadv — the rung's stream pass unless the row body gathers
+// itself, then the row body — each kernel one chunk batch over all the
+// boxes (a thin rim pair load-balances across the whole team: the
+// separated ghost-region loops of §V.D), timed as phase ph of axis.
+// Nothing here writes f, so the boxes of a step may be advanced in any
+// order their inputs allow.
 func (cs *cartStepper) advance(ph obs.Phase, axis int, boxes ...box) {
-	if cs.gathers {
-		cs.timed(cs.gather, ph, axis, boxes...)
-		return
+	if !cs.gathers {
+		cs.timed(cs.stream, ph, axis, boxes...)
 	}
-	cs.timed(cs.stream, ph, axis, boxes...)
-	cs.applyBounceBackBox(boxes...)
-	cs.timed(cs.collide, ph, axis, boxes...)
+	cs.timed(cs.gather, ph, axis, boxes...)
 }
 
 // timed runs one chunk kernel over the boxes as one batch, recorded as
@@ -780,40 +769,10 @@ func (cs *cartStepper) countUpdates(b box) {
 // rung's stream kernel (stream.go).
 func (cs *cartStepper) streamBox(b box) { cs.timed(cs.stream, obs.Interior, obs.NoAxis, b) }
 
-// collideBox applies the configured collision to box b of fadv.
-func (cs *cartStepper) collideBox(b box) { cs.timed(cs.collide, obs.Interior, obs.NoAxis, b) }
-
-// collideRuns is the split path's view-forming caller of the row kernel:
-// every z-run of the chunk relaxed in place, in fadv, where the stream and
-// the fixups left it (in aliases out row for row — collide.go's contract):
-// Q read-modify-write streams, and no line of the pre-stream field f is
-// touched. Rows come from forRuns — full box rows dense, fluid z-runs
-// under sparse traversal; the kernels are per-z independent, so the two
-// traversals agree per cell.
-func (cs *cartStepper) collideRuns(worker int, b box) {
-	sc := cs.scratch[worker]
-	cs.forRuns(b, func(ix, iy, zlo, zhi, base int) {
-		zn := zhi - zlo
-		rows := rowViews(sc.sv, cs.fadv, base, zn)
-		cs.relax(sc, rows, rows, zn)
-	})
-}
-
-// collideAoS is collideRuns for the AoS layout ablation (Orig and GC): a
-// row's zn cells are zn contiguous Q-blocks, transposed through the
-// worker's gathered rows.
-func (cs *cartStepper) collideAoS(worker int, b box) {
-	sc := cs.scratch[worker]
-	q := cs.model.Q
-	cs.forRuns(b, func(ix, iy, zlo, zhi, base int) {
-		zn := zhi - zlo
-		rows := sc.gathered(zn)
-		cells := cs.fadv.Data[base*q:]
-		aosToRows(rows, cells, zn)
-		cs.relax(sc, rows, rows, zn)
-		rowsToAoS(cells, rows, zn)
-	})
-}
+// collideBox runs the row body over box b: on the split path it finishes
+// the rows the stream left in fadv (links, relax, sponge), on the sweep it
+// is the whole step.
+func (cs *cartStepper) collideBox(b box) { cs.timed(cs.gather, obs.Interior, obs.NoAxis, b) }
 
 // aosToRows transposes zn consecutive AoS cells (Q-blocks, len(rows) = Q)
 // into the rows.
@@ -973,13 +932,9 @@ func (cs *cartStepper) buildMask() (obstacle []bool) {
 func (cs *cartStepper) buildFixups(obstacle []bool) {
 	nx, ny, nz := cs.d.NX, cs.d.NY, cs.d.NZ
 	class, m := cs.class, cs.model
-	var ri *runIndex
-	if cs.runStart != nil {
-		ri = &cs.runIndex
-	}
 	ownedAt := func(a, i int) bool { return i >= cs.w[a] && i < cs.w[a]+cs.own[a] }
 	wrapY, wrapZ := cs.w[1] == 0, cs.w[2] == 0
-	cs.fix = newFixIndex(cs.d, m, ri)
+	cs.fix = newFixIndex(cs.d, m)
 	solidRow := make([]bool, nx*ny)
 	for r := range solidRow {
 		solidRow[r] = slices.Contains(cs.mask[r*nz:(r+1)*nz], true)
@@ -1126,15 +1081,14 @@ func (cs *cartStepper) spongeSig(sig []float64, ix, iy, zlo, zn int) bool {
 // same factor, a smooth effective-viscosity ramp over the sponge columns.
 // The local velocity is kept, so vortical outflow passes through and is
 // only flattened, not blocked. Deliberately non-conservative: the
-// absorbed acoustic mass leaves through the open face. Shared verbatim by
-// the split path's post-collide pass and the gather sweep (on its collided
-// rows, which are all fluid or — fused on dense fields — carry solid cells
-// nobody reads: msk is the split pass's alone), so every path stays
-// bit-identical here. Each cell is independent — the §8 row contract holds.
-func applySpongeRow(m *lattice.Model, fc []float64, rows [][]float64, sig []float64, msk []bool, zn int) {
+// absorbed acoustic mass leaves through the open face. The row body
+// (gather.go) blends every collided row, so every path stays bit-identical
+// here; a dense field's solid cells are blended too, and nobody reads them.
+// Each cell is independent — the §8 row contract holds.
+func applySpongeRow(m *lattice.Model, fc []float64, rows [][]float64, sig []float64, zn int) {
 	for z := 0; z < zn; z++ {
 		s := sig[z]
-		if s == 0 || (msk != nil && msk[z]) {
+		if s == 0 {
 			continue
 		}
 		for v := 0; v < m.Q; v++ {
@@ -1148,50 +1102,6 @@ func applySpongeRow(m *lattice.Model, fc []float64, rows [][]float64, sig []floa
 		}
 	}
 }
-
-// spongeBox applies the sponge blend to the sponge-layer cells of box b of
-// the step's new state (f, after the swap). Ghost copies inside b are sponged too
-// (σ is global-coordinate-based), which is what keeps deep-halo and
-// multi-rank runs equivalent to the single-rank one.
-func (cs *cartStepper) spongeBox(b box) {
-	if !cs.hasSponge {
-		return
-	}
-	cs.timed(cs.blend, obs.Sponge, obs.NoAxis, b)
-}
-
-// spongeRows is spongeBox's chunk kernel.
-func (cs *cartStepper) spongeRows(worker int, sub box) {
-	sc := cs.scratch[worker]
-	cs.forRuns(sub, func(ix, iy, zlo, zhi, base int) {
-		zn := zhi - zlo
-		sig := sc.sig[:zn]
-		if !cs.spongeSig(sig, ix, iy, zlo, zn) {
-			return
-		}
-		applySpongeRow(cs.model, sc.fc, rowViews(sc.sv, cs.f, base, zn), sig, cs.rowMask(base, zn), zn)
-	})
-}
-
-// applyBounceBackBox applies exactly the fixup links of the given boxes
-// through the per-box index. Exactly those is what the phased schedule
-// requires (a fixup applied to a cell before that cell's rim stream would
-// be overwritten by it, so each fixup must run in the phase that streams
-// its cell, and only there) and always safe elsewhere: cells outside were
-// not streamed this step, hold an older state, and are rewritten by a wider
-// stream before ever being read again. Chunked across the team by row
-// spans: each link writes one (velocity, cell) slot of fadv — ahead of the
-// collide that then relaxes the cell in place — and reads only f; links
-// partition by their cell's (x, y) row, so chunks never touch the same
-// memory.
-func (cs *cartStepper) applyBounceBackBox(boxes ...box) {
-	if cs.fix.empty() {
-		return
-	}
-	cs.timed(cs.bounce, obs.Fixup, obs.NoAxis, boxes...)
-}
-
-func (cs *cartStepper) bounceRows(worker int, sub box) { cs.fix.applyBox(cs.f, cs.fadv, sub) }
 
 // measureForces appends one step's momentum-exchange forces to the series
 // Run reduces across ranks (Config.MeasureForces): every owned link adds
@@ -1275,7 +1185,7 @@ func (cs *cartStepper) stateRows(sc *workerScratch, ix, iy, zlo, zhi, base int) 
 			cs.pull(row, f.V(m.Opp[v]), ix+m.Cx[v], iy+m.Cy[v], zlo+m.Cz[v])
 		}
 		if cs.runStart != nil && !cs.fix.empty() {
-			for _, fx := range cs.fix.rowLinks(ix*cs.d.NY+iy, zlo, zhi) {
+			for _, fx := range cs.fix.rowLinks(ix*cs.d.NY+iy, base, base+zn) {
 				rows[fx.opp][int(fx.cell)-base] = f.V(int(fx.opp))[fx.cell] - fx.delta
 			}
 		}

@@ -2,11 +2,10 @@ package core
 
 // In-rank threading substrate: a per-stepper persistent worker pool,
 // longest-axis box chunking, and per-worker kernel scratch. Every parallel
-// loop of a step — stream, collide, gather sweep, face fills, fixup applies, on
-// interiors and rim slabs alike — is expressed as a batch of (box, chunk)
-// items drained by the pool, so the thin rim phases of the overlapped
-// schedule get the full team instead of a static x partition that
-// collapses on a 1–2-plane slab.
+// loop of a step — stream, the row body, face fills, on interiors and rim
+// slabs alike — is expressed as a batch of (box, chunk) items drained by
+// the pool, so the thin rim phases of the overlapped schedule get the full
+// team instead of a static x partition that collapses on a 1–2-plane slab.
 //
 // Chunks split a box along the longer of its x and y extents. The z axis
 // is deliberately never split: on a wrap axis the stream kernels move
@@ -260,15 +259,15 @@ type workerScratch struct {
 	vrows  [][]float64 // Q z-row buffers: operator feq rows / profiled inlet rows
 	vstore []float64
 	nzCap  int
-	sv, dv [][]float64        // per-velocity slice headers: in-place row views of fadv / f
+	sv, dv [][]float64        // per-velocity slice headers for rowViews: rows relaxed or read in place / the sweep's out rows
 	op     collision.Operator // per-worker operator clone; nil for plain BGK
 	feqR   []float64          // Q-length equilibrium buffer (face fills)
 	sig    []float64          // NZ-length sponge factor row
 	bad    int                // initRows: global index + 1 of the first invalid initial state met, 0 for none
 
 	// Gathered row stores: the gather sweep pulls a row's populations into
-	// gin and — where it scatters — collides into gout (gather.go); the AoS
-	// collide transposes a row through gin. Their own storage: a row kernel
+	// gin and — where it scatters — collides into gout (gather.go); the
+	// split path's AoS rows transpose through gin. Their own storage: a row kernel
 	// may use vrows while it reads gin.
 	gin, gout     [][]float64
 	ginSt, goutSt []float64

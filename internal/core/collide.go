@@ -7,8 +7,8 @@ package core
 // (f ← f_adv − ω(f_adv − f_eq(ρ,u)), the structure of the paper's Fig. 4);
 // the callers differ only in how they form the views:
 //
-//   - split: forRuns z-runs of fadv, in = out, relaxed where the stream
-//     left them — full rows dense, fluid runs under sparse traversal (AoS
+//   - split: the row body's (gather.go) z-runs of fadv, in = out, relaxed
+//     where the stream left them — full rows dense, fluid runs under sparse traversal (AoS
 //     gathers and scatters through the worker's scratch rows — Orig/GC
 //     layout ablation only);
 //   - the gather sweep (gather.go): the worker's gathered rows → rows of

@@ -92,7 +92,8 @@ func TestCrossPathBitIdentity(t *testing.T) {
 	// The plate's links land on cz = 0 velocities too, whose rows the
 	// two-field sweep otherwise reads in place: those are copied before the
 	// link is written. SIMD steps with the sweep, so its reference is GC-C's
-	// split field.
+	// split field. The AoS layout's split path transposes its rows out of
+	// fadv and back around the same links and relax.
 	solid := geom.FromFunc(n, func(ix, iy, iz int) bool { return iy == 0 || iz == n.NZ-1 })
 	solid.Union(geom.SphereAt(n, 11.5, 6, 5.5, 2.6))
 	splitOf := func(c Config) Config {
@@ -128,9 +129,13 @@ func TestCrossPathBitIdentity(t *testing.T) {
 				{"fused-mrt", func(c *Config) { c.Fused, c.Collision = true, collision.Spec{Kind: collision.MRT} }},
 				{"aa", func(c *Config) { c.Stream = StreamAA }},
 				{"aa-sparse", func(c *Config) { c.Stream, c.Sparse = StreamAA, true }},
+				{"aos", func(c *Config) { c.Layout = grid.AoS }},
 			} {
 				cfg := base
 				v.apply(&cfg)
+				if cfg.Layout == grid.AoS && opt != OptGC {
+					continue // the AoS layout ablation runs at Orig and GC only
+				}
 				ref := want
 				if !cfg.Collision.IsBGK() {
 					ref = runField(t, splitOf(cfg))
@@ -143,16 +148,16 @@ func TestCrossPathBitIdentity(t *testing.T) {
 	}
 }
 
-// TestCollideAllocatesNothing: one single-thread collide of the owned
-// region allocates nothing in either ghost geometry — the chunk kernel and
-// the row kernel are fields bound at construction, not method values
-// rebuilt per call.
+// TestCollideAllocatesNothing: one single-thread pass of the split path's
+// row body over the owned region allocates nothing in either ghost
+// geometry — the chunk kernel and the row kernel are fields bound at
+// construction, not method values rebuilt per call.
 func TestCollideAllocatesNothing(t *testing.T) {
 	n := grid.Dims{NX: 8, NY: 6, NZ: 6}
 	for _, ghosted := range []bool{false, true} {
 		cs := buildStepper(t, Config{
 			Model: lattice.D3Q19(), N: n, Tau: 0.8, Steps: 1,
-			Opt: OptSIMD, Ranks: 1, Threads: 1, GhostDepth: 1, Sparse: ghosted,
+			Opt: OptGCC, Ranks: 1, Threads: 1, GhostDepth: 1, Sparse: ghosted,
 		})
 		owned := cs.ownedBox()
 		if a := testing.AllocsPerRun(10, func() { cs.collideBox(owned) }); a != 0 {

@@ -255,14 +255,6 @@ func TestAddressMapProperties(t *testing.T) {
 					t.Fatalf("trial %d: clip(%d,%d,[%d,%d)) dropped fluid cell z=%d", trial, ix, iy, a, b, z)
 				}
 			}
-			if ix >= 0 && ix < nx && iy >= 0 && iy < ny {
-				// [lower(a), lower(b)) is the offset range of the same cells.
-				r, n := ix*ny+iy, 0
-				ri.clip(ix, iy, a, b, func(_, _, m int) { n += m })
-				if lo, hi := ri.lower(r, a), ri.lower(r, b); hi-lo != n || (n > 0 && hi-1 != lastOff) {
-					t.Fatalf("trial %d: lower(%d, %d..%d) = [%d, %d), clip holds %d cells ending at %d", trial, r, a, b, lo, hi, n, lastOff)
-				}
-			}
 		}
 	}
 }

@@ -18,10 +18,11 @@
 // The collision arithmetic lives in one place: collide.go holds one row
 // kernel per rung of the ladder (naive, row-generic, pair-symmetric) and
 // the operator row kernel, and every path relaxes through the one its rung
-// and operator select — the split stream → fixup → collide passes, which
-// collide the streamed field in place, and the gather sweep (gather.go)
-// that fused and AA streaming both are; on two fields both end a step by
-// swapping them, so both run on one box schedule (schedule.go). Walls,
+// and operator select, inside the one row body of gather.go — after a
+// stream pass on the split path, which relaxes the streamed field in
+// place, or as the gather sweep that fused and AA streaming both are; on
+// two fields both end a step by swapping them, so both run on one box
+// schedule (schedule.go). Walls,
 // solids, open faces, forces and every operator compose with all of them.
 // Running one configuration another way (decomposition, ghost depth, thread
 // count, fused or not, streaming scheme) therefore reproduces the field to
@@ -32,6 +33,7 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 	"time"
@@ -436,8 +438,9 @@ func (c *Config) check() error {
 	if c.Steps < 0 {
 		return fmt.Errorf("core: negative Steps %d", c.Steps)
 	}
-	if c.Tau <= 0.5 {
-		return fmt.Errorf("core: Tau %g <= 0.5 is unstable", c.Tau)
+	// Written so that NaN fails too: every comparison with NaN is false.
+	if !(c.Tau > 0.5) || math.IsInf(c.Tau, 1) {
+		return fmt.Errorf("core: Tau %g is not a finite relaxation time > 0.5 (≤ 0.5 is unstable)", c.Tau)
 	}
 	if err := c.Collision.Validate(); err != nil {
 		return err
@@ -570,7 +573,7 @@ func (c *Config) decomposition() (decomp.Cartesian, error) {
 }
 
 // GatherSweep reports whether a step is one gather sweep (gather.go)
-// rather than the split stream → fixup → collide: under AA, with Fused,
+// rather than a stream pass and then the row body: under AA, with Fused,
 // and at the SIMD rung. The stepper, run report and tuner all ask it.
 func (c *Config) GatherSweep() bool {
 	return c.Stream == StreamAA || c.Fused || c.Opt == OptSIMD

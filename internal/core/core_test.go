@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/collision"
 	"repro/internal/grid"
 	"repro/internal/lattice"
 )
@@ -350,6 +351,11 @@ func TestConfigValidation(t *testing.T) {
 	}{
 		{"nil model", func(c *Config) { c.Model = nil }},
 		{"tau too small", func(c *Config) { c.Tau = 0.5 }},
+		{"tau NaN", func(c *Config) { c.Tau = math.NaN() }},
+		{"tau +Inf", func(c *Config) { c.Tau = math.Inf(1) }},
+		{"MRT ghost rate NaN", func(c *Config) { c.Collision = collision.Spec{Kind: collision.MRT, GhostRates: []float64{math.NaN()}} }},
+		{"TRT magic NaN", func(c *Config) { c.Collision = collision.Spec{Kind: collision.TRT, Magic: math.NaN()} }},
+		{"TRT magic +Inf", func(c *Config) { c.Collision = collision.Spec{Kind: collision.TRT, Magic: math.Inf(1)} }},
 		{"negative steps", func(c *Config) { c.Steps = -1 }},
 		{"orig with depth", func(c *Config) { c.Opt = OptOrig; c.GhostDepth = 2 }},
 		{"AoS with DH", func(c *Config) { c.Layout = grid.AoS; c.Opt = OptDH }},

@@ -6,10 +6,10 @@ package core
 // the phased overlapped schedule pays once per rim and which dominates for
 // boundary-heavy geometries (arterial masks, dense obstacle fields). The
 // index stores the links CSR-style: sorted by cell (z-fastest, matching
-// the build order), with one span per (ix,iy) row. Applying to a box is
-// then a walk of exactly the rows the box covers, with the z range of each
-// row located by binary search — O(links in box + rows in box), at every
-// optimization level.
+// the build order), with one span per (ix,iy) row. The row body
+// (gather.go) takes the links of each run it advances, the run's offset
+// range located in its row's span by binary search — O(links in the box +
+// rows in the box) per phase, on every path.
 //
 // The same link inventory doubles as the momentum-exchange force
 // measurement (Ladd's method; cartStepper.measureForces walks it once per
@@ -69,9 +69,8 @@ const (
 // fixIndex is the CSR-ordered link inventory of one rank's local box.
 type fixIndex struct {
 	d     grid.Dims
-	ri    *runIndex // the fields' address map; nil when they are dense
-	links []fixup   // sorted by (ix, iy, iz, v) — the build order, ascending in cell
-	rows  []int32   // len NX·NY+1; row (ix,iy) spans links[rows[ix·NY+iy] : rows[ix·NY+iy+1]]
+	links []fixup // sorted by (ix, iy, iz, v) — the build order, ascending in cell
+	rows  []int32 // len NX·NY+1; row (ix,iy) spans links[rows[ix·NY+iy] : rows[ix·NY+iy+1]]
 	// nextRow is the CSR build cursor (rows below it have their start set).
 	nextRow int
 	// cxo/cyo/czo are c_opp per link velocity v (i.e. −c_v), the
@@ -79,10 +78,9 @@ type fixIndex struct {
 	cxo, cyo, czo []float64
 }
 
-func newFixIndex(d grid.Dims, m *lattice.Model, ri *runIndex) *fixIndex {
+func newFixIndex(d grid.Dims, m *lattice.Model) *fixIndex {
 	fi := &fixIndex{
 		d:    d,
-		ri:   ri,
 		rows: make([]int32, d.NX*d.NY+1),
 		cxo:  make([]float64, m.Q),
 		cyo:  make([]float64, m.Q),
@@ -123,74 +121,16 @@ func (fi *fixIndex) finish() {
 // empty reports whether the index holds no links (nil-safe).
 func (fi *fixIndex) empty() bool { return fi == nil || len(fi.links) == 0 }
 
-// clampTo clips box b to the index's local dims.
-func (fi *fixIndex) clampTo(b box) box {
-	hi := [3]int{fi.d.NX, fi.d.NY, fi.d.NZ}
-	for a := 0; a < 3; a++ {
-		if b.lo[a] < 0 {
-			b.lo[a] = 0
-		}
-		if b.hi[a] > hi[a] {
-			b.hi[a] = hi[a]
-		}
-	}
-	return b
-}
-
-// rowLinks returns the links of row (ix·NY + iy) whose cell has iz in
-// [zlo, zhi). A row's links are sorted by cell and a row's field offsets
-// ascend with z in either address space, so the z interval is an offset
-// interval and both bounds are binary searches.
-func (fi *fixIndex) rowLinks(row, zlo, zhi int) []fixup {
+// rowLinks returns the links of row (ix·NY + iy) whose cell's field offset
+// lies in [lo, hi) — a run's [base, base+zn), in either address space. A
+// row's links are sorted by cell, so both bounds are binary searches, and
+// a run that covers all of them (a whole row) needs neither.
+func (fi *fixIndex) rowLinks(row, lo, hi int) []fixup {
 	seg := fi.links[fi.rows[row]:fi.rows[row+1]]
-	if len(seg) == 0 || (zlo <= 0 && zhi >= fi.d.NZ) {
+	if len(seg) == 0 || (int(seg[0].cell) >= lo && int(seg[len(seg)-1].cell) < hi) {
 		return seg
-	}
-	lo, hi := row*fi.d.NZ+zlo, row*fi.d.NZ+zhi
-	if fi.ri != nil {
-		lo, hi = fi.ri.lower(row, zlo), fi.ri.lower(row, zhi)
 	}
 	a := sort.Search(len(seg), func(i int) bool { return int(seg[i].cell) >= lo })
 	b := a + sort.Search(len(seg[a:]), func(i int) bool { return int(seg[a+i].cell) >= hi })
 	return seg[a:b]
-}
-
-// applyBox replaces, for every link whose cell lies in box b, the
-// population streamed out of the solid neighbor with the reflected
-// pre-stream population of the receiving fluid cell:
-// f_adv[v][x] = f[opp(v)][x] + delta. Exactly the links of b are applied,
-// which is what the phased overlapped schedule requires (a fixup applied
-// before its cell's rim stream would be overwritten by it).
-func (fi *fixIndex) applyBox(f, fadv *grid.Field, b box) {
-	if fi.empty() {
-		return
-	}
-	b = fi.clampTo(b)
-	if b.lo[2] == 0 && b.hi[2] == fi.d.NZ && b.lo[1] == 0 && b.hi[1] == fi.d.NY {
-		// Full cross-section: the links of the covered planes are one
-		// contiguous CSR span — skip the per-row walk entirely.
-		fi.applyLinks(f, fadv, fi.links[fi.rows[b.lo[0]*fi.d.NY]:fi.rows[b.hi[0]*fi.d.NY]])
-		return
-	}
-	for ix := b.lo[0]; ix < b.hi[0]; ix++ {
-		for iy := b.lo[1]; iy < b.hi[1]; iy++ {
-			fi.applyLinks(f, fadv, fi.rowLinks(ix*fi.d.NY+iy, b.lo[2], b.hi[2]))
-		}
-	}
-}
-
-// applyLinks applies one span of links in either layout.
-func (fi *fixIndex) applyLinks(f, fadv *grid.Field, seg []fixup) {
-	if f.Layout == grid.SoA {
-		cells := f.D.Cells()
-		fd, ad := f.Data, fadv.Data
-		for _, fx := range seg {
-			ad[int(fx.v)*cells+int(fx.cell)] = fd[int(fx.opp)*cells+int(fx.cell)] + fx.delta
-		}
-		return
-	}
-	q := f.Q
-	for _, fx := range seg {
-		fadv.Data[int(fx.cell)*q+int(fx.v)] = f.Data[int(fx.cell)*q+int(fx.opp)] + fx.delta
-	}
 }

@@ -1,39 +1,45 @@
 package core
 
-// The gather sweep: one read and one write of the field per step. The
-// paper's future-work direction (§VII: "investigation into methods to
-// alter the algorithm as to reduce the memory accesses per lattice update
-// could increase the potential hardware efficiency"). Instead of streaming
-// f into f_adv (write Q values/cell) and then colliding f_adv in place (read
-// Q + write Q), a row's streamed values are gathered into cache-resident
-// row buffers and the post-collision values written where the next step
-// will read them — 2·Q·8 = 304 (D3Q19) / 624 (D3Q39) bytes per cell
-// instead of the split path's 456 / 936, which directly raises the
-// roofline of the bandwidth-limited code. Two storage schemes run on the
-// one row body (gatherRow):
+// The row body: every path advances a step row by row through gatherRow —
+// read a row's streamed populations, apply its bounce-back links, relax it
+// with the configuration's row kernel (collide.go), blend in the sponge,
+// write it back. The paths differ only in where the streamed row comes
+// from and where the result goes; there are four read sources:
 //
-//   - fused (the SIMD rung; Config.Fused below it), two fields: next[x] =
-//     collide(gather prev[x−c]) into fadv, the fields swapping after every
-//     step as on the split path. Nothing writes prev during the sweep, so
-//     upwind rows that are plain slices of it are relaxed in place.
+//   - split (every rung below SIMD, Orig included), two fields: the rung's
+//     stream kernel (stream.go, orig.go) has already filled fadv, and the
+//     row body relaxes those rows in place — views of fadv on SoA, rows
+//     transposed out of it and back on AoS (Orig/GC layout ablation only).
 //
-//   - AA (Config.Stream = StreamAA, aa.go, DESIGN.md §9), one field: the
-//     even sub-step gathers the same upwind rows and scatters each result
-//     into the reversed downwind slot; the odd sub-step reads the cell's
-//     own slots reversed and writes them back in normal arrangement.
+//   - the gather sweep (the SIMD rung; Config.Fused below it), two fields:
+//     next[x] = collide(gather prev[x−c]) into fadv, one read and one write
+//     of the field per step instead of the split path's stream write plus
+//     relax read-modify-write — 2·Q·8 = 304 (D3Q19) / 624 (D3Q39) bytes per
+//     cell instead of 456 / 936, the paper's future-work direction (§VII:
+//     "reduce the memory accesses per lattice update"). Nothing writes prev
+//     during the sweep, so upwind rows that are plain slices of it are
+//     relaxed in place.
 //
-// Everything between the read and the write is the same for both, and the
-// same as the split path's stream → fixup → collide → sponge at 0 ULP: the
-// row's bounce-back links applied to the gathered rows, the
-// configuration's row kernel (collide.go), the sponge row.
+//   - AA's even sub-step (Config.Stream = StreamAA, aa.go, DESIGN.md §9),
+//     one field: the same upwind rows, each result scattered into the
+//     reversed downwind slot;
+//
+//   - AA's odd sub-step: the cells' own slots, reversed, written back in
+//     normal arrangement.
+//
+// On two fields the fields swap when the step is done, whichever source.
+// Links, relax and sponge are one piece of code for all four, which is
+// what keeps every path bit-identical.
 
-// gatherRows is the sweep's chunk kernel: gatherRow over every row of the
-// chunk — full box rows dense, fluid runs under the run index. AA on dense
-// masked fields cuts each row into its fluid intervals as well: a solid
-// cell's slot star is where its fluid neighbours keep their bounced
-// populations, so solid cells may neither gather nor scatter. (Fused rows
-// stay whole — the next field has room for what a solid cell computes, as
-// on the split path, and a wrap-axis row rotates only as a whole.)
+import "repro/internal/grid"
+
+// gatherRows is the row body's chunk kernel: gatherRow over every row of
+// the chunk — full box rows dense, fluid runs under the run index. AA on
+// dense masked fields cuts each row into its fluid intervals as well: a
+// solid cell's slot star is where its fluid neighbours keep their bounced
+// populations, so solid cells may neither gather nor scatter. (Two-field
+// rows stay whole — the next field has room for what a solid cell
+// computes, and a wrap-axis row rotates only as a whole.)
 func (cs *cartStepper) gatherRows(worker int, b box) {
 	sc := cs.scratch[worker]
 	cut := cs.aa && cs.mask != nil && cs.runStart == nil
@@ -49,46 +55,63 @@ func (cs *cartStepper) gatherRows(worker int, b box) {
 }
 
 // gatherRow advances the cells z ∈ [zlo, zhi) of row (ix, iy), stored from
-// field offset base, by one step. Read: the upwind rows (upwindRow) with
-// the row's bounce-back links applied, or — the field in star arrangement,
-// AA's odd sub-step — the cells' own reversed slots. Write: the cells' own
-// row of the next state (fadv fused, the field itself on AA's odd
-// sub-step), or — AA's even sub-step — the reversed downwind slots.
+// field offset base, by one step. Read: the streamed rows of fadv (split),
+// the upwind rows (upwindRow), or — the field in star arrangement, AA's
+// odd sub-step — the cells' own reversed slots; the first two with the
+// row's bounce-back links applied. Write: the same rows of fadv in place
+// (split), the cells' own row of the next state (fadv on the sweep, the
+// field itself on AA's odd sub-step), or — AA's even sub-step — the
+// reversed downwind slots.
 func (cs *cartStepper) gatherRow(sc *workerScratch, ix, iy, zlo, zhi, base int) {
 	m := cs.model
 	zn := zhi - zlo
-	own := cs.aaStar
-	scatter := cs.aa && !own
-	in := sc.gathered(zn)
-	var links []fixup
-	if own {
+	split, aos := !cs.gathers, cs.f.Layout != grid.SoA
+	scatter := cs.aa && !cs.aaStar
+	var in [][]float64
+	switch {
+	case split && aos:
+		in = sc.gathered(zn)
+		aosToRows(in, cs.fadv.Data[base*m.Q:], zn)
+	case split:
+		in = rowViews(sc.sv, cs.fadv, base, zn)
+	case cs.aaStar:
+		in = sc.gathered(zn)
 		for v := range in {
 			copy(in[v], cs.f.V(m.Opp[v])[base:base+zn])
 		}
-	} else {
+	default:
+		in = sc.gathered(zn)
 		for v := range in {
 			in[v] = cs.upwindRow(in[v], v, ix, iy, zlo)
 		}
+	}
+	var links []fixup
+	if !cs.aaStar && !cs.fix.empty() {
 		// A population whose upwind cell is solid — pulled out of it, or
 		// under the run index not pulled at all — is a bounce-back link of
-		// the row: the cell's own opposite pre-stream population (+ δ) takes
-		// its place, as applyBox writes it into fadv on the split path. A
-		// row read in place is copied into the worker's own slot first.
-		// Under AA that slot's star owner is the solid cell, which never
-		// scatters, so the read is conflict-free.
-		if !cs.fix.empty() {
-			links = cs.fix.rowLinks(ix*cs.d.NY+iy, zlo, zhi)
+		// the row: the cell's own opposite pre-stream population (+ δ)
+		// takes its place. On the sweep a row read in place is copied into
+		// the worker's own slot first (the split path's rows are fadv's,
+		// and writable). Under AA that slot's star owner is the solid cell,
+		// which never scatters, so the read is conflict-free.
+		links = cs.fix.rowLinks(ix*cs.d.NY+iy, base, base+zn)
+		if !split {
 			for _, fx := range links {
 				if slot := sc.ginSt[int(fx.v)*sc.nzCap:][:zn]; &in[fx.v][0] != &slot[0] {
 					copy(slot, in[fx.v])
 					in[fx.v] = slot
 				}
-				in[fx.v][int(fx.cell)-base] = cs.f.V(int(fx.opp))[fx.cell] + fx.delta
 			}
+		}
+		fd, vs, cst := cs.f.Data, cs.f.Idx(1, 0), cs.f.Idx(0, 1)
+		for _, fx := range links {
+			in[fx.v][int(fx.cell)-base] = fd[int(fx.opp)*vs+int(fx.cell)*cst] + fx.delta
 		}
 	}
 	var out [][]float64
 	switch {
+	case split:
+		out = in
 	case scatter:
 		out = sc.scattered(zn)
 	case cs.aa:
@@ -97,12 +120,13 @@ func (cs *cartStepper) gatherRow(sc *workerScratch, ix, iy, zlo, zhi, base int) 
 		out = rowViews(sc.dv, cs.fadv, base, zn)
 	}
 	cs.relax(sc, in, out, zn)
-	// The sponge blends the collided row where the split path's post-collide
-	// spongeBox pass would, through the same applySpongeRow arithmetic.
 	if cs.hasSponge {
 		if sig := sc.sig[:zn]; cs.spongeSig(sig, ix, iy, zlo, zn) {
-			applySpongeRow(m, sc.fc, out, sig, nil, zn)
+			applySpongeRow(m, sc.fc, out, sig, zn)
 		}
+	}
+	if split && aos {
+		rowsToAoS(cs.fadv.Data[base*m.Q:], out, zn)
 	}
 	if !scatter {
 		return

@@ -75,13 +75,12 @@ func (p *origProto) step() {
 }
 
 // compute pushes f into fadv, exchanges and merges the crossed
-// populations there, and collides fadv in place.
+// populations there, and finishes fadv's rows in place with the row body.
 func (p *origProto) compute() {
 	s := p.s
 	owned := s.ownedBox()
 	s.timed(s.streamPushScalar, obs.Interior, obs.NoAxis, owned)
 	p.exchange()
-	s.applyBounceBackBox(owned)
 	s.collideBox(owned)
 }
 

@@ -191,12 +191,8 @@ func TestOwnedSumsMatchMoments(t *testing.T) {
 func fixupsPerCell(cs *cartStepper) *fixIndex {
 	nx, ny, nz := cs.d.NX, cs.d.NY, cs.d.NZ
 	m, class := cs.model, cs.class
-	var ri *runIndex
-	if cs.runStart != nil {
-		ri = &cs.runIndex
-	}
 	owned := func(a, i int) bool { return i >= cs.w[a] && i < cs.w[a]+cs.own[a] }
-	fi := newFixIndex(cs.d, m, ri)
+	fi := newFixIndex(cs.d, m)
 	for ix := 0; ix < nx; ix++ {
 		for iy := 0; iy < ny; iy++ {
 			for iz := 0; iz < nz; iz++ {

@@ -25,8 +25,8 @@ package core
 // fluid destination from the fluid cell's own populations — so the one
 // thing a solid address was good for was being skipped: a pull whose
 // source interval is clipped to the stored cells leaves exactly the
-// bounce-back links unwritten, and the fixup pass (or AA's in-kernel
-// fixups) writes those. A push into a solid cell is dropped the same way.
+// bounce-back links unwritten, and the row body (gather.go) writes those
+// on every path. A push into a solid cell is dropped the same way.
 // The halo's span lists index the same compact blocks, so pack and unpack
 // need no dense address either (halo.NewCartExchangerClipped). Gathered
 // into Result.Field, solid cells read as the rest state.
@@ -106,18 +106,6 @@ func (ri *runIndex) seek(r, z int) int {
 		}
 	}
 	return lo
-}
-
-// lower returns the offset of the first stored cell of row r at or above
-// z — the row's end offset when there is none. Offsets within a row
-// ascend with z, so [lower(r, zlo), lower(r, zhi)) is the offset range of
-// the row's stored cells in [zlo, zhi).
-func (ri *runIndex) lower(r, z int) int {
-	i := ri.seek(r, z)
-	if i < int(ri.runStart[r+1]) && z > int(ri.runs[i].lo) {
-		return int(ri.off[i]) + z - int(ri.runs[i].lo)
-	}
-	return int(ri.off[i])
 }
 
 // at returns the field offset of cell (ix, iy, iz), or false when the

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/geom"
 	"repro/internal/grid"
 	"repro/internal/lattice"
 )
@@ -82,9 +83,11 @@ func TestSpongeAbsorbsOutletReflection(t *testing.T) {
 	}
 }
 
-// TestSpongeSchemeEquivalence: the sponge pass must leave AA and two-grid
-// within reassociation tolerance of each other (the shared applySpongeRow
-// makes it bit-equal per cell).
+// TestSpongeSchemeEquivalence: the sponge must leave AA and two-grid within
+// reassociation tolerance of each other (the shared applySpongeRow makes it
+// bit-equal per cell), and — blended inside the one row body on every path
+// — the gather sweep (SIMD) equal to GC-C's split path at 0 ULP on the
+// fluid cells of a channel whose cylinder sits in the sponge layer.
 func TestSpongeSchemeEquivalence(t *testing.T) {
 	n := grid.Dims{NX: 24, NY: 16, NZ: 16}
 	spec := InletChannelSpec(0.04, nil)
@@ -100,5 +103,12 @@ func TestSpongeSchemeEquivalence(t *testing.T) {
 	b := runField(t, aa)
 	if d := grid.MaxAbsDiff(a, b); d > eqTol {
 		t.Errorf("sponged AA vs two-grid: max |Δf| = %g (tol %g)", d, eqTol)
+	}
+	split := base
+	split.Solid = geom.CylinderZ(n, 20, 7.5, 2.5)
+	sweep := split
+	sweep.Opt = OptSIMD
+	if d := fluidMaxAbsDiff(runField(t, split), runField(t, sweep), split.Solid); d != 0 {
+		t.Errorf("sponged channel with a cylinder: SIMD (gather) differs from GC-C (split) by %g on fluid cells (want 0 ULP)", d)
 	}
 }

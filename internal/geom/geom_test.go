@@ -98,14 +98,17 @@ func TestMaskSaveLoad(t *testing.T) {
 
 func TestReadCSVErrors(t *testing.T) {
 	for _, bad := range []string{
-		"",                   // no dims
-		"# only a comment\n", // no dims
-		"4,4\n",              // malformed dims
-		"4,4,4\n9,0,0\n",     // out of range
-		"4,4,4\n1,1\n",       // malformed voxel
-		"0,4,4\n",            // zero dim
-		"4,4,4\n-1,0,0\n",    // negative
-		"4,4,4\n1,1,one\n",   // non-numeric
+		"",                          // no dims
+		"# only a comment\n",        // no dims
+		"4,4\n",                     // malformed dims
+		"4,4,4\n9,0,0\n",            // out of range
+		"4,4,4\n1,1\n",              // malformed voxel
+		"0,4,4\n",                   // zero dim
+		"4,4,4\n-1,0,0\n",           // negative
+		"4,4,4\n1,1,one\n",          // non-numeric
+		"2097152,2097152,2097152\n", // 2⁶³ cells: overflows int
+		"1024,1024,1025\n",          // one plane past MaxMaskCells
+		"9223372036854775807,9223372036854775807,2\n", // overflows on the first product
 	} {
 		if _, err := ReadCSV(strings.NewReader(bad)); err == nil {
 			t.Errorf("ReadCSV accepted %q", bad)
@@ -120,6 +123,8 @@ func TestReadRawErrors(t *testing.T) {
 		"lbmvox 2 2 2\n\x00\x00\x00", // truncated payload
 		"lbmvox 2 2 2\n" + "\x00\x00\x00\x00\x00\x00\x00\x02", // bad byte
 		"lbmvox 0 2 2\n",
+		"lbmvox 2097152 2097152 2097152\n", // 2⁶³ cells: overflows int
+		"lbmvox 1025 1024 1024\n",          // one plane past MaxMaskCells
 	} {
 		if _, err := ReadRaw(strings.NewReader(bad)); err == nil {
 			t.Errorf("ReadRaw accepted %q", bad)

@@ -29,6 +29,26 @@ import (
 
 const rawMagic = "lbmvox"
 
+// MaxMaskCells bounds the cell count a mask file may declare: 2³⁰, a
+// 1024³ box. A loaded mask is a whole global domain for one process (ranks
+// are goroutines), and set-up keeps per-cell solid flags over every rank's
+// box even under sparse storage, so a larger one would cost gigabytes
+// before the first field exists. The bound is checked before anything is
+// allocated, so a one-line file cannot make a loader ask for more.
+const MaxMaskCells = 1 << 30
+
+// checkDims reports whether mask dims read from a file are positive and
+// declare at most MaxMaskCells cells, computed without overflowing int.
+func checkDims(nx, ny, nz int) error {
+	if nx < 1 || ny < 1 || nz < 1 {
+		return fmt.Errorf("dims %d,%d,%d are not all positive", nx, ny, nz)
+	}
+	if nx > MaxMaskCells/ny || nx*ny > MaxMaskCells/nz {
+		return fmt.Errorf("dims %d,%d,%d exceed the %d-cell bound", nx, ny, nz, MaxMaskCells)
+	}
+	return nil
+}
+
 // Save writes the mask to path in the format implied by the extension
 // (.csv or .raw).
 func Save(path string, m *Mask) error {
@@ -105,8 +125,8 @@ func ReadCSV(r io.Reader) (*Mask, error) {
 			return nil, fmt.Errorf("geom: csv line %d: %q: %v", line, s, err)
 		}
 		if m == nil {
-			if a < 1 || b < 1 || c < 1 {
-				return nil, fmt.Errorf("geom: csv line %d: bad dims %d,%d,%d", line, a, b, c)
+			if err := checkDims(a, b, c); err != nil {
+				return nil, fmt.Errorf("geom: csv line %d: %v", line, err)
 			}
 			m = NewMask(grid.Dims{NX: a, NY: b, NZ: c})
 			continue
@@ -160,8 +180,8 @@ func ReadRaw(r io.Reader) (*Mask, error) {
 	if _, err := fmt.Sscanf(header, "%s %d %d %d", &magic, &nx, &ny, &nz); err != nil || magic != rawMagic {
 		return nil, fmt.Errorf("geom: bad raw header %q (want %q nx ny nz)", strings.TrimSpace(header), rawMagic)
 	}
-	if nx < 1 || ny < 1 || nz < 1 {
-		return nil, fmt.Errorf("geom: raw header dims %d %d %d", nx, ny, nz)
+	if err := checkDims(nx, ny, nz); err != nil {
+		return nil, fmt.Errorf("geom: raw header: %v", err)
 	}
 	m := NewMask(grid.Dims{NX: nx, NY: ny, NZ: nz})
 	buf := make([]byte, nz)

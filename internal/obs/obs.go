@@ -6,8 +6,8 @@
 // break runs into compute, pack/unpack and exposed wire time): every span
 // a stepper records is one leaf of the schedule — interior compute, a rim
 // recomputed after an axis exchange, a pack into send buffers, a blocked
-// wait on the wire, an unpack into ghosts, a boundary fixup pass, an open
-// face fill, a sponge blend, or force/macro accounting. Spans never nest,
+// wait on the wire, an unpack into ghosts, an open face fill, or
+// force/macro accounting. Spans never nest,
 // so per-phase seconds sum to the instrumented wall time of the loop.
 //
 // Every Recorder method is a no-op on a nil receiver: the steppers keep a
@@ -38,13 +38,15 @@ const (
 	// Unpack is copying received halos out of their slots into the ghost
 	// layer, nothing else.
 	Unpack
-	// Fixup is the boundary fixup pass (bounce-back, Zou-He, outlets) over
-	// the per-box fixup index.
+	// Fixup (boundary links) and Sponge (the outlet blend) are recorded by
+	// no stepper: both run inside the row body, so their time is Interior
+	// or Rim. They stay in the taxonomy because trace consumers enumerate
+	// every phase.
 	Fixup
 	// Face is ghost-face synthesis on non-messaging boundaries: open-face
 	// extrapolation and bounded-axis fills.
 	Face
-	// Sponge is the outlet sponge-layer blend.
+	// Sponge: see Fixup.
 	Sponge
 	// Force is force/macro accounting: momentum-exchange sampling and the
 	// per-step force series.
