@@ -77,11 +77,14 @@ type Operator interface {
 // post-collision output. dst and src may alias row-for-row. Like Relax,
 // RelaxRows is not safe for concurrent use — Clone per goroutine.
 //
-// TRT and MRT implement it; the solver's z-run-blocked operator kernel
-// dispatches on it and falls back to per-cell Relax otherwise. BGK
-// deliberately does not: its production path is the solver's own BGK row
-// kernels, and keeping the forced-operator regression route per-cell
-// preserves the 0-ULP guard against the naive kernel.
+// TRT and MRT implement it. The solver runs TRT on its own pair kernel
+// instead (fused per-pair primitives with this method's arithmetic, bit for
+// bit), so RelaxRows serves MRT's operator row kernel, TRT's 0-ULP oracle,
+// and the benchmark's collision.rows_ns layer; an operator without it
+// falls back to per-cell Relax. BGK deliberately does not implement it:
+// its production path is the solver's own BGK row kernels, and keeping the
+// forced-operator regression route per-cell preserves the 0-ULP guard
+// against the naive kernel.
 type RowRelaxer interface {
 	RelaxRows(dst, src, feq [][]float64, n int)
 }
@@ -329,7 +332,10 @@ func (o *trtOp) Relax(f []float64, rho, ux, uy, uz float64) {
 // RelaxRows is the z-run-blocked form of Relax: the same even/odd pair
 // arithmetic applied to whole SoA rows, which turns the per-cell gather,
 // equilibrium method call and scatter into straight-line loops over
-// contiguous slices (the shape of the solver's paired BGK kernel).
+// contiguous slices (the shape of the solver's paired BGK kernel). The
+// solver's TRT row primitives repeat this arithmetic operation for
+// operation, and a core test holds them to it at 0 ULP: change both or
+// neither.
 func (o *trtOp) RelaxRows(dst, src, feq [][]float64, n int) {
 	for _, p := range o.pairs {
 		i, j := p[0], p[1]

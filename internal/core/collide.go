@@ -19,6 +19,11 @@ package core
 // before writing its out values, so a run may be any sub-interval of a row
 // and in may alias out row-for-row. The kernels differ in loop order,
 // specialization and arithmetic shape, never in the math.
+//
+// Operators other than BGK have kernels of their own: TRT runs the pair
+// kernel's passes with one fused equilibrium-and-relax primitive per pair
+// (relaxTRT), MRT its Q×Q RowRelaxer over feq rows (relaxOpRows), and an
+// operator with neither the per-cell fallback (relaxOpCell).
 
 import (
 	"repro/internal/collision"
@@ -38,7 +43,7 @@ type collider struct {
 	model *lattice.Model
 	op    collision.Operator // nil for the ladder's BGK kernels; workers relax through their scratch clone
 
-	// The pair kernels' tables (CF and above, and the operator row kernel):
+	// The pair kernels' tables (CF and above, and the operator row kernels):
 	// the opposite pairs, and per weight class the coefficient of ρ in a
 	// pair's t row — ω·w_k where the kernel relaxes (BGK), w_k where it
 	// writes equilibria for an operator — and w_k itself, the initial
@@ -63,6 +68,7 @@ type collider struct {
 	third   bool
 
 	tau, omega float64
+	omegaM     float64 // TRT's odd-sector rate ω⁻ (its ω⁺ is omega)
 	// Velocity-shift forcing: equilibria are evaluated at u + τ_j·a, where
 	// τ_j is the relaxation time the operator applies to momentum (τ for
 	// BGK/MRT, τ⁻ for TRT) — that is what makes the injected momentum
@@ -124,8 +130,12 @@ func (c *collider) init(cfg *Config) error {
 			c.tw[k] *= c.omega
 		}
 	}
+	trt, isTRT := c.op.(interface{ OmegaMinus() float64 })
 	_, rows := c.op.(collision.RowRelaxer)
 	switch {
+	case isTRT:
+		c.omegaM = trt.OmegaMinus()
+		c.relax = c.relaxTRT
 	case rows:
 		c.relax = c.relaxOpRows
 	case c.op != nil:
@@ -286,7 +296,7 @@ func (c *collider) relaxGeneric(sc *workerScratch, in, out [][]float64, zn int) 
 	}
 }
 
-// The pair kernels (CF and above §V.C/§V.G, and the operator row kernel)
+// The pair kernels (CF and above §V.C/§V.G, and the operator row kernels)
 // process velocities as opposite pairs. With q_a = u_a/c_s², q = Σ c_a·q_a
 // over the axes a pair moves along and base = 1 − u²/(2c_s²), the
 // equilibria of the pair are w·ρ·(even ± odd):
@@ -444,10 +454,49 @@ func (c *collider) relaxPaired(sc *workerScratch, in, out [][]float64, zn int) {
 	}
 }
 
-// relaxOpRows is the row kernel of operators with a row form
-// (collision.RowRelaxer — TRT, MRT): the same moment passes with t = w·ρ,
-// the equilibria of the whole run t·(even ± odd) into the worker's feq
-// rows, then one RelaxRows call on the worker's private operator clone.
+// relaxTRT is TRT's row kernel: the same moment passes with t = w·ρ, then
+// per pair one fused primitive that forms the pair's equilibria
+// t·(even ± odd) in registers and relaxes the pair's even part at ω⁺ = ω
+// and its odd part at ω⁻ — collision.(*trtOp).RelaxRows' arithmetic, bit
+// for bit, with no feq row written. The pair table is oriented as the
+// operator's (i < j on every lattice package lattice defines), so even the
+// signs of zero agree.
+func (c *collider) relaxTRT(sc *workerScratch, in, out [][]float64, zn int) {
+	b := &sc.rb
+	c.pairMoments(b, in, zn)
+	c.velocities(b, zn)
+	r := c.vecFor(zn)
+	for i := range c.pairs {
+		p := &c.pairs[i]
+		t, di := b.t[p.k], out[p.i][:zn]
+		switch {
+		case p.n == 0:
+			if r != nil {
+				r.trt0(di, in[p.i], t, b.base, c.omega)
+			} else {
+				trt0(di, in[p.i], t, b.base, c.omega)
+			}
+		case c.third:
+			if r != nil {
+				r.trt3(di, out[p.j], in[p.i], in[p.j], t, b.base, c.pairQ(b, p, zn), c.half, c.sixth, c.omega, c.omegaM)
+			} else {
+				trt3(di, out[p.j], in[p.i], in[p.j], t, b.base, c.pairQ(b, p, zn), c.half, c.sixth, c.omega, c.omegaM)
+			}
+		default:
+			if r != nil {
+				r.trt2(di, out[p.j], in[p.i], in[p.j], t, b.base, c.pairQ(b, p, zn), c.half, c.omega, c.omegaM)
+			} else {
+				trt2(di, out[p.j], in[p.i], in[p.j], t, b.base, c.pairQ(b, p, zn), c.half, c.omega, c.omegaM)
+			}
+		}
+	}
+}
+
+// relaxOpRows is the row kernel of MRT, the operator with a row form
+// (collision.RowRelaxer) but no pair kernel of its own: the same moment
+// passes with t = w·ρ, the equilibria of the whole run t·(even ± odd) into
+// the worker's feq rows, then one RelaxRows call on the worker's private
+// operator clone.
 func (c *collider) relaxOpRows(sc *workerScratch, in, out [][]float64, zn int) {
 	b := &sc.rb
 	c.pairMoments(b, in, zn)
@@ -459,9 +508,10 @@ func (c *collider) relaxOpRows(sc *workerScratch, in, out [][]float64, zn int) {
 
 // eqRows writes the equilibria t·(even ± odd) of a run whose shared rows —
 // base, q_a over the momentum rows, t_k per weight class — are finished
-// into the rows feq. It is the pair loop of the operator kernel and of
-// the initial condition (initRows) alike, so every equilibrium the solver
-// stores comes out of pairEq.
+// into the rows feq. It is the pair loop of MRT's kernel and of the
+// initial condition (initRows) alike, and TRT's primitives form theirs
+// with the same operations, so every equilibrium the solver uses comes
+// out of pairEq.
 func (c *collider) eqRows(b *rowBufs, feq [][]float64, zn int) {
 	r := c.vecFor(zn)
 	for i := range c.pairs {

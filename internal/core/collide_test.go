@@ -148,22 +148,28 @@ func TestCrossPathBitIdentity(t *testing.T) {
 	}
 }
 
-// TestCollideAllocatesNothing: one single-thread pass of the split path's
-// row body over the owned region allocates nothing in either ghost
-// geometry — the chunk kernel and the row kernel are fields bound at
+// TestCollideAllocatesNothing: one single-thread pass of the row body over
+// the owned region allocates nothing — the split path's (GC-C) and the
+// gather sweep's (SIMD), for every operator's row kernel, in either ghost
+// geometry: the chunk kernel and the row kernel are fields bound at
 // construction, not method values rebuilt per call.
 func TestCollideAllocatesNothing(t *testing.T) {
 	n := grid.Dims{NX: 8, NY: 6, NZ: 6}
-	for _, ghosted := range []bool{false, true} {
-		cs := buildStepper(t, Config{
-			Model: lattice.D3Q19(), N: n, Tau: 0.8, Steps: 1,
-			Opt: OptGCC, Ranks: 1, Threads: 1, GhostDepth: 1, Sparse: ghosted,
-		})
-		owned := cs.ownedBox()
-		if a := testing.AllocsPerRun(10, func() { cs.collideBox(owned) }); a != 0 {
-			t.Errorf("ghosts on every axis = %v: collideBox: %v allocs per call, want 0", ghosted, a)
+	for _, opt := range []OptLevel{OptGCC, OptSIMD} {
+		for _, kind := range []collision.Kind{collision.BGK, collision.TRT, collision.MRT} {
+			for _, ghosted := range []bool{false, true} {
+				cs := buildStepper(t, Config{
+					Model: lattice.D3Q19(), N: n, Tau: 0.8, Steps: 1,
+					Opt: opt, Ranks: 1, Threads: 1, GhostDepth: 1, Sparse: ghosted,
+					Collision: collision.Spec{Kind: kind},
+				})
+				owned := cs.ownedBox()
+				if a := testing.AllocsPerRun(10, func() { cs.collideBox(owned) }); a != 0 {
+					t.Errorf("%s %s, ghosts on every axis = %v: collideBox: %v allocs per call, want 0", opt, kind, ghosted, a)
+				}
+				cs.close()
+			}
 		}
-		cs.close()
 	}
 }
 
@@ -321,6 +327,58 @@ func TestPairKernelsMatchGeneric(t *testing.T) {
 						if got := sc.vrows[v][z]; math.Abs(got-want) > 1e-15 {
 							t.Errorf("%s accel %v zn %d: feq[%d][%d] row kernel %g, Model.Equilibrium %g",
 								m.Name, accel, zn, v, z, got, want)
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestTRTKernelMatchesRelaxRows holds TRT's row kernel (relaxTRT, the
+// fused primitives) to what it replaces — eqRows into feq rows, then
+// collision.(*trtOp).RelaxRows, as relaxOpRows still runs them — at 0 ULP:
+// on every lattice, forced and unforced, on the Go bodies (CF) and the
+// SIMD rung's, at every run length 1–97 (every tail of the 4-wide loop),
+// in place and into separate rows. The pair table must be oriented as the
+// operator's pairs (i < Opp[i]) for the signs of zero to agree.
+func TestTRTKernelMatchesRelaxRows(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	for _, m := range pairLattices {
+		for _, accel := range [][3]float64{{}, {1e-4, -2e-4, 3e-4}} {
+			for _, opt := range []OptLevel{OptCF, OptSIMD} {
+				var c collider
+				if err := c.init(&Config{Model: m, Tau: 0.7, Opt: opt, Accel: accel, Collision: collision.Spec{Kind: collision.TRT}}); err != nil {
+					t.Fatal(err)
+				}
+				for _, p := range c.pairs {
+					if p.i > p.j {
+						t.Fatalf("%s: pair (%d, %d) is oriented against the operator's", m.Name, p.i, p.j)
+					}
+				}
+				const maxZn = 97
+				sc := newScratches(1, m.Q, maxZn, c.op)[0]
+				for zn := 1; zn <= maxZn; zn++ {
+					in := randomRows(rng, m, zn)
+					want := randomRows(rng, m, zn)
+					c.relaxOpRows(sc, in, want, zn)
+					for _, inPlace := range []bool{false, true} {
+						got := randomRows(rng, m, zn)
+						src := in
+						if inPlace {
+							for v := range got {
+								copy(got[v], in[v])
+							}
+							src = got
+						}
+						c.relaxTRT(sc, src, got, zn)
+						for v := range got {
+							for z := range got[v] {
+								if math.Float64bits(got[v][z]) != math.Float64bits(want[v][z]) {
+									t.Fatalf("%s %s accel %v zn %d in place %v: f[%d][%d] = %v, eqRows + RelaxRows %v",
+										m.Name, opt, accel, zn, inPlace, v, z, got[v][z], want[v][z])
+								}
+							}
 						}
 					}
 				}

@@ -128,19 +128,25 @@ func benchRowKernel(b *testing.B, name string, c *collider, src, dst *grid.Field
 
 // The ladder's BGK row kernels (naive vs row-generic vs pair-symmetric,
 // and the SIMD rung's pair kernel on its vector row bodies where the host
-// has them), and the pair kernels' moment pass alone (pairMoments +
-// velocities) on a floorCells-long row: with gathered96 and
-// BenchmarkStreamKernels' indexed case, a lattice's compute floor and its
-// stream as ns/cell.
+// has them), TRT's pair kernel on the Go and the vector bodies (…-trt),
+// and the pair kernels' moment pass alone (pairMoments + velocities) on a
+// floorCells-long row: with gathered96 and BenchmarkStreamKernels'
+// indexed case, a lattice's compute floor and its stream as ns/cell.
 func BenchmarkCollideKernels(b *testing.B) {
+	trt := collision.Spec{Kind: collision.TRT}
 	for _, m := range []*lattice.Model{lattice.D3Q19(), lattice.D3Q39()} {
 		for _, c := range []struct {
 			name string
 			opt  OptLevel
-		}{{"naive", OptGC}, {"rowGeneric", OptDH}, {"paired", OptCF}, {"simd", OptSIMD}} {
-			st := benchStepper(b, m, c.opt, collision.Spec{}, false)
+			spec collision.Spec
+		}{
+			{"naive", OptGC, collision.Spec{}}, {"rowGeneric", OptDH, collision.Spec{}},
+			{"paired", OptCF, collision.Spec{}}, {"simd", OptSIMD, collision.Spec{}},
+			{"paired-trt", OptCF, trt}, {"simd-trt", OptSIMD, trt},
+		} {
+			st := benchStepper(b, m, c.opt, c.spec, false)
 			benchRowKernel(b, m.Name+"/"+c.name, &st.collider, st.f, st.fadv)
-			if c.opt < OptCF {
+			if c.opt < OptCF || !c.spec.IsBGK() {
 				continue
 			}
 			b.Run(m.Name+"/"+c.name+"/moments96", func(b *testing.B) {
@@ -335,9 +341,9 @@ func BenchmarkBoxKernels(b *testing.B) {
 	}
 }
 
-// Operator row kernels: the per-cell fallback vs the RowRelaxer row form,
-// against the BGK pair-symmetric kernel as the yardstick — the row form is
-// what carries TRT/MRT within ~1.5× of it.
+// Operator row kernels: the per-cell fallback vs the row kernel (TRT's
+// fused pair kernel, MRT's RowRelaxer form), against the BGK
+// pair-symmetric kernel as the yardstick.
 func BenchmarkBoxCollideOperator(b *testing.B) {
 	for _, m := range []*lattice.Model{lattice.D3Q19(), lattice.D3Q39()} {
 		cs := benchStepper(b, m, OptSIMD, collision.Spec{}, true)
@@ -435,7 +441,7 @@ func BenchmarkThreadedStep(b *testing.B) {
 
 // The collide per operator over the owned box, as GC-C's split path runs
 // it: the row body over the rows the stream left in fadv (TRT and MRT relax
-// through the operator row kernel; BGK is the ladder's pair-symmetric
+// through their operator row kernels; BGK is the ladder's pair-symmetric
 // kernel).
 func BenchmarkCollideOperator(b *testing.B) {
 	for _, m := range []*lattice.Model{lattice.D3Q19(), lattice.D3Q39()} {

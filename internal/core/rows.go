@@ -1,7 +1,12 @@
 package core
 
 // The pair kernels' row primitives: every loop of the pair passes
-// (collide.go) is one of these elementwise operations over a run's rows.
+// (collide.go) is one of these elementwise operations over a run's rows —
+// the moment pass (sum, moments1–3), the shared rows (velocity, scale),
+// a pair's q (comb2, comb3), and per pair one relax: BGK's relax0/2/3,
+// TRT's trt0/2/3, which fuse the pair's equilibria with its even/odd
+// relaxation, or the bare equilibria eq0/2/3 (MRT's feq rows and the
+// initial field).
 // Each has one Go body here — the reference, and what every rung but SIMD
 // runs, called directly so that the compiler inlines the small ones — and
 // the SIMD rung calls a vector body per primitive instead where the host
@@ -32,6 +37,9 @@ type rowOps struct {
 	eq0      func(f, t, base []float64) // the rest velocity: f = t·base
 	eq2      func(fi, fj, t, base, q []float64, half float64)
 	eq3      func(fi, fj, t, base, q []float64, half, sixth float64)
+	trt0     func(d, s, t, base []float64, wp float64) // the rest velocity: d = s − ω⁺·(s − t·base)
+	trt2     func(di, dj, si, sj, t, base, q []float64, half, wp, wm float64)
+	trt3     func(di, dj, si, sj, t, base, q []float64, half, sixth, wp, wm float64)
 }
 
 // simdRows are the vector bodies the SIMD rung calls, nil where this
@@ -178,5 +186,50 @@ func eq3(fi, fj, t, base, q []float64, half, sixth float64) {
 	for z := range fi {
 		even, odd := pairEq(true, base[z], q[z], half, sixth)
 		fi[z], fj[z] = t[z]*(even+odd), t[z]*(even-odd)
+	}
+}
+
+// The TRT primitives relax a pair at ω⁺ = wp (even part) and ω⁻ = wm (odd
+// part) against its equilibria t·(even ± odd), formed in registers: the
+// IEEE operations of eq0/eq2/eq3 followed by those of
+// collision.(*trtOp).RelaxRows, in the same association, so a row relaxed
+// here has the bits of eqRows + RelaxRows without the feq rows between
+// them. The float64 conversions keep each equilibrium rounded on its own,
+// as the stored feq row was, on back ends that fuse a multiply-add.
+
+func trt0(d, s, t, base []float64, wp float64) {
+	n := len(d)
+	s, t, base = s[:n], t[:n], base[:n]
+	for z := range d {
+		v, e := s[z], float64(t[z]*base[z])
+		d[z] = v - wp*(v-e)
+	}
+}
+
+// trtPair is RelaxRows' arithmetic for one cell of a pair (vi, vj) with
+// equilibria (ei, ej); half is ½, its constant 0.5.
+func trtPair(vi, vj, ei, ej, half, wp, wm float64) (di, dj float64) {
+	dP := wp * (half * ((vi + vj) - (ei + ej)))
+	dM := wm * (half * ((vi - vj) - (ei - ej)))
+	return vi - (dP + dM), vj - (dP - dM)
+}
+
+func trt2(di, dj, si, sj, t, base, q []float64, half, wp, wm float64) {
+	n := len(di)
+	dj, si, sj, t, base, q = dj[:n], si[:n], sj[:n], t[:n], base[:n], q[:n]
+	for z := range di {
+		even, odd := pairEq(false, base[z], q[z], half, 0)
+		ei, ej := float64(t[z]*(even+odd)), float64(t[z]*(even-odd))
+		di[z], dj[z] = trtPair(si[z], sj[z], ei, ej, half, wp, wm)
+	}
+}
+
+func trt3(di, dj, si, sj, t, base, q []float64, half, sixth, wp, wm float64) {
+	n := len(di)
+	dj, si, sj, t, base, q = dj[:n], si[:n], sj[:n], t[:n], base[:n], q[:n]
+	for z := range di {
+		even, odd := pairEq(true, base[z], q[z], half, sixth)
+		ei, ej := float64(t[z]*(even+odd)), float64(t[z]*(even-odd))
+		di[z], dj[z] = trtPair(si[z], sj[z], ei, ej, half, wp, wm)
 	}
 }

@@ -18,6 +18,7 @@ func init() {
 			velocity: velocityAVX2, scale: scaleAVX2, comb2: comb2AVX2, comb3: comb3AVX2,
 			relax0: relax0AVX2, relax2: relax2AVX2, relax3: relax3AVX2,
 			eq0: eq0AVX2, eq2: eq2AVX2, eq3: eq3AVX2,
+			trt0: trt0AVX2, trt2: trt2AVX2, trt3: trt3AVX2,
 		}
 	}
 }
@@ -71,6 +72,15 @@ func eq2x4(fi, fj, t, base, q []float64, half float64)
 
 //go:noescape
 func eq3x4(fi, fj, t, base, q []float64, half, sixth float64)
+
+//go:noescape
+func trt0x4(d, s, t, base []float64, wp float64)
+
+//go:noescape
+func trt2x4(di, dj, si, sj, t, base, q []float64, half, wp, wm float64)
+
+//go:noescape
+func trt3x4(di, dj, si, sj, t, base, q []float64, half, sixth, wp, wm float64)
 
 func sumAVX2(acc, s []float64) {
 	n := len(acc) &^ 3
@@ -182,4 +192,28 @@ func eq3AVX2(fi, fj, t, base, q []float64, half, sixth float64) {
 		eq3(fi[n:], fj[n:], t[n:], base[n:], q[n:], half, sixth)
 	}
 	eq3x4(fi[:n], fj[:n], t[:n], base[:n], q[:n], half, sixth)
+}
+
+func trt0AVX2(d, s, t, base []float64, wp float64) {
+	n := len(d) &^ 3
+	if n < len(d) {
+		trt0(d[n:], s[n:], t[n:], base[n:], wp)
+	}
+	trt0x4(d[:n], s[:n], t[:n], base[:n], wp)
+}
+
+func trt2AVX2(di, dj, si, sj, t, base, q []float64, half, wp, wm float64) {
+	n := len(di) &^ 3
+	if n < len(di) {
+		trt2(di[n:], dj[n:], si[n:], sj[n:], t[n:], base[n:], q[n:], half, wp, wm)
+	}
+	trt2x4(di[:n], dj[:n], si[:n], sj[:n], t[:n], base[:n], q[:n], half, wp, wm)
+}
+
+func trt3AVX2(di, dj, si, sj, t, base, q []float64, half, sixth, wp, wm float64) {
+	n := len(di) &^ 3
+	if n < len(di) {
+		trt3(di[n:], dj[n:], si[n:], sj[n:], t[n:], base[n:], q[n:], half, sixth, wp, wm)
+	}
+	trt3x4(di[:n], dj[:n], si[:n], sj[:n], t[:n], base[:n], q[:n], half, sixth, wp, wm)
 }

@@ -466,3 +466,136 @@ e3loop:
 	VZEROUPPER
 e3done:
 	RET
+
+// func trt0x4(d, s, t, base []float64, wp float64)
+TEXT ·trt0x4(SB), NOSPLIT, $0-104
+	MOVQ d_base+0(FP), DI
+	MOVQ d_len+8(FP), CX
+	MOVQ s_base+24(FP), SI
+	MOVQ t_base+48(FP), DX
+	MOVQ base_base+72(FP), R8
+	XORQ AX, AX
+	TESTQ CX, CX
+	JEQ  t0done
+	VBROADCASTSD wp+96(FP), Y14
+t0loop:
+	VMOVUPD (SI)(AX*8), Y0     // v
+	VMOVUPD (DX)(AX*8), Y1
+	VMULPD  (R8)(AX*8), Y1, Y1 // e = t·base
+	VSUBPD  Y1, Y0, Y1         // v − e
+	VMULPD  Y14, Y1, Y1        // ω⁺·(v − e)
+	VSUBPD  Y1, Y0, Y0
+	VMOVUPD Y0, (DI)(AX*8)
+	ADDQ $4, AX
+	CMPQ AX, CX
+	JLT  t0loop
+	VZEROUPPER
+t0done:
+	RET
+
+// func trt2x4(di, dj, si, sj, t, base, q []float64, half, wp, wm float64)
+TEXT ·trt2x4(SB), NOSPLIT, $0-192
+	MOVQ di_base+0(FP), DI
+	MOVQ di_len+8(FP), CX
+	MOVQ dj_base+24(FP), R8
+	MOVQ si_base+48(FP), SI
+	MOVQ sj_base+72(FP), DX
+	MOVQ t_base+96(FP), R9
+	MOVQ base_base+120(FP), R10
+	MOVQ q_base+144(FP), R11
+	XORQ AX, AX
+	TESTQ CX, CX
+	JEQ  t2done
+	VBROADCASTSD half+168(FP), Y12
+	VBROADCASTSD wp+176(FP), Y14
+	VBROADCASTSD wm+184(FP), Y15
+t2loop:
+	VMOVUPD (R11)(AX*8), Y0     // q = odd
+	VMULPD  Y0, Y0, Y1          // q²
+	VMULPD  Y12, Y1, Y1         // q²·½
+	VADDPD  (R10)(AX*8), Y1, Y1 // even = base + q²·½
+	VMOVUPD (R9)(AX*8), Y2      // t
+	VADDPD  Y0, Y1, Y3          // even + odd
+	VSUBPD  Y0, Y1, Y4          // even − odd
+	VMULPD  Y2, Y3, Y3          // ei
+	VMULPD  Y2, Y4, Y4          // ej
+	VMOVUPD (SI)(AX*8), Y5      // vi
+	VMOVUPD (DX)(AX*8), Y6      // vj
+	VADDPD  Y6, Y5, Y7          // vi + vj
+	VADDPD  Y4, Y3, Y8          // ei + ej
+	VSUBPD  Y8, Y7, Y7
+	VMULPD  Y12, Y7, Y7
+	VMULPD  Y14, Y7, Y7         // dP = ω⁺·(½·((vi + vj) − (ei + ej)))
+	VSUBPD  Y6, Y5, Y8          // vi − vj
+	VSUBPD  Y4, Y3, Y9          // ei − ej
+	VSUBPD  Y9, Y8, Y8
+	VMULPD  Y12, Y8, Y8
+	VMULPD  Y15, Y8, Y8         // dM = ω⁻·(½·((vi − vj) − (ei − ej)))
+	VADDPD  Y8, Y7, Y9          // dP + dM
+	VSUBPD  Y8, Y7, Y10         // dP − dM
+	VSUBPD  Y9, Y5, Y5
+	VSUBPD  Y10, Y6, Y6
+	VMOVUPD Y5, (DI)(AX*8)
+	VMOVUPD Y6, (R8)(AX*8)
+	ADDQ $4, AX
+	CMPQ AX, CX
+	JLT  t2loop
+	VZEROUPPER
+t2done:
+	RET
+
+// func trt3x4(di, dj, si, sj, t, base, q []float64, half, sixth, wp, wm float64)
+TEXT ·trt3x4(SB), NOSPLIT, $0-200
+	MOVQ di_base+0(FP), DI
+	MOVQ di_len+8(FP), CX
+	MOVQ dj_base+24(FP), R8
+	MOVQ si_base+48(FP), SI
+	MOVQ sj_base+72(FP), DX
+	MOVQ t_base+96(FP), R9
+	MOVQ base_base+120(FP), R10
+	MOVQ q_base+144(FP), R11
+	XORQ AX, AX
+	TESTQ CX, CX
+	JEQ  t3done
+	VBROADCASTSD half+168(FP), Y12
+	VBROADCASTSD sixth+176(FP), Y13
+	VBROADCASTSD wp+184(FP), Y14
+	VBROADCASTSD wm+192(FP), Y15
+t3loop:
+	VMOVUPD (R11)(AX*8), Y0     // q
+	VMOVUPD (R10)(AX*8), Y9     // base
+	VMULPD  Y0, Y0, Y1          // q²
+	VMULPD  Y13, Y1, Y8         // q²·⅙
+	VADDPD  Y8, Y9, Y8          // base + q²·⅙
+	VMULPD  Y8, Y0, Y8          // odd = q·(base + q²·⅙)
+	VMULPD  Y12, Y1, Y1
+	VADDPD  Y1, Y9, Y1          // even = base + q²·½
+	VMOVUPD (R9)(AX*8), Y2      // t
+	VADDPD  Y8, Y1, Y3          // even + odd
+	VSUBPD  Y8, Y1, Y4          // even − odd
+	VMULPD  Y2, Y3, Y3          // ei
+	VMULPD  Y2, Y4, Y4          // ej
+	VMOVUPD (SI)(AX*8), Y5      // vi
+	VMOVUPD (DX)(AX*8), Y6      // vj
+	VADDPD  Y6, Y5, Y7
+	VADDPD  Y4, Y3, Y8
+	VSUBPD  Y8, Y7, Y7
+	VMULPD  Y12, Y7, Y7
+	VMULPD  Y14, Y7, Y7         // dP
+	VSUBPD  Y6, Y5, Y8
+	VSUBPD  Y4, Y3, Y9
+	VSUBPD  Y9, Y8, Y8
+	VMULPD  Y12, Y8, Y8
+	VMULPD  Y15, Y8, Y8         // dM
+	VADDPD  Y8, Y7, Y9
+	VSUBPD  Y8, Y7, Y10
+	VSUBPD  Y9, Y5, Y5          // vi − (dP + dM)
+	VSUBPD  Y10, Y6, Y6         // vj − (dP − dM)
+	VMOVUPD Y5, (DI)(AX*8)
+	VMOVUPD Y6, (R8)(AX*8)
+	ADDQ $4, AX
+	CMPQ AX, CX
+	JLT  t3loop
+	VZEROUPPER
+t3done:
+	RET

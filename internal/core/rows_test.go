@@ -24,6 +24,7 @@ var goRows = rowOps{
 	velocity: velocityRows, scale: scaleRow, comb2: comb2, comb3: comb3,
 	relax0: relax0, relax2: relax2, relax3: relax3,
 	eq0: eq0, eq2: eq2, eq3: eq3,
+	trt0: trt0, trt2: trt2, trt3: trt3,
 }
 
 var rowPrims = []rowPrim{
@@ -58,6 +59,15 @@ var rowPrims = []rowPrim{
 	{"eq2", 2, 3, 1, nil, func(r *rowOps, o, i [][]float64, k []float64) { r.eq2(o[0], o[1], i[0], i[1], i[2], k[0]) }},
 	{"eq3", 2, 3, 2, nil, func(r *rowOps, o, i [][]float64, k []float64) {
 		r.eq3(o[0], o[1], i[0], i[1], i[2], k[0], k[1])
+	}},
+	{"trt0", 1, 3, 1, [][2]int{{0, 0}}, func(r *rowOps, o, i [][]float64, k []float64) {
+		r.trt0(o[0], i[0], i[1], i[2], k[0])
+	}},
+	{"trt2", 2, 5, 3, [][2]int{{0, 0}, {1, 1}}, func(r *rowOps, o, i [][]float64, k []float64) {
+		r.trt2(o[0], o[1], i[0], i[1], i[2], i[3], i[4], k[0], k[1], k[2])
+	}},
+	{"trt3", 2, 5, 4, [][2]int{{0, 0}, {1, 1}}, func(r *rowOps, o, i [][]float64, k []float64) {
+		r.trt3(o[0], o[1], i[0], i[1], i[2], i[3], i[4], k[0], k[1], k[2], k[3])
 	}},
 }
 

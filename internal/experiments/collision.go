@@ -76,7 +76,7 @@ func CollisionTable(modelName string) (*Table, error) {
 	t.Notes = append(t.Notes,
 		"viscosity is set by the shear rate 1/tau alone: all operators hit the same nu within tolerance",
 		fmt.Sprintf("stability column: %d steps of an under-resolved L=%d cavity at tau=0.51 (Re=1000); BGK's divergence is the tau->1/2 wall TRT/MRT remove", stabSteps, stabL),
-		"BGK runs the pair-symmetric row kernel; trt/mrt relax whole rows through the operator row kernel")
+		"BGK runs the pair-symmetric row kernel; trt runs it with fused even/odd pair relaxes; mrt relaxes whole rows through its operator row kernel")
 	return t, nil
 }
 
