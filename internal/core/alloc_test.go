@@ -15,8 +15,8 @@ import (
 // core.mallocs_per_step: a run of 3N steps may allocate no more than a run
 // of N steps does, beyond one object and 4 KiB per extra step. Everything
 // a step touches — message slots, pending queues, pool batches, chunk
-// lists, bound kernels — is built in set-up or on first use and then
-// reused. How many slots a pair's pool ends up holding (one exchange's or
+// lists, bound kernels, the row body's spans — is built in set-up or on
+// first use and then reused. How many slots a pair's pool ends up holding (one exchange's or
 // two) depends on how far one rank ran ahead of the other, so the runs
 // share a fabric whose pools are stocked beforehand with more face-sized
 // slots than a run can have in flight: what is left is the steps' own.
@@ -28,6 +28,8 @@ func TestStepAllocatesNothing(t *testing.T) {
 	vessel := grid.Dims{NX: 48, NY: 24, NZ: 24}
 	cavity := grid.Dims{NX: 32, NY: 32, NZ: 32}
 	channel := grid.Dims{NX: 32, NY: 16, NZ: 4}
+	periodic := grid.Dims{NX: 16, NY: 16, NZ: 24}
+	flat := grid.Dims{NX: 32, NY: 32, NZ: 2}
 	for _, c := range []struct {
 		name string
 		cfg  Config
@@ -39,6 +41,11 @@ func TestStepAllocatesNothing(t *testing.T) {
 			Solid: geom.Bifurcation(vessel, 0.1*float64(vessel.NY)), Accel: [3]float64{1e-5, 0, 0},
 			Sparse: true, Balance: BalanceFluid, Init: waveInit(vessel)}},
 		{"cavity-trt-2t", Config{Model: q19, N: cavity, Tau: 0.7, Opt: OptSIMD, Ranks: 1, Threads: 2,
+			Collision: collision.Spec{Kind: collision.TRT}, Boundary: CavitySpec(0.05)}},
+		// The sweep's spans: of views of f on a periodic box, and on
+		// 2-cell z rows, where one span holds an x-plane's 32 rows.
+		{"periodic-q19-simd", Config{Model: q19, N: periodic, Tau: 0.8, Opt: OptSIMD, Ranks: 1, Threads: 1, Init: waveInit(periodic)}},
+		{"cavity-nz2-trt-simd", Config{Model: q19, N: flat, Tau: 0.7, Opt: OptSIMD, Ranks: 1, Threads: 1,
 			Collision: collision.Spec{Kind: collision.TRT}, Boundary: CavitySpec(0.05)}},
 		// A pressure outlet is refilled every step, on every path.
 		{"channel-cylinder-outlet", Config{Model: q19, N: channel, Tau: 0.7, Opt: OptGCC, Ranks: 2, Threads: 1,

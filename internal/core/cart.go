@@ -17,15 +17,15 @@ package core
 //
 // Every rung streams with the form stream.go selects for it — a pass of its
 // own that fills fadv, or row by row in the gather sweep (fused, AA) — and
-// then advances each row through the one row body of gather.go: links, the
-// row kernel collide.go selects, sponge. So 1-D and 3-D runs agree bit for
-// bit. On two fields every path computes the next state in fadv and the
-// fields swap when the step is done: the state f is never written
-// mid-step. NB-C and above switch the per-axis exchange to the
-// posted-receive protocol; GC-C and above run the phased overlapped
-// schedule of schedule.go (interior box while messages fly, per-axis rims
-// after each WaitUnpackAxis). The no-ghost Orig protocol (orig.go) rides
-// on the same state with its own step.
+// then advances its rows, in spans of back-to-back rows, through the one
+// row body of gather.go: links, the row kernel collide.go selects, sponge.
+// So 1-D and 3-D runs agree bit for bit. On two fields every path computes
+// the next state in fadv and the fields swap when the step is done: the
+// state f is never written mid-step. NB-C and above switch the per-axis
+// exchange to the posted-receive protocol; GC-C and above run the phased
+// overlapped schedule of schedule.go (interior box while messages fly,
+// per-axis rims after each WaitUnpackAxis). The no-ghost Orig protocol
+// (orig.go) rides on the same state with its own step.
 
 import (
 	"math"

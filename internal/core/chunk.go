@@ -10,12 +10,12 @@ package core
 // Chunks split a box along the longer of its x and y extents. The z axis
 // is deliberately never split: on a wrap axis the stream kernels move
 // whole z-lines as cyclic rotations (a sub-range of a rotation is not a
-// rotation), and the row-structured kernels amortize their setup over full
-// z-runs. Every rim shape is thin on at most one axis, so x/y chunking
-// always leaves a long axis to cut. Chunking is bit-exact at any thread
-// count: all kernels compute each (x, y) row independently, so
-// partitioning rows changes only which worker computes them, never the
-// arithmetic.
+// rotation), and the row body amortizes its setup over spans of full z
+// rows (gather.go), which a z cut would break at every row. Every rim
+// shape is thin on at most one axis, so x/y chunking always leaves a long
+// axis to cut. Chunking is bit-exact at any thread count: all kernels
+// compute each (x, y) row independently, so partitioning rows changes only
+// which worker computes them, never the arithmetic.
 
 import (
 	"repro/internal/collision"
@@ -255,22 +255,23 @@ func appendBoxChunks(dst []box, b box, chunkCells int) []box {
 // loops paid on every block of every step.
 type workerScratch struct {
 	fc     []float64   // Q-length per-cell gather buffer
-	rb     rowBufs     // z-run moment accumulators (capacity NZ)
-	vrows  [][]float64 // Q z-row buffers: operator feq rows / profiled inlet rows
+	rb     rowBufs     // span moment accumulators (capacity nzCap)
+	vrows  [][]float64 // Q span buffers: operator feq rows / profiled inlet rows
 	vstore []float64
-	nzCap  int
+	nzCap  int                // cells every span buffer holds: max(NZ, spanCells)
 	sv, dv [][]float64        // per-velocity slice headers for rowViews: rows relaxed or read in place / the sweep's out rows
 	op     collision.Operator // per-worker operator clone; nil for plain BGK
 	feqR   []float64          // Q-length equilibrium buffer (face fills)
-	sig    []float64          // NZ-length sponge factor row
+	sig    []float64          // span-length sponge factor row
 	bad    int                // initRows: global index + 1 of the first invalid initial state met, 0 for none
 
-	// Gathered row stores: the gather sweep pulls a row's populations into
-	// gin and — where it scatters — collides into gout (gather.go); the
-	// split path's AoS rows transpose through gin. Their own storage: a row kernel
-	// may use vrows while it reads gin.
+	// Gathered span stores: the gather sweep pulls a span's populations
+	// into gin and — where it scatters — collides into gout (gather.go);
+	// the split path's AoS spans transpose through gin. Their own storage:
+	// a row kernel may use vrows while it reads gin.
 	gin, gout     [][]float64
 	ginSt, goutSt []float64
+	span          []spanRow // the row body's open span (capacity nzCap rows)
 }
 
 // gathered re-slices the worker's gathered-in rows to length zn (≤ nzCap).
@@ -289,8 +290,8 @@ func (sc *workerScratch) scattered(zn int) [][]float64 {
 	return sc.gout
 }
 
-// rows returns the worker's Q row buffers re-sliced to a z-run of length
-// zn (zn ≤ nzCap).
+// rows returns the worker's Q row buffers re-sliced to a run of length zn
+// (zn ≤ nzCap).
 func (sc *workerScratch) rows(zn int) [][]float64 {
 	for v := range sc.vrows {
 		sc.vrows[v] = sc.vstore[v*sc.nzCap : v*sc.nzCap+zn]
@@ -298,11 +299,13 @@ func (sc *workerScratch) rows(zn int) [][]float64 {
 	return sc.vrows
 }
 
-// newScratches allocates one scratch slot per pool worker. op, when
-// non-nil, is cloned per worker (operators share read-only tables but
-// carry private relaxation scratch).
+// newScratches allocates one scratch slot per pool worker, its span
+// buffers sized for the local field's z rows of nz cells and for spans of
+// spanCells. op, when non-nil, is cloned per worker (operators share
+// read-only tables but carry private relaxation scratch).
 func newScratches(threads, q, nz int, op collision.Operator) []*workerScratch {
 	out := make([]*workerScratch, threads)
+	nz = max(nz, spanCells)
 	for w := range out {
 		sc := &workerScratch{
 			fc:     make([]float64, q),
@@ -318,6 +321,7 @@ func newScratches(threads, q, nz int, op collision.Operator) []*workerScratch {
 			gout:   make([][]float64, q),
 			ginSt:  make([]float64, q*nz),
 			goutSt: make([]float64, q*nz),
+			span:   make([]spanRow, 0, nz),
 		}
 		if op != nil {
 			sc.op = op.Clone()

@@ -2,22 +2,23 @@ package core
 
 // The collision arithmetic of the whole solver: every rung of the paper's
 // ladder is one row kernel here, and every path — split, fused, AA — calls
-// the one its rung and operator select. A row kernel relaxes one
-// z-run of zn cells from per-velocity row views in[v] into out[v]
+// the one its rung and operator select. A row kernel relaxes one span of
+// zn cells — the back-to-back rows the row body (gather.go) relaxes in one
+// call — from per-velocity row views in[v] into out[v]
 // (f ← f_adv − ω(f_adv − f_eq(ρ,u)), the structure of the paper's Fig. 4);
 // the callers differ only in how they form the views:
 //
-//   - split: the row body's (gather.go) z-runs of fadv, in = out, relaxed
-//     where the stream left them — full rows dense, fluid runs under sparse traversal (AoS
-//     gathers and scatters through the worker's scratch rows — Orig/GC
-//     layout ablation only);
-//   - the gather sweep (gather.go): the worker's gathered rows → rows of
-//     the next state (fused, AA's odd sub-step) or the worker's out rows
-//     (AA's even sub-step, which scatters them).
+//   - split: the row body's spans of fadv, in = out, relaxed where the
+//     stream left them — full rows dense, fluid runs under sparse
+//     traversal (AoS gathers and scatters through the worker's scratch
+//     rows — Orig/GC layout ablation only);
+//   - the gather sweep (gather.go): a span's upwind rows, gathered or
+//     viewed in place → rows of the next state (fused, AA's odd sub-step)
+//     or the worker's out rows (AA's even sub-step, which scatters them).
 //
 // Every kernel treats each z independently and reads a cell's in values
-// before writing its out values, so a run may be any sub-interval of a row
-// and in may alias out row-for-row. The kernels differ in loop order,
+// before writing its out values, so a span may be any sub-interval of a
+// row or any run of back-to-back rows, and in may alias out row-for-row. The kernels differ in loop order,
 // specialization and arithmetic shape, never in the math.
 //
 // Operators other than BGK have kernels of their own: TRT runs the pair
@@ -187,9 +188,9 @@ func velocityPairs(m *lattice.Model) (ps []velPair, weights []float64) {
 	return ps, weights
 }
 
-// rowBufs are the z-line scratch rows of the row kernels, allocated once
-// per worker (workerScratch) at the local field's NZ and re-sliced to each
-// call's run length.
+// rowBufs are the scratch rows of the row kernels, allocated once per
+// worker (workerScratch) at its span capacity, max(NZ, spanCells), and
+// re-sliced to each call's span length.
 type rowBufs struct {
 	rho []float64
 	// Per axis: the momentum j_a as the moment pass accumulates it, which
@@ -219,8 +220,8 @@ func newRowBufs(nz, q int) rowBufs {
 	return b
 }
 
-// rowViews points the slice headers hdr at the z-run [base, base+zn) of
-// every velocity block of the SoA field f.
+// rowViews points the slice headers hdr at the cells [base, base+zn) — a
+// run or a span — of every velocity block of the SoA field f.
 func rowViews(hdr [][]float64, f *grid.Field, base, zn int) [][]float64 {
 	for v := range hdr {
 		hdr[v] = f.V(v)[base : base+zn]

@@ -81,7 +81,9 @@ func BenchmarkStreamKernels(b *testing.B) {
 // three view shapes its callers form: in-place full rows (slab and dense
 // box), 16-cell z-runs (the short runs sparse traversal feeds it), and
 // gathered scratch rows (the gather sweep: in and out cache-resident) — and
-// on one floorCells-long row of its own, the kernel's compute floor.
+// on one floorCells-long row of its own, the kernel's compute floor, and
+// one spanCells-long row, a full span of the row body: against run16 and
+// gathered96, what a relax call's set-up costs per cell.
 func benchRowKernel(b *testing.B, name string, c *collider, src, dst *grid.Field) {
 	d := src.D
 	nz, cells := d.NZ, d.Cells()
@@ -93,6 +95,7 @@ func benchRowKernel(b *testing.B, name string, c *collider, src, dst *grid.Field
 	rng := rand.New(rand.NewSource(1))
 	fsc := newScratches(1, src.Q, floorCells, c.op)[0]
 	fin, fout := randomRows(rng, c.model, floorCells), randomRows(rng, c.model, floorCells)
+	sin, sout := randomRows(rng, c.model, spanCells), randomRows(rng, c.model, spanCells)
 	shapes := []struct {
 		name  string
 		cells int
@@ -114,6 +117,7 @@ func benchRowKernel(b *testing.B, name string, c *collider, src, dst *grid.Field
 			}
 		}},
 		{"gathered96", floorCells, func() { c.relax(fsc, fin, fout, floorCells) }},
+		{"span384", spanCells, func() { c.relax(fsc, sin, sout, spanCells) }},
 	}
 	for _, sh := range shapes {
 		b.Run(name+"/"+sh.name, func(b *testing.B) {
@@ -194,12 +198,15 @@ func BenchmarkFusedKernel(b *testing.B) {
 	}
 }
 
-// gatherRow on one cache-resident row of two benchmark problems, on one
-// thread: periodic-q19's D3Q19 slab and halo-q39's D3Q39 slab rank, both a
-// 96-cell z row with ghosts on x only (y and z wrap). views reads the
-// plain-slice upwind rows of f in place, as the two-field sweep does;
-// copy gathers every row into the worker's rows first, as AA must. The
-// difference is what the views save per cell.
+// The row body (gatherSpan) on cache-resident rows of two benchmark
+// problems, on one thread: periodic-q19's D3Q19 slab and halo-q39's D3Q39
+// slab rank, 96-cell z rows with ghosts on x only (y and z wrap). row is a
+// span of one row, what a row costs that cannot join its neighbours (z
+// ghosts); span the full span of spanCells/96 consecutive rows of an
+// x-plane, one relax call for all of them. views reads the plain-slice
+// upwind rows of f in place, as the two-field sweep does; copy gathers
+// every row into the worker's rows first, as AA must. The difference is
+// what the views save per cell.
 func BenchmarkGatherRow(b *testing.B) {
 	for _, m := range []*lattice.Model{lattice.D3Q19(), lattice.D3Q39()} {
 		cs := buildStepper(b, Config{
@@ -208,20 +215,27 @@ func BenchmarkGatherRow(b *testing.B) {
 		})
 		cs.initField()
 		cs.refreshAxes([3]bool{true, true, true})
-		sc, ix, iy := cs.scratch[0], cs.w[0]+cs.own[0]/2, cs.own[1]/2
-		nz, base := cs.d.NZ, cs.d.Index(ix, iy, 0)
-		for _, views := range []bool{false, true} {
-			name := m.Name + "/copy"
-			if views {
-				name = m.Name + "/views"
-			}
-			b.Run(name, func(b *testing.B) {
-				cs.views = views
-				for i := 0; i < b.N; i++ {
-					cs.gatherRow(sc, ix, iy, 0, nz, base)
+		sc, ix, nz := cs.scratch[0], cs.w[0]+cs.own[0]/2, cs.d.NZ
+		for _, shape := range []struct {
+			name string
+			rows int
+		}{{"row", 1}, {"span", spanCells / nz}} {
+			for _, views := range []bool{false, true} {
+				name := m.Name + "/" + shape.name + "/copy"
+				if views {
+					name = m.Name + "/" + shape.name + "/views"
 				}
-				reportCellRate(b, nz)
-			})
+				b.Run(name, func(b *testing.B) {
+					cs.views = views
+					for i := 0; i < b.N; i++ {
+						for iy := 2; iy < 2+shape.rows; iy++ {
+							sc.span = append(sc.span, spanRow{ix: ix, iy: iy, zn: nz, base: cs.d.Index(ix, iy, 0)})
+						}
+						cs.gatherSpan(sc)
+					}
+					reportCellRate(b, shape.rows*nz)
+				})
+			}
 		}
 		cs.close()
 	}

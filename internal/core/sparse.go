@@ -9,7 +9,8 @@ package core
 // row-structured kernel and the address space of the fields.
 //
 // Traversal: the kernels' per-row arithmetic is strictly per-z
-// independent (the §8 row contract, which also covers sub-row splits), so
+// independent (the §8 row contract, which also covers sub-row splits and
+// spans of several rows), so
 // restricting a row to its fluid runs changes which cells are computed,
 // never the values at the cells that are: sparse matches dense
 // bit-for-bit on every fluid cell, at any thread count. Rows with no
@@ -18,8 +19,10 @@ package core
 //
 // Storage: each velocity block holds exactly the cells of the rank's
 // fluid runs over its ghosted local box, runs back to back in run order
-// (rows x-major then y, z ascending). A run is contiguous in z, so the row
-// kernels of collide.go run unchanged on views of it. Solid cells have no
+// (rows x-major then y, z ascending). A run is contiguous in z and ends
+// where the next one starts, so the row body (gather.go) joins a box's
+// consecutive runs into spans and the row kernels of collide.go run
+// unchanged on views of them. Solid cells have no
 // storage. Nothing ever consumes a value at a solid site — the fixup
 // index replaces every population streamed out of a solid cell at its
 // fluid destination from the fluid cell's own populations — so the one
