@@ -13,9 +13,10 @@ import (
 )
 
 // Fluid-compact storage tests: under the run index the fields hold the
-// fluid runs and nothing else, and at/clip are the only map from lattice
-// coordinates to field offsets. The address map is pinned as a property
-// over random masks; the kernels that ride on it are pinned on a geometry
+// fluid runs and nothing else, and at/clip map lattice coordinates to
+// field offsets. The address map is pinned as a property over random
+// masks, the sparse stream (which walks the index without them) against
+// at; the kernels that ride on it are pinned on a geometry
 // whose rows carry several runs each — the vessel masks of sparse_test.go
 // have exactly one run per row, which leaves every "source interval spans
 // runs / starts in a gap / ends in a ghost layer" branch of the clip
@@ -253,6 +254,91 @@ func TestAddressMapProperties(t *testing.T) {
 			for ; z < b; z++ {
 				if _, ok := ri.at(ix, iy, z); ok {
 					t.Fatalf("trial %d: clip(%d,%d,[%d,%d)) dropped fluid cell z=%d", trial, ix, iy, a, b, z)
+				}
+			}
+		}
+	}
+}
+
+// TestStreamRunsCopiesStoredUpwind holds the sparse stream kernel to the
+// address map: with f distinct everywhere and fadv poisoned, one
+// streamRuns call over box b leaves, at every stored cell of the local
+// box, f's value at the upwind cell when the cell is inside b and its
+// upwind cell is stored, and the poison otherwise. at is the oracle. The
+// boxes cover the owned box, a z cut whose ends lie inside runs, the
+// depth-2 destination box reaching into the ghosts, and the outermost
+// ghost x-plane, whose upwind rows lie outside the local box. Every fluid
+// row of the multi-run geometry holds two runs or more, so the vessel,
+// where most rows hold one, covers the kernel's one-run case.
+func TestStreamRunsCopiesStoredUpwind(t *testing.T) {
+	for _, m := range []*lattice.Model{lattice.D3Q19(), lattice.D3Q39()} {
+		k := m.MaxSpeed
+		w := 2 * k // GhostDepth 2, ghosts on every axis
+		multi := grid.Dims{NX: 24 * k, NY: 8 * k, NZ: 12 * k}
+		vessel := grid.Dims{NX: 32, NY: 16, NZ: 16}
+		nz := multi.NZ + 2*w
+		for _, g := range []struct {
+			name string
+			n    grid.Dims
+			mask *geom.Mask
+			zcut [2]int // local z: through each tube, or the vessel's middle
+		}{
+			{"multi-run", multi, multiRunMask(multi, k), [2]int{nz / 4, 3 * nz / 4}},
+			{"vessel", vessel, sparseTestMask(vessel), [2]int{w + vessel.NZ/2 - 1, w + vessel.NZ/2 + 1}},
+		} {
+			name := m.Name + " " + g.name
+			cs := buildStepper(t, Config{
+				Model: m, N: g.n, Tau: 0.8, Opt: OptGCC, Ranks: 1, Threads: 1, GhostDepth: 2,
+				Solid: g.mask, Sparse: true,
+			})
+			d := cs.d
+			zcut := cs.ownedBox()
+			zcut.lo[2], zcut.hi[2] = g.zcut[0], g.zcut[1]
+			var cutLo, cutHi bool
+			for _, ru := range cs.runs {
+				cutLo = cutLo || int(ru.lo) < zcut.lo[2] && zcut.lo[2] < int(ru.hi)
+				cutHi = cutHi || int(ru.lo) < zcut.hi[2] && zcut.hi[2] < int(ru.hi)
+			}
+			if !cutLo || !cutHi {
+				t.Fatalf("%s: z cut [%d, %d) starts inside a run %v, ends inside one %v; want both", name, zcut.lo[2], zcut.hi[2], cutLo, cutHi)
+			}
+			for i := range cs.f.Data {
+				cs.f.Data[i] = float64(i + 1)
+			}
+			for _, c := range []struct {
+				name string
+				b    box
+			}{
+				{"owned", cs.ownedBox()},
+				{"z cut", zcut},
+				{"deep halo", cs.boxFor(cs.w)},
+				{"ghost rim", box{hi: [3]int{1, d.NY, d.NZ}}},
+			} {
+				for i := range cs.fadv.Data {
+					cs.fadv.Data[i] = math.NaN()
+				}
+				cs.streamRuns(0, c.b)
+				for v := 0; v < m.Q; v++ {
+					src, dst := cs.f.V(v), cs.fadv.V(v)
+					for ix := 0; ix < d.NX; ix++ {
+						for iy := 0; iy < d.NY; iy++ {
+							for iz := 0; iz < d.NZ; iz++ {
+								o, ok := cs.at(ix, iy, iz)
+								if !ok {
+									continue
+								}
+								want := math.NaN()
+								in := ix >= c.b.lo[0] && ix < c.b.hi[0] && iy >= c.b.lo[1] && iy < c.b.hi[1] && iz >= c.b.lo[2] && iz < c.b.hi[2]
+								if s, up := cs.at(ix-m.Cx[v], iy-m.Cy[v], iz-m.Cz[v]); in && up {
+									want = src[s]
+								}
+								if got := dst[o]; got != want && !(math.IsNaN(got) && math.IsNaN(want)) {
+									t.Fatalf("%s %s box %v: v=%d cell (%d,%d,%d) holds %g, want %g (in box %v)",
+										name, c.name, c.b, v, ix, iy, iz, got, want, in)
+								}
+							}
+						}
+					}
 				}
 			}
 		}

@@ -55,9 +55,30 @@ func reportCellRate(b *testing.B, cells int) {
 const floorCells = 96
 
 // Streaming kernels (the DH ladder step isolated), each form in both
-// ghost geometries.
+// ghost geometries, and the sparse stream (runs) over fluid-compact
+// fields in ns per stored cell: on the bifurcation mask of
+// BenchmarkSparseStep, and on a z-striped porous mask with a one-cell run
+// every two cells, where the run merge's per-run cost is the whole kernel.
 func BenchmarkStreamKernels(b *testing.B) {
+	masks := []struct {
+		name string
+		mask *geom.Mask
+	}{
+		{"bifurcation", bifurcationBenchMask()},
+		{"porous", geom.FromFunc(benchDims, func(ix, iy, iz int) bool { return iz%2 == 1 })},
+	}
 	for _, m := range []*lattice.Model{lattice.D3Q19(), lattice.D3Q39()} {
+		for _, c := range masks {
+			b.Run(m.Name+"/runs/"+c.name, func(b *testing.B) {
+				cs := benchSparseStepper(b, m, c.mask, true)
+				owned := cs.ownedBox()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					cs.stream(0, owned)
+				}
+				reportCellRate(b, c.mask.Fluids())
+			})
+		}
 		for _, c := range []struct {
 			name string
 			opt  OptLevel

@@ -34,8 +34,12 @@ package core
 // need no dense address either (halo.NewCartExchangerClipped). Gathered
 // into Result.Field, solid cells read as the rest state.
 //
-// at and clip are the only way (ix, iy, iz) becomes a field offset under
-// the run index; forRuns, pull and push are written on them.
+// at and clip map (ix, iy, iz) to a field offset under the run index for
+// set-up, the halo's span lists and the row body's reads; forRuns, pull
+// and push are written on them. The sparse stream (streamRuns) is the one
+// kernel that walks the index itself: it reads run offsets from off and
+// each run's row from row, merging source and destination runs without a
+// search.
 
 import "repro/internal/grid"
 
@@ -48,13 +52,16 @@ type zrun struct {
 // runIndex is the per-row fluid-run CSR over a local box (ghosts
 // included) with the compact address of every run: row r = ix·ny + iy
 // owns runs[runStart[r]:runStart[r+1]], and run i's cells sit at field
-// offsets [off[i], off[i+1]). A nil runStart means no index is installed:
-// the fields are dense and every kernel takes its dense branch.
+// offsets [off[i], off[i+1]). row is the inverse of runStart: run i
+// belongs to row row[i], so a walk over the runs of an x-plane recovers
+// iy = row[i] − ix·ny without a search. A nil runStart means no index is
+// installed: the fields are dense and every kernel takes its dense branch.
 type runIndex struct {
 	nx, ny   int
 	runs     []zrun
 	runStart []int32
 	off      []int32 // len(runs)+1; the last entry is the stored-cell total
+	row      []int32 // len(runs)
 }
 
 // newRunIndex run-length encodes the fluid (false) cells of a z-fastest
@@ -65,6 +72,7 @@ func newRunIndex(nx, ny, nz int, solid []bool) runIndex {
 		fluidRuns(solid[r*nz:(r+1)*nz], func(lo, hi int) {
 			ri.runs = append(ri.runs, zrun{lo: int32(lo), hi: int32(hi)})
 			ri.off = append(ri.off, ri.off[len(ri.off)-1]+int32(hi-lo))
+			ri.row = append(ri.row, int32(r))
 		})
 		ri.runStart[r+1] = int32(len(ri.runs))
 	}

@@ -19,15 +19,22 @@ import (
 	"repro/internal/lattice"
 )
 
-// benchSparseStepper builds a single-rank cart stepper over the
-// bifurcation mask, with or without sparse row-run traversal.
-func benchSparseStepper(b *testing.B, n grid.Dims, sparse bool) *cartStepper {
+// bifurcationBenchMask is the ~95 %-solid vessel the sparse benchmarks
+// run on.
+func bifurcationBenchMask() *geom.Mask {
+	n := grid.Dims{NX: 64, NY: 32, NZ: 32}
+	return geom.Bifurcation(n, 0.1*float64(n.NY))
+}
+
+// benchSparseStepper builds a single-rank GC-C cart stepper over a mask,
+// with or without sparse row-run traversal.
+func benchSparseStepper(b *testing.B, m *lattice.Model, mask *geom.Mask, sparse bool) *cartStepper {
 	b.Helper()
+	n := mask.D
 	cfg := &Config{
-		Model: lattice.D3Q19(), N: n, Tau: 0.8, Steps: 1,
+		Model: m, N: n, Tau: 0.8, Steps: 1,
 		Opt: OptGCC, Ranks: 1, Threads: 1, GhostDepth: 1,
-		Init: waveInit(n), Solid: geom.Bifurcation(n, 0.1*float64(n.NY)),
-		Sparse: sparse,
+		Init: waveInit(n), Solid: mask, Sparse: sparse,
 	}
 	if _, err := cfg.init(); err != nil {
 		b.Fatal(err)
@@ -53,13 +60,13 @@ func benchSparseStepper(b *testing.B, n grid.Dims, sparse bool) *cartStepper {
 }
 
 func BenchmarkSparseStep(b *testing.B) {
-	n := grid.Dims{NX: 64, NY: 32, NZ: 32}
+	mask := bifurcationBenchMask()
 	for _, c := range []struct {
 		name   string
 		sparse bool
 	}{{"dense", false}, {"sparse", true}} {
 		b.Run(c.name, func(b *testing.B) {
-			cs := benchSparseStepper(b, n, c.sparse)
+			cs := benchSparseStepper(b, lattice.D3Q19(), mask, c.sparse)
 			owned := cs.ownedBox()
 			fluid := cs.cfg.Solid.Fluids()
 			b.ResetTimer()

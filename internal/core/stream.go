@@ -122,21 +122,82 @@ func (cs *cartStepper) streamCopyIndexed(worker int, b box) {
 	}
 }
 
-// streamRuns is the sparse form: copy only the fluid runs of each row.
-// Streaming moves values without arithmetic, so the restriction is
-// trivially exact on fluid cells. A destination run's source interval
-// [zlo−cz, zhi−cz) of row (ix−cx, iy−cy) is clipped to the cells that row
-// stores; what the clip leaves out was streamed from a solid cell, which
-// is by definition a bounce-back link of the destination, and the fixup
-// pass that follows overwrites exactly those. Sparse traversal keeps
-// ghosts on every axis, so no source wraps.
+// streamRuns is the sparse form, the data-handling rung (§V.B) on the run
+// index: velocities outermost, and per x-plane of the box one walk over
+// the plane's fluid runs in storage order, with the index arithmetic taken
+// out of the inner loop (§V.D). A run's row id gives its iy without a
+// search, so rows without fluid are never visited and a row's source row
+// (ix−cx, iy−cy) is one read of the source plane's CSR. A destination run,
+// clamped to b's z range, pulls from that row shifted by cz: the source
+// row's runs are merged against the row's destination runs by a pointer
+// that only moves forward (both ascend in z), and each overlap is one copy
+// between compact offsets. Streaming moves values without arithmetic, so
+// the restriction is trivially exact on fluid cells. What the merge
+// leaves unwritten was streamed from a cell without storage — a solid
+// cell, which is by definition a bounce-back link of the destination, or
+// one outside the local box, which lies beyond every box the schedule
+// streams — and the row body's links (gather.go) overwrite exactly those.
+// Sparse traversal keeps ghosts on every axis, so no source wraps.
 func (cs *cartStepper) streamRuns(worker int, b box) {
+	if b.hi[0] <= b.lo[0] || b.hi[1] <= b.lo[1] || b.hi[2] <= b.lo[2] {
+		return
+	}
 	m := cs.model
-	cs.forRuns(b, func(ix, iy, zlo, zhi, base int) {
-		for v := 0; v < m.Q; v++ {
-			cs.pull(cs.fadv.V(v)[base:base+zhi-zlo], cs.f.V(v), ix-m.Cx[v], iy-m.Cy[v], zlo-m.Cz[v])
+	nx, ny := cs.nx, cs.ny
+	runs, off, rows := cs.runs, cs.off, cs.row
+	zlo, zhi := b.lo[2], b.hi[2]
+	for v := 0; v < m.Q; v++ {
+		src, dst := cs.f.V(v), cs.fadv.V(v)
+		cx, cy, cz := m.Cx[v], m.Cy[v], m.Cz[v]
+		for ix := b.lo[0]; ix < b.hi[0]; ix++ {
+			sx := ix - cx
+			if sx < 0 || sx >= nx {
+				continue
+			}
+			// The CSR of the destination and of the source x-plane.
+			dplane := cs.runStart[ix*ny : (ix+1)*ny+1]
+			splane := cs.runStart[sx*ny : (sx+1)*ny+1]
+			for i, end := int(dplane[b.lo[1]]), int(dplane[b.hi[1]]); i < end; {
+				iy := int(rows[i]) - ix*ny
+				iend := int(dplane[iy+1])
+				sy := iy - cy
+				if sy < 0 || sy >= ny {
+					i = iend
+					continue
+				}
+				j, jend := int(splane[sy]), int(splane[sy+1]) // the source row's unmerged runs
+				if iend-i == 1 && jend-j == 1 {
+					// One run in each row, a vessel's common case: the
+					// merge is one intersection.
+					dlo, slo := int(runs[i].lo), int(runs[j].lo)
+					a, e := max(dlo, zlo, slo+cz), min(int(runs[i].hi), zhi, int(runs[j].hi)+cz)
+					if a < e {
+						d, s := int(off[i])+a-dlo, int(off[j])+a-cz-slo
+						copy(dst[d:d+e-a], src[s:s+e-a])
+					}
+					i = iend
+					continue
+				}
+				for ; i < iend; i++ {
+					dlo := int(runs[i].lo)
+					lo, hi := max(dlo, zlo)-cz, min(int(runs[i].hi), zhi)-cz // source z interval
+					if lo >= hi {
+						continue
+					}
+					for j < jend && int(runs[j].hi) <= lo {
+						j++
+					}
+					dbase := int(off[i]) + cz - dlo // field offset of destination z − cz
+					for k := j; k < jend && int(runs[k].lo) < hi; k++ {
+						slo := int(runs[k].lo)
+						a, e := max(slo, lo), min(int(runs[k].hi), hi)
+						s := int(off[k]) + a - slo
+						copy(dst[dbase+a:dbase+e], src[s:s+e-a])
+					}
+				}
+			}
 		}
-	})
+	}
 }
 
 // zShift writes dst[i] = srow[zlo+i−cz], the pull-stream of the z-run
