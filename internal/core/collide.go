@@ -37,6 +37,11 @@ import (
 // ladder's BGK kernels (the equivalence guard for the indirection).
 var testForceOperatorPath bool
 
+// testPlainStores, when set by a test in this package, keeps the SIMD
+// rung's two-field sweep on simdRows: the ordinary stores that
+// simdStreamRows replaces, for benchmarks that price the difference.
+var testPlainStores bool
+
 // collider is the collision state the stepper embeds: the operator, the
 // equilibrium coefficient tables, the forcing shift, and the row kernel
 // chosen for the configuration.
@@ -103,7 +108,13 @@ func (c *collider) init(cfg *Config) error {
 		tau:     cfg.Tau, omega: 1 / cfg.Tau,
 	}
 	if cfg.Opt == OptSIMD {
+		// On the two-field sweep out is the next field; under AA it is the
+		// worker's scatter rows, which push reads straight back, or the
+		// field itself in place: both keep ordinary stores.
 		c.vec = simdRows
+		if cfg.Stream != StreamAA && !testPlainStores {
+			c.vec = simdStreamRows
+		}
 	}
 	c.omc = 1 - c.omega
 	for i := 0; i < m.Q; i++ {
@@ -423,7 +434,9 @@ func (c *collider) pairQ(b *rowBufs, p *velPair, zn int) []float64 {
 }
 
 // relaxPaired is the specialized kernel (CF and above): per pair,
-// out = (1−ω)·f + t·(even ± odd) with t = ω·w·ρ.
+// out = (1−ω)·f + t·(even ± odd) with t = ω·w·ρ. On a table with a fence
+// (simdStreamRows) it ends with the fence, so that its streaming stores
+// are globally visible when it returns; relaxTRT does the same.
 func (c *collider) relaxPaired(sc *workerScratch, in, out [][]float64, zn int) {
 	b := &sc.rb
 	c.pairMoments(b, in, zn)
@@ -452,6 +465,9 @@ func (c *collider) relaxPaired(sc *workerScratch, in, out [][]float64, zn int) {
 				relax2(di, out[p.j], in[p.i], in[p.j], t, b.base, c.pairQ(b, p, zn), c.omc, c.half)
 			}
 		}
+	}
+	if r != nil && r.fence != nil {
+		r.fence()
 	}
 }
 
@@ -490,6 +506,9 @@ func (c *collider) relaxTRT(sc *workerScratch, in, out [][]float64, zn int) {
 				trt2(di, out[p.j], in[p.i], in[p.j], t, b.base, c.pairQ(b, p, zn), c.half, c.omega, c.omegaM)
 			}
 		}
+	}
+	if r != nil && r.fence != nil {
+		r.fence()
 	}
 }
 

@@ -22,9 +22,14 @@ package core
 //     of the field per step instead of the split path's stream write plus
 //     relax read-modify-write — 2·Q·8 = 304 (D3Q19) / 624 (D3Q39) bytes per
 //     cell instead of 456 / 936, the paper's future-work direction (§VII:
-//     "reduce the memory accesses per lattice update"). Nothing writes prev
-//     during the sweep, so a velocity whose upwind rows are plain slices of
-//     it, back to back, is relaxed from that one view in place.
+//     "reduce the memory accesses per lattice update"). That holds on the
+//     SIMD rung, whose relax primitives store fadv with streaming stores
+//     (simdStreamRows, rows_amd64.go). An ordinary store first reads the
+//     line it overwrites (write-allocate), so the sweep on the Go bodies
+//     (Config.Fused below SIMD, or a host without AVX2) still moves 456 /
+//     936. Nothing writes prev during the sweep, so a velocity whose upwind
+//     rows are plain slices of it, back to back, is relaxed from that one
+//     view in place.
 //
 //   - AA's even sub-step (Config.Stream = StreamAA, aa.go, DESIGN.md §9),
 //     one field: the same upwind rows, each row's result scattered into the

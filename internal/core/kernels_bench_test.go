@@ -262,6 +262,41 @@ func BenchmarkGatherRow(b *testing.B) {
 	}
 }
 
+// The SIMD rung's sweep over periodic-q19's problem on one thread: the
+// owned box of a 96³ D3Q19 BGK field, whose two fields (137 MB each) are
+// far larger than the last-level cache, so every store of the next field
+// reaches memory. stream stores it as shipped (simdStreamRows), plain with
+// the ordinary stores of simdRows (testPlainStores); the difference is the
+// write-allocate read of each destination line that streaming stores
+// skip.
+func BenchmarkSweepStep(b *testing.B) {
+	n := grid.Dims{NX: 96, NY: 96, NZ: 96}
+	for _, plain := range []bool{false, true} {
+		name := "stream"
+		if plain {
+			name = "plain"
+		}
+		b.Run(name, func(b *testing.B) {
+			testPlainStores = plain
+			defer func() { testPlainStores = false }()
+			cs := buildStepper(b, Config{
+				Model: lattice.D3Q19(), N: n, Tau: 0.8, Steps: 1,
+				Opt: OptSIMD, Ranks: 1, Threads: 1, GhostDepth: 1, Init: waveInit(n),
+			})
+			defer cs.close()
+			cs.initField()
+			cs.refreshAxes([3]bool{true, true, true})
+			owned := cs.ownedBox()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				cs.gather(0, owned)
+				cs.f, cs.fadv = cs.fadv, cs.f
+			}
+			reportCellRate(b, owned.cells())
+		})
+	}
+}
+
 // Halo exchange cost per depth (pack+local wrap of the x faces).
 func BenchmarkHaloLocalExchange(b *testing.B) {
 	for _, depth := range []int{1, 2, 4} {

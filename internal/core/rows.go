@@ -40,11 +40,19 @@ type rowOps struct {
 	trt0     func(d, s, t, base []float64, wp float64) // the rest velocity: d = s − ω⁺·(s − t·base)
 	trt2     func(di, dj, si, sj, t, base, q []float64, half, wp, wm float64)
 	trt3     func(di, dj, si, sj, t, base, q []float64, half, sixth, wp, wm float64)
+	// fence, where set, is the barrier a row kernel calls after its last
+	// primitive: the table's bodies store with weakly ordered streaming
+	// stores, and fence makes them globally visible.
+	fence func()
 }
 
 // simdRows are the vector bodies the SIMD rung calls, nil where this
-// build or host has none.
-var simdRows *rowOps
+// build or host has none. simdStreamRows are the same bodies but for the
+// six relax primitives (relax0/2/3, trt0/2/3), which write with streaming
+// stores, and its fence: the table for a kernel whose out rows are the
+// next field, stored once and not read again before the fields swap. It
+// is nil wherever simdRows is.
+var simdRows, simdStreamRows *rowOps
 
 func sumRow(acc, s []float64) {
 	s = s[:len(acc)]

@@ -41,6 +41,11 @@ TEXT ·cpuAVX2(SB), NOSPLIT, $0-1
 no:
 	RET
 
+// func sfence()
+TEXT ·sfence(SB), NOSPLIT, $0-0
+	SFENCE
+	RET
+
 // func sumx4(acc, s []float64)
 TEXT ·sumx4(SB), NOSPLIT, $0-48
 	MOVQ acc_base+0(FP), DI
@@ -275,6 +280,29 @@ c3loop:
 c3done:
 	RET
 
+// The relax primitives write the next field, which the step does not read
+// again before the fields swap. Each has two bodies: x4, which stores with
+// VMOVUPD, and x4nt, which stores with VMOVNTPD — a streaming store that
+// skips the read of each destination line the CPU would otherwise make
+// before overwriting it. Streaming stores are weakly ordered: the row
+// kernel that calls x4nt bodies ends with one sfence (above), so that every
+// streamed line is globally visible before the kernel returns, and so
+// before the step's barrier publishes the field. VMOVNTPD faults unless
+// its address is 32-byte aligned: the wrappers (rows_amd64.go) call an nt
+// body only on rows that are. A loop is one macro, parametrised by the
+// store instruction, so the twins' arithmetic is written once.
+
+#define RELAX0(ST) \
+r0loop: \
+	VMULPD  (SI)(AX*8), Y13, Y0 /* (1−ω)·s */ \
+	VMOVUPD (DX)(AX*8), Y1 \
+	VMULPD  (R8)(AX*8), Y1, Y1  /* t·base */ \
+	VADDPD  Y1, Y0, Y0 \
+	ST      Y0, (DI)(AX*8) \
+	ADDQ $4, AX \
+	CMPQ AX, CX \
+	JLT  r0loop
+
 // func relax0x4(d, s, t, base []float64, omc float64)
 TEXT ·relax0x4(SB), NOSPLIT, $0-104
 	MOVQ d_base+0(FP), DI
@@ -286,18 +314,47 @@ TEXT ·relax0x4(SB), NOSPLIT, $0-104
 	TESTQ CX, CX
 	JEQ  r0done
 	VBROADCASTSD omc+96(FP), Y13
-r0loop:
-	VMULPD  (SI)(AX*8), Y13, Y0 // (1−ω)·s
-	VMOVUPD (DX)(AX*8), Y1
-	VMULPD  (R8)(AX*8), Y1, Y1  // t·base
-	VADDPD  Y1, Y0, Y0
-	VMOVUPD Y0, (DI)(AX*8)
-	ADDQ $4, AX
-	CMPQ AX, CX
-	JLT  r0loop
+	RELAX0(VMOVUPD)
 	VZEROUPPER
 r0done:
 	RET
+
+// func relax0x4nt(d, s, t, base []float64, omc float64)
+TEXT ·relax0x4nt(SB), NOSPLIT, $0-104
+	MOVQ d_base+0(FP), DI
+	MOVQ d_len+8(FP), CX
+	MOVQ s_base+24(FP), SI
+	MOVQ t_base+48(FP), DX
+	MOVQ base_base+72(FP), R8
+	XORQ AX, AX
+	TESTQ CX, CX
+	JEQ  r0done
+	VBROADCASTSD omc+96(FP), Y13
+	RELAX0(VMOVNTPD)
+	VZEROUPPER
+r0done:
+	RET
+
+#define RELAX2(ST) \
+r2loop: \
+	VMOVUPD (R11)(AX*8), Y0     /* q = odd */ \
+	VMULPD  Y0, Y0, Y1          /* q² */ \
+	VMULPD  Y14, Y1, Y1         /* q²·½ */ \
+	VADDPD  (R10)(AX*8), Y1, Y1 /* even = base + q²·½ */ \
+	VMOVUPD (R9)(AX*8), Y2      /* t */ \
+	VADDPD  Y0, Y1, Y3          /* even + odd */ \
+	VSUBPD  Y0, Y1, Y4          /* even − odd */ \
+	VMULPD  Y2, Y3, Y3 \
+	VMULPD  Y2, Y4, Y4 \
+	VMULPD  (SI)(AX*8), Y13, Y5 /* (1−ω)·si */ \
+	VMULPD  (DX)(AX*8), Y13, Y6 /* (1−ω)·sj */ \
+	VADDPD  Y3, Y5, Y5 \
+	VADDPD  Y4, Y6, Y6 \
+	ST      Y5, (DI)(AX*8) \
+	ST      Y6, (R8)(AX*8) \
+	ADDQ $4, AX \
+	CMPQ AX, CX \
+	JLT  r2loop
 
 // func relax2x4(di, dj, si, sj, t, base, q []float64, omc, half float64)
 TEXT ·relax2x4(SB), NOSPLIT, $0-184
@@ -314,28 +371,55 @@ TEXT ·relax2x4(SB), NOSPLIT, $0-184
 	JEQ  r2done
 	VBROADCASTSD omc+168(FP), Y13
 	VBROADCASTSD half+176(FP), Y14
-r2loop:
-	VMOVUPD (R11)(AX*8), Y0     // q = odd
-	VMULPD  Y0, Y0, Y1          // q²
-	VMULPD  Y14, Y1, Y1         // q²·½
-	VADDPD  (R10)(AX*8), Y1, Y1 // even = base + q²·½
-	VMOVUPD (R9)(AX*8), Y2      // t
-	VADDPD  Y0, Y1, Y3          // even + odd
-	VSUBPD  Y0, Y1, Y4          // even − odd
-	VMULPD  Y2, Y3, Y3
-	VMULPD  Y2, Y4, Y4
-	VMULPD  (SI)(AX*8), Y13, Y5 // (1−ω)·si
-	VMULPD  (DX)(AX*8), Y13, Y6 // (1−ω)·sj
-	VADDPD  Y3, Y5, Y5
-	VADDPD  Y4, Y6, Y6
-	VMOVUPD Y5, (DI)(AX*8)
-	VMOVUPD Y6, (R8)(AX*8)
-	ADDQ $4, AX
-	CMPQ AX, CX
-	JLT  r2loop
+	RELAX2(VMOVUPD)
 	VZEROUPPER
 r2done:
 	RET
+
+// func relax2x4nt(di, dj, si, sj, t, base, q []float64, omc, half float64)
+TEXT ·relax2x4nt(SB), NOSPLIT, $0-184
+	MOVQ di_base+0(FP), DI
+	MOVQ di_len+8(FP), CX
+	MOVQ dj_base+24(FP), R8
+	MOVQ si_base+48(FP), SI
+	MOVQ sj_base+72(FP), DX
+	MOVQ t_base+96(FP), R9
+	MOVQ base_base+120(FP), R10
+	MOVQ q_base+144(FP), R11
+	XORQ AX, AX
+	TESTQ CX, CX
+	JEQ  r2done
+	VBROADCASTSD omc+168(FP), Y13
+	VBROADCASTSD half+176(FP), Y14
+	RELAX2(VMOVNTPD)
+	VZEROUPPER
+r2done:
+	RET
+
+#define RELAX3(ST) \
+r3loop: \
+	VMOVUPD (R11)(AX*8), Y0     /* q */ \
+	VMOVUPD (R10)(AX*8), Y7     /* base */ \
+	VMULPD  Y0, Y0, Y1          /* q² */ \
+	VMULPD  Y15, Y1, Y8         /* q²·⅙ */ \
+	VADDPD  Y8, Y7, Y8          /* base + q²·⅙ */ \
+	VMULPD  Y8, Y0, Y8          /* odd = q·(base + q²·⅙) */ \
+	VMULPD  Y14, Y1, Y1 \
+	VADDPD  Y1, Y7, Y1          /* even = base + q²·½ */ \
+	VMOVUPD (R9)(AX*8), Y2      /* t */ \
+	VADDPD  Y8, Y1, Y3          /* even + odd */ \
+	VSUBPD  Y8, Y1, Y4          /* even − odd */ \
+	VMULPD  Y2, Y3, Y3 \
+	VMULPD  Y2, Y4, Y4 \
+	VMULPD  (SI)(AX*8), Y13, Y5 \
+	VMULPD  (DX)(AX*8), Y13, Y6 \
+	VADDPD  Y3, Y5, Y5 \
+	VADDPD  Y4, Y6, Y6 \
+	ST      Y5, (DI)(AX*8) \
+	ST      Y6, (R8)(AX*8) \
+	ADDQ $4, AX \
+	CMPQ AX, CX \
+	JLT  r3loop
 
 // func relax3x4(di, dj, si, sj, t, base, q []float64, omc, half, sixth float64)
 TEXT ·relax3x4(SB), NOSPLIT, $0-192
@@ -353,29 +437,28 @@ TEXT ·relax3x4(SB), NOSPLIT, $0-192
 	VBROADCASTSD omc+168(FP), Y13
 	VBROADCASTSD half+176(FP), Y14
 	VBROADCASTSD sixth+184(FP), Y15
-r3loop:
-	VMOVUPD (R11)(AX*8), Y0     // q
-	VMOVUPD (R10)(AX*8), Y7     // base
-	VMULPD  Y0, Y0, Y1          // q²
-	VMULPD  Y15, Y1, Y8         // q²·⅙
-	VADDPD  Y8, Y7, Y8          // base + q²·⅙
-	VMULPD  Y8, Y0, Y8          // odd = q·(base + q²·⅙)
-	VMULPD  Y14, Y1, Y1
-	VADDPD  Y1, Y7, Y1          // even = base + q²·½
-	VMOVUPD (R9)(AX*8), Y2      // t
-	VADDPD  Y8, Y1, Y3          // even + odd
-	VSUBPD  Y8, Y1, Y4          // even − odd
-	VMULPD  Y2, Y3, Y3
-	VMULPD  Y2, Y4, Y4
-	VMULPD  (SI)(AX*8), Y13, Y5
-	VMULPD  (DX)(AX*8), Y13, Y6
-	VADDPD  Y3, Y5, Y5
-	VADDPD  Y4, Y6, Y6
-	VMOVUPD Y5, (DI)(AX*8)
-	VMOVUPD Y6, (R8)(AX*8)
-	ADDQ $4, AX
-	CMPQ AX, CX
-	JLT  r3loop
+	RELAX3(VMOVUPD)
+	VZEROUPPER
+r3done:
+	RET
+
+// func relax3x4nt(di, dj, si, sj, t, base, q []float64, omc, half, sixth float64)
+TEXT ·relax3x4nt(SB), NOSPLIT, $0-192
+	MOVQ di_base+0(FP), DI
+	MOVQ di_len+8(FP), CX
+	MOVQ dj_base+24(FP), R8
+	MOVQ si_base+48(FP), SI
+	MOVQ sj_base+72(FP), DX
+	MOVQ t_base+96(FP), R9
+	MOVQ base_base+120(FP), R10
+	MOVQ q_base+144(FP), R11
+	XORQ AX, AX
+	TESTQ CX, CX
+	JEQ  r3done
+	VBROADCASTSD omc+168(FP), Y13
+	VBROADCASTSD half+176(FP), Y14
+	VBROADCASTSD sixth+184(FP), Y15
+	RELAX3(VMOVNTPD)
 	VZEROUPPER
 r3done:
 	RET
@@ -467,6 +550,22 @@ e3loop:
 e3done:
 	RET
 
+// The TRT relax primitives write the next field too: the same two bodies
+// each as the relax primitives above.
+
+#define TRT0(ST) \
+t0loop: \
+	VMOVUPD (SI)(AX*8), Y0     /* v */ \
+	VMOVUPD (DX)(AX*8), Y1 \
+	VMULPD  (R8)(AX*8), Y1, Y1 /* e = t·base */ \
+	VSUBPD  Y1, Y0, Y1         /* v − e */ \
+	VMULPD  Y14, Y1, Y1        /* ω⁺·(v − e) */ \
+	VSUBPD  Y1, Y0, Y0 \
+	ST      Y0, (DI)(AX*8) \
+	ADDQ $4, AX \
+	CMPQ AX, CX \
+	JLT  t0loop
+
 // func trt0x4(d, s, t, base []float64, wp float64)
 TEXT ·trt0x4(SB), NOSPLIT, $0-104
 	MOVQ d_base+0(FP), DI
@@ -478,20 +577,64 @@ TEXT ·trt0x4(SB), NOSPLIT, $0-104
 	TESTQ CX, CX
 	JEQ  t0done
 	VBROADCASTSD wp+96(FP), Y14
-t0loop:
-	VMOVUPD (SI)(AX*8), Y0     // v
-	VMOVUPD (DX)(AX*8), Y1
-	VMULPD  (R8)(AX*8), Y1, Y1 // e = t·base
-	VSUBPD  Y1, Y0, Y1         // v − e
-	VMULPD  Y14, Y1, Y1        // ω⁺·(v − e)
-	VSUBPD  Y1, Y0, Y0
-	VMOVUPD Y0, (DI)(AX*8)
-	ADDQ $4, AX
-	CMPQ AX, CX
-	JLT  t0loop
+	TRT0(VMOVUPD)
 	VZEROUPPER
 t0done:
 	RET
+
+// func trt0x4nt(d, s, t, base []float64, wp float64)
+TEXT ·trt0x4nt(SB), NOSPLIT, $0-104
+	MOVQ d_base+0(FP), DI
+	MOVQ d_len+8(FP), CX
+	MOVQ s_base+24(FP), SI
+	MOVQ t_base+48(FP), DX
+	MOVQ base_base+72(FP), R8
+	XORQ AX, AX
+	TESTQ CX, CX
+	JEQ  t0done
+	VBROADCASTSD wp+96(FP), Y14
+	TRT0(VMOVNTPD)
+	VZEROUPPER
+t0done:
+	RET
+
+// TRTPAIR is the pair arithmetic trt2 and trt3 share once the equilibria
+// ei, ej are in Y3, Y4 (half in Y12, wp in Y14, wm in Y15).
+#define TRTPAIR(ST) \
+	VMOVUPD (SI)(AX*8), Y5      /* vi */ \
+	VMOVUPD (DX)(AX*8), Y6      /* vj */ \
+	VADDPD  Y6, Y5, Y7          /* vi + vj */ \
+	VADDPD  Y4, Y3, Y8          /* ei + ej */ \
+	VSUBPD  Y8, Y7, Y7 \
+	VMULPD  Y12, Y7, Y7 \
+	VMULPD  Y14, Y7, Y7         /* dP = ω⁺·(½·((vi + vj) − (ei + ej))) */ \
+	VSUBPD  Y6, Y5, Y8          /* vi − vj */ \
+	VSUBPD  Y4, Y3, Y9          /* ei − ej */ \
+	VSUBPD  Y9, Y8, Y8 \
+	VMULPD  Y12, Y8, Y8 \
+	VMULPD  Y15, Y8, Y8         /* dM = ω⁻·(½·((vi − vj) − (ei − ej))) */ \
+	VADDPD  Y8, Y7, Y9          /* dP + dM */ \
+	VSUBPD  Y8, Y7, Y10         /* dP − dM */ \
+	VSUBPD  Y9, Y5, Y5          /* vi − (dP + dM) */ \
+	VSUBPD  Y10, Y6, Y6         /* vj − (dP − dM) */ \
+	ST      Y5, (DI)(AX*8) \
+	ST      Y6, (R8)(AX*8)
+
+#define TRT2(ST) \
+t2loop: \
+	VMOVUPD (R11)(AX*8), Y0     /* q = odd */ \
+	VMULPD  Y0, Y0, Y1          /* q² */ \
+	VMULPD  Y12, Y1, Y1         /* q²·½ */ \
+	VADDPD  (R10)(AX*8), Y1, Y1 /* even = base + q²·½ */ \
+	VMOVUPD (R9)(AX*8), Y2      /* t */ \
+	VADDPD  Y0, Y1, Y3          /* even + odd */ \
+	VSUBPD  Y0, Y1, Y4          /* even − odd */ \
+	VMULPD  Y2, Y3, Y3          /* ei */ \
+	VMULPD  Y2, Y4, Y4          /* ej */ \
+	TRTPAIR(ST) \
+	ADDQ $4, AX \
+	CMPQ AX, CX \
+	JLT  t2loop
 
 // func trt2x4(di, dj, si, sj, t, base, q []float64, half, wp, wm float64)
 TEXT ·trt2x4(SB), NOSPLIT, $0-192
@@ -509,40 +652,51 @@ TEXT ·trt2x4(SB), NOSPLIT, $0-192
 	VBROADCASTSD half+168(FP), Y12
 	VBROADCASTSD wp+176(FP), Y14
 	VBROADCASTSD wm+184(FP), Y15
-t2loop:
-	VMOVUPD (R11)(AX*8), Y0     // q = odd
-	VMULPD  Y0, Y0, Y1          // q²
-	VMULPD  Y12, Y1, Y1         // q²·½
-	VADDPD  (R10)(AX*8), Y1, Y1 // even = base + q²·½
-	VMOVUPD (R9)(AX*8), Y2      // t
-	VADDPD  Y0, Y1, Y3          // even + odd
-	VSUBPD  Y0, Y1, Y4          // even − odd
-	VMULPD  Y2, Y3, Y3          // ei
-	VMULPD  Y2, Y4, Y4          // ej
-	VMOVUPD (SI)(AX*8), Y5      // vi
-	VMOVUPD (DX)(AX*8), Y6      // vj
-	VADDPD  Y6, Y5, Y7          // vi + vj
-	VADDPD  Y4, Y3, Y8          // ei + ej
-	VSUBPD  Y8, Y7, Y7
-	VMULPD  Y12, Y7, Y7
-	VMULPD  Y14, Y7, Y7         // dP = ω⁺·(½·((vi + vj) − (ei + ej)))
-	VSUBPD  Y6, Y5, Y8          // vi − vj
-	VSUBPD  Y4, Y3, Y9          // ei − ej
-	VSUBPD  Y9, Y8, Y8
-	VMULPD  Y12, Y8, Y8
-	VMULPD  Y15, Y8, Y8         // dM = ω⁻·(½·((vi − vj) − (ei − ej)))
-	VADDPD  Y8, Y7, Y9          // dP + dM
-	VSUBPD  Y8, Y7, Y10         // dP − dM
-	VSUBPD  Y9, Y5, Y5
-	VSUBPD  Y10, Y6, Y6
-	VMOVUPD Y5, (DI)(AX*8)
-	VMOVUPD Y6, (R8)(AX*8)
-	ADDQ $4, AX
-	CMPQ AX, CX
-	JLT  t2loop
+	TRT2(VMOVUPD)
 	VZEROUPPER
 t2done:
 	RET
+
+// func trt2x4nt(di, dj, si, sj, t, base, q []float64, half, wp, wm float64)
+TEXT ·trt2x4nt(SB), NOSPLIT, $0-192
+	MOVQ di_base+0(FP), DI
+	MOVQ di_len+8(FP), CX
+	MOVQ dj_base+24(FP), R8
+	MOVQ si_base+48(FP), SI
+	MOVQ sj_base+72(FP), DX
+	MOVQ t_base+96(FP), R9
+	MOVQ base_base+120(FP), R10
+	MOVQ q_base+144(FP), R11
+	XORQ AX, AX
+	TESTQ CX, CX
+	JEQ  t2done
+	VBROADCASTSD half+168(FP), Y12
+	VBROADCASTSD wp+176(FP), Y14
+	VBROADCASTSD wm+184(FP), Y15
+	TRT2(VMOVNTPD)
+	VZEROUPPER
+t2done:
+	RET
+
+#define TRT3(ST) \
+t3loop: \
+	VMOVUPD (R11)(AX*8), Y0     /* q */ \
+	VMOVUPD (R10)(AX*8), Y9     /* base */ \
+	VMULPD  Y0, Y0, Y1          /* q² */ \
+	VMULPD  Y13, Y1, Y8         /* q²·⅙ */ \
+	VADDPD  Y8, Y9, Y8          /* base + q²·⅙ */ \
+	VMULPD  Y8, Y0, Y8          /* odd = q·(base + q²·⅙) */ \
+	VMULPD  Y12, Y1, Y1 \
+	VADDPD  Y1, Y9, Y1          /* even = base + q²·½ */ \
+	VMOVUPD (R9)(AX*8), Y2      /* t */ \
+	VADDPD  Y8, Y1, Y3          /* even + odd */ \
+	VSUBPD  Y8, Y1, Y4          /* even − odd */ \
+	VMULPD  Y2, Y3, Y3          /* ei */ \
+	VMULPD  Y2, Y4, Y4          /* ej */ \
+	TRTPAIR(ST) \
+	ADDQ $4, AX \
+	CMPQ AX, CX \
+	JLT  t3loop
 
 // func trt3x4(di, dj, si, sj, t, base, q []float64, half, sixth, wp, wm float64)
 TEXT ·trt3x4(SB), NOSPLIT, $0-200
@@ -561,41 +715,29 @@ TEXT ·trt3x4(SB), NOSPLIT, $0-200
 	VBROADCASTSD sixth+176(FP), Y13
 	VBROADCASTSD wp+184(FP), Y14
 	VBROADCASTSD wm+192(FP), Y15
-t3loop:
-	VMOVUPD (R11)(AX*8), Y0     // q
-	VMOVUPD (R10)(AX*8), Y9     // base
-	VMULPD  Y0, Y0, Y1          // q²
-	VMULPD  Y13, Y1, Y8         // q²·⅙
-	VADDPD  Y8, Y9, Y8          // base + q²·⅙
-	VMULPD  Y8, Y0, Y8          // odd = q·(base + q²·⅙)
-	VMULPD  Y12, Y1, Y1
-	VADDPD  Y1, Y9, Y1          // even = base + q²·½
-	VMOVUPD (R9)(AX*8), Y2      // t
-	VADDPD  Y8, Y1, Y3          // even + odd
-	VSUBPD  Y8, Y1, Y4          // even − odd
-	VMULPD  Y2, Y3, Y3          // ei
-	VMULPD  Y2, Y4, Y4          // ej
-	VMOVUPD (SI)(AX*8), Y5      // vi
-	VMOVUPD (DX)(AX*8), Y6      // vj
-	VADDPD  Y6, Y5, Y7
-	VADDPD  Y4, Y3, Y8
-	VSUBPD  Y8, Y7, Y7
-	VMULPD  Y12, Y7, Y7
-	VMULPD  Y14, Y7, Y7         // dP
-	VSUBPD  Y6, Y5, Y8
-	VSUBPD  Y4, Y3, Y9
-	VSUBPD  Y9, Y8, Y8
-	VMULPD  Y12, Y8, Y8
-	VMULPD  Y15, Y8, Y8         // dM
-	VADDPD  Y8, Y7, Y9
-	VSUBPD  Y8, Y7, Y10
-	VSUBPD  Y9, Y5, Y5          // vi − (dP + dM)
-	VSUBPD  Y10, Y6, Y6         // vj − (dP − dM)
-	VMOVUPD Y5, (DI)(AX*8)
-	VMOVUPD Y6, (R8)(AX*8)
-	ADDQ $4, AX
-	CMPQ AX, CX
-	JLT  t3loop
+	TRT3(VMOVUPD)
+	VZEROUPPER
+t3done:
+	RET
+
+// func trt3x4nt(di, dj, si, sj, t, base, q []float64, half, sixth, wp, wm float64)
+TEXT ·trt3x4nt(SB), NOSPLIT, $0-200
+	MOVQ di_base+0(FP), DI
+	MOVQ di_len+8(FP), CX
+	MOVQ dj_base+24(FP), R8
+	MOVQ si_base+48(FP), SI
+	MOVQ sj_base+72(FP), DX
+	MOVQ t_base+96(FP), R9
+	MOVQ base_base+120(FP), R10
+	MOVQ q_base+144(FP), R11
+	XORQ AX, AX
+	TESTQ CX, CX
+	JEQ  t3done
+	VBROADCASTSD half+168(FP), Y12
+	VBROADCASTSD sixth+176(FP), Y13
+	VBROADCASTSD wp+184(FP), Y14
+	VBROADCASTSD wm+192(FP), Y15
+	TRT3(VMOVNTPD)
 	VZEROUPPER
 t3done:
 	RET

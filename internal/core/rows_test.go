@@ -5,6 +5,11 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+	"unsafe"
+
+	"repro/internal/collision"
+	"repro/internal/grid"
+	"repro/internal/lattice"
 )
 
 // rowPrim is one row primitive as the tests drive it: how many output
@@ -87,19 +92,28 @@ var specials = []float64{
 	math.Inf(1), math.Inf(-1), math.NaN(), 1, -1, 0.5,
 }
 
-// checkRowPrim runs p's Go and vector bodies on copies of the same rows —
-// a run of n values, value(r, z) in row r (outputs first), k its scalars —
-// with the output rows of alias passed as the inputs they pair with, and
-// fails unless every stored value has the same bits (or is NaN in both).
-// Every row but the one that sets the run is two values longer, and those
-// must stay untouched.
-func checkRowPrim(t *testing.T, p rowPrim, n int, value func(r, z int) float64, k []float64, alias [][2]int) {
+// alignedRow returns a row of n values that starts off values past a
+// 32-byte boundary.
+func alignedRow(n, off int) []float64 {
+	buf := make([]float64, n+off+4)
+	skip := int(-uintptr(unsafe.Pointer(&buf[0])) % 32 / 8)
+	return buf[skip+off:][:n]
+}
+
+// checkRowPrim runs p's Go body and its body in the vector table vec on
+// copies of the same rows — a run of n values, value(r, z) in row r
+// (outputs first), k its scalars — with the output rows of alias passed as
+// the inputs they pair with, and fails unless every stored value has the
+// same bits (or is NaN in both). Row r starts off(r) values past a 32-byte
+// boundary. Every row but the one that sets the run is two values longer,
+// and those must stay untouched.
+func checkRowPrim(t *testing.T, vec *rowOps, p rowPrim, n int, value func(r, z int) float64, k []float64, alias [][2]int, off func(r int) int) {
 	t.Helper()
 	const pad = 2
 	rows := func() (o, in [][]float64, all [][]float64) {
 		all = make([][]float64, p.outs+p.ins)
 		for r := range all {
-			all[r] = make([]float64, n+pad)
+			all[r] = alignedRow(n+pad, off(r))
 			for z := range all[r] {
 				all[r][z] = value(r, z)
 			}
@@ -118,7 +132,7 @@ func checkRowPrim(t *testing.T, p rowPrim, n int, value func(r, z int) float64, 
 	og, ig, goAll := rows()
 	ov, iv, vecAll := rows()
 	p.call(&goRows, og, ig, k)
-	p.call(simdRows, ov, iv, k)
+	p.call(vec, ov, iv, k)
 	for r := range goAll {
 		for z := range goAll[r] {
 			want, got := goAll[r][z], vecAll[r][z]
@@ -126,9 +140,42 @@ func checkRowPrim(t *testing.T, p rowPrim, n int, value func(r, z int) float64, 
 				t.Fatalf("%s n %d alias %v: row %d wrote past the run at %d", p.name, n, alias, r, z)
 			}
 			if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(want) && math.IsNaN(got)) {
-				t.Fatalf("%s n %d alias %v k %v: row %d [%d] vector %v (%#x), Go %v (%#x)",
-					p.name, n, alias, k, r, z, got, math.Float64bits(got), want, math.Float64bits(want))
+				t.Fatalf("%s n %d alias %v k %v offsets %d/%d: row %d [%d] vector %v (%#x), Go %v (%#x)",
+					p.name, n, alias, k, off(0), off(1), r, z, got, math.Float64bits(got), want, math.Float64bits(want))
 			}
+		}
+	}
+}
+
+// mixedOffsets starts row r r mod 4 values past a 32-byte boundary.
+func mixedOffsets(r int) int { return r % 4 }
+
+// streamOffsets starts the output rows di and dj oi and oj values past a
+// 32-byte boundary — the streaming wrappers' head peel and their fallback
+// where the two differ — and the input rows at mixed offsets.
+func streamOffsets(oi, oj int) func(r int) int {
+	return func(r int) int {
+		switch r {
+		case 0:
+			return oi
+		case 1:
+			return oj
+		}
+		return (r + oi) % 4
+	}
+}
+
+// checkStreamPrims holds p's body in simdStreamRows to its Go body with
+// di at each offset 0–3 from a 32-byte boundary and dj at each, so that
+// the streaming bodies run behind every head the wrappers peel, and the
+// plain x4 bodies wherever dj's offset differs. (A wrapper that let a
+// misaligned address reach VMOVNTPD faults the test binary.)
+func checkStreamPrims(t *testing.T, p rowPrim, n int, value func(r, z int) float64, k []float64) {
+	t.Helper()
+	for oi := 0; oi < 4; oi++ {
+		for oj := 0; oj < 4; oj++ {
+			checkRowPrim(t, simdStreamRows, p, n, value, k, nil, streamOffsets(oi, oj))
+			checkRowPrim(t, simdStreamRows, p, n, value, k, p.alias, streamOffsets(oi, oj))
 		}
 	}
 }
@@ -136,7 +183,10 @@ func checkRowPrim(t *testing.T, p rowPrim, n int, value func(r, z int) float64, 
 // TestRowPrimitives holds every vector row body to its Go body at 0 ULP:
 // every run length 0–67 (every tail of the 4-wide loop), each primitive
 // also with its in-place aliasing, on rows mixing ordinary values with
-// signed zeros, subnormals, ±Inf and NaN.
+// signed zeros, subnormals, ±Inf and NaN. The streaming bodies
+// (simdStreamRows) run the same rows at every output alignment
+// (checkStreamPrims) over lengths 0–41: every head of 0–3 cells, every
+// tail, and up to nine vectors between them.
 func TestRowPrimitives(t *testing.T) {
 	needSIMDRows(t)
 	rng := rand.New(rand.NewSource(7))
@@ -161,19 +211,22 @@ func TestRowPrimitives(t *testing.T) {
 					}
 				}
 				value := func(r, z int) float64 { return vals[r][z] }
-				checkRowPrim(t, p, n, value, k, nil)
+				checkRowPrim(t, simdRows, p, n, value, k, nil, mixedOffsets)
 				if p.alias != nil {
-					checkRowPrim(t, p, n, value, k, p.alias)
+					checkRowPrim(t, simdRows, p, n, value, k, p.alias, mixedOffsets)
+				}
+				if n <= 41 {
+					checkStreamPrims(t, p, n, value, k)
 				}
 			}
 		}
 	}
 }
 
-// FuzzRowPrimitives: the same property on fuzzed bits. The input is read
-// as little-endian float64s; its length picks the run, and the values
-// fill the scalars and then the rows, cycling. The seed corpus is
-// testdata/fuzz.
+// FuzzRowPrimitives: the same property on fuzzed bits, for both tables.
+// The input is read as little-endian float64s; its length picks the run,
+// and the values fill the scalars and then the rows, cycling. The seed
+// corpus is testdata/fuzz.
 func FuzzRowPrimitives(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		needSIMDRows(t)
@@ -192,10 +245,60 @@ func FuzzRowPrimitives(f *testing.F) {
 				k[i] = at(i)
 			}
 			value := func(r, z int) float64 { return at(p.ks + r*(n+2) + z) }
-			checkRowPrim(t, p, n, value, k, nil)
+			checkRowPrim(t, simdRows, p, n, value, k, nil, mixedOffsets)
 			if p.alias != nil {
-				checkRowPrim(t, p, n, value, k, p.alias)
+				checkRowPrim(t, simdRows, p, n, value, k, p.alias, mixedOffsets)
 			}
+			checkStreamPrims(t, p, n, value, k)
 		}
 	})
+}
+
+// TestStreamingStoresOnlyIntoTheNextField: collider.init binds the
+// streaming table only where the row kernel's out rows are the next field
+// — the SIMD rung's two-field sweep, BGK and TRT on both lattices — and
+// keeps the ordinary stores of simdRows under AA, whose out rows are
+// scatter rows read straight back or the field relaxed in place. Every
+// rung below SIMD runs the Go bodies. The stepper routes the same way.
+// Only the streaming table carries a fence for the row kernels to call.
+func TestStreamingStoresOnlyIntoTheNextField(t *testing.T) {
+	needSIMDRows(t)
+	if simdStreamRows == simdRows || simdStreamRows.fence == nil || simdRows.fence != nil {
+		t.Fatal("simdStreamRows must be a table of its own with a fence, and simdRows without one")
+	}
+	for _, m := range []*lattice.Model{lattice.D3Q19(), lattice.D3Q39()} {
+		for _, spec := range []collision.Spec{{}, {Kind: collision.TRT}} {
+			for _, opt := range []OptLevel{OptOrig, OptGC, OptDH, OptCF, OptLoBr, OptNBC, OptGCC, OptSIMD} {
+				for _, stream := range []StreamScheme{StreamTwoGrid, StreamAA} {
+					var c collider
+					if err := c.init(&Config{Model: m, Tau: 0.8, Opt: opt, Stream: stream, Collision: spec}); err != nil {
+						t.Fatal(err)
+					}
+					want := (*rowOps)(nil)
+					switch {
+					case opt == OptSIMD && stream == StreamAA:
+						want = simdRows
+					case opt == OptSIMD:
+						want = simdStreamRows
+					}
+					if c.vec != want {
+						t.Errorf("%s %s %s stream %v: vector table %p, want %p (simdRows %p, simdStreamRows %p)",
+							m.Name, spec.Kind, opt, stream, c.vec, want, simdRows, simdStreamRows)
+					}
+				}
+			}
+		}
+	}
+	n := grid.Dims{NX: 8, NY: 8, NZ: 8}
+	for _, stream := range []StreamScheme{StreamTwoGrid, StreamAA} {
+		cs := buildStepper(t, Config{Model: lattice.D3Q19(), N: n, Tau: 0.8, Steps: 1, Opt: OptSIMD, Stream: stream, Ranks: 1, Threads: 1, GhostDepth: 1})
+		want := simdStreamRows
+		if stream == StreamAA {
+			want = simdRows
+		}
+		if cs.vec != want {
+			t.Errorf("stepper, stream %v: vector table %p, want %p", stream, cs.vec, want)
+		}
+		cs.close()
+	}
 }

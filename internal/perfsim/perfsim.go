@@ -375,7 +375,12 @@ func Run(j Job) (*Result, error) {
 	}
 	if j.Fused {
 		// One read + one write per cell instead of three accesses; the
-		// resident footprint stays two fields.
+		// resident footprint stays two fields. That assumes the write does
+		// not first read the line it overwrites: true for streaming
+		// stores (the solver's SIMD rung on two fields), not for ordinary
+		// ones, whose write-allocate read keeps the sweep at three
+		// accesses (the solver's Go bodies) — on a fitted host,
+		// FusedAdjust absorbs the difference.
 		j.Spec.BytesPerCell *= 2.0 / 3.0
 	}
 	if j.CellCost > 0 {
