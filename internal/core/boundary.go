@@ -22,7 +22,7 @@ package core
 // in the per-box fixup index of fixindex.go, which is also the inventory
 // the momentum-exchange force measurement walks. Every path applies them
 // in the row body (gather.go): each row's links go into the streamed row —
-// fadv's after a stream pass, or the rows the gather sweep read — right
+// fadv's just after its block streamed, or the rows the gather sweep read — right
 // before it is relaxed.
 
 import (

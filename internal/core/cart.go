@@ -15,10 +15,10 @@ package core
 // kernels stream across it as plain offset copies. Everything else here
 // is geometry-blind.
 //
-// Every rung streams with the form stream.go selects for it — a pass of its
-// own that fills fadv, or row by row in the gather sweep (fused, AA) — and
-// then advances its rows, in spans of back-to-back rows, through the one
-// row body of gather.go: links, the row kernel collide.go selects, sponge.
+// Every rung streams with the form stream.go selects for it — block by
+// block into fadv (streamRows), or row by row in the gather sweep (fused,
+// AA) — and then advances its rows, in spans of back-to-back rows, through
+// the one row body of gather.go: links, the row kernel collide.go selects, sponge.
 // So 1-D and 3-D runs agree bit for bit. On two fields every path computes
 // the next state in fadv and the fields swap when the step is done: the
 // state f is never written mid-step. NB-C and above switch the per-axis
@@ -91,10 +91,10 @@ type cartStepper struct {
 	jit          *metrics.RNG
 	rec          *obs.Recorder // nil unless Config.Observe; every call site is nil-safe
 
-	// The other chunk kernels, bound once for the same reason: the row body
-	// (gather.go), wall and inlet face fills (inlet is the face being filled).
-	gather, restFace, inletFace func(worker int, b box)
-	inlet                       *Face
+	// The other chunk kernels, bound once for the same reason: advance's, the
+	// row body (gather.go), wall and inlet face fills (inlet: the face filled).
+	next, gather, restFace, inletFace func(worker int, b box)
+	inlet                             *Face
 
 	mask []bool
 	// The run index (sparse.go): per-row CSR of fluid z-intervals and their
@@ -134,7 +134,10 @@ func newCartStepper(cfg *Config, dec decomp.Cartesian, r *comm.Rank) (*cartStepp
 		return nil, err
 	}
 	cs.gathers, cs.views = cfg.GatherSweep(), !cs.aa
-	cs.gather, cs.restFace, cs.inletFace = cs.gatherRows, cs.restFaceRows, cs.inletFaceRows
+	cs.next, cs.gather, cs.restFace, cs.inletFace = cs.streamRows, cs.gatherRows, cs.restFaceRows, cs.inletFaceRows
+	if cs.gathers {
+		cs.next = cs.gather
+	}
 	cs.depth, cs.w = cfg.ghostGeometry(dec)
 	for a := 0; a < 3; a++ {
 		cs.start[a], cs.own[a] = dec.Own(r.ID, a)
@@ -510,17 +513,37 @@ func (cs *cartStepper) advanceRims(p stepPlan, axis int) {
 }
 
 // advance computes one step's next state on the given disjoint boxes, out
-// of f into fadv — the rung's stream pass unless the row body gathers
-// itself, then the row body — each kernel one chunk batch over all the
-// boxes (a thin rim pair load-balances across the whole team: the
-// separated ghost-region loops of §V.D), timed as phase ph of axis.
-// Nothing here writes f, so the boxes of a step may be advanced in any
-// order their inputs allow.
+// of f into fadv — streamRows on the split path, the row body alone on the
+// sweep — as one chunk batch over all the boxes (a thin rim pair balances
+// across the whole team: §V.D's separated ghost-region loops), timed as
+// phase ph of axis. Nothing here writes f, so the boxes of a step may be
+// advanced in any order their inputs allow.
 func (cs *cartStepper) advance(ph obs.Phase, axis int, boxes ...box) {
-	if !cs.gathers {
-		cs.timed(cs.stream, ph, axis, boxes...)
+	cs.timed(cs.next, ph, axis, boxes...)
+}
+
+// streamRows is the split path's chunk kernel. Per block — y rows of one
+// x-plane up to spanCells stored cells (z extent dense, fluid cells under
+// the run index), skipped when empty — it streams with the rung's kernel,
+// then runs the row body while fadv's rows are in cache. The row body
+// touches only the block's cells of fadv, so blocking changes no value.
+func (cs *cartStepper) streamRows(worker int, b box) {
+	for ix := b.lo[0]; ix < b.hi[0]; ix++ {
+		blk := box{lo: [3]int{ix, b.lo[1], b.lo[2]}, hi: [3]int{ix + 1, b.lo[1], b.hi[2]}}
+		for blk.hi[1] < b.hi[1] {
+			n, r := 0, ix*cs.ny
+			for blk.lo[1] = blk.hi[1]; blk.hi[1] < b.hi[1] && n < spanCells; blk.hi[1]++ {
+				n += b.hi[2] - b.lo[2]
+				if cs.runStart != nil {
+					n = int(cs.rowCells(r+blk.lo[1], r+blk.hi[1]+1)) // the block's fluid cells so far
+				}
+			}
+			if n > 0 {
+				cs.stream(worker, blk)
+				cs.gatherRows(worker, blk)
+			}
+		}
 	}
-	cs.timed(cs.gather, ph, axis, boxes...)
 }
 
 // timed runs one chunk kernel over the boxes as one batch, recorded as
@@ -764,15 +787,6 @@ func (cs *cartStepper) countUpdates(b box) {
 		cs.ghostUpdates += int64(extra)
 	}
 }
-
-// streamBox advances the streaming step for destination box b with the
-// rung's stream kernel (stream.go).
-func (cs *cartStepper) streamBox(b box) { cs.timed(cs.stream, obs.Interior, obs.NoAxis, b) }
-
-// collideBox runs the row body over box b: on the split path it finishes
-// the rows the stream left in fadv (links, relax, sponge), on the sweep it
-// is the whole step.
-func (cs *cartStepper) collideBox(b box) { cs.timed(cs.gather, obs.Interior, obs.NoAxis, b) }
 
 // aosToRows transposes zn consecutive AoS cells (Q-blocks, len(rows) = Q)
 // into the rows.

@@ -2,7 +2,7 @@ package core
 
 // In-rank threading substrate: a per-stepper persistent worker pool,
 // longest-axis box chunking, and per-worker kernel scratch. Every parallel
-// loop of a step — stream, the row body, face fills, on interiors and rim
+// loop of a step — stream + row body (streamRows), face fills, on interiors and rim
 // slabs alike — is expressed as a batch of (box, chunk) items drained by
 // the pool, so the thin rim phases of the overlapped schedule get the full
 // team instead of a static x partition that collapses on a 1–2-plane slab.

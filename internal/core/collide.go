@@ -9,9 +9,9 @@ package core
 // the callers differ only in how they form the views:
 //
 //   - split: the row body's spans of fadv, in = out, relaxed where the
-//     stream left them — full rows dense, fluid runs under sparse
-//     traversal (AoS gathers and scatters through the worker's scratch
-//     rows — Orig/GC layout ablation only);
+//     stream left them a block earlier (streamRows) — full rows dense,
+//     fluid runs under sparse traversal (AoS gathers and scatters through
+//     the worker's scratch rows — Orig/GC layout ablation only);
 //   - the gather sweep (gather.go): a span's upwind rows, gathered or
 //     viewed in place → rows of the next state (fused, AA's odd sub-step)
 //     or the worker's out rows (AA's even sub-step, which scatters them).

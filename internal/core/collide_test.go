@@ -164,8 +164,8 @@ func TestCollideAllocatesNothing(t *testing.T) {
 					Collision: collision.Spec{Kind: kind},
 				})
 				owned := cs.ownedBox()
-				if a := testing.AllocsPerRun(10, func() { cs.collideBox(owned) }); a != 0 {
-					t.Errorf("%s %s, ghosts on every axis = %v: collideBox: %v allocs per call, want 0", opt, kind, ghosted, a)
+				if a := testing.AllocsPerRun(10, func() { cs.br.run(cs.gather, owned) }); a != 0 {
+					t.Errorf("%s %s, ghosts on every axis = %v: the row body: %v allocs per call, want 0", opt, kind, ghosted, a)
 				}
 				cs.close()
 			}

@@ -19,9 +19,9 @@
 // kernel per rung of the ladder (naive, row-generic, pair-symmetric) and
 // the operators' (TRT's pair kernel, MRT's feq rows + RelaxRows, the
 // per-cell fallback), and every path relaxes through the one its rung
-// and operator select, inside the one row body of gather.go — after a
-// stream pass on the split path, which relaxes the streamed field in
-// place, or as the gather sweep that fused and AA streaming both are; on
+// and operator select, inside the one row body of gather.go — on the split
+// path just after a block of the field streamed, relaxing it in place, or
+// as the gather sweep that fused and AA streaming both are; on
 // two fields both end a step by swapping them, so both run on one box
 // schedule (schedule.go). Walls,
 // solids, open faces, forces and every operator compose with all of them.
@@ -574,7 +574,7 @@ func (c *Config) decomposition() (decomp.Cartesian, error) {
 }
 
 // GatherSweep reports whether a step is one gather sweep (gather.go)
-// rather than a stream pass and then the row body: under AA, with Fused,
+// rather than a stream and then the row body, block by block: under AA, with Fused,
 // and at the SIMD rung. The stepper, run report and tuner all ask it.
 func (c *Config) GatherSweep() bool {
 	return c.Stream == StreamAA || c.Fused || c.Opt == OptSIMD

@@ -46,15 +46,15 @@ func benchMaskedStepper(b *testing.B, n grid.Dims) *cartStepper {
 	return cs
 }
 
-// BenchmarkMaskedStep is the full masked step (stream, then links and
-// collide in the row body, over the owned box).
+// BenchmarkMaskedStep is the full masked step over the owned box, as the
+// split path runs it (streamRows: each block streamed, then its links and
+// collide in the row body).
 func BenchmarkMaskedStep(b *testing.B) {
 	cs := benchMaskedStepper(b, benchDims)
 	owned := cs.ownedBox()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		cs.streamBox(owned)
-		cs.collideBox(owned)
+		cs.next(0, owned)
 	}
 	reportCellRate(b, owned.cells())
 }

@@ -13,9 +13,9 @@ package core
 // sources:
 //
 //   - split (every rung below SIMD, Orig included), two fields: the rung's
-//     stream kernel (stream.go, orig.go) has already filled fadv, and the
-//     row body relaxes those spans in place — views of fadv on SoA, cells
-//     transposed out of it and back on AoS (Orig/GC layout ablation only).
+//     stream kernel fills fadv a block of rows ahead (streamRows; Orig: the
+//     whole box), and the row body relaxes those spans in place — views of
+//     fadv on SoA, cells transposed out and back on AoS (Orig/GC only).
 //
 //   - the gather sweep (the SIMD rung; Config.Fused below it), two fields:
 //     next[x] = collide(gather prev[x−c]) into fadv, one read and one write

@@ -189,8 +189,9 @@ func BenchmarkCollideKernels(b *testing.B) {
 }
 
 // Fused kernel vs split stream+collide at the kernel level, over the
-// owned box in both ghost geometries: GC-C's split path relaxes in-place
-// row views of fadv, the SIMD rung's gather sweep the upwind rows of f.
+// owned box in both ghost geometries: GC-C's split path (streamRows)
+// relaxes in-place row views of the block it just streamed into fadv, the
+// SIMD rung's gather sweep the upwind rows of f.
 func BenchmarkFusedKernel(b *testing.B) {
 	for _, m := range []*lattice.Model{lattice.D3Q19(), lattice.D3Q39()} {
 		for _, ghosted := range []bool{false, true} {
@@ -200,8 +201,7 @@ func BenchmarkFusedKernel(b *testing.B) {
 				owned := cs.ownedBox()
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
-					cs.stream(0, owned)
-					cs.gather(0, owned)
+					cs.next(0, owned)
 				}
 				reportCellRate(b, owned.cells())
 			})
@@ -294,6 +294,41 @@ func BenchmarkSweepStep(b *testing.B) {
 			}
 			reportCellRate(b, owned.cells())
 		})
+	}
+}
+
+// GC-C's split step over halo-q39's rank on one thread: a 12×96×96 owned
+// box with ghosts on x only, whose fields (52 MB each on D3Q39) are far
+// larger than L2. passes streams the whole box, then runs the row body
+// over it, so the row body reads back from memory the fadv rows the
+// stream wrote; blocked is the shipped kernel (streamRows), which relaxes
+// each block of rows right after streaming it. The gap is fadv's memory
+// round trip between the two passes.
+func BenchmarkSplitStep(b *testing.B) {
+	n := grid.Dims{NX: 12, NY: 96, NZ: 96}
+	for _, m := range []*lattice.Model{lattice.D3Q39(), lattice.D3Q19()} {
+		cs := buildStepper(b, Config{
+			Model: m, N: n, Tau: 0.8, Steps: 1,
+			Opt: OptGCC, Ranks: 1, Threads: 1, GhostDepth: 1, Init: waveInit(n),
+		})
+		cs.initField()
+		cs.refreshAxes([3]bool{true, true, true})
+		owned := cs.ownedBox()
+		for _, c := range []struct {
+			name string
+			run  func()
+		}{
+			{"passes", func() { cs.stream(0, owned); cs.gather(0, owned) }},
+			{"blocked", func() { cs.next(0, owned) }},
+		} {
+			b.Run(m.Name+"/"+c.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					c.run()
+				}
+				reportCellRate(b, owned.cells())
+			})
+		}
+		cs.close()
 	}
 }
 
@@ -394,10 +429,10 @@ func BenchmarkBoxKernels(b *testing.B) {
 		run  func()
 		box  box
 	}{
-		{"stream/full", func() { cs.streamBox(owned) }, owned},
-		{"stream/interior", func() { cs.streamBox(plan.interior) }, plan.interior},
-		{"collide/full", func() { cs.collideBox(owned) }, owned},
-		{"collide/interior", func() { cs.collideBox(plan.interior) }, plan.interior},
+		{"stream/full", func() { cs.stream(0, owned) }, owned},
+		{"stream/interior", func() { cs.stream(0, plan.interior) }, plan.interior},
+		{"collide/full", func() { cs.gather(0, owned) }, owned},
+		{"collide/interior", func() { cs.gather(0, plan.interior) }, plan.interior},
 		{"rims/x", func() { cs.advanceRims(plan, 0) }, plan.rims[0][0]},
 	}
 	for _, c := range cases {
@@ -519,7 +554,7 @@ func BenchmarkCollideOperator(b *testing.B) {
 			b.Run(m.Name+"/"+spec.String(), func(b *testing.B) {
 				cs := benchStepper(b, m, OptGCC, spec, false)
 				owned := cs.ownedBox()
-				cs.streamBox(owned)
+				cs.stream(0, owned)
 				b.ResetTimer()
 				for i := 0; i < b.N; i++ {
 					cs.gather(0, owned)

@@ -81,7 +81,7 @@ func (p *origProto) compute() {
 	owned := s.ownedBox()
 	s.timed(s.streamPushScalar, obs.Interior, obs.NoAxis, owned)
 	p.exchange()
-	s.collideBox(owned)
+	s.timed(s.gather, obs.Interior, obs.NoAxis, owned)
 }
 
 // exchange ships the egress margins of fadv to the neighbors, which merge

@@ -71,8 +71,7 @@ func BenchmarkSparseStep(b *testing.B) {
 			fluid := cs.cfg.Solid.Fluids()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				cs.streamBox(owned)
-				cs.collideBox(owned)
+				cs.next(0, owned)
 			}
 			reportCellRate(b, fluid)
 			b.ReportMetric(float64(cs.fieldBytes())/(1<<20), "field_MB")

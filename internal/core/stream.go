@@ -15,7 +15,8 @@ package core
 // ghosts keep iy − cy inside the row range. z is the one place a wrap axis
 // differs in shape, and zShift holds it: a cyclic rotation of the whole row
 // on a wrap axis, an offset copy of the box's z-range when ghosts cover the
-// reach. Streaming only moves values, so every form yields the same field.
+// reach. Streaming only moves values, so every form yields the same field,
+// on any box: the split path streams a few rows at a time (streamRows).
 
 // bindStream builds the source-row tables and resolves the stream kernel
 // for the configured level; sparse traversal overrides the ladder with

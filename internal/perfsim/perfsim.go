@@ -94,7 +94,8 @@ type Job struct {
 	Fused bool
 	// Stream selects the storage scheme modeled. The two-grid layout keeps
 	// two resident fields and streams three field accesses per cell per
-	// step (read f, write fadv, re-read for the collide); the AA in-place
+	// step (read f, plus the write-allocate read and the write-back of
+	// fadv; the collide re-reads fadv's rows from cache); the AA in-place
 	// scheme keeps one field touched twice per sub-step, so the resident
 	// footprint halves and the streamed traffic drops by a third. AA
 	// exchanges only at pair boundaries, so Depth rounds up to even, and
