@@ -303,11 +303,7 @@ func main() {
 // fresh search — priced with fitted coefficients when a fit file is given
 // — whose winner is cached for the next run.
 func autoTune(cfg *core.Config, scenName, tunedPath, fitPath string) error {
-	s := &tune.Scenario{
-		Name: scenName, Model: cfg.Model, N: cfg.N, Tau: cfg.Tau,
-		Boundary: cfg.Boundary, Solid: cfg.Solid,
-		Accel: cfg.Accel, Init: cfg.Init,
-	}
+	s := tune.NewScenario(scenName, cfg)
 	workers := runtime.NumCPU()
 	key := tune.CacheKey(s, workers)
 	if tunedPath == "" {

@@ -213,16 +213,17 @@ func suite(quick bool) []check {
 	return cs
 }
 
+// trtThreads4 runs a cylinder channel with TRT on four threads.
+func trtThreads4(c *core.Config) {
+	c.Collision, c.Threads = collision.Spec{Kind: collision.TRT}, 4
+}
+
 // cylinderSteadyErr runs the Schäfer-Turek 2D-1 case (Re = 20, steady)
 // and returns the drag coefficient's relative deviation from the
 // reference interval midpoint; a detected shedding frequency in the
 // steady regime is an error.
 func cylinderSteadyErr(d int) (float64, error) {
-	res, err := physics.RunCylinderChannel(physics.CylinderChannelConfig{
-		D: d, Re: 20, UMean: 0.08,
-		Collision: collision.Spec{Kind: collision.TRT},
-		Threads:   4,
-	})
+	res, err := physics.RunCylinderChannel(physics.CylinderChannelConfig{D: d, Re: 20, UMean: 0.08}, trtThreads4)
 	if err != nil {
 		return 0, err
 	}
@@ -239,11 +240,7 @@ func cylinderSteadyErr(d int) (float64, error) {
 // midpoint; no established shedding, or a maximum drag coefficient
 // outside 10% of the reference, is an error.
 func cylinderSheddingErr() (float64, error) {
-	res, err := physics.RunCylinderChannel(physics.CylinderChannelConfig{
-		D: 16, Re: 100, UMean: 0.08,
-		Collision: collision.Spec{Kind: collision.TRT},
-		Threads:   4,
-	})
+	res, err := physics.RunCylinderChannel(physics.CylinderChannelConfig{D: 16, Re: 100, UMean: 0.08}, trtThreads4)
 	if err != nil {
 		return 0, err
 	}
@@ -268,8 +265,8 @@ func cylinderSheddingErr() (float64, error) {
 // cavityErr runs a cavity and returns the worst centerline deviation from
 // the tabulated reference, in lid units.
 func cavityErr(re, l, steps int, spec collision.Spec) (float64, error) {
-	res, err := physics.RunCavity(physics.CavityConfig{
-		L: l, Re: float64(re), Steps: steps, Collision: spec, Threads: 4,
+	res, err := physics.RunCavity(physics.CavityConfig{L: l, Re: float64(re), Steps: steps}, func(c *core.Config) {
+		c.Collision, c.Threads = spec, 4
 	})
 	if err != nil {
 		return 0, err

@@ -15,6 +15,7 @@ import (
 	"strings"
 
 	"repro/internal/collision"
+	"repro/internal/core"
 	"repro/internal/lattice"
 	"repro/internal/physics"
 )
@@ -26,9 +27,8 @@ func main() {
 		L  = 48
 		re = 100
 	)
-	res, err := physics.RunCavity(physics.CavityConfig{
-		L: L, Re: re,
-		Ranks: 4, Decomp: [3]int{2, 2, 1},
+	res, err := physics.RunCavity(physics.CavityConfig{L: L, Re: re}, func(c *core.Config) {
+		c.Ranks, c.Decomp = 4, [3]int{2, 2, 1}
 	})
 	if err != nil {
 		log.Fatal(err)
@@ -95,8 +95,8 @@ func main() {
 	// against Ghia et al. at L=64 within 3%.
 	fmt.Println("\nRe=1000 at tau=0.51 (under-resolved, L=32): the operator axis")
 	for _, spec := range []collision.Spec{{}, {Kind: collision.TRT}} {
-		stab, err := physics.RunCavity(physics.CavityConfig{
-			L: 32, Re: 1000, Steps: 4000, Collision: spec,
+		stab, err := physics.RunCavity(physics.CavityConfig{L: 32, Re: 1000, Steps: 4000}, func(c *core.Config) {
+			c.Collision = spec
 		})
 		if err != nil {
 			log.Fatal(err)

@@ -15,6 +15,7 @@ import (
 	"strings"
 
 	"repro/internal/collision"
+	"repro/internal/core"
 	"repro/internal/physics"
 )
 
@@ -25,10 +26,9 @@ func main() {
 		d  = 16  // cylinder diameter in cells (D=16 resolves the Re=100 wake)
 		re = 100 // vortex-shedding regime (2D-2 benchmark)
 	)
-	res, err := physics.RunCylinderChannel(physics.CylinderChannelConfig{
-		D: d, Re: re,
-		Collision: collision.Spec{Kind: collision.TRT},
-		Ranks:     2, Decomp: [3]int{2, 1, 1}, Threads: 2,
+	res, err := physics.RunCylinderChannel(physics.CylinderChannelConfig{D: d, Re: re}, func(c *core.Config) {
+		c.Collision = collision.Spec{Kind: collision.TRT}
+		c.Ranks, c.Decomp, c.Threads = 2, [3]int{2, 1, 1}, 2
 	})
 	if err != nil {
 		log.Fatal(err)

@@ -126,7 +126,6 @@ func orthogonalize(ortho [][]float64, row []float64) ([]float64, bool) {
 // mrtOp applies f ← f − C(f − f_eq) with C = M⁻¹SM precomputed.
 type mrtOp struct {
 	m     *lattice.Model
-	basis []Moment
 	rates []float64 // diagonal of S, one per basis moment
 	c     []float64 // Q×Q collision matrix, row-major
 	tau   float64
@@ -208,7 +207,7 @@ func NewMRT(m *lattice.Model, tau float64, ghostRates []float64) (Operator, erro
 		return nil, fmt.Errorf("collision: %s moment matrix: %v", m.Name, err)
 	}
 	o := &mrtOp{
-		m: m, basis: basis, rates: rates, c: c, tau: tau,
+		m: m, rates: rates, c: c, tau: tau,
 		label: Spec{Kind: MRT, GhostRates: ghostRates}.String(),
 		feq:   make([]float64, q), fneq: make([]float64, q),
 	}
@@ -273,9 +272,6 @@ func (o *mrtOp) Clone() Operator {
 	c.neqStore, c.neqRows = nil, nil
 	return &c
 }
-
-// Basis exposes the moment basis (for tables and tests).
-func (o *mrtOp) Basis() []Moment { return o.basis }
 
 // CollisionMatrix exposes the precomputed C = M⁻¹SM (row-major).
 func (o *mrtOp) CollisionMatrix() []float64 { return o.c }

@@ -345,33 +345,6 @@ func waitWire(m message) {
 	}
 }
 
-// Probe reports whether a message with the given tag from src is already
-// available without blocking. Under a delay model a message counts as
-// available only once its simulated wire arrival time has passed — the
-// same clock match() enforces — so polling Probe to decide between
-// computing and receiving sees the simulated network, not the channel.
-func (r *Rank) Probe(src, tag int) bool {
-	arrived := func(m message) bool {
-		return m.tag == tag && (m.ready.IsZero() || !m.ready.After(time.Now()))
-	}
-	for _, m := range r.pending[src] {
-		if arrived(m) {
-			return true
-		}
-	}
-	for {
-		select {
-		case m := <-r.f.chans[src][r.ID]:
-			r.pending[src] = append(r.pending[src], m)
-			if arrived(m) {
-				return true
-			}
-		default:
-			return false
-		}
-	}
-}
-
 // Barrier blocks until every rank has entered it.
 func (r *Rank) Barrier() { r.f.bar.await() }
 
@@ -387,38 +360,6 @@ func (r *Rank) AllReduceSum(vals []float64) []float64 {
 			if i < len(out) {
 				out[i] += v
 			}
-		}
-	}
-	r.Barrier()
-	return out
-}
-
-// AllReduceMax element-wise maximizes vals across all ranks.
-func (r *Rank) AllReduceMax(vals []float64) []float64 {
-	r.f.scratch[r.ID] = append([]float64(nil), vals...)
-	r.Barrier()
-	out := append([]float64(nil), r.f.scratch[0]...)
-	for rank := 1; rank < r.N; rank++ {
-		for i, v := range r.f.scratch[rank] {
-			if i < len(out) && v > out[i] {
-				out[i] = v
-			}
-		}
-	}
-	r.Barrier()
-	return out
-}
-
-// Gather collects each rank's vals at root, returned in rank order; other
-// ranks receive nil. All ranks must call Gather.
-func (r *Rank) Gather(root int, vals []float64) [][]float64 {
-	r.f.scratch[r.ID] = append([]float64(nil), vals...)
-	r.Barrier()
-	var out [][]float64
-	if r.ID == root {
-		out = make([][]float64, r.N)
-		for rank := 0; rank < r.N; rank++ {
-			out[rank] = append([]float64(nil), r.f.scratch[rank]...)
 		}
 	}
 	r.Barrier()

@@ -38,17 +38,6 @@ func NewCartTopologyBounded(n int, p [3]int, bounded [3]bool) (CartTopology, err
 	return CartTopology{P: p, Bounded: bounded}, nil
 }
 
-// Cart returns a fully periodic Cartesian topology over this fabric's ranks.
-func (f *Fabric) Cart(p [3]int) (CartTopology, error) {
-	return NewCartTopology(f.n, p)
-}
-
-// CartBounded returns a Cartesian topology over this fabric's ranks with
-// per-axis periodicity control.
-func (f *Fabric) CartBounded(p [3]int, bounded [3]bool) (CartTopology, error) {
-	return NewCartTopologyBounded(f.n, p, bounded)
-}
-
 // Ranks returns the total rank count of the grid.
 func (t CartTopology) Ranks() int { return t.P[0] * t.P[1] * t.P[2] }
 

@@ -49,13 +49,13 @@ func TestCartTopologySlabMatchesLinear(t *testing.T) {
 
 func TestCartTopologyOnFabric(t *testing.T) {
 	f := NewFabric(8)
-	if _, err := f.Cart([3]int{2, 2, 2}); err != nil {
+	if _, err := NewCartTopology(f.N(), [3]int{2, 2, 2}); err != nil {
 		t.Errorf("2x2x2 over 8 ranks rejected: %v", err)
 	}
-	if _, err := f.Cart([3]int{2, 2, 3}); err == nil {
+	if _, err := NewCartTopology(f.N(), [3]int{2, 2, 3}); err == nil {
 		t.Error("mismatched topology accepted")
 	}
-	if _, err := f.Cart([3]int{8, 0, 1}); err == nil {
+	if _, err := NewCartTopology(f.N(), [3]int{8, 0, 1}); err == nil {
 		t.Error("zero-extent topology accepted")
 	}
 }
@@ -65,7 +65,7 @@ func TestCartTopologyOnFabric(t *testing.T) {
 // its -x neighbor's ID.
 func TestCartTopologyMessaging(t *testing.T) {
 	f := NewFabric(8)
-	top, _ := f.Cart([3]int{2, 2, 2})
+	top, _ := NewCartTopology(f.N(), [3]int{2, 2, 2})
 	err := f.Run(func(r *Rank) error {
 		up := top.Shift(r.ID, 0, +1)
 		down := top.Shift(r.ID, 0, -1)

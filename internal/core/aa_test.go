@@ -269,7 +269,7 @@ func TestAAMassConservation(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				ref := refSolver(cfg.Model, cfg.N, cfg.Tau, 0, cfg.Init)
+				ref := refSolverBounded(cfg.Model, cfg.N, cfg.Tau, 0, cfg.Init, nil, nil, [3]float64{})
 				m0, m1 := mass(ref), mass(res.Field)
 				if drift := math.Abs(m1-m0) / m0; drift > 1e-12 {
 					t.Errorf("%s: relative mass drift %g over %d steps (m0=%g, m1=%g)",

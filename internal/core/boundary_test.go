@@ -9,65 +9,6 @@ import (
 	"repro/internal/lattice"
 )
 
-// refSolverMask extends the oracle with halfway bounce-back and
-// velocity-shift forcing, sharing no code with the solver under test.
-func refSolverMask(m *lattice.Model, n grid.Dims, tau float64, steps int, init InitFunc,
-	solid func(ix, iy, iz int) bool, accel [3]float64) *grid.Field {
-	f := grid.NewField(m.Q, n, grid.SoA)
-	fadv := grid.NewField(m.Q, n, grid.SoA)
-	feq := make([]float64, m.Q)
-	isSolid := func(ix, iy, iz int) bool { return solid != nil && solid(ix, iy, iz) }
-	for ix := 0; ix < n.NX; ix++ {
-		for iy := 0; iy < n.NY; iy++ {
-			for iz := 0; iz < n.NZ; iz++ {
-				rho, ux, uy, uz := init(ix, iy, iz)
-				if isSolid(ix, iy, iz) {
-					rho, ux, uy, uz = 1, 0, 0, 0
-				}
-				m.Equilibrium(rho, ux, uy, uz, feq)
-				f.SetCell(ix, iy, iz, feq)
-			}
-		}
-	}
-	wrap := func(a, n int) int { return ((a % n) + n) % n }
-	fc := make([]float64, m.Q)
-	for s := 0; s < steps; s++ {
-		for v := 0; v < m.Q; v++ {
-			for ix := 0; ix < n.NX; ix++ {
-				for iy := 0; iy < n.NY; iy++ {
-					for iz := 0; iz < n.NZ; iz++ {
-						sx := wrap(ix-m.Cx[v], n.NX)
-						sy := wrap(iy-m.Cy[v], n.NY)
-						sz := wrap(iz-m.Cz[v], n.NZ)
-						if isSolid(sx, sy, sz) {
-							// Halfway bounce-back: reflect own population.
-							fadv.Set(v, ix, iy, iz, f.At(m.Opp[v], ix, iy, iz))
-						} else {
-							fadv.Set(v, ix, iy, iz, f.At(v, sx, sy, sz))
-						}
-					}
-				}
-			}
-		}
-		for ix := 0; ix < n.NX; ix++ {
-			for iy := 0; iy < n.NY; iy++ {
-				for iz := 0; iz < n.NZ; iz++ {
-					fadv.Cell(ix, iy, iz, fc)
-					rho, jx, jy, jz := m.Moments(fc)
-					ux := jx/rho + tau*accel[0]
-					uy := jy/rho + tau*accel[1]
-					uz := jz/rho + tau*accel[2]
-					m.Equilibrium(rho, ux, uy, uz, feq)
-					for v := 0; v < m.Q; v++ {
-						f.Set(v, ix, iy, iz, fc[v]-(fc[v]-feq[v])/tau)
-					}
-				}
-			}
-		}
-	}
-	return f
-}
-
 // maskAtFn adapts a voxel mask to the closure form the oracles take.
 func maskAtFn(m *geom.Mask) func(ix, iy, iz int) bool {
 	if m == nil {
@@ -123,7 +64,7 @@ func TestBounceBackEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s ranks=%d: %v", opt, ranks, err)
 			}
-			want := refSolverMask(cfg.Model, n, cfg.Tau, cfg.Steps, init, solid, [3]float64{})
+			want := refSolverBounded(cfg.Model, n, cfg.Tau, cfg.Steps, init, nil, cfg.Solid, [3]float64{})
 			if d := maxDiffFluid(res.Field, want, solid); d > eqTol {
 				t.Errorf("%s ranks=%d: max fluid |Δf| = %g", opt, ranks, d)
 			}
@@ -153,7 +94,7 @@ func TestBounceBackDeepHaloAndThreads(t *testing.T) {
 		if err != nil {
 			t.Fatalf("%s depth=%d: %v", cfg.Opt, cfg.GhostDepth, err)
 		}
-		want := refSolverMask(cfg.Model, n, cfg.Tau, cfg.Steps, init, solid, [3]float64{})
+		want := refSolverBounded(cfg.Model, n, cfg.Tau, cfg.Steps, init, nil, cfg.Solid, [3]float64{})
 		if d := maxDiffFluid(res.Field, want, solid); d > eqTol {
 			t.Errorf("%s ranks=%d depth=%d threads=%d: max fluid |Δf| = %g",
 				cfg.Opt, cfg.Ranks, cfg.GhostDepth, cfg.Threads, d)
@@ -214,7 +155,7 @@ func TestForcingEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%s fused=%v: %v", opt, fused, err)
 			}
-			want := refSolverMask(cfg.Model, n, cfg.Tau, cfg.Steps, init, nil, accel)
+			want := refSolverBounded(cfg.Model, n, cfg.Tau, cfg.Steps, init, nil, nil, accel)
 			if d := grid.MaxAbsDiff(res.Field, want); d > eqTol {
 				t.Errorf("%s fused=%v: max |Δf| = %g", opt, fused, d)
 			}

@@ -10,16 +10,18 @@ import (
 	"repro/internal/metrics"
 )
 
-// refSolverBounded is the textbook oracle for non-periodic domains: a
-// full-array pull-streaming solver that applies the boundary conditions
-// link by link at stream time — halfway bounce-back (with the moving-wall
-// momentum correction) for links crossing a wall face, coordinate
-// clamping for links crossing an outflow face, periodic wrap elsewhere.
-// It shares no kernel or boundary code with the solver under test.
+// refSolverBounded is the package's one test oracle, an independent
+// textbook implementation: full-array pull streaming that applies the
+// boundary conditions link by link at stream time — halfway bounce-back
+// (with the moving-wall momentum correction) for links crossing a wall
+// face or reaching a solid cell, coordinate clamping for links crossing an
+// outflow face, periodic wrap elsewhere (everywhere for a nil spec) — then
+// per-cell BGK collision with velocity-shift forcing by accel. It shares
+// no kernel or boundary code with the solver under test.
 // In-domain solid cells are held at rest and skipped (the production
 // solver lets them carry garbage that fluid cells never read, so
 // comparisons against this oracle go through maxDiffFluid).
-func refSolverBounded(m *lattice.Model, n grid.Dims, tau float64, steps int, init InitFunc, spec *BoundarySpec, solid *geom.Mask) *grid.Field {
+func refSolverBounded(m *lattice.Model, n grid.Dims, tau float64, steps int, init InitFunc, spec *BoundarySpec, solid *geom.Mask, accel [3]float64) *grid.Field {
 	f := grid.NewField(m.Q, n, grid.SoA)
 	fadv := grid.NewField(m.Q, n, grid.SoA)
 	feq := make([]float64, m.Q)
@@ -148,7 +150,9 @@ func refSolverBounded(m *lattice.Model, n grid.Dims, tau float64, steps int, ini
 					}
 					fadv.Cell(ix, iy, iz, fc)
 					rho, jx, jy, jz := m.Moments(fc)
-					ux, uy, uz := jx/rho, jy/rho, jz/rho
+					ux := jx/rho + tau*accel[0]
+					uy := jy/rho + tau*accel[1]
+					uz := jz/rho + tau*accel[2]
 					m.Equilibrium(rho, ux, uy, uz, feq)
 					for v := 0; v < m.Q; v++ {
 						f.Set(v, ix, iy, iz, fc[v]-(fc[v]-feq[v])/tau)
@@ -172,7 +176,7 @@ func runAndCompareBounded(t *testing.T, cfg Config) *Result {
 	if err != nil {
 		t.Fatalf("%s decomp=%v depth=%d: %v", cfg.Opt, cfg.Decomp, cfg.GhostDepth, err)
 	}
-	want := refSolverBounded(cfg.Model, cfg.N, cfg.Tau, cfg.Steps, cfg.Init, cfg.Boundary, cfg.Solid)
+	want := refSolverBounded(cfg.Model, cfg.N, cfg.Tau, cfg.Steps, cfg.Init, cfg.Boundary, cfg.Solid, cfg.Accel)
 	if d := maxDiffFluid(res.Field, want, maskAtFn(cfg.Solid)); d > eqTol {
 		t.Errorf("%s %s decomp=%v depth=%d: max |Δf| vs bounded oracle = %g (tol %g)",
 			cfg.Model.Name, cfg.Opt, cfg.Decomp, cfg.GhostDepth, d, eqTol)

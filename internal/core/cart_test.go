@@ -10,8 +10,8 @@ import (
 )
 
 // Multi-axis decomposition tests: the oracle comparisons reuse the
-// independent refSolver of core_test.go, so a 2-D or 3-D run is held to
-// the same 1e-12 standard as every slab configuration.
+// independent refSolverBounded of bounded_test.go, so a 2-D or 3-D run is
+// held to the same 1e-12 standard as every slab configuration.
 
 func TestCartOptLevelsAgainstOracleQ19(t *testing.T) {
 	n := grid.Dims{NX: 8, NY: 6, NZ: 6}

@@ -47,8 +47,8 @@ func TestFixupIndexMatchesOracle(t *testing.T) {
 	const tau, steps = 0.8, 7
 	init := waveInit(n)
 	want := map[*BoundarySpec]*grid.Field{
-		nil:    refSolverBounded(lattice.D3Q19(), n, tau, steps, init, nil, mask),
-		cavity: refSolverBounded(lattice.D3Q19(), n, tau, steps, init, cavity, mask),
+		nil:    refSolverBounded(lattice.D3Q19(), n, tau, steps, init, nil, mask, [3]float64{}),
+		cavity: refSolverBounded(lattice.D3Q19(), n, tau, steps, init, cavity, mask, [3]float64{}),
 	}
 	for _, tc := range cases {
 		got, err := Run(Config{
@@ -84,7 +84,7 @@ func TestFixupIndexAoS(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := refSolverMask(base.Model, n, base.Tau, base.Steps, init, mask.At, [3]float64{})
+	want := refSolverBounded(base.Model, n, base.Tau, base.Steps, init, nil, mask, [3]float64{})
 	if d := maxDiffFluid(got.Field, want, mask.At); d > eqTol {
 		t.Errorf("AoS index vs oracle deviate by %g", d)
 	}

@@ -135,7 +135,7 @@ func TestRandomizedConfigEquivalence(t *testing.T) {
 			t.Logf("config rejected: %v", err)
 			return false
 		}
-		want := refSolver(cfg.Model, cfg.N, cfg.Tau, cfg.Steps, cfg.Init)
+		want := refSolverBounded(cfg.Model, cfg.N, cfg.Tau, cfg.Steps, cfg.Init, nil, nil, [3]float64{})
 		d := grid.MaxAbsDiff(res.Field, want)
 		if d > eqTol {
 			t.Logf("opt=%v ranks=%d threads=%d depth=%d steps=%d fused=%v: diff %g",

@@ -83,18 +83,13 @@ func CollisionTable(modelName string) (*Table, error) {
 // lowTauCavityStable runs the under-resolved low-tau cavity and reports
 // "stable" or "DIVERGED".
 func lowTauCavityStable(m *lattice.Model, spec collision.Spec, l, steps int) (string, error) {
-	const tau = 0.51
-	lidU := 1000 * m.Viscosity(tau) / float64(l)
-	res, err := core.Run(core.Config{
-		Model: m, N: grid.Dims{NX: l, NY: l, NZ: 2 * m.MaxSpeed}, Tau: tau, Steps: steps,
-		Opt: core.OptSIMD, Ranks: 1, Threads: 1, GhostDepth: 1,
-		Collision: spec,
-		Boundary:  core.CavitySpec(lidU),
-	})
+	const tau, re = 0.51, 1000.0
+	cav := physics.CavityConfig{Model: m, L: l, Re: re, LidU: re * m.Viscosity(tau) / float64(l), Steps: steps}
+	res, err := physics.RunCavity(cav, func(c *core.Config) { c.Collision = spec })
 	if err != nil {
 		return "", err
 	}
-	if math.IsNaN(res.Mass) || math.IsInf(res.Mass, 0) {
+	if mass := res.Res.Mass; math.IsNaN(mass) || math.IsInf(mass, 0) {
 		return "DIVERGED", nil
 	}
 	return "stable", nil

@@ -9,6 +9,7 @@ import (
 	"repro/internal/grid"
 	"repro/internal/lattice"
 	"repro/internal/perfsim"
+	"repro/internal/physics"
 	"repro/internal/tune"
 )
 
@@ -100,14 +101,11 @@ func TuneScenarioNames() []string { return []string{"cavity64", "bifurcation96"}
 func TuneScenario(name string) (*tune.Scenario, error) {
 	switch name {
 	case "cavity64":
-		m := lattice.D3Q19()
-		const lidU, re = 0.1, 100.0
-		n := grid.Dims{NX: 64, NY: 64, NZ: 64}
-		return &tune.Scenario{
-			Name: name, Model: m, N: n,
-			Tau:      m.TauForViscosity(lidU * float64(n.NY) / re),
-			Boundary: core.CavitySpec(lidU),
-		}, nil
+		var cfg core.Config
+		if err := (physics.CavityConfig{L: 64, NZ: 64, Re: 100}).Configure(&cfg); err != nil {
+			return nil, err
+		}
+		return tune.NewScenario(name, &cfg), nil
 	case "bifurcation96":
 		m := lattice.D3Q19()
 		n := grid.Dims{NX: 96, NY: 48, NZ: 48}

@@ -178,30 +178,6 @@ func NewCartExchanger(q int, d grid.Dims, own, w [3]int, self int, neighbors [3]
 	return NewCartExchangerClipped(q, d, own, w, self, neighbors, nil, [3][2][]int{})
 }
 
-// NewCartExchangerMasked builds an exchanger over a dense field whose
-// faces carry only the cells solid does not mark: solid, when non-nil, is
-// the rank's mask over the local dims (ghosts included).
-func NewCartExchangerMasked(q int, d grid.Dims, own, w [3]int, self int, neighbors [3][2]int, solid []bool) (*CartExchanger, error) {
-	if solid == nil {
-		return NewCartExchangerClipped(q, d, own, w, self, neighbors, nil, [3][2][]int{})
-	}
-	if len(solid) != d.Cells() {
-		return nil, fmt.Errorf("halo: mask has %d cells, local field %d", len(solid), d.Cells())
-	}
-	return NewCartExchangerClipped(q, d, own, w, self, neighbors, func(ix, iy, zlo, zhi int, seg func(off, z, n int)) {
-		row := d.Index(ix, iy, 0)
-		for z := zlo; z < zhi; z++ {
-			if solid[row+z] {
-				continue
-			}
-			z0 := z
-			for z++; z < zhi && !solid[row+z]; z++ {
-			}
-			seg(row+z0, z0, z-z0)
-		}
-	}, [3][2][]int{})
-}
-
 // Clip is a field's address map as the exchanger needs it: it lists the
 // stored cells of local row (ix, iy) with z in [zlo, zhi) as contiguous
 // segments, z ascending — n cells from cell offset off of every velocity

@@ -106,7 +106,7 @@ func TestCartExchangeFillsAllGhosts(t *testing.T) {
 			}
 			w := [3]int{1, 1, 1}
 			fab := comm.NewFabric(dec.Ranks())
-			top, err := fab.Cart(p)
+			top, err := comm.NewCartTopology(fab.N(), p)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -175,7 +175,7 @@ func TestCartExchangePerAxisWidths(t *testing.T) {
 			t.Fatal(err)
 		}
 		fab := comm.NewFabric(dec.Ranks())
-		top, err := fab.Cart(p)
+		top, err := comm.NewCartTopology(fab.N(), p)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -241,7 +241,7 @@ func TestZeroWidthAxisHasNoFaces(t *testing.T) {
 					t.Fatal(err)
 				}
 				fab := comm.NewFabric(dec.Ranks())
-				top, err := fab.Cart(c.p)
+				top, err := comm.NewCartTopology(fab.N(), c.p)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -336,7 +336,7 @@ func TestCartExchangeDeepHalo(t *testing.T) {
 	dec, _ := decomp.NewCartesian(global, p)
 	w := [3]int{2, 2, 2}
 	fab := comm.NewFabric(dec.Ranks())
-	top, _ := fab.Cart(p)
+	top, _ := comm.NewCartTopology(fab.N(), p)
 	runErr := fab.Run(func(r *comm.Rank) error {
 		var start, own [3]int
 		for a := 0; a < 3; a++ {
@@ -420,7 +420,7 @@ func TestCartExchangeBoundedAxes(t *testing.T) {
 			}
 			w := [3]int{1, 1, 1}
 			fab := comm.NewFabric(dec.Ranks())
-			top, err := fab.CartBounded(tc.p, tc.bounded)
+			top, err := comm.NewCartTopologyBounded(fab.N(), tc.p, tc.bounded)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -557,7 +557,7 @@ func TestMaskedExchangeFluidOnly(t *testing.T) {
 					t.Fatal(err)
 				}
 				fab := comm.NewFabric(dec.Ranks())
-				top, err := fab.Cart(p)
+				top, err := comm.NewCartTopology(fab.N(), p)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -592,7 +592,7 @@ func TestMaskedExchangeFluidOnly(t *testing.T) {
 							}
 						}
 					}
-					ex, err := NewCartExchangerMasked(q, d, own, w, r.ID, top.Neighbors(r.ID), solid)
+					ex, err := NewCartExchangerClipped(q, d, own, w, r.ID, top.Neighbors(r.ID), maskClip(d, solid), [3][2][]int{})
 					if err != nil {
 						return err
 					}
@@ -660,7 +660,7 @@ func TestAllFluidSpansArePackBox(t *testing.T) {
 	self := [3][2]int{{0, 0}, {0, 0}, {0, 0}}
 	const q = 3
 	for _, solid := range [][]bool{nil, make([]bool, d.Cells())} {
-		ex, err := NewCartExchangerMasked(q, d, own, w, 0, self, solid)
+		ex, err := NewCartExchangerClipped(q, d, own, w, 0, self, maskClip(d, solid), [3][2][]int{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -705,7 +705,7 @@ func TestLocalWrapAllocatesNothing(t *testing.T) {
 		solid[i] = i%3 == 0
 	}
 	for _, mask := range [][]bool{nil, solid} {
-		ex, err := NewCartExchangerMasked(2, d, [3]int{6, 6, 6}, [3]int{1, 1, 1}, 0, [3][2]int{{0, 0}, {0, 0}, {0, 0}}, mask)
+		ex, err := NewCartExchangerClipped(2, d, [3]int{6, 6, 6}, [3]int{1, 1, 1}, 0, [3][2]int{{0, 0}, {0, 0}, {0, 0}}, maskClip(d, mask), [3][2][]int{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -731,12 +731,12 @@ func TestExchangeAllocatesNothing(t *testing.T) {
 	for _, mask := range [][]bool{nil, solid} {
 		for _, nonblocking := range []bool{false, true} {
 			fab := comm.NewFabric(2)
-			top, err := fab.Cart([3]int{2, 1, 1})
+			top, err := comm.NewCartTopology(fab.N(), [3]int{2, 1, 1})
 			if err != nil {
 				t.Fatal(err)
 			}
 			err = fab.Run(func(r *comm.Rank) error {
-				ex, err := NewCartExchangerMasked(2, d, [3]int{6, 6, 6}, [3]int{1, 1, 1}, r.ID, top.Neighbors(r.ID), mask)
+				ex, err := NewCartExchangerClipped(2, d, [3]int{6, 6, 6}, [3]int{1, 1, 1}, r.ID, top.Neighbors(r.ID), maskClip(d, mask), [3][2][]int{})
 				if err != nil {
 					return err
 				}
@@ -777,7 +777,7 @@ func TestWireMismatchFailsWell(t *testing.T) {
 	const q = 2
 	for _, nonblocking := range []bool{false, true} {
 		fab := comm.NewFabric(2)
-		top, err := fab.Cart([3]int{2, 1, 1})
+		top, err := comm.NewCartTopology(fab.N(), [3]int{2, 1, 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -791,7 +791,7 @@ func TestWireMismatchFailsWell(t *testing.T) {
 					}
 				}
 			}
-			ex, err := NewCartExchangerMasked(q, d, own, w, r.ID, top.Neighbors(r.ID), solid)
+			ex, err := NewCartExchangerClipped(q, d, own, w, r.ID, top.Neighbors(r.ID), maskClip(d, solid), [3][2][]int{})
 			if err != nil {
 				return err
 			}
@@ -857,7 +857,7 @@ func TestFaceVelocityLists(t *testing.T) {
 					t.Fatal(err)
 				}
 				fab := comm.NewFabric(dec.Ranks())
-				top, err := fab.Cart(p)
+				top, err := comm.NewCartTopology(fab.N(), p)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -961,7 +961,7 @@ func TestFaceVelocityLists(t *testing.T) {
 		{"list", false, [3][2][]int{{{1}, {2}}}, 1 * 6 * 6, 2 * 6 * 6},
 	} {
 		fab := comm.NewFabric(2)
-		top, err := fab.Cart([3]int{2, 1, 1})
+		top, err := comm.NewCartTopology(fab.N(), [3]int{2, 1, 1})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -994,9 +994,12 @@ func TestFaceVelocityLists(t *testing.T) {
 	}
 }
 
-// maskClip is the address map NewCartExchangerMasked builds: a dense field
-// over d whose halo carries only the cells solid does not mark.
+// maskClip is the address map of a dense field over d whose halo carries
+// only the cells solid does not mark; nil solid is the dense field.
 func maskClip(d grid.Dims, solid []bool) Clip {
+	if solid == nil {
+		return nil
+	}
 	return func(ix, iy, zlo, zhi int, seg func(off, z, n int)) {
 		row := d.Index(ix, iy, 0)
 		for z := zlo; z < zhi; z++ {

@@ -237,12 +237,6 @@ func (m *Model) Moments(f []float64) (rho, jx, jy, jz float64) {
 	return
 }
 
-// Velocity returns the macroscopic velocity of a distribution f.
-func (m *Model) Velocity(f []float64) (ux, uy, uz float64) {
-	rho, jx, jy, jz := m.Moments(f)
-	return jx / rho, jy / rho, jz / rho
-}
-
 // Viscosity returns the kinematic shear viscosity implied by the BGK
 // relaxation time tau on this lattice: ν = c_s²(τ − ½).
 func (m *Model) Viscosity(tau float64) float64 {

@@ -154,7 +154,3 @@ func TorusBoundMFlups(m Machine, k KernelSpec) float64 {
 	agg := float64(m.TorusLinks) * m.TorusLinkBytes
 	return agg / k.BytesPerCell / 1e6
 }
-
-// FieldBytesPerCell returns the resident memory per lattice point for the
-// two-array implementation: 2 fields × q × 8 bytes.
-func FieldBytesPerCell(q int) float64 { return 2 * 8 * float64(q) }

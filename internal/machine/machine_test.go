@@ -82,9 +82,6 @@ func TestBytesPerCell(t *testing.T) {
 	if got := SpecD3Q39().BytesPerCell; got != 936 {
 		t.Errorf("D3Q39 bytes/cell = %g, want 936", got)
 	}
-	if got := FieldBytesPerCell(19); got != 304 {
-		t.Errorf("field bytes/cell(19) = %g, want 304", got)
-	}
 }
 
 func TestSpecForQ(t *testing.T) {

@@ -154,15 +154,3 @@ func Pearson(a, b []float64) float64 {
 	}
 	return cov / math.Sqrt(va*vb)
 }
-
-// GeoMean returns the geometric mean of xs (all values must be positive).
-func GeoMean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	var s float64
-	for _, x := range xs {
-		s += math.Log(x)
-	}
-	return math.Exp(s / float64(len(xs)))
-}

@@ -154,12 +154,3 @@ func TestPearson(t *testing.T) {
 		t.Error("Pearson on a single point must be NaN")
 	}
 }
-
-func TestGeoMean(t *testing.T) {
-	if got := GeoMean([]float64{1, 4}); math.Abs(got-2) > 1e-12 {
-		t.Errorf("GeoMean = %g, want 2", got)
-	}
-	if got := GeoMean(nil); got != 0 {
-		t.Errorf("GeoMean(nil) = %g, want 0", got)
-	}
-}

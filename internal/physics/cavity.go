@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"math"
 
-	"repro/internal/collision"
 	"repro/internal/core"
 	"repro/internal/grid"
 	"repro/internal/lattice"
@@ -95,13 +94,15 @@ func CavityRefU(re int) []RefPoint { return cavityRefU[re] }
 // centerline for a tabulated Reynolds number (100, 400 or 1000), or nil.
 func CavityRefV(re int) []RefPoint { return cavityRefV[re] }
 
-// CavityConfig describes one lid-driven cavity run.
+// CavityConfig describes the lid-driven cavity flow. Configure writes it
+// into a solver configuration; the execution settings (ranks, threads,
+// optimization level, collision operator, ...) are the caller's.
 type CavityConfig struct {
 	Model *lattice.Model // nil = D3Q19
 	// L is the cavity size in cells (the domain is L×L×NZ with the
 	// spanwise z axis periodic).
 	L  int
-	NZ int // spanwise extent, default 2
+	NZ int // spanwise extent, default 2·MaxSpeed
 	// Re is the Reynolds number U·L/ν; it sets tau from LidU and L.
 	Re float64
 	// LidU is the lid speed in lattice units (default 0.1, Hou et al.).
@@ -110,17 +111,6 @@ type CavityConfig struct {
 	// LidU) — the spin-up to steady state lengthens with the Reynolds
 	// number.
 	Steps int
-	// Ranks/Decomp/Threads/Opt/GhostDepth mirror core.Config; zero values
-	// mean a single-rank SIMD depth-1 run.
-	Ranks      int
-	Decomp     [3]int
-	Threads    int
-	Opt        core.OptLevel
-	GhostDepth int
-	// Collision selects the collision operator (zero = BGK). BGK caps the
-	// stable Reynolds number; Re = 1000 on practical resolutions needs TRT
-	// or MRT.
-	Collision collision.Spec
 }
 
 // CavityResult reports the steady-state centerline profiles.
@@ -147,53 +137,67 @@ func CavitySteadySteps(re float64, l int, lidU float64) int {
 	return int(conv * float64(l) / lidU)
 }
 
-// RunCavity executes a lid-driven cavity to (approximate) steady state
-// and extracts the centerline profiles.
-func RunCavity(c CavityConfig) (*CavityResult, error) {
+// lidU is the lid speed with its default applied.
+func (c CavityConfig) lidU() float64 {
+	if c.LidU == 0 {
+		return 0.1
+	}
+	return c.LidU
+}
+
+// Configure writes the cavity's flow into cfg: the lattice, the L×L×NZ
+// domain, τ from Re, the lid-driven wall spec, the run length and the rest
+// state (no solid, no body force, uniform initial field). Every other
+// field of cfg is left as the caller set it.
+func (c CavityConfig) Configure(cfg *core.Config) error {
 	m := c.Model
 	if m == nil {
 		m = lattice.D3Q19()
 	}
 	if c.L < 4 {
-		return nil, fmt.Errorf("physics: cavity L = %d too small", c.L)
+		return fmt.Errorf("physics: cavity L = %d too small", c.L)
 	}
 	if c.NZ == 0 {
 		c.NZ = 2 * m.MaxSpeed
 	}
-	if c.LidU == 0 {
-		c.LidU = 0.1
-	}
+	c.LidU = c.lidU()
 	if c.Re <= 0 {
-		return nil, fmt.Errorf("physics: cavity Re = %g, want > 0", c.Re)
+		return fmt.Errorf("physics: cavity Re = %g, want > 0", c.Re)
 	}
-	if c.Ranks < 1 {
-		c.Ranks = 1
+	cfg.Model = m
+	cfg.N = grid.Dims{NX: c.L, NY: c.L, NZ: c.NZ}
+	cfg.Tau = m.TauForViscosity(c.LidU * float64(c.L) / c.Re)
+	cfg.Steps = c.Steps
+	if cfg.Steps == 0 {
+		cfg.Steps = CavitySteadySteps(c.Re, c.L, c.LidU)
 	}
-	if c.Opt == core.OptOrig {
-		c.Opt = core.OptSIMD
-	}
-	if c.GhostDepth < 1 {
-		c.GhostDepth = 1
-	}
-	nu := c.LidU * float64(c.L) / c.Re
-	tau := m.TauForViscosity(nu)
-	steps := c.Steps
-	if steps == 0 {
-		steps = CavitySteadySteps(c.Re, c.L, c.LidU)
-	}
-	n := grid.Dims{NX: c.L, NY: c.L, NZ: c.NZ}
-	res, err := core.Run(core.Config{
-		Model: m, N: n, Tau: tau, Steps: steps,
-		Opt: c.Opt, Ranks: c.Ranks, Decomp: c.Decomp, Threads: c.Threads,
-		GhostDepth: c.GhostDepth, Collision: c.Collision,
-		Boundary:  core.CavitySpec(c.LidU),
+	cfg.Boundary = core.CavitySpec(c.LidU)
+	cfg.Solid, cfg.Accel, cfg.Init = nil, [3]float64{}, nil
+	return nil
+}
+
+// RunCavity executes a lid-driven cavity to (approximate) steady state
+// and extracts the centerline profiles. The run is a single-rank,
+// single-thread SIMD depth-1 BGK run; cfgMod, when non-nil, may adjust the
+// solver configuration (ranks, threads, collision operator, ...) after
+// the cavity is set up.
+func RunCavity(c CavityConfig, cfgMod func(*core.Config)) (*CavityResult, error) {
+	cfg := core.Config{
+		Opt: core.OptSIMD, Ranks: 1, Threads: 1, GhostDepth: 1,
 		KeepField: true,
-	})
+	}
+	if err := c.Configure(&cfg); err != nil {
+		return nil, err
+	}
+	if cfgMod != nil {
+		cfgMod(&cfg)
+	}
+	res, err := core.Run(cfg)
 	if err != nil {
 		return nil, err
 	}
-	out := CavityProfiles(m, res.Field, c.LidU)
-	out.Tau, out.Steps, out.Res = tau, steps, res
+	out := CavityProfiles(cfg.Model, res.Field, c.lidU())
+	out.Tau, out.Steps, out.Res = cfg.Tau, cfg.Steps, res
 	return out, nil
 }
 

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/lattice"
 )
 
@@ -58,7 +59,7 @@ func TestCavityRefTables(t *testing.T) {
 // lid-driven cavity must reproduce the Hou et al. reference centerline
 // profiles within 3% of the lid speed at every tabulated point.
 func TestCavityRe100Centerlines(t *testing.T) {
-	res, err := RunCavity(CavityConfig{L: 32, Re: 100})
+	res, err := RunCavity(CavityConfig{L: 32, Re: 100}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +89,7 @@ func TestCavityRe400Centerlines(t *testing.T) {
 	if testing.Short() {
 		t.Skip("long transient in -short mode")
 	}
-	res, err := RunCavity(CavityConfig{L: 48, Re: 400, Steps: 16000})
+	res, err := RunCavity(CavityConfig{L: 48, Re: 400, Steps: 16000}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -109,13 +110,13 @@ func TestCavityRe400Centerlines(t *testing.T) {
 // on the rank grid (a short transient compared bitwise-tightly).
 func TestCavityDecompositionInvariance(t *testing.T) {
 	base := CavityConfig{L: 16, Re: 50, Steps: 120}
-	ref, err := RunCavity(base)
+	ref, err := RunCavity(base, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := base
-	cfg.Ranks, cfg.Decomp = 4, [3]int{2, 2, 1}
-	got, err := RunCavity(cfg)
+	got, err := RunCavity(base, func(c *core.Config) {
+		c.Ranks, c.Decomp = 4, [3]int{2, 2, 1}
+	})
 	if err != nil {
 		t.Fatal(err)
 	}

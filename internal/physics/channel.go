@@ -19,15 +19,14 @@ package physics
 // Drag and lift come from the solver's momentum-exchange force series on
 // the voxelized cylinder, cD(t) = 2·Fx(t)/(ρ0·Ū²·D·span) with span the
 // spanwise extent NY (the channel height runs along z here — see the
-// orientation note in BuildCylinderChannel), and the Strouhal number
-// St = f·D/Ū from the zero crossings of the lift series — both the
+// orientation note in CylinderChannelConfig.Configure), and the Strouhal
+// number St = f·D/Ū from the zero crossings of the lift series — both the
 // measurement layer this file exists to exercise end to end.
 
 import (
 	"fmt"
 	"math"
 
-	"repro/internal/collision"
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/grid"
@@ -56,7 +55,11 @@ func CylinderRefFor(re float64) (CylinderRef, bool) {
 	return CylinderRef{}, false
 }
 
-// CylinderChannelConfig describes one cylinder-in-channel run.
+// CylinderChannelConfig describes the cylinder-in-channel flow. Configure
+// writes it into a solver configuration; the execution settings (ranks,
+// threads, optimization level, storage scheme, collision operator, ...)
+// are the caller's. The shedding regime sits at τ ≈ 0.53, where BGK is
+// fragile next to voxelized walls: TRT is the intended operator.
 type CylinderChannelConfig struct {
 	Model *lattice.Model // nil = D3Q19
 	// D is the cylinder diameter in cells — the resolution knob. The
@@ -75,17 +78,6 @@ type CylinderChannelConfig struct {
 	// MeasureFrom is the first step of the coefficient-measurement window
 	// (0 = the default, after the spin-up transient).
 	MeasureFrom int
-	// Collision selects the collision operator. The shedding regime sits
-	// at τ ≈ 0.53 where BGK is fragile next to voxelized walls; TRT is
-	// the intended operator (the default used by the CLI scenario).
-	Collision collision.Spec
-	// Ranks/Decomp/Threads/Opt/GhostDepth mirror core.Config; zero values
-	// mean a single-rank SIMD depth-1 run.
-	Ranks      int
-	Decomp     [3]int
-	Threads    int
-	Opt        core.OptLevel
-	GhostDepth int
 	// SpongeWidth/SpongeStrength configure the absorbing layer ahead of
 	// the pressure outlet (see core.Face). Pressure waves shed by the
 	// vortex street otherwise reflect off the outlet's zero-gradient copy
@@ -97,9 +89,6 @@ type CylinderChannelConfig struct {
 	// drops 5x, below 0.1%); SpongeWidth < 0 disables the layer.
 	SpongeWidth    int
 	SpongeStrength float64
-	// Stream selects the storage scheme (core.StreamTwoGrid or
-	// core.StreamAA).
-	Stream core.StreamScheme
 }
 
 // CylinderChannelResult reports the force coefficients of a completed run.
@@ -142,33 +131,25 @@ func cylinderSteps(re float64, d int, uMean float64) (steps, from int) {
 	return from + int(7*period), from
 }
 
-// BuildCylinderChannel resolves a benchmark description into a solver
-// configuration plus a result shell carrying the geometry and the
-// measurement window — the entry point the CLI scenario shares with
-// RunCylinderChannel (run the returned config, then Analyze the result).
-func BuildCylinderChannel(c CylinderChannelConfig) (core.Config, *CylinderChannelResult, error) {
-	var none core.Config
+// Configure writes the benchmark's flow into cfg — the lattice, the
+// 22D × 2·MaxSpeed × 4.1D domain, τ from Re, the inlet/outlet/wall spec
+// with its outlet sponge, the voxelized cylinder, force measurement, the
+// run length and the rest state — and returns a result shell carrying the
+// geometry and the measurement window: run cfg, then Analyze the result.
+// Every other field of cfg is left as the caller set it.
+func (c CylinderChannelConfig) Configure(cfg *core.Config) (*CylinderChannelResult, error) {
 	m := c.Model
 	if m == nil {
 		m = lattice.D3Q19()
 	}
 	if c.D < 6 {
-		return none, nil, fmt.Errorf("physics: cylinder diameter %d too coarse (want >= 6 cells)", c.D)
+		return nil, fmt.Errorf("physics: cylinder diameter %d too coarse (want >= 6 cells)", c.D)
 	}
 	if c.Re <= 0 {
-		return none, nil, fmt.Errorf("physics: cylinder Re = %g, want > 0", c.Re)
+		return nil, fmt.Errorf("physics: cylinder Re = %g, want > 0", c.Re)
 	}
 	if c.UMean == 0 {
 		c.UMean = 0.08
-	}
-	if c.Ranks < 1 {
-		c.Ranks = 1
-	}
-	if c.Opt == core.OptOrig {
-		c.Opt = core.OptSIMD
-	}
-	if c.GhostDepth < 1 {
-		c.GhostDepth = 1
 	}
 	d := c.D
 	// Orientation: flow along x, channel height along z, spanwise y. On
@@ -198,7 +179,7 @@ func BuildCylinderChannel(c CylinderChannelConfig) (core.Config, *CylinderChanne
 		from = steps * 2 / 3
 	}
 	if from >= steps {
-		return none, nil, fmt.Errorf("physics: measurement window start %d >= steps %d", from, steps)
+		return nil, fmt.Errorf("physics: measurement window start %d >= steps %d", from, steps)
 	}
 	profile := func(gx, gy, gz int) [3]float64 {
 		z := (float64(gz) + 0.5) / float64(n.NZ)
@@ -218,28 +199,29 @@ func BuildCylinderChannel(c CylinderChannelConfig) (core.Config, *CylinderChanne
 		spec.Faces[0][1].SpongeWidth = c.SpongeWidth
 		spec.Faces[0][1].SpongeStrength = c.SpongeStrength
 	}
-	cfg := core.Config{
-		Model: m, N: n, Tau: tau, Steps: steps,
-		Opt: c.Opt, Ranks: c.Ranks, Decomp: c.Decomp, Threads: c.Threads,
-		GhostDepth: c.GhostDepth, Collision: c.Collision,
-		Boundary:      &spec,
-		Solid:         cyl,
-		MeasureForces: true,
-		Stream:        c.Stream,
-	}
+	cfg.Model, cfg.N, cfg.Tau, cfg.Steps = m, n, tau, steps
+	cfg.Boundary, cfg.Solid, cfg.MeasureForces = &spec, cyl, true
+	cfg.Accel, cfg.Init = [3]float64{}, nil
 	out := &CylinderChannelResult{
 		N: n, CylX: cx, CylZ: cz, Radius: r, D: d,
 		Tau: tau, UMean: c.UMean, Steps: steps, From: from,
 	}
-	return cfg, out, nil
+	return out, nil
 }
 
 // RunCylinderChannel executes the benchmark and extracts the force
-// coefficients from the momentum-exchange series.
-func RunCylinderChannel(c CylinderChannelConfig) (*CylinderChannelResult, error) {
-	cfg, out, err := BuildCylinderChannel(c)
+// coefficients from the momentum-exchange series. The run is a
+// single-rank, single-thread SIMD depth-1 BGK run; cfgMod, when non-nil,
+// may adjust the solver configuration (collision operator, ranks,
+// threads, ...) after the channel is set up.
+func RunCylinderChannel(c CylinderChannelConfig, cfgMod func(*core.Config)) (*CylinderChannelResult, error) {
+	cfg := core.Config{Opt: core.OptSIMD, Ranks: 1, Threads: 1, GhostDepth: 1}
+	out, err := c.Configure(&cfg)
 	if err != nil {
 		return nil, err
+	}
+	if cfgMod != nil {
+		cfgMod(&cfg)
 	}
 	res, err := core.Run(cfg)
 	if err != nil {

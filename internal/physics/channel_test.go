@@ -32,7 +32,8 @@ func TestSheddingFrequency(t *testing.T) {
 // 4.1D, cylinder voxel count ≈ π(D/2)² per spanwise layer, inlet /
 // pressure-outlet / wall faces in the right places.
 func TestBuildCylinderChannel(t *testing.T) {
-	cfg, shell, err := BuildCylinderChannel(CylinderChannelConfig{D: 10, Re: 20, UMean: 0.05})
+	var cfg core.Config
+	shell, err := CylinderChannelConfig{D: 10, Re: 20, UMean: 0.05}.Configure(&cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,10 +62,10 @@ func TestBuildCylinderChannel(t *testing.T) {
 	if shell.From >= shell.Steps || shell.From == 0 {
 		t.Errorf("measurement window [%d, %d) malformed", shell.From, shell.Steps)
 	}
-	if _, _, err := BuildCylinderChannel(CylinderChannelConfig{D: 4, Re: 20}); err == nil {
+	if _, err := (CylinderChannelConfig{D: 4, Re: 20}).Configure(&cfg); err == nil {
 		t.Error("D=4 accepted")
 	}
-	if _, _, err := BuildCylinderChannel(CylinderChannelConfig{D: 10, Re: 0}); err == nil {
+	if _, err := (CylinderChannelConfig{D: 10, Re: 0}).Configure(&cfg); err == nil {
 		t.Error("Re=0 accepted")
 	}
 }
@@ -77,10 +78,9 @@ func TestCylinderSteadyDrag(t *testing.T) {
 	if testing.Short() {
 		t.Skip("steady-state transient in -short mode")
 	}
-	res, err := RunCylinderChannel(CylinderChannelConfig{
-		D: 10, Re: 20, UMean: 0.08,
-		Collision: collision.Spec{Kind: collision.TRT},
-		Threads:   2,
+	res, err := RunCylinderChannel(CylinderChannelConfig{D: 10, Re: 20, UMean: 0.08}, func(c *core.Config) {
+		c.Collision = collision.Spec{Kind: collision.TRT}
+		c.Threads = 2
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -110,8 +110,10 @@ func TestCavityRe1000Centerlines(t *testing.T) {
 		t.Skip("Re=1000 steady-state transient in -short mode")
 	}
 	res, err := RunCavity(CavityConfig{
-		L: 48, Re: 1000, Threads: 4, Steps: 23040, // 48 convective times
-		Collision: collision.Spec{Kind: collision.TRT},
+		L: 48, Re: 1000, Steps: 23040, // 48 convective times
+	}, func(c *core.Config) {
+		c.Threads = 4
+		c.Collision = collision.Spec{Kind: collision.TRT}
 	})
 	if err != nil {
 		t.Fatal(err)

@@ -60,9 +60,11 @@ type Scenario struct {
 	Summary string
 	// Configure turns the flag values into the final solver config. cfg
 	// arrives pre-filled with the generic flags (model, opt level, ranks,
-	// decomposition, threads, depth, collision, steps); Configure adjusts
-	// whatever the scenario owns (domain, tau, boundaries, geometry,
-	// init, measurement).
+	// decomposition, threads, depth, collision, steps); Configure writes
+	// only what the scenario owns (domain, tau, boundaries, geometry,
+	// init, measurement) and leaves the execution settings as they came.
+	// A flow with a set-up in internal/physics writes it through that
+	// set-up, so the scenario and the physics runner share one.
 	Configure func(p *Params, cfg *core.Config) error
 	// Report, when non-nil, prints scenario-specific physics after the
 	// run (centerline errors, force coefficients, ...). The returned
@@ -148,14 +150,17 @@ func init() {
 		Summary: "bounded lid-driven cavity, -re sets tau",
 		Configure: func(p *Params, cfg *core.Config) error {
 			// Lid along +x on the high-y face; z periodic (quasi-2-D).
-			// Re = LidU·NY/ν sets tau.
-			cfg.Tau = cfg.Model.TauForViscosity(p.LidU * float64(p.N.NY) / p.Re)
-			cfg.Boundary = core.CavitySpec(p.LidU)
-			cfg.Init = nil // from rest
-			cfg.KeepField = true
-			if !p.StepsSet {
-				cfg.Steps = physics.CavitySteadySteps(p.Re, p.N.NY, p.LidU)
+			// Re = LidU·NY/ν sets tau; -nx stretches the box along the
+			// lid without changing it.
+			flow := physics.CavityConfig{Model: cfg.Model, L: p.N.NY, NZ: p.N.NZ, Re: p.Re, LidU: p.LidU}
+			if p.StepsSet {
+				flow.Steps = cfg.Steps
 			}
+			if err := flow.Configure(cfg); err != nil {
+				return err
+			}
+			cfg.N.NX = p.N.NX
+			cfg.KeepField = true // the report reads the centerlines
 			return nil
 		},
 		Report: func(p *Params, cfg *core.Config, res *core.Result) []string {
@@ -175,45 +180,24 @@ func init() {
 		Name:    "channel",
 		Summary: "inlet-driven flow past a cylinder, vortex shedding at -re 100",
 		Configure: func(p *Params, cfg *core.Config) error {
-			// The benchmark owns the kernel shape: reject flags it would
-			// otherwise silently drop.
-			if cfg.Layout != grid.SoA {
-				return fmt.Errorf("scenario: the channel requires the SoA layout")
-			}
-			col := cfg.Collision
 			if !p.CollisionSet {
-				col = collision.Spec{Kind: collision.TRT}
+				cfg.Collision = collision.Spec{Kind: collision.TRT}
 			}
-			bc := physics.CylinderChannelConfig{
-				Model: cfg.Model, D: p.D, Re: p.Re, UMean: p.UMean,
-				Collision: col,
-				Ranks:     cfg.Ranks, Decomp: cfg.Decomp, Threads: cfg.Threads,
-				Opt: cfg.Opt, GhostDepth: cfg.GhostDepth,
-			}
+			flow := physics.CylinderChannelConfig{Model: cfg.Model, D: p.D, Re: p.Re, UMean: p.UMean}
 			if p.StepsSet {
-				bc.Steps = cfg.Steps
+				flow.Steps = cfg.Steps
 			}
-			built, shell, err := physics.BuildCylinderChannel(bc)
+			shell, err := flow.Configure(cfg)
 			if err != nil {
 				return err
 			}
-			built.GhostDepthAxes = cfg.GhostDepthAxes
-			built.Fused = cfg.Fused
-			built.Fabric = cfg.Fabric
-			built.KeepField = cfg.KeepField
-			built.StepJitter = cfg.StepJitter
-			built.Balance = cfg.Balance
-			built.Sparse = cfg.Sparse
-			built.Observe = cfg.Observe
-			built.Trace = cfg.Trace
 			if p.GeomPath != "" {
-				m, err := loadGeom(p.GeomPath, built.N)
+				m, err := loadGeom(p.GeomPath, cfg.N)
 				if err != nil {
 					return err
 				}
-				built.Solid = m
+				cfg.Solid = m
 			}
-			*cfg = built
 			p.channel = shell
 			return nil
 		},

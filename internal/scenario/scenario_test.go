@@ -4,7 +4,9 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/grid"
@@ -147,5 +149,57 @@ func TestChannelConfigure(t *testing.T) {
 	lines := sc.Report(&p, &cfg2, res)
 	if len(lines) == 0 {
 		t.Fatal("channel report empty")
+	}
+}
+
+// TestConfigureKeepsExecutionSettings: a scenario writes its flow, never
+// the run's execution settings. Every registered scenario configures a
+// small problem from a config whose execution fields all hold non-default
+// values, and each must come out of Configure as it went in.
+func TestConfigureKeepsExecutionSettings(t *testing.T) {
+	type execution struct {
+		Opt            core.OptLevel
+		Ranks          int
+		Decomp         [3]int
+		Threads        int
+		GhostDepth     int
+		GhostDepthAxes [3]int
+		Stream         core.StreamScheme
+		Balance        core.Balance
+		Sparse         bool
+		KeepField      bool
+		StepJitter     time.Duration
+		Observe        bool
+		Trace          bool
+		Fabric         *comm.Fabric
+	}
+	of := func(c *core.Config) execution {
+		return execution{
+			c.Opt, c.Ranks, c.Decomp, c.Threads, c.GhostDepth, c.GhostDepthAxes,
+			c.Stream, c.Balance, c.Sparse, c.KeepField, c.StepJitter,
+			c.Observe, c.Trace, c.Fabric,
+		}
+	}
+	for _, name := range Names() {
+		sc, _ := Get(name)
+		p := Params{
+			Model: lattice.D3Q19(), N: grid.Dims{NX: 16, NY: 16, NZ: 4},
+			Amplitude: 0.01, Re: 20, LidU: 0.1, UMean: 0.05, D: 8,
+		}
+		cfg := core.Config{
+			Model: p.Model, N: p.N, Tau: 0.8, Steps: 10,
+			Opt: core.OptGCC, Ranks: 2, Decomp: [3]int{2, 1, 1}, Threads: 3,
+			GhostDepth: 2, GhostDepthAxes: [3]int{2, 1, 1},
+			Stream: core.StreamAA, Balance: core.BalanceFluid, Sparse: true,
+			KeepField: true, StepJitter: time.Millisecond,
+			Observe: true, Trace: true, Fabric: comm.NewFabric(2),
+		}
+		want := of(&cfg)
+		if err := sc.Configure(&p, &cfg); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := of(&cfg); got != want {
+			t.Errorf("%s changed the execution settings:\n got %+v\nwant %+v", name, got, want)
+		}
 	}
 }

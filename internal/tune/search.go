@@ -8,6 +8,7 @@ import (
 	"os"
 	"sort"
 
+	"repro/internal/collision"
 	"repro/internal/core"
 	"repro/internal/decomp"
 	"repro/internal/geom"
@@ -24,14 +25,28 @@ const TunedSchema = "lbm-tuned/v1"
 // Scenario is the problem a tuned config is valid for: the physics and
 // geometry stay fixed, the execution knobs are searched.
 type Scenario struct {
-	Name     string
-	Model    *lattice.Model
-	N        grid.Dims
-	Tau      float64
-	Boundary *core.BoundarySpec
-	Solid    *geom.Mask
-	Accel    [3]float64
-	Init     core.InitFunc
+	Name  string
+	Model *lattice.Model
+	N     grid.Dims
+	Tau   float64
+	// Collision is the run's operator. The default space searches its
+	// kind only, and a candidate of that kind runs it with its own
+	// parameters (TRT's Λ, MRT's ghost rates).
+	Collision collision.Spec
+	Boundary  *core.BoundarySpec
+	Solid     *geom.Mask
+	Accel     [3]float64
+	Init      core.InitFunc
+}
+
+// NewScenario takes the problem of a solver config: its physics and
+// geometry, not its execution knobs.
+func NewScenario(name string, cfg *core.Config) *Scenario {
+	return &Scenario{
+		Name: name, Model: cfg.Model, N: cfg.N, Tau: cfg.Tau,
+		Collision: cfg.Collision, Boundary: cfg.Boundary, Solid: cfg.Solid,
+		Accel: cfg.Accel, Init: cfg.Init,
+	}
 }
 
 // Candidate is one point of the execution-config space, in the runnable
@@ -56,7 +71,9 @@ func (c Candidate) key() string {
 
 // Apply overlays the candidate's execution knobs onto an existing solver
 // config, leaving the physics (model, domain, tau, boundaries, geometry)
-// untouched — how `lbmrun -auto` adopts a tuned choice.
+// untouched — how `lbmrun -auto` adopts a tuned choice. The config keeps
+// its collision spec when the spec's kind is the candidate's kernel; a
+// different kernel brings its operator's default parameters.
 func (c Candidate) Apply(cfg *core.Config) error {
 	opt, err := core.ParseOptLevel(c.Opt)
 	if err != nil {
@@ -66,7 +83,7 @@ func (c Candidate) Apply(cfg *core.Config) error {
 	if err != nil {
 		return err
 	}
-	col, err := collisionFor(c.Kernel)
+	kind, err := collision.ParseKind(c.Kernel)
 	if err != nil {
 		return err
 	}
@@ -75,7 +92,10 @@ func (c Candidate) Apply(cfg *core.Config) error {
 		return err
 	}
 	cfg.Opt, cfg.Ranks, cfg.Decomp, cfg.Threads = opt, c.Ranks, c.Decomp, c.Threads
-	cfg.Collision, cfg.Stream = col, stream
+	if cfg.Collision.Kind != kind {
+		cfg.Collision = collision.Spec{Kind: kind}
+	}
+	cfg.Stream = stream
 	cfg.Balance, cfg.Sparse = bal, c.Sparse
 	if c.Depth[0] == c.Depth[1] && c.Depth[1] == c.Depth[2] {
 		cfg.GhostDepth, cfg.GhostDepthAxes = c.Depth[0], [3]int{}
@@ -90,7 +110,7 @@ func (c Candidate) Apply(cfg *core.Config) error {
 func (c Candidate) Config(s *Scenario, steps int) (core.Config, error) {
 	cfg := core.Config{
 		Model: s.Model, N: s.N, Tau: s.Tau, Steps: steps,
-		Boundary: s.Boundary, Solid: s.Solid,
+		Collision: s.Collision, Boundary: s.Boundary, Solid: s.Solid,
 		Accel: s.Accel, Init: s.Init,
 	}
 	if err := c.Apply(&cfg); err != nil {
@@ -101,8 +121,9 @@ func (c Candidate) Config(s *Scenario, steps int) (core.Config, error) {
 
 // DefaultCandidate is the stock configuration a plain `lbmrun` executes:
 // one rank, one thread, the full single-rank optimization ladder, unit
-// ghost depth, two-grid streaming, dense volume decomposition. The tuned
-// config's win is measured against it.
+// ghost depth, two-grid streaming, dense volume decomposition, BGK. The
+// tuned config's win is measured against it, run with the scenario's own
+// operator.
 func DefaultCandidate() Candidate {
 	return Candidate{
 		Ranks: 1, Decomp: [3]int{1, 1, 1}, Threads: 1,
@@ -130,9 +151,10 @@ type Space struct {
 
 // DefaultSpace returns the standard search space for a machine with the
 // given worker budget: power-of-two rank and thread counts, ghost depths
-// 1-2, the overlap-capable protocol rungs, both storage schemes, and the
-// scenario's kernel only (swapping collision operators changes the
-// physics; callers can widen Kernels explicitly).
+// 1-2, the overlap-capable protocol rungs, both storage schemes, and one
+// kernel, bgk: swapping collision operators changes the physics, so Tune
+// replaces it with the scenario's own operator and callers that price a
+// scenario set Kernels to its operator themselves.
 func DefaultSpace(maxWorkers int) Space {
 	if maxWorkers < 1 {
 		maxWorkers = 1
@@ -429,23 +451,25 @@ type Tuned struct {
 }
 
 // CacheKey derives the tuned config's identity: machine + scenario +
-// size + geometry + worker budget. A config is reused only on an exact
-// match, so a changed mask or a different host forces a re-tune.
+// collision operator + size + geometry + worker budget. A config is
+// reused only on an exact match, so a changed operator, a changed mask or
+// a different host forces a re-tune.
 func CacheKey(s *Scenario, maxWorkers int) string {
 	mi := obs.HostInfo()
 	mask := ""
 	if s.Solid != nil {
 		mask = s.Solid.Hash()
 	}
-	id := fmt.Sprintf("%s|%s|%dx%dx%d|%s|%d|%s/%s/%d",
-		s.Name, s.Model.Name, s.N.NX, s.N.NY, s.N.NZ, mask, maxWorkers,
+	id := fmt.Sprintf("%s|%s|%s|%dx%dx%d|%s|%d|%s/%s/%d",
+		s.Name, s.Model.Name, s.Collision, s.N.NX, s.N.NY, s.N.NZ, mask, maxWorkers,
 		mi.OS, mi.Arch, mi.CPUs)
 	return fmt.Sprintf("%x", sha256.Sum256([]byte(id)))[:16]
 }
 
 // Options bounds one tuning run.
 type Options struct {
-	// Space is the candidate space; zero value takes DefaultSpace(MaxWorkers).
+	// Space is the candidate space; zero value takes DefaultSpace(MaxWorkers)
+	// with the scenario's operator as its only kernel.
 	Space Space
 	// MaxWorkers is the worker budget (required if Space is zero).
 	MaxWorkers int
@@ -472,9 +496,11 @@ func Tune(s *Scenario, coeffs *perfsim.Coeffs, opt Options) (*Tuned, error) {
 	if opt.Measure == nil {
 		opt.Measure = RealMeasure
 	}
+	kernel := s.Collision.Kind.String()
 	sp := opt.Space
 	if sp.MaxWorkers == 0 {
 		sp = DefaultSpace(opt.MaxWorkers)
+		sp.Kernels = []string{kernel}
 	}
 	cands := Enumerate(s, sp)
 	if len(cands) == 0 {
@@ -525,7 +551,9 @@ func Tune(s *Scenario, coeffs *perfsim.Coeffs, opt Options) (*Tuned, error) {
 			win = i
 		}
 	}
-	baseCfg, err := DefaultCandidate().Config(s, opt.ConfirmSteps)
+	base := DefaultCandidate()
+	base.Kernel = kernel
+	baseCfg, err := base.Config(s, opt.ConfirmSteps)
 	if err != nil {
 		return nil, err
 	}

@@ -7,6 +7,7 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/collision"
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/grid"
@@ -231,6 +232,55 @@ func TestStaleCacheKey(t *testing.T) {
 	none, err := LoadCached(filepath.Join(t.TempDir(), "absent.json"), tn.Key)
 	if err != nil || none != nil {
 		t.Errorf("missing cache file should be a silent miss, got %v %v", none, err)
+	}
+}
+
+// TestTuneKeepsTheOperator: tuning a TRT scenario over the default space
+// searches TRT only, every confirmation run keeps the scenario's Λ, and the
+// winner applied to the run's own config leaves its operator as it was —
+// `lbmrun -auto` must not swap a TRT run for BGK. A candidate of another
+// kernel brings that operator's defaults, and the cache key tells the
+// operators apart.
+func TestTuneKeepsTheOperator(t *testing.T) {
+	spec := collision.Spec{Kind: collision.TRT, Magic: 0.1}
+	cfg := core.Config{
+		Model: lattice.D3Q19(), N: grid.Dims{NX: 32, NY: 16, NZ: 16}, Tau: 0.8,
+		Collision: spec, Boundary: core.CavitySpec(0.05),
+	}
+	s := NewScenario("test-trt-cavity", &cfg)
+	measure := func(c core.Config) (float64, float64, error) {
+		if c.Collision.Kind != spec.Kind || c.Collision.Magic != spec.Magic {
+			t.Errorf("confirmation run with %s, want %s", c.Collision, spec)
+		}
+		return fakeMeasure(c)
+	}
+	tn, err := Tune(s, nil, Options{MaxWorkers: 2, Measure: measure})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range tn.TopK {
+		if r.Candidate.Kernel != "trt" {
+			t.Errorf("default space searched kernel %q for a TRT scenario", r.Candidate.Kernel)
+		}
+	}
+	if err := tn.Choice.Apply(&cfg); err != nil {
+		t.Fatal(err)
+	}
+	if cfg.Collision.Kind != collision.TRT || cfg.Collision.Magic != 0.1 {
+		t.Errorf("Apply left collision %s, want %s", cfg.Collision, spec)
+	}
+	bgk := tn.Choice
+	bgk.Kernel = "bgk"
+	if err := bgk.Apply(&cfg); err != nil {
+		t.Fatal(err)
+	}
+	if !cfg.Collision.IsBGK() {
+		t.Errorf("a bgk candidate left collision %s", cfg.Collision)
+	}
+	plain := *s
+	plain.Collision = collision.Spec{Kind: collision.TRT}
+	if CacheKey(s, 2) == CacheKey(&plain, 2) {
+		t.Error("cache key ignores the TRT magic parameter")
 	}
 }
 

@@ -20,7 +20,6 @@ import (
 	"fmt"
 	"time"
 
-	"repro/internal/collision"
 	"repro/internal/comm"
 	"repro/internal/core"
 	"repro/internal/grid"
@@ -127,15 +126,6 @@ func (sw *Sweep) scenario() (*Scenario, error) {
 		Name: "sweep", Model: m, Tau: 0.8,
 		N: grid.Dims{NX: sw.Dims[0], NY: sw.Dims[1], NZ: sw.Dims[2]},
 	}, nil
-}
-
-// collisionFor maps a candidate's kernel tag to its operator spec.
-func collisionFor(kernel string) (collision.Spec, error) {
-	kind, err := collision.ParseKind(kernel)
-	if err != nil {
-		return collision.Spec{}, err
-	}
-	return collision.Spec{Kind: kind}, nil
 }
 
 // Collect runs the calibration sweep with the real instrumented solver:
