@@ -206,8 +206,9 @@ func main() {
 	fmt.Printf("model        %s (Q=%d, c_s^2=%.4f, k=%d)\n", model.Name, model.Q, model.CsSq, model.MaxSpeed)
 	fmt.Printf("scenario     %s\n", sc.Name)
 	fmt.Printf("domain       %s  (%d fluid cells)\n", n, fluid)
-	fmt.Printf("config       opt=%s ranks=%d decomp=%dx%dx%d balance=%s sparse=%v threads=%d depth=%s layout=%s fused=%v stream=%s collision=%s tau=%.4f\n",
-		cfg.Opt, cfg.Ranks, cfg.Decomp[0], cfg.Decomp[1], cfg.Decomp[2], cfg.Balance, cfg.Sparse, cfg.Threads, *depth, lay, cfg.GatherSweep(), cfg.Stream, cfg.Collision, cfg.Tau)
+	dep := core.ReportConfig(&cfg).Depth // what the run stepped with: -stream aa rounds up to even
+	fmt.Printf("config       opt=%s ranks=%d decomp=%dx%dx%d balance=%s sparse=%v threads=%d depth=%d,%d,%d layout=%s fused=%v stream=%s collision=%s tau=%.4f\n",
+		cfg.Opt, cfg.Ranks, cfg.Decomp[0], cfg.Decomp[1], cfg.Decomp[2], cfg.Balance, cfg.Sparse, cfg.Threads, dep[0], dep[1], dep[2], lay, cfg.GatherSweep(), cfg.Stream, cfg.Collision, cfg.Tau)
 	fmt.Printf("steps        %d\n", cfg.Steps)
 	if hb := res.HaloAxisBytes; hb != [3]int64{} {
 		fmt.Printf("halo surface %.1f KB/rank/exchange (x %.1f, y %.1f, z %.1f)\n",

@@ -111,6 +111,14 @@ type cartStepper struct {
 	sponge    [3][]float64   // per-axis, per-local-index sponge blend factor (nil = no sponge on axis)
 	hasSponge bool
 
+	// Constant faces (wall, moving wall, inlet: fillFace writes the same
+	// values every time) are written into each field on its first refresh
+	// and left alone after (ConstFacesOnce): filledIn[axis][side] holds the
+	// last two fields the face was written into. refill[axis] says the
+	// axis rewrites them at every refresh anyway.
+	filledIn [3][2][2]*grid.Field
+	refill   [3]bool
+
 	// Q-length buffers of the serial open-face passes (fillPressureLayer,
 	// aaFillColumns): a cell's populations and its two equilibria.
 	faceFc, faceFeqR, faceFeq1 []float64
@@ -139,6 +147,10 @@ func newCartStepper(cfg *Config, dec decomp.Cartesian, r *comm.Rank) (*cartStepp
 		cs.next = cs.gather
 	}
 	cs.depth, cs.w = cfg.ghostGeometry(dec)
+	open := cfg.Boundary.hasFace(BCOutflow, BCPressureOutlet)
+	for a := range cs.refill {
+		cs.refill[a] = testRefillFaces || !ConstFacesOnce(cs.depth[a], cfg.Stream, open)
+	}
 	for a := 0; a < 3; a++ {
 		cs.start[a], cs.own[a] = dec.Own(r.ID, a)
 	}
@@ -429,17 +441,30 @@ func (cs *cartStepper) refreshAxes(stale [3]bool) {
 
 // fillAxisFaces fills the boundary ghost faces (NoNeighbor sides) of one
 // axis, if any. Open faces are skipped: fillOpenFaces refreshed them at
-// the start of the step (every step, not just refresh steps).
+// the start of the step (every step, not just refresh steps). So is a
+// constant face already written into the current field, unless the axis
+// refills (refill).
 func (cs *cartStepper) fillAxisFaces(axis int) {
 	if cs.spec == nil {
 		return
 	}
 	for side := 0; side < 2; side++ {
-		if cs.ex.Neighbors[axis][side] == halo.NoNeighbor && !openFace(cs.spec.Faces[axis][side].Kind) {
-			cs.fillFace(axis, side)
+		if cs.ex.Neighbors[axis][side] != halo.NoNeighbor || openFace(cs.spec.Faces[axis][side].Kind) {
+			continue
 		}
+		in := &cs.filledIn[axis][side]
+		if !cs.refill[axis] && (in[0] == cs.f || in[1] == cs.f) {
+			continue
+		}
+		cs.fillFace(axis, side)
+		in[0], in[1] = cs.f, in[0]
 	}
 }
+
+// testRefillFaces, set by tests, makes every refresh rewrite every
+// constant face, as a deep halo does — the reference the write-once faces
+// must reproduce to the last bit (TestConstFacesOnceBitIdentity).
+var testRefillFaces bool
 
 // overlappedStep is the per-axis GC-C schedule (§V.F generalized to every
 // decomposition): ghost receives for the messaging stale axes are posted
@@ -575,6 +600,12 @@ func (cs *cartStepper) faceBox(axis, side int) box {
 // stable and the ride-along exchange payloads deterministic. Velocity
 // inlets hold the inlet equilibrium (ρ0 = 1 at the prescribed velocity)
 // for the same reason, per lattice point when the face has a profile.
+// These three are constant: fillAxisFaces writes one into a field on the
+// field's first refresh, and again only where a step may have overwritten
+// it — a deep halo computes into its ghosts, AA's even sub-step scatters
+// into ghost slots, and an open face's fill spans the other axes' ghost
+// rows (ConstFacesOnce). Every rank writes the same constant, so corners
+// a later axis's exchange carries in hold it too.
 // Outflow faces are zero-gradient: every ghost layer copies the
 // outermost owned layer.
 func (cs *cartStepper) fillFace(axis, side int) {

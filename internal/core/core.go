@@ -12,8 +12,8 @@
 // carries none — the kernels wrap across it (GhostWidths). The paper's own
 // case, a fully periodic domain cut into x slabs, keeps ghosts on x only;
 // a walled cavity or channel wraps its periodic z. What a ghost face
-// carries is data too: at depth 1 only the populations streaming pulls out
-// of it (DirectedFaces).
+// carries is data too: at depth 1 each ghost plane holds only the
+// populations streaming pulls out of it (DirectedFaces).
 //
 // The collision arithmetic lives in one place: collide.go holds one row
 // kernel per rung of the ladder (naive, row-generic, pair-symmetric) and
@@ -280,8 +280,8 @@ type Config struct {
 	Opt OptLevel
 	// GhostDepth is the deep-halo depth d: halo width d·k planes, exchanged
 	// every d steps. Must be 1 for OptOrig (which has no ghost cells). A
-	// depth-1 face carries only the populations streaming pulls out of its
-	// ghost, a deeper halo's all Q (DirectedFaces): depth d ≥ 2 trades bytes
+	// depth-1 ghost plane carries only the populations streaming pulls out
+	// of it, a deeper halo's all Q (DirectedFaces): depth d ≥ 2 trades bytes
 	// as well as ghost-cell updates for its d-fold fewer messages.
 	GhostDepth int
 	// GhostDepthAxes optionally sets the deep-halo depth per axis: axis a
@@ -616,15 +616,18 @@ func GhostWidths(shape [3]int, bounded [3]bool, stream StreamScheme, sparse bool
 // the stepper (Config.faceVelocities, handed to its exchanger) and the
 // performance model (perfsim's face bytes) both ask it. A ghost layer
 // exactly as wide as the lattice reach, w = k, is read by one thing only:
-// the upwind pulls of owned cells. A pull out of the low ghost has c_a > 0
-// and one out of the high ghost c_a < 0, so each face carries only the
-// populations whose axis component points from that ghost into the owned
-// region (D3Q19 5 of 19, D3Q39 11 of 39 — what the no-ghost Orig protocol
-// ships) and the other slots of its ghost cells are never written, hence
-// never paged in. Corners hold: a population read out of an edge or corner
-// ghost is directed on every axis it is a ghost of, so it rides along on
-// each of those axes' faces. Every population travels wherever a ghost
-// cell is itself computed or read whole:
+// the upwind pulls of owned cells. A pull out of the low ghost's plane at
+// distance d from the owned box has c_a ≥ d, and one out of the high
+// ghost's c_a ≤ −d, so each ghost plane carries only the populations that
+// cross it into the owned region: D3Q19 5 of 19 on its one plane, D3Q39
+// 11, 6 and 1 of 39 on its three — 18 velocity-planes of the 3·39 a
+// whole face moves, exactly what the no-ghost Orig protocol ships. The
+// other slots of its ghost cells are resident (the fields are prefaulted)
+// but never written or read. Corners hold plane by plane: a population
+// pulled out of an edge or corner ghost at distances (d_a, d_b) has
+// |c_a| ≥ d_a and |c_b| ≥ d_b, so it is on both planes' lists and rides
+// along on each of those axes' faces. Every population travels wherever a
+// ghost cell is itself computed or read whole:
 //
 //   - w > k: a deep halo's ghost cells are stream destinations and collide
 //     whole (AA's depths are even, so always);
@@ -636,26 +639,45 @@ func GhostWidths(shape [3]int, bounded [3]bool, stream StreamScheme, sparse bool
 // and need nothing more.
 func DirectedFaces(w, k int, whole bool) bool { return w == k && !whole }
 
-// faceVelocities resolves DirectedFaces into the exchanger's per-face
-// velocity lists for ghost widths w: [axis][0] the low ghost's, [axis][1]
-// the high ghost's, nil where a face carries all Q.
-func (c *Config) faceVelocities(w [3]int) (vels [3][2][]int) {
+// faceVelocities resolves DirectedFaces into the exchanger's per-plane
+// velocity lists for ghost widths w: [axis][0][d-1] lists the populations
+// the low ghost's plane d cells out carries (c_a ≥ d), [axis][1][d-1] the
+// high ghost's (c_a ≤ −d); [axis][side] is nil where a face carries all Q.
+func (c *Config) faceVelocities(w [3]int) (vels [3][2][][]int) {
 	m := c.Model
 	whole := c.Layout == grid.AoS || c.Boundary.hasFace(BCPressureOutlet)
 	for a, ca := range [3][]int{m.Cx, m.Cy, m.Cz} {
 		if !DirectedFaces(w[a], m.MaxSpeed, whole) {
 			continue
 		}
+		for side := range vels[a] {
+			vels[a][side] = make([][]int, w[a])
+		}
 		for v, c := range ca {
-			switch {
-			case c > 0:
-				vels[a][0] = append(vels[a][0], v)
-			case c < 0:
-				vels[a][1] = append(vels[a][1], v)
+			side := 0
+			if c < 0 {
+				side, c = 1, -c
+			}
+			for d := 1; d <= c; d++ {
+				vels[a][side][d-1] = append(vels[a][side][d-1], v)
 			}
 		}
 	}
 	return vels
+}
+
+// ConstFacesOnce is the one rule for how often a constant ghost face — a
+// wall, moving wall or velocity inlet, whose fill writes the same values
+// every time — is written; the stepper (fillAxisFaces) and the performance
+// model (perfsim's fill charge) both ask it. At depth 1 on two fields
+// nothing but the fill writes such a face, so each field gets it once, on
+// its first refresh. It is rewritten at every refresh of an axis with a
+// deep halo (depth > 1: the computed box reaches into its ghosts), under
+// AA (the even sub-step scatters into ghost slots) and in any run with an
+// open face (outflow or pressure outlet: their fills span the other axes'
+// ghost rows, wall corners included).
+func ConstFacesOnce(depth int, stream StreamScheme, open bool) bool {
+	return depth == 1 && stream != StreamAA && !open
 }
 
 // PaperGeometry reports whether a run has the geometry the two rungs that
@@ -671,12 +693,9 @@ func PaperGeometry(shape [3]int, bounded [3]bool, stream StreamScheme, sparse bo
 
 // ghostGeometry resolves the run's per-axis deep-halo depths and ghost
 // widths: axis a's w[a] cells per side (GhostWidths) are refreshed every
-// depth[a] steps (AA rounds depths up to even).
+// depth[a] steps.
 func (c *Config) ghostGeometry(dec decomp.Cartesian) (depth, w [3]int) {
-	depth = c.ghostDepths()
-	if c.Stream == StreamAA {
-		depth = aaDepths(depth)
-	}
+	depth = c.runDepths()
 	for a := range w {
 		w[a] = depth[a] * c.Model.MaxSpeed
 	}
@@ -684,6 +703,15 @@ func (c *Config) ghostGeometry(dec decomp.Cartesian) (depth, w [3]int) {
 		return depth, w
 	}
 	return depth, GhostWidths(dec.Shape(), dec.Bounded, c.Stream, c.Sparse, w)
+}
+
+// runDepths returns the per-axis deep-halo depths the run steps with: the
+// configured ones, which AA rounds up to even (aaDepths).
+func (c *Config) runDepths() [3]int {
+	if c.Stream == StreamAA {
+		return aaDepths(c.ghostDepths())
+	}
+	return c.ghostDepths()
 }
 
 // testGhostsEveryAxis, set by tests, makes every run carry ghosts on every

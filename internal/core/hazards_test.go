@@ -81,6 +81,26 @@ func TestGhostPoisonInvariance(t *testing.T) {
 			Model: lattice.D3Q39(), N: n, Tau: 0.8, Steps: 5,
 			Opt: OptGCC, Ranks: 8, Threads: 2, Decomp: [3]int{2, 2, 2}, GhostDepth: 1,
 		}},
+		// The same pencil on the blocking refresh: per-plane lists, the
+		// ride-along corners carried by the second axis's planes.
+		{"pencil-simd-q39-directed", Config{
+			Model: lattice.D3Q39(), N: n, Tau: 0.8, Steps: 5,
+			Opt: OptSIMD, Ranks: 4, Threads: 2, Decomp: [3]int{2, 2, 1}, GhostDepth: 1,
+		}},
+		// Walls written into each field once, on its first refresh: the
+		// poison in the other field survives until that field's own first
+		// refresh, and a cut axis's exchange carries wall corners across.
+		{"cavity-2rank-walls-once", Config{
+			Model: lattice.D3Q19(), N: n, Tau: 0.7, Steps: 5,
+			Opt: OptGCC, Ranks: 2, Threads: 2, GhostDepth: 1,
+			Collision: collision.Spec{Kind: collision.TRT},
+			Boundary:  CavitySpec(0.05),
+		}},
+		{"cavity-2rank-q39-walls-once", Config{
+			Model: lattice.D3Q39(), N: n, Tau: 0.8, Steps: 5,
+			Opt: OptSIMD, Ranks: 2, Threads: 2, GhostDepth: 1,
+			Boundary: CavitySpec(0.05),
+		}},
 		// An outflow face on a cut axis copies its source layer slot by slot,
 		// the other axes' ghost cells included: directed faces suffice.
 		{"block-outflow-directed", Config{
@@ -135,36 +155,43 @@ func outflowChannelSpec(u float64) *BoundarySpec {
 }
 
 // TestDirectedFacesRule pins what the stepper hands its exchanger: at
-// depth 1 each ghost face lists the populations whose axis component
-// points out of that ghost into the owned region — CrossPlaneVels[0] of
-// them, 5 of 19 and 11 of 39 — and all Q (nil) in the three whole-cell
-// cases: a deep halo, the AoS layout, a pressure outlet anywhere in the run.
+// depth 1 each ghost plane lists the populations that cross it into the
+// owned region — on the plane d cells out of the low ghost those with
+// c_a ≥ d, of the high ghost c_a ≤ −d: CrossPlaneVels of them, D3Q19 5 of
+// 19 on its one plane, D3Q39 11, 6 and 1 of 39 on its three — and all Q
+// (nil) in the three whole-cell cases: a deep halo, the AoS layout, a
+// pressure outlet anywhere in the run.
 func TestDirectedFacesRule(t *testing.T) {
 	for _, m := range []*lattice.Model{lattice.D3Q19(), lattice.D3Q39()} {
 		k := m.MaxSpeed
 		cfg := Config{Model: m}
 		vels := cfg.faceVelocities([3]int{k, k, 0})
-		want := map[int]int{19: 5, 39: 11}[m.Q]
+		want := map[int][]int{19: {5}, 39: {11, 6, 1}}[m.Q]
 		for a, comp := range [3][]int{m.Cx, m.Cy, m.Cz} {
-			for side, list := range vels[a] {
+			for side, planes := range vels[a] {
 				if a == 2 {
-					if list != nil {
-						t.Errorf("%s: a wrap axis has faces: %v", m.Name, list)
+					if planes != nil {
+						t.Errorf("%s: a wrap axis has faces: %v", m.Name, planes)
 					}
 					continue
 				}
-				if len(list) != want {
-					t.Errorf("%s axis %d side %d: %d populations, want %d", m.Name, a, side, len(list), want)
+				if len(planes) != k {
+					t.Fatalf("%s axis %d side %d: %d plane lists, want %d", m.Name, a, side, len(planes), k)
 				}
-				for _, v := range list {
-					if c := comp[v]; (side == 0 && c <= 0) || (side == 1 && c >= 0) {
-						t.Errorf("%s axis %d side %d: velocity %d has component %d, not directed into the owned region", m.Name, a, side, v, c)
+				for d, list := range planes {
+					if len(list) != want[d] {
+						t.Errorf("%s axis %d side %d plane %d: %d populations, want %d", m.Name, a, side, d+1, len(list), want[d])
+					}
+					for _, v := range list {
+						if c := comp[v]; (side == 0 && c < d+1) || (side == 1 && c > -(d+1)) {
+							t.Errorf("%s axis %d side %d plane %d: velocity %d has component %d, does not cross the plane into the owned region", m.Name, a, side, d+1, v, c)
+						}
 					}
 				}
 			}
 		}
-		// Per axis: the deep axis carries all Q, the depth-1 axis its list.
-		if v := cfg.faceVelocities([3]int{2 * k, k, k}); v[0][0] != nil || v[0][1] != nil || len(v[1][0]) != want || len(v[2][1]) != want {
+		// Per axis: the deep axis carries all Q, the depth-1 axis its lists.
+		if v := cfg.faceVelocities([3]int{2 * k, k, k}); v[0][0] != nil || v[0][1] != nil || len(v[1][0][0]) != want[0] || len(v[2][1][0]) != want[0] {
 			t.Errorf("%s widths {2k,k,k}: lists %v", m.Name, v)
 		}
 		for name, whole := range map[string]Config{
@@ -175,7 +202,7 @@ func TestDirectedFacesRule(t *testing.T) {
 				t.Errorf("%s %s: faces carry %v, want all Q on every face", m.Name, name, v)
 			}
 		}
-		if v := (&Config{Model: m, Boundary: outflowChannelSpec(0.05)}).faceVelocities([3]int{k, k, k}); len(v[0][0]) != want {
+		if v := (&Config{Model: m, Boundary: outflowChannelSpec(0.05)}).faceVelocities([3]int{k, k, k}); len(v[0][0][0]) != want[0] {
 			t.Errorf("%s outflow: faces carry %v, want directed lists", m.Name, v)
 		}
 	}

@@ -176,3 +176,45 @@ func BenchmarkRecorderOverhead(b *testing.B) {
 		})
 	}
 }
+
+// TestReportDepthIsRunDepth: a report's config.depth is what the run
+// stepped with, per axis — under AA the configured depths rounded up to
+// even — so a depth-1 AA run reports depth 2 and does the ghost work and
+// sends the bytes of the run configured at depth 2.
+func TestReportDepthIsRunDepth(t *testing.T) {
+	n := grid.Dims{NX: 32, NY: 16, NZ: 16}
+	run := func(stream StreamScheme, depth int, axes [3]int) (*Config, *Result) {
+		t.Helper()
+		cfg := &Config{
+			Model: lattice.D3Q19(), N: n, Tau: 0.8, Steps: 4, Opt: OptGCC, Ranks: 2, Threads: 1,
+			GhostDepth: depth, GhostDepthAxes: axes, Stream: stream, Init: waveInit(n),
+		}
+		res, err := Run(*cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cfg, res
+	}
+	for _, tc := range []struct {
+		stream StreamScheme
+		depth  int
+		axes   [3]int
+		want   [3]int
+	}{
+		{StreamAA, 1, [3]int{}, [3]int{2, 2, 2}},
+		{StreamAA, 0, [3]int{3, 1, 2}, [3]int{4, 2, 2}},
+		{StreamTwoGrid, 0, [3]int{3, 1, 2}, [3]int{3, 1, 2}},
+		{StreamTwoGrid, 1, [3]int{}, [3]int{1, 1, 1}},
+	} {
+		cfg, res := run(tc.stream, tc.depth, tc.axes)
+		if got := NewReport(cfg, res).Config.Depth; got != tc.want {
+			t.Errorf("%s depth %d axes %v: report says depth %v, want %v", tc.stream, tc.depth, tc.axes, got, tc.want)
+		}
+	}
+	_, one := run(StreamAA, 1, [3]int{})
+	_, two := run(StreamAA, 2, [3]int{})
+	if one.GhostUpdates != two.GhostUpdates || one.HaloAxisBytes != two.HaloAxisBytes {
+		t.Errorf("AA at depth 1: ghost work %d, axis bytes %v; at depth 2: %d, %v — want the same run",
+			one.GhostUpdates, one.HaloAxisBytes, two.GhostUpdates, two.HaloAxisBytes)
+	}
+}

@@ -6,7 +6,9 @@ import (
 )
 
 // ReportConfig mirrors a solver Config into the report's plain-value echo
-// form (obs cannot import core, so the glue lives here).
+// form (obs cannot import core, so the glue lives here). Depth is what the
+// run steps with, per axis: under AA the configured depths rounded up to
+// even.
 func ReportConfig(cfg *Config) obs.RunConfig {
 	layout := "soa"
 	if cfg.Layout == grid.AoS {
@@ -26,7 +28,7 @@ func ReportConfig(cfg *Config) obs.RunConfig {
 		Ranks:     cfg.Ranks,
 		Decomp:    cfg.Decomp,
 		Threads:   cfg.Threads,
-		Depth:     cfg.ghostDepths(),
+		Depth:     cfg.runDepths(),
 		Sparse:    cfg.Sparse,
 	}
 	if cfg.Balance != BalanceVolume {

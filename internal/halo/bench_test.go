@@ -29,8 +29,9 @@ func BenchmarkCopySpans(b *testing.B) {
 			b.Fatal(err)
 		}
 		for axis, name := range [3]string{"x", "y", "z"} {
-			spans := e.spans[axis][lowBorder]
-			buf := make([]float64, c.q*e.cells[axis][lowBorder])
+			face := e.faces[axis][lowBorder][0] // no velocity lists: one part
+			spans := face.spans
+			buf := make([]float64, c.q*face.cells)
 			for _, unpack := range []bool{false, true} {
 				b.Run(fmt.Sprintf("%s/%s/unpack=%v", c.name, name, unpack), func(b *testing.B) {
 					b.SetBytes(int64(8 * len(buf)))

@@ -23,11 +23,13 @@ import (
 // Snir.
 //
 // A face need not carry every population. A ghost layer exactly as wide as
-// the lattice reach is only ever read by upwind pulls out of it, so the
-// caller may hand the exchanger one velocity list per ghost face
-// (NewCartExchangerClipped): pack, local wrap, unpack, the byte count and
-// the payload-length check then move and count only those velocity blocks,
-// and the other slots of the face's ghost cells are never written.
+// the lattice reach is only ever read by upwind pulls out of it, and a pull
+// out of the plane at distance d from the owned box crosses d planes or
+// more, so the caller may hand the exchanger one velocity list per ghost
+// plane (NewCartExchangerClipped): pack, local wrap, unpack, the byte count
+// and the payload-length check then move and count only each plane's
+// listed velocity blocks, and the other slots of its ghost cells are never
+// written.
 
 // cartTag returns the message tag for data flowing along axis in
 // direction dir (0 = toward lower coordinates, 1 = toward higher).
@@ -117,6 +119,17 @@ type span struct {
 	off, n int
 }
 
+// part is a slab of a face that carries one velocity list: its stored
+// cells as spans in wire order — rows x-major then y, each row's z-runs
+// ascending, memory-adjacent runs merged — with their total, and the
+// velocity blocks it carries (nil: every block of the field). Its wire
+// form is velocity, then span.
+type part struct {
+	vels  []int
+	spans []span
+	cells int
+}
+
 // The four regions of an axis, in local index order.
 const (
 	lowGhost = iota
@@ -157,15 +170,10 @@ type CartExchanger struct {
 	// traffic counts.
 	Rec *obs.Recorder
 
-	// spans[axis][region] lists the region's exchanged cells in wire
-	// order: rows x-major then y, each row's z-runs ascending, memory-
-	// adjacent runs merged. cells[axis][region] is their total: a face's
-	// payload is Q values per cell.
-	spans [3][4][]span
-	cells [3][4]int
-	// vels[axis][side] lists the velocity blocks the ghost face on that
-	// side carries, in wire order; nil means every block of the field.
-	vels [3][2][]int
+	// faces[axis][region] lists the region's parts in wire order: the
+	// whole region as one part when its face carries every population,
+	// else one part per plane, ascending along the axis.
+	faces [3][4][]part
 
 	stage     []float64 // the local wrap's one reused buffer, grown on first use
 	posted    [3]bool   // PostRecvsAxis called, WaitUnpackAxis pending
@@ -175,7 +183,7 @@ type CartExchanger struct {
 // NewCartExchanger builds an exchanger for a field of the given shape
 // whose faces carry every cell.
 func NewCartExchanger(q int, d grid.Dims, own, w [3]int, self int, neighbors [3][2]int) (*CartExchanger, error) {
-	return NewCartExchangerClipped(q, d, own, w, self, neighbors, nil, [3][2][]int{})
+	return NewCartExchangerClipped(q, d, own, w, self, neighbors, nil, [3][2][][]int{})
 }
 
 // Clip is a field's address map as the exchanger needs it: it lists the
@@ -194,12 +202,14 @@ type Clip func(ix, iy, zlo, zhi int, seg func(off, z, n int))
 // stored must never be consumed. A mismatch is caught at unpack time by
 // the payload length.
 //
-// vels[axis][side], when non-nil, lists the velocities the ghost face on
-// that side of axis carries (and the neighbour's border face that fills
-// it), in wire order. Both ends of a message must hold the same list — the
-// length check covers that too — and a list needs one block per velocity,
-// the SoA layout. Nil carries all Q.
-func NewCartExchangerClipped(q int, d grid.Dims, own, w [3]int, self int, neighbors [3][2]int, stored Clip, vels [3][2][]int) (*CartExchanger, error) {
+// vels[axis][side], when non-nil, holds one list per plane of the ghost
+// face on that side of axis: vels[axis][side][d-1] the velocities the plane
+// at distance d from the owned box carries (and the neighbour's border
+// plane that fills it), in wire order; it needs w[axis] lists. Both ends of
+// a message must hold the same lists — the length check covers that too —
+// and a list needs one block per velocity, the SoA layout. Nil carries all
+// Q on every plane.
+func NewCartExchangerClipped(q int, d grid.Dims, own, w [3]int, self int, neighbors [3][2]int, stored Clip, vels [3][2][][]int) (*CartExchanger, error) {
 	dims := [3]int{d.NX, d.NY, d.NZ}
 	for a := 0; a < 3; a++ {
 		if dims[a] != own[a]+2*w[a] {
@@ -216,10 +226,15 @@ func NewCartExchangerClipped(q int, d grid.Dims, own, w [3]int, self int, neighb
 			// owned entirely by one rank.
 			return nil, fmt.Errorf("halo: axis %d owned extent %d < halo width %d (grow the domain or reduce depth)", a, own[a], w[a])
 		}
-		for _, list := range vels[a] {
-			for _, v := range list {
-				if v < 0 || v >= q {
-					return nil, fmt.Errorf("halo: axis %d face velocity %d outside [0, %d)", a, v, q)
+		for _, planes := range vels[a] {
+			if planes != nil && len(planes) != w[a] {
+				return nil, fmt.Errorf("halo: axis %d has %d face velocity lists for %d ghost planes", a, len(planes), w[a])
+			}
+			for _, list := range planes {
+				for _, v := range list {
+					if v < 0 || v >= q {
+						return nil, fmt.Errorf("halo: axis %d face velocity %d outside [0, %d)", a, v, q)
+					}
 				}
 			}
 		}
@@ -229,19 +244,57 @@ func NewCartExchangerClipped(q int, d grid.Dims, own, w [3]int, self int, neighb
 			seg(d.Index(ix, iy, zlo), zlo, zhi-zlo)
 		}
 	}
-	e := &CartExchanger{Q: q, Dims: d, Own: own, W: w, Self: self, Neighbors: neighbors, vels: vels}
+	e := &CartExchanger{Q: q, Dims: d, Own: own, W: w, Self: self, Neighbors: neighbors}
 	for a := 0; a < 3; a++ {
-		for region := range e.spans[a] {
-			e.spans[a][region], e.cells[a][region] = e.faceSpans(a, region, stored)
+		for region := range e.faces[a] {
+			e.faces[a][region] = e.faceParts(a, region, stored, vels[a][faceSide(region)])
 		}
 	}
 	return e, nil
 }
 
-// faceSpans lists the stored cells of one face region as spans in wire
-// order, with their total.
-func (e *CartExchanger) faceSpans(axis, region int, stored Clip) (spans []span, cells int) {
+// faceSide returns the side of the ghost face a region is or fills: the
+// low ghost and the high border (which fills the high neighbour's low
+// ghost) are side 0, the other two side 1 — one rule gives every rank of a
+// run its lists, so a border's are the ghost's it fills.
+func faceSide(region int) int {
+	if region == lowGhost || region == highBorder {
+		return 0
+	}
+	return 1
+}
+
+// faceParts lays out one face region on the wire: one part over the whole
+// region when planes is nil, else one part per plane, ascending along the
+// axis, each carrying the list of its distance from the owned box. A side-0
+// plane (low ghost, high border) lies hi[axis] − i planes from the box it
+// feeds, a side-1 plane i − lo[axis] + 1, so both ends of a message lay out
+// the same planes in the same order.
+func (e *CartExchanger) faceParts(axis, region int, stored Clip, planes [][]int) []part {
 	lo, hi := e.face(axis, region)
+	if planes == nil {
+		spans, cells := faceSpans(lo, hi, stored)
+		return []part{{spans: spans, cells: cells}}
+	}
+	parts := make([]part, 0, hi[axis]-lo[axis])
+	for i := lo[axis]; i < hi[axis]; i++ {
+		dist := i - lo[axis] + 1
+		if faceSide(region) == 0 {
+			dist = hi[axis] - i
+		}
+		plo, phi := lo, hi
+		plo[axis], phi[axis] = i, i+1
+		spans, cells := faceSpans(plo, phi, stored)
+		// A copy, never nil: a plane nothing crosses carries nothing, not all Q.
+		vels := append([]int{}, planes[dist-1]...)
+		parts = append(parts, part{vels: vels, spans: spans, cells: cells})
+	}
+	return parts
+}
+
+// faceSpans lists the stored cells of the box [lo, hi) as spans in wire
+// order, with their total.
+func faceSpans(lo, hi [3]int, stored Clip) (spans []span, cells int) {
 	if hi[2] <= lo[2] {
 		return nil, 0
 	}
@@ -278,24 +331,18 @@ func (e *CartExchanger) face(axis, region int) (lo, hi [3]int) {
 	return lo, hi
 }
 
-// faceVels returns the velocity list of the face in region (nil = all Q):
-// a ghost face's own, and for a border face the list of the ghost it
-// fills — the neighbour's on the opposite side, which is this rank's too,
-// since one rule gives every rank of a run its lists.
-func (e *CartExchanger) faceVels(axis, region int) []int {
-	if region == lowGhost || region == highBorder {
-		return e.vels[axis][0]
-	}
-	return e.vels[axis][1]
-}
-
 // faceLen returns the number of values the face in region holds on the
-// wire: its cells times the velocities it carries.
+// wire: per part, its cells times the velocities it carries.
 func (e *CartExchanger) faceLen(axis, region int) int {
-	if vels := e.faceVels(axis, region); vels != nil {
-		return len(vels) * e.cells[axis][region]
+	n := 0
+	for _, p := range e.faces[axis][region] {
+		vels := e.Q
+		if p.vels != nil {
+			vels = len(p.vels)
+		}
+		n += vels * p.cells
 	}
-	return e.Q * e.cells[axis][region]
+	return n
 }
 
 // Messaging reports whether the axis exchanges real messages: any side
@@ -457,16 +504,20 @@ func blocks(f *grid.Field) (n, per int) {
 	return f.Q, 1
 }
 
-// copyFace moves the face in region in wire order — for each velocity
-// block it carries, the cells of its spans — into buf, or, unpacking, out
-// of it.
+// copyFace moves the face in region in wire order — per part, for each
+// velocity block it carries, the cells of its spans — into buf, or,
+// unpacking, out of it.
 func (e *CartExchanger) copyFace(f *grid.Field, axis, region int, buf []float64, unpack bool) {
-	copySpans(f, e.faceVels(axis, region), e.spans[axis][region], buf, unpack)
+	n := 0
+	for _, p := range e.faces[axis][region] {
+		n += copySpans(f, p.vels, p.spans, buf[n:], unpack)
+	}
 }
 
 // copySpans moves the listed cells of the listed blocks of f (nil: every
-// block), in wire order, into buf — or, unpacking, out of it.
-func copySpans(f *grid.Field, vels []int, spans []span, buf []float64, unpack bool) {
+// block), in wire order, into buf — or, unpacking, out of it — and returns
+// the number of values moved.
+func copySpans(f *grid.Field, vels []int, spans []span, buf []float64, unpack bool) int {
 	nb, per := blocks(f)
 	size := len(f.Data) / nb
 	if vels != nil {
@@ -487,6 +538,7 @@ func copySpans(f *grid.Field, vels []int, spans []span, buf []float64, unpack bo
 			}
 		}
 	}
+	return n
 }
 
 // packFace stages the border face toward side in the local wrap's buffer

@@ -9,6 +9,7 @@ import (
 	"repro/internal/comm"
 	"repro/internal/decomp"
 	"repro/internal/grid"
+	"repro/internal/lattice"
 )
 
 func TestPackBoxRoundTrip(t *testing.T) {
@@ -592,7 +593,7 @@ func TestMaskedExchangeFluidOnly(t *testing.T) {
 							}
 						}
 					}
-					ex, err := NewCartExchangerClipped(q, d, own, w, r.ID, top.Neighbors(r.ID), maskClip(d, solid), [3][2][]int{})
+					ex, err := NewCartExchangerClipped(q, d, own, w, r.ID, top.Neighbors(r.ID), maskClip(d, solid), [3][2][][]int{})
 					if err != nil {
 						return err
 					}
@@ -660,13 +661,13 @@ func TestAllFluidSpansArePackBox(t *testing.T) {
 	self := [3][2]int{{0, 0}, {0, 0}, {0, 0}}
 	const q = 3
 	for _, solid := range [][]bool{nil, make([]bool, d.Cells())} {
-		ex, err := NewCartExchangerClipped(q, d, own, w, 0, self, maskClip(d, solid), [3][2][]int{})
+		ex, err := NewCartExchangerClipped(q, d, own, w, 0, self, maskClip(d, solid), [3][2][][]int{})
 		if err != nil {
 			t.Fatal(err)
 		}
 		for axis, wantSpans := range []int{1, d.NX, d.NX * d.NY} {
-			for region := range ex.spans[axis] {
-				if got := len(ex.spans[axis][region]); got != wantSpans {
+			for region, parts := range ex.faces[axis] {
+				if got := len(parts[0].spans); len(parts) != 1 || got != wantSpans {
 					t.Errorf("axis %d region %d: %d spans, want %d after merging", axis, region, got, wantSpans)
 				}
 			}
@@ -705,7 +706,7 @@ func TestLocalWrapAllocatesNothing(t *testing.T) {
 		solid[i] = i%3 == 0
 	}
 	for _, mask := range [][]bool{nil, solid} {
-		ex, err := NewCartExchangerClipped(2, d, [3]int{6, 6, 6}, [3]int{1, 1, 1}, 0, [3][2]int{{0, 0}, {0, 0}, {0, 0}}, maskClip(d, mask), [3][2][]int{})
+		ex, err := NewCartExchangerClipped(2, d, [3]int{6, 6, 6}, [3]int{1, 1, 1}, 0, [3][2]int{{0, 0}, {0, 0}, {0, 0}}, maskClip(d, mask), [3][2][][]int{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -736,7 +737,7 @@ func TestExchangeAllocatesNothing(t *testing.T) {
 				t.Fatal(err)
 			}
 			err = fab.Run(func(r *comm.Rank) error {
-				ex, err := NewCartExchangerClipped(2, d, [3]int{6, 6, 6}, [3]int{1, 1, 1}, r.ID, top.Neighbors(r.ID), maskClip(d, mask), [3][2][]int{})
+				ex, err := NewCartExchangerClipped(2, d, [3]int{6, 6, 6}, [3]int{1, 1, 1}, r.ID, top.Neighbors(r.ID), maskClip(d, mask), [3][2][][]int{})
 				if err != nil {
 					return err
 				}
@@ -791,7 +792,7 @@ func TestWireMismatchFailsWell(t *testing.T) {
 					}
 				}
 			}
-			ex, err := NewCartExchangerClipped(q, d, own, w, r.ID, top.Neighbors(r.ID), maskClip(d, solid), [3][2][]int{})
+			ex, err := NewCartExchangerClipped(q, d, own, w, r.ID, top.Neighbors(r.ID), maskClip(d, solid), [3][2][][]int{})
 			if err != nil {
 				return err
 			}
@@ -824,23 +825,67 @@ func TestWireMismatchFailsWell(t *testing.T) {
 }
 
 // TestFaceVelocityLists is the wire format of an exchanger whose ghost
-// faces carry velocity lists: a message, a local wrap and a clipped
-// (masked) face move exactly the listed blocks of exactly the face's
+// planes carry velocity lists: a message, a local wrap and a clipped
+// (masked) face move exactly the listed blocks of exactly each plane's
 // stored cells. Every slot a list covers — on each axis its cell is a
-// ghost of, which is what the ride-along corners deliver — holds the
-// wrapped global value; every other ghost slot keeps its sentinel bit for
-// bit, solid cells keep their poison, and the byte count is the lists'.
+// ghost of, at the plane its distance picks, which is what the ride-along
+// corners deliver — holds the wrapped global value; every other ghost slot
+// keeps its sentinel bit for bit, solid cells keep their poison, and the
+// byte count is the lists'. The reach-3 case is D3Q39's directed rule on x
+// and y: 11, 6 and 1 populations on the planes one, two and three cells
+// out, 18 velocity-planes per face where three whole-face lists would move
+// 33.
 func TestFaceVelocityLists(t *testing.T) {
-	global := [3]int{8, 6, 6}
-	const q = 5
-	w := [3]int{1, 1, 1}
-	// [axis][0] the low ghost's list, [axis][1] the high ghost's; z carries all.
-	vels := [3][2][]int{{{1, 3}, {2, 4}}, {{3}, {4, 0}}}
-	listed := func(axis, side, v int) bool {
+	d3q39 := lattice.D3Q39()
+	directed := func(comp []int) [2][][]int {
+		var lists [2][][]int
+		for side := range lists {
+			lists[side] = make([][]int, 3)
+		}
+		for v, c := range comp {
+			for dist := 1; dist <= c; dist++ {
+				lists[0][dist-1] = append(lists[0][dist-1], v)
+			}
+			for dist := 1; dist <= -c; dist++ {
+				lists[1][dist-1] = append(lists[1][dist-1], v)
+			}
+		}
+		return lists
+	}
+	q39 := [3][2][][]int{directed(d3q39.Cx), directed(d3q39.Cy)}
+	for _, tc := range []struct {
+		name string
+		q, w int
+		// vels[axis][side][d-1] lists the velocities of the ghost plane d
+		// cells out; nil carries all.
+		vels   [3][2][][]int
+		global [3]int
+	}{
+		{"reach1", 5, 1, [3][2][][]int{{{{1, 3}}, {{2, 4}}}, {{{3}}, {{4, 0}}}}, [3]int{8, 6, 6}},
+		// y carries all; z's low ghost plane lists nothing and carries nothing.
+		{"reach1-empty-plane", 5, 1, [3][2][][]int{{{{1, 3}}, {{2, 4}}}, {}, {{nil}, {{0, 2}}}}, [3]int{8, 6, 6}},
+		{"reach3", d3q39.Q, 3, q39, [3]int{8, 6, 6}},
+	} {
+		for a := 0; a < 2 && tc.w == 3; a++ {
+			for side, planes := range tc.vels[a] {
+				if n := len(planes[0]) + len(planes[1]) + len(planes[2]); n != 18 {
+					t.Fatalf("D3Q39 axis %d side %d lists %d velocity-planes, want 11 + 6 + 1", a, side, n)
+				}
+			}
+		}
+		testFaceVelocityLists(t, tc.name, tc.q, [3]int{tc.w, tc.w, tc.w}, tc.vels, tc.global)
+	}
+}
+
+func testFaceVelocityLists(t *testing.T, name string, q int, w [3]int, vels [3][2][][]int, global [3]int) {
+	t.Helper()
+	// listed reports whether the ghost plane dist cells out on side of axis
+	// carries v.
+	listed := func(axis, side, dist, v int) bool {
 		if vels[axis][side] == nil {
 			return true
 		}
-		for _, u := range vels[axis][side] {
+		for _, u := range vels[axis][side][dist-1] {
 			if u == v {
 				return true
 			}
@@ -890,8 +935,8 @@ func TestFaceVelocityLists(t *testing.T) {
 									} else if ghost {
 										val = -1
 										for a := range c {
-											if (c[a] < w[a] && !listed(a, 0, v)) || (c[a] >= dims[a]-w[a] && !listed(a, 1, v)) {
-												end = -1 // some face that would deliver this slot does not carry v
+											if (c[a] < w[a] && !listed(a, 0, w[a]-c[a], v)) || (c[a] >= dims[a]-w[a] && !listed(a, 1, c[a]-(dims[a]-w[a])+1, v)) {
+												end = -1 // some plane that would deliver this slot does not carry v
 											}
 										}
 									}
@@ -912,31 +957,36 @@ func TestFaceVelocityLists(t *testing.T) {
 					ex.ExchangeAll(r, f, nonblocking)
 					for i, x := range f.Data {
 						if math.Float64bits(x) != math.Float64bits(want.Data[i]) {
-							t.Errorf("shape %v masked=%v nonblocking=%v rank %d: value %d (velocity %d) = %v, want %v",
-								p, masked, nonblocking, r.ID, i, i/d.Cells(), x, want.Data[i])
+							t.Errorf("%s shape %v masked=%v nonblocking=%v rank %d: value %d (velocity %d) = %v, want %v",
+								name, p, masked, nonblocking, r.ID, i, i/d.Cells(), x, want.Data[i])
 							break
 						}
 					}
-					// Per messaging axis: both border faces, each as long as
-					// the list of the ghost it fills.
+					// Per messaging axis: both border faces, each plane as
+					// long as the list of the ghost plane it fills.
 					for a := 0; a < 3; a++ {
 						var bytes int64
 						if ex.Messaging(a) {
-							lists := len(vels[a][0]) + len(vels[a][1])
-							if vels[a][0] == nil {
-								lists = 2 * q
+							lists := 2 * q * w[a]
+							if vels[a][0] != nil {
+								lists = 0
+								for _, planes := range vels[a] {
+									for _, list := range planes {
+										lists += len(list)
+									}
+								}
 							}
-							bytes = int64(8 * lists * d.Cells() / dims[a]) // w = 1: a dense face is one cross-section
+							bytes = int64(8 * lists * d.Cells() / dims[a]) // a dense plane is one cross-section
 						}
 						if got := ex.BytesPerExchange(a); !masked && got != bytes {
-							t.Errorf("shape %v rank %d axis %d: BytesPerExchange %d, want %d", p, r.ID, a, got, bytes)
+							t.Errorf("%s shape %v rank %d axis %d: BytesPerExchange %d, want %d", name, p, r.ID, a, got, bytes)
 						}
 						if got := ex.AxisBytes()[a]; got != ex.BytesPerExchange(a) {
-							t.Errorf("shape %v masked=%v rank %d axis %d: sent %d B, BytesPerExchange says %d", p, masked, r.ID, a, got, ex.BytesPerExchange(a))
+							t.Errorf("%s shape %v masked=%v rank %d axis %d: sent %d B, BytesPerExchange says %d", name, p, masked, r.ID, a, got, ex.BytesPerExchange(a))
 						}
 					}
 					if got, carried := r.BytesSent(), ex.AxisBytes(); got != carried[0]+carried[1]+carried[2] {
-						t.Errorf("shape %v masked=%v rank %d: fabric carried %d B, exchanger counted %v", p, masked, r.ID, got, carried)
+						t.Errorf("%s shape %v masked=%v rank %d: fabric carried %d B, exchanger counted %v", name, p, masked, r.ID, got, carried)
 					}
 					return nil
 				})
@@ -946,7 +996,14 @@ func TestFaceVelocityLists(t *testing.T) {
 			}
 		}
 	}
+}
 
+// TestFaceVelocityListsFailWell: the headerless payload's length check
+// works in list units, and the constructor rejects lists that do not fit.
+func TestFaceVelocityListsFailWell(t *testing.T) {
+	const q = 5
+	w := [3]int{1, 1, 1}
+	vels := [3][2][][]int{{{{1, 3}}, {{2, 4}}}, {{{3}}, {{4, 0}}}}
 	// The headerless payload's length check works in list units: a mask
 	// disagreement under velocity lists is still caught before the first
 	// write, and so is a list disagreement.
@@ -954,11 +1011,11 @@ func TestFaceVelocityLists(t *testing.T) {
 	for _, tc := range []struct {
 		name      string
 		rank1Mask bool
-		rank1Vels [3][2][]int
+		rank1Vels [3][2][][]int
 		got, want int
 	}{
 		{"mask", true, vels, 2 * 5 * 6, 2 * 6 * 6},
-		{"list", false, [3][2][]int{{{1}, {2}}}, 1 * 6 * 6, 2 * 6 * 6},
+		{"list", false, [3][2][][]int{{{{1}}, {{2}}}}, 1 * 6 * 6, 2 * 6 * 6},
 	} {
 		fab := comm.NewFabric(2)
 		top, err := comm.NewCartTopology(fab.N(), [3]int{2, 1, 1})
@@ -989,8 +1046,11 @@ func TestFaceVelocityLists(t *testing.T) {
 		}
 	}
 
-	if _, err := NewCartExchangerClipped(q, d, [3]int{4, 4, 4}, w, 0, [3][2]int{}, nil, [3][2][]int{{{q}}}); err == nil {
+	if _, err := NewCartExchangerClipped(q, d, [3]int{4, 4, 4}, w, 0, [3][2]int{}, nil, [3][2][][]int{{{{q}}}}); err == nil {
 		t.Error("a face velocity outside [0, Q) was accepted")
+	}
+	if _, err := NewCartExchangerClipped(q, d, [3]int{4, 4, 4}, w, 0, [3][2]int{}, nil, [3][2][][]int{{{{1}, {1}}}}); err == nil {
+		t.Error("two plane lists for a one-plane ghost face were accepted")
 	}
 }
 

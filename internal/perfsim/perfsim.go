@@ -18,10 +18,11 @@
 // width 0 — the paper's periodic slab is the x-only case, a cavity or a
 // P×Q×1 pencil wraps z — and AA and sparse jobs carry ghosts on all three.
 // What a ghost face carries is the solver's second rule
-// (core.DirectedFaces): at depth 1 only the populations streaming pulls out
-// of it. Box growth, face cross-sections, local wraps and resident memory
-// follow the widths, so the model prices each job on the geometry the solver runs
-// it on and rejects the jobs the solver rejects. The no-ghost Orig protocol
+// (core.DirectedFaces): at depth 1 each plane holds only the populations
+// streaming pulls out of it. Box growth, face cross-sections, local wraps
+// and resident memory follow the widths, so the model prices each job on
+// the geometry the solver runs it on and rejects the jobs the solver
+// rejects. The no-ghost Orig protocol
 // keeps its own per-step loop (runOrig) over the same per-rank geometry
 // table.
 //
@@ -53,10 +54,12 @@ type Job struct {
 	// 3 for D3Q39.
 	K int
 	// CrossPlaneVels[m-1] counts velocities with cx ≥ m (populations that
-	// cross m planes), sizing the naive protocol's per-step messages and,
-	// by its first entry, what a depth-1 ghost face carries
-	// (core.DirectedFaces). Use DefaultCross. Symmetric in the two
-	// directions and, as the lattices are, across the axes.
+	// cross m planes), sizing the naive protocol's per-step messages and
+	// what each plane of a depth-1 ghost face carries (core.DirectedFaces):
+	// the plane m cells out holds CrossPlaneVels[m-1] populations, so both
+	// protocols ship the same Σ_m CrossPlaneVels[m-1] velocity-planes per
+	// face. Use DefaultCross. Symmetric in the two directions and, as the
+	// lattices are, across the axes.
 	CrossPlaneVels []int
 
 	Nodes          int
@@ -495,17 +498,19 @@ type rankGeom struct {
 
 // axisGeom is one rank's halo along one axis.
 type axisGeom struct {
-	// bytes is the payload per direction: the populations a face carries
-	// (core.DirectedFaces: CrossPlaneVels[0] at w = k, else q) · w ·
-	// cross-section · 8 B, where the cross-section spans the other axes'
-	// full local extents (ghosts included — later-axis ghost layers ride
-	// along in the sequential exchange, exactly as in the real packer).
+	// bytes is the payload per direction: the velocity-planes a face
+	// carries (core.DirectedFaces: Σ_{d ≤ k} CrossPlaneVels[d-1] at w = k,
+	// else q · w) · cross-section · 8 B, where the cross-section spans the
+	// other axes' full local extents (ghosts included — later-axis ghost
+	// layers ride along in the sequential exchange, exactly as in the real
+	// packer).
 	// Under the sparse cost model
 	// the exchanger packs, sends and unpacks only each face's fluid cells,
 	// priced at the rank's own fluid fraction. Zero on a wrap axis.
 	bytes float64
 	// copyT is the time to pack (or unpack, or wrap) both faces; fillT the
-	// time to write both dense ghost faces from boundary data.
+	// time to write both dense ghost faces from boundary data, charged on
+	// the refreshes the solver writes them (core.ConstFacesOnce).
 	copyT, fillT float64
 	// nb is the neighbor rank per side (decomp.NoNeighbor across a global
 	// boundary), nmsg how many sides have one, and hop[side] the posting
@@ -572,14 +577,18 @@ func (st *simState) rankGeometry(r int, slow float64) rankGeom {
 	for a := 0; a < 3; a++ {
 		ax := &g.axis[a]
 		// What a face carries is the solver's rule too (core.DirectedFaces):
-		// a ghost layer exactly k wide holds only the populations pulled out
-		// of it, all Q otherwise. A Job cannot say AoS or pressure outlet,
-		// the rule's whole-cell cases.
-		vels := j.Spec.Q
+		// in a ghost layer exactly k wide the plane d cells out holds only
+		// the populations that cross d planes, CrossPlaneVels[d-1] of them;
+		// all Q on each of the w planes otherwise. A Job cannot say AoS or
+		// pressure outlet, the rule's whole-cell cases.
+		velPlanes := j.Spec.Q * st.w[a]
 		if core.DirectedFaces(st.w[a], j.K, false) {
-			vels = j.CrossPlaneVels[0]
+			velPlanes = 0
+			for _, n := range j.CrossPlaneVels { // as runOrig sums them
+				velPlanes += n
+			}
 		}
-		face := float64(vels) * float64(st.w[a]) * 8
+		face := float64(velPlanes) * 8
 		for b := 0; b < 3; b++ {
 			if b != a {
 				face *= float64(own[b] + 2*st.w[b])
@@ -733,7 +742,13 @@ func (st *simState) run() {
 			case p[axis] == 1 && j.Bounded[axis]:
 				// Bounded undecomposed axis: both ghost faces are
 				// boundary-filled in place — one write per face, no
-				// border pack and no message.
+				// border pack and no message — on the refreshes the
+				// solver writes them: a depth-1 two-grid job writes its
+				// constant faces into each of its two fields once. A Job
+				// cannot say open face, whose runs refill every time.
+				if done >= 2 && core.ConstFacesOnce(j.Depth, j.Stream, false) {
+					continue
+				}
 				for r := 0; r < st.ranks; r++ {
 					dt := st.geo[r].axis[axis].fillT
 					st.clock[r] += dt
