@@ -55,6 +55,7 @@ type collider struct {
 	// writes equilibria for an operator — and w_k itself, the initial
 	// condition's coefficient.
 	pairs  []velPair
+	mom    []momPair // the pairs as the moment pass reads them
 	tw, wk []float64
 	omc    float64 // 1 − ω
 	// ½ and ⅙ as values: written as constants in a row loop they are
@@ -136,6 +137,7 @@ func (c *collider) init(cfg *Config) error {
 	c.shiftZ = shiftTau * cfg.Accel[2]
 
 	c.pairs, c.wk = velocityPairs(m)
+	c.mom = momPairs(c.pairs)
 	c.tw = append([]float64(nil), c.wk...)
 	if c.op == nil {
 		for k := range c.tw {
@@ -319,9 +321,9 @@ func (c *collider) relaxGeneric(sc *workerScratch, in, out [][]float64, zn int) 
 //
 // — the order-3 form is q + q³/6 − q·u²/(2c_s²), the Hermite polynomial's
 // cu/c_s² + cu³/(6c_s⁶) − cu·u²/(2c_s⁴), exactly. Three passes: pairMoments
-// accumulates, velocities finishes the rows every pair shares once per
-// cell, and the pair loops spend one polynomial and one multiply by the
-// pair's t row per two velocities.
+// accumulates ρ and j over every pair, velocities finishes the rows every
+// pair shares once per cell, and the pair loops spend one polynomial and
+// one multiply by the pair's t row per two velocities.
 
 // vecFor returns the vector bodies for a run of zn cells, or nil where
 // the run is to take the Go bodies: on every rung but SIMD, on hosts
@@ -337,43 +339,13 @@ func (c *collider) vecFor(zn int) *rowOps {
 // pairMoments accumulates a run's density and momentum rows from
 // opposite-pair sums and differences: a pair adds its sum to ρ and its
 // difference, times its component, to the momentum rows of the axes it
-// moves along only.
+// moves along only: on the SIMD rung one vector body for every pair, which
+// reads each row once, elsewhere the Go per-pair passes (momentRows).
 func (c *collider) pairMoments(b *rowBufs, in [][]float64, zn int) {
-	rho, jx, jy, jz := b.rho[:zn], b.j[0][:zn], b.j[1][:zn], b.j[2][:zn]
-	for z := 0; z < zn; z++ {
-		rho[z], jx[z], jy[z], jz[z] = 0, 0, 0, 0
-	}
-	r := c.vecFor(zn)
-	for i := range c.pairs {
-		p := &c.pairs[i]
-		si, sj := in[p.i], in[p.j]
-		ja, jb, jc := b.j[p.ax[0]], b.j[p.ax[1]], b.j[p.ax[2]]
-		switch p.n {
-		case 0:
-			if r != nil {
-				r.sum(rho, si)
-			} else {
-				sumRow(rho, si)
-			}
-		case 1:
-			if r != nil {
-				r.moments1(rho, ja, si, sj, p.c[0])
-			} else {
-				moments1(rho, ja, si, sj, p.c[0])
-			}
-		case 2:
-			if r != nil {
-				r.moments2(rho, ja, jb, si, sj, p.c[0], p.c[1])
-			} else {
-				moments2(rho, ja, jb, si, sj, p.c[0], p.c[1])
-			}
-		case 3:
-			if r != nil {
-				r.moments3(rho, ja, jb, jc, si, sj, p.c[0], p.c[1], p.c[2])
-			} else {
-				moments3(rho, ja, jb, jc, si, sj, p.c[0], p.c[1], p.c[2])
-			}
-		}
+	if r := c.vecFor(zn); r != nil {
+		r.moments(b.rho[:zn], b.j[0], b.j[1], b.j[2], in, c.mom)
+	} else {
+		momentRows(b.rho[:zn], b.j[0], b.j[1], b.j[2], in, c.mom, 0)
 	}
 }
 

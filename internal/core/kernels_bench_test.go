@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"time"
@@ -155,7 +156,7 @@ func benchRowKernel(b *testing.B, name string, c *collider, src, dst *grid.Field
 // and the SIMD rung's pair kernel on its vector row bodies where the host
 // has them), TRT's pair kernel on the Go and the vector bodies (…-trt),
 // and the pair kernels' moment pass alone (pairMoments + velocities) on a
-// floorCells-long row: with gathered96 and BenchmarkStreamKernels'
+// floorCells-long row and on a spanCells-long one: with gathered96 and BenchmarkStreamKernels'
 // indexed case, a lattice's compute floor and its stream as ns/cell.
 func BenchmarkCollideKernels(b *testing.B) {
 	trt := collision.Spec{Kind: collision.TRT}
@@ -174,16 +175,18 @@ func BenchmarkCollideKernels(b *testing.B) {
 			if c.opt < OptCF || !c.spec.IsBGK() {
 				continue
 			}
-			b.Run(m.Name+"/"+c.name+"/moments96", func(b *testing.B) {
-				rb := newRowBufs(floorCells, m.Q)
-				in := randomRows(rand.New(rand.NewSource(1)), m, floorCells)
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					st.pairMoments(&rb, in, floorCells)
-					st.velocities(&rb, floorCells)
-				}
-				reportCellRate(b, floorCells)
-			})
+			for _, zn := range []int{floorCells, spanCells} {
+				b.Run(fmt.Sprintf("%s/%s/moments%d", m.Name, c.name, zn), func(b *testing.B) {
+					rb := newRowBufs(zn, m.Q)
+					in := randomRows(rand.New(rand.NewSource(1)), m, zn)
+					b.ResetTimer()
+					for i := 0; i < b.N; i++ {
+						st.pairMoments(&rb, in, zn)
+						st.velocities(&rb, zn)
+					}
+					reportCellRate(b, zn)
+				})
+			}
 		}
 	}
 }

@@ -2,11 +2,11 @@ package core
 
 // The pair kernels' row primitives: every loop of the pair passes
 // (collide.go) is one of these elementwise operations over a run's rows —
-// the moment pass (sum, moments1–3), the shared rows (velocity, scale),
-// a pair's q (comb2, comb3), and per pair one relax: BGK's relax0/2/3,
-// TRT's trt0/2/3, which fuse the pair's equilibria with its even/odd
-// relaxation, or the bare equilibria eq0/2/3 (MRT's feq rows and the
-// initial field).
+// the moment pass (moments: per pair sumRow or moments1–3), the shared
+// rows (velocity, scale), a pair's q (comb2, comb3), and per pair one
+// relax: BGK's relax0/2/3, TRT's trt0/2/3, which fuse the pair's
+// equilibria with its even/odd relaxation, or the bare equilibria eq0/2/3
+// (MRT's feq rows and the initial field).
 // Each has one Go body here — the reference, and what every rung but SIMD
 // runs, called directly so that the compiler inlines the small ones — and
 // the SIMD rung calls a vector body per primitive instead where the host
@@ -21,12 +21,9 @@ package core
 // writes.
 
 // rowOps is a table of vector bodies, one per primitive, each with its
-// Go body's signature.
+// Go body's signature (moments: momentRows from the run's first cell).
 type rowOps struct {
-	sum      func(acc, s []float64)                                      // acc += s
-	moments1 func(rho, ja, si, sj []float64, ca float64)                 // a one-axis pair's sum and difference
-	moments2 func(rho, ja, jb, si, sj []float64, ca, cb float64)         // a two-axis pair's
-	moments3 func(rho, ja, jb, jc, si, sj []float64, ca, cb, cc float64) // a three-axis pair's
+	moments  func(rho, jx, jy, jz []float64, in [][]float64, tab []momPair) // ρ and j from every pair of tab
 	velocity func(rho, qx, qy, qz, base []float64, sx, sy, sz, invCs2, invCs2h float64)
 	scale    func(dst, src []float64, a float64)               // dst = a·src
 	comb2    func(q, qa, qb []float64, ca, cb float64)         // q = ca·qa + cb·qb
@@ -53,6 +50,62 @@ type rowOps struct {
 // next field, stored once and not read again before the fields swap. It
 // is nil wherever simdRows is.
 var simdRows, simdStreamRows *rowOps
+
+// momPair is an opposite pair as the moment pass reads it (momPairs): its
+// rows of in, the axes it moves along as the bits of mask (bit a for axis
+// a; none for the rest velocity, whose row is its sum) and its component
+// on each. The AVX2 body reads it by offset: i 0, j 8, mask 16, c 24–40.
+type momPair struct {
+	i, j int
+	mask int
+	c    [3]float64 // 0 on an axis the pair does not move along
+}
+
+// momPairs tabulates the pairs ps for the moment pass, in their order.
+func momPairs(ps []velPair) []momPair {
+	tab := make([]momPair, len(ps))
+	for k, p := range ps {
+		tab[k] = momPair{i: p.i, j: p.j}
+		for n := 0; n < p.n; n++ {
+			tab[k].mask |= 1 << p.ax[n]
+			tab[k].c[p.ax[n]] = p.c[n]
+		}
+	}
+	return tab
+}
+
+// momentRows is the moment pass over the cells [from, len(rho)) of a run:
+// ρ and j zeroed, then per pair of tab in order its sum added to ρ and
+// its difference, times its component, to the momentum rows of the axes
+// it moves along only.
+func momentRows(rho, jx, jy, jz []float64, in [][]float64, tab []momPair, from int) {
+	n := len(rho)
+	rho, j := rho[from:], [3][]float64{jx[from:n], jy[from:n], jz[from:n]}
+	clear(rho)
+	for _, ja := range j {
+		clear(ja)
+	}
+	for _, p := range tab {
+		si, sj := in[p.i][from:], in[p.j][from:]
+		ja, ca, k := [3][]float64{}, [3]float64{}, 0
+		for a := range j {
+			if p.mask&(1<<a) != 0 {
+				ja[k], ca[k] = j[a], p.c[a]
+				k++
+			}
+		}
+		switch k {
+		case 0:
+			sumRow(rho, si)
+		case 1:
+			moments1(rho, ja[0], si, sj, ca[0])
+		case 2:
+			moments2(rho, ja[0], ja[1], si, sj, ca[0], ca[1])
+		default:
+			moments3(rho, ja[0], ja[1], ja[2], si, sj, ca[0], ca[1], ca[2])
+		}
+	}
+}
 
 func sumRow(acc, s []float64) {
 	s = s[:len(acc)]

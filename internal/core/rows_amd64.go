@@ -7,7 +7,9 @@ import "unsafe"
 // AVX2 bodies of the row primitives (rows_amd64.s): 4-wide VEX loops over
 // the largest multiple of 4 of the run, whose tail the Go body finishes
 // (first, so that the assembly call is the last and nothing is kept
-// across it).
+// across it). The moment pass is one body for every pair of the run,
+// 8 cells a block with ρ and j in registers, walking the collider's
+// momPair table.
 // No FMA — Go's amd64 back end never fuses a multiply-add, so a fused lane
 // would round differently from the Go body the other rungs run. Race
 // builds keep the Go bodies: the race runtime does not see what assembly
@@ -35,8 +37,7 @@ import "unsafe"
 func init() {
 	if cpuAVX2() {
 		simdRows = &rowOps{
-			sum: sumAVX2, moments1: moments1AVX2, moments2: moments2AVX2, moments3: moments3AVX2,
-			velocity: velocityAVX2, scale: scaleAVX2, comb2: comb2AVX2, comb3: comb3AVX2,
+			moments: momentsAVX2, velocity: velocityAVX2, scale: scaleAVX2, comb2: comb2AVX2, comb3: comb3AVX2,
 			relax0: relax0AVX2, relax2: relax2AVX2, relax3: relax3AVX2,
 			eq0: eq0AVX2, eq2: eq2AVX2, eq3: eq3AVX2,
 			trt0: trt0AVX2, trt2: trt2AVX2, trt3: trt3AVX2,
@@ -62,16 +63,7 @@ func sfence()
 // or writes past a row.
 
 //go:noescape
-func sumx4(acc, s []float64)
-
-//go:noescape
-func moments1x4(rho, ja, si, sj []float64, ca float64)
-
-//go:noescape
-func moments2x4(rho, ja, jb, si, sj []float64, ca, cb float64)
-
-//go:noescape
-func moments3x4(rho, ja, jb, jc, si, sj []float64, ca, cb, cc float64)
+func momentsx4(rho, jx, jy, jz []float64, in [][]float64, tab []momPair)
 
 //go:noescape
 func velocityx4(rho, qx, qy, qz, base []float64, sx, sy, sz, invCs2, invCs2h float64)
@@ -130,36 +122,17 @@ func trt3x4(di, dj, si, sj, t, base, q []float64, half, sixth, wp, wm float64)
 //go:noescape
 func trt3x4nt(di, dj, si, sj, t, base, q []float64, half, sixth, wp, wm float64)
 
-func sumAVX2(acc, s []float64) {
-	n := len(acc) &^ 3
-	if n < len(acc) {
-		sumRow(acc[n:], s[n:])
-	}
-	sumx4(acc[:n], s[:n])
-}
-
-func moments1AVX2(rho, ja, si, sj []float64, ca float64) {
+// momentsAVX2 checks every row the body reads through in, which it
+// indexes unchecked.
+func momentsAVX2(rho, jx, jy, jz []float64, in [][]float64, tab []momPair) {
 	n := len(rho) &^ 3
 	if n < len(rho) {
-		moments1(rho[n:], ja[n:], si[n:], sj[n:], ca)
+		momentRows(rho, jx, jy, jz, in, tab, n)
 	}
-	moments1x4(rho[:n], ja[:n], si[:n], sj[:n], ca)
-}
-
-func moments2AVX2(rho, ja, jb, si, sj []float64, ca, cb float64) {
-	n := len(rho) &^ 3
-	if n < len(rho) {
-		moments2(rho[n:], ja[n:], jb[n:], si[n:], sj[n:], ca, cb)
+	for _, p := range tab {
+		_, _ = in[p.i][:n], in[p.j][:n]
 	}
-	moments2x4(rho[:n], ja[:n], jb[:n], si[:n], sj[:n], ca, cb)
-}
-
-func moments3AVX2(rho, ja, jb, jc, si, sj []float64, ca, cb, cc float64) {
-	n := len(rho) &^ 3
-	if n < len(rho) {
-		moments3(rho[n:], ja[n:], jb[n:], jc[n:], si[n:], sj[n:], ca, cb, cc)
-	}
-	moments3x4(rho[:n], ja[:n], jb[:n], jc[:n], si[:n], sj[:n], ca, cb, cc)
+	momentsx4(rho[:n], jx[:n], jy[:n], jz[:n], in, tab)
 }
 
 func velocityAVX2(rho, qx, qy, qz, base []float64, sx, sy, sz, invCs2, invCs2h float64) {

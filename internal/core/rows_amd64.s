@@ -3,8 +3,8 @@
 #include "textflag.h"
 
 // The AVX2 bodies of the row primitives (rows.go has the Go bodies). Each
-// processes len(first row) values, a multiple of 4, four per iteration,
-// with AX the index and CX the length. Every lane does its Go body's IEEE
+// processes len(first row) values, a multiple of 4, four per iteration
+// (the moment pass eight), with AX the index and CX the length. Every lane does its Go body's IEEE
 // operations in the Go body's association — only the operand order of
 // the commutative adds and multiplies may differ — and no multiply-add
 // is fused. All loads of an iteration precede its stores, so an output
@@ -46,122 +46,105 @@ TEXT ·sfence(SB), NOSPLIT, $0-0
 	SFENCE
 	RET
 
-// func sumx4(acc, s []float64)
-TEXT ·sumx4(SB), NOSPLIT, $0-48
-	MOVQ acc_base+0(FP), DI
-	MOVQ acc_len+8(FP), CX
-	MOVQ s_base+24(FP), SI
+// The moment pass over every pair of a run (rows.go: momentRows). Per
+// block of 8 cells — AX the first of its low half, R12 of its high half —
+// ρ, jx, jy and jz start as +0 in Y0–Y7, each table entry adds its pair's
+// sum to ρ and c_a·(vi − vj) to j_a for each axis bit a of its mask (the
+// rest velocity, mask 0, adds its one row to ρ), and the four rows are
+// stored once. Where 4 cells are left, one step runs both halves on them.
+// SI walks the table (momPair: i 0, j 8, mask 16, c 24–40) up to R13; DX
+// and BX hold in[j]'s and in[i]'s bases, then BX the mask.
+
+// ROWBASE loads the base of the row in[FIELD(SI)] into R.
+#define ROWBASE(FIELD, R) \
+	MOVQ FIELD(SI), R \
+	LEAQ (R)(R*2), R \
+	MOVQ (R11)(R*8), R
+
+// MOMAXIS adds c_a·d (d in Y12, Y13) to the accumulators L, H where bit B
+// of the mask is set; OFF is c_a's offset in the entry.
+#define MOMAXIS(B, OFF, L, H, SKIP) \
+	BTQ  $B, BX \
+	JCC  SKIP \
+	VBROADCASTSD OFF(SI), Y14 \
+	VMULPD Y14, Y12, Y15 \
+	VADDPD Y15, L, L \
+	VMULPD Y14, Y13, Y14 \
+	VADDPD Y14, H, H \
+SKIP:
+
+// func momentsx4(rho, jx, jy, jz []float64, in [][]float64, tab []momPair)
+TEXT ·momentsx4(SB), NOSPLIT, $0-144
+	MOVQ rho_base+0(FP), DI
+	MOVQ rho_len+8(FP), CX
+	MOVQ jx_base+24(FP), R8
+	MOVQ jy_base+48(FP), R9
+	MOVQ jz_base+72(FP), R10
+	MOVQ in_base+96(FP), R11
+	MOVQ tab_len+128(FP), R13
+	IMULQ $48, R13
+	ADDQ tab_base+120(FP), R13
 	XORQ AX, AX
 	TESTQ CX, CX
-	JEQ  sumdone
-sumloop:
-	VMOVUPD (SI)(AX*8), Y0
-	VADDPD  (DI)(AX*8), Y0, Y0
+	JEQ  momdone
+momblock:
+	LEAQ 4(AX), R12
+	LEAQ 8(AX), BX
+	CMPQ BX, CX
+	JLE  momzero
+	MOVQ AX, R12                // 4 cells left
+momzero:
+	VXORPD Y0, Y0, Y0           // ρ
+	VXORPD Y1, Y1, Y1
+	VXORPD Y2, Y2, Y2           // jx
+	VXORPD Y3, Y3, Y3
+	VXORPD Y4, Y4, Y4           // jy
+	VXORPD Y5, Y5, Y5
+	VXORPD Y6, Y6, Y6           // jz
+	VXORPD Y7, Y7, Y7
+	MOVQ tab_base+120(FP), SI
+	JMP  momtest
+mompair:
+	ROWBASE(8, DX)
+	CMPQ 16(SI), $0
+	JNE  mommove
+	VADDPD (DX)(AX*8), Y0, Y0   // the rest velocity: ρ + s
+	VADDPD (DX)(R12*8), Y1, Y1
+	JMP  momnext
+mommove:
+	ROWBASE(0, BX)
+	VMOVUPD (BX)(AX*8), Y8      // vi
+	VMOVUPD (BX)(R12*8), Y9
+	VMOVUPD (DX)(AX*8), Y10     // vj
+	VMOVUPD (DX)(R12*8), Y11
+	MOVQ 16(SI), BX
+	VSUBPD  Y10, Y8, Y12        // d = vi − vj
+	VSUBPD  Y11, Y9, Y13
+	VADDPD  Y10, Y8, Y8         // vi + vj
+	VADDPD  Y11, Y9, Y9
+	VADDPD  Y8, Y0, Y0          // ρ + (vi + vj)
+	VADDPD  Y9, Y1, Y1
+	MOMAXIS(0, 24, Y2, Y3, momnox)
+	MOMAXIS(1, 32, Y4, Y5, momnoy)
+	MOMAXIS(2, 40, Y6, Y7, momnoz)
+momnext:
+	ADDQ $48, SI
+momtest:
+	CMPQ SI, R13
+	JLT  mompair
 	VMOVUPD Y0, (DI)(AX*8)
-	ADDQ $4, AX
-	CMPQ AX, CX
-	JLT  sumloop
-	VZEROUPPER
-sumdone:
-	RET
-
-// func moments1x4(rho, ja, si, sj []float64, ca float64)
-TEXT ·moments1x4(SB), NOSPLIT, $0-104
-	MOVQ rho_base+0(FP), DI
-	MOVQ rho_len+8(FP), CX
-	MOVQ ja_base+24(FP), R8
-	MOVQ si_base+48(FP), SI
-	MOVQ sj_base+72(FP), DX
-	XORQ AX, AX
-	TESTQ CX, CX
-	JEQ  m1done
-	VBROADCASTSD ca+96(FP), Y13
-m1loop:
-	VMOVUPD (SI)(AX*8), Y0     // vi
-	VMOVUPD (DX)(AX*8), Y1     // vj
-	VADDPD  Y1, Y0, Y2         // vi + vj
-	VADDPD  (DI)(AX*8), Y2, Y2 // ρ + (vi + vj)
-	VSUBPD  Y1, Y0, Y3         // vi − vj
-	VMULPD  Y13, Y3, Y4        // ca·(vi − vj)
-	VADDPD  (R8)(AX*8), Y4, Y4
-	VMOVUPD Y2, (DI)(AX*8)
-	VMOVUPD Y4, (R8)(AX*8)
-	ADDQ $4, AX
-	CMPQ AX, CX
-	JLT  m1loop
-	VZEROUPPER
-m1done:
-	RET
-
-// func moments2x4(rho, ja, jb, si, sj []float64, ca, cb float64)
-TEXT ·moments2x4(SB), NOSPLIT, $0-136
-	MOVQ rho_base+0(FP), DI
-	MOVQ rho_len+8(FP), CX
-	MOVQ ja_base+24(FP), R8
-	MOVQ jb_base+48(FP), R9
-	MOVQ si_base+72(FP), SI
-	MOVQ sj_base+96(FP), DX
-	XORQ AX, AX
-	TESTQ CX, CX
-	JEQ  m2done
-	VBROADCASTSD ca+120(FP), Y13
-	VBROADCASTSD cb+128(FP), Y14
-m2loop:
-	VMOVUPD (SI)(AX*8), Y0
-	VMOVUPD (DX)(AX*8), Y1
-	VADDPD  Y1, Y0, Y2
-	VADDPD  (DI)(AX*8), Y2, Y2
-	VSUBPD  Y1, Y0, Y3         // diff
-	VMULPD  Y13, Y3, Y4
-	VADDPD  (R8)(AX*8), Y4, Y4
-	VMULPD  Y14, Y3, Y5
-	VADDPD  (R9)(AX*8), Y5, Y5
-	VMOVUPD Y2, (DI)(AX*8)
-	VMOVUPD Y4, (R8)(AX*8)
-	VMOVUPD Y5, (R9)(AX*8)
-	ADDQ $4, AX
-	CMPQ AX, CX
-	JLT  m2loop
-	VZEROUPPER
-m2done:
-	RET
-
-// func moments3x4(rho, ja, jb, jc, si, sj []float64, ca, cb, cc float64)
-TEXT ·moments3x4(SB), NOSPLIT, $0-168
-	MOVQ rho_base+0(FP), DI
-	MOVQ rho_len+8(FP), CX
-	MOVQ ja_base+24(FP), R8
-	MOVQ jb_base+48(FP), R9
-	MOVQ jc_base+72(FP), R10
-	MOVQ si_base+96(FP), SI
-	MOVQ sj_base+120(FP), DX
-	XORQ AX, AX
-	TESTQ CX, CX
-	JEQ  m3done
-	VBROADCASTSD ca+144(FP), Y13
-	VBROADCASTSD cb+152(FP), Y14
-	VBROADCASTSD cc+160(FP), Y15
-m3loop:
-	VMOVUPD (SI)(AX*8), Y0
-	VMOVUPD (DX)(AX*8), Y1
-	VADDPD  Y1, Y0, Y2
-	VADDPD  (DI)(AX*8), Y2, Y2
-	VSUBPD  Y1, Y0, Y3
-	VMULPD  Y13, Y3, Y4
-	VADDPD  (R8)(AX*8), Y4, Y4
-	VMULPD  Y14, Y3, Y5
-	VADDPD  (R9)(AX*8), Y5, Y5
-	VMULPD  Y15, Y3, Y6
-	VADDPD  (R10)(AX*8), Y6, Y6
-	VMOVUPD Y2, (DI)(AX*8)
-	VMOVUPD Y4, (R8)(AX*8)
-	VMOVUPD Y5, (R9)(AX*8)
+	VMOVUPD Y1, (DI)(R12*8)
+	VMOVUPD Y2, (R8)(AX*8)
+	VMOVUPD Y3, (R8)(R12*8)
+	VMOVUPD Y4, (R9)(AX*8)
+	VMOVUPD Y5, (R9)(R12*8)
 	VMOVUPD Y6, (R10)(AX*8)
-	ADDQ $4, AX
+	VMOVUPD Y7, (R10)(R12*8)
+	LEAQ 4(R12), AX
 	CMPQ AX, CX
-	JLT  m3loop
+	JLT  momblock
 	VZEROUPPER
-m3done:
+momdone:
 	RET
 
 // func velocityx4(rho, qx, qy, qz, base []float64, sx, sy, sz, invCs2, invCs2h float64)

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 	"unsafe"
 
@@ -25,7 +26,9 @@ type rowPrim struct {
 
 // goRows are the Go bodies in the vector table's shape.
 var goRows = rowOps{
-	sum: sumRow, moments1: moments1, moments2: moments2, moments3: moments3,
+	moments: func(rho, jx, jy, jz []float64, in [][]float64, tab []momPair) {
+		momentRows(rho, jx, jy, jz, in, tab, 0)
+	},
 	velocity: velocityRows, scale: scaleRow, comb2: comb2, comb3: comb3,
 	relax0: relax0, relax2: relax2, relax3: relax3,
 	eq0: eq0, eq2: eq2, eq3: eq3,
@@ -33,14 +36,6 @@ var goRows = rowOps{
 }
 
 var rowPrims = []rowPrim{
-	{"sum", 1, 1, 0, nil, func(r *rowOps, o, i [][]float64, k []float64) { r.sum(o[0], i[0]) }},
-	{"moments1", 2, 2, 1, nil, func(r *rowOps, o, i [][]float64, k []float64) { r.moments1(o[0], o[1], i[0], i[1], k[0]) }},
-	{"moments2", 3, 2, 2, nil, func(r *rowOps, o, i [][]float64, k []float64) {
-		r.moments2(o[0], o[1], o[2], i[0], i[1], k[0], k[1])
-	}},
-	{"moments3", 4, 2, 3, nil, func(r *rowOps, o, i [][]float64, k []float64) {
-		r.moments3(o[0], o[1], o[2], o[3], i[0], i[1], k[0], k[1], k[2])
-	}},
 	// velocity's ρ row is read only, so it leads as input row 0: the run
 	// is its length.
 	{"velocity", 4, 1, 5, nil, func(r *rowOps, o, i [][]float64, k []float64) {
@@ -180,10 +175,107 @@ func checkStreamPrims(t *testing.T, p rowPrim, n int, value func(r, z int) float
 	}
 }
 
+// momentLattices are the pair tables the moment pass is checked on.
+var momentLattices = []*lattice.Model{lattice.D3Q19(), lattice.D3Q27(), lattice.D3Q39()}
+
+// pairPasses is the moment pass as one Go per-pair pass per velPair of
+// ps, in their order: the reference the table-driven bodies are held to.
+func pairPasses(rho []float64, j [3][]float64, in [][]float64, ps []velPair) {
+	for z := range rho {
+		rho[z], j[0][z], j[1][z], j[2][z] = 0, 0, 0, 0
+	}
+	for _, p := range ps {
+		si, sj := in[p.i], in[p.j]
+		ja, jb, jc := j[p.ax[0]], j[p.ax[1]], j[p.ax[2]]
+		switch p.n {
+		case 0:
+			sumRow(rho, si)
+		case 1:
+			moments1(rho, ja, si, sj, p.c[0])
+		case 2:
+			moments2(rho, ja, jb, si, sj, p.c[0], p.c[1])
+		case 3:
+			moments3(rho, ja, jb, jc, si, sj, p.c[0], p.c[1], p.c[2])
+		}
+	}
+}
+
+// checkMoments holds the moment pass's Go body and its body in vec to
+// the per-pair passes over m's pair table at 0 ULP (NaN against NaN): a
+// run of n cells, population v's row holding value(v, z) and starting
+// off(v) values past a 32-byte boundary. The ρ and j rows are two values
+// longer than the run (ρ's length sets it), and those two must stay
+// untouched.
+func checkMoments(t *testing.T, vec *rowOps, m *lattice.Model, n int, value func(v, z int) float64, off func(r int) int) {
+	t.Helper()
+	const pad = 2
+	ps, _ := velocityPairs(m)
+	tab := momPairs(ps)
+	in := make([][]float64, m.Q)
+	for v := range in {
+		in[v] = alignedRow(n+pad, off(v))
+		for z := range in[v] {
+			in[v][z] = value(v, z)
+		}
+	}
+	sentinel := func(r, z int) float64 { return math.Float64frombits(0x4321dead00000000 | uint64(r<<8|z)) }
+	rows := func() (rho []float64, j [3][]float64) {
+		all := make([][]float64, 4)
+		for r := range all {
+			all[r] = alignedRow(n+pad, off(m.Q+r))
+			for z := range all[r] {
+				all[r][z] = sentinel(r, z)
+			}
+		}
+		return all[0], [3][]float64{all[1], all[2], all[3]}
+	}
+	wantRho, wantJ := rows()
+	pairPasses(wantRho[:n], wantJ, in, ps)
+	for _, body := range []struct {
+		name string
+		ops  *rowOps
+	}{{"Go", &goRows}, {"vector", vec}} {
+		rho, j := rows()
+		body.ops.moments(rho[:n], j[0], j[1], j[2], in, tab)
+		for r, got := range [4][]float64{rho, j[0], j[1], j[2]} {
+			want := [4][]float64{wantRho, wantJ[0], wantJ[1], wantJ[2]}[r]
+			for z := range got {
+				g, w := got[z], want[z]
+				if z >= n && math.Float64bits(g) != math.Float64bits(sentinel(r, z)) {
+					t.Fatalf("%s moments, %s n %d: row %d wrote past the run at %d", body.name, m.Name, n, r, z)
+				}
+				if math.Float64bits(g) != math.Float64bits(w) && !(math.IsNaN(g) && math.IsNaN(w)) {
+					t.Fatalf("%s moments, %s n %d offsets %d/%d: row %d [%d] %v (%#x), per-pair passes %v (%#x)",
+						body.name, m.Name, n, off(0), off(1), r, z, g, math.Float64bits(g), w, math.Float64bits(w))
+				}
+			}
+		}
+	}
+}
+
+// randomRowValues draws rows × n normal values, a quarter of them
+// replaced by specials where withSpecials is set, as value(r, z).
+func randomRowValues(rng *rand.Rand, rows, n int, withSpecials bool) func(r, z int) float64 {
+	vals := make([][]float64, rows)
+	for r := range vals {
+		vals[r] = make([]float64, n)
+		for z := range vals[r] {
+			vals[r][z] = rng.NormFloat64()
+			if withSpecials && rng.Intn(4) == 0 {
+				vals[r][z] = specials[rng.Intn(len(specials))]
+			}
+		}
+	}
+	return func(r, z int) float64 { return vals[r][z] }
+}
+
 // TestRowPrimitives holds every vector row body to its Go body at 0 ULP:
 // every run length 0–67 (every tail of the 4-wide loop), each primitive
 // also with its in-place aliasing, on rows mixing ordinary values with
-// signed zeros, subnormals, ±Inf and NaN. The streaming bodies
+// signed zeros, subnormals, ±Inf and NaN. The moment pass runs the pair
+// tables of D3Q19, D3Q27 and D3Q39 over the same lengths (every 8-cell
+// block, 4-cell step and Go tail) and specials, Go and vector body both
+// held to the per-pair passes (checkMoments). The streaming bodies
 // (simdStreamRows) run the same rows at every output alignment
 // (checkStreamPrims) over lengths 0–41: every head of 0–3 cells, every
 // tail, and up to nine vectors between them.
@@ -193,16 +285,7 @@ func TestRowPrimitives(t *testing.T) {
 	for _, p := range rowPrims {
 		for n := 0; n <= 67; n++ {
 			for _, withSpecials := range []bool{false, true} {
-				vals := make([][]float64, p.outs+p.ins)
-				for r := range vals {
-					vals[r] = make([]float64, n+2)
-					for z := range vals[r] {
-						vals[r][z] = rng.NormFloat64()
-						if withSpecials && rng.Intn(4) == 0 {
-							vals[r][z] = specials[rng.Intn(len(specials))]
-						}
-					}
-				}
+				value := randomRowValues(rng, p.outs+p.ins, n+2, withSpecials)
 				k := make([]float64, p.ks)
 				for i := range k {
 					k[i] = rng.NormFloat64()
@@ -210,7 +293,6 @@ func TestRowPrimitives(t *testing.T) {
 						k[i] = specials[rng.Intn(len(specials))]
 					}
 				}
-				value := func(r, z int) float64 { return vals[r][z] }
 				checkRowPrim(t, simdRows, p, n, value, k, nil, mixedOffsets)
 				if p.alias != nil {
 					checkRowPrim(t, simdRows, p, n, value, k, p.alias, mixedOffsets)
@@ -218,6 +300,13 @@ func TestRowPrimitives(t *testing.T) {
 				if n <= 41 {
 					checkStreamPrims(t, p, n, value, k)
 				}
+			}
+		}
+	}
+	for _, m := range momentLattices {
+		for n := 0; n <= 67; n++ {
+			for _, withSpecials := range []bool{false, true} {
+				checkMoments(t, simdRows, m, n, randomRowValues(rng, m.Q, n+2, withSpecials), mixedOffsets)
 			}
 		}
 	}
@@ -250,6 +339,9 @@ func FuzzRowPrimitives(f *testing.F) {
 				checkRowPrim(t, simdRows, p, n, value, k, p.alias, mixedOffsets)
 			}
 			checkStreamPrims(t, p, n, value, k)
+		}
+		for _, m := range momentLattices {
+			checkMoments(t, simdRows, m, n, func(v, z int) float64 { return at(v*(n+2) + z) }, mixedOffsets)
 		}
 	})
 }
@@ -300,5 +392,32 @@ func TestStreamingStoresOnlyIntoTheNextField(t *testing.T) {
 			t.Errorf("stepper, stream %v: vector table %p, want %p", stream, cs.vec, want)
 		}
 		cs.close()
+	}
+}
+
+// TestMomentPassBinding: both SIMD tables carry the one-pass moment body,
+// the same one (it writes the worker's ρ and j rows, never the next
+// field, so it keeps ordinary stores), and neither table exists where
+// simdRows does not. collider.init tabulates the pass's pairs once, in
+// the pair table's order, on every rung.
+func TestMomentPassBinding(t *testing.T) {
+	if simdRows == nil {
+		if simdStreamRows != nil {
+			t.Fatal("simdStreamRows is bound where simdRows is nil")
+		}
+	} else if simdRows.moments == nil || simdStreamRows.moments == nil ||
+		reflect.ValueOf(simdRows.moments).Pointer() != reflect.ValueOf(simdStreamRows.moments).Pointer() {
+		t.Fatal("simdRows and simdStreamRows must both carry the same moment body")
+	}
+	for _, m := range momentLattices {
+		for _, opt := range []OptLevel{OptCF, OptGCC, OptSIMD} {
+			var c collider
+			if err := c.init(&Config{Model: m, Tau: 0.8, Opt: opt}); err != nil {
+				t.Fatal(err)
+			}
+			if !reflect.DeepEqual(c.mom, momPairs(c.pairs)) {
+				t.Errorf("%s %s: moment table %v, want momPairs of the %d pairs", m.Name, opt, c.mom, len(c.pairs))
+			}
+		}
 	}
 }

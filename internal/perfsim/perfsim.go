@@ -509,8 +509,10 @@ type axisGeom struct {
 	// priced at the rank's own fluid fraction. Zero on a wrap axis.
 	bytes float64
 	// copyT is the time to pack (or unpack, or wrap) both faces; fillT the
-	// time to write both dense ghost faces from boundary data, charged on
-	// the refreshes the solver writes them (core.ConstFacesOnce).
+	// time to write both dense ghost faces from boundary data — all q
+	// populations of each of the w planes, not just bytes' velocity-planes
+	// — charged on the refreshes the solver writes them
+	// (core.ConstFacesOnce).
 	copyT, fillT float64
 	// nb is the neighbor rank per side (decomp.NoNeighbor across a global
 	// boundary), nmsg how many sides have one, and hop[side] the posting
@@ -588,15 +590,17 @@ func (st *simState) rankGeometry(r int, slow float64) rankGeom {
 				velPlanes += n
 			}
 		}
-		face := float64(velPlanes) * 8
+		cross := 8.0 // bytes per velocity-plane
 		for b := 0; b < 3; b++ {
 			if b != a {
-				face *= float64(own[b] + 2*st.w[b])
+				cross *= float64(own[b] + 2*st.w[b])
 			}
 		}
-		ax.bytes = face * fluid
+		ax.bytes = float64(velPlanes) * cross * fluid
 		ax.copyT = 2 * ax.bytes / st.rt.taskBWRaw
-		ax.fillT = 2 * face / st.rt.taskBWRaw
+		// A boundary fill writes every population of every ghost plane of
+		// the face box (core's fillRuns), whatever a message would carry.
+		ax.fillT = 2 * float64(j.Spec.Q*st.w[a]) * cross / st.rt.taskBWRaw
 		ax.wire = st.rt.latency + ax.bytes/st.rt.linkBW
 		ax.hide = hide[a]
 		for side, dir := range [2]int{-1, +1} {

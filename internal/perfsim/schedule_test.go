@@ -102,6 +102,41 @@ func TestModelGeometryIsTheSolvers(t *testing.T) {
 	}
 }
 
+// TestModelFillIsTheSolvers: a boundary fill writes every population of
+// every ghost plane of the face box (core's fillRuns: all Q on all w
+// planes, the other axes' ghosts included), not the directed payload a
+// message carries (D3Q19 5 of 19 velocity-planes at depth 1, D3Q39 18 of
+// 117). On a one-rank cavity, whose walled x and y are uncut, the model's
+// face time over one refresh is those bytes for both faces of both axes
+// at the task's copy bandwidth — the face box sized from the solver's own
+// allocation, w of the stored box's planes along the axis.
+func TestModelFillIsTheSolvers(t *testing.T) {
+	for _, model := range []*lattice.Model{lattice.D3Q19(), lattice.D3Q39()} {
+		c := solverCase{model, [3]int{24, 24, 24}, [3]int{1, 1, 1}, core.CavitySpec(0.05), core.StreamTwoGrid, 1, core.OptGCC}
+		real, err := core.Run(c.config(0))
+		if err != nil {
+			t.Fatalf("%v: solver: %v", c, err)
+		}
+		j := c.job(1)
+		sim, err := Run(j)
+		if err != nil {
+			t.Fatalf("%v: model: %v", c, err)
+		}
+		k := model.MaxSpeed
+		w := core.GhostWidths(c.shape, j.Bounded, c.stream, false, [3]int{k, k, k})
+		perField := float64(real.PerRank[0].FieldBytes) / 2 // Q · 8 B · the stored box
+		var fill float64
+		for a := 0; a < 3; a++ {
+			if j.Bounded[a] {
+				fill += 2 * perField * float64(w[a]) / float64(c.n[a]+2*w[a])
+			}
+		}
+		if got, want := sim.RankPhases[0][obs.Face], fill/j.deriveRates().taskBWRaw; math.Abs(got-want) > 1e-12*want {
+			t.Errorf("%v: one refresh's face fills: model %.6g s, the solver's %.0f B at the copy bandwidth %.6g s", c, got, fill, want)
+		}
+	}
+}
+
 // TestModelMemoryIsTheSolvers: BytesPerTask is the memory the solver
 // holds. A dense job is priced at exactly the busiest rank's allocation —
 // uneven cuts, wrap axes (the periodic slab's y and z, the cavity's, the
