@@ -1198,7 +1198,7 @@ func (cs *cartStepper) ownedSums() (mass, mx, my, mz float64) {
 	rb := &sc.rb
 	cs.forRuns(cs.ownedBox(), func(ix, iy, zlo, zhi, base int) {
 		zn := zhi - zlo
-		cs.pairMoments(rb, cs.stateRows(sc, ix, iy, zlo, zhi, base), zn)
+		cs.pairMoments(rb, cs.stateRows(sc, ix, iy, zlo, zhi, base), nil, zn)
 		msk := cs.rowMask(base, zn)
 		for z := 0; z < zn; z++ {
 			if msk != nil && msk[z] {

@@ -216,6 +216,12 @@ type rowBufs struct {
 	base []float64   // pair kernels: 1 − u²/(2c_s²)
 	q    []float64   // pair kernels: a pair's q = Σ c_a·q_a where it is not an axis's own row (pairQ)
 	t    [][]float64 // pair kernels: per weight class, tw_k·ρ
+
+	// ahead is the span's prefetch table for the moment pass (capacity Q):
+	// per velocity, where its upwind row continues one span further on.
+	// The row body fills it on the SIMD sweep's dense spans (gather.go)
+	// and leaves it empty everywhere else.
+	ahead []uintptr
 }
 
 // newRowBufs allocates the rows for a lattice of q velocities, which has
@@ -226,6 +232,7 @@ func newRowBufs(nz, q int) rowBufs {
 		rho: row(), j: [3][]float64{row(), row(), row()},
 		u: [3][]float64{row(), row(), row()}, u2: row(),
 		base: row(), q: row(), t: make([][]float64, (q+1)/2),
+		ahead: make([]uintptr, 0, q),
 	}
 	for k := range b.t {
 		b.t[k] = row()
@@ -340,10 +347,12 @@ func (c *collider) vecFor(zn int) *rowOps {
 // opposite-pair sums and differences: a pair adds its sum to ρ and its
 // difference, times its component, to the momentum rows of the axes it
 // moves along only: on the SIMD rung one vector body for every pair, which
-// reads each row once, elsewhere the Go per-pair passes (momentRows).
-func (c *collider) pairMoments(b *rowBufs, in [][]float64, zn int) {
+// reads each row once and, given an ahead table (rowBufs.ahead), prefetches
+// the next span's rows as it goes; elsewhere the Go per-pair passes
+// (momentRows), which take no table.
+func (c *collider) pairMoments(b *rowBufs, in [][]float64, ahead []uintptr, zn int) {
 	if r := c.vecFor(zn); r != nil {
-		r.moments(b.rho[:zn], b.j[0], b.j[1], b.j[2], in, c.mom)
+		r.moments(b.rho[:zn], b.j[0], b.j[1], b.j[2], in, c.mom, ahead)
 	} else {
 		momentRows(b.rho[:zn], b.j[0], b.j[1], b.j[2], in, c.mom, 0)
 	}
@@ -411,7 +420,7 @@ func (c *collider) pairQ(b *rowBufs, p *velPair, zn int) []float64 {
 // are globally visible when it returns; relaxTRT does the same.
 func (c *collider) relaxPaired(sc *workerScratch, in, out [][]float64, zn int) {
 	b := &sc.rb
-	c.pairMoments(b, in, zn)
+	c.pairMoments(b, in, b.ahead, zn)
 	c.velocities(b, zn)
 	r := c.vecFor(zn)
 	for i := range c.pairs {
@@ -452,7 +461,7 @@ func (c *collider) relaxPaired(sc *workerScratch, in, out [][]float64, zn int) {
 // signs of zero agree.
 func (c *collider) relaxTRT(sc *workerScratch, in, out [][]float64, zn int) {
 	b := &sc.rb
-	c.pairMoments(b, in, zn)
+	c.pairMoments(b, in, b.ahead, zn)
 	c.velocities(b, zn)
 	r := c.vecFor(zn)
 	for i := range c.pairs {
@@ -491,7 +500,7 @@ func (c *collider) relaxTRT(sc *workerScratch, in, out [][]float64, zn int) {
 // operator clone.
 func (c *collider) relaxOpRows(sc *workerScratch, in, out [][]float64, zn int) {
 	b := &sc.rb
-	c.pairMoments(b, in, zn)
+	c.pairMoments(b, in, b.ahead, zn)
 	c.velocities(b, zn)
 	feq := sc.rows(zn)
 	c.eqRows(b, feq, zn)

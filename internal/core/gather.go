@@ -39,11 +39,27 @@ package core
 //     normal arrangement.
 //
 // On two fields the fields swap when the step is done, whichever source.
+//
+// On the SIMD rung the upwind read — the two-field sweep and AA's even
+// sub-step — on dense fields also fills the worker's prefetch table
+// (rowBufs.ahead): per velocity, the address in f of its upwind row one
+// span further on, which the moment pass prefetches while it accumulates
+// this span (rows_amd64.go), so the next span's sources arrive spread over
+// this span's arithmetic instead of stalling its reads. The address is
+// the upwind row in f for a rotated row too, not the scratch row it is
+// copied into: the copy is what would stall. A prefetch never faults, so
+// the address of the box's last span may point past a velocity block.
+// Under the run index (spans of runs, not a fixed stride), on AA's odd
+// sub-step, on the split path and below SIMD the table stays empty.
 // Links, relax and sponge are one piece of code for all four, and the row
 // kernels treat every z alone (the §8 row contract), so how rows are
 // grouped into spans changes no bit: every path stays bit-identical.
 
-import "repro/internal/grid"
+import (
+	"unsafe"
+
+	"repro/internal/grid"
+)
 
 // spanCells caps the cells of a span: past a few hundred cells the row
 // kernel's set-up is paid off and longer spans only spill the worker's
@@ -55,6 +71,11 @@ const spanCells = 384
 // after its first row: the row-by-row relaxation that spans must match
 // bit for bit.
 var testOneRowSpans bool
+
+// testNoAhead, when set by a test in this package, leaves the prefetch
+// table empty on every span: the sweep without the moment pass's
+// prefetches, for benchmarks that price them.
+var testNoAhead bool
 
 // spanRow is one row of a span: the cells z ∈ [zlo, zlo+zn) of row
 // (ix, iy), stored at field offsets [base, base+zn).
@@ -115,6 +136,7 @@ func (cs *cartStepper) gatherSpan(sc *workerScratch) {
 	split, aos := !cs.gathers, cs.f.Layout != grid.SoA
 	scatter := cs.aa && !cs.aaStar
 	links := !cs.aaStar && !cs.fix.empty()
+	ahead := sc.rb.ahead[:0]
 	var in [][]float64
 	switch {
 	case split && aos:
@@ -129,10 +151,16 @@ func (cs *cartStepper) gatherSpan(sc *workerScratch) {
 		}
 	default:
 		in = sc.gathered(zn)
+		fill := cs.vec != nil && cs.runStart == nil && !testNoAhead
 		for v := range in {
 			in[v] = cs.upwindSpan(in[v], v, rows)
+			if fill {
+				src := cs.f.V(v)
+				ahead = append(ahead, uintptr(unsafe.Pointer(unsafe.SliceData(src)))+uintptr(cs.upwindOff(v, rows[0])+zn)*8)
+			}
 		}
 	}
+	sc.rb.ahead = ahead
 	if links {
 		// A population whose upwind cell is solid — pulled out of it, or
 		// under the run index not pulled at all — is a bounce-back link of

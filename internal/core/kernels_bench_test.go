@@ -181,7 +181,7 @@ func BenchmarkCollideKernels(b *testing.B) {
 					in := randomRows(rand.New(rand.NewSource(1)), m, zn)
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						st.pairMoments(&rb, in, zn)
+						st.pairMoments(&rb, in, nil, zn)
 						st.velocities(&rb, zn)
 					}
 					reportCellRate(b, zn)
@@ -268,20 +268,22 @@ func BenchmarkGatherRow(b *testing.B) {
 // The SIMD rung's sweep over periodic-q19's problem on one thread: the
 // owned box of a 96³ D3Q19 BGK field, whose two fields (137 MB each) are
 // far larger than the last-level cache, so every store of the next field
-// reaches memory. stream stores it as shipped (simdStreamRows), plain with
-// the ordinary stores of simdRows (testPlainStores); the difference is the
-// write-allocate read of each destination line that streaming stores
-// skip.
+// reaches memory. stream runs it as shipped (simdStreamRows, the moment
+// pass prefetching the next span's upwind rows), plain with the ordinary
+// stores of simdRows (testPlainStores), noahead with no prefetch table
+// (testNoAhead). stream against plain is the write-allocate read of each
+// destination line that streaming stores skip; stream against noahead is
+// the DRAM wait of the upwind reads that the prefetches overlap with the
+// previous span's arithmetic.
 func BenchmarkSweepStep(b *testing.B) {
 	n := grid.Dims{NX: 96, NY: 96, NZ: 96}
-	for _, plain := range []bool{false, true} {
-		name := "stream"
-		if plain {
-			name = "plain"
-		}
-		b.Run(name, func(b *testing.B) {
-			testPlainStores = plain
-			defer func() { testPlainStores = false }()
+	for _, c := range []struct {
+		name           string
+		plain, noAhead bool
+	}{{"stream", false, false}, {"plain", true, false}, {"noahead", false, true}} {
+		b.Run(c.name, func(b *testing.B) {
+			testPlainStores, testNoAhead = c.plain, c.noAhead
+			defer func() { testPlainStores, testNoAhead = false, false }()
 			cs := buildStepper(b, Config{
 				Model: lattice.D3Q19(), N: n, Tau: 0.8, Steps: 1,
 				Opt: OptSIMD, Ranks: 1, Threads: 1, GhostDepth: 1, Init: waveInit(n),

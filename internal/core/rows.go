@@ -21,9 +21,12 @@ package core
 // writes.
 
 // rowOps is a table of vector bodies, one per primitive, each with its
-// Go body's signature (moments: momentRows from the run's first cell).
+// Go body's signature (moments: momentRows from the run's first cell, plus
+// ahead: where not empty, per velocity the address its row will be read
+// from one span further on, which the body may prefetch — a prefetch
+// changes no value — and the Go body ignores).
 type rowOps struct {
-	moments  func(rho, jx, jy, jz []float64, in [][]float64, tab []momPair) // ρ and j from every pair of tab
+	moments  func(rho, jx, jy, jz []float64, in [][]float64, tab []momPair, ahead []uintptr) // ρ and j from every pair of tab
 	velocity func(rho, qx, qy, qz, base []float64, sx, sy, sz, invCs2, invCs2h float64)
 	scale    func(dst, src []float64, a float64)               // dst = a·src
 	comb2    func(q, qa, qb []float64, ca, cb float64)         // q = ca·qa + cb·qb

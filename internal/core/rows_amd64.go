@@ -9,7 +9,12 @@ import "unsafe"
 // (first, so that the assembly call is the last and nothing is kept
 // across it). The moment pass is one body for every pair of the run,
 // 8 cells a block with ρ and j in registers, walking the collider's
-// momPair table.
+// momPair table. Given an ahead table (gather.go: per velocity the address
+// its row is read from one span further on) it runs its prefetching twin,
+// momentsx4pf, which adds one PREFETCHT0 per row per block into the
+// next span's sources, so that the sweep's DRAM reads for the next span
+// overlap this span's arithmetic; without one, momentsx4, the same body
+// with no prefetch.
 // No FMA — Go's amd64 back end never fuses a multiply-add, so a fused lane
 // would round differently from the Go body the other rungs run. Race
 // builds keep the Go bodies: the race runtime does not see what assembly
@@ -64,6 +69,9 @@ func sfence()
 
 //go:noescape
 func momentsx4(rho, jx, jy, jz []float64, in [][]float64, tab []momPair)
+
+//go:noescape
+func momentsx4pf(rho, jx, jy, jz []float64, in [][]float64, tab []momPair, ahead []uintptr)
 
 //go:noescape
 func velocityx4(rho, qx, qy, qz, base []float64, sx, sy, sz, invCs2, invCs2h float64)
@@ -122,9 +130,10 @@ func trt3x4(di, dj, si, sj, t, base, q []float64, half, sixth, wp, wm float64)
 //go:noescape
 func trt3x4nt(di, dj, si, sj, t, base, q []float64, half, sixth, wp, wm float64)
 
-// momentsAVX2 checks every row the body reads through in, which it
-// indexes unchecked.
-func momentsAVX2(rho, jx, jy, jz []float64, in [][]float64, tab []momPair) {
+// momentsAVX2 checks every row the body reads through in, and every
+// entry of ahead, which it indexes unchecked. An empty ahead runs the body
+// without prefetches.
+func momentsAVX2(rho, jx, jy, jz []float64, in [][]float64, tab []momPair, ahead []uintptr) {
 	n := len(rho) &^ 3
 	if n < len(rho) {
 		momentRows(rho, jx, jy, jz, in, tab, n)
@@ -132,7 +141,14 @@ func momentsAVX2(rho, jx, jy, jz []float64, in [][]float64, tab []momPair) {
 	for _, p := range tab {
 		_, _ = in[p.i][:n], in[p.j][:n]
 	}
-	momentsx4(rho[:n], jx[:n], jy[:n], jz[:n], in, tab)
+	if len(ahead) == 0 {
+		momentsx4(rho[:n], jx[:n], jy[:n], jz[:n], in, tab)
+		return
+	}
+	for _, p := range tab {
+		_, _ = ahead[p.i], ahead[p.j]
+	}
+	momentsx4pf(rho[:n], jx[:n], jy[:n], jz[:n], in, tab, ahead)
 }
 
 func velocityAVX2(rho, qx, qy, qz, base []float64, sx, sy, sz, invCs2, invCs2h float64) {

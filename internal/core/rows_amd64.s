@@ -8,7 +8,9 @@
 // operations in the Go body's association — only the operand order of
 // the commutative adds and multiplies may differ — and no multiply-add
 // is fused. All loads of an iteration precede its stores, so an output
-// row may be the input row it replaces.
+// row may be the input row it replaces. The moment pass's prefetching
+// twin (momentsx4pf) adds PREFETCHT0 hints into the next span's rows,
+// which load nothing into a register, so its stores carry the same bits.
 
 DATA one<>+0(SB)/8, $0x3ff0000000000000
 GLOBL one<>(SB), RODATA|NOPTR, $8
@@ -54,12 +56,30 @@ TEXT ·sfence(SB), NOSPLIT, $0-0
 // stored once. Where 4 cells are left, one step runs both halves on them.
 // SI walks the table (momPair: i 0, j 8, mask 16, c 24–40) up to R13; DX
 // and BX hold in[j]'s and in[i]'s bases, then BX the mask.
+//
+// The body is one macro, MOMENTS, expanded twice: momentsx4 without
+// prefetches and momentsx4pf with them. momentsx4pf takes the table ahead
+// (in R14), per velocity the address of the cells its row is read from
+// one span further on, and once an entry's rows are loaded it adds one
+// PREFETCHT0 per row at ahead[v] + 8·AX: one line per row per block, so
+// a span prefetches the lines of the next span's sources while its own
+// arithmetic runs. A prefetch changes no value and never faults, wherever
+// its address points.
 
 // ROWBASE loads the base of the row in[FIELD(SI)] into R.
 #define ROWBASE(FIELD, R) \
 	MOVQ FIELD(SI), R \
 	LEAQ (R)(R*2), R \
 	MOVQ (R11)(R*8), R
+
+// MOMAHEAD prefetches the line of block AX at ahead[FIELD(SI)], through
+// R; MOMNOAHEAD is the body without prefetches.
+#define MOMAHEAD(FIELD, R) \
+	MOVQ FIELD(SI), R \
+	MOVQ (R14)(R*8), R \
+	PREFETCHT0 (R)(AX*8)
+
+#define MOMNOAHEAD(FIELD, R)
 
 // MOMAXIS adds c_a·d (d in Y12, Y13) to the accumulators L, H where bit B
 // of the mask is set; OFF is c_a's offset in the entry.
@@ -73,6 +93,76 @@ TEXT ·sfence(SB), NOSPLIT, $0-0
 	VADDPD Y14, H, H \
 SKIP:
 
+// MOMENTS is the pass over the rows set up by the prologue: rho, jx, jy,
+// jz in DI, R8, R9, R10, the run's length in CX, in's headers in R11, the
+// table in R15 and its end in R13. AHEAD is MOMAHEAD or MOMNOAHEAD.
+#define MOMENTS(AHEAD) \
+	XORQ AX, AX \
+	TESTQ CX, CX \
+	JEQ  momdone \
+momblock: \
+	LEAQ 4(AX), R12 \
+	LEAQ 8(AX), BX \
+	CMPQ BX, CX \
+	JLE  momzero \
+	MOVQ AX, R12                /* 4 cells left */ \
+momzero: \
+	VXORPD Y0, Y0, Y0           /* ρ */ \
+	VXORPD Y1, Y1, Y1 \
+	VXORPD Y2, Y2, Y2           /* jx */ \
+	VXORPD Y3, Y3, Y3 \
+	VXORPD Y4, Y4, Y4           /* jy */ \
+	VXORPD Y5, Y5, Y5 \
+	VXORPD Y6, Y6, Y6           /* jz */ \
+	VXORPD Y7, Y7, Y7 \
+	MOVQ R15, SI \
+	JMP  momtest \
+mompair: \
+	ROWBASE(8, DX) \
+	CMPQ 16(SI), $0 \
+	JNE  mommove \
+	VADDPD (DX)(AX*8), Y0, Y0   /* the rest velocity: ρ + s */ \
+	VADDPD (DX)(R12*8), Y1, Y1 \
+	AHEAD(8, DX) \
+	JMP  momnext \
+mommove: \
+	ROWBASE(0, BX) \
+	VMOVUPD (BX)(AX*8), Y8      /* vi */ \
+	VMOVUPD (BX)(R12*8), Y9 \
+	VMOVUPD (DX)(AX*8), Y10     /* vj */ \
+	VMOVUPD (DX)(R12*8), Y11 \
+	AHEAD(0, BX) \
+	AHEAD(8, DX) \
+	MOVQ 16(SI), BX \
+	VSUBPD  Y10, Y8, Y12        /* d = vi − vj */ \
+	VSUBPD  Y11, Y9, Y13 \
+	VADDPD  Y10, Y8, Y8         /* vi + vj */ \
+	VADDPD  Y11, Y9, Y9 \
+	VADDPD  Y8, Y0, Y0          /* ρ + (vi + vj) */ \
+	VADDPD  Y9, Y1, Y1 \
+	MOMAXIS(0, 24, Y2, Y3, momnox) \
+	MOMAXIS(1, 32, Y4, Y5, momnoy) \
+	MOMAXIS(2, 40, Y6, Y7, momnoz) \
+momnext: \
+	ADDQ $48, SI \
+momtest: \
+	CMPQ SI, R13 \
+	JLT  mompair \
+	VMOVUPD Y0, (DI)(AX*8) \
+	VMOVUPD Y1, (DI)(R12*8) \
+	VMOVUPD Y2, (R8)(AX*8) \
+	VMOVUPD Y3, (R8)(R12*8) \
+	VMOVUPD Y4, (R9)(AX*8) \
+	VMOVUPD Y5, (R9)(R12*8) \
+	VMOVUPD Y6, (R10)(AX*8) \
+	VMOVUPD Y7, (R10)(R12*8) \
+	LEAQ 4(R12), AX \
+	CMPQ AX, CX \
+	JLT  momblock \
+	VZEROUPPER \
+momdone: \
+	RET
+
 // func momentsx4(rho, jx, jy, jz []float64, in [][]float64, tab []momPair)
 TEXT ·momentsx4(SB), NOSPLIT, $0-144
 	MOVQ rho_base+0(FP), DI
@@ -81,71 +171,26 @@ TEXT ·momentsx4(SB), NOSPLIT, $0-144
 	MOVQ jy_base+48(FP), R9
 	MOVQ jz_base+72(FP), R10
 	MOVQ in_base+96(FP), R11
+	MOVQ tab_base+120(FP), R15
 	MOVQ tab_len+128(FP), R13
 	IMULQ $48, R13
-	ADDQ tab_base+120(FP), R13
-	XORQ AX, AX
-	TESTQ CX, CX
-	JEQ  momdone
-momblock:
-	LEAQ 4(AX), R12
-	LEAQ 8(AX), BX
-	CMPQ BX, CX
-	JLE  momzero
-	MOVQ AX, R12                // 4 cells left
-momzero:
-	VXORPD Y0, Y0, Y0           // ρ
-	VXORPD Y1, Y1, Y1
-	VXORPD Y2, Y2, Y2           // jx
-	VXORPD Y3, Y3, Y3
-	VXORPD Y4, Y4, Y4           // jy
-	VXORPD Y5, Y5, Y5
-	VXORPD Y6, Y6, Y6           // jz
-	VXORPD Y7, Y7, Y7
-	MOVQ tab_base+120(FP), SI
-	JMP  momtest
-mompair:
-	ROWBASE(8, DX)
-	CMPQ 16(SI), $0
-	JNE  mommove
-	VADDPD (DX)(AX*8), Y0, Y0   // the rest velocity: ρ + s
-	VADDPD (DX)(R12*8), Y1, Y1
-	JMP  momnext
-mommove:
-	ROWBASE(0, BX)
-	VMOVUPD (BX)(AX*8), Y8      // vi
-	VMOVUPD (BX)(R12*8), Y9
-	VMOVUPD (DX)(AX*8), Y10     // vj
-	VMOVUPD (DX)(R12*8), Y11
-	MOVQ 16(SI), BX
-	VSUBPD  Y10, Y8, Y12        // d = vi − vj
-	VSUBPD  Y11, Y9, Y13
-	VADDPD  Y10, Y8, Y8         // vi + vj
-	VADDPD  Y11, Y9, Y9
-	VADDPD  Y8, Y0, Y0          // ρ + (vi + vj)
-	VADDPD  Y9, Y1, Y1
-	MOMAXIS(0, 24, Y2, Y3, momnox)
-	MOMAXIS(1, 32, Y4, Y5, momnoy)
-	MOMAXIS(2, 40, Y6, Y7, momnoz)
-momnext:
-	ADDQ $48, SI
-momtest:
-	CMPQ SI, R13
-	JLT  mompair
-	VMOVUPD Y0, (DI)(AX*8)
-	VMOVUPD Y1, (DI)(R12*8)
-	VMOVUPD Y2, (R8)(AX*8)
-	VMOVUPD Y3, (R8)(R12*8)
-	VMOVUPD Y4, (R9)(AX*8)
-	VMOVUPD Y5, (R9)(R12*8)
-	VMOVUPD Y6, (R10)(AX*8)
-	VMOVUPD Y7, (R10)(R12*8)
-	LEAQ 4(R12), AX
-	CMPQ AX, CX
-	JLT  momblock
-	VZEROUPPER
-momdone:
-	RET
+	ADDQ R15, R13
+	MOMENTS(MOMNOAHEAD)
+
+// func momentsx4pf(rho, jx, jy, jz []float64, in [][]float64, tab []momPair, ahead []uintptr)
+TEXT ·momentsx4pf(SB), NOSPLIT, $0-168
+	MOVQ rho_base+0(FP), DI
+	MOVQ rho_len+8(FP), CX
+	MOVQ jx_base+24(FP), R8
+	MOVQ jy_base+48(FP), R9
+	MOVQ jz_base+72(FP), R10
+	MOVQ in_base+96(FP), R11
+	MOVQ tab_base+120(FP), R15
+	MOVQ tab_len+128(FP), R13
+	IMULQ $48, R13
+	ADDQ R15, R13
+	MOVQ ahead_base+144(FP), R14
+	MOMENTS(MOMAHEAD)
 
 // func velocityx4(rho, qx, qy, qz, base []float64, sx, sy, sz, invCs2, invCs2h float64)
 TEXT ·velocityx4(SB), NOSPLIT, $0-160

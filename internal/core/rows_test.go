@@ -9,6 +9,7 @@ import (
 	"unsafe"
 
 	"repro/internal/collision"
+	"repro/internal/geom"
 	"repro/internal/grid"
 	"repro/internal/lattice"
 )
@@ -26,7 +27,7 @@ type rowPrim struct {
 
 // goRows are the Go bodies in the vector table's shape.
 var goRows = rowOps{
-	moments: func(rho, jx, jy, jz []float64, in [][]float64, tab []momPair) {
+	moments: func(rho, jx, jy, jz []float64, in [][]float64, tab []momPair, _ []uintptr) {
 		momentRows(rho, jx, jy, jz, in, tab, 0)
 	},
 	velocity: velocityRows, scale: scaleRow, comb2: comb2, comb3: comb3,
@@ -205,7 +206,8 @@ func pairPasses(rho []float64, j [3][]float64, in [][]float64, ps []velPair) {
 // run of n cells, population v's row holding value(v, z) and starting
 // off(v) values past a 32-byte boundary. The ρ and j rows are two values
 // longer than the run (ρ's length sets it), and those two must stay
-// untouched.
+// untouched. The vector body runs without a prefetch table and with three
+// (aheadTables): a prefetch must change no value and fault nowhere.
 func checkMoments(t *testing.T, vec *rowOps, m *lattice.Model, n int, value func(v, z int) float64, off func(r int) int) {
 	t.Helper()
 	const pad = 2
@@ -231,12 +233,18 @@ func checkMoments(t *testing.T, vec *rowOps, m *lattice.Model, n int, value func
 	}
 	wantRho, wantJ := rows()
 	pairPasses(wantRho[:n], wantJ, in, ps)
-	for _, body := range []struct {
-		name string
-		ops  *rowOps
-	}{{"Go", &goRows}, {"vector", vec}} {
+	type momBody struct {
+		name  string
+		ops   *rowOps
+		ahead []uintptr
+	}
+	bodies := []momBody{{"Go", &goRows, nil}, {"vector", vec, nil}}
+	for name, ahead := range aheadTables(in, n) {
+		bodies = append(bodies, momBody{"vector, ahead " + name, vec, ahead})
+	}
+	for _, body := range bodies {
 		rho, j := rows()
-		body.ops.moments(rho[:n], j[0], j[1], j[2], in, tab)
+		body.ops.moments(rho[:n], j[0], j[1], j[2], in, tab, body.ahead)
 		for r, got := range [4][]float64{rho, j[0], j[1], j[2]} {
 			want := [4][]float64{wantRho, wantJ[0], wantJ[1], wantJ[2]}[r]
 			for z := range got {
@@ -251,6 +259,19 @@ func checkMoments(t *testing.T, vec *rowOps, m *lattice.Model, n int, value func
 			}
 		}
 	}
+}
+
+// aheadTables are the prefetch tables the moment pass is run with on the
+// rows in, a run of n cells: where the next span of each row would start
+// (next), far past the rows' ends (far), and all at address 0 (zero).
+func aheadTables(in [][]float64, n int) map[string][]uintptr {
+	tabs := map[string][]uintptr{"next": nil, "far": nil, "zero": make([]uintptr, len(in))}
+	for _, row := range in {
+		a := uintptr(unsafe.Pointer(unsafe.SliceData(row)))
+		tabs["next"] = append(tabs["next"], a+uintptr(n)*8)
+		tabs["far"] = append(tabs["far"], a+1<<30)
+	}
+	return tabs
 }
 
 // randomRowValues draws rows × n normal values, a quarter of them
@@ -419,5 +440,90 @@ func TestMomentPassBinding(t *testing.T) {
 				t.Errorf("%s %s: moment table %v, want momPairs of the %d pairs", m.Name, opt, c.mom, len(c.pairs))
 			}
 		}
+	}
+}
+
+// TestMomentPrefetchTable: on the SIMD rung the row body's upwind read on
+// dense fields — the two-field sweep and AA's even sub-step — fills the
+// worker's prefetch table with, per velocity, the address in f of its
+// upwind row one span further on: the span's first upwind offset plus its
+// cells, rotated rows (z wraps on the sweep here) included, and where the
+// next span reads a view of f, that view's first cell. Under the run
+// index, on AA's odd sub-step, below SIMD (the gather sweep and the split
+// path) and under testNoAhead the table stays empty, and an empty table is
+// what selects the body without prefetches (momentsAVX2 then reads no
+// entry of it; TestRowPrimitives runs both bodies).
+func TestMomentPrefetchTable(t *testing.T) {
+	n := grid.Dims{NX: 6, NY: 12, NZ: 12}
+	const rows = 3
+	solid := geom.FromFunc(n, func(ix, iy, iz int) bool { return iz == 5 })
+	for _, tc := range []struct {
+		name      string
+		cfg       Config
+		odd, none bool // run AA's odd sub-step / set testNoAhead
+		want      bool
+	}{
+		{"D3Q19 sweep", Config{Model: lattice.D3Q19(), Opt: OptSIMD}, false, false, true},
+		{"D3Q39 sweep", Config{Model: lattice.D3Q39(), Opt: OptSIMD}, false, false, true},
+		{"AA even", Config{Model: lattice.D3Q19(), Opt: OptSIMD, Stream: StreamAA}, false, false, true},
+		{"AA odd", Config{Model: lattice.D3Q19(), Opt: OptSIMD, Stream: StreamAA}, true, false, false},
+		{"run index", Config{Model: lattice.D3Q19(), Opt: OptSIMD, Solid: solid, Sparse: true}, false, false, false},
+		{"testNoAhead", Config{Model: lattice.D3Q19(), Opt: OptSIMD}, false, true, false},
+		{"GC-C sweep", Config{Model: lattice.D3Q19(), Opt: OptGCC, Fused: true}, false, false, false},
+		{"GC-C split", Config{Model: lattice.D3Q19(), Opt: OptGCC}, false, false, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if tc.want {
+				needSIMDRows(t)
+			}
+			cfg := tc.cfg
+			cfg.N, cfg.Tau, cfg.Steps, cfg.Ranks, cfg.Threads, cfg.GhostDepth = n, 0.8, 1, 1, 1, 1
+			cfg.Init = waveInit(n)
+			cs := buildStepper(t, cfg)
+			cs.initField()
+			cs.refreshAxes([3]bool{true, true, true})
+			cs.aaStar = tc.odd
+			testNoAhead = tc.none
+			defer func() { testNoAhead = false }()
+			sc, m := cs.scratch[0], cs.model
+			// Rows 3–5 of an x-plane and the row after them read no row
+			// across the y wrap, even at D3Q39's reach of 3.
+			ix, iy, zlo, zhi := cs.w[0]+1, cs.w[1]+3, cs.w[2], cs.w[2]+cs.own[2]
+			sc.rb.ahead = sc.rb.ahead[:0]
+			for range m.Q {
+				sc.rb.ahead = append(sc.rb.ahead, 1) // a stale table the spans must replace
+			}
+			cs.gatherRows(0, box{lo: [3]int{ix, iy, zlo}, hi: [3]int{ix + 1, iy + rows, zhi}})
+			got := sc.rb.ahead
+			if !tc.want {
+				if len(got) != 0 {
+					t.Fatalf("prefetch table of %d entries, want none", len(got))
+				}
+				return
+			}
+			if len(got) != m.Q {
+				t.Fatalf("prefetch table of %d entries, want %d", len(got), m.Q)
+			}
+			// The last span: all three rows where they lie back to back (no
+			// z ghosts), else the last row alone.
+			first, zn := iy, rows*(zhi-zlo)
+			if cs.w[2] != 0 {
+				first, zn = iy+rows-1, zhi-zlo
+			}
+			row := func(iy int) spanRow {
+				return spanRow{ix: ix, iy: iy, zlo: zlo, zn: zhi - zlo, base: cs.d.Index(ix, iy, zlo)}
+			}
+			for v := range got {
+				blk := uintptr(unsafe.Pointer(unsafe.SliceData(cs.f.V(v))))
+				off := cs.upwindOff(v, row(first))
+				if want := blk + uintptr(off+zn)*8; got[v] != want {
+					t.Errorf("velocity %d: ahead %#x, want %#x (offset %d + %d cells)", v, got[v], want, off, zn)
+				}
+				dst := make([]float64, zhi-zlo)
+				if r := cs.upwindSpan(dst, v, []spanRow{row(iy + rows)}); &r[0] != &dst[0] && got[v] != uintptr(unsafe.Pointer(&r[0])) {
+					t.Errorf("velocity %d: ahead %#x, but the next span reads f from %p", v, got[v], &r[0])
+				}
+			}
+		})
 	}
 }
