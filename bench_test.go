@@ -167,20 +167,6 @@ func BenchmarkFig11Hybrid(b *testing.B) {
 	}
 }
 
-// BenchmarkLayoutAblation compares the SoA (collision-optimized, the
-// paper's choice) and AoS layouts under identical naive kernels.
-func BenchmarkLayoutAblation(b *testing.B) {
-	n := repro.Dims{NX: 32, NY: 16, NZ: 16}
-	for _, l := range []repro.Layout{repro.SoA, repro.AoS} {
-		b.Run(l.String(), func(b *testing.B) {
-			runOnce(b, repro.Config{
-				Model: repro.D3Q19(), N: n, Tau: 0.8, Steps: 10,
-				Opt: repro.OptGC, Ranks: 1, Threads: 1, GhostDepth: 1, Layout: l,
-			})
-		})
-	}
-}
-
 // BenchmarkFusedVsSplit is the ablation for the paper's §VII future-work
 // direction: the gather sweep the SIMD rung steps with touches 2·Q·8 bytes
 // per cell per step against GC-C's split path's 3·Q·8, raising the

@@ -52,8 +52,7 @@ func main() {
 		decompF   = flag.String("decomp", "1d", "domain decomposition: 1d (slab), 2d (pencil), 3d (block), or explicit PxxPyxPz (e.g. 2x2x2, product = -ranks); every level but Orig, -stream aa included, runs on every shape")
 		threads   = flag.Int("threads", 1, "worker threads per rank (0 = runtime.NumCPU()/ranks, floor 1)")
 		depth     = flag.String("depth", "1", "ghost-cell depth: one value (exchange every depth steps) or per-axis dx,dy,dz (e.g. 2,1,1; an axis without ghosts ignores its entry); -stream aa rounds each up to even")
-		layout    = flag.String("layout", "soa", "memory layout: soa or aos")
-		stream    = flag.String("stream", "twogrid", "streaming storage: twogrid (separate advected field) or aa (in-place AA pattern, half the f-memory; needs SoA and a GC level)")
+		stream    = flag.String("stream", "twogrid", "streaming storage: twogrid (separate advected field) or aa (in-place AA pattern, half the f-memory; needs a GC level)")
 		amplitude = flag.Float64("amplitude", 0.02, "initial perturbation amplitude")
 		scen      = flag.String("scenario", "wave", scenario.Usage())
 		re        = flag.Float64("re", 100, "Reynolds number (cavity: lidU*NY/nu; channel: Umean*D/nu)")
@@ -86,15 +85,6 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	lay := grid.SoA
-	switch *layout {
-	case "soa", "SoA":
-	case "aos", "AoS":
-		lay = grid.AoS
-	default:
-		log.Fatalf("unknown layout %q", *layout)
-	}
-
 	scheme, err := core.ParseStreamScheme(*stream)
 	if err != nil {
 		log.Fatal(err)
@@ -156,7 +146,7 @@ func main() {
 		Model: model, N: n, Tau: *tau, Steps: *steps,
 		Opt: opt, Ranks: *ranks, Decomp: dec.P, Threads: nthreads,
 		GhostDepth: depthUniform, GhostDepthAxes: depthAxes,
-		Layout: lay, Collision: colSpec, Stream: scheme,
+		Collision: colSpec, Stream: scheme,
 		Balance: balance, Sparse: *sparse,
 		KeepField: *out != "",
 		Observe:   *observe || *reportF != "" || *traceF != "",
@@ -207,8 +197,8 @@ func main() {
 	fmt.Printf("scenario     %s\n", sc.Name)
 	fmt.Printf("domain       %s  (%d fluid cells)\n", n, fluid)
 	dep := core.ReportConfig(&cfg).Depth // what the run stepped with: -stream aa rounds up to even
-	fmt.Printf("config       opt=%s ranks=%d decomp=%dx%dx%d balance=%s sparse=%v threads=%d depth=%d,%d,%d layout=%s fused=%v stream=%s collision=%s tau=%.4f\n",
-		cfg.Opt, cfg.Ranks, cfg.Decomp[0], cfg.Decomp[1], cfg.Decomp[2], cfg.Balance, cfg.Sparse, cfg.Threads, dep[0], dep[1], dep[2], lay, cfg.GatherSweep(), cfg.Stream, cfg.Collision, cfg.Tau)
+	fmt.Printf("config       opt=%s ranks=%d decomp=%dx%dx%d balance=%s sparse=%v threads=%d depth=%d,%d,%d fused=%v stream=%s collision=%s tau=%.4f\n",
+		cfg.Opt, cfg.Ranks, cfg.Decomp[0], cfg.Decomp[1], cfg.Decomp[2], cfg.Balance, cfg.Sparse, cfg.Threads, dep[0], dep[1], dep[2], cfg.GatherSweep(), cfg.Stream, cfg.Collision, cfg.Tau)
 	fmt.Printf("steps        %d\n", cfg.Steps)
 	if hb := res.HaloAxisBytes; hb != [3]int64{} {
 		fmt.Printf("halo surface %.1f KB/rank/exchange (x %.1f, y %.1f, z %.1f)\n",

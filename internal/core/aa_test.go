@@ -11,15 +11,14 @@ import (
 )
 
 // aaVariant maps a two-grid config onto the nearest AA-legal one: the AA
-// scheme is SoA-only, needs ghost cells, and is inherently fused, so the
-// Orig, AoS and Fused knobs are normalized away. The returned pair
+// scheme needs ghost cells and is inherently fused, so the Orig and Fused
+// knobs are normalized away. The returned pair
 // differs ONLY in the Stream field — the comparison isolates the storage
 // scheme.
 func aaVariant(cfg Config) (tg, aa Config) {
 	if cfg.Opt == OptOrig {
 		cfg.Opt = OptGC
 	}
-	cfg.Layout = grid.SoA
 	cfg.Fused = false
 	tg = cfg
 	tg.Stream = StreamTwoGrid
@@ -112,7 +111,7 @@ func TestAAMatchesTwoGrid(t *testing.T) {
 		}, nil},
 		{"slab-gc-2r", Config{
 			Model: lattice.D3Q19(), N: n, Tau: 0.8, Steps: 5,
-			Opt: OptGC, Ranks: 2, GhostDepth: 1, Layout: grid.AoS,
+			Opt: OptGC, Ranks: 2, GhostDepth: 1,
 		}, nil},
 		{"slab-orig-normalized", Config{
 			Model: lattice.D3Q19(), N: n, Tau: 0.8, Steps: 5,
@@ -309,8 +308,6 @@ func TestAASingleField(t *testing.T) {
 			Ranks: 1, Threads: 1, GhostDepth: 1, Stream: StreamAA},
 		{Model: lattice.D3Q19(), N: n, Tau: 0.8, Steps: 2, Opt: OptSIMD,
 			Ranks: 1, Threads: 1, GhostDepth: 1, Stream: StreamAA, Fused: true},
-		{Model: lattice.D3Q19(), N: n, Tau: 0.8, Steps: 2, Opt: OptGC,
-			Ranks: 1, Threads: 1, GhostDepth: 1, Stream: StreamAA, Layout: grid.AoS},
 	}
 	for i, cfg := range bad {
 		if _, err := cfg.init(); err == nil {

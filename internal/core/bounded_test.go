@@ -394,7 +394,6 @@ func TestBoundedValidation(t *testing.T) {
 		mod  func(c *Config)
 	}{
 		{"orig with boundaries", func(c *Config) { c.Opt = OptOrig }},
-		{"AoS with boundaries", func(c *Config) { c.Layout = grid.AoS }},
 		{"mixed periodicity on one axis", func(c *Config) {
 			s := *c.Boundary
 			s.Faces[2][1] = Face{Kind: BCWall}

@@ -204,12 +204,12 @@ func newCartStepper(cfg *Config, dec decomp.Cartesian, r *comm.Rank) (*cartStepp
 // zeroed and faulted in here, inside set-up (grid.NewMappedField), and
 // live until releaseFields.
 func (cs *cartStepper) allocFields() {
-	q, d, l := cs.model.Q, cs.fieldDims(), cs.cfg.Layout
-	cs.f = grid.NewMappedField(q, d, l)
+	q, d := cs.model.Q, cs.fieldDims()
+	cs.f = grid.NewMappedField(q, d)
 	if !cs.aa {
 		// AA streams in place: the second field never exists, which is the
 		// scheme's whole point — footprint and f-traffic are halved.
-		cs.fadv = grid.NewMappedField(q, d, l)
+		cs.fadv = grid.NewMappedField(q, d)
 	}
 }
 
@@ -265,8 +265,7 @@ func (cs *cartStepper) initField() (bad int) {
 // kernels' shared rows from the initial condition — ρ, q_a = u_a/c_s² and
 // base = 1 − u²/(2c_s²), no forcing shift; a dense field's solid cell
 // gets ρ = 1, u = 0, which is exactly cs.rest — forms t_k = w_k·ρ, and
-// lets eqRows write f_eq = t·(even ± odd) into the run's rows of f (AoS:
-// into scratch rows, transposed into the run's cells).
+// lets eqRows write f_eq = t·(even ± odd) into the run's rows of f.
 func (cs *cartStepper) initRows(worker int, b box) {
 	sc := cs.scratch[worker]
 	rb := &sc.rb
@@ -291,13 +290,7 @@ func (cs *cartStepper) initRows(worker int, b box) {
 			qx[z], qy[z], qz[z] = ux*invCs2, uy*invCs2, uz*invCs2
 		}
 		cs.weighRows(rb, cs.wk, zn)
-		if cs.f.Layout == grid.SoA {
-			cs.eqRows(rb, rowViews(sc.sv, cs.f, base, zn), zn)
-			return
-		}
-		rows := sc.gathered(zn)
-		cs.eqRows(rb, rows, zn)
-		rowsToAoS(cs.f.Data[base*cs.model.Q:], rows, zn)
+		cs.eqRows(rb, rowViews(sc.sv, cs.f, base, zn), zn)
 	})
 }
 
@@ -819,27 +812,6 @@ func (cs *cartStepper) countUpdates(b box) {
 	}
 }
 
-// aosToRows transposes zn consecutive AoS cells (Q-blocks, len(rows) = Q)
-// into the rows.
-func aosToRows(rows [][]float64, cells []float64, zn int) {
-	q := len(rows)
-	for z := 0; z < zn; z++ {
-		for v := range rows {
-			rows[v][z] = cells[z*q+v]
-		}
-	}
-}
-
-// rowsToAoS is aosToRows reversed.
-func rowsToAoS(cells []float64, rows [][]float64, zn int) {
-	q := len(rows)
-	for z := 0; z < zn; z++ {
-		for v := range rows {
-			cells[z*q+v] = rows[v][z]
-		}
-	}
-}
-
 // axisClass classifies one local index on one axis: the in-domain global
 // coordinate (periodic wrap, or zero-gradient clamp beyond a non-wall
 // face) and the bounded face the point lies beyond, if any.
@@ -1215,32 +1187,26 @@ func (cs *cartStepper) ownedSums() (mass, mx, my, mz float64) {
 
 // stateRows returns the populations of the cells z ∈ [zlo, zhi) of row
 // (ix, iy), stored from field offset base, as per-velocity rows: views of
-// f, or rows gathered into the worker's scratch — transposed out of AoS
-// cells, or, in AA's star arrangement, population v of cell y pulled from
-// its slot (opp(v), y + c_v) row by row (starPop's rule: where that slot
-// has no storage the population bounced, and the link's own slot holds
-// it + δ).
+// f, or — in AA's star arrangement — rows gathered into the worker's
+// scratch, population v of cell y pulled from its slot (opp(v), y + c_v)
+// row by row (starPop's rule: where that slot has no storage the
+// population bounced, and the link's own slot holds it + δ).
 func (cs *cartStepper) stateRows(sc *workerScratch, ix, iy, zlo, zhi, base int) [][]float64 {
 	m, f := cs.model, cs.f
 	zn := zhi - zlo
-	switch {
-	case cs.aaStar:
-		rows := sc.gathered(zn)
-		for v, row := range rows {
-			cs.pull(row, f.V(m.Opp[v]), ix+m.Cx[v], iy+m.Cy[v], zlo+m.Cz[v])
-		}
-		if cs.runStart != nil && !cs.fix.empty() {
-			for _, fx := range cs.fix.rowLinks(ix*cs.d.NY+iy, base, base+zn) {
-				rows[fx.opp][int(fx.cell)-base] = f.V(int(fx.opp))[fx.cell] - fx.delta
-			}
-		}
-		return rows
-	case f.Layout != grid.SoA:
-		rows := sc.gathered(zn)
-		aosToRows(rows, f.Data[base*m.Q:], zn)
-		return rows
+	if !cs.aaStar {
+		return rowViews(sc.sv, f, base, zn)
 	}
-	return rowViews(sc.sv, f, base, zn)
+	rows := sc.gathered(zn)
+	for v, row := range rows {
+		cs.pull(row, f.V(m.Opp[v]), ix+m.Cx[v], iy+m.Cy[v], zlo+m.Cz[v])
+	}
+	if cs.runStart != nil && !cs.fix.empty() {
+		for _, fx := range cs.fix.rowLinks(ix*cs.d.NY+iy, base, base+zn) {
+			rows[fx.opp][int(fx.cell)-base] = f.V(int(fx.opp))[fx.cell] - fx.delta
+		}
+	}
+	return rows
 }
 
 // ownedBlock packs the owned box of the final state velocity-major (for

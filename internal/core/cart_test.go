@@ -382,7 +382,6 @@ func TestCartValidation(t *testing.T) {
 		mod  func(c *Config)
 	}{
 		{"orig multi-axis", func(c *Config) { c.Opt = OptOrig }},
-		{"AoS multi-axis", func(c *Config) { c.Layout = grid.AoS }},
 		{"shape/ranks mismatch", func(c *Config) { c.Ranks = 4 }},
 		{"block smaller than halo", func(c *Config) { c.GhostDepth = 5 }},
 		{"per-axis depth zero entry", func(c *Config) { c.GhostDepthAxes = [3]int{2, 0, 1} }},
@@ -398,12 +397,5 @@ func TestCartValidation(t *testing.T) {
 	}
 	if _, err := Run(base); err != nil {
 		t.Errorf("base config rejected: %v", err)
-	}
-	// Legal, not an error: a wrap axis has no depth, so on a periodic slab
-	// {2,1,1} is the uniform depth-2 run, which the AoS rung takes.
-	aos := base
-	aos.Ranks, aos.Decomp, aos.Layout, aos.GhostDepthAxes = 1, [3]int{1, 1, 1}, grid.AoS, [3]int{2, 1, 1}
-	if _, err := Run(aos); err != nil {
-		t.Errorf("per-axis depth {2,1,1} with AoS on a periodic slab rejected: %v", err)
 	}
 }

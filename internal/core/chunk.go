@@ -266,9 +266,8 @@ type workerScratch struct {
 	bad    int                // initRows: global index + 1 of the first invalid initial state met, 0 for none
 
 	// Gathered span stores: the gather sweep pulls a span's populations
-	// into gin and — where it scatters — collides into gout (gather.go);
-	// the split path's AoS spans transpose through gin. Their own storage:
-	// a row kernel may use vrows while it reads gin.
+	// into gin and — where it scatters — collides into gout (gather.go).
+	// Their own storage: a row kernel may use vrows while it reads gin.
 	gin, gout     [][]float64
 	ginSt, goutSt []float64
 	span          []spanRow // the row body's open span (capacity nzCap rows)

@@ -92,8 +92,7 @@ func TestCrossPathBitIdentity(t *testing.T) {
 	// The plate's links land on cz = 0 velocities too, whose rows the
 	// two-field sweep otherwise reads in place: those are copied before the
 	// link is written. SIMD steps with the sweep, so its reference is GC-C's
-	// split field. The AoS layout's split path transposes its rows out of
-	// fadv and back around the same links and relax.
+	// split field.
 	solid := geom.FromFunc(n, func(ix, iy, iz int) bool { return iy == 0 || iz == n.NZ-1 })
 	solid.Union(geom.SphereAt(n, 11.5, 6, 5.5, 2.6))
 	splitOf := func(c Config) Config {
@@ -129,13 +128,9 @@ func TestCrossPathBitIdentity(t *testing.T) {
 				{"fused-mrt", func(c *Config) { c.Fused, c.Collision = true, collision.Spec{Kind: collision.MRT} }},
 				{"aa", func(c *Config) { c.Stream = StreamAA }},
 				{"aa-sparse", func(c *Config) { c.Stream, c.Sparse = StreamAA, true }},
-				{"aos", func(c *Config) { c.Layout = grid.AoS }},
 			} {
 				cfg := base
 				v.apply(&cfg)
-				if cfg.Layout == grid.AoS && opt != OptGC {
-					continue // the AoS layout ablation runs at Orig and GC only
-				}
 				ref := want
 				if !cfg.Collision.IsBGK() {
 					ref = runField(t, splitOf(cfg))

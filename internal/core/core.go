@@ -29,7 +29,7 @@
 // count, fused or not, streaming scheme) therefore reproduces the field to
 // the last bit (TestCrossPathBitIdentity); the rungs differ from each other only by
 // floating point reassociation (~1e-12), which the rest of the suite
-// enforces across rank counts, thread counts, ghost depths and layouts.
+// enforces across rank counts, thread counts and ghost depths.
 package core
 
 import (
@@ -185,7 +185,7 @@ const (
 	// sub-step reads each cell's own slots reversed, collides, and writes
 	// them back in normal arrangement — after which the array is
 	// indistinguishable from the two-grid f. Halves memory traffic and
-	// footprint; requires SoA and a ghost-cell level, and excludes Fused
+	// footprint; requires a ghost-cell level, and excludes Fused
 	// (it is the same gather sweep, on one field).
 	StreamAA
 )
@@ -296,9 +296,9 @@ type Config struct {
 	// Decomp is the rank-grid shape (Px, Py, Pz) of the Cartesian domain
 	// decomposition; its product must equal Ranks. The zero value selects
 	// the paper's 1-D slab (Ranks, 1, 1), the one shape on which the whole
-	// ladder — the no-ghost Orig protocol and the AoS layout included — is
-	// legal. Multi-axis shapes (pencil/block) require the SoA layout and a
-	// ghost-cell level (not Orig); every other rung — the NB-C posted
+	// ladder — the no-ghost Orig protocol included — is legal. Multi-axis
+	// shapes (pencil/block) require a ghost-cell level (not Orig); every
+	// other rung — the NB-C posted
 	// receives, the GC-C per-axis compute/communication overlap, the fused
 	// kernel — runs on them through the same schedule (schedule.go).
 	Decomp [3]int
@@ -308,7 +308,7 @@ type Config struct {
 	// classic two-grid layout; StreamAA keeps a single field and streams in
 	// place via the AA pattern, halving f-memory traffic and footprint.
 	// StreamAA keeps ghosts on every axis (uncut periodic ones included) and
-	// requires the SoA layout and a ghost-cell level; Fused is rejected
+	// requires a ghost-cell level; Fused is rejected
 	// with it (AA is the fused gather sweep on one field). It composes with
 	// walls, solids, every operator, sparse storage and force measurement;
 	// open faces (outflow, pressure outlet) may sit on one axis only.
@@ -317,20 +317,15 @@ type Config struct {
 	// normal arrangement, so the existing pack/unpack maps apply unchanged,
 	// and the GC-C overlap is not scheduled (refreshes are synchronous).
 	Stream StreamScheme
-	// Layout selects the field memory layout. The copy-based streaming
-	// kernels (OptDH and above) require SoA; AoS is supported through OptGC
-	// for the layout ablation.
-	Layout grid.Layout
 	// Fused selects the gather sweep (gather.go, bit-identical to the split
 	// path) at a rung below SIMD, which steps with it anyway (GatherSweep).
-	// Requires the SoA layout, a ghost-cell level (OptGC or above) and not
-	// StreamAA (which is the same sweep on one field).
+	// Requires a ghost-cell level (OptGC or above) and not StreamAA (which is the same sweep on one field).
 	Fused bool
 	// Boundary assigns conditions to the six global faces (walls, moving
 	// walls, outflow, periodic — see BoundarySpec). Nil, and any spec
 	// whose faces are all periodic, keeps the fully periodic domain. A
-	// spec with non-periodic faces requires the SoA layout and a ghost-cell
-	// level (not Orig), and keeps ghosts on every bounded axis — uncut on a
+	// spec with non-periodic faces requires a ghost-cell level (not Orig),
+	// and keeps ghosts on every bounded axis — uncut on a
 	// slab-shaped rank grid included — because the boundary fills live in
 	// the ghost layers.
 	Boundary *BoundarySpec
@@ -372,7 +367,7 @@ type Config struct {
 	// force the fluid exerts on the voxel mask (drag/lift), FaceForce the
 	// aggregate on the global boundary faces, both reduced across ranks.
 	// One serial pass over the rank's owned links per step, the same on
-	// every path (split, fused, AA); requires the SoA layout.
+	// every path (split, fused, AA).
 	MeasureForces bool
 	// Accel is a constant body acceleration driving the flow (velocity-
 	// shift forcing); zero means unforced.
@@ -450,16 +445,8 @@ func (c *Config) check() error {
 	if d := c.ghostDepths()[0]; c.Opt == OptOrig && d != 1 {
 		return fmt.Errorf("core: OptOrig has no ghost cells; GhostDepth must be 1, got %d", d)
 	}
-	if c.Layout == grid.AoS && c.Opt > OptGC {
-		return fmt.Errorf("core: the AoS layout supports only Orig and GC levels (the copy-streaming kernels require SoA)")
-	}
-	if c.Fused {
-		if c.Opt == OptOrig {
-			return fmt.Errorf("core: the fused kernel requires ghost cells (OptGC or above)")
-		}
-		if c.Layout != grid.SoA {
-			return fmt.Errorf("core: the fused kernel requires the SoA layout")
-		}
+	if c.Fused && c.Opt == OptOrig {
+		return fmt.Errorf("core: the fused kernel requires ghost cells (OptGC or above)")
 	}
 	if c.Solid != nil {
 		if d := c.Solid.D; d != c.N {
@@ -469,9 +456,6 @@ func (c *Config) check() error {
 	if c.Stream == StreamAA {
 		if c.Opt == OptOrig {
 			return fmt.Errorf("core: AA streaming requires ghost cells (OptGC or above)")
-		}
-		if c.Layout != grid.SoA {
-			return fmt.Errorf("core: AA streaming requires the SoA layout")
 		}
 		if c.Fused {
 			return fmt.Errorf("core: AA streaming is inherently fused (one field pass per sub-step); disable Fused")
@@ -493,9 +477,6 @@ func (c *Config) check() error {
 				return fmt.Errorf("core: AA streaming supports open faces (outflow/pressure outlet) on at most one axis, got %d", openAxes)
 			}
 		}
-	}
-	if c.MeasureForces && c.Layout != grid.SoA {
-		return fmt.Errorf("core: force measurement requires the SoA layout")
 	}
 	if c.N.NY < 2*k || c.N.NZ < 2*k {
 		return fmt.Errorf("core: NY/NZ (%d/%d) must be >= 2k = %d for %s", c.N.NY, c.N.NZ, 2*k, c.Model.Name)
@@ -539,7 +520,7 @@ func (c *Config) init() (decomp.Cartesian, error) {
 	if err != nil {
 		return dec, err
 	}
-	if c.Opt == OptOrig || c.Layout != grid.SoA {
+	if c.Opt == OptOrig {
 		if err := PaperGeometry(dec.Shape(), dec.Bounded, c.Stream, c.Sparse); err != nil {
 			return dec, fmt.Errorf("core: %v", err)
 		}
@@ -631,7 +612,6 @@ func GhostWidths(shape [3]int, bounded [3]bool, stream StreamScheme, sparse bool
 //
 //   - w > k: a deep halo's ghost cells are stream destinations and collide
 //     whole (AA's depths are even, so always);
-//   - the AoS layout, whose cells are one block (whole);
 //   - any run with a pressure-outlet face (whole): its fill re-anchors
 //     whole cells, the other axes' ghost cells of its source layer included.
 //
@@ -645,7 +625,7 @@ func DirectedFaces(w, k int, whole bool) bool { return w == k && !whole }
 // high ghost's (c_a ≤ −d); [axis][side] is nil where a face carries all Q.
 func (c *Config) faceVelocities(w [3]int) (vels [3][2][][]int) {
 	m := c.Model
-	whole := c.Layout == grid.AoS || c.Boundary.hasFace(BCPressureOutlet)
+	whole := c.Boundary.hasFace(BCPressureOutlet)
 	for a, ca := range [3][]int{m.Cx, m.Cy, m.Cz} {
 		if !DirectedFaces(w[a], m.MaxSpeed, whole) {
 			continue
@@ -680,15 +660,15 @@ func ConstFacesOnce(depth int, stream StreamScheme, open bool) bool {
 	return depth == 1 && stream != StreamAA && !open
 }
 
-// PaperGeometry reports whether a run has the geometry the two rungs that
-// predate the SoA ghost-cell kernels — the no-ghost Orig protocol and the
-// AoS layout — were written for, as an error that says what it means when
-// it does not. Config.init and perfsim.Run reject with the same sentence.
+// PaperGeometry reports whether a run has the geometry the rung that
+// predates the ghost-cell kernels — the no-ghost Orig protocol — was
+// written for, as an error that says what it means when it does not.
+// Config.init and perfsim.Run reject with the same sentence.
 func PaperGeometry(shape [3]int, bounded [3]bool, stream StreamScheme, sparse bool) error {
 	if shape[1] == 1 && shape[2] == 1 && bounded == ([3]bool{}) && stream != StreamAA && !sparse {
 		return nil
 	}
-	return fmt.Errorf("the no-ghost Orig protocol and the AoS layout run only on the paper's geometry: a fully periodic domain cut into P×1×1 slabs, two-grid, dense (one depth, on x); use a ghost-cell level and the SoA layout")
+	return fmt.Errorf("the no-ghost Orig protocol runs only on the paper's geometry: a fully periodic domain cut into P×1×1 slabs, two-grid, dense (one depth, on x); use a ghost-cell level")
 }
 
 // ghostGeometry resolves the run's per-axis deep-halo depths and ghost
@@ -782,7 +762,7 @@ type Result struct {
 	// Config.Observe was set, else nil (obs.WriteTrace and core.NewReport
 	// consume it).
 	Observations []obs.RankObservation
-	// Field is the gathered global distribution (layout SoA) when
+	// Field is the gathered global distribution when
 	// Config.KeepField was set, else nil.
 	Field *grid.Field
 }

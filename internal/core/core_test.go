@@ -2,9 +2,12 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
 	"repro/internal/collision"
+	"repro/internal/comm"
+	"repro/internal/geom"
 	"repro/internal/grid"
 	"repro/internal/lattice"
 )
@@ -39,8 +42,8 @@ func runAndCompare(t *testing.T, cfg Config) *Result {
 	}
 	want := refSolverBounded(cfg.Model, cfg.N, cfg.Tau, cfg.Steps, cfg.Init, nil, nil, [3]float64{})
 	if d := grid.MaxAbsDiff(res.Field, want); d > eqTol {
-		t.Errorf("%s %s ranks=%d threads=%d depth=%d layout=%v: max |Δf| = %g (tol %g)",
-			cfg.Model.Name, cfg.Opt, cfg.Ranks, cfg.Threads, cfg.GhostDepth, cfg.Layout, d, eqTol)
+		t.Errorf("%s %s ranks=%d threads=%d depth=%d: max |Δf| = %g (tol %g)",
+			cfg.Model.Name, cfg.Opt, cfg.Ranks, cfg.Threads, cfg.GhostDepth, d, eqTol)
 	}
 	return res
 }
@@ -143,18 +146,6 @@ func depthFor(opt OptLevel, d int) int {
 		return 1
 	}
 	return d
-}
-
-func TestAoSLayout(t *testing.T) {
-	n := grid.Dims{NX: 10, NY: 5, NZ: 5}
-	for _, opt := range []OptLevel{OptOrig, OptGC} {
-		for _, ranks := range []int{1, 2} {
-			runAndCompare(t, Config{
-				Model: lattice.D3Q19(), N: n, Tau: 0.8, Steps: 4,
-				Opt: opt, Ranks: ranks, Threads: 1, GhostDepth: 1, Layout: grid.AoS,
-			})
-		}
-	}
 }
 
 func TestUnevenDecomposition(t *testing.T) {
@@ -294,31 +285,48 @@ func TestMFlupsPositive(t *testing.T) {
 	}
 }
 
+// TestConfigValidation holds the restriction matrix in one table: every
+// rejection Config.check and Config.init make, each with the reason its
+// error must name.
 func TestConfigValidation(t *testing.T) {
 	base := Config{Model: lattice.D3Q19(), N: grid.Dims{NX: 8, NY: 4, NZ: 4}, Tau: 0.8, Steps: 1}
+	var twoOpen BoundarySpec
+	twoOpen.Faces[0] = [2]Face{{Kind: BCInlet, U: [3]float64{0.02, 0, 0}}, {Kind: BCOutflow}}
+	twoOpen.Faces[1] = [2]Face{{Kind: BCWall}, {Kind: BCOutflow}}
 	cases := []struct {
-		name string
-		mod  func(c *Config)
+		name   string
+		mod    func(c *Config)
+		reason string
 	}{
-		{"nil model", func(c *Config) { c.Model = nil }},
-		{"tau too small", func(c *Config) { c.Tau = 0.5 }},
-		{"tau NaN", func(c *Config) { c.Tau = math.NaN() }},
-		{"tau +Inf", func(c *Config) { c.Tau = math.Inf(1) }},
-		{"MRT ghost rate NaN", func(c *Config) { c.Collision = collision.Spec{Kind: collision.MRT, GhostRates: []float64{math.NaN()}} }},
-		{"TRT magic NaN", func(c *Config) { c.Collision = collision.Spec{Kind: collision.TRT, Magic: math.NaN()} }},
-		{"TRT magic +Inf", func(c *Config) { c.Collision = collision.Spec{Kind: collision.TRT, Magic: math.Inf(1)} }},
-		{"negative steps", func(c *Config) { c.Steps = -1 }},
-		{"orig with depth", func(c *Config) { c.Opt = OptOrig; c.GhostDepth = 2 }},
-		{"AoS with DH", func(c *Config) { c.Layout = grid.AoS; c.Opt = OptDH }},
-		{"slab too small", func(c *Config) { c.Ranks = 4; c.GhostDepth = 3 }},
-		{"tiny NY for Q39", func(c *Config) { c.Model = lattice.D3Q39() }},
-		{"more ranks than planes", func(c *Config) { c.Ranks = 9 }},
+		{"nil model", func(c *Config) { c.Model = nil }, "Model is nil"},
+		{"tau too small", func(c *Config) { c.Tau = 0.5 }, "relaxation time"},
+		{"tau NaN", func(c *Config) { c.Tau = math.NaN() }, "relaxation time"},
+		{"tau +Inf", func(c *Config) { c.Tau = math.Inf(1) }, "relaxation time"},
+		{"MRT ghost rate NaN", func(c *Config) { c.Collision = collision.Spec{Kind: collision.MRT, GhostRates: []float64{math.NaN()}} }, "ghost rate"},
+		{"TRT magic NaN", func(c *Config) { c.Collision = collision.Spec{Kind: collision.TRT, Magic: math.NaN()} }, "magic parameter"},
+		{"TRT magic +Inf", func(c *Config) { c.Collision = collision.Spec{Kind: collision.TRT, Magic: math.Inf(1)} }, "magic parameter"},
+		{"negative steps", func(c *Config) { c.Steps = -1 }, "negative Steps"},
+		{"orig with depth", func(c *Config) { c.Opt = OptOrig; c.GhostDepth = 2 }, "GhostDepth must be 1"},
+		{"fused with Orig", func(c *Config) { c.Opt, c.Fused = OptOrig, true }, "fused kernel requires ghost cells"},
+		{"AA with Orig", func(c *Config) { c.Opt, c.Stream = OptOrig, StreamAA }, "AA streaming requires ghost cells"},
+		{"AA with fused", func(c *Config) { c.Opt, c.Stream, c.Fused = OptGC, StreamAA, true }, "inherently fused"},
+		{"AA with open faces on two axes", func(c *Config) { c.Opt, c.Stream, c.Boundary = OptGC, StreamAA, &twoOpen }, "at most one axis"},
+		{"mask dims not N", func(c *Config) { c.Solid = geom.NewMask(grid.Dims{NX: 8, NY: 4, NZ: 5}) }, "solid mask dims"},
+		{"decomposition not Ranks", func(c *Config) { c.Opt, c.Ranks, c.Decomp = OptGC, 2, [3]int{2, 2, 1} }, "covers 4 ranks"},
+		{"per-axis depth below 1", func(c *Config) { c.Opt, c.GhostDepthAxes = OptGC, [3]int{1, 0, 1} }, "GhostDepthAxes[1] = 0"},
+		{"fabric size not Ranks", func(c *Config) { c.Fabric = comm.NewFabric(3) }, "fabric has 3 ranks"},
+		{"orig off the paper's geometry", func(c *Config) { c.Opt, c.Ranks, c.Decomp = OptOrig, 2, [3]int{1, 2, 1} }, "paper's geometry"},
+		{"slab too small", func(c *Config) { c.Opt, c.Ranks, c.GhostDepth = OptGC, 4, 3 }, "smallest block"},
+		{"tiny NY for Q39", func(c *Config) { c.Model = lattice.D3Q39() }, "must be >= 2k"},
+		{"more ranks than planes", func(c *Config) { c.Ranks = 9 }, "every rank needs at least one cell"},
 	}
 	for _, tc := range cases {
 		cfg := base
 		tc.mod(&cfg)
 		if _, err := Run(cfg); err == nil {
 			t.Errorf("%s: invalid config accepted", tc.name)
+		} else if !strings.Contains(err.Error(), tc.reason) {
+			t.Errorf("%s: error %q does not name %q", tc.name, err, tc.reason)
 		}
 	}
 	if _, err := Run(base); err != nil {

@@ -68,28 +68,6 @@ func TestFixupIndexMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestFixupIndexAoS covers the index's AoS branch (the layout ablation
-// supports solids through the GC level): the AoS run must match the
-// masked oracle.
-func TestFixupIndexAoS(t *testing.T) {
-	n := grid.Dims{NX: 12, NY: 8, NZ: 6}
-	mask := noiseMask(n, 2)
-	init := waveInit(n)
-	base := Config{
-		Model: lattice.D3Q19(), N: n, Tau: 0.8, Steps: 5,
-		Opt: OptGC, Ranks: 2, Threads: 1, GhostDepth: 1,
-		Layout: grid.AoS, Init: init, Solid: mask, KeepField: true,
-	}
-	got, err := Run(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := refSolverBounded(base.Model, n, base.Tau, base.Steps, init, nil, mask, [3]float64{})
-	if d := maxDiffFluid(got.Field, want, mask.At); d > eqTol {
-		t.Errorf("AoS index vs oracle deviate by %g", d)
-	}
-}
-
 // TestMaskRankLocalSlicing: every rank's local mask window must agree
 // with the global voxel mask at the corresponding global coordinates —
 // owned cells exactly, ghost cells under the periodic wrap — for 1-D,
@@ -148,11 +126,5 @@ func TestFixupValidation(t *testing.T) {
 		Opt: OptSIMD, Solid: mask,
 	}); err == nil {
 		t.Error("mismatched mask dims accepted")
-	}
-	if _, err := Run(Config{
-		Model: lattice.D3Q19(), N: n, Tau: 0.8, Steps: 1,
-		Opt: OptGC, Layout: grid.AoS, MeasureForces: true,
-	}); err == nil {
-		t.Error("MeasureForces + AoS accepted")
 	}
 }

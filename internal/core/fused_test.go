@@ -70,12 +70,6 @@ func TestFusedValidation(t *testing.T) {
 		t.Error("fused + Orig accepted")
 	}
 	cfg = base
-	cfg.Opt = OptGC
-	cfg.Layout = grid.AoS
-	if _, err := Run(cfg); err == nil {
-		t.Error("fused + AoS accepted")
-	}
-	cfg = base
 	cfg.Opt, cfg.Stream = OptGC, StreamAA
 	if _, err := Run(cfg); err == nil {
 		t.Error("fused + AA accepted")

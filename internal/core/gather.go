@@ -14,8 +14,8 @@ package core
 //
 //   - split (every rung below SIMD, Orig included), two fields: the rung's
 //     stream kernel fills fadv a block of rows ahead (streamRows; Orig: the
-//     whole box), and the row body relaxes those spans in place — views of
-//     fadv on SoA, cells transposed out and back on AoS (Orig/GC only).
+//     whole box), and the row body relaxes those spans in place, as views
+//     of fadv.
 //
 //   - the gather sweep (the SIMD rung; Config.Fused below it), two fields:
 //     next[x] = collide(gather prev[x−c]) into fadv, one read and one write
@@ -42,10 +42,11 @@ package core
 //
 // On the SIMD rung the upwind read — the two-field sweep and AA's even
 // sub-step — on dense fields also fills the worker's prefetch table
-// (rowBufs.ahead): per velocity, the address in f of its upwind row one
-// span further on, which the moment pass prefetches while it accumulates
-// this span (rows_amd64.go), so the next span's sources arrive spread over
-// this span's arithmetic instead of stalling its reads. The address is
+// (rowBufs.ahead): per velocity, the address in f of the upwind row of the
+// row the next span starts on (nextRow), which the moment pass prefetches
+// while it accumulates this span (rows_amd64.go), so the next span's
+// sources arrive spread over this span's arithmetic instead of stalling
+// its reads. The address is
 // the upwind row in f for a rotated row too, not the scratch row it is
 // copied into: the copy is what would stall. A prefetch never faults, so
 // the address of the box's last span may point past a velocity block.
@@ -55,11 +56,7 @@ package core
 // kernels treat every z alone (the §8 row contract), so how rows are
 // grouped into spans changes no bit: every path stays bit-identical.
 
-import (
-	"unsafe"
-
-	"repro/internal/grid"
-)
+import "unsafe"
 
 // spanCells caps the cells of a span: past a few hundred cells the row
 // kernel's set-up is paid off and longer spans only spill the worker's
@@ -133,15 +130,12 @@ func (cs *cartStepper) gatherSpan(sc *workerScratch) {
 	sc.span = rows[:0]
 	base := rows[0].base
 	zn := rows[len(rows)-1].base + rows[len(rows)-1].zn - base
-	split, aos := !cs.gathers, cs.f.Layout != grid.SoA
+	split := !cs.gathers
 	scatter := cs.aa && !cs.aaStar
 	links := !cs.aaStar && !cs.fix.empty()
 	ahead := sc.rb.ahead[:0]
 	var in [][]float64
 	switch {
-	case split && aos:
-		in = sc.gathered(zn)
-		aosToRows(in, cs.fadv.Data[base*m.Q:], zn)
 	case split:
 		in = rowViews(sc.sv, cs.fadv, base, zn)
 	case cs.aaStar:
@@ -152,11 +146,12 @@ func (cs *cartStepper) gatherSpan(sc *workerScratch) {
 	default:
 		in = sc.gathered(zn)
 		fill := cs.vec != nil && cs.runStart == nil && !testNoAhead
+		next := cs.nextRow(rows[len(rows)-1])
 		for v := range in {
 			in[v] = cs.upwindSpan(in[v], v, rows)
 			if fill {
 				src := cs.f.V(v)
-				ahead = append(ahead, uintptr(unsafe.Pointer(unsafe.SliceData(src)))+uintptr(cs.upwindOff(v, rows[0])+zn)*8)
+				ahead = append(ahead, uintptr(unsafe.Pointer(unsafe.SliceData(src)))+uintptr(cs.upwindOff(v, next))*8)
 			}
 		}
 	}
@@ -169,7 +164,7 @@ func (cs *cartStepper) gatherSpan(sc *workerScratch) {
 		// into the worker's own slot first (the split path's rows are
 		// fadv's, and writable). Under AA that slot's star owner is the
 		// solid cell, which never scatters, so the read is conflict-free.
-		fd, vs, cst := cs.f.Data, cs.f.Idx(1, 0), cs.f.Idx(0, 1)
+		fd, cells := cs.f.Data, cs.f.D.Cells()
 		for _, r := range rows {
 			for _, fx := range cs.fix.rowLinks(r.ix*cs.d.NY+r.iy, r.base, r.base+r.zn) {
 				if !split {
@@ -178,7 +173,7 @@ func (cs *cartStepper) gatherSpan(sc *workerScratch) {
 						in[fx.v] = slot
 					}
 				}
-				in[fx.v][int(fx.cell)-base] = fd[int(fx.opp)*vs+int(fx.cell)*cst] + fx.delta
+				in[fx.v][int(fx.cell)-base] = fd[int(fx.opp)*cells+int(fx.cell)] + fx.delta
 			}
 		}
 	}
@@ -206,9 +201,6 @@ func (cs *cartStepper) gatherSpan(sc *workerScratch) {
 		if blend {
 			applySpongeRow(m, sc.fc, out, sig, zn)
 		}
-	}
-	if split && aos {
-		rowsToAoS(cs.fadv.Data[base*m.Q:], out, zn)
 	}
 	if !scatter {
 		return
@@ -263,6 +255,20 @@ func (cs *cartStepper) upwindSpan(dst []float64, v int, rows []spanRow) []float6
 func (cs *cartStepper) upwindOff(v int, r spanRow) int {
 	m := cs.model
 	return (r.ix-m.Cx[v])*cs.d.PlaneCells() + int(cs.srcY[v][r.iy])*cs.d.NZ + r.zlo - m.Cz[v]
+}
+
+// nextRow returns the row after r in a dense field's storage order, over
+// r's z range: the row the span after a span ending on r starts on. Past
+// the last row of an x-plane it is the next plane's first row; at the
+// edge of a box whose rows skip ghost rows the next span starts further
+// on, and the prefetch only fetches a line nobody reads.
+func (cs *cartStepper) nextRow(r spanRow) spanRow {
+	r.iy++
+	if r.iy == cs.d.NY {
+		r.ix, r.iy = r.ix+1, 0
+	}
+	r.base += cs.d.NZ
+	return r
 }
 
 // upwindRow fills dst with the values population v streams into row

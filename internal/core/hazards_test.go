@@ -159,8 +159,8 @@ func outflowChannelSpec(u float64) *BoundarySpec {
 // owned region — on the plane d cells out of the low ghost those with
 // c_a ≥ d, of the high ghost c_a ≤ −d: CrossPlaneVels of them, D3Q19 5 of
 // 19 on its one plane, D3Q39 11, 6 and 1 of 39 on its three — and all Q
-// (nil) in the three whole-cell cases: a deep halo, the AoS layout, a
-// pressure outlet anywhere in the run.
+// (nil) in the two whole-cell cases: a deep halo and a pressure outlet
+// anywhere in the run.
 func TestDirectedFacesRule(t *testing.T) {
 	for _, m := range []*lattice.Model{lattice.D3Q19(), lattice.D3Q39()} {
 		k := m.MaxSpeed
@@ -195,7 +195,6 @@ func TestDirectedFacesRule(t *testing.T) {
 			t.Errorf("%s widths {2k,k,k}: lists %v", m.Name, v)
 		}
 		for name, whole := range map[string]Config{
-			"AoS":             {Model: m, Layout: grid.AoS},
 			"pressure outlet": {Model: m, Boundary: InletChannelSpec(0.05, nil)},
 		} {
 			if v := whole.faceVelocities([3]int{k, k, k}); v[0][0] != nil || v[1][1] != nil || v[2][0] != nil {

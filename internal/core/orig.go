@@ -169,16 +169,8 @@ func (s *cartStepper) streamPushScalar(worker int, b box) {
 // within the same field (single-rank periodic wrap of the egress margins).
 func copyPlaneVels(f *grid.Field, from, to int, vels []int) {
 	plane := f.D.PlaneCells()
-	if f.Layout == grid.SoA {
-		for _, v := range vels {
-			blk := f.V(v)
-			copy(blk[to*plane:(to+1)*plane], blk[from*plane:(from+1)*plane])
-		}
-		return
-	}
 	for _, v := range vels {
-		for c := 0; c < plane; c++ {
-			f.Data[(to*plane+c)*f.Q+v] = f.Data[(from*plane+c)*f.Q+v]
-		}
+		blk := f.V(v)
+		copy(blk[to*plane:(to+1)*plane], blk[from*plane:(from+1)*plane])
 	}
 }

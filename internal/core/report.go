@@ -1,7 +1,6 @@
 package core
 
 import (
-	"repro/internal/grid"
 	"repro/internal/obs"
 )
 
@@ -10,10 +9,6 @@ import (
 // run steps with, per axis: under AA the configured depths rounded up to
 // even.
 func ReportConfig(cfg *Config) obs.RunConfig {
-	layout := "soa"
-	if cfg.Layout == grid.AoS {
-		layout = "aos"
-	}
 	rc := obs.RunConfig{
 		Model:     cfg.Model.Name,
 		NX:        cfg.N.NX,
@@ -23,7 +18,6 @@ func ReportConfig(cfg *Config) obs.RunConfig {
 		Opt:       cfg.Opt.String(),
 		Collision: cfg.Collision.String(),
 		Stream:    cfg.Stream.String(),
-		Layout:    layout,
 		Fused:     cfg.GatherSweep(),
 		Ranks:     cfg.Ranks,
 		Decomp:    cfg.Decomp,

@@ -445,10 +445,13 @@ func TestMomentPassBinding(t *testing.T) {
 
 // TestMomentPrefetchTable: on the SIMD rung the row body's upwind read on
 // dense fields — the two-field sweep and AA's even sub-step — fills the
-// worker's prefetch table with, per velocity, the address in f of its
-// upwind row one span further on: the span's first upwind offset plus its
-// cells, rotated rows (z wraps on the sweep here) included, and where the
-// next span reads a view of f, that view's first cell. Under the run
+// worker's prefetch table with, per velocity, the address in f where the
+// next span's upwind read starts: the upwind cell of its first cell, y
+// wrapped on a wrap axis, rotated rows (z wraps on the sweep here)
+// included, and where the next span reads a view of f, that view's first
+// cell. The rows are an x-plane's first three, whose sources wrap in y on
+// the periodic sweeps while the next span's do not: an address taken from
+// the span's own first row lands a plane off there. Under the run
 // index, on AA's odd sub-step, below SIMD (the gather sweep and the split
 // path) and under testNoAhead the table stays empty, and an empty table is
 // what selects the body without prefetches (momentsAVX2 then reads no
@@ -486,9 +489,10 @@ func TestMomentPrefetchTable(t *testing.T) {
 			testNoAhead = tc.none
 			defer func() { testNoAhead = false }()
 			sc, m := cs.scratch[0], cs.model
-			// Rows 3–5 of an x-plane and the row after them read no row
-			// across the y wrap, even at D3Q39's reach of 3.
-			ix, iy, zlo, zhi := cs.w[0]+1, cs.w[1]+3, cs.w[2], cs.w[2]+cs.own[2]
+			// Rows 0–2 of an x-plane read across the y wrap wherever y has
+			// no ghosts; row 3, where the next span starts, does not, even
+			// at D3Q39's reach of 3.
+			ix, iy, zlo, zhi := cs.w[0]+1, cs.w[1], cs.w[2], cs.w[2]+cs.own[2]
 			sc.rb.ahead = sc.rb.ahead[:0]
 			for range m.Q {
 				sc.rb.ahead = append(sc.rb.ahead, 1) // a stale table the spans must replace
@@ -504,23 +508,21 @@ func TestMomentPrefetchTable(t *testing.T) {
 			if len(got) != m.Q {
 				t.Fatalf("prefetch table of %d entries, want %d", len(got), m.Q)
 			}
-			// The last span: all three rows where they lie back to back (no
-			// z ghosts), else the last row alone.
-			first, zn := iy, rows*(zhi-zlo)
-			if cs.w[2] != 0 {
-				first, zn = iy+rows-1, zhi-zlo
-			}
-			row := func(iy int) spanRow {
-				return spanRow{ix: ix, iy: iy, zlo: zlo, zn: zhi - zlo, base: cs.d.Index(ix, iy, zlo)}
-			}
+			// The next span starts on row iy+rows, whether the last one
+			// held all three rows (no z ghosts) or the last row alone.
+			next := spanRow{ix: ix, iy: iy + rows, zlo: zlo, zn: zhi - zlo, base: cs.d.Index(ix, iy+rows, zlo)}
 			for v := range got {
 				blk := uintptr(unsafe.Pointer(unsafe.SliceData(cs.f.V(v))))
-				off := cs.upwindOff(v, row(first))
-				if want := blk + uintptr(off+zn)*8; got[v] != want {
-					t.Errorf("velocity %d: ahead %#x, want %#x (offset %d + %d cells)", v, got[v], want, off, zn)
+				sy := next.iy - m.Cy[v]
+				if cs.w[1] == 0 {
+					sy = (sy + cs.d.NY) % cs.d.NY
+				}
+				src := cs.d.Index(next.ix-m.Cx[v], sy, zlo) - m.Cz[v]
+				if want := blk + uintptr(src)*8; got[v] != want {
+					t.Errorf("velocity %d: ahead %#x, want %#x (cell %d of f, the next span's upwind start)", v, got[v], want, src)
 				}
 				dst := make([]float64, zhi-zlo)
-				if r := cs.upwindSpan(dst, v, []spanRow{row(iy + rows)}); &r[0] != &dst[0] && got[v] != uintptr(unsafe.Pointer(&r[0])) {
+				if r := cs.upwindSpan(dst, v, []spanRow{next}); &r[0] != &dst[0] && got[v] != uintptr(unsafe.Pointer(&r[0])) {
 					t.Errorf("velocity %d: ahead %#x, but the next span reads f from %p", v, got[v], &r[0])
 				}
 			}

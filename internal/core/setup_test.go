@@ -46,7 +46,7 @@ type setupCase struct {
 }
 
 // setupCases returns the storage arrangements of lattice m on grid n: dense,
-// dense over a mask, fluid-compact under the run index, and AoS (masked).
+// dense over a mask, and fluid-compact under the run index.
 func setupCases(m *lattice.Model, n grid.Dims) []setupCase {
 	mask := noiseMask(n, 4)
 	base := Config{Model: m, N: n, Tau: 0.8, Opt: OptSIMD, Threads: 2, Init: waveInit(n)}
@@ -54,9 +54,7 @@ func setupCases(m *lattice.Model, n grid.Dims) []setupCase {
 	masked.Solid = mask
 	sparse := masked
 	sparse.Sparse = true
-	aos := masked
-	aos.Opt, aos.Layout = OptGC, grid.AoS
-	return []setupCase{{"dense", base}, {"dense-masked", masked}, {"sparse", sparse}, {"aos", aos}}
+	return []setupCase{{"dense", base}, {"dense-masked", masked}, {"sparse", sparse}}
 }
 
 // ownedCells calls cell for every owned local cell with its global
@@ -147,7 +145,7 @@ func sumsPerCell(cs *cartStepper) (sums, scale [4]float64) {
 // momentum are the same bits at 1, 2 and 3 threads.
 func TestOwnedSumsMatchMoments(t *testing.T) {
 	n := grid.Dims{NX: 12, NY: 8, NZ: 10}
-	cases := setupCases(lattice.D3Q19(), n)[1:] // dense-masked, sparse, aos
+	cases := setupCases(lattice.D3Q19(), n)[1:] // dense-masked, sparse
 	for _, sparse := range []bool{false, true} {
 		aa := cases[0] // AA on the dense-masked case, then fluid-compact
 		aa.name, aa.cfg.Stream, aa.cfg.Sparse = "aa-star", StreamAA, sparse

@@ -17,8 +17,8 @@ import (
 // read, links, sponge factors, AA's scatter — loops over the span's rows;
 // the row kernels treat every z alone, so the final field must be the one
 // the body computes row by row (testOneRowSpans), to the last bit of every
-// value. The table walks every read source — the split path on SoA and on
-// AoS (Orig), the sweep reading views and rotating a wrap axis, AA's two
+// value. The table walks every read source — the split path (Orig
+// included), the sweep reading views and rotating a wrap axis, AA's two
 // sub-steps on a dense mask (fluid-interval cuts) and under the run index,
 // the run index on both two-field paths — with wall and mask links, a
 // sponge, forcing, the three operators, both lattices and 1 and 3 threads,
@@ -43,8 +43,7 @@ func TestSpansMatchOneRowSpans(t *testing.T) {
 			cfg  Config
 		}{
 			{"split-soa/walls", Config{Model: q19, Opt: OptGCC, Boundary: CavitySpec(0.05), Threads: 3}},
-			{"split-aos/orig/forced", Config{Model: q19, Opt: OptOrig, Layout: grid.AoS, Ranks: 2, Accel: accel}},
-			{"split-aos/mask", Config{Model: q19, Opt: OptGC, Layout: grid.AoS, Solid: solid, Collision: trt}},
+			{"split-soa/orig/forced", Config{Model: q19, Opt: OptOrig, Ranks: 2, Accel: accel}},
 			{"sweep-views/q39/trt", Config{Model: q39, Opt: OptSIMD, Sparse: true, Collision: trt, Threads: 3}},
 			{"sweep-wrap/mask/mrt", Config{Model: q19, Opt: OptSIMD, Solid: solid, Collision: mrt, Accel: accel}},
 			{"sweep-wrap/q39/walls", Config{Model: q39, Opt: OptSIMD, Boundary: CavitySpec(0.05)}},
@@ -87,7 +86,7 @@ func TestSpansMatchOneRowSpans(t *testing.T) {
 // over it. The batches are the owned box and planStep's interior and thin
 // rim pairs, so a block that leaves its chunk's x-plane writes outside a
 // rim. The table walks the ladder's three stream forms and the run index,
-// SoA and AoS, x-only ghosts and ghosts on every axis, the vessel's links
+// x-only ghosts and ghosts on every axis, the vessel's links
 // dense and sparse, a sponge, the three operators, both lattices and 1 and
 // 3 threads, on 97-cell z rows: four rows close a dense block, and every
 // plane ends on a short one.
@@ -105,8 +104,6 @@ func TestBlockedSplitMatchesPasses(t *testing.T) {
 		cfg  Config
 	}{
 		{"gc-scalar/trt", Config{Model: q19, Opt: OptGC, Collision: trt}},
-		{"gc-aos/mrt", Config{Model: q19, Opt: OptGC, Layout: grid.AoS, Collision: mrt, Threads: 3}},
-		{"gc-aos/q39", Config{Model: q39, Opt: OptGC, Layout: grid.AoS}},
 		{"dh-copy/q39", Config{Model: q39, Opt: OptDH, Threads: 3}},
 		{"gcc-indexed/q39/trt", Config{Model: q39, Opt: OptGCC, Collision: trt}},
 		{"gcc-ghosted/q39/mrt", Config{Model: q39, Opt: OptGCC, Sparse: true, Collision: mrt, Threads: 3}},

@@ -297,12 +297,6 @@ func TestSparseValidation(t *testing.T) {
 	if _, err := Run(bad); err == nil {
 		t.Error("Sparse with the no-ghost Orig protocol accepted (box stepper only)")
 	}
-	bad = base
-	bad.Layout = grid.AoS
-	bad.Opt = OptGC
-	if _, err := Run(bad); err == nil {
-		t.Error("Sparse with the AoS layout accepted (box stepper needs SoA)")
-	}
 	// Sparse without a mask is the dense traversal: it must run, not fail.
 	ok := base
 	ok.Solid = nil

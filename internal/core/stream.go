@@ -49,7 +49,7 @@ func (cs *cartStepper) bindStream() {
 
 // streamScalar is the naive pull kernel: velocity-innermost loops with
 // modulo wrap arithmetic on every access, per the paper's Fig. 3
-// structure. Works in either layout.
+// structure.
 func (cs *cartStepper) streamScalar(worker int, b box) {
 	m := cs.model
 	ny, nz := cs.d.NY, cs.d.NZ
@@ -70,7 +70,7 @@ func (cs *cartStepper) streamScalar(worker int, b box) {
 
 // streamCopy is the data-handling kernel (§V.B): velocities outermost so
 // each contiguous velocity block is traversed in memory order, with the
-// z-line movement expressed as bulk copies. Requires SoA layout.
+// z-line movement expressed as bulk copies.
 func (cs *cartStepper) streamCopy(worker int, b box) {
 	m := cs.model
 	ny, nz := cs.d.NY, cs.d.NZ

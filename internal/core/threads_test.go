@@ -86,10 +86,6 @@ func stepperPathCases() []struct {
 			Model: lattice.D3Q39(), N: grid.Dims{NX: 24, NY: 16, NZ: 16}, Tau: 0.8, Steps: 4,
 			Opt: OptSIMD, Ranks: 8, Decomp: [3]int{2, 2, 2}, GhostDepth: 1, Fused: true,
 		}},
-		{"slab-aos-gc-2r", Config{
-			Model: lattice.D3Q19(), N: n, Tau: 0.8, Steps: 5,
-			Opt: OptGC, Ranks: 2, GhostDepth: 1, Layout: grid.AoS,
-		}},
 		{"slab-orig", Config{
 			Model: lattice.D3Q19(), N: n, Tau: 0.8, Steps: 5,
 			Opt: OptOrig, Ranks: 2, GhostDepth: 1,

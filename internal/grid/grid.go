@@ -1,9 +1,9 @@
 // Package grid provides the Cartesian field storage used by the solver:
 // box dimensions with z-fastest indexing (matching the paper's
-// iz + iy·Lz + ix·Lz·Ly layout) and distribution-function fields in either
-// the collision-optimized structure-of-arrays layout (velocities stored as
+// iz + iy·Lz + ix·Lz·Ly layout) and distribution-function fields in the
+// collision-optimized structure-of-arrays layout (velocities stored as
 // contiguous blocks, as recommended by Wellein et al. and used in the
-// paper) or the array-of-structures layout kept for the layout ablation.
+// paper).
 package grid
 
 import (
@@ -38,45 +38,31 @@ func (d Dims) PlaneCells() int { return d.NY * d.NZ }
 
 func (d Dims) String() string { return fmt.Sprintf("%dx%dx%d", d.NX, d.NY, d.NZ) }
 
-// Layout selects the memory layout of a Field.
+// Layout names a field's memory layout. SoA is the only one: the type
+// and NewField's argument remain because the benchmark module calls
+// NewField with grid.SoA.
 type Layout int
 
-const (
-	// SoA stores each velocity's values contiguously: Data[v*cells + cell].
-	// This is the "collision optimized" layout of Wellein et al. that the
-	// paper adopts (§IV: two-dimensional arrays of
-	// (NumVelocities, zDim·yDim·xDim) allocated in contiguous memory).
-	SoA Layout = iota
-	// AoS stores all velocities of a cell together: Data[cell*Q + v].
-	// Retained for the data-layout ablation.
-	AoS
-)
+// SoA stores each velocity's values contiguously: Data[v*cells + cell].
+// This is the "collision optimized" layout of Wellein et al. that the
+// paper adopts (§IV: two-dimensional arrays of
+// (NumVelocities, zDim·yDim·xDim) allocated in contiguous memory).
+const SoA Layout = 0
 
-func (l Layout) String() string {
-	switch l {
-	case SoA:
-		return "SoA"
-	case AoS:
-		return "AoS"
-	default:
-		return fmt.Sprintf("Layout(%d)", int(l))
-	}
-}
-
-// Field is a distribution function over a box: Q values per cell.
-// The box dimensions include any halo planes the caller allocated.
+// Field is a distribution function over a box: Q values per cell, stored
+// SoA. The box dimensions include any halo planes the caller allocated.
 type Field struct {
-	Q      int
-	D      Dims
-	Layout Layout
-	Data   []float64
+	Q    int
+	D    Dims
+	Data []float64
 
 	mem []byte // the mapping behind Data (NewMappedField); nil on the Go heap
 }
 
-// NewField allocates a zeroed field on the Go heap.
-func NewField(q int, d Dims, l Layout) *Field {
-	return &Field{Q: q, D: d, Layout: l, Data: make([]float64, q*d.Cells())}
+// NewField allocates a zeroed field on the Go heap. The layout argument
+// is always SoA.
+func NewField(q int, d Dims, _ Layout) *Field {
+	return &Field{Q: q, D: d, Data: make([]float64, q*d.Cells())}
 }
 
 // NewMappedField allocates a zeroed field in an anonymous mapping outside
@@ -87,13 +73,13 @@ func NewField(q int, d Dims, l Layout) *Field {
 // -race builds, a failed mapping — it is NewField. The owner must call
 // Release once the field is no longer read; nothing it handed out may
 // be read after that.
-func NewMappedField(q int, d Dims, l Layout) *Field {
+func NewMappedField(q int, d Dims) *Field {
 	n := q * d.Cells()
 	data, mem := mapFloats(n)
 	if mem == nil {
 		data = make([]float64, n)
 	}
-	return &Field{Q: q, D: d, Layout: l, Data: data, mem: mem}
+	return &Field{Q: q, D: d, Data: data, mem: mem}
 }
 
 // Release unmaps a NewMappedField field and sets Data to nil; for a heap
@@ -122,10 +108,7 @@ func MappedBytes() int64 { return mapped.Load() }
 
 // Idx returns the linear offset into Data for velocity v at cell index.
 func (f *Field) Idx(v, cell int) int {
-	if f.Layout == SoA {
-		return v*f.D.Cells() + cell
-	}
-	return cell*f.Q + v
+	return v*f.D.Cells() + cell
 }
 
 // At returns the value of velocity v at (ix,iy,iz).
@@ -138,12 +121,8 @@ func (f *Field) Set(v, ix, iy, iz int, x float64) {
 	f.Data[f.Idx(v, f.D.Index(ix, iy, iz))] = x
 }
 
-// V returns the contiguous block of velocity v. It panics for AoS fields,
-// whose velocities are interleaved.
+// V returns the contiguous block of velocity v.
 func (f *Field) V(v int) []float64 {
-	if f.Layout != SoA {
-		panic("grid: Field.V requires the SoA layout")
-	}
 	n := f.D.Cells()
 	return f.Data[v*n : (v+1)*n : (v+1)*n]
 }
@@ -168,50 +147,35 @@ func (f *Field) SetCell(ix, iy, iz int, src []float64) {
 // Fill sets every value of every cell to the per-velocity values in src
 // (length Q).
 func (f *Field) Fill(src []float64) {
-	n := f.D.Cells()
-	for v := 0; v < f.Q; v++ {
-		for c := 0; c < n; c++ {
-			f.Data[f.Idx(v, c)] = src[v]
+	for v, x := range src[:f.Q] {
+		blk := f.V(v)
+		for c := range blk {
+			blk[c] = x
 		}
 	}
 }
 
 // Clone returns a deep copy of the field.
 func (f *Field) Clone() *Field {
-	g := &Field{Q: f.Q, D: f.D, Layout: f.Layout, Data: make([]float64, len(f.Data))}
+	g := &Field{Q: f.Q, D: f.D, Data: make([]float64, len(f.Data))}
 	copy(g.Data, f.Data)
 	return g
 }
 
-// ConvertLayout returns a copy of the field in the requested layout.
-func (f *Field) ConvertLayout(l Layout) *Field {
-	g := NewField(f.Q, f.D, l)
-	n := f.D.Cells()
-	for v := 0; v < f.Q; v++ {
-		for c := 0; c < n; c++ {
-			g.Data[g.Idx(v, c)] = f.Data[f.Idx(v, c)]
-		}
-	}
-	return g
-}
-
 // MaxAbsDiff returns the largest absolute difference between two fields of
-// identical shape, comparing cell by cell regardless of layout.
+// identical shape.
 func MaxAbsDiff(a, b *Field) float64 {
 	if a.Q != b.Q || a.D != b.D {
 		panic("grid: MaxAbsDiff shape mismatch")
 	}
 	var worst float64
-	n := a.D.Cells()
-	for v := 0; v < a.Q; v++ {
-		for c := 0; c < n; c++ {
-			d := a.Data[a.Idx(v, c)] - b.Data[b.Idx(v, c)]
-			if d < 0 {
-				d = -d
-			}
-			if d > worst {
-				worst = d
-			}
+	for i, x := range a.Data {
+		d := x - b.Data[i]
+		if d < 0 {
+			d = -d
+		}
+		if d > worst {
+			worst = d
 		}
 	}
 	return worst

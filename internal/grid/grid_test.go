@@ -50,29 +50,27 @@ func TestIndexZFastest(t *testing.T) {
 	}
 }
 
-func TestFieldAccessorsBothLayouts(t *testing.T) {
+func TestFieldAccessors(t *testing.T) {
 	d := Dims{NX: 3, NY: 2, NZ: 4}
-	for _, l := range []Layout{SoA, AoS} {
-		f := NewField(5, d, l)
-		want := func(v, ix, iy, iz int) float64 {
-			return float64(v*1000 + d.Index(ix, iy, iz))
-		}
-		for v := 0; v < f.Q; v++ {
-			for ix := 0; ix < d.NX; ix++ {
-				for iy := 0; iy < d.NY; iy++ {
-					for iz := 0; iz < d.NZ; iz++ {
-						f.Set(v, ix, iy, iz, want(v, ix, iy, iz))
-					}
+	f := NewField(5, d, SoA)
+	want := func(v, ix, iy, iz int) float64 {
+		return float64(v*1000 + d.Index(ix, iy, iz))
+	}
+	for v := 0; v < f.Q; v++ {
+		for ix := 0; ix < d.NX; ix++ {
+			for iy := 0; iy < d.NY; iy++ {
+				for iz := 0; iz < d.NZ; iz++ {
+					f.Set(v, ix, iy, iz, want(v, ix, iy, iz))
 				}
 			}
 		}
-		for v := 0; v < f.Q; v++ {
-			for ix := 0; ix < d.NX; ix++ {
-				for iy := 0; iy < d.NY; iy++ {
-					for iz := 0; iz < d.NZ; iz++ {
-						if got := f.At(v, ix, iy, iz); got != want(v, ix, iy, iz) {
-							t.Fatalf("%v At(%d,%d,%d,%d) = %g, want %g", l, v, ix, iy, iz, got, want(v, ix, iy, iz))
-						}
+	}
+	for v := 0; v < f.Q; v++ {
+		for ix := 0; ix < d.NX; ix++ {
+			for iy := 0; iy < d.NY; iy++ {
+				for iz := 0; iz < d.NZ; iz++ {
+					if got := f.At(v, ix, iy, iz); got != want(v, ix, iy, iz) {
+						t.Fatalf("At(%d,%d,%d,%d) = %g, want %g", v, ix, iy, iz, got, want(v, ix, iy, iz))
 					}
 				}
 			}
@@ -98,52 +96,23 @@ func TestSoAVelocityBlocks(t *testing.T) {
 	}
 }
 
-func TestVPanicsOnAoS(t *testing.T) {
-	defer func() {
-		if recover() == nil {
-			t.Error("V on AoS field did not panic")
-		}
-	}()
-	NewField(2, Dims{1, 1, 1}, AoS).V(0)
-}
-
-func TestConvertLayoutRoundTrip(t *testing.T) {
-	d := Dims{NX: 3, NY: 3, NZ: 3}
-	f := NewField(4, d, SoA)
-	for i := range f.Data {
-		f.Data[i] = float64(i) * 0.5
-	}
-	g := f.ConvertLayout(AoS)
-	if MaxAbsDiff(f, g) != 0 {
-		t.Error("SoA -> AoS changed values")
-	}
-	h := g.ConvertLayout(SoA)
-	for i := range f.Data {
-		if f.Data[i] != h.Data[i] {
-			t.Fatalf("round trip mismatch at %d", i)
-		}
-	}
-}
-
 func TestCellAccessors(t *testing.T) {
 	d := Dims{NX: 2, NY: 2, NZ: 2}
-	for _, l := range []Layout{SoA, AoS} {
-		f := NewField(3, d, l)
-		in := []float64{1.5, -2, 7}
-		f.SetCell(1, 0, 1, in)
-		out := make([]float64, 3)
-		f.Cell(1, 0, 1, out)
-		for v := range in {
-			if in[v] != out[v] {
-				t.Errorf("%v: Cell[%d] = %g, want %g", l, v, out[v], in[v])
-			}
+	f := NewField(3, d, SoA)
+	in := []float64{1.5, -2, 7}
+	f.SetCell(1, 0, 1, in)
+	out := make([]float64, 3)
+	f.Cell(1, 0, 1, out)
+	for v := range in {
+		if in[v] != out[v] {
+			t.Errorf("Cell[%d] = %g, want %g", v, out[v], in[v])
 		}
 	}
 }
 
 func TestFill(t *testing.T) {
 	d := Dims{NX: 2, NY: 3, NZ: 2}
-	f := NewField(2, d, AoS)
+	f := NewField(2, d, SoA)
 	f.Fill([]float64{3, 4})
 	for c := 0; c < d.Cells(); c++ {
 		if f.Data[f.Idx(0, c)] != 3 || f.Data[f.Idx(1, c)] != 4 {

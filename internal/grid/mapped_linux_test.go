@@ -28,7 +28,7 @@ func TestMappedFieldHugePages(t *testing.T) {
 	// block, so wherever the mapping starts, advice on more than the whole
 	// blocks would reach a full aligned 2 MiB of the tail.
 	d := Dims{NX: 5, NY: 73, NZ: 189}
-	f := NewMappedField(19, d, SoA)
+	f := NewMappedField(19, d)
 	defer f.Release()
 	if MappedBytes() == mappedBefore {
 		t.Fatal("NewMappedField fell back to the heap")

@@ -13,7 +13,7 @@ import (
 func TestMappedField(t *testing.T) {
 	start := MappedBytes()
 	for _, d := range []Dims{{NX: 3, NY: 4, NZ: 5}, {NX: 40, NY: 40, NZ: 17}} {
-		f := NewMappedField(19, d, SoA)
+		f := NewMappedField(19, d)
 		if len(f.Data) != 19*d.Cells() {
 			t.Fatalf("%v: %d values, want %d", d, len(f.Data), 19*d.Cells())
 		}
@@ -44,7 +44,7 @@ func TestMappedField(t *testing.T) {
 			defer wg.Done()
 			d := Dims{NX: 20 + g, NY: 32, NZ: 32}
 			for range 10 {
-				f := NewMappedField(19, d, SoA)
+				f := NewMappedField(19, d)
 				if f.Data[0] != 0 || f.Data[len(f.Data)-1] != 0 {
 					t.Errorf("goroutine %d: a fresh field is not zeroed", g)
 				}

@@ -40,10 +40,9 @@ func cartTag(axis, dir int) int { return 0x200 + 2*axis + dir }
 const NoNeighbor = -1
 
 // PackBox copies all Q velocities of the axis-aligned box [lo,hi) of f
-// into buf and returns the number of values packed. The wire format
-// follows the field layout (velocity-major for SoA, cell-major for AoS);
-// both endpoints of an exchange must use the same layout. Boxes spanning
-// full y/z cross-sections degenerate to the contiguous-plane fast path.
+// into buf and returns the number of values packed, velocity-major. Boxes
+// spanning full y/z cross-sections degenerate to the contiguous-plane fast
+// path.
 func PackBox(f *grid.Field, lo, hi [3]int, buf []float64) int {
 	if fullCross(f.D, lo, hi) {
 		return PackPlanes(f, lo[0], hi[0], buf)
@@ -53,16 +52,6 @@ func PackBox(f *grid.Field, lo, hi [3]int, buf []float64) int {
 		return 0
 	}
 	n := 0
-	if f.Layout == grid.AoS {
-		q := f.Q
-		for ix := lo[0]; ix < hi[0]; ix++ {
-			for iy := lo[1]; iy < hi[1]; iy++ {
-				off := f.D.Index(ix, iy, lo[2]) * q
-				n += copy(buf[n:n+zn*q], f.Data[off:off+zn*q])
-			}
-		}
-		return n
-	}
 	for v := 0; v < f.Q; v++ {
 		blk := f.V(v)
 		for ix := lo[0]; ix < hi[0]; ix++ {
@@ -85,16 +74,6 @@ func UnpackBox(f *grid.Field, lo, hi [3]int, buf []float64) int {
 		return 0
 	}
 	n := 0
-	if f.Layout == grid.AoS {
-		q := f.Q
-		for ix := lo[0]; ix < hi[0]; ix++ {
-			for iy := lo[1]; iy < hi[1]; iy++ {
-				off := f.D.Index(ix, iy, lo[2]) * q
-				n += copy(f.Data[off:off+zn*q], buf[n:n+zn*q])
-			}
-		}
-		return n
-	}
 	for v := 0; v < f.Q; v++ {
 		blk := f.V(v)
 		for ix := lo[0]; ix < hi[0]; ix++ {
@@ -206,9 +185,8 @@ type Clip func(ix, iy, zlo, zhi int, seg func(off, z, n int))
 // face on that side of axis: vels[axis][side][d-1] the velocities the plane
 // at distance d from the owned box carries (and the neighbour's border
 // plane that fills it), in wire order; it needs w[axis] lists. Both ends of
-// a message must hold the same lists — the length check covers that too —
-// and a list needs one block per velocity, the SoA layout. Nil carries all
-// Q on every plane.
+// a message must hold the same lists — the length check covers that too.
+// Nil carries all Q on every plane.
 func NewCartExchangerClipped(q int, d grid.Dims, own, w [3]int, self int, neighbors [3][2]int, stored Clip, vels [3][2][][]int) (*CartExchanger, error) {
 	dims := [3]int{d.NX, d.NY, d.NZ}
 	for a := 0; a < 3; a++ {
@@ -493,17 +471,6 @@ func (e *CartExchanger) exchangeLocalAxis(f *grid.Field, axis int) {
 	e.Rec.EndAxis(obs.Unpack, axis, t0)
 }
 
-// blocks returns the field's memory blocks and the values each holds per
-// cell: Q velocity blocks of one value (SoA), or one block of Q (AoS). A
-// cell span is one contiguous range of every block, which makes the wire
-// format PackBox's in both layouts.
-func blocks(f *grid.Field) (n, per int) {
-	if f.Layout == grid.AoS {
-		return 1, f.Q
-	}
-	return f.Q, 1
-}
-
 // copyFace moves the face in region in wire order — per part, for each
 // velocity block it carries, the cells of its spans — into buf, or,
 // unpacking, out of it.
@@ -514,12 +481,12 @@ func (e *CartExchanger) copyFace(f *grid.Field, axis, region int, buf []float64,
 	}
 }
 
-// copySpans moves the listed cells of the listed blocks of f (nil: every
-// block), in wire order, into buf — or, unpacking, out of it — and returns
-// the number of values moved.
+// copySpans moves the listed cells of the listed velocity blocks of f
+// (nil: every block), in wire order, into buf — or, unpacking, out of it —
+// and returns the number of values moved. A cell span is one contiguous
+// range of every block, which makes the wire format PackBox's.
 func copySpans(f *grid.Field, vels []int, spans []span, buf []float64, unpack bool) int {
-	nb, per := blocks(f)
-	size := len(f.Data) / nb
+	nb := f.Q
 	if vels != nil {
 		nb = len(vels)
 	}
@@ -529,9 +496,9 @@ func copySpans(f *grid.Field, vels []int, spans []span, buf []float64, unpack bo
 		if vels != nil {
 			b = vels[i]
 		}
-		blk := f.Data[b*size : (b+1)*size]
+		blk := f.V(b)
 		for _, s := range spans {
-			if cells := blk[s.off*per : (s.off+s.n)*per]; unpack {
+			if cells := blk[s.off : s.off+s.n]; unpack {
 				n += copy(cells, buf[n:])
 			} else {
 				n += copy(buf[n:], cells)

@@ -20,29 +20,27 @@ func TestPackBoxRoundTrip(t *testing.T) {
 		{{0, 0, 2}, {5, 4, 3}}, // z face
 		{{1, 1, 1}, {3, 3, 2}}, // interior box
 	}
-	for _, layout := range []grid.Layout{grid.SoA, grid.AoS} {
-		src := grid.NewField(2, d, layout)
-		for i := range src.Data {
-			src.Data[i] = float64(i) + 0.25
+	src := grid.NewField(2, d, grid.SoA)
+	for i := range src.Data {
+		src.Data[i] = float64(i) + 0.25
+	}
+	for _, b := range boxes {
+		lo, hi := b[0], b[1]
+		cells := (hi[0] - lo[0]) * (hi[1] - lo[1]) * (hi[2] - lo[2])
+		buf := make([]float64, 2*cells)
+		if n := PackBox(src, lo, hi, buf); n != 2*cells {
+			t.Fatalf("box %v-%v: packed %d, want %d", lo, hi, n, 2*cells)
 		}
-		for _, b := range boxes {
-			lo, hi := b[0], b[1]
-			cells := (hi[0] - lo[0]) * (hi[1] - lo[1]) * (hi[2] - lo[2])
-			buf := make([]float64, 2*cells)
-			if n := PackBox(src, lo, hi, buf); n != 2*cells {
-				t.Fatalf("%v box %v-%v: packed %d, want %d", layout, lo, hi, n, 2*cells)
-			}
-			dst := grid.NewField(2, d, layout)
-			if n := UnpackBox(dst, lo, hi, buf); n != 2*cells {
-				t.Fatalf("%v box %v-%v: unpacked %d", layout, lo, hi, n)
-			}
-			for v := 0; v < 2; v++ {
-				for ix := lo[0]; ix < hi[0]; ix++ {
-					for iy := lo[1]; iy < hi[1]; iy++ {
-						for iz := lo[2]; iz < hi[2]; iz++ {
-							if got, want := dst.At(v, ix, iy, iz), src.At(v, ix, iy, iz); got != want {
-								t.Fatalf("%v box %v-%v: (%d,%d,%d,%d) = %g, want %g", layout, lo, hi, v, ix, iy, iz, got, want)
-							}
+		dst := grid.NewField(2, d, grid.SoA)
+		if n := UnpackBox(dst, lo, hi, buf); n != 2*cells {
+			t.Fatalf("box %v-%v: unpacked %d", lo, hi, n)
+		}
+		for v := 0; v < 2; v++ {
+			for ix := lo[0]; ix < hi[0]; ix++ {
+				for iy := lo[1]; iy < hi[1]; iy++ {
+					for iz := lo[2]; iz < hi[2]; iz++ {
+						if got, want := dst.At(v, ix, iy, iz), src.At(v, ix, iy, iz); got != want {
+							t.Fatalf("box %v-%v: (%d,%d,%d,%d) = %g, want %g", lo, hi, v, ix, iy, iz, got, want)
 						}
 					}
 				}
@@ -234,71 +232,69 @@ func TestZeroWidthAxisHasNoFaces(t *testing.T) {
 		{[3]int{1, 1, 1}, [3]int{0, 0, 0}}, // no faces at all
 	}
 	for _, c := range cases {
-		for _, layout := range []grid.Layout{grid.SoA, grid.AoS} {
-			for _, nonblocking := range []bool{false, true} {
-				name := fmt.Sprintf("p=%v w=%v %v nonblocking=%v", c.p, c.w, layout, nonblocking)
-				dec, err := decomp.NewCartesian(global, c.p)
+		for _, nonblocking := range []bool{false, true} {
+			name := fmt.Sprintf("p=%v w=%v nonblocking=%v", c.p, c.w, nonblocking)
+			dec, err := decomp.NewCartesian(global, c.p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			fab := comm.NewFabric(dec.Ranks())
+			top, err := comm.NewCartTopology(fab.N(), c.p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			runErr := fab.Run(func(r *comm.Rank) error {
+				var start, own [3]int
+				for a := 0; a < 3; a++ {
+					start[a], own[a] = dec.Own(r.ID, a)
+				}
+				w := c.w
+				d := grid.Dims{NX: own[0] + 2*w[0], NY: own[1] + 2*w[1], NZ: own[2] + 2*w[2]}
+				f := grid.NewField(q, d, grid.SoA)
+				for i := range f.Data {
+					f.Data[i] = math.NaN()
+				}
+				fillOwned(f, start, own, w)
+				ex, err := NewCartExchanger(q, d, own, w, r.ID, top.Neighbors(r.ID))
 				if err != nil {
-					t.Fatal(err)
+					return err
 				}
-				fab := comm.NewFabric(dec.Ranks())
-				top, err := comm.NewCartTopology(fab.N(), c.p)
-				if err != nil {
-					t.Fatal(err)
+				ex.ExchangeAll(r, f, nonblocking)
+				var accounted int64
+				for a := 0; a < 3; a++ {
+					accounted += ex.BytesPerExchange(a)
 				}
-				runErr := fab.Run(func(r *comm.Rank) error {
-					var start, own [3]int
-					for a := 0; a < 3; a++ {
-						start[a], own[a] = dec.Own(r.ID, a)
-					}
-					w := c.w
-					d := grid.Dims{NX: own[0] + 2*w[0], NY: own[1] + 2*w[1], NZ: own[2] + 2*w[2]}
-					f := grid.NewField(q, d, layout)
-					for i := range f.Data {
-						f.Data[i] = math.NaN()
-					}
-					fillOwned(f, start, own, w)
-					ex, err := NewCartExchanger(q, d, own, w, r.ID, top.Neighbors(r.ID))
-					if err != nil {
-						return err
-					}
-					ex.ExchangeAll(r, f, nonblocking)
-					var accounted int64
-					for a := 0; a < 3; a++ {
-						accounted += ex.BytesPerExchange(a)
-					}
-					if got := r.BytesSent(); got != accounted {
-						t.Errorf("%s rank %d: fabric carried %d B, exchanger accounts for %d", name, r.ID, got, accounted)
-					}
-					if c.w[1] == 0 && c.w[2] == 0 && c.p[0] > 1 {
-						if want := int64(2 * 8 * q * w[0] * d.NY * d.NZ); accounted != want {
-							t.Errorf("%s rank %d: x-only wire bytes %d, want 2·8·Q·w·NY·NZ = %d", name, r.ID, accounted, want)
-						}
-					}
-					bytes, msgs := r.BytesSent(), r.MessagesSent()
-					for a := 0; a < 3; a++ {
-						if w[a] != 0 {
-							continue
-						}
-						if ex.Messaging(a) || ex.BytesPerExchange(a) != 0 {
-							t.Errorf("%s rank %d: zero-width axis %d: Messaging %v, %d B per exchange", name, r.ID, a, ex.Messaging(a), ex.BytesPerExchange(a))
-						}
-						ex.PostRecvsAxis(r, a)
-						ex.SendBordersAxis(r, f, a)
-						ex.WaitUnpackAxis(r, f, a)
-						ex.ExchangeAxis(r, f, a, nonblocking)
-					}
-					if r.BytesSent() != bytes || r.MessagesSent() != msgs {
-						t.Errorf("%s rank %d: driving the zero-width axes sent %d B in %d messages", name, r.ID, r.BytesSent()-bytes, r.MessagesSent()-msgs)
-					}
-					if bad := firstUnwrapped(f, start, w, global); bad != "" {
-						t.Errorf("%s rank %d: %s", name, r.ID, bad)
-					}
-					return nil
-				})
-				if runErr != nil {
-					t.Fatalf("%s: %v", name, runErr)
+				if got := r.BytesSent(); got != accounted {
+					t.Errorf("%s rank %d: fabric carried %d B, exchanger accounts for %d", name, r.ID, got, accounted)
 				}
+				if c.w[1] == 0 && c.w[2] == 0 && c.p[0] > 1 {
+					if want := int64(2 * 8 * q * w[0] * d.NY * d.NZ); accounted != want {
+						t.Errorf("%s rank %d: x-only wire bytes %d, want 2·8·Q·w·NY·NZ = %d", name, r.ID, accounted, want)
+					}
+				}
+				bytes, msgs := r.BytesSent(), r.MessagesSent()
+				for a := 0; a < 3; a++ {
+					if w[a] != 0 {
+						continue
+					}
+					if ex.Messaging(a) || ex.BytesPerExchange(a) != 0 {
+						t.Errorf("%s rank %d: zero-width axis %d: Messaging %v, %d B per exchange", name, r.ID, a, ex.Messaging(a), ex.BytesPerExchange(a))
+					}
+					ex.PostRecvsAxis(r, a)
+					ex.SendBordersAxis(r, f, a)
+					ex.WaitUnpackAxis(r, f, a)
+					ex.ExchangeAxis(r, f, a, nonblocking)
+				}
+				if r.BytesSent() != bytes || r.MessagesSent() != msgs {
+					t.Errorf("%s rank %d: driving the zero-width axes sent %d B in %d messages", name, r.ID, r.BytesSent()-bytes, r.MessagesSent()-msgs)
+				}
+				if bad := firstUnwrapped(f, start, w, global); bad != "" {
+					t.Errorf("%s rank %d: %s", name, r.ID, bad)
+				}
+				return nil
+			})
+			if runErr != nil {
+				t.Fatalf("%s: %v", name, runErr)
 			}
 		}
 	}
@@ -654,7 +650,7 @@ func TestMaskedExchangeFluidOnly(t *testing.T) {
 // TestAllFluidSpansArePackBox: a dense face is the degenerate span list.
 // With no mask, and with a mask that marks nothing, every border face
 // packs byte for byte what PackBox packs for the same box — x-, y- and
-// z-normal, both layouts — in far fewer copies than rows.
+// z-normal — in far fewer copies than rows.
 func TestAllFluidSpansArePackBox(t *testing.T) {
 	d := grid.Dims{NX: 8, NY: 7, NZ: 6}
 	own, w := [3]int{4, 5, 4}, [3]int{2, 1, 1}
@@ -672,24 +668,22 @@ func TestAllFluidSpansArePackBox(t *testing.T) {
 				}
 			}
 		}
-		for _, layout := range []grid.Layout{grid.SoA, grid.AoS} {
-			f := grid.NewField(q, d, layout)
-			for i := range f.Data {
-				f.Data[i] = float64(i) + 0.5
-			}
-			for axis := 0; axis < 3; axis++ {
-				for side := 0; side < 2; side++ {
-					lo, hi := ex.face(axis, borderRegion(side))
-					want := make([]float64, q*d.Cells())
-					want = want[:PackBox(f, lo, hi, want)]
-					got := ex.packFace(f, axis, side)
-					if len(got) != len(want) {
-						t.Fatalf("%v axis %d side %d: packed %d values, PackBox %d", layout, axis, side, len(got), len(want))
-					}
-					for i := range want {
-						if got[i] != want[i] {
-							t.Fatalf("%v axis %d side %d: value %d = %v, PackBox has %v", layout, axis, side, i, got[i], want[i])
-						}
+		f := grid.NewField(q, d, grid.SoA)
+		for i := range f.Data {
+			f.Data[i] = float64(i) + 0.5
+		}
+		for axis := 0; axis < 3; axis++ {
+			for side := 0; side < 2; side++ {
+				lo, hi := ex.face(axis, borderRegion(side))
+				want := make([]float64, q*d.Cells())
+				want = want[:PackBox(f, lo, hi, want)]
+				got := ex.packFace(f, axis, side)
+				if len(got) != len(want) {
+					t.Fatalf("axis %d side %d: packed %d values, PackBox %d", axis, side, len(got), len(want))
+				}
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("axis %d side %d: value %d = %v, PackBox has %v", axis, side, i, got[i], want[i])
 					}
 				}
 			}

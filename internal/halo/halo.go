@@ -15,19 +15,14 @@ import (
 )
 
 // PackPlanes copies all Q velocities of x-planes [x0,x1) of f into buf and
-// returns the number of values packed. Both layouts store whole x-planes
-// contiguously, so packing is a handful of block copies. The wire format
-// follows the field layout (velocity-major for SoA, cell-major for AoS);
-// both endpoints of an exchange must therefore use the same layout, which
-// the solver guarantees.
+// returns the number of values packed. Each velocity block stores whole
+// x-planes contiguously, so packing is one block copy per velocity, and
+// the wire format is velocity-major.
 func PackPlanes(f *grid.Field, x0, x1 int, buf []float64) int {
 	plane := f.D.PlaneCells()
 	np := (x1 - x0) * plane
 	if np <= 0 {
 		return 0
-	}
-	if f.Layout == grid.AoS {
-		return copy(buf, f.Data[x0*plane*f.Q:x1*plane*f.Q])
 	}
 	n := 0
 	for v := 0; v < f.Q; v++ {
@@ -43,9 +38,6 @@ func UnpackPlanes(f *grid.Field, x0, x1 int, buf []float64) int {
 	np := (x1 - x0) * plane
 	if np <= 0 {
 		return 0
-	}
-	if f.Layout == grid.AoS {
-		return copy(f.Data[x0*plane*f.Q:x1*plane*f.Q], buf[:np*f.Q])
 	}
 	n := 0
 	for v := 0; v < f.Q; v++ {
@@ -65,15 +57,6 @@ func PackPlanesVel(f *grid.Field, x0, x1 int, vels []int, buf []float64) int {
 		return 0
 	}
 	n := 0
-	if f.Layout == grid.AoS {
-		for _, v := range vels {
-			for c := x0 * plane; c < x1*plane; c++ {
-				buf[n] = f.Data[c*f.Q+v]
-				n++
-			}
-		}
-		return n
-	}
 	for _, v := range vels {
 		blk := f.V(v)
 		n += copy(buf[n:n+np], blk[x0*plane:x1*plane])
@@ -89,15 +72,6 @@ func UnpackPlanesVel(f *grid.Field, x0, x1 int, vels []int, buf []float64) int {
 		return 0
 	}
 	n := 0
-	if f.Layout == grid.AoS {
-		for _, v := range vels {
-			for c := x0 * plane; c < x1*plane; c++ {
-				f.Data[c*f.Q+v] = buf[n]
-				n++
-			}
-		}
-		return n
-	}
 	for _, v := range vels {
 		blk := f.V(v)
 		n += copy(blk[x0*plane:x1*plane], buf[n:n+np])

@@ -18,60 +18,33 @@ func fillDistinct(f *grid.Field) {
 
 func TestPackUnpackRoundTrip(t *testing.T) {
 	d := grid.Dims{NX: 6, NY: 3, NZ: 4}
-	for _, l := range []grid.Layout{grid.SoA, grid.AoS} {
-		src := grid.NewField(5, d, l)
-		fillDistinct(src)
-		buf := make([]float64, 5*2*d.PlaneCells())
-		n := PackPlanes(src, 1, 3, buf)
-		if n != len(buf) {
-			t.Fatalf("%v: packed %d, want %d", l, n, len(buf))
-		}
-		dst := grid.NewField(5, d, l)
-		if got := UnpackPlanes(dst, 1, 3, buf); got != n {
-			t.Fatalf("%v: unpacked %d, want %d", l, got, n)
-		}
-		for v := 0; v < 5; v++ {
-			for ix := 1; ix < 3; ix++ {
-				for iy := 0; iy < d.NY; iy++ {
-					for iz := 0; iz < d.NZ; iz++ {
-						if dst.At(v, ix, iy, iz) != src.At(v, ix, iy, iz) {
-							t.Fatalf("%v: mismatch at v=%d (%d,%d,%d)", l, v, ix, iy, iz)
-						}
+	src := grid.NewField(5, d, grid.SoA)
+	fillDistinct(src)
+	buf := make([]float64, 5*2*d.PlaneCells())
+	n := PackPlanes(src, 1, 3, buf)
+	if n != len(buf) {
+		t.Fatalf("packed %d, want %d", n, len(buf))
+	}
+	dst := grid.NewField(5, d, grid.SoA)
+	if got := UnpackPlanes(dst, 1, 3, buf); got != n {
+		t.Fatalf("unpacked %d, want %d", got, n)
+	}
+	for v := 0; v < 5; v++ {
+		for ix := 1; ix < 3; ix++ {
+			for iy := 0; iy < d.NY; iy++ {
+				for iz := 0; iz < d.NZ; iz++ {
+					if dst.At(v, ix, iy, iz) != src.At(v, ix, iy, iz) {
+						t.Fatalf("mismatch at v=%d (%d,%d,%d)", v, ix, iy, iz)
 					}
-				}
-			}
-		}
-		// Planes outside [1,3) must be untouched.
-		for v := 0; v < 5; v++ {
-			for _, ix := range []int{0, 3, 4, 5} {
-				if dst.At(v, ix, 0, 0) != 0 {
-					t.Fatalf("%v: plane %d touched", l, ix)
 				}
 			}
 		}
 	}
-}
-
-func TestPackUnpackSameLayoutWireFormat(t *testing.T) {
-	// The wire format is layout-specific (a deliberate choice: AoS planes
-	// ship as one block copy). Same-layout round trips must preserve values
-	// cell-by-cell; this pins the contract that both exchange endpoints use
-	// the same layout.
-	d := grid.Dims{NX: 4, NY: 2, NZ: 3}
-	for _, l := range []grid.Layout{grid.SoA, grid.AoS} {
-		src := grid.NewField(3, d, l)
-		fillDistinct(src)
-		buf := make([]float64, 3*d.PlaneCells())
-		PackPlanes(src, 2, 3, buf)
-		dst := grid.NewField(3, d, l)
-		UnpackPlanes(dst, 2, 3, buf)
-		for v := 0; v < 3; v++ {
-			for iy := 0; iy < d.NY; iy++ {
-				for iz := 0; iz < d.NZ; iz++ {
-					if dst.At(v, 2, iy, iz) != src.At(v, 2, iy, iz) {
-						t.Fatalf("%v: mismatch v=%d y=%d z=%d", l, v, iy, iz)
-					}
-				}
+	// Planes outside [1,3) must be untouched.
+	for v := 0; v < 5; v++ {
+		for _, ix := range []int{0, 3, 4, 5} {
+			if dst.At(v, ix, 0, 0) != 0 {
+				t.Fatalf("plane %d touched", ix)
 			}
 		}
 	}
@@ -79,25 +52,23 @@ func TestPackUnpackSameLayoutWireFormat(t *testing.T) {
 
 func TestPackPlanesVelSubset(t *testing.T) {
 	d := grid.Dims{NX: 4, NY: 2, NZ: 2}
-	for _, l := range []grid.Layout{grid.SoA, grid.AoS} {
-		src := grid.NewField(6, d, l)
-		fillDistinct(src)
-		vels := []int{1, 4, 5}
-		buf := make([]float64, len(vels)*d.PlaneCells())
-		n := PackPlanesVel(src, 1, 2, vels, buf)
-		if n != len(buf) {
-			t.Fatalf("%v: packed %d, want %d", l, n, len(buf))
+	src := grid.NewField(6, d, grid.SoA)
+	fillDistinct(src)
+	vels := []int{1, 4, 5}
+	buf := make([]float64, len(vels)*d.PlaneCells())
+	n := PackPlanesVel(src, 1, 2, vels, buf)
+	if n != len(buf) {
+		t.Fatalf("packed %d, want %d", n, len(buf))
+	}
+	dst := grid.NewField(6, d, grid.SoA)
+	UnpackPlanesVel(dst, 1, 2, vels, buf)
+	for v := 0; v < 6; v++ {
+		want := 0.0
+		if v == 1 || v == 4 || v == 5 {
+			want = src.At(v, 1, 1, 1)
 		}
-		dst := grid.NewField(6, d, l)
-		UnpackPlanesVel(dst, 1, 2, vels, buf)
-		for v := 0; v < 6; v++ {
-			want := 0.0
-			if v == 1 || v == 4 || v == 5 {
-				want = src.At(v, 1, 1, 1)
-			}
-			if got := dst.At(v, 1, 1, 1); got != want {
-				t.Fatalf("%v: v=%d got %g want %g", l, v, got, want)
-			}
+		if got := dst.At(v, 1, 1, 1); got != want {
+			t.Fatalf("v=%d got %g want %g", v, got, want)
 		}
 	}
 }
@@ -224,7 +195,7 @@ func TestWaitUnpackWithoutPostPanics(t *testing.T) {
 }
 
 // TestBytesPerExchange: an x-only exchanger's wire bytes are the two full
-// x faces, 2·8·Q·w·NY·NZ, in both layouts — what the 1-D exchanger it
+// x faces, 2·8·Q·w·NY·NZ — what the 1-D exchanger it
 // replaced reported — and zero on the axes that carry no ghosts.
 func TestBytesPerExchange(t *testing.T) {
 	d := grid.Dims{NX: 8, NY: 3, NZ: 5}
@@ -236,15 +207,13 @@ func TestBytesPerExchange(t *testing.T) {
 	if got := e.BytesPerExchange(0); got != want {
 		t.Errorf("BytesPerExchange(x) = %d, want %d", got, want)
 	}
-	for _, l := range []grid.Layout{grid.SoA, grid.AoS} {
-		f := grid.NewField(19, d, l)
-		var sent int
-		for side := 0; side < 2; side++ {
-			sent += 8 * len(e.packFace(f, 0, side))
-		}
-		if int64(sent) != want {
-			t.Errorf("%v: packed %d B over the two x faces, want %d", l, sent, want)
-		}
+	f := grid.NewField(19, d, grid.SoA)
+	var sent int
+	for side := 0; side < 2; side++ {
+		sent += 8 * len(e.packFace(f, 0, side))
+	}
+	if int64(sent) != want {
+		t.Errorf("packed %d B over the two x faces, want %d", sent, want)
 	}
 	if y, z := e.BytesPerExchange(1), e.BytesPerExchange(2); y != 0 || z != 0 {
 		t.Errorf("ghostless axes report %d / %d B, want 0", y, z)

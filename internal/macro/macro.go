@@ -22,11 +22,11 @@ type Fields struct {
 // added to the velocities (use a/2 for the velocity-shift forced scheme's
 // physical velocity; zero otherwise).
 //
-// The SoA layout takes a velocity-blocked path: one contiguous pass per
-// velocity accumulating the moments in v-ascending order — the same
-// summation order as lattice.Moments, so the results are bit-identical to
-// the per-cell gather while streaming the field at copy bandwidth instead
-// of striding Q-apart.
+// It takes one contiguous pass per velocity block, accumulating the
+// moments in v-ascending order — the same summation order as
+// lattice.Moments, so the results are bit-identical to a per-cell gather
+// while streaming the field at copy bandwidth instead of striding
+// cells-apart.
 func Compute(m *lattice.Model, f *grid.Field, accelShift [3]float64) *Fields {
 	n := f.D.Cells()
 	out := &Fields{
@@ -36,37 +36,23 @@ func Compute(m *lattice.Model, f *grid.Field, accelShift [3]float64) *Fields {
 		Uy:  make([]float64, n),
 		Uz:  make([]float64, n),
 	}
-	if f.Layout == grid.SoA {
-		// Accumulate momenta into Ux/Uy/Uz, then normalize in place.
-		rho, jx, jy, jz := out.Rho, out.Ux, out.Uy, out.Uz
-		for v := 0; v < m.Q; v++ {
-			blk := f.V(v)[:n]
-			cx, cy, cz := float64(m.Cx[v]), float64(m.Cy[v]), float64(m.Cz[v])
-			for c, val := range blk {
-				rho[c] += val
-				jx[c] += val * cx
-				jy[c] += val * cy
-				jz[c] += val * cz
-			}
+	// Accumulate momenta into Ux/Uy/Uz, then normalize in place.
+	rho, jx, jy, jz := out.Rho, out.Ux, out.Uy, out.Uz
+	for v := 0; v < m.Q; v++ {
+		blk := f.V(v)[:n]
+		cx, cy, cz := float64(m.Cx[v]), float64(m.Cy[v]), float64(m.Cz[v])
+		for c, val := range blk {
+			rho[c] += val
+			jx[c] += val * cx
+			jy[c] += val * cy
+			jz[c] += val * cz
 		}
-		for c := 0; c < n; c++ {
-			r := rho[c]
-			jx[c] = jx[c]/r + accelShift[0]
-			jy[c] = jy[c]/r + accelShift[1]
-			jz[c] = jz[c]/r + accelShift[2]
-		}
-		return out
 	}
-	fc := make([]float64, m.Q)
 	for c := 0; c < n; c++ {
-		for v := 0; v < m.Q; v++ {
-			fc[v] = f.Data[f.Idx(v, c)]
-		}
-		rho, jx, jy, jz := m.Moments(fc)
-		out.Rho[c] = rho
-		out.Ux[c] = jx/rho + accelShift[0]
-		out.Uy[c] = jy/rho + accelShift[1]
-		out.Uz[c] = jz/rho + accelShift[2]
+		r := rho[c]
+		jx[c] = jx[c]/r + accelShift[0]
+		jy[c] = jy[c]/r + accelShift[1]
+		jz[c] = jz[c]/r + accelShift[2]
 	}
 	return out
 }

@@ -46,34 +46,28 @@ func TestComputeRecoversState(t *testing.T) {
 	}
 }
 
-// TestSoABlockedMatchesPerCell: the velocity-blocked SoA path must agree
-// with the per-cell gather path to 0 ULP — both sum the moments in
-// v-ascending order, so the only difference is traversal order.
+// TestSoABlockedMatchesPerCell: the velocity-blocked pass must agree with
+// a per-cell gather through lattice.Moments to 0 ULP — both sum the
+// moments in v-ascending order, so the only difference is traversal order.
 func TestSoABlockedMatchesPerCell(t *testing.T) {
 	for _, m := range []*lattice.Model{lattice.D3Q19(), lattice.D3Q39()} {
 		n := grid.Dims{NX: 5, NY: 4, NZ: 7}
 		state := func(ix, iy, iz int) (float64, float64, float64, float64) {
 			return 1 + 0.02*float64(ix*iz%3), 0.01 * float64(iy), -0.007 * float64(ix), 0.003 * float64(iz)
 		}
-		soa := buildField(m, n, state)
-		aos := grid.NewField(m.Q, n, grid.AoS)
+		f := buildField(m, n, state)
+		shift := [3]float64{0.004, -0.002, 0.001}
+		fs := Compute(m, f, shift)
 		fc := make([]float64, m.Q)
 		for c := 0; c < n.Cells(); c++ {
 			for v := 0; v < m.Q; v++ {
-				fc[v] = soa.Data[soa.Idx(v, c)]
+				fc[v] = f.Data[f.Idx(v, c)]
 			}
-			for v := 0; v < m.Q; v++ {
-				aos.Data[aos.Idx(v, c)] = fc[v]
-			}
-		}
-		shift := [3]float64{0.004, -0.002, 0.001}
-		fs, fa := Compute(m, soa, shift), Compute(m, aos, shift)
-		for c := 0; c < n.Cells(); c++ {
-			if fs.Rho[c] != fa.Rho[c] || fs.Ux[c] != fa.Ux[c] ||
-				fs.Uy[c] != fa.Uy[c] || fs.Uz[c] != fa.Uz[c] {
-				t.Fatalf("%s cell %d: SoA (%v,%v,%v,%v) != AoS (%v,%v,%v,%v)", m.Name, c,
-					fs.Rho[c], fs.Ux[c], fs.Uy[c], fs.Uz[c],
-					fa.Rho[c], fa.Ux[c], fa.Uy[c], fa.Uz[c])
+			rho, jx, jy, jz := m.Moments(fc)
+			ux, uy, uz := jx/rho+shift[0], jy/rho+shift[1], jz/rho+shift[2]
+			if fs.Rho[c] != rho || fs.Ux[c] != ux || fs.Uy[c] != uy || fs.Uz[c] != uz {
+				t.Fatalf("%s cell %d: blocked (%v,%v,%v,%v) != per-cell (%v,%v,%v,%v)", m.Name, c,
+					fs.Rho[c], fs.Ux[c], fs.Uy[c], fs.Uz[c], rho, ux, uy, uz)
 			}
 		}
 	}

@@ -41,7 +41,6 @@ type RunConfig struct {
 	Opt       string `json:"opt"`
 	Collision string `json:"collision"`
 	Stream    string `json:"stream"`
-	Layout    string `json:"layout"`
 	Fused     bool   `json:"fused"` // the step ran as the gather sweep: SIMD rung, Fused or AA
 	Ranks     int    `json:"ranks"`
 	Decomp    [3]int `json:"decomp"`

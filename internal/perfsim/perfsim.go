@@ -581,8 +581,8 @@ func (st *simState) rankGeometry(r int, slow float64) rankGeom {
 		// What a face carries is the solver's rule too (core.DirectedFaces):
 		// in a ghost layer exactly k wide the plane d cells out holds only
 		// the populations that cross d planes, CrossPlaneVels[d-1] of them;
-		// all Q on each of the w planes otherwise. A Job cannot say AoS or
-		// pressure outlet, the rule's whole-cell cases.
+		// all Q on each of the w planes otherwise. A Job cannot say
+		// pressure outlet, the rule's whole-cell case.
 		velPlanes := j.Spec.Q * st.w[a]
 		if core.DirectedFaces(st.w[a], j.K, false) {
 			velPlanes = 0

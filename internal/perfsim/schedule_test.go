@@ -244,9 +244,9 @@ func TestPerAxisDepthSlabIsPricedAsRun(t *testing.T) {
 	}
 }
 
-// TestLegacyRungsRejectedByBoth: the no-ghost Orig protocol and the AoS
-// layout exist for the paper's geometry alone, and the solver and the model
-// say so in one sentence (core.PaperGeometry) — stated, not read off the
+// TestLegacyRungsRejectedByBoth: the no-ghost Orig protocol exists for the
+// paper's geometry alone, and the solver and the model say so in one
+// sentence (core.PaperGeometry) — stated, not read off the
 // ghost widths: an x-walled slab has the periodic slab's widths {k,0,0},
 // and a model that let Orig onto it indexed a neighbour that is not there.
 func TestLegacyRungsRejectedByBoth(t *testing.T) {
@@ -258,20 +258,17 @@ func TestLegacyRungsRejectedByBoth(t *testing.T) {
 	for _, c := range []struct {
 		name   string
 		sc     solverCase
-		layout grid.Layout
 		depths [3]int
-		model  bool // expressible as a Job, which has no layout and one depth
+		model  bool // expressible as a Job, which has one depth
 		reason string
 	}{
-		{"Orig × x walls", solverCase{q19, n, two, xWalls, core.StreamTwoGrid, 1, core.OptOrig}, grid.SoA, [3]int{}, true, "paper's geometry"},
-		{"Orig × pencil", solverCase{q19, n, [3]int{2, 2, 1}, nil, core.StreamTwoGrid, 1, core.OptOrig}, grid.SoA, [3]int{}, true, "paper's geometry"},
-		{"AoS × cavity", solverCase{q19, n, [3]int{1, 1, 1}, core.CavitySpec(0.05), core.StreamTwoGrid, 1, core.OptGC}, grid.AoS, [3]int{}, false, "paper's geometry"},
-		{"AoS × x walls", solverCase{q19, n, two, xWalls, core.StreamTwoGrid, 1, core.OptGC}, grid.AoS, [3]int{}, false, "paper's geometry"},
+		{"Orig × x walls", solverCase{q19, n, two, xWalls, core.StreamTwoGrid, 1, core.OptOrig}, [3]int{}, true, "paper's geometry"},
+		{"Orig × pencil", solverCase{q19, n, [3]int{2, 2, 1}, nil, core.StreamTwoGrid, 1, core.OptOrig}, [3]int{}, true, "paper's geometry"},
 		// The slab's one depth is x's, whichever field carries it.
-		{"Orig × {2,1,1}", slab, grid.SoA, [3]int{2, 1, 1}, false, "GhostDepth must be 1"},
+		{"Orig × {2,1,1}", slab, [3]int{2, 1, 1}, false, "GhostDepth must be 1"},
 	} {
 		cfg := c.sc.config(2)
-		cfg.Layout, cfg.GhostDepthAxes = c.layout, c.depths
+		cfg.GhostDepthAxes = c.depths
 		cerr := cfg.Validate()
 		if cerr == nil || !strings.Contains(cerr.Error(), c.reason) {
 			t.Errorf("%s: solver error %v, want one naming %q", c.name, cerr, c.reason)
@@ -289,17 +286,16 @@ func TestLegacyRungsRejectedByBoth(t *testing.T) {
 			t.Errorf("%s: model says %q, solver says %q", c.name, got, want)
 		}
 	}
-	// The paper's geometry itself takes both rungs, at either spelling of
-	// its depth.
+	// The paper's geometry itself takes Orig, at either spelling of its
+	// depth.
 	for _, mod := range []func(*core.Config){
 		func(cfg *core.Config) {},
-		func(cfg *core.Config) { cfg.Layout = grid.AoS },
 		func(cfg *core.Config) { cfg.GhostDepth, cfg.GhostDepthAxes = 0, [3]int{1, 2, 2} },
 	} {
 		cfg := slab.config(2)
 		mod(&cfg)
 		if err := cfg.Validate(); err != nil {
-			t.Errorf("Orig on the periodic slab (layout %v, depths %v): %v", cfg.Layout, cfg.GhostDepthAxes, err)
+			t.Errorf("Orig on the periodic slab (depths %v): %v", cfg.GhostDepthAxes, err)
 		}
 	}
 	if _, err := Run(slab.job(2)); err != nil {

@@ -315,7 +315,7 @@ func envelope() machine.Machine {
 // are shared-memory copies at CopyBW, never the torus). A masked
 // scenario's fluid weights and sparse rank profile are threaded through.
 // The solver's per-axis depth is priced as the deepest decomposed axis's
-// uniform depth — the known mis-pricing of ROADMAP 3(b), which lives here
+// uniform depth — the known mis-pricing of ROADMAP 4(d), which lives here
 // and nowhere else.
 func (c Candidate) job(s *Scenario, coeffs *perfsim.Coeffs, steps int, ranksAreNodes bool) (perfsim.Job, error) {
 	opt, err := core.ParseOptLevel(c.Opt)

@@ -49,8 +49,6 @@ type (
 	InitFunc = core.InitFunc
 	// Dims is a 3-D box extent (z fastest).
 	Dims = grid.Dims
-	// Layout selects the field memory layout (SoA or AoS).
-	Layout = grid.Layout
 	// Model is a discrete velocity lattice.
 	Model = lattice.Model
 )
@@ -65,12 +63,6 @@ const (
 	OptNBC  = core.OptNBC
 	OptGCC  = core.OptGCC
 	OptSIMD = core.OptSIMD
-)
-
-// Memory layouts.
-const (
-	SoA = grid.SoA
-	AoS = grid.AoS
 )
 
 // Global boundary conditions (non-periodic domains).
