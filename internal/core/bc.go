@@ -240,6 +240,22 @@ func (b *BoundarySpec) validate() error {
 // inversion is a bounce-back with a prescribed odd part).
 func (b *BoundarySpec) hasWallFaces() bool { return b.hasFace(BCWall, BCMovingWall, BCInlet) }
 
+// profiledInlet reports whether a velocity-inlet face prescribes a
+// Profile: the one face whose bounce-back δ varies from cell to cell.
+func (b *BoundarySpec) profiledInlet() bool {
+	if b == nil {
+		return false
+	}
+	for a := range b.Faces {
+		for _, f := range b.Faces[a] {
+			if f.Kind == BCInlet && f.Profile != nil {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // hasFace reports whether any face is of one of the given kinds.
 func (b *BoundarySpec) hasFace(kinds ...BCKind) bool {
 	if b == nil {

@@ -29,11 +29,11 @@ package core
 
 import (
 	"math"
-	"slices"
 	"time"
 
 	"repro/internal/comm"
 	"repro/internal/decomp"
+	"repro/internal/geom"
 	"repro/internal/grid"
 	"repro/internal/halo"
 	"repro/internal/lattice"
@@ -171,10 +171,10 @@ func newCartStepper(cfg *Config, dec decomp.Cartesian, r *comm.Rank) (*cartStepp
 		cs.close()
 		return nil, err
 	}
-	obstacle := cs.buildMask()
+	fluid := cs.buildMask()
 	cs.allocFields()
-	if cs.mask != nil {
-		cs.buildFixups(obstacle)
+	if fluid != nil {
+		cs.buildFixups(fluid)
 	}
 	cs.buildSponge()
 	cs.bindStream()
@@ -842,21 +842,18 @@ func (cs *cartStepper) classifyAxis(a, n int) []axisClass {
 	return out
 }
 
-// solidAt classifies one local point: whether it is solid, and whether
-// the solidity comes from a global boundary face (walls, moving walls,
-// velocity inlets) rather than the user's voxel mask. Mask coordinates
-// wrap on periodic axes and clamp beyond non-wall bounded faces (the
-// mask analog of zero gradient).
-func (cs *cartStepper) solidAt(c [3]axisClass) (solid, face bool) {
-	for a := 0; a < 3; a++ {
-		if c[a].side >= 0 {
-			switch cs.spec.Faces[a][c[a].side].Kind {
-			case BCWall, BCMovingWall, BCInlet:
-				return true, true
-			}
-		}
+// wallSide reports whether a local index of axis a, classified c, lies
+// beyond a wall, moving-wall or velocity-inlet face of that axis. A point
+// beyond such a face on any axis is solid, whatever the voxel mask says.
+func (cs *cartStepper) wallSide(a int, c axisClass) bool {
+	if c.side < 0 {
+		return false
 	}
-	return cs.cfg.Solid != nil && cs.cfg.Solid.At(c[0].g, c[1].g, c[2].g), false
+	switch cs.spec.Faces[a][c.side].Kind {
+	case BCWall, BCMovingWall, BCInlet:
+		return true
+	}
+	return false
 }
 
 // faceDelta returns the bounce-back correction for a link whose solid
@@ -899,12 +896,17 @@ func (cs *cartStepper) faceDelta(v int, c [3]axisClass) float64 {
 }
 
 // buildMask evaluates the solid geometry over the local box (ghosts
-// included) and, under Config.Sparse, installs the run index over it. Two
-// sources make a cell solid: the user's voxel mask over the global domain
-// and the region beyond a wall, moving-wall or velocity-inlet global face.
-// It returns the cells that are solid by the voxel mask (nil when the run
-// has no solid geometry at all), which buildFixups tags links with.
-func (cs *cartStepper) buildMask() (obstacle []bool) {
+// included), row by row, and returns the box's fluid runs — under
+// Config.Sparse installed as the run index, otherwise kept for
+// buildFixups alone. Two sources make a cell solid: the region beyond a
+// wall, moving-wall or velocity-inlet global face (wallSide), and the
+// user's voxel mask over the global domain, whose coordinates wrap on
+// periodic axes and clamp beyond the other bounded faces (the mask analog
+// of zero gradient). The face test is an or over the axes, so it is
+// settled once per axis index, and a row beyond an x or y face is solid
+// whole; every other row reads the voxel mask along z. With no solid
+// geometry at all the mask stays nil and so does the result.
+func (cs *cartStepper) buildMask() *runIndex {
 	if cs.cfg.Solid == nil && !cs.spec.hasWallFaces() {
 		return nil
 	}
@@ -912,100 +914,216 @@ func (cs *cartStepper) buildMask() (obstacle []bool) {
 	cs.class = [3][]axisClass{
 		cs.classifyAxis(0, nx), cs.classifyAxis(1, ny), cs.classifyAxis(2, nz),
 	}
-	class := cs.class
-	cs.mask = make([]bool, cs.d.Cells())
-	obstacle = make([]bool, cs.d.Cells())
-	for ix := 0; ix < nx; ix++ {
-		for iy := 0; iy < ny; iy++ {
-			for iz := 0; iz < nz; iz++ {
-				solid, face := cs.solidAt([3]axisClass{class[0][ix], class[1][iy], class[2][iz]})
-				cs.mask[cs.d.Index(ix, iy, iz)] = solid
-				obstacle[cs.d.Index(ix, iy, iz)] = solid && !face
-			}
+	class, solid := cs.class, cs.cfg.Solid
+	var wall [3][]bool
+	for a := range wall {
+		wall[a] = make([]bool, len(class[a]))
+		for i, c := range class[a] {
+			wall[a][i] = cs.wallSide(a, c)
 		}
 	}
-	if cs.cfg.Sparse {
-		cs.buildRuns()
+	cs.mask = make([]bool, cs.d.Cells())
+	ri := runIndex{nx: nx, ny: ny, runStart: make([]int32, nx*ny+1), off: []int32{0}}
+	for ix := 0; ix < nx; ix++ {
+		for iy := 0; iy < ny; iy++ {
+			r := ix*ny + iy
+			row := cs.mask[r*nz : (r+1)*nz]
+			if wall[0][ix] || wall[1][iy] {
+				for iz := range row {
+					row[iz] = true
+				}
+			} else {
+				maskRow(row, wall[2], class[2], solid, class[0][ix].g, class[1][iy].g)
+				fluidRuns(row, func(lo, hi int) { ri.addRun(r, lo, hi) })
+			}
+			ri.runStart[r+1] = int32(len(ri.runs))
+		}
 	}
-	return obstacle
+	if !cs.cfg.Sparse {
+		return &ri
+	}
+	cs.runIndex = ri
+	cs.br.weigh = &cs.runIndex
+	return &cs.runIndex
 }
 
-// buildFixups builds the per-box bounce-back fixup index over the mask:
-// one link per population a fluid cell pulls out of a solid cell, found by
-// following the stream kernels' own source map (offsets, folded on a wrap
-// axis); the per-link corrections come from faceDelta. Links are tagged
-// with their body (mask vs faces) and with ownership, the
-// force-measurement filter, and address the fields as allocated — which
-// is also why this runs after the allocation: the link list grows by
-// doubling, and built on an empty heap its garbage paces the collector
-// through every doubling (measured: +10 % of cavity-trt's set-up).
-//
-// The scan goes by source row: a link's upwind cell is solid, so only the
-// velocities whose upwind row holds a solid cell can link a row's cells,
-// and a row with none of them — most of a walled box — is skipped whole.
-// The rest loop z, then those velocities ascending: the (ix, iy, iz, v)
-// order of an exhaustive per-cell scan, so the same links in the same
-// CSR order.
-func (cs *cartStepper) buildFixups(obstacle []bool) {
-	nx, ny, nz := cs.d.NX, cs.d.NY, cs.d.NZ
-	class, m := cs.class, cs.model
-	ownedAt := func(a, i int) bool { return i >= cs.w[a] && i < cs.w[a]+cs.own[a] }
-	wrapY, wrapZ := cs.w[1] == 0, cs.w[2] == 0
-	cs.fix = newFixIndex(cs.d, m)
-	solidRow := make([]bool, nx*ny)
-	for r := range solidRow {
-		solidRow[r] = slices.Contains(cs.mask[r*nz:(r+1)*nz], true)
+// maskRow fills row with the solidity of a local row whose x and y map
+// to the global (gx, gy): beyond a z face (wallZ), or solid in the voxel
+// mask at each local z's global z (classZ).
+func maskRow(row, wallZ []bool, classZ []axisClass, solid *geom.Mask, gx, gy int) {
+	if solid == nil {
+		copy(row, wallZ)
+		return
 	}
-	type upwind struct{ v, sx, sy int }
-	ups := make([]upwind, 0, m.Q)
-	for ix := 0; ix < nx; ix++ {
-		for iy := 0; iy < ny; iy++ {
-			ups = ups[:0]
-			for v := 0; v < m.Q; v++ {
-				sx, sy := ix-m.Cx[v], iy-m.Cy[v]
-				if wrapY {
-					sy = (sy + ny) % ny // the stream kernels fold a wrap axis the same way
+	for iz := range row {
+		row[iz] = wallZ[iz] || solid.At(gx, gy, classZ[iz].g)
+	}
+}
+
+// buildFixups builds the per-box bounce-back fixup index from the box's
+// fluid runs (buildMask): one link per population a fluid cell pulls out
+// of a solid cell, found by following the stream kernels' own source map
+// (offsets, folded on a wrap axis); the per-link corrections come from
+// faceDelta. Links are tagged with their body (a solid source beyond no
+// wall face is the voxel mask's) and with ownership, the
+// force-measurement filter, and address the fields as allocated: a dense
+// cell index, or under the run index the run's compact offset.
+//
+// Links are found per fluid run, never per cell: the velocity-v links of
+// a row are its fluid runs minus the fluid runs of its upwind row shifted
+// by c_z (linkSpans), so solid cells are never visited and the cost is
+// the rows, their runs times Q, and the links. A first pass counts each
+// row's links, which sets the CSR row table, and the list is allocated
+// once at its exact size; a second pass fills each row's links in
+// (iz, v) order (fillRowLinks) — the (ix, iy, iz, v) order of an
+// exhaustive per-cell scan, so the same links in the same CSR order.
+func (cs *cartStepper) buildFixups(ri *runIndex) {
+	nrows := cs.d.NX * cs.d.NY
+	fi := newFixIndex(nrows, cs.model)
+	var spans []linkSpan
+	for r := 0; r < nrows; r++ {
+		spans = cs.linkSpans(spans[:0], ri, r)
+		n := int32(0)
+		for _, sp := range spans {
+			n += sp.hi - sp.lo
+		}
+		fi.rows[r+1] = fi.rows[r] + n
+	}
+	fi.links = make([]fixup, fi.rows[nrows])
+	slots := make([]int32, cs.d.NZ)
+	perCell := cs.spec.profiledInlet()
+	for r := 0; r < nrows; r++ {
+		if fi.rows[r] < fi.rows[r+1] {
+			spans = cs.linkSpans(spans[:0], ri, r)
+			cs.fillRowLinks(fi.links[fi.rows[r]:fi.rows[r+1]], r, spans, slots, perCell)
+		}
+	}
+	cs.fix = fi
+}
+
+// linkSpan is one z interval [lo, hi) of a row's destination cells whose
+// population v streams out of a solid cell of the upwind row (sx, sy), at
+// z − shift; the cells' field offsets are base + z.
+type linkSpan struct {
+	v, lo, hi, base, shift, sx, sy int32
+}
+
+// linkSpans appends the link spans of row r to dst, velocity ascending
+// and z ascending within a velocity. A source row outside the allocation
+// is never streamed, so it links nothing. On a wrap axis the stream
+// kernels fold the source: y by the modulo of srcY, z as a rotation, so a
+// destination run reads at most two source z intervals — shift c_z on
+// [c_z, NZ + c_z) and c_z ∓ NZ beyond it. Within a shift's window a link
+// is a destination cell of a fluid run whose source is no source fluid
+// run: a merge of the two rows' runs, both ascending.
+func (cs *cartStepper) linkSpans(dst []linkSpan, ri *runIndex, r int) []linkSpan {
+	drs := ri.runs[ri.runStart[r]:ri.runStart[r+1]]
+	if len(drs) == 0 {
+		return dst
+	}
+	m, nx, ny, nz := cs.model, cs.d.NX, cs.d.NY, int32(cs.d.NZ)
+	ix, iy := r/ny, r%ny
+	compact := cs.runStart != nil
+	var shifts [3]int32
+	for v := 0; v < m.Q; v++ {
+		sx, sy := ix-m.Cx[v], iy-m.Cy[v]
+		if cs.w[1] == 0 {
+			sy = (sy + ny) % ny
+		}
+		if sx < 0 || sx >= nx || sy < 0 || sy >= ny {
+			continue
+		}
+		srow := sx*ny + sy
+		srs := ri.runs[ri.runStart[srow]:ri.runStart[srow+1]]
+		cz := int32(m.Cz[v])
+		ss := append(shifts[:0], cz)
+		if cs.w[2] == 0 {
+			ss = append(shifts[:0], cz-nz, cz, cz+nz)
+		}
+		for _, s := range ss {
+			wlo, whi := max(0, s), min(nz, nz+s) // destinations whose source z − s is stored
+			j := 0
+			for i, d := range drs {
+				base := int32(r) * nz
+				if compact {
+					base = ri.off[int(ri.runStart[r])+i] - d.lo
 				}
-				if sx >= 0 && sx < nx && sy >= 0 && sy < ny && solidRow[sx*ny+sy] {
-					ups = append(ups, upwind{v, sx, sy}) // outside the allocation is never streamed
-				}
-			}
-			if len(ups) == 0 {
-				continue
-			}
-			owned2 := ownedAt(0, ix) && ownedAt(1, iy)
-			for iz := 0; iz < nz; iz++ {
-				if cs.mask[cs.d.Index(ix, iy, iz)] {
-					continue
-				}
-				owned := owned2 && ownedAt(2, iz)
-				for _, u := range ups {
-					sz := iz - m.Cz[u.v]
-					if wrapZ {
-						sz = (sz + nz) % nz
+				for a, b := max(d.lo, wlo), min(d.hi, whi); a < b; {
+					for j < len(srs) && srs[j].hi+s <= a {
+						j++
 					}
-					if sz < 0 || sz >= nz {
+					if j < len(srs) && srs[j].lo+s <= a {
+						a = srs[j].hi + s // a fluid source: no link up to its end
 						continue
 					}
-					src := cs.d.Index(u.sx, u.sy, sz)
-					if !cs.mask[src] {
-						continue
+					e := b
+					if j < len(srs) {
+						e = min(b, srs[j].lo+s)
 					}
-					var flags uint8
-					if owned {
-						flags |= fixOwned
-					}
-					if obstacle[src] {
-						flags |= fixObstacle
-					}
-					cell, _ := cs.cell(ix, iy, iz)
-					cs.fix.add(ix, iy, cell, u.v, m.Opp[u.v],
-						cs.faceDelta(u.v, [3]axisClass{class[0][u.sx], class[1][u.sy], class[2][sz]}), flags)
+					dst = append(dst, linkSpan{v: int32(v), lo: a, hi: e, base: base, shift: s, sx: int32(sx), sy: int32(sy)})
+					a = e
 				}
 			}
 		}
 	}
-	cs.fix.finish()
+	return dst
+}
+
+// fillRowLinks writes the links of row r's spans into links, which holds
+// exactly their count, in (iz, v) order: a counting sort on z — slots
+// (NZ long, scratch) first counts each cell's links, then holds its next
+// free slot — with each cell's links placed in the spans' velocity order.
+// A link out of the voxel mask bounces as a stationary wall (δ = 0). Along
+// a span only the source's z class changes, and faceDelta depends on it
+// only through its side — except beyond a profiled inlet, whose δ varies
+// from cell to cell (perCell) — so a span calls faceDelta once per z
+// side.
+func (cs *cartStepper) fillRowLinks(links []fixup, r int, spans []linkSpan, slots []int32, perCell bool) {
+	m, class := cs.model, cs.class
+	ix, iy := r/cs.d.NY, r%cs.d.NY
+	zlo, zhi := spans[0].lo, spans[0].hi
+	for _, sp := range spans {
+		zlo, zhi = min(zlo, sp.lo), max(zhi, sp.hi)
+	}
+	at := slots[zlo:zhi]
+	clear(at)
+	for _, sp := range spans {
+		for z := sp.lo; z < sp.hi; z++ {
+			at[z-zlo]++
+		}
+	}
+	n := int32(0)
+	for i, c := range at {
+		at[i] = n
+		n += c
+	}
+	ownedAt := func(a, i int) bool { return i >= cs.w[a] && i < cs.w[a]+cs.own[a] }
+	owned2 := ownedAt(0, ix) && ownedAt(1, iy)
+	for _, sp := range spans {
+		v := int(sp.v)
+		cx, cy := class[0][sp.sx], class[1][sp.sy]
+		wallXY := cs.wallSide(0, cx) || cs.wallSide(1, cy)
+		side, sideDelta := -2, 0.0 // faceDelta at source z side `side`
+		for z := sp.lo; z < sp.hi; z++ {
+			cz := class[2][z-sp.shift]
+			var flags uint8
+			if owned2 && ownedAt(2, int(z)) {
+				flags |= fixOwned
+			}
+			var delta float64
+			if !wallXY && !cs.wallSide(2, cz) {
+				flags |= fixObstacle // the mask's: a stationary wall
+			} else {
+				if perCell || cz.side != side {
+					side, sideDelta = cz.side, cs.faceDelta(v, [3]axisClass{cx, cy, cz})
+				}
+				delta = sideDelta
+			}
+			k := &at[z-zlo]
+			links[*k] = fixup{cell: sp.base + z, v: uint8(v), opp: uint8(m.Opp[v]), flags: flags, delta: delta}
+			*k++
+		}
+	}
 }
 
 // buildSponge precomputes the per-axis sponge blend factors of any

@@ -22,6 +22,18 @@ import (
 // runs / starts in a gap / ends in a ghost layer" branch of the clip
 // unexercised.
 
+// newRunIndex run-length encodes the fluid (false) cells of a z-fastest
+// solid mask over an nx × ny × nz box, row by row: the index buildMask
+// builds as it reads the mask.
+func newRunIndex(nx, ny, nz int, solid []bool) runIndex {
+	ri := runIndex{nx: nx, ny: ny, runStart: make([]int32, nx*ny+1), off: []int32{0}}
+	for r := 0; r < nx*ny; r++ {
+		fluidRuns(solid[r*nz:(r+1)*nz], func(lo, hi int) { ri.addRun(r, lo, hi) })
+		ri.runStart[r+1] = int32(len(ri.runs))
+	}
+	return ri
+}
+
 // multiRunMask is two tubes along x, stacked in z with a wall between them
 // thinner than a D3Q39 hop, and a lattice of solid beads through both. The
 // upper tube crosses the periodic z boundary, so its runs touch the low

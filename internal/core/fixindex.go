@@ -5,11 +5,13 @@ package core
 // of every plane in range and filtering by y/z — O(plane) per phase, which
 // the phased overlapped schedule pays once per rim and which dominates for
 // boundary-heavy geometries (arterial masks, dense obstacle fields). The
-// index stores the links CSR-style: sorted by cell (z-fastest, matching
-// the build order), with one span per (ix,iy) row. The row body
-// (gather.go) takes the links of each run it advances, the run's offset
-// range located in its row's span by binary search — O(links in the box +
-// rows in the box) per phase, on every path.
+// index stores the links CSR-style: sorted by cell (z-fastest), with one
+// span per (ix,iy) row, in one list allocated at its exact size —
+// buildFixups (cart.go) counts each row's links by fluid run before it
+// writes them. The row body (gather.go) takes the links of each run it
+// advances, the run's offset range located in its row's span by binary
+// search — O(links in the box + rows in the box) per phase, on every
+// path.
 //
 // The same link inventory doubles as the momentum-exchange force
 // measurement (Ladd's method; cartStepper.measureForces walks it once per
@@ -27,7 +29,6 @@ package core
 import (
 	"sort"
 
-	"repro/internal/grid"
 	"repro/internal/lattice"
 )
 
@@ -68,20 +69,18 @@ const (
 
 // fixIndex is the CSR-ordered link inventory of one rank's local box.
 type fixIndex struct {
-	d     grid.Dims
-	links []fixup // sorted by (ix, iy, iz, v) — the build order, ascending in cell
+	links []fixup // sorted by (ix, iy, iz, v), ascending in cell
 	rows  []int32 // len NX·NY+1; row (ix,iy) spans links[rows[ix·NY+iy] : rows[ix·NY+iy+1]]
-	// nextRow is the CSR build cursor (rows below it have their start set).
-	nextRow int
 	// cxo/cyo/czo are c_opp per link velocity v (i.e. −c_v), the
 	// momentum-exchange direction of a link bouncing v.
 	cxo, cyo, czo []float64
 }
 
-func newFixIndex(d grid.Dims, m *lattice.Model) *fixIndex {
+// newFixIndex returns an empty index over nrows rows; the builder
+// (buildFixups) sets the row table and the links.
+func newFixIndex(nrows int, m *lattice.Model) *fixIndex {
 	fi := &fixIndex{
-		d:    d,
-		rows: make([]int32, d.NX*d.NY+1),
+		rows: make([]int32, nrows+1),
 		cxo:  make([]float64, m.Q),
 		cyo:  make([]float64, m.Q),
 		czo:  make([]float64, m.Q),
@@ -92,30 +91,6 @@ func newFixIndex(d grid.Dims, m *lattice.Model) *fixIndex {
 		fi.czo[v] = -float64(m.Cz[v])
 	}
 	return fi
-}
-
-// add appends one link of the fluid cell of row (ix, iy) at field offset
-// cell. Calls must come in (ix, iy, iz, v) lexicographic order — the
-// natural order of the build loops — so the CSR rows stay sorted and the
-// per-row binary search works.
-func (fi *fixIndex) add(ix, iy, cell, v, opp int, delta float64, flags uint8) {
-	row := ix*fi.d.NY + iy
-	for fi.nextRow <= row {
-		fi.rows[fi.nextRow] = int32(len(fi.links))
-		fi.nextRow++
-	}
-	fi.links = append(fi.links, fixup{
-		cell: int32(cell), v: uint8(v), opp: uint8(opp),
-		delta: delta, flags: flags,
-	})
-}
-
-// finish seals the CSR row table after the last add.
-func (fi *fixIndex) finish() {
-	for fi.nextRow <= fi.d.NX*fi.d.NY {
-		fi.rows[fi.nextRow] = int32(len(fi.links))
-		fi.nextRow++
-	}
 }
 
 // empty reports whether the index holds no links (nil-safe).

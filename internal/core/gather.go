@@ -257,17 +257,19 @@ func (cs *cartStepper) upwindOff(v int, r spanRow) int {
 	return (r.ix-m.Cx[v])*cs.d.PlaneCells() + int(cs.srcY[v][r.iy])*cs.d.NZ + r.zlo - m.Cz[v]
 }
 
-// nextRow returns the row after r in a dense field's storage order, over
-// r's z range: the row the span after a span ending on r starts on. Past
-// the last row of an x-plane it is the next plane's first row; at the
-// edge of a box whose rows skip ghost rows the next span starts further
-// on, and the prefetch only fetches a line nobody reads.
+// nextRow returns the row the span after a span ending on r starts on,
+// over r's z range: the next row of r's x-plane, or past the owned box's
+// last y row the next x-plane's first owned y row — on a y-ghosted box
+// the span after a plane's last one skips the ghost rows between them.
+// On boxes that end elsewhere in y (deep-halo boxes, chunks cut along y)
+// the next span may start on another row, and the prefetch only fetches
+// a line nobody reads.
 func (cs *cartStepper) nextRow(r spanRow) spanRow {
 	r.iy++
-	if r.iy == cs.d.NY {
-		r.ix, r.iy = r.ix+1, 0
+	if r.iy >= cs.w[1]+cs.own[1] {
+		r.ix, r.iy = r.ix+1, cs.w[1]
 	}
-	r.base += cs.d.NZ
+	r.base = cs.d.Index(r.ix, r.iy, r.zlo)
 	return r
 }
 

@@ -465,15 +465,17 @@ func TestMomentPrefetchTable(t *testing.T) {
 		cfg       Config
 		odd, none bool // run AA's odd sub-step / set testNoAhead
 		want      bool
+		last      bool // read an x-plane's last owned rows, not its first
 	}{
-		{"D3Q19 sweep", Config{Model: lattice.D3Q19(), Opt: OptSIMD}, false, false, true},
-		{"D3Q39 sweep", Config{Model: lattice.D3Q39(), Opt: OptSIMD}, false, false, true},
-		{"AA even", Config{Model: lattice.D3Q19(), Opt: OptSIMD, Stream: StreamAA}, false, false, true},
-		{"AA odd", Config{Model: lattice.D3Q19(), Opt: OptSIMD, Stream: StreamAA}, true, false, false},
-		{"run index", Config{Model: lattice.D3Q19(), Opt: OptSIMD, Solid: solid, Sparse: true}, false, false, false},
-		{"testNoAhead", Config{Model: lattice.D3Q19(), Opt: OptSIMD}, false, true, false},
-		{"GC-C sweep", Config{Model: lattice.D3Q19(), Opt: OptGCC, Fused: true}, false, false, false},
-		{"GC-C split", Config{Model: lattice.D3Q19(), Opt: OptGCC}, false, false, false},
+		{"D3Q19 sweep", Config{Model: lattice.D3Q19(), Opt: OptSIMD}, false, false, true, false},
+		{"D3Q39 sweep", Config{Model: lattice.D3Q39(), Opt: OptSIMD}, false, false, true, false},
+		{"AA even", Config{Model: lattice.D3Q19(), Opt: OptSIMD, Stream: StreamAA}, false, false, true, false},
+		{"walled y, last rows", Config{Model: lattice.D3Q19(), Opt: OptSIMD, Boundary: CavitySpec(0.05)}, false, false, true, true},
+		{"AA odd", Config{Model: lattice.D3Q19(), Opt: OptSIMD, Stream: StreamAA}, true, false, false, false},
+		{"run index", Config{Model: lattice.D3Q19(), Opt: OptSIMD, Solid: solid, Sparse: true}, false, false, false, false},
+		{"testNoAhead", Config{Model: lattice.D3Q19(), Opt: OptSIMD}, false, true, false, false},
+		{"GC-C sweep", Config{Model: lattice.D3Q19(), Opt: OptGCC, Fused: true}, false, false, false, false},
+		{"GC-C split", Config{Model: lattice.D3Q19(), Opt: OptGCC}, false, false, false, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			if tc.want {
@@ -491,8 +493,18 @@ func TestMomentPrefetchTable(t *testing.T) {
 			sc, m := cs.scratch[0], cs.model
 			// Rows 0–2 of an x-plane read across the y wrap wherever y has
 			// no ghosts; row 3, where the next span starts, does not, even
-			// at D3Q39's reach of 3.
+			// at D3Q39's reach of 3. On the walled y the plane's last three
+			// owned rows are followed by a ghost row, and the next span
+			// starts on the next plane's first owned row.
 			ix, iy, zlo, zhi := cs.w[0]+1, cs.w[1], cs.w[2], cs.w[2]+cs.own[2]
+			nix, niy := ix, iy+rows
+			if tc.last {
+				if cs.w[1] == 0 {
+					t.Fatal("the walled case has no y ghosts")
+				}
+				iy = cs.w[1] + cs.own[1] - rows
+				nix, niy = ix+1, cs.w[1]
+			}
 			sc.rb.ahead = sc.rb.ahead[:0]
 			for range m.Q {
 				sc.rb.ahead = append(sc.rb.ahead, 1) // a stale table the spans must replace
@@ -508,9 +520,9 @@ func TestMomentPrefetchTable(t *testing.T) {
 			if len(got) != m.Q {
 				t.Fatalf("prefetch table of %d entries, want %d", len(got), m.Q)
 			}
-			// The next span starts on row iy+rows, whether the last one
+			// The next span starts on row (nix, niy), whether the last one
 			// held all three rows (no z ghosts) or the last row alone.
-			next := spanRow{ix: ix, iy: iy + rows, zlo: zlo, zn: zhi - zlo, base: cs.d.Index(ix, iy+rows, zlo)}
+			next := spanRow{ix: nix, iy: niy, zlo: zlo, zn: zhi - zlo, base: cs.d.Index(nix, niy, zlo)}
 			for v := range got {
 				blk := uintptr(unsafe.Pointer(unsafe.SliceData(cs.f.V(v))))
 				sy := next.iy - m.Cy[v]

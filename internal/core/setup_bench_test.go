@@ -6,22 +6,26 @@ import (
 	"time"
 
 	"repro/internal/collision"
+	"repro/internal/geom"
 	"repro/internal/grid"
 	"repro/internal/lattice"
 )
 
 // BenchmarkSetup times the set-up passes core.Run makes outside its
-// stepping loop, in ns per owned cell, on two of the benchmark ledger's
-// problems: periodic-q19's (D3Q19 BGK 96³ with a shear wave, one thread)
-// and the 64³ TRT lid-driven cavity (two threads). Each iteration times
-// what an op of the ledger pays: releasing the previous fields
-// (release-ns/cell, the munmap Run's close does), allocating fresh ones
-// (alloc-ns/cell: map, advise and prefault), initField (init-ns/cell),
-// buildFixups on a walled run (fixups-ns/cell) and ownedSums
-// (sums-ns/cell).
+// stepping loop, in ns per owned cell, on three of the benchmark ledger's
+// problems: periodic-q19's (D3Q19 BGK 96³ with a shear wave, one thread),
+// the 64³ TRT lid-driven cavity (two threads) and bifurcation-sparse's
+// 192×96×96 vessel (2 fluid-balanced ranks at GC-C under the run index,
+// timed on rank 0). Each iteration times what an op of the ledger pays:
+// releasing the previous fields (release-ns/cell, the munmap Run's close
+// does), buildMask on a masked or walled run (mask-ns/cell: the row-wise
+// mask and its fluid runs), allocating fresh fields (alloc-ns/cell: map,
+// advise and prefault), initField (init-ns/cell), buildFixups on a masked
+// or walled run (fixups-ns/cell) and ownedSums (sums-ns/cell).
 func BenchmarkSetup(b *testing.B) {
 	periodic := grid.Dims{NX: 96, NY: 96, NZ: 96}
 	cavity := grid.Dims{NX: 64, NY: 64, NZ: 64}
+	vessel := grid.Dims{NX: 192, NY: 96, NZ: 96}
 	q19 := lattice.D3Q19()
 	problems := []struct {
 		name string
@@ -30,38 +34,46 @@ func BenchmarkSetup(b *testing.B) {
 		{"periodic-q19", Config{Model: q19, N: periodic, Tau: 0.8, Opt: OptSIMD, Threads: 1, Init: shearInit(periodic)}},
 		{"cavity-trt", Config{Model: q19, N: cavity, Tau: q19.TauForViscosity(0.1 * 64 / 100),
 			Collision: collision.Spec{Kind: collision.TRT}, Boundary: CavitySpec(0.1), Opt: OptSIMD, Threads: 2}},
+		{"bifurcation-sparse", Config{Model: q19, N: vessel, Tau: 0.8, Solid: geom.Bifurcation(vessel, 0.1*float64(vessel.NY)),
+			Opt: OptGCC, Ranks: 2, Threads: 1, Sparse: true, Balance: BalanceFluid, Init: shearInit(vessel)}},
 	}
 	for _, p := range problems {
 		b.Run(p.name, func(b *testing.B) {
 			onRanks(b, p.cfg, func(cs *cartStepper) {
-				var obstacle []bool
-				if cs.mask != nil {
-					obstacle = cs.buildMask()
+				if cs.r.ID != 0 {
+					return
 				}
-				var release, alloc, init, fixups, sums time.Duration
+				masked := cs.mask != nil
+				var release, mask, alloc, init, fixups, sums time.Duration
 				for i := 0; i < b.N; i++ {
 					r0 := time.Now()
 					cs.releaseFields()
 					t0 := time.Now()
-					cs.allocFields()
+					fluid := cs.buildMask()
 					t1 := time.Now()
-					cs.initField()
+					cs.allocFields()
 					t2 := time.Now()
-					if obstacle != nil {
-						cs.buildFixups(obstacle)
-					}
+					cs.initField()
 					t3 := time.Now()
-					cs.ownedSums()
+					if fluid != nil {
+						cs.buildFixups(fluid)
+					}
 					t4 := time.Now()
-					release, alloc, init, fixups, sums = release+t0.Sub(r0), alloc+t1.Sub(t0), init+t2.Sub(t1), fixups+t3.Sub(t2), sums+t4.Sub(t3)
+					cs.ownedSums()
+					t5 := time.Now()
+					release, mask, alloc = release+t0.Sub(r0), mask+t1.Sub(t0), alloc+t2.Sub(t1)
+					init, fixups, sums = init+t3.Sub(t2), fixups+t4.Sub(t3), sums+t5.Sub(t4)
 				}
 				perCell := func(d time.Duration) float64 {
 					return float64(d.Nanoseconds()) / float64(b.N*cs.own[0]*cs.own[1]*cs.own[2])
 				}
 				b.ReportMetric(perCell(release), "release-ns/cell")
+				if masked {
+					b.ReportMetric(perCell(mask), "mask-ns/cell")
+				}
 				b.ReportMetric(perCell(alloc), "alloc-ns/cell")
 				b.ReportMetric(perCell(init), "init-ns/cell")
-				if obstacle != nil {
+				if masked {
 					b.ReportMetric(perCell(fixups), "fixups-ns/cell")
 				}
 				b.ReportMetric(perCell(sums), "sums-ns/cell")

@@ -9,6 +9,7 @@ package core
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -185,14 +186,16 @@ func TestOwnedSumsMatchMoments(t *testing.T) {
 
 // fixupsPerCell is the exhaustive reference of buildFixups: every Q
 // upwind cell of every fluid cell of the local box tested, in (ix, iy, iz,
-// v) order — the scan the source-row scan replaced.
+// v) order, each link's body classified by solidAt — the scan the per-run
+// scan replaced.
 func fixupsPerCell(cs *cartStepper) *fixIndex {
 	nx, ny, nz := cs.d.NX, cs.d.NY, cs.d.NZ
 	m, class := cs.model, cs.class
 	owned := func(a, i int) bool { return i >= cs.w[a] && i < cs.w[a]+cs.own[a] }
-	fi := newFixIndex(cs.d, m)
+	fi := newFixIndex(nx*ny, m)
 	for ix := 0; ix < nx; ix++ {
 		for iy := 0; iy < ny; iy++ {
+			fi.rows[ix*ny+iy] = int32(len(fi.links))
 			for iz := 0; iz < nz; iz++ {
 				if cs.mask[cs.d.Index(ix, iy, iz)] {
 					continue
@@ -217,42 +220,94 @@ func fixupsPerCell(cs *cartStepper) *fixIndex {
 					if solid, face := cs.solidAt(c); solid && !face {
 						flags |= fixObstacle
 					}
-					fi.add(ix, iy, cell, v, m.Opp[v], cs.faceDelta(v, c), flags)
+					fi.links = append(fi.links, fixup{
+						cell: int32(cell), v: uint8(v), opp: uint8(m.Opp[v]),
+						delta: cs.faceDelta(v, c), flags: flags,
+					})
 				}
 			}
 		}
 	}
-	fi.finish()
+	fi.rows[nx*ny] = int32(len(fi.links))
 	return fi
 }
 
-// TestFixupScanMatchesExhaustive pins the link scan by source row to the
-// exhaustive per-cell scan: the same links (cell, v, opp, δ, flags) in the
-// same CSR order, and the same row table, on every rank of walled, inlet,
-// wrapped, masked, fluid-compact and reach-3 geometries.
-func TestFixupScanMatchesExhaustive(t *testing.T) {
+// solidAt classifies one local point, cell by cell: whether it is solid,
+// and whether the solidity comes from a global boundary face (walls,
+// moving walls, velocity inlets) rather than the user's voxel mask. Mask
+// coordinates wrap on periodic axes and clamp beyond non-wall bounded
+// faces (the mask analog of zero gradient). It is the per-cell reference
+// of buildMask's rows and of the links' body tags.
+func (cs *cartStepper) solidAt(c [3]axisClass) (solid, face bool) {
+	for a := 0; a < 3; a++ {
+		if c[a].side >= 0 {
+			switch cs.spec.Faces[a][c[a].side].Kind {
+			case BCWall, BCMovingWall, BCInlet:
+				return true, true
+			}
+		}
+	}
+	return cs.cfg.Solid != nil && cs.cfg.Solid.At(c[0].g, c[1].g, c[2].g), false
+}
+
+// fixupScanCases are the geometries the set-up scans are held to their
+// per-cell references on: walls and lids on every axis, uniform and
+// profiled inlets with an outlet's clamp, both wrap axes, noise masks, fluid-compact storage, reach 3,
+// rows of several fluid runs, and an obstacle across the z wrap of a
+// y-ghosted pencil.
+func fixupScanCases() []setupCase {
 	q19, q39 := lattice.D3Q19(), lattice.D3Q39()
 	n := grid.Dims{NX: 16, NY: 12, NZ: 8}
 	channel := grid.Dims{NX: 24, NY: 12, NZ: 6}
 	vessel := grid.Dims{NX: 32, NY: 16, NZ: 16}
-	cases := []struct {
-		name string
-		cfg  Config
-	}{
+	multi19 := grid.Dims{NX: 24, NY: 8, NZ: 12}
+	multi39 := grid.Dims{NX: 72, NY: 24, NZ: 36}
+	seam := geom.FromFunc(n, func(ix, iy, iz int) bool {
+		dz := min(iz, n.NZ-iz) // a ball centred on the z seam, solid on both sides of it
+		return (ix-8)*(ix-8)+(iy-6)*(iy-6)+dz*dz <= 9
+	})
+	duct := func(gx, gy, gz int) [3]float64 { // varies along z too: a span's δ changes cell by cell
+		y, z := (float64(gy)+0.5)/float64(channel.NY), (float64(gz)+0.5)/float64(channel.NZ)
+		return [3]float64{0.96 * y * (1 - y) * z * (1 - z), 0, 0}
+	}
+	zLid := ChannelSpec() // walls on y, and on z a wall below a lid moving along x
+	zLid.Faces[2][0] = Face{Kind: BCWall}
+	zLid.Faces[2][1] = Face{Kind: BCMovingWall, U: [3]float64{0.05, 0, 0}}
+	cases := []setupCase{
 		{"cavity", Config{Model: q19, N: n, Boundary: CavitySpec(0.05)}},
 		{"inlet-channel-cylinder", Config{Model: q19, N: channel, Boundary: InletChannelSpec(0.04, nil),
 			Solid: geom.CylinderZ(channel, 8, 6, 2.5)}},
+		{"profiled-inlet-channel-cylinder", Config{Model: q19, N: channel, Ranks: 2, Boundary: InletChannelSpec(0, duct),
+			Solid: geom.CylinderZ(channel, 8, 6, 2.5)}},
+		{"z-walls-lid", Config{Model: q19, N: n, Ranks: 2, Boundary: zLid, Solid: noiseMask(n, 8)}},
 		{"pencil-wrap-z", Config{Model: q19, N: n, Ranks: 4, Decomp: [3]int{2, 2, 1}, Solid: noiseMask(n, 5)}},
 		{"slab-wrap-y", Config{Model: q19, N: n, Ranks: 2, Solid: noiseMask(n, 6)}},
 		{"sparse-vessel", Config{Model: q19, N: vessel, Ranks: 2, Sparse: true, Solid: geom.Bifurcation(vessel, 3)}},
 		{"q39-cavity", Config{Model: q39, N: n, Ranks: 2, Boundary: CavitySpec(0.05), Solid: noiseMask(n, 7)}},
+		{"q39-sparse-vessel-depth2", Config{Model: q39, N: vessel, Ranks: 2, GhostDepth: 2, Sparse: true, Solid: geom.Bifurcation(vessel, 3)}},
+		{"multi-run-wrap", Config{Model: q19, N: multi19, Solid: multiRunMask(multi19, 1)}},
+		{"q39-multi-run-sparse", Config{Model: q39, N: multi39, GhostDepth: 2, Sparse: true, Solid: multiRunMask(multi39, 3)}},
+		{"pencil-y-ghosts-z-seam", Config{Model: q19, N: n, Ranks: 2, Decomp: [3]int{1, 2, 1}, Solid: seam}},
 	}
-	for _, tc := range cases {
-		tc.cfg.Tau, tc.cfg.Opt = 0.8, OptSIMD
+	for i := range cases {
+		cases[i].cfg.Tau, cases[i].cfg.Opt = 0.8, OptSIMD
+	}
+	return cases
+}
+
+// TestFixupScanMatchesExhaustive pins the link scan by fluid run to the
+// exhaustive per-cell scan: the same links (cell, v, opp, δ, flags) in the
+// same CSR order, and the same row table, on every rank of
+// fixupScanCases — with the list allocated at its exact size.
+func TestFixupScanMatchesExhaustive(t *testing.T) {
+	for _, tc := range fixupScanCases() {
 		onRanks(t, tc.cfg, func(cs *cartStepper) {
 			if cs.fix == nil {
 				t.Errorf("%s: rank %d has no fixup index", tc.name, cs.r.ID)
 				return
+			}
+			if cap(cs.fix.links) != len(cs.fix.links) {
+				t.Errorf("%s: rank %d: %d links in a list of capacity %d", tc.name, cs.r.ID, len(cs.fix.links), cap(cs.fix.links))
 			}
 			want := fixupsPerCell(cs)
 			if len(want.links) == 0 {
@@ -273,6 +328,37 @@ func TestFixupScanMatchesExhaustive(t *testing.T) {
 					t.Errorf("%s: rank %d: row %d starts at link %d, exhaustive scan %d", tc.name, cs.r.ID, i, r, want.rows[i])
 					return
 				}
+			}
+		})
+	}
+}
+
+// TestMaskMatchesSolidAt pins the row-wise mask to the per-cell solidAt
+// classification on every rank of fixupScanCases, ghosts included, and
+// the fluid runs buildMask returns — installed under the run index,
+// set-up-only dense — to a run-length encoding of that mask.
+func TestMaskMatchesSolidAt(t *testing.T) {
+	for _, tc := range fixupScanCases() {
+		onRanks(t, tc.cfg, func(cs *cartStepper) {
+			class := cs.class
+			for ix := 0; ix < cs.d.NX; ix++ {
+				for iy := 0; iy < cs.d.NY; iy++ {
+					for iz := 0; iz < cs.d.NZ; iz++ {
+						want, _ := cs.solidAt([3]axisClass{class[0][ix], class[1][iy], class[2][iz]})
+						if got := cs.mask[cs.d.Index(ix, iy, iz)]; got != want {
+							t.Fatalf("%s: rank %d: cell (%d, %d, %d) solid %v, solidAt %v", tc.name, cs.r.ID, ix, iy, iz, got, want)
+						}
+					}
+				}
+			}
+			want := newRunIndex(cs.d.NX, cs.d.NY, cs.d.NZ, cs.mask)
+			got := cs.buildMask()
+			if tc.cfg.Sparse != (got == &cs.runIndex) {
+				t.Errorf("%s: rank %d: sparse %v, but the runs are installed: %v", tc.name, cs.r.ID, tc.cfg.Sparse, got == &cs.runIndex)
+			}
+			if !slices.Equal(got.runs, want.runs) || !slices.Equal(got.runStart, want.runStart) ||
+				!slices.Equal(got.off, want.off) || !slices.Equal(got.row, want.row) {
+				t.Errorf("%s: rank %d: buildMask's fluid runs differ from the mask's run-length encoding", tc.name, cs.r.ID)
 			}
 		})
 	}

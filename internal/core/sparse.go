@@ -64,19 +64,13 @@ type runIndex struct {
 	row      []int32 // len(runs)
 }
 
-// newRunIndex run-length encodes the fluid (false) cells of a z-fastest
-// solid mask over an nx × ny × nz box.
-func newRunIndex(nx, ny, nz int, solid []bool) runIndex {
-	ri := runIndex{nx: nx, ny: ny, runStart: make([]int32, nx*ny+1), off: []int32{0}}
-	for r := 0; r < nx*ny; r++ {
-		fluidRuns(solid[r*nz:(r+1)*nz], func(lo, hi int) {
-			ri.runs = append(ri.runs, zrun{lo: int32(lo), hi: int32(hi)})
-			ri.off = append(ri.off, ri.off[len(ri.off)-1]+int32(hi-lo))
-			ri.row = append(ri.row, int32(r))
-		})
-		ri.runStart[r+1] = int32(len(ri.runs))
-	}
-	return ri
+// addRun appends the fluid run [lo, hi) of row r, the index's last row
+// so far; the caller closes the row with runStart[r+1]. buildMask encodes
+// each row this way as it reads it.
+func (ri *runIndex) addRun(r, lo, hi int) {
+	ri.runs = append(ri.runs, zrun{lo: int32(lo), hi: int32(hi)})
+	ri.off = append(ri.off, ri.off[len(ri.off)-1]+int32(hi-lo))
+	ri.row = append(ri.row, int32(r))
 }
 
 // fluidRuns calls run for every maximal fluid (false) interval [lo, hi) of
@@ -161,15 +155,6 @@ func (ri *runIndex) clip(ix, iy, zlo, zhi int, seg func(off, z, n int)) {
 			seg(off, lo, hi-lo)
 		}
 	}
-}
-
-// buildRuns installs the run index over the local mask. Called by
-// buildMask when sparse traversal is enabled, before the fixup index is
-// built (its links address the compact field); with no mask the index
-// stays uninstalled.
-func (cs *cartStepper) buildRuns() {
-	cs.runIndex = newRunIndex(cs.d.NX, cs.d.NY, cs.d.NZ, cs.mask)
-	cs.br.weigh = &cs.runIndex
 }
 
 // fieldDims returns the box the stepper's fields are allocated over: the
