@@ -142,10 +142,10 @@ func (cs *cartStepper) aaFixOpenFace(axis, side int, bc box) {
 		for i1 := cb.lo[1]; i1 < cb.hi[1]; i1++ {
 			for i2 := cb.lo[2]; i2 < cb.hi[2]; i2++ {
 				y := [3]int{i0, i1, i2}
-				if cs.mask != nil && cs.mask[cs.d.Index(i0, i1, i2)] {
+				yOff, ok := cs.fluidCell(i0, i1, i2)
+				if !ok {
 					continue
 				}
-				yOff, _ := cs.cell(i0, i1, i2)
 				for v := 0; v < m.Q; v++ {
 					ga := y[axis] - cv[axis][v]
 					if side == 0 {
@@ -156,7 +156,7 @@ func (cs *cartStepper) aaFixOpenFace(axis, side int, bc box) {
 						continue
 					}
 					g := [3]int{y[0] - m.Cx[v], y[1] - m.Cy[v], y[2] - m.Cz[v]}
-					if cs.mask != nil && cs.mask[cs.d.Index(g[0], g[1], g[2])] {
+					if _, ok := cs.fluidCell(g[0], g[1], g[2]); !ok {
 						continue // bounce-back link; the push already handled it
 					}
 					var val float64

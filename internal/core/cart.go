@@ -182,7 +182,7 @@ func newCartStepper(cfg *Config, dec decomp.Cartesian, r *comm.Rank) (*cartStepp
 	// stored cells of their rows, at compact offsets.
 	var stored halo.Clip
 	if cs.runStart != nil {
-		stored = cs.clip
+		stored = cs.boxSegs
 	}
 	cs.ex, err = halo.NewCartExchangerClipped(cfg.Model.Q, cs.d, cs.own, cs.w, r.ID, top.Neighbors(r.ID), stored, cfg.faceVelocities(cs.w))
 	if err != nil {
@@ -261,18 +261,22 @@ func (cs *cartStepper) initField() (bad int) {
 	return bad
 }
 
-// initRows is initField's chunk kernel. Per z-run it fills the pair
+// initRows is initField's chunk kernel. Per run it fills the pair
 // kernels' shared rows from the initial condition — ρ, q_a = u_a/c_s² and
 // base = 1 − u²/(2c_s²), no forcing shift; a dense field's solid cell
-// gets ρ = 1, u = 0, which is exactly cs.rest — forms t_k = w_k·ρ, and
-// lets eqRows write f_eq = t·(even ± odd) into the run's rows of f.
+// gets ρ = 1, u = 0, which is exactly cs.rest — and per span of runs
+// (forSpans) forms t_k = w_k·ρ and lets eqRows write f_eq = t·(even ± odd)
+// into the span's rows of f. Set-up is no rung of the paper's ladder: it
+// takes the host's vector bodies (simdRows, ordinary stores — the first
+// step reads f at once) on every rung, and as every vector body stores
+// its Go body's bits (rows.go), that changes no value.
 func (cs *cartStepper) initRows(worker int, b box) {
 	sc := cs.scratch[worker]
 	rb := &sc.rb
 	invCs2, invCs2h := cs.invCs2, cs.invCs2h
-	cs.forRuns(b, func(ix, iy, zlo, zhi, base int) {
+	cs.forSpans(b, sc.nzCap, func(ix, iy, zlo, zhi, base, at int) {
 		zn := zhi - zlo
-		rho, qx, qy, qz, bs := rb.rho[:zn], rb.j[0][:zn], rb.j[1][:zn], rb.j[2][:zn], rb.base[:zn]
+		rho, qx, qy, qz, bs := rb.rho[at:at+zn], rb.j[0][at:at+zn], rb.j[1][at:at+zn], rb.j[2][at:at+zn], rb.base[at:at+zn]
 		msk := cs.rowMask(base, zn)
 		gx, gy, gz := cs.start[0]+ix-cs.w[0], cs.start[1]+iy-cs.w[1], cs.start[2]+zlo-cs.w[2]
 		for z := range rho {
@@ -289,9 +293,46 @@ func (cs *cartStepper) initRows(worker int, b box) {
 			bs[z] = 1 - (ux*ux+uy*uy+uz*uz)*invCs2h
 			qx[z], qy[z], qz[z] = ux*invCs2, uy*invCs2, uz*invCs2
 		}
-		cs.weighRows(rb, cs.wk, zn)
-		cs.eqRows(rb, rowViews(sc.sv, cs.f, base, zn), zn)
+	}, func(base, n int) {
+		r := rowsFor(simdRows, n)
+		cs.weighRows(r, rb, cs.wk, n)
+		cs.eqRows(r, rb, rowViews(sc.sv, cs.f, base, n), n)
 	})
+}
+
+// forSpans drives a set-up pass over box b's runs (forRuns): row is called
+// for each run with its field offset and its place in its span (at), then
+// span once per span with the span's field offset and cells. Under the run
+// index, whose runs are short (15 cells on average on the vessel), runs
+// join into spans the way the row body joins them (gatherRows): a run
+// joins the open span when its cells continue the span's in the field and
+// the span stays within capCells. A dense row is a span of its own: it is
+// a whole z row already, and joining rows made the initial fields of
+// periodic-q19 and the 64³ cavity slower, not faster (both forms
+// alternated in one process).
+func (cs *cartStepper) forSpans(b box, capCells int, row func(ix, iy, zlo, zhi, base, at int), span func(base, n int)) {
+	if cs.runStart == nil {
+		cs.forRuns(b, func(ix, iy, zlo, zhi, base int) {
+			row(ix, iy, zlo, zhi, base, 0)
+			span(base, zhi-zlo)
+		})
+		return
+	}
+	base, n := 0, 0
+	cs.forRuns(b, func(ix, iy, zlo, zhi, off int) {
+		if n > 0 && (base+n != off || n+zhi-zlo > capCells) {
+			span(base, n)
+			n = 0
+		}
+		if n == 0 {
+			base = off
+		}
+		row(ix, iy, zlo, zhi, off, n)
+		n += zhi - zlo
+	})
+	if n > 0 {
+		span(base, n)
+	}
 }
 
 // validState reports whether (ρ, u) is a state the solver can start from:
@@ -896,16 +937,20 @@ func (cs *cartStepper) faceDelta(v int, c [3]axisClass) float64 {
 }
 
 // buildMask evaluates the solid geometry over the local box (ghosts
-// included), row by row, and returns the box's fluid runs — under
-// Config.Sparse installed as the run index, otherwise kept for
-// buildFixups alone. Two sources make a cell solid: the region beyond a
-// wall, moving-wall or velocity-inlet global face (wallSide), and the
-// user's voxel mask over the global domain, whose coordinates wrap on
-// periodic axes and clamp beyond the other bounded faces (the mask analog
-// of zero gradient). The face test is an or over the axes, so it is
-// settled once per axis index, and a row beyond an x or y face is solid
-// whole; every other row reads the voxel mask along z. With no solid
-// geometry at all the mask stays nil and so does the result.
+// included) and returns the box's fluid runs — under Config.Sparse
+// installed as the run index, otherwise kept for buildFixups alone. Two
+// sources make a cell solid: the region beyond a wall, moving-wall or
+// velocity-inlet global face (wallSide), and the user's voxel mask over
+// the global domain, whose coordinates wrap on periodic axes and clamp
+// beyond the other bounded faces (the mask analog of zero gradient). The
+// face test is an or over the axes, so it is settled once per axis index:
+// a row beyond an x or y face is solid whole, and every other row is its
+// global row's fluid runs (geom.Mask.RowRuns, read a word at a time)
+// carried through the z pieces (zPieces) onto local z. So the cost is the
+// rows, the mask's words and the runs, never the cells. Dense fields also
+// get the cell mask (cs.mask): solid, with each run cleared; under the run
+// index no cell-sized mask exists. With no solid geometry at all the
+// result is nil.
 func (cs *cartStepper) buildMask() *runIndex {
 	if cs.cfg.Solid == nil && !cs.spec.hasWallFaces() {
 		return nil
@@ -915,31 +960,44 @@ func (cs *cartStepper) buildMask() *runIndex {
 		cs.classifyAxis(0, nx), cs.classifyAxis(1, ny), cs.classifyAxis(2, nz),
 	}
 	class, solid := cs.class, cs.cfg.Solid
-	var wall [3][]bool
+	var wall [2][]bool
 	for a := range wall {
 		wall[a] = make([]bool, len(class[a]))
 		for i, c := range class[a] {
 			wall[a][i] = cs.wallSide(a, c)
 		}
 	}
-	cs.mask = make([]bool, cs.d.Cells())
+	pieces := cs.zPieces()
+	global := []geom.Run{{Lo: 0, Hi: cs.cfg.N.NZ}} // a row of an empty voxel mask
 	ri := runIndex{nx: nx, ny: ny, runStart: make([]int32, nx*ny+1), off: []int32{0}}
 	for ix := 0; ix < nx; ix++ {
 		for iy := 0; iy < ny; iy++ {
 			r := ix*ny + iy
-			row := cs.mask[r*nz : (r+1)*nz]
-			if wall[0][ix] || wall[1][iy] {
-				for iz := range row {
-					row[iz] = true
+			if !wall[0][ix] && !wall[1][iy] {
+				if solid != nil {
+					global = solid.RowRuns(global[:0], class[0][ix].g, class[1][iy].g)
 				}
-			} else {
-				maskRow(row, wall[2], class[2], solid, class[0][ix].g, class[1][iy].g)
-				fluidRuns(row, func(lo, hi int) { ri.addRun(r, lo, hi) })
+				for _, p := range pieces {
+					for _, g := range global {
+						if lo, hi := max(p.lo, g.Lo+p.lo-p.g), min(p.hi, g.Hi+p.lo-p.g); lo < hi {
+							ri.addRun(r, lo, hi)
+						}
+					}
+				}
 			}
 			ri.runStart[r+1] = int32(len(ri.runs))
 		}
 	}
 	if !cs.cfg.Sparse {
+		cs.mask = make([]bool, cs.d.Cells())
+		cs.mask[0] = true
+		for n := 1; n < len(cs.mask); n *= 2 { // filled solid by doubling copies
+			copy(cs.mask[n:], cs.mask[:n])
+		}
+		for i, run := range ri.runs {
+			row := int(ri.row[i]) * nz
+			clear(cs.mask[row+int(run.lo) : row+int(run.hi)])
+		}
 		return &ri
 	}
 	cs.runIndex = ri
@@ -947,17 +1005,28 @@ func (cs *cartStepper) buildMask() *runIndex {
 	return &cs.runIndex
 }
 
-// maskRow fills row with the solidity of a local row whose x and y map
-// to the global (gx, gy): beyond a z face (wallZ), or solid in the voxel
-// mask at each local z's global z (classZ).
-func maskRow(row, wallZ []bool, classZ []axisClass, solid *geom.Mask, gx, gy int) {
-	if solid == nil {
-		copy(row, wallZ)
-		return
+// zPiece is a local z interval [lo, hi) beyond no z wall face whose global
+// z rises with it from g: local z reads the voxel mask at g + z − lo.
+type zPiece struct {
+	lo, hi, g int
+}
+
+// zPieces cuts the local z axis at its classes' seams: a wrap's jump back
+// to 0, each clamped ghost (its own piece, as its global z does not rise)
+// and the z wall faces, whose cells lie in no piece.
+func (cs *cartStepper) zPieces() []zPiece {
+	var ps []zPiece
+	for z, c := range cs.class[2] {
+		if cs.wallSide(2, c) {
+			continue
+		}
+		if k := len(ps) - 1; k >= 0 && ps[k].hi == z && ps[k].g+z-ps[k].lo == c.g {
+			ps[k].hi++
+		} else {
+			ps = append(ps, zPiece{lo: z, hi: z + 1, g: c.g})
+		}
 	}
-	for iz := range row {
-		row[iz] = wallZ[iz] || solid.At(gx, gy, classZ[iz].g)
-	}
+	return ps
 }
 
 // buildFixups builds the per-box bounce-back fixup index from the box's
@@ -1280,17 +1349,26 @@ func (cs *cartStepper) measureForces() {
 }
 
 // ownedSums returns mass and momentum summed over the owned fluid cells:
-// pairMoments over the rows of each owned run (stateRows), then the run's
-// fluid cells added serially in row order — one accumulation order, so the
-// sums are the same bits at any thread count.
+// pairMoments over the rows of each span of owned runs (forSpans; in AA's
+// star arrangement the runs' populations gathered by starRows first), on
+// the host's vector bodies on every rung (simdRows, as in initRows), then
+// the span's fluid cells added serially in row order — one accumulation
+// order, so the sums are the same bits at any thread count.
 func (cs *cartStepper) ownedSums() (mass, mx, my, mz float64) {
 	sc := cs.scratch[0]
 	rb := &sc.rb
-	cs.forRuns(cs.ownedBox(), func(ix, iy, zlo, zhi, base int) {
-		zn := zhi - zlo
-		cs.pairMoments(rb, cs.stateRows(sc, ix, iy, zlo, zhi, base), nil, zn)
-		msk := cs.rowMask(base, zn)
-		for z := 0; z < zn; z++ {
+	cs.forSpans(cs.ownedBox(), sc.nzCap, func(ix, iy, zlo, zhi, base, at int) {
+		if cs.aaStar {
+			cs.starRows(sc.gathered(sc.nzCap), at, zhi-zlo, ix, iy, zlo, base)
+		}
+	}, func(base, n int) {
+		in := rowViews(sc.sv, cs.f, base, n)
+		if cs.aaStar {
+			in = sc.gathered(n)
+		}
+		cs.pairMoments(rowsFor(simdRows, n), rb, in, nil, n)
+		msk := cs.rowMask(base, n)
+		for z := 0; z < n; z++ {
 			if msk != nil && msk[z] {
 				continue
 			}
@@ -1306,25 +1384,32 @@ func (cs *cartStepper) ownedSums() (mass, mx, my, mz float64) {
 // stateRows returns the populations of the cells z ∈ [zlo, zhi) of row
 // (ix, iy), stored from field offset base, as per-velocity rows: views of
 // f, or — in AA's star arrangement — rows gathered into the worker's
-// scratch, population v of cell y pulled from its slot (opp(v), y + c_v)
-// row by row (starPop's rule: where that slot has no storage the
-// population bounced, and the link's own slot holds it + δ).
+// scratch (starRows).
 func (cs *cartStepper) stateRows(sc *workerScratch, ix, iy, zlo, zhi, base int) [][]float64 {
-	m, f := cs.model, cs.f
 	zn := zhi - zlo
 	if !cs.aaStar {
-		return rowViews(sc.sv, f, base, zn)
+		return rowViews(sc.sv, cs.f, base, zn)
 	}
 	rows := sc.gathered(zn)
+	cs.starRows(rows, 0, zn, ix, iy, zlo, base)
+	return rows
+}
+
+// starRows gathers the populations of the zn cells from zlo of row
+// (ix, iy), stored from field offset base, in AA's star arrangement into
+// rows[v][at:at+zn]: population v of cell y pulled from its slot
+// (opp(v), y + c_v) row by row (starPop's rule: where that slot has no
+// storage the population bounced, and the link's own slot holds it + δ).
+func (cs *cartStepper) starRows(rows [][]float64, at, zn, ix, iy, zlo, base int) {
+	m, f := cs.model, cs.f
 	for v, row := range rows {
-		cs.pull(row, f.V(m.Opp[v]), ix+m.Cx[v], iy+m.Cy[v], zlo+m.Cz[v])
+		cs.pull(row[at:at+zn], f.V(m.Opp[v]), ix+m.Cx[v], iy+m.Cy[v], zlo+m.Cz[v])
 	}
 	if cs.runStart != nil && !cs.fix.empty() {
 		for _, fx := range cs.fix.rowLinks(ix*cs.d.NY+iy, base, base+zn) {
-			rows[fx.opp][int(fx.cell)-base] = f.V(int(fx.opp))[fx.cell] - fx.delta
+			rows[fx.opp][at+int(fx.cell)-base] = f.V(int(fx.opp))[fx.cell] - fx.delta
 		}
 	}
-	return rows
 }
 
 // ownedBlock packs the owned box of the final state velocity-major (for

@@ -331,26 +331,28 @@ func (c *collider) relaxGeneric(sc *workerScratch, in, out [][]float64, zn int) 
 // pair shares once per cell, and the pair loops spend one polynomial and
 // one multiply by the pair's t row per two velocities.
 
-// vecFor returns the vector bodies for a run of zn cells, or nil where
-// the run is to take the Go bodies: on every rung but SIMD, on hosts
-// without them, and on runs shorter than one 4-wide vector, which the
-// vector bodies would only hand on to the Go bodies.
-func (c *collider) vecFor(zn int) *rowOps {
+// rowsFor returns the vector bodies tab for a run of zn cells, or nil
+// where the run is to take the Go bodies: where tab is nil (every rung but
+// SIMD steps on the Go bodies, and a host without vector bodies has none),
+// and on runs shorter than one 4-wide vector, which the vector bodies
+// would only hand on to the Go bodies. The pair passes below take the
+// table it returns.
+func rowsFor(tab *rowOps, zn int) *rowOps {
 	if zn < 4 {
 		return nil
 	}
-	return c.vec
+	return tab
 }
 
 // pairMoments accumulates a run's density and momentum rows from
 // opposite-pair sums and differences: a pair adds its sum to ρ and its
 // difference, times its component, to the momentum rows of the axes it
-// moves along only: on the SIMD rung one vector body for every pair, which
-// reads each row once and, given an ahead table (rowBufs.ahead), prefetches
-// the next span's rows as it goes; elsewhere the Go per-pair passes
-// (momentRows), which take no table.
-func (c *collider) pairMoments(b *rowBufs, in [][]float64, ahead []uintptr, zn int) {
-	if r := c.vecFor(zn); r != nil {
+// moves along only: given vector bodies r (rowsFor) one body for every
+// pair, which reads each row once and, given an ahead table
+// (rowBufs.ahead), prefetches the next span's rows as it goes; without,
+// the Go per-pair passes (momentRows), which take no ahead table.
+func (c *collider) pairMoments(r *rowOps, b *rowBufs, in [][]float64, ahead []uintptr, zn int) {
+	if r != nil {
 		r.moments(b.rho[:zn], b.j[0], b.j[1], b.j[2], in, c.mom, ahead)
 	} else {
 		momentRows(b.rho[:zn], b.j[0], b.j[1], b.j[2], in, c.mom, 0)
@@ -361,19 +363,18 @@ func (c *collider) pairMoments(b *rowBufs, in [][]float64, ahead []uintptr, zn i
 // loops share: the momentum rows become q_a in place (one reciprocal per
 // cell, the forcing shift added to u), base, and per weight class
 // t_k = tw_k·ρ.
-func (c *collider) velocities(b *rowBufs, zn int) {
-	if r := c.vecFor(zn); r != nil {
+func (c *collider) velocities(r *rowOps, b *rowBufs, zn int) {
+	if r != nil {
 		r.velocity(b.rho[:zn], b.j[0], b.j[1], b.j[2], b.base, c.shiftX, c.shiftY, c.shiftZ, c.invCs2, c.invCs2h)
 	} else {
 		velocityRows(b.rho[:zn], b.j[0], b.j[1], b.j[2], b.base, c.shiftX, c.shiftY, c.shiftZ, c.invCs2, c.invCs2h)
 	}
-	c.weighRows(b, c.tw, zn)
+	c.weighRows(r, b, c.tw, zn)
 }
 
 // weighRows forms a run's t rows from its ρ row: t_k = w[k]·ρ per weight
 // class.
-func (c *collider) weighRows(b *rowBufs, w []float64, zn int) {
-	r := c.vecFor(zn)
+func (c *collider) weighRows(r *rowOps, b *rowBufs, w []float64, zn int) {
 	for k, wk := range w {
 		if r != nil {
 			r.scale(b.t[k][:zn], b.rho, wk)
@@ -385,9 +386,9 @@ func (c *collider) weighRows(b *rowBufs, w []float64, zn int) {
 
 // pairQ returns p's row q = Σ c_a·q_a over a run: the axis's own q row
 // for a unit one-axis pair, else formed in the worker's q row.
-func (c *collider) pairQ(b *rowBufs, p *velPair, zn int) []float64 {
+func (c *collider) pairQ(r *rowOps, b *rowBufs, p *velPair, zn int) []float64 {
 	qa, qb, qc := b.j[p.ax[0]], b.j[p.ax[1]], b.j[p.ax[2]]
-	q, r := b.q[:zn], c.vecFor(zn)
+	q := b.q[:zn]
 	switch {
 	case p.n == 1 && p.c[0] == 1:
 		return qa[:zn]
@@ -418,10 +419,9 @@ func (c *collider) pairQ(b *rowBufs, p *velPair, zn int) []float64 {
 // (simdStreamRows) it ends with the fence, so that its streaming stores
 // are globally visible when it returns; relaxTRT does the same.
 func (c *collider) relaxPaired(sc *workerScratch, in, out [][]float64, zn int) {
-	b := &sc.rb
-	c.pairMoments(b, in, b.ahead, zn)
-	c.velocities(b, zn)
-	r := c.vecFor(zn)
+	b, r := &sc.rb, rowsFor(c.vec, zn)
+	c.pairMoments(r, b, in, b.ahead, zn)
+	c.velocities(r, b, zn)
 	for i := range c.pairs {
 		p := &c.pairs[i]
 		t, di := b.t[p.k], out[p.i][:zn]
@@ -434,15 +434,15 @@ func (c *collider) relaxPaired(sc *workerScratch, in, out [][]float64, zn int) {
 			}
 		case c.third:
 			if r != nil {
-				r.relax3(di, out[p.j], in[p.i], in[p.j], t, b.base, c.pairQ(b, p, zn), c.omc, c.half, c.sixth)
+				r.relax3(di, out[p.j], in[p.i], in[p.j], t, b.base, c.pairQ(r, b, p, zn), c.omc, c.half, c.sixth)
 			} else {
-				relax3(di, out[p.j], in[p.i], in[p.j], t, b.base, c.pairQ(b, p, zn), c.omc, c.half, c.sixth)
+				relax3(di, out[p.j], in[p.i], in[p.j], t, b.base, c.pairQ(r, b, p, zn), c.omc, c.half, c.sixth)
 			}
 		default:
 			if r != nil {
-				r.relax2(di, out[p.j], in[p.i], in[p.j], t, b.base, c.pairQ(b, p, zn), c.omc, c.half)
+				r.relax2(di, out[p.j], in[p.i], in[p.j], t, b.base, c.pairQ(r, b, p, zn), c.omc, c.half)
 			} else {
-				relax2(di, out[p.j], in[p.i], in[p.j], t, b.base, c.pairQ(b, p, zn), c.omc, c.half)
+				relax2(di, out[p.j], in[p.i], in[p.j], t, b.base, c.pairQ(r, b, p, zn), c.omc, c.half)
 			}
 		}
 	}
@@ -459,10 +459,9 @@ func (c *collider) relaxPaired(sc *workerScratch, in, out [][]float64, zn int) {
 // operator's (i < j on every lattice package lattice defines), so even the
 // signs of zero agree.
 func (c *collider) relaxTRT(sc *workerScratch, in, out [][]float64, zn int) {
-	b := &sc.rb
-	c.pairMoments(b, in, b.ahead, zn)
-	c.velocities(b, zn)
-	r := c.vecFor(zn)
+	b, r := &sc.rb, rowsFor(c.vec, zn)
+	c.pairMoments(r, b, in, b.ahead, zn)
+	c.velocities(r, b, zn)
 	for i := range c.pairs {
 		p := &c.pairs[i]
 		t, di := b.t[p.k], out[p.i][:zn]
@@ -475,15 +474,15 @@ func (c *collider) relaxTRT(sc *workerScratch, in, out [][]float64, zn int) {
 			}
 		case c.third:
 			if r != nil {
-				r.trt3(di, out[p.j], in[p.i], in[p.j], t, b.base, c.pairQ(b, p, zn), c.half, c.sixth, c.omega, c.omegaM)
+				r.trt3(di, out[p.j], in[p.i], in[p.j], t, b.base, c.pairQ(r, b, p, zn), c.half, c.sixth, c.omega, c.omegaM)
 			} else {
-				trt3(di, out[p.j], in[p.i], in[p.j], t, b.base, c.pairQ(b, p, zn), c.half, c.sixth, c.omega, c.omegaM)
+				trt3(di, out[p.j], in[p.i], in[p.j], t, b.base, c.pairQ(r, b, p, zn), c.half, c.sixth, c.omega, c.omegaM)
 			}
 		default:
 			if r != nil {
-				r.trt2(di, out[p.j], in[p.i], in[p.j], t, b.base, c.pairQ(b, p, zn), c.half, c.omega, c.omegaM)
+				r.trt2(di, out[p.j], in[p.i], in[p.j], t, b.base, c.pairQ(r, b, p, zn), c.half, c.omega, c.omegaM)
 			} else {
-				trt2(di, out[p.j], in[p.i], in[p.j], t, b.base, c.pairQ(b, p, zn), c.half, c.omega, c.omegaM)
+				trt2(di, out[p.j], in[p.i], in[p.j], t, b.base, c.pairQ(r, b, p, zn), c.half, c.omega, c.omegaM)
 			}
 		}
 	}
@@ -498,11 +497,11 @@ func (c *collider) relaxTRT(sc *workerScratch, in, out [][]float64, zn int) {
 // the worker's feq rows, then one RelaxRows call on the worker's private
 // operator clone.
 func (c *collider) relaxOpRows(sc *workerScratch, in, out [][]float64, zn int) {
-	b := &sc.rb
-	c.pairMoments(b, in, b.ahead, zn)
-	c.velocities(b, zn)
+	b, r := &sc.rb, rowsFor(c.vec, zn)
+	c.pairMoments(r, b, in, b.ahead, zn)
+	c.velocities(r, b, zn)
 	feq := sc.rows(zn)
-	c.eqRows(b, feq, zn)
+	c.eqRows(r, b, feq, zn)
 	sc.op.(collision.RowRelaxer).RelaxRows(out, in, feq, zn)
 }
 
@@ -512,8 +511,7 @@ func (c *collider) relaxOpRows(sc *workerScratch, in, out [][]float64, zn int) {
 // initial condition (initRows) alike, and TRT's primitives form theirs
 // with the same operations, so every equilibrium the solver uses comes
 // out of pairEq.
-func (c *collider) eqRows(b *rowBufs, feq [][]float64, zn int) {
-	r := c.vecFor(zn)
+func (c *collider) eqRows(r *rowOps, b *rowBufs, feq [][]float64, zn int) {
 	for i := range c.pairs {
 		p := &c.pairs[i]
 		t, fi := b.t[p.k], feq[p.i][:zn]
@@ -526,15 +524,15 @@ func (c *collider) eqRows(b *rowBufs, feq [][]float64, zn int) {
 			}
 		case c.third:
 			if r != nil {
-				r.eq3(fi, feq[p.j], t, b.base, c.pairQ(b, p, zn), c.half, c.sixth)
+				r.eq3(fi, feq[p.j], t, b.base, c.pairQ(r, b, p, zn), c.half, c.sixth)
 			} else {
-				eq3(fi, feq[p.j], t, b.base, c.pairQ(b, p, zn), c.half, c.sixth)
+				eq3(fi, feq[p.j], t, b.base, c.pairQ(r, b, p, zn), c.half, c.sixth)
 			}
 		default:
 			if r != nil {
-				r.eq2(fi, feq[p.j], t, b.base, c.pairQ(b, p, zn), c.half)
+				r.eq2(fi, feq[p.j], t, b.base, c.pairQ(r, b, p, zn), c.half)
 			} else {
-				eq2(fi, feq[p.j], t, b.base, c.pairQ(b, p, zn), c.half)
+				eq2(fi, feq[p.j], t, b.base, c.pairQ(r, b, p, zn), c.half)
 			}
 		}
 	}

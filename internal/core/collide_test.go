@@ -246,7 +246,7 @@ func TestVelocityPairTable(t *testing.T) {
 		const zn = 7
 		in := randomRows(rng, m, zn)
 		b := newRowBufs(zn, m.Q)
-		c.pairMoments(&b, in, nil, zn)
+		c.pairMoments(rowsFor(c.vec, zn), &b, in, nil, zn)
 		fc := make([]float64, m.Q)
 		for z := 0; z < zn; z++ {
 			for v := range fc {

@@ -181,8 +181,9 @@ func BenchmarkCollideKernels(b *testing.B) {
 					in := randomRows(rand.New(rand.NewSource(1)), m, zn)
 					b.ResetTimer()
 					for i := 0; i < b.N; i++ {
-						st.pairMoments(&rb, in, nil, zn)
-						st.velocities(&rb, zn)
+						r := rowsFor(st.vec, zn)
+						st.pairMoments(r, &rb, in, nil, zn)
+						st.velocities(r, &rb, zn)
 					}
 					reportCellRate(b, zn)
 				})

@@ -8,11 +8,13 @@ package core
 // equilibria with its even/odd relaxation, or the bare equilibria eq0/2/3
 // (MRT's feq rows and the initial field).
 // Each has one Go body here — the reference, and what every rung but SIMD
-// runs, called directly so that the compiler inlines the small ones — and
-// the SIMD rung calls a vector body per primitive instead where the host
-// has one (rows_amd64.go). A vector body does each lane's IEEE operations
-// in its Go body's order and association and never fuses a multiply-add,
-// so every result it stores has the Go body's bits.
+// steps on, called directly so that the compiler inlines the small ones —
+// and the SIMD rung calls a vector body per primitive instead where the
+// host has one (rows_amd64.go). Set-up, which is no rung of the paper's
+// ladder, takes the vector bodies on every rung (initRows, ownedSums). A
+// vector body does each lane's IEEE operations in its Go body's order and
+// association and never fuses a multiply-add, so every result it stores
+// has the Go body's bits.
 //
 // A primitive's run is its first row: every other row must be at least as
 // long and only its first len(first) values are read or written. Rows may

@@ -8,6 +8,7 @@ import (
 	"repro/internal/collision"
 	"repro/internal/geom"
 	"repro/internal/grid"
+	"repro/internal/halo"
 	"repro/internal/lattice"
 )
 
@@ -17,11 +18,15 @@ import (
 // the 64³ TRT lid-driven cavity (two threads) and bifurcation-sparse's
 // 192×96×96 vessel (2 fluid-balanced ranks at GC-C under the run index,
 // timed on rank 0). Each iteration times what an op of the ledger pays:
-// releasing the previous fields (release-ns/cell, the munmap Run's close
-// does), buildMask on a masked or walled run (mask-ns/cell: the row-wise
-// mask and its fluid runs), allocating fresh fields (alloc-ns/cell: map,
-// advise and prefault), initField (init-ns/cell), buildFixups on a masked
-// or walled run (fixups-ns/cell) and ownedSums (sums-ns/cell).
+// the decomposition Run builds serially before any rank starts
+// (decomp-ns/cell: on the vessel the fluid-balanced cut over the mask's
+// plane histograms), releasing the previous fields (release-ns/cell, the
+// munmap Run's close does), buildMask on a masked or walled run
+// (mask-ns/cell: the mask's rows and their fluid runs), allocating fresh
+// fields (alloc-ns/cell: map, advise and prefault), initField
+// (init-ns/cell), buildFixups on a masked or walled run (fixups-ns/cell),
+// the halo's span lists (halo-ns/cell: NewCartExchangerClipped) and
+// ownedSums (sums-ns/cell).
 func BenchmarkSetup(b *testing.B) {
 	periodic := grid.Dims{NX: 96, NY: 96, NZ: 96}
 	cavity := grid.Dims{NX: 64, NY: 64, NZ: 64}
@@ -43,9 +48,17 @@ func BenchmarkSetup(b *testing.B) {
 				if cs.r.ID != 0 {
 					return
 				}
-				masked := cs.mask != nil
-				var release, mask, alloc, init, fixups, sums time.Duration
+				masked := cs.class[0] != nil
+				var stored halo.Clip
+				if cs.runStart != nil {
+					stored = cs.boxSegs
+				}
+				var dec, release, mask, alloc, init, fixups, ex, sums time.Duration
 				for i := 0; i < b.N; i++ {
+					d0 := time.Now()
+					if _, err := cs.cfg.decomposition(); err != nil {
+						b.Fatal(err)
+					}
 					r0 := time.Now()
 					cs.releaseFields()
 					t0 := time.Now()
@@ -59,14 +72,19 @@ func BenchmarkSetup(b *testing.B) {
 						cs.buildFixups(fluid)
 					}
 					t4 := time.Now()
+					if _, err := halo.NewCartExchangerClipped(cs.model.Q, cs.d, cs.own, cs.w, cs.r.ID, cs.ex.Neighbors, stored, cs.cfg.faceVelocities(cs.w)); err != nil {
+						b.Fatal(err)
+					}
+					h4 := time.Now()
 					cs.ownedSums()
 					t5 := time.Now()
-					release, mask, alloc = release+t0.Sub(r0), mask+t1.Sub(t0), alloc+t2.Sub(t1)
-					init, fixups, sums = init+t3.Sub(t2), fixups+t4.Sub(t3), sums+t5.Sub(t4)
+					dec, release, mask, alloc = dec+r0.Sub(d0), release+t0.Sub(r0), mask+t1.Sub(t0), alloc+t2.Sub(t1)
+					init, fixups, ex, sums = init+t3.Sub(t2), fixups+t4.Sub(t3), ex+h4.Sub(t4), sums+t5.Sub(h4)
 				}
 				perCell := func(d time.Duration) float64 {
 					return float64(d.Nanoseconds()) / float64(b.N*cs.own[0]*cs.own[1]*cs.own[2])
 				}
+				b.ReportMetric(perCell(dec), "decomp-ns/cell")
 				b.ReportMetric(perCell(release), "release-ns/cell")
 				if masked {
 					b.ReportMetric(perCell(mask), "mask-ns/cell")
@@ -76,6 +94,7 @@ func BenchmarkSetup(b *testing.B) {
 				if masked {
 					b.ReportMetric(perCell(fixups), "fixups-ns/cell")
 				}
+				b.ReportMetric(perCell(ex), "halo-ns/cell")
 				b.ReportMetric(perCell(sums), "sums-ns/cell")
 			})
 		})

@@ -120,10 +120,10 @@ func TestInitFieldMatchesEquilibrium(t *testing.T) {
 func sumsPerCell(cs *cartStepper) (sums, scale [4]float64) {
 	m, f, fc := cs.model, cs.f, make([]float64, cs.model.Q)
 	ownedCells(cs, func(ix, iy, iz, _, _, _ int) {
-		if cs.mask != nil && cs.mask[cs.d.Index(ix, iy, iz)] {
+		off, ok := cs.fluidCell(ix, iy, iz)
+		if !ok {
 			return
 		}
-		off, _ := cs.cell(ix, iy, iz)
 		for v := range fc {
 			if cs.aaStar {
 				fc[v] = cs.starPop(v, ix, iy, iz)
@@ -186,18 +186,22 @@ func TestOwnedSumsMatchMoments(t *testing.T) {
 
 // fixupsPerCell is the exhaustive reference of buildFixups: every Q
 // upwind cell of every fluid cell of the local box tested, in (ix, iy, iz,
-// v) order, each link's body classified by solidAt — the scan the per-run
-// scan replaced.
+// v) order, cells and their links classified by solidAt — the scan the
+// per-run scan replaced.
 func fixupsPerCell(cs *cartStepper) *fixIndex {
 	nx, ny, nz := cs.d.NX, cs.d.NY, cs.d.NZ
 	m, class := cs.model, cs.class
 	owned := func(a, i int) bool { return i >= cs.w[a] && i < cs.w[a]+cs.own[a] }
+	solid := func(ix, iy, iz int) bool {
+		s, _ := cs.solidAt([3]axisClass{class[0][ix], class[1][iy], class[2][iz]})
+		return s
+	}
 	fi := newFixIndex(nx*ny, m)
 	for ix := 0; ix < nx; ix++ {
 		for iy := 0; iy < ny; iy++ {
 			fi.rows[ix*ny+iy] = int32(len(fi.links))
 			for iz := 0; iz < nz; iz++ {
-				if cs.mask[cs.d.Index(ix, iy, iz)] {
+				if solid(ix, iy, iz) {
 					continue
 				}
 				cell, _ := cs.cell(ix, iy, iz)
@@ -209,7 +213,7 @@ func fixupsPerCell(cs *cartStepper) *fixIndex {
 					if cs.w[2] == 0 {
 						sz = (sz + nz) % nz
 					}
-					if sx < 0 || sx >= nx || sy < 0 || sy >= ny || sz < 0 || sz >= nz || !cs.mask[cs.d.Index(sx, sy, sz)] {
+					if sx < 0 || sx >= nx || sy < 0 || sy >= ny || sz < 0 || sz >= nz || !solid(sx, sy, sz) {
 						continue
 					}
 					c := [3]axisClass{class[0][sx], class[1][sy], class[2][sz]}
@@ -333,32 +337,44 @@ func TestFixupScanMatchesExhaustive(t *testing.T) {
 	}
 }
 
-// TestMaskMatchesSolidAt pins the row-wise mask to the per-cell solidAt
-// classification on every rank of fixupScanCases, ghosts included, and
-// the fluid runs buildMask returns — installed under the run index,
-// set-up-only dense — to a run-length encoding of that mask.
+// TestMaskMatchesSolidAt pins the mask buildMask builds to the per-cell
+// solidAt classification on every rank of fixupScanCases, ghosts included:
+// on dense fields the cell mask, under the run index — where no cell mask
+// may exist — which cells the installed index stores. The fluid runs
+// buildMask returns, installed or set-up-only dense, must be the
+// run-length encoding of that classification.
 func TestMaskMatchesSolidAt(t *testing.T) {
 	for _, tc := range fixupScanCases() {
 		onRanks(t, tc.cfg, func(cs *cartStepper) {
 			class := cs.class
+			if tc.cfg.Sparse != (cs.mask == nil) {
+				t.Errorf("%s: rank %d: sparse %v, but a cell mask of %d cells was built", tc.name, cs.r.ID, tc.cfg.Sparse, len(cs.mask))
+			}
+			solid := make([]bool, cs.d.Cells())
 			for ix := 0; ix < cs.d.NX; ix++ {
 				for iy := 0; iy < cs.d.NY; iy++ {
 					for iz := 0; iz < cs.d.NZ; iz++ {
-						want, _ := cs.solidAt([3]axisClass{class[0][ix], class[1][iy], class[2][iz]})
-						if got := cs.mask[cs.d.Index(ix, iy, iz)]; got != want {
-							t.Fatalf("%s: rank %d: cell (%d, %d, %d) solid %v, solidAt %v", tc.name, cs.r.ID, ix, iy, iz, got, want)
+						i := cs.d.Index(ix, iy, iz)
+						solid[i], _ = cs.solidAt([3]axisClass{class[0][ix], class[1][iy], class[2][iz]})
+						_, stored := cs.at(ix, iy, iz)
+						got := !stored
+						if !tc.cfg.Sparse {
+							got = cs.mask[i]
+						}
+						if got != solid[i] {
+							t.Fatalf("%s: rank %d: cell (%d, %d, %d) solid %v, solidAt %v", tc.name, cs.r.ID, ix, iy, iz, got, solid[i])
 						}
 					}
 				}
 			}
-			want := newRunIndex(cs.d.NX, cs.d.NY, cs.d.NZ, cs.mask)
+			want := newRunIndex(cs.d.NX, cs.d.NY, cs.d.NZ, solid)
 			got := cs.buildMask()
 			if tc.cfg.Sparse != (got == &cs.runIndex) {
 				t.Errorf("%s: rank %d: sparse %v, but the runs are installed: %v", tc.name, cs.r.ID, tc.cfg.Sparse, got == &cs.runIndex)
 			}
 			if !slices.Equal(got.runs, want.runs) || !slices.Equal(got.runStart, want.runStart) ||
 				!slices.Equal(got.off, want.off) || !slices.Equal(got.row, want.row) {
-				t.Errorf("%s: rank %d: buildMask's fluid runs differ from the mask's run-length encoding", tc.name, cs.r.ID)
+				t.Errorf("%s: rank %d: buildMask's fluid runs differ from the run-length encoding of solidAt", tc.name, cs.r.ID)
 			}
 		})
 	}

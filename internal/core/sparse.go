@@ -35,11 +35,11 @@ package core
 // into Result.Field, solid cells read as the rest state.
 //
 // at and clip map (ix, iy, iz) to a field offset under the run index for
-// set-up, the halo's span lists and the row body's reads; forRuns, pull
-// and push are written on them. The sparse stream (streamRuns) is the one
-// kernel that walks the index itself: it reads run offsets from off and
-// each run's row from row, merging source and destination runs without a
-// search.
+// set-up and the row body's reads; forRuns, pull and push are written on
+// them. boxSegs lists a box's stored cells for the halo's span lists. The
+// sparse stream (streamRuns) is the one kernel that walks the index
+// itself: it reads run offsets from off and each run's row from row,
+// merging source and destination runs without a search.
 
 import "repro/internal/grid"
 
@@ -66,8 +66,15 @@ type runIndex struct {
 
 // addRun appends the fluid run [lo, hi) of row r, the index's last row
 // so far; the caller closes the row with runStart[r+1]. buildMask encodes
-// each row this way as it reads it.
+// each row this way as it reads it, a piece of the row at a time, so a run
+// that starts where the row's last one ends extends it: the index holds
+// maximal runs.
 func (ri *runIndex) addRun(r, lo, hi int) {
+	if k := len(ri.runs) - 1; k >= 0 && ri.row[k] == int32(r) && int(ri.runs[k].hi) == lo {
+		ri.runs[k].hi = int32(hi)
+		ri.off[k+1] += int32(hi - lo)
+		return
+	}
 	ri.runs = append(ri.runs, zrun{lo: int32(lo), hi: int32(hi)})
 	ri.off = append(ri.off, ri.off[len(ri.off)-1]+int32(hi-lo))
 	ri.row = append(ri.row, int32(r))
@@ -157,6 +164,23 @@ func (ri *runIndex) clip(ix, iy, zlo, zhi int, seg func(off, z, n int)) {
 	}
 }
 
+// boxSegs lists the stored cells of the local box [lo, hi) as contiguous
+// segments in the halo's wire order (halo.Clip): rows x-major then y, z
+// ascending. The runs of an x-plane's rows [lo[1], hi[1]) are consecutive
+// in the index, so the walk costs the box's stored runs, and a row
+// without runs costs nothing.
+func (ri *runIndex) boxSegs(lo, hi [3]int, seg func(off, n int)) {
+	zlo, zhi := int32(lo[2]), int32(hi[2])
+	for ix := lo[0]; ix < hi[0]; ix++ {
+		for i := ri.runStart[ix*ri.ny+lo[1]]; i < ri.runStart[ix*ri.ny+hi[1]]; i++ {
+			run := ri.runs[i]
+			if a, b := max(run.lo, zlo), min(run.hi, zhi); a < b {
+				seg(int(ri.off[i]+a-run.lo), int(b-a))
+			}
+		}
+	}
+}
+
 // fieldDims returns the box the stepper's fields are allocated over: the
 // ghosted local box, or under the run index a 1-D box of its stored cells.
 func (cs *cartStepper) fieldDims() grid.Dims {
@@ -198,6 +222,13 @@ func (cs *cartStepper) cell(ix, iy, iz int) (int, bool) {
 		return cs.d.Index(ix, iy, iz), true
 	}
 	return cs.at(ix, iy, iz)
+}
+
+// fluidCell returns the field offset of a local cell and whether the cell
+// is fluid: stored, and not solid in a dense field's mask.
+func (cs *cartStepper) fluidCell(ix, iy, iz int) (int, bool) {
+	off, ok := cs.cell(ix, iy, iz)
+	return off, ok && (cs.mask == nil || !cs.mask[off])
 }
 
 // pull copies into dst the values velocity block blk holds for row

@@ -2,6 +2,7 @@ package geom
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/grid"
@@ -134,6 +135,59 @@ func TestBifurcationMask(t *testing.T) {
 			if !m.At(ix, 0, iz) || !m.At(ix, d.NY-1, iz) {
 				t.Fatalf("fluid on y wall at x=%d z=%d", ix, iz)
 			}
+		}
+	}
+}
+
+// rowRunsPerPoint is RowRuns' reference: the fluid runs of row (ix, iy)
+// read point by point through At.
+func rowRunsPerPoint(m *Mask, ix, iy int) []Run {
+	var out []Run
+	for z := 0; z < m.D.NZ; z++ {
+		if m.At(ix, iy, z) {
+			continue
+		}
+		if k := len(out) - 1; k >= 0 && out[k].Hi == z {
+			out[k].Hi++
+		} else {
+			out = append(out, Run{Lo: z, Hi: z + 1})
+		}
+	}
+	return out
+}
+
+// checkRowRuns holds every row of m to rowRunsPerPoint, and checks that
+// RowRuns appends to what dst already holds.
+func checkRowRuns(t *testing.T, m *Mask) {
+	t.Helper()
+	keep := []Run{{Lo: -7, Hi: -3}}
+	for ix := 0; ix < m.D.NX; ix++ {
+		for iy := 0; iy < m.D.NY; iy++ {
+			got := m.RowRuns(keep[:1:1], ix, iy)
+			want := rowRunsPerPoint(m, ix, iy)
+			if got[0] != keep[0] || !slices.Equal(got[1:], want) {
+				t.Fatalf("%v row (%d, %d): RowRuns %v, per point %v", m.D, ix, iy, got, want)
+			}
+		}
+	}
+}
+
+// TestRowRunsMatchAt: the word-level row reader returns exactly the fluid
+// runs At reads, on random masks whose rows are shorter than a word, one
+// short of it, exactly one, one past it, 1.5 and just over 2 words long —
+// so rows start and end mid-word and runs cross word boundaries — at
+// densities from all-fluid to all-solid, with one all-fluid and one
+// all-solid row planted in each, the mask's last row among them.
+func TestRowRunsMatchAt(t *testing.T) {
+	for _, nz := range []int{1, 63, 64, 65, 96, 130} {
+		d := grid.Dims{NX: 3, NY: 5, NZ: nz}
+		for i, density := range []float64{0, 0.05, 0.5, 0.95, 1} {
+			m := randomMask(t, d, density, int64(nz*10+i))
+			for z := 0; z < nz; z++ {
+				m.Set(1, 2, z, false)                   // all fluid
+				m.Set(d.NX-1, d.NY-1, z, density < 0.5) // the last row: all solid, or all fluid
+			}
+			checkRowRuns(t, m)
 		}
 	}
 }

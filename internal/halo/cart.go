@@ -15,12 +15,14 @@ import (
 // span per x); on a masked domain the list holds only the fluid z-runs of
 // each row, so solid cells are never packed, sent or unpacked — and need
 // not exist: the spans are whatever offsets the caller's address map gives
-// the stored cells of a row (NewCartExchangerClipped), dense or compact. Edge and corner ghost cells are covered without dedicated
-// messages by the sequential-axis ordering trick: axes exchange one after
-// another, each face spanning the full local extent (ghosts included) of
-// the axes already exchanged, so diagonal data rides along on the second
-// and third hops — exactly the deep-halo ordering argument of Kjolstad &
-// Snir.
+// the stored cells of a face (NewCartExchangerClipped), dense or compact.
+// The map lists a whole face itself, so building the lists costs what its
+// walk over the face's stored cells costs. Edge and corner ghost cells
+// are covered without dedicated messages by the sequential-axis ordering
+// trick: axes exchange one after another, each face spanning the full
+// local extent (ghosts included) of the axes already exchanged, so
+// diagonal data rides along on the second and third hops — exactly the
+// deep-halo ordering argument of Kjolstad & Snir.
 //
 // A face need not carry every population. A ghost layer exactly as wide as
 // the lattice reach is only ever read by upwind pulls out of it, and a pull
@@ -166,10 +168,10 @@ func NewCartExchanger(q int, d grid.Dims, own, w [3]int, self int, neighbors [3]
 }
 
 // Clip is a field's address map as the exchanger needs it: it lists the
-// stored cells of local row (ix, iy) with z in [zlo, zhi) as contiguous
-// segments, z ascending — n cells from cell offset off of every velocity
-// block, the first at height z.
-type Clip func(ix, iy, zlo, zhi int, seg func(off, z, n int))
+// stored cells of the local box [lo, hi) as contiguous segments in wire
+// order — rows x-major then y, each row's cells z ascending — n cells
+// from cell offset off of every velocity block.
+type Clip func(lo, hi [3]int, seg func(off, n int))
 
 // NewCartExchangerClipped builds an exchanger whose faces carry the cells
 // stored lists, at the offsets it gives them; nil means a dense field over
@@ -218,8 +220,12 @@ func NewCartExchangerClipped(q int, d grid.Dims, own, w [3]int, self int, neighb
 		}
 	}
 	if stored == nil {
-		stored = func(ix, iy, zlo, zhi int, seg func(off, z, n int)) {
-			seg(d.Index(ix, iy, zlo), zlo, zhi-zlo)
+		stored = func(lo, hi [3]int, seg func(off, n int)) {
+			for ix := lo[0]; ix < hi[0]; ix++ {
+				for iy := lo[1]; iy < hi[1]; iy++ {
+					seg(d.Index(ix, iy, lo[2]), hi[2]-lo[2])
+				}
+			}
 		}
 	}
 	e := &CartExchanger{Q: q, Dims: d, Own: own, W: w, Self: self, Neighbors: neighbors}
@@ -276,18 +282,14 @@ func faceSpans(lo, hi [3]int, stored Clip) (spans []span, cells int) {
 	if hi[2] <= lo[2] {
 		return nil, 0
 	}
-	for ix := lo[0]; ix < hi[0]; ix++ {
-		for iy := lo[1]; iy < hi[1]; iy++ {
-			stored(ix, iy, lo[2], hi[2], func(off, _, n int) {
-				if k := len(spans) - 1; k >= 0 && spans[k].off+spans[k].n == off {
-					spans[k].n += n
-				} else {
-					spans = append(spans, span{off: off, n: n})
-				}
-				cells += n
-			})
+	stored(lo, hi, func(off, n int) {
+		if k := len(spans) - 1; k >= 0 && spans[k].off+spans[k].n == off {
+			spans[k].n += n
+		} else {
+			spans = append(spans, span{off: off, n: n})
 		}
-	}
+		cells += n
+	})
 	return spans, cells
 }
 

@@ -1054,11 +1054,15 @@ func maskClip(d grid.Dims, solid []bool) Clip {
 	if solid == nil {
 		return nil
 	}
-	return func(ix, iy, zlo, zhi int, seg func(off, z, n int)) {
-		row := d.Index(ix, iy, 0)
-		for z := zlo; z < zhi; z++ {
-			if !solid[row+z] {
-				seg(row+z, z, 1)
+	return func(lo, hi [3]int, seg func(off, n int)) {
+		for ix := lo[0]; ix < hi[0]; ix++ {
+			for iy := lo[1]; iy < hi[1]; iy++ {
+				row := d.Index(ix, iy, 0)
+				for z := lo[2]; z < hi[2]; z++ {
+					if !solid[row+z] {
+						seg(row+z, 1)
+					}
+				}
 			}
 		}
 	}
