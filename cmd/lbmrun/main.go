@@ -20,7 +20,6 @@ import (
 	"math"
 	"os"
 	"runtime"
-	"runtime/pprof"
 	"strings"
 
 	"repro/internal/collision"
@@ -47,7 +46,7 @@ func main() {
 		nz        = flag.Int("nz", 32, "global lattice points in z")
 		steps     = flag.Int("steps", 100, "time steps")
 		tau       = flag.Float64("tau", 0.8, "BGK relaxation time (> 0.5)")
-		optName   = flag.String("opt", "SIMD", "optimization level: Orig, GC, DH, CF, LoBr, NB-C, GC-C, SIMD (GC-C stepped by the fused gather sweep: one read + one write of the field per step, bit-identical)")
+		optName   = flag.String("opt", "SIMD", "optimization level: "+levelNames()+" (GC-C stepped by the fused gather sweep: one read + one write of the field per step, bit-identical)")
 		ranks     = flag.Int("ranks", 1, "message-passing ranks")
 		decompF   = flag.String("decomp", "1d", "domain decomposition: 1d (slab), 2d (pencil), 3d (block), or explicit PxxPyxPz (e.g. 2x2x2, product = -ranks); every level but Orig, -stream aa included, runs on every shape")
 		threads   = flag.Int("threads", 1, "worker threads per rank (0 = runtime.NumCPU()/ranks, floor 1)")
@@ -162,33 +161,16 @@ func main() {
 	} else if *tunedF != "" || *fitFlag != "" {
 		log.Fatal("-tuned/-fit apply to -auto runs only")
 	}
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			log.Fatal(err)
-		}
-		defer f.Close()
-		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Fatal(err)
-		}
-	}
-	res, err := core.Run(cfg)
-	if *cpuProf != "" {
-		pprof.StopCPUProfile()
-	}
+	stopProf, err := obs.StartProfiles(*cpuProf, *memProf)
 	if err != nil {
 		log.Fatal(err)
 	}
-	if *memProf != "" {
-		f, err := os.Create(*memProf)
-		if err != nil {
-			log.Fatal(err)
-		}
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			log.Fatal(err)
-		}
-		f.Close()
+	res, err := core.Run(cfg)
+	if perr := stopProf(); err == nil {
+		err = perr
+	}
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	n = cfg.N // scenarios with intrinsic geometry override the domain
@@ -344,4 +326,13 @@ func writeFields(path string, model *lattice.Model, res *core.Result) error {
 		return output.WriteCSV(f, fields)
 	}
 	return fmt.Errorf("unknown output format %q (want .vtk or .csv)", path)
+}
+
+// levelNames lists the rungs of the ladder, as -opt spells them.
+func levelNames() string {
+	var names []string
+	for _, l := range core.Levels() {
+		names = append(names, l.String())
+	}
+	return strings.Join(names, ", ")
 }

@@ -18,13 +18,12 @@ import (
 	"log"
 	"math"
 	"os"
-	"runtime"
-	"runtime/pprof"
 
 	"repro/internal/collision"
 	"repro/internal/core"
 	"repro/internal/grid"
 	"repro/internal/lattice"
+	"repro/internal/obs"
 	"repro/internal/physics"
 )
 
@@ -362,14 +361,9 @@ func main() {
 		writeList(os.Stdout, cs)
 		return
 	}
-	if *cpuProf != "" {
-		f, err := os.Create(*cpuProf)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Fatal(err)
-		}
+	stopProf, err := obs.StartProfiles(*cpuProf, *memProf)
+	if err != nil {
+		log.Fatal(err)
 	}
 
 	failures := 0
@@ -391,19 +385,8 @@ func main() {
 
 	// Flush the profiles before the failure exit: os.Exit skips defers, and
 	// a failing suite is exactly when the profile is wanted.
-	if *cpuProf != "" {
-		pprof.StopCPUProfile()
-	}
-	if *memProf != "" {
-		f, err := os.Create(*memProf)
-		if err != nil {
-			log.Fatal(err)
-		}
-		runtime.GC()
-		if err := pprof.WriteHeapProfile(f); err != nil {
-			log.Fatal(err)
-		}
-		f.Close()
+	if err := stopProf(); err != nil {
+		log.Fatal(err)
 	}
 
 	fmt.Printf("\nKnudsen regimes: Kn=0.01 -> %s (%s), Kn=0.5 -> %s (%s)\n",

@@ -6,7 +6,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/geom"
 	"repro/internal/grid"
-	"repro/internal/lattice"
 	"repro/internal/metrics"
 )
 
@@ -18,12 +17,13 @@ import (
 // table reports end-to-end Mflup/s (fluid-cell normalized), the
 // per-rank fluid-cell spread each cut policy produces, and the
 // resulting imbalance ratio — the arterial-geometry argument of the
-// paper's §VII carried onto the working code.
-func RealBalance(modelName string, ranks, threads, steps int) (*Table, error) {
-	m, err := lattice.ByName(modelName)
-	if err != nil {
-		return nil, err
+// paper's §VII carried onto the working code. It takes the description's
+// model, ranks, threads and steps, on its own box and slab cuts.
+func RealBalance(r Run) (*Table, error) {
+	if r.Stream != core.StreamTwoGrid {
+		return nil, fmt.Errorf("balance sweeps cut policy and traversal on the two-grid kernels; drop -stream")
 	}
+	m, ranks := r.Model, r.Ranks
 	n := grid.Dims{NX: 96, NY: 48, NZ: 48}
 	mask := geom.Bifurcation(n, 0.1*float64(n.NY))
 	fluid := mask.Fluids()
@@ -31,7 +31,7 @@ func RealBalance(modelName string, ranks, threads, steps int) (*Table, error) {
 
 	t := &Table{
 		Title: fmt.Sprintf("Balance (real kernels) — %s, %s bifurcation mask (%.0f%% solid, %d fluid cells), %d ranks, %d threads",
-			m.Name, n, solidFrac, fluid, ranks, threads),
+			m.Name, n, solidFrac, fluid, ranks, r.Threads),
 		Header: []string{"cuts", "traversal", "MFlup/s", "speedup", "fluid/rank min", "median", "max", "imbalance"},
 	}
 
@@ -47,9 +47,9 @@ func RealBalance(modelName string, ranks, threads, steps int) (*Table, error) {
 	var base float64
 	for _, c := range cases {
 		res, err := core.Run(core.Config{
-			Model: m, N: n, Tau: 0.8, Steps: steps,
+			Model: m, N: n, Tau: 0.8, Steps: r.Steps,
 			Opt: core.OptSIMD, Ranks: ranks, Decomp: [3]int{ranks, 1, 1},
-			Threads: threads, GhostDepth: 1,
+			Threads: r.Threads, GhostDepth: 1,
 			Solid: mask, Balance: c.balance, Sparse: c.sparse,
 			Observe: true,
 		})

@@ -43,7 +43,6 @@ func CollisionTable(modelName string) (*Table, error) {
 	const stabSteps = 1500
 	stabL := int(100*m.CsSq + 0.5)
 	for _, spec := range specs {
-		spec := spec
 		mod := func(c *core.Config) { c.Collision = spec }
 		shear, err := physics.ShearWaveViscosity(m, grid.Dims{NX: 32, NY: 6, NZ: 6}, 0.7, 80, mod)
 		if err != nil {

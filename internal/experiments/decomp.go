@@ -31,14 +31,9 @@ func DecompTable(machineName string) (*Table, error) {
 			m.Name, n),
 		Header: []string{"ranks", "shape", "grid", "opt", "x KB", "y KB", "z KB", "total KB", "time (s)", "GFlup/s"},
 	}
-	shapes := []struct {
-		axes  int
-		label string
-	}{{1, "slab"}, {2, "pencil"}, {3, "block"}}
 	for _, ranks := range []int{8, 64, 512} {
-		for _, sh := range shapes {
-			axes, label := sh.axes, sh.label
-			p, err := decomp.Factor(ranks, axes, [3]int{n, n, n})
+		for i, label := range []string{"slab", "pencil", "block"} {
+			p, err := decomp.Factor(ranks, i+1, [3]int{n, n, n}) // cut on i+1 axes
 			if err != nil {
 				return nil, err
 			}

@@ -60,123 +60,103 @@ func (t *Table) Render() string {
 	return b.String()
 }
 
-// Names lists the experiment identifiers accepted by Generate.
-func Names() []string {
-	return []string{"table1", "table2", "fig8", "fig9", "fig10", "table3", "table4", "fig11", "decomp", "collision"}
+// An Experiment is one entry of the list lbmbench runs: its name, its
+// paper-scale form (perfsim over the Blue Gene models) and its -real form
+// (the Go kernels on the local machine). Either form may be absent.
+type Experiment struct {
+	Name string
+	// Machines lists the machines GenerateAll runs the paper-scale form
+	// on; nil runs it once, with no machine.
+	Machines []string
+	// Paper renders the paper-scale form for one machine.
+	Paper func(machine string) ([]*Table, error)
+	// Real renders the -real form from lbmbench's run description.
+	Real func(Run) (*Table, error)
+	// Local marks an experiment whose paper-scale form runs the real
+	// kernels too (collision, on D3Q19): lbmbench runs its Real form with
+	// or without -real, so its -model applies either way.
+	Local bool
 }
 
-// Generate runs one experiment by name. The machine argument applies to
-// fig8, fig9 and fig11 ("bgp" or "bgq"); fig10 and tables 3/4 use the
-// machines the paper used (BG/P at 2048 procs for D3Q19, BG/Q 16 nodes for
-// D3Q39).
+// list is every experiment, in the order lbmbench's -exp help and -exp all
+// show them.
+var list = []Experiment{
+	{Name: "table1", Paper: func(string) ([]*Table, error) { return Table1(), nil }},
+	{Name: "table2", Paper: func(string) ([]*Table, error) { return []*Table{Table2(), SectionIIICBounds()}, nil }},
+	{Name: "fig8", Machines: []string{"bgp", "bgq"}, Paper: func(m string) ([]*Table, error) { return one(Fig8(m)) }, Real: RealFig8},
+	{Name: "fig9", Machines: []string{"bgp"}, Paper: func(m string) ([]*Table, error) { return one(Fig9(m)) }, Real: RealFig9},
+	{Name: "fig10", Paper: func(string) ([]*Table, error) { return Fig10() }, Real: RealFig10},
+	{Name: "table3", Paper: func(string) ([]*Table, error) { return one(Table3()) }},
+	{Name: "table4", Paper: func(string) ([]*Table, error) { return one(Table4()) }},
+	{Name: "fig11", Machines: []string{"bgp", "bgq"}, Paper: func(m string) ([]*Table, error) { return one(Fig11(m)) }, Real: RealFig11},
+	{Name: "decomp", Machines: []string{"bgq"}, Paper: func(m string) ([]*Table, error) { return one(DecompTable(m)) }},
+	{Name: "collision", Local: true,
+		Paper: func(string) ([]*Table, error) { return one(CollisionTable("D3Q19")) },
+		Real:  func(r Run) (*Table, error) { return CollisionTable(r.Model.Name) }},
+	{Name: "threads", Real: RealThreads},
+	{Name: "balance", Real: RealBalance},
+}
+
+func one(t *Table, err error) ([]*Table, error) {
+	if err != nil {
+		return nil, err
+	}
+	return []*Table{t}, nil
+}
+
+// List returns every experiment in the order GenerateAll renders them.
+func List() []Experiment { return list }
+
+// Lookup returns the experiment named name.
+func Lookup(name string) (Experiment, bool) {
+	for _, e := range list {
+		if e.Name == name {
+			return e, true
+		}
+	}
+	return Experiment{}, false
+}
+
+// Names lists the experiments Generate accepts: those with a paper-scale
+// form.
+func Names() []string {
+	var out []string
+	for _, e := range list {
+		if e.Paper != nil {
+			out = append(out, e.Name)
+		}
+	}
+	return out
+}
+
+// Generate renders one experiment's paper-scale form. The machine ("bgp"
+// or "bgq") applies to the experiments that list Machines; the others run
+// on the machines the paper used.
 func Generate(name, machineName string) ([]*Table, error) {
-	switch name {
-	case "table1":
-		return []*Table{Table1Q19(), Table1Q39()}, nil
-	case "table2":
-		t2 := Table2()
-		return []*Table{t2, SectionIIICBounds()}, nil
-	case "fig8":
-		t, err := Fig8(machineName)
-		if err != nil {
-			return nil, err
-		}
-		return []*Table{t}, nil
-	case "fig9":
-		t, err := Fig9(machineName)
-		if err != nil {
-			return nil, err
-		}
-		return []*Table{t}, nil
-	case "fig10":
-		a, err := Fig10Q19()
-		if err != nil {
-			return nil, err
-		}
-		b, err := Fig10Q39()
-		if err != nil {
-			return nil, err
-		}
-		return []*Table{a, b}, nil
-	case "table3":
-		t, err := Table3()
-		if err != nil {
-			return nil, err
-		}
-		return []*Table{t}, nil
-	case "table4":
-		t, err := Table4()
-		if err != nil {
-			return nil, err
-		}
-		return []*Table{t}, nil
-	case "fig11":
-		t, err := Fig11(machineName)
-		if err != nil {
-			return nil, err
-		}
-		return []*Table{t}, nil
-	case "decomp":
-		t, err := DecompTable(machineName)
-		if err != nil {
-			return nil, err
-		}
-		return []*Table{t}, nil
-	case "collision":
-		// Real kernels at laptop scale (the operator axis is a capability
-		// experiment, not a machine-model projection).
-		t, err := CollisionTable("D3Q19")
-		if err != nil {
-			return nil, err
-		}
-		return []*Table{t}, nil
+	if e, ok := Lookup(name); ok && e.Paper != nil {
+		return e.Paper(machineName)
 	}
 	return nil, fmt.Errorf("experiments: unknown experiment %q (want one of %s)", name, strings.Join(Names(), ", "))
 }
 
-// GenerateAll runs every experiment for both machines where applicable.
+// GenerateAll renders every paper-scale form, on each of its machines.
 func GenerateAll() ([]*Table, error) {
 	var out []*Table
-	add := func(ts []*Table, err error) error {
-		if err != nil {
-			return err
+	for _, e := range list {
+		if e.Paper == nil {
+			continue
 		}
-		out = append(out, ts...)
-		return nil
-	}
-	if err := add(Generate("table1", "")); err != nil {
-		return nil, err
-	}
-	if err := add(Generate("table2", "")); err != nil {
-		return nil, err
-	}
-	for _, m := range []string{"bgp", "bgq"} {
-		if err := add(Generate("fig8", m)); err != nil {
-			return nil, err
+		machines := e.Machines
+		if machines == nil {
+			machines = []string{""}
 		}
-	}
-	if err := add(Generate("fig9", "bgp")); err != nil {
-		return nil, err
-	}
-	if err := add(Generate("fig10", "")); err != nil {
-		return nil, err
-	}
-	if err := add(Generate("table3", "")); err != nil {
-		return nil, err
-	}
-	if err := add(Generate("table4", "")); err != nil {
-		return nil, err
-	}
-	for _, m := range []string{"bgp", "bgq"} {
-		if err := add(Generate("fig11", m)); err != nil {
-			return nil, err
+		for _, m := range machines {
+			ts, err := e.Paper(m)
+			if err != nil {
+				return nil, err
+			}
+			out = append(out, ts...)
 		}
-	}
-	if err := add(Generate("decomp", "bgq")); err != nil {
-		return nil, err
-	}
-	if err := add(Generate("collision", "")); err != nil {
-		return nil, err
 	}
 	return out, nil
 }

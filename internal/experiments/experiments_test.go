@@ -10,11 +10,11 @@ import (
 )
 
 func TestTable1Shapes(t *testing.T) {
-	q19 := Table1Q19()
+	ts := Table1()
+	q19, q39 := ts[0], ts[1]
 	if len(q19.Rows) != 3 {
 		t.Errorf("D3Q19 has %d shells, want 3", len(q19.Rows))
 	}
-	q39 := Table1Q39()
 	if len(q39.Rows) != 6 {
 		t.Errorf("D3Q39 has %d shells, want 6", len(q39.Rows))
 	}
@@ -110,10 +110,11 @@ func TestFig9Structure(t *testing.T) {
 }
 
 func TestFig10ShapesAndOOM(t *testing.T) {
-	a, err := Fig10Q19()
+	ts, err := Fig10()
 	if err != nil {
 		t.Fatal(err)
 	}
+	a, b := ts[0], ts[1]
 	if len(a.Rows) != 5 {
 		t.Fatalf("Fig10a rows = %d", len(a.Rows))
 	}
@@ -132,10 +133,6 @@ func TestFig10ShapesAndOOM(t *testing.T) {
 	// The paper's OOM case: 133k with GC=4.
 	if a.Rows[4][4] != "OOM" {
 		t.Errorf("133k GC=4 = %q, want OOM", a.Rows[4][4])
-	}
-	b, err := Fig10Q39()
-	if err != nil {
-		t.Fatal(err)
 	}
 	if len(b.Rows) != 6 {
 		t.Fatalf("Fig10b rows = %d", len(b.Rows))
@@ -223,12 +220,42 @@ func TestFig11BGQ(t *testing.T) {
 	}
 }
 
+// TestGenerateDispatch renders every listed paper-scale form on each of
+// its machines, in the list's order (the order lbmbench's -exp help and
+// -exp all show), and rejects what has no paper-scale form.
 func TestGenerateDispatch(t *testing.T) {
-	for _, name := range []string{"table1", "table2"} {
-		ts, err := Generate(name, "")
-		if err != nil || len(ts) == 0 {
-			t.Errorf("Generate(%q): %v", name, err)
+	var names []string
+	for _, e := range List() {
+		names = append(names, e.Name)
+		if got, ok := Lookup(e.Name); !ok || got.Name != e.Name {
+			t.Errorf("Lookup(%q) = %q, %v", e.Name, got.Name, ok)
 		}
+		if e.Paper == nil {
+			if _, err := Generate(e.Name, "bgp"); err == nil {
+				t.Errorf("Generate(%q) accepted a -real-only experiment", e.Name)
+			}
+			continue
+		}
+		if e.Local || testing.Short() {
+			// Local: the real kernels at laptop scale, which
+			// TestCollisionTable runs. -short: TestPaperScaleGolden renders
+			// every paper-scale form too.
+			continue
+		}
+		machines := e.Machines
+		if machines == nil {
+			machines = []string{""}
+		}
+		for _, m := range machines {
+			ts, err := Generate(e.Name, m)
+			if err != nil || len(ts) == 0 {
+				t.Errorf("Generate(%q, %q): %d tables, %v", e.Name, m, len(ts), err)
+			}
+		}
+	}
+	want := "table1 table2 fig8 fig9 fig10 table3 table4 fig11 decomp collision threads balance"
+	if got := strings.Join(names, " "); got != want {
+		t.Errorf("experiments %q, want %q", got, want)
 	}
 	if _, err := Generate("fig99", ""); err == nil {
 		t.Error("unknown experiment accepted")
@@ -253,11 +280,21 @@ func TestRenderAlignment(t *testing.T) {
 	}
 }
 
+// newRun builds a D3Q19 BGK run description for the Real* tests.
+func newRun(t *testing.T, ranks, threads, steps int, decompSpec, depthSpec string, stream core.StreamScheme) Run {
+	t.Helper()
+	r, err := NewRun("D3Q19", ranks, threads, steps, decompSpec, depthSpec, collision.Spec{}, stream)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return r
+}
+
 func TestRealFig8SmallRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-kernel experiment in -short mode")
 	}
-	tb, err := RealFig8("D3Q19", 2, 2, 3, "1d", "2,1,1", collision.Spec{}, core.StreamTwoGrid)
+	tb, err := RealFig8(newRun(t, 2, 2, 3, "1d", "2,1,1", core.StreamTwoGrid))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -270,7 +307,7 @@ func TestRealFig11SmallRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-kernel experiment in -short mode")
 	}
-	tb, err := RealFig11("D3Q19", 3, "1d", "1", collision.Spec{}, core.StreamTwoGrid)
+	tb, err := RealFig11(newRun(t, 1, 1, 3, "1d", "1", core.StreamTwoGrid))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -283,7 +320,7 @@ func TestRealFig9SmallRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-kernel experiment in -short mode")
 	}
-	tb, err := RealFig9("D3Q19", 2, 1, 4, "1d", "1", collision.Spec{}, core.StreamTwoGrid)
+	tb, err := RealFig9(newRun(t, 2, 1, 4, "1d", "1", core.StreamTwoGrid))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +335,7 @@ func TestRealFig9AASmallRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-kernel experiment in -short mode")
 	}
-	tb, err := RealFig9("D3Q19", 2, 1, 4, "1d", "1", collision.Spec{}, core.StreamAA)
+	tb, err := RealFig9(newRun(t, 2, 1, 4, "1d", "1", core.StreamAA))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -311,7 +348,7 @@ func TestRealFig10SmallRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-kernel experiment in -short mode")
 	}
-	tb, err := RealFig10("D3Q19", 2, 2, 4, "2d", collision.Spec{}, core.StreamTwoGrid)
+	tb, err := RealFig10(newRun(t, 2, 2, 4, "2d", "1", core.StreamTwoGrid))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -330,7 +367,7 @@ func TestRealThreadsSmallRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-kernel experiment in -short mode")
 	}
-	tb, err := RealThreads("D3Q19", 2, 2, collision.Spec{})
+	tb, err := RealThreads(newRun(t, 1, 2, 2, "1d", "1", core.StreamTwoGrid))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -370,12 +407,41 @@ func TestThreadCounts(t *testing.T) {
 	}
 }
 
+// The run description is where a -real flag is rejected: every Real*
+// experiment takes one that NewRun built.
 func TestRealExperimentsRejectBadModel(t *testing.T) {
-	if _, err := RealFig8("D2Q9", 1, 1, 1, "1d", "1", collision.Spec{}, core.StreamTwoGrid); err == nil {
+	if _, err := NewRun("D2Q9", 1, 1, 1, "1d", "1", collision.Spec{}, core.StreamTwoGrid); err == nil {
 		t.Error("unknown model accepted")
 	}
-	if _, err := RealFig10("D2Q9", 1, 1, 1, "1d", collision.Spec{}, core.StreamTwoGrid); err == nil {
-		t.Error("unknown model accepted")
+}
+
+// TestRunConfig: every rung takes the description's shape, depth and
+// stream, except Orig, which runs the paper's geometry; and the flags an
+// experiment sweeps itself are rejected before anything runs.
+func TestRunConfig(t *testing.T) {
+	r := newRun(t, 4, 1, 1, "2x2x1", "2,1,1", core.StreamAA)
+	for _, opt := range core.Levels() {
+		cfg, err := r.config(opt, r.Ranks, r.N)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if opt == core.OptOrig {
+			if cfg.Decomp != [3]int{4, 1, 1} || cfg.GhostDepth != 1 || cfg.GhostDepthAxes != ([3]int{}) || cfg.Stream != core.StreamTwoGrid {
+				t.Errorf("Orig runs %v depth %d %v %s, want the paper's geometry", cfg.Decomp, cfg.GhostDepth, cfg.GhostDepthAxes, cfg.Stream)
+			}
+			if err := core.PaperGeometry(cfg.Decomp, [3]bool{}, cfg.Stream, cfg.Sparse); err != nil {
+				t.Error(err)
+			}
+			continue
+		}
+		if cfg.Decomp != [3]int{2, 2, 1} || cfg.GhostDepthAxes != [3]int{2, 1, 1} || cfg.Stream != core.StreamAA {
+			t.Errorf("%s runs %v depth %v %s, want 2x2x1 at 2,1,1 under AA", opt, cfg.Decomp, cfg.GhostDepthAxes, cfg.Stream)
+		}
+	}
+	for name, f := range map[string]func(Run) (*Table, error){"fig10": RealFig10, "threads": RealThreads, "balance": RealBalance} {
+		if _, err := f(r); err == nil || !strings.Contains(err.Error(), "drop -") {
+			t.Errorf("%s with -depth 2,1,1 -stream aa: %v, want a drop -flag error", name, err)
+		}
 	}
 }
 

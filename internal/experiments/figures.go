@@ -17,19 +17,14 @@ type modelParams struct {
 var q19Params = modelParams{spec: machine.SpecD3Q19(), k: 1}
 var q39Params = modelParams{spec: machine.SpecD3Q39(), k: 3}
 
-// fig8Tasks returns the flat-MPI task count per node used in Fig. 8:
-// virtual-node mode (4) on BG/P, 32 unthreaded tasks on BG/Q (§VI).
-func fig8Tasks(m machine.Machine) int {
-	if m.ThreadsPerCore > 1 {
-		return 2 * m.CoresPerNode
-	}
-	return m.CoresPerNode
-}
-
-// fig8Job is the simulated Fig. 8 workload: 128 nodes, 64 planes of
-// 64×64 cells per rank.
+// fig8Job is the simulated Fig. 8 workload: 128 nodes of flat-MPI tasks
+// — virtual-node mode (4) on BG/P, 32 unthreaded tasks on BG/Q (§VI) —
+// with 64 planes of 64×64 cells per rank.
 func fig8Job(m machine.Machine, p modelParams, opt core.OptLevel) perfsim.Job {
-	tasks := fig8Tasks(m)
+	tasks := m.CoresPerNode
+	if m.ThreadsPerCore > 1 {
+		tasks *= 2
+	}
 	return perfsim.Job{
 		Machine: m, Spec: p.spec, K: p.k,
 		Nodes: 128, TasksPerNode: tasks, ThreadsPerTask: 1,
@@ -46,40 +41,38 @@ func Fig8(machineName string) (*Table, error) {
 	if err != nil {
 		return nil, err
 	}
-	nodes := 128
+	const nodes = 128
 	t := &Table{
 		Title:  fmt.Sprintf("Fig. 8 — %s optimization impacts (128 nodes, MFlup/s)", m.Name),
 		Header: []string{"level", "D3Q19", "%peak", "D3Q39", "%peak"},
 	}
-	peak19 := machine.MaxMFlups(m, q19Params.spec).Attainable * float64(nodes)
-	peak39 := machine.MaxMFlups(m, q39Params.spec).Attainable * float64(nodes)
-	var first19, first39, last19, last39 float64
+	models := []modelParams{q19Params, q39Params}
+	var peak, first, last [2]float64
+	for i, p := range models {
+		peak[i] = machine.MaxMFlups(m, p.spec).Attainable * nodes
+	}
 	for _, opt := range core.Levels() {
-		r19, err := perfsim.Run(fig8Job(m, q19Params, opt))
-		if err != nil {
-			return nil, err
+		row := []string{opt.String()}
+		for i, p := range models {
+			res, err := perfsim.Run(fig8Job(m, p, opt))
+			if err != nil {
+				return nil, err
+			}
+			if opt == core.OptOrig {
+				first[i] = res.MFlups
+			}
+			last[i] = res.MFlups
+			row = append(row, fmt.Sprintf("%.0f", res.MFlups), fmt.Sprintf("%.0f%%", 100*res.MFlups/peak[i]))
 		}
-		r39, err := perfsim.Run(fig8Job(m, q39Params, opt))
-		if err != nil {
-			return nil, err
-		}
-		if opt == core.OptOrig {
-			first19, first39 = r19.MFlups, r39.MFlups
-		}
-		last19, last39 = r19.MFlups, r39.MFlups
-		t.Rows = append(t.Rows, []string{
-			opt.String(),
-			fmt.Sprintf("%.0f", r19.MFlups), fmt.Sprintf("%.0f%%", 100*r19.MFlups/peak19),
-			fmt.Sprintf("%.0f", r39.MFlups), fmt.Sprintf("%.0f%%", 100*r39.MFlups/peak39),
-		})
+		t.Rows = append(t.Rows, row)
 	}
 	t.Rows = append(t.Rows, []string{
 		"model peak",
-		fmt.Sprintf("%.0f", peak19), "100%",
-		fmt.Sprintf("%.0f", peak39), "100%",
+		fmt.Sprintf("%.0f", peak[0]), "100%",
+		fmt.Sprintf("%.0f", peak[1]), "100%",
 	})
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("overall improvement: D3Q19 %.1f×, D3Q39 %.1f×", last19/first19, last39/first39))
+		fmt.Sprintf("overall improvement: D3Q19 %.1f×, D3Q39 %.1f×", last[0]/first[0], last[1]/first[1]))
 	switch m.Name {
 	case "BG/P":
 		t.Notes = append(t.Notes, "paper: 92% (D3Q19) and 83% (D3Q39) of predicted peak; ~3× overall")
@@ -136,169 +129,157 @@ func Fig9(machineName string) (*Table, error) {
 	return t, nil
 }
 
-// fig10Q19Job is the D3Q19 deep-halo workload: 2048 processors of BG/P
-// (512 nodes in virtual-node mode).
-func fig10Q19Job(nx, depth int) perfsim.Job {
-	return perfsim.Job{
-		Machine: machine.BGP(), Spec: q19Params.spec, K: q19Params.k,
-		Nodes: 512, TasksPerNode: 4, ThreadsPerTask: 1,
-		NX: nx, NY: 156, NZ: 156,
-		Steps: 300, Depth: depth, Opt: core.OptNBC,
-		Imbalance: 0.40, Seed: 5,
-	}
-}
-
-// fig10Q39Job is the D3Q39 workload: 16 nodes of BG/Q with 16 tasks and 1
+// The deep-halo workloads of Fig. 10 and Tables III/IV, each run setting
+// NX and Depth: D3Q19 on 2048 processors of BG/P (512 nodes in
+// virtual-node mode), D3Q39 on 16 nodes of BG/Q with 16 tasks and 1
 // thread each ("due to differences in memory constraints").
-func fig10Q39Job(nx, depth int) perfsim.Job {
-	return perfsim.Job{
+var (
+	q19Halo = perfsim.Job{
+		Machine: machine.BGP(), Spec: q19Params.spec, K: q19Params.k,
+		Nodes: 512, TasksPerNode: 4, ThreadsPerTask: 1, NY: 156, NZ: 156,
+		Steps: 300, Opt: core.OptNBC, Imbalance: 0.40, Seed: 5,
+	}
+	q39Halo = perfsim.Job{
 		Machine: machine.BGQ(), Spec: q39Params.spec, K: q39Params.k,
-		Nodes: 16, TasksPerNode: 16, ThreadsPerTask: 1,
-		NX: nx, NY: 40, NZ: 40,
-		Steps: 300, Depth: depth, Opt: core.OptNBC,
-		Imbalance: 0.40, Seed: 5,
+		Nodes: 16, TasksPerNode: 16, ThreadsPerTask: 1, NY: 40, NZ: 40,
+		Steps: 300, Opt: core.OptNBC, Imbalance: 0.40, Seed: 5,
 	}
-}
+)
 
-// Fig10Q19 regenerates Fig. 10(a): runtime vs ghost depth, normalized to
-// depth 1, across decomposed-dimension sizes.
-func Fig10Q19() (*Table, error) {
-	return fig10For("Fig. 10a — D3Q19 deep halos, 2048 procs BG/P (time / time at GC=1)",
-		[]int{8192, 16384, 32768, 65536, 133000},
-		[]string{"8k", "16k", "32k", "64k", "133k"},
-		fig10Q19Job,
-		"paper: GC=2/3 become optimal at 64k and 133k; GC=4 at 133k ran out of memory")
-}
-
-// Fig10Q39 regenerates Fig. 10(b) on 16 BG/Q nodes.
-func Fig10Q39() (*Table, error) {
-	return fig10For("Fig. 10b — D3Q39 deep halos, 16 nodes BG/Q × 16 tasks (time / time at GC=1)",
-		[]int{16384, 32768, 65536, 133120, 174080, 204800},
-		[]string{"16k", "32k", "64k", "133k", "170k", "200k"},
-		fig10Q39Job,
-		"paper: deeper levels start to pay off at the larger sizes; ratios beyond 800:1 untestable")
-}
-
-func fig10For(title string, sizes []int, labels []string, job func(nx, depth int) perfsim.Job, paperNote string) (*Table, error) {
-	t := &Table{
-		Title:  title,
-		Header: []string{"size", "GC=1", "GC=2", "GC=3", "GC=4", "best"},
+// Fig10 regenerates Fig. 10: runtime vs ghost depth, normalized to depth
+// 1, across decomposed-dimension sizes — (a) D3Q19 on 2048 BG/P
+// processors, (b) D3Q39 on 16 BG/Q nodes.
+func Fig10() ([]*Table, error) {
+	studies := []struct {
+		title  string
+		sizes  []int
+		labels []string
+		job    perfsim.Job
+		note   string
+	}{
+		{"Fig. 10a — D3Q19 deep halos, 2048 procs BG/P (time / time at GC=1)",
+			[]int{8192, 16384, 32768, 65536, 133000}, []string{"8k", "16k", "32k", "64k", "133k"}, q19Halo,
+			"paper: GC=2/3 become optimal at 64k and 133k; GC=4 at 133k ran out of memory"},
+		{"Fig. 10b — D3Q39 deep halos, 16 nodes BG/Q × 16 tasks (time / time at GC=1)",
+			[]int{16384, 32768, 65536, 133120, 174080, 204800}, []string{"16k", "32k", "64k", "133k", "170k", "200k"}, q39Halo,
+			"paper: deeper levels start to pay off at the larger sizes; ratios beyond 800:1 untestable"},
 	}
-	for i, nx := range sizes {
-		row := []string{labels[i]}
-		var base float64
-		best, bestD := 0.0, 0
-		for depth := 1; depth <= 4; depth++ {
-			j := job(nx, depth)
-			ranks := j.Nodes * j.TasksPerNode
-			if nx/ranks < depth*j.K {
-				row = append(row, "n/a")
-				continue
-			}
-			res, err := perfsim.Run(j)
-			if err != nil {
-				return nil, err
-			}
-			if res.OOM {
-				row = append(row, "OOM")
-				continue
-			}
-			if depth == 1 {
-				base = res.Seconds
-			}
-			if best == 0 || res.Seconds < best {
-				best, bestD = res.Seconds, depth
-			}
-			row = append(row, fmt.Sprintf("%.3f", res.Seconds/base))
+	var out []*Table
+	for _, st := range studies {
+		t := &Table{
+			Title:  st.title,
+			Header: []string{"size", "GC=1", "GC=2", "GC=3", "GC=4", "best"},
+			Notes:  []string{st.note},
 		}
-		row = append(row, fmt.Sprintf("GC=%d", bestD))
-		t.Rows = append(t.Rows, row)
+		for i, nx := range st.sizes {
+			row := []string{st.labels[i]}
+			var base float64
+			best, bestD := 0.0, 0
+			for depth := 1; depth <= 4; depth++ {
+				j := st.job
+				j.NX, j.Depth = nx, depth
+				if nx/(j.Nodes*j.TasksPerNode) < depth*j.K {
+					row = append(row, "n/a")
+					continue
+				}
+				res, err := perfsim.Run(j)
+				if err != nil {
+					return nil, err
+				}
+				if res.OOM {
+					row = append(row, "OOM")
+					continue
+				}
+				if depth == 1 {
+					base = res.Seconds
+				}
+				if best == 0 || res.Seconds < best {
+					best, bestD = res.Seconds, depth
+				}
+				row = append(row, fmt.Sprintf("%.3f", res.Seconds/base))
+			}
+			t.Rows = append(t.Rows, append(row, fmt.Sprintf("GC=%d", bestD)))
+		}
+		out = append(out, t)
 	}
-	t.Notes = append(t.Notes, paperNote)
-	return t, nil
+	return out, nil
 }
 
 // Table3 sweeps the lattice-points-per-processor ratio and reports the
 // optimal ghost depth for D3Q19 (paper Table III).
 func Table3() (*Table, error) {
-	t := &Table{
-		Title:  "Table III — optimal D3Q19 ghost depth vs planes/processor (2048 procs BG/P)",
-		Header: []string{"R (planes/proc)", "optimal depth (ours)", "paper"},
-	}
-	paper := func(r int) string {
-		switch {
-		case r <= 16:
-			return "1"
-		case r <= 32:
-			return "3"
-		case r <= 66:
-			return "2"
-		default:
+	return depthTable("Table III — optimal D3Q19 ghost depth vs planes/processor (2048 procs BG/P)",
+		[]int{4, 8, 16, 24, 32, 48, 64, 66}, q19Halo,
+		func(r int) string {
+			switch {
+			case r <= 16:
+				return "1"
+			case r <= 32:
+				return "3"
+			case r <= 66:
+				return "2"
+			}
 			return "untested"
-		}
-	}
-	for _, r := range []int{4, 8, 16, 24, 32, 48, 64, 66} {
-		best, bestD := 0.0, 0
-		for depth := 1; depth <= 4; depth++ {
-			if r < depth*q19Params.k {
-				continue
-			}
-			res, err := perfsim.Run(fig10Q19Job(r*2048, depth))
-			if err != nil {
-				return nil, err
-			}
-			if best == 0 || res.Seconds < best {
-				best, bestD = res.Seconds, depth
-			}
-		}
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", r), fmt.Sprintf("%d", bestD), paper(r),
-		})
-	}
-	t.Notes = append(t.Notes,
+		},
 		"shape reproduced: depth 1 at small ratios, deeper halos at large ratios; the paper's non-monotonic 3-then-2 ordering at mid ratios is within its measurement noise (see EXPERIMENTS.md)")
-	return t, nil
 }
 
 // Table4 is the D3Q39 analog on 16 BG/Q nodes (paper Table IV).
 func Table4() (*Table, error) {
-	t := &Table{
-		Title:  "Table IV — optimal D3Q39 ghost depth vs planes/processor (256 tasks BG/Q)",
-		Header: []string{"R (planes/proc)", "optimal depth (ours)", "paper"},
-	}
-	paper := func(r int) string {
-		switch {
-		case r < 256:
-			return "1"
-		case r <= 532:
-			return "3"
-		case r <= 680:
-			return "2"
-		case r <= 800:
-			return "2 or 3"
-		default:
+	return depthTable("Table IV — optimal D3Q39 ghost depth vs planes/processor (256 tasks BG/Q)",
+		[]int{64, 128, 256, 384, 512, 600, 680, 800}, q39Halo,
+		func(r int) string {
+			switch {
+			case r < 256:
+				return "1"
+			case r <= 532:
+				return "3"
+			case r <= 680:
+				return "2"
+			case r <= 800:
+				return "2 or 3"
+			}
 			return "untested"
-		}
-	}
-	for _, r := range []int{64, 128, 256, 384, 512, 600, 680, 800} {
-		best, bestD := 0.0, 0
-		for depth := 1; depth <= 4; depth++ {
-			if r < depth*q39Params.k {
-				continue
-			}
-			res, err := perfsim.Run(fig10Q39Job(r*256, depth))
-			if err != nil {
-				return nil, err
-			}
-			if best == 0 || res.Seconds < best {
-				best, bestD = res.Seconds, depth
-			}
-		}
-		t.Rows = append(t.Rows, []string{
-			fmt.Sprintf("%d", r), fmt.Sprintf("%d", bestD), paper(r),
 		})
+}
+
+// depthTable reports the optimal ghost depth of job at each ratio R of
+// planes per processor beside the paper's.
+func depthTable(title string, ratios []int, job perfsim.Job, paper func(r int) string, notes ...string) (*Table, error) {
+	t := &Table{
+		Title:  title,
+		Header: []string{"R (planes/proc)", "optimal depth (ours)", "paper"},
+		Notes:  notes,
+	}
+	for _, r := range ratios {
+		job.NX = r * job.Nodes * job.TasksPerNode
+		_, depth, err := bestDepth(job)
+		if err != nil {
+			return nil, err
+		}
+		t.Rows = append(t.Rows, []string{fmt.Sprintf("%d", r), fmt.Sprintf("%d", depth), paper(r)})
 	}
 	return t, nil
+}
+
+// bestDepth runs job at each ghost depth 1..4 that fits in its ranks'
+// slabs and returns the fastest run's time and depth.
+func bestDepth(job perfsim.Job) (float64, int, error) {
+	best, bestD := 0.0, 0
+	for depth := 1; depth <= 4; depth++ {
+		if job.NX/(job.Nodes*job.TasksPerNode) < depth*job.K {
+			continue
+		}
+		job.Depth = depth
+		res, err := perfsim.Run(job)
+		if err != nil {
+			return 0, 0, err
+		}
+		if best == 0 || res.Seconds < best {
+			best, bestD = res.Seconds, depth
+		}
+	}
+	return best, bestD, nil
 }
 
 // Fig11 regenerates the hybrid tasks×threads study for one machine: the
@@ -339,26 +320,15 @@ func Fig11(machineName string) (*Table, error) {
 			if p.spec.Q == 39 {
 				perProc = 800
 			}
-			nx := perProc * procs
-			bestT, bestD := 0.0, 0
-			for depth := 1; depth <= 4; depth++ {
-				ranks := nodes * c.tasks
-				if nx/ranks < depth*p.k {
-					continue
-				}
-				res, err := perfsim.Run(perfsim.Job{
-					Machine: m, Spec: p.spec, K: p.k,
-					Nodes: nodes, TasksPerNode: c.tasks, ThreadsPerTask: c.threads,
-					NX: nx, NY: 48, NZ: 48,
-					Steps: 50, Depth: depth, Opt: core.OptSIMD,
-					Imbalance: 0.15, Seed: 3,
-				})
-				if err != nil {
-					return nil, err
-				}
-				if bestT == 0 || res.Seconds < bestT {
-					bestT, bestD = res.Seconds, depth
-				}
+			bestT, bestD, err := bestDepth(perfsim.Job{
+				Machine: m, Spec: p.spec, K: p.k,
+				Nodes: nodes, TasksPerNode: c.tasks, ThreadsPerTask: c.threads,
+				NX: perProc * procs, NY: 48, NZ: 48,
+				Steps: 50, Opt: core.OptSIMD,
+				Imbalance: 0.15, Seed: 3,
+			})
+			if err != nil {
+				return nil, err
 			}
 			row = append(row, fmt.Sprintf("%.2f", bestT), fmt.Sprintf("%d", bestD))
 		}

@@ -13,111 +13,114 @@ import (
 
 // The Real* experiments execute the actual Go kernels on the local machine
 // at laptop scale. They demonstrate the same qualitative trade-offs as the
-// perfsim projections with no model in between; EXPERIMENTS.md records both
-// alongside the paper's values.
+// perfsim projections with no model in between.
 
-// realDims returns a laptop-scale domain for a model (D3Q39 cells carry ~2×
-// the data, so its box is smaller).
-func realDims(m *lattice.Model) grid.Dims {
-	if m.Q == 39 {
-		return grid.Dims{NX: 48, NY: 24, NZ: 24}
-	}
-	return grid.Dims{NX: 64, NY: 32, NZ: 32}
+// Run describes the -real experiments' runs: lbmbench's flags, parsed and
+// checked once by NewRun. Each experiment sweeps some of these itself
+// (fig10 the depth, fig11 ranks and threads) and ignores what it fixes.
+type Run struct {
+	Model *lattice.Model
+	// N is the laptop-scale box (D3Q39 cells carry ~2× the data, so its
+	// box is smaller).
+	N              grid.Dims
+	Ranks, Threads int
+	Steps          int
+	// Decomp is the decomposition spec (1d, 2d, 3d or PxxPyxPz), resolved
+	// against each run's rank count and box.
+	Decomp    string
+	Depth     int
+	DepthAxes [3]int
+	Collision collision.Spec
+	Stream    core.StreamScheme
 }
 
-// realShape resolves a decomposition spec against a Real* run's rank
-// count and dims ("1d" yields the paper's slab).
-func realShape(spec string, ranks int, n grid.Dims) ([3]int, error) {
-	d, err := decomp.ParseShape(spec, ranks, [3]int{n.NX, n.NY, n.NZ})
+// NewRun builds the run description from lbmbench's -real flags: the
+// model's name, the ranks, the threads per rank (0 = NumCPU/ranks), the
+// steps, the decomposition spec and the ghost depth ("2" or per-axis
+// "2,1,1"), with an already validated operator and stream.
+func NewRun(model string, ranks, threads, steps int, decompSpec, depthSpec string, col collision.Spec, stream core.StreamScheme) (Run, error) {
+	m, err := lattice.ByName(model)
 	if err != nil {
-		return [3]int{}, err
+		return Run{}, err
 	}
-	return d.P, nil
+	threads, err = core.ResolveThreads(threads, ranks)
+	if err != nil {
+		return Run{}, err
+	}
+	depth, axes, err := core.ParseGhostDepth(depthSpec)
+	if err != nil {
+		return Run{}, err
+	}
+	n := grid.Dims{NX: 64, NY: 32, NZ: 32}
+	if m.Q == 39 {
+		n = grid.Dims{NX: 48, NY: 24, NZ: 24}
+	}
+	return Run{
+		Model: m, N: n, Ranks: ranks, Threads: threads, Steps: steps,
+		Decomp: decompSpec, Depth: depth, DepthAxes: axes,
+		Collision: col, Stream: stream,
+	}, nil
 }
 
-// realDepth parses the -depth argument of the Real* experiments ("2" or
-// per-axis "2,1,1").
-func realDepth(spec string) (int, [3]int, error) {
-	if spec == "" {
-		return 1, [3]int{}, nil
+// config returns the core.Config of one rung of the ladder on box n cut
+// for ranks ranks. At Orig it is the paper's geometry (P×1×1 slab, depth
+// 1, two-grid), the only one the no-ghost protocol runs on
+// (core.PaperGeometry); every other rung takes the description's shape,
+// depth and stream.
+func (r Run) config(opt core.OptLevel, ranks int, n grid.Dims) (core.Config, error) {
+	d, err := decomp.ParseShape(r.Decomp, ranks, [3]int{n.NX, n.NY, n.NZ})
+	if err != nil {
+		return core.Config{}, err
 	}
-	return core.ParseGhostDepth(spec)
+	cfg := core.Config{
+		Model: r.Model, N: n, Tau: 0.8, Steps: r.Steps,
+		Opt: opt, Ranks: ranks, Decomp: d.P, Threads: r.Threads,
+		GhostDepth: r.Depth, GhostDepthAxes: r.DepthAxes,
+		Collision: r.Collision, Stream: r.Stream,
+	}
+	if opt == core.OptOrig {
+		cfg.Decomp, cfg.GhostDepth, cfg.GhostDepthAxes, cfg.Stream = [3]int{ranks, 1, 1}, 1, [3]int{}, core.StreamTwoGrid
+	}
+	return cfg, nil
 }
 
 // RealFig8 measures MFlup/s for each optimization level with the real
-// kernels (the local analog of Fig. 8). Orig always runs the 1-D slab
-// (the no-ghost protocol is slab-only); the other levels use the
-// requested decomposition shape. colSpec selects the collision operator
-// (TRT/MRT show the ladder with the generic operator kernel in place of
-// the specialized BGK collide).
-func RealFig8(modelName string, ranks, threads, steps int, decompSpec, depthSpec string, colSpec collision.Spec, stream core.StreamScheme) (*Table, error) {
-	m, err := lattice.ByName(modelName)
-	if err != nil {
-		return nil, err
-	}
-	n := realDims(m)
-	shape, err := realShape(decompSpec, ranks, n)
-	if err != nil {
-		return nil, err
-	}
-	depth, depthAxes, err := realDepth(depthSpec)
-	if err != nil {
-		return nil, err
-	}
-	t := &Table{
-		Title:  fmt.Sprintf("Fig. 8 (real kernels) — %s, %s, %d ranks (%dx%dx%d), %s, %s streaming, local machine (MFlup/s)", m.Name, n, ranks, shape[0], shape[1], shape[2], colSpec, stream),
-		Header: []string{"level", "MFlup/s", "speedup vs Orig"},
-	}
+// kernels (the local analog of Fig. 8). Orig always runs the paper's
+// geometry; the other levels use the requested decomposition shape. The
+// operator (TRT/MRT) shows the ladder with the generic operator kernel in
+// place of the specialized BGK collide.
+func RealFig8(r Run) (*Table, error) {
+	t := &Table{Header: []string{"level", "MFlup/s", "speedup vs Orig"}}
 	var first float64
+	var shape [3]int
 	for _, opt := range core.Levels() {
-		sh := shape
-		da := depthAxes
-		d := depth
-		st := stream
-		if opt == core.OptOrig {
-			// The no-ghost protocol is slab-only, depth-1-only, and has no
-			// ghost layer for AA streaming to exchange into.
-			sh, d, da, st = [3]int{ranks, 1, 1}, 1, [3]int{}, core.StreamTwoGrid
+		cfg, err := r.config(opt, r.Ranks, r.N)
+		if err != nil {
+			return nil, err
 		}
-		res, err := core.Run(core.Config{
-			Model: m, N: n, Tau: 0.8, Steps: steps,
-			Opt: opt, Ranks: ranks, Decomp: sh, Threads: threads,
-			GhostDepth: d, GhostDepthAxes: da,
-			Collision: colSpec, Stream: st,
-		})
+		res, err := core.Run(cfg)
 		if err != nil {
 			return nil, err
 		}
 		if opt == core.OptOrig {
 			first = res.MFlups
 		}
+		shape = cfg.Decomp
 		t.Rows = append(t.Rows, []string{
 			opt.String(),
 			fmt.Sprintf("%.2f", res.MFlups),
 			fmt.Sprintf("%.2fx", res.MFlups/first),
 		})
 	}
+	t.Title = fmt.Sprintf("Fig. 8 (real kernels) — %s, %s, %d ranks (%dx%dx%d), %s, %s streaming, local machine (MFlup/s)", r.Model.Name, r.N, r.Ranks, shape[0], shape[1], shape[2], r.Collision, r.Stream)
 	return t, nil
 }
 
 // RealFig9 measures the per-rank communication-time balance with injected
 // per-step jitter (the local analog of Fig. 9).
-func RealFig9(modelName string, ranks, threads, steps int, decompSpec, depthSpec string, colSpec collision.Spec, stream core.StreamScheme) (*Table, error) {
-	m, err := lattice.ByName(modelName)
-	if err != nil {
-		return nil, err
-	}
-	n := realDims(m)
-	shape, err := realShape(decompSpec, ranks, n)
-	if err != nil {
-		return nil, err
-	}
-	depth, depthAxes, err := realDepth(depthSpec)
-	if err != nil {
-		return nil, err
-	}
+func RealFig9(r Run) (*Table, error) {
 	t := &Table{
-		Title:  fmt.Sprintf("Fig. 9 (real kernels) — %s, %d ranks, per-rank comm time (ms)", m.Name, ranks),
+		Title:  fmt.Sprintf("Fig. 9 (real kernels) — %s, %d ranks, per-rank comm time (ms)", r.Model.Name, r.Ranks),
 		Header: []string{"protocol", "min", "median", "max"},
 	}
 	configs := []struct {
@@ -129,21 +132,12 @@ func RealFig9(modelName string, ranks, threads, steps int, decompSpec, depthSpec
 		{"GC-C", core.OptGCC},
 	}
 	for _, c := range configs {
-		sh := shape
-		da := depthAxes
-		d := depth
-		st := stream
-		if c.opt == core.OptOrig {
-			sh, d, da, st = [3]int{ranks, 1, 1}, 1, [3]int{}, core.StreamTwoGrid
+		cfg, err := r.config(c.opt, r.Ranks, r.N)
+		if err != nil {
+			return nil, err
 		}
-		res, err := core.Run(core.Config{
-			Model: m, N: n, Tau: 0.8, Steps: steps,
-			Opt: c.opt, Ranks: ranks, Decomp: sh, Threads: threads,
-			GhostDepth: d, GhostDepthAxes: da,
-			Collision:  colSpec,
-			Stream:     st,
-			StepJitter: 2 * time.Millisecond,
-		})
+		cfg.StepJitter = 2 * time.Millisecond
+		res, err := core.Run(cfg)
 		if err != nil {
 			return nil, err
 		}
@@ -161,40 +155,33 @@ func RealFig9(modelName string, ranks, threads, steps int, decompSpec, depthSpec
 
 // RealFig10 sweeps ghost depth × domain size with the real kernels (the
 // local analog of Fig. 10), reporting runtimes normalized to depth 1.
-func RealFig10(modelName string, ranks, threads, steps int, decompSpec string, colSpec collision.Spec, stream core.StreamScheme) (*Table, error) {
-	m, err := lattice.ByName(modelName)
-	if err != nil {
-		return nil, err
+func RealFig10(r Run) (*Table, error) {
+	if r.Depth != 1 || r.DepthAxes != ([3]int{}) {
+		return nil, fmt.Errorf("fig10 sweeps ghost depth itself; drop -depth")
 	}
+	m := r.Model
 	t := &Table{
-		Title:  fmt.Sprintf("Fig. 10 (real kernels) — %s, %d ranks (time / time at GC=1)", m.Name, ranks),
+		Title:  fmt.Sprintf("Fig. 10 (real kernels) — %s, %d ranks (time / time at GC=1)", m.Name, r.Ranks),
 		Header: []string{"NX", "GC=1", "GC=2", "GC=3", "GC=4"},
 	}
 	ny := 16
 	if m.Q == 39 {
 		ny = 8
 	}
-	for _, nx := range []int{ranks * 8 * m.MaxSpeed, ranks * 16 * m.MaxSpeed, ranks * 32 * m.MaxSpeed} {
+	for _, nx := range []int{r.Ranks * 8 * m.MaxSpeed, r.Ranks * 16 * m.MaxSpeed, r.Ranks * 32 * m.MaxSpeed} {
 		row := []string{fmt.Sprintf("%d", nx)}
 		var base float64
 		for depth := 1; depth <= 4; depth++ {
-			if nx/ranks < depth*m.MaxSpeed {
+			if nx/r.Ranks < depth*m.MaxSpeed {
 				row = append(row, "n/a")
 				continue
 			}
-			dims := grid.Dims{NX: nx, NY: ny, NZ: ny}
-			sh, err := realShape(decompSpec, ranks, dims)
+			cfg, err := r.config(core.OptSIMD, r.Ranks, grid.Dims{NX: nx, NY: ny, NZ: ny})
 			if err != nil {
 				return nil, err
 			}
-			res, err := core.Run(core.Config{
-				Model: m, N: dims,
-				Tau: 0.8, Steps: steps,
-				Opt: core.OptSIMD, Ranks: ranks, Decomp: sh, Threads: threads, GhostDepth: depth,
-				Collision:  colSpec,
-				Stream:     stream,
-				StepJitter: time.Millisecond,
-			})
+			cfg.GhostDepth, cfg.StepJitter = depth, time.Millisecond
+			res, err := core.Run(cfg)
 			if err != nil {
 				return nil, err
 			}
@@ -211,31 +198,18 @@ func RealFig10(modelName string, ranks, threads, steps int, decompSpec string, c
 
 // RealFig11 sweeps ranks×threads at a fixed total worker count (the local
 // analog of Fig. 11).
-func RealFig11(modelName string, steps int, decompSpec, depthSpec string, colSpec collision.Spec, stream core.StreamScheme) (*Table, error) {
-	m, err := lattice.ByName(modelName)
-	if err != nil {
-		return nil, err
-	}
-	n := realDims(m)
-	depth, depthAxes, err := realDepth(depthSpec)
-	if err != nil {
-		return nil, err
-	}
+func RealFig11(r Run) (*Table, error) {
 	t := &Table{
-		Title:  fmt.Sprintf("Fig. 11 (real kernels) — %s, %s tasks×threads on the local machine", m.Name, n),
+		Title:  fmt.Sprintf("Fig. 11 (real kernels) — %s, %s tasks×threads on the local machine", r.Model.Name, r.N),
 		Header: []string{"tasks-threads", "time (ms)", "MFlup/s"},
 	}
 	for _, c := range [][2]int{{1, 1}, {1, 2}, {1, 4}, {2, 1}, {2, 2}, {4, 1}} {
-		sh, err := realShape(decompSpec, c[0], n)
+		cfg, err := r.config(core.OptSIMD, c[0], r.N)
 		if err != nil {
 			return nil, err
 		}
-		res, err := core.Run(core.Config{
-			Model: m, N: n, Tau: 0.8, Steps: steps,
-			Opt: core.OptSIMD, Ranks: c[0], Decomp: sh, Threads: c[1],
-			GhostDepth: depth, GhostDepthAxes: depthAxes,
-			Collision: colSpec, Stream: stream,
-		})
+		cfg.Threads = c[1]
+		res, err := core.Run(cfg)
 		if err != nil {
 			return nil, err
 		}

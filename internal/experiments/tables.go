@@ -2,17 +2,15 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/lattice"
 	"repro/internal/machine"
 )
 
-// Table1Q19 renders the D3Q19 half of the paper's Table I: the velocity
-// shells with weights, neighbor order and distance.
-func Table1Q19() *Table { return table1For(lattice.D3Q19()) }
-
-// Table1Q39 renders the D3Q39 half of Table I.
-func Table1Q39() *Table { return table1For(lattice.D3Q39()) }
+// Table1 renders the paper's Table I, D3Q19 then D3Q39: each lattice's
+// velocity shells with weights, neighbor order and distance.
+func Table1() []*Table { return []*Table{table1For(lattice.D3Q19()), table1For(lattice.D3Q39())} }
 
 func table1For(m *lattice.Model) *Table {
 	t := &Table{
@@ -27,22 +25,15 @@ func table1For(m *lattice.Model) *Table {
 	}
 	var shells []shell
 	for i := 0; i < m.Q; i++ {
-		d := m.NeighborOrderDistance(i)
-		w := m.W[i]
-		found := false
-		for si := range shells {
-			if shells[si].w == w && shells[si].dist == d {
-				shells[si].count++
-				found = true
-				break
-			}
+		d, w := m.NeighborOrderDistance(i), m.W[i]
+		if si := slices.IndexFunc(shells, func(s shell) bool { return s.w == w && s.dist == d }); si >= 0 {
+			shells[si].count++
+			continue
 		}
-		if !found {
-			shells = append(shells, shell{
-				example: fmt.Sprintf("(%d,%d,%d)", m.Cx[i], m.Cy[i], m.Cz[i]),
-				count:   1, w: w, dist: d,
-			})
-		}
+		shells = append(shells, shell{
+			example: fmt.Sprintf("(%d,%d,%d)", m.Cx[i], m.Cy[i], m.Cz[i]),
+			count:   1, w: w, dist: d,
+		})
 	}
 	for si, s := range shells {
 		t.Rows = append(t.Rows, []string{

@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/collision"
 	"repro/internal/core"
-	"repro/internal/lattice"
 )
 
 // threadCounts returns the sweep points 1, 2, 4, ... up to max, always
@@ -28,48 +27,42 @@ func threadCounts(max int) []int {
 //
 //   - bgk: the split stream/collide path at OptGCC on one rank;
 //   - fused: the gather sweep (OptSIMD) on the same rank;
-//   - op: the generic operator path (TRT unless colSpec names another
-//     non-BGK operator) — its "gap" column is bgk/op, the cost of the
+//   - op: the generic operator path (TRT unless the description names
+//     another non-BGK operator) — its "gap" column is bgk/op, the cost of the
 //     operator indirection, which the z-run-blocked kernel must hold
 //     near 1 at every thread count;
 //   - cavity: the operator on a 2-rank GC-C lid-driven cavity, whose
 //     thin rim slabs exercise the shared chunk queue (a static per-axis
 //     partition would flatline here).
 //
-// MFlup/s is million fluid-lattice updates per second — cell rate.
-func RealThreads(modelName string, maxThreads, steps int, colSpec collision.Spec) (*Table, error) {
-	m, err := lattice.ByName(modelName)
-	if err != nil {
-		return nil, err
+// MFlup/s is million fluid-lattice updates per second — cell rate. The
+// sweep runs up to the description's threads, on one rank (two for the
+// cavity) of its box.
+func RealThreads(r Run) (*Table, error) {
+	if r.Stream != core.StreamTwoGrid {
+		return nil, fmt.Errorf("threads sweeps the two-grid kernels; drop -stream")
 	}
-	opSpec := colSpec
+	opSpec := r.Collision
 	if opSpec.IsBGK() {
 		opSpec = collision.Spec{Kind: collision.TRT}
 	}
-	n := realDims(m)
 	t := &Table{
 		Title: fmt.Sprintf("Thread sweep (real kernels) — %s, %s, %s operator, local machine (MFlup/s)",
-			m.Name, n, opSpec),
+			r.Model.Name, r.N, opSpec),
 		Header: []string{"threads", "bgk", "vs 1T", "fused", opSpec.String(), "op gap", "cavity GC-C 2r"},
 	}
 	var bgk1 float64
-	for _, th := range threadCounts(maxThreads) {
+	for _, th := range threadCounts(r.Threads) {
 		base := core.Config{
-			Model: m, N: n, Tau: 0.8, Steps: steps,
+			Model: r.Model, N: r.N, Tau: 0.8, Steps: r.Steps,
 			Opt: core.OptGCC, Ranks: 1, Threads: th, GhostDepth: 1,
 		}
-		bgkCfg := base
-		fusedCfg := base
-		fusedCfg.Opt = core.OptSIMD
-		opCfg := base
-		opCfg.Collision = opSpec
-		cavCfg := base
-		cavCfg.Opt = core.OptGCC
-		cavCfg.Ranks, cavCfg.Decomp = 2, [3]int{2, 1, 1}
-		cavCfg.Collision = opSpec
-		cavCfg.Boundary = core.CavitySpec(0.05)
+		fused, op, cav := base, base, base
+		fused.Opt = core.OptSIMD
+		op.Collision = opSpec
+		cav.Ranks, cav.Decomp, cav.Collision, cav.Boundary = 2, [3]int{2, 1, 1}, opSpec, core.CavitySpec(0.05)
 		var rates [4]float64
-		for i, cfg := range []core.Config{bgkCfg, fusedCfg, opCfg, cavCfg} {
+		for i, cfg := range []core.Config{base, fused, op, cav} {
 			res, err := core.Run(cfg)
 			if err != nil {
 				return nil, err
