@@ -241,10 +241,11 @@ type bgkOp struct {
 	feq []float64
 }
 
-// NewBGK returns the BGK operator: f ← f − (f − f_eq)/τ. The arithmetic
-// matches the solver's naive kernel bit-for-bit (division by τ, equilibria
-// via the model's closed form), which is what lets the operator-path
-// regression guard assert 0-ULP equality against the naive kernel.
+// NewBGK returns the BGK operator: f ← f − (f − f_eq)/τ, with the
+// arithmetic of the solver's naive kernel (division by τ, equilibria via
+// the model's closed form). The solver's BGK runs never build it (they
+// relax on the ladder's own kernels); TRT and MRT are held to it in their
+// degenerate cases.
 func NewBGK(m *lattice.Model, tau float64) Operator {
 	return &bgkOp{m: m, tau: tau, feq: make([]float64, m.Q)}
 }

@@ -2,8 +2,10 @@ package core
 
 import (
 	"math"
+	"strings"
 	"testing"
 
+	"repro/internal/comm"
 	"repro/internal/geom"
 	"repro/internal/grid"
 	"repro/internal/lattice"
@@ -233,6 +235,10 @@ func TestXOnlyGeometryUnchanged(t *testing.T) {
 			0, [3]int64{6400, 0, 0}, rank{32000, 10}, grid.Dims{NX: 8 + 2, NY: 8, NZ: 10}},
 		{Config{Model: lattice.D3Q19(), N: n, Tau: 0.8, Steps: 5, Opt: OptOrig, Ranks: 2, Threads: 1, GhostDepth: 1},
 			0, [3]int64{}, rank{32000, 10}, grid.Dims{NX: 12 + 2, NY: 8, NZ: 10}},
+		// One message per crossed plane per direction: 6 a step, 2 × (11 + 6
+		// + 1) velocity-planes of 80 cells × 8 B = 23040 B a step.
+		{Config{Model: lattice.D3Q39(), N: n, Tau: 0.8, Steps: 5, Opt: OptOrig, Ranks: 2, Threads: 1, GhostDepth: 1},
+			0, [3]int64{}, rank{115200, 30}, grid.Dims{NX: 12 + 2*3, NY: 8, NZ: 10}},
 	} {
 		name := c.cfg.Model.Name + " " + c.cfg.Opt.String()
 		res, err := Run(c.cfg)
@@ -257,6 +263,56 @@ func TestXOnlyGeometryUnchanged(t *testing.T) {
 			t.Errorf("%s: the exchanger carries y or z faces", name)
 		}
 		cs.close()
+	}
+}
+
+// TestOrigWrongPayloadPanics: the Orig protocol's plane messages carry no
+// header, so one of the wrong length (the two ranks disagree on what
+// crosses) must panic before it writes a value of the plane it would merge
+// into — shorter or longer.
+func TestOrigWrongPayloadPanics(t *testing.T) {
+	cfg := Config{Model: lattice.D3Q19(), N: grid.Dims{NX: 8, NY: 4, NZ: 4}, Tau: 0.8, Steps: 1, Opt: OptOrig, Ranks: 2, Threads: 1, GhostDepth: 1}
+	dec, err := cfg.init()
+	if err != nil {
+		t.Fatal(err)
+	}
+	const plane, crossing = 4 * 4, 5
+	for _, extra := range []int{-1, 1} {
+		err := comm.NewFabric(2).Run(func(r *comm.Rank) error {
+			if r.ID == 1 {
+				// Rank 0's right neighbour, whose message it merges first;
+				// and its left, whose well-formed message it merges next.
+				r.Send(0, tagOrigL, make([]float64, crossing*plane+extra))
+				r.Send(0, tagOrigR, make([]float64, crossing*plane))
+				return nil
+			}
+			cs, err := newCartStepper(&cfg, dec, r)
+			if err != nil {
+				return err
+			}
+			defer cs.close()
+			for i := range cs.fadv.Data {
+				cs.fadv.Data[i] = -1
+			}
+			var got any
+			func() {
+				defer func() { got = recover() }()
+				cs.orig.exchange()
+			}()
+			if msg, _ := got.(string); !strings.Contains(msg, "received") {
+				t.Errorf("%+d values: recovered %v, want a length panic", extra, got)
+			}
+			for i, v := range cs.fadv.Data {
+				if v != -1 {
+					t.Errorf("%+d values: fadv[%d] = %g written before the panic", extra, i, v)
+					break
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
 	}
 }
 

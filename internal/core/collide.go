@@ -22,19 +22,13 @@ package core
 //
 // Operators other than BGK have kernels of their own: TRT runs the pair
 // kernel's passes with one fused equilibrium-and-relax primitive per pair
-// (relaxTRT), MRT its Q×Q RowRelaxer over feq rows (relaxOpRows), and an
-// operator with neither the per-cell fallback (relaxOpCell).
+// (relaxTRT), MRT its Q×Q RowRelaxer over feq rows (relaxOpRows).
 
 import (
 	"repro/internal/collision"
 	"repro/internal/grid"
 	"repro/internal/lattice"
 )
-
-// testForceOperatorPath, when set by a test in this package, routes BGK
-// configurations through the per-cell operator kernel instead of the
-// ladder's BGK kernels (the equivalence guard for the indirection).
-var testForceOperatorPath bool
 
 // testPlainStores, when set by a test in this package, keeps the SIMD
 // rung's two-field sweep on simdRows: the ordinary stores that
@@ -123,7 +117,7 @@ func (c *collider) init(cfg *Config) error {
 		c.cz[i] = float64(m.Cz[i])
 	}
 	shiftTau := cfg.Tau
-	if !cfg.Collision.IsBGK() || testForceOperatorPath {
+	if !cfg.Collision.IsBGK() {
 		op, err := cfg.Collision.New(m, cfg.Tau)
 		if err != nil {
 			return err
@@ -151,8 +145,6 @@ func (c *collider) init(cfg *Config) error {
 		c.relax = c.relaxTRT
 	case rows:
 		c.relax = c.relaxOpRows
-	case c.op != nil:
-		c.relax = c.relaxOpCell
 	case cfg.Opt <= OptGC:
 		c.relax = c.relaxNaive
 	case cfg.Opt == OptDH:
@@ -534,25 +526,6 @@ func (c *collider) eqRows(r *rowOps, b *rowBufs, feq [][]float64, zn int) {
 			} else {
 				eq2(fi, feq[p.j], t, b.base, c.pairQ(r, b, p, zn), c.half)
 			}
-		}
-	}
-}
-
-// relaxOpCell is the per-cell fallback for operators without a row form:
-// gather, Moments, one Relax on the worker's clone, scatter. The forced-
-// operator BGK regression route stays on it deliberately — its arithmetic
-// matches relaxNaive to 0 ULP.
-func (c *collider) relaxOpCell(sc *workerScratch, in, out [][]float64, zn int) {
-	m := c.model
-	fc := sc.fc
-	for z := 0; z < zn; z++ {
-		for v := range fc {
-			fc[v] = in[v][z]
-		}
-		rho, jx, jy, jz := m.Moments(fc)
-		sc.op.Relax(fc, rho, jx/rho+c.shiftX, jy/rho+c.shiftY, jz/rho+c.shiftZ)
-		for v := range fc {
-			out[v][z] = fc[v]
 		}
 	}
 }

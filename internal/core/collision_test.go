@@ -5,18 +5,10 @@ package core
 // The paper-reproduction perf path is the BGK fast path: a Config whose
 // Collision spec is (the zero-value) BGK must relax through the ladder's
 // own BGK row kernels at every optimization level and every
-// decomposition, never through a collision.Operator. Two guards enforce
-// that:
-//
-//   - TestBGKKeepsLegacyKernels asserts, white-box, that BGK configs build
-//     steppers with no operator attached (op == nil is the condition for
-//     the ladder's BGK row kernels).
-//
-//   - TestOperatorPathBGKBitForBit flips the test-only force flag so the
-//     same BGK math runs through the per-cell operator kernel and asserts
-//     the fields are bitwise equal to the naive kernel (whose arithmetic
-//     the BGK operator reproduces exactly) — proving the indirection
-//     machinery (views, clones, threading, decompositions) is transparent.
+// decomposition, never through a collision.Operator.
+// TestBGKKeepsLegacyKernels asserts that, white-box: BGK configs build
+// steppers with no operator attached (op == nil is the condition for the
+// ladder's BGK row kernels).
 
 import (
 	"testing"
@@ -88,47 +80,6 @@ func runField(t *testing.T, cfg Config) *grid.Field {
 		t.Fatalf("%s ranks=%d decomp=%v: %v", cfg.Opt, cfg.Ranks, cfg.Decomp, err)
 	}
 	return res.Field
-}
-
-// TestOperatorPathBGKBitForBit: the generic operator kernel running BGK
-// arithmetic is bitwise identical to the legacy naive collide (the kernel
-// of the Orig/GC levels) across ranks, threads and decompositions, and
-// within reassociation tolerance of the specialized kernels of the higher
-// levels.
-func TestOperatorPathBGKBitForBit(t *testing.T) {
-	n := grid.Dims{NX: 12, NY: 6, NZ: 6}
-	force := func(cfg Config) *grid.Field {
-		testForceOperatorPath = true
-		defer func() { testForceOperatorPath = false }()
-		return runField(t, cfg)
-	}
-	cases := []Config{
-		{Model: lattice.D3Q19(), N: n, Tau: 0.8, Steps: 4, Opt: OptOrig, Ranks: 2, Threads: 1, GhostDepth: 1},
-		{Model: lattice.D3Q19(), N: n, Tau: 0.8, Steps: 4, Opt: OptGC, Ranks: 2, Threads: 2, GhostDepth: 2},
-		{Model: lattice.D3Q39(), N: grid.Dims{NX: 12, NY: 6, NZ: 6}, Tau: 0.8, Steps: 2, Opt: OptGC, Ranks: 1, Threads: 1, GhostDepth: 1},
-		// Multi-axis (cart) path: ≤ GC levels use the box naive kernel.
-		{Model: lattice.D3Q19(), N: n, Tau: 0.8, Steps: 4, Opt: OptGC, Ranks: 4, Decomp: [3]int{2, 2, 1}, Threads: 1, GhostDepth: 1},
-		// Bounded path (cavity walls) on the box stepper.
-		{Model: lattice.D3Q19(), N: n, Tau: 0.8, Steps: 4, Opt: OptGC, Ranks: 2, Decomp: [3]int{2, 1, 1}, Threads: 1, GhostDepth: 1, Boundary: CavitySpec(0.05)},
-	}
-	for _, cfg := range cases {
-		legacy := runField(t, cfg)
-		viaOp := force(cfg)
-		if d := grid.MaxAbsDiff(legacy, viaOp); d != 0 {
-			t.Errorf("%s %s ranks=%d decomp=%v bounded=%v: operator path differs from naive kernel by %g (want 0 ULP)",
-				cfg.Model.Name, cfg.Opt, cfg.Ranks, cfg.Decomp, cfg.Boundary != nil, d)
-		}
-	}
-	// Specialized-kernel levels reassociate the same math; the operator
-	// path must stay within the suite's equivalence tolerance.
-	for _, opt := range []OptLevel{OptDH, OptCF, OptNBC, OptGCC, OptSIMD} {
-		cfg := Config{Model: lattice.D3Q19(), N: n, Tau: 0.8, Steps: 4, Opt: opt, Ranks: 2, Threads: 1, GhostDepth: 1}
-		legacy := runField(t, cfg)
-		viaOp := force(cfg)
-		if d := grid.MaxAbsDiff(legacy, viaOp); d > eqTol {
-			t.Errorf("%s: operator path vs specialized kernels: max |Δf| = %g (tol %g)", opt, d, eqTol)
-		}
-	}
 }
 
 // TestTRTDegeneratesToBGK: with Λ = (τ−½)² both TRT rates equal 1/τ and a
@@ -221,9 +172,27 @@ func TestCollisionDeepHaloAndLadder(t *testing.T) {
 	}
 }
 
+// relaxOpCell is the per-cell reference for the operator row kernels:
+// gather, Moments, one Operator.Relax on the worker's clone, scatter — a
+// row kernel's signature over the operator's own per-cell arithmetic.
+func (c *collider) relaxOpCell(sc *workerScratch, in, out [][]float64, zn int) {
+	m := c.model
+	fc := sc.fc
+	for z := 0; z < zn; z++ {
+		for v := range fc {
+			fc[v] = in[v][z]
+		}
+		rho, jx, jy, jz := m.Moments(fc)
+		sc.op.Relax(fc, rho, jx/rho+c.shiftX, jy/rho+c.shiftY, jz/rho+c.shiftZ)
+		for v := range fc {
+			out[v][z] = fc[v]
+		}
+	}
+}
+
 // TestOperatorRowKernelMatchesPerCell: the operator row kernel
 // (relaxOpRows, the RowRelaxer fast path) must agree with the per-cell
-// kernel (relaxOpCell) to reassociation level — same moments, same
+// reference (relaxOpCell) to reassociation level — same moments, same
 // relaxation, different loop order and equilibrium inlining.
 func TestOperatorRowKernelMatchesPerCell(t *testing.T) {
 	for _, m := range []*lattice.Model{lattice.D3Q19(), lattice.D3Q39()} {

@@ -17,8 +17,8 @@
 //
 // The collision arithmetic lives in one place: collide.go holds one row
 // kernel per rung of the ladder (naive, row-generic, pair-symmetric) and
-// the operators' (TRT's pair kernel, MRT's feq rows + RelaxRows, the
-// per-cell fallback), and every path relaxes through the one its rung
+// the operators' (TRT's pair kernel, MRT's feq rows + RelaxRows), and
+// every path relaxes through the one its rung
 // and operator select, inside the one row body of gather.go — on the split
 // path just after a block of the field streamed, relaxing it in place, or
 // as the gather sweep that fused and AA streaming both are; on

@@ -250,7 +250,7 @@ func TestGhostUpdatesAccounting(t *testing.T) {
 	// halos: depth d ≥ 2 sends all Q populations of its d·k layers every d
 	// steps, Q·k layers' worth per step whatever d. Depth 1 sends less: its
 	// k layers are only ever read by upwind pulls, so a face carries the
-	// CrossPlaneVels[0] populations directed out of its ghost (5 of 19).
+	// DefaultCross(19)[0] populations directed out of its ghost (5 of 19).
 	perStep := func(vels int) int64 { return int64(2 * vels * n.PlaneCells() * 8) }
 	if b1, want := res1.PerRank[0].BytesSent, 4*perStep(5); b1 != want {
 		t.Errorf("bytes: depth 1 sent %d, want %d (5 directed populations per face)", b1, want)

@@ -157,7 +157,7 @@ func outflowChannelSpec(u float64) *BoundarySpec {
 // TestDirectedFacesRule pins what the stepper hands its exchanger: at
 // depth 1 each ghost plane lists the populations that cross it into the
 // owned region — on the plane d cells out of the low ghost those with
-// c_a ≥ d, of the high ghost c_a ≤ −d: CrossPlaneVels of them, D3Q19 5 of
+// c_a ≥ d, of the high ghost c_a ≤ −d: perfsim.DefaultCross of them, D3Q19 5 of
 // 19 on its one plane, D3Q39 11, 6 and 1 of 39 on its three — and all Q
 // (nil) in the two whole-cell cases: a deep halo and a pressure outlet
 // anywhere in the run.

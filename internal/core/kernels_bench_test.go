@@ -452,7 +452,7 @@ func BenchmarkBoxKernels(b *testing.B) {
 	}
 }
 
-// Operator row kernels: the per-cell fallback vs the row kernel (TRT's
+// Operator row kernels: the per-cell reference vs the row kernel (TRT's
 // fused pair kernel, MRT's RowRelaxer form), against the BGK
 // pair-symmetric kernel as the yardstick.
 func BenchmarkBoxCollideOperator(b *testing.B) {

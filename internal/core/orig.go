@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"repro/internal/grid"
 	"repro/internal/halo"
 	"repro/internal/obs"
@@ -20,8 +22,6 @@ type origProto struct {
 	// crossL[m-1] lists velocities with cx ≤ −m; crossR[m-1] those with
 	// cx ≥ m — the populations that can cross m planes leftward/rightward.
 	crossL, crossR [][]int
-	bufL, bufR     [][]float64
-	recv           []float64
 }
 
 // Message tags: one per (direction, plane offset).
@@ -36,8 +36,6 @@ const (
 func newOrigProto(s *cartStepper, xNeighbors [2]int) *origProto {
 	m := s.model
 	p := &origProto{s: s, left: xNeighbors[0], right: xNeighbors[1]}
-	plane := s.d.PlaneCells()
-	maxLen := 0
 	for off := 1; off <= s.k; off++ {
 		var l, r []int
 		for v := 0; v < m.Q; v++ {
@@ -50,20 +48,7 @@ func newOrigProto(s *cartStepper, xNeighbors [2]int) *origProto {
 		}
 		p.crossL = append(p.crossL, l)
 		p.crossR = append(p.crossR, r)
-		if len(l) > maxLen {
-			maxLen = len(l)
-		}
-		if len(r) > maxLen {
-			maxLen = len(r)
-		}
 	}
-	p.bufL = make([][]float64, s.k)
-	p.bufR = make([][]float64, s.k)
-	for j := 0; j < s.k; j++ {
-		p.bufL[j] = make([]float64, len(p.crossL[s.k-j-1])*plane)
-		p.bufR[j] = make([]float64, len(p.crossR[j])*plane)
-	}
-	p.recv = make([]float64, maxLen*plane)
 	return p
 }
 
@@ -88,11 +73,12 @@ func (p *origProto) compute() {
 // them into their owned planes. Margin plane j ∈ [0,k) on the left carries
 // populations with cx ≤ −(k−j) and lands on the left neighbor's owned
 // plane own+j; right margin plane j carries cx ≥ j+1 and lands on the
-// right neighbor's owned plane k+j (local coordinates).
+// right neighbor's owned plane k+j (local coordinates). Each plane is one
+// message, packed straight into a slot of the fabric and merged straight
+// out of the slot it arrives in.
 func (p *origProto) exchange() {
 	s := p.s
 	k, own := s.k, s.own[0]
-	plane := s.d.PlaneCells()
 	if s.r.N == 1 {
 		// Periodic wrap: the margins fold back onto the owned region
 		// (attributed to Unpack — a merge into owned planes, no packing).
@@ -105,41 +91,49 @@ func (p *origProto) exchange() {
 		return
 	}
 	t0 := s.rec.Begin()
-	var bytes, msgs int64
+	var bytes int64
 	for j := 0; j < k; j++ {
-		vels := p.crossL[k-j-1]
-		n := halo.PackPlanesVel(s.fadv, j, j+1, vels, p.bufL[j])
-		s.r.Send(p.left, tagOrigL+j, p.bufL[j][:n])
-		bytes, msgs = bytes+int64(8*n), msgs+1
+		bytes += p.send(p.left, tagOrigL+j, j, p.crossL[k-j-1])
 	}
 	for j := 0; j < k; j++ {
-		vels := p.crossR[j]
-		n := halo.PackPlanesVel(s.fadv, own+k+j, own+k+j+1, vels, p.bufR[j])
-		s.r.Send(p.right, tagOrigR+j, p.bufR[j][:n])
-		bytes, msgs = bytes+int64(8*n), msgs+1
+		bytes += p.send(p.right, tagOrigR+j, own+k+j, p.crossR[j])
 	}
 	s.rec.End(obs.Pack, t0)
-	s.rec.AddComm(0, bytes, msgs)
+	s.rec.AddComm(0, bytes, int64(2*k))
 	for j := 0; j < k; j++ {
-		vels := p.crossL[k-j-1]
-		n := len(vels) * plane
-		t0 = s.rec.Begin()
-		s.r.Recv(p.right, tagOrigL+j, p.recv[:n])
-		s.rec.End(obs.Wire, t0)
-		t0 = s.rec.Begin()
-		halo.UnpackPlanesVel(s.fadv, own+j, own+j+1, vels, p.recv[:n])
-		s.rec.End(obs.Unpack, t0)
+		p.merge(p.right, tagOrigL+j, own+j, p.crossL[k-j-1])
 	}
 	for j := 0; j < k; j++ {
-		vels := p.crossR[j]
-		n := len(vels) * plane
-		t0 = s.rec.Begin()
-		s.r.Recv(p.left, tagOrigR+j, p.recv[:n])
-		s.rec.End(obs.Wire, t0)
-		t0 = s.rec.Begin()
-		halo.UnpackPlanesVel(s.fadv, k+j, k+j+1, vels, p.recv[:n])
-		s.rec.End(obs.Unpack, t0)
+		p.merge(p.left, tagOrigR+j, k+j, p.crossR[j])
 	}
+}
+
+// send packs the listed velocities of fadv's x-plane x into a slot for dst
+// and posts it under tag, returning the payload bytes.
+func (p *origProto) send(dst, tag, x int, vels []int) int64 {
+	s := p.s
+	slot := s.r.Acquire(dst, len(vels)*s.d.PlaneCells())
+	halo.PackPlanesVel(s.fadv, x, x+1, vels, slot.Data)
+	s.r.Post(dst, tag, slot)
+	return int64(8 * len(slot.Data))
+}
+
+// merge takes the message tag from src and writes it into the listed
+// velocities of fadv's x-plane x. The payload has no header: a length
+// other than the plane's means the two ranks disagree on the lattice, so
+// it panics before the first write.
+func (p *origProto) merge(src, tag, x int, vels []int) {
+	s := p.s
+	t0 := s.rec.Begin()
+	slot := s.r.Take(src, tag)
+	s.rec.End(obs.Wire, t0)
+	t0 = s.rec.Begin()
+	if want := len(vels) * s.d.PlaneCells(); len(slot.Data) != want {
+		panic(fmt.Sprintf("core: rank %d Orig plane %d: received %d values from rank %d, want %d", s.r.ID, x, len(slot.Data), src, want))
+	}
+	halo.UnpackPlanesVel(s.fadv, x, x+1, vels, slot.Data)
+	s.r.Release(slot)
+	s.rec.End(obs.Unpack, t0)
 }
 
 // streamPushScalar is the paper's Fig. 3 push kernel: iterate source cells,

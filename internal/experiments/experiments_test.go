@@ -443,6 +443,10 @@ func TestRunConfig(t *testing.T) {
 			t.Errorf("%s with -depth 2,1,1 -stream aa: %v, want a drop -flag error", name, err)
 		}
 	}
+	// fig11 runs 1, 2 and 4 ranks: a fixed shape fits at most one of them.
+	if _, err := RealFig11(r); err == nil || !strings.Contains(err.Error(), "-decomp takes 1d, 2d or 3d") {
+		t.Errorf("fig11 with -decomp 2x2x1: %v, want a -decomp error", err)
+	}
 }
 
 func TestCollisionTable(t *testing.T) {

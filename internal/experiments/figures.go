@@ -221,7 +221,7 @@ func Table3() (*Table, error) {
 			}
 			return "untested"
 		},
-		"shape reproduced: depth 1 at small ratios, deeper halos at large ratios; the paper's non-monotonic 3-then-2 ordering at mid ratios is within its measurement noise (see EXPERIMENTS.md)")
+		"shape reproduced: depth 1 at small ratios, deeper halos at large ratios; the paper's non-monotonic 3-then-2 ordering at mid ratios is within its measurement noise")
 }
 
 // Table4 is the D3Q39 analog on 16 BG/Q nodes (paper Table IV).

@@ -197,8 +197,15 @@ func RealFig10(r Run) (*Table, error) {
 }
 
 // RealFig11 sweeps ranks×threads at a fixed total worker count (the local
-// analog of Fig. 11).
+// analog of Fig. 11). It runs 1, 2 and 4 ranks, so its decomposition is a
+// rule each of them resolves, not a fixed shape: one that does not
+// resolve at every count is refused before the first run.
 func RealFig11(r Run) (*Table, error) {
+	for _, ranks := range []int{1, 2, 4} {
+		if _, err := decomp.ParseShape(r.Decomp, ranks, [3]int{r.N.NX, r.N.NY, r.N.NZ}); err != nil {
+			return nil, fmt.Errorf("fig11 sweeps rank counts 1, 2 and 4 itself, so -decomp takes 1d, 2d or 3d: %w", err)
+		}
+	}
 	t := &Table{
 		Title:  fmt.Sprintf("Fig. 11 (real kernels) — %s, %s tasks×threads on the local machine", r.Model.Name, r.N),
 		Header: []string{"tasks-threads", "time (ms)", "MFlup/s"},

@@ -91,28 +91,46 @@ func FitTable(r *tune.FitResult) *Table {
 	return t
 }
 
-// TuneScenarioNames is the fixed tuning scenario set: a dense bounded
-// cavity and a mostly-solid vascular mask, the two regimes where the
-// tuner's wins come from different knobs (threads/protocol vs
+// tuneScenarios is the fixed tuning scenario set, in order: a dense
+// bounded cavity and a mostly-solid vascular mask, the two regimes where
+// the tuner's wins come from different knobs (threads/protocol vs
 // balance/sparse traversal).
-func TuneScenarioNames() []string { return []string{"cavity64", "bifurcation96"} }
-
-// TuneScenario resolves a named tuning scenario.
-func TuneScenario(name string) (*tune.Scenario, error) {
-	switch name {
-	case "cavity64":
+var tuneScenarios = []struct {
+	name string
+	make func(name string) (*tune.Scenario, error)
+}{
+	{"cavity64", func(name string) (*tune.Scenario, error) {
 		var cfg core.Config
 		if err := (physics.CavityConfig{L: 64, NZ: 64, Re: 100}).Configure(&cfg); err != nil {
 			return nil, err
 		}
 		return tune.NewScenario(name, &cfg), nil
-	case "bifurcation96":
+	}},
+	{"bifurcation96", func(name string) (*tune.Scenario, error) {
 		m := lattice.D3Q19()
 		n := grid.Dims{NX: 96, NY: 48, NZ: 48}
 		return &tune.Scenario{
 			Name: name, Model: m, N: n, Tau: 0.8,
 			Solid: geom.Bifurcation(n, 0.1*float64(n.NY)),
 		}, nil
+	}},
+}
+
+// TuneScenarioNames lists the tuning scenarios' names in order.
+func TuneScenarioNames() []string {
+	names := make([]string, len(tuneScenarios))
+	for i, s := range tuneScenarios {
+		names[i] = s.name
+	}
+	return names
+}
+
+// TuneScenario resolves a named tuning scenario.
+func TuneScenario(name string) (*tune.Scenario, error) {
+	for _, s := range tuneScenarios {
+		if s.name == name {
+			return s.make(name)
+		}
 	}
 	return nil, fmt.Errorf("experiments: unknown tuning scenario %q (have %v)", name, TuneScenarioNames())
 }

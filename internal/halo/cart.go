@@ -42,56 +42,18 @@ func cartTag(axis, dir int) int { return 0x200 + 2*axis + dir }
 const NoNeighbor = -1
 
 // PackBox copies all Q velocities of the axis-aligned box [lo,hi) of f
-// into buf and returns the number of values packed, velocity-major. Boxes
-// spanning full y/z cross-sections degenerate to the contiguous-plane fast
-// path.
+// into buf and returns the number of values packed, velocity-major: per
+// velocity, the box's z-rows x-major then y, as one span where they lie
+// back to back (a box spanning the full y/z cross-section is one span).
 func PackBox(f *grid.Field, lo, hi [3]int, buf []float64) int {
-	if fullCross(f.D, lo, hi) {
-		return PackPlanes(f, lo[0], hi[0], buf)
-	}
-	zn := hi[2] - lo[2]
-	if zn <= 0 || hi[1] <= lo[1] || hi[0] <= lo[0] {
-		return 0
-	}
-	n := 0
-	for v := 0; v < f.Q; v++ {
-		blk := f.V(v)
-		for ix := lo[0]; ix < hi[0]; ix++ {
-			for iy := lo[1]; iy < hi[1]; iy++ {
-				off := f.D.Index(ix, iy, lo[2])
-				n += copy(buf[n:n+zn], blk[off:off+zn])
-			}
-		}
-	}
-	return n
+	spans, cells := faceSpans(lo, hi, denseClip(f.D))
+	return copySpans(f, nil, spans, buf[:f.Q*cells], false)
 }
 
 // UnpackBox is the inverse of PackBox.
 func UnpackBox(f *grid.Field, lo, hi [3]int, buf []float64) int {
-	if fullCross(f.D, lo, hi) {
-		return UnpackPlanes(f, lo[0], hi[0], buf)
-	}
-	zn := hi[2] - lo[2]
-	if zn <= 0 || hi[1] <= lo[1] || hi[0] <= lo[0] {
-		return 0
-	}
-	n := 0
-	for v := 0; v < f.Q; v++ {
-		blk := f.V(v)
-		for ix := lo[0]; ix < hi[0]; ix++ {
-			for iy := lo[1]; iy < hi[1]; iy++ {
-				off := f.D.Index(ix, iy, lo[2])
-				n += copy(blk[off:off+zn], buf[n:n+zn])
-			}
-		}
-	}
-	return n
-}
-
-// fullCross reports whether the box spans the full y and z extents, the
-// precondition for the contiguous x-plane fast path.
-func fullCross(d grid.Dims, lo, hi [3]int) bool {
-	return lo[1] == 0 && hi[1] == d.NY && lo[2] == 0 && hi[2] == d.NZ
+	spans, cells := faceSpans(lo, hi, denseClip(f.D))
+	return copySpans(f, nil, spans, buf[:f.Q*cells], true)
 }
 
 // span is one memory-contiguous run of face cells: n cells starting at
@@ -173,6 +135,18 @@ func NewCartExchanger(q int, d grid.Dims, own, w [3]int, self int, neighbors [3]
 // from cell offset off of every velocity block.
 type Clip func(lo, hi [3]int, seg func(off, n int))
 
+// denseClip is the address map of a dense field over d: every cell of a
+// box is stored, each row of it one segment.
+func denseClip(d grid.Dims) Clip {
+	return func(lo, hi [3]int, seg func(off, n int)) {
+		for ix := lo[0]; ix < hi[0]; ix++ {
+			for iy := lo[1]; iy < hi[1]; iy++ {
+				seg(d.Index(ix, iy, lo[2]), hi[2]-lo[2])
+			}
+		}
+	}
+}
+
 // NewCartExchangerClipped builds an exchanger whose faces carry the cells
 // stored lists, at the offsets it gives them; nil means a dense field over
 // d, every cell stored. d is the local box either way (ghosts included) —
@@ -220,13 +194,7 @@ func NewCartExchangerClipped(q int, d grid.Dims, own, w [3]int, self int, neighb
 		}
 	}
 	if stored == nil {
-		stored = func(lo, hi [3]int, seg func(off, n int)) {
-			for ix := lo[0]; ix < hi[0]; ix++ {
-				for iy := lo[1]; iy < hi[1]; iy++ {
-					seg(d.Index(ix, iy, lo[2]), hi[2]-lo[2])
-				}
-			}
-		}
+		stored = denseClip(d)
 	}
 	e := &CartExchanger{Q: q, Dims: d, Own: own, W: w, Self: self, Neighbors: neighbors}
 	for a := 0; a < 3; a++ {
@@ -486,7 +454,8 @@ func (e *CartExchanger) copyFace(f *grid.Field, axis, region int, buf []float64,
 // copySpans moves the listed cells of the listed velocity blocks of f
 // (nil: every block), in wire order, into buf — or, unpacking, out of it —
 // and returns the number of values moved. A cell span is one contiguous
-// range of every block, which makes the wire format PackBox's.
+// range of every block. It is the one loop that moves velocity blocks
+// between a field and a buffer: faces, boxes and the Orig planes.
 func copySpans(f *grid.Field, vels []int, spans []span, buf []float64, unpack bool) int {
 	nb := f.Q
 	if vels != nil {

@@ -12,34 +12,83 @@ import (
 	"repro/internal/lattice"
 )
 
+// packBoxRef is the reference box packer the span lists are held to: per
+// velocity, per x, per y, the row's z range — no span list, no merging,
+// no copySpans, so no test checks copySpans against itself.
+func packBoxRef(f *grid.Field, lo, hi [3]int, buf []float64) int {
+	zn := hi[2] - lo[2]
+	if zn <= 0 || hi[1] <= lo[1] || hi[0] <= lo[0] {
+		return 0
+	}
+	n := 0
+	for v := 0; v < f.Q; v++ {
+		blk := f.V(v)
+		for ix := lo[0]; ix < hi[0]; ix++ {
+			for iy := lo[1]; iy < hi[1]; iy++ {
+				off := f.D.Index(ix, iy, lo[2])
+				n += copy(buf[n:n+zn], blk[off:off+zn])
+			}
+		}
+	}
+	return n
+}
+
+// TestPackBoxRoundTrip: PackBox packs value for value what the reference
+// loop packs — full-cross-section x boxes, y and z faces, a partial box
+// and an empty one — and UnpackBox writes those values back into the box
+// and nowhere else.
 func TestPackBoxRoundTrip(t *testing.T) {
 	d := grid.Dims{NX: 5, NY: 4, NZ: 3}
 	boxes := [][2][3]int{
-		{{1, 0, 0}, {3, 4, 3}}, // full cross-section: fast path
+		{{1, 0, 0}, {3, 4, 3}}, // full cross-section: one span
+		{{0, 0, 0}, {1, 4, 3}}, // one full x-plane
+		{{4, 0, 0}, {5, 4, 3}}, // the last one
 		{{0, 1, 0}, {5, 2, 3}}, // y face
 		{{0, 0, 2}, {5, 4, 3}}, // z face
 		{{1, 1, 1}, {3, 3, 2}}, // interior box
+		{{2, 0, 1}, {4, 4, 3}}, // full y, partial z
+		{{1, 1, 1}, {1, 3, 2}}, // empty
 	}
+	const sentinel = -1.0
 	src := grid.NewField(2, d, grid.SoA)
 	for i := range src.Data {
 		src.Data[i] = float64(i) + 0.25
 	}
 	for _, b := range boxes {
 		lo, hi := b[0], b[1]
+		inBox := func(ix, iy, iz int) bool {
+			return ix >= lo[0] && ix < hi[0] && iy >= lo[1] && iy < hi[1] && iz >= lo[2] && iz < hi[2]
+		}
 		cells := (hi[0] - lo[0]) * (hi[1] - lo[1]) * (hi[2] - lo[2])
+		want := make([]float64, 2*cells)
+		if n := packBoxRef(src, lo, hi, want); n != 2*cells {
+			t.Fatalf("box %v-%v: reference packed %d, want %d", lo, hi, n, 2*cells)
+		}
 		buf := make([]float64, 2*cells)
 		if n := PackBox(src, lo, hi, buf); n != 2*cells {
 			t.Fatalf("box %v-%v: packed %d, want %d", lo, hi, n, 2*cells)
 		}
+		for i := range want {
+			if buf[i] != want[i] {
+				t.Fatalf("box %v-%v: value %d = %g, reference has %g", lo, hi, i, buf[i], want[i])
+			}
+		}
 		dst := grid.NewField(2, d, grid.SoA)
+		for i := range dst.Data {
+			dst.Data[i] = sentinel
+		}
 		if n := UnpackBox(dst, lo, hi, buf); n != 2*cells {
 			t.Fatalf("box %v-%v: unpacked %d", lo, hi, n)
 		}
 		for v := 0; v < 2; v++ {
-			for ix := lo[0]; ix < hi[0]; ix++ {
-				for iy := lo[1]; iy < hi[1]; iy++ {
-					for iz := lo[2]; iz < hi[2]; iz++ {
-						if got, want := dst.At(v, ix, iy, iz), src.At(v, ix, iy, iz); got != want {
+			for ix := 0; ix < d.NX; ix++ {
+				for iy := 0; iy < d.NY; iy++ {
+					for iz := 0; iz < d.NZ; iz++ {
+						want := sentinel
+						if inBox(ix, iy, iz) {
+							want = src.At(v, ix, iy, iz)
+						}
+						if got := dst.At(v, ix, iy, iz); got != want {
 							t.Fatalf("box %v-%v: (%d,%d,%d,%d) = %g, want %g", lo, hi, v, ix, iy, iz, got, want)
 						}
 					}
@@ -649,8 +698,9 @@ func TestMaskedExchangeFluidOnly(t *testing.T) {
 
 // TestAllFluidSpansArePackBox: a dense face is the degenerate span list.
 // With no mask, and with a mask that marks nothing, every border face
-// packs byte for byte what PackBox packs for the same box — x-, y- and
-// z-normal — in far fewer copies than rows.
+// packs byte for byte what the velocity-major box loop (packBoxRef, the
+// box PackBox packs) packs for the same box — x-, y- and z-normal — in
+// far fewer copies than rows.
 func TestAllFluidSpansArePackBox(t *testing.T) {
 	d := grid.Dims{NX: 8, NY: 7, NZ: 6}
 	own, w := [3]int{4, 5, 4}, [3]int{2, 1, 1}
@@ -676,14 +726,14 @@ func TestAllFluidSpansArePackBox(t *testing.T) {
 			for side := 0; side < 2; side++ {
 				lo, hi := ex.face(axis, borderRegion(side))
 				want := make([]float64, q*d.Cells())
-				want = want[:PackBox(f, lo, hi, want)]
+				want = want[:packBoxRef(f, lo, hi, want)]
 				got := ex.packFace(f, axis, side)
 				if len(got) != len(want) {
-					t.Fatalf("axis %d side %d: packed %d values, PackBox %d", axis, side, len(got), len(want))
+					t.Fatalf("axis %d side %d: packed %d values, the box loop %d", axis, side, len(got), len(want))
 				}
 				for i := range want {
 					if got[i] != want[i] {
-						t.Fatalf("axis %d side %d: value %d = %v, PackBox has %v", axis, side, i, got[i], want[i])
+						t.Fatalf("axis %d side %d: value %d = %v, the box loop has %v", axis, side, i, got[i], want[i])
 					}
 				}
 			}

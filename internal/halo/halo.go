@@ -14,69 +14,29 @@ import (
 	"repro/internal/grid"
 )
 
-// PackPlanes copies all Q velocities of x-planes [x0,x1) of f into buf and
-// returns the number of values packed. Each velocity block stores whole
-// x-planes contiguously, so packing is one block copy per velocity, and
-// the wire format is velocity-major.
-func PackPlanes(f *grid.Field, x0, x1 int, buf []float64) int {
-	plane := f.D.PlaneCells()
-	np := (x1 - x0) * plane
-	if np <= 0 {
-		return 0
-	}
-	n := 0
-	for v := 0; v < f.Q; v++ {
-		blk := f.V(v)
-		n += copy(buf[n:n+np], blk[x0*plane:x1*plane])
-	}
-	return n
-}
-
-// UnpackPlanes is the inverse of PackPlanes.
-func UnpackPlanes(f *grid.Field, x0, x1 int, buf []float64) int {
-	plane := f.D.PlaneCells()
-	np := (x1 - x0) * plane
-	if np <= 0 {
-		return 0
-	}
-	n := 0
-	for v := 0; v < f.Q; v++ {
-		blk := f.V(v)
-		n += copy(blk[x0*plane:x1*plane], buf[n:n+np])
-	}
-	return n
-}
-
-// PackPlanesVel packs only the listed velocities of planes [x0,x1), in list
-// order. Used by the no-ghost-cell ("Orig") protocol, which ships only the
-// populations that actually crossed the boundary during streaming.
+// PackPlanesVel packs only the listed velocities of x-planes [x0,x1), in
+// list order, and returns the number of values packed. Used by the
+// no-ghost-cell ("Orig") protocol, which ships only the populations that
+// actually crossed the boundary during streaming. Each velocity block
+// stores whole x-planes contiguously, so the planes are one span.
 func PackPlanesVel(f *grid.Field, x0, x1 int, vels []int, buf []float64) int {
-	plane := f.D.PlaneCells()
-	np := (x1 - x0) * plane
-	if np <= 0 || len(vels) == 0 {
-		return 0
-	}
-	n := 0
-	for _, v := range vels {
-		blk := f.V(v)
-		n += copy(buf[n:n+np], blk[x0*plane:x1*plane])
-	}
-	return n
+	return copyPlanes(f, x0, x1, vels, buf, false)
 }
 
 // UnpackPlanesVel is the inverse of PackPlanesVel.
 func UnpackPlanesVel(f *grid.Field, x0, x1 int, vels []int, buf []float64) int {
+	return copyPlanes(f, x0, x1, vels, buf, true)
+}
+
+// copyPlanes moves the listed velocity blocks of x-planes [x0,x1) as one
+// span; an empty list or plane range moves nothing.
+func copyPlanes(f *grid.Field, x0, x1 int, vels []int, buf []float64, unpack bool) int {
 	plane := f.D.PlaneCells()
-	np := (x1 - x0) * plane
-	if np <= 0 || len(vels) == 0 {
+	n := (x1 - x0) * plane
+	if n <= 0 || len(vels) == 0 {
 		return 0
 	}
-	n := 0
-	for _, v := range vels {
-		blk := f.V(v)
-		n += copy(blk[x0*plane:x1*plane], buf[n:n+np])
-	}
-	return n
+	return copySpans(f, vels, []span{{off: x0 * plane, n: n}}, buf[:len(vels)*n], unpack)
 }
 
 // Exchanger is the x-only CartExchanger under the constructor and method

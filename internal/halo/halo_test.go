@@ -21,12 +21,13 @@ func TestPackUnpackRoundTrip(t *testing.T) {
 	src := grid.NewField(5, d, grid.SoA)
 	fillDistinct(src)
 	buf := make([]float64, 5*2*d.PlaneCells())
-	n := PackPlanes(src, 1, 3, buf)
+	lo, hi := [3]int{1, 0, 0}, [3]int{3, d.NY, d.NZ}
+	n := PackBox(src, lo, hi, buf)
 	if n != len(buf) {
 		t.Fatalf("packed %d, want %d", n, len(buf))
 	}
 	dst := grid.NewField(5, d, grid.SoA)
-	if got := UnpackPlanes(dst, 1, 3, buf); got != n {
+	if got := UnpackBox(dst, lo, hi, buf); got != n {
 		t.Fatalf("unpacked %d, want %d", got, n)
 	}
 	for v := 0; v < 5; v++ {

@@ -53,14 +53,6 @@ type Job struct {
 	// K is the lattice max speed (planes crossed per step): 1 for D3Q19,
 	// 3 for D3Q39.
 	K int
-	// CrossPlaneVels[m-1] counts velocities with cx ≥ m (populations that
-	// cross m planes), sizing the naive protocol's per-step messages and
-	// what each plane of a depth-1 ghost face carries (core.DirectedFaces):
-	// the plane m cells out holds CrossPlaneVels[m-1] populations, so both
-	// protocols ship the same Σ_m CrossPlaneVels[m-1] velocity-planes per
-	// face. Use DefaultCross. Symmetric in the two directions and, as the
-	// lattices are, across the axes.
-	CrossPlaneVels []int
 
 	Nodes          int
 	TasksPerNode   int
@@ -164,7 +156,11 @@ func FluidCounts(dec decomp.Cartesian, mask *geom.Mask) []int {
 
 // DefaultCross returns the crossing-velocity counts for the two lattices of
 // the paper: D3Q19 has 5 populations with cx ≥ 1; D3Q39 has 11 with cx ≥ 1,
-// 6 with cx ≥ 2 and 1 with cx ≥ 3.
+// 6 with cx ≥ 2 and 1 with cx ≥ 3. Entry m-1 counts the populations that
+// cross m planes: what the naive protocol's message for plane m carries,
+// and what the plane m cells out of a depth-1 ghost face holds
+// (core.DirectedFaces). Symmetric in the two directions and, as the
+// lattices are, across the axes.
 func DefaultCross(q int) []int {
 	switch q {
 	case 19:
@@ -174,6 +170,16 @@ func DefaultCross(q int) []int {
 	default:
 		return []int{q / 4}
 	}
+}
+
+// crossVelPlanes is the velocity-planes both the naive protocol and a
+// depth-1 ghost face ship per face: Σ_m DefaultCross(q)[m-1].
+func crossVelPlanes(q int) int {
+	n := 0
+	for _, c := range DefaultCross(q) {
+		n += c
+	}
+	return n
 }
 
 // Result reports the simulated execution.
@@ -365,9 +371,6 @@ func Run(j Job) (*Result, error) {
 	if err := j.validate(); err != nil {
 		return nil, err
 	}
-	if len(j.CrossPlaneVels) == 0 {
-		j.CrossPlaneVels = DefaultCross(j.Spec.Q)
-	}
 	fields := 2.0
 	if j.Stream == core.StreamAA {
 		if j.Depth%2 == 1 {
@@ -499,7 +502,7 @@ type rankGeom struct {
 // axisGeom is one rank's halo along one axis.
 type axisGeom struct {
 	// bytes is the payload per direction: the velocity-planes a face
-	// carries (core.DirectedFaces: Σ_{d ≤ k} CrossPlaneVels[d-1] at w = k,
+	// carries (core.DirectedFaces: crossVelPlanes at w = k,
 	// else q · w) · cross-section · 8 B, where the cross-section spans the
 	// other axes' full local extents (ghosts included — later-axis ghost
 	// layers ride along in the sequential exchange, exactly as in the real
@@ -580,15 +583,12 @@ func (st *simState) rankGeometry(r int, slow float64) rankGeom {
 		ax := &g.axis[a]
 		// What a face carries is the solver's rule too (core.DirectedFaces):
 		// in a ghost layer exactly k wide the plane d cells out holds only
-		// the populations that cross d planes, CrossPlaneVels[d-1] of them;
+		// the populations that cross d planes, DefaultCross(Q)[d-1] of them;
 		// all Q on each of the w planes otherwise. A Job cannot say
 		// pressure outlet, the rule's whole-cell case.
 		velPlanes := j.Spec.Q * st.w[a]
 		if core.DirectedFaces(st.w[a], j.K, false) {
-			velPlanes = 0
-			for _, n := range j.CrossPlaneVels { // as runOrig sums them
-				velPlanes += n
-			}
+			velPlanes = crossVelPlanes(j.Spec.Q) // as runOrig ships them
 		}
 		cross := 8.0 // bytes per velocity-plane
 		for b := 0; b < 3; b++ {
@@ -859,11 +859,7 @@ func (st *simState) run() {
 // crossed populations, collide — every step.
 func (st *simState) runOrig() {
 	j := st.j
-	var crossVals float64
-	for _, c := range j.CrossPlaneVels {
-		crossVals += float64(c)
-	}
-	msgBytes := crossVals * float64(j.NY*j.NZ) * 8
+	msgBytes := float64(crossVelPlanes(j.Spec.Q)*j.NY*j.NZ) * 8
 	wire := st.rt.latency + msgBytes/st.rt.linkBW
 	wireIntra := msgBytes / st.rt.intraBW
 	packT := 2 * msgBytes / st.rt.taskBWRaw

@@ -425,7 +425,7 @@ func periodicSlabJobs() []slabCase {
 // seconds, the comm min/median/max, resident bytes, and the phase vectors
 // (summed over ranks, and the last rank's) to 1e-9 relative. The seven
 // depth-1 ghost-cell rows (fig8/GC … fig8/SIMD) were re-recorded when a
-// depth-1 face began to carry CrossPlaneVels[0] of Q populations
+// depth-1 face began to carry DefaultCross(Q)[0] of Q populations
 // (core.DirectedFaces): their pack, wire and unpack terms are priced at
 // 5/19 (11/39) of the bytes, interior and rim unmoved, like the Orig rows
 // and every depth ≥ 2 row. The four D3Q39 depth-1 rows among them (fig8/GC,
