@@ -5,8 +5,10 @@
 // the corresponding real-kernel experiment runs on the local machine
 // instead (fig8, fig9, fig10, fig11, collision, threads and balance;
 // threads and balance are real-only, and collision runs the real kernels
-// either way). -real honours -decomp, -depth, -collision/-magic/-mrt-rates
-// and -stream.
+// either way). -real honours -ranks, -threads, -steps, -decomp, -depth,
+// -collision/-magic/-mrt-rates and -stream where the experiment uses them;
+// one that sweeps or fixes a flag itself (fig10 the depth, fig11 ranks and
+// threads, collision all of them) fails with "drop -flag" when it is given.
 //
 // Examples:
 //
@@ -46,11 +48,11 @@ var (
 	machine  = flag.String("machine", "bgp", "machine for "+expNames(func(e experiments.Experiment) bool { return e.Machines != nil }, "/")+": bgp or bgq")
 	real     = flag.Bool("real", false, "run the real kernels locally instead of the paper-scale simulator ("+expNames(func(e experiments.Experiment) bool { return e.Paper == nil }, " and ")+" are real-only)")
 	model    = flag.String("model", "D3Q19", "model for -real and "+expNames(func(e experiments.Experiment) bool { return e.Local }, "/")+" experiments")
-	ranks    = flag.Int("ranks", 4, "ranks for -real experiments")
-	threads  = flag.Int("threads", 1, "worker threads per rank for -real experiments; for -exp threads the top of the sweep (0 = runtime.NumCPU()/ranks, floor 1)")
-	steps    = flag.Int("steps", 30, "steps for -real experiments")
-	decomp   = flag.String("decomp", "1d", "decomposition for -real experiments: 1d, 2d, 3d or PxxPyxPz")
-	depth    = flag.String("depth", "1", "ghost-cell depth for -real experiments: one value or per-axis dx,dy,dz (fig10 sweeps depth itself)")
+	ranks    = flag.Int("ranks", experiments.DefaultRanks, "ranks for -real experiments")
+	threads  = flag.Int("threads", experiments.DefaultThreads, "worker threads per rank for -real experiments; for -exp threads the top of the sweep (0 = runtime.NumCPU()/ranks, floor 1)")
+	steps    = flag.Int("steps", experiments.DefaultSteps, "steps for -real experiments")
+	decomp   = flag.String("decomp", experiments.DefaultDecomp, "decomposition for -real experiments: 1d, 2d, 3d or PxxPyxPz")
+	depth    = flag.String("depth", experiments.DefaultDepth, "ghost-cell depth for -real experiments: one value or per-axis dx,dy,dz (fig10 sweeps depth itself)")
 	collide  = flag.String("collision", "bgk", "collision operator for -real experiments: bgk, trt or mrt")
 	magic    = flag.Float64("magic", 0, "TRT magic parameter Lambda for -real experiments (0 = 1/4)")
 	mrtRates = flag.String("mrt-rates", "", "MRT ghost rates by order for -real experiments (comma-separated from order 3)")
@@ -118,7 +120,7 @@ func run() error {
 		return fmt.Errorf("-collision/-magic/-mrt-rates apply to -real experiments only (got -exp %s without -real)", *exp)
 	}
 
-	if !*real && *depth != "1" {
+	if !*real && *depth != experiments.DefaultDepth {
 		return fmt.Errorf("-depth applies to -real experiments only (got -exp %s without -real)", *exp)
 	}
 	scheme, err := core.ParseStreamScheme(*stream)
@@ -144,7 +146,7 @@ func run() error {
 	case "tune":
 		return tuneScenarios()
 	}
-	if !*real && *threads != 1 {
+	if !*real && *threads != experiments.DefaultThreads {
 		return fmt.Errorf("-threads applies to -real experiments only (got -exp %s without -real)", *exp)
 	}
 	var tables []*experiments.Table

@@ -200,16 +200,19 @@ func newCartStepper(cfg *Config, dec decomp.Cartesian, r *comm.Rank) (*cartStepp
 
 // allocFields allocates the distribution fields. They follow the mask:
 // dense over the local box, or — with the run index installed — exactly
-// the cells of its fluid runs. They are mapped outside the Go heap,
-// zeroed and faulted in here, inside set-up (grid.NewMappedField), and
-// live until releaseFields.
+// the cells of its fluid runs; and where x alone has ghosts and only the
+// exchange fills them, each velocity holds just the x-planes it touches
+// (LivePlanes). They are mapped outside the Go heap, zeroed and faulted
+// in here, inside set-up (grid.NewPackedField), and live until
+// releaseFields.
 func (cs *cartStepper) allocFields() {
 	q, d := cs.model.Q, cs.fieldDims()
-	cs.f = grid.NewMappedField(q, d)
+	live := cs.cfg.livePlanes(cs.own[0], cs.w)
+	cs.f = grid.NewPackedField(q, d, live)
 	if !cs.aa {
 		// AA streams in place: the second field never exists, which is the
 		// scheme's whole point — footprint and f-traffic are halved.
-		cs.fadv = grid.NewMappedField(q, d)
+		cs.fadv = grid.NewPackedField(q, d, live)
 	}
 }
 
@@ -1323,12 +1326,11 @@ func (cs *cartStepper) measureForces() {
 	t0 := cs.rec.Begin()
 	var acc [numBodies][3]float64
 	if fi := cs.fix; !fi.empty() {
-		cells := cs.f.D.Cells()
 		for _, fx := range fi.links {
 			if fx.flags&fixOwned == 0 {
 				continue
 			}
-			fo := cs.f.Data[int(fx.opp)*cells+int(fx.cell)]
+			fo := cs.f.V(int(fx.opp))[fx.cell]
 			if cs.aaStar {
 				fo -= fx.delta
 			}

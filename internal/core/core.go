@@ -603,8 +603,10 @@ func GhostWidths(shape [3]int, bounded [3]bool, stream StreamScheme, sparse bool
 // cross it into the owned region: D3Q19 5 of 19 on its one plane, D3Q39
 // 11, 6 and 1 of 39 on its three — 18 velocity-planes of the 3·39 a
 // whole face moves, exactly what the no-ghost Orig protocol ships. The
-// other slots of its ghost cells are resident (the fields are prefaulted)
-// but never written or read. Corners hold plane by plane: a population
+// other slots of its ghost cells are never written or read: where x is the
+// only ghosted axis and the exchange alone fills it the fields do not
+// store them (LivePlanes), elsewhere they stay resident but idle. Corners
+// hold plane by plane: a population
 // pulled out of an edge or corner ghost at distances (d_a, d_b) has
 // |c_a| ≥ d_a and |c_b| ≥ d_b, so it is on both planes' lists and rides
 // along on each of those axes' faces. Every population travels wherever a
@@ -618,6 +620,44 @@ func GhostWidths(shape [3]int, bounded [3]bool, stream StreamScheme, sparse bool
 // Outflow copies and wall and inlet fills move or write slots one by one
 // and need nothing more.
 func DirectedFaces(w, k int, whole bool) bool { return w == k && !whole }
+
+// LivePlanes is the one rule for which x-planes of each velocity's block
+// a run's fields hold; the stepper (allocFields, through grid's packed
+// layout) and the performance model (perfsim's BytesPerTask, through
+// grid.FieldLen) both ask it. It returns nil — every velocity on every
+// plane — unless x is the only axis with ghosts (w[1] = w[2] = 0, which
+// GhostWidths allows only two-grid and dense), its faces are directed
+// (DirectedFaces) and its ghosts are filled by the exchange alone: x is
+// periodic, not walled or open, and the rung has ghost cells (Orig pushes
+// into downwind margins). Then velocity v with x component c is read and
+// written only on the ownX owned planes and the |c| upwind ghost planes
+// its pulls reach, which are the planes its directed face fills:
+// [w − c, w + ownX) for c ≥ 0, [w, w + ownX − c) for c < 0. Everything
+// else here — deep halos, AA, sparse runs, fills, ghosts on y or z —
+// writes or reads whole ghost cells.
+func LivePlanes(cx []int, ownX int, w [3]int, k int, xBounded bool, opt OptLevel, whole bool) []grid.Planes {
+	if w[1] != 0 || w[2] != 0 || xBounded || opt == OptOrig || !DirectedFaces(w[0], k, whole) {
+		return nil
+	}
+	live := make([]grid.Planes, len(cx))
+	for v, c := range cx {
+		live[v] = grid.Planes{Lo: w[0] - max(c, 0), Hi: w[0] + ownX + max(-c, 0)}
+	}
+	return live
+}
+
+// livePlanes resolves LivePlanes for a rank owning ownX planes of x with
+// ghost widths w.
+func (c *Config) livePlanes(ownX int, w [3]int) []grid.Planes {
+	if testClassicFields {
+		return nil
+	}
+	return LivePlanes(c.Model.Cx, ownX, w, c.Model.MaxSpeed, c.Boundary.BoundedAxes()[0], c.Opt, c.Boundary.hasFace(BCPressureOutlet))
+}
+
+// testClassicFields, set by tests, allocates every field with each
+// velocity on every plane, as LivePlanes does outside its case.
+var testClassicFields bool
 
 // faceVelocities resolves DirectedFaces into the exchanger's per-plane
 // velocity lists for ghost widths w: [axis][0][d-1] lists the populations

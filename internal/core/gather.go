@@ -164,7 +164,6 @@ func (cs *cartStepper) gatherSpan(sc *workerScratch) {
 		// into the worker's own slot first (the split path's rows are
 		// fadv's, and writable). Under AA that slot's star owner is the
 		// solid cell, which never scatters, so the read is conflict-free.
-		fd, cells := cs.f.Data, cs.f.D.Cells()
 		for _, r := range rows {
 			for _, fx := range cs.fix.rowLinks(r.ix*cs.d.NY+r.iy, r.base, r.base+r.zn) {
 				if !split {
@@ -173,7 +172,7 @@ func (cs *cartStepper) gatherSpan(sc *workerScratch) {
 						in[fx.v] = slot
 					}
 				}
-				in[fx.v][int(fx.cell)-base] = fd[int(fx.opp)*cells+int(fx.cell)] + fx.delta
+				in[fx.v][int(fx.cell)-base] = cs.f.V(int(fx.opp))[fx.cell] + fx.delta
 			}
 		}
 	}

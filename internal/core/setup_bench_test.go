@@ -13,12 +13,15 @@ import (
 )
 
 // BenchmarkSetup times the set-up passes core.Run makes outside its
-// stepping loop, in ns per owned cell, on three of the benchmark ledger's
+// stepping loop, in ns per owned cell, on the benchmark ledger's four
 // problems: periodic-q19's (D3Q19 BGK 96³ with a shear wave, one thread),
-// the 64³ TRT lid-driven cavity (two threads) and bifurcation-sparse's
-// 192×96×96 vessel (2 fluid-balanced ranks at GC-C under the run index,
-// timed on rank 0). Each iteration times what an op of the ledger pays:
-// the decomposition Run builds serially before any rank starts
+// halo-q39's (D3Q39 BGK 24×96×96 on 2 slab ranks at GC-C, timed on rank
+// 0, whose fields are packed: each velocity holds only the x-planes it
+// touches), the 64³ TRT lid-driven cavity (two threads) and
+// bifurcation-sparse's 192×96×96 vessel (2 fluid-balanced ranks at GC-C
+// under the run index, timed on rank 0). Each iteration times what an op
+// of the ledger pays: the decomposition Run builds serially before any
+// rank starts
 // (decomp-ns/cell: on the vessel the fluid-balanced cut over the mask's
 // plane histograms), releasing the previous fields (release-ns/cell, the
 // munmap Run's close does), buildMask on a masked or walled run
@@ -29,6 +32,7 @@ import (
 // ownedSums (sums-ns/cell).
 func BenchmarkSetup(b *testing.B) {
 	periodic := grid.Dims{NX: 96, NY: 96, NZ: 96}
+	slab := grid.Dims{NX: 24, NY: 96, NZ: 96}
 	cavity := grid.Dims{NX: 64, NY: 64, NZ: 64}
 	vessel := grid.Dims{NX: 192, NY: 96, NZ: 96}
 	q19 := lattice.D3Q19()
@@ -37,6 +41,7 @@ func BenchmarkSetup(b *testing.B) {
 		cfg  Config
 	}{
 		{"periodic-q19", Config{Model: q19, N: periodic, Tau: 0.8, Opt: OptSIMD, Threads: 1, Init: shearInit(periodic)}},
+		{"halo-q39", Config{Model: lattice.D3Q39(), N: slab, Tau: 0.9, Opt: OptGCC, Ranks: 2, Threads: 1, Init: shearInit(slab)}},
 		{"cavity-trt", Config{Model: q19, N: cavity, Tau: q19.TauForViscosity(0.1 * 64 / 100),
 			Collision: collision.Spec{Kind: collision.TRT}, Boundary: CavitySpec(0.1), Opt: OptSIMD, Threads: 2}},
 		{"bifurcation-sparse", Config{Model: q19, N: vessel, Tau: 0.8, Solid: geom.Bifurcation(vessel, 0.1*float64(vessel.NY)),

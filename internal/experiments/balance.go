@@ -18,10 +18,14 @@ import (
 // per-rank fluid-cell spread each cut policy produces, and the
 // resulting imbalance ratio — the arterial-geometry argument of the
 // paper's §VII carried onto the working code. It takes the description's
-// model, ranks, threads and steps, on its own box and slab cuts.
+// model, ranks, threads and steps, on its own box and slab cuts, and
+// refuses the flags it does not use.
 func RealBalance(r Run) (*Table, error) {
-	if r.Stream != core.StreamTwoGrid {
-		return nil, fmt.Errorf("balance sweeps cut policy and traversal on the two-grid kernels; drop -stream")
+	if err := r.ignores("balance", "sweeps cut policy and traversal on the two-grid kernels", "stream"); err != nil {
+		return nil, err
+	}
+	if err := r.ignores("balance", "runs BGK on slabs at depth 1", "decomp", "depth", "collision"); err != nil {
+		return nil, err
 	}
 	m, ranks := r.Model, r.Ranks
 	n := grid.Dims{NX: 96, NY: 48, NZ: 48}

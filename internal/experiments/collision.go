@@ -79,6 +79,16 @@ func CollisionTable(modelName string) (*Table, error) {
 	return t, nil
 }
 
+// RealCollision is CollisionTable for the description's model. The
+// table sweeps its own operators on its own boxes, steps and single
+// ranks, so it refuses every other -real flag.
+func RealCollision(r Run) (*Table, error) {
+	if err := r.ignores("collision", "sweeps its own operators on its own boxes and steps", "ranks", "threads", "steps", "decomp", "depth", "collision", "stream"); err != nil {
+		return nil, err
+	}
+	return CollisionTable(r.Model.Name)
+}
+
 // lowTauCavityStable runs the under-resolved low-tau cavity and reports
 // "stable" or "DIVERGED".
 func lowTauCavityStable(m *lattice.Model, spec collision.Spec, l, steps int) (string, error) {

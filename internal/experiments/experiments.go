@@ -92,7 +92,7 @@ var list = []Experiment{
 	{Name: "decomp", Machines: []string{"bgq"}, Paper: func(m string) ([]*Table, error) { return one(DecompTable(m)) }},
 	{Name: "collision", Local: true,
 		Paper: func(string) ([]*Table, error) { return one(CollisionTable("D3Q19")) },
-		Real:  func(r Run) (*Table, error) { return CollisionTable(r.Model.Name) }},
+		Real:  RealCollision},
 	{Name: "threads", Real: RealThreads},
 	{Name: "balance", Real: RealBalance},
 }

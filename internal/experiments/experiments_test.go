@@ -307,7 +307,7 @@ func TestRealFig11SmallRun(t *testing.T) {
 	if testing.Short() {
 		t.Skip("real-kernel experiment in -short mode")
 	}
-	tb, err := RealFig11(newRun(t, 1, 1, 3, "1d", "1", core.StreamTwoGrid))
+	tb, err := RealFig11(newRun(t, DefaultRanks, DefaultThreads, 3, "1d", "1", core.StreamTwoGrid))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -417,7 +417,7 @@ func TestRealExperimentsRejectBadModel(t *testing.T) {
 
 // TestRunConfig: every rung takes the description's shape, depth and
 // stream, except Orig, which runs the paper's geometry; and the flags an
-// experiment sweeps itself are rejected before anything runs.
+// experiment sweeps or fixes itself are rejected before anything runs.
 func TestRunConfig(t *testing.T) {
 	r := newRun(t, 4, 1, 1, "2x2x1", "2,1,1", core.StreamAA)
 	for _, opt := range core.Levels() {
@@ -446,6 +446,42 @@ func TestRunConfig(t *testing.T) {
 	// fig11 runs 1, 2 and 4 ranks: a fixed shape fits at most one of them.
 	if _, err := RealFig11(r); err == nil || !strings.Contains(err.Error(), "-decomp takes 1d, 2d or 3d") {
 		t.Errorf("fig11 with -decomp 2x2x1: %v, want a -decomp error", err)
+	}
+
+	// Every flag an experiment sweeps or fixes itself is refused, one at a
+	// time, before anything runs (the runs would take seconds each), and
+	// the defaults are not.
+	given := map[string]func(*Run){
+		"ranks":     func(r *Run) { r.Ranks = 2 },
+		"threads":   func(r *Run) { r.Threads = 2 },
+		"steps":     func(r *Run) { r.Steps = 2 },
+		"decomp":    func(r *Run) { r.Decomp = "2d" },
+		"depth":     func(r *Run) { r.Depth = 2 },
+		"collision": func(r *Run) { r.Collision = collision.Spec{Kind: collision.TRT} },
+		"stream":    func(r *Run) { r.Stream = core.StreamAA },
+	}
+	for _, c := range []struct {
+		exp   string
+		real  func(Run) (*Table, error)
+		flags []string
+	}{
+		{"collision", RealCollision, []string{"ranks", "threads", "steps", "decomp", "depth", "collision", "stream"}},
+		{"fig10", RealFig10, []string{"depth"}},
+		{"fig11", RealFig11, []string{"ranks", "threads"}},
+		{"threads", RealThreads, []string{"decomp", "depth", "stream"}},
+		{"balance", RealBalance, []string{"decomp", "depth", "collision", "stream"}},
+	} {
+		for _, flag := range c.flags {
+			r := newRun(t, DefaultRanks, DefaultThreads, DefaultSteps, DefaultDecomp, DefaultDepth, core.StreamTwoGrid)
+			given[flag](&r)
+			want := c.exp + " "
+			if _, err := c.real(r); err == nil || !strings.HasPrefix(err.Error(), want) || !strings.HasSuffix(err.Error(), "; drop -"+flag) {
+				t.Errorf("%s -real -%s: %v, want a %q… drop -%s error", c.exp, flag, err, want, flag)
+			}
+		}
+	}
+	if r := newRun(t, DefaultRanks, DefaultThreads, DefaultSteps, DefaultDecomp, DefaultDepth, core.StreamTwoGrid); r.ignores("every", "flag", "ranks", "threads", "steps", "decomp", "depth", "collision", "stream") != nil {
+		t.Error("the default run description gives a flag")
 	}
 }
 

@@ -15,9 +15,21 @@ import (
 // at laptop scale. They demonstrate the same qualitative trade-offs as the
 // perfsim projections with no model in between.
 
+// The defaults of lbmbench's -real flags. A Run field that holds its
+// default was not given; one that does not was, and an experiment that
+// ignores that flag refuses it (Run.ignores).
+const (
+	DefaultRanks   = 4
+	DefaultThreads = 1
+	DefaultSteps   = 30
+	DefaultDecomp  = "1d"
+	DefaultDepth   = "1"
+)
+
 // Run describes the -real experiments' runs: lbmbench's flags, parsed and
 // checked once by NewRun. Each experiment sweeps some of these itself
-// (fig10 the depth, fig11 ranks and threads) and ignores what it fixes.
+// (fig10 the depth, fig11 ranks and threads) or fixes them, and refuses
+// the ones it does not use before its first run.
 type Run struct {
 	Model *lattice.Model
 	// N is the laptop-scale box (D3Q39 cells carry ~2× the data, so its
@@ -60,6 +72,40 @@ func NewRun(model string, ranks, threads, steps int, decompSpec, depthSpec strin
 		Decomp: decompSpec, Depth: depth, DepthAxes: axes,
 		Collision: col, Stream: stream,
 	}, nil
+}
+
+// given reports whether the description's -name flag is away from its
+// default.
+func (r Run) given(name string) bool {
+	switch name {
+	case "ranks":
+		return r.Ranks != DefaultRanks
+	case "threads":
+		return r.Threads != DefaultThreads
+	case "steps":
+		return r.Steps != DefaultSteps
+	case "decomp":
+		return r.Decomp != DefaultDecomp
+	case "depth":
+		return r.Depth != 1 || r.DepthAxes != ([3]int{})
+	case "collision":
+		return !r.Collision.IsBGK()
+	case "stream":
+		return r.Stream != core.StreamTwoGrid
+	}
+	panic("experiments: no -real flag -" + name)
+}
+
+// ignores returns experiment exp's "drop -flag" error for the first of
+// flags the description gives, nil when it gives none: what exp does
+// instead is why.
+func (r Run) ignores(exp, why string, flags ...string) error {
+	for _, f := range flags {
+		if r.given(f) {
+			return fmt.Errorf("%s %s; drop -%s", exp, why, f)
+		}
+	}
+	return nil
 }
 
 // config returns the core.Config of one rung of the ladder on box n cut
@@ -156,8 +202,8 @@ func RealFig9(r Run) (*Table, error) {
 // RealFig10 sweeps ghost depth × domain size with the real kernels (the
 // local analog of Fig. 10), reporting runtimes normalized to depth 1.
 func RealFig10(r Run) (*Table, error) {
-	if r.Depth != 1 || r.DepthAxes != ([3]int{}) {
-		return nil, fmt.Errorf("fig10 sweeps ghost depth itself; drop -depth")
+	if err := r.ignores("fig10", "sweeps ghost depth itself", "depth"); err != nil {
+		return nil, err
 	}
 	m := r.Model
 	t := &Table{
@@ -201,6 +247,9 @@ func RealFig10(r Run) (*Table, error) {
 // rule each of them resolves, not a fixed shape: one that does not
 // resolve at every count is refused before the first run.
 func RealFig11(r Run) (*Table, error) {
+	if err := r.ignores("fig11", "sweeps ranks and threads itself", "ranks", "threads"); err != nil {
+		return nil, err
+	}
 	for _, ranks := range []int{1, 2, 4} {
 		if _, err := decomp.ParseShape(r.Decomp, ranks, [3]int{r.N.NX, r.N.NY, r.N.NZ}); err != nil {
 			return nil, fmt.Errorf("fig11 sweeps rank counts 1, 2 and 4 itself, so -decomp takes 1d, 2d or 3d: %w", err)

@@ -39,8 +39,11 @@ func threadCounts(max int) []int {
 // sweep runs up to the description's threads, on one rank (two for the
 // cavity) of its box.
 func RealThreads(r Run) (*Table, error) {
-	if r.Stream != core.StreamTwoGrid {
-		return nil, fmt.Errorf("threads sweeps the two-grid kernels; drop -stream")
+	if err := r.ignores("threads", "sweeps the two-grid kernels", "stream"); err != nil {
+		return nil, err
+	}
+	if err := r.ignores("threads", "runs one rank and a 2-rank slab cavity at depth 1", "decomp", "depth"); err != nil {
+		return nil, err
 	}
 	opSpec := r.Collision
 	if opSpec.IsBGK() {

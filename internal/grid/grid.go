@@ -8,6 +8,7 @@ package grid
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 )
 
@@ -43,21 +44,31 @@ func (d Dims) String() string { return fmt.Sprintf("%dx%dx%d", d.NX, d.NY, d.NZ)
 // NewField with grid.SoA.
 type Layout int
 
-// SoA stores each velocity's values contiguously: Data[v*cells + cell].
-// This is the "collision optimized" layout of Wellein et al. that the
-// paper adopts (§IV: two-dimensional arrays of
-// (NumVelocities, zDim·yDim·xDim) allocated in contiguous memory).
+// SoA stores each velocity's values contiguously, one block of the whole
+// box per velocity: V(v)[cell], which is Data[v*cells + cell] unless the
+// field is packed (NewPackedField), where the blocks overlap. This is the
+// "collision optimized" layout of Wellein et al. that the paper adopts
+// (§IV: two-dimensional arrays of (NumVelocities, zDim·yDim·xDim)
+// allocated in contiguous memory).
 const SoA Layout = 0
 
 // Field is a distribution function over a box: Q values per cell, stored
 // SoA. The box dimensions include any halo planes the caller allocated.
+// Index it through V or Idx: Data is the storage behind the blocks, in
+// velocity order, and only its classic form holds every block whole and
+// apart.
 type Field struct {
 	Q    int
 	D    Dims
 	Data []float64
 
-	mem []byte // the mapping behind Data (NewMappedField); nil on the Go heap
+	live []Planes // per velocity, the x-planes its block holds (NewPackedField); nil: all
+	off  []int    // per velocity, the offset of its block in Data; nil: v·cells
+	mem  []byte   // the mapping behind Data (NewMappedField); nil on the Go heap
 }
+
+// Planes is a range of x-planes [Lo, Hi) of a box.
+type Planes struct{ Lo, Hi int }
 
 // NewField allocates a zeroed field on the Go heap. The layout argument
 // is always SoA.
@@ -73,13 +84,53 @@ func NewField(q int, d Dims, _ Layout) *Field {
 // -race builds, a failed mapping — it is NewField. The owner must call
 // Release once the field is no longer read; nothing it handed out may
 // be read after that.
-func NewMappedField(q int, d Dims) *Field {
-	n := q * d.Cells()
+func NewMappedField(q int, d Dims) *Field { return NewPackedField(q, d, nil) }
+
+// NewPackedField is NewMappedField for a field whose velocity v is read
+// and written on the x-planes live[v] alone (nil: on every plane). Each
+// block still spans the whole box, so V and Idx index it as ever, but the
+// blocks are placed back to back by their live planes: block v+1 starts
+// where its live planes follow block v's, and the planes a velocity never
+// touches lie on its neighbours' live planes. Consecutive ranges must
+// overlap (each holds the box's owned planes); the field then holds
+// FieldLen(q, d, live) values instead of q·cells. Whatever writes a
+// velocity outside its live planes overwrites another velocity.
+func NewPackedField(q int, d Dims, live []Planes) *Field {
+	off, n := layout(q, d, live)
 	data, mem := mapFloats(n)
 	if mem == nil {
 		data = make([]float64, n)
 	}
-	return &Field{Q: q, D: d, Data: data, mem: mem}
+	return &Field{Q: q, D: d, Data: data, live: live, off: off, mem: mem}
+}
+
+// FieldLen returns how many values NewPackedField(q, d, live) holds.
+func FieldLen(q int, d Dims, live []Planes) int {
+	_, n := layout(q, d, live)
+	return n
+}
+
+// layout places the velocity blocks of a field with live planes live
+// (nil: apart, q·cells) and returns their offsets and the values they
+// span.
+func layout(q int, d Dims, live []Planes) (off []int, n int) {
+	if live == nil {
+		return nil, q * d.Cells()
+	}
+	if len(live) != q {
+		panic(fmt.Sprintf("grid: %d live plane ranges for %d velocities", len(live), q))
+	}
+	plane := d.PlaneCells()
+	off = make([]int, q)
+	for v, p := range live {
+		if p.Lo < 0 || p.Lo >= p.Hi || p.Hi > d.NX || v > 0 && (p.Lo >= live[v-1].Hi || p.Hi <= live[v-1].Lo) {
+			panic(fmt.Sprintf("grid: velocity %d lives on planes [%d, %d) of %d, which do not overlap its predecessor's", v, p.Lo, p.Hi, d.NX))
+		}
+		if v > 0 {
+			off[v] = off[v-1] + (live[v-1].Hi-p.Lo)*plane
+		}
+	}
+	return off, off[q-1] + d.Cells()
 }
 
 // Release unmaps a NewMappedField field and sets Data to nil; for a heap
@@ -108,7 +159,15 @@ func MappedBytes() int64 { return mapped.Load() }
 
 // Idx returns the linear offset into Data for velocity v at cell index.
 func (f *Field) Idx(v, cell int) int {
-	return v*f.D.Cells() + cell
+	return f.base(v) + cell
+}
+
+// base returns the offset of velocity v's block in Data.
+func (f *Field) base(v int) int {
+	if f.off != nil {
+		return f.off[v]
+	}
+	return v * f.D.Cells()
 }
 
 // At returns the value of velocity v at (ix,iy,iz).
@@ -121,10 +180,11 @@ func (f *Field) Set(v, ix, iy, iz int, x float64) {
 	f.Data[f.Idx(v, f.D.Index(ix, iy, iz))] = x
 }
 
-// V returns the contiguous block of velocity v.
+// V returns the contiguous block of velocity v, indexed by cell over the
+// whole box.
 func (f *Field) V(v int) []float64 {
-	n := f.D.Cells()
-	return f.Data[v*n : (v+1)*n : (v+1)*n]
+	o, n := f.base(v), f.D.Cells()
+	return f.Data[o : o+n : o+n]
 }
 
 // Cell fills dst (length Q) with all velocity values of the cell at
@@ -144,28 +204,37 @@ func (f *Field) SetCell(ix, iy, iz int, src []float64) {
 	}
 }
 
+// livePlanes returns the x-planes velocity v's block holds: all of them
+// unless the field is packed.
+func (f *Field) livePlanes(v int) Planes {
+	if f.live != nil {
+		return f.live[v]
+	}
+	return Planes{0, f.D.NX}
+}
+
 // Fill sets every value of every cell to the per-velocity values in src
-// (length Q).
+// (length Q), on the planes each velocity holds.
 func (f *Field) Fill(src []float64) {
+	plane := f.D.PlaneCells()
 	for v, x := range src[:f.Q] {
-		blk := f.V(v)
+		p := f.livePlanes(v)
+		blk := f.V(v)[p.Lo*plane : p.Hi*plane]
 		for c := range blk {
 			blk[c] = x
 		}
 	}
 }
 
-// Clone returns a deep copy of the field.
+// Clone returns a deep copy of the field, on the Go heap.
 func (f *Field) Clone() *Field {
-	g := &Field{Q: f.Q, D: f.D, Data: make([]float64, len(f.Data))}
-	copy(g.Data, f.Data)
-	return g
+	return &Field{Q: f.Q, D: f.D, Data: slices.Clone(f.Data), live: f.live, off: f.off}
 }
 
 // MaxAbsDiff returns the largest absolute difference between two fields of
-// identical shape.
+// identical shape and layout.
 func MaxAbsDiff(a, b *Field) float64 {
-	if a.Q != b.Q || a.D != b.D {
+	if a.Q != b.Q || a.D != b.D || !slices.Equal(a.live, b.live) {
 		panic("grid: MaxAbsDiff shape mismatch")
 	}
 	var worst float64

@@ -156,3 +156,64 @@ func clamp(v float64) float64 {
 	}
 	return math.Mod(v, 1000)
 }
+
+// TestPackedField: a packed field's blocks each span the whole box, its
+// live planes lie back to back in Data, in velocity order, without a gap
+// or an overlap, from the first block's start, and the field holds
+// exactly FieldLen values (mapped or not). Idx, At, Set and livePlanes agree
+// with V; Fill writes each velocity's live planes and keeps the others';
+// a range that does not overlap its predecessor's is refused.
+func TestPackedField(t *testing.T) {
+	d := Dims{NX: 7, NY: 3, NZ: 2}
+	plane := d.PlaneCells()
+	live := []Planes{{2, 4}, {3, 6}, {0, 4}, {3, 4}} // reach 3 around 1 owned plane: c_x = 1, −2, 3, 0
+	for _, f := range []*Field{NewPackedField(len(live), d, live), NewPackedField(len(live), Dims{NX: 7, NY: 96, NZ: 96}, live)} {
+		plane := f.D.PlaneCells()
+		want := (4*1 + 1 + 2 + 3 + 2 + 3) * plane // owned + upwind ghosts + the first block's low and the last one's high dead planes
+		if len(f.Data) != want || FieldLen(len(live), f.D, live) != want {
+			t.Errorf("%v: %d values, FieldLen %d, want %d", f.D, len(f.Data), FieldLen(len(live), f.D, live), want)
+		}
+		next := 0
+		for v, p := range live {
+			blk := f.V(v)
+			if len(blk) != f.D.Cells() {
+				t.Fatalf("%v: block %d holds %d cells, want %d", f.D, v, len(blk), f.D.Cells())
+			}
+			start := f.Idx(v, p.Lo*plane)
+			if v == 0 {
+				next = start
+			}
+			if start != next || &f.Data[start] != &blk[p.Lo*plane] || f.livePlanes(v) != p {
+				t.Errorf("%v: velocity %d's live planes start at %d, want %d right after its predecessor's", f.D, v, start, next)
+			}
+			next = f.Idx(v, p.Hi*plane)
+		}
+		if off := f.Idx(0, live[0].Lo*plane); off != live[0].Lo*plane {
+			t.Errorf("%v: the first block starts at %d", f.D, f.Idx(0, 0))
+		}
+		f.Release()
+	}
+
+	f := NewPackedField(len(live), d, live)
+	f.Fill([]float64{1, 2, 3, 4})
+	for v, p := range live {
+		for c := p.Lo * plane; c < p.Hi*plane; c++ {
+			if got := f.V(v)[c]; got != float64(v+1) {
+				t.Fatalf("after Fill velocity %d cell %d is %g, want %d", v, c, got, v+1)
+			}
+		}
+	}
+	f.Set(1, 4, 2, 1, -8)
+	if f.At(1, 4, 2, 1) != -8 || f.V(1)[d.Index(4, 2, 1)] != -8 {
+		t.Error("At/Set disagree with V on a packed field")
+	}
+	if NewField(2, d, SoA).livePlanes(1) != (Planes{0, d.NX}) {
+		t.Error("a classic field's velocity does not live on every plane")
+	}
+	defer func() {
+		if recover() == nil {
+			t.Error("disjoint live ranges accepted")
+		}
+	}()
+	NewPackedField(2, d, []Planes{{0, 2}, {3, 5}})
+}

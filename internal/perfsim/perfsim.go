@@ -20,11 +20,13 @@
 // What a ghost face carries is the solver's second rule
 // (core.DirectedFaces): at depth 1 each plane holds only the populations
 // streaming pulls out of it. Box growth, face cross-sections, local wraps
-// and resident memory follow the widths, so the model prices each job on
-// the geometry the solver runs it on and rejects the jobs the solver
-// rejects. The no-ghost Orig protocol
-// keeps its own per-step loop (runOrig) over the same per-rank geometry
-// table.
+// and resident memory follow the widths — memory through the solver's
+// third rule (core.LivePlanes) and grid's own field size (grid.FieldLen):
+// where x alone has ghosts each velocity stores only the x-planes it
+// touches — so the model prices each job on the geometry the solver runs
+// it on and rejects the jobs the solver rejects. The no-ghost Orig
+// protocol keeps its own per-step loop (runOrig) over the same per-rank
+// geometry table.
 //
 // Per-optimization-level efficiency factors are calibrated once, in
 // calibration.go, against the paper's own statements (e.g. "DH gained 30%
@@ -41,6 +43,8 @@ import (
 	"repro/internal/core"
 	"repro/internal/decomp"
 	"repro/internal/geom"
+	"repro/internal/grid"
+	"repro/internal/lattice"
 	"repro/internal/machine"
 	"repro/internal/metrics"
 	"repro/internal/obs"
@@ -154,22 +158,38 @@ func FluidCounts(dec decomp.Cartesian, mask *geom.Mask) []int {
 	return out
 }
 
-// DefaultCross returns the crossing-velocity counts for the two lattices of
-// the paper: D3Q19 has 5 populations with cx ≥ 1; D3Q39 has 11 with cx ≥ 1,
-// 6 with cx ≥ 2 and 1 with cx ≥ 3. Entry m-1 counts the populations that
-// cross m planes: what the naive protocol's message for plane m carries,
-// and what the plane m cells out of a depth-1 ghost face holds
-// (core.DirectedFaces). Symmetric in the two directions and, as the
-// lattices are, across the axes.
-func DefaultCross(q int) []int {
-	switch q {
-	case 19:
-		return []int{5}
-	case 39:
-		return []int{11, 6, 1}
-	default:
-		return []int{q / 4}
+// lattices are the velocity sets a job's kernel spec can name, by Q.
+var lattices = []*lattice.Model{lattice.D3Q19(), lattice.D3Q27(), lattice.D3Q39()}
+
+// latticeFor returns the lattice with q velocities.
+func latticeFor(q int) (*lattice.Model, error) {
+	for _, m := range lattices {
+		if m.Q == q {
+			return m, nil
+		}
 	}
+	return nil, fmt.Errorf("perfsim: no lattice has %d velocities (D3Q19, D3Q27 and D3Q39 do)", q)
+}
+
+// DefaultCross returns the crossing-velocity counts of the lattice with q
+// velocities, counted from its velocities' x components: entry m-1 counts
+// the populations with c_x ≥ m, those that cross m planes — what the naive
+// protocol's message for plane m carries, and what the plane m cells out
+// of a depth-1 ghost face holds (core.DirectedFaces). D3Q19 has [5], D3Q27
+// [9], D3Q39 [11 6 1]; the lattices are symmetric in the two directions
+// and across the axes. It is nil for a q no lattice has.
+func DefaultCross(q int) []int {
+	m, err := latticeFor(q)
+	if err != nil {
+		return nil
+	}
+	cross := make([]int, m.MaxSpeed)
+	for _, c := range m.Cx {
+		for d := 1; d <= c; d++ {
+			cross[d-1]++
+		}
+	}
+	return cross
 }
 
 // crossVelPlanes is the velocity-planes both the naive protocol and a
@@ -240,6 +260,9 @@ func (j *Job) validate() error {
 	}
 	if j.K < 1 {
 		return fmt.Errorf("perfsim: K %d < 1", j.K)
+	}
+	if _, err := latticeFor(j.Spec.Q); err != nil {
+		return err
 	}
 	ranks := j.Nodes * j.TasksPerNode
 	if j.Decomp == ([3]int{}) {
@@ -418,8 +441,9 @@ func Run(j Job) (*Result, error) {
 		}
 	}
 
+	lat, _ := latticeFor(j.Spec.Q) // validate checked it
 	st := &simState{
-		j: j, dec: dec, rt: j.deriveRates(), ranks: ranks, w: w,
+		j: j, dec: dec, rt: j.deriveRates(), ranks: ranks, lat: lat, w: w,
 		geo:   make([]rankGeom, ranks),
 		clock: make([]float64, ranks),
 		comm:  make([]float64, ranks),
@@ -436,12 +460,12 @@ func Run(j Job) (*Result, error) {
 		st.run()
 	}
 	// Per-task memory: the scheme's resident fields (two for two-grid, one
-	// for AA) over the cells the busiest rank stores.
+	// for AA) of the values the busiest rank stores.
 	var stored float64
 	for r := range st.geo {
 		stored = math.Max(stored, st.geo[r].stored)
 	}
-	bytesPerTask := fields * 8 * float64(j.Spec.Q) * stored
+	bytesPerTask := fields * 8 * stored
 
 	res := &Result{
 		PerRankSeconds: st.clock,
@@ -476,6 +500,7 @@ type simState struct {
 	dec   decomp.Cartesian
 	rt    rates
 	ranks int
+	lat   *lattice.Model // the lattice of Spec.Q
 	// w is the ghost width per side per axis (core.GhostWidths): depth·k,
 	// or 0 on a wrap axis — an uncut periodic y or z, which the kernels fold.
 	w     [3]int
@@ -493,9 +518,12 @@ type rankGeom struct {
 	// counts that step's cell updates beyond the owned block.
 	step, ghost []float64
 	axis        [3]axisGeom
-	// stored is the cells the rank's fields hold: its ghosted box — under
-	// the sparse model at the rank's fluid fraction, ghost layers included,
-	// as the solver's fluid-compact fields store fluid runs only.
+	// stored is the values one of the rank's fields holds: Q per cell of
+	// its ghosted box, the x-planes each velocity never touches left out
+	// as the solver's packed fields leave them (core.LivePlanes,
+	// grid.FieldLen) — under the sparse model at the rank's fluid
+	// fraction, ghost layers included, as the solver's fluid-compact
+	// fields store fluid runs only.
 	stored float64
 }
 
@@ -562,9 +590,13 @@ func (st *simState) rankGeometry(r int, slow float64) rankGeom {
 		}
 	}
 	buf := make([]float64, 2*j.Depth)
-	g := rankGeom{step: buf[:j.Depth], ghost: buf[j.Depth:], stored: fluid}
-	for a := 0; a < 3; a++ {
-		g.stored *= float64(own[a] + 2*st.w[a])
+	g := rankGeom{step: buf[:j.Depth], ghost: buf[j.Depth:]}
+	box := grid.Dims{NX: own[0] + 2*st.w[0], NY: own[1] + 2*st.w[1], NZ: own[2] + 2*st.w[2]}
+	g.stored = float64(j.Spec.Q) * fluid * float64(box.Cells())
+	if j.RankFluids == nil {
+		// A Job cannot say pressure outlet, LivePlanes' whole-cell case.
+		live := core.LivePlanes(st.lat.Cx, own[0], st.w, j.K, j.Bounded[0], j.Opt, false)
+		g.stored = float64(grid.FieldLen(j.Spec.Q, box, live))
 	}
 	for s := range g.step {
 		// The computed box shrinks by k per step on every ghosted axis, from

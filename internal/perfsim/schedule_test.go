@@ -102,6 +102,52 @@ func TestModelGeometryIsTheSolvers(t *testing.T) {
 	}
 }
 
+// TestModelFacesCountTheLattice: the model counts what a depth-1 face
+// carries from the lattice's own velocities (DefaultCross), so its face
+// bytes are the solver's on every lattice the solver runs — D3Q27 too,
+// whose 9 populations with c_x ≥ 1 a per-Q table once priced at q/4 = 6 —
+// and so are its resident bytes on the packed fields.
+func TestModelFacesCountTheLattice(t *testing.T) {
+	for _, model := range []*lattice.Model{lattice.D3Q19(), lattice.D3Q27(), lattice.D3Q39()} {
+		planes := 0 // Σ over c_x > 0 of c_x: the velocity-planes of a face
+		for _, c := range model.Cx {
+			planes += max(c, 0)
+		}
+		if got := crossVelPlanes(model.Q); got != planes {
+			t.Errorf("%s: %d velocity-planes per face, the lattice crosses %d", model.Name, got, planes)
+		}
+		for _, shape := range [][3]int{{2, 1, 1}, {3, 1, 1}, {2, 2, 1}} {
+			c := solverCase{model, [3]int{24, 24, 24}, shape, nil, core.StreamTwoGrid, 1, core.OptGCC}
+			real, err := core.Run(c.config(2))
+			if err != nil {
+				t.Fatalf("%v: solver: %v", c, err)
+			}
+			sim := mustRun(t, c.job(2))
+			for a := 0; a < 3; a++ {
+				if got, want := sim.AxisBytes[a], float64(real.HaloAxisBytes[a]); got != want {
+					t.Errorf("%v: axis %d payload: model %.0f B, solver %.0f B", c, a, got, want)
+				}
+			}
+			var most int64
+			for _, rs := range real.PerRank {
+				most = max(most, rs.FieldBytes)
+			}
+			if got := sim.BytesPerTask; got != float64(most) {
+				t.Errorf("%v: model prices %.0f B per task, the solver holds %d B", c, got, most)
+			}
+		}
+	}
+	if got := DefaultCross(27); len(got) != 1 || got[0] != 9 {
+		t.Errorf("DefaultCross(27) = %v, want [9]", got)
+	}
+	if got := DefaultCross(15); got != nil {
+		t.Errorf("DefaultCross(15) = %v for a Q no lattice has, want nil", got)
+	}
+	if _, err := Run(Job{Machine: machine.BGQ(), Spec: machine.SpecForQ(15), K: 1, Nodes: 1, TasksPerNode: 1, ThreadsPerTask: 1, NX: 8, NY: 8, NZ: 8, Steps: 1, Depth: 1}); err == nil || !strings.Contains(err.Error(), "no lattice has 15 velocities") {
+		t.Errorf("a 15-velocity job: %v, want the no-lattice error", err)
+	}
+}
+
 // TestModelFillIsTheSolvers: a boundary fill writes every population of
 // every ghost plane of the face box (core's fillRuns: all Q on all w
 // planes, the other axes' ghosts included), not the directed payload a
@@ -433,7 +479,11 @@ func periodicSlabJobs() []slabCase {
 // began to carry only the populations that cross it: 11 + 6 + 1 = 18
 // velocity-planes per face instead of 3 × 11 = 33, so their seconds, comm
 // and pack, wire and unpack terms moved, interior and resident bytes did
-// not.
+// not. The seven depth-1 ghost-cell rows' resident bytes were re-recorded
+// when the model began to price the packed fields the solver allocates
+// there (core.LivePlanes: each velocity holds its owned planes and the
+// upwind ghost planes it reads), at exactly the solver's allocation
+// (TestModelMemoryIsTheSolvers); no time moved.
 func TestPeriodicSlabScheduleUnchanged(t *testing.T) {
 	type golden struct {
 		seconds      float64
@@ -444,13 +494,13 @@ func TestPeriodicSlabScheduleUnchanged(t *testing.T) {
 	}
 	want := map[string]golden{
 		"fig8/Orig":        {5.957250117195439, [3]float64{0.09161898786111385, 0.12507615383292142, 0.16262333317178493}, 8.2182144e+07, obs.PhaseSeconds{2975.3856260114617, 0, 2.467237647058845, 61.90410208704542, 2.467237647058845, 0, 0, 0, 0}, obs.PhaseSeconds{5.813853431386996, 0, 0.00481882352941177, 0.12314995709085784, 0.00481882352941177, 0, 0, 0, 0}},
-		"fig8/GC":          {86.04711813667011, [3]float64{0.6678331543234676, 1.310343458328924, 2.041961962127029}, 1.7891328e+08, obs.PhaseSeconds{345910.77542777313, 0, 247.42896069284342, 5116.138262435514, 185.98896069288185, 0, 0, 0, 0}, obs.PhaseSeconds{84.34543598205632, 0, 0.060407461106656055, 1.326787993211264, 0.04540746110665598, 0, 0, 0, 0}},
-		"fig8/DH":          {4.149934579604885, [3]float64{0.08751695162721908, 0.11363343943210666, 0.13866258986630298}, 8.2182144e+07, obs.PhaseSeconds{2058.860589427573, 0, 28.067237647059173, 30.177717846823732, 2.467237647058845, 0, 0, 0, 0}, obs.PhaseSeconds{4.022978936897252, 0, 0.054818823529411816, 0.061916591378792823, 0.00481882352941177, 0, 0, 0, 0}},
-		"fig8/CF":          {19.75087283788995, [3]float64{0.20174172828444026, 0.34815813631837805, 0.5154482251883753}, 1.7891328e+08, obs.PhaseSeconds{79065.32009777706, 0, 247.42896069284342, 1178.0981236985508, 185.98896069288185, 0, 0, 0, 0}, obs.PhaseSeconds{19.278956795898587, 0, 0.060407461106656055, 0.30588355180033044, 0.04540746110665598, 0, 0, 0, 0}},
-		"fig8/LoBr":        {3.6930495711850897, [3]float64{0.08501494218834102, 0.10766125568672053, 0.130106452951252}, 8.2182144e+07, obs.PhaseSeconds{1828.3675344050357, 0, 28.067237647059173, 27.132099831257708, 2.467237647058845, 0, 0, 0, 0}, obs.PhaseSeconds{3.5725993870538213, 0, 0.054818823529411816, 0.055503511830864966, 0.00481882352941177, 0, 0, 0, 0}},
-		"fig8/NB-C":        {16.471056707646913, [3]float64{0.1716922077392932, 0.2944294001669415, 0.4334023107716463}, 1.7891328e+08, obs.PhaseSeconds{65887.76674814739, 0, 247.42896069284342, 957.648279899829, 185.98896069288185, 0, 0, 0, 0}, obs.PhaseSeconds{16.065797329915483, 0, 0.060407461106656055, 0.24905818934451432, 0.04540746110665598, 0, 0, 0, 0}},
-		"fig8/GC-C":        {3.654149137302764, [3]float64{0.054818823529411816, 0.054818823529411816, 0.054818823529411816}, 8.2182144e+07, obs.PhaseSeconds{1771.2310489548784, 57.13648545015736, 28.067237647059173, 0, 2.467237647058845, 0, 0, 0, 0}, obs.PhaseSeconds{3.460955656208389, 0.11164373084543187, 0.054818823529411816, 0, 0.00481882352941177, 0, 0, 0, 0}},
-		"fig8/SIMD":        {11.44930771076348, [3]float64{0.060407461106656055, 0.060407461106656055, 0.060407461106656055}, 1.7891328e+08, obs.PhaseSeconds{41797.552030855986, 4323.884692847158, 247.42896069284342, 0, 185.98896069288185, 0, 0, 0, 0}, obs.PhaseSeconds{10.19174018116514, 1.0543179497757034, 0.060407461106656055, 0, 0.04540746110665598, 0, 0, 0, 0}},
+		"fig8/GC":          {86.04711813667011, [3]float64{0.6678331543234676, 1.310343458328924, 2.041961962127029}, 1.66264832e+08, obs.PhaseSeconds{345910.77542777313, 0, 247.42896069284342, 5116.138262435514, 185.98896069288185, 0, 0, 0, 0}, obs.PhaseSeconds{84.34543598205632, 0, 0.060407461106656055, 1.326787993211264, 0.04540746110665598, 0, 0, 0, 0}},
+		"fig8/DH":          {4.149934579604885, [3]float64{0.08751695162721908, 0.11363343943210666, 0.13866258986630298}, 8.0412672e+07, obs.PhaseSeconds{2058.860589427573, 0, 28.067237647059173, 30.177717846823732, 2.467237647058845, 0, 0, 0, 0}, obs.PhaseSeconds{4.022978936897252, 0, 0.054818823529411816, 0.061916591378792823, 0.00481882352941177, 0, 0, 0, 0}},
+		"fig8/CF":          {19.75087283788995, [3]float64{0.20174172828444026, 0.34815813631837805, 0.5154482251883753}, 1.66264832e+08, obs.PhaseSeconds{79065.32009777706, 0, 247.42896069284342, 1178.0981236985508, 185.98896069288185, 0, 0, 0, 0}, obs.PhaseSeconds{19.278956795898587, 0, 0.060407461106656055, 0.30588355180033044, 0.04540746110665598, 0, 0, 0, 0}},
+		"fig8/LoBr":        {3.6930495711850897, [3]float64{0.08501494218834102, 0.10766125568672053, 0.130106452951252}, 8.0412672e+07, obs.PhaseSeconds{1828.3675344050357, 0, 28.067237647059173, 27.132099831257708, 2.467237647058845, 0, 0, 0, 0}, obs.PhaseSeconds{3.5725993870538213, 0, 0.054818823529411816, 0.055503511830864966, 0.00481882352941177, 0, 0, 0, 0}},
+		"fig8/NB-C":        {16.471056707646913, [3]float64{0.1716922077392932, 0.2944294001669415, 0.4334023107716463}, 1.66264832e+08, obs.PhaseSeconds{65887.76674814739, 0, 247.42896069284342, 957.648279899829, 185.98896069288185, 0, 0, 0, 0}, obs.PhaseSeconds{16.065797329915483, 0, 0.060407461106656055, 0.24905818934451432, 0.04540746110665598, 0, 0, 0, 0}},
+		"fig8/GC-C":        {3.654149137302764, [3]float64{0.054818823529411816, 0.054818823529411816, 0.054818823529411816}, 8.0412672e+07, obs.PhaseSeconds{1771.2310489548784, 57.13648545015736, 28.067237647059173, 0, 2.467237647058845, 0, 0, 0, 0}, obs.PhaseSeconds{3.460955656208389, 0.11164373084543187, 0.054818823529411816, 0, 0.00481882352941177, 0, 0, 0, 0}},
+		"fig8/SIMD":        {11.44930771076348, [3]float64{0.060407461106656055, 0.060407461106656055, 0.060407461106656055}, 1.66264832e+08, obs.PhaseSeconds{41797.552030855986, 4323.884692847158, 247.42896069284342, 0, 185.98896069288185, 0, 0, 0, 0}, obs.PhaseSeconds{10.19174018116514, 1.0543179497757034, 0.060407461106656055, 0, 0.04540746110665598, 0, 0, 0, 0}},
 		"fig9/Orig":        {39.61495859620958, [3]float64{0.626170588235293, 4.188912841425919, 8.594446760082322}, 7.2843264e+07, obs.PhaseSeconds{8910.02833666422, 0, 16.653854117646944, 1085.1866288004794, 16.653854117646944, 0, 0, 0, 0}, obs.PhaseSeconds{33.984447317553084, 0, 0.06505411764705868, 4.910755671017078, 0.06505411764705868, 0, 0, 0, 0}},
 		"fig9/NB-C":        {27.40794903705234, [3]float64{0.34732366117650665, 2.8592924366055796, 5.7993598615213005}, 8.404992e+07, obs.PhaseSeconds{6064.802812198571, 0, 88.88464564705903, 645.7095095431499, 63.28464564705838, 0, 0, 0, 0}, obs.PhaseSeconds{23.13047052640939, 0, 0.34720564705882356, 3.028622826080424, 0.24720564705882353, 0, 0, 0, 0}},
 		"fig9/GC-C":        {26.878472636958822, [3]float64{0.34720564705882356, 2.265353214525936, 5.088855107967437}, 8.404992e+07, obs.PhaseSeconds{5599.588778710965, 465.2140334876061, 88.88464564705903, 511.47044729874847, 63.28464564705838, 0, 0, 0, 0}, obs.PhaseSeconds{21.36249408236756, 1.767976444041833, 0.34720564705882356, 2.650843046924396, 0.24720564705882353, 0, 0, 0, 0}},
