@@ -8,7 +8,8 @@
 // either way). -real honours -ranks, -threads, -steps, -decomp, -depth,
 // -collision/-magic/-mrt-rates and -stream where the experiment uses them;
 // one that sweeps or fixes a flag itself (fig10 the depth, fig11 ranks and
-// threads, collision all of them) fails with "drop -flag" when it is given.
+// threads, collision all of them) fails with "drop -flag" when it is given,
+// at any value, its default included.
 //
 // Examples:
 //
@@ -155,7 +156,9 @@ func run() error {
 		if e.Real == nil {
 			return fmt.Errorf("-real supports %s (got %q)", expNames(func(e experiments.Experiment) bool { return e.Real != nil }, ", "), *exp)
 		}
-		r, err := experiments.NewRun(*model, *ranks, *threads, *steps, *decomp, *depth, colSpec, scheme)
+		var given []string
+		flag.Visit(func(f *flag.Flag) { given = append(given, f.Name) })
+		r, err := experiments.NewRun(*model, *ranks, *threads, *steps, *decomp, *depth, colSpec, scheme, given)
 		if err != nil {
 			return err
 		}

@@ -182,6 +182,7 @@ func main() {
 	fmt.Printf("config       opt=%s ranks=%d decomp=%dx%dx%d balance=%s sparse=%v threads=%d depth=%d,%d,%d fused=%v stream=%s collision=%s tau=%.4f\n",
 		cfg.Opt, cfg.Ranks, cfg.Decomp[0], cfg.Decomp[1], cfg.Decomp[2], cfg.Balance, cfg.Sparse, cfg.Threads, dep[0], dep[1], dep[2], cfg.GatherSweep(), cfg.Stream, cfg.Collision, cfg.Tau)
 	fmt.Printf("steps        %d\n", cfg.Steps)
+	fmt.Printf("vector       %s (the SIMD rung's row bodies on this host)\n", core.VectorBodies())
 	if hb := res.HaloAxisBytes; hb != [3]int64{} {
 		fmt.Printf("halo surface %.1f KB/rank/exchange (x %.1f, y %.1f, z %.1f)\n",
 			float64(hb[0]+hb[1]+hb[2])/1024, float64(hb[0])/1024, float64(hb[1])/1024, float64(hb[2])/1024)

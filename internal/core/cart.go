@@ -270,13 +270,14 @@ func (cs *cartStepper) initField() (bad int) {
 // gets ρ = 1, u = 0, which is exactly cs.rest — and per span of runs
 // (forSpans) forms t_k = w_k·ρ and lets eqRows write f_eq = t·(even ± odd)
 // into the span's rows of f. Set-up is no rung of the paper's ladder: it
-// takes the host's vector bodies (simdRows, ordinary stores — the first
-// step reads f at once) on every rung, and as every vector body stores
-// its Go body's bits (rows.go), that changes no value.
+// takes the host's vector bodies (simdTable's rows, ordinary stores — the
+// first step reads f at once) on every rung, and as every vector body
+// stores its Go body's bits (rows.go), that changes no value.
 func (cs *cartStepper) initRows(worker int, b box) {
 	sc := cs.scratch[worker]
 	rb := &sc.rb
 	invCs2, invCs2h := cs.invCs2, cs.invCs2h
+	vec := simdTable().rows
 	cs.forSpans(b, sc.nzCap, func(ix, iy, zlo, zhi, base, at int) {
 		zn := zhi - zlo
 		rho, qx, qy, qz, bs := rb.rho[at:at+zn], rb.j[0][at:at+zn], rb.j[1][at:at+zn], rb.j[2][at:at+zn], rb.base[at:at+zn]
@@ -297,7 +298,7 @@ func (cs *cartStepper) initRows(worker int, b box) {
 			qx[z], qy[z], qz[z] = ux*invCs2, uy*invCs2, uz*invCs2
 		}
 	}, func(base, n int) {
-		r := rowsFor(simdRows, n)
+		r := rowsFor(vec, n)
 		cs.weighRows(r, rb, cs.wk, n)
 		cs.eqRows(r, rb, rowViews(sc.sv, cs.f, base, n), n)
 	})
@@ -1353,12 +1354,12 @@ func (cs *cartStepper) measureForces() {
 // ownedSums returns mass and momentum summed over the owned fluid cells:
 // pairMoments over the rows of each span of owned runs (forSpans; in AA's
 // star arrangement the runs' populations gathered by starRows first), on
-// the host's vector bodies on every rung (simdRows, as in initRows), then
+// the host's vector bodies on every rung (as in initRows), then
 // the span's fluid cells added serially in row order — one accumulation
 // order, so the sums are the same bits at any thread count.
 func (cs *cartStepper) ownedSums() (mass, mx, my, mz float64) {
 	sc := cs.scratch[0]
-	rb := &sc.rb
+	rb, vec := &sc.rb, simdTable().rows
 	cs.forSpans(cs.ownedBox(), sc.nzCap, func(ix, iy, zlo, zhi, base, at int) {
 		if cs.aaStar {
 			cs.starRows(sc.gathered(sc.nzCap), at, zhi-zlo, ix, iy, zlo, base)
@@ -1368,7 +1369,7 @@ func (cs *cartStepper) ownedSums() (mass, mx, my, mz float64) {
 		if cs.aaStar {
 			in = sc.gathered(n)
 		}
-		cs.pairMoments(rowsFor(simdRows, n), rb, in, nil, n)
+		cs.pairMoments(rowsFor(vec, n), rb, in, nil, n)
 		msk := cs.rowMask(base, n)
 		for z := 0; z < n; z++ {
 			if msk != nil && msk[z] {

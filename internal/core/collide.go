@@ -31,8 +31,8 @@ import (
 )
 
 // testPlainStores, when set by a test in this package, keeps the SIMD
-// rung's two-field sweep on simdRows: the ordinary stores that
-// simdStreamRows replaces, for benchmarks that price the difference.
+// rung's two-field sweep on its table's rows: the ordinary stores that the
+// stream twin replaces, for benchmarks that price the difference.
 var testPlainStores bool
 
 // collider is the collision state the stepper embeds: the operator, the
@@ -105,9 +105,10 @@ func (c *collider) init(cfg *Config) error {
 		// On the two-field sweep out is the next field; under AA it is the
 		// worker's scatter rows, which push reads straight back, or the
 		// field itself in place: both keep ordinary stores.
-		c.vec = simdRows
+		t := simdTable()
+		c.vec = t.rows
 		if cfg.Stream != StreamAA && !testPlainStores {
-			c.vec = simdStreamRows
+			c.vec = t.stream
 		}
 	}
 	c.omc = 1 - c.omega
@@ -408,8 +409,8 @@ func (c *collider) pairQ(r *rowOps, b *rowBufs, p *velPair, zn int) []float64 {
 
 // relaxPaired is the specialized kernel (CF and above): per pair,
 // out = (1−ω)·f + t·(even ± odd) with t = ω·w·ρ. On a table with a fence
-// (simdStreamRows) it ends with the fence, so that its streaming stores
-// are globally visible when it returns; relaxTRT does the same.
+// (a table's stream twin) it ends with the fence, so that its streaming
+// stores are globally visible when it returns; relaxTRT does the same.
 func (c *collider) relaxPaired(sc *workerScratch, in, out [][]float64, zn int) {
 	b, r := &sc.rb, rowsFor(c.vec, zn)
 	c.pairMoments(r, b, in, b.ahead, zn)

@@ -11,6 +11,18 @@ import (
 	"repro/internal/lattice"
 )
 
+// TestCrossPathBitIdentityAVX2 runs TestCrossPathBitIdentity with the
+// SIMD rung and set-up on the AVX2 table (testAVX2) where the host binds a
+// wider one, so that the 4-wide bodies keep their sweep-level coverage.
+func TestCrossPathBitIdentityAVX2(t *testing.T) {
+	if len(rowTables) < 2 {
+		t.Skip("the host binds no table wider than AVX2's: TestCrossPathBitIdentity runs it")
+	}
+	testAVX2 = true
+	defer func() { testAVX2 = false }()
+	TestCrossPathBitIdentity(t)
+}
+
 // TestCrossPathBitIdentity: every path collides with the one row kernel
 // its rung and operator select, and streaming only moves values, so every
 // way of running a configuration must produce the same field to the last

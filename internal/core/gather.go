@@ -24,7 +24,7 @@ package core
 //     cell instead of 456 / 936, the paper's future-work direction (§VII:
 //     "reduce the memory accesses per lattice update"). That holds on the
 //     SIMD rung, whose relax primitives store fadv with streaming stores
-//     (simdStreamRows, rows_amd64.go). An ordinary store first reads the
+//     (rowTable.stream, rows_amd64.go). An ordinary store first reads the
 //     line it overwrites (write-allocate), so the sweep on the Go bodies
 //     (Config.Fused below SIMD, or a host without AVX2) still moves 456 /
 //     936. Nothing writes prev during the sweep, so a velocity whose upwind

@@ -154,7 +154,9 @@ func benchRowKernel(b *testing.B, name string, c *collider, src, dst *grid.Field
 
 // The ladder's BGK row kernels (naive vs row-generic vs pair-symmetric,
 // and the SIMD rung's pair kernel on its vector row bodies where the host
-// has them), TRT's pair kernel on the Go and the vector bodies (…-trt),
+// has them: simd on the 4-wide AVX2 table, simd8 on the 8-wide AVX-512
+// one where the host runs it), TRT's pair kernel on the Go and the vector
+// bodies (…-trt),
 // and the pair kernels' moment pass alone (pairMoments + velocities) on a
 // floorCells-long row and on a spanCells-long one: with gathered96 and BenchmarkStreamKernels'
 // indexed case, a lattice's compute floor and its stream as ns/cell.
@@ -165,12 +167,19 @@ func BenchmarkCollideKernels(b *testing.B) {
 			name string
 			opt  OptLevel
 			spec collision.Spec
+			wide bool // the 8-wide table; else the SIMD rung binds the AVX2 one (testAVX2)
 		}{
-			{"naive", OptGC, collision.Spec{}}, {"rowGeneric", OptDH, collision.Spec{}},
-			{"paired", OptCF, collision.Spec{}}, {"simd", OptSIMD, collision.Spec{}},
-			{"paired-trt", OptCF, trt}, {"simd-trt", OptSIMD, trt},
+			{"naive", OptGC, collision.Spec{}, false}, {"rowGeneric", OptDH, collision.Spec{}, false},
+			{"paired", OptCF, collision.Spec{}, false}, {"simd", OptSIMD, collision.Spec{}, false},
+			{"simd8", OptSIMD, collision.Spec{}, true},
+			{"paired-trt", OptCF, trt, false}, {"simd-trt", OptSIMD, trt, false}, {"simd8-trt", OptSIMD, trt, true},
 		} {
+			if c.wide && VectorBodies() != "avx512" {
+				continue
+			}
+			testAVX2 = !c.wide
 			st := benchStepper(b, m, c.opt, c.spec, false)
+			testAVX2 = false
 			benchRowKernel(b, m.Name+"/"+c.name, &st.collider, st.f, st.fadv)
 			if c.opt < OptCF || !c.spec.IsBGK() {
 				continue
@@ -269,22 +278,24 @@ func BenchmarkGatherRow(b *testing.B) {
 // The SIMD rung's sweep over periodic-q19's problem on one thread: the
 // owned box of a 96³ D3Q19 BGK field, whose two fields (137 MB each) are
 // far larger than the last-level cache, so every store of the next field
-// reaches memory. stream runs it as shipped (simdStreamRows, the moment
-// pass prefetching the next span's upwind rows), plain with the ordinary
-// stores of simdRows (testPlainStores), noahead with no prefetch table
-// (testNoAhead). stream against plain is the write-allocate read of each
+// reaches memory. stream runs it as shipped (the host's widest table's
+// streaming twin, the moment pass prefetching the next span's upwind rows),
+// plain with the table's ordinary stores (testPlainStores), noahead with no
+// prefetch table (testNoAhead), avx2 as shipped on the 4-wide AVX2 table
+// (testAVX2). stream against plain is the write-allocate read of each
 // destination line that streaming stores skip; stream against noahead is
 // the DRAM wait of the upwind reads that the prefetches overlap with the
-// previous span's arithmetic.
+// previous span's arithmetic; stream against avx2 is the 8-wide table's
+// gain where the host runs it (the same table otherwise).
 func BenchmarkSweepStep(b *testing.B) {
 	n := grid.Dims{NX: 96, NY: 96, NZ: 96}
 	for _, c := range []struct {
-		name           string
-		plain, noAhead bool
-	}{{"stream", false, false}, {"plain", true, false}, {"noahead", false, true}} {
+		name                 string
+		plain, noAhead, avx2 bool
+	}{{"stream", false, false, false}, {"plain", true, false, false}, {"noahead", false, true, false}, {"avx2", false, false, true}} {
 		b.Run(c.name, func(b *testing.B) {
-			testPlainStores, testNoAhead = c.plain, c.noAhead
-			defer func() { testPlainStores, testNoAhead = false, false }()
+			testPlainStores, testNoAhead, testAVX2 = c.plain, c.noAhead, c.avx2
+			defer func() { testPlainStores, testNoAhead, testAVX2 = false, false, false }()
 			cs := buildStepper(b, Config{
 				Model: lattice.D3Q19(), N: n, Tau: 0.8, Steps: 1,
 				Opt: OptSIMD, Ranks: 1, Threads: 1, GhostDepth: 1, Init: waveInit(n),

@@ -218,3 +218,12 @@ func TestReportDepthIsRunDepth(t *testing.T) {
 			one.GhostUpdates, one.HaloAxisBytes, two.GhostUpdates, two.HaloAxisBytes)
 	}
 }
+
+// TestReportNamesVectorBodies: the report's machine block says which row
+// bodies the SIMD rung bound on this host, as lbmrun's header does.
+func TestReportNamesVectorBodies(t *testing.T) {
+	cfg := &Config{Model: lattice.D3Q19(), N: grid.Dims{NX: 8, NY: 8, NZ: 8}, Tau: 0.8, Steps: 1, Opt: OptSIMD, Ranks: 1, Threads: 1}
+	if got, want := NewReport(cfg, &Result{}).Machine.Vector, VectorBodies(); got != want || want == "" {
+		t.Errorf("machine.vector %q, want %q", got, want)
+	}
+}

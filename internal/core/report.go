@@ -32,8 +32,9 @@ func ReportConfig(cfg *Config) obs.RunConfig {
 }
 
 // NewReport builds the structured run report of a completed run: machine
-// info, the config echo, MFlup/s, the Fig. 9 comm-time spread and the
-// per-phase breakdown aggregated across ranks. The per-rank observations
+// info with the host's row bodies (VectorBodies), the config echo,
+// MFlup/s, the Fig. 9 comm-time spread and the per-phase breakdown
+// aggregated across ranks. The per-rank observations
 // require Config.Observe; without it the report still carries config,
 // wall time and comm statistics.
 func NewReport(cfg *Config, res *Result) *obs.Report {
@@ -65,5 +66,7 @@ func NewReport(cfg *Config, res *Result) *obs.Report {
 			}
 		}
 	}
-	return obs.BuildReport(ReportConfig(cfg), st, ranks)
+	rep := obs.BuildReport(ReportConfig(cfg), st, ranks)
+	rep.Machine.Vector = VectorBodies()
+	return rep
 }

@@ -48,18 +48,45 @@ type rowOps struct {
 	fence func()
 }
 
-// simdRows are the vector bodies the SIMD rung calls, nil where this
-// build or host has none. simdStreamRows are the same bodies but for the
-// six relax primitives (relax0/2/3, trt0/2/3), which write with streaming
-// stores, and its fence: the table for a kernel whose out rows are the
-// next field, stored once and not read again before the fields swap. It
-// is nil wherever simdRows is.
-var simdRows, simdStreamRows *rowOps
+// rowTable is one width of vector bodies: rows stores with ordinary
+// stores; stream is the same table but for the six relax primitives
+// (relax0/2/3, trt0/2/3), which write with streaming stores, and its fence —
+// the table for a kernel whose out rows are the next field, stored once and
+// not read again before the fields swap.
+type rowTable struct {
+	name         string // the instruction set: "avx512" or "avx2"
+	rows, stream *rowOps
+}
+
+// rowTables are the vector tables this build and host run, widest first;
+// none where there are no vector bodies.
+var rowTables []rowTable
+
+// testAVX2, when set by a test in this package, binds the narrowest table
+// (the AVX2 bodies) where the host has a wider one, so that the sweep-level
+// tests cover both.
+var testAVX2 bool
+
+// simdTable is the table the SIMD rung and set-up bind: the widest, its
+// name "go" and its tables nil where there is none.
+func simdTable() rowTable {
+	switch {
+	case len(rowTables) == 0:
+		return rowTable{name: "go"}
+	case testAVX2:
+		return rowTables[len(rowTables)-1]
+	}
+	return rowTables[0]
+}
+
+// VectorBodies names the row bodies the SIMD rung runs on this host and
+// build: "avx512", "avx2" or "go".
+func VectorBodies() string { return simdTable().name }
 
 // momPair is an opposite pair as the moment pass reads it (momPairs): its
 // rows of in, the axes it moves along as the bits of mask (bit a for axis
 // a; none for the rest velocity, whose row is its sum) and its component
-// on each. The AVX2 body reads it by offset: i 0, j 8, mask 16, c 24–40.
+// on each. The vector bodies read it by offset: i 0, j 8, mask 16, c 24–40.
 type momPair struct {
 	i, j int
 	mask int

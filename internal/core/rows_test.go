@@ -74,8 +74,26 @@ var rowPrims = []rowPrim{
 
 // needSIMDRows skips where this build or CPU binds no vector bodies.
 func needSIMDRows(t testing.TB) {
-	if simdRows == nil {
+	if len(rowTables) == 0 {
 		t.Skip("no vector row bodies here: they need amd64 with AVX2 and OS YMM state, and race builds keep the Go bodies")
+	}
+}
+
+// forEachTable runs f as a subtest per vector table this host runs,
+// widest first and named for it, with that table bound as the SIMD rung's
+// (testAVX2 for the narrower), and skips where there is none.
+func forEachTable(t *testing.T, f func(t *testing.T, tab rowTable)) {
+	t.Helper()
+	needSIMDRows(t)
+	for i, tab := range rowTables {
+		t.Run(tab.name, func(t *testing.T) {
+			testAVX2 = i > 0
+			defer func() { testAVX2 = false }()
+			if simdTable() != tab {
+				t.Fatalf("the SIMD rung binds %s, want %s", simdTable().name, tab.name)
+			}
+			f(t, tab)
+		})
 	}
 }
 
@@ -89,20 +107,26 @@ var specials = []float64{
 }
 
 // alignedRow returns a row of n values that starts off values past a
-// 32-byte boundary.
+// 64-byte boundary.
 func alignedRow(n, off int) []float64 {
-	buf := make([]float64, n+off+4)
-	skip := int(-uintptr(unsafe.Pointer(&buf[0])) % 32 / 8)
+	buf := make([]float64, n+off+8)
+	skip := int(-uintptr(unsafe.Pointer(&buf[0])) % 64 / 8)
 	return buf[skip+off:][:n]
+}
+
+// sentinel is the value past the run of row r at z: a quiet NaN whose
+// payload names the place, which no body may overwrite.
+func sentinel(r, z int) float64 {
+	return math.Float64frombits(0x7ff8dead00000000 | uint64(r)<<16 | uint64(z))
 }
 
 // checkRowPrim runs p's Go body and its body in the vector table vec on
 // copies of the same rows — a run of n values, value(r, z) in row r
 // (outputs first), k its scalars — with the output rows of alias passed as
 // the inputs they pair with, and fails unless every stored value has the
-// same bits (or is NaN in both). Row r starts off(r) values past a 32-byte
+// same bits (or is NaN in both). Row r starts off(r) values past a 64-byte
 // boundary. Every row but the one that sets the run is two values longer,
-// and those must stay untouched.
+// holding sentinels that must stay untouched.
 func checkRowPrim(t *testing.T, vec *rowOps, p rowPrim, n int, value func(r, z int) float64, k []float64, alias [][2]int, off func(r int) int) {
 	t.Helper()
 	const pad = 2
@@ -112,6 +136,9 @@ func checkRowPrim(t *testing.T, vec *rowOps, p rowPrim, n int, value func(r, z i
 			all[r] = alignedRow(n+pad, off(r))
 			for z := range all[r] {
 				all[r][z] = value(r, z)
+				if z >= n {
+					all[r][z] = sentinel(r, z)
+				}
 			}
 		}
 		o, in = append([][]float64(nil), all[:p.outs]...), append([][]float64(nil), all[p.outs:]...)
@@ -132,7 +159,7 @@ func checkRowPrim(t *testing.T, vec *rowOps, p rowPrim, n int, value func(r, z i
 	for r := range goAll {
 		for z := range goAll[r] {
 			want, got := goAll[r][z], vecAll[r][z]
-			if z >= n && math.Float64bits(got) != math.Float64bits(value(r, z)) {
+			if z >= n && math.Float64bits(got) != math.Float64bits(sentinel(r, z)) {
 				t.Fatalf("%s n %d alias %v: row %d wrote past the run at %d", p.name, n, alias, r, z)
 			}
 			if math.Float64bits(got) != math.Float64bits(want) && !(math.IsNaN(want) && math.IsNaN(got)) {
@@ -143,11 +170,15 @@ func checkRowPrim(t *testing.T, vec *rowOps, p rowPrim, n int, value func(r, z i
 	}
 }
 
-// mixedOffsets starts row r r mod 4 values past a 32-byte boundary.
-func mixedOffsets(r int) int { return r % 4 }
+// mixedOffsets starts row r (r + head) mod 8 values past a 64-byte
+// boundary: the run's first row head values, the others at every other
+// misalignment.
+func mixedOffsets(head int) func(r int) int {
+	return func(r int) int { return (r + head) % 8 }
+}
 
 // streamOffsets starts the output rows di and dj oi and oj values past a
-// 32-byte boundary — the streaming wrappers' head peel and their fallback
+// 64-byte boundary — the streaming wrappers' head peel and their fallback
 // where the two differ — and the input rows at mixed offsets.
 func streamOffsets(oi, oj int) func(r int) int {
 	return func(r int) int {
@@ -157,21 +188,26 @@ func streamOffsets(oi, oj int) func(r int) int {
 		case 1:
 			return oj
 		}
-		return (r + oi) % 4
+		return (r + oi) % 8
 	}
 }
 
-// checkStreamPrims holds p's body in simdStreamRows to its Go body with
-// di at each offset 0–3 from a 32-byte boundary and dj at each, so that
-// the streaming bodies run behind every head the wrappers peel, and the
-// plain x4 bodies wherever dj's offset differs. (A wrapper that let a
+// checkPrims holds p's bodies in tab to its Go body: the ordinary stores
+// with the run's first row at each head misalignment 0–7 cells, in place
+// where p allows it too, and the streaming stores with di at each 0–7 and
+// dj at each, so that they run behind every head the wrappers peel, and
+// the narrower bodies wherever dj's offset differs. (A wrapper that let a
 // misaligned address reach VMOVNTPD faults the test binary.)
-func checkStreamPrims(t *testing.T, p rowPrim, n int, value func(r, z int) float64, k []float64) {
+func checkPrims(t *testing.T, tab rowTable, p rowPrim, n int, value func(r, z int) float64, k []float64) {
 	t.Helper()
-	for oi := 0; oi < 4; oi++ {
-		for oj := 0; oj < 4; oj++ {
-			checkRowPrim(t, simdStreamRows, p, n, value, k, nil, streamOffsets(oi, oj))
-			checkRowPrim(t, simdStreamRows, p, n, value, k, p.alias, streamOffsets(oi, oj))
+	for oi := 0; oi < 8; oi++ {
+		checkRowPrim(t, tab.rows, p, n, value, k, nil, mixedOffsets(oi))
+		if p.alias != nil {
+			checkRowPrim(t, tab.rows, p, n, value, k, p.alias, mixedOffsets(oi))
+		}
+		for oj := 0; oj < 8; oj++ {
+			checkRowPrim(t, tab.stream, p, n, value, k, nil, streamOffsets(oi, oj))
+			checkRowPrim(t, tab.stream, p, n, value, k, p.alias, streamOffsets(oi, oj))
 		}
 	}
 }
@@ -204,7 +240,7 @@ func pairPasses(rho []float64, j [3][]float64, in [][]float64, ps []velPair) {
 // checkMoments holds the moment pass's Go body and its body in vec to
 // the per-pair passes over m's pair table at 0 ULP (NaN against NaN): a
 // run of n cells, population v's row holding value(v, z) and starting
-// off(v) values past a 32-byte boundary. The ρ and j rows are two values
+// off(v) values past a 64-byte boundary. The ρ and j rows are two values
 // longer than the run (ρ's length sets it), and those two must stay
 // untouched. The vector body runs without a prefetch table and with three
 // (aheadTables): a prefetch must change no value and fault nowhere.
@@ -220,7 +256,6 @@ func checkMoments(t *testing.T, vec *rowOps, m *lattice.Model, n int, value func
 			in[v][z] = value(v, z)
 		}
 	}
-	sentinel := func(r, z int) float64 { return math.Float64frombits(0x4321dead00000000 | uint64(r<<8|z)) }
 	rows := func() (rho []float64, j [3][]float64) {
 		all := make([][]float64, 4)
 		for r := range all {
@@ -290,50 +325,49 @@ func randomRowValues(rng *rand.Rand, rows, n int, withSpecials bool) func(r, z i
 	return func(r, z int) float64 { return vals[r][z] }
 }
 
-// TestRowPrimitives holds every vector row body to its Go body at 0 ULP:
-// every run length 0–67 (every tail of the 4-wide loop), each primitive
-// also with its in-place aliasing, on rows mixing ordinary values with
-// signed zeros, subnormals, ±Inf and NaN. The moment pass runs the pair
-// tables of D3Q19, D3Q27 and D3Q39 over the same lengths (every 8-cell
-// block, 4-cell step and Go tail) and specials, Go and vector body both
-// held to the per-pair passes (checkMoments). The streaming bodies
-// (simdStreamRows) run the same rows at every output alignment
-// (checkStreamPrims) over lengths 0–41: every head of 0–3 cells, every
-// tail, and up to nine vectors between them.
+// TestRowPrimitives holds every vector row body of every table this host
+// runs to its Go body at 0 ULP: every run length 0–40 (every tail of the
+// 4- and 8-wide loops and every way they split a run), each primitive also
+// with its in-place aliasing, on rows mixing ordinary values with signed
+// zeros, subnormals, ±Inf and NaN, at every head misalignment 0–7 cells,
+// with NaN sentinels past each row that must survive (checkPrims). The
+// moment pass runs the pair tables of D3Q19, D3Q27 and D3Q39 over the same
+// lengths, misalignments and specials (every block, every last block that
+// overlaps the one before or runs both halves on one vector, every Go
+// tail), Go and vector body both held to the per-pair passes
+// (checkMoments).
 func TestRowPrimitives(t *testing.T) {
-	needSIMDRows(t)
-	rng := rand.New(rand.NewSource(7))
-	for _, p := range rowPrims {
-		for n := 0; n <= 67; n++ {
-			for _, withSpecials := range []bool{false, true} {
-				value := randomRowValues(rng, p.outs+p.ins, n+2, withSpecials)
-				k := make([]float64, p.ks)
-				for i := range k {
-					k[i] = rng.NormFloat64()
-					if withSpecials && rng.Intn(8) == 0 {
-						k[i] = specials[rng.Intn(len(specials))]
+	forEachTable(t, func(t *testing.T, tab rowTable) {
+		rng := rand.New(rand.NewSource(7))
+		for _, p := range rowPrims {
+			for n := 0; n <= 40; n++ {
+				for _, withSpecials := range []bool{false, true} {
+					value := randomRowValues(rng, p.outs+p.ins, n+2, withSpecials)
+					k := make([]float64, p.ks)
+					for i := range k {
+						k[i] = rng.NormFloat64()
+						if withSpecials && rng.Intn(8) == 0 {
+							k[i] = specials[rng.Intn(len(specials))]
+						}
+					}
+					checkPrims(t, tab, p, n, value, k)
+				}
+			}
+		}
+		for _, m := range momentLattices {
+			for n := 0; n <= 40; n++ {
+				for _, withSpecials := range []bool{false, true} {
+					value := randomRowValues(rng, m.Q, n+2, withSpecials)
+					for head := 0; head < 8; head++ {
+						checkMoments(t, tab.rows, m, n, value, mixedOffsets(head))
 					}
 				}
-				checkRowPrim(t, simdRows, p, n, value, k, nil, mixedOffsets)
-				if p.alias != nil {
-					checkRowPrim(t, simdRows, p, n, value, k, p.alias, mixedOffsets)
-				}
-				if n <= 41 {
-					checkStreamPrims(t, p, n, value, k)
-				}
 			}
 		}
-	}
-	for _, m := range momentLattices {
-		for n := 0; n <= 67; n++ {
-			for _, withSpecials := range []bool{false, true} {
-				checkMoments(t, simdRows, m, n, randomRowValues(rng, m.Q, n+2, withSpecials), mixedOffsets)
-			}
-		}
-	}
+	})
 }
 
-// FuzzRowPrimitives: the same property on fuzzed bits, for both tables.
+// FuzzRowPrimitives: the same property on fuzzed bits, for every table.
 // The input is read as little-endian float64s; its length picks the run,
 // and the values fill the scalars and then the rows, cycling. The seed
 // corpus is testdata/fuzz.
@@ -347,88 +381,95 @@ func FuzzRowPrimitives(f *testing.F) {
 		if len(vals) == 0 {
 			return
 		}
-		n := len(vals) % 68
+		n := len(vals) % 41
 		at := func(i int) float64 { return vals[i%len(vals)] }
-		for _, p := range rowPrims {
-			k := make([]float64, p.ks)
-			for i := range k {
-				k[i] = at(i)
+		for _, tab := range rowTables {
+			for _, p := range rowPrims {
+				k := make([]float64, p.ks)
+				for i := range k {
+					k[i] = at(i)
+				}
+				checkPrims(t, tab, p, n, func(r, z int) float64 { return at(p.ks + r*(n+2) + z) }, k)
 			}
-			value := func(r, z int) float64 { return at(p.ks + r*(n+2) + z) }
-			checkRowPrim(t, simdRows, p, n, value, k, nil, mixedOffsets)
-			if p.alias != nil {
-				checkRowPrim(t, simdRows, p, n, value, k, p.alias, mixedOffsets)
+			for _, m := range momentLattices {
+				for head := 0; head < 8; head++ {
+					checkMoments(t, tab.rows, m, n, func(v, z int) float64 { return at(v*(n+2) + z) }, mixedOffsets(head))
+				}
 			}
-			checkStreamPrims(t, p, n, value, k)
-		}
-		for _, m := range momentLattices {
-			checkMoments(t, simdRows, m, n, func(v, z int) float64 { return at(v*(n+2) + z) }, mixedOffsets)
 		}
 	})
 }
 
-// TestStreamingStoresOnlyIntoTheNextField: collider.init binds the
-// streaming table only where the row kernel's out rows are the next field
-// — the SIMD rung's two-field sweep, BGK and TRT on both lattices — and
-// keeps the ordinary stores of simdRows under AA, whose out rows are
-// scatter rows read straight back or the field relaxed in place. Every
-// rung below SIMD runs the Go bodies. The stepper routes the same way.
-// Only the streaming table carries a fence for the row kernels to call.
+// TestStreamingStoresOnlyIntoTheNextField: under every table this host
+// runs, collider.init binds the table's streaming twin only where the row
+// kernel's out rows are the next field — the SIMD rung's two-field sweep,
+// BGK and TRT on both lattices — and keeps the table's ordinary stores
+// under AA, whose out rows are scatter rows read straight back or the
+// field relaxed in place. Every rung below SIMD runs the Go bodies. The
+// stepper routes the same way. Only the streaming twin carries a fence for
+// the row kernels to call.
 func TestStreamingStoresOnlyIntoTheNextField(t *testing.T) {
-	needSIMDRows(t)
-	if simdStreamRows == simdRows || simdStreamRows.fence == nil || simdRows.fence != nil {
-		t.Fatal("simdStreamRows must be a table of its own with a fence, and simdRows without one")
-	}
-	for _, m := range []*lattice.Model{lattice.D3Q19(), lattice.D3Q39()} {
-		for _, spec := range []collision.Spec{{}, {Kind: collision.TRT}} {
-			for _, opt := range []OptLevel{OptOrig, OptGC, OptDH, OptCF, OptLoBr, OptNBC, OptGCC, OptSIMD} {
-				for _, stream := range []StreamScheme{StreamTwoGrid, StreamAA} {
-					var c collider
-					if err := c.init(&Config{Model: m, Tau: 0.8, Opt: opt, Stream: stream, Collision: spec}); err != nil {
-						t.Fatal(err)
-					}
-					want := (*rowOps)(nil)
-					switch {
-					case opt == OptSIMD && stream == StreamAA:
-						want = simdRows
-					case opt == OptSIMD:
-						want = simdStreamRows
-					}
-					if c.vec != want {
-						t.Errorf("%s %s %s stream %v: vector table %p, want %p (simdRows %p, simdStreamRows %p)",
-							m.Name, spec.Kind, opt, stream, c.vec, want, simdRows, simdStreamRows)
+	forEachTable(t, func(t *testing.T, tab rowTable) {
+		if tab.stream == tab.rows || tab.stream.fence == nil || tab.rows.fence != nil {
+			t.Fatal("a table's stream twin must be a table of its own with a fence, and its rows without one")
+		}
+		for _, m := range []*lattice.Model{lattice.D3Q19(), lattice.D3Q39()} {
+			for _, spec := range []collision.Spec{{}, {Kind: collision.TRT}} {
+				for _, opt := range []OptLevel{OptOrig, OptGC, OptDH, OptCF, OptLoBr, OptNBC, OptGCC, OptSIMD} {
+					for _, stream := range []StreamScheme{StreamTwoGrid, StreamAA} {
+						var c collider
+						if err := c.init(&Config{Model: m, Tau: 0.8, Opt: opt, Stream: stream, Collision: spec}); err != nil {
+							t.Fatal(err)
+						}
+						want := (*rowOps)(nil)
+						switch {
+						case opt == OptSIMD && stream == StreamAA:
+							want = tab.rows
+						case opt == OptSIMD:
+							want = tab.stream
+						}
+						if c.vec != want {
+							t.Errorf("%s %s %s stream %v: vector table %p, want %p (rows %p, stream %p)",
+								m.Name, spec.Kind, opt, stream, c.vec, want, tab.rows, tab.stream)
+						}
 					}
 				}
 			}
 		}
-	}
-	n := grid.Dims{NX: 8, NY: 8, NZ: 8}
-	for _, stream := range []StreamScheme{StreamTwoGrid, StreamAA} {
-		cs := buildStepper(t, Config{Model: lattice.D3Q19(), N: n, Tau: 0.8, Steps: 1, Opt: OptSIMD, Stream: stream, Ranks: 1, Threads: 1, GhostDepth: 1})
-		want := simdStreamRows
-		if stream == StreamAA {
-			want = simdRows
+		n := grid.Dims{NX: 8, NY: 8, NZ: 8}
+		for _, stream := range []StreamScheme{StreamTwoGrid, StreamAA} {
+			cs := buildStepper(t, Config{Model: lattice.D3Q19(), N: n, Tau: 0.8, Steps: 1, Opt: OptSIMD, Stream: stream, Ranks: 1, Threads: 1, GhostDepth: 1})
+			want := tab.stream
+			if stream == StreamAA {
+				want = tab.rows
+			}
+			if cs.vec != want {
+				t.Errorf("stepper, stream %v: vector table %p, want %p", stream, cs.vec, want)
+			}
+			cs.close()
 		}
-		if cs.vec != want {
-			t.Errorf("stepper, stream %v: vector table %p, want %p", stream, cs.vec, want)
-		}
-		cs.close()
-	}
+	})
 }
 
-// TestMomentPassBinding: both SIMD tables carry the one-pass moment body,
-// the same one (it writes the worker's ρ and j rows, never the next
-// field, so it keeps ordinary stores), and neither table exists where
-// simdRows does not. collider.init tabulates the pass's pairs once, in
-// the pair table's order, on every rung.
+// TestMomentPassBinding: each table's rows and stream twin carry the
+// one-pass moment body, the same one (it writes the worker's ρ and j rows,
+// never the next field, so it keeps ordinary stores); the host binds its
+// widest table, named as VectorBodies says, and "go" where it has none.
+// collider.init tabulates the pass's pairs once, in the pair table's
+// order, on every rung.
 func TestMomentPassBinding(t *testing.T) {
-	if simdRows == nil {
-		if simdStreamRows != nil {
-			t.Fatal("simdStreamRows is bound where simdRows is nil")
+	for _, tab := range rowTables {
+		if tab.rows.moments == nil || tab.stream.moments == nil ||
+			reflect.ValueOf(tab.rows.moments).Pointer() != reflect.ValueOf(tab.stream.moments).Pointer() {
+			t.Fatalf("%s: rows and stream must both carry the same moment body", tab.name)
 		}
-	} else if simdRows.moments == nil || simdStreamRows.moments == nil ||
-		reflect.ValueOf(simdRows.moments).Pointer() != reflect.ValueOf(simdStreamRows.moments).Pointer() {
-		t.Fatal("simdRows and simdStreamRows must both carry the same moment body")
+	}
+	want := "go"
+	if len(rowTables) > 0 {
+		want = rowTables[0].name
+	}
+	if got := VectorBodies(); got != want || simdTable().name != got {
+		t.Errorf("VectorBodies %q, simdTable %q, want %q", got, simdTable().name, want)
 	}
 	for _, m := range momentLattices {
 		for _, opt := range []OptLevel{OptCF, OptGCC, OptSIMD} {
@@ -454,8 +495,9 @@ func TestMomentPassBinding(t *testing.T) {
 // the span's own first row lands a plane off there. Under the run
 // index, on AA's odd sub-step, below SIMD (the gather sweep and the split
 // path) and under testNoAhead the table stays empty, and an empty table is
-// what selects the body without prefetches (momentsAVX2 then reads no
-// entry of it; TestRowPrimitives runs both bodies).
+// what selects the body without prefetches (the wrappers then read no
+// entry of it; TestRowPrimitives runs both bodies). Every case runs under
+// every table this host runs.
 func TestMomentPrefetchTable(t *testing.T) {
 	n := grid.Dims{NX: 6, NY: 12, NZ: 12}
 	const rows = 3
@@ -478,66 +520,70 @@ func TestMomentPrefetchTable(t *testing.T) {
 		{"GC-C split", Config{Model: lattice.D3Q19(), Opt: OptGCC}, false, false, false, false},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			if tc.want {
-				needSIMDRows(t)
-			}
-			cfg := tc.cfg
-			cfg.N, cfg.Tau, cfg.Steps, cfg.Ranks, cfg.Threads, cfg.GhostDepth = n, 0.8, 1, 1, 1, 1
-			cfg.Init = waveInit(n)
-			cs := buildStepper(t, cfg)
-			cs.initField()
-			cs.refreshAxes([3]bool{true, true, true})
-			cs.aaStar = tc.odd
-			testNoAhead = tc.none
-			defer func() { testNoAhead = false }()
-			sc, m := cs.scratch[0], cs.model
-			// Rows 0–2 of an x-plane read across the y wrap wherever y has
-			// no ghosts; row 3, where the next span starts, does not, even
-			// at D3Q39's reach of 3. On the walled y the plane's last three
-			// owned rows are followed by a ghost row, and the next span
-			// starts on the next plane's first owned row.
-			ix, iy, zlo, zhi := cs.w[0]+1, cs.w[1], cs.w[2], cs.w[2]+cs.own[2]
-			nix, niy := ix, iy+rows
-			if tc.last {
-				if cs.w[1] == 0 {
-					t.Fatal("the walled case has no y ghosts")
+			check := func(t *testing.T) {
+				cfg := tc.cfg
+				cfg.N, cfg.Tau, cfg.Steps, cfg.Ranks, cfg.Threads, cfg.GhostDepth = n, 0.8, 1, 1, 1, 1
+				cfg.Init = waveInit(n)
+				cs := buildStepper(t, cfg)
+				cs.initField()
+				cs.refreshAxes([3]bool{true, true, true})
+				cs.aaStar = tc.odd
+				testNoAhead = tc.none
+				defer func() { testNoAhead = false }()
+				sc, m := cs.scratch[0], cs.model
+				// Rows 0–2 of an x-plane read across the y wrap wherever y has
+				// no ghosts; row 3, where the next span starts, does not, even
+				// at D3Q39's reach of 3. On the walled y the plane's last three
+				// owned rows are followed by a ghost row, and the next span
+				// starts on the next plane's first owned row.
+				ix, iy, zlo, zhi := cs.w[0]+1, cs.w[1], cs.w[2], cs.w[2]+cs.own[2]
+				nix, niy := ix, iy+rows
+				if tc.last {
+					if cs.w[1] == 0 {
+						t.Fatal("the walled case has no y ghosts")
+					}
+					iy = cs.w[1] + cs.own[1] - rows
+					nix, niy = ix+1, cs.w[1]
 				}
-				iy = cs.w[1] + cs.own[1] - rows
-				nix, niy = ix+1, cs.w[1]
-			}
-			sc.rb.ahead = sc.rb.ahead[:0]
-			for range m.Q {
-				sc.rb.ahead = append(sc.rb.ahead, 1) // a stale table the spans must replace
-			}
-			cs.gatherRows(0, box{lo: [3]int{ix, iy, zlo}, hi: [3]int{ix + 1, iy + rows, zhi}})
-			got := sc.rb.ahead
-			if !tc.want {
-				if len(got) != 0 {
-					t.Fatalf("prefetch table of %d entries, want none", len(got))
+				sc.rb.ahead = sc.rb.ahead[:0]
+				for range m.Q {
+					sc.rb.ahead = append(sc.rb.ahead, 1) // a stale table the spans must replace
 				}
+				cs.gatherRows(0, box{lo: [3]int{ix, iy, zlo}, hi: [3]int{ix + 1, iy + rows, zhi}})
+				got := sc.rb.ahead
+				if !tc.want {
+					if len(got) != 0 {
+						t.Fatalf("prefetch table of %d entries, want none", len(got))
+					}
+					return
+				}
+				if len(got) != m.Q {
+					t.Fatalf("prefetch table of %d entries, want %d", len(got), m.Q)
+				}
+				// The next span starts on row (nix, niy), whether the last one
+				// held all three rows (no z ghosts) or the last row alone.
+				next := spanRow{ix: nix, iy: niy, zlo: zlo, zn: zhi - zlo, base: cs.d.Index(nix, niy, zlo)}
+				for v := range got {
+					blk := uintptr(unsafe.Pointer(unsafe.SliceData(cs.f.V(v))))
+					sy := next.iy - m.Cy[v]
+					if cs.w[1] == 0 {
+						sy = (sy + cs.d.NY) % cs.d.NY
+					}
+					src := cs.d.Index(next.ix-m.Cx[v], sy, zlo) - m.Cz[v]
+					if want := blk + uintptr(src)*8; got[v] != want {
+						t.Errorf("velocity %d: ahead %#x, want %#x (cell %d of f, the next span's upwind start)", v, got[v], want, src)
+					}
+					dst := make([]float64, zhi-zlo)
+					if r := cs.upwindSpan(dst, v, []spanRow{next}); &r[0] != &dst[0] && got[v] != uintptr(unsafe.Pointer(&r[0])) {
+						t.Errorf("velocity %d: ahead %#x, but the next span reads f from %p", v, got[v], &r[0])
+					}
+				}
+			}
+			if tc.want || len(rowTables) > 0 {
+				forEachTable(t, func(t *testing.T, _ rowTable) { check(t) })
 				return
 			}
-			if len(got) != m.Q {
-				t.Fatalf("prefetch table of %d entries, want %d", len(got), m.Q)
-			}
-			// The next span starts on row (nix, niy), whether the last one
-			// held all three rows (no z ghosts) or the last row alone.
-			next := spanRow{ix: nix, iy: niy, zlo: zlo, zn: zhi - zlo, base: cs.d.Index(nix, niy, zlo)}
-			for v := range got {
-				blk := uintptr(unsafe.Pointer(unsafe.SliceData(cs.f.V(v))))
-				sy := next.iy - m.Cy[v]
-				if cs.w[1] == 0 {
-					sy = (sy + cs.d.NY) % cs.d.NY
-				}
-				src := cs.d.Index(next.ix-m.Cx[v], sy, zlo) - m.Cz[v]
-				if want := blk + uintptr(src)*8; got[v] != want {
-					t.Errorf("velocity %d: ahead %#x, want %#x (cell %d of f, the next span's upwind start)", v, got[v], want, src)
-				}
-				dst := make([]float64, zhi-zlo)
-				if r := cs.upwindSpan(dst, v, []spanRow{next}); &r[0] != &dst[0] && got[v] != uintptr(unsafe.Pointer(&r[0])) {
-					t.Errorf("velocity %d: ahead %#x, but the next span reads f from %p", v, got[v], &r[0])
-				}
-			}
+			check(t)
 		})
 	}
 }

@@ -280,10 +280,11 @@ func TestRenderAlignment(t *testing.T) {
 	}
 }
 
-// newRun builds a D3Q19 BGK run description for the Real* tests.
-func newRun(t *testing.T, ranks, threads, steps int, decompSpec, depthSpec string, stream core.StreamScheme) Run {
+// newRun builds a D3Q19 BGK run description for the Real* tests, the
+// flags named by given set on its command line.
+func newRun(t *testing.T, ranks, threads, steps int, decompSpec, depthSpec string, stream core.StreamScheme, given ...string) Run {
 	t.Helper()
-	r, err := NewRun("D3Q19", ranks, threads, steps, decompSpec, depthSpec, collision.Spec{}, stream)
+	r, err := NewRun("D3Q19", ranks, threads, steps, decompSpec, depthSpec, collision.Spec{}, stream, given)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -410,16 +411,17 @@ func TestThreadCounts(t *testing.T) {
 // The run description is where a -real flag is rejected: every Real*
 // experiment takes one that NewRun built.
 func TestRealExperimentsRejectBadModel(t *testing.T) {
-	if _, err := NewRun("D2Q9", 1, 1, 1, "1d", "1", collision.Spec{}, core.StreamTwoGrid); err == nil {
+	if _, err := NewRun("D2Q9", 1, 1, 1, "1d", "1", collision.Spec{}, core.StreamTwoGrid, nil); err == nil {
 		t.Error("unknown model accepted")
 	}
 }
 
 // TestRunConfig: every rung takes the description's shape, depth and
 // stream, except Orig, which runs the paper's geometry; and the flags an
-// experiment sweeps or fixes itself are rejected before anything runs.
+// experiment sweeps or fixes itself are rejected before anything runs,
+// whatever value they were given.
 func TestRunConfig(t *testing.T) {
-	r := newRun(t, 4, 1, 1, "2x2x1", "2,1,1", core.StreamAA)
+	r := newRun(t, 4, 1, 1, "2x2x1", "2,1,1", core.StreamAA, "steps", "decomp", "depth", "stream")
 	for _, opt := range core.Levels() {
 		cfg, err := r.config(opt, r.Ranks, r.N)
 		if err != nil {
@@ -449,9 +451,10 @@ func TestRunConfig(t *testing.T) {
 	}
 
 	// Every flag an experiment sweeps or fixes itself is refused, one at a
-	// time, before anything runs (the runs would take seconds each), and
-	// the defaults are not.
-	given := map[string]func(*Run){
+	// time, before anything runs (the runs would take seconds each), given
+	// away from its default or at it (lbmbench -exp fig11 -real -ranks 4,
+	// -exp collision -real -steps 30), and a flag not given is not.
+	away := map[string]func(*Run){
 		"ranks":     func(r *Run) { r.Ranks = 2 },
 		"threads":   func(r *Run) { r.Threads = 2 },
 		"steps":     func(r *Run) { r.Steps = 2 },
@@ -472,16 +475,20 @@ func TestRunConfig(t *testing.T) {
 		{"balance", RealBalance, []string{"decomp", "depth", "collision", "stream"}},
 	} {
 		for _, flag := range c.flags {
-			r := newRun(t, DefaultRanks, DefaultThreads, DefaultSteps, DefaultDecomp, DefaultDepth, core.StreamTwoGrid)
-			given[flag](&r)
-			want := c.exp + " "
-			if _, err := c.real(r); err == nil || !strings.HasPrefix(err.Error(), want) || !strings.HasSuffix(err.Error(), "; drop -"+flag) {
-				t.Errorf("%s -real -%s: %v, want a %q… drop -%s error", c.exp, flag, err, want, flag)
+			for _, atDefault := range []bool{true, false} {
+				r := newRun(t, DefaultRanks, DefaultThreads, DefaultSteps, DefaultDecomp, DefaultDepth, core.StreamTwoGrid, flag)
+				if !atDefault {
+					away[flag](&r)
+				}
+				want := c.exp + " "
+				if _, err := c.real(r); err == nil || !strings.HasPrefix(err.Error(), want) || !strings.HasSuffix(err.Error(), "; drop -"+flag) {
+					t.Errorf("%s -real -%s (at its default %v): %v, want a %q… drop -%s error", c.exp, flag, atDefault, err, want, flag)
+				}
 			}
 		}
 	}
 	if r := newRun(t, DefaultRanks, DefaultThreads, DefaultSteps, DefaultDecomp, DefaultDepth, core.StreamTwoGrid); r.ignores("every", "flag", "ranks", "threads", "steps", "decomp", "depth", "collision", "stream") != nil {
-		t.Error("the default run description gives a flag")
+		t.Error("a run description given no flag refuses one")
 	}
 }
 

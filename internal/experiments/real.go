@@ -2,6 +2,7 @@ package experiments
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"repro/internal/collision"
@@ -15,9 +16,7 @@ import (
 // at laptop scale. They demonstrate the same qualitative trade-offs as the
 // perfsim projections with no model in between.
 
-// The defaults of lbmbench's -real flags. A Run field that holds its
-// default was not given; one that does not was, and an experiment that
-// ignores that flag refuses it (Run.ignores).
+// The defaults of lbmbench's -real flags.
 const (
 	DefaultRanks   = 4
 	DefaultThreads = 1
@@ -44,13 +43,21 @@ type Run struct {
 	DepthAxes [3]int
 	Collision collision.Spec
 	Stream    core.StreamScheme
+	// given names the flags lbmbench's command line set (flag.Visit),
+	// whatever their values: an experiment that sweeps or fixes one of
+	// them refuses it (ignores), even where it was given its default.
+	given []string
 }
+
+// realFlags are the -real flags an experiment may sweep or fix itself.
+var realFlags = []string{"ranks", "threads", "steps", "decomp", "depth", "collision", "stream"}
 
 // NewRun builds the run description from lbmbench's -real flags: the
 // model's name, the ranks, the threads per rank (0 = NumCPU/ranks), the
 // steps, the decomposition spec and the ghost depth ("2" or per-axis
-// "2,1,1"), with an already validated operator and stream.
-func NewRun(model string, ranks, threads, steps int, decompSpec, depthSpec string, col collision.Spec, stream core.StreamScheme) (Run, error) {
+// "2,1,1"), with an already validated operator and stream, and the names of
+// the flags the command line set.
+func NewRun(model string, ranks, threads, steps int, decompSpec, depthSpec string, col collision.Spec, stream core.StreamScheme, given []string) (Run, error) {
 	m, err := lattice.ByName(model)
 	if err != nil {
 		return Run{}, err
@@ -70,30 +77,8 @@ func NewRun(model string, ranks, threads, steps int, decompSpec, depthSpec strin
 	return Run{
 		Model: m, N: n, Ranks: ranks, Threads: threads, Steps: steps,
 		Decomp: decompSpec, Depth: depth, DepthAxes: axes,
-		Collision: col, Stream: stream,
+		Collision: col, Stream: stream, given: given,
 	}, nil
-}
-
-// given reports whether the description's -name flag is away from its
-// default.
-func (r Run) given(name string) bool {
-	switch name {
-	case "ranks":
-		return r.Ranks != DefaultRanks
-	case "threads":
-		return r.Threads != DefaultThreads
-	case "steps":
-		return r.Steps != DefaultSteps
-	case "decomp":
-		return r.Decomp != DefaultDecomp
-	case "depth":
-		return r.Depth != 1 || r.DepthAxes != ([3]int{})
-	case "collision":
-		return !r.Collision.IsBGK()
-	case "stream":
-		return r.Stream != core.StreamTwoGrid
-	}
-	panic("experiments: no -real flag -" + name)
 }
 
 // ignores returns experiment exp's "drop -flag" error for the first of
@@ -101,7 +86,10 @@ func (r Run) given(name string) bool {
 // instead is why.
 func (r Run) ignores(exp, why string, flags ...string) error {
 	for _, f := range flags {
-		if r.given(f) {
+		if !slices.Contains(realFlags, f) {
+			panic("experiments: no -real flag -" + f)
+		}
+		if slices.Contains(r.given, f) {
 			return fmt.Errorf("%s %s; drop -%s", exp, why, f)
 		}
 	}

@@ -88,9 +88,12 @@ func TestVectorMatchesSeconds(t *testing.T) {
 	}
 }
 
-// TestReportGoldenShape pins the run-report JSON layout: the schema tag
-// and the top-level keys a later reader (CI trajectory, calibration fit)
-// depends on.
+// TestReportGoldenShape pins the run-report JSON layout: the schema tag,
+// the top-level keys a later reader (CI trajectory, calibration fit)
+// depends on, and the machine block's. The machine block gained vector,
+// the row bodies the SIMD rung bound (set by core.NewReport), because a
+// rate read on this host depends on which table ran; where nothing sets
+// it (the tuner's files) it is left out, so those files keep their shape.
 func TestReportGoldenShape(t *testing.T) {
 	r := New(0, time.Now(), false)
 	t0 := r.Begin()
@@ -123,6 +126,29 @@ func TestReportGoldenShape(t *testing.T) {
 		if _, ok := m[key]; !ok {
 			t.Errorf("report missing top-level key %q", key)
 		}
+	}
+	machine := m["machine"].(map[string]any)
+	for _, key := range []string{"os", "arch", "cpus", "go_version"} {
+		if _, ok := machine[key]; !ok {
+			t.Errorf("machine block missing key %q", key)
+		}
+	}
+	if v, ok := machine["vector"]; ok {
+		t.Errorf("machine.vector = %v where nothing set it, want it left out", v)
+	}
+	rep.Machine.Vector = "avx2"
+	buf.Reset()
+	if err := WriteReport(&buf, rep); err != nil {
+		t.Fatal(err)
+	}
+	var withVector struct {
+		Machine map[string]any `json:"machine"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &withVector); err != nil {
+		t.Fatal(err)
+	}
+	if v := withVector.Machine["vector"]; v != "avx2" {
+		t.Errorf("machine.vector = %v, want \"avx2\"", v)
 	}
 	phases, ok := m["phases"].([]any)
 	if !ok || len(phases) != 2 {

@@ -18,6 +18,11 @@ type MachineInfo struct {
 	Arch      string `json:"arch"`
 	CPUs      int    `json:"cpus"`
 	GoVersion string `json:"go_version"`
+	// Vector names the row bodies the SIMD rung bound on the host
+	// (core.VectorBodies: "avx512", "avx2" or "go"), so that a reading of
+	// a SIMD run says which table ran. The solver's report sets it; the
+	// tuner's files, which HostInfo alone fills, leave it out.
+	Vector string `json:"vector,omitempty"`
 }
 
 // HostInfo describes the local machine.
